@@ -71,7 +71,8 @@ class WorkflowConfig:
         Whether the update phase merges matched descriptions and re-runs
         matching on the merge results (merging-based iteration).
     max_iterations:
-        Upper bound on update/iterate rounds.
+        Upper bound on update/iterate rounds; must be at least 1 when
+        ``iterate_merges`` is on (``ERWorkflow.run`` raises otherwise).
     clustering:
         Final clustering: ``"connected_components"``, ``"center"`` or
         ``"merge_center"``.

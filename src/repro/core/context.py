@@ -38,7 +38,7 @@ the raw strings again:
 * **matching profiles** -- a :class:`~repro.text.profile_store.ProfileStore`
   constructed with ``context=...`` builds its per-description columns from
   the interned counts instead of re-tokenising (see
-  :meth:`ProfileStore._build`).
+  :meth:`ProfileStore.build`).
 
 The context is deliberately import-light (datamodel + text only), so the
 engine modules can accept one without importing :mod:`repro.core`; engines

@@ -20,7 +20,7 @@ Finally the declared matches are clustered into equivalence clusters.
 from __future__ import annotations
 
 import time
-from typing import List, Optional, Sequence, Set, Tuple, Union
+from typing import Dict, List, Optional, Sequence, Tuple, Union
 
 from repro.blocking.base import BlockBuilder, BlockCollection, ERInput
 from repro.blocking.canopy import CanopyClusteringBlocking
@@ -41,7 +41,7 @@ from repro.blocking.token_blocking import (
 from repro.core.config import WorkflowConfig
 from repro.core.context import PipelineContext
 from repro.core.results import WorkflowResult
-from repro.core.unionfind import UnionFind
+from repro.core.unionfind import IntUnionFind
 from repro.datamodel.collection import CleanCleanTask, EntityCollection
 from repro.datamodel.description import merge_descriptions
 from repro.datamodel.ground_truth import GroundTruth
@@ -60,6 +60,7 @@ from repro.matching.clustering import (
 )
 from repro.matching.engine import MatchingEngine
 from repro.matching.matchers import Matcher, ProfileSimilarityMatcher
+from repro.metablocking.entity_index import EntityIndexEngine
 from repro.metablocking.pipeline import MetaBlocking
 from repro.progressive.budget import Budget
 from repro.progressive.engine import SchedulingEngine
@@ -202,6 +203,11 @@ class ERWorkflow:
         :class:`~repro.mapreduce.supervisor.WorkerFailureError`.
         """
         config = self.config
+        if config.iterate_merges and config.max_iterations < 1:
+            raise ValueError(
+                "max_iterations must be at least 1 when iterate_merges is on, "
+                f"got {config.max_iterations}"
+            )
         parallel = None
         if config.num_workers > 1 and config.shared_context:
             from repro.mapreduce.parallel import ParallelEngine
@@ -452,7 +458,7 @@ class ERWorkflow:
         # ---------------- update / iterate ----------------
         if config.iterate_merges and result.matches:
             start = time.perf_counter()
-            new_matches, extra_comparisons, iterations = self._iterate_merges(
+            new_matches, counts, path = self._iterate_merges(
                 data,
                 engine,
                 result.matches,
@@ -460,15 +466,14 @@ class ERWorkflow:
                 context=context,
             )
             result.matches.extend(new_matches)
-            result.comparisons_executed += extra_comparisons
-            result.iterations = iterations
+            result.comparisons_executed += counts["comparisons"]
+            result.iterations = counts["iterations"]
             report.add_stage(
                 "update_iterate",
-                iterations=iterations,
+                **counts,
                 new_matches=len(new_matches),
-                comparisons=extra_comparisons,
                 seconds=time.perf_counter() - start,
-            )
+            ).notes = path
 
         # ---------------- clustering ----------------
         start = time.perf_counter()
@@ -534,13 +539,15 @@ class ERWorkflow:
         matches: Sequence[Tuple[str, str]],
         blocks: Optional[BlockCollection] = None,
         context: Optional[PipelineContext] = None,
-    ) -> Tuple[List[Tuple[str, str]], int, int]:
-        """Merging-based update phase.
+    ) -> Tuple[List[Tuple[str, str]], Dict[str, int], str]:
+        """Merging-based update phase, over ordinals.
 
         Matched descriptions are merged; each merged description is compared
         against the (not yet matched) descriptions that share a token-blocking
         block with any of its sources, which may reveal matches missed by the
-        pairwise phase.  Returns (new matches, extra comparisons, iterations).
+        pairwise phase.  Returns the new matches, the stage counts
+        (``iterations``, ``merges``, ``candidates``, ``comparisons``) and the
+        path that ran (``"batch"`` or ``"pairwise: <why>"``).
 
         ``blocks`` is the blocking stage's raw (pre-cleaning) token-block
         collection when it is known to equal what this phase would rebuild
@@ -548,79 +555,83 @@ class ERWorkflow:
         here -- from the shared ``context``'s postings when one is supplied,
         so even the rebuild adds no tokenisation pass.
 
-        Comparisons run through the matching ``engine``: the candidates of one
-        merged description are scored as a single batch against the engine's
-        profile store (the unmerged candidates stay cached across the whole
-        phase), and the transient merged profile is invalidated as soon as its
-        batch is done, so a merge only ever touches its own store entry.
+        Everything per candidate is an integer: descriptions are numbered in
+        collection order (the shared context's ordinals), neighbourhoods come
+        from the CSR of an :class:`EntityIndexEngine` built on those
+        ordinals, cluster state is an :class:`IntUnionFind`, and identifier
+        pairs are produced for the new matches only.  **Order rule:** a
+        merge's candidates are visited in identifier order, and the cluster
+        check runs at visit time, because a union made for an earlier
+        candidate can absorb a later one.
+
+        On the batch path (a natively supported matcher and a shared context)
+        the whole neighbourhood is scored in one
+        :meth:`MatchingEngine.score_against` pass before the visit loop --
+        scoring is stateless, so scoring a candidate the cluster check then
+        skips changes nothing.  Otherwise the matcher may be stateful (e.g.
+        the noisy oracle's RNG): only the candidates that survive the
+        cluster check reach ``engine.decide``, one at a time, in visit order.
         """
-        new_matches: List[Tuple[str, str]] = []
-        extra_comparisons = 0
-        iterations = 0
-
-        # current cluster representative per identifier
-        clusters = UnionFind()
-        for first, second in matches:
-            clusters.union(first, second)
-
         if blocks is None:
             blocks = BlockingEngine(
                 TokenBlocking(), engine=self.config.blocking_engine, context=context
             ).build(data)
-        neighbour_index = blocks.entity_index()
-        block_members = [list(block.members) for block in blocks]
+        descriptions = list(data) if context is None else context.descriptions
+        index = EntityIndexEngine(
+            blocks, ids=[description.identifier for description in descriptions]
+        )
+        why = None  # ... the one-vs-many batch pass cannot run
+        if engine.engine == "pairwise":
+            why = "matching_engine"
+        elif not engine.batch_applicable:
+            why = type(engine.matcher).__name__
+        elif context is None:
+            why = "no shared context"
+        path = "batch" if why is None else f"pairwise: {why}"
+        threshold = engine.matcher.threshold if why is None else None
 
-        pending = list(matches)
+        pending = [(index.ordinal(first), index.ordinal(second)) for first, second in matches]
+        clusters = IntUnionFind(index.num_entities)
+        for first, second in pending:
+            clusters.union(first, second)
+
+        new_matches: List[Tuple[str, str]] = []
+        counts = {"iterations": 0, "merges": 0, "candidates": 0}
+        comparisons = 0
         for iteration in range(self.config.max_iterations):
             if not pending:
                 break
-            iterations = iteration + 1
-            found_this_round: List[Tuple[str, str]] = []
+            counts["iterations"] = iteration + 1
+            counts["merges"] += len(pending)
+            found: List[Tuple[int, int]] = []
             for first, second in pending:
-                description_a = data.get(first)
-                description_b = data.get(second)
-                if description_a is None or description_b is None:
-                    continue
-                merged = merge_descriptions(description_a, description_b)
-                # candidate partners: co-blocked with either source, not already clustered together
-                candidate_ids: Set[str] = set()
-                for source in (first, second):
-                    for block_index in neighbour_index.get(source, ()):
-                        candidate_ids.update(block_members[block_index])
-                candidate_ids.discard(first)
-                candidate_ids.discard(second)
-                candidates = [
-                    (candidate_id, candidate)
-                    for candidate_id in sorted(candidate_ids)
-                    if (candidate := data.get(candidate_id)) is not None
-                ]
-                if engine.batch_applicable:
-                    # stateless scoring: the whole candidate neighbourhood is
-                    # scored in one batch, and the cluster check runs at
-                    # decision time (in the same sorted order as the per-pair
-                    # loop) because a union made for an earlier candidate can
-                    # absorb a later one
-                    decisions = engine.decide_pairs([(merged, c) for _, c in candidates])
-                    engine.invalidate(merged.identifier)
-                else:
-                    # a fallback matcher may be stateful (e.g. the noisy
-                    # oracle's RNG): only the pairs that survive the cluster
-                    # check may reach it, in the historical call order
-                    decisions = [None] * len(candidates)
-                for index, (candidate_id, candidate) in enumerate(candidates):
-                    if clusters.connected(candidate_id, first):
+                merged = merge_descriptions(descriptions[first], descriptions[second])
+                candidates = index.co_blocked((first, second))
+                counts["candidates"] += len(candidates)
+                scores = engine.score_against(merged, candidates) if why is None else None
+                # first-root-wins unions: this stays the root of ``first``'s
+                # cluster through every union the loop below makes
+                root = clusters.find(first)
+                for position, candidate in enumerate(candidates):
+                    if clusters.find(candidate) == root:
                         continue
-                    extra_comparisons += 1
-                    decision = decisions[index]
-                    if decision is None:
-                        decision = engine.decide(merged, candidate)
-                    if decision.is_match:
-                        clusters.union(first, candidate_id)
-                        pair = (first, candidate_id)
-                        found_this_round.append(pair)
-            new_matches.extend(found_this_round)
-            pending = found_this_round
-        return new_matches, extra_comparisons, iterations
+                    comparisons += 1
+                    if scores is None:
+                        is_match = engine.decide(merged, descriptions[candidate]).is_match
+                    else:
+                        is_match = scores[position] >= threshold
+                    if is_match:
+                        clusters.union(first, candidate)
+                        found.append((first, candidate))
+                if scores is None:
+                    engine.invalidate(merged.identifier)
+            new_matches.extend(
+                (index.identifier(first), index.identifier(candidate))
+                for first, candidate in found
+            )
+            pending = found
+        counts["comparisons"] = comparisons
+        return new_matches, counts, path
 
 
 def default_workflow(budget: Optional[int] = None, **overrides) -> ERWorkflow:

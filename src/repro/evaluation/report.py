@@ -103,8 +103,10 @@ class WorkflowReport:
         header = "  ".join(str(c).ljust(widths[i]) for i, c in enumerate(columns))
         lines.append(header)
         lines.append("  ".join("-" * w for w in widths))
-        for row in rows:
-            lines.append("  ".join(cell.ljust(widths[i]) for i, cell in enumerate(row)))
+        for report, row in zip(self._stages, rows):
+            line = "  ".join(cell.ljust(widths[i]) for i, cell in enumerate(row))
+            # same suffix as ``str(stage)``: which path ran, where a snapshot went
+            lines.append(f"{line}  # {report.notes}" if report.notes else line)
         return "\n".join(lines)
 
     def __str__(self) -> str:

@@ -38,6 +38,18 @@ matcher -- :class:`~repro.matching.matchers.RuleBasedMatcher`,
 columnar path cannot see).  Swapping engines therefore never changes a
 workflow's output, only its speed.
 
+The update/iterate phase of :class:`~repro.core.workflow.ERWorkflow` uses
+the engine one-vs-many:
+:meth:`~repro.matching.engine.MatchingEngine.score_against` scores one
+transient merged description against candidates named by the shared
+context's *ordinals* -- the merged profile is scattered once, all candidate
+profiles are gathered in one pass from the store's profile CSR, and nothing
+per candidate is an object.  Scores are bit-identical to the per-pair
+oracle's; what makes the phase's *output* identical too is its order rule:
+candidates are visited in identifier order and the already-clustered check
+runs at visit time, because a union made for an earlier candidate can absorb
+a later one.
+
 The same split closes the pipeline tail.  On the batch path the engine can
 emit executed decisions straight into a columnar
 :class:`~repro.datamodel.pairs.DecisionColumns` (ordinal ``first``/``second``

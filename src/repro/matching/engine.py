@@ -38,6 +38,12 @@ PR 1:
 
 Because decisions are bit-identical and emitted in input order, swapping the
 engines never changes a workflow's output -- only its speed.
+
+Besides pairs, the batch engine scores **one description against many**:
+:meth:`MatchingEngine.score_against` takes a transient description (a merge
+of the update/iterate phase) and the shared context's ordinals of its
+candidates, and returns bare scores -- see there for the order rule the
+caller must keep.
 """
 
 from __future__ import annotations
@@ -115,7 +121,7 @@ class MatchingEngine:
         worker processes over the context's shared columns -- bit-identical
         to the single-process batch path.  Batches touching transient
         descriptions (e.g. merges), or of fewer than two pairs, silently
-        stay single-process.
+        stay single-process, and so does :meth:`score_against`.
 
     Notes
     -----
@@ -267,10 +273,11 @@ class MatchingEngine:
     ) -> List[MatchDecision]:
         """Decide explicit description pairs (no identifier resolution).
 
-        Used by the update/iterate phase, where one side of each pair is a
-        freshly merged description that lives outside the input collection;
-        the store caches it by identifier and recomputes automatically if a
-        different object later reuses the identifier.
+        Either side may be a description that lives outside the input
+        collection (e.g. a merge); the store caches it by identifier and
+        recomputes automatically if a different object later reuses the
+        identifier.  The update/iterate phase itself goes through the
+        object-free :meth:`score_against`.
         """
         if not self.batch_applicable:
             self.last_engine = "pairwise"
@@ -320,6 +327,91 @@ class MatchingEngine:
         store = self._store_for(None)
         profiles = [(store.profile(first), store.profile(second)) for first, second in pairs]
         return self._score(store, profiles)
+
+    def score_against(
+        self, description: EntityDescription, ordinals: Sequence[int]
+    ) -> List[float]:
+        """Similarity of ``description`` to each context description in ``ordinals``.
+
+        The one-vs-many entry point of the update/iterate phase: one side is
+        a transient description (a merge, tokenised on demand into the shared
+        vocabulary and not retained by the store), the other side is named by
+        the shared context's ordinals -- no description, profile pair or
+        decision object is touched per candidate.  On the NumPy path the
+        query profile is scattered once into a vocabulary-sized column and
+        every candidate's profile is gathered in one pass from the store's
+        profile CSR (:meth:`ProfileStore.context_columns
+        <repro.text.profile_store.ProfileStore.context_columns>`); the
+        pure-Python path walks the cached per-ordinal ``id_set`` /
+        ``weight_map`` views.  Scores come back in the order of ``ordinals``
+        and are bit-identical to ``matcher.similarity`` on every pair: shared
+        counts are exact integers fed to :func:`_set_score`, TF-IDF dot
+        products are one :func:`math.fsum` per candidate.
+
+        Requires the batch engine, a natively supported matcher
+        (:attr:`batch_applicable`) and a shared context.  Always runs on the
+        calling process, whatever ``parallel`` is: the query's tokens are not
+        in the workers' shared columns.
+        """
+        if not self.batch_applicable:
+            raise ValueError(
+                "score_against requires the batch engine and a natively "
+                "supported matcher"
+            )
+        self.last_engine = "batch"
+        store = self._store_for(None)
+        query = store.build(description)
+        if self._use_numpy and len(ordinals) > 1:
+            return self._score_against_numpy(store, query, ordinals)
+        profiles = store.context_profiles()
+        pairs = [(query, profiles[ordinal]) for ordinal in ordinals]
+        if store.mode == "tfidf":
+            return self._score_tfidf_python(pairs)
+        return self._score_sets_python(pairs)
+
+    def _score_against_numpy(
+        self, store: ProfileStore, query: Profile, ordinals: Sequence[int]
+    ) -> List[float]:
+        ptr, token_ids, weights, norms = store.context_columns()
+        ordinals = _np.asarray(ordinals, dtype=_np.intp)
+        starts = ptr[ordinals]
+        sizes = ptr[ordinals + 1] - starts
+        # segment i of the gathered stream is [bounds[i], bounds[i + 1])
+        bounds = _np.zeros(len(ordinals) + 1, dtype=_np.intp)
+        _np.cumsum(sizes, out=bounds[1:])
+        gather = _np.repeat(starts - bounds[:-1], sizes) + _np.arange(bounds[-1])
+        # the query was built first: its tokens are inside the vocabulary
+        # even when the merge interned new ones
+        vocabulary_size = store.vocabulary_size
+        if weights is None:
+            flags = _np.zeros(vocabulary_size, dtype=bool)
+            flags[query.np_ids] = True
+            running = _np.zeros(len(gather) + 1, dtype=_np.intp)
+            _np.cumsum(flags[token_ids[gather]], out=running[1:])
+            shared = running[bounds[1:]] - running[bounds[:-1]]
+            name = self.matcher.similarity_name
+            query_size = len(query)
+            return [
+                _set_score(name, query_size, size, count)
+                for size, count in zip(sizes.tolist(), shared.tolist())
+            ]
+        scores = [0.0] * len(ordinals)
+        query_norm = query.norm
+        if not len(query) or query_norm == 0.0:
+            return scores
+        column = _np.zeros(vocabulary_size, dtype=_np.float64)
+        column[query.np_ids] = query.np_weights
+        # tokens absent from the query gather 0.0: exact-zero products leave
+        # the exactly rounded fsum -- hence the oracle's intersection-only
+        # accumulation -- unchanged
+        products = (column[token_ids[gather]] * weights[gather]).tolist()
+        stops = bounds.tolist()
+        segments = zip(stops, stops[1:], norms[ordinals].tolist())
+        for index, (start, stop, norm) in enumerate(segments):
+            dot = math.fsum(products[start:stop])
+            if dot != 0.0 and norm != 0.0:
+                scores[index] = dot / (query_norm * norm)
+        return scores
 
     def _resolve_ordinals(
         self,

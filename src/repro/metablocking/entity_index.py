@@ -94,12 +94,23 @@ class EntityIndexEngine:
         Force (``True``) or forbid (``False``) the vectorised neighbourhood
         path; ``None`` (default) uses NumPy whenever it is importable.  Both
         paths produce bit-identical output.
+    ids:
+        Optional identifier table fixing the ordinal assignment (ordinal
+        ``o`` is ``ids[o]``), e.g. the shared pipeline context's, so the
+        index speaks the same ordinals as the caller's other columns.
+        Descriptions placed in no block then simply have no blocks.  By
+        default ordinals are assigned in first-seen block-member order.
     """
 
-    def __init__(self, blocks: BlockCollection, use_numpy: Optional[bool] = None) -> None:
+    def __init__(
+        self,
+        blocks: BlockCollection,
+        use_numpy: Optional[bool] = None,
+        ids: Optional[Sequence[str]] = None,
+    ) -> None:
         self.blocks = blocks
-        ids: List[str] = []
-        ordinal: Dict[str, int] = {}
+        ids = list(ids) if ids is not None else []
+        ordinal: Dict[str, int] = {identifier: o for o, identifier in enumerate(ids)}
         blk_ents = array("q")
         blk_ptr = array("q", [0])
         blk_split = array("q")  # number of left members, or -1 for unilateral
@@ -251,6 +262,9 @@ class EntityIndexEngine:
     def identifier(self, ordinal: int) -> str:
         return self._ids[ordinal]
 
+    def ordinal(self, identifier: str) -> Optional[int]:
+        return self._ordinal.get(identifier)
+
     def node_blocks_count(self, identifier: str) -> int:
         o = self._ordinal.get(identifier)
         if o is None:
@@ -353,6 +367,40 @@ class EntityIndexEngine:
             return neighbours, counts, arcs
         neighbours, counts = np.unique(cat, return_counts=True)
         return neighbours, counts, None
+
+    def co_blocked(self, ordinals: Sequence[int]) -> List[int]:
+        """Every other description sharing a block with any of ``ordinals``.
+
+        The neighbourhood the update/iterate phase re-matches a merge of
+        ``ordinals`` against: the distinct members of all their blocks --
+        *whole* blocks, so both sides of a bilateral block -- minus
+        ``ordinals`` themselves, in **identifier order** (ascending rank),
+        the order ``sorted()`` gives the identifier strings.
+        """
+        ranks = self._ranks()
+        if self._use_numpy:
+            np = _np
+            blocks = np.concatenate(
+                [self._np_ent_blocks[self._ent_ptr[o] : self._ent_ptr[o + 1]] for o in ordinals]
+            )
+            start = self._np_blk_ptr[blocks]
+            lengths = self._np_blk_ptr[blocks + 1] - start
+            offsets = np.cumsum(lengths) - lengths
+            flat = np.repeat(start - offsets, lengths) + np.arange(int(lengths.sum()))
+            # raw token blocks are large and overlap heavily: marking members
+            # in an entity-sized mask is cheaper than sorting the duplicates out
+            mask = np.zeros(self.num_entities, dtype=bool)
+            mask[self._np_blk_ents[flat]] = True
+            mask[list(ordinals)] = False
+            members = np.flatnonzero(mask)
+            return members[np.argsort(ranks[members])].tolist()
+        members = set()
+        for o in ordinals:
+            for pos in range(self._ent_ptr[o], self._ent_ptr[o + 1]):
+                b = self._ent_blocks[pos]
+                members.update(self._blk_ents[self._blk_ptr[b] : self._blk_ptr[b + 1]])
+        members.difference_update(ordinals)
+        return sorted(members, key=ranks.__getitem__)
 
     def _ranks(self) -> Sequence[int]:
         """Identifier ranks: comparing ranks == comparing identifier strings.

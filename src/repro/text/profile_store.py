@@ -32,6 +32,17 @@ entry explicitly without touching the rest of the store.
 When NumPy is importable, :attr:`Profile.np_ids` / :attr:`Profile.np_weights`
 expose the same columns as zero-copy ``int64`` / ``float64`` views for the
 vectorised scoring passes of :class:`~repro.matching.engine.MatchingEngine`.
+
+A context-backed store additionally serves the profiles **by ordinal**:
+:meth:`ProfileStore.context_profiles` is the profile of every description
+the context owns, indexed by the context's ordinals, and
+:meth:`ProfileStore.context_columns` is the same data as one CSR
+(``ptr`` / token ids / weights / norms), so the one-vs-many pass of the
+update/iterate phase (:meth:`MatchingEngine.score_against
+<repro.matching.engine.MatchingEngine.score_against>`) gathers all its
+candidates' profiles in one indexing operation.  Both are built on first use
+and never go stale: row ``o`` is the profile of ``context.description(o)``,
+which the context interned once and for all.
 """
 
 from __future__ import annotations
@@ -174,7 +185,10 @@ class ProfileStore:
         ``TfIdfVectorizer.transform`` and :func:`~repro.text.vectorizer.l2_norm`).
         Descriptions outside the context (e.g. transient merged descriptions
         of the update phase, or a replaced object reusing a known
-        identifier) transparently take the tokenising path.
+        identifier) transparently take the tokenising path.  A context also
+        gives the store an ordinal space: :meth:`context_profiles` and
+        :meth:`context_columns` serve the owned descriptions' profiles by
+        ordinal, as a list and as one CSR.
     """
 
     def __init__(
@@ -196,6 +210,9 @@ class ProfileStore:
         #: identifier -> (source description, profile); the source reference
         #: detects stale entries when a new object reuses an identifier
         self._profiles: Dict[str, Tuple[EntityDescription, Profile]] = {}
+        #: ordinal -> profile / CSR over the context's descriptions (lazy)
+        self._context_profiles: Optional[List[Profile]] = None
+        self._context_columns = None
         self.hits = 0
         self.misses = 0
 
@@ -248,15 +265,15 @@ class ProfileStore:
             self.hits += 1
             return entry[1]
         self.misses += 1
-        profile = self._build(description)
+        profile = self.build(description)
         self._profiles[description.identifier] = (description, profile)
         return profile
 
     def invalidate(self, identifier: str) -> bool:
         """Drop the cached profile of ``identifier``; other entries are kept.
 
-        Returns whether an entry existed.  Used by the update/iterate phase:
-        merging a description only invalidates that entity's store entry.
+        Returns whether an entry existed.  The per-pair branch of the
+        update/iterate phase drops each merge's transient entry this way.
         """
         return self._profiles.pop(identifier, None) is not None
 
@@ -265,7 +282,58 @@ class ProfileStore:
         self._profiles.clear()
 
     # ------------------------------------------------------------------
-    def _build(self, description: EntityDescription) -> Profile:
+    # profiles by context ordinal
+    # ------------------------------------------------------------------
+    def context_profiles(self) -> List[Profile]:
+        """The profile of every context description, indexed by ordinal.
+
+        Built once, through :meth:`profile`, so entries the matching phase
+        already cached are reused and the rest come straight from the
+        context's interned columns (no tokenisation).
+        """
+        if self._context_profiles is None:
+            if self.context is None:
+                raise ValueError("profiles by ordinal need a shared pipeline context")
+            self._context_profiles = [
+                self.profile(description) for description in self.context.descriptions
+            ]
+        return self._context_profiles
+
+    def context_columns(self):
+        """:meth:`context_profiles` as one CSR of NumPy columns.
+
+        Returns ``(ptr, token_ids, weights, norms)``: the profile of ordinal
+        ``o`` is ``token_ids[ptr[o]:ptr[o + 1]]`` with the aligned
+        ``weights`` (``None`` in set mode) and L2 norm ``norms[o]``.  The
+        columns are copies of the very ``array`` buffers the profiles hold,
+        so every float is the one the per-profile paths read.
+        """
+        if self._context_columns is None:
+            profiles = self.context_profiles()
+            ptr = _np.zeros(len(profiles) + 1, dtype=_np.int64)
+            _np.cumsum([len(profile) for profile in profiles], out=ptr[1:])
+            token_ids = array("q")
+            weights = array("d")
+            for profile in profiles:
+                token_ids.extend(profile.token_ids)
+                if profile.weights is not None:
+                    weights.extend(profile.weights)
+            self._context_columns = (
+                ptr,
+                _np.array(token_ids, dtype=_np.int64),
+                _np.array(weights, dtype=_np.float64) if self.vectorizer is not None else None,
+                _np.array([profile.norm for profile in profiles], dtype=_np.float64),
+            )
+        return self._context_columns
+
+    # ------------------------------------------------------------------
+    def build(self, description: EntityDescription) -> Profile:
+        """The profile of ``description``, computed now and **not** cached.
+
+        What :meth:`profile` runs on a cache miss; callers use it directly for
+        transient descriptions (the update phase's merges) that are scored
+        once and dropped.
+        """
         context = self.context
         if context is not None:
             ordinal = context.ordinal(description.identifier)

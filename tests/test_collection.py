@@ -97,3 +97,12 @@ class TestCleanCleanTask:
         assert task.get("a:1").identifier == "a:1"
         assert task.get("b:0").identifier == "b:0"
         assert task.get("zzz") is None
+
+    def test_get_resolves_a_left_description_without_attribute_values(self):
+        """``len(description) == 0`` makes it falsy; it is still a hit."""
+        bare = EntityDescription("a:bare")
+        left = make_collection("a", 1)
+        left.add(bare)
+        task = CleanCleanTask(left, make_collection("b", 1))
+        assert len(bare) == 0
+        assert task.get("a:bare") is bare

@@ -227,6 +227,45 @@ class TestNumpyFallbackPath:
                 assert expected == actual
 
 
+class TestCoBlockedNeighbourhoods:
+    """``co_blocked``: the update/iterate phase's candidate enumeration."""
+
+    BLOCKS = [
+        Block("b0", members=["n3", "n1", "n2"]),
+        # whole blocks count: n5 sits on n1's own side of this one
+        Block("b1", left_members=["n1", "n5"], right_members=["n4"]),
+        Block("b2", members=["n4", "n2"]),
+        Block("b3", members=["n6", "n7"]),
+    ]
+    #: a caller-fixed ordinal space, not in identifier order; n0 is in no block
+    IDS = ["n4", "n0", "n7", "n1", "n6", "n3", "n2", "n5"]
+
+    @pytest.mark.parametrize("use_numpy", [None, False])
+    def test_identifier_order_over_given_ordinals(self, use_numpy):
+        engine = EntityIndexEngine(
+            BlockCollection(self.BLOCKS), use_numpy=use_numpy, ids=self.IDS
+        )
+        assert engine.num_entities == len(self.IDS)
+        assert [engine.identifier(o) for o in range(len(self.IDS))] == self.IDS
+
+        def co_blocked(*identifiers):
+            ordinals = [engine.ordinal(identifier) for identifier in identifiers]
+            return [engine.identifier(o) for o in engine.co_blocked(ordinals)]
+
+        assert co_blocked("n1") == ["n2", "n3", "n4", "n5"]
+        assert co_blocked("n1", "n4") == ["n2", "n3", "n5"]
+        assert co_blocked("n3", "n6") == ["n1", "n2", "n7"]
+        assert co_blocked("n0") == []
+        assert co_blocked("n0", "n7") == ["n6"]
+        assert engine.ordinal("ghost") is None
+
+    def test_default_ordinals_are_first_seen(self):
+        engine = EntityIndexEngine(BlockCollection(self.BLOCKS))
+        assert [engine.identifier(o) for o in range(engine.num_entities)] == [
+            "n3", "n1", "n2", "n5", "n4", "n6", "n7"
+        ]
+
+
 class TestWeightingEdgeCaseValues:
     def test_two_member_universe(self):
         blocks = BlockCollection([Block("only", members=["x", "y"])])

@@ -146,6 +146,11 @@ class TestReports:
         assert "blocking" in rendered and "matches" in rendered
         assert len(report.to_rows()) == 2
         assert "[matching]" in str(stage)
+        stage.notes = "pairwise: custom matcher"
+        assert str(stage).endswith("# pairwise: custom matcher")
+        rows = report.render().splitlines()
+        assert rows[-1].startswith("matching") and rows[-1].endswith("# pairwise: custom matcher")
+        assert "#" not in rows[-2]
 
     def test_render_table(self):
         text = render_table(

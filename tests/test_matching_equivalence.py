@@ -456,6 +456,224 @@ class TestWorkflowEquivalence:
         assert results["batch"].comparisons_executed == results["pairwise"].comparisons_executed
 
 
+def _force_pure_python(monkeypatch):
+    """Route the update phase's columnar passes onto their NumPy-free twins."""
+    import repro.matching.engine as engine_module
+    import repro.metablocking.entity_index as index_module
+
+    monkeypatch.setattr(engine_module, "_np", None)
+    monkeypatch.setattr(index_module, "_np", None)
+
+
+def _run_update_phase(data, engine, **config):
+    from repro.core.config import WorkflowConfig
+    from repro.core.workflow import ERWorkflow
+
+    return ERWorkflow(
+        WorkflowConfig(iterate_merges=True, matching_engine=engine, **config)
+    ).run(data)
+
+
+def _assert_same_update_phase(batch, pairwise):
+    assert batch.matches == pairwise.matches  # same pairs, same order
+    assert batch.comparisons_executed == pairwise.comparisons_executed
+    assert batch.iterations == pairwise.iterations
+    batch_stage = batch.report.stage("update_iterate")
+    pairwise_stage = pairwise.report.stage("update_iterate")
+    assert batch_stage.notes == "batch"
+    assert pairwise_stage.notes == "pairwise: matching_engine"
+    for metric in ("new_matches", "iterations", "merges", "candidates", "comparisons"):
+        assert batch_stage.get(metric) == pairwise_stage.get(metric), metric
+
+
+class TestUpdatePhaseEquivalence:
+    """The ordinal one-vs-many update phase against the per-pair oracle.
+
+    ``matching_engine="batch"`` scores every merge's neighbourhood in one
+    ``score_against`` pass; ``"pairwise"`` walks the same ordinal candidate
+    enumeration one ``decide`` at a time.  Matches (including their order),
+    comparison counts and round counts must not tell the two apart.
+    """
+
+    THRESHOLDS = (0.3, 0.5, 0.6)
+
+    @pytest.fixture(scope="class")
+    def inputs(self):
+        from repro.datasets import (
+            DatasetConfig,
+            generate_clean_clean_task,
+            generate_dirty_dataset,
+        )
+
+        # seeds picked so that every (input, similarity) cell below finds new
+        # matches at one of the thresholds at least
+        return {
+            "dirty": generate_dirty_dataset(
+                DatasetConfig(num_entities=60, duplicates_per_entity=2.0, seed=23)
+            ).collection,
+            "clean_clean": generate_clean_clean_task(
+                DatasetConfig(num_entities=80, missing_in_right=0.2, seed=38)
+            ).task,
+        }
+
+    @pytest.mark.parametrize("kind", ["dirty", "clean_clean"])
+    @pytest.mark.parametrize("use_tfidf", [True, False], ids=["tfidf", "jaccard"])
+    @pytest.mark.parametrize("use_numpy", NUMPY_MODES, ids=lambda flag: f"numpy={flag}")
+    def test_seeded_inputs(self, inputs, kind, use_tfidf, use_numpy, monkeypatch):
+        if not use_numpy:
+            _force_pure_python(monkeypatch)
+        new_matches = 0
+        absorbed = 0
+        for threshold in self.THRESHOLDS:
+            config = dict(use_tfidf=use_tfidf, match_threshold=threshold)
+            batch = _run_update_phase(inputs[kind], "batch", **config)
+            pairwise = _run_update_phase(inputs[kind], "pairwise", **config)
+            _assert_same_update_phase(batch, pairwise)
+            stage = batch.report.stage("update_iterate")
+            new_matches += stage.get("new_matches")
+            absorbed += stage.get("candidates") - stage.get("comparisons")
+        # the suite is not vacuous: the phase found matches the bulk pass
+        # missed, and the cluster check did skip scored candidates
+        assert new_matches > 0
+        assert absorbed > 0
+
+    @staticmethod
+    def _collection(**token_sets):
+        return EntityCollection(
+            [
+                EntityDescription(identifier, {"name": " ".join(tokens)})
+                for identifier, tokens in token_sets.items()
+            ]
+        )
+
+    #: every candidate pair reaches the matcher, Jaccard at an exact 0.5
+    BARE = dict(
+        enable_purging=False,
+        enable_filtering=False,
+        enable_metablocking=False,
+        use_tfidf=False,
+        match_threshold=0.5,
+    )
+
+    @pytest.mark.parametrize("use_numpy", NUMPY_MODES, ids=lambda flag: f"numpy={flag}")
+    def test_earlier_union_absorbs_a_later_candidate(self, use_numpy, monkeypatch):
+        """``a+b`` matches ``c1``; ``c2`` is already clustered with ``c1``, so
+        the union made for ``c1`` absorbs it before its turn comes -- it was
+        scored (batch) but must not count as a comparison, as it never
+        reaches the per-pair matcher."""
+        if not use_numpy:
+            _force_pure_python(monkeypatch)
+        data = self._collection(
+            a=["xone", "xtwo", "xthree", "xfour"],
+            b=["xone", "xtwo", "xthree", "xfive"],
+            c1=["xthree", "xfour", "xfive"],
+            c2=["xfour", "xfive", "zed"],
+        )
+        batch = _run_update_phase(data, "batch", **self.BARE)
+        pairwise = _run_update_phase(data, "pairwise", **self.BARE)
+        _assert_same_update_phase(batch, pairwise)
+        assert sorted(batch.matches[:2]) == [("a", "b"), ("c1", "c2")]
+        assert batch.matches[2:] == [("a", "c1")]
+        stage = batch.report.stage("update_iterate")
+        # round 1 enumerates {c1, c2} for a+b and {a, b} for c1+c2, round 2
+        # {b, c2} for a+c1: only the very first visit is not yet clustered
+        assert stage.get("candidates") == 6
+        assert stage.get("comparisons") == 1
+        assert batch.iterations == 2
+
+    @pytest.mark.parametrize("use_numpy", NUMPY_MODES, ids=lambda flag: f"numpy={flag}")
+    def test_second_round_finds_what_the_first_could_not(self, use_numpy, monkeypatch):
+        """``d`` matches neither ``a+b`` nor any source, only the ``a+c``
+        merge that exists once round 1 has found ``(a, c)``."""
+        if not use_numpy:
+            _force_pure_python(monkeypatch)
+        data = self._collection(
+            a=["xone", "xtwo", "xthree", "xfour"],
+            b=["xone", "xtwo", "xthree", "xfive"],
+            c=["xthree", "xfour", "xfive", "yone"],
+            d=["xone", "xfour", "yone"],
+        )
+        batch = _run_update_phase(data, "batch", **self.BARE)
+        pairwise = _run_update_phase(data, "pairwise", **self.BARE)
+        _assert_same_update_phase(batch, pairwise)
+        assert batch.matches == [("a", "b"), ("a", "c"), ("a", "d")]
+        assert batch.iterations == 3
+        assert batch.report.stage("update_iterate").get("comparisons") == 3
+
+    @pytest.mark.parametrize("use_tfidf", [True, False], ids=["tfidf", "jaccard"])
+    @pytest.mark.parametrize("use_numpy", NUMPY_MODES, ids=lambda flag: f"numpy={flag}")
+    def test_merge_with_tokens_unseen_at_interning_time(self, use_tfidf, use_numpy):
+        """A merge may carry tokens the context never interned: they are
+        interned on demand, so the vocabulary -- and with it the scatter
+        column of the NumPy pass -- grows between two ``score_against``
+        calls on one engine."""
+        from repro.core.context import PipelineContext
+
+        collection = _random_collection(7)
+        context = PipelineContext(collection)
+        vectorizer = context.fit_vectorizer() if use_tfidf else None
+        matcher = ProfileSimilarityMatcher(threshold=0.3, vectorizer=vectorizer)
+        engine = MatchingEngine(matcher, use_numpy=use_numpy, context=context)
+        ordinals = list(range(context.num_descriptions))
+        known = merge_descriptions(collection["e001"], collection["e002"])
+        novel = merge_descriptions(
+            known,
+            EntityDescription("outsider", {"name": "turing quokka zyzzyva quokka"}),
+        )
+        sizes = [context.vocabulary_size]
+        for merged in (known, novel, known):
+            assert engine.score_against(merged, ordinals) == [
+                matcher.similarity(merged, description) for description in collection
+            ]
+            sizes.append(context.vocabulary_size)
+        # merging interned descriptions adds nothing; the outsider's tokens do
+        assert sizes[1] == sizes[0]
+        assert sizes[2] > sizes[1]
+        assert sizes[3] == sizes[2]
+
+    @pytest.mark.parametrize(
+        "matcher_name",
+        [
+            "profile-jaccard",
+            "profile-dice",
+            "profile-overlap",
+            "profile-cosine",
+            "profile-nostop",
+            "profile-tfidf",
+        ],
+    )
+    @pytest.mark.parametrize("use_numpy", NUMPY_MODES, ids=lambda flag: f"numpy={flag}")
+    def test_score_against_matches_the_oracle(self, matcher_name, use_numpy):
+        """Every similarity family, degenerate profiles on either side."""
+        from repro.core.context import PipelineContext
+
+        collection = _random_collection(8)
+        matcher = _matchers(collection)[matcher_name]
+        engine = MatchingEngine(
+            matcher, use_numpy=use_numpy, context=PipelineContext(collection)
+        )
+        rng = random.Random(8)
+        queries = [
+            merge_descriptions(collection["e003"], collection["e004"]),
+            merge_descriptions(collection["empty"], collection["blank"]),
+            merge_descriptions(collection["stopwords"], collection["short"]),
+        ]
+        for query in queries:
+            ordinals = rng.sample(range(len(collection)), 30)
+            for subset in (ordinals, ordinals[:1], []):
+                assert engine.score_against(query, subset) == [
+                    matcher.similarity(query, collection[ordinal]) for ordinal in subset
+                ]
+
+    def test_score_against_needs_batch_engine_and_context(self):
+        collection = _random_collection(9, size=6)
+        matcher = ProfileSimilarityMatcher(threshold=0.3)
+        with pytest.raises(ValueError, match="batch engine"):
+            MatchingEngine(matcher, engine="pairwise").score_against(collection["e000"], [1])
+        with pytest.raises(ValueError, match="shared pipeline context"):
+            MatchingEngine(matcher).score_against(collection["e000"], [1, 2])
+
+
 class TestGuards:
     def test_runner_rejects_engine_wrapping_a_different_matcher(self, tiny_collection):
         matcher_a = ProfileSimilarityMatcher(threshold=0.3)

@@ -126,3 +126,53 @@ class TestNumpyViews:
         profile = store.profile(EntityDescription("void", {}))
         assert profile.np_ids.shape == (0,)
         assert profile.np_weights.shape == (0,)
+
+
+class TestContextOrdinalViews:
+    """Profiles by context ordinal, as a list and as one CSR."""
+
+    @staticmethod
+    def _store(tfidf: bool) -> ProfileStore:
+        from repro.core.context import PipelineContext
+        from repro.datamodel.collection import EntityCollection
+
+        context = PipelineContext(
+            EntityCollection([alan(), EntityDescription("void", {}), grace()])
+        )
+        vectorizer = context.fit_vectorizer() if tfidf else None
+        return ProfileStore(vectorizer=vectorizer, context=context)
+
+    @pytest.mark.parametrize("tfidf", [False, True])
+    def test_profiles_are_the_cached_ones_in_ordinal_order(self, tfidf):
+        store = self._store(tfidf)
+        cached = store.profile(store.context.description(2))
+        profiles = store.context_profiles()
+        assert [profile.identifier for profile in profiles] == ["a1", "void", "b1"]
+        assert profiles[2] is cached
+        assert store.context_profiles() is profiles
+
+    @pytest.mark.skipif(not HAS_NUMPY, reason="numpy not installed")
+    @pytest.mark.parametrize("tfidf", [False, True])
+    def test_columns_lay_the_profiles_end_to_end(self, tfidf):
+        store = self._store(tfidf)
+        ptr, token_ids, weights, norms = store.context_columns()
+        assert (weights is not None) == tfidf
+        for ordinal, profile in enumerate(store.context_profiles()):
+            rows = slice(ptr[ordinal], ptr[ordinal + 1])
+            assert token_ids[rows].tolist() == list(profile.token_ids)
+            if tfidf:
+                assert weights[rows].tolist() == list(profile.weights or ())
+            assert norms[ordinal] == profile.norm
+        assert ptr[-1] == len(token_ids)
+
+    def test_a_store_without_context_has_no_ordinals(self):
+        with pytest.raises(ValueError, match="shared pipeline context"):
+            ProfileStore().context_profiles()
+
+    def test_build_does_not_cache(self):
+        store = ProfileStore()
+        profile = store.build(alan())
+        assert list(profile.token_ids) == list(store.profile(alan()).token_ids)
+        assert len(store) == 1 and store.misses == 1
+        store.build(grace())
+        assert len(store) == 1

@@ -22,6 +22,16 @@ class TestWorkflowConfig:
         with pytest.raises(AttributeError):
             default_workflow(nonexistent_option=True)
 
+    @pytest.mark.parametrize("max_iterations", [0, -1])
+    def test_iteration_needs_at_least_one_round(self, small_dirty_dataset, max_iterations):
+        workflow = default_workflow(iterate_merges=True, max_iterations=max_iterations)
+        with pytest.raises(ValueError, match="max_iterations"):
+            workflow.run(small_dirty_dataset.collection)
+        # the bound is only read by the update phase
+        assert default_workflow(max_iterations=max_iterations).run(
+            small_dirty_dataset.collection
+        ).clusters
+
 
 class TestWorkflowExecution:
     def test_default_workflow_resolves_dirty_collection(self, small_dirty_dataset):
@@ -229,29 +239,64 @@ class TestClusteringEngineThreading:
                 small_dirty_dataset.collection
             )
 
-    def test_default_run_creates_no_match_decision_objects(self, small_dirty_dataset):
+    @pytest.mark.parametrize("iterate_merges", [False, True])
+    def test_default_run_creates_no_match_decision_objects(
+        self, small_dirty_dataset, iterate_merges, monkeypatch
+    ):
         """The default engine path is object-free end to end: scheduling
-        drains into decision columns and clustering consumes them as flat
-        ordinals, so not a single MatchDecision is ever constructed."""
+        drains into decision columns, the update phase scores each merge's
+        neighbourhood by ordinal and clustering consumes flat ordinals, so
+        not a single MatchDecision or Comparison is ever constructed."""
+        from repro.datamodel.pairs import Comparison
         from repro.matching.matchers import MatchDecision
 
-        calls = []
-        original = MatchDecision.__init__
+        created = []
+        decision_init = MatchDecision.__init__
+        comparison_post_init = Comparison.__post_init__
 
-        def counting(self, *args, **kwargs):
-            calls.append(1)
-            original(self, *args, **kwargs)
+        def counting_decision(self, *args, **kwargs):
+            created.append("MatchDecision")
+            decision_init(self, *args, **kwargs)
 
-        MatchDecision.__init__ = counting
-        try:
-            result = default_workflow().run(
-                small_dirty_dataset.collection, small_dirty_dataset.ground_truth
-            )
-        finally:
-            MatchDecision.__init__ = original
+        def counting_comparison(self):
+            created.append("Comparison")
+            comparison_post_init(self)
+
+        monkeypatch.setattr(MatchDecision, "__init__", counting_decision)
+        monkeypatch.setattr(Comparison, "__post_init__", counting_comparison)
+        result = default_workflow(iterate_merges=iterate_merges).run(
+            small_dirty_dataset.collection, small_dirty_dataset.ground_truth
+        )
         assert result.clusters  # the run actually resolved something
         assert result.matching_quality is not None
-        assert not calls, f"{len(calls)} MatchDecision objects created on the default path"
+        if iterate_merges:
+            update = result.report.stage("update_iterate")
+            assert update.notes == "batch"
+            assert update.get("comparisons") > 0
+        assert not created, f"{len(created)} per-comparison objects on the default path"
+
+    def test_update_phase_reports_its_path(self, small_dirty_dataset):
+        """The stage row says how much the phase did and which path ran, and why."""
+        oracle = OracleMatcher(small_dirty_dataset.ground_truth)
+        runs = {
+            "batch": default_workflow(iterate_merges=True),
+            "pairwise: matching_engine": default_workflow(
+                iterate_merges=True, matching_engine="pairwise"
+            ),
+            "pairwise: no shared context": default_workflow(
+                iterate_merges=True, shared_context=False
+            ),
+            "pairwise: OracleMatcher": ERWorkflow(
+                WorkflowConfig(iterate_merges=True), matcher=oracle
+            ),
+        }
+        for notes, workflow in runs.items():
+            result = workflow.run(small_dirty_dataset.collection)
+            update = result.report.stage("update_iterate")
+            assert update.notes == notes
+            assert update.get("merges") >= len(result.matches) - update.get("new_matches")
+            assert update.get("candidates") >= update.get("comparisons") > 0
+            assert update.get("iterations") == result.iterations
 
     def test_object_engines_do_create_decision_objects(self, small_dirty_dataset):
         """Sanity check of the zero-object assertion: the legacy object
