@@ -21,7 +21,7 @@ Both tails must produce bit-identical clusters (content *and* list order,
 for all three algorithms), metrics and progressive-recall curves.  Wall
 time and peak allocation are measured in forked children so one side's
 peak RSS cannot leak into the other's row -- the same protocol as
-``bench_metablocking.py``/``bench_workflow.py``.
+``bench_metablocking.py``/``bench_matching.py``.
 """
 
 from __future__ import annotations

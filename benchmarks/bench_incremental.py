@@ -20,7 +20,7 @@ Four measurements over one seeded arrival stream:
 
 Wall time and peak allocation are measured in forked children so one
 engine's peak RSS cannot leak into another's row -- the same protocol as
-``bench_workflow.py``.  Every run writes the machine-readable table to
+``bench_matching.py``.  Every run writes the machine-readable table to
 ``benchmarks/results/BENCH_incremental.json`` for CI to archive.
 """
 

@@ -56,9 +56,10 @@ one interface, following the established two-engine pattern:
 
 * ``engine="oracle"`` -- delegates to the legacy builders/cleaners, which
   remain the readable reference implementation, the test oracle of the
-  equivalence suite (``tests/test_blocking_equivalence.py``), and the
-  automatic fallback for every scheme the index engine does not natively
-  support: custom :class:`~repro.blocking.base.BlockBuilder` implementations,
+  equivalence suite (``tests/test_blocking_equivalence.py``; only tests and
+  benchmarks select it), and the path user builders take into the workflow --
+  every scheme the index engine does not natively support: custom
+  :class:`~repro.blocking.base.BlockBuilder` implementations,
   subclasses of the supported builders (whose overridden ``tokens_of`` /
   ``build`` the columnar path cannot see), and subclasses of the cleaner
   classes.  Falling back from ``engine="index"`` emits a one-time

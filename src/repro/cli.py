@@ -26,6 +26,8 @@ from pathlib import Path
 from typing import List, Optional, Sequence
 
 from repro.core import ERWorkflow, WorkflowConfig
+from repro.core.config import FAILURE_POLICIES
+from repro.core.workflow import BLOCKING_SCHEMES, CLUSTERINGS, SCHEDULERS
 from repro.datamodel.collection import CleanCleanTask, EntityCollection
 from repro.datasets import (
     DatasetConfig,
@@ -36,6 +38,8 @@ from repro.datasets import (
     save_collection_csv,
     save_collection_json,
 )
+from repro.metablocking.pruning import PRUNING_SCHEMES
+from repro.metablocking.weighting import WEIGHTING_SCHEMES
 
 
 def _load_collection(path: str, id_field: str) -> EntityCollection:
@@ -51,20 +55,14 @@ def _load_collection(path: str, id_field: str) -> EntityCollection:
 def _workflow_from_args(args: argparse.Namespace) -> ERWorkflow:
     config = WorkflowConfig(
         blocking=args.blocking,
-        blocking_engine=args.blocking_engine,
         enable_metablocking=not args.no_metablocking,
         weighting_scheme=args.weighting,
         pruning_scheme=args.pruning,
-        metablocking_engine=args.metablocking_engine,
         scheduler=args.scheduler,
-        scheduling_engine=args.scheduling_engine,
-        matching_engine=args.matching_engine,
         budget=args.budget,
         match_threshold=args.threshold,
         iterate_merges=args.iterate,
         clustering=args.clustering,
-        clustering_engine=args.clustering_engine,
-        shared_context=not args.no_shared_context,
         num_workers=args.num_workers,
         worker_timeout=args.worker_timeout,
         max_shard_retries=args.max_shard_retries,
@@ -107,67 +105,30 @@ def _write_clusters(clusters, output: Optional[str]) -> None:
 
 def _add_workflow_arguments(parser: argparse.ArgumentParser) -> None:
     parser.add_argument(
-        "--blocking",
-        default="token",
-        help="blocking scheme (default: token; also: attribute_clustering, "
-        "prefix_infix_suffix, qgrams, standard, sorted_neighborhood, "
-        "extended_sorted_neighborhood, similarity_join, minhash_lsh, canopy)",
-    )
-    parser.add_argument(
-        "--blocking-engine",
-        default="index",
-        choices=["index", "oracle"],
-        help="blocking + cleaning execution: array-backed interned-token engine (index, "
-        "covers every builtin scheme) or the legacy per-dict builders and cleaners (oracle)",
+        "--blocking", default="token", choices=BLOCKING_SCHEMES, help="blocking scheme (default: token)"
     )
     parser.add_argument("--no-metablocking", action="store_true", help="disable meta-blocking")
-    parser.add_argument("--weighting", default="CBS", help="meta-blocking weighting scheme")
-    parser.add_argument("--pruning", default="WNP", help="meta-blocking pruning scheme")
     parser.add_argument(
-        "--metablocking-engine",
-        default="index",
-        choices=["index", "graph"],
-        help="meta-blocking engine: array-backed streaming (index) or legacy object graph",
-    )
-    parser.add_argument("--scheduler", default="weight_order", help="progressive scheduler")
-    parser.add_argument(
-        "--scheduling-engine",
-        default="array",
-        choices=["array", "object"],
-        help="comparison scheduling: flat ordinal/weight arrays (array) or the "
-        "schedulers' own generators (object); adaptive schedulers always use the latter",
+        "--weighting", default="CBS", choices=WEIGHTING_SCHEMES, help="meta-blocking weighting"
     )
     parser.add_argument(
-        "--matching-engine",
-        default="batch",
-        choices=["batch", "pairwise"],
-        help="comparison execution: batched columnar scoring (batch) or the per-pair oracle",
+        "--pruning", default="WNP", choices=PRUNING_SCHEMES, help="meta-blocking pruning"
+    )
+    parser.add_argument(
+        "--scheduler", default="weight_order", choices=SCHEDULERS, help="progressive scheduler"
     )
     parser.add_argument(
         "--clustering",
         default="connected_components",
-        choices=["connected_components", "center", "merge_center"],
+        choices=CLUSTERINGS,
         help="final clustering of the declared matches (default: connected_components)",
-    )
-    parser.add_argument(
-        "--clustering-engine",
-        default="array",
-        choices=["array", "object"],
-        help="clustering execution: integer union-find/argsort passes over decision "
-        "columns (array) or the algorithms' own string-keyed implementations (object)",
-    )
-    parser.add_argument(
-        "--no-shared-context",
-        action="store_true",
-        help="disable the shared pipeline context (each stage interns its own "
-        "token store, tokenising the collection once per stage)",
     )
     parser.add_argument(
         "--num-workers",
         type=int,
         default=1,
         help="worker processes of the multi-process parallel engine (default: 1 = "
-        "in-process; >1 requires the shared context and produces bit-identical results)",
+        "in-process; >1 produces bit-identical results)",
     )
     parser.add_argument(
         "--worker-timeout",
@@ -186,7 +147,7 @@ def _add_workflow_arguments(parser: argparse.ArgumentParser) -> None:
     parser.add_argument(
         "--on-worker-failure",
         default="degrade",
-        choices=["degrade", "raise"],
+        choices=FAILURE_POLICIES,
         help="after retry exhaustion: recompute failed shards serially on the "
         "driver (degrade, bit-identical results) or abort the run (raise)",
     )
@@ -231,15 +192,11 @@ def _command_link(args: argparse.Namespace) -> int:
 
 def _command_incremental(args: argparse.Namespace) -> int:
     collection = _load_collection(args.input, args.id_field)
-    config = WorkflowConfig(
-        match_threshold=args.threshold,
-        incremental_engine=args.engine,
-    )
-    workflow = ERWorkflow(config)
+    workflow = ERWorkflow(WorkflowConfig(match_threshold=args.threshold))
     mode = f"restored from {args.restore}" if args.restore else "fresh index"
     print(
         f"incrementally resolving {len(collection)} arrivals "
-        f"(engine={args.engine}, threshold={args.threshold}, {mode})"
+        f"(threshold={args.threshold}, {mode})"
     )
     result = workflow.run_incremental(
         collection, snapshot=args.snapshot, restore=args.restore
@@ -310,20 +267,12 @@ def build_parser() -> argparse.ArgumentParser:
         "input", help="CSV or JSON file with one row/object per description"
     )
     incremental.add_argument(
-        "--engine",
-        default="array",
-        choices=["array", "object"],
-        help="incremental engine: growable columnar index with snapshot "
-        "support (array) or the per-pair object oracle",
-    )
-    incremental.add_argument(
         "--threshold", type=float, default=0.55, help="match threshold"
     )
     incremental.add_argument(
         "--snapshot",
         default=None,
-        help="directory to persist the resolution state to after the stream "
-        "(array engine only)",
+        help="directory to persist the resolution state to after the stream",
     )
     incremental.add_argument(
         "--restore",

@@ -5,6 +5,9 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Optional
 
+#: The values ``WorkflowConfig.on_worker_failure`` accepts.
+FAILURE_POLICIES = ("degrade", "raise")
+
 
 @dataclass
 class WorkflowConfig:
@@ -13,25 +16,14 @@ class WorkflowConfig:
     The configuration only holds simple, serialisable choices; component
     instances (a custom matcher, a custom scheduler) can be passed directly to
     the workflow constructor and take precedence over the corresponding
-    fields here.
+    fields here.  How a stage executes is not an option (see
+    :mod:`repro.core.workflow`).
 
     Attributes
     ----------
     blocking:
-        Name of the blocking scheme: ``"token"``, ``"attribute_clustering"``,
-        ``"prefix_infix_suffix"``, ``"standard"``, ``"sorted_neighborhood"``,
-        ``"extended_sorted_neighborhood"``, ``"qgrams"``,
-        ``"similarity_join"``, ``"minhash_lsh"``, ``"canopy"``.
-    blocking_engine:
-        Execution engine of the blocking and block-cleaning stages:
-        ``"index"`` (default, array-backed interned-token builders and
-        streaming CSR cleaning passes) or ``"oracle"`` (the legacy
-        per-``dict``/``set`` builders and cleaners).  Both produce
-        block-for-block identical collections; every builtin scheme has an
-        index implementation, and custom :class:`~repro.blocking.base.BlockBuilder`
-        subclasses fall back to the oracle automatically (with a one-time
-        :class:`RuntimeWarning` naming the scheme).  See
-        :mod:`repro.blocking`.
+        Name of the blocking scheme, one of
+        :data:`~repro.core.workflow.BLOCKING_SCHEMES`.
     enable_purging / enable_filtering:
         Whether block purging / block filtering run after blocking.
     filtering_ratio:
@@ -39,27 +31,12 @@ class WorkflowConfig:
     enable_metablocking:
         Whether meta-blocking restructures the blocks before scheduling.
     weighting_scheme / pruning_scheme:
-        Meta-blocking configuration (ignored when meta-blocking is off).
-    metablocking_engine:
-        Execution engine of the meta-blocking stage: ``"index"`` (default,
-        array-backed streaming engine) or ``"graph"`` (legacy object graph).
-        Both retain identical comparisons; see :mod:`repro.metablocking`.
+        Meta-blocking configuration (ignored when meta-blocking is off),
+        from :data:`~repro.metablocking.weighting.WEIGHTING_SCHEMES` and
+        :data:`~repro.metablocking.pruning.PRUNING_SCHEMES`.
     scheduler:
-        Progressive scheduler name: ``"weight_order"``, ``"random"``,
-        ``"sorted_list"``, ``"hierarchy"``, ``"psnm"``, ``"progressive_blocks"``,
-        ``"cost_benefit"``.
-    scheduling_engine:
-        Execution engine of the scheduling stage: ``"array"`` (default,
-        orders and drains the candidate comparisons as flat ordinal/weight
-        arrays) or ``"object"`` (the schedulers' own generator
-        implementations).  Schedules are bit-identical; adaptive and custom
-        schedulers fall back to the object path automatically.  See
-        :mod:`repro.progressive`.
-    matching_engine:
-        Comparison-execution engine of the matching phase: ``"batch"``
-        (default, scores candidate pairs in vectorised passes against a
-        columnar profile store) or ``"pairwise"`` (the per-pair oracle).
-        Decisions are bit-identical; see :mod:`repro.matching`.
+        Progressive scheduler name, one of
+        :data:`~repro.core.workflow.SCHEDULERS`.
     budget:
         Optional comparison budget for the matching phase (``None`` = resolve
         every scheduled comparison).
@@ -74,39 +51,13 @@ class WorkflowConfig:
         Upper bound on update/iterate rounds; must be at least 1 when
         ``iterate_merges`` is on (``ERWorkflow.run`` raises otherwise).
     clustering:
-        Final clustering: ``"connected_components"``, ``"center"`` or
-        ``"merge_center"``.
-    clustering_engine:
-        Execution engine of the final clustering stage: ``"array"``
-        (default, integer union-find / argsort passes over decision
-        columns) or ``"object"`` (the clustering algorithms' own
-        string-keyed implementations).  Clusters are bit-identical --
-        including the heaviest-first tie order; custom clustering
-        algorithms fall back to the object path automatically.  See
-        :mod:`repro.matching.cluster_engine`.
-    shared_context:
-        Whether the workflow interns the input collection once into a shared
-        :class:`~repro.core.context.PipelineContext` (default) and threads
-        it through blocking, meta-blocking, the TF-IDF fit and matching, or
-        lets every engine intern its own per-stage store (the historical
-        behaviour).  Results are bit-identical either way; the shared
-        context only removes the redundant tokenisation passes.
-    incremental_engine:
-        Execution engine of :meth:`~repro.core.workflow.ERWorkflow.run_incremental`:
-        ``"array"`` (default, the growable columnar
-        :class:`~repro.iterative.index.IncrementalIndex` with snapshot
-        support) or ``"object"`` (the per-pair oracle).  Streams resolve
-        bit-identically on both -- clusters, merged representations, match
-        decisions and comparison counts; TF-IDF and custom matchers fall
-        back to the object path automatically.  See
-        :mod:`repro.iterative.incremental`.
+        Final clustering, one of :data:`~repro.core.workflow.CLUSTERINGS`.
     num_workers:
         Number of worker processes of the multi-process parallel engine
         (:class:`~repro.mapreduce.parallel.ParallelEngine`).  The default
-        ``1`` runs everything in-process; with ``num_workers > 1`` (and the
-        shared context enabled, whose columns the workers read through
-        shared memory) one engine is opened for the whole run and every
-        parallelisable stage fans out to the pool: the sharded context
+        ``1`` runs everything in-process; with ``num_workers > 1`` one engine
+        (whose workers read the columns through shared memory) is opened for
+        the whole run and every parallelisable stage fans out: the sharded context
         interning, the blocking postings pass, the block-cleaning passes
         (purging cardinalities, filtering keep flags, comparison
         propagation), the meta-blocking weight streams and retained-edge
@@ -141,26 +92,19 @@ class WorkflowConfig:
     """
 
     blocking: str = "token"
-    blocking_engine: str = "index"
     enable_purging: bool = True
     enable_filtering: bool = True
     filtering_ratio: float = 0.8
     enable_metablocking: bool = True
     weighting_scheme: str = "CBS"
     pruning_scheme: str = "WNP"
-    metablocking_engine: str = "index"
     scheduler: str = "weight_order"
-    scheduling_engine: str = "array"
-    matching_engine: str = "batch"
     budget: Optional[int] = None
     match_threshold: float = 0.55
     use_tfidf: bool = True
     iterate_merges: bool = False
     max_iterations: int = 3
     clustering: str = "connected_components"
-    clustering_engine: str = "array"
-    incremental_engine: str = "array"
-    shared_context: bool = True
     num_workers: int = 1
     worker_timeout: Optional[float] = None
     max_shard_retries: int = 2
@@ -168,24 +112,18 @@ class WorkflowConfig:
 
     def describe(self) -> str:
         """One-line human-readable summary of the configured pipeline."""
-        stages = [f"{self.blocking}(engine={self.blocking_engine})"]
+        stages = [self.blocking]
         if self.enable_purging:
             stages.append("purging")
         if self.enable_filtering:
             stages.append(f"filtering({self.filtering_ratio})")
         if self.enable_metablocking:
-            stages.append(
-                f"metablocking({self.weighting_scheme}+{self.pruning_scheme},"
-                f" engine={self.metablocking_engine})"
-            )
-        stages.append(f"scheduler={self.scheduler}(engine={self.scheduling_engine})")
-        stages.append(
-            f"matcher(threshold={self.match_threshold}, engine={self.matching_engine})"
-        )
+            stages.append(f"metablocking({self.weighting_scheme}+{self.pruning_scheme})")
+        stages.append(f"scheduler={self.scheduler}")
+        stages.append(f"matcher(threshold={self.match_threshold})")
         if self.iterate_merges:
             stages.append("iterative-merging")
-        stages.append(f"{self.clustering}(engine={self.clustering_engine})")
+        stages.append(self.clustering)
         budget = f", budget={self.budget}" if self.budget is not None else ""
-        context = ", shared-context" if self.shared_context else ""
         workers = f", workers={self.num_workers}" if self.num_workers > 1 else ""
-        return " -> ".join(stages) + budget + context + workers
+        return " -> ".join(stages) + budget + workers

@@ -15,10 +15,20 @@
    iteration finds no new match or ``max_iterations`` is reached.
 
 Finally the declared matches are clustered into equivalence clusters.
+
+**Extension seam.**  How a stage executes is not an option: each stage engine
+runs its columnar implementation when the component is *exactly* a library
+type, and the component's own readable method (``BlockBuilder.build``,
+``ProgressiveScheduler.schedule``, ``Matcher.decide``) for anything else.  A
+subclass or custom component passed as ``ERWorkflow(blocking=, matcher=,
+scheduler=)`` therefore just works; the stage label shows the path that ran
+(``blocking[...@oracle]``, ``matching[...@object+pairwise]``) and the stage's
+``notes`` name the component type that selected it.
 """
 
 from __future__ import annotations
 
+import dataclasses
 import time
 from typing import Dict, List, Optional, Sequence, Tuple, Union
 
@@ -38,14 +48,14 @@ from repro.blocking.token_blocking import (
     PrefixInfixSuffixBlocking,
     TokenBlocking,
 )
-from repro.core.config import WorkflowConfig
+from repro.core.config import FAILURE_POLICIES, WorkflowConfig
 from repro.core.context import PipelineContext
 from repro.core.results import WorkflowResult
 from repro.core.unionfind import IntUnionFind
 from repro.datamodel.collection import CleanCleanTask, EntityCollection
 from repro.datamodel.description import merge_descriptions
 from repro.datamodel.ground_truth import GroundTruth
-from repro.datamodel.pairs import Comparison, ComparisonColumns, DecisionColumns
+from repro.datamodel.pairs import ComparisonColumns, DecisionColumns
 from repro.evaluation.metrics import (
     cluster_spanning_pairs,
     evaluate_blocks,
@@ -74,7 +84,6 @@ from repro.progressive.schedulers import (
     WeightOrderScheduler,
 )
 from repro.progressive.sorted_list import SortedListScheduler
-from repro.text.vectorizer import TfIdfVectorizer
 
 _BLOCKING_FACTORIES = {
     "token": lambda: TokenBlocking(),
@@ -105,6 +114,18 @@ _CLUSTERING_FACTORIES = {
     "merge_center": MergeCenterClustering,
 }
 
+#: The names ``WorkflowConfig.blocking`` / ``.scheduler`` / ``.clustering``
+#: accept (the CLI's ``choices=`` are these tuples too).
+BLOCKING_SCHEMES = tuple(_BLOCKING_FACTORIES)
+SCHEDULERS = tuple(_SCHEDULER_FACTORIES)
+CLUSTERINGS = tuple(_CLUSTERING_FACTORIES)
+
+
+def _by_name(factories, kind: str, name: str):
+    if name not in factories:
+        raise KeyError(f"unknown {kind} {name!r}; available: {sorted(factories)}")
+    return factories[name]()
+
 
 class ERWorkflow:
     """Configurable blocking -> scheduling -> matching -> update workflow.
@@ -116,7 +137,7 @@ class ERWorkflow:
         Web data.
     blocking, matcher, scheduler:
         Optional component instances overriding the configuration's named
-        choices.
+        choices (the extension seam, see the module docstring).
     """
 
     def __init__(
@@ -131,53 +152,33 @@ class ERWorkflow:
         self._matcher_override = matcher
         self._scheduler_override = scheduler
 
-    # ------------------------------------------------------------------
-    # component resolution
-    # ------------------------------------------------------------------
-    def _make_blocking(self) -> BlockBuilder:
-        if self._blocking_override is not None:
-            return self._blocking_override
-        name = self.config.blocking
-        if name not in _BLOCKING_FACTORIES:
-            raise KeyError(
-                f"unknown blocking scheme {name!r}; available: {sorted(_BLOCKING_FACTORIES)}"
+    def _resolve_components(self):
+        """Check the options and build every named component before any stage
+        runs, so a misspelt ``clustering`` fails at once."""
+        config = self.config
+        if config.iterate_merges and config.max_iterations < 1:
+            raise ValueError(
+                "max_iterations must be at least 1 when iterate_merges is on, "
+                f"got {config.max_iterations}"
             )
-        return _BLOCKING_FACTORIES[name]()
-
-    def _make_scheduler(self) -> ProgressiveScheduler:
-        if self._scheduler_override is not None:
-            return self._scheduler_override
-        name = self.config.scheduler
-        if name not in _SCHEDULER_FACTORIES:
-            raise KeyError(
-                f"unknown scheduler {name!r}; available: {sorted(_SCHEDULER_FACTORIES)}"
+        if config.num_workers < 1:
+            raise ValueError(f"num_workers must be at least 1, got {config.num_workers}")
+        if config.on_worker_failure not in FAILURE_POLICIES:
+            raise ValueError(
+                f"on_worker_failure must be one of {FAILURE_POLICIES}, "
+                f"got {config.on_worker_failure!r}"
             )
-        return _SCHEDULER_FACTORIES[name]()
-
-    def _make_matcher(
-        self, data: ERInput, context: Optional[PipelineContext] = None
-    ) -> Matcher:
-        if self._matcher_override is not None:
-            return self._matcher_override
-        vectorizer = None
-        if self.config.use_tfidf:
-            # the shared context fits from its interned postings -- no second
-            # tokenisation pass; the fitted frequencies are identical integers
-            if context is not None:
-                vectorizer = context.fit_vectorizer()
-            else:
-                vectorizer = TfIdfVectorizer().fit(iter(data))
-        return ProfileSimilarityMatcher(
-            threshold=self.config.match_threshold, vectorizer=vectorizer
-        )
-
-    def _make_clustering(self):
-        name = self.config.clustering
-        if name not in _CLUSTERING_FACTORIES:
-            raise KeyError(
-                f"unknown clustering {name!r}; available: {sorted(_CLUSTERING_FACTORIES)}"
-            )
-        return _CLUSTERING_FACTORIES[name]()
+        builder = self._blocking_override
+        if builder is None:
+            builder = _by_name(_BLOCKING_FACTORIES, "blocking scheme", config.blocking)
+        metablocking = None
+        if config.enable_metablocking:
+            metablocking = MetaBlocking(config.weighting_scheme, config.pruning_scheme)
+        scheduler = self._scheduler_override
+        if scheduler is None:
+            scheduler = _by_name(_SCHEDULER_FACTORIES, "scheduler", config.scheduler)
+        clustering = _by_name(_CLUSTERING_FACTORIES, "clustering", config.clustering)
+        return builder, metablocking, scheduler, clustering
 
     # ------------------------------------------------------------------
     # execution
@@ -189,8 +190,7 @@ class ERWorkflow:
     ) -> WorkflowResult:
         """Execute the workflow over ``data``; evaluate against ``ground_truth`` if given.
 
-        With ``config.num_workers > 1`` (and the shared context enabled,
-        which the parallel engine's shared columns require), a
+        With ``config.num_workers > 1`` a
         :class:`~repro.mapreduce.parallel.ParallelEngine` is opened for the
         duration of the run and handed to the blocking, meta-blocking and
         matching engines; each fans its hot pass out to worker processes
@@ -203,13 +203,9 @@ class ERWorkflow:
         :class:`~repro.mapreduce.supervisor.WorkerFailureError`.
         """
         config = self.config
-        if config.iterate_merges and config.max_iterations < 1:
-            raise ValueError(
-                "max_iterations must be at least 1 when iterate_merges is on, "
-                f"got {config.max_iterations}"
-            )
+        components = self._resolve_components()
         parallel = None
-        if config.num_workers > 1 and config.shared_context:
+        if config.num_workers > 1:
             from repro.mapreduce.parallel import ParallelEngine
 
             parallel = ParallelEngine(
@@ -219,7 +215,7 @@ class ERWorkflow:
                 on_worker_failure=config.on_worker_failure,
             )
         try:
-            return self._run(data, ground_truth, parallel)
+            return self._run(data, ground_truth, parallel, components)
         finally:
             if parallel is not None:
                 parallel.close()
@@ -234,9 +230,9 @@ class ERWorkflow:
         """Resolve ``data`` as an arrival stream instead of a batch pipeline.
 
         Every description is resolved on arrival by an
-        :class:`~repro.iterative.incremental.IncrementalResolver` running on
-        ``config.incremental_engine``; the amortised cost per arrival is
-        bounded by its candidate cap instead of a full re-resolution.
+        :class:`~repro.iterative.incremental.IncrementalResolver`; the
+        amortised cost per arrival is bounded by its candidate cap instead
+        of a full re-resolution.
 
         Parameters
         ----------
@@ -248,7 +244,8 @@ class ERWorkflow:
             it like the batch pipeline's.
         snapshot:
             Optional directory path: after the stream is resolved, the full
-            resolution state is persisted there (array engine only).
+            resolution state is persisted there (columnar index only: a
+            matcher that runs on the object path has no columns to save).
         restore:
             Optional directory path of a previous snapshot: the resolver
             starts from that state (memory-mapped, nothing re-interned) and
@@ -258,8 +255,9 @@ class ERWorkflow:
         :class:`~repro.matching.matchers.ProfileSimilarityMatcher` at
         ``config.match_threshold`` -- not TF-IDF, whose global document
         frequencies are a moving target under online arrivals.  A matcher
-        override is honoured; custom types fall back to the object oracle
-        (the stage label reports the engine that ran).
+        override is honoured; a TF-IDF or custom-type matcher resolves
+        through the resolver's readable per-pair path (stage label
+        ``@object``, the reason in the stage's ``notes``).
         """
         from repro.iterative.incremental import IncrementalResolver
 
@@ -282,9 +280,7 @@ class ERWorkflow:
             matcher = self._matcher_override or ProfileSimilarityMatcher(
                 threshold=config.match_threshold
             )
-            resolver = IncrementalResolver(
-                matcher, engine=config.incremental_engine
-            )
+            resolver = IncrementalResolver(matcher)
 
         if isinstance(data, CleanCleanTask):
             arriving = list(data.left) + list(data.right)
@@ -293,7 +289,7 @@ class ERWorkflow:
         start = time.perf_counter()
         arrivals = resolver.add_all(arriving)
         comparisons = sum(arrival.comparisons for arrival in arrivals)
-        report.add_stage(
+        stage = report.add_stage(
             f"incremental[{resolver.matcher.name}@{resolver.last_engine}]",
             arrivals=len(arrivals),
             matched_arrivals=sum(
@@ -303,6 +299,10 @@ class ERWorkflow:
             comparisons=comparisons,
             seconds=time.perf_counter() - start,
         )
+        if resolver.last_engine == "object":
+            # the index implements the exact library matcher in set mode only
+            tfidf = type(resolver.matcher) is ProfileSimilarityMatcher
+            stage.notes = f"object: {'TF-IDF' if tfidf else type(resolver.matcher).__name__}"
         result.comparisons_executed = comparisons
         # every merge an arrival declared, in declaration order (the
         # incremental analogue of the batch pipeline's declared matches)
@@ -334,15 +334,17 @@ class ERWorkflow:
         data: ERInput,
         ground_truth: Optional[GroundTruth],
         parallel,
+        components,
     ) -> WorkflowResult:
         config = self.config
+        builder, metablocking, scheduler, clustering = components
         result = WorkflowResult()
         report = result.report
 
         # shared columnar context: the collection is interned exactly once
         # and every phase derives its token view from the shared columns
-        context = PipelineContext(data) if config.shared_context else None
-        if parallel is not None and context is not None:
+        context = PipelineContext(data)
+        if parallel is not None:
             start = time.perf_counter()
             if parallel.intern_context(context):
                 report.add_stage(
@@ -354,18 +356,17 @@ class ERWorkflow:
 
         # ---------------- blocking ----------------
         start = time.perf_counter()
-        builder = self._make_blocking()
-        blocking_engine = BlockingEngine(
-            builder, engine=config.blocking_engine, context=context, parallel=parallel
-        )
+        blocking_engine = BlockingEngine(builder, context=context, parallel=parallel)
         blocks = blocking_engine.build(data)
         raw_blocks = blocks
-        report.add_stage(
+        stage = report.add_stage(
             f"blocking[{builder.name}@{blocking_engine.last_engine}]",
             blocks=len(blocks),
             comparisons=blocks.total_comparisons(),
             seconds=time.perf_counter() - start,
         )
+        if blocking_engine.last_engine == "oracle":
+            stage.notes = f"oracle: {type(builder).__name__}"
 
         if config.enable_purging:
             start = time.perf_counter()
@@ -389,14 +390,9 @@ class ERWorkflow:
             )
 
         # ---------------- meta-blocking ----------------
-        candidates: Union[BlockCollection, ComparisonColumns, List[Comparison]]
-        if config.enable_metablocking:
+        candidates: Union[BlockCollection, ComparisonColumns]
+        if metablocking is not None:
             start = time.perf_counter()
-            metablocking = MetaBlocking(
-                config.weighting_scheme,
-                config.pruning_scheme,
-                engine=config.metablocking_engine,
-            )
             candidates = metablocking.weighted_columns(
                 blocks, context=context, parallel=parallel
             )
@@ -413,26 +409,23 @@ class ERWorkflow:
         if ground_truth is not None:
             if isinstance(candidates, BlockCollection):
                 candidate_pairs = candidates.distinct_pairs()
-            elif isinstance(candidates, ComparisonColumns):
+            else:
                 # columns are evaluated on the ordinal-coded fast path --
                 # no per-pair tuple is ever materialised
                 candidate_pairs = candidates
-            else:
-                # a lazy candidate source would be exhausted by evaluating it
-                # here and then again by the scheduler: materialise it once
-                if not isinstance(candidates, (list, tuple)):
-                    candidates = list(candidates)
-                candidate_pairs = {c.pair for c in candidates}
             result.blocking_quality = evaluate_comparisons(candidate_pairs, ground_truth, data)
 
         # ---------------- scheduling + matching ----------------
         start = time.perf_counter()
-        scheduler = self._make_scheduler()
-        matcher = self._make_matcher(data, context)
-        engine = MatchingEngine(
-            matcher, engine=config.matching_engine, context=context, parallel=parallel
-        )
-        scheduling = SchedulingEngine(scheduler, engine=config.scheduling_engine)
+        matcher = self._matcher_override
+        if matcher is None:
+            # the context fits from its interned postings: no tokenisation pass
+            vectorizer = context.fit_vectorizer() if config.use_tfidf else None
+            matcher = ProfileSimilarityMatcher(
+                threshold=config.match_threshold, vectorizer=vectorizer
+            )
+        engine = MatchingEngine(matcher, context=context, parallel=parallel)
+        scheduling = SchedulingEngine(scheduler)
         progressive = run_progressive(
             scheduler=scheduler,
             matcher=matcher,
@@ -447,13 +440,19 @@ class ERWorkflow:
         result.comparisons_executed += progressive.comparisons_executed
         result.matches = list(progressive.declared_matches)
         result.curve = progressive.curve
-        report.add_stage(
+        stage = report.add_stage(
             f"matching[{scheduler.name}@{scheduling.last_engine or scheduling.engine}"
             f"+{engine.last_engine or engine.engine}]",
             comparisons=progressive.comparisons_executed,
             declared_matches=len(progressive.declared_matches),
             seconds=time.perf_counter() - start,
         )
+        notes = []
+        if scheduling.last_engine == "object":
+            notes.append(f"object: {type(scheduler).__name__}")
+        if engine.last_engine == "pairwise":
+            notes.append(f"pairwise: {type(matcher).__name__}")
+        stage.notes = "; ".join(notes)
 
         # ---------------- update / iterate ----------------
         if config.iterate_merges and result.matches:
@@ -462,8 +461,8 @@ class ERWorkflow:
                 data,
                 engine,
                 result.matches,
+                context,
                 blocks=raw_blocks if self._merge_blocks_reusable(builder) else None,
-                context=context,
             )
             result.matches.extend(new_matches)
             result.comparisons_executed += counts["comparisons"]
@@ -477,14 +476,9 @@ class ERWorkflow:
 
         # ---------------- clustering ----------------
         start = time.perf_counter()
-        clustering = self._make_clustering()
-        cluster_engine = ClusteringEngine(
-            clustering, engine=config.clustering_engine, parallel=parallel
-        )
-        # the declared matches become positive decision columns directly; on
-        # the array engine they are clustered as flat ordinals, and only a
-        # custom algorithm (object fallback) materialises decision objects
-        # through the columns' lazy bridge
+        cluster_engine = ClusteringEngine(clustering, parallel=parallel)
+        # the declared matches become positive decision columns directly and
+        # are clustered as flat ordinals
         result.clusters = cluster_engine.cluster(
             DecisionColumns.from_match_pairs(result.matches)
         )
@@ -537,8 +531,8 @@ class ERWorkflow:
         data: ERInput,
         engine: MatchingEngine,
         matches: Sequence[Tuple[str, str]],
+        context: PipelineContext,
         blocks: Optional[BlockCollection] = None,
-        context: Optional[PipelineContext] = None,
     ) -> Tuple[List[Tuple[str, str]], Dict[str, int], str]:
         """Merging-based update phase, over ordinals.
 
@@ -547,13 +541,14 @@ class ERWorkflow:
         block with any of its sources, which may reveal matches missed by the
         pairwise phase.  Returns the new matches, the stage counts
         (``iterations``, ``merges``, ``candidates``, ``comparisons``) and the
-        path that ran (``"batch"`` or ``"pairwise: <why>"``).
+        path that ran (``"batch"``, or ``"pairwise: <matcher type>"`` for a
+        matcher the batch engine does not implement).
 
         ``blocks`` is the blocking stage's raw (pre-cleaning) token-block
         collection when it is known to equal what this phase would rebuild
         (see :meth:`_merge_blocks_reusable`); otherwise the blocks are rebuilt
-        here -- from the shared ``context``'s postings when one is supplied,
-        so even the rebuild adds no tokenisation pass.
+        here from the shared ``context``'s postings, so even the rebuild
+        adds no tokenisation pass.
 
         Everything per candidate is an integer: descriptions are numbered in
         collection order (the shared context's ordinals), neighbourhoods come
@@ -564,8 +559,8 @@ class ERWorkflow:
         check runs at visit time, because a union made for an earlier
         candidate can absorb a later one.
 
-        On the batch path (a natively supported matcher and a shared context)
-        the whole neighbourhood is scored in one
+        On the batch path (a natively supported matcher) the whole
+        neighbourhood is scored in one
         :meth:`MatchingEngine.score_against` pass before the visit loop --
         scoring is stateless, so scoring a candidate the cluster check then
         skips changes nothing.  Otherwise the matcher may be stateful (e.g.
@@ -573,22 +568,15 @@ class ERWorkflow:
         cluster check reach ``engine.decide``, one at a time, in visit order.
         """
         if blocks is None:
-            blocks = BlockingEngine(
-                TokenBlocking(), engine=self.config.blocking_engine, context=context
-            ).build(data)
-        descriptions = list(data) if context is None else context.descriptions
+            blocks = BlockingEngine(TokenBlocking(), context=context).build(data)
+        descriptions = context.descriptions
         index = EntityIndexEngine(
             blocks, ids=[description.identifier for description in descriptions]
         )
-        why = None  # ... the one-vs-many batch pass cannot run
-        if engine.engine == "pairwise":
-            why = "matching_engine"
-        elif not engine.batch_applicable:
-            why = type(engine.matcher).__name__
-        elif context is None:
-            why = "no shared context"
-        path = "batch" if why is None else f"pairwise: {why}"
-        threshold = engine.matcher.threshold if why is None else None
+        # the one-vs-many batch pass needs a matcher the batch engine implements
+        batch = engine.batch_applicable
+        path = "batch" if batch else f"pairwise: {type(engine.matcher).__name__}"
+        threshold = engine.matcher.threshold if batch else None
 
         pending = [(index.ordinal(first), index.ordinal(second)) for first, second in matches]
         clusters = IntUnionFind(index.num_entities)
@@ -608,7 +596,7 @@ class ERWorkflow:
                 merged = merge_descriptions(descriptions[first], descriptions[second])
                 candidates = index.co_blocked((first, second))
                 counts["candidates"] += len(candidates)
-                scores = engine.score_against(merged, candidates) if why is None else None
+                scores = engine.score_against(merged, candidates) if batch else None
                 # first-root-wins unions: this stays the root of ``first``'s
                 # cluster through every union the loop below makes
                 root = clusters.find(first)
@@ -641,9 +629,8 @@ def default_workflow(budget: Optional[int] = None, **overrides) -> ERWorkflow:
     weight-ordered scheduling and a TF-IDF profile matcher.  Keyword
     overrides are applied to the underlying :class:`WorkflowConfig`.
     """
-    config = WorkflowConfig(budget=budget)
-    for key, value in overrides.items():
-        if not hasattr(config, key):
-            raise AttributeError(f"WorkflowConfig has no field {key!r}")
-        setattr(config, key, value)
-    return ERWorkflow(config)
+    valid = [config_field.name for config_field in dataclasses.fields(WorkflowConfig)]
+    for key in overrides:
+        if key not in valid:
+            raise AttributeError(f"WorkflowConfig has no field {key!r}; fields: {valid}")
+    return ERWorkflow(WorkflowConfig(budget=budget, **overrides))

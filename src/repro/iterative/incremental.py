@@ -27,8 +27,8 @@ mutating any state.
 
 Execution engines
 -----------------
-Like every other subsystem since the columnar refactor, the resolver takes
-an ``engine="array"|"object"`` switch.  The array default delegates to
+The resolver has two engines; ``engine="object"`` is passed by the equivalence
+suite and benchmarks only, never by the workflow.  The array default delegates to
 :class:`~repro.iterative.index.IncrementalIndex` -- arrivals are interned
 once into a shared :class:`~repro.core.growable.GrowableContext`, candidates
 are ranked over integer postings and scored in batches through

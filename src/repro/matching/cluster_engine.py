@@ -27,9 +27,9 @@ phases:
   members, which the array engine tracks explicitly).
 
 * ``engine="object"`` -- delegates to the algorithm's own
-  :meth:`~repro.matching.clustering.ClusteringAlgorithm.cluster`, which
-  remains the readable reference implementation and the oracle of the
-  equivalence suite (``tests/test_clustering_engine.py``).
+  :meth:`~repro.matching.clustering.ClusteringAlgorithm.cluster`: the
+  readable reference, selected only by the equivalence suite
+  (``tests/test_clustering_engine.py``) and benchmarks, never by the workflow.
 
 Custom :class:`~repro.matching.clustering.ClusteringAlgorithm` subclasses --
 including subclasses of the three library algorithms, whose overridden

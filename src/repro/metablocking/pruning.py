@@ -205,6 +205,9 @@ _PRUNING = {
     "RECIPROCALCNP": ReciprocalCardinalityNodePruning,
 }
 
+#: Names :func:`get_pruning_scheme` accepts (in any letter case).
+PRUNING_SCHEMES = tuple(scheme.name for scheme in _PRUNING.values())
+
 
 def get_pruning_scheme(name: str, **kwargs) -> PruningScheme:
     """Instantiate a pruning scheme by (case-insensitive) name."""

@@ -135,6 +135,9 @@ _SCHEMES = {
     "ARCS": ARCS,
 }
 
+#: Names :func:`get_weighting_scheme` accepts (in any letter case).
+WEIGHTING_SCHEMES = tuple(_SCHEMES)
+
 
 def get_weighting_scheme(name: str) -> WeightingScheme:
     """Instantiate a weighting scheme by (case-insensitive) name."""

@@ -34,7 +34,7 @@ Like the blocking, meta-blocking and matching phases, scheduling executes
 behind a two-engine interface,
 :class:`~repro.progressive.engine.SchedulingEngine`:
 
-* ``engine="array"`` (the workflow default) runs the feedback-free library
+* ``engine="array"`` (what the workflow runs) executes the feedback-free library
   schedulers -- weight-ordered, static-order, random-order, sorted-list and
   progressive-block (with promotion disabled) -- over flat ordinal/weight
   arrays: meta-blocking hands its retained edges over as
@@ -46,19 +46,18 @@ behind a two-engine interface,
   :meth:`~repro.matching.engine.MatchingEngine.decide_pairs` without ever
   materialising scheduled ``Comparison`` objects.
 * ``engine="object"`` delegates to the scheduler's own ``schedule``
-  generator -- the readable reference implementation and the oracle of the
-  equivalence suite (``tests/test_scheduling_engine.py``).
+  generator -- the readable reference, selected only by the equivalence suite
+  (``tests/test_scheduling_engine.py``) and benchmarks, never by the workflow.
 
 **Fallback rules.**  Adaptive schedulers (progressive sorted neighbourhood,
 the cost--benefit scheduler, progressive blocking with match promotion),
 custom :class:`~repro.progressive.schedulers.ProgressiveScheduler`
 implementations and subclasses of the native types always run on the object
-path, whatever engine is configured: their order may depend on match
-feedback or overridden behaviour that an up-front array order cannot
-represent.  Both engines produce bit-identical schedules -- the same
-comparisons in the same order (including order under weight ties), hence
-the same matches and the same progressive recall curve -- so swapping them
-never changes a workflow's output, only its speed.
+path: their order may depend on match feedback or overridden behaviour that
+an up-front array order cannot represent.  That exact-type rule is how user
+schedulers plug into the workflow.  Both engines produce bit-identical
+schedules -- the same comparisons in the same order (including order under
+weight ties), hence the same matches and the same progressive recall curve.
 """
 
 from repro.progressive.budget import Budget

@@ -36,8 +36,8 @@ two-engine pattern of the blocking, meta-blocking and matching phases:
 
 * ``engine="object"`` -- delegates to the scheduler's own
   :meth:`~repro.progressive.schedulers.ProgressiveScheduler.schedule`
-  generator, which remains the readable reference implementation and the
-  oracle of the equivalence suite (``tests/test_scheduling_engine.py``).
+  generator: the readable reference, selected only by the equivalence suite
+  (``tests/test_scheduling_engine.py``) and benchmarks, never by the workflow.
 
 Schedulers that adapt to match feedback (progressive sorted neighbourhood,
 the cost--benefit scheduler, progressive blocking with promotion) and custom

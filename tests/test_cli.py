@@ -101,68 +101,61 @@ def test_unsupported_format_is_rejected(tmp_path):
         main(["resolve", str(bogus)])
 
 
-def test_blocking_engine_flag(tmp_path, capsys):
-    data = tmp_path / "dirty.csv"
-    main(["generate", "--entities", "30", "--seed", "7", "--output", str(data)])
-    for engine in ("index", "oracle"):
-        assert main(["resolve", str(data), "--blocking-engine", engine]) == 0
-        out = capsys.readouterr().out
-        assert f"engine={engine}" in out  # config.describe() names the engine
-        assert f"@{engine}" in out  # the report stage names the executing engine
-    assert build_parser().parse_args(["resolve", "x.csv"]).blocking_engine == "index"
-    with pytest.raises(SystemExit):
-        build_parser().parse_args(["resolve", "x.csv", "--blocking-engine", "bogus"])
-
-
-def test_matching_engine_flag(tmp_path, capsys):
-    data = tmp_path / "dirty.csv"
-    main(["generate", "--entities", "30", "--seed", "7", "--output", str(data)])
-    for engine in ("batch", "pairwise"):
-        assert main(["resolve", str(data), "--matching-engine", engine]) == 0
-        out = capsys.readouterr().out
-        assert f"engine={engine}" in out  # config.describe() names the engine
-        # the matching stage reports scheduling+matching engines as
-        # "matching[<scheduler>@<scheduling engine>+<matching engine>]"
-        assert f"+{engine}]" in out
-    assert build_parser().parse_args(["resolve", "x.csv"]).matching_engine == "batch"
-    with pytest.raises(SystemExit):
-        build_parser().parse_args(["resolve", "x.csv", "--matching-engine", "bogus"])
-
-
-def test_scheduling_engine_flag(tmp_path, capsys):
-    data = tmp_path / "dirty.csv"
-    main(["generate", "--entities", "30", "--seed", "7", "--output", str(data)])
-    for engine in ("array", "object"):
-        assert main(["resolve", str(data), "--scheduling-engine", engine]) == 0
-        out = capsys.readouterr().out
-        assert f"engine={engine}" in out  # config.describe() names the engine
-        assert f"@{engine}+" in out  # the report stage names the executing engine
-    assert build_parser().parse_args(["resolve", "x.csv"]).scheduling_engine == "array"
-    with pytest.raises(SystemExit):
-        build_parser().parse_args(["resolve", "x.csv", "--scheduling-engine", "bogus"])
-
-
-def test_no_shared_context_flag(tmp_path, capsys):
+def test_stage_table_names_the_paths_that_ran(tmp_path, capsys):
     data = tmp_path / "dirty.csv"
     main(["generate", "--entities", "30", "--seed", "7", "--output", str(data)])
     assert main(["resolve", str(data)]) == 0
-    assert "shared-context" in capsys.readouterr().out
-    assert main(["resolve", str(data), "--no-shared-context"]) == 0
-    assert "shared-context" not in capsys.readouterr().out
+    out = capsys.readouterr().out
+    assert "engine=" not in out  # config.describe() has no implementation to name
+    # the report stages name the executing engine:
+    # "matching[<scheduler>@<scheduling engine>+<matching engine>]"
+    for label in (
+        "blocking[token_blocking@index]",
+        "block_purging@index",
+        "block_filtering@index",
+        "metablocking[CBS+WNP@index]",
+        "matching[weight_order@array+batch]",
+        "clustering[connected_components@array]",
+    ):
+        assert label in out
+    # a builtin scheme without an index build says so in the stage's notes
+    with pytest.warns(RuntimeWarning):
+        assert main(["resolve", str(data), "--blocking", "qgrams", "--no-metablocking"]) == 0
+    assert "# oracle: QGramsBlocking" in capsys.readouterr().out
 
 
-def test_clustering_engine_flag(tmp_path, capsys):
-    data = tmp_path / "dirty.csv"
-    main(["generate", "--entities", "30", "--seed", "7", "--output", str(data)])
-    for engine in ("array", "object"):
-        assert main(["resolve", str(data), "--clustering-engine", engine]) == 0
-        out = capsys.readouterr().out
-        assert f"engine={engine}" in out  # config.describe() names the engine
-        # the clustering stage reports "clustering[<algorithm>@<engine>]"
-        assert f"clustering[connected_components@{engine}]" in out
-    assert build_parser().parse_args(["resolve", "x.csv"]).clustering_engine == "array"
-    with pytest.raises(SystemExit):
-        build_parser().parse_args(["resolve", "x.csv", "--clustering-engine", "bogus"])
+def _option_strings(parser):
+    subcommands = next(a for a in parser._actions if a.choices and not a.option_strings)
+    return {
+        option
+        for subparser in subcommands.choices.values()
+        for action in subparser._actions
+        for option in action.option_strings
+    }
+
+
+def test_no_engine_selection_flags():
+    """Which implementation runs a stage is not selectable from the shell
+    (``test_workflow.py::test_option_surface`` is the library's half)."""
+    options = _option_strings(build_parser())
+    assert {"--blocking", "--num-workers", "--snapshot", "--restore"} <= options
+    assert not {o for o in options if o.endswith("engine") or o == "--no-shared-context"}
+    for removed in (
+        ["resolve", "x.csv", "--blocking-engine", "index"],
+        ["resolve", "x.csv", "--no-shared-context"],
+        ["incremental", "x.csv", "--engine", "array"],
+    ):
+        with pytest.raises(SystemExit) as usage_error:
+            build_parser().parse_args(removed)
+        assert usage_error.value.code == 2
+
+
+@pytest.mark.parametrize("flag", ["--blocking", "--weighting", "--pruning", "--scheduler"])
+def test_unknown_scheme_name_is_a_usage_error(flag, capsys):
+    with pytest.raises(SystemExit) as usage_error:
+        main(["resolve", "x.csv", flag, "bogus"])
+    assert usage_error.value.code == 2
+    assert "invalid choice: 'bogus'" in capsys.readouterr().err
 
 
 def test_clustering_algorithm_flag(tmp_path, capsys):
@@ -207,10 +200,3 @@ def test_incremental_snapshot_restore_roundtrip(tmp_path, capsys):
     assert main(["incremental", str(more), "--restore", str(snap)]) == 0
     out = capsys.readouterr().out
     assert "incremental_restore" in out
-
-
-def test_incremental_object_engine_flag(tmp_path, capsys):
-    data = tmp_path / "dirty.csv"
-    main(["generate", "--entities", "20", "--seed", "9", "--output", str(data)])
-    assert main(["incremental", str(data), "--engine", "object"]) == 0
-    assert "incremental[profile_similarity@object]" in capsys.readouterr().out

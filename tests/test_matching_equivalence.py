@@ -409,51 +409,64 @@ class TestRunnerEquivalence:
             assert result.declared_matches == baseline.declared_matches
 
 
+class PerPairMatcher(ProfileSimilarityMatcher):
+    """Not the exact library type, so the workflow decides it pair by pair:
+    the per-pair oracle, reached the way a user's own matcher is."""
+
+
+def _run_update_phase(data, engine, ground_truth=None, **config):
+    """The workflow with merge iteration on: the default matcher on the batch
+    path, or the same matcher as a :class:`PerPairMatcher` on the oracle's."""
+    from repro.core.config import WorkflowConfig
+    from repro.core.workflow import ERWorkflow
+
+    options = WorkflowConfig(iterate_merges=True, **config)
+    matcher = None
+    if engine == "pairwise":
+        vectorizer = TfIdfVectorizer().fit(iter(data)) if options.use_tfidf else None
+        matcher = PerPairMatcher(threshold=options.match_threshold, vectorizer=vectorizer)
+    return ERWorkflow(options, matcher=matcher).run(data, ground_truth)
+
+
 class TestWorkflowEquivalence:
     """ERWorkflow output is engine-independent, including the iterate phase."""
 
     def test_workflow_engines_agree_with_iteration(self, small_dirty_dataset):
-        from repro.core.config import WorkflowConfig
-        from repro.core.workflow import ERWorkflow
-
-        results = {}
-        for engine in ("batch", "pairwise"):
-            config = WorkflowConfig(iterate_merges=True, matching_engine=engine)
-            results[engine] = ERWorkflow(config).run(
-                small_dirty_dataset.collection, small_dirty_dataset.ground_truth
+        batch, pairwise = (
+            _run_update_phase(
+                small_dirty_dataset.collection, engine, small_dirty_dataset.ground_truth
             )
-        batch, pairwise = results["batch"], results["pairwise"]
+            for engine in ("batch", "pairwise")
+        )
         assert batch.matches == pairwise.matches
         assert batch.comparisons_executed == pairwise.comparisons_executed
+        assert batch.curve.history() == pairwise.curve.history()
         assert sorted(map(sorted, batch.clusters)) == sorted(map(sorted, pairwise.clusters))
 
-    def test_stateful_fallback_matcher_sees_identical_call_sequence(
+    def test_stateful_matcher_is_called_once_per_counted_comparison(
         self, small_dirty_dataset
     ):
-        """A noisy oracle draws from a seeded RNG per decide() call: if the
-        batch path issued extra or reordered calls in the iterate phase, the
-        RNG stream -- and hence the declared matches -- would diverge."""
+        """A noisy oracle draws from a seeded RNG per decide() call: an extra
+        call in the iterate phase -- scoring a candidate the cluster check
+        then skips, as the batch path may -- would shift the RNG stream under
+        every later decision."""
         from repro.core.config import WorkflowConfig
         from repro.core.workflow import ERWorkflow
         from repro.matching.oracle import OracleMatcher
 
-        results = {}
-        calls = {}
-        for engine in ("batch", "pairwise"):
-            oracle = OracleMatcher(
-                small_dirty_dataset.ground_truth,
-                false_negative_rate=0.3,
-                false_positive_rate=0.05,
-                seed=42,
-            )
-            config = WorkflowConfig(iterate_merges=True, matching_engine=engine)
-            results[engine] = ERWorkflow(config, matcher=oracle).run(
-                small_dirty_dataset.collection
-            )
-            calls[engine] = oracle.calls
-        assert results["batch"].matches == results["pairwise"].matches
-        assert calls["batch"] == calls["pairwise"]
-        assert results["batch"].comparisons_executed == results["pairwise"].comparisons_executed
+        oracle = OracleMatcher(
+            small_dirty_dataset.ground_truth,
+            false_negative_rate=0.3,
+            false_positive_rate=0.05,
+            seed=42,
+        )
+        result = ERWorkflow(WorkflowConfig(iterate_merges=True), matcher=oracle).run(
+            small_dirty_dataset.collection
+        )
+        update = result.report.stage("update_iterate")
+        assert update.notes == "pairwise: OracleMatcher"
+        assert update.get("candidates") > update.get("comparisons") > 0
+        assert oracle.calls == result.comparisons_executed
 
 
 def _force_pure_python(monkeypatch):
@@ -465,15 +478,6 @@ def _force_pure_python(monkeypatch):
     monkeypatch.setattr(index_module, "_np", None)
 
 
-def _run_update_phase(data, engine, **config):
-    from repro.core.config import WorkflowConfig
-    from repro.core.workflow import ERWorkflow
-
-    return ERWorkflow(
-        WorkflowConfig(iterate_merges=True, matching_engine=engine, **config)
-    ).run(data)
-
-
 def _assert_same_update_phase(batch, pairwise):
     assert batch.matches == pairwise.matches  # same pairs, same order
     assert batch.comparisons_executed == pairwise.comparisons_executed
@@ -481,7 +485,7 @@ def _assert_same_update_phase(batch, pairwise):
     batch_stage = batch.report.stage("update_iterate")
     pairwise_stage = pairwise.report.stage("update_iterate")
     assert batch_stage.notes == "batch"
-    assert pairwise_stage.notes == "pairwise: matching_engine"
+    assert pairwise_stage.notes == "pairwise: PerPairMatcher"
     for metric in ("new_matches", "iterations", "merges", "candidates", "comparisons"):
         assert batch_stage.get(metric) == pairwise_stage.get(metric), metric
 
@@ -489,10 +493,11 @@ def _assert_same_update_phase(batch, pairwise):
 class TestUpdatePhaseEquivalence:
     """The ordinal one-vs-many update phase against the per-pair oracle.
 
-    ``matching_engine="batch"`` scores every merge's neighbourhood in one
-    ``score_against`` pass; ``"pairwise"`` walks the same ordinal candidate
-    enumeration one ``decide`` at a time.  Matches (including their order),
-    comparison counts and round counts must not tell the two apart.
+    The default matcher has every merge's neighbourhood scored in one
+    ``score_against`` pass; the same matcher as a subclass walks the same
+    ordinal candidate enumeration one ``decide`` at a time.  Matches
+    (including their order), comparison counts and round counts must not
+    tell the two apart.
     """
 
     THRESHOLDS = (0.3, 0.5, 0.6)

@@ -2,9 +2,10 @@
 
 Covers three guarantees: the derived token views (blocking keys, TF-IDF fit,
 matching profiles) are bit-identical to the per-stage tokenising paths; a
-full ``ERWorkflow.run`` with the shared context produces exactly the output
-of the per-stage-store run; and -- the single-interning guarantee -- a
-default workflow run tokenises every attribute value exactly once.
+full ``ERWorkflow.run`` produces exactly the output of a run whose
+components never read the context (a builder and a matcher subclass, which
+tokenise for themselves); and -- the single-interning guarantee -- a default
+workflow run tokenises every attribute value exactly once.
 """
 
 import importlib
@@ -46,6 +47,24 @@ def dirty():
 def clean_clean():
     return generate_clean_clean_task(
         DatasetConfig(num_entities=50, domain="person", seed=43)
+    )
+
+
+class SelfTokenisingBlocking(TokenBlocking):
+    """Not the exact library type: the workflow runs its own ``build``."""
+
+
+class SelfTokenisingMatcher(ProfileSimilarityMatcher):
+    """Not the exact library type: decided pair by pair, from raw values."""
+
+
+def self_tokenising_workflow(data, **options):
+    """The default pipeline on components that do not read the shared context."""
+    matcher = SelfTokenisingMatcher(
+        threshold=0.55, vectorizer=TfIdfVectorizer().fit(iter(data))
+    )
+    return ERWorkflow(
+        WorkflowConfig(**options), blocking=SelfTokenisingBlocking(), matcher=matcher
     )
 
 
@@ -200,12 +219,15 @@ class TestWorkflowEquivalence:
     def test_shared_context_run_is_bit_identical(self, dirty, clean_clean, kind):
         dataset = dirty if kind == "dirty" else clean_clean
         data = dataset.collection if kind == "dirty" else dataset.task
-        results = {}
-        for shared in (True, False):
-            workflow = ERWorkflow(
-                WorkflowConfig(shared_context=shared, iterate_merges=True)
+        results = {True: default_workflow(iterate_merges=True).run(data, dataset.ground_truth)}
+        with pytest.warns(RuntimeWarning, match="SelfTokenisingBlocking"):
+            results[False] = self_tokenising_workflow(data, iterate_merges=True).run(
+                data, dataset.ground_truth
             )
-            results[shared] = workflow.run(data, dataset.ground_truth)
+        stages = [stage.stage for stage in results[False].report]
+        assert "blocking[token_blocking@oracle]" in stages
+        assert "matching[weight_order@array+pairwise]" in stages
+        assert results[True].iterations == results[False].iterations
         assert results[True].matches == results[False].matches
         assert (
             results[True].comparisons_executed == results[False].comparisons_executed
@@ -253,12 +275,15 @@ class TestSingleInterning:
         if result.iterations == 0:
             assert extra == 0
 
-    def test_per_stage_stores_tokenise_several_times(self, dirty, monkeypatch):
-        """The fallback path (no context) pays one pass per stage, as before."""
+    def test_self_tokenising_components_tokenise_several_times(self, dirty, monkeypatch):
+        """Sanity check of the counter: components that do not read the
+        context pay their own passes on top of the interning one."""
         data = dirty.collection
         num_values = sum(len(description.values()) for description in data)
+        workflow = self_tokenising_workflow(data)
         calls = self._count_normalize_calls(monkeypatch)
-        default_workflow(shared_context=False).run(data, dirty.ground_truth)
+        with pytest.warns(RuntimeWarning):
+            workflow.run(data, dirty.ground_truth)
         assert len(calls) >= 2 * num_values
 
     @pytest.mark.parametrize(

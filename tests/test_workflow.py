@@ -1,12 +1,54 @@
 """Tests for the end-to-end ER workflow (tutorial Figure 1)."""
 
+import dataclasses
+from contextlib import nullcontext
+
 import pytest
 
+from repro.blocking.token_blocking import TokenBlocking
 from repro.core.config import WorkflowConfig
 from repro.core.workflow import ERWorkflow, default_workflow
+from repro.datamodel.pairs import DecisionColumns
 from repro.datasets import DatasetConfig, generate_clean_clean_task, generate_dirty_dataset
+from repro.matching.clustering import (
+    CenterClustering,
+    ConnectedComponentsClustering,
+    MergeCenterClustering,
+)
+from repro.matching.matchers import ProfileSimilarityMatcher
 from repro.matching.oracle import OracleMatcher
-from repro.progressive.schedulers import RandomOrderScheduler
+from repro.progressive.schedulers import RandomOrderScheduler, WeightOrderScheduler
+from repro.text.vectorizer import TfIdfVectorizer
+
+#: the options the workflow had for choosing a stage's implementation
+REMOVED_OPTIONS = (
+    "blocking_engine",
+    "metablocking_engine",
+    "scheduling_engine",
+    "matching_engine",
+    "clustering_engine",
+    "incremental_engine",
+    "shared_context",
+)
+
+
+# The extension seam: a subclass is not the exact library type, so the stage
+# runs the component's own readable method instead of the columnar path.
+class ReadableBlocking(TokenBlocking):
+    pass
+
+
+class ReadableScheduler(WeightOrderScheduler):
+    pass
+
+
+class ReadableMatcher(ProfileSimilarityMatcher):
+    pass
+
+
+def readable_matcher(data):
+    """The default TF-IDF matcher, as a subclass with a vectorizer fitted here."""
+    return ReadableMatcher(threshold=0.55, vectorizer=TfIdfVectorizer().fit(iter(data)))
 
 
 class TestWorkflowConfig:
@@ -21,6 +63,38 @@ class TestWorkflowConfig:
     def test_default_workflow_rejects_unknown_overrides(self):
         with pytest.raises(AttributeError):
             default_workflow(nonexistent_option=True)
+
+    @pytest.mark.parametrize("name", ("describe",) + REMOVED_OPTIONS)
+    def test_default_workflow_rejects_non_fields(self, name):
+        """An attribute that is not a dataclass field -- a method, or an
+        option that no longer exists -- is refused, not silently set."""
+        with pytest.raises(AttributeError, match="num_workers"):  # lists the fields
+            default_workflow(**{name: "x"})
+        assert callable(WorkflowConfig().describe)
+
+    def test_option_surface(self):
+        """Which implementation runs a stage is not an option (the CLI's half
+        of this is ``test_cli.py::test_no_engine_selection_flags``)."""
+        assert [f.name for f in dataclasses.fields(WorkflowConfig)] == [
+            "blocking",
+            "enable_purging",
+            "enable_filtering",
+            "filtering_ratio",
+            "enable_metablocking",
+            "weighting_scheme",
+            "pruning_scheme",
+            "scheduler",
+            "budget",
+            "match_threshold",
+            "use_tfidf",
+            "iterate_merges",
+            "max_iterations",
+            "clustering",
+            "num_workers",
+            "worker_timeout",
+            "max_shard_retries",
+            "on_worker_failure",
+        ]
 
     @pytest.mark.parametrize("max_iterations", [0, -1])
     def test_iteration_needs_at_least_one_round(self, small_dirty_dataset, max_iterations):
@@ -44,20 +118,30 @@ class TestWorkflowExecution:
         assert len(result.report) >= 4
         assert "clusters" in result.summary()
 
-    def test_blocking_engines_produce_identical_results(self, small_dirty_dataset):
-        """Swapping the blocking engine changes stage labels, not the outcome."""
+    def test_subclassed_builder_runs_its_own_build(self, small_dirty_dataset):
+        """A builder subclass changes the build stage's label, not the outcome."""
         results = {}
-        for engine in ("index", "oracle"):
-            workflow = default_workflow(blocking_engine=engine)
-            result = workflow.run(small_dirty_dataset.collection, small_dirty_dataset.ground_truth)
+        for engine, blocking in (("index", None), ("oracle", ReadableBlocking())):
+            workflow = ERWorkflow(WorkflowConfig(), blocking=blocking)
+            with pytest.warns(RuntimeWarning) if blocking else nullcontext():
+                result = workflow.run(
+                    small_dirty_dataset.collection, small_dirty_dataset.ground_truth
+                )
             results[engine] = result
             stage_names = [stage.stage for stage in result.report]
             assert f"blocking[token_blocking@{engine}]" in stage_names
-            assert f"block_purging@{engine}" in stage_names
-            assert f"block_filtering@{engine}" in stage_names
-        assert sorted(results["index"].matches) == sorted(results["oracle"].matches)
+            # cleaning always gets the exact library cleaners
+            assert "block_purging@index" in stage_names
+            assert "block_filtering@index" in stage_names
+        assert results["index"].matches == results["oracle"].matches
         assert (
             results["index"].comparisons_executed == results["oracle"].comparisons_executed
+        )
+        assert results["index"].clusters == results["oracle"].clusters
+        assert results["index"].report.stage("blocking[token_blocking@index]").notes == ""
+        assert (
+            results["oracle"].report.stage("blocking[token_blocking@oracle]").notes
+            == "oracle: ReadableBlocking"
         )
 
     def test_workflow_without_ground_truth_still_runs(self, small_dirty_dataset):
@@ -92,13 +176,37 @@ class TestWorkflowExecution:
         assert result.matching_quality.precision == 1.0  # the oracle never errs
         assert oracle.calls == result.comparisons_executed
 
-    def test_unknown_component_names_raise(self, small_dirty_dataset):
-        with pytest.raises(KeyError):
-            ERWorkflow(WorkflowConfig(blocking="bogus")).run(small_dirty_dataset.collection)
-        with pytest.raises(KeyError):
-            ERWorkflow(WorkflowConfig(scheduler="bogus")).run(small_dirty_dataset.collection)
-        with pytest.raises(KeyError):
-            ERWorkflow(WorkflowConfig(clustering="bogus")).run(small_dirty_dataset.collection)
+    @pytest.mark.parametrize(
+        "field, error",
+        [
+            ("blocking", KeyError),
+            ("weighting_scheme", KeyError),
+            ("pruning_scheme", KeyError),
+            ("scheduler", KeyError),
+            ("clustering", KeyError),
+            ("on_worker_failure", ValueError),
+        ],
+    )
+    def test_unknown_names_fail_before_any_stage_runs(
+        self, small_dirty_dataset, monkeypatch, field, error
+    ):
+        from repro.core import workflow as workflow_module
+
+        def no_stage_may_run(*args, **kwargs):
+            raise AssertionError(f"a stage ran before {field!r} was checked")
+
+        monkeypatch.setattr(workflow_module, "PipelineContext", no_stage_may_run)
+        with pytest.raises(error, match="bogus"):
+            ERWorkflow(WorkflowConfig(**{field: "bogus"})).run(small_dirty_dataset.collection)
+
+    @pytest.mark.parametrize("num_workers", [0, -3])
+    def test_worker_count_must_be_positive(self, small_dirty_dataset, num_workers):
+        with pytest.raises(ValueError, match="num_workers"):
+            default_workflow(num_workers=num_workers).run(small_dirty_dataset.collection)
+
+    def test_unused_metablocking_names_are_not_resolved(self, small_dirty_dataset):
+        workflow = default_workflow(enable_metablocking=False, weighting_scheme="bogus")
+        assert workflow.run(small_dirty_dataset.collection).clusters
 
     def test_iterative_merging_finds_at_least_as_many_matches(self):
         dataset = generate_dirty_dataset(
@@ -130,9 +238,18 @@ class TestBudgetedWorkflowRuns:
     """Progressive-curve and comparison accounting through budgeted runs.
 
     Exercises the full ``ERWorkflow.run`` path -- budget, ground truth and
-    merge iteration together -- on both scheduling engines, which must agree
-    on every number they report.
+    merge iteration together -- on the array schedule of the library
+    scheduler and on the own ``schedule`` generator of a subclass, which
+    must agree on every number they report.
     """
+
+    SCHEDULERS = {"array": None, "object": ReadableScheduler}
+
+    def workflow(self, engine, **options):
+        scheduler = self.SCHEDULERS[engine]
+        return ERWorkflow(
+            WorkflowConfig(**options), scheduler=scheduler() if scheduler else None
+        )
 
     BUDGET = 120
 
@@ -144,11 +261,8 @@ class TestBudgetedWorkflowRuns:
 
     @pytest.mark.parametrize("engine", ["array", "object"])
     def test_budget_curve_and_accounting(self, budget_dataset, engine):
-        workflow = default_workflow(
-            budget=self.BUDGET,
-            scheduling_engine=engine,
-            iterate_merges=True,
-            match_threshold=0.5,
+        workflow = self.workflow(
+            engine, budget=self.BUDGET, iterate_merges=True, match_threshold=0.5
         )
         result = workflow.run(budget_dataset.collection, budget_dataset.ground_truth)
 
@@ -156,6 +270,7 @@ class TestBudgetedWorkflowRuns:
         # on top of it and its extra comparisons are accounted separately
         matching = next(s for s in result.report if s.stage.startswith("matching["))
         assert f"@{engine}+" in matching.stage
+        assert matching.notes == ("" if engine == "array" else "object: ReadableScheduler")
         assert matching.metrics["comparisons"] <= self.BUDGET
         extra = result.comparisons_executed - matching.metrics["comparisons"]
         assert extra >= 0
@@ -179,11 +294,8 @@ class TestBudgetedWorkflowRuns:
     def test_engines_agree_on_budgeted_runs(self, budget_dataset):
         results = {}
         for engine in ("array", "object"):
-            workflow = default_workflow(
-                budget=self.BUDGET,
-                scheduling_engine=engine,
-                iterate_merges=True,
-                match_threshold=0.5,
+            workflow = self.workflow(
+                engine, budget=self.BUDGET, iterate_merges=True, match_threshold=0.5
             )
             results[engine] = workflow.run(
                 budget_dataset.collection, budget_dataset.ground_truth
@@ -199,7 +311,7 @@ class TestBudgetedWorkflowRuns:
 
     @pytest.mark.parametrize("engine", ["array", "object"])
     def test_unbudgeted_run_executes_all_candidates(self, budget_dataset, engine):
-        workflow = default_workflow(scheduling_engine=engine)
+        workflow = self.workflow(engine)
         result = workflow.run(budget_dataset.collection, budget_dataset.ground_truth)
         metablocking = next(
             s for s in result.report if s.stage.startswith("metablocking[")
@@ -209,35 +321,26 @@ class TestBudgetedWorkflowRuns:
 
 
 class TestClusteringEngineThreading:
-    def test_clustering_engines_produce_identical_results(self, small_dirty_dataset):
-        """Swapping the clustering engine changes stage labels, not the outcome."""
-        results = {}
-        for engine in ("array", "object"):
-            for clustering in ("connected_components", "center", "merge_center"):
-                workflow = default_workflow(
-                    clustering=clustering, clustering_engine=engine
-                )
-                result = workflow.run(
-                    small_dirty_dataset.collection, small_dirty_dataset.ground_truth
-                )
-                results[(engine, clustering)] = result
-                stage_names = [stage.stage for stage in result.report]
-                assert f"clustering[{clustering}@{engine}]" in stage_names
-        for clustering in ("connected_components", "center", "merge_center"):
-            array_result = results[("array", clustering)]
-            object_result = results[("object", clustering)]
-            # exact cluster lists, including order, and identical metrics
-            assert array_result.clusters == object_result.clusters
-            assert (
-                array_result.matching_quality.as_dict()
-                == object_result.matching_quality.as_dict()
-            )
-
-    def test_custom_clustering_override_not_supported_by_name(self, small_dirty_dataset):
-        with pytest.raises(KeyError):
-            ERWorkflow(WorkflowConfig(clustering_engine="array", clustering="bogus")).run(
-                small_dirty_dataset.collection
-            )
+    @pytest.mark.parametrize(
+        "clustering, algorithm",
+        [
+            ("connected_components", ConnectedComponentsClustering),
+            ("center", CenterClustering),
+            ("merge_center", MergeCenterClustering),
+        ],
+    )
+    def test_named_clusterings_equal_the_algorithms_own_output(
+        self, small_dirty_dataset, clustering, algorithm
+    ):
+        """The array engine the workflow runs returns exactly what the
+        algorithm's own ``cluster`` does for the declared matches -- the same
+        cluster list, order included."""
+        result = default_workflow(clustering=clustering).run(
+            small_dirty_dataset.collection, small_dirty_dataset.ground_truth
+        )
+        assert f"clustering[{clustering}@array]" in [stage.stage for stage in result.report]
+        own = algorithm().cluster(DecisionColumns.from_match_pairs(result.matches))
+        assert result.clusters == own
 
     @pytest.mark.parametrize("iterate_merges", [False, True])
     def test_default_run_creates_no_match_decision_objects(
@@ -276,31 +379,38 @@ class TestClusteringEngineThreading:
         assert not created, f"{len(created)} per-comparison objects on the default path"
 
     def test_update_phase_reports_its_path(self, small_dirty_dataset):
-        """The stage row says how much the phase did and which path ran, and why."""
-        oracle = OracleMatcher(small_dirty_dataset.ground_truth)
+        """The stage row says how much the phase did and which path ran; the
+        one reason for the per-pair path is the matcher's type."""
+        data = small_dirty_dataset.collection
+        config = WorkflowConfig(iterate_merges=True)
         runs = {
-            "batch": default_workflow(iterate_merges=True),
-            "pairwise: matching_engine": default_workflow(
-                iterate_merges=True, matching_engine="pairwise"
-            ),
-            "pairwise: no shared context": default_workflow(
-                iterate_merges=True, shared_context=False
-            ),
+            "batch": ERWorkflow(config),
+            "pairwise: ReadableMatcher": ERWorkflow(config, matcher=readable_matcher(data)),
             "pairwise: OracleMatcher": ERWorkflow(
-                WorkflowConfig(iterate_merges=True), matcher=oracle
+                config, matcher=OracleMatcher(small_dirty_dataset.ground_truth)
             ),
         }
+        results = {}
         for notes, workflow in runs.items():
-            result = workflow.run(small_dirty_dataset.collection)
+            result = results[notes] = workflow.run(data)
             update = result.report.stage("update_iterate")
             assert update.notes == notes
             assert update.get("merges") >= len(result.matches) - update.get("new_matches")
             assert update.get("candidates") >= update.get("comparisons") > 0
             assert update.get("iterations") == result.iterations
+        # the subclass *is* the default matcher, executed pair by pair
+        batch, pairwise = results["batch"], results["pairwise: ReadableMatcher"]
+        assert batch.matches == pairwise.matches
+        assert batch.comparisons_executed == pairwise.comparisons_executed
+        assert batch.iterations == pairwise.iterations
+        assert batch.clusters == pairwise.clusters
+        matching = next(s for s in pairwise.report if s.stage.startswith("matching["))
+        assert matching.stage.endswith("+pairwise]")
+        assert matching.notes == "pairwise: ReadableMatcher"
 
-    def test_object_engines_do_create_decision_objects(self, small_dirty_dataset):
-        """Sanity check of the zero-object assertion: the legacy object
-        pipeline trips the same counter."""
+    def test_own_method_paths_do_create_decision_objects(self, small_dirty_dataset):
+        """Sanity check of the zero-object assertion: a subclassed scheduler
+        (drawn one comparison at a time) trips the same counter."""
         from repro.matching.matchers import MatchDecision
 
         calls = []
@@ -312,9 +422,9 @@ class TestClusteringEngineThreading:
 
         MatchDecision.__init__ = counting
         try:
-            default_workflow(
-                scheduling_engine="object", clustering_engine="object"
-            ).run(small_dirty_dataset.collection, small_dirty_dataset.ground_truth)
+            ERWorkflow(scheduler=ReadableScheduler()).run(
+                small_dirty_dataset.collection, small_dirty_dataset.ground_truth
+            )
         finally:
             MatchDecision.__init__ = original
         assert calls
@@ -335,19 +445,28 @@ class TestIncrementalWorkflow:
         assert result.clusters
         assert result.matching_quality is not None
 
-    def test_engines_produce_identical_results(self, small_dirty_dataset):
+    def test_subclassed_matcher_resolves_identically(self, small_dirty_dataset):
         results = {}
-        for engine in ("array", "object"):
-            config = WorkflowConfig(incremental_engine=engine)
-            result = ERWorkflow(config).run_incremental(small_dirty_dataset.collection)
+        for engine, matcher in (("array", None), ("object", ReadableMatcher(threshold=0.55))):
+            result = ERWorkflow(matcher=matcher).run_incremental(
+                small_dirty_dataset.collection
+            )
             (stage,) = list(result.report)
             assert stage.stage == f"incremental[profile_similarity@{engine}]"
+            assert stage.notes == ("" if matcher is None else "object: ReadableMatcher")
             results[engine] = (
                 sorted(sorted(c) for c in result.clusters),
                 sorted(result.matches),
                 stage.get("comparisons"),
             )
         assert results["array"] == results["object"]
+
+    def test_tfidf_matcher_reports_why_it_left_the_index(self, small_dirty_dataset):
+        data = small_dirty_dataset.collection
+        matcher = ProfileSimilarityMatcher(vectorizer=TfIdfVectorizer().fit(iter(data)))
+        (stage,) = list(ERWorkflow(matcher=matcher).run_incremental(data).report)
+        assert stage.stage.endswith("@object]")
+        assert stage.notes == "object: TF-IDF"
 
     def test_snapshot_and_restore_stages(self, small_dirty_dataset, tmp_path):
         descriptions = list(small_dirty_dataset.collection)
