@@ -16,8 +16,8 @@ actual wall-clock speedup on multi-core machines:
   in ``multiprocessing`` workers: the sharded context interning (local
   vocabularies merged in range order), the blocking postings pass, the
   block-cleaning passes (purging cardinalities, filtering keep flags,
-  comparison propagation), the meta-blocking node-weight streams and
-  per-node retained-edge emission for all pruning schemes, the weight sort
+  comparison propagation), the meta-blocking index engine's ranged pruning
+  passes (retained-edge columns for all pruning schemes), the weight sort
   of the comparison columns (per-shard argsort + driver k-way merge), the
   batched matching scores, and the connected-components clustering
   (per-shard union--find merged in first-touch order);

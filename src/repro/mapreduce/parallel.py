@@ -11,9 +11,9 @@ shared memory, and concatenates the per-partition result columns back in
 range order.  The worker-side kernels live in :mod:`repro.mapreduce.worker`.
 
 The engine parallelises exactly the stages whose sequential engines it can
-reproduce bit for bit -- token-blocking postings, meta-blocking node-weight
-streams (all weighting schemes, including the ECBS/EJS global factors), and
-batched profile-similarity scoring -- and the callers in
+reproduce bit for bit -- token-blocking postings, the meta-blocking index
+engine's ranged pruning passes (all weighting schemes, including the ECBS/EJS
+global factors), and batched profile-similarity scoring -- and the callers in
 :mod:`repro.blocking.engine`, :mod:`repro.metablocking.pipeline` and
 :mod:`repro.matching.engine` fall back to their single-process paths for
 anything else, so plugging an engine in never changes a result.
@@ -22,9 +22,9 @@ Lifecycle: the engine owns every shared-memory segment it creates and every
 pool process it forks; :meth:`close` (or use as a context manager) tears both
 down deterministically -- segments are unlinked driver-side, and workers only
 ever attach (see :mod:`repro.mapreduce.shm` for the tracker discipline that
-keeps ``resource_tracker`` silent).  Unlike the sequential pruning passes,
-whose transient memory is bounded by one neighbourhood, the driver holds each
-fanned-out weight round in full while the pruning pass consumes it.
+keeps ``resource_tracker`` silent).  Only retained-edge columns and O(nodes)
+statistics come back from the meta-blocking passes; pruned edges never leave
+the worker that expanded them.
 
 Fault tolerance: every stage dispatches through a
 :class:`~repro.mapreduce.supervisor.Supervisor` rather than a bare
@@ -40,7 +40,6 @@ orphans left by crashed previous runs (:func:`repro.mapreduce.shm.sweep`).
 from __future__ import annotations
 
 import heapq
-import math
 import multiprocessing
 from array import array
 from typing import Dict, List, Optional, Sequence, Tuple
@@ -499,183 +498,45 @@ class ParallelEngine:
     # ------------------------------------------------------------------
     # meta-blocking
     # ------------------------------------------------------------------
-    def install_node_weights(self, index_engine) -> bool:
-        """Fan ``index_engine``'s node-weight stream out to the pool.
-
-        Exports the index's CSR columns (plus the identifier-rank column that
-        stands in for string comparisons) to shared memory and installs a
-        ``node_weights_source`` on the engine, so every pruning pass and
-        weight stream transparently consumes the pooled rounds.  Returns
-        ``False`` -- leaving the engine untouched -- when there is nothing to
-        parallelise (an empty index).
-        """
-        if index_engine.num_entities == 0:
-            return False
-        entry = self._index_entry(index_engine)
-
-        def source(scheme: str, lower: bool):
-            rounds = self._node_weight_rounds(index_engine, entry, scheme, lower)
-            vectorised = index_engine._use_numpy
-            for nodes, ptr, neighbours_flat, weights_flat in rounds:
-                if vectorised:
-                    np_neighbours = _np.frombuffer(neighbours_flat, dtype=_np.int64)
-                    np_weights = _np.frombuffer(weights_flat, dtype=_np.float64)
-                for position, node in enumerate(nodes):
-                    lo, hi = ptr[position], ptr[position + 1]
-                    if vectorised:
-                        yield node, np_neighbours[lo:hi], np_weights[lo:hi]
-                    else:
-                        yield node, neighbours_flat[lo:hi], weights_flat[lo:hi]
-
-        index_engine.node_weights_source = source
-        return True
-
     def retained_edges(self, index_engine, scheme: str, pruning: str, budget=None, k=None):
-        """Run ``pruning`` under ``scheme`` with pooled retained-edge emission.
+        """Run ``pruning`` under ``scheme`` with pooled ranged passes.
 
-        Unlike :meth:`install_node_weights` -- which ships every edge weight
-        back to the driver for it to prune -- the per-node threshold/top-k
-        selection itself runs in the workers over contiguous node ranges, so
-        only *retained* edges (plus O(nodes) threshold columns and O(budget)
-        candidate buffers) ever cross the process boundary.  Driver-side
-        concatenation in range order reproduces the sequential emission
-        order, tie-breaks included; the run statistics are installed on
-        ``index_engine`` exactly as a sequential pass would.  Returns the
-        retained :class:`WeightedEdge` list, or ``None`` for an empty index
-        (the caller falls back to the sequential path).
+        :meth:`EntityIndexEngine._retained
+        <repro.metablocking.entity_index.EntityIndexEngine._retained>` with
+        its ranged passes (threshold statistics, per-range selection and
+        emission) fanned out to the workers over contiguous node ranges, so
+        only *retained* edge columns (plus O(nodes) threshold columns,
+        O(k * nodes) endorsements and O(budget) candidate buffers) ever cross
+        the process boundary and the driver merge is a concatenation in
+        range order.  The protocol, its merges and the run statistics it
+        installs on ``index_engine`` are the sequential engine's own code,
+        and its result does not depend on how the node range is cut.
+        Returns the retained ``(first, second, weight)`` columns of
+        :meth:`~repro.metablocking.entity_index.EntityIndexEngine.retained_columns`,
+        or ``None`` for an empty index (the caller falls back to the
+        sequential path).
         """
         if index_engine.num_entities == 0:
             return None
-        if pruning == "CEP" and budget is not None and budget < 0:
-            raise ValueError(f"CEP budget must be non-negative, got {budget}")
         entry = self._index_entry(index_engine)
-        factors_spec = self._factors_spec(index_engine, entry, scheme)
-        use_numpy = index_engine._use_numpy
-        edge = index_engine._edge
-        parts = entry["parts"]
 
-        if pruning == "WEP":
+        def fan_out(step: str, scheme: str, *params) -> list:
+            factors_spec = self._factors_spec(index_engine, entry, scheme)
             tasks = [
-                (entry["spec"], factors_spec, scheme, start, stop, use_numpy)
-                for start, stop in parts
+                (entry["spec"], factors_spec, index_engine._use_numpy, step, scheme, start, stop, params)
+                for start, stop in entry["parts"]
             ]
-            count = 0
-            partials: List[float] = []
-            for shard_count, shard_partials in self._run(worker.wep_stats_job, tasks, "wep_stats"):
-                count += shard_count
-                partials.extend(shard_partials)
-            if count == 0:
-                index_engine._finish(0, 0)
-                return []
-            # the shards' exact-sum expansions concatenate into one stream
-            # whose fsum equals the sequential full-stream fsum exactly
-            threshold = math.fsum(partials) / count
-            tasks = [
-                (entry["spec"], factors_spec, scheme, threshold, start, stop, use_numpy)
-                for start, stop in parts
-            ]
-            retained = []
-            for firsts, seconds, weights in self._run(worker.wep_emit_job, tasks, "wep_emit"):
-                for i, j, weight in zip(firsts, seconds, weights):
-                    retained.append(edge(i, j, weight))
-            index_engine._finish(count, len(retained))
-            return retained
+            return self._run(worker.pruning_pass_job, tasks, step)
 
-        if pruning in ("WNP", "ReciprocalWNP"):
-            reciprocal = pruning == "ReciprocalWNP"
-            num_entities = index_engine.num_entities
-            thresholds = array("d", bytes(8 * num_entities))
-            total = 0
-            tasks = [
-                (entry["spec"], factors_spec, scheme, start, stop, use_numpy)
-                for start, stop in parts
-            ]
-            for (start, stop), (counts, sums, shard_total) in zip(
-                parts, self._run(worker.wnp_stats_job, tasks, "wnp_stats")
-            ):
-                total += shard_total
-                for offset, degree in enumerate(counts):
-                    if degree:
-                        thresholds[start + offset] = sums[offset] / degree
-            num_edges = total // 2
-            if num_edges == 0:
-                index_engine._finish(0, 0)
-                return []
-            thresholds_spec = self._segment({"thresholds": ("d", thresholds)}).spec
-            tasks = [
-                (
-                    entry["spec"],
-                    factors_spec,
-                    scheme,
-                    thresholds_spec,
-                    reciprocal,
-                    start,
-                    stop,
-                    use_numpy,
-                )
-                for start, stop in parts
-            ]
-            retained = []
-            for firsts, seconds, weights in self._run(worker.wnp_emit_job, tasks, "wnp_emit"):
-                for i, j, weight in zip(firsts, seconds, weights):
-                    retained.append(edge(i, j, weight))
-            index_engine._finish(num_edges, len(retained))
-            return retained
-
-        if pruning in ("CNP", "ReciprocalCNP"):
-            reciprocal = pruning == "ReciprocalCNP"
-            if k is None:
-                nodes = max(1, index_engine.num_entities)
-                k = max(1, int(round(index_engine.num_assignments / nodes)) - 1)
-            tasks = [
-                (entry["spec"], factors_spec, scheme, k, start, stop, use_numpy)
-                for start, stop in parts
-            ]
-            endorsed: Dict[Tuple[int, int], list] = {}
-            total = 0
-            for a_column, b_column, w_column, shard_total in self._run(worker.cnp_endorse_job, tasks, "cnp"):
-                total += shard_total
-                for a, b, weight in zip(a_column, b_column, w_column):
-                    pair = (a, b) if a < b else (b, a)
-                    endorsement = endorsed.get(pair)
-                    if endorsement is None:
-                        endorsed[pair] = [weight, 1]
-                    else:
-                        endorsement[1] += 1
-            num_edges = total // 2
-            needed = 2 if reciprocal else 1
-            retained = []
-            for (a, b), (weight, endorsements) in endorsed.items():
-                if endorsements >= needed and weight > 0:
-                    retained.append(edge(a, b, weight))
-            index_engine._finish(num_edges, len(retained))
-            return retained
-
-        # CEP
-        if budget is None:
-            budget = max(1, index_engine.num_assignments // 2)
-        tasks = [
-            (entry["spec"], factors_spec, scheme, budget, start, stop, use_numpy)
-            for start, stop in parts
-        ]
-        count = 0
-        merged = []
-        for shard_count, neg_column, rank_f, rank_s, a_column, b_column in self._run(worker.cep_candidates_job, tasks, "cep"):
-            count += shard_count
-            merged.extend(zip(neg_column, rank_f, rank_s, a_column, b_column))
-        final = heapq.nsmallest(budget, merged)
-        retained = [edge(a, b, -neg_weight) for neg_weight, _rf, _rs, a, b in final]
-        index_engine._finish(count, len(retained))
-        return retained
+        return index_engine._retained(scheme, pruning, budget, k, fan_out)
 
     def _index_entry(self, index_engine) -> dict:
         key = id(index_engine)
         cached = self._index_entries.get(key)
         if cached is not None and cached[0] is index_engine:
             return cached[1]
-        ranks = identifier_ranks(index_engine._ids)
         rank_column = array("q")
-        _extend_int64(rank_column, ranks)
+        _extend_int64(rank_column, index_engine._ranks())
         segment = self._segment(
             {
                 "blk_ptr": ("q", index_engine._blk_ptr),
@@ -697,30 +558,9 @@ class ParallelEngine:
             "spec": segment.spec,
             "parts": contiguous_partitions(costs, self.num_workers),
             "factors": {},
-            "rounds": {},
         }
         self._index_entries[key] = (index_engine, entry)
         return entry
-
-    def _node_weight_rounds(self, index_engine, entry: dict, scheme: str, lower: bool):
-        """One pooled pass of the (scheme, lower) weight stream, cached.
-
-        Pruning schemes consume the same stream up to twice (threshold pass
-        then emission pass), so each round is fanned out once and replayed
-        from the driver-side cache afterwards.
-        """
-        key = (scheme, lower)
-        cached = entry["rounds"].get(key)
-        if cached is not None:
-            return cached
-        factors_spec = self._factors_spec(index_engine, entry, scheme)
-        tasks = [
-            (entry["spec"], factors_spec, scheme, lower, start, stop, index_engine._use_numpy)
-            for start, stop in entry["parts"]
-        ]
-        rounds = self._run(worker.node_weights_job, tasks, "weights")
-        entry["rounds"][key] = rounds
-        return rounds
 
     def _factors_spec(self, index_engine, entry: dict, scheme: str) -> Optional[SegmentSpec]:
         """The shared global-factor column of ECBS/EJS (``None`` for local schemes)."""

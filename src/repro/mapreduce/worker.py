@@ -9,8 +9,8 @@ are never shipped: workers attach the driver's segments and read them through
 zero-copy views.
 
 Bit-identity is the contract.  Every kernel either *is* the sequential code
-(ranged :meth:`EntityIndexEngine._node_weights
-<repro.metablocking.entity_index.EntityIndexEngine._node_weights>` over a
+(the ranged pruning passes of :class:`EntityIndexEngine
+<repro.metablocking.entity_index.EntityIndexEngine>` over a
 :meth:`from_arrays <repro.metablocking.entity_index.EntityIndexEngine.from_arrays>`
 replica, :func:`~repro.text.vectorizer.weighted_cosine`,
 :func:`~repro.matching.engine._set_score`) or replicates its exact
@@ -28,7 +28,6 @@ two different payloads.
 
 from __future__ import annotations
 
-import heapq
 import math
 from array import array
 from typing import Dict, Optional, Tuple
@@ -37,7 +36,7 @@ from repro.core.unionfind import IntUnionFind
 from repro.mapreduce import faults
 from repro.mapreduce.shm import AttachedSegment, SegmentSpec, attach
 from repro.matching.engine import _set_score
-from repro.metablocking.entity_index import _CEP_COMPACT_SLACK, EntityIndexEngine
+from repro.metablocking.entity_index import EntityIndexEngine
 from repro.text.tokenize import tokenize
 from repro.text.vectorizer import SparseVector, weighted_cosine
 
@@ -361,37 +360,6 @@ def _index_engine(
     return engine
 
 
-def node_weights_job(args) -> Tuple[array, array, array, array]:
-    """Weighted neighbourhoods of one node range, as four flat columns.
-
-    ``(nodes, ptr, neighbours, weights)``: node ``nodes[k]``'s neighbourhood
-    is ``neighbours[ptr[k]:ptr[k+1]]`` with aligned weights.  The stream is
-    exactly what the sequential ranged ``_node_weights`` pass yields -- it
-    *is* that pass, over a worker-side replica of the index.
-    """
-    mb_spec, factors_spec, scheme, lower, start, stop, use_numpy = args
-    engine = _index_engine(mb_spec, use_numpy, factors_spec, scheme)
-    nodes = array("q")
-    ptr = array("q", [0])
-    neighbours_flat = array("q")
-    weights_flat = array("d")
-    vectorised = engine._use_numpy
-    for i, neighbours, weights in engine._node_weights(scheme, lower, start, stop):
-        nodes.append(i)
-        if vectorised:
-            neighbours_flat.frombytes(
-                _np.ascontiguousarray(neighbours, dtype=_np.int64).tobytes()
-            )
-            weights_flat.frombytes(
-                _np.ascontiguousarray(weights, dtype=_np.float64).tobytes()
-            )
-        else:
-            neighbours_flat.extend(neighbours)
-            weights_flat.extend(weights)
-        ptr.append(len(neighbours_flat))
-    return nodes, ptr, neighbours_flat, weights_flat
-
-
 def partial_degrees_job(args) -> Tuple[array, int]:
     """EJS support round: the degree contributions of one node range."""
     mb_spec, start, stop, use_numpy = args
@@ -399,239 +367,19 @@ def partial_degrees_job(args) -> Tuple[array, int]:
     return engine._partial_degrees(start, stop)
 
 
-def _exact_partials(values) -> list:
-    """Shewchuk non-overlapping expansion of ``sum(values)``.
+def pruning_pass_job(args):
+    """One ranged pruning pass (``wep_stats`` ... ``cep``) of one node range.
 
-    The returned partials represent the range's sum *exactly* (it is the
-    state ``math.fsum`` carries internally), so ``fsum`` over the
-    concatenated partials of a sharded pass equals ``fsum`` over the
-    original full stream -- the driver recovers the exactly rounded global
-    sum without the weights ever leaving the workers.
+    It *is* the sequential pass --
+    ``EntityIndexEngine._<step>(scheme, start, stop, *params)`` -- over a
+    worker-side replica of the index; see
+    :meth:`EntityIndexEngine._retained
+    <repro.metablocking.entity_index.EntityIndexEngine._retained>` for the
+    protocol the driver runs around it.
     """
-    partials: list = []
-    for x in values:
-        i = 0
-        for y in partials:
-            if abs(x) < abs(y):
-                x, y = y, x
-            hi = x + y
-            lo = y - (hi - x)
-            if lo:
-                partials[i] = lo
-                i += 1
-            x = hi
-        partials[i:] = [x]
-    return partials
-
-
-def wep_stats_job(args) -> Tuple[int, array]:
-    """WEP threshold round: edge count and exact sum partials of one range."""
-    mb_spec, factors_spec, scheme, start, stop, use_numpy = args
+    mb_spec, factors_spec, use_numpy, step, scheme, start, stop, params = args
     engine = _index_engine(mb_spec, use_numpy, factors_spec, scheme)
-    count = 0
-    vectorised = engine._use_numpy
-
-    def edge_weights():
-        nonlocal count
-        for _i, _neighbours, weights in engine._node_weights(scheme, True, start, stop):
-            count += len(weights)
-            yield from weights.tolist() if vectorised else weights
-
-    partials = _exact_partials(edge_weights())
-    return count, array("d", partials)
-
-
-def wep_emit_job(args) -> Tuple[array, array, array]:
-    """WEP emission round: the retained edges of one node range."""
-    mb_spec, factors_spec, scheme, threshold, start, stop, use_numpy = args
-    engine = _index_engine(mb_spec, use_numpy, factors_spec, scheme)
-    firsts = array("q")
-    seconds = array("q")
-    kept = array("d")
-    if engine._use_numpy:
-        np = _np
-        for i, neighbours, weights in engine._node_weights(scheme, True, start, stop):
-            close = np.abs(weights - threshold) <= 1e-9 * np.maximum(
-                np.abs(weights), abs(threshold)
-            )
-            keep = (weights > threshold) | (close & (weights > 0))
-            for j, weight in zip(neighbours[keep].tolist(), weights[keep].tolist()):
-                firsts.append(i)
-                seconds.append(j)
-                kept.append(weight)
-    else:
-        for i, neighbours, weights in engine._node_weights(scheme, True, start, stop):
-            for j, weight in zip(neighbours, weights):
-                if weight > threshold or (math.isclose(weight, threshold) and weight > 0):
-                    firsts.append(i)
-                    seconds.append(j)
-                    kept.append(weight)
-    return firsts, seconds, kept
-
-
-def wnp_stats_job(args) -> Tuple[array, array, int]:
-    """WNP threshold round: per-node neighbour counts and sums of one range.
-
-    Each node's full (unrestricted) neighbourhood lies entirely within the
-    node's own range pass, so the per-node ``fsum`` runs the identical code
-    the sequential pass runs -- bit-identical thresholds.
-    """
-    mb_spec, factors_spec, scheme, start, stop, use_numpy = args
-    engine = _index_engine(mb_spec, use_numpy, factors_spec, scheme)
-    counts = array("q", bytes(8 * (stop - start)))
-    sums = array("d", bytes(8 * (stop - start)))
-    total = 0
-    for i, neighbours, weights in engine._node_weights(scheme, False, start, stop):
-        degree = len(neighbours)
-        counts[i - start] = degree
-        total += degree
-        sums[i - start] = math.fsum(weights)
-    return counts, sums, total
-
-
-def wnp_emit_job(args) -> Tuple[array, array, array]:
-    """WNP emission round: the retained edges of one node range."""
-    (
-        mb_spec,
-        factors_spec,
-        scheme,
-        thresholds_spec,
-        reciprocal,
-        start,
-        stop,
-        use_numpy,
-    ) = args
-    engine = _index_engine(mb_spec, use_numpy, factors_spec, scheme)
-    thresholds = _segment(thresholds_spec).views["thresholds"]
-    firsts = array("q")
-    seconds = array("q")
-    kept = array("d")
-    if engine._use_numpy:
-        np_thresholds = _np.frombuffer(thresholds, dtype=_np.float64)
-        for i, neighbours, weights in engine._node_weights(scheme, True, start, stop):
-            keep_first = weights >= thresholds[i]
-            keep_second = weights >= np_thresholds[neighbours]
-            keep = (keep_first & keep_second) if reciprocal else (keep_first | keep_second)
-            keep &= weights > 0
-            for j, weight in zip(neighbours[keep].tolist(), weights[keep].tolist()):
-                firsts.append(i)
-                seconds.append(j)
-                kept.append(weight)
-    else:
-        for i, neighbours, weights in engine._node_weights(scheme, True, start, stop):
-            threshold_i = thresholds[i]
-            for j, weight in zip(neighbours, weights):
-                keep_first = weight >= threshold_i
-                keep_second = weight >= thresholds[j]
-                keep = (
-                    (keep_first and keep_second)
-                    if reciprocal
-                    else (keep_first or keep_second)
-                )
-                if keep and weight > 0:
-                    firsts.append(i)
-                    seconds.append(j)
-                    kept.append(weight)
-    return firsts, seconds, kept
-
-
-def cnp_endorse_job(args) -> Tuple[array, array, array, int]:
-    """CNP endorsement round: per-node top-``k`` selections of one range.
-
-    Selection tuples substitute identifier *ranks* for the identifier
-    strings the sequential pass compares -- an order-equivalent key -- and
-    the per-node ``nlargest`` emission order is returned verbatim, so the
-    driver can replay the endorsement inserts in node order.
-    """
-    mb_spec, factors_spec, scheme, k, start, stop, use_numpy = args
-    engine = _index_engine(mb_spec, use_numpy, factors_spec, scheme)
-    ranks = engine._ranks()
-    a_column = array("q")
-    b_column = array("q")
-    w_column = array("d")
-    total = 0
-    vectorised = engine._use_numpy
-    for i, neighbours, weights in engine._node_weights(scheme, False, start, stop):
-        degree = len(neighbours)
-        total += degree
-        if k <= 0:
-            continue
-        if vectorised and degree > k:
-            kth = _np.partition(weights, degree - k)[degree - k]
-            keep = weights >= kth
-            candidate_pairs = zip(neighbours[keep].tolist(), weights[keep].tolist())
-        elif vectorised:
-            candidate_pairs = zip(neighbours.tolist(), weights.tolist())
-        else:
-            candidate_pairs = zip(neighbours, weights)
-        rank_i = ranks[i]
-        incident = []
-        for j, weight in candidate_pairs:
-            rank_j = ranks[j]
-            if rank_i < rank_j:
-                incident.append((weight, rank_i, rank_j, i, j))
-            else:
-                incident.append((weight, rank_j, rank_i, j, i))
-        for weight, _rf, _rs, a, b in heapq.nlargest(k, incident):
-            a_column.append(a)
-            b_column.append(b)
-            w_column.append(weight)
-    return a_column, b_column, w_column, total
-
-
-def cep_candidates_job(args):
-    """CEP candidate round: the budget-bounded best candidates of one range.
-
-    Runs the sequential pass's bounded-buffer selection (rank tuples in
-    place of identifier strings) over the range; the local ``nsmallest``
-    result is a superset filter -- the driver's global ``nsmallest`` over
-    the union of the local buffers equals the sequential selection.
-    """
-    mb_spec, factors_spec, scheme, budget, start, stop, use_numpy = args
-    engine = _index_engine(mb_spec, use_numpy, factors_spec, scheme)
-    ranks = engine._ranks()
-    count = 0
-    buffer: list = []
-    cutoff = -math.inf
-    compact_at = 2 * budget + _CEP_COMPACT_SLACK
-    vectorised = engine._use_numpy
-    for i, neighbours, weights in engine._node_weights(scheme, True, start, stop):
-        count += len(neighbours)
-        if budget == 0:
-            continue
-        if vectorised and cutoff != -math.inf:
-            keep = weights >= cutoff
-            neighbours = neighbours[keep]
-            weights = weights[keep]
-        rank_i = ranks[i]
-        for j, weight in zip(
-            neighbours.tolist() if vectorised else neighbours,
-            weights.tolist() if vectorised else weights,
-        ):
-            if weight < cutoff:
-                continue
-            rank_j = ranks[j]
-            if rank_i < rank_j:
-                buffer.append((-weight, rank_i, rank_j, i, j))
-            else:
-                buffer.append((-weight, rank_j, rank_i, j, i))
-        if len(buffer) >= compact_at:
-            buffer = heapq.nsmallest(budget, buffer)
-            if len(buffer) == budget and budget > 0:
-                cutoff = -buffer[-1][0]
-    buffer = heapq.nsmallest(budget, buffer)
-    neg_column = array("d")
-    rank_f = array("q")
-    rank_s = array("q")
-    a_column = array("q")
-    b_column = array("q")
-    for neg_weight, rf, rs, a, b in buffer:
-        neg_column.append(neg_weight)
-        rank_f.append(rf)
-        rank_s.append(rs)
-        a_column.append(a)
-        b_column.append(b)
-    return count, neg_column, rank_f, rank_s, a_column, b_column
+    return getattr(engine, "_" + step)(scheme, start, stop, *params)
 
 
 # ----------------------------------------------------------------------

@@ -16,12 +16,14 @@ Two interchangeable execution engines implement the restructuring:
 
 * **index** (default) -- :class:`~repro.metablocking.entity_index.EntityIndexEngine`
   stores block membership as flat integer arrays in CSR form with an interned
-  identifier/ordinal mapping, computes weights in a streaming pass over one
-  node's neighbourhood at a time, and emits retained comparisons lazily via a
-  generator.  Pruned edges are never materialised: peak transient memory is
-  proportional to the largest node neighbourhood, not to the number of graph
-  edges, and the hot loops run over machine integers (vectorised with NumPy
-  when available).  Pick it for anything beyond toy inputs.
+  identifier/ordinal mapping, stays in ordinal space from there on (weights
+  and pruning run as ranged passes that expand a bounded batch of node
+  neighbourhoods at a time) and hands back the retained comparisons as flat
+  ``(first, second, weight)`` columns.  Pruned edges are never all resident:
+  peak transient memory is one node batch plus the retained columns, not the
+  number of graph edges, and the hot loops run over machine integers
+  (vectorised with NumPy when available).  Pick it for anything beyond toy
+  inputs.
 * **graph** -- :class:`~repro.metablocking.graph.BlockingGraph` materialises a
   dictionary entry per edge plus per-edge shared-block lists, and the pruning
   schemes in :mod:`repro.metablocking.pruning` materialise every weighted

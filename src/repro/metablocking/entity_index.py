@@ -18,26 +18,36 @@ of the input block collection, stored as flat integer arrays in CSR form:
   block the description sits on, so clean--clean collections only generate
   cross-source comparisons.
 
-Description identifiers are interned once into an ordinal mapping, so the hot
-loops touch nothing but machine integers.  Edge weights (CBS, ECBS, JS, EJS,
-ARCS) and all six pruning schemes (WEP, CEP, WNP, CNP and the reciprocal node
-variants) are computed in streaming passes over one node's neighbourhood at a
-time: the per-node scratch buffers are reset after every node, pruned edges
-are never materialised as objects, and retained edges are emitted lazily via a
-generator.  Peak transient memory is therefore bounded by the largest node
-neighbourhood (plus the retained output itself for the cardinality schemes),
-not by the total edge count.
+Description identifiers are interned once into an ordinal mapping and
+everything downstream stays in ordinal space: edge weights (CBS, ECBS, JS,
+EJS, ARCS) and all six pruning schemes (WEP, CEP, WNP, CNP and the reciprocal
+node variants) run as *ranged* passes over node-ordinal ranges and produce
+flat ``(first, second, weight)`` ordinal columns
+(:meth:`EntityIndexEngine.retained_columns`); identifier strings and
+:class:`WeightedEdge` objects exist only in the lazy
+:meth:`~EntityIndexEngine.iter_retained` view over those columns.  A pass
+over the whole node range is the sequential engine, a pass per contiguous
+range in a worker process is the parallel one -- the same code either way.
 
-When NumPy is importable the neighbourhood expansion runs vectorised (a CSR
-gather followed by ``np.unique``/``np.bincount``); otherwise a pure-Python
-fallback iterates the same typed arrays.  Both paths produce bit-identical
-weights: per-edge arithmetic uses the same operand order as the graph engine
-(canonical identifier order for the ECBS/EJS discount factors, ascending
-block order for the ARCS accumulation), and every threshold sum (WEP global
-mean, WNP node-local means) goes through :func:`math.fsum`, whose exactly
-rounded result is independent of accumulation order.  Pruning uses the same
+With NumPy the neighbourhoods of a whole *batch* of nodes are expanded at
+once (:meth:`EntityIndexEngine._neighbourhoods`: one CSR gather, one
+``np.unique`` over ``node * N + neighbour`` keys, one ``np.bincount`` for
+ARCS), the batches being cut so that each expands about
+:data:`_BATCH_PAIRS` co-occurrence pairs.  Pruned edges are never all
+resident: peak transient memory is one node batch plus the retained columns
+(plus the O(budget) candidate buffer of CEP and the O(k * nodes)
+endorsements of CNP).  Without NumPy a pure-Python fallback scans one node
+at a time over the same typed arrays and drains into the same columns.
+
+Both paths produce bit-identical weights: per-edge arithmetic uses the same
+operand order as the graph engine (canonical identifier order for the
+ECBS/EJS discount factors, ascending block order for the ARCS accumulation),
+and every threshold sum (WEP global mean, WNP node-local means) is the
+exactly rounded :func:`math.fsum` of its weights, which is independent of
+accumulation order and of how the node range was cut.  Pruning uses the same
 budgets and tie-breaks as the graph engine, so both engines retain the same
-comparison sets; ``tests/test_metablocking_equivalence.py`` locks this in.
+comparison sets; ``tests/test_metablocking_equivalence.py`` and the frozen
+``tests/fixtures/metablocking/`` rows lock this in.
 """
 
 from __future__ import annotations
@@ -75,14 +85,79 @@ _PRUNING_ALIASES = {
 #: this slack, so the CEP candidate buffer stays O(budget).
 _CEP_COMPACT_SLACK = 1024
 
+#: Co-occurrence pairs one vectorised neighbourhood batch expands (it always
+#: holds at least one node): large enough to amortise the NumPy calls -- run
+#: time is flat from 16k to 128k -- and small enough that the dozen transient
+#: pair-length columns of a batch stay around two megabytes.
+_BATCH_PAIRS = 1 << 15
+
 
 def _int_array(size: int) -> array:
     """A zero-filled signed 64-bit array of ``size`` entries."""
     return array("q", bytes(8 * size))
 
 
+def _concat(parts: Sequence[tuple]) -> tuple:
+    """Concatenate aligned column tuples in order.
+
+    The NumPy passes hand over ndarray columns (possibly no part at all, which
+    gives three empty edge columns), the pure-Python passes ``array`` columns
+    (always at least one part).
+    """
+    if parts and isinstance(parts[0][0], array):
+        merged = tuple(array(column.typecode) for column in parts[0])
+        for part in parts:
+            for column, extension in zip(merged, part):
+                column.extend(extension)
+        return merged
+    if not parts:
+        parts = [(_np.zeros(0, _np.int64), _np.zeros(0, _np.int64), _np.zeros(0))]
+    return tuple(_np.concatenate(columns) for columns in zip(*parts))
+
+
+def _slices(starts, lengths):
+    """Flat indices of the concatenated ranges ``[starts[i], starts[i] + lengths[i])``."""
+    offsets = _np.cumsum(lengths) - lengths
+    return _np.repeat(starts - offsets, lengths) + _np.arange(int(lengths.sum()))
+
+
+def _edge_columns(rows) -> Tuple[array, array, array]:
+    """``(src, dst, weight)`` rows as three typed-array columns."""
+    src, dst, weights = array("q"), array("q"), array("d")
+    for a, b, weight in rows:
+        src.append(a)
+        dst.append(b)
+        weights.append(weight)
+    return src, dst, weights
+
+
+def _exact_partials(values) -> List[float]:
+    """Shewchuk non-overlapping expansion of ``sum(values)``.
+
+    The returned partials represent the sum *exactly* (it is the state
+    ``math.fsum`` carries internally), so ``fsum`` over the concatenated
+    partials of a range-sharded pass equals ``fsum`` over the original full
+    stream -- the exactly rounded global sum is recovered without the
+    weights ever leaving the process that computed them.
+    """
+    partials: List[float] = []
+    for x in values:
+        i = 0
+        for y in partials:
+            if abs(x) < abs(y):
+                x, y = y, x
+            hi = x + y
+            lo = y - (hi - x)
+            if lo:
+                partials[i] = lo
+                i += 1
+            x = hi
+        partials[i:] = [x]
+    return partials
+
+
 class EntityIndexEngine:
-    """CSR entity index over a block collection with streaming meta-blocking.
+    """CSR entity index over a block collection with ranged, columnar meta-blocking.
 
     Parameters
     ----------
@@ -98,8 +173,12 @@ class EntityIndexEngine:
         Optional identifier table fixing the ordinal assignment (ordinal
         ``o`` is ``ids[o]``), e.g. the shared pipeline context's, so the
         index speaks the same ordinals as the caller's other columns.
-        Descriptions placed in no block then simply have no blocks.  By
-        default ordinals are assigned in first-seen block-member order.
+        Descriptions placed in no block then simply have no blocks.  A block
+        member the table does not contain is appended after it as a new
+        ordinal, so ``num_entities > len(ids)`` tells the caller that the
+        table does not cover the blocks (and ``identifier(len(ids))`` names
+        the first uncovered member).  By default ordinals are assigned in
+        first-seen block-member order.
     """
 
     def __init__(
@@ -193,15 +272,7 @@ class EntityIndexEngine:
         self._factor_cache: Dict[str, Sequence[float]] = {}
         self._rank_cache: Optional[Sequence[int]] = None
 
-        #: optional override of the node-weight stream: a callable
-        #: ``(scheme, lower) -> iterator of (i, neighbours, weights)`` that
-        #: replaces the local :meth:`_node_weights` pass over the full node
-        #: range.  The multi-process engine installs one that fans the pass
-        #: out to workers over shared-memory views of this index; the pruning
-        #: passes are oblivious to where the per-node tuples come from.
-        self.node_weights_source = None
-
-        #: statistics of the last fully-consumed run
+        #: statistics of the last run
         self.last_num_edges: Optional[int] = None
         self.last_retained: Optional[int] = None
 
@@ -212,15 +283,14 @@ class EntityIndexEngine:
         use_numpy: bool,
         factors: Optional[Dict[str, Sequence[float]]] = None,
     ) -> "EntityIndexEngine":
-        """Reconstruct a weighting-only replica from exported flat columns.
+        """Reconstruct a replica from exported flat columns.
 
         Used by the parallel workers: the driver ships the CSR arrays (plus
         the identifier-rank column and any precomputed ECBS/EJS factor
         column) through shared memory, and the worker rebuilds an engine that
-        can run ranged :meth:`_node_weights` passes over zero-copy views --
-        no identifier strings, no block objects.  Only the weighting paths
-        are populated; pruning-side methods (which need the identifier
-        table) must not be called on a replica.
+        runs the ranged pruning passes (``_wep_stats`` ... ``_cep``) over
+        zero-copy views -- no identifier strings, no block objects, so the
+        identifier-facing methods must not be called on a replica.
         """
         self = cls.__new__(cls)
         self.blocks = None
@@ -251,7 +321,6 @@ class EntityIndexEngine:
         self._degree_cache = None
         self._factor_cache = dict(factors) if factors else {}
         self._rank_cache = columns["ranks"]
-        self.node_weights_source = None
         self.last_num_edges = None
         self.last_retained = None
         return self
@@ -259,6 +328,11 @@ class EntityIndexEngine:
     # ------------------------------------------------------------------
     # structure
     # ------------------------------------------------------------------
+    @property
+    def ids(self) -> List[str]:
+        """Identifier of every ordinal -- the table the retained columns index."""
+        return self._ids
+
     def identifier(self, ordinal: int) -> str:
         return self._ids[ordinal]
 
@@ -329,44 +403,62 @@ class EntityIndexEngine:
         touched.sort()
         return touched
 
-    def _gather_node(self, i: int, lower: bool, want_arcs: bool):
-        """Vectorised neighbourhood of node ``i``: ``(neighbours, counts, arcs)``.
+    def _neighbourhoods(self, start: int, stop: int, lower: bool, want_arcs: bool):
+        """Vectorised neighbourhoods of the nodes in ``[start, stop)``, batch by batch.
 
-        ``neighbours`` is sorted ascending; ``arcs`` is ``None`` unless
-        requested.  ``np.bincount`` adds the per-block reciprocal weights in
-        input (= ascending block) order, matching the scalar accumulation.
+        Yields flat ``(src, dst, counts, arcs)`` columns sorted by
+        ``(src, dst)``: one row per distinct neighbour ``dst`` of node ``src``
+        (``dst > src`` only with ``lower``, so that every undirected edge is
+        seen exactly once across all nodes), the number of blocks the two
+        share, and -- when requested, else ``None`` -- their ARCS sum.  The
+        range is cut at node boundaries into batches expanding at most
+        :data:`_BATCH_PAIRS` co-occurrence pairs (block sizes tell how many
+        before anything is gathered); one batch gathers the opposite-side
+        member slice of every block assignment of its nodes, keys the pairs
+        ``node * N + neighbour`` and groups them with one ``np.unique``.
+        ``np.bincount`` adds the per-block reciprocal weights in input
+        (= ascending block) order, matching the scalar accumulation.
         """
         np = _np
-        p0, p1 = self._ent_ptr[i], self._ent_ptr[i + 1]
-        empty = (np.zeros(0, np.int64), np.zeros(0, np.int64), np.zeros(0) if want_arcs else None)
-        if p0 == p1:
-            return empty
-        bs = self._np_ent_blocks[p0:p1]
-        side = self._np_ent_side[p0:p1]
-        split = self._np_blk_split[bs]
-        start = self._np_blk_ptr[bs]
-        end = self._np_blk_ptr[bs + 1]
+        ent_ptr = self._np_ent_ptr
+        base = int(ent_ptr[start])
+        blocks = self._np_ent_blocks[base : int(ent_ptr[stop])]
+        if blocks.size == 0:
+            return
+        side = self._np_ent_side[base : base + blocks.size]
+        split = self._np_blk_split[blocks]
+        first = self._np_blk_ptr[blocks]
         bilateral = split >= 0
-        lo = np.where(bilateral & (side == 0), start + split, start)
-        hi = np.where(bilateral & (side == 1), start + split, end)
+        lo = np.where(bilateral & (side == 0), first + split, first)
+        hi = np.where(bilateral & (side == 1), first + split, self._np_blk_ptr[blocks + 1])
         lengths = hi - lo
-        total = int(lengths.sum())
-        if total == 0:
-            return empty
-        offsets = np.concatenate(([0], np.cumsum(lengths)[:-1]))
-        flat = np.repeat(lo - offsets, lengths) + np.arange(total)
-        cat = self._np_blk_ents[flat]
-        mask = cat > i if lower else cat != i
-        cat = cat[mask]
-        if cat.size == 0:
-            return empty
-        if want_arcs:
-            weights = np.repeat(self._np_recip[bs], lengths)[mask]
-            neighbours, inverse, counts = np.unique(cat, return_inverse=True, return_counts=True)
-            arcs = np.bincount(inverse, weights=weights, minlength=len(neighbours))
-            return neighbours, counts, arcs
-        neighbours, counts = np.unique(cat, return_counts=True)
-        return neighbours, counts, None
+        ends = np.cumsum(lengths)
+        bounds = ent_ptr[start : stop + 1] - base  # the nodes' assignment offsets
+        owner = np.repeat(np.arange(start, stop), np.diff(bounds))
+        before = np.concatenate(([0], ends))[bounds]  # pairs expanded before each node
+        num_entities = self.num_entities
+        node = 0
+        while node < stop - start:
+            limit = before[node] + _BATCH_PAIRS
+            cut = max(node + 1, int(np.searchsorted(before, limit, side="right")) - 1)
+            q0, q1 = int(bounds[node]), int(bounds[cut])
+            node = cut
+            spans = lengths[q0:q1]
+            dst = self._np_blk_ents[_slices(lo[q0:q1], spans)]
+            src = np.repeat(owner[q0:q1], spans)
+            mask = dst > src if lower else dst != src
+            keys = src[mask] * num_entities + dst[mask]
+            if keys.size == 0:
+                continue
+            arcs = None
+            if want_arcs:
+                weights = np.repeat(self._np_recip[blocks[q0:q1]], spans)[mask]
+                keys, inverse, counts = np.unique(keys, return_inverse=True, return_counts=True)
+                arcs = np.bincount(inverse, weights=weights, minlength=len(keys))
+            else:
+                keys, counts = np.unique(keys, return_counts=True)
+            src, dst = np.divmod(keys, num_entities)
+            yield src, dst, counts, arcs
 
     def co_blocked(self, ordinals: Sequence[int]) -> List[int]:
         """Every other description sharing a block with any of ``ordinals``.
@@ -377,6 +469,8 @@ class EntityIndexEngine:
         ``ordinals`` themselves, in **identifier order** (ascending rank),
         the order ``sorted()`` gives the identifier strings.
         """
+        if len(ordinals) == 0:
+            return []
         ranks = self._ranks()
         if self._use_numpy:
             np = _np
@@ -384,9 +478,7 @@ class EntityIndexEngine:
                 [self._np_ent_blocks[self._ent_ptr[o] : self._ent_ptr[o + 1]] for o in ordinals]
             )
             start = self._np_blk_ptr[blocks]
-            lengths = self._np_blk_ptr[blocks + 1] - start
-            offsets = np.cumsum(lengths) - lengths
-            flat = np.repeat(start - offsets, lengths) + np.arange(int(lengths.sum()))
+            flat = _slices(start, self._np_blk_ptr[blocks + 1] - start)
             # raw token blocks are large and overlap heavily: marking members
             # in an entity-sized mask is cheaper than sorting the duplicates out
             mask = np.zeros(self.num_entities, dtype=bool)
@@ -417,49 +509,30 @@ class EntityIndexEngine:
 
     def _degrees(self) -> Tuple[array, int]:
         """Per-node distinct-neighbour counts and the total edge count."""
-        if self._degree_cache is not None:
-            return self._degree_cache
-        degrees = _int_array(self.num_entities)
-        num_edges = 0
-        if self._use_numpy:
-            np_degrees = _np.zeros(self.num_entities, dtype=_np.int64)
-            for i in range(self.num_entities):
-                neighbours, _counts, _arcs = self._gather_node(i, lower=True, want_arcs=False)
-                np_degrees[i] += len(neighbours)
-                _np.add.at(np_degrees, neighbours, 1)
-                num_edges += len(neighbours)
-            degrees = array("q", np_degrees.tobytes())
-        else:
-            cbs = [0] * self.num_entities
-            for i in range(self.num_entities):
-                touched = self._scan_node(i, cbs, None, lower=True)
-                degrees[i] += len(touched)
-                num_edges += len(touched)
-                for j in touched:
-                    degrees[j] += 1
-                    cbs[j] = 0
-        self._degree_cache = (degrees, num_edges)
+        if self._degree_cache is None:
+            self._degree_cache = self._partial_degrees(0, self.num_entities)
         return self._degree_cache
 
     def _partial_degrees(self, start: int, stop: int) -> Tuple[array, int]:
         """Degree contributions of the nodes in ``[start, stop)``.
 
-        One ranged slice of the :meth:`_degrees` pass: a full-length degree
-        column holding both endpoints' counts for every edge whose lower
-        endpoint lies in the range, plus the number of those edges.  Summing
-        the partial columns (and edge counts) of a disjoint cover of the node
-        range reproduces :meth:`_degrees` exactly -- integer additions
-        commute -- which is how the parallel engine computes the EJS degree
-        column without ever running the full pass in one process.
+        A full-length degree column holding both endpoints' counts for every
+        edge whose lower endpoint lies in the range, plus the number of those
+        edges.  Summing the partial columns (and edge counts) of a disjoint
+        cover of the node range gives the whole-range column exactly --
+        integer additions commute -- which is how the parallel engine
+        computes the EJS degree column without ever running the full pass in
+        one process.
         """
         num_edges = 0
         if self._use_numpy:
             np_degrees = _np.zeros(self.num_entities, dtype=_np.int64)
-            for i in range(start, stop):
-                neighbours, _counts, _arcs = self._gather_node(i, lower=True, want_arcs=False)
-                np_degrees[i] += len(neighbours)
-                _np.add.at(np_degrees, neighbours, 1)
-                num_edges += len(neighbours)
+            for src, dst, _counts, _arcs in self._neighbourhoods(start, stop, True, False):
+                lowest = int(src[0])  # src is sorted: its nodes form one short span
+                degree = _np.bincount(src - lowest)
+                np_degrees[lowest : lowest + len(degree)] += degree
+                _np.add.at(np_degrees, dst, 1)
+                num_edges += len(src)
             return array("q", np_degrees.tobytes()), num_edges
         degrees = _int_array(self.num_entities)
         cbs = [0] * self.num_entities
@@ -560,107 +633,104 @@ class EntityIndexEngine:
         )
 
     def _weigh_vector_factory(self, scheme: str):
-        """Return ``weigh(i, neighbours, counts, arcs) -> float64 array``.
+        """Return ``weigh(src, dst, counts, arcs) -> float64 array``.
 
         Elementwise operations replicate the scalar operand order, so the
-        vectorised weights are bit-identical to the scalar path's.
+        vectorised weights are bit-identical to the scalar path's -- and an
+        edge weighs the same from either endpoint.
         """
         np = _np
 
         if scheme == "CBS":
-            return lambda i, neighbours, counts, arcs: counts.astype(np.float64)
+            return lambda src, dst, counts, arcs: counts.astype(np.float64)
 
         if scheme == "ARCS":
-            return lambda i, neighbours, counts, arcs: arcs
+            return lambda src, dst, counts, arcs: arcs
 
-        ent_ptr = self._np_ent_ptr
+        num_blocks = np.diff(self._np_ent_ptr)
+
+        def jaccard(src, dst, counts):
+            return counts / (num_blocks[src] + num_blocks[dst] - counts)
+
         if scheme == "JS":
-
-            def weigh(i, neighbours, counts, arcs):
-                nb_i = int(ent_ptr[i + 1] - ent_ptr[i])
-                union = nb_i + (ent_ptr[neighbours + 1] - ent_ptr[neighbours]) - counts
-                return counts / union
-
-            return weigh
+            return lambda src, dst, counts, arcs: jaccard(src, dst, counts)
 
         factors = np.asarray(self._factors(scheme))
         ranks = np.asarray(self._ranks())
 
-        if scheme == "ECBS":
-
-            def weigh(i, neighbours, counts, arcs):
-                swap = ranks[neighbours] < ranks[i]  # neighbour is the canonical "first"
-                other = factors[neighbours]
-                first = np.where(swap, other, factors[i])
-                second = np.where(swap, factors[i], other)
-                return counts * first * second
-
-            return weigh
-
-        # EJS
-        def weigh(i, neighbours, counts, arcs):
-            nb_i = int(ent_ptr[i + 1] - ent_ptr[i])
-            union = nb_i + (ent_ptr[neighbours + 1] - ent_ptr[neighbours]) - counts
-            jaccard = counts / union
-            swap = ranks[neighbours] < ranks[i]
-            other = factors[neighbours]
-            first = np.where(swap, other, factors[i])
-            second = np.where(swap, factors[i], other)
-            return jaccard * first * second
+        def weigh(src, dst, counts, arcs):
+            shared = counts if scheme == "ECBS" else jaccard(src, dst, counts)
+            swap = ranks[dst] < ranks[src]  # dst is the canonical "first"
+            of_src, of_dst = factors[src], factors[dst]
+            return shared * np.where(swap, of_dst, of_src) * np.where(swap, of_src, of_dst)
 
         return weigh
 
+    def _weighted_batches(self, scheme: str, lower: bool, start: int, stop: int):
+        """:meth:`_neighbourhoods` with the edge weights: ``(src, dst, weights)``."""
+        weigh = self._weigh_vector_factory(scheme)
+        for src, dst, counts, arcs in self._neighbourhoods(start, stop, lower, scheme == "ARCS"):
+            yield src, dst, weigh(src, dst, counts, arcs)
+
     def _node_weights(
-        self, scheme: str, lower: bool, start: int = 0, stop: Optional[int] = None
+        self, scheme: str, lower: bool, start: int, stop: int
     ) -> Iterator[Tuple[int, Sequence[int], Sequence[float]]]:
-        """Per node, its (restricted) neighbourhood and the edge weights.
+        """Per node of ``[start, stop)``, its (restricted) neighbourhood and weights.
 
         Yields ``(i, neighbours, weights)`` with neighbours sorted ascending;
-        nodes whose restricted neighbourhood is empty are skipped.  NumPy
-        path yields arrays, the fallback yields lists -- weights are
-        bit-identical either way.
-
-        ``start``/``stop`` restrict the pass to a node-ordinal range (the
-        neighbourhoods themselves still span all nodes) -- the unit of work
-        of one parallel worker.  A full-range pass is delegated to
-        :attr:`node_weights_source` when one is installed, so the pruning
-        passes transparently consume worker-computed streams.
+        nodes whose restricted neighbourhood is empty are skipped.  The NumPy
+        path splits the batched kernel's columns per node (array slices), the
+        fallback scans node by node (lists) -- weights are bit-identical
+        either way.  The neighbourhoods themselves still span all nodes.
         """
-        if self.node_weights_source is not None and start == 0 and stop is None:
-            yield from self.node_weights_source(scheme, lower)
-            return
-        if stop is None:
-            stop = self.num_entities
-        want_arcs = scheme == "ARCS"
         if self._use_numpy:
-            weigh = self._weigh_vector_factory(scheme)
-            for i in range(start, stop):
-                neighbours, counts, arcs = self._gather_node(i, lower, want_arcs)
-                if len(neighbours) == 0:
-                    continue
-                yield i, neighbours, weigh(i, neighbours, counts, arcs)
-        else:
-            weigh = self._weigh_scalar_factory(scheme)
-            cbs = [0] * self.num_entities
-            arcs = [0.0] * self.num_entities if want_arcs else None
-            for i in range(start, stop):
-                touched = self._scan_node(i, cbs, arcs, lower)
-                if not touched:
-                    continue
-                if want_arcs:
-                    weights = [weigh(i, j, cbs[j], arcs[j]) for j in touched]
-                    for j in touched:
-                        cbs[j] = 0
-                        arcs[j] = 0.0
-                else:
-                    weights = [weigh(i, j, cbs[j], 0.0) for j in touched]
-                    for j in touched:
-                        cbs[j] = 0
-                yield i, touched, weights
+            for src, dst, weights in self._weighted_batches(scheme, lower, start, stop):
+                cuts = (_np.flatnonzero(src[1:] != src[:-1]) + 1).tolist()
+                for i, lo, hi in zip(src[[0, *cuts]].tolist(), [0, *cuts], [*cuts, len(src)]):
+                    yield i, dst[lo:hi], weights[lo:hi]
+            return
+        want_arcs = scheme == "ARCS"
+        weigh = self._weigh_scalar_factory(scheme)
+        cbs = [0] * self.num_entities
+        arcs = [0.0] * self.num_entities if want_arcs else None
+        for i in range(start, stop):
+            touched = self._scan_node(i, cbs, arcs, lower)
+            if not touched:
+                continue
+            if want_arcs:
+                weights = [weigh(i, j, cbs[j], arcs[j]) for j in touched]
+                for j in touched:
+                    cbs[j] = 0
+                    arcs[j] = 0.0
+            else:
+                weights = [weigh(i, j, cbs[j], 0.0) for j in touched]
+                for j in touched:
+                    cbs[j] = 0
+            yield i, touched, weights
 
     # ------------------------------------------------------------------
     # pruning
     # ------------------------------------------------------------------
+    def retained_columns(
+        self,
+        weighting: str,
+        pruning: str,
+        *,
+        budget: Optional[int] = None,
+        k: Optional[int] = None,
+    ) -> Tuple[array, array, array]:
+        """The edges ``pruning`` retains under ``weighting``, as flat columns.
+
+        ``(first, second, weight)``: two ``array('q')`` ordinal columns in
+        canonical orientation (``identifier(first) < identifier(second)``)
+        and the aligned ``array('d')`` of weights.  Rows come in ascending
+        ``(lower ordinal, higher ordinal)`` order, CEP's in its selection
+        order ``(-weight, first, second)`` by identifier.  ``budget`` (CEP)
+        and ``k`` (CNP) override the standard defaults.  Sets the run
+        statistics (:attr:`last_num_edges`, :attr:`last_retained`).
+        """
+        return self._retained(weighting, pruning, budget, k, self._whole_range)
+
     def iter_retained(
         self,
         weighting: str,
@@ -669,11 +739,26 @@ class EntityIndexEngine:
         budget: Optional[int] = None,
         k: Optional[int] = None,
     ) -> Iterator[WeightedEdge]:
-        """Lazily yield the edges retained by ``pruning`` under ``weighting``.
+        """:meth:`retained_columns` viewed as lazily built :class:`WeightedEdge` s."""
+        first, second, weights = self.retained_columns(weighting, pruning, budget=budget, k=k)
+        ids = self._ids
+        return (WeightedEdge(ids[f], ids[s], w) for f, s, w in zip(first, second, weights))
 
-        ``budget`` (CEP) and ``k`` (CNP) override the standard defaults.  The
-        run statistics (:attr:`last_num_edges`, :attr:`last_retained`) are
-        available once the generator is exhausted.
+    def _whole_range(self, step: str, scheme: str, *params) -> list:
+        """Run one ranged pruning pass over all nodes -- the sequential ``fan_out``."""
+        return [getattr(self, "_" + step)(scheme, 0, self.num_entities, *params)]
+
+    def _retained(self, weighting: str, pruning: str, budget, k, fan_out):
+        """The pruning protocols behind :meth:`retained_columns`.
+
+        ``fan_out(step, scheme, *params)`` runs the ranged pass ``_<step>``
+        over a contiguous ordered cover of the node range and returns the
+        per-range results in range order: :meth:`_whole_range` here, one
+        worker task per range in
+        :meth:`ParallelEngine.retained_edges
+        <repro.mapreduce.parallel.ParallelEngine.retained_edges>`.  What is
+        merged below is insensitive to the cover, so every cover gives the
+        same columns, row for row.
         """
         scheme = weighting.upper()
         if scheme not in INDEX_WEIGHTING_SCHEMES:
@@ -687,196 +772,246 @@ class EntityIndexEngine:
                 f"unknown pruning scheme {pruning!r}; "
                 f"available: {sorted(INDEX_PRUNING_SCHEMES)}"
             )
+        reciprocal = key.startswith("Reciprocal")
+        columns = None
         if key == "WEP":
-            return self._retain_wep(scheme)
-        if key == "CEP":
-            if budget is not None and budget < 0:
+            stats = fan_out("wep_stats", scheme)
+            num_edges = sum(count for count, _partials in stats)
+            if num_edges:
+                # the ranges' exact-sum expansions concatenate into one stream
+                # whose fsum is the exactly rounded sum of all edge weights
+                threshold = fsum(x for _count, partials in stats for x in partials) / num_edges
+                columns = _concat(fan_out("wep_emit", scheme, threshold))
+        elif key == "CEP":
+            if budget is None:
+                budget = max(1, self.num_assignments // 2)
+            elif budget < 0:
                 raise ValueError(f"CEP budget must be non-negative, got {budget}")
-            return self._retain_cep(scheme, budget)
-        if key in ("WNP", "ReciprocalWNP"):
-            return self._retain_wnp(scheme, reciprocal=key == "ReciprocalWNP")
-        return self._retain_cnp(scheme, k, reciprocal=key == "ReciprocalCNP")
-
-    def _edge(self, i: int, j: int, weight: float) -> WeightedEdge:
-        first, second = self._ids[i], self._ids[j]
-        if first > second:
-            first, second = second, first
-        return WeightedEdge(first, second, weight)
-
-    def _finish(self, num_edges: int, retained: int) -> None:
+            shards = fan_out("cep", scheme, budget)
+            num_edges = sum(shard[0] for shard in shards)
+            # the ranges' own best candidates are a superset of the global
+            # selection by (-weight, first, second), the graph engine's sort key
+            ranks = self._rank_list()
+            rows = heapq.nsmallest(
+                budget,
+                (
+                    (-weight, min(ranks[a], ranks[b]), max(ranks[a], ranks[b]), a, b)
+                    for a, b, weight in zip(*_concat([shard[1:] for shard in shards]))
+                ),
+            )
+            columns = _edge_columns((a, b, -negated) for negated, _first, _second, a, b in rows)
+        elif key in ("WNP", "ReciprocalWNP"):
+            stats = fan_out("wnp_stats", scheme)
+            num_edges = sum(total for total, _thresholds in stats) // 2  # seen from both ends
+            if num_edges:
+                (thresholds,) = _concat([(column,) for _total, column in stats])
+                columns = _concat(fan_out("wnp_emit", scheme, thresholds, reciprocal))
+        else:
+            if k is None:
+                k = max(1, int(round(self.num_assignments / max(1, self.num_entities))) - 1)
+            shards = fan_out("cnp", scheme, k)
+            num_edges = sum(shard[0] for shard in shards) // 2  # seen from both ends
+            # one row per endorsement: an edge needs one endorsing endpoint
+            # (two for the reciprocal variant) to survive
+            endorsed: Dict[Tuple[int, int], List] = {}
+            for a, b, weight in zip(*_concat([shard[1:] for shard in shards])):
+                endorsed.setdefault((a, b), [weight, 0])[1] += 1
+            needed = 2 if reciprocal else 1
+            columns = _edge_columns(
+                (a, b, weight)
+                for (a, b), (weight, endorsements) in sorted(endorsed.items())
+                if endorsements >= needed and weight > 0
+            )
+        src, dst, weights = columns or _edge_columns(())
+        # canonical orientation by identifier rank, as plain typed arrays
+        if isinstance(src, array):
+            ranks = self._rank_list()
+            for row, (a, b) in enumerate(zip(src, dst)):
+                if ranks[a] > ranks[b]:
+                    src[row], dst[row] = b, a
+        else:
+            ranks = _np.asarray(self._ranks())
+            swap = ranks[src] > ranks[dst]
+            src, dst = (
+                array("q", _np.where(swap, dst, src).tobytes()),
+                array("q", _np.where(swap, src, dst).tobytes()),
+            )
+            weights = array("d", weights.tobytes())
         self.last_num_edges = num_edges
-        self.last_retained = retained
+        self.last_retained = len(weights)
+        return src, dst, weights
 
-    def _retain_wep(self, scheme: str) -> Iterator[WeightedEdge]:
+    def _rank_list(self) -> Sequence[int]:
+        """:meth:`_ranks` as plain Python integers, for scalar tie-break tuples."""
+        ranks = self._ranks()
+        return ranks.tolist() if hasattr(ranks, "tolist") else ranks
+
+    def _wep_stats(self, scheme: str, start: int, stop: int) -> Tuple[int, List[float]]:
+        """WEP threshold pass: edge count and exact weight sum of one range.
+
+        Every edge counts once, from its lower endpoint.  The sum comes as
+        partials whose ``fsum`` is exact: ``fsum`` streams over the whole
+        node range in O(1) memory and its one rounded result is all the
+        caller needs; a proper sub-range has to hand over the unrounded
+        expansion.
+        """
+        if self._use_numpy:
+            batches = (w.tolist() for _s, _d, w in self._weighted_batches(scheme, True, start, stop))
+        else:
+            batches = (w for _i, _n, w in self._node_weights(scheme, True, start, stop))
         count = 0
 
-        def edge_weights() -> Iterator[float]:
+        def stream() -> Iterator[float]:
             nonlocal count
-            for _i, neighbours, weights in self._node_weights(scheme, lower=True):
-                count += len(neighbours)
-                yield from weights.tolist() if self._use_numpy else weights
+            for weights in batches:
+                count += len(weights)
+                yield from weights
 
-        # fsum streams over the generator: exactly rounded global mean with
-        # O(1) extra memory, bit-identical to the graph engine's threshold
-        total = fsum(edge_weights())
-        if count == 0:
-            self._finish(0, 0)
-            return
-        threshold = total / count
-        retained = 0
+        whole = start == 0 and stop == self.num_entities
+        partials = [fsum(stream())] if whole else _exact_partials(stream())
+        return count, partials
+
+    def _wep_emit(self, scheme: str, start: int, stop: int, threshold: float):
+        """WEP emission pass: the retained ``(src, dst, weight)`` rows of one range."""
         if self._use_numpy:
             np = _np
-            for i, neighbours, weights in self._node_weights(scheme, lower=True):
+            kept = []
+            for src, dst, weights in self._weighted_batches(scheme, True, start, stop):
                 close = np.abs(weights - threshold) <= 1e-9 * np.maximum(
                     np.abs(weights), abs(threshold)
                 )
                 keep = (weights > threshold) | (close & (weights > 0))
-                for j, weight in zip(neighbours[keep].tolist(), weights[keep].tolist()):
-                    retained += 1
-                    yield self._edge(i, j, weight)
-        else:
-            for i, neighbours, weights in self._node_weights(scheme, lower=True):
-                for j, weight in zip(neighbours, weights):
-                    if weight > threshold or (math.isclose(weight, threshold) and weight > 0):
-                        retained += 1
-                        yield self._edge(i, j, weight)
-        self._finish(count, retained)
+                kept.append((src[keep], dst[keep], weights[keep]))
+            return _concat(kept)
+        return _edge_columns(
+            (i, j, weight)
+            for i, neighbours, weights in self._node_weights(scheme, True, start, stop)
+            for j, weight in zip(neighbours, weights)
+            if weight > threshold or (math.isclose(weight, threshold) and weight > 0)
+        )
 
-    def _retain_cep(self, scheme: str, budget: Optional[int]) -> Iterator[WeightedEdge]:
-        if budget is None:
-            budget = max(1, self.num_assignments // 2)
-        ids = self._ids
-        count = 0
-        # Candidates are ranked by (-weight, first, second), the graph
-        # engine's sort key.  A bounded buffer compacted with nsmallest keeps
-        # memory at O(budget); once full, its worst retained weight prunes
-        # whole chunks before any tuple is built.
-        buffer: List[Tuple[float, str, str]] = []
-        cutoff = -math.inf  # once the buffer fills, weights strictly below are pruned
-        compact_at = 2 * budget + _CEP_COMPACT_SLACK
+    def _wnp_stats(self, scheme: str, start: int, stop: int):
+        """WNP threshold pass: ``(degree total, threshold column)`` of one range.
 
-        def compact() -> None:
-            nonlocal buffer, cutoff
-            buffer = heapq.nsmallest(budget, buffer)
-            if len(buffer) == budget and budget > 0:
-                cutoff = -buffer[-1][0]
-
-        for i, neighbours, weights in self._node_weights(scheme, lower=True):
-            count += len(neighbours)
-            if budget == 0:
-                continue
-            if self._use_numpy and cutoff != -math.inf:
-                keep = weights >= cutoff
-                neighbours = neighbours[keep]
-                weights = weights[keep]
-            id_i = ids[i]
-            for j, weight in zip(
-                neighbours.tolist() if self._use_numpy else neighbours,
-                weights.tolist() if self._use_numpy else weights,
-            ):
-                if weight < cutoff:
-                    continue
-                id_j = ids[j]
-                if id_i < id_j:
-                    buffer.append((-weight, id_i, id_j))
-                else:
-                    buffer.append((-weight, id_j, id_i))
-            if len(buffer) >= compact_at:
-                compact()
-        compact()
-        for neg_weight, first, second in buffer:
-            yield WeightedEdge(first, second, -neg_weight)
-        self._finish(count, len(buffer))
-
-    def _retain_wnp(self, scheme: str, reciprocal: bool) -> Iterator[WeightedEdge]:
-        sums = [0.0] * self.num_entities
-        counts = [0] * self.num_entities
-        total = 0
-        for i, neighbours, weights in self._node_weights(scheme, lower=False):
-            counts[i] = len(neighbours)
-            total += len(neighbours)
-            sums[i] = fsum(weights)
-        num_edges = total // 2  # every edge was seen from both endpoints
-        if num_edges == 0:
-            self._finish(0, 0)
-            return
-        thresholds = [
-            sums[o] / counts[o] if counts[o] else 0.0 for o in range(self.num_entities)
-        ]
-        retained = 0
+        A node's threshold is the exactly rounded mean of its incident edge
+        weights (0.0 for an isolated node).  Each node's whole neighbourhood
+        lies within its own range pass, so the column does not depend on how
+        the node range was cut.
+        """
+        size = stop - start
         if self._use_numpy:
             np = _np
-            np_thresholds = np.asarray(thresholds)
-            for i, neighbours, weights in self._node_weights(scheme, lower=True):
-                keep_first = weights >= thresholds[i]
-                keep_second = weights >= np_thresholds[neighbours]
+            degrees = np.zeros(size, dtype=np.int64)
+            sums = np.zeros(size)
+            for src, _dst, weights in self._weighted_batches(scheme, False, start, stop):
+                lowest = int(src[0])  # src is sorted: its nodes form one short span
+                degree = np.bincount(src - lowest)
+                span = slice(lowest - start, lowest - start + len(degree))
+                degrees[span] = degree
+                if scheme == "CBS":
+                    # integer-valued weights: every partial sum is exact
+                    sums[span] = np.bincount(src - lowest, weights=weights)
+                else:
+                    flat = weights.tolist()
+                    ends = np.cumsum(degree).tolist()
+                    sums[span] = [fsum(flat[lo:hi]) for lo, hi in zip([0, *ends], ends)]
+            thresholds = np.divide(sums, degrees, out=sums, where=degrees > 0)
+            return int(degrees.sum()), thresholds
+        thresholds = array("d", bytes(8 * size))
+        total = 0
+        for i, neighbours, weights in self._node_weights(scheme, False, start, stop):
+            total += len(neighbours)
+            thresholds[i - start] = fsum(weights) / len(neighbours)
+        return total, thresholds
+
+    def _wnp_emit(self, scheme: str, start: int, stop: int, thresholds, reciprocal: bool):
+        """WNP emission pass: the retained ``(src, dst, weight)`` rows of one range."""
+        if self._use_numpy:
+            thresholds = _np.asarray(thresholds)
+            kept = []
+            for src, dst, weights in self._weighted_batches(scheme, True, start, stop):
+                keep_first = weights >= thresholds[src]
+                keep_second = weights >= thresholds[dst]
                 keep = (keep_first & keep_second) if reciprocal else (keep_first | keep_second)
                 keep &= weights > 0
-                for j, weight in zip(neighbours[keep].tolist(), weights[keep].tolist()):
-                    retained += 1
-                    yield self._edge(i, j, weight)
-        else:
-            for i, neighbours, weights in self._node_weights(scheme, lower=True):
-                threshold_i = thresholds[i]
-                for j, weight in zip(neighbours, weights):
-                    keep_first = weight >= threshold_i
-                    keep_second = weight >= thresholds[j]
-                    keep = (
-                        (keep_first and keep_second)
-                        if reciprocal
-                        else (keep_first or keep_second)
-                    )
-                    if keep and weight > 0:
-                        retained += 1
-                        yield self._edge(i, j, weight)
-        self._finish(num_edges, retained)
+                kept.append((src[keep], dst[keep], weights[keep]))
+            return _concat(kept)
+        agree = (lambda first, second: first and second) if reciprocal else (
+            lambda first, second: first or second
+        )
+        return _edge_columns(
+            (i, j, weight)
+            for i, neighbours, weights in self._node_weights(scheme, True, start, stop)
+            for j, weight in zip(neighbours, weights)
+            if weight > 0 and agree(weight >= thresholds[i], weight >= thresholds[j])
+        )
 
-    def _retain_cnp(
-        self, scheme: str, k: Optional[int], reciprocal: bool
-    ) -> Iterator[WeightedEdge]:
-        if k is None:
-            nodes = max(1, self.num_entities)
-            k = max(1, int(round(self.num_assignments / nodes)) - 1)
-        ids = self._ids
-        # endorsement count per retained candidate pair; an edge needs one
-        # endorsing endpoint (two for the reciprocal variant) to survive
-        endorsed: Dict[Tuple[int, int], List] = {}
+    def _cnp(self, scheme: str, start: int, stop: int, k: int):
+        """CNP endorsement pass: ``(degree total, src, dst, weight)`` of one range.
+
+        One ``(lower ordinal, higher ordinal, weight)`` row per edge a node
+        of the range ranks among its ``k`` best by ``(weight, first,
+        second)`` -- identifier *ranks* standing in for the identifier
+        strings the graph engine compares, an order-equivalent key.
+        """
+        ranks = self._rank_list()
+        vectorised = self._use_numpy
+        endorsed: List[Tuple[int, int, float]] = []
         total = 0
-        for i, neighbours, weights in self._node_weights(scheme, lower=False):
+        for i, neighbours, weights in self._node_weights(scheme, False, start, stop):
             degree = len(neighbours)
             total += degree
             if k <= 0:
                 continue
-            if self._use_numpy and degree > k:
-                # pre-select on weight alone (keeping boundary ties), then let
-                # nlargest apply the exact (weight, first, second) tie-break
-                kth = _np.partition(weights, degree - k)[degree - k]
-                keep = weights >= kth
-                candidate_pairs = zip(neighbours[keep].tolist(), weights[keep].tolist())
-            elif self._use_numpy:
-                candidate_pairs = zip(neighbours.tolist(), weights.tolist())
-            else:
-                candidate_pairs = zip(neighbours, weights)
-            id_i = ids[i]
-            incident = []
-            for j, weight in candidate_pairs:
-                id_j = ids[j]
-                if id_i < id_j:
-                    incident.append((weight, id_i, id_j, i, j))
-                else:
-                    incident.append((weight, id_j, id_i, j, i))
-            for weight, _first, _second, a, b in heapq.nlargest(k, incident):
-                pair = (a, b) if a < b else (b, a)
-                entry = endorsed.get(pair)
-                if entry is None:
-                    endorsed[pair] = [weight, 1]
-                else:
-                    entry[1] += 1
-        num_edges = total // 2  # every edge was seen from both endpoints
-        needed = 2 if reciprocal else 1
-        retained = 0
-        for (a, b), (weight, endorsements) in endorsed.items():
-            if endorsements >= needed and weight > 0:
-                retained += 1
-                yield self._edge(a, b, weight)
-        self._finish(num_edges, retained)
+            if vectorised:
+                if degree > k:
+                    # pre-select on weight alone (keeping boundary ties), then let
+                    # nlargest apply the exact (weight, first, second) tie-break
+                    keep = weights >= _np.partition(weights, degree - k)[degree - k]
+                    neighbours, weights = neighbours[keep], weights[keep]
+                neighbours, weights = neighbours.tolist(), weights.tolist()
+            rank_i = ranks[i]
+            incident = [
+                (weight, min(rank_i, ranks[j]), max(rank_i, ranks[j]), j)
+                for j, weight in zip(neighbours, weights)
+            ]
+            endorsed.extend(
+                (min(i, j), max(i, j), weight)
+                for weight, _first, _second, j in heapq.nlargest(k, incident)
+            )
+        return (total, *_edge_columns(endorsed))
+
+    def _cep(self, scheme: str, start: int, stop: int, budget: int):
+        """CEP candidate pass: ``(edge count, src, dst, weight)`` of one range.
+
+        The range's ``budget`` best edges by ``(-weight, first, second)``
+        (identifier ranks again).  A bounded buffer compacted with
+        ``nsmallest`` keeps memory at O(budget); once full, its worst
+        retained weight prunes whole neighbourhoods before any tuple is built.
+        """
+        ranks = self._rank_list()
+        vectorised = self._use_numpy
+        count = 0
+        buffer: List[Tuple[float, int, int, int, int]] = []
+        cutoff = -math.inf  # once the buffer fills, weights strictly below are pruned
+        compact_at = 2 * budget + _CEP_COMPACT_SLACK
+        for i, neighbours, weights in self._node_weights(scheme, True, start, stop):
+            count += len(neighbours)
+            if budget == 0:
+                continue
+            if vectorised:
+                if cutoff != -math.inf:
+                    keep = weights >= cutoff
+                    neighbours, weights = neighbours[keep], weights[keep]
+                neighbours, weights = neighbours.tolist(), weights.tolist()
+            rank_i = ranks[i]
+            for j, weight in zip(neighbours, weights):
+                if weight >= cutoff:
+                    rank_j = ranks[j]
+                    buffer.append((-weight, min(rank_i, rank_j), max(rank_i, rank_j), i, j))
+            if len(buffer) >= compact_at:
+                buffer = heapq.nsmallest(budget, buffer)
+                if len(buffer) == budget:
+                    cutoff = -buffer[-1][0]
+        buffer = heapq.nsmallest(budget, buffer)
+        return (count, *_edge_columns((i, j, -negated) for negated, _f, _s, i, j in buffer))

@@ -4,8 +4,11 @@
 one of two execution engines:
 
 * ``engine="index"`` (the default) -- the array-backed
-  :class:`~repro.metablocking.entity_index.EntityIndexEngine`, which streams
-  over CSR block-membership arrays and never materialises pruned edges;
+  :class:`~repro.metablocking.entity_index.EntityIndexEngine`, which runs
+  batched passes over CSR block-membership arrays, stays in ordinal space
+  and hands back the retained edges as flat ``(first, second, weight)``
+  columns; pruned edges are never all resident (peak transient memory is
+  one node batch plus the retained columns);
 * ``engine="graph"`` -- the legacy object
   :class:`~repro.metablocking.graph.BlockingGraph`, kept as the readable
   reference implementation and as the test oracle of the equivalence suite.
@@ -13,16 +16,20 @@ one of two execution engines:
 Both engines retain the same comparisons for every (weighting x pruning)
 combination; the index engine falls back to the graph engine automatically
 when custom (user-defined) scheme instances are supplied, since only the five
-standard weighting and six standard pruning schemes have streaming
+standard weighting and six standard pruning schemes have columnar
 implementations.
 
-The output can be consumed in three forms:
+The output can be consumed in four forms:
 
-* :meth:`MetaBlocking.iter_retained` -- a lazy generator of retained
-  :class:`~repro.metablocking.graph.WeightedEdge` objects;
+* :meth:`MetaBlocking.weighted_columns` -- the retained edges as
+  :class:`~repro.datamodel.pairs.ComparisonColumns`, heaviest first: the
+  index engine's own columns, wrapped (what the workflow consumes);
+* :meth:`MetaBlocking.iter_retained` -- a lazy view of the same columns as
+  :class:`~repro.metablocking.graph.WeightedEdge` objects, for subclasses,
+  :meth:`~MetaBlocking.process` and tests;
 * :meth:`MetaBlocking.weighted_comparisons` -- the retained edges as weighted
   :class:`~repro.datamodel.pairs.Comparison` objects, heaviest first (the
-  natural input of a progressive scheduler);
+  natural input of an object progressive scheduler);
 * :meth:`MetaBlocking.process` -- a restructured
   :class:`~repro.blocking.base.BlockCollection` with one (two-member) block
   per retained edge (the natural input of a conventional matching phase).
@@ -63,6 +70,13 @@ ENGINES = ("index", "graph")
 _INDEX_WEIGHTINGS = {CBS: "CBS", ECBS: "ECBS", JS: "JS", EJS: "EJS", ARCS: "ARCS"}
 
 
+def _uncovered(identifier: str) -> KeyError:
+    return KeyError(
+        f"the supplied pipeline context does not cover identifier {identifier!r}; "
+        "it was built for a different collection than these blocks"
+    )
+
+
 class MetaBlocking:
     """Meta-blocking pipeline with pluggable weighting, pruning and engine.
 
@@ -75,7 +89,7 @@ class MetaBlocking:
         A :class:`PruningScheme` instance or its name (``"WEP"``, ``"CEP"``,
         ``"WNP"``, ``"CNP"``, ``"ReciprocalWNP"``, ``"ReciprocalCNP"``).
     engine:
-        ``"index"`` (default) for the array-backed streaming engine,
+        ``"index"`` (default) for the array-backed columnar engine,
         ``"graph"`` for the legacy object-graph engine.
     """
 
@@ -101,12 +115,13 @@ class MetaBlocking:
             raise ValueError(f"unknown engine {engine!r}; available: {ENGINES}")
         self.engine = engine
         #: statistics of the last run, reported by benchmarks; populated
-        #: identically by both engines once the output has been consumed
+        #: identically by both engines (by :meth:`iter_retained` when its
+        #: first edge is requested, by :meth:`weighted_columns` on return)
         self.last_input_comparisons = 0
         self.last_graph_edges = 0
         self.last_retained_edges = 0
         #: engine that actually executed the last run ("index", "graph", or
-        #: "parallel" when a ParallelEngine fed the index engine's weights)
+        #: "parallel" when a ParallelEngine ran the index engine's passes)
         self.last_engine: Optional[str] = None
 
     @property
@@ -122,7 +137,7 @@ class MetaBlocking:
         """(weighting, pruning, kwargs) when the index engine applies, else ``None``.
 
         Exact type checks keep user-defined subclasses (whose overridden
-        behaviour the streaming engine cannot replicate) on the graph engine.
+        behaviour the columnar engine cannot replicate) on the graph engine.
         """
         weighting_name = _INDEX_WEIGHTINGS.get(type(self.weighting))
         if weighting_name is None:
@@ -144,50 +159,66 @@ class MetaBlocking:
         return None
 
     # ------------------------------------------------------------------
+    def _index_columns(self, blocks: BlockCollection, context, parallel):
+        """Run the index engine: ``(ids, first, second, weights)`` columns.
+
+        ``None`` when the configured schemes need the graph engine.  The
+        index is built over the context's ordinals when one is given, and a
+        context that does not cover the blocks is refused before any pruning
+        work.  Sets the last-run statistics.
+        """
+        spec = self._index_spec() if self.engine == "index" else None
+        if spec is None:
+            return None
+        weighting_name, pruning_name, kwargs = spec
+        index = EntityIndexEngine(blocks, ids=None if context is None else context.ids)
+        if context is not None and index.num_entities > len(context.ids):
+            raise _uncovered(index.identifier(len(context.ids)))
+        columns = None
+        if parallel is not None:
+            # worker-side per-range selection: only retained edges cross the
+            # process boundary; bit-identical to the sequential pass
+            columns = parallel.retained_edges(index, weighting_name, pruning_name, **kwargs)
+        self.last_engine = "index" if columns is None else "parallel"
+        if columns is None:
+            columns = index.retained_columns(weighting_name, pruning_name, **kwargs)
+        self.last_graph_edges = index.last_num_edges
+        self.last_retained_edges = index.last_retained
+        return (index.ids if context is None else context.ids, *columns)
+
+    def _graph_retained(self, blocks: BlockCollection) -> List[WeightedEdge]:
+        self.last_engine = "graph"
+        graph = self.build_graph(blocks)
+        retained = self.pruning.prune(graph, self.weighting)
+        self.last_graph_edges = graph.num_edges
+        self.last_retained_edges = len(retained)
+        return retained
+
     def iter_retained(
         self, blocks: BlockCollection, parallel=None
     ) -> Iterator[WeightedEdge]:
         """Lazily yield the edges surviving the pruning scheme.
 
-        With the index engine, pruned edges are never materialised and peak
-        memory stays proportional to the largest node neighbourhood.  The
-        last-run statistics are populated once the generator is exhausted.
+        With the index engine this is a view over the retained columns:
+        pruning runs (and the last-run statistics are set) when the first
+        edge is requested, the :class:`WeightedEdge` objects are built one at
+        a time as the generator is drained.
 
         ``parallel`` (a :class:`~repro.mapreduce.parallel.ParallelEngine`)
-        fans the node-weight streams of the index engine out to worker
-        processes over shared-memory views of the CSR index; the pruning
-        passes and the retained edges are bit-identical either way.  It is
-        ignored on the graph engine (custom schemes have no columnar
-        formulation) and for empty collections.
+        fans the ranged pruning passes of the index engine out to worker
+        processes over shared-memory views of the CSR index; the retained
+        edges are bit-identical either way.  It is ignored on the graph
+        engine (custom schemes have no columnar formulation) and for empty
+        collections.
         """
         self.last_input_comparisons = blocks.total_comparisons()
-        self.last_graph_edges = 0
-        self.last_retained_edges = 0
-        spec = self._index_spec() if self.engine == "index" else None
-        if spec is not None:
-            weighting_name, pruning_name, kwargs = spec
-            index = EntityIndexEngine(blocks)
-            if parallel is not None:
-                # worker-side per-node selection: only retained edges cross
-                # the process boundary; bit-identical to the sequential pass
-                pooled = parallel.retained_edges(index, weighting_name, pruning_name, **kwargs)
-                if pooled is not None:
-                    self.last_engine = "parallel"
-                    yield from pooled
-                    self.last_graph_edges = index.last_num_edges or 0
-                    self.last_retained_edges = index.last_retained or 0
-                    return
-            self.last_engine = "index"
-            yield from index.iter_retained(weighting_name, pruning_name, **kwargs)
-            self.last_graph_edges = index.last_num_edges or 0
-            self.last_retained_edges = index.last_retained or 0
-        else:
-            self.last_engine = "graph"
-            graph = self.build_graph(blocks)
-            self.last_graph_edges = graph.num_edges
-            retained = self.pruning.prune(graph, self.weighting)
-            self.last_retained_edges = len(retained)
-            yield from retained
+        columns = self._index_columns(blocks, None, parallel)
+        if columns is None:
+            yield from self._graph_retained(blocks)
+            return
+        ids, first, second, weights = columns
+        for f, s, weight in zip(first, second, weights):
+            yield WeightedEdge(ids[f], ids[s], weight)
 
     def retained_edges(self, blocks: BlockCollection) -> List[WeightedEdge]:
         """Weight the graph and return the edges surviving the pruning scheme."""
@@ -210,42 +241,45 @@ class MetaBlocking:
 
         Row-for-row the same comparisons, in the same order (including the
         identifier tie-break at equal weights), as
-        :meth:`weighted_comparisons` -- but as flat ordinal/weight arrays
-        instead of per-edge objects, the natural input of the array
-        scheduling engine.  With a shared ``context`` the ordinal space is
-        the context's (and the columns carry its resolved description
-        table); otherwise identifiers are interned locally.  ``parallel``
-        is forwarded to :meth:`iter_retained`.
+        :meth:`weighted_comparisons` -- but the index engine's ordinal/weight
+        columns are wrapped as they are, no per-edge object or identifier
+        lookup in between; the natural input of the array scheduling engine.
+        With a shared ``context`` the ordinal space is the context's (and
+        the columns carry its resolved description table); a context built
+        for a different collection than the blocks raises :class:`KeyError`
+        before any pruning work.  Without one the columns' ``ids`` is the
+        index engine's own table (block members in first-seen order).  The
+        last-run statistics (:attr:`last_graph_edges`,
+        :attr:`last_retained_edges`, :attr:`last_engine`) are set when this
+        returns.  ``parallel`` fans out the pruning passes and the weight
+        sort.
         """
-        first = array("q")
-        second = array("q")
-        weights = array("d")
-        if context is not None:
-            ids = context.ids
-            ordinal_of = context.ordinal
-            descriptions = context.descriptions
-            for edge in self.iter_retained(blocks, parallel=parallel):
-                left = ordinal_of(edge.first)
-                right = ordinal_of(edge.second)
+        self.last_input_comparisons = blocks.total_comparisons()
+        columns = self._index_columns(blocks, context, parallel)
+        if columns is None:
+            # graph engine (custom schemes): intern the retained objects
+            if context is not None:
+                ids, ordinal_of = context.ids, context.ordinal
+            else:
+                ordinal_of = OrdinalInterner()
+                ids = ordinal_of.ids
+            first, second, weights = array("q"), array("q"), array("d")
+            for edge in self._graph_retained(blocks):
+                left, right = ordinal_of(edge.first), ordinal_of(edge.second)
                 if left is None or right is None:
-                    raise KeyError(
-                        "the supplied pipeline context does not cover identifier "
-                        f"{(edge.first if left is None else edge.second)!r}; it was "
-                        "built for a different collection than these blocks"
-                    )
+                    raise _uncovered(edge.first if left is None else edge.second)
                 first.append(left)
                 second.append(right)
                 weights.append(edge.weight)
         else:
-            intern = OrdinalInterner()
-            ids = intern.ids
-            descriptions = None
-            for edge in self.iter_retained(blocks, parallel=parallel):
-                first.append(intern(edge.first))
-                second.append(intern(edge.second))
-                weights.append(edge.weight)
+            ids, first, second, weights = columns
         columns = ComparisonColumns(
-            ids, first, second, weights, descriptions=descriptions, distinct=True
+            ids,
+            first,
+            second,
+            weights,
+            descriptions=None if context is None else context.descriptions,
+            distinct=True,
         )
         if parallel is not None:
             # pooled per-shard argsort + driver k-way merge; identical

@@ -265,6 +265,58 @@ class TestCoBlockedNeighbourhoods:
             "n3", "n1", "n2", "n5", "n4", "n6", "n7"
         ]
 
+    @pytest.mark.parametrize("use_numpy", [None, False])
+    def test_no_sources_have_no_neighbourhood(self, use_numpy):
+        engine = EntityIndexEngine(BlockCollection(self.BLOCKS), use_numpy=use_numpy)
+        assert engine.co_blocked([]) == []
+
+    def test_members_outside_the_given_table_are_appended(self):
+        blocks = BlockCollection([Block("b", members=["a", "b", "c"])])
+        engine = EntityIndexEngine(blocks, ids=["a", "b"])
+        assert engine.num_entities == 3
+        assert engine.ids == ["a", "b", "c"]
+
+
+class TestWeightedColumns:
+    BLOCKS = [
+        Block("b0", members=["n3", "n1", "n2"]),
+        Block("b1", members=["n1", "n4"]),
+        Block("b2", members=["n4", "n2", "n3"]),
+    ]
+
+    def test_foreign_context_is_refused_before_any_pruning(self, monkeypatch):
+        from repro.core.context import PipelineContext
+        from repro.datamodel.collection import EntityCollection
+        from repro.datamodel.description import EntityDescription
+
+        context = PipelineContext(
+            EntityCollection(
+                [EntityDescription(i, {"name": i}) for i in ("n1", "n2", "n3")], name="partial"
+            )
+        )
+
+        def no_pruning(*_args, **_kwargs):
+            raise AssertionError("pruning ran over blocks the context does not cover")
+
+        monkeypatch.setattr(EntityIndexEngine, "_retained", no_pruning)
+        with pytest.raises(KeyError, match="does not cover identifier 'n4'"):
+            MetaBlocking("CBS", "WNP").weighted_columns(
+                BlockCollection(self.BLOCKS), context=context
+            )
+
+    def test_statistics_are_set_on_return_and_ids_are_the_engines(self):
+        blocks = BlockCollection(self.BLOCKS)
+        metablocking = MetaBlocking("CBS", "WEP")
+        columns = metablocking.weighted_columns(blocks)
+        assert metablocking.last_engine == "index"
+        assert metablocking.last_graph_edges == EntityIndexEngine(blocks).count_edges() == 6
+        assert metablocking.last_retained_edges == len(columns) > 0
+        # without a context the table is the index's own (first-seen members)
+        assert columns.ids == ["n3", "n1", "n2", "n4"]
+        assert [(c.first, c.second, c.weight) for c in columns] == [
+            (c.first, c.second, c.weight) for c in metablocking.weighted_comparisons(blocks)
+        ]
+
 
 class TestWeightingEdgeCaseValues:
     def test_two_member_universe(self):

@@ -11,8 +11,9 @@ and asserting bit-identity against the serial baseline, the expected
 ``fault_events`` bookkeeping, and an orphan-free ``/dev/shm`` afterwards.
 
 The kill matrix covers every workflow-reachable supervisor stage label; the
-two labels only reachable through direct engine calls (``propagation``,
-``weights``) get dedicated tests.  Set ``REPRO_TEST_START_METHOD=spawn`` to
+label only reachable through direct engine calls (``propagation``) and the
+two WNP rounds driven straight through ``MetaBlocking.weighted_columns`` get
+dedicated tests.  Set ``REPRO_TEST_START_METHOD=spawn`` to
 re-run the whole module over spawned pools (the CI chaos job does both).
 """
 
@@ -41,7 +42,7 @@ from repro.mapreduce.supervisor import (
     WorkerFailureError,
     shutdown_pool,
 )
-from repro.metablocking.entity_index import EntityIndexEngine
+from repro.metablocking.pipeline import MetaBlocking
 from repro import cli
 
 #: honoured by the autouse fixture below; the CI chaos job sets "spawn"
@@ -255,24 +256,20 @@ class TestDirectEngineStages:
         assert snap(got) == snap(expected)
         assert_no_orphans()
 
-    def test_kill_during_node_weights(self, dirty_blocks):
-        sequential = EntityIndexEngine(dirty_blocks)
-        expected = [
-            (e.first, e.second, e.weight)
-            for e in sequential.iter_retained("CBS", "WNP")
-        ]
-        sharded = EntityIndexEngine(dirty_blocks)
-        with faults.injected(FaultSpec(stage="weights", mode="kill")):
+    @pytest.mark.parametrize("stage", ("wnp_stats", "wnp_emit"))
+    def test_kill_during_pruning_rounds(self, dirty_blocks, stage):
+        metablocking = MetaBlocking("CBS", "WNP")
+        snap = lambda columns: (
+            columns.ids, list(columns.first), list(columns.second), list(columns.weights)
+        )
+        expected = snap(metablocking.weighted_columns(dirty_blocks))
+        with faults.injected(FaultSpec(stage=stage, mode="kill")):
             with ParallelEngine(num_workers=2) as par:
-                assert par.install_node_weights(sharded)
-                # the pooled source is lazy: the fault fires (and recovery
-                # happens) while the pruning pass drains the weight rounds
-                got = [
-                    (e.first, e.second, e.weight)
-                    for e in sharded.iter_retained("CBS", "WNP")
-                ]
-                assert par.fault_stats["weights"]["retries"] >= 1
+                got = snap(metablocking.weighted_columns(dirty_blocks, parallel=par))
+                assert metablocking.last_engine == "parallel"
+                assert par.fault_stats[stage]["retries"] >= 1
         assert got == expected
+        assert len(got[1]) == metablocking.last_retained_edges > 0
         assert_no_orphans()
 
 

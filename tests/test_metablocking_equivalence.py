@@ -163,3 +163,55 @@ def test_numpy_and_pure_python_paths_are_bit_identical(seed, weighting, pruning)
     assert expected == actual  # bit-for-bit, no tolerance
     assert vectorised.last_num_edges == fallback.last_num_edges
     assert vectorised.last_retained == fallback.last_retained
+
+
+# ---------------------------------------------------------------------------
+# batch seams and range covers of the ranged passes
+# ---------------------------------------------------------------------------
+
+SEAM_COLLECTIONS = {"mixed": random_mixed_blocks, "clean-clean": random_bilateral_blocks}
+
+
+def _all_combo_columns(engine: EntityIndexEngine):
+    return {
+        (weighting, pruning): engine.retained_columns(weighting, pruning)
+        for weighting in WEIGHTING_SCHEMES
+        for pruning in PRUNING_SCHEMES
+    }
+
+
+@pytest.mark.parametrize("kind", sorted(SEAM_COLLECTIONS))
+def test_batch_budget_never_changes_the_columns(kind, monkeypatch):
+    """Node batches of 1 pair, 7 pairs and the default size give identical rows."""
+    from repro.metablocking import entity_index
+
+    blocks = SEAM_COLLECTIONS[kind](42)
+    expected = _all_combo_columns(EntityIndexEngine(blocks))
+    assert sum(len(weights) for _f, _s, weights in expected.values()) > 100
+    assert expected == _all_combo_columns(EntityIndexEngine(blocks, use_numpy=False))
+    for budget in (1, 7):
+        monkeypatch.setattr(entity_index, "_BATCH_PAIRS", budget)
+        assert _all_combo_columns(EntityIndexEngine(blocks)) == expected, budget
+
+
+@pytest.mark.parametrize("use_numpy", (None, False))
+@pytest.mark.parametrize("kind", sorted(SEAM_COLLECTIONS))
+def test_ranged_passes_over_a_cover_concatenate_to_the_whole_range(kind, use_numpy):
+    """What the parallel workers rely on: any contiguous cover, same columns."""
+    blocks = SEAM_COLLECTIONS[kind](11)
+    engine = EntityIndexEngine(blocks, use_numpy=use_numpy)
+    n = engine.num_entities
+    cover = [(0, 1), (1, 1), (1, n // 2), (n // 2, n - 3), (n - 3, n)]
+
+    def fan_out(step, scheme, *params):
+        return [getattr(engine, "_" + step)(scheme, start, stop, *params) for start, stop in cover]
+
+    assert engine._partial_degrees(0, n)[1] == sum(
+        engine._partial_degrees(start, stop)[1] for start, stop in cover
+    )
+    for weighting in WEIGHTING_SCHEMES:
+        for pruning in PRUNING_SCHEMES:
+            expected = engine.retained_columns(weighting, pruning)
+            statistics = engine.last_num_edges, engine.last_retained
+            assert engine._retained(weighting, pruning, None, None, fan_out) == expected
+            assert (engine.last_num_edges, engine.last_retained) == statistics

@@ -20,14 +20,23 @@ from pathlib import Path
 import pytest
 
 from repro.blocking.token_blocking import TokenBlocking
+from repro.core.context import PipelineContext
 from repro.datasets.builtin import load_census, load_restaurants
-from repro.metablocking import MetaBlocking
+from repro.metablocking import MetaBlocking, pipeline
+from repro.metablocking.entity_index import EntityIndexEngine
 
 FIXTURES_DIR = Path(__file__).parent / "fixtures" / "metablocking"
 
 WEIGHTING_SCHEMES = ("CBS", "ECBS", "JS", "EJS", "ARCS")
 PRUNING_SCHEMES = ("WEP", "CEP", "WNP", "CNP", "ReciprocalWNP", "ReciprocalCNP")
 DATASETS = {"restaurants": load_restaurants, "census": load_census}
+
+
+class _PurePythonIndex(EntityIndexEngine):
+    """The index engine pinned to its pure-Python twin."""
+
+    def __init__(self, blocks, ids=None):
+        super().__init__(blocks, use_numpy=False, ids=ids)
 
 
 def _blocks(dataset_name: str):
@@ -56,15 +65,37 @@ def test_engines_reproduce_golden_output(dataset_name, engine):
         metablocking = MetaBlocking(weighting, pruning, engine=engine)
         edges = metablocking.retained_edges(blocks)
         assert metablocking.last_graph_edges == frozen["graph_edges"], combo
+        # bit for bit: the frozen weights are what both engines compute
         actual = sorted([edge.first, edge.second, edge.weight] for edge in edges)
-        expected = frozen["retained"]
-        assert [row[:2] for row in actual] == [row[:2] for row in expected], (
-            f"{dataset_name}/{combo}/{engine}: retained pair set changed"
-        )
-        for (first, second, weight), (_, _, frozen_weight) in zip(actual, expected):
-            assert weight == pytest.approx(frozen_weight, abs=1e-9), (
-                f"{dataset_name}/{combo}/{engine}: weight of ({first}, {second}) changed"
-            )
+        assert actual == frozen["retained"], f"{dataset_name}/{combo}/{engine}"
+
+
+@pytest.mark.parametrize("use_numpy", (True, False))
+@pytest.mark.parametrize("with_context", (True, False))
+@pytest.mark.parametrize("dataset_name", sorted(DATASETS))
+def test_weighted_columns_reproduce_golden_rows(dataset_name, with_context, use_numpy, monkeypatch):
+    """The columnar output is the frozen rows in ``(-weight, first, second)`` order."""
+    if not use_numpy:
+        monkeypatch.setattr(pipeline, "EntityIndexEngine", _PurePythonIndex)
+    collection = DATASETS[dataset_name]().collection
+    blocks = TokenBlocking().build(collection)
+    context = PipelineContext(collection) if with_context else None
+    for combo, frozen in _fixture(dataset_name)["combos"].items():
+        weighting, pruning = combo.split("+")
+        metablocking = MetaBlocking(weighting, pruning)
+        columns = metablocking.weighted_columns(blocks, context=context)
+        assert metablocking.last_engine == "index"
+        assert metablocking.last_graph_edges == frozen["graph_edges"], combo
+        assert metablocking.last_retained_edges == len(frozen["retained"]), combo
+        assert columns.weight_ordered and columns.distinct
+        if with_context:
+            assert columns.ids is context.ids
+        rows = [
+            [columns.ids[f], columns.ids[s], w]
+            for f, s, w in zip(columns.first, columns.second, columns.weights)
+        ]
+        expected = sorted(frozen["retained"], key=lambda row: (-row[2], row[0], row[1]))
+        assert rows == expected, f"{dataset_name}/{combo}"
 
 
 def _regenerate() -> None:

@@ -159,7 +159,7 @@ class TestParallelMetaBlocking:
     @pytest.mark.parametrize("dataset", DATASETS)
     @pytest.mark.parametrize("workers", WORKER_COUNTS)
     def test_worker_count_invariance(self, request, dataset, workers):
-        # EJS/WNP exercises both support rounds: pooled degrees + node weights
+        # EJS/WNP exercises the support round (pooled degrees) and both WNP rounds
         _, _, blocks = _setup(request, dataset)
         metablocking = MetaBlocking("EJS", "WNP")
         expected = edges_snapshot(metablocking.iter_retained(blocks))
@@ -173,12 +173,15 @@ class TestParallelMetaBlocking:
         # a pure-Python driver index must get pure-Python worker replicas
         _, _, blocks = dirty_setup
         sequential = EntityIndexEngine(blocks, use_numpy=False)
-        expected = edges_snapshot(sequential.iter_retained(weighting, "WNP"))
+        expected = sequential.retained_columns(weighting, "WNP")
+        assert expected == EntityIndexEngine(blocks).retained_columns(weighting, "WNP")
         sharded = EntityIndexEngine(blocks, use_numpy=False)
         with ParallelEngine(num_workers=3) as par:
-            assert par.install_node_weights(sharded)
-            got = edges_snapshot(sharded.iter_retained(weighting, "WNP"))
+            got = par.retained_edges(sharded, weighting, "WNP")
         assert got == expected
+        assert len(got[0]) > 0
+        assert sharded.last_num_edges == sequential.last_num_edges
+        assert sharded.last_retained == sequential.last_retained == len(got[0])
 
 
 class TestParallelMatching:
@@ -228,7 +231,12 @@ class TestEdgeCasesAndLifecycle:
         with ParallelEngine(num_workers=4) as par:
             blocks = BlockingEngine(TokenBlocking(), context=context, parallel=par).build(data)
             assert len(blocks) == 0
-            assert not par.install_node_weights(EntityIndexEngine(blocks))
+            # nothing to fan out: the caller takes the sequential path
+            assert par.retained_edges(EntityIndexEngine(blocks), "CBS", "WNP") is None
+            columns = MetaBlocking("CBS", "WNP").weighted_columns(
+                blocks, context=context, parallel=par
+            )
+            assert len(columns) == 0
 
     def test_single_entity_with_more_workers_than_input(self):
         data = EntityCollection(

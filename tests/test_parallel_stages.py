@@ -32,6 +32,7 @@ from repro.matching.clustering import (
     ConnectedComponentsClustering,
     MergeCenterClustering,
 )
+from repro.metablocking.entity_index import EntityIndexEngine
 from repro.metablocking.pipeline import MetaBlocking
 from repro.metablocking.pruning import (
     CardinalityEdgePruning,
@@ -281,6 +282,29 @@ class TestParallelPruningParameters:
         with ParallelEngine(num_workers=workers) as par:
             got = edges_snapshot(metablocking.iter_retained(blocks, parallel=par))
         assert got == expected
+
+
+class TestParallelRetainedColumns:
+    """The pooled ranged passes return the sequential engine's own columns --
+    same rows, same order, same statistics -- however many ranges the node
+    range is cut into."""
+
+    PRUNINGS = ("WEP", "CEP", "WNP", "CNP", "ReciprocalWNP", "ReciprocalCNP")
+    WEIGHTINGS = ("ARCS", "EJS", "CBS", "JS", "ECBS", "ARCS")
+
+    @pytest.mark.parametrize("dataset", DATASETS)
+    @pytest.mark.parametrize("workers", (1, 2, 3))
+    def test_columns_bit_identical_for_every_cover(self, request, dataset, workers):
+        _, _, blocks = _setup(request, dataset)
+        with ParallelEngine(num_workers=workers) as par:
+            for weighting, pruning in zip(self.WEIGHTINGS, self.PRUNINGS):
+                sequential = EntityIndexEngine(blocks)
+                expected = sequential.retained_columns(weighting, pruning)
+                assert len(expected[0]) > 0
+                sharded = EntityIndexEngine(blocks)
+                assert par.retained_edges(sharded, weighting, pruning) == expected
+                assert sharded.last_num_edges == sequential.last_num_edges
+                assert sharded.last_retained == sequential.last_retained
 
 
 class TestParallelWeightSort:
