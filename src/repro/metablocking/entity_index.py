@@ -34,10 +34,14 @@ once (:meth:`EntityIndexEngine._neighbourhoods`: one CSR gather, one
 ``np.unique`` over ``node * N + neighbour`` keys, one ``np.bincount`` for
 ARCS), the batches being cut so that each expands about
 :data:`_BATCH_PAIRS` co-occurrence pairs.  Pruned edges are never all
-resident: peak transient memory is one node batch plus the retained columns
-(plus the O(budget) candidate buffer of CEP and the O(k * nodes)
-endorsements of CNP).  Without NumPy a pure-Python fallback scans one node
-at a time over the same typed arrays and drains into the same columns.
+resident.  Peak transient memory is one node batch, plus what cutting the
+batches needs -- two span columns (and, briefly, half a dozen more) as long
+as the block assignments of the node range, the order of the index itself --
+plus the retained columns, which exist once as ndarrays and once as the
+typed arrays handed out (plus the O(budget) candidate buffer of CEP and the
+O(k * nodes) endorsements of CNP).  Without NumPy a pure-Python fallback
+scans one node at a time over the same typed arrays and drains into the same
+columns.
 
 Both paths produce bit-identical weights: per-edge arithmetic uses the same
 operand order as the graph engine (canonical identifier order for the
@@ -97,6 +101,13 @@ def _int_array(size: int) -> array:
     return array("q", bytes(8 * size))
 
 
+def _typed_array(typecode: str, column) -> array:
+    """A contiguous ndarray column copied (once) into a typed array."""
+    out = array(typecode)
+    out.frombytes(memoryview(column).cast("B"))
+    return out
+
+
 def _concat(parts: Sequence[tuple]) -> tuple:
     """Concatenate aligned column tuples in order.
 
@@ -129,6 +140,11 @@ def _edge_columns(rows) -> Tuple[array, array, array]:
         dst.append(b)
         weights.append(weight)
     return src, dst, weights
+
+
+def edges_view(ids: Sequence[str], first, second, weights) -> Iterator[WeightedEdge]:
+    """Retained ordinal columns viewed as lazily built :class:`WeightedEdge` objects."""
+    return (WeightedEdge(ids[f], ids[s], w) for f, s, w in zip(first, second, weights))
 
 
 def _exact_partials(values) -> List[float]:
@@ -173,7 +189,9 @@ class EntityIndexEngine:
         Optional identifier table fixing the ordinal assignment (ordinal
         ``o`` is ``ids[o]``), e.g. the shared pipeline context's, so the
         index speaks the same ordinals as the caller's other columns.
-        Descriptions placed in no block then simply have no blocks.  A block
+        Descriptions placed in no block then simply have no blocks and are
+        no graph nodes (:attr:`num_nodes`; the CNP default ``k`` averages
+        over nodes, not table entries).  A block
         member the table does not contain is appended after it as a new
         ordinal, so ``num_entities > len(ids)`` tells the caller that the
         table does not cover the blocks (and ``identifier(len(ids))`` names
@@ -345,6 +363,16 @@ class EntityIndexEngine:
             return 0
         return self._ent_ptr[o + 1] - self._ent_ptr[o]
 
+    @property
+    def num_nodes(self) -> int:
+        """Descriptions placed in at least one block -- the blocking graph's nodes.
+
+        Fewer than :attr:`num_entities` when the identifier table (``ids=``)
+        holds descriptions no block contains.
+        """
+        ent_ptr = self._ent_ptr
+        return sum(ent_ptr[o] < ent_ptr[o + 1] for o in range(self.num_entities))
+
     def count_edges(self) -> int:
         """Number of distinct co-occurring pairs (blocking-graph edges)."""
         return self._degrees()[1]
@@ -418,6 +446,10 @@ class EntityIndexEngine:
         ``node * N + neighbour`` and groups them with one ``np.unique``.
         ``np.bincount`` adds the per-block reciprocal weights in input
         (= ascending block) order, matching the scalar accumulation.
+
+        Held across the batches: the start and length of every facing member
+        slice (two columns as long as the range's block assignments) and two
+        node-length offset columns; everything else is per batch.
         """
         np = _np
         ent_ptr = self._np_ent_ptr
@@ -425,27 +457,19 @@ class EntityIndexEngine:
         blocks = self._np_ent_blocks[base : int(ent_ptr[stop])]
         if blocks.size == 0:
             return
-        side = self._np_ent_side[base : base + blocks.size]
-        split = self._np_blk_split[blocks]
-        first = self._np_blk_ptr[blocks]
-        bilateral = split >= 0
-        lo = np.where(bilateral & (side == 0), first + split, first)
-        hi = np.where(bilateral & (side == 1), first + split, self._np_blk_ptr[blocks + 1])
-        lengths = hi - lo
-        ends = np.cumsum(lengths)
+        lo, lengths = self._facing_spans(blocks, self._np_ent_side[base : base + blocks.size])
         bounds = ent_ptr[start : stop + 1] - base  # the nodes' assignment offsets
-        owner = np.repeat(np.arange(start, stop), np.diff(bounds))
-        before = np.concatenate(([0], ends))[bounds]  # pairs expanded before each node
+        before = np.concatenate(([0], np.cumsum(lengths)))[bounds]  # pairs expanded before each node
         num_entities = self.num_entities
         node = 0
         while node < stop - start:
             limit = before[node] + _BATCH_PAIRS
             cut = max(node + 1, int(np.searchsorted(before, limit, side="right")) - 1)
             q0, q1 = int(bounds[node]), int(bounds[cut])
+            src = np.repeat(np.arange(start + node, start + cut), np.diff(before[node : cut + 1]))
             node = cut
             spans = lengths[q0:q1]
             dst = self._np_blk_ents[_slices(lo[q0:q1], spans)]
-            src = np.repeat(owner[q0:q1], spans)
             mask = dst > src if lower else dst != src
             keys = src[mask] * num_entities + dst[mask]
             if keys.size == 0:
@@ -459,6 +483,20 @@ class EntityIndexEngine:
                 keys, counts = np.unique(keys, return_counts=True)
             src, dst = np.divmod(keys, num_entities)
             yield src, dst, counts, arcs
+
+    def _facing_spans(self, blocks, side):
+        """Per block assignment ``(block, side)``: start and length of the member slice it faces.
+
+        The whole block for a unilateral one, the opposite side of a
+        bilateral one.
+        """
+        np = _np
+        split = self._np_blk_split[blocks]
+        first = self._np_blk_ptr[blocks]
+        bilateral = split >= 0
+        lo = np.where(bilateral & (side == 0), first + split, first)
+        hi = np.where(bilateral & (side == 1), first + split, self._np_blk_ptr[blocks + 1])
+        return lo, hi - lo
 
     def co_blocked(self, ordinals: Sequence[int]) -> List[int]:
         """Every other description sharing a block with any of ``ordinals``.
@@ -533,7 +571,7 @@ class EntityIndexEngine:
                 np_degrees[lowest : lowest + len(degree)] += degree
                 _np.add.at(np_degrees, dst, 1)
                 num_edges += len(src)
-            return array("q", np_degrees.tobytes()), num_edges
+            return _typed_array("q", np_degrees), num_edges
         degrees = _int_array(self.num_entities)
         cbs = [0] * self.num_entities
         for i in range(start, stop):
@@ -740,9 +778,9 @@ class EntityIndexEngine:
         k: Optional[int] = None,
     ) -> Iterator[WeightedEdge]:
         """:meth:`retained_columns` viewed as lazily built :class:`WeightedEdge` s."""
-        first, second, weights = self.retained_columns(weighting, pruning, budget=budget, k=k)
-        ids = self._ids
-        return (WeightedEdge(ids[f], ids[s], w) for f, s, w in zip(first, second, weights))
+        return edges_view(
+            self._ids, *self.retained_columns(weighting, pruning, budget=budget, k=k)
+        )
 
     def _whole_range(self, step: str, scheme: str, *params) -> list:
         """Run one ranged pruning pass over all nodes -- the sequential ``fan_out``."""
@@ -808,7 +846,9 @@ class EntityIndexEngine:
                 columns = _concat(fan_out("wnp_emit", scheme, thresholds, reciprocal))
         else:
             if k is None:
-                k = max(1, int(round(self.num_assignments / max(1, self.num_entities))) - 1)
+                # per graph *node*: descriptions of the identifier table that
+                # sit in no block must not dilute the average
+                k = max(1, int(round(self.num_assignments / max(1, self.num_nodes))) - 1)
             shards = fan_out("cnp", scheme, k)
             num_edges = sum(shard[0] for shard in shards) // 2  # seen from both ends
             # one row per endorsement: an edge needs one endorsing endpoint
@@ -833,10 +873,10 @@ class EntityIndexEngine:
             ranks = _np.asarray(self._ranks())
             swap = ranks[src] > ranks[dst]
             src, dst = (
-                array("q", _np.where(swap, dst, src).tobytes()),
-                array("q", _np.where(swap, src, dst).tobytes()),
+                _typed_array("q", _np.where(swap, dst, src)),
+                _typed_array("q", _np.where(swap, src, dst)),
             )
-            weights = array("d", weights.tobytes())
+            weights = _typed_array("d", weights)
         self.last_num_edges = num_edges
         self.last_retained = len(weights)
         return src, dst, weights

@@ -8,7 +8,8 @@ one of two execution engines:
   batched passes over CSR block-membership arrays, stays in ordinal space
   and hands back the retained edges as flat ``(first, second, weight)``
   columns; pruned edges are never all resident (peak transient memory is
-  one node batch plus the retained columns);
+  one node batch, plus span columns of the order of the index itself for
+  cutting the batches, plus the retained columns);
 * ``engine="graph"`` -- the legacy object
   :class:`~repro.metablocking.graph.BlockingGraph`, kept as the readable
   reference implementation and as the test oracle of the equivalence suite.
@@ -43,7 +44,7 @@ from typing import Iterator, List, Optional, Tuple, Union
 from repro.blocking.base import Block, BlockCollection
 from repro.datamodel.collection import CleanCleanTask
 from repro.datamodel.pairs import Comparison, ComparisonColumns, OrdinalInterner
-from repro.metablocking.entity_index import EntityIndexEngine
+from repro.metablocking.entity_index import EntityIndexEngine, edges_view
 from repro.metablocking.graph import BlockingGraph, WeightedEdge
 from repro.metablocking.pruning import (
     CardinalityEdgePruning,
@@ -216,9 +217,7 @@ class MetaBlocking:
         if columns is None:
             yield from self._graph_retained(blocks)
             return
-        ids, first, second, weights = columns
-        for f, s, weight in zip(first, second, weights):
-            yield WeightedEdge(ids[f], ids[s], weight)
+        yield from edges_view(*columns)
 
     def retained_edges(self, blocks: BlockCollection) -> List[WeightedEdge]:
         """Weight the graph and return the edges surviving the pruning scheme."""

@@ -215,3 +215,45 @@ def test_ranged_passes_over_a_cover_concatenate_to_the_whole_range(kind, use_num
             statistics = engine.last_num_edges, engine.last_retained
             assert engine._retained(weighting, pruning, None, None, fan_out) == expected
             assert (engine.last_num_edges, engine.last_retained) == statistics
+
+
+@pytest.mark.parametrize("use_numpy", (None, False))
+@pytest.mark.parametrize("kind", sorted(SEAM_COLLECTIONS))
+def test_identifier_table_with_unblocked_descriptions_changes_nothing(kind, use_numpy):
+    """Table entries no block contains are no graph nodes.
+
+    The workflow builds the index over the context's identifier table, which
+    also holds the descriptions purging, filtering or unique tokens left
+    outside every block.  They must not move anything -- in particular not
+    the CNP default ``k`` (assignments per *node*): all 30 combos still
+    retain what the graph engine and the engine's own table retain.
+    """
+    blocks = SEAM_COLLECTIONS[kind](97)
+    plain = EntityIndexEngine(blocks, use_numpy=use_numpy)
+    members = plain.ids
+    table = (
+        [f"!unblocked:{i}" for i in range(len(members))]
+        + members[::-1]
+        + [f"~unblocked:{i}" for i in range(len(members))]
+    )
+    padded = EntityIndexEngine(blocks, use_numpy=use_numpy, ids=table)
+    assert padded.num_entities == 3 * plain.num_entities
+    assert padded.num_nodes == plain.num_nodes == plain.num_entities
+
+    def rows(engine, weighting, pruning):
+        first, second, weights = engine.retained_columns(weighting, pruning)
+        return sorted(
+            (engine.identifier(f), engine.identifier(s), w)
+            for f, s, w in zip(first, second, weights)
+        )
+
+    for weighting in WEIGHTING_SCHEMES:
+        for pruning in PRUNING_SCHEMES:
+            expected = rows(plain, weighting, pruning)
+            assert rows(padded, weighting, pruning) == expected, (weighting, pruning)
+            assert (padded.last_num_edges, padded.last_retained) == (
+                plain.last_num_edges,
+                plain.last_retained,
+            )
+            graph = MetaBlocking(weighting, pruning, engine="graph").retained_edges(blocks)
+            assert sorted((e.first, e.second, e.weight) for e in graph) == expected

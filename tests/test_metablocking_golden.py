@@ -21,6 +21,8 @@ import pytest
 
 from repro.blocking.token_blocking import TokenBlocking
 from repro.core.context import PipelineContext
+from repro.datamodel.collection import EntityCollection
+from repro.datamodel.description import EntityDescription
 from repro.datasets.builtin import load_census, load_restaurants
 from repro.metablocking import MetaBlocking, pipeline
 from repro.metablocking.entity_index import EntityIndexEngine
@@ -70,16 +72,39 @@ def test_engines_reproduce_golden_output(dataset_name, engine):
         assert actual == frozen["retained"], f"{dataset_name}/{combo}/{engine}"
 
 
+def _padded(collection) -> EntityCollection:
+    """``collection`` plus as many descriptions again that no block will contain.
+
+    Sorting before and after every real identifier, so they shift both the
+    ordinals and the identifier ranks of the blocked descriptions.
+    """
+    size = len(collection)
+    return EntityCollection(
+        [EntityDescription(f"!unblocked:{i}") for i in range(size // 2)]
+        + list(collection)
+        + [EntityDescription(f"~unblocked:{i}") for i in range(size - size // 2)]
+    )
+
+
 @pytest.mark.parametrize("use_numpy", (True, False))
-@pytest.mark.parametrize("with_context", (True, False))
+@pytest.mark.parametrize("context_kind", ("collection", "padded", None))
 @pytest.mark.parametrize("dataset_name", sorted(DATASETS))
-def test_weighted_columns_reproduce_golden_rows(dataset_name, with_context, use_numpy, monkeypatch):
-    """The columnar output is the frozen rows in ``(-weight, first, second)`` order."""
+def test_weighted_columns_reproduce_golden_rows(dataset_name, context_kind, use_numpy, monkeypatch):
+    """The columnar output is the frozen rows in ``(-weight, first, second)`` order.
+
+    Whatever the identifier table: the engine's own, the context's, or a
+    context that also holds descriptions outside every block (as purging,
+    filtering or unique tokens leave them) -- those are no graph nodes and
+    must not move the CNP default ``k``.
+    """
     if not use_numpy:
         monkeypatch.setattr(pipeline, "EntityIndexEngine", _PurePythonIndex)
     collection = DATASETS[dataset_name]().collection
     blocks = TokenBlocking().build(collection)
-    context = PipelineContext(collection) if with_context else None
+    with_context = context_kind is not None
+    context = None
+    if with_context:
+        context = PipelineContext(_padded(collection) if context_kind == "padded" else collection)
     for combo, frozen in _fixture(dataset_name)["combos"].items():
         weighting, pruning = combo.split("+")
         metablocking = MetaBlocking(weighting, pruning)
