@@ -69,16 +69,13 @@ def _phase_peaks(collection) -> dict:
 def _stage_details(result) -> list:
     """Per-stage numeric outputs (block, edge, match and cluster counts).
 
-    Engine labels and the parallel-only interning stage are stripped so the
-    serial and parallel reports compare on what they produced, not on which
-    engine produced it.
+    Engine labels are stripped so the serial and parallel reports compare on
+    what they produced, not on which engine produced it.
     """
-    rows = []
-    for row in result.report.to_rows():
-        if row["stage"].startswith("interning"):
-            continue
-        rows.append({k: v for k, v in row.items() if k not in ("stage", "seconds")})
-    return rows
+    return [
+        {k: v for k, v in row.items() if k not in ("stage", "seconds")}
+        for row in result.report.to_rows()
+    ]
 
 
 def test_end_to_end_parallel_scaling(benchmark):

@@ -143,18 +143,15 @@ def _index_token_build(
 ) -> BlockCollection:
     """Index-engine build for token blocking and prefix--infix--suffix blocking.
 
+    With a shared ``context`` nothing is tokenised here: the build reads the
+    context's interned columns (:func:`_context_token_build`).  Without one
+    (or for data the context does not own) this is the per-engine pass:
     ``builder.tokens_of`` (the library implementation -- exact-type dispatch
     guarantees it is not overridden) supplies the keys of each description,
     so the key *content* is the oracle's by construction; the engine's part
     is the representation: keys are interned to dense ids once and the
     inverted index holds flat ``array('q')`` postings of description
     ordinals instead of nested string-keyed dicts of identifier lists.
-
-    With a shared ``context`` the tokenisation pass disappears entirely: the
-    keys are the context's interned distinct ids filtered by the builder's
-    stop words and minimum token length (the same admission rule
-    ``token_set`` applies while tokenising), so the key set per description
-    is identical by construction.
     """
     if context is not None:
         return _context_token_build(builder, context)
@@ -182,7 +179,7 @@ def _index_token_build(
 
 
 def _emit_token_blocks(
-    builder: TokenBlocking, context, postings: Dict[int, array]
+    builder: TokenBlocking, context, postings: Dict[int, Sequence[int]]
 ) -> BlockCollection:
     """Materialise a block collection from token-id postings over a context.
 
@@ -206,14 +203,56 @@ def _emit_token_blocks(
     return collection
 
 
+def _column_postings(context, token_filter) -> Dict[int, List[int]]:
+    """Token postings straight from the context's merged ids column (NumPy).
+
+    The column is description-major, so the ordinal of every entry is one
+    ``repeat`` over the pointer differences; the builder's admission rule is
+    a boolean take through the filter's per-vocabulary mask; and one *stable*
+    argsort by token id groups the entries into postings while keeping the
+    ordinals ascending inside each -- the content the per-description loop
+    appends one entry at a time.
+    """
+    np = _np
+    ptr, ids, _counts = context.token_columns()
+    token_ids = np.asarray(ids)
+    ordinals = np.repeat(np.arange(len(ptr) - 1), np.diff(ptr))
+    if not token_filter.trivial:
+        mask = np.frombuffer(token_filter.mask(context.vocabulary_size), dtype=np.bool_)
+        admitted = mask[token_ids]
+        token_ids, ordinals = token_ids[admitted], ordinals[admitted]
+    order = np.argsort(token_ids, kind="stable")
+    sorted_ids = token_ids[order]
+    # a posting starts wherever the sorted id changes (ids are >= 0)
+    starts = np.flatnonzero(np.diff(sorted_ids, prepend=-1))
+    flat = ordinals[order].tolist()
+    bounds = starts.tolist() + [len(flat)]
+    return {
+        key: flat[bounds[index] : bounds[index + 1]]
+        for index, key in enumerate(sorted_ids[starts].tolist())
+    }
+
+
 def _context_token_build(builder: TokenBlocking, context) -> BlockCollection:
-    """Token / prefix--infix--suffix build over a shared context's columns."""
+    """Token / prefix--infix--suffix build over a shared context's columns.
+
+    The keys of a description are the context's merged distinct ids filtered
+    by the builder's stop words and minimum token length (the admission rule
+    ``token_set`` applies while tokenising), so the key set per description
+    is the oracle's by construction.  Plain token blocking derives all
+    postings at once from the whole column (:func:`_column_postings`);
+    prefix--infix--suffix blocking interns URI keys per description, so it
+    walks the per-description slices -- as plain token blocking does when
+    NumPy is not importable.
+    """
     token_filter = context.token_filter(builder.stop_words, builder.min_token_length)
+    uri_keys = type(builder) is PrefixInfixSuffixBlocking
+    if _np is not None and not uri_keys:
+        return _emit_token_blocks(builder, context, _column_postings(context, token_filter))
     trivial = token_filter.trivial
     allows = token_filter.allows
     ids: List[str] = context.ids
     postings: Dict[int, array] = {}
-    uri_keys = type(builder) is PrefixInfixSuffixBlocking
     stop_words = builder.stop_words
     min_token_length = builder.min_token_length
     for ordinal in range(context.num_descriptions):

@@ -57,12 +57,13 @@ class WorkflowConfig:
         (:class:`~repro.mapreduce.parallel.ParallelEngine`).  The default
         ``1`` runs everything in-process; with ``num_workers > 1`` one engine
         (whose workers read the columns through shared memory) is opened for
-        the whole run and every parallelisable stage fans out: the sharded context
-        interning, the blocking postings pass, the block-cleaning passes
-        (purging cardinalities, filtering keep flags, comparison
-        propagation), the meta-blocking weight streams and retained-edge
-        emission, the weight sort of the comparison columns, the batched
-        matching scores, and the connected-components clustering.  Stages
+        the whole run and every parallelisable stage fans out (interning is
+        not one: the context interns itself in the driver): the blocking
+        postings pass, the block-cleaning passes (purging cardinalities,
+        filtering keep flags, comparison propagation), the meta-blocking
+        weight streams and retained-edge emission, the weight sort of the
+        comparison columns, the batched matching scores, and the
+        connected-components clustering.  Stages
         the workers cannot reproduce (custom subclasses, foreign
         collections, the greedy center clusterings) silently run
         in-process.  Results -- blocks, retained edges, match decisions,

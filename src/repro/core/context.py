@@ -1,26 +1,46 @@
 """Shared columnar pipeline context: one tokenisation pass per workflow run.
 
-Before this module, every phase of :class:`~repro.core.workflow.ERWorkflow`
-built its own token universe: the blocking engine interned a
-:class:`~repro.text.profile_store.ProfileStore`, the matching engine interned
-another, the TF-IDF vectoriser ran a third full tokenisation pass over the
-collection to fit document frequencies, and the update/iterate phase
-re-blocked the whole collection from scratch -- so every entity description
-was tokenised three to four times per run.
-
-:class:`PipelineContext` interns the collection **once**:
+Every phase of :class:`~repro.core.workflow.ERWorkflow` reads its token view
+from one :class:`PipelineContext`, which interns the collection **once**:
 
 * every description is assigned a dense **ordinal** (in the collection's
   iteration order -- left before right for clean--clean tasks, exactly the
   order of ``BlockBuilder._iter_with_side``);
 * every token is interned into one shared **vocabulary** of dense integer
-  ids (the very representation :class:`~repro.text.profile_store.ProfileStore`
-  uses);
-* for every description, the context stores one **column per attribute**:
-  the sorted distinct token ids of that attribute's values plus the aligned
-  occurrence counts -- and one **ordered token-id stream** over all values
-  (duplicates kept, in value order), from which order-sensitive consumers
-  such as sorted-neighbourhood keys are derived.
+  ids, assigned in order of first occurrence over the collection;
+* the token data lives in flat ``array('q')`` **CSR columns** (the layout
+  :class:`~repro.core.growable.GrowableContext` and the parallel engine's
+  shared segments use), never in per-description objects:
+
+  - the **stream** column: every token id of every value in value order,
+    duplicates kept, one segment per description -- order-sensitive
+    consumers such as sorted-neighbourhood keys read it;
+  - the **slot** columns: one slot per (description, attribute), holding the
+    sorted distinct token ids of that attribute's values plus the aligned
+    occurrence counts;
+  - the **merged** columns: per description, the sorted distinct ids over
+    all attributes plus the aligned counts.
+
+**Chunks.**  The interning pass walks the descriptions in chunks of
+``_CHUNK_DESCRIPTIONS``.  A chunk is tokenised into one flat token list plus
+the token count of each slot; the vocabulary is get-or-assigned over the
+chunk's *distinct* tokens (``dict.fromkeys`` keeps first-occurrence order and
+chunks are visited in stream order, so every token still receives its id at
+its global first occurrence -- the ids are the ones a token-by-token pass
+assigns); the list is mapped to ids in one C-level pass; and one
+sorted-distinct/count kernel (:func:`_sorted_distinct`) derives the slot and
+the merged columns of the whole chunk.  The transient arrays are bounded by
+the chunk, the columns grow by ``frombytes``.  Nothing is published until
+the pass has succeeded: an interrupted pass leaves the context un-interned.
+
+**Accessors.**  :meth:`~PipelineContext.token_counts`,
+:meth:`~PipelineContext.attribute_entries` and
+:meth:`~PipelineContext.token_stream` are *per description* and return
+``array('q')`` slices; :meth:`~PipelineContext.token_columns` hands out the
+merged columns *whole* (``ptr``, ``ids``, ``counts``) for the consumers that
+work on all descriptions at once -- the token-blocking postings build,
+:meth:`~PipelineContext.fit_vectorizer` and the parallel engine's shared
+segment -- so none of them loops per description.
 
 All downstream token views are derived from these columns without touching
 the raw strings again:
@@ -31,7 +51,7 @@ the raw strings again:
 * **attribute-clustering profiles** -- the per-attribute id sets, filtered
   the same way;
 * **TF-IDF document frequencies** -- :meth:`fit_vectorizer` counts each
-  token's document frequency over the interned columns and returns a
+  token's document frequency over the merged ids column and returns a
   regularly-fitted :class:`~repro.text.vectorizer.TfIdfVectorizer` whose
   ``idf`` values are bit-identical to a ``fit(iter(data))`` pass (the
   frequencies are exact integers either way);
@@ -52,14 +72,82 @@ token data costs nothing beyond the constructor.
 from __future__ import annotations
 
 from array import array
-from typing import Dict, FrozenSet, Iterable, List, Optional, Tuple
+from collections import Counter
+from typing import Dict, FrozenSet, Iterable, Iterator, List, Optional, Tuple
 
-from repro.datamodel.collection import CleanCleanTask, EntityCollection
+from repro.datamodel.collection import CleanCleanTask
 from repro.datamodel.description import EntityDescription
 from repro.text.tokenize import tokenize
 from repro.text.vectorizer import TfIdfVectorizer
 
+try:  # pragma: no cover - exercised implicitly when numpy is installed
+    import numpy as _np
+except ImportError:  # pragma: no cover
+    _np = None
+
 ERInput = object  # EntityCollection | CleanCleanTask (kept loose to stay import-light)
+
+#: Descriptions tokenised per interning chunk: large enough that the per-chunk
+#: kernel calls amortise, small enough that its transient arrays stay around
+#: a megabyte whatever the collection size.
+_CHUNK_DESCRIPTIONS = 2048
+
+
+def _sorted_distinct(ids, ptr, id_space: int):
+    """Sorted distinct ids and their counts for every segment of a CSR column.
+
+    Segment ``s`` is ``ids[ptr[s]:ptr[s + 1]]``; returns ``(ptr, ids, counts)``
+    of the deduplicated column.  One ``np.unique`` over ``segment * id_space
+    + id`` sorts by (segment, id) and counts in a single call; the output
+    pointer comes from pointer differences over the sorted keys, so an empty
+    segment comes out empty (``np.add.reduceat`` would not give 0 for it).
+    Without NumPy the same columns are filled one segment at a time.
+    """
+    if _np is None:
+        out_ptr, out_ids, out_counts = [0], [], []
+        for start, stop in zip(ptr, ptr[1:]):
+            counted = sorted(Counter(ids[start:stop]).items())
+            out_ids.extend(token_id for token_id, _ in counted)
+            out_counts.extend(count for _, count in counted)
+            out_ptr.append(len(out_ids))
+        return out_ptr, out_ids, out_counts
+    np = _np
+    segment = np.repeat(np.arange(len(ptr) - 1, dtype=np.int64), np.diff(ptr))
+    keys, counts = np.unique(segment * id_space + ids, return_counts=True)
+    key_segment = keys // id_space
+    out_ptr = np.searchsorted(key_segment, np.arange(len(ptr)))
+    return out_ptr, keys - key_segment * id_space, counts
+
+
+def _extend(column: array, values, offset: int = 0) -> None:
+    """Append ``values`` (+ ``offset``) to an ``array('q')`` column."""
+    if _np is not None:
+        column.frombytes((_np.asarray(values, dtype=_np.int64) + offset).tobytes())
+    elif offset:
+        column.extend(value + offset for value in values)
+    else:
+        column.extend(values)
+
+
+class _Csr:
+    """One CSR group of flat ``array('q')`` columns: ``ptr``, ``ids``, ``counts``."""
+
+    __slots__ = ("ptr", "ids", "counts")
+
+    def __init__(self) -> None:
+        self.ptr = array("q", [0])
+        self.ids = array("q")
+        self.counts = array("q")
+
+    def extend(self, ptr, ids, counts) -> None:
+        """Append a chunk's CSR (its ``ptr`` starts at 0)."""
+        _extend(self.ptr, ptr[1:], len(self.ids))
+        _extend(self.ids, ids)
+        _extend(self.counts, counts)
+
+    def segment(self, index: int) -> Tuple[array, array]:
+        start, stop = self.ptr[index], self.ptr[index + 1]
+        return self.ids[start:stop], self.counts[start:stop]
 
 
 class TokenFilter:
@@ -145,14 +233,16 @@ class PipelineContext:
         # shared vocabulary (token string <-> dense id)
         self._token_ids: Dict[str, int] = {}
         self._tokens: List[str] = []
-        # per description: attribute names + aligned (sorted ids, counts) columns
-        self._attr_names: List[Tuple[str, ...]] = []
-        self._attr_ids: List[Tuple[array, ...]] = []
-        self._attr_counts: List[Tuple[array, ...]] = []
-        # per description: merged all-attribute (sorted ids, counts), built lazily
-        self._merged: List[Optional[Tuple[array, array]]] = []
         # per description: every token id in value order (duplicates kept)
-        self._streams: List[array] = []
+        self._stream_ptr = array("q", [0])
+        self._stream_ids = array("q")
+        # per description: its (attribute) slots; per slot: the attribute
+        # name and the sorted distinct ids + counts of its values
+        self._slot_ptr = array("q", [0])
+        self._slot_names: List[str] = []
+        self._slots = _Csr()
+        # per description: sorted distinct ids + counts over all attributes
+        self._merged = _Csr()
         self._filters: Dict[Tuple[FrozenSet[str], int], TokenFilter] = {}
         self._fitted: Dict[int, TfIdfVectorizer] = {}
 
@@ -163,115 +253,64 @@ class PipelineContext:
         """Whether this context was built for exactly ``data`` (identity)."""
         return data is self.data
 
-    def _collect_descriptions(self) -> List[EntityDescription]:
-        """The descriptions in interning order (left before right), side-effect:
-        records ``left_count`` for clean--clean tasks.  Does **not** mark the
-        context interned -- both the serial pass and the sharded parallel
-        build start from this exact list."""
+    def _intern_all(self) -> None:
+        """The interning pass: one chunk of descriptions at a time.
+
+        Everything is built into locals and published at the end, with the
+        ``_interned`` flag last: a pass that raises (or is interrupted)
+        leaves the context un-interned and the next access starts over.
+        """
+        if self._interned:
+            return
         data = self.data
         if isinstance(data, CleanCleanTask):
             descriptions = list(data.left) + list(data.right)
-            self.left_count = len(data.left)
+            left_count = len(data.left)
         else:
             descriptions = list(data)
-        return descriptions
-
-    def _intern_all(self) -> None:
-        if self._interned:
-            return
+            left_count = -1
+        token_ids: Dict[str, int] = {}
+        tokens: List[str] = []
+        stream_ptr, stream_ids = array("q", [0]), array("q")
+        slot_ptr = array("q", [0])
+        slot_names: List[str] = []
+        slots, merged = _Csr(), _Csr()
+        for chunk_start in range(0, len(descriptions), _CHUNK_DESCRIPTIONS):
+            # chunk-local CSR of the raw tokens: token list, the token
+            # position each slot ends at, the slot each description ends at
+            chunk_tokens: List[str] = []
+            slot_ends = array("q", [0])
+            description_ends = array("q", [0])
+            slot_base = len(slot_names)
+            for description in descriptions[chunk_start : chunk_start + _CHUNK_DESCRIPTIONS]:
+                names = description.attribute_names
+                for attribute in names:
+                    for value in description.values(attribute):
+                        chunk_tokens += tokenize(value)
+                    slot_ends.append(len(chunk_tokens))
+                slot_names += names
+                description_ends.append(len(slot_names) - slot_base)
+            fresh = [token for token in dict.fromkeys(chunk_tokens) if token not in token_ids]
+            token_ids.update(zip(fresh, range(len(tokens), len(tokens) + len(fresh))))
+            tokens += fresh
+            ids = array("q", map(token_ids.__getitem__, chunk_tokens))
+            token_ends = array("q", map(slot_ends.__getitem__, description_ends))
+            _extend(stream_ptr, token_ends[1:], len(stream_ids))
+            stream_ids.extend(ids)
+            _extend(slot_ptr, description_ends[1:], slot_base)
+            slots.extend(*_sorted_distinct(ids, slot_ends, len(tokens)))
+            merged.extend(*_sorted_distinct(ids, token_ends, len(tokens)))
+        self._ids = [description.identifier for description in descriptions]
+        self._ordinal = {identifier: ordinal for ordinal, identifier in enumerate(self._ids)}
+        self._descriptions = descriptions
+        self.left_count = left_count
+        # filled in place: whoever already holds the vocabulary sees it
+        self._token_ids.update(token_ids)
+        self._tokens[:] = tokens
+        self._stream_ptr, self._stream_ids = stream_ptr, stream_ids
+        self._slot_ptr, self._slot_names = slot_ptr, slot_names
+        self._slots, self._merged = slots, merged
         self._interned = True
-        descriptions = self._collect_descriptions()
-        token_ids = self._token_ids
-        tokens = self._tokens
-        for description in descriptions:
-            self._ordinal[description.identifier] = len(self._ids)
-            self._ids.append(description.identifier)
-            self._descriptions.append(description)
-            names: List[str] = []
-            id_columns: List[array] = []
-            count_columns: List[array] = []
-            stream = array("q")
-            for attribute in description.attribute_names:
-                counts: Dict[int, int] = {}
-                for value in description.values(attribute):
-                    for token in tokenize(value):
-                        token_id = token_ids.get(token)
-                        if token_id is None:
-                            token_id = len(tokens)
-                            token_ids[token] = token_id
-                            tokens.append(token)
-                        counts[token_id] = counts.get(token_id, 0) + 1
-                        stream.append(token_id)
-                names.append(attribute)
-                items = sorted(counts.items())
-                id_columns.append(array("q", (t for t, _ in items)))
-                count_columns.append(array("q", (c for _, c in items)))
-            self._attr_names.append(tuple(names))
-            self._attr_ids.append(tuple(id_columns))
-            self._attr_counts.append(tuple(count_columns))
-            self._merged.append(None)
-            self._streams.append(stream)
-
-    def _intern_shards(
-        self,
-        descriptions: List[EntityDescription],
-        shards: Iterable[Tuple[List[str], list]],
-    ) -> None:
-        """Merge worker-built interning shards into this (empty) context.
-
-        Each shard covers a contiguous slice of ``descriptions`` (shards in
-        slice order) and carries a *local* vocabulary -- token strings in the
-        shard's first-occurrence order -- plus, per description, the
-        attribute names and the per-attribute local-id/count columns and the
-        local-id stream, exactly as :meth:`_intern_all` would have built them
-        with a fresh vocabulary.
-
-        The merge reassigns global ids by walking the shard vocabularies in
-        shard order and get-or-assigning each token: a token's global id is
-        therefore assigned at its global first occurrence, which reproduces
-        the serial vocabulary order byte for byte.  Per-attribute columns are
-        remapped and re-sorted by global id (the serial columns are sorted by
-        id), and streams are remapped elementwise (order preserved).
-        """
-        if self._interned:
-            raise RuntimeError("context is already interned")
-        self._interned = True
-        token_ids = self._token_ids
-        tokens = self._tokens
-        position = 0
-        for local_tokens, entries in shards:
-            remap = array("q", bytes(8 * len(local_tokens)))
-            for local_id, token in enumerate(local_tokens):
-                token_id = token_ids.get(token)
-                if token_id is None:
-                    token_id = len(tokens)
-                    token_ids[token] = token_id
-                    tokens.append(token)
-                remap[local_id] = token_id
-            for names, id_columns, count_columns, stream in entries:
-                description = descriptions[position]
-                position += 1
-                self._ordinal[description.identifier] = len(self._ids)
-                self._ids.append(description.identifier)
-                self._descriptions.append(description)
-                global_ids: List[array] = []
-                global_counts: List[array] = []
-                for ids_local, counts_local in zip(id_columns, count_columns):
-                    items = sorted(
-                        zip((remap[t] for t in ids_local), counts_local)
-                    )
-                    global_ids.append(array("q", (t for t, _ in items)))
-                    global_counts.append(array("q", (c for _, c in items)))
-                self._attr_names.append(names)
-                self._attr_ids.append(tuple(global_ids))
-                self._attr_counts.append(tuple(global_counts))
-                self._merged.append(None)
-                self._streams.append(array("q", (remap[t] for t in stream)))
-        if position != len(descriptions):
-            raise RuntimeError(
-                f"interning shards cover {position} descriptions, "
-                f"expected {len(descriptions)}"
-            )
 
     @property
     def num_descriptions(self) -> int:
@@ -334,7 +373,7 @@ class PipelineContext:
     # ------------------------------------------------------------------
     # per-description columns
     # ------------------------------------------------------------------
-    def attribute_entries(self, ordinal: int) -> Iterable[Tuple[str, array, array]]:
+    def attribute_entries(self, ordinal: int) -> Iterator[Tuple[str, array, array]]:
         """``(attribute, sorted distinct ids, aligned counts)`` per attribute.
 
         Attributes whose values hold no token still appear (with empty
@@ -342,11 +381,10 @@ class PipelineContext:
         empty profile for them.
         """
         self._intern_all()
-        return zip(
-            self._attr_names[ordinal],
-            self._attr_ids[ordinal],
-            self._attr_counts[ordinal],
-        )
+        names = self._slot_names
+        segment = self._slots.segment
+        for slot in range(self._slot_ptr[ordinal], self._slot_ptr[ordinal + 1]):
+            yield (names[slot], *segment(slot))
 
     def token_stream(self, ordinal: int) -> array:
         """Every token id of the description, in value order, duplicates kept.
@@ -361,33 +399,30 @@ class PipelineContext:
         strings again.
         """
         self._intern_all()
-        return self._streams[ordinal]
+        return self._stream_ids[self._stream_ptr[ordinal] : self._stream_ptr[ordinal + 1]]
 
     def token_counts(self, ordinal: int) -> Tuple[array, array]:
         """All-attribute ``(sorted distinct ids, aligned occurrence counts)``.
 
-        The merge over the per-attribute columns is computed once per
-        description and cached; the counts are exactly the ones
+        A slice of the merged columns; the counts are exactly the ones
         ``TfIdfVectorizer.transform`` derives from the raw values.
         """
         self._intern_all()
-        merged = self._merged[ordinal]
-        if merged is None:
-            id_columns = self._attr_ids[ordinal]
-            if len(id_columns) == 1:
-                merged = (id_columns[0], self._attr_counts[ordinal][0])
-            else:
-                counts: Dict[int, int] = {}
-                for ids, column in zip(id_columns, self._attr_counts[ordinal]):
-                    for token_id, count in zip(ids, column):
-                        counts[token_id] = counts.get(token_id, 0) + count
-                items = sorted(counts.items())
-                merged = (
-                    array("q", (t for t, _ in items)),
-                    array("q", (c for _, c in items)),
-                )
-            self._merged[ordinal] = merged
-        return merged
+        return self._merged.segment(ordinal)
+
+    # ------------------------------------------------------------------
+    # whole columns
+    # ------------------------------------------------------------------
+    def token_columns(self) -> Tuple[array, array, array]:
+        """The merged columns whole: ``(ptr, ids, counts)``.
+
+        ``token_counts(o)`` is ``ids[ptr[o]:ptr[o + 1]]`` with the aligned
+        ``counts``.  For consumers that process every description at once;
+        the arrays are the context's own -- read, never mutate.
+        """
+        self._intern_all()
+        merged = self._merged
+        return merged.ptr, merged.ids, merged.counts
 
     # ------------------------------------------------------------------
     # TF-IDF fitting from the interned postings
@@ -395,8 +430,9 @@ class PipelineContext:
     def fit_vectorizer(self, min_token_length: int = 1) -> TfIdfVectorizer:
         """A fitted :class:`TfIdfVectorizer`, derived from the interned columns.
 
-        Document frequencies are counted over the per-description distinct
-        ids instead of a second tokenisation pass.  The result is
+        A token's document frequency is its number of occurrences in the
+        merged ids column (each description lists it once), counted in one
+        pass instead of a second tokenisation.  The result is
         indistinguishable from ``TfIdfVectorizer(min_token_length).fit(iter(data))``:
         the frequency of every token and the document count are the same
         exact integers, so every derived ``idf`` is the same float.
@@ -404,19 +440,19 @@ class PipelineContext:
         cached = self._fitted.get(min_token_length)
         if cached is not None:
             return cached
-        self._intern_all()
-        frequencies = [0] * len(self._tokens)
-        token_filter = self.token_filter(None, min_token_length)
-        trivial = token_filter.trivial
-        for ordinal in range(len(self._ids)):
-            ids, _counts = self.token_counts(ordinal)
-            for token_id in ids:
-                if trivial or token_filter.allows(token_id):
-                    frequencies[token_id] += 1
+        _ptr, ids, _counts = self.token_columns()
+        tokens = self._tokens
+        if _np is not None:
+            frequencies = _np.bincount(
+                _np.frombuffer(ids, dtype=_np.int64), minlength=len(tokens)
+            ).tolist()
+        else:
+            counted = Counter(ids)
+            frequencies = [counted[token_id] for token_id in range(len(tokens))]
         document_frequency = {
-            self._tokens[token_id]: frequency
-            for token_id, frequency in enumerate(frequencies)
-            if frequency
+            token: frequency
+            for token, frequency in zip(tokens, frequencies)
+            if frequency and len(token) >= min_token_length
         }
         vectorizer = TfIdfVectorizer.from_document_frequencies(
             document_frequency, len(self._ids), min_token_length=min_token_length

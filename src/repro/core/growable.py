@@ -19,11 +19,11 @@ processes).  This module provides the two pieces:
   ``_tokens`` and ``vocabulary_size``, both of which this class provides),
   so stop-word masks keep extending lazily as the vocabulary grows.
 
-Tokenisation follows ``PipelineContext._intern_all`` to the letter --
-``tokenize`` over each attribute's values in insertion order, first-touch
-vocabulary ids, sorted distinct (id, count) columns -- so a record interned
-here produces the same per-record token structure the batch pipeline would
-build for it.
+Interning here is one arrival at a time, but to the same definition as
+``PipelineContext``'s chunked batch pass -- ``tokenize`` over each
+attribute's values in insertion order, first-touch vocabulary ids, sorted
+distinct (id, count) columns -- so a record interned here produces the same
+per-record token structure the batch pipeline would build for it.
 
 Identifiers may be *re-bound*: removing a record from an index and adding a
 revised description appends a fresh ordinal and points the identifier at it;

@@ -344,15 +344,6 @@ class ERWorkflow:
         # shared columnar context: the collection is interned exactly once
         # and every phase derives its token view from the shared columns
         context = PipelineContext(data)
-        if parallel is not None:
-            start = time.perf_counter()
-            if parallel.intern_context(context):
-                report.add_stage(
-                    "interning@parallel",
-                    descriptions=context.num_descriptions,
-                    tokens=context.vocabulary_size,
-                    seconds=time.perf_counter() - start,
-                )
 
         # ---------------- blocking ----------------
         start = time.perf_counter()

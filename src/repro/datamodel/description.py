@@ -76,11 +76,20 @@ class EntityDescription:
         if isinstance(value, (int, float)):
             return (str(value),)
         if isinstance(value, (list, tuple, set, frozenset)):
-            return tuple(str(v) for v in value if v is not None and str(v) != "")
+            values = [str(v) for v in value if v is not None and str(v) != ""]
+            if isinstance(value, (set, frozenset)):
+                # hash order differs between runs (PYTHONHASHSEED)
+                values.sort()
+            return tuple(values)
         raise TypeError(f"unsupported attribute value type: {type(value)!r}")
 
     def add(self, name: str, value: object) -> None:
-        """Add one or more values for attribute ``name``."""
+        """Add one or more values for attribute ``name``.
+
+        Lists and tuples keep their order; a ``set`` / ``frozenset`` is added
+        in sorted order, so the same record gives the same value order --
+        hence the same token streams and vocabulary ids -- in every run.
+        """
         values = self._as_values(value)
         if not values:
             return

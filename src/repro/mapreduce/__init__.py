@@ -13,8 +13,8 @@ actual wall-clock speedup on multi-core machines:
   meta-blocking CSR index by contiguous entity-ordinal ranges
   (:func:`~repro.mapreduce.balancing.contiguous_partitions` balances the
   ranges by per-entity cost) and runs every parallelisable workflow stage
-  in ``multiprocessing`` workers: the sharded context interning (local
-  vocabularies merged in range order), the blocking postings pass, the
+  in ``multiprocessing`` workers (interning is not one: the context interns
+  itself in the driver): the blocking postings pass, the
   block-cleaning passes (purging cardinalities, filtering keep flags,
   comparison propagation), the meta-blocking index engine's ranged pruning
   passes (retained-edge columns for all pruning schemes), the weight sort

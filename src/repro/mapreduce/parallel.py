@@ -239,14 +239,7 @@ class ParallelEngine:
         if cached is not None and cached[0] is context:
             return cached[1]
         num_descriptions = context.num_descriptions
-        tok_ptr = array("q", [0])
-        tok_ids = array("q")
-        tok_counts = array("q")
-        for ordinal in range(num_descriptions):
-            ids_column, counts_column = context.token_counts(ordinal)
-            _extend_int64(tok_ids, ids_column)
-            _extend_int64(tok_counts, counts_column)
-            tok_ptr.append(len(tok_ids))
+        tok_ptr, tok_ids, tok_counts = context.token_columns()
         segment = self._segment(
             {
                 "tok_ptr": ("q", tok_ptr),
@@ -293,40 +286,14 @@ class ParallelEngine:
     # context interning
     # ------------------------------------------------------------------
     def intern_context(self, context) -> bool:
-        """Build ``context``'s interned columns with the pool (sharded interning).
+        """Always ``False``: the context interns itself serially.
 
-        Workers tokenise contiguous description ranges into local
-        vocabularies; the driver merges the shard vocabularies in range order
-        (get-or-assign reproduces the serial first-occurrence id order) and
-        remaps the per-attribute columns and streams, so ordinals, vocabulary
-        order and every column are byte-identical to the serial
-        ``_intern_all`` pass.  Returns ``False`` -- leaving the context to
-        intern itself serially -- when there is nothing to shard (an already
-        interned or near-empty context).
+        Interning is not a pooled stage (shipping the raw strings to workers
+        cost more than the whole serial pass).  The method survives only
+        because ``benchmarks/perf/tracing.py`` calls it and reads ``False``
+        as "force the serial pass"; it goes when that call does.
         """
-        if context is None or context._interned:
-            return False
-        descriptions = context._collect_descriptions()
-        if len(descriptions) < 2:
-            return False
-        payloads = []
-        costs = []
-        for description in descriptions:
-            attributes = tuple(
-                (attribute, description.values(attribute))
-                for attribute in description.attribute_names
-            )
-            payloads.append(attributes)
-            costs.append(
-                1 + sum(len(value) for _, values in attributes for value in values)
-            )
-        tasks = [
-            (payloads[start:stop],)
-            for start, stop in contiguous_partitions(costs, self.num_workers)
-        ]
-        shards = self._run(worker.intern_descriptions_job, tasks, "interning")
-        context._intern_shards(descriptions, shards)
-        return True
+        return False
 
     # ------------------------------------------------------------------
     # blocking

@@ -37,7 +37,6 @@ from repro.mapreduce import faults
 from repro.mapreduce.shm import AttachedSegment, SegmentSpec, attach
 from repro.matching.engine import _set_score
 from repro.metablocking.entity_index import EntityIndexEngine
-from repro.text.tokenize import tokenize
 from repro.text.vectorizer import SparseVector, weighted_cosine
 
 try:  # pragma: no cover - exercised implicitly when numpy is installed
@@ -108,53 +107,6 @@ def _segment(spec: SegmentSpec) -> AttachedSegment:
 def _engines_pop(name: str) -> None:
     for key in [k for k in _engines if k[0] == name]:
         del _engines[key]
-
-
-# ----------------------------------------------------------------------
-# context interning
-# ----------------------------------------------------------------------
-def intern_descriptions_job(args):
-    """Intern one contiguous description range into a *local* vocabulary.
-
-    The payload is the raw attribute material of the range -- per
-    description, ``(attribute, values)`` pairs in attribute order.  The loop
-    is ``PipelineContext._intern_all`` run with a fresh vocabulary: local
-    token ids are assigned in the shard's first-occurrence order, so the
-    driver's shard-order get-or-assign merge reassigns them to exactly the
-    serial global ids (``PipelineContext._intern_shards``).
-
-    Returns ``(local tokens, entries)`` where each entry is
-    ``(attribute names, per-attribute sorted local ids, aligned counts,
-    local-id stream)``.
-    """
-    (payload,) = args
-    token_ids: Dict[str, int] = {}
-    tokens = []
-    entries = []
-    for attributes in payload:
-        names = []
-        id_columns = []
-        count_columns = []
-        stream = array("q")
-        for attribute, values in attributes:
-            counts: Dict[int, int] = {}
-            for value in values:
-                for token in tokenize(value):
-                    token_id = token_ids.get(token)
-                    if token_id is None:
-                        token_id = len(tokens)
-                        token_ids[token] = token_id
-                        tokens.append(token)
-                    counts[token_id] = counts.get(token_id, 0) + 1
-                    stream.append(token_id)
-            names.append(attribute)
-            items = sorted(counts.items())
-            id_columns.append(array("q", (t for t, _ in items)))
-            count_columns.append(array("q", (c for _, c in items)))
-        entries.append(
-            (tuple(names), tuple(id_columns), tuple(count_columns), stream)
-        )
-    return tokens, entries
 
 
 # ----------------------------------------------------------------------

@@ -38,6 +38,19 @@ DEFAULT_STOP_WORDS: FrozenSet[str] = frozenset(
 )
 
 
+def _words(value: str) -> List[str]:
+    """The normalised word tokens of ``value``, in order (duplicates kept).
+
+    The one word split :func:`normalize` and :func:`tokenize` share: strip
+    accents (NFKD, non-ASCII dropped), lowercase, keep the letter/digit runs.
+    An all-ASCII value is its own NFKD form and survives the ASCII round trip
+    unchanged, so it goes straight to the lowercase + split.
+    """
+    if not value.isascii():
+        value = unicodedata.normalize("NFKD", value).encode("ascii", "ignore").decode("ascii")
+    return _WORD_RE.findall(value.lower())
+
+
 def normalize(value: str) -> str:
     """Normalise a string value: lowercase, strip accents, collapse whitespace.
 
@@ -45,12 +58,7 @@ def normalize(value: str) -> str:
     and removes punctuation -- so that tokens extracted from heterogeneous KBs
     remain comparable without destroying distinguishing content.
     """
-    if not value:
-        return ""
-    decomposed = unicodedata.normalize("NFKD", value)
-    ascii_only = decomposed.encode("ascii", "ignore").decode("ascii")
-    lowered = ascii_only.lower()
-    return " ".join(_WORD_RE.findall(lowered))
+    return " ".join(_words(value))
 
 
 def tokenize(
@@ -70,15 +78,11 @@ def tokenize(
     min_length:
         Minimum number of characters a token must have to be kept.
     """
-    normalized = normalize(value)
-    if not normalized:
-        return []
+    words = _words(value)
+    if min_length <= 1 and not stop_words:
+        return words
     stops: FrozenSet[str] = frozenset(stop_words) if stop_words else frozenset()
-    return [
-        token
-        for token in normalized.split(" ")
-        if len(token) >= min_length and token not in stops
-    ]
+    return [token for token in words if len(token) >= min_length and token not in stops]
 
 
 def token_set(

@@ -38,6 +38,15 @@ def test_empty_and_none_values_are_ignored():
     assert "name" not in description
 
 
+def test_set_values_are_added_in_sorted_order():
+    # hash order changes with PYTHONHASHSEED; token streams, vocabulary ids
+    # and sorted-neighbourhood keys all follow the value order
+    assert EntityDescription("x", {"a": {"c", "b", "d"}}).values("a") == ("b", "c", "d")
+    assert EntityDescription("x", {"a": frozenset({3, 1, 2})}).values("a") == ("1", "2", "3")
+    # sequences keep their insertion order
+    assert EntityDescription("x", {"a": ["c", "b", "d"]}).values("a") == ("c", "b", "d")
+
+
 def test_iteration_yields_attribute_value_pairs():
     description = EntityDescription("e1", {"name": "Alan", "topic": ["a", "b"]})
     pairs = list(description)

@@ -89,7 +89,6 @@ CONFIG_OVERRIDES = {
 }
 
 STAGE_TO_CONFIG = {
-    "interning": "default",
     "postings": "default",
     "cardinalities": "default",
     "filtering": "default",
@@ -163,7 +162,7 @@ class TestWorkflowKillMatrix:
         assert _result_fingerprint(result) == baselines["default"]
         assert_no_orphans()
 
-    @pytest.mark.parametrize("stage", ("interning", "wnp_emit"))
+    @pytest.mark.parametrize("stage", ("postings", "wnp_emit"))
     def test_straggler_worker_changes_nothing(self, small_dirty_dataset, baselines, stage):
         # a delayed worker needs no recovery at all -- and must not get any
         result = _run_faulted(

@@ -3,9 +3,9 @@
 ``tests/test_parallel_engine.py`` covers the original pooled stages
 (blocking postings, meta-blocking node weights, matching scores); this
 module sweeps the stages added for the multi-core end-to-end workflow --
-sharded context interning, the block-cleaning passes (purging, filtering,
-comparison propagation), the parametrised pruning schemes (explicit CEP
-budgets and CNP ``k`` values, the reciprocal variants), the pooled weight
+the block-cleaning passes (purging, filtering, comparison propagation), the
+parametrised pruning schemes (explicit CEP budgets and CNP ``k`` values, the
+reciprocal variants), the pooled weight
 sort of the comparison columns and the per-shard union--find clustering --
 each at 1/2/4/8 workers against the sequential engines, plus the
 ``contiguous_partitions`` edge cases the balancing layer must survive
@@ -132,35 +132,17 @@ class TestContiguousPartitionsEdgeCases:
 
 
 class TestParallelInterning:
-    @pytest.mark.parametrize("dataset", DATASETS)
-    @pytest.mark.parametrize("workers", WORKER_COUNTS)
-    def test_interned_columns_bit_identical(self, request, dataset, workers):
-        data, _, _ = _setup(request, dataset)
-        serial = PipelineContext(data)
-        serial._intern_all()
-        sharded = PipelineContext(data)
-        with ParallelEngine(num_workers=workers) as par:
-            assert par.intern_context(sharded)
-        assert sharded._interned
-        assert sharded._ids == serial._ids
-        assert sharded._ordinal == serial._ordinal
-        assert sharded._descriptions == serial._descriptions
-        assert sharded.left_count == serial.left_count
-        # the vocabulary must reproduce the serial first-occurrence order,
-        # not just the same token set: every downstream ordinal depends on it
-        assert sharded._tokens == serial._tokens
-        assert sharded._token_ids == serial._token_ids
-        assert sharded._attr_names == serial._attr_names
-        assert sharded._attr_ids == serial._attr_ids
-        assert sharded._attr_counts == serial._attr_counts
-        assert sharded._streams == serial._streams
+    """Interning is not a pooled stage: the engine refuses, the context interns itself."""
 
     def test_already_interned_context_is_refused(self, dirty_setup):
         data, _, _ = dirty_setup
         context = PipelineContext(data)
-        context._intern_all()
         with ParallelEngine(num_workers=2) as par:
+            assert not par.intern_context(context)  # fresh: left un-interned
+            assert not context._interned
+            context._intern_all()
             assert not par.intern_context(context)
+            assert par.fault_stats == {}
 
     def test_near_empty_context_falls_back(self, tiny_collection):
         single = PipelineContext(

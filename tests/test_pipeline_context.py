@@ -1,16 +1,21 @@
 """Tests for the shared columnar pipeline context.
 
-Covers three guarantees: the derived token views (blocking keys, TF-IDF fit,
-matching profiles) are bit-identical to the per-stage tokenising paths; a
-full ``ERWorkflow.run`` produces exactly the output of a run whose
-components never read the context (a builder and a matcher subclass, which
-tokenise for themselves); and -- the single-interning guarantee -- a default
-workflow run tokenises every attribute value exactly once.
+Covers four guarantees: the chunked interning pass fills exactly the columns
+of the token-by-token loop it replaced (``reference_columns``, kept here as
+the reference) at every chunk size and on both column kernels; the derived
+token views (blocking keys, TF-IDF fit, matching profiles) are bit-identical
+to the per-stage tokenising paths; a full ``ERWorkflow.run`` produces exactly
+the output of a run whose components never read the context (a builder and a
+matcher subclass, which tokenise for themselves); and -- the
+single-interning guarantee -- a default workflow run tokenises every
+attribute value exactly once.
 """
 
 import importlib
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 # ``import repro.text.tokenize as ...`` would resolve to the *function* the
 # package __init__ re-exports under the same name; fetch the module itself
@@ -21,9 +26,12 @@ from repro.blocking.token_blocking import (
     PrefixInfixSuffixBlocking,
     TokenBlocking,
 )
+from repro.core import context as context_module
 from repro.core.config import WorkflowConfig
 from repro.core.context import PipelineContext
 from repro.core.workflow import ERWorkflow, default_workflow
+from repro.datamodel.collection import CleanCleanTask, EntityCollection
+from repro.datamodel.description import EntityDescription
 from repro.datasets import (
     DatasetConfig,
     generate_clean_clean_task,
@@ -73,6 +81,195 @@ def _block_tuples(blocks):
         (block.key, block.members, block.left_members, block.right_members)
         for block in blocks
     ]
+
+
+def reference_columns(data):
+    """The token-by-token interning loop the chunked pass replaced.
+
+    One ``dict.get`` / count / append per token occurrence; the vocabulary
+    order, ordinals and every column of ``PipelineContext`` must equal it.
+    """
+    if isinstance(data, CleanCleanTask):
+        descriptions = list(data.left) + list(data.right)
+        left_count = len(data.left)
+    else:
+        descriptions = list(data)
+        left_count = -1
+    token_ids = {}
+    tokens = []
+    ordinal = {}
+    attribute_entries, token_counts, token_stream = [], [], []
+    for description in descriptions:
+        ordinal[description.identifier] = len(token_stream)
+        entries = []
+        merged = {}
+        stream = []
+        for attribute in description.attribute_names:
+            counts = {}
+            for value in description.values(attribute):
+                for token in tokenize_module.tokenize(value):
+                    token_id = token_ids.get(token)
+                    if token_id is None:
+                        token_id = len(tokens)
+                        token_ids[token] = token_id
+                        tokens.append(token)
+                    counts[token_id] = counts.get(token_id, 0) + 1
+                    merged[token_id] = merged.get(token_id, 0) + 1
+                    stream.append(token_id)
+            items = sorted(counts.items())
+            entries.append((attribute, [t for t, _ in items], [c for _, c in items]))
+        items = sorted(merged.items())
+        attribute_entries.append(entries)
+        token_counts.append(([t for t, _ in items], [c for _, c in items]))
+        token_stream.append(stream)
+    return {
+        "ids": [description.identifier for description in descriptions],
+        "ordinal": ordinal,
+        "left_count": left_count,
+        "tokens": tokens,
+        "attribute_entries": attribute_entries,
+        "token_counts": token_counts,
+        "token_stream": token_stream,
+    }
+
+
+def interned_columns(context):
+    """What ``PipelineContext`` serves, in ``reference_columns``' shape."""
+    ordinals = range(context.num_descriptions)
+    ptr, ids, counts = (column.tolist() for column in context.token_columns())
+    token_counts = [
+        tuple(column.tolist() for column in context.token_counts(o)) for o in ordinals
+    ]
+    # the whole-column accessor is the per-description one, concatenated
+    assert [(ids[a:b], counts[a:b]) for a, b in zip(ptr, ptr[1:])] == token_counts
+    return {
+        "ids": context.ids,
+        "ordinal": {identifier: context.ordinal(identifier) for identifier in context.ids},
+        "left_count": context.left_count,
+        "tokens": [context.token(t) for t in range(context.vocabulary_size)],
+        "attribute_entries": [
+            [(name, a.tolist(), c.tolist()) for name, a, c in context.attribute_entries(o)]
+            for o in ordinals
+        ],
+        "token_counts": token_counts,
+        "token_stream": [context.token_stream(o).tolist() for o in ordinals],
+    }
+
+
+def _odd_values_collection():
+    """Values the word split treats specially, around chunk boundaries of 7."""
+    plain = {"name": "Alan Turing", "city": ["London", "Wilmslow"]}
+    descriptions = [
+        EntityDescription("odd:0", {"name": "Zo\u00eb Caf\u00e9 CAF\u00c9", "note": "na\u00efve caf\u00e9"}),
+        EntityDescription("odd:1", {"name": "\ufb01nal \ufb02ight \u2167 \u00bd", "cjk": "\u6771\u4eac"}),
+        EntityDescription("odd:2", {"punct": ["---", "!!!"], "name": "alan"}),
+        EntityDescription("odd:3"),  # no attributes, middle of a chunk
+        EntityDescription("odd:4", {"ctrl": "The\x00Data\tBase data", "name": "data"}),
+        EntityDescription("odd:5", {"cjk": ["\u6771\u4eac", "\u5927\u962a"]}),  # no token at all
+        EntityDescription("odd:6"),  # no attributes, end of the first chunk of 7
+        EntityDescription("odd:7", plain),
+        EntityDescription("odd:8", {"name": "turing turing alan", "alias": "Alan"}),
+        EntityDescription("odd:9", {"punct": "---"}),
+        EntityDescription("odd:10"),  # no attributes, end of the collection
+    ]
+    return EntityCollection(descriptions, name="odd")
+
+
+#: text that exercises both word-split branches and values without tokens
+_value_text = st.text(
+    alphabet="abcAB01 -.\t\x00\u00e9\u00df\ufb01\u6771", min_size=0, max_size=12
+)
+
+
+@st.composite
+def _generated_collections(draw):
+    attributes = st.dictionaries(
+        st.sampled_from(["name", "title", "note", "venue"]),
+        st.one_of(_value_text, st.lists(_value_text, max_size=3)),
+        max_size=3,
+    )
+    records = draw(st.lists(attributes, max_size=12))
+    return EntityCollection(
+        [EntityDescription(f"gen:{index}", record) for index, record in enumerate(records)],
+        name="generated",
+    )
+
+
+@pytest.fixture(params=[1, 7, None], ids=["chunk1", "chunk7", "chunk-default"])
+def chunk_size(request, monkeypatch):
+    if request.param is not None:
+        monkeypatch.setattr(context_module, "_CHUNK_DESCRIPTIONS", request.param)
+    return request.param
+
+
+@pytest.fixture(params=[True, False], ids=["numpy", "no-numpy"])
+def column_kernel(request, monkeypatch):
+    if not request.param:
+        monkeypatch.setattr(context_module, "_np", None)
+    elif context_module._np is None:
+        pytest.skip("numpy is not importable")
+    return request.param
+
+
+class TestColumnsEqualReference:
+    """The chunked pass reproduces the token-by-token loop, column for column."""
+
+    @pytest.mark.parametrize("kind", ["dirty", "clean_clean", "odd"])
+    def test_fixture_columns(self, dirty, clean_clean, kind, chunk_size, column_kernel):
+        data = {
+            "dirty": dirty.collection,
+            "clean_clean": clean_clean.task,
+            "odd": _odd_values_collection(),
+        }[kind]
+        assert interned_columns(PipelineContext(data)) == reference_columns(data)
+
+    def test_odd_values_hit_the_special_cases(self):
+        reference = reference_columns(_odd_values_collection())
+        entries = reference["attribute_entries"]
+        tokens = reference["tokens"]
+        assert [tokens[t] for t in reference["token_stream"][0]] == [
+            "zoe", "cafe", "cafe", "naive", "cafe",
+        ]
+        assert [tokens[t] for t in reference["token_stream"][1]] == [
+            "final", "flight", "viii", "12",
+        ]
+        assert entries[2][0] == ("punct", [], [])  # an attribute without tokens
+        assert entries[3] == [] and entries[6] == [] and entries[10] == []
+        assert [tokens[t] for t in reference["token_stream"][4]] == [
+            "the", "data", "base", "data", "data",
+        ]
+        assert reference["token_stream"][5] == []
+
+    @settings(max_examples=60, deadline=None)
+    @given(
+        data=_generated_collections(),
+        chunk=st.sampled_from([1, 7, context_module._CHUNK_DESCRIPTIONS]),
+        numpy_kernel=st.booleans(),
+    )
+    def test_generated_columns(self, data, chunk, numpy_kernel):
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(context_module, "_CHUNK_DESCRIPTIONS", chunk)
+            if not numpy_kernel:
+                patch.setattr(context_module, "_np", None)
+            assert interned_columns(PipelineContext(data)) == reference_columns(data)
+
+    def test_interrupted_pass_publishes_nothing(self, dirty, monkeypatch):
+        """A pass that raises leaves the context un-interned, not truncated."""
+        data = dirty.collection
+        calls = []
+
+        def failing_once(value):
+            calls.append(value)
+            if len(calls) == 200:
+                raise KeyboardInterrupt
+            return tokenize_module.tokenize(value)
+
+        monkeypatch.setattr(context_module, "tokenize", failing_once)
+        context = PipelineContext(data)
+        with pytest.raises(KeyboardInterrupt):
+            context.num_descriptions
+        assert interned_columns(context) == reference_columns(data)
+        assert context.num_descriptions == len(data)
 
 
 class TestContextStructure:
@@ -141,6 +338,28 @@ class TestDerivedViews:
             plain = BlockingEngine(builder_factory()).build(data)
             shared = BlockingEngine(builder_factory(), context=context).build(data)
             assert _block_tuples(shared) == _block_tuples(plain)
+
+    def test_plain_token_build_reads_whole_columns(self, dirty, monkeypatch):
+        """With NumPy the postings come from the merged column at once: no
+        per-token filter call, no per-token posting append; without it the
+        per-description loop builds the same blocks."""
+        from repro.blocking import engine as engine_module
+
+        data = dirty.collection
+        expected = _block_tuples(BlockingEngine(TokenBlocking()).build(data))
+
+        def per_token_call(*_args):
+            raise AssertionError("per-token call in the whole-column build")
+
+        if engine_module._np is not None:
+            with monkeypatch.context() as patch:
+                patch.setattr(context_module.TokenFilter, "allows", per_token_call)
+                patch.setattr(engine_module, "_append_posting", per_token_call)
+                shared = BlockingEngine(TokenBlocking(), context=PipelineContext(data))
+                assert _block_tuples(shared.build(data)) == expected
+        monkeypatch.setattr(engine_module, "_np", None)
+        shared = BlockingEngine(TokenBlocking(), context=PipelineContext(data))
+        assert _block_tuples(shared.build(data)) == expected
 
     def test_foreign_data_ignores_context(self, dirty):
         other = generate_dirty_dataset(DatasetConfig(num_entities=20, seed=2)).collection
@@ -237,18 +456,18 @@ class TestWorkflowEquivalence:
 
 
 class TestSingleInterning:
-    def _count_normalize_calls(self, monkeypatch):
+    def _count_word_split_calls(self, monkeypatch):
         calls = []
-        original = tokenize_module.normalize
+        original = tokenize_module._words
 
         def counting(value):
             calls.append(value)
             return original(value)
 
-        # ``tokenize`` resolves ``normalize`` through its module globals, so
-        # patching the module attribute intercepts every tokenisation no
-        # matter which module called it
-        monkeypatch.setattr(tokenize_module, "normalize", counting)
+        # ``tokenize`` and ``normalize`` resolve their shared word split
+        # through the module globals, so patching the module attribute
+        # intercepts every tokenisation no matter which module called it
+        monkeypatch.setattr(tokenize_module, "_words", counting)
         return calls
 
     def test_default_workflow_tokenises_each_value_exactly_once(
@@ -256,7 +475,7 @@ class TestSingleInterning:
     ):
         data = dirty.collection
         num_values = sum(len(description.values()) for description in data)
-        calls = self._count_normalize_calls(monkeypatch)
+        calls = self._count_word_split_calls(monkeypatch)
         default_workflow().run(data, dirty.ground_truth)
         assert len(calls) == num_values
 
@@ -266,7 +485,7 @@ class TestSingleInterning:
         """With merging enabled, extra tokenisation is only for merge products."""
         data = dirty.collection
         num_values = sum(len(description.values()) for description in data)
-        calls = self._count_normalize_calls(monkeypatch)
+        calls = self._count_word_split_calls(monkeypatch)
         result = default_workflow(iterate_merges=True).run(data, dirty.ground_truth)
         extra = len(calls) - num_values
         assert extra >= 0
@@ -281,7 +500,7 @@ class TestSingleInterning:
         data = dirty.collection
         num_values = sum(len(description.values()) for description in data)
         workflow = self_tokenising_workflow(data)
-        calls = self._count_normalize_calls(monkeypatch)
+        calls = self._count_word_split_calls(monkeypatch)
         with pytest.warns(RuntimeWarning):
             workflow.run(data, dirty.ground_truth)
         assert len(calls) >= 2 * num_values
@@ -302,6 +521,6 @@ class TestSingleInterning:
         """Every newly ported family rides the context: zero extra tokenisation."""
         data = dirty.collection
         num_values = sum(len(description.values()) for description in data)
-        calls = self._count_normalize_calls(monkeypatch)
+        calls = self._count_word_split_calls(monkeypatch)
         default_workflow(blocking=blocking).run(data, dirty.ground_truth)
         assert len(calls) == num_values

@@ -1,5 +1,9 @@
 """Tests for tokenisation and normalisation."""
 
+import random
+import re
+import unicodedata
+
 from repro.text.tokenize import (
     DEFAULT_STOP_WORDS,
     normalize,
@@ -86,3 +90,45 @@ def test_sorted_tokens_by_rarity_orders_ascending_frequency():
     document_frequency = {"common": 100, "rare": 1, "mid": 10}
     ordered = sorted_tokens_by_rarity(["common", "rare", "mid"], document_frequency)
     assert ordered == ["rare", "mid", "common"]
+
+
+def _join_and_split_normalize(value):
+    """The formulation ``normalize`` had before the shared word split."""
+    if not value:
+        return ""
+    decomposed = unicodedata.normalize("NFKD", value)
+    ascii_only = decomposed.encode("ascii", "ignore").decode("ascii")
+    return " ".join(re.findall(r"[a-z0-9]+", ascii_only.lower()))
+
+
+def _join_and_split_tokenize(value, stop_words=None, min_length=1):
+    normalized = _join_and_split_normalize(value)
+    if not normalized:
+        return []
+    stops = frozenset(stop_words) if stop_words else frozenset()
+    return [
+        token
+        for token in normalized.split(" ")
+        if len(token) >= min_length and token not in stops
+    ]
+
+
+def test_word_split_equals_join_and_split_formulation():
+    """ASCII values skip NFKD, non-ASCII ones do not: same output either way."""
+    alphabet = (
+        "abcXYZ019 .,-_/\t\n\x00"  # ASCII letters, digits, punctuation, controls
+        "\u00e9\u00fc\u00d1\u00df"  # accented Latin, sharp s
+        "\ufb01\u2167\u00bd\uff21"  # fi ligature, roman numeral, one half, fullwidth A
+        "\u6771\u4eac\u0416\u0301"  # CJK, Cyrillic, a lone combining accent
+    )
+    rng = random.Random(19)
+    values = ["", " ", "---", "The\x00Data\tBase"]
+    values += [
+        "".join(rng.choice(alphabet) for _ in range(rng.randint(0, 24))) for _ in range(600)
+    ]
+    for value in values:
+        assert normalize(value) == _join_and_split_normalize(value)
+        assert tokenize(value) == _join_and_split_tokenize(value)
+        assert tokenize(value, stop_words=DEFAULT_STOP_WORDS, min_length=2) == (
+            _join_and_split_tokenize(value, stop_words=DEFAULT_STOP_WORDS, min_length=2)
+        )
