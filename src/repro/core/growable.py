@@ -81,9 +81,17 @@ class GrowableColumn:
         chunks[-1].append(value)
         self._length += 1
 
-    def extend(self, values: Iterable[int]) -> None:
-        for value in values:
-            self.append(value)
+    def extend(self, values: Sequence[int]) -> None:
+        """Append a list of values, one ``array.extend`` slice per chunk touched."""
+        chunks = self._chunks
+        position = 0
+        while position < len(values):
+            if not chunks or len(chunks[-1]) >= self.chunk_size:
+                chunks.append(array("q"))
+            room = self.chunk_size - len(chunks[-1])
+            chunks[-1].extend(values[position : position + room])
+            position += room
+        self._length += len(values)
 
     def __getitem__(self, index: int) -> int:
         if index < 0 or index >= self._length:
@@ -227,6 +235,12 @@ class GrowableContext:
         tokens = self._tokens
         attr_ids = self._attr_map()
         merged: Dict[int, int] = {}
+        # the record's slot columns, handed over whole after the loop
+        slot_attrs: List[int] = []
+        slot_ids: List[int] = []
+        slot_counts: List[int] = []
+        slot_ends: List[int] = []
+        slot_base = len(self._slot_token_ids)
         for attribute in description.attribute_names:
             counts: Dict[int, int] = {}
             for value in description.values(attribute):
@@ -243,15 +257,19 @@ class GrowableContext:
                 attr_id = len(self._attr_names)
                 attr_ids[attribute] = attr_id
                 self._attr_names.append(attribute)
-            self._slot_attr.append(attr_id)
-            for token_id, count in sorted(counts.items()):
-                self._slot_token_ids.append(token_id)
-                self._slot_token_counts.append(count)
-            self._slot_token_ptr.append(len(self._slot_token_ids))
+            slot_attrs.append(attr_id)
+            ordered = sorted(counts)
+            slot_ids += ordered
+            slot_counts += [counts[token_id] for token_id in ordered]
+            slot_ends.append(slot_base + len(slot_ids))
+        self._slot_attr.extend(slot_attrs)
+        self._slot_token_ids.extend(slot_ids)
+        self._slot_token_counts.extend(slot_counts)
+        self._slot_token_ptr.extend(slot_ends)
         self._record_slot_ptr.append(len(self._slot_attr))
-        for token_id, count in sorted(merged.items()):
-            self._token_ids_column.append(token_id)
-            self._token_counts_column.append(count)
+        merged_ids = sorted(merged)
+        self._token_ids_column.extend(merged_ids)
+        self._token_counts_column.extend([merged[token_id] for token_id in merged_ids])
         self._token_ptr.append(len(self._token_ids_column))
         return ordinal
 

@@ -31,8 +31,8 @@ The resolver has two engines; ``engine="object"`` is passed by the equivalence
 suite and benchmarks only, never by the workflow.  The array default delegates to
 :class:`~repro.iterative.index.IncrementalIndex` -- arrivals are interned
 once into a shared :class:`~repro.core.growable.GrowableContext`, candidates
-are ranked over integer postings and scored in batches through
-:meth:`~repro.matching.engine.MatchingEngine.score_id_set_pairs`, and the
+are counted over array postings by one sorted-run kernel and scored straight
+from token-id set intersection sizes, and the
 state can be snapshotted to disk (:meth:`~IncrementalResolver.save`) and
 memory-mapped back (:meth:`~IncrementalResolver.restore`).  The object path
 in this module is the readable per-pair oracle the array engine is tested
@@ -94,7 +94,8 @@ class IncrementalResolver:
     engine:
         ``"array"`` (default) or ``"object"``; see the module docstring.
     use_numpy:
-        Forwarded to the array engine's batch scorer; ``None`` auto-detects.
+        Picks the array engine's candidate-counting kernel (and, in
+        :meth:`restore`, the snapshot reader); ``None`` auto-detects.
     """
 
     def __init__(

@@ -8,14 +8,17 @@ keeps the same state as flat integers over a shared
 
 * arrivals are interned **once** -- ordinal, vocabulary ids, per-attribute
   and merged token columns -- instead of being re-tokenised per comparison;
-* candidate generation runs over integer postings
-  (``token id -> set of cluster-root ordinals``) with a **root -> token
+* candidate generation runs over integer postings (``token id ->
+  array('q')`` of distinct cluster-root ordinals) with a **root -> token
   reverse index**, so a merge re-points only the absorbed root's postings
-  (the historical oracle rescanned the whole token index per merge);
-* candidate batches are scored through
-  :meth:`~repro.matching.engine.MatchingEngine.score_id_set_pairs` -- the
-  exact columnar set scorer of the batch pipeline -- instead of per-pair
-  ``matcher.match`` calls;
+  (the historical oracle rescanned the whole token index per merge); an
+  arrival's shared-token counts are the run lengths of its concatenated
+  postings after one sort (``Counter`` without NumPy), and only the roots
+  at or above the cut-off count are ranked in Python;
+* a candidate is scored straight from set sizes -- the arrival cluster's
+  token-id ``frozenset`` intersected with the candidate's column, fed to
+  the batch pipeline's own ``_set_score`` expressions -- instead of a
+  per-pair ``matcher.match`` call;
 * clustering lives in an :class:`~repro.core.unionfind.IntUnionFind`, and a
   merged representation is reproduced on demand by replaying the cluster's
   **merge tree** through :func:`~repro.datamodel.description.merge_descriptions`,
@@ -51,48 +54,29 @@ raise ``RuntimeError``).
 from __future__ import annotations
 
 from array import array
+from collections import Counter
+from itertools import chain
 from pathlib import Path
-from typing import Any, Dict, FrozenSet, Iterable, List, Optional, Sequence, Set, Union
+from typing import Any, Dict, FrozenSet, Iterable, List, Optional, Sequence, Union
 
 from repro.core.growable import GrowableContext
 from repro.core.snapshot import SnapshotReader, SnapshotWriter
 from repro.core.unionfind import IntUnionFind
 from repro.datamodel.collection import EntityCollection
 from repro.datamodel.description import EntityDescription, merge_descriptions
-from repro.matching.engine import MatchingEngine
+from repro.matching.engine import _set_score
 from repro.matching.matchers import ProfileSimilarityMatcher
 from repro.text.tokenize import DEFAULT_STOP_WORDS, token_set
+
+try:  # pragma: no cover - exercised implicitly when numpy is installed
+    import numpy as _np
+except ImportError:  # pragma: no cover
+    _np = None
 
 __all__ = ["IncrementalIndex"]
 
 _TREE_OPEN = -1
 _TREE_CLOSE = -2
-
-
-def _sorted_union(first: Iterable[int], second: Iterable[int]) -> array:
-    """Union of two sorted distinct int sequences, sorted and distinct."""
-    merged = array("q")
-    iter_a, iter_b = iter(first), iter(second)
-    head_a = next(iter_a, None)
-    head_b = next(iter_b, None)
-    while head_a is not None and head_b is not None:
-        if head_a < head_b:
-            merged.append(head_a)
-            head_a = next(iter_a, None)
-        elif head_b < head_a:
-            merged.append(head_b)
-            head_b = next(iter_b, None)
-        else:
-            merged.append(head_a)
-            head_a = next(iter_a, None)
-            head_b = next(iter_b, None)
-    while head_a is not None:
-        merged.append(head_a)
-        head_a = next(iter_a, None)
-    while head_b is not None:
-        merged.append(head_b)
-        head_b = next(iter_b, None)
-    return merged
 
 
 def _encode_tree(node: Any, out: array) -> None:
@@ -113,7 +97,7 @@ def _decode_tree(values: Sequence[int], position: int) -> "tuple[list, int]":
             child, position = _decode_tree(values, position)
             node.append(child)
         else:
-            node.append(int(values[position]))
+            node.append(values[position])
             position += 1
     return node, position + 1
 
@@ -130,7 +114,9 @@ class IncrementalIndex:
     max_candidates, stop_words, min_token_length:
         As on :class:`~repro.iterative.incremental.IncrementalResolver`.
     use_numpy:
-        Forwarded to the scoring engine; ``None`` auto-detects.
+        Picks the candidate-counting kernel (sorted-run count over the
+        concatenated postings, or ``Counter``) and, in :meth:`load`, the
+        snapshot reader; ``None`` auto-detects.
     context:
         Optional pre-existing :class:`GrowableContext` (used by
         :meth:`load`); a fresh one is created by default.
@@ -156,8 +142,13 @@ class IncrementalIndex:
         self.max_candidates = max_candidates
         self.stop_words = frozenset(stop_words) if stop_words else frozenset()
         self.min_token_length = min_token_length
+        if use_numpy and _np is None:
+            raise ValueError(
+                "use_numpy=True but numpy is not importable; "
+                "pass use_numpy=None to fall back automatically"
+            )
+        self._use_numpy = (_np is not None) if use_numpy is None else bool(use_numpy)
         self.context = context if context is not None else GrowableContext()
-        self._engine = MatchingEngine(matcher, use_numpy=use_numpy)
         self._index_filter = self.context.token_filter(
             self.stop_words, self.min_token_length
         )
@@ -168,7 +159,8 @@ class IncrementalIndex:
         self._alive = bytearray()
         self._live = 0
         self._members: Dict[int, List[int]] = {}  # root ordinal -> member ordinals
-        self._postings: Dict[int, Set[int]] = {}  # token id -> root ordinals
+        # token id -> distinct root ordinals; always the inversion of _root_tokens
+        self._postings: Dict[int, array] = {}
         # reverse index: root ordinal -> sorted token ids it is posted under
         self._root_tokens: Dict[int, Sequence[int]] = {}
         # matcher-filtered token sets per root; aliases _root_tokens when the
@@ -259,68 +251,103 @@ class IncrementalIndex:
     # ------------------------------------------------------------------
     def _candidate_roots(self, token_ids: Iterable[int]) -> List[int]:
         """Root ordinals sharing tokens, most shared first, identifier tie-break."""
-        shared: Dict[int, int] = {}
+        postings = self._postings
+        hits = [postings[token_id] for token_id in token_ids if token_id in postings]
+        limit = self.max_candidates
+        # Common tokens make the shared-count map much larger than ``limit``,
+        # so both kernels select instead of sorting it whole: roots strictly
+        # above the cut-off count (the ``limit``-th largest) all make it,
+        # the bucket tied at the cut-off fills what is left.
+        tied: List[int] = []
+        if self._use_numpy and hits:
+            # one sort of the concatenated postings; a root's shared-token
+            # count is the length of its run.  The buffer is private, so no
+            # view of a posting is alive when the posting is appended to.
+            buffer = array("q")
+            for roots in hits:
+                buffer.extend(roots)
+            run = _np.frombuffer(buffer, dtype=_np.int64)
+            run.sort()
+            boundary = _np.empty(len(run) + 1, dtype=bool)
+            boundary[0] = boundary[-1] = True
+            _np.not_equal(run[1:], run[:-1], out=boundary[1:-1])
+            edges = _np.flatnonzero(boundary)
+            distinct, counts = run[edges[:-1]], edges[1:] - edges[:-1]
+            if len(distinct) > limit:
+                cut = _np.partition(counts, -limit)[-limit]
+                tied = distinct[counts == cut].tolist()
+                keep = counts > cut
+                distinct, counts = distinct[keep], counts[keep]
+            shared = dict(zip(distinct.tolist(), counts.tolist()))
+        else:
+            shared = Counter(chain.from_iterable(hits))
+            if len(shared) > limit:
+                cut = sorted(shared.values())[-limit]
+                tied = [root for root, count in shared.items() if count == cut]
+                shared = {root: count for root, count in shared.items() if count > cut}
+        ids = self.context.ids
+        ranked = sorted(shared, key=lambda root: (-shared[root], ids[root]))
+        # the tied bucket shares one count: identifier order alone is the
+        # full (-shared, identifier) order on it
+        tied.sort(key=ids.__getitem__)
+        return ranked + tied[: limit - len(ranked)]
+
+    def _post(self, root: int, token_ids: Iterable[int]) -> None:
+        """Append ``root`` -- not yet in any posting -- under each token."""
         postings = self._postings
         for token_id in token_ids:
-            for root in postings.get(token_id, ()):
-                shared[root] = shared.get(root, 0) + 1
-        ids = self.context.ids
-        limit = self.max_candidates
-        if len(shared) <= limit:
-            return sorted(shared, key=lambda root: (-shared[root], ids[root]))
-        # selection instead of a full sort: common tokens make the shared map
-        # much larger than ``limit``, so bucket the roots by shared count and
-        # sort (by identifier, the tie-break) only the buckets that still fit
-        # -- the order of the returned prefix is identical to the full sort's
-        buckets: Dict[int, List[int]] = {}
-        for root, count in shared.items():
-            bucket = buckets.get(count)
-            if bucket is None:
-                buckets[count] = [root]
+            roots = postings.get(token_id)
+            if roots is None:
+                postings[token_id] = array("q", (root,))
             else:
-                bucket.append(root)
-        ranked: List[int] = []
-        for count in sorted(buckets, reverse=True):
-            bucket = buckets[count]
-            bucket.sort(key=ids.__getitem__)
-            ranked.extend(bucket)
-            if len(ranked) >= limit:
-                break
-        return ranked[:limit]
+                roots.append(root)
 
-    def _merge_roots(self, target: int, source: int) -> int:
+    def _merge_roots(self, target: int, source: int) -> None:
         """Merge ``source``'s cluster into ``target``'s; re-points only the
         absorbed root's postings via the reverse index."""
-        if target == source:
-            return target
         self._uf.union(target, source)
         self._members[target].extend(self._members.pop(source))
         self._trees[target].append(self._trees.pop(source))
-        source_tokens = self._root_tokens.pop(source)
+        source_tokens = self._root_tokens.pop(source).tolist()
+        tokens = set(self._root_tokens[target])
         postings = self._postings
         for token_id in source_tokens:
-            roots = postings.get(int(token_id))
-            if roots is not None:
-                roots.discard(source)
-                roots.add(target)
-        self._root_tokens[target] = _sorted_union(
-            self._root_tokens[target], source_tokens
-        )
+            roots = postings[token_id]
+            slot = roots.index(source)
+            if token_id in tokens:
+                # the target is already posted here: swap-remove the source
+                last = roots.pop()
+                if slot < len(roots):
+                    roots[slot] = last
+            else:
+                roots[slot] = target
+        self._root_tokens[target] = array("q", sorted(tokens.union(source_tokens)))
         if self._match_tokens is not self._root_tokens:
-            source_match = self._match_tokens.pop(source)
-            self._match_tokens[target] = _sorted_union(
-                self._match_tokens[target], source_match
+            source_match = self._match_tokens.pop(source).tolist()
+            self._match_tokens[target] = array(
+                "q", sorted(set(self._match_tokens[target]).union(source_match))
             )
-        return target
+
+    def _score(self, tokens: FrozenSet[int], root: int) -> float:
+        """Set similarity of a token-id set and a root's matcher column.
+
+        ``tolist`` first: the column of a restored index is memory-mapped,
+        and walking it directly would box one NumPy scalar per token.
+        """
+        other = self._match_tokens[root].tolist()
+        return _set_score(
+            self.matcher.similarity_name,
+            len(tokens),
+            len(other),
+            len(tokens.intersection(other)),
+        )
 
     def _resolve_arrival(self, ordinal: int) -> "ArrivalResult":
         """Resolve one interned record against the current state.
 
-        Replicates the oracle's loop: candidates in ranked order, each
+        The oracle's loop on integers: candidates in ranked order, each
         compared against the arrival cluster's *growing* merged token set;
-        every match merges and the scan continues.  Comparisons are scored
-        in batches but counted (and decided) strictly in ranked order, so
-        counts and decisions match the per-pair oracle exactly.
+        every match merges and the scan continues.
         """
         from repro.iterative.incremental import ArrivalResult
 
@@ -330,50 +357,26 @@ class IncrementalIndex:
         index_ids = array("q", self._index_filter.select(full_column))
         ranked = self._candidate_roots(index_ids)
 
-        # register the arrival as its own singleton cluster
+        # register the arrival as its own singleton cluster; its ordinal is
+        # fresh, so no posting can hold it yet
         self._members[ordinal] = [ordinal]
         self._trees[ordinal] = [ordinal]
         self._root_tokens[ordinal] = index_ids
+        self._post(ordinal, index_ids)
         if self._match_tokens is not self._root_tokens:
             self._match_tokens[ordinal] = array(
                 "q", self._match_filter.select(full_column)
             )
 
-        root = ordinal
+        tokens = frozenset(self._match_tokens[ordinal])
         threshold = self.matcher.threshold
-        pending = ranked
-        while pending:
-            # roots absorbed by an earlier merge of this very arrival are
-            # skipped without being counted (they no longer exist)
-            batch = [candidate for candidate in pending if candidate in self._members]
-            if not batch:
-                break
-            columns: List[Sequence[int]] = [self._match_tokens[root]]
-            columns.extend(self._match_tokens[candidate] for candidate in batch)
-            pairs = [(0, second) for second in range(1, len(columns))]
-            scores = self._engine.score_id_set_pairs(
-                pairs, columns, self.context.vocabulary_size
-            )
-            matched = -1
-            for offset, score in enumerate(scores):
-                result.comparisons += 1
-                self.comparisons_executed += 1
-                if score >= threshold:
-                    matched = offset
-                    break
-            if matched < 0:
-                break
-            candidate = batch[matched]
-            result.matched_clusters.append(ids[candidate])
-            root = self._merge_roots(root, candidate)
-            # the merge grew the arrival's token set: re-score the remaining
-            # candidates against it, exactly as the oracle compares against
-            # the growing merged representation
-            pending = batch[matched + 1 :]
-
-        postings = self._postings
-        for token_id in index_ids:
-            postings.setdefault(token_id, set()).add(root)
+        for candidate in ranked:
+            result.comparisons += 1
+            if self._score(tokens, candidate) >= threshold:
+                result.matched_clusters.append(ids[candidate])
+                self._merge_roots(ordinal, candidate)
+                tokens = frozenset(self._match_tokens[ordinal])
+        self.comparisons_executed += result.comparisons
         return result
 
     def add(self, description: EntityDescription) -> "ArrivalResult":
@@ -408,13 +411,11 @@ class IncrementalIndex:
         root = self._uf.find(ordinal)
         members = self._members.pop(root)
         postings = self._postings
-        for token_id in self._root_tokens.pop(root):
-            token_id = int(token_id)
-            roots = postings.get(token_id)
-            if roots is not None:
-                roots.discard(root)
-                if not roots:
-                    del postings[token_id]
+        for token_id in self._root_tokens.pop(root).tolist():
+            roots = postings[token_id]
+            roots.remove(root)
+            if not roots:
+                del postings[token_id]
         if self._match_tokens is not self._root_tokens:
             self._match_tokens.pop(root)
         self._trees.pop(root)
@@ -443,44 +444,34 @@ class IncrementalIndex:
         mapped to transient ids past the vocabulary so set sizes (and hence
         scores) stay exact.
         """
-        index_tokens = token_set(
-            description.values(),
-            stop_words=self.stop_words,
-            min_length=self.min_token_length,
-        )
         token_id_of = self.context.token_id
-        known = [
-            token_id
-            for token_id in (token_id_of(token) for token in index_tokens)
-            if token_id is not None
-        ]
-        ranked = self._candidate_roots(known)
+
+        def ids_of(stop_words, min_length) -> List[Optional[int]]:
+            tokens = token_set(
+                description.values(), stop_words=stop_words, min_length=min_length
+            )
+            return [token_id_of(token) for token in tokens]
+
+        index_ids = ids_of(self.stop_words, self.min_token_length)
+        ranked = self._candidate_roots(
+            [token_id for token_id in index_ids if token_id is not None]
+        )
         if not ranked:
             return frozenset()
         matcher = self.matcher
-        match_tokens = token_set(
-            description.values(),
-            stop_words=matcher.stop_words,
-            min_length=matcher.min_token_length,
+        if self._match_tokens is self._root_tokens:
+            match_ids = index_ids  # same configuration: one tokenisation serves both
+        else:
+            match_ids = ids_of(matcher.stop_words, matcher.min_token_length)
+        vocabulary = self.context.vocabulary_size
+        tokens = frozenset(
+            vocabulary + position if token_id is None else token_id
+            for position, token_id in enumerate(match_ids)
         )
-        transient = self.context.vocabulary_size
-        arrival_ids = array("q")
-        for token in match_tokens:
-            token_id = token_id_of(token)
-            if token_id is None:
-                token_id = transient
-                transient += 1
-            arrival_ids.append(token_id)
-        arrival_ids = array("q", sorted(arrival_ids))
-        columns: List[Sequence[int]] = [arrival_ids]
-        columns.extend(self._match_tokens[candidate] for candidate in ranked)
-        pairs = [(0, second) for second in range(1, len(columns))]
-        scores = self._engine.score_id_set_pairs(pairs, columns, transient)
         ids = self.context.ids
-        for offset, score in enumerate(scores):
-            if score >= matcher.threshold:
-                members = self._members[ranked[offset]]
-                return frozenset(ids[member] for member in members)
+        for candidate in ranked:
+            if self._score(tokens, candidate) >= matcher.threshold:
+                return frozenset(ids[member] for member in self._members[candidate])
         return frozenset()
 
     # ------------------------------------------------------------------
@@ -601,38 +592,34 @@ class IncrementalIndex:
             use_numpy=use_numpy,
             context=context,
         )
-        index._uf.parent = array("q", (int(v) for v in reader.column("index.uf_parent")))
-        index._alive = bytearray(int(v) for v in reader.column("index.alive"))
+        # every column is read once with tolist() (both readers have it):
+        # indexing a mapped column element by element boxes a scalar a time
+        index._uf.parent = array("q", reader.column("index.uf_parent").tolist())
+        index._alive = bytearray(reader.column("index.alive").tolist())
         index._live = meta["live"]
         index.comparisons_executed = meta["comparisons_executed"]
-        roots = [int(root) for root in reader.column("index.roots")]
-        member_ptr = reader.column("index.member_ptr")
-        member_data = reader.column("index.member_data")
-        token_ptr = reader.column("index.root_token_ptr")
-        token_data = reader.column("index.root_token_data")
-        postings: Dict[int, Set[int]] = {}
+        roots = reader.column("index.roots").tolist()
+        member_ptr = reader.column("index.member_ptr").tolist()
+        member_data = reader.column("index.member_data").tolist()
+        token_ptr = reader.column("index.root_token_ptr").tolist()
+        token_column = reader.column("index.root_token_data")
+        token_data = token_column.tolist()
         for position, root in enumerate(roots):
-            index._members[root] = [
-                int(member)
-                for member in member_data[member_ptr[position] : member_ptr[position + 1]]
-            ]
+            index._members[root] = member_data[member_ptr[position] : member_ptr[position + 1]]
+            start, stop = token_ptr[position], token_ptr[position + 1]
             # the reverse index is a zero-copy view over the mapped column;
             # merges replace it wholesale, so mutability is not needed
-            tokens = token_data[token_ptr[position] : token_ptr[position + 1]]
-            index._root_tokens[root] = tokens
-            for token_id in tokens:
-                postings.setdefault(int(token_id), set()).add(root)
-        index._postings = postings
+            index._root_tokens[root] = token_column[start:stop]
+            index._post(root, token_data[start:stop])
         if not meta["shared_filter"]:
-            match_ptr = reader.column("index.match_token_ptr")
+            match_ptr = reader.column("index.match_token_ptr").tolist()
             match_data = reader.column("index.match_token_data")
             for position, root in enumerate(roots):
                 index._match_tokens[root] = match_data[
                     match_ptr[position] : match_ptr[position + 1]
                 ]
-        tree_ptr = reader.column("index.tree_ptr")
-        tree_data = reader.column("index.tree_data")
+        tree_ptr = reader.column("index.tree_ptr").tolist()
+        tree_data = reader.column("index.tree_data").tolist()
         for position, root in enumerate(roots):
-            tree, _ = _decode_tree(tree_data, int(tree_ptr[position]))
-            index._trees[root] = tree
+            index._trees[root], _ = _decode_tree(tree_data, tree_ptr[position])
         return index

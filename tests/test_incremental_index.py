@@ -214,6 +214,103 @@ def test_resolve_is_read_only_and_matches_oracle(use_numpy):
 
 
 # ----------------------------------------------------------------------
+# array internals: postings invariants and the cut-off selection
+# ----------------------------------------------------------------------
+def _assert_postings_invariants(index):
+    """``_postings`` is the exact inversion of ``_root_tokens``, over arrays
+    of distinct live roots, and the reverse index is what a rebuild from the
+    members' interned columns gives."""
+    context = index.context
+    assert set(index._root_tokens) == set(index._members)
+    assert set(index._match_tokens) == set(index._members)
+    inverted = {}
+    for root, members in index._members.items():
+        for name, token_filter in (
+            ("_root_tokens", index._index_filter),
+            ("_match_tokens", index._match_filter),
+        ):
+            rebuilt = set()
+            for member in members:
+                rebuilt.update(token_filter.select(context.token_ids_of(member)))
+            assert list(getattr(index, name)[root]) == sorted(rebuilt)
+        for token_id in index._root_tokens[root].tolist():
+            inverted.setdefault(token_id, []).append(root)
+    assert set(index._postings) == set(inverted)
+    for token_id, roots in index._postings.items():
+        posted = roots.tolist()
+        assert posted, "emptied postings are deleted"
+        assert len(set(posted)) == len(posted), "a posting holds distinct roots"
+        assert set(posted) <= set(index._members), "a posting names live roots only"
+        assert sorted(posted) == sorted(inverted[token_id])
+
+
+@pytest.mark.parametrize("matcher_min_length", [2, 3], ids=["shared", "own-filter"])
+@pytest.mark.parametrize("use_numpy", NUMPY_MODES)
+def test_postings_stay_the_inversion_of_root_tokens(tmp_path, use_numpy, matcher_min_length):
+    """After every add / remove / update -- multi-merge arrivals included, and
+    on across a snapshot restore -- with the oracle's results throughout."""
+    descriptions = _stream_descriptions(num_entities=30, duplicates=2.5, seed=53)
+    operations = _mixed_operations(descriptions)
+
+    def matcher():
+        return ProfileSimilarityMatcher(threshold=0.45, min_token_length=matcher_min_length)
+
+    oracle = IncrementalResolver(matcher(), engine="object")
+    index = IncrementalIndex(matcher(), use_numpy=use_numpy)
+    assert (index._match_tokens is index._root_tokens) == (matcher_min_length == 2)
+    most_merged = 0
+    for position, operation in enumerate(operations):
+        if position == len(operations) // 2:
+            index.save(tmp_path / "snap")
+            index = IncrementalIndex.load(tmp_path / "snap", use_numpy=use_numpy)
+            _assert_postings_invariants(index)
+        if operation[0] != "remove":
+            assert index.resolve(operation[1]) == oracle.resolve(operation[1])
+        expected = _apply(oracle, operation)
+        assert _apply(index, operation) == expected
+        assert _state(index) == _state(oracle)
+        _assert_postings_invariants(index)
+        if operation[0] == "add":
+            most_merged = max(most_merged, len(expected["matched_clusters"]))
+    assert most_merged >= 2, "the stream must contain multi-merge arrivals"
+
+
+@pytest.mark.parametrize("use_numpy", NUMPY_MODES)
+def test_candidate_selection_is_the_prefix_of_the_full_sort(use_numpy):
+    """More roots tied at the cut-off count than ``max_candidates`` leaves
+    room for: the selection equals the ``(-shared, identifier)`` sort's prefix."""
+    probe = ["alpha", "bravo", "charlie", "delta"]
+    shared_tokens = {  # identifier -> probe tokens it holds
+        "m": probe[:3],
+        "k": probe[1:3],
+        "z": probe[2:],
+        # six roots tied on one shared token; arrival order is not identifier order
+        **{name: [probe[position % 4]] for position, name in enumerate("tdxbwf")},
+        "a": [],
+    }
+    index = IncrementalIndex(ProfileSimilarityMatcher(threshold=0.99), use_numpy=use_numpy)
+    for name, tokens in shared_tokens.items():
+        # private filler keeps every record its own cluster
+        index.add(EntityDescription(name, {"name": " ".join(tokens + [f"only{name}"] * 3)}))
+    assert index.num_clusters == len(shared_tokens)
+    probe_ids = [index.context.token_id(token) for token in probe]
+    full = sorted(
+        (name for name, tokens in shared_tokens.items() if tokens),
+        key=lambda name: (-len(shared_tokens[name]), name),
+    )
+    assert full == ["m", "k", "z", "b", "d", "f", "t", "w", "x"]
+    ids = index.context.ids
+    for limit in (1, 2, 3, 4, 5, 8, 9, 20):
+        index.max_candidates = limit
+        assert [ids[root] for root in index._candidate_roots(probe_ids)] == full[:limit]
+    # max_candidates=1 with the tie at the very top: the smallest identifier wins
+    index.max_candidates = 1
+    tied_top = [index.context.token_id(probe[3])]  # held by z and b
+    assert [ids[root] for root in index._candidate_roots(tied_top)] == ["b"]
+    assert index._candidate_roots([]) == []
+
+
+# ----------------------------------------------------------------------
 # snapshot persistence
 # ----------------------------------------------------------------------
 @pytest.mark.parametrize("save_numpy", NUMPY_MODES)
