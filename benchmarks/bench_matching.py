@@ -4,8 +4,10 @@ After meta-blocking made candidate generation cheap, the matching phase
 dominates the workflow's wall time: the per-pair matchers re-tokenise both
 descriptions on every comparison.  This benchmark executes the same
 meta-blocked candidate set through ``MatchingEngine("pairwise")`` (the
-oracle) and ``MatchingEngine("batch")`` (columnar profile store + vectorised
-scoring) and reports old-vs-new wall time and peak allocation, measured in
+oracle) and ``MatchingEngine("batch")`` (columnar profile store; ``decide_all``
+outputs similarities, so it runs the engine's exact per-pair body over cached
+profiles -- the ordinal-pair kernel is timed by ``benchmarks/perf`` as
+``matching.decide_s``) and reports old-vs-new wall time and peak allocation, measured in
 forked children so the peak RSS of one engine cannot leak into the other's
 row -- the same protocol as ``bench_metablocking.py``.
 """

@@ -452,7 +452,7 @@ def _index_build(
         similarity_name="jaccard",
     )
     engine = MatchingEngine(matcher, context=context, use_numpy=use_numpy)
-    scores = engine.score_id_set_pairs(ordinal_pairs, columns, view.num_tokens)
+    scores = engine.score_id_set_pairs(ordinal_pairs, columns)
 
     collection = BlockCollection(name=builder.name)
     verified = 0

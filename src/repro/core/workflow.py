@@ -193,7 +193,7 @@ class ERWorkflow:
         With ``config.num_workers > 1`` a
         :class:`~repro.mapreduce.parallel.ParallelEngine` is opened for the
         duration of the run and handed to the blocking, meta-blocking and
-        matching engines; each fans its hot pass out to worker processes
+        clustering engines; each fans its hot pass out to worker processes
         when it can reproduce the single-process result bit for bit, and
         runs single-process otherwise.  Results are identical either way --
         including under worker failure: the engine retries lost shards on a
@@ -415,7 +415,7 @@ class ERWorkflow:
             matcher = ProfileSimilarityMatcher(
                 threshold=config.match_threshold, vectorizer=vectorizer
             )
-        engine = MatchingEngine(matcher, context=context, parallel=parallel)
+        engine = MatchingEngine(matcher, context=context)
         scheduling = SchedulingEngine(scheduler)
         progressive = run_progressive(
             scheduler=scheduler,

@@ -155,10 +155,6 @@ class ComparisonColumns(Sequence):
     weights:
         Aligned ``array('d')`` of comparison weights, or ``None`` when the
         comparisons are unweighted.
-    descriptions:
-        Optional table of resolved description objects aligned with
-        :attr:`ids` (supplied by the shared pipeline context), letting
-        executors skip the per-comparison identifier lookup.
     distinct:
         Whether the rows are known to hold no duplicate pair (meta-blocking
         output is distinct by construction); consumers that must
@@ -174,7 +170,6 @@ class ComparisonColumns(Sequence):
         "first",
         "second",
         "weights",
-        "descriptions",
         "distinct",
         "weight_ordered",
     )
@@ -185,7 +180,6 @@ class ComparisonColumns(Sequence):
         first: array,
         second: array,
         weights: Optional[array] = None,
-        descriptions: Optional[Sequence] = None,
         distinct: bool = False,
         weight_ordered: bool = False,
     ) -> None:
@@ -197,7 +191,6 @@ class ComparisonColumns(Sequence):
         self.first = first
         self.second = second
         self.weights = weights
-        self.descriptions = descriptions
         self.distinct = distinct
         self.weight_ordered = weight_ordered
 
@@ -285,7 +278,6 @@ class ComparisonColumns(Sequence):
             sorted_first,
             sorted_second,
             sorted_weights,
-            descriptions=self.descriptions,
             distinct=self.distinct,
             weight_ordered=True,
         )
@@ -324,7 +316,6 @@ class ComparisonColumns(Sequence):
             kept[0],
             kept[1],
             kept[2],
-            descriptions=self.descriptions,
             distinct=True,
             weight_ordered=self.weight_ordered,
         )

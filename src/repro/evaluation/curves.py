@@ -10,6 +10,7 @@ comparison (or per batch) and computes the standard summary statistics.
 from __future__ import annotations
 
 import math
+from itertools import accumulate
 from typing import Iterable, List, Optional, Sequence, Tuple
 
 from repro.datamodel.ground_truth import GroundTruth
@@ -62,6 +63,18 @@ class ProgressiveRecallCurve:
         if is_match:
             self._matches_found += 1
         self._history.append((self._comparisons, self._matches_found))
+
+    def record_many(self, matches: Iterable[int]) -> None:
+        """Record executed comparisons in order, one history point each.
+
+        ``matches`` holds one flag per comparison (a ``bytearray`` of 0/1
+        serves); the history is the one :meth:`record` would have built
+        flag by flag.
+        """
+        found = list(accumulate(matches, initial=self._matches_found))
+        self._history.extend(enumerate(found[1:], self._comparisons + 1))
+        self._comparisons += len(found) - 1
+        self._matches_found = found[-1]
 
     def record_batch(self, num_comparisons: int, num_matches: int) -> None:
         """Record a batch of comparisons at once (used by windowed schedulers)."""

@@ -13,29 +13,28 @@ actual wall-clock speedup on multi-core machines:
   meta-blocking CSR index by contiguous entity-ordinal ranges
   (:func:`~repro.mapreduce.balancing.contiguous_partitions` balances the
   ranges by per-entity cost) and runs every parallelisable workflow stage
-  in ``multiprocessing`` workers (interning is not one: the context interns
-  itself in the driver): the blocking postings pass, the
-  block-cleaning passes (purging cardinalities, filtering keep flags,
-  comparison propagation), the meta-blocking index engine's ranged pruning
+  in ``multiprocessing`` workers (interning and matching are not among
+  them: both run whole-column kernels in the driver): the blocking postings
+  pass, the block-cleaning passes (purging cardinalities, filtering keep
+  flags, comparison propagation), the meta-blocking index engine's ranged pruning
   passes (retained-edge columns for all pruning schemes), the weight sort
-  of the comparison columns (per-shard argsort + driver k-way merge), the
-  batched matching scores, and the connected-components clustering
-  (per-shard union--find merged in first-touch order);
+  of the comparison columns (per-shard argsort + driver k-way merge) and
+  the connected-components clustering (per-shard union--find merged in
+  first-touch order);
 * the columns cross the process boundary through
   :class:`~repro.mapreduce.shm.ColumnSegment` shared memory -- workers
   attach zero-copy and only the small per-partition result columns are
   pickled back;
 * results are **bit-identical** to the single-process array engines (same
-  blocks, same edge weights, same match decisions, same tie order), because
+  blocks, same edge weights, same clusters, same tie order), because
   every worker kernel (:mod:`repro.mapreduce.worker`) either is the
   sequential code run over a range, or replicates its exact expressions over
   the same exact integers;
 * the engines it plugs into (``BlockingEngine``, ``MetaBlocking``,
-  ``MatchingEngine``) fall back to their single-process paths for anything
+  ``ClusteringEngine``) fall back to their single-process paths for anything
   the workers cannot reproduce -- non-token blocking schemes, foreign
-  collections outside the shared context, transient merged descriptions,
-  custom weighting/pruning/matcher subclasses -- so enabling the engine
-  never changes a result.
+  collections outside the shared context, custom weighting/pruning
+  subclasses -- so enabling the engine never changes a result.
 
 Shared-memory lifecycle: the driver (the ``ParallelEngine``) owns every
 segment and unlinks all of them in :meth:`~repro.mapreduce.parallel.ParallelEngine.close`

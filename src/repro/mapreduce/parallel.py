@@ -11,12 +11,15 @@ shared memory, and concatenates the per-partition result columns back in
 range order.  The worker-side kernels live in :mod:`repro.mapreduce.worker`.
 
 The engine parallelises exactly the stages whose sequential engines it can
-reproduce bit for bit -- token-blocking postings, the meta-blocking index
+reproduce bit for bit -- token-blocking postings and the meta-blocking index
 engine's ranged pruning passes (all weighting schemes, including the ECBS/EJS
-global factors), and batched profile-similarity scoring -- and the callers in
-:mod:`repro.blocking.engine`, :mod:`repro.metablocking.pipeline` and
-:mod:`repro.matching.engine` fall back to their single-process paths for
-anything else, so plugging an engine in never changes a result.
+global factors) -- and the callers in :mod:`repro.blocking.engine` and
+:mod:`repro.metablocking.pipeline` fall back to their single-process paths
+for anything else, so plugging an engine in never changes a result.  Matching
+is not a pooled stage: its ordinal-pair kernel
+(:meth:`MatchingEngine.decide_ordinal_pairs
+<repro.matching.engine.MatchingEngine.decide_ordinal_pairs>`) outruns the
+cost of shipping its pairs.
 
 Lifecycle: the engine owns every shared-memory segment it creates and every
 pool process it forks; :meth:`close` (or use as a context manager) tears both
@@ -99,8 +102,9 @@ class ParallelEngine:
     -----
     The engine is handed to :class:`~repro.blocking.engine.BlockingEngine`,
     :class:`~repro.metablocking.pipeline.MetaBlocking` and
-    :class:`~repro.matching.engine.MatchingEngine` via their ``parallel``
-    parameters; they call back into the three public stage methods below.
+    :class:`~repro.matching.cluster_engine.ClusteringEngine` via their
+    ``parallel`` parameters; they call back into the public stage methods
+    below.
     Always :meth:`close` the engine (or use ``with``): that terminates the
     pool and unlinks every shared-memory segment.  Per-stage retry/degrade
     counters accumulate in :attr:`fault_stats`.
@@ -132,7 +136,6 @@ class ParallelEngine:
         # can never be recycled while its entry is alive
         self._context_entries: Dict[int, Tuple[object, dict]] = {}
         self._mask_specs: Dict[Tuple[int, int], Tuple[object, Optional[SegmentSpec]]] = {}
-        self._idf_specs: Dict[Tuple[int, int], Tuple[object, SegmentSpec]] = {}
         self._index_entries: Dict[int, Tuple[object, dict]] = {}
         self._closed = False
         # a crashed previous run cannot clean up after itself: its successor
@@ -212,7 +215,6 @@ class ParallelEngine:
                     errors.append(error)
             self._context_entries.clear()
             self._mask_specs.clear()
-            self._idf_specs.clear()
             self._index_entries.clear()
             if errors:  # pragma: no cover - defensive
                 raise errors[0]
@@ -263,23 +265,6 @@ class ParallelEngine:
         mask = token_filter.mask(context.vocabulary_size)
         segment = self._segment({"mask": ("B", mask)})
         self._mask_specs[key] = (token_filter, segment.spec)
-        return segment.spec
-
-    def _idf_spec(self, context, vectorizer) -> SegmentSpec:
-        """The shared idf column of a fitted vectorizer over the vocabulary."""
-        key = (id(context), id(vectorizer))
-        cached = self._idf_specs.get(key)
-        if cached is not None and cached[0] is vectorizer:
-            return cached[1]
-        idf = array(
-            "d",
-            (
-                vectorizer.idf(context.token(token_id))
-                for token_id in range(context.vocabulary_size)
-            ),
-        )
-        segment = self._segment({"idf": ("d", idf)})
-        self._idf_specs[key] = (vectorizer, segment.spec)
         return segment.spec
 
     # ------------------------------------------------------------------
@@ -639,7 +624,6 @@ class ParallelEngine:
             sorted_first,
             sorted_second,
             sorted_weights,
-            descriptions=columns.descriptions,
             distinct=columns.distinct,
             weight_ordered=True,
         )
@@ -687,45 +671,3 @@ class ParallelEngine:
                 if member != root:
                     links.union(root, member)
         return links, order
-
-    # ------------------------------------------------------------------
-    # matching
-    # ------------------------------------------------------------------
-    def similarity_scores(self, context, matcher, ordinal_pairs) -> List[float]:
-        """Profile similarity of ``(left ordinal, right ordinal)`` pairs.
-
-        Workers rebuild each touched description's profile from the shared
-        token CSR (TF-IDF weights from the shared idf column, set profiles
-        through the shared admission mask) and score their slice of the pair
-        batch with the oracle expressions; concatenating the slices in
-        partition order restores input order.
-        """
-        entry = self._context_entry(context)
-        if matcher.vectorizer is not None:
-            mode = "tfidf"
-            similarity_name = ""
-            mask_spec = self._mask_spec(context, None, matcher.vectorizer.min_token_length)
-            idf_spec = self._idf_spec(context, matcher.vectorizer)
-        else:
-            mode = "set"
-            similarity_name = matcher.similarity_name
-            mask_spec = self._mask_spec(context, matcher.stop_words, matcher.min_token_length)
-            idf_spec = None
-        first = array("q", (pair[0] for pair in ordinal_pairs))
-        second = array("q", (pair[1] for pair in ordinal_pairs))
-        tasks = [
-            (
-                entry["spec"],
-                mask_spec,
-                idf_spec,
-                mode,
-                similarity_name,
-                first[start:stop],
-                second[start:stop],
-            )
-            for start, stop in contiguous_partitions([1.0] * len(first), self.num_workers)
-        ]
-        scores: List[float] = []
-        for chunk in self._run(worker.similarity_scores_job, tasks, "scoring"):
-            scores.extend(chunk)
-        return scores

@@ -12,16 +12,13 @@ Bit-identity is the contract.  Every kernel either *is* the sequential code
 (the ranged pruning passes of :class:`EntityIndexEngine
 <repro.metablocking.entity_index.EntityIndexEngine>` over a
 :meth:`from_arrays <repro.metablocking.entity_index.EntityIndexEngine.from_arrays>`
-replica, :func:`~repro.text.vectorizer.weighted_cosine`,
-:func:`~repro.matching.engine._set_score`) or replicates its exact
-expressions over the same exact integers (the TF-IDF profile build mirrors
-``ProfileStore._build_from_context`` term for term), so concatenating the
-partition results in range order reproduces the single-process stream float
-for float.
+replica) or replicates its exact expressions over the same exact integers,
+so concatenating the partition results in range order reproduces the
+single-process stream float for float.
 
 Per-process caches keep repeated rounds cheap: attached segments are held in
 a small LRU (released view-first, see :mod:`repro.mapreduce.shm`), and
-index-engine replicas / description profiles are memoised per segment name --
+index-engine replicas are memoised per segment name --
 segment names are unique per driver allocation, so a name can never refer to
 two different payloads.
 """
@@ -35,9 +32,7 @@ from typing import Dict, Optional, Tuple
 from repro.core.unionfind import IntUnionFind
 from repro.mapreduce import faults
 from repro.mapreduce.shm import AttachedSegment, SegmentSpec, attach
-from repro.matching.engine import _set_score
 from repro.metablocking.entity_index import EntityIndexEngine
-from repro.text.vectorizer import SparseVector, weighted_cosine
 
 try:  # pragma: no cover - exercised implicitly when numpy is installed
     import numpy as _np
@@ -49,7 +44,6 @@ _SEGMENT_CACHE_SIZE = 8
 
 _segments: Dict[str, AttachedSegment] = {}
 _engines: Dict[Tuple[str, bool], EntityIndexEngine] = {}
-_profiles: Dict[Tuple, Dict[int, object]] = {}
 
 #: whether attachments must be unregistered from this process's resource
 #: tracker -- True only in spawned workers, which run their own tracker
@@ -79,7 +73,6 @@ def release_attachments() -> None:
     mappings that must be dropped before the owning engine unlinks its
     segments (or the interpreter exits).
     """
-    _profiles.clear()
     _engines.clear()
     while _segments:
         _, segment = _segments.popitem()
@@ -98,8 +91,6 @@ def _segment(spec: SegmentSpec) -> AttachedSegment:
         del _segments[evicted_name]
         # derived caches hold copies or views into this mapping: drop them
         _engines_pop(evicted_name)
-        for key in [k for k in _profiles if k[0] == evicted_name]:
-            del _profiles[key]
         evicted.release()
     return segment
 
@@ -416,91 +407,3 @@ def cluster_links_job(args) -> Tuple[array, array]:
         links.union(f, s)
     roots = array("q", (links.find(member) for member in order))
     return order, roots
-
-
-# ----------------------------------------------------------------------
-# matching
-# ----------------------------------------------------------------------
-def _profile_table(
-    ctx_spec: SegmentSpec,
-    mask_spec: Optional[SegmentSpec],
-    idf_spec: Optional[SegmentSpec],
-    mode: str,
-) -> Dict[int, object]:
-    key = (ctx_spec[0], mask_spec[0] if mask_spec else None, idf_spec[0] if idf_spec else None, mode)
-    table = _profiles.get(key)
-    if table is None:
-        _profiles[key] = table = {}
-    return table
-
-
-def _tfidf_profile(o, tok_ptr, tok_ids, tok_counts, mask, idf) -> Optional[SparseVector]:
-    """The TF-IDF vector of one ordinal, mirroring ``_build_from_context``.
-
-    Same exact integers (ids/counts ascending by token id), same term-
-    frequency expression, same driver-computed idf floats, same ``fsum``
-    norm: the resulting :class:`SparseVector` is the very ``weight_map`` the
-    profile store would hand to :func:`weighted_cosine`.  ``None`` stands
-    for an empty profile (scored as an empty mapping, like the store's).
-    """
-    lo, hi = tok_ptr[o], tok_ptr[o + 1]
-    if mask is None:
-        kept = list(zip(tok_ids[lo:hi], tok_counts[lo:hi]))
-    else:
-        kept = [
-            (token_id, count)
-            for token_id, count in zip(tok_ids[lo:hi], tok_counts[lo:hi])
-            if mask[token_id]
-        ]
-    if not kept:
-        return None
-    max_count = max(count for _, count in kept)
-    weights = [
-        (0.5 + 0.5 * count / max_count) * idf[token_id] for token_id, count in kept
-    ]
-    norm = math.sqrt(math.fsum(w * w for w in weights))
-    return SparseVector(
-        ((token_id, weight) for (token_id, _), weight in zip(kept, weights)),
-        norm=norm,
-    )
-
-
-def _set_profile(o, tok_ptr, tok_ids, mask) -> frozenset:
-    ids = tok_ids[tok_ptr[o] : tok_ptr[o + 1]]
-    if mask is None:
-        return frozenset(ids)
-    return frozenset(token_id for token_id in ids if mask[token_id])
-
-
-def similarity_scores_job(args) -> array:
-    """Similarity of one contiguous slice of an ordinal-pair batch."""
-    ctx_spec, mask_spec, idf_spec, mode, similarity_name, first, second = args
-    views = _segment(ctx_spec).views
-    tok_ptr = views["tok_ptr"]
-    tok_ids = views["tok_ids"]
-    tok_counts = views["tok_counts"]
-    mask = _segment(mask_spec).views["mask"] if mask_spec is not None else None
-    idf = _segment(idf_spec).views["idf"] if idf_spec is not None else None
-    table = _profile_table(ctx_spec, mask_spec, idf_spec, mode)
-    scores = array("d")
-    if mode == "tfidf":
-        for a, b in zip(first, second):
-            vector_a = table.get(a, False)
-            if vector_a is False:
-                table[a] = vector_a = _tfidf_profile(a, tok_ptr, tok_ids, tok_counts, mask, idf)
-            vector_b = table.get(b, False)
-            if vector_b is False:
-                table[b] = vector_b = _tfidf_profile(b, tok_ptr, tok_ids, tok_counts, mask, idf)
-            scores.append(weighted_cosine(vector_a or {}, vector_b or {}))
-    else:
-        for a, b in zip(first, second):
-            set_a = table.get(a)
-            if set_a is None:
-                table[a] = set_a = _set_profile(a, tok_ptr, tok_ids, mask)
-            set_b = table.get(b)
-            if set_b is None:
-                table[b] = set_b = _set_profile(b, tok_ptr, tok_ids, mask)
-            scores.append(
-                _set_score(similarity_name, len(set_a), len(set_b), len(set_a & set_b))
-            )
-    return scores

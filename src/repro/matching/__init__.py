@@ -23,9 +23,10 @@ tokenisation and TF-IDF weighting cost *K* times.
 :class:`~repro.matching.engine.MatchingEngine` (``engine="batch"``, the
 workflow default) instead resolves each description once into a columnar
 :class:`~repro.text.profile_store.ProfileStore` -- interned integer token
-ids, sorted id arrays and L2-normalised TF-IDF weight columns -- and scores
-candidate pairs in vectorised passes (NumPy when importable, with a
-bit-identical pure-Python fallback).
+ids, sorted id arrays and TF-IDF weight columns with their norms -- and
+decides whole columns of ordinal pairs with one kernel over it (NumPy; an
+exact per-pair body refines the pairs at the threshold and is the whole
+engine without NumPy, with bit-identical decisions).
 
 The per-pair matchers remain the *oracle*: ``engine="pairwise"`` executes
 them verbatim, the equivalence suite (``tests/test_matching_equivalence.py``)
@@ -42,16 +43,17 @@ The update/iterate phase of :class:`~repro.core.workflow.ERWorkflow` uses
 the engine one-vs-many:
 :meth:`~repro.matching.engine.MatchingEngine.score_against` scores one
 transient merged description against candidates named by the shared
-context's *ordinals* -- the merged profile is scattered once, all candidate
-profiles are gathered in one pass from the store's profile CSR, and nothing
-per candidate is an object.  Scores are bit-identical to the per-pair
-oracle's; what makes the phase's *output* identical too is its order rule:
+context's *ordinals* -- the merged profile becomes a transient row of the
+store's profile CSR, the same kernel scores it against all candidate rows,
+and nothing per candidate is an object.  Thresholding the scores gives the
+per-pair oracle's decisions; what makes the phase's *output* identical too
+is its order rule:
 candidates are visited in identifier order and the already-clustered check
 runs at visit time, because a union made for an earlier candidate can absorb
 a later one.
 
-The same split closes the pipeline tail.  On the batch path the engine can
-emit executed decisions straight into a columnar
+The same split closes the pipeline tail.  The progressive runner can emit
+executed decisions straight into a columnar
 :class:`~repro.datamodel.pairs.DecisionColumns` (ordinal ``first``/``second``
 plus flat ``similarity``/``is_match`` arrays; decision objects materialise
 lazily as the oracle bridge), and

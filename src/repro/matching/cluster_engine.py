@@ -168,8 +168,8 @@ class ClusteringEngine:
 
         The oracle algorithms read ``decision.pair``, which always presents
         the lexicographically smaller identifier first; decision columns may
-        instead store the *execution* orientation (``decide_columns``, the
-        runner's ``keep_decisions`` drain).  Rows are swapped where needed so
+        instead store the *execution* orientation (the runner's
+        ``keep_decisions`` drain).  Rows are swapped where needed so
         the edge sort and the greedy scans see exactly the oracle's pairs.
         """
         ids = columns.ids

@@ -3,29 +3,47 @@
 The per-pair matchers in :mod:`repro.matching.matchers` are the readable
 formulation of the matching phase, but they re-derive both descriptions'
 token profiles on every comparison.  :class:`MatchingEngine` executes the
-same decisions in batches against a columnar
-:class:`~repro.text.profile_store.ProfileStore`: each description is
-tokenised, interned and (in TF-IDF mode) weighted exactly once, and candidate
-pairs are then scored in passes over flat integer/float columns.
+same decisions against a columnar
+:class:`~repro.text.profile_store.ProfileStore`, in which each description is
+tokenised, interned and (in TF-IDF mode) weighted exactly once.
 
-Two engines sit behind one interface, mirroring the meta-blocking engines of
-PR 1:
+Two engines sit behind one interface, mirroring the meta-blocking engines:
 
-* ``engine="batch"`` (the default) -- resolves candidate pairs against the
-  profile store and scores them in vectorised passes: NumPy when importable
-  (token-id gathers against a vocabulary-sized scratch column, grouped by the
-  left-hand description so its column is scattered once per group), and a
-  pure-Python fallback over cached ``frozenset``/dict views.  Both paths are
-  bit-identical to each other *and* to the per-pair matcher:
+* ``engine="batch"`` (the default) has one **kernel** and one **exact body**.
 
-  - set similarities reduce to integer intersection counts, and the final
-    score is computed with the very expressions of
-    :mod:`repro.text.similarity`;
-  - the TF-IDF cosine accumulates the dot product with :func:`math.fsum`
-    (exactly rounded, order-independent) over elementwise products that IEEE
-    multiplication makes identical regardless of operand order, and divides
-    by the norms the store precomputed with ``fsum`` -- matching
-    :func:`repro.text.vectorizer.weighted_cosine` bit for bit.
+  - The kernel (:meth:`MatchingEngine.decide_ordinal_pairs`, NumPy and a
+    shared pipeline context) decides whole columns of context-ordinal pairs
+    from the store's :class:`~repro.text.profile_store.ProfileColumns`: the
+    entries of one row of every pair are looked up in the other row with a
+    single ``searchsorted`` over the globally sorted key column and summed
+    per pair with a single ``bincount``.  No description, profile or
+    decision object exists per pair.
+  - The exact body (:meth:`MatchingEngine._exact`) scores one pair of cached
+    :class:`~repro.text.profile_store.Profile` objects with the very
+    expressions of the per-pair matcher: integer intersection counts fed to
+    :func:`_set_score`, and :func:`~repro.text.vectorizer.weighted_cosine`
+    (``fsum`` dot product over norms the store precomputed with ``fsum``).
+    It is the refine step of the kernel, the whole batch engine when NumPy
+    is missing (``use_numpy`` selects the kernel, nothing else), and the path
+    of every description the context does not own (merges, foreign data).
+
+  **Filter and refine.**  The set similarities are exact in the kernel too:
+  shared counts and profile lengths are integers.  A TF-IDF cosine from the
+  columns can differ from the exactly rounded one by at most
+  :meth:`ProfileColumns.margin <repro.text.profile_store.ProfileColumns.margin>`
+  (a few ulps per entry of the longest row, derived there), so a pair whose
+  vectorised score is farther than that from ``matcher.threshold`` is decided
+  by it, and the rest are re-scored by the exact body.  Every *decision* is
+  therefore the per-pair matcher's, bit for bit, on every path.
+
+  **Which value a caller sees.**  Wherever a similarity is output as such --
+  :class:`~repro.matching.matchers.MatchDecision.similarity`,
+  :attr:`DecisionColumns.similarity <repro.datamodel.pairs.DecisionColumns>`,
+  :meth:`~MatchingEngine.similarity_scores`,
+  :meth:`~MatchingEngine.score_ordinal_pairs` -- it comes from the exact
+  body.  The one exception is :meth:`~MatchingEngine.score_against`, whose
+  scores exist to be thresholded by the update phase: they lie on the exact
+  score's side of the threshold and within the margin of it.
 
 * ``engine="pairwise"`` -- delegates to the per-pair matcher, which remains
   the oracle of the equivalence suite (``tests/test_matching_equivalence.py``)
@@ -37,23 +55,17 @@ PR 1:
   columnar path cannot see) all run pairwise even under ``engine="batch"``.
 
 Because decisions are bit-identical and emitted in input order, swapping the
-engines never changes a workflow's output -- only its speed.
-
-Besides pairs, the batch engine scores **one description against many**:
-:meth:`MatchingEngine.score_against` takes a transient description (a merge
-of the update/iterate phase) and the shared context's ordinals of its
-candidates, and returns bare scores -- see there for the order rule the
-caller must keep.
+engines never changes a workflow's output -- only its speed.  Matching always
+runs on the calling process.
 """
 
 from __future__ import annotations
 
-import math
 from typing import Dict, List, Optional, Sequence, Tuple, Union
 
 from repro.datamodel.collection import CleanCleanTask, EntityCollection
 from repro.datamodel.description import EntityDescription
-from repro.datamodel.pairs import Comparison, DecisionColumns, OrdinalInterner
+from repro.datamodel.pairs import Comparison
 from repro.matching.matchers import (
     DecisionList,
     MatchDecision,
@@ -89,6 +101,11 @@ def _set_score(similarity_name: str, size_a: int, size_b: int, shared: int) -> f
     return shared / (size_a * size_b) ** 0.5
 
 
+def _id_set_score(similarity_name: str, first: frozenset, second: frozenset) -> float:
+    """Set similarity of two sets of distinct token ids (the exact set body)."""
+    return _set_score(similarity_name, len(first), len(second), len(first & second))
+
+
 class MatchingEngine:
     """Comparison executor with a batched and a per-pair (oracle) engine.
 
@@ -104,33 +121,27 @@ class MatchingEngine:
         ``"batch"`` (default) or ``"pairwise"``.
     use_numpy:
         Force (``True``, raising :class:`ValueError` when NumPy is not
-        importable) or forbid (``False``) the vectorised scoring path;
-        ``None`` uses NumPy whenever importable.  Both paths are
-        bit-identical.
+        importable) or forbid (``False``) the ordinal-pair kernel; ``None``
+        uses it whenever NumPy is importable.  Decisions are bit-identical
+        either way.
     context:
         Optional shared :class:`~repro.core.context.PipelineContext`.  When
         given, the engine's profile store is backed by the context: profiles
-        of descriptions the context owns are built from its interned columns
+        of descriptions the context owns come from its interned columns
         (zero re-tokenisation), and transient descriptions (merges) fall
-        back to tokenising into the shared vocabulary.  Decisions are
-        bit-identical with or without a context.
+        back to tokenising into the shared vocabulary.  The ordinal entry
+        points (:meth:`decide_ordinal_pairs`, :meth:`score_ordinal_pairs`,
+        :meth:`score_against`) need one.  Decisions are bit-identical with
+        or without a context.
     parallel:
-        Optional :class:`~repro.mapreduce.parallel.ParallelEngine`.  When
-        given (together with a context), :meth:`similarity_scores` batches
-        whose descriptions all resolve to context ordinals are scored by
-        worker processes over the context's shared columns -- bit-identical
-        to the single-process batch path.  Batches touching transient
-        descriptions (e.g. merges), or of fewer than two pairs, silently
-        stay single-process, and so does :meth:`score_against`.
+        Accepted and ignored: matching is not a pooled stage.
 
     Notes
     -----
     An engine instance owns one :class:`~repro.text.profile_store.ProfileStore`
     bound to the first input data it sees; it is meant to live for one
     workflow run (one dataset).  :attr:`last_engine` reports which engine
-    actually executed the most recent call (``"batch"``, ``"pairwise"``, or
-    ``"parallel"`` when a :class:`~repro.mapreduce.parallel.ParallelEngine`
-    scored the batch).
+    actually executed the most recent call (``"batch"`` or ``"pairwise"``).
     """
 
     def __init__(
@@ -151,7 +162,6 @@ class MatchingEngine:
         self.matcher = matcher
         self.engine = engine
         self.context = context
-        self.parallel = parallel
         self._use_numpy = (_np is not None) if use_numpy is None else bool(use_numpy)
         self._store: Optional[ProfileStore] = None
         self._store_source: Optional[object] = None
@@ -201,8 +211,39 @@ class MatchingEngine:
             self._store_source = source
         return self._store
 
+    def _batch_store(self, caller: str, ordinals: bool = False) -> ProfileStore:
+        """The store of a batch-only entry point (``ordinals``: context-backed)."""
+        if not self.batch_applicable:
+            raise ValueError(
+                f"{caller} requires the batch engine and a natively supported matcher"
+            )
+        if ordinals and self.context is None:
+            raise ValueError(f"{caller} needs a shared pipeline context")
+        self.last_engine = "batch"
+        return self._store_for(None)
+
     # ------------------------------------------------------------------
-    # execution
+    # the exact body
+    # ------------------------------------------------------------------
+    def _exact(self, first: Profile, second: Profile) -> float:
+        """The per-pair matcher's similarity of two cached profiles, bit for bit."""
+        if self.matcher.vectorizer is None:
+            return _id_set_score(self.matcher.similarity_name, first.id_set, second.id_set)
+        # weight_map is a SparseVector carrying the store's precomputed norm,
+        # so this is literally the oracle's cosine over cached columns -- one
+        # copy of the bit-identity-critical logic, not a transcription of it
+        return weighted_cosine(first.weight_map or {}, second.weight_map or {})
+
+    def _decision(self, comparison: Comparison, score: float) -> MatchDecision:
+        return MatchDecision(
+            comparison=comparison,
+            similarity=score,
+            is_match=score >= self.matcher.threshold,
+            cost=self.matcher.cost,
+        )
+
+    # ------------------------------------------------------------------
+    # descriptions in, decisions out (exact similarities)
     # ------------------------------------------------------------------
     def decide_all(
         self,
@@ -218,8 +259,7 @@ class MatchingEngine:
             return decisions
 
         self.last_engine = "batch"
-        store = self._store_for(data)
-        resolved: List[Tuple[Comparison, Profile, Profile]] = []
+        profile = self._store_for(data).profile
         decisions = DecisionList()
         for comparison in comparisons:
             first = data.get(comparison.first)
@@ -227,20 +267,8 @@ class MatchingEngine:
             if first is None or second is None:
                 decisions.record_skip(comparison.pair)
                 continue
-            resolved.append((comparison, store.profile(first), store.profile(second)))
-        scores = self._score(store, [(a, b) for _, a, b in resolved])
-        matcher = self.matcher
-        threshold = matcher.threshold
-        cost = matcher.cost
-        decisions.extend(
-            MatchDecision(
-                comparison=comparison,
-                similarity=score,
-                is_match=score >= threshold,
-                cost=cost,
-            )
-            for (comparison, _, _), score in zip(resolved, scores)
-        )
+            score = self._exact(profile(first), profile(second))
+            decisions.append(self._decision(comparison, score))
         self.last_skipped = decisions.skipped
         decisions.warn_if_skipped()
         return decisions
@@ -254,18 +282,7 @@ class MatchingEngine:
         both descriptions are cached, so a description compared *K* times by
         an adaptive scheduler is tokenised and weighted only once.
         """
-        if not self.batch_applicable:
-            self.last_engine = "pairwise"
-            return self.matcher.decide(first, second)
-        self.last_engine = "batch"
-        store = self._store_for(None)
-        score = self._score(store, [(store.profile(first), store.profile(second))])[0]
-        return MatchDecision(
-            comparison=Comparison(first.identifier, second.identifier),
-            similarity=score,
-            is_match=score >= self.matcher.threshold,
-            cost=self.matcher.cost,
-        )
+        return self.decide_pairs([(first, second)])[0]
 
     def decide_pairs(
         self,
@@ -276,57 +293,64 @@ class MatchingEngine:
         Either side may be a description that lives outside the input
         collection (e.g. a merge); the store caches it by identifier and
         recomputes automatically if a different object later reuses the
-        identifier.  The update/iterate phase itself goes through the
-        object-free :meth:`score_against`.
+        identifier.
         """
         if not self.batch_applicable:
             self.last_engine = "pairwise"
             return [self.matcher.decide(first, second) for first, second in pairs]
-        scores = self.similarity_scores(pairs)
-        matcher = self.matcher
-        threshold = matcher.threshold
-        cost = matcher.cost
         return [
-            MatchDecision(
-                comparison=Comparison(first.identifier, second.identifier),
-                similarity=score,
-                is_match=score >= threshold,
-                cost=cost,
-            )
-            for (first, second), score in zip(pairs, scores)
+            self._decision(Comparison(first.identifier, second.identifier), score)
+            for (first, second), score in zip(pairs, self.similarity_scores(pairs))
         ]
 
     def similarity_scores(
         self,
         pairs: Sequence[Tuple[EntityDescription, EntityDescription]],
     ) -> List[float]:
-        """Raw similarity of explicit description pairs, in input order.
+        """Exact similarity of explicit description pairs, in input order.
 
-        The object-free core of :meth:`decide_pairs`: the scores it returns
-        are exactly the ``similarity`` fields the decision objects would
-        carry, but nothing per-pair is materialised -- the progressive
-        runner's columnar drain feeds them straight into a
-        :class:`~repro.datamodel.pairs.DecisionColumns`.  Only valid on the
-        batch path (:attr:`batch_applicable`); matchers the batch engine
-        cannot replicate have no object-free formulation.
+        The object-free core of :meth:`decide_pairs`: exactly the
+        ``similarity`` fields its decisions carry.  Only valid on the batch
+        path (:attr:`batch_applicable`); matchers the batch engine cannot
+        replicate have no object-free formulation.
         """
-        if not self.batch_applicable:
-            raise ValueError(
-                "similarity_scores requires the batch engine and a natively "
-                "supported matcher; use decide_pairs, which falls back to the "
-                "per-pair oracle"
+        profile = self._batch_store("similarity_scores").profile
+        return [self._exact(profile(first), profile(second)) for first, second in pairs]
+
+    # ------------------------------------------------------------------
+    # context ordinals in, flags or scores out
+    # ------------------------------------------------------------------
+    def score_ordinal_pairs(self, first: Sequence[int], second: Sequence[int]) -> List[float]:
+        """Exact similarity of the context descriptions ``first[i]``, ``second[i]``.
+
+        The exact body over :meth:`ProfileStore.ordinal_profile
+        <repro.text.profile_store.ProfileStore.ordinal_profile>`: for callers
+        that output the similarities (``keep_decisions``).
+        """
+        profile = self._batch_store("score_ordinal_pairs", ordinals=True).ordinal_profile
+        return [self._exact(profile(a), profile(b)) for a, b in zip(first, second)]
+
+    def decide_ordinal_pairs(self, first: Sequence[int], second: Sequence[int]) -> List[bool]:
+        """Whether the context descriptions ``first[i]``, ``second[i]`` match.
+
+        The kernel of the matching phase (see the module docstring): one
+        pass over the store's profile columns, the exact body only for the
+        pairs within the margin of the threshold -- and for all of them when
+        NumPy is not in use.  The flags are the per-pair matcher's decisions.
+        """
+        threshold = self.matcher.threshold
+        if not self._use_numpy:
+            scores = self.score_ordinal_pairs(first, second)
+        else:
+            store = self._batch_store("decide_ordinal_pairs", ordinals=True)
+            profile = store.ordinal_profile
+            scores = self._column_scores(
+                store,
+                first,
+                second,
+                lambda i: self._exact(profile(first[i]), profile(second[i])),
             )
-        self.last_engine = "batch"
-        if self.parallel is not None and self.context is not None and len(pairs) > 1:
-            ordinal_pairs = self._resolve_ordinals(pairs)
-            if ordinal_pairs is not None:
-                self.last_engine = "parallel"
-                return self.parallel.similarity_scores(
-                    self.context, self.matcher, ordinal_pairs
-                )
-        store = self._store_for(None)
-        profiles = [(store.profile(first), store.profile(second)) for first, second in pairs]
-        return self._score(store, profiles)
+        return [score >= threshold for score in scores]
 
     def score_against(
         self, description: EntityDescription, ordinals: Sequence[int]
@@ -336,219 +360,69 @@ class MatchingEngine:
         The one-vs-many entry point of the update/iterate phase: one side is
         a transient description (a merge, tokenised on demand into the shared
         vocabulary and not retained by the store), the other side is named by
-        the shared context's ordinals -- no description, profile pair or
-        decision object is touched per candidate.  On the NumPy path the
-        query profile is scattered once into a vocabulary-sized column and
-        every candidate's profile is gathered in one pass from the store's
-        profile CSR (:meth:`ProfileStore.context_columns
-        <repro.text.profile_store.ProfileStore.context_columns>`); the
-        pure-Python path walks the cached per-ordinal ``id_set`` /
-        ``weight_map`` views.  Scores come back in the order of ``ordinals``
-        and are bit-identical to ``matcher.similarity`` on every pair: shared
-        counts are exact integers fed to :func:`_set_score`, TF-IDF dot
-        products are one :func:`math.fsum` per candidate.
-
-        Requires the batch engine, a natively supported matcher
-        (:attr:`batch_applicable`) and a shared context.  Always runs on the
-        calling process, whatever ``parallel`` is: the query's tokens are not
-        in the workers' shared columns.
+        the shared context's ordinals.  The merge becomes the transient row
+        of the store's profile columns and the candidates are scored by the
+        kernel of :meth:`decide_ordinal_pairs`; without NumPy every candidate
+        goes through the exact body.  Scores come back in the order of
+        ``ordinals``.  They are for thresholding: ``score >= threshold`` is
+        the per-pair matcher's decision on every pair, the set similarities
+        are exact, and a TF-IDF cosine farther from the threshold than the
+        columns' margin is the vectorised one (within that margin of exact).
         """
-        if not self.batch_applicable:
-            raise ValueError(
-                "score_against requires the batch engine and a natively "
-                "supported matcher"
-            )
-        self.last_engine = "batch"
-        store = self._store_for(None)
+        store = self._batch_store("score_against", ordinals=True)
         query = store.build(description)
-        if self._use_numpy and len(ordinals) > 1:
-            return self._score_against_numpy(store, query, ordinals)
-        profiles = store.context_profiles()
-        pairs = [(query, profiles[ordinal]) for ordinal in ordinals]
-        if store.mode == "tfidf":
-            return self._score_tfidf_python(pairs)
-        return self._score_sets_python(pairs)
+        profile = store.ordinal_profile
+        if not self._use_numpy or not len(ordinals):
+            return [self._exact(query, profile(ordinal)) for ordinal in ordinals]
+        row = store.columns().set_query(query)
+        return self._column_scores(
+            store,
+            _np.full(len(ordinals), row),
+            ordinals,
+            lambda i: self._exact(query, profile(ordinals[i])),
+        )
 
-    def _score_against_numpy(
-        self, store: ProfileStore, query: Profile, ordinals: Sequence[int]
-    ) -> List[float]:
-        ptr, token_ids, weights, norms = store.context_columns()
-        ordinals = _np.asarray(ordinals, dtype=_np.intp)
-        starts = ptr[ordinals]
-        sizes = ptr[ordinals + 1] - starts
-        # segment i of the gathered stream is [bounds[i], bounds[i + 1])
-        bounds = _np.zeros(len(ordinals) + 1, dtype=_np.intp)
-        _np.cumsum(sizes, out=bounds[1:])
-        gather = _np.repeat(starts - bounds[:-1], sizes) + _np.arange(bounds[-1])
-        # the query was built first: its tokens are inside the vocabulary
-        # even when the merge interned new ones
-        vocabulary_size = store.vocabulary_size
-        if weights is None:
-            flags = _np.zeros(vocabulary_size, dtype=bool)
-            flags[query.np_ids] = True
-            running = _np.zeros(len(gather) + 1, dtype=_np.intp)
-            _np.cumsum(flags[token_ids[gather]], out=running[1:])
-            shared = running[bounds[1:]] - running[bounds[:-1]]
-            name = self.matcher.similarity_name
-            query_size = len(query)
-            return [
-                _set_score(name, query_size, size, count)
-                for size, count in zip(sizes.tolist(), shared.tolist())
-            ]
-        scores = [0.0] * len(ordinals)
-        query_norm = query.norm
-        if not len(query) or query_norm == 0.0:
-            return scores
-        column = _np.zeros(vocabulary_size, dtype=_np.float64)
-        column[query.np_ids] = query.np_weights
-        # tokens absent from the query gather 0.0: exact-zero products leave
-        # the exactly rounded fsum -- hence the oracle's intersection-only
-        # accumulation -- unchanged
-        products = (column[token_ids[gather]] * weights[gather]).tolist()
-        stops = bounds.tolist()
-        segments = zip(stops, stops[1:], norms[ordinals].tolist())
-        for index, (start, stop, norm) in enumerate(segments):
-            dot = math.fsum(products[start:stop])
-            if dot != 0.0 and norm != 0.0:
-                scores[index] = dot / (query_norm * norm)
-        return scores
+    def _column_scores(self, store: ProfileStore, first, second, exact) -> List[float]:
+        """Scores of row pairs of the store's columns, exact where it decides.
 
-    def _resolve_ordinals(
-        self,
-        pairs: Sequence[Tuple[EntityDescription, EntityDescription]],
-    ) -> Optional[List[Tuple[int, int]]]:
-        """The context ordinals of every pair, or ``None`` if any description
-        is not the context's own object (e.g. a transient merge, whose tokens
-        the shared columns do not carry)."""
-        context = self.context
-        ordinal_of = context.ordinal
-        description_of = context.description
-        ordinal_pairs: List[Tuple[int, int]] = []
-        for first, second in pairs:
-            a = ordinal_of(first.identifier)
-            b = ordinal_of(second.identifier)
-            if (
-                a is None
-                or b is None
-                or description_of(a) is not first
-                or description_of(b) is not second
-            ):
-                return None
-            ordinal_pairs.append((a, b))
-        return ordinal_pairs
-
-    def decide_columns(
-        self,
-        pairs: Sequence[Tuple[EntityDescription, EntityDescription]],
-    ) -> DecisionColumns:
-        """Decide explicit description pairs straight into decision columns.
-
-        The columnar sibling of :meth:`decide_pairs`: on the batch path the
-        ordinal/similarity/is_match arrays are emitted directly (zero
-        :class:`~repro.matching.matchers.MatchDecision` objects); matchers
-        the batch engine cannot replicate fall back to the per-pair oracle
-        and its decisions are interned into the same columnar form, so the
-        result is bit-identical either way (lazy materialisation through the
-        oracle bridge yields the very decisions ``decide_pairs`` returns).
+        ``exact(i)`` is the exact body on pair ``i``; it replaces every
+        TF-IDF score within the columns' margin of the threshold.
         """
-        cost = getattr(self.matcher, "cost", 1.0)
-        if not self.batch_applicable:
-            return DecisionColumns.from_decisions(self.decide_pairs(pairs), cost=cost)
-        scores = self.similarity_scores(pairs)
-        threshold = self.matcher.threshold
-        intern = OrdinalInterner()
-        columns = DecisionColumns(intern.ids, cost=cost)
-        for (first, second), score in zip(pairs, scores):
-            columns.append(
-                intern(first.identifier),
-                intern(second.identifier),
-                score,
-                score >= threshold,
-            )
-        return columns
+        columns = store.columns()
+        first = _np.asarray(first, dtype=_np.int64)
+        second = _np.asarray(second, dtype=_np.int64)
+        shared = columns.shared(first, second)
+        if columns.weights is None:
+            # exact integers in, the oracle's expression per pair: (a * b) **
+            # 0.5 is not np.sqrt, so the final step stays scalar
+            name = self.matcher.similarity_name
+            sizes = columns.sizes
+            return [
+                _set_score(name, size_a, size_b, count)
+                for size_a, size_b, count in zip(
+                    sizes[first].tolist(), sizes[second].tolist(), shared.tolist()
+                )
+            ]
+        scale = columns.norms[first] * columns.norms[second]
+        scores = _np.divide(shared, scale, out=_np.zeros(len(scale)), where=scale > 0.0)
+        near = _np.abs(scores - self.matcher.threshold) <= columns.margin()
+        for index in _np.flatnonzero(near).tolist():
+            scores[index] = exact(index)
+        return scores.tolist()
 
     # ------------------------------------------------------------------
-    # scoring passes
-    # ------------------------------------------------------------------
-    def _score(
-        self, store: ProfileStore, profile_pairs: Sequence[Tuple[Profile, Profile]]
-    ) -> List[float]:
-        """Similarity of each profile pair, in input order."""
-        if not profile_pairs:
-            return []
-        # the NumPy passes scatter into a vocabulary-sized scratch column --
-        # a win amortised over a batch, pure overhead for a single pair
-        # (e.g. adaptive schedulers deciding one comparison at a time), which
-        # the bit-identical cached-set/dict path scores in O(profile) instead
-        use_numpy = self._use_numpy and len(profile_pairs) > 1
-        if store.mode == "tfidf":
-            if use_numpy:
-                return self._score_tfidf_numpy(store, profile_pairs)
-            return self._score_tfidf_python(profile_pairs)
-        if use_numpy:
-            return self._score_sets_numpy(store, profile_pairs)
-        return self._score_sets_python(profile_pairs)
-
-    def _score_sets_python(
-        self, profile_pairs: Sequence[Tuple[Profile, Profile]]
-    ) -> List[float]:
-        name = self.matcher.similarity_name
-        scores = []
-        for first, second in profile_pairs:
-            shared = len(first.id_set & second.id_set)
-            scores.append(_set_score(name, len(first), len(second), shared))
-        return scores
-
-    def _score_sets_numpy(
-        self, store: ProfileStore, profile_pairs: Sequence[Tuple[Profile, Profile]]
-    ) -> List[float]:
-        name = self.matcher.similarity_name
-        scores: List[float] = [0.0] * len(profile_pairs)
-        flags = _np.zeros(store.vocabulary_size, dtype=bool)
-        for left, group in self._grouped(profile_pairs).items():
-            left_ids = left.np_ids
-            left_size = len(left)
-            flags[left_ids] = True
-            non_empty = [(index, right) for index, right in group if len(right)]
-            for index, right in group:
-                if not len(right):
-                    scores[index] = _set_score(name, left_size, 0, 0)
-            if len(non_empty) == 1:
-                # a single partner: one gather, no concatenation overhead
-                index, right = non_empty[0]
-                shared = int(flags[right.np_ids].sum())
-                scores[index] = _set_score(name, left_size, len(right), shared)
-            elif non_empty:
-                # one gather for the whole group: concatenate the right
-                # profiles' token ids and segment-sum the marked flags
-                sizes = [len(right) for _index, right in non_empty]
-                offsets = _np.zeros(len(sizes), dtype=_np.intp)
-                _np.cumsum(sizes[:-1], out=offsets[1:])
-                marked = flags[
-                    _np.concatenate([right.np_ids for _index, right in non_empty])
-                ]
-                shared_counts = _np.add.reduceat(marked, offsets, dtype=_np.intp)
-                for (index, right), shared in zip(non_empty, shared_counts.tolist()):
-                    scores[index] = _set_score(name, left_size, len(right), shared)
-            flags[left_ids] = False
-        return scores
-
     def score_id_set_pairs(
         self,
         pairs: Sequence[Tuple[int, int]],
         id_columns: Sequence[Sequence[int]],
-        vocabulary_size: int,
     ) -> List[float]:
         """Set-mode scores of ordinal pairs over precomputed token-id columns.
 
-        The fully columnar entry point of the set scorer: callers that
-        already hold one *distinct* token-id column per description (e.g.
-        the similarity-join array build's
-        :class:`~repro.blocking.columns.TokenColumnView`) score candidate
-        ordinal pairs without materialising descriptions or profiles.
-        Scores use the exact :func:`_set_score` expressions of every other
-        batch path, so they are bit-identical to the per-pair oracle's
-        similarities.  Requires the batch engine, a natively supported
+        For callers that already hold one *distinct* token-id column per
+        description (the similarity-join array build's
+        :class:`~repro.blocking.columns.TokenColumnView`): the exact set
+        body over a ``frozenset`` per touched column, no description or
+        profile in between.  Requires the batch engine, a natively supported
         set-mode matcher, and columns indexed by the ordinals in ``pairs``.
         """
         if not self.batch_applicable:
@@ -556,57 +430,10 @@ class MatchingEngine:
                 "score_id_set_pairs requires the batch engine and a natively "
                 "supported matcher"
             )
-        if getattr(self.matcher, "vectorizer", None) is not None:
+        if self.matcher.vectorizer is not None:
             raise ValueError("score_id_set_pairs only supports set-mode matchers")
         self.last_engine = "batch"
         name = self.matcher.similarity_name
-        scores: List[float] = [0.0] * len(pairs)
-        if self._use_numpy and len(pairs) > 1:
-            # runs of equal first ordinals share one scatter of the first
-            # column; callers that sort their pairs (the similarity join
-            # emits them in ascending canonical order) get one run per
-            # distinct left-hand description for free
-            np_columns = [_np.asarray(column, dtype=_np.intp) for column in id_columns]
-            sizes = [len(column) for column in id_columns]
-            flags = _np.zeros(vocabulary_size, dtype=bool)
-            total = len(pairs)
-            start = 0
-            while start < total:
-                first = pairs[start][0]
-                stop = start + 1
-                while stop < total and pairs[stop][0] == first:
-                    stop += 1
-                first_size = sizes[first]
-                seconds = [pairs[index][1] for index in range(start, stop)]
-                non_empty = [second for second in seconds if sizes[second]]
-                if len(non_empty) < len(seconds):
-                    for offset, second in enumerate(seconds):
-                        if not sizes[second]:
-                            scores[start + offset] = _set_score(name, first_size, 0, 0)
-                if non_empty:
-                    first_ids = np_columns[first]
-                    flags[first_ids] = True
-                    if len(non_empty) == 1:
-                        shared_counts = [int(flags[np_columns[non_empty[0]]].sum())]
-                    else:
-                        offsets = _np.zeros(len(non_empty), dtype=_np.intp)
-                        _np.cumsum([sizes[s] for s in non_empty[:-1]], out=offsets[1:])
-                        marked = flags[
-                            _np.concatenate([np_columns[s] for s in non_empty])
-                        ]
-                        shared_counts = _np.add.reduceat(
-                            marked, offsets, dtype=_np.intp
-                        ).tolist()
-                    counts = iter(shared_counts)
-                    for offset, second in enumerate(seconds):
-                        second_size = sizes[second]
-                        if second_size:
-                            scores[start + offset] = _set_score(
-                                name, first_size, second_size, next(counts)
-                            )
-                    flags[first_ids] = False
-                start = stop
-            return scores
         sets: Dict[int, frozenset] = {}
 
         def id_set(ordinal: int) -> frozenset:
@@ -615,60 +442,4 @@ class MatchingEngine:
                 sets[ordinal] = cached = frozenset(id_columns[ordinal])
             return cached
 
-        for index, (first, second) in enumerate(pairs):
-            first_set = id_set(first)
-            second_set = id_set(second)
-            shared = len(first_set & second_set)
-            scores[index] = _set_score(name, len(first_set), len(second_set), shared)
-        return scores
-
-    @staticmethod
-    def _score_tfidf_python(
-        profile_pairs: Sequence[Tuple[Profile, Profile]]
-    ) -> List[float]:
-        # weight_map is a SparseVector carrying the store's precomputed norm,
-        # so this is literally the oracle's cosine over cached columns -- one
-        # copy of the bit-identity-critical logic, not a transcription of it
-        return [
-            weighted_cosine(first.weight_map or {}, second.weight_map or {})
-            for first, second in profile_pairs
-        ]
-
-    def _score_tfidf_numpy(
-        self, store: ProfileStore, profile_pairs: Sequence[Tuple[Profile, Profile]]
-    ) -> List[float]:
-        scores: List[float] = [0.0] * len(profile_pairs)
-        column = _np.zeros(store.vocabulary_size, dtype=_np.float64)
-        for left, group in self._grouped(profile_pairs).items():
-            if not len(left):
-                continue  # empty profile: cosine is 0.0 for the whole group
-            left_ids = left.np_ids
-            column[left_ids] = left.np_weights
-            left_norm = left.norm
-            for index, right in group:
-                if not len(right):
-                    continue
-                # tokens absent from the left profile gather 0.0 and
-                # contribute exact-zero products, which leave the exactly
-                # rounded fsum -- and hence bit-identity with the oracle's
-                # intersection-only accumulation -- unchanged
-                products = column[right.np_ids] * right.np_weights
-                dot = math.fsum(products.tolist())
-                if dot == 0.0:
-                    continue
-                right_norm = right.norm
-                if left_norm == 0.0 or right_norm == 0.0:
-                    continue
-                scores[index] = dot / (left_norm * right_norm)
-            column[left_ids] = 0.0
-        return scores
-
-    @staticmethod
-    def _grouped(
-        profile_pairs: Sequence[Tuple[Profile, Profile]]
-    ) -> Dict[Profile, List[Tuple[int, Profile]]]:
-        """Group pair indices by left profile so its column scatters once."""
-        groups: Dict[Profile, List[Tuple[int, Profile]]] = {}
-        for index, (first, second) in enumerate(profile_pairs):
-            groups.setdefault(first, []).append((index, second))
-        return groups
+        return [_id_set_score(name, id_set(first), id_set(second)) for first, second in pairs]

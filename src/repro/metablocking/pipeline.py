@@ -243,8 +243,8 @@ class MetaBlocking:
         :meth:`weighted_comparisons` -- but the index engine's ordinal/weight
         columns are wrapped as they are, no per-edge object or identifier
         lookup in between; the natural input of the array scheduling engine.
-        With a shared ``context`` the ordinal space is the context's (and
-        the columns carry its resolved description table); a context built
+        With a shared ``context`` the ordinal space is the context's (the
+        columns' ``ids`` is ``context.ids`` itself); a context built
         for a different collection than the blocks raises :class:`KeyError`
         before any pruning work.  Without one the columns' ``ids`` is the
         index engine's own table (block members in first-seen order).  The
@@ -277,7 +277,6 @@ class MetaBlocking:
             first,
             second,
             weights,
-            descriptions=None if context is None else context.descriptions,
             distinct=True,
         )
         if parallel is not None:

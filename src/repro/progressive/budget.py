@@ -9,6 +9,8 @@ them.
 
 from __future__ import annotations
 
+from bisect import bisect_right
+from itertools import accumulate, repeat
 from typing import Optional
 
 
@@ -56,6 +58,23 @@ class Budget:
             return False
         self._spent += cost
         return True
+
+    def charge_many(self, cost: float, count: int) -> int:
+        """Charge ``cost`` up to ``count`` times; returns how many fitted.
+
+        Leaves :attr:`spent` exactly where that many :meth:`charge` calls
+        would: the running totals are accumulated one addition at a time
+        (never ``count * cost``), so a non-integer cost rounds the same way.
+        """
+        if cost < 0:
+            raise ValueError("cost must be non-negative")
+        totals = list(accumulate(repeat(cost, count), initial=self._spent))
+        if self.total is not None:
+            # cost >= 0: the totals never decrease, so the affordable charges
+            # are a prefix
+            count = max(0, bisect_right(totals, self.total) - 1)
+        self._spent = totals[count]
+        return count
 
     def fraction_used(self) -> float:
         """Fraction of the budget consumed (0 when unlimited)."""

@@ -30,9 +30,9 @@ two-engine pattern of the blocking, meta-blocking and matching phases:
     block-ordered pairs with integer-coded first-occurrence deduplication.
 
   The scheduled rows feed
-  :meth:`~repro.matching.engine.MatchingEngine.decide_pairs` directly in
-  batched draws (see :func:`~repro.progressive.runner.run_progressive`), so
-  a budgeted run touches only the array prefix it can afford.
+  :meth:`~repro.matching.engine.MatchingEngine.decide_ordinal_pairs` directly
+  in batched draws (see :func:`~repro.progressive.runner.run_progressive`),
+  so a budgeted run touches only the array prefix it can afford.
 
 * ``engine="object"`` -- delegates to the scheduler's own
   :meth:`~repro.progressive.schedulers.ProgressiveScheduler.schedule`
@@ -87,22 +87,15 @@ class ScheduledRows:
 
     ``rows`` yields ``(first, second, weight)`` triples indexing ``ids``;
     generation is lazy, so a budgeted consumer only pays for the prefix it
-    draws.  ``descriptions`` (when the columns came from a shared pipeline
-    context) is aligned with ``ids`` and lets the executor skip identifier
-    resolution entirely.
+    draws.  When the columns came from a shared pipeline context, ``ids`` is
+    the context's own table and the rows are context ordinals.
     """
 
-    __slots__ = ("ids", "rows", "descriptions")
+    __slots__ = ("ids", "rows")
 
-    def __init__(
-        self,
-        ids: Sequence[str],
-        rows: Iterator[Row],
-        descriptions: Optional[Sequence] = None,
-    ) -> None:
+    def __init__(self, ids: Sequence[str], rows: Iterator[Row]) -> None:
         self.ids = ids
         self.rows = rows
-        self.descriptions = descriptions
 
     def comparisons(self) -> Iterator[Comparison]:
         """Materialise the schedule as :class:`Comparison` objects (lazy)."""
@@ -255,9 +248,7 @@ class SchedulingEngine:
 
     def _rows_weight_order(self, candidates: CandidateSource) -> ScheduledRows:
         columns = self._as_columns(candidates).weight_sorted()
-        return ScheduledRows(
-            columns.ids, self._column_rows(columns), columns.descriptions
-        )
+        return ScheduledRows(columns.ids, self._column_rows(columns))
 
     def _rows_random(
         self, scheduler: RandomOrderScheduler, candidates: CandidateSource
@@ -276,7 +267,7 @@ class SchedulingEngine:
             for i in order:
                 yield first[i], second[i], weights[i] if weights is not None else None
 
-        return ScheduledRows(columns.ids, rows(), columns.descriptions)
+        return ScheduledRows(columns.ids, rows())
 
     @staticmethod
     def _rows_static(scheduler: StaticOrderScheduler) -> ScheduledRows:

@@ -9,25 +9,43 @@ progressive recall curve against the ground truth (when provided).
 Comparisons are executed through a
 :class:`~repro.matching.engine.MatchingEngine` (``engine="batch"`` by
 default), which caches each description's token profile in a columnar store
-so an entity compared *K* times is tokenised once.  When the scheduler does
-not adapt its order to match feedback (it leaves
-:meth:`~repro.progressive.schedulers.ProgressiveScheduler.feedback`
-un-overridden), the runner additionally *drains the scheduler in batches* and
-scores each batch in one vectorised pass; adaptive schedulers keep the
-draw-one/decide-one loop (their next draw may depend on the last decision)
-but still hit the profile cache.  Both execution shapes are bit-identical to
-the historical per-pair loop.
+so an entity compared *K* times is tokenised once.  There are three
+execution shapes, all bit-identical to the historical per-pair loop
+(decisions, matches, ``budget_spent``, one curve point per comparison):
+
+* **columnar drain** -- an array schedule (``scheduling``) and an engine
+  whose shared context owns ``data``: every batch is two columns of context
+  ordinals handed to :meth:`MatchingEngine.decide_ordinal_pairs
+  <repro.matching.engine.MatchingEngine.decide_ordinal_pairs>`.  No
+  description pair, ``Comparison`` or ``MatchDecision`` is built; the budget
+  is charged and the curve extended once per batch
+  (:meth:`Budget.charge_many <repro.progressive.budget.Budget.charge_many>`,
+  :meth:`ProgressiveRecallCurve.record_many
+  <repro.evaluation.curves.ProgressiveRecallCurve.record_many>`) and Python
+  runs per *match* only.  A schedule whose identifier table is not the
+  context's own is mapped to context ordinals once per identifier;
+  identifiers the data lacks are counted as skips.  With ``keep_decisions``
+  the similarities are output, so they come from the engine's exact body
+  (:meth:`MatchingEngine.score_ordinal_pairs
+  <repro.matching.engine.MatchingEngine.score_ordinal_pairs>`).
+* **object drain** -- any other feedback-free scheduler (one that leaves
+  :meth:`~repro.progressive.schedulers.ProgressiveScheduler.feedback`
+  un-overridden) is drained in batches of scheduled ``Comparison`` objects
+  through :meth:`MatchingEngine.decide_pairs
+  <repro.matching.engine.MatchingEngine.decide_pairs>`.
+* **draw-one/decide-one** -- adaptive schedulers (their next draw may depend
+  on the last decision), still hitting the profile cache.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from itertools import islice
+from itertools import compress, islice
 from typing import List, Optional, Sequence, Set, Tuple, Union
 
 from repro.datamodel.collection import CleanCleanTask, EntityCollection
 from repro.datamodel.ground_truth import GroundTruth
-from repro.datamodel.pairs import Comparison, DecisionColumns, pair_code
+from repro.datamodel.pairs import Comparison, DecisionColumns, canonical_pair, pair_code
 from repro.evaluation.curves import ProgressiveRecallCurve
 from repro.matching.engine import MatchingEngine
 from repro.matching.matchers import DecisionList, MatchDecision, Matcher
@@ -146,12 +164,20 @@ def run_progressive(
     keep_decisions:
         Whether to retain every :class:`MatchDecision` in the result (memory
         heavy for large runs; benchmarks usually keep it off).
+        ``result.decisions`` is a
+        :class:`~repro.datamodel.pairs.DecisionColumns` only on the columnar
+        drain -- an array schedule *and* a ``MatchingEngine`` whose shared
+        context owns ``data``; every other combination, including
+        ``scheduling="array"`` with an engine that has no such context (one
+        built here from a name never has), returns a plain list of the same
+        decisions.
     engine:
         ``"batch"`` (default), ``"pairwise"`` or a ready-made
         :class:`~repro.matching.engine.MatchingEngine` wrapping ``matcher``.
         The engine only changes *how* comparisons are scored (cached columnar
-        profiles, vectorised passes), never the decisions; matchers the batch
-        engine cannot replicate fall back to per-pair execution automatically.
+        profiles, one kernel over ordinal columns), never the decisions;
+        matchers the batch engine cannot replicate fall back to per-pair
+        execution automatically.
     batch_size:
         How many comparisons are drawn per scheduler drain when batch
         execution applies.  Schedulers that adapt to feedback are always
@@ -161,10 +187,11 @@ def run_progressive(
         the historical behaviour), ``"array"``/``"object"`` or a ready-made
         :class:`~repro.progressive.engine.SchedulingEngine` wrapping
         ``scheduler``.  The array engine executes feedback-free library
-        schedulers over flat ordinal rows, draining them straight into
-        :meth:`MatchingEngine.decide_pairs` without materialising scheduled
-        ``Comparison`` objects; the schedule -- and hence every decision,
-        match and curve point -- is bit-identical either way.
+        schedulers over flat ordinal rows, which an engine with a shared
+        context over ``data`` drains straight into
+        :meth:`MatchingEngine.decide_ordinal_pairs` without materialising
+        scheduled ``Comparison`` objects; the schedule -- and hence every
+        decision, match and curve point -- is bit-identical either way.
     """
     if budget is None:
         budget_obj = Budget(None)
@@ -244,19 +271,25 @@ def run_progressive(
         # so a draw never needs to exceed what the remaining budget can charge
         cost = matcher.cost
 
-        if rows is not None:
-            # ---------- columnar drain: zero per-pair objects ----------
-            # the ordinal rows feed the engine's raw scoring pass and every
-            # outcome lands straight in flat columns: no scheduled
-            # Comparison, no MatchDecision.  The schedule is feedback-free
-            # by construction (array schedules only exist for schedulers
-            # whose feedback hook provably never changes the order), so the
-            # per-decision callback of the object path is a no-op here and
-            # is skipped outright.
+        def affordable_draw() -> int:
+            """Comparisons to draw next: a batch, or what the budget still
+            covers plus one (the one that shows it is exhausted); 0 when out."""
+            if budget_obj.total is None or cost <= 0:
+                return batch_size
+            remaining = budget_obj.remaining
+            return 0 if remaining < cost else min(batch_size, int(remaining / cost) + 1)
+
+        context = executor.context
+        if rows is not None and context is not None and context.owns(data):
+            # ---------- columnar drain: ordinals in, flags out ----------
+            # every batch is two ordinal columns handed to the engine's
+            # kernel; the budget is charged and the curve extended per
+            # batch, and Python runs per *match* only.  The schedule is
+            # feedback-free by construction (array schedules only exist for
+            # schedulers whose feedback hook provably never changes the
+            # order), so the per-decision callback is skipped outright.
             ids = rows.ids
-            descriptions = rows.descriptions
             row_iter = rows.rows
-            threshold = matcher.threshold
             decisions_out: Optional[DecisionColumns] = None
             if keep_decisions:
                 decisions_out = DecisionColumns(ids, cost=cost)
@@ -266,58 +299,60 @@ def run_progressive(
                 if ground_truth is not None
                 else None
             )
+            # a table that is not the context's own (a scheduler that
+            # interns identifiers as it streams) is mapped to context
+            # ordinals once per identifier; -1 marks one the data lacks
+            to_context: Optional[List[int]] = None if ids is context.ids else []
             seen_codes: Set[int] = set()
-            exhausted = False
-            while not exhausted:
-                draw = batch_size
-                if budget_obj.total is not None and cost > 0:
-                    remaining = budget_obj.remaining
-                    if remaining < cost:
-                        break
-                    draw = min(batch_size, int(remaining / cost) + 1)
-                drawn = 0
-                ordinals: List[Tuple[int, int]] = []
-                profile_pairs = []
-                for f, s, _weight in islice(row_iter, draw):
-                    drawn += 1
-                    if descriptions is not None:
-                        first = descriptions[f]
-                        second = descriptions[s]
-                    else:
-                        first = data.get(ids[f])
-                        second = data.get(ids[s])
-                    if first is None or second is None:
-                        id_a, id_b = ids[f], ids[s]
-                        skips.record_skip((id_a, id_b) if id_a < id_b else (id_b, id_a))
-                        continue
-                    ordinals.append((f, s))
-                    profile_pairs.append((first, second))
-                if not drawn:
+            while True:
+                batch = list(islice(row_iter, affordable_draw()))
+                if not batch:
                     break
-                scores = executor.similarity_scores(profile_pairs)
-                for (f, s), score in zip(ordinals, scores):
-                    if not budget_obj.charge(cost):
-                        exhausted = True
-                        break
-                    result.comparisons_executed += 1
-                    is_match = score >= threshold
-                    if decisions_out is not None:
-                        decisions_out.append(f, s, score, is_match)
-                    is_true_match = False
-                    if is_match:
-                        id_a, id_b = ids[f], ids[s]
-                        pair = (id_a, id_b) if id_a < id_b else (id_b, id_a)
-                        result.declared_matches.append(pair)
-                        if truth_ordinals is not None:
-                            code = pair_code(f, s)
-                            if code not in seen_codes and truth_ordinals.are_matches(
-                                f, s, pair
-                            ):
-                                seen_codes.add(code)
-                                is_true_match = True
-                                result.true_matches_found += 1
-                    if curve is not None:
-                        curve.record(None, is_match=is_true_match)
+                first, second, _weights = zip(*batch)
+                left, right = first, second
+                if to_context is not None:
+                    for identifier in ids[len(to_context) :]:
+                        ordinal = context.ordinal(identifier)
+                        to_context.append(-1 if ordinal is None else ordinal)
+                    left = [to_context[f] for f in first]
+                    right = [to_context[s] for s in second]
+                    resolved = [a >= 0 and b >= 0 for a, b in zip(left, right)]
+                    if not all(resolved):
+                        for f, s, found in zip(first, second, resolved):
+                            if not found:
+                                skips.record_skip(canonical_pair(ids[f], ids[s]))
+                        first, second, left, right = (
+                            list(compress(column, resolved))
+                            for column in (first, second, left, right)
+                        )
+                if decisions_out is None:
+                    flags = executor.decide_ordinal_pairs(left, right)
+                else:
+                    # the similarities are output: every one from the exact body
+                    scores = executor.score_ordinal_pairs(left, right)
+                    flags = [score >= matcher.threshold for score in scores]
+                executed = budget_obj.charge_many(cost, len(flags))
+                result.comparisons_executed += executed
+                if decisions_out is not None:
+                    decisions_out.first.extend(first[:executed])
+                    decisions_out.second.extend(second[:executed])
+                    decisions_out.similarity.extend(scores[:executed])
+                    decisions_out.is_match.extend(flags[:executed])
+                true_matches = bytearray(executed)
+                for position in compress(range(executed), flags):
+                    f, s = first[position], second[position]
+                    pair = canonical_pair(ids[f], ids[s])
+                    result.declared_matches.append(pair)
+                    if truth_ordinals is not None:
+                        code = pair_code(f, s)
+                        if code not in seen_codes and truth_ordinals.are_matches(f, s, pair):
+                            seen_codes.add(code)
+                            true_matches[position] = 1
+                            result.true_matches_found += 1
+                if curve is not None:
+                    curve.record_many(true_matches)
+                if executed < len(flags):
+                    break
         else:
             # ---------- object drain: scheduled Comparison objects ----------
             def resolve_draw(draw: int):
@@ -335,13 +370,7 @@ def run_progressive(
 
             exhausted = False
             while not exhausted:
-                draw = batch_size
-                if budget_obj.total is not None and cost > 0:
-                    remaining = budget_obj.remaining
-                    if remaining < cost:
-                        break
-                    draw = min(batch_size, int(remaining / cost) + 1)
-                drawn, resolved = resolve_draw(draw)
+                drawn, resolved = resolve_draw(affordable_draw())
                 if not drawn:
                     break
                 decisions = executor.decide_pairs([(f, s) for _, f, s in resolved])

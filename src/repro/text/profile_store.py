@@ -29,20 +29,21 @@ identifier -- e.g. after a merge replaced the description -- the stale entry is
 recomputed automatically, and :meth:`ProfileStore.invalidate` drops a single
 entry explicitly without touching the rest of the store.
 
-When NumPy is importable, :attr:`Profile.np_ids` / :attr:`Profile.np_weights`
-expose the same columns as zero-copy ``int64`` / ``float64`` views for the
-vectorised scoring passes of :class:`~repro.matching.engine.MatchingEngine`.
-
-A context-backed store additionally serves the profiles **by ordinal**:
-:meth:`ProfileStore.context_profiles` is the profile of every description
-the context owns, indexed by the context's ordinals, and
-:meth:`ProfileStore.context_columns` is the same data as one CSR
-(``ptr`` / token ids / weights / norms), so the one-vs-many pass of the
-update/iterate phase (:meth:`MatchingEngine.score_against
-<repro.matching.engine.MatchingEngine.score_against>`) gathers all its
-candidates' profiles in one indexing operation.  Both are built on first use
-and never go stale: row ``o`` is the profile of ``context.description(o)``,
-which the context interned once and for all.
+A context-backed store additionally has a **whole-collection form**,
+:meth:`ProfileStore.columns`: one :class:`ProfileColumns` CSR over the
+context's ordinals (filtered token ids, TF-IDF weights, row norms and a
+globally sorted ``row * stride + id`` key column), derived from
+``context.token_columns()`` in a handful of array operations with no
+:class:`Profile` object per description.  It is what the matching engine's
+ordinal-pair kernel reads (:meth:`MatchingEngine.decide_ordinal_pairs
+<repro.matching.engine.MatchingEngine.decide_ordinal_pairs>`); its weights
+are the very floats of the per-description profiles (the same IEEE
+operations, elementwise), its dot products and norms are plain vectorised
+sums -- see :meth:`ProfileColumns.margin` for how far those can be from the
+exactly rounded ones.  :class:`Profile` objects are built only where a score
+must be exact: :meth:`ProfileStore.ordinal_profile` serves the context's
+descriptions by ordinal (lazily, cached), :meth:`ProfileStore.profile` any
+description by identifier.
 """
 
 from __future__ import annotations
@@ -78,11 +79,8 @@ class Profile:
         with :func:`math.fsum` so it is bit-identical to the norm of the
         equivalent ``dict`` vector regardless of token order.
 
-    The derived views (:attr:`id_set`, :attr:`weight_map`, :attr:`np_ids`,
-    :attr:`np_weights`) are built lazily and cached: only the scoring path
-    that actually runs pays for its view, so e.g. the default NumPy TF-IDF
-    pass never materialises the per-profile hash tables of the pure-Python
-    paths.
+    The derived views (:attr:`id_set`, :attr:`weight_map`) are built lazily
+    and cached: only the similarity mode that actually runs pays for its view.
     """
 
     __slots__ = (
@@ -92,8 +90,6 @@ class Profile:
         "norm",
         "_id_set",
         "_weight_map",
-        "_np_ids",
-        "_np_weights",
     )
 
     def __init__(
@@ -109,8 +105,6 @@ class Profile:
         self.norm = norm
         self._id_set = None
         self._weight_map = None
-        self._np_ids = None
-        self._np_weights = None
 
     def __len__(self) -> int:
         return len(self.token_ids)
@@ -133,25 +127,145 @@ class Profile:
             )
         return self._weight_map
 
-    @property
-    def np_ids(self):
-        """Zero-copy ``int64`` view of :attr:`token_ids` (NumPy only)."""
-        if self._np_ids is None:
-            if len(self.token_ids) == 0:
-                self._np_ids = _np.zeros(0, dtype=_np.int64)
-            else:
-                self._np_ids = _np.frombuffer(self.token_ids, dtype=_np.int64)
-        return self._np_ids
+
+class ProfileColumns:
+    """Every context description's profile as one CSR, plus one query row.
+
+    Row ``o`` (a context ordinal) holds the sorted token ids the store's
+    token filter admits and, in TF-IDF mode, the aligned weights -- the
+    floats the per-description :class:`Profile` carries, derived by the same
+    IEEE operations elementwise.  ``keys`` is ``row * stride + id`` over all
+    rows: ascending by construction, so one ``searchsorted`` finds any
+    (row, id) entry.  Row :attr:`query_row` (one past the last ordinal) is a
+    transient row that :meth:`set_query` overwrites per query of the
+    one-vs-many pass; it sits at the end of the same columns, so
+    :meth:`shared` treats it like any other row.
+
+    ``sizes`` is the profile length per row (what the set similarities
+    divide by), ``norms`` the L2 norm per row (TF-IDF mode only).
+    """
+
+    __slots__ = ("ptr", "ids", "weights", "keys", "sizes", "norms", "stride", "_longest")
+
+    def __init__(self, context, token_filter, vectorizer=None) -> None:
+        np = _np
+        ptr, ids, counts = (
+            np.array(column, dtype=np.int64) for column in context.token_columns()
+        )
+        vocabulary_size = context.vocabulary_size
+        #: every stored id is below it, so a key names one (row, id) entry
+        self.stride = max(1, vocabulary_size)
+        if not token_filter.trivial:
+            keep = np.frombuffer(token_filter.mask(vocabulary_size), dtype=np.bool_)[ids]
+            kept_before = np.zeros(len(ids) + 1, dtype=np.int64)
+            np.cumsum(keep, out=kept_before[1:])
+            ptr, ids, counts = kept_before[ptr], ids[keep], counts[keep]
+        sizes = np.diff(ptr)
+        self.ptr = np.append(ptr, ptr[-1])
+        self.sizes = np.append(sizes, 0)
+        self.ids = ids
+        self.keys = np.repeat(np.arange(len(sizes)) * self.stride, sizes) + ids
+        self._longest = int(sizes.max(initial=0))
+        self.weights = self.norms = None
+        if vectorizer is not None:
+            # the idf floats are the vectorizer's own (np.log need not round
+            # like math.log); the maximal count is taken after the filter
+            idf = np.fromiter(
+                map(vectorizer.idf, map(context.token, range(vocabulary_size))),
+                dtype=np.float64,
+                count=vocabulary_size,
+            )
+            filled = sizes > 0
+            starts = ptr[:-1][filled]
+            max_count = np.repeat(np.maximum.reduceat(counts, starts), sizes[filled])
+            self.weights = (0.5 + 0.5 * counts / max_count) * idf[ids]
+            self.norms = np.zeros(len(sizes) + 1, dtype=np.float64)
+            self.norms[:-1][filled] = np.sqrt(
+                np.add.reduceat(self.weights * self.weights, starts)
+            )
 
     @property
-    def np_weights(self):
-        """Zero-copy ``float64`` view of :attr:`weights` (NumPy only)."""
-        if self._np_weights is None:
-            if self.weights is None or len(self.weights) == 0:
-                self._np_weights = _np.zeros(0, dtype=_np.float64)
-            else:
-                self._np_weights = _np.frombuffer(self.weights, dtype=_np.float64)
-        return self._np_weights
+    def query_row(self) -> int:
+        return len(self.sizes) - 1
+
+    def set_query(self, profile: Profile) -> int:
+        """Make ``profile`` the transient row and return its row number.
+
+        Ids the vocabulary gained after the columns were built stay out of
+        the row: no context row holds them, so they are shared with none --
+        the row's size and norm are the profile's own and do count them.
+        """
+        np = _np
+        row = self.query_row
+        ids = np.array(profile.token_ids, dtype=np.int64)
+        known = ids < self.stride
+        ids = ids[known]
+        start = int(self.ptr[row])
+        stop = start + len(ids)
+        missing = stop - len(self.ids)
+        if missing > 0:
+            room = np.zeros(max(missing, 1024), dtype=np.int64)
+            self.ids = np.concatenate((self.ids, room))
+            self.keys = np.concatenate((self.keys, room))
+            if self.weights is not None:
+                self.weights = np.concatenate((self.weights, room.astype(np.float64)))
+        self.ids[start:stop] = ids
+        self.keys[start:stop] = row * self.stride + ids
+        self.ptr[row + 1] = stop
+        self.sizes[row] = len(profile)
+        if self.weights is not None:
+            weights = np.array(profile.weights or (), dtype=np.float64)
+            self.weights[start:stop] = weights[known]
+            self.norms[row] = profile.norm
+        return row
+
+    def margin(self) -> float:
+        """How far a cosine from these columns can be from the exact one.
+
+        Both paths multiply the same weight pairs (one rounding, the same
+        float whichever operand comes first) and differ in how they add:
+        the exact path rounds each sum once (``fsum``), the columns add term
+        by term.  Every term is non-negative, so a sum of ``n`` terms is off
+        by at most ``(n - 1) u`` of itself (``u = 2**-53``).  With ``L`` the
+        longest row the two dot products differ by ``L u``, each pair of
+        norms by ``(L / 2 + 2) u`` (a square root halves the error of its
+        argument and rounds once), the norm products and the quotients
+        round once per path: ``(2 L + 8) u`` of a score that is at most 1.
+        The margin is twice that.
+        """
+        longest = max(self._longest, int(self.sizes[-1]))
+        return (4 * longest + 16) * 2.0**-53
+
+    def shared(self, first, second):
+        """Per pair of rows: how many ids they share (set mode), or the sum
+        of the products of the weights of the ids they share (TF-IDF mode).
+
+        The entries of the shorter row of each pair are looked up among the
+        other row's through the key column; ``bincount`` adds a pair's hits
+        in ascending id order, whichever row was the shorter.
+        """
+        np = _np
+        first = np.asarray(first, dtype=np.int64)
+        second = np.asarray(second, dtype=np.int64)
+        ptr = self.ptr
+        swap = ptr[second + 1] - ptr[second] < ptr[first + 1] - ptr[first]
+        probe = np.where(swap, second, first)
+        table = np.where(swap, first, second)
+        sizes = ptr[probe + 1] - ptr[probe]
+        bounds = np.zeros(len(probe) + 1, dtype=np.int64)
+        np.cumsum(sizes, out=bounds[1:])
+        pair = np.repeat(np.arange(len(probe)), sizes)
+        entry = np.arange(bounds[-1]) + np.repeat(ptr[probe] - bounds[:-1], sizes)
+        wanted = np.repeat(table * self.stride, sizes) + self.ids[entry]
+        keys = self.keys[: ptr[-1]]
+        found = np.searchsorted(keys, wanted)
+        found[found == len(keys)] = 0
+        hit = keys[found] == wanted
+        pair = pair[hit]
+        if self.weights is None:
+            return np.bincount(pair, minlength=len(probe))
+        products = self.weights[entry[hit]] * self.weights[found[hit]]
+        return np.bincount(pair, weights=products, minlength=len(probe))
 
 
 class ProfileStore:
@@ -186,9 +300,9 @@ class ProfileStore:
         Descriptions outside the context (e.g. transient merged descriptions
         of the update phase, or a replaced object reusing a known
         identifier) transparently take the tokenising path.  A context also
-        gives the store an ordinal space: :meth:`context_profiles` and
-        :meth:`context_columns` serve the owned descriptions' profiles by
-        ordinal, as a list and as one CSR.
+        gives the store an ordinal space: :meth:`ordinal_profile` serves the
+        owned descriptions' exact profiles by ordinal and :meth:`columns`
+        all of them at once as one CSR.
     """
 
     def __init__(
@@ -211,8 +325,8 @@ class ProfileStore:
         #: detects stale entries when a new object reuses an identifier
         self._profiles: Dict[str, Tuple[EntityDescription, Profile]] = {}
         #: ordinal -> profile / CSR over the context's descriptions (lazy)
-        self._context_profiles: Optional[List[Profile]] = None
-        self._context_columns = None
+        self._ordinal_profiles: Optional[List[Optional[Profile]]] = None
+        self._columns: Optional[ProfileColumns] = None
         self.hits = 0
         self.misses = 0
 
@@ -284,61 +398,52 @@ class ProfileStore:
     # ------------------------------------------------------------------
     # profiles by context ordinal
     # ------------------------------------------------------------------
-    def context_profiles(self) -> List[Profile]:
-        """The profile of every context description, indexed by ordinal.
+    def _token_filter(self):
+        """The context's admission mask for this store's tokenisation."""
+        if self.vectorizer is None:
+            return self.context.token_filter(self.stop_words, self.min_token_length)
+        return self.context.token_filter(None, self.vectorizer.min_token_length)
 
-        Built once, through :meth:`profile`, so entries the matching phase
-        already cached are reused and the rest come straight from the
-        context's interned columns (no tokenisation).
+    def ordinal_profile(self, ordinal: int) -> Profile:
+        """The exact profile of the context description at ``ordinal``.
+
+        Built on first use from the context's interned columns (no
+        tokenisation) and cached; row ``o`` never goes stale, because the
+        context interned ``context.description(o)`` once and for all.
         """
-        if self._context_profiles is None:
+        profiles = self._ordinal_profiles
+        if profiles is None:
             if self.context is None:
                 raise ValueError("profiles by ordinal need a shared pipeline context")
-            self._context_profiles = [
-                self.profile(description) for description in self.context.descriptions
-            ]
-        return self._context_profiles
+            profiles = self._ordinal_profiles = [None] * self.context.num_descriptions
+        profile = profiles[ordinal]
+        if profile is None:
+            profile = profiles[ordinal] = self._build_from_context(ordinal)
+        return profile
 
-    def context_columns(self):
-        """:meth:`context_profiles` as one CSR of NumPy columns.
-
-        Returns ``(ptr, token_ids, weights, norms)``: the profile of ordinal
-        ``o`` is ``token_ids[ptr[o]:ptr[o + 1]]`` with the aligned
-        ``weights`` (``None`` in set mode) and L2 norm ``norms[o]``.  The
-        columns are copies of the very ``array`` buffers the profiles hold,
-        so every float is the one the per-profile paths read.
-        """
-        if self._context_columns is None:
-            profiles = self.context_profiles()
-            ptr = _np.zeros(len(profiles) + 1, dtype=_np.int64)
-            _np.cumsum([len(profile) for profile in profiles], out=ptr[1:])
-            token_ids = array("q")
-            weights = array("d")
-            for profile in profiles:
-                token_ids.extend(profile.token_ids)
-                if profile.weights is not None:
-                    weights.extend(profile.weights)
-            self._context_columns = (
-                ptr,
-                _np.array(token_ids, dtype=_np.int64),
-                _np.array(weights, dtype=_np.float64) if self.vectorizer is not None else None,
-                _np.array([profile.norm for profile in profiles], dtype=_np.float64),
-            )
-        return self._context_columns
+    def columns(self) -> ProfileColumns:
+        """Every context description's profile as one :class:`ProfileColumns`
+        (NumPy only; built once)."""
+        if self._columns is None:
+            if self.context is None:
+                raise ValueError("profile columns need a shared pipeline context")
+            self._columns = ProfileColumns(self.context, self._token_filter(), self.vectorizer)
+        return self._columns
 
     # ------------------------------------------------------------------
     def build(self, description: EntityDescription) -> Profile:
-        """The profile of ``description``, computed now and **not** cached.
+        """The profile of ``description``, not cached by identifier.
 
         What :meth:`profile` runs on a cache miss; callers use it directly for
         transient descriptions (the update phase's merges) that are scored
-        once and dropped.
+        once and dropped.  A description the context owns is served by
+        :meth:`ordinal_profile`.
         """
         context = self.context
         if context is not None:
             ordinal = context.ordinal(description.identifier)
             if ordinal is not None and context.description(ordinal) is description:
-                return self._build_from_context(context, ordinal, description.identifier)
+                return self.ordinal_profile(ordinal)
         if self.vectorizer is None:
             tokens = token_set(
                 description.values(),
@@ -362,7 +467,7 @@ class ProfileStore:
         weights = array("d", (weight for _, weight in weighted))
         return Profile(description.identifier, ids, weights, vector.norm)
 
-    def _build_from_context(self, context, ordinal: int, identifier: str) -> Profile:
+    def _build_from_context(self, ordinal: int) -> Profile:
         """Build a profile from the context's interned columns (no tokenisation).
 
         Bit-identity with the tokenising path: the set-mode ids are the same
@@ -372,14 +477,13 @@ class ProfileStore:
         through :func:`math.fsum` (exactly rounded, accumulation-order
         independent) like :func:`~repro.text.vectorizer.l2_norm`.
         """
-        vectorizer = self.vectorizer
-        if vectorizer is None:
-            token_filter = context.token_filter(self.stop_words, self.min_token_length)
-            ids, _counts = context.token_counts(ordinal)
+        context = self.context
+        identifier = context.ids[ordinal]
+        token_filter = self._token_filter()
+        ids, counts = context.token_counts(ordinal)
+        if self.vectorizer is None:
             return Profile(identifier, token_filter.select(ids))
 
-        token_filter = context.token_filter(None, vectorizer.min_token_length)
-        ids, counts = context.token_counts(ordinal)
         if not token_filter.trivial:
             kept = [
                 (token_id, count)
@@ -394,7 +498,7 @@ class ProfileStore:
         vocabulary_size = context.vocabulary_size
         if len(idf) < vocabulary_size:
             token_of = context.token
-            idf_of = vectorizer.idf
+            idf_of = self.vectorizer.idf
             idf.extend(
                 idf_of(token_of(token_id))
                 for token_id in range(len(idf), vocabulary_size)

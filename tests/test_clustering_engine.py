@@ -292,7 +292,7 @@ if __name__ == "__main__":
 
 class TestExecutionOrientation:
     """Columns may store rows in execution orientation (the runner's
-    keep_decisions drain, ``decide_columns``); the array engine must
+    keep_decisions drain); the array engine must
     canonicalise exactly like the oracle's ``decision.pair`` does."""
 
     def _reversed_columns(self, decisions):
@@ -333,71 +333,3 @@ class TestExecutionOrientation:
             )
             # canonical scan order (a,b), (b,c), (c,d) -- see TestTieBreaking
             assert clusters == [frozenset({"a", "b"}), frozenset({"c", "d"})]
-
-
-class TestDecideColumns:
-    """MatchingEngine.decide_columns emits the same decisions as decide_pairs
-    -- as columns on the batch path, interned oracle decisions on fallback --
-    and its output feeds the array clustering engine correctly."""
-
-    def _collection(self):
-        from repro.datamodel.collection import EntityCollection
-        from repro.datamodel.description import EntityDescription
-
-        return EntityCollection(
-            [
-                EntityDescription("z1", {"name": "maria santos lima"}),
-                EntityDescription("a1", {"name": "maria santos lima"}),
-                EntityDescription("m1", {"name": "maria santos"}),
-                EntityDescription("q1", {"name": "entirely different person"}),
-            ]
-        )
-
-    def _pairs(self, collection):
-        # deliberately reverse-canonical explicit pairs (z1 > a1 etc.)
-        return [
-            (collection["z1"], collection["a1"]),
-            (collection["z1"], collection["m1"]),
-            (collection["m1"], collection["q1"]),
-        ]
-
-    def test_batch_columns_equal_decide_pairs(self):
-        from repro.matching.engine import MatchingEngine
-
-        collection = self._collection()
-        pairs = self._pairs(collection)
-        engine = MatchingEngine(ProfileSimilarityMatcher(threshold=0.5))
-        columns = engine.decide_columns(pairs)
-        assert engine.last_engine == "batch"
-        assert list(columns) == engine.decide_pairs(pairs)
-        assert columns.cost == engine.matcher.cost
-
-    def test_fallback_columns_equal_decide_pairs(self):
-        from repro.matching.engine import MatchingEngine
-
-        class Sub(ProfileSimilarityMatcher):
-            pass  # subclass: batch path must not replicate it
-
-        collection = self._collection()
-        pairs = self._pairs(collection)
-        engine = MatchingEngine(Sub(threshold=0.5))
-        columns = engine.decide_columns(pairs)
-        assert engine.last_engine == "pairwise"
-        assert list(columns) == engine.decide_pairs(pairs)
-
-    @pytest.mark.parametrize("algorithm", sorted(ALGORITHMS))
-    def test_decide_columns_cluster_identically_on_both_engines(self, algorithm):
-        from repro.matching.engine import MatchingEngine
-
-        collection = self._collection()
-        pairs = self._pairs(collection)
-        columns = MatchingEngine(ProfileSimilarityMatcher(threshold=0.5)).decide_columns(
-            pairs
-        )
-        clusters = {
-            engine_name: ClusteringEngine(
-                ALGORITHMS[algorithm](), engine=engine_name
-            ).cluster(columns)
-            for engine_name in CLUSTERING_ENGINES
-        }
-        assert clusters["array"] == clusters["object"]

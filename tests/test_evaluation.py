@@ -121,6 +121,19 @@ class TestProgressiveRecallCurve:
             late.record(is_match=i >= 3)
         assert early.auc() > late.auc()
 
+    def test_record_many_appends_one_point_per_comparison(self, truth):
+        one_by_one = ProgressiveRecallCurve(truth, budget=20)
+        at_once = ProgressiveRecallCurve(truth, budget=20)
+        flags = [0, 1, 0, 0, 1, 0, 1, 0]
+        for chunk in (flags[:3], [], flags[3:4], flags[4:]):
+            for flag in chunk:
+                one_by_one.record(None, is_match=bool(flag))
+            at_once.record_many(bytearray(chunk))
+        assert at_once.history() == one_by_one.history()
+        assert len(at_once.history()) == len(flags) + 1
+        assert at_once.num_comparisons == 8 and at_once.num_matches_found == 3
+        assert at_once.auc() == one_by_one.auc()
+
     def test_batch_recording_and_sampling(self, truth):
         curve = ProgressiveRecallCurve(truth)
         curve.record_batch(10, 2)

@@ -96,7 +96,6 @@ STAGE_TO_CONFIG = {
     "wnp_emit": "default",
     "weight_sort": "default",
     "clustering": "default",
-    "scoring": "default",
     "wep_stats": "wep",
     "wep_emit": "wep",
     "cnp": "cnp",
@@ -174,7 +173,7 @@ class TestWorkflowKillMatrix:
         assert _result_fingerprint(result) == baselines["default"]
         assert_no_orphans()
 
-    @pytest.mark.parametrize("stage", ("postings", "scoring"))
+    @pytest.mark.parametrize("stage", ("postings", "wnp_emit"))
     def test_kill_at_four_workers(self, small_dirty_dataset, baselines, stage):
         result = _run_faulted(
             small_dirty_dataset,

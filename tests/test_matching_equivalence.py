@@ -15,7 +15,11 @@ import math
 import random
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from repro.blocking.token_blocking import TokenBlocking
+from repro.core.context import PipelineContext
 from repro.datamodel.collection import CleanCleanTask, EntityCollection
 from repro.datamodel.description import EntityDescription, merge_descriptions
 from repro.datamodel.pairs import Comparison
@@ -28,7 +32,8 @@ from repro.matching import (
 )
 from repro.progressive.runner import run_progressive
 from repro.progressive.scheduler import CostBenefitScheduler
-from repro.progressive.schedulers import WeightOrderScheduler
+from repro.progressive.schedulers import StaticOrderScheduler, WeightOrderScheduler
+from repro.text.profile_store import ProfileStore
 from repro.text.vectorizer import TfIdfVectorizer
 
 try:
@@ -469,6 +474,20 @@ class TestWorkflowEquivalence:
         assert oracle.calls == result.comparisons_executed
 
 
+def assert_decision_exact(engine, scores, exact):
+    """The contract of ``score_against``: thresholding gives the oracle's
+    decisions; scores are exact in the set modes and without NumPy, and
+    within the columns' margin of exact on the TF-IDF kernel."""
+    threshold = engine.matcher.threshold
+    assert [score >= threshold for score in scores] == [
+        score >= threshold for score in exact
+    ]
+    if engine.matcher.vectorizer is None or not engine._use_numpy or not exact:
+        assert scores == exact
+    else:
+        assert scores == pytest.approx(exact, rel=0, abs=engine.store.columns().margin())
+
+
 def _force_pure_python(monkeypatch):
     """Route the update phase's columnar passes onto their NumPy-free twins."""
     import repro.matching.engine as engine_module
@@ -609,9 +628,10 @@ class TestUpdatePhaseEquivalence:
     @pytest.mark.parametrize("use_numpy", NUMPY_MODES, ids=lambda flag: f"numpy={flag}")
     def test_merge_with_tokens_unseen_at_interning_time(self, use_tfidf, use_numpy):
         """A merge may carry tokens the context never interned: they are
-        interned on demand, so the vocabulary -- and with it the scatter
-        column of the NumPy pass -- grows between two ``score_against``
-        calls on one engine."""
+        interned on demand, so the vocabulary grows past the key stride of
+        the profile columns between two ``score_against`` calls on one
+        engine -- the new ids count in the query's size and norm and are
+        shared with no context row."""
         from repro.core.context import PipelineContext
 
         collection = _random_collection(7)
@@ -627,9 +647,11 @@ class TestUpdatePhaseEquivalence:
         )
         sizes = [context.vocabulary_size]
         for merged in (known, novel, known):
-            assert engine.score_against(merged, ordinals) == [
-                matcher.similarity(merged, description) for description in collection
-            ]
+            assert_decision_exact(
+                engine,
+                engine.score_against(merged, ordinals),
+                [matcher.similarity(merged, description) for description in collection],
+            )
             sizes.append(context.vocabulary_size)
         # merging interned descriptions adds nothing; the outsider's tokens do
         assert sizes[1] == sizes[0]
@@ -666,9 +688,11 @@ class TestUpdatePhaseEquivalence:
         for query in queries:
             ordinals = rng.sample(range(len(collection)), 30)
             for subset in (ordinals, ordinals[:1], []):
-                assert engine.score_against(query, subset) == [
-                    matcher.similarity(query, collection[ordinal]) for ordinal in subset
-                ]
+                assert_decision_exact(
+                    engine,
+                    engine.score_against(query, subset),
+                    [matcher.similarity(query, collection[ordinal]) for ordinal in subset],
+                )
 
     def test_score_against_needs_batch_engine_and_context(self):
         collection = _random_collection(9, size=6)
@@ -677,6 +701,300 @@ class TestUpdatePhaseEquivalence:
             MatchingEngine(matcher, engine="pairwise").score_against(collection["e000"], [1])
         with pytest.raises(ValueError, match="shared pipeline context"):
             MatchingEngine(matcher).score_against(collection["e000"], [1, 2])
+
+
+def _kernel_input(kind: str, seed: int, pairs: int = 300):
+    """A dirty collection or clean--clean task, its context and ordinal pairs."""
+    if kind == "dirty":
+        data = _random_collection(seed)
+    else:
+        right = EntityCollection(
+            [
+                EntityDescription(f"r{i}", dict(description.attributes))
+                for i, description in enumerate(_random_collection(seed + 1, size=24))
+            ],
+            name="right",
+        )
+        data = CleanCleanTask(_random_collection(seed, size=24), right)
+    context = PipelineContext(data)
+    rng = random.Random(seed)
+    sampled = [rng.sample(range(context.num_descriptions), 2) for _ in range(pairs)]
+    return data, context, [a for a, _ in sampled], [b for _, b in sampled]
+
+
+def _kernel_matcher(mode: str, context, threshold: float, min_token_length=None):
+    """``mode`` is ``"tfidf"`` or a set similarity name."""
+    if mode == "tfidf":
+        vectorizer = context.fit_vectorizer(min_token_length or 1)
+        return ProfileSimilarityMatcher(threshold=threshold, vectorizer=vectorizer)
+    options = {} if min_token_length is None else {"min_token_length": min_token_length}
+    return ProfileSimilarityMatcher(threshold=threshold, similarity_name=mode, **options)
+
+
+KERNEL_MODES = ("tfidf", "jaccard", "cosine")
+
+
+@pytest.mark.parametrize("use_numpy", NUMPY_MODES, ids=lambda flag: f"numpy={flag}")
+class TestOrdinalKernel:
+    """``decide_ordinal_pairs`` against ``matcher.similarity(a, b) >= t``:
+    filter-and-refine must never let a vectorised score decide a pair the
+    exact one decides differently, wherever the threshold sits."""
+
+    @staticmethod
+    def _exact(matcher, context, first, second):
+        descriptions = context.descriptions
+        return [
+            matcher.similarity(descriptions[a], descriptions[b])
+            for a, b in zip(first, second)
+        ]
+
+    @pytest.mark.parametrize("kind", ["dirty", "clean_clean"])
+    @pytest.mark.parametrize("mode", KERNEL_MODES)
+    def test_threshold_at_a_pairs_own_score(self, kind, mode, use_numpy):
+        _data, context, first, second = _kernel_input(kind, seed=12)
+        exact = self._exact(_kernel_matcher(mode, context, 0.0), context, first, second)
+        inner = sorted({score for score in exact if 0.0 < score < 1.0})
+        assert len(inner) > 5
+        for tie in (inner[0], inner[len(inner) // 2], inner[-1]):
+            for threshold, at_tie in ((tie, True), (math.nextafter(tie, math.inf), False)):
+                matcher = _kernel_matcher(mode, context, threshold)
+                engine = MatchingEngine(matcher, use_numpy=use_numpy, context=context)
+                flags = engine.decide_ordinal_pairs(first, second)
+                assert flags == [score >= threshold for score in exact]
+                assert {flag for flag, score in zip(flags, exact) if score == tie} == {at_tie}
+                assert engine.last_engine == "batch"
+
+    @pytest.mark.parametrize("mode", KERNEL_MODES)
+    def test_thresholds_one_and_zero(self, mode, use_numpy):
+        """``t = 1.0`` over exact duplicates (a vectorised cosine of a
+        description with itself need not be 1.0) and ``t = 0.0`` (every pair
+        matches, disjoint ones included)."""
+        originals = list(_random_collection(13, size=20))
+        copies = [
+            EntityDescription(f"copy-{d.identifier}", dict(d.attributes)) for d in originals
+        ]
+        context = PipelineContext(EntityCollection(originals + copies))
+        size = len(originals)
+        first = list(range(size)) + list(range(size - 1))
+        second = list(range(size, 2 * size)) + list(range(1, size))
+        for threshold in (1.0, 0.0):
+            matcher = _kernel_matcher(mode, context, threshold)
+            exact = self._exact(matcher, context, first, second)
+            engine = MatchingEngine(matcher, use_numpy=use_numpy, context=context)
+            flags = engine.decide_ordinal_pairs(first, second)
+            assert flags == [score >= threshold for score in exact]
+            assert any(flags) and (threshold == 0.0) == all(flags)
+
+    @pytest.mark.parametrize("kind", ["dirty", "clean_clean"])
+    @pytest.mark.parametrize("mode", KERNEL_MODES)
+    def test_min_token_length_filters_before_the_maximal_count(self, kind, mode, use_numpy):
+        """"a b a b" repeats only tokens the filter drops: a maximal count
+        taken before the filter would scale every weight of the row."""
+        _data, context, first, second = _kernel_input(kind, seed=14)
+        matcher = _kernel_matcher(mode, context, 0.3, min_token_length=3)
+        exact = self._exact(matcher, context, first, second)
+        engine = MatchingEngine(matcher, use_numpy=use_numpy, context=context)
+        assert engine.decide_ordinal_pairs(first, second) == [s >= 0.3 for s in exact]
+        assert engine.score_ordinal_pairs(first, second) == exact
+
+    @pytest.mark.parametrize("mode", KERNEL_MODES)
+    def test_empty_and_all_filtered_profiles(self, mode, use_numpy):
+        collection = _random_collection(15, size=4)
+        context = PipelineContext(collection)
+        ordinal = {identifier: context.ordinal(identifier) for identifier in collection.identifiers}
+        degenerate = ["empty", "blank", "short"] + ([] if mode == "tfidf" else ["stopwords"])
+        names = degenerate + ["e000"]
+        first = [ordinal[a] for a in names for b in names if a != b]
+        second = [ordinal[b] for a in names for b in names if a != b]
+        # min_token_length=2 under TF-IDF too, so "short" is all-filtered there
+        matcher = _kernel_matcher(mode, context, 0.5, min_token_length=2)
+        exact = self._exact(matcher, context, first, second)
+        engine = MatchingEngine(matcher, use_numpy=use_numpy, context=context)
+        assert engine.decide_ordinal_pairs(first, second) == [s >= 0.5 for s in exact]
+        # two empties: nothing to compare under TF-IDF, identical as sets
+        both_empty = 0.0 if mode == "tfidf" else 1.0
+        for a, b, score in zip(first, second, exact):
+            empties = (context.ids[a] in degenerate) + (context.ids[b] in degenerate)
+            assert score == (both_empty if empties == 2 else 0.0)
+
+    def test_an_empty_batch(self, use_numpy):
+        context = PipelineContext(_random_collection(16, size=4))
+        for mode in KERNEL_MODES:
+            engine = MatchingEngine(
+                _kernel_matcher(mode, context, 0.5), use_numpy=use_numpy, context=context
+            )
+            assert engine.decide_ordinal_pairs([], []) == []
+
+    @pytest.mark.parametrize("name", ["jaccard", "dice", "overlap", "cosine"])
+    def test_id_column_scores_are_the_exact_set_body(self, name, use_numpy):
+        """``score_id_set_pairs`` (the similarity join's verification) and
+        the exact body share one set-scoring expression: same floats as the
+        per-pair matcher, a column with no ids included."""
+        _data, context, first, second = _kernel_input("dirty", seed=17)
+        matcher = ProfileSimilarityMatcher(threshold=0.3, similarity_name=name)
+        engine = MatchingEngine(matcher, use_numpy=use_numpy, context=context)
+        profile = engine._batch_store("test", ordinals=True).ordinal_profile
+        columns = [list(profile(o).token_ids) for o in range(context.num_descriptions)]
+        columns.append([])
+        empty = len(columns) - 1
+        pairs = list(zip(first, second)) + [(0, empty), (empty, empty)]
+        exact = self._exact(matcher, context, first, second) + [0.0, 1.0]
+        assert engine.score_id_set_pairs(pairs, columns) == exact
+        assert engine.score_ordinal_pairs(first, second) == exact[:-2]
+        tfidf = _kernel_matcher("tfidf", context, 0.3)
+        with pytest.raises(ValueError, match="set-mode"):
+            MatchingEngine(tfidf, context=context).score_id_set_pairs(pairs, columns)
+
+    def test_ordinal_entry_points_need_a_context(self, use_numpy):
+        engine = MatchingEngine(ProfileSimilarityMatcher(threshold=0.3), use_numpy=use_numpy)
+        for call in (engine.decide_ordinal_pairs, engine.score_ordinal_pairs):
+            with pytest.raises(ValueError, match="shared pipeline context"):
+                call([0], [1])
+
+
+def _progressive_trace(result):
+    return (
+        [(d.pair, d.similarity, d.is_match) for d in result.decisions],
+        result.declared_matches,
+        result.comparisons_executed,
+        result.budget_spent,
+        result.skipped_comparisons,
+        result.curve.history(),
+        result.curve.auc(),
+    )
+
+
+@pytest.mark.parametrize("use_numpy", NUMPY_MODES, ids=lambda flag: f"numpy={flag}")
+class TestColumnarDrain:
+    """``run_progressive`` on the kernel path (an engine whose context owns
+    the data) against the per-pair engine on the object schedule."""
+
+    @staticmethod
+    def _run(dataset, scheduler, candidates, matcher, engine, scheduling, **options):
+        return run_progressive(
+            scheduler=scheduler,
+            matcher=matcher,
+            data=dataset.collection,
+            candidates=candidates,
+            ground_truth=dataset.ground_truth,
+            engine=engine,
+            scheduling=scheduling,
+            **options,
+        )
+
+    @pytest.mark.parametrize("keep_decisions", [True, False])
+    @pytest.mark.parametrize("budget", [None, 90])
+    def test_a_schedule_table_that_is_not_the_contexts(
+        self, small_dirty_dataset, budget, keep_decisions, use_numpy
+    ):
+        """Block candidates are interned by the scheduling engine in block
+        order (``_columns_from_blocks``): its ordinals are not the context's."""
+        data = small_dirty_dataset.collection
+        context = PipelineContext(data)
+        blocks = TokenBlocking().build(data)
+        matcher = ProfileSimilarityMatcher(threshold=0.5, vectorizer=context.fit_vectorizer())
+        engine = MatchingEngine(matcher, use_numpy=use_numpy, context=context)
+        options = dict(budget=budget, keep_decisions=keep_decisions)
+        columnar = self._run(
+            small_dirty_dataset, WeightOrderScheduler(), blocks, matcher, engine, "array", **options
+        )
+        oracle = self._run(
+            small_dirty_dataset, WeightOrderScheduler(), blocks, matcher, "pairwise", "object",
+            **options,
+        )
+        assert _progressive_trace(columnar) == _progressive_trace(oracle)
+        assert columnar.declared_matches and columnar.true_matches_found == oracle.true_matches_found
+
+    def test_an_unknown_identifier_is_skipped_and_warned(self, small_dirty_dataset, use_numpy):
+        data = small_dirty_dataset.collection
+        known = list(data.identifiers)[:12]
+        order = [Comparison(a, b) for a, b in zip(known, known[1:])]
+        order[3:3] = [Comparison(known[0], "ghost"), Comparison("phantom", "ghost")]
+        context = PipelineContext(data)
+        matcher = ProfileSimilarityMatcher(threshold=0.2, vectorizer=context.fit_vectorizer())
+        traces = []
+        for engine, scheduling in (
+            (MatchingEngine(matcher, use_numpy=use_numpy, context=context), "array"),
+            ("pairwise", "object"),
+        ):
+            with pytest.warns(RuntimeWarning, match="skipped 2 comparison"):
+                result = self._run(
+                    small_dirty_dataset, StaticOrderScheduler(order), None, matcher,
+                    engine, scheduling, keep_decisions=True,
+                )
+            assert result.skipped_comparisons == 2
+            assert result.comparisons_executed == len(order) - 2
+            traces.append(_progressive_trace(result))
+        assert traces[0] == traces[1]
+
+    def test_no_profile_lookup_and_no_identifier_resolution(
+        self, small_dirty_dataset, use_numpy, monkeypatch
+    ):
+        """The kernel path reads ordinal columns: ``ProfileStore.profile``
+        (descriptions in) and ``EntityCollection.get`` (identifiers in) are
+        never reached; with NumPy no profile object is built at all unless a
+        pair falls inside the margin."""
+        from repro.metablocking.pipeline import MetaBlocking
+
+        data = small_dirty_dataset.collection
+        context = PipelineContext(data)
+        candidates = MetaBlocking().weighted_columns(TokenBlocking().build(data), context=context)
+        assert candidates.ids is context.ids
+        matcher = ProfileSimilarityMatcher(threshold=0.5, vectorizer=context.fit_vectorizer())
+        engine = MatchingEngine(matcher, use_numpy=use_numpy, context=context)
+        calls = []
+        for owner, name in ((ProfileStore, "profile"), (EntityCollection, "get")):
+            original = getattr(owner, name)
+
+            def counted(self, *args, _original=original, _name=name):
+                calls.append(_name)
+                return _original(self, *args)
+
+            monkeypatch.setattr(owner, name, counted)
+        result = self._run(
+            small_dirty_dataset, WeightOrderScheduler(), candidates, matcher, engine, "array"
+        )
+        assert result.comparisons_executed == len(candidates) > 0
+        assert calls == []
+        if use_numpy:
+            assert engine.store._ordinal_profiles is None
+
+
+@pytest.mark.skipif(not HAS_NUMPY, reason="numpy not installed")
+class TestKernelMargin:
+    """The vectorised cosine stays within the margin the code states."""
+
+    tokens = st.sampled_from(VOCABULARY)
+    values = st.lists(tokens, min_size=0, max_size=12).map(" ".join)
+    collections = st.lists(
+        st.dictionaries(st.sampled_from(["name", "city", "note"]), values, max_size=3),
+        min_size=2,
+        max_size=12,
+    )
+
+    @settings(max_examples=60, deadline=None)
+    @given(attributes=collections, min_token_length=st.integers(min_value=1, max_value=3))
+    def test_vectorised_minus_exact_is_within_the_margin(self, attributes, min_token_length):
+        collection = EntityCollection(
+            [EntityDescription(f"h{i}", values) for i, values in enumerate(attributes)]
+        )
+        context = PipelineContext(collection)
+        # at threshold 0.0 only the pairs sharing nothing are refined (both
+        # paths score them exactly 0.0): every other score that comes back
+        # is the vectorised one
+        matcher = ProfileSimilarityMatcher(
+            threshold=0.0, vectorizer=context.fit_vectorizer(min_token_length)
+        )
+        engine = MatchingEngine(matcher, context=context)
+        size = len(collection)
+        first = [a for a in range(size) for b in range(size) if a != b]
+        second = [b for a in range(size) for b in range(size) if a != b]
+        store = engine._batch_store("test", ordinals=True)
+        exact = engine.score_ordinal_pairs(first, second)
+        vectorised = engine._column_scores(store, first, second, exact=exact.__getitem__)
+        margin = store.columns().margin()
+        assert 0.0 < margin < 1e-12
+        assert max(abs(v - e) for v, e in zip(vectorised, exact)) <= margin
 
 
 class TestGuards:

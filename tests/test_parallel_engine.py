@@ -1,13 +1,12 @@
 """Bit-identity of the multi-process parallel engine vs the sequential engines.
 
 The contract of :class:`~repro.mapreduce.parallel.ParallelEngine` is that
-enabling it never changes a result: the blocks, the retained meta-blocking
-edges (weights *and* order, i.e. tie order), and the matching scores must be
-bit-identical to the single-process array engines for every worker count.
-These tests sweep dirty and clean--clean collections across 1/2/4/8 workers,
-every weighting x pruning scheme pair, both matcher modes (TF-IDF cosine and
-set similarity), the pure-Python index replica, and the degenerate shapes
-(empty collection, single entity, more workers than entities).
+enabling it never changes a result: the blocks and the retained meta-blocking
+edges (weights *and* order, i.e. tie order) must be bit-identical to the
+single-process array engines for every worker count.  These tests sweep
+dirty and clean--clean collections across 1/2/4/8 workers, every weighting x
+pruning scheme pair, the pure-Python index replica, and the degenerate
+shapes (empty collection, single entity, more workers than entities).
 
 The lifecycle tests assert the driver-owns-everything rule observably: after
 ``close`` no shared-memory segment created by the engine is left behind in
@@ -28,8 +27,6 @@ from repro.datamodel.collection import EntityCollection
 from repro.datamodel.description import EntityDescription
 from repro.mapreduce.balancing import contiguous_partitions
 from repro.mapreduce.parallel import ParallelEngine
-from repro.matching.engine import MatchingEngine
-from repro.matching.matchers import ProfileSimilarityMatcher
 from repro.metablocking.entity_index import EntityIndexEngine
 from repro.metablocking.pipeline import MetaBlocking
 
@@ -182,46 +179,6 @@ class TestParallelMetaBlocking:
         assert len(got[0]) > 0
         assert sharded.last_num_edges == sequential.last_num_edges
         assert sharded.last_retained == sequential.last_retained == len(got[0])
-
-
-class TestParallelMatching:
-    @pytest.mark.parametrize("dataset", DATASETS)
-    @pytest.mark.parametrize("workers", WORKER_COUNTS)
-    @pytest.mark.parametrize("mode", ("tfidf", "jaccard"))
-    def test_scores_bit_identical(self, request, dataset, workers, mode):
-        _, context, _ = _setup(request, dataset)
-        if mode == "tfidf":
-            matcher = ProfileSimilarityMatcher(
-                threshold=0.5, vectorizer=context.fit_vectorizer()
-            )
-        else:
-            matcher = ProfileSimilarityMatcher(threshold=0.5, similarity_name="jaccard")
-        descriptions = context.descriptions
-        pairs = [
-            (descriptions[i], descriptions[i + 1])
-            for i in range(min(len(descriptions), 60) - 1)
-        ]
-        expected = MatchingEngine(matcher, context=context).similarity_scores(pairs)
-        with ParallelEngine(num_workers=workers) as par:
-            engine = MatchingEngine(matcher, context=context, parallel=par)
-            got = engine.similarity_scores(pairs)
-        assert engine.last_engine == "parallel"
-        assert got == expected
-
-    def test_foreign_description_falls_back(self, dirty_setup):
-        # a pair outside the shared context cannot be resolved to ordinals:
-        # the whole batch must take the sequential path, not crash or drift
-        _, context, _ = dirty_setup
-        matcher = ProfileSimilarityMatcher(threshold=0.5, similarity_name="jaccard")
-        descriptions = context.descriptions
-        foreign = EntityDescription("not-in-context", {"name": "A Stranger Here"})
-        pairs = [(descriptions[0], descriptions[1]), (descriptions[2], foreign)]
-        expected = MatchingEngine(matcher, context=context).similarity_scores(pairs)
-        with ParallelEngine(num_workers=2) as par:
-            engine = MatchingEngine(matcher, context=context, parallel=par)
-            got = engine.similarity_scores(pairs)
-        assert engine.last_engine == "batch"
-        assert got == expected
 
 
 class TestEdgeCasesAndLifecycle:

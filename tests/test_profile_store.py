@@ -110,64 +110,68 @@ class TestTfIdfModeProfiles:
         assert profile.norm == 0.0
 
 
-@pytest.mark.skipif(not HAS_NUMPY, reason="numpy not installed")
-class TestNumpyViews:
-    def test_views_share_memory_with_columns(self):
-        vectorizer = TfIdfVectorizer().fit(iter([alan(), grace()]))
-        store = ProfileStore(vectorizer=vectorizer)
-        profile = store.profile(alan())
-        assert profile.np_ids.dtype == numpy.int64
-        assert profile.np_weights.dtype == numpy.float64
-        assert profile.np_ids.tolist() == list(profile.token_ids)
-        assert profile.np_weights.tolist() == list(profile.weights)
-
-    def test_empty_profile_views(self):
-        store = ProfileStore()
-        profile = store.profile(EntityDescription("void", {}))
-        assert profile.np_ids.shape == (0,)
-        assert profile.np_weights.shape == (0,)
-
-
 class TestContextOrdinalViews:
-    """Profiles by context ordinal, as a list and as one CSR."""
+    """Profiles by context ordinal: exact ones one at a time, all as one CSR."""
 
     @staticmethod
-    def _store(tfidf: bool) -> ProfileStore:
+    def _store(tfidf: bool, min_token_length: int = 1) -> ProfileStore:
         from repro.core.context import PipelineContext
         from repro.datamodel.collection import EntityCollection
 
         context = PipelineContext(
-            EntityCollection([alan(), EntityDescription("void", {}), grace()])
+            EntityCollection(
+                [
+                    alan(),
+                    EntityDescription("void", {}),
+                    grace(),
+                    # "of" twice: the only repeated token, and it is short
+                    EntityDescription("c1", {"name": "Tower of London of old"}),
+                ]
+            )
         )
-        vectorizer = context.fit_vectorizer() if tfidf else None
-        return ProfileStore(vectorizer=vectorizer, context=context)
+        vectorizer = context.fit_vectorizer(min_token_length) if tfidf else None
+        return ProfileStore(
+            vectorizer=vectorizer, min_token_length=min_token_length, context=context
+        )
 
     @pytest.mark.parametrize("tfidf", [False, True])
-    def test_profiles_are_the_cached_ones_in_ordinal_order(self, tfidf):
+    def test_ordinal_profiles_are_built_lazily_and_shared_with_profile(self, tfidf):
         store = self._store(tfidf)
-        cached = store.profile(store.context.description(2))
-        profiles = store.context_profiles()
-        assert [profile.identifier for profile in profiles] == ["a1", "void", "b1"]
-        assert profiles[2] is cached
-        assert store.context_profiles() is profiles
+        assert store.ordinal_profile(2).identifier == "b1"
+        assert store._ordinal_profiles == [None, None, store.ordinal_profile(2), None]
+        assert store.profile(store.context.description(2)) is store.ordinal_profile(2)
+        assert [store.ordinal_profile(o).identifier for o in range(4)] == [
+            "a1", "void", "b1", "c1"
+        ]
 
     @pytest.mark.skipif(not HAS_NUMPY, reason="numpy not installed")
+    @pytest.mark.parametrize("min_token_length", [1, 3])
     @pytest.mark.parametrize("tfidf", [False, True])
-    def test_columns_lay_the_profiles_end_to_end(self, tfidf):
-        store = self._store(tfidf)
-        ptr, token_ids, weights, norms = store.context_columns()
-        assert (weights is not None) == tfidf
-        for ordinal, profile in enumerate(store.context_profiles()):
+    def test_columns_hold_the_floats_of_the_exact_profiles(self, tfidf, min_token_length):
+        """Same ids and bit-equal weights, the filter applied before the
+        maximal count; only the norms are summed differently."""
+        store = self._store(tfidf, min_token_length)
+        columns = store.columns()
+        assert store.columns() is columns
+        assert (columns.weights is not None) == tfidf
+        ptr = columns.ptr
+        for ordinal in range(4):
+            profile = store.ordinal_profile(ordinal)
             rows = slice(ptr[ordinal], ptr[ordinal + 1])
-            assert token_ids[rows].tolist() == list(profile.token_ids)
+            assert columns.ids[rows].tolist() == list(profile.token_ids)
+            assert columns.sizes[ordinal] == len(profile)
+            assert (columns.keys[rows] // columns.stride == ordinal).all()
             if tfidf:
-                assert weights[rows].tolist() == list(profile.weights or ())
-            assert norms[ordinal] == profile.norm
-        assert ptr[-1] == len(token_ids)
+                assert columns.weights[rows].tolist() == list(profile.weights or ())
+                assert columns.norms[ordinal] == pytest.approx(profile.norm, rel=1e-15)
+        assert columns.query_row == 4 and ptr[4] == ptr[5]
+        assert (numpy.diff(columns.keys[: ptr[-1]]) > 0).all()
 
     def test_a_store_without_context_has_no_ordinals(self):
         with pytest.raises(ValueError, match="shared pipeline context"):
-            ProfileStore().context_profiles()
+            ProfileStore().ordinal_profile(0)
+        with pytest.raises(ValueError, match="shared pipeline context"):
+            ProfileStore().columns()
 
     def test_build_does_not_cache(self):
         store = ProfileStore()

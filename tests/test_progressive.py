@@ -57,6 +57,62 @@ class TestBudget:
         assert budget.spent == 4
 
 
+class TestBatchedAccounting:
+    """Charging and recording many comparisons at once leaves the very
+    state the per-comparison loop leaves, bit for bit."""
+
+    CASES = [(0.3, 10), (1.0, 40_000), (0.1, 1.0), (0.0, 5), (2.5, None)]
+
+    @pytest.mark.parametrize("cost, total", CASES)
+    def test_charge_many_equals_the_charge_loop(self, cost, total):
+        batched, looped = Budget(total), Budget(total)
+        for count in (1, 7, 512, 0, 50_000 if total else 100):
+            charged = batched.charge_many(cost, count)
+            expected = 0
+            while expected < count and looped.charge(cost):
+                expected += 1
+            assert charged == expected
+            assert batched.spent == looped.spent  # exact: accumulated, not multiplied
+            assert batched.exhausted == looped.exhausted
+        with pytest.raises(ValueError):
+            batched.charge_many(-1.0, 3)
+
+    def test_charge_many_does_not_multiply(self):
+        budget = Budget(None)
+        budget.charge_many(0.1, 10)
+        assert budget.spent == sum([0.1] * 10) != 0.1 * 10
+
+    @pytest.mark.parametrize("cost, budget", [(0.3, 10), (1.0, 40_000)])
+    def test_runner_batches_equal_the_per_comparison_loop(self, small_dirty_dataset, cost, budget):
+        from repro.core.context import PipelineContext
+        from repro.matching.engine import MatchingEngine
+
+        data, truth = small_dirty_dataset.collection, small_dirty_dataset.ground_truth
+        context = PipelineContext(data)
+        blocks = TokenBlocking().build(data)
+        matcher = ProfileSimilarityMatcher(
+            threshold=0.5, vectorizer=context.fit_vectorizer(), cost=cost
+        )
+        runs = [
+            run_progressive(
+                WeightOrderScheduler(), matcher, data, blocks, budget=budget,
+                ground_truth=truth, engine=engine, scheduling=scheduling, batch_size=64,
+            )
+            for engine, scheduling in (
+                (MatchingEngine(matcher, context=context), "array"),  # columnar drain
+                ("pairwise", None),  # one charge and one record per comparison
+            )
+        ]
+        batched, looped = runs
+        assert batched.budget_spent == looped.budget_spent
+        assert batched.comparisons_executed == looped.comparisons_executed > 0
+        assert batched.curve.history() == looped.curve.history()
+        assert batched.curve.auc() == looped.curve.auc()
+        assert batched.declared_matches == looped.declared_matches
+        if budget == 10:
+            assert batched.comparisons_executed == 33
+
+
 class TestBaselineSchedulers:
     def test_candidate_comparisons_deduplicates(self):
         comparisons = [Comparison("a", "b"), Comparison("b", "a"), Comparison("a", "c")]
