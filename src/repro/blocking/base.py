@@ -167,19 +167,45 @@ class Block:
 
 
 class BlockCollection:
-    """The output of a blocking scheme: an ordered collection of blocks."""
+    """The output of a blocking scheme: an ordered collection of blocks.
+
+    A collection is either a list of :class:`Block` objects or a **lazy view**
+    over :class:`~repro.blocking.columns.BlockColumns` (what the index
+    blocking engine builds, purges and filters).  A column-backed collection
+    answers ``len()`` and :meth:`total_comparisons` from its columns and
+    materialises its blocks once, on the first iteration, indexing or
+    :meth:`add`; from then on the objects are the truth and the backing is
+    dropped, so nothing done to a materialised collection writes through to
+    the columns it came from.
+    """
 
     def __init__(self, blocks: Optional[Iterable[Block]] = None, name: str = "blocks") -> None:
         self.name = name
         self._blocks: List[Block] = []
+        #: the ``BlockColumns`` backing, until the block objects are first needed
+        self._columns = None
         if blocks:
             for block in blocks:
                 self.add(block)
 
+    @classmethod
+    def from_columns(cls, columns, name: str = "blocks") -> "BlockCollection":
+        """A lazy view over ``columns`` (a :class:`~repro.blocking.columns.BlockColumns`)."""
+        collection = cls(name=name)
+        collection._columns = columns
+        return collection
+
+    def _objects(self) -> List[Block]:
+        """The block objects, materialised from the backing on first use."""
+        if self._columns is not None:
+            self._blocks = self._columns.blocks()
+            self._columns = None
+        return self._blocks
+
     def add(self, block: Block) -> None:
         """Add a block; blocks inducing no comparison are silently dropped."""
         if block.num_comparisons() > 0:
-            self._blocks.append(block)
+            self._objects().append(block)
 
     def _extend_trusted(self, blocks: Iterable[Block]) -> None:
         """Extend with blocks known to induce at least one comparison each.
@@ -188,20 +214,22 @@ class BlockCollection:
         many pair blocks; skips the per-block cardinality check of
         :meth:`add`.
         """
-        self._blocks.extend(blocks)
+        self._objects().extend(blocks)
 
     def __len__(self) -> int:
+        if self._columns is not None:
+            return len(self._columns)
         return len(self._blocks)
 
     def __iter__(self) -> Iterator[Block]:
-        return iter(self._blocks)
+        return iter(self._objects())
 
     def __getitem__(self, index: int) -> Block:
-        return self._blocks[index]
+        return self._objects()[index]
 
     @property
     def blocks(self) -> Tuple[Block, ...]:
-        return tuple(self._blocks)
+        return tuple(self._objects())
 
     # ------------------------------------------------------------------
     # statistics
@@ -212,12 +240,14 @@ class BlockCollection:
         This is the *aggregate cardinality* ``||B||`` used by block purging and
         by the meta-blocking weighting schemes.
         """
+        if self._columns is not None:
+            return self._columns.total_comparisons()
         return sum(block.num_comparisons() for block in self._blocks)
 
     def distinct_pairs(self) -> Set[Tuple[str, str]]:
         """The set of distinct comparisons induced by all blocks."""
         pairs: Set[Tuple[str, str]] = set()
-        for block in self._blocks:
+        for block in self:
             pairs.update(block.pairs())
         return pairs
 
@@ -238,30 +268,30 @@ class BlockCollection:
         the comparison-propagation technique are built.
         """
         index: Dict[str, List[int]] = {}
-        for block_index, block in enumerate(self._blocks):
+        for block_index, block in enumerate(self):
             for identifier in block.members:
                 index.setdefault(identifier, []).append(block_index)
         return index
 
     def block_sizes(self) -> List[int]:
-        return [len(block) for block in self._blocks]
+        return [len(block) for block in self]
 
     def placed_identifiers(self) -> Set[str]:
         """All identifiers that appear in at least one block."""
         identifiers: Set[str] = set()
-        for block in self._blocks:
+        for block in self:
             identifiers.update(block.members)
         return identifiers
 
     def comparisons(self) -> Iterator[Comparison]:
         """Yield the comparisons of every block (including redundant repetitions)."""
-        for block in self._blocks:
+        for block in self:
             yield from block.comparisons()
 
     def distinct_comparisons(self) -> Iterator[Comparison]:
         """Yield each distinct comparison exactly once (first block wins)."""
         seen: Set[Tuple[str, str]] = set()
-        for block in self._blocks:
+        for block in self:
             for comparison in block.comparisons():
                 if comparison.pair not in seen:
                     seen.add(comparison.pair)
@@ -269,7 +299,7 @@ class BlockCollection:
 
     def sorted_by_cardinality(self, ascending: bool = True) -> "BlockCollection":
         """Return a copy with blocks ordered by their number of comparisons."""
-        ordered = sorted(self._blocks, key=lambda b: b.num_comparisons(), reverse=not ascending)
+        ordered = sorted(self, key=lambda b: b.num_comparisons(), reverse=not ascending)
         return BlockCollection(ordered, name=self.name)
 
     def __repr__(self) -> str:

@@ -1,10 +1,27 @@
-"""Shared per-entity token-id columns for the array blocking engines.
+"""Blocks as columns, and the shared token-id columns of the array builds.
 
-The long-tail scheme families (minhash/LSH, canopy, the similarity
-self-join) all start from the same view of the input: one sorted distinct
-token-id column per description, admitted through the builder's stop words
-and minimum token length.  :class:`TokenColumnView` materialises that view
-either
+**Blocks.**  :class:`BlockColumns` is the form blocks travel in from
+:meth:`BlockingEngine.build <repro.blocking.engine.BlockingEngine.build>`
+through purging and filtering to
+:meth:`EntityIndexEngine.from_columns
+<repro.metablocking.entity_index.EntityIndexEngine.from_columns>`: the block
+keys, a CSR of member *ordinals* into one identifier table (the shared
+context's for the token builds) and the left-member count of every block.
+Every step of that pipeline is a pass over ``(block, ordinal)`` assignments;
+no identifier string is read and no :class:`~repro.blocking.base.Block`
+exists until somebody iterates the
+:class:`~repro.blocking.base.BlockCollection` viewing the columns.
+:meth:`BlockColumns.from_collection` is the one interning pass for whatever
+arrives as objects (the long-tail builders, oracle builds, user collections),
+:meth:`BlockColumns.blocks` the one way back.  Each kernel has a NumPy body
+and a plain-loop body over the same ``array('q')`` columns, selected by
+``use_numpy`` and bit-identical.
+
+**Token columns.**  The long-tail scheme families (minhash/LSH, canopy, the
+similarity self-join) all start from the same view of the input: one sorted
+distinct token-id column per description, admitted through the builder's stop
+words and minimum token length.  :class:`TokenColumnView` materialises that
+view either
 
 * **from a shared context** -- the per-description columns are the
   :class:`~repro.core.context.PipelineContext` interned counts filtered by
@@ -18,21 +35,303 @@ integer ids differ (context ids are global interning order, local ids are
 first-occurrence order).  The array builds never compare ids across the
 two sources -- ids reach strings only through :meth:`TokenColumnView.token_of`
 -- so the choice of source never changes a build's output.
-
-The posting/emission helpers (:func:`append_posting`, :func:`add_block`)
-are the shared tail of every array build: ascending ordinal postings
-materialised into :class:`~repro.blocking.base.Block` objects with the
-oracle's degenerate-block rules.
+:func:`append_posting` and :func:`add_block` are their posting/emission
+helpers: ascending ordinal postings materialised into
+:class:`~repro.blocking.base.Block` objects with the oracle's
+degenerate-block rules.
 """
 
 from __future__ import annotations
 
 from array import array
+from bisect import bisect_left
 from typing import Callable, Dict, List, Optional, Sequence
 
 from repro.blocking.base import Block, BlockBuilder, BlockCollection, ERInput
 from repro.datamodel.collection import CleanCleanTask
 from repro.text.tokenize import token_set
+
+try:  # pragma: no cover - exercised implicitly when numpy is installed
+    import numpy as _np
+except ImportError:  # pragma: no cover
+    _np = None
+
+
+def int_view(column):
+    """An int64 ndarray over ``column`` (zero-copy for ``array('q')`` / ndarray)."""
+    return _np.asarray(column, dtype=_np.int64)
+
+
+def typed_array(typecode: str, column) -> array:
+    """A contiguous ndarray column copied (once) into a typed array."""
+    out = array(typecode)
+    out.frombytes(memoryview(column).cast("B"))
+    return out
+
+
+def flat_slices(starts, lengths):
+    """Flat indices of the concatenated ranges ``[starts[i], starts[i] + lengths[i])``."""
+    offsets = _np.cumsum(lengths) - lengths
+    return _np.repeat(starts - offsets, lengths) + _np.arange(int(lengths.sum()))
+
+
+def stable_argsort(keys, bound: int):
+    """Stable argsort of an ndarray of non-negative integers below ``bound``.
+
+    One least-significant-digit pass per 16-bit digit of ``bound``: NumPy
+    sorts 16-bit keys by radix (linear) and wider ones by merging, so the
+    digit passes are several times faster than one ``argsort`` of the int64
+    keys and give the same permutation.
+    """
+    order = _np.argsort(keys.astype(_np.uint16), kind="stable")  # the low digit
+    shift = 16
+    while bound >> shift:
+        digit = (keys >> shift).astype(_np.uint16)
+        order = order[_np.argsort(digit[order], kind="stable")]
+        shift += 16
+    return order
+
+
+class BlockColumns:
+    """A block collection as flat columns over one identifier table.
+
+    Attributes
+    ----------
+    keys:
+        The blocking key of every block, in block order (sorted-key order
+        for the token builds).
+    blk_ptr, members:
+        CSR of member ordinals: block ``b`` holds
+        ``members[blk_ptr[b]:blk_ptr[b + 1]]``, left members first for a
+        bilateral block.
+    split:
+        Per block, the number of left members, or ``-1`` for a unilateral
+        (dirty ER) block.
+    ids:
+        The identifier table the ordinals index (``ids[o]`` names ordinal
+        ``o``); shared, never mutated.
+
+    Every block induces at least one comparison: the constructors and
+    :meth:`select` drop degenerate blocks exactly as
+    :meth:`BlockCollection.add <repro.blocking.base.BlockCollection.add>`
+    does.
+    """
+
+    __slots__ = ("keys", "blk_ptr", "members", "split", "ids")
+
+    def __init__(
+        self, keys: List[str], blk_ptr: array, members: array, split: array, ids: Sequence[str]
+    ) -> None:
+        self.keys = keys
+        self.blk_ptr = blk_ptr
+        self.members = members
+        self.split = split
+        self.ids = ids
+
+    def __len__(self) -> int:
+        return len(self.keys)
+
+    # ------------------------------------------------------------------
+    # constructors
+    # ------------------------------------------------------------------
+    @classmethod
+    def from_collection(
+        cls, blocks: BlockCollection, ids: Optional[Sequence[str]] = None
+    ) -> "BlockColumns":
+        """The columns of ``blocks``: its backing, or one interning pass.
+
+        A column-backed collection hands over its backing as it is when no
+        table is asked for or the table asked for *is* the backing's (the
+        shared context's ``ids``).  Anything else is interned here, once:
+        ordinal ``o`` is ``ids[o]`` for the given table, a member the table
+        does not contain is appended after it (so ``len(columns.ids) >
+        len(ids)`` tells the caller that the table does not cover the
+        blocks), and without a table ordinals are assigned in first-seen
+        block-member order.
+        """
+        backing = blocks._columns
+        if backing is not None and (ids is None or ids is backing.ids):
+            return backing
+        ordinal: Dict[str, int] = {identifier: o for o, identifier in enumerate(ids or ())}
+        if ids is not None and len(ordinal) != len(ids):
+            raise ValueError("the identifier table holds duplicate identifiers")
+        intern = ordinal.setdefault
+        keys: List[str] = []
+        blk_ptr, members, split = array("q", [0]), array("q"), array("q")
+        for block in blocks:
+            keys.append(block.key)
+            split.append(len(block.left_members) if block.is_bilateral else -1)
+            members.extend([intern(member, len(ordinal)) for member in block.members])
+            blk_ptr.append(len(members))
+        # the interning dict preserves insertion order: table first, then new members
+        return cls(keys, blk_ptr, members, split, list(ordinal))
+
+    @classmethod
+    def from_postings(
+        cls,
+        keys: Sequence[str],
+        ptr,
+        members,
+        ids: Sequence[str],
+        left_count: int,
+        limit: Optional[int],
+        use_numpy: bool,
+    ) -> "BlockColumns":
+        """Blocks from key postings, in sorted-key order.
+
+        Posting ``p`` is ``members[ptr[p]:ptr[p + 1]]``, ascending ordinals,
+        under the distinct key ``keys[p]``.  ``left_count`` is the number of
+        left-side descriptions for clean--clean input (ordinals below it
+        belong to the left collection, so left members come first), or
+        ``-1`` for dirty input.  Postings longer than ``limit`` and
+        degenerate ones (fewer than two members, an empty side) are dropped,
+        exactly as by :func:`add_block`.
+        """
+        if use_numpy:
+            np = _np
+            ptr, members = int_view(ptr), int_view(members)
+            sizes = np.diff(ptr)
+            if left_count >= 0:
+                posting_of = np.repeat(np.arange(len(sizes)), sizes)
+                left = np.bincount(posting_of[members < left_count], minlength=len(sizes))
+                keep = (left > 0) & (left < sizes)
+            else:
+                left = np.full(len(sizes), -1, dtype=np.int64)
+                keep = sizes >= 2
+            if limit is not None:
+                keep &= sizes <= limit
+            kept = np.flatnonzero(keep).tolist()
+            kept.sort(key=keys.__getitem__)
+            kept = np.asarray(kept, dtype=np.int64)
+            sizes = sizes[kept]
+            return cls(
+                [keys[p] for p in kept.tolist()],
+                typed_array("q", np.concatenate(([0], np.cumsum(sizes)))),
+                typed_array("q", members[flat_slices(ptr[kept], sizes)]),
+                typed_array("q", left[kept]),
+                ids,
+            )
+        out = cls([], array("q", [0]), array("q"), array("q"), ids)
+        for p in sorted(range(len(keys)), key=keys.__getitem__):
+            start, stop = ptr[p], ptr[p + 1]
+            size = stop - start
+            if limit is not None and size > limit:
+                continue
+            left = -1
+            if left_count >= 0:
+                left = bisect_left(members, left_count, start, stop) - start
+                if not 0 < left < size:
+                    continue
+            elif size < 2:
+                continue
+            out.keys.append(keys[p])
+            out.members.extend(members[start:stop])
+            out.blk_ptr.append(len(out.members))
+            out.split.append(left)
+        return out
+
+    # ------------------------------------------------------------------
+    # statistics
+    # ------------------------------------------------------------------
+    def cardinalities(self, use_numpy: bool):
+        """Comparisons per block: an int64 ndarray (NumPy) or an ``array('q')``."""
+        if use_numpy:
+            sizes = _np.diff(int_view(self.blk_ptr))
+            split = int_view(self.split)
+            return _np.where(split >= 0, split * (sizes - split), sizes * (sizes - 1) // 2)
+        blk_ptr = self.blk_ptr
+        return array(
+            "q",
+            (
+                left * (stop - start - left)
+                if left >= 0
+                else (stop - start) * (stop - start - 1) // 2
+                for start, stop, left in zip(blk_ptr, blk_ptr[1:], self.split)
+            ),
+        )
+
+    def total_comparisons(self) -> int:
+        """Aggregate cardinality ``||B||`` (redundant comparisons counted)."""
+        if _np is not None:
+            return int(self.cardinalities(True).sum())
+        return sum(self.cardinalities(False))
+
+    # ------------------------------------------------------------------
+    # restriction
+    # ------------------------------------------------------------------
+    def select(self, flags, use_numpy: bool) -> "BlockColumns":
+        """The columns restricted to the flagged assignments.
+
+        ``flags`` holds one keep flag per entry of :attr:`members` (a bool
+        ndarray for the NumPy body, a ``bytearray`` otherwise).  Block order
+        and member order are preserved; blocks left without a comparison
+        (fewer than two members, an empty side) are dropped.
+        """
+        if use_numpy:
+            np = _np
+            ptr, split = int_view(self.blk_ptr), int_view(self.split)
+            sizes = np.diff(ptr)
+            block_of = np.repeat(np.arange(len(sizes)), sizes)
+            new_sizes = np.bincount(block_of[flags], minlength=len(sizes))
+            bilateral = split >= 0
+            if bilateral.any():
+                on_left = np.arange(len(block_of)) - ptr[block_of] < split[block_of]
+                left = np.bincount(block_of[flags & on_left], minlength=len(sizes))
+                keep = np.where(bilateral, (left > 0) & (left < new_sizes), new_sizes >= 2)
+                left[~bilateral] = -1
+            else:
+                left = split
+                keep = new_sizes >= 2
+            kept = np.flatnonzero(keep)
+            return BlockColumns(
+                [self.keys[b] for b in kept.tolist()],
+                typed_array("q", np.concatenate(([0], np.cumsum(new_sizes[kept])))),
+                typed_array("q", int_view(self.members)[flags & keep[block_of]]),
+                typed_array("q", left[kept]),
+                self.ids,
+            )
+        out = BlockColumns([], array("q", [0]), array("q"), array("q"), self.ids)
+        blk_ptr, members = self.blk_ptr, self.members
+        for b, key in enumerate(self.keys):
+            start, stop, left = blk_ptr[b], blk_ptr[b + 1], self.split[b]
+            kept = [m for m, flag in zip(members[start:stop], flags[start:stop]) if flag]
+            if left >= 0:
+                left = sum(1 for flag in flags[start : start + left] if flag)
+                if not 0 < left < len(kept):
+                    continue
+            elif len(kept) < 2:
+                continue
+            out.keys.append(key)
+            out.members.extend(kept)
+            out.blk_ptr.append(len(out.members))
+            out.split.append(left)
+        return out
+
+    # ------------------------------------------------------------------
+    # the way back to objects
+    # ------------------------------------------------------------------
+    def blocks(self) -> List[Block]:
+        """Every block as a :class:`~repro.blocking.base.Block`, in block order.
+
+        The members of a block are distinct by construction, so the objects
+        are built on the trusted path (no per-member deduplication).
+        """
+        names = list(map(self.ids.__getitem__, self.members))
+        blk_ptr = self.blk_ptr
+        new_block = Block.__new__
+        out: List[Block] = []
+        for key, start, stop, left in zip(self.keys, blk_ptr, blk_ptr[1:], self.split):
+            block = new_block(Block)
+            block.key = key
+            if left < 0:
+                block._members = tuple(names[start:stop])
+                block._left = block._right = ()
+            else:
+                block._members = ()
+                block._left = tuple(names[start : start + left])
+                block._right = tuple(names[start + left : stop])
+            out.append(block)
+        return out
 
 
 def append_posting(postings: Dict, key, ordinal: int) -> None:

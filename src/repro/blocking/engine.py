@@ -1,51 +1,55 @@
-"""Array-backed blocking + block-cleaning engine.
+"""Blocking and block cleaning on columns.
 
-The legacy block builders in :mod:`repro.blocking.token_blocking` and the
-cleaners in :mod:`repro.blocking.cleaning` are the readable formulation of
-the blocking phase, but they run on per-description ``dict``/``set``
-structures: every builder re-tokenises raw strings into Python string sets,
-keys its inverted index by strings, and every cleaner re-derives per-block
-Python sets of identifiers.  After the meta-blocking (PR 1) and matching
-(PR 2) engines, blocking was the last phase whose hot loops touch strings
-instead of machine integers.
-
-:class:`BlockingEngine` completes the columnar path.  Two engines sit behind
-one interface, following the established two-engine pattern:
+:class:`BlockingEngine` runs the paper's first pillar -- schema-agnostic
+token blocking, block purging, block filtering, comparison propagation -- as
+passes over *(block, description ordinal)* assignments, never over strings.
+The form blocks travel in is :class:`~repro.blocking.columns.BlockColumns`:
+the block keys in sorted-key order, a CSR of member ordinals into one
+identifier table and the left-member count of every block.  The
+:class:`~repro.blocking.base.BlockCollection` the engine returns is a lazy
+view over those columns; :class:`~repro.blocking.base.Block` objects exist
+only if somebody iterates it (the default workflow never does:
+:meth:`EntityIndexEngine.from_columns
+<repro.metablocking.entity_index.EntityIndexEngine.from_columns>` takes the
+columns as they are).
 
 * ``engine="index"`` (the default) --
 
-  **Building**: the token-based schemes (:class:`TokenBlocking`,
-  :class:`PrefixInfixSuffixBlocking`, :class:`AttributeClusteringBlocking`)
-  tokenise each description exactly once through a
-  :class:`~repro.text.profile_store.ProfileStore`, which interns tokens to
-  dense integer ids.  The inverted key index is then a flat mapping
-  ``token id -> array('q') posting of description ordinals`` (for
-  attribute clustering, ``(cluster id, token id) -> posting``); the posting
-  arrays grow in description order, so materialising the final
-  :class:`~repro.blocking.base.Block` objects in deterministic sorted-key
-  order reproduces the oracle builders block for block.  Attribute
-  clustering in particular pays tokenisation once instead of twice: the
-  same interned per-attribute token sets feed both the attribute-similarity
-  clustering (via :func:`cluster_attribute_profiles`) and the blocking keys.
+  **Building**: :class:`TokenBlocking` and
+  :class:`PrefixInfixSuffixBlocking` read the merged token-id column of a
+  :class:`~repro.core.context.PipelineContext` -- the shared one when it owns
+  the input, a private one otherwise, so there is one token-build path.  One
+  stable argsort of the column by token id groups it into postings with
+  ascending ordinals (prefix--infix--suffix interns its URI keys per
+  description first); ``member_limit``, the degenerate-block rules and the
+  sorted-key order are masks and one gather over the posting sizes
+  (:meth:`BlockColumns.from_postings
+  <repro.blocking.columns.BlockColumns.from_postings>`).
+  :class:`AttributeClusteringBlocking` reads the context's per-attribute
+  columns, so the same interned id sets feed the attribute clustering
+  (:func:`cluster_attribute_profiles`) and the blocking keys.
 
-  **Cleaning**: :class:`BlockPurging`, :class:`BlockFiltering` and
-  :class:`ComparisonPropagation` become streaming passes over a CSR entity
-  index of the block collection -- ``blk_ptr``/``ent_of`` arrays mapping
-  every block to the ordinals of its members (and back) -- instead of
-  per-block Python sets:
+  **Cleaning**: whatever arrives as objects (the long-tail builders, oracle
+  builds, user collections) is interned once by
+  :meth:`BlockColumns.from_collection
+  <repro.blocking.columns.BlockColumns.from_collection>`; a collection the
+  engine built is already columns.  Then
 
-  - purging computes the cardinality column once and selects blocks with a
-    single pass, sharing :func:`adaptive_cardinality_threshold` with the
-    oracle so both derive the identical bound;
+  - purging is a mask over the cardinality column, with the threshold from
+    :func:`adaptive_cardinality_threshold`, which the oracle shares;
   - filtering ranks each description's assignments by block cardinality in
-    one global ``np.lexsort`` over the assignment arrays (stable, so block
-    order breaks ties exactly like the oracle's per-entity sort) and marks
-    kept assignments in a flat flag array; the pure-Python fallback runs
-    the same stable per-entity sort over the same arrays, bit-identically;
+    one global ``np.lexsort`` (stable, so block order breaks ties exactly
+    like the oracle's per-entity sort) and keeps the flagged assignments
+    with one compress and one ``bincount`` for the new block sizes
+    (:meth:`BlockColumns.select
+    <repro.blocking.columns.BlockColumns.select>`);
   - comparison propagation deduplicates pairs as single integers
     (``(min ordinal << 32) | max ordinal``) instead of canonical string
     tuples, emitting first-occurrence pair blocks in the oracle's exact
     order.
+
+  Every kernel has a NumPy body and a plain-loop body over the same
+  ``array('q')`` columns, selected by ``use_numpy`` and bit-identical.
 
   **Long-tail families**: the minhash/LSH, canopy, sorted-neighbourhood
   (single-, extended- and multi-pass) and similarity-self-join schemes have
@@ -78,7 +82,7 @@ from __future__ import annotations
 import math
 import warnings
 from array import array
-from typing import Dict, List, Optional, Sequence, Set, Tuple
+from typing import Dict, List, Optional, Set, Tuple
 
 from repro.blocking.base import Block, BlockBuilder, BlockCollection, ERInput
 from repro.blocking.canopy import CanopyClusteringBlocking
@@ -89,6 +93,7 @@ from repro.blocking.cleaning import (
     ComparisonPropagation,
     adaptive_cardinality_threshold,
 )
+from repro.blocking.columns import BlockColumns, int_view, stable_argsort
 from repro.blocking.columns import add_block as _add_block
 from repro.blocking.columns import append_posting as _append_posting
 from repro.blocking.minhash import MinHashLSHBlocking
@@ -107,10 +112,9 @@ from repro.blocking.token_blocking import (
     TokenBlocking,
     cluster_attribute_profiles,
 )
-from repro.datamodel.collection import CleanCleanTask
-from repro.datamodel.pairs import canonical_pair
-from repro.text.profile_store import ProfileStore
-from repro.text.tokenize import token_set, uri_tokens
+from repro.core.context import PipelineContext
+from repro.datamodel.pairs import canonical_pair, identifier_ranks
+from repro.text.tokenize import uri_tokens
 
 try:  # pragma: no cover - exercised implicitly when numpy is installed
     import numpy as _np
@@ -138,208 +142,104 @@ _ARRAY_BUILDS = {
 }
 
 
-def _index_token_build(
-    builder: TokenBlocking, data: ERInput, context=None
-) -> BlockCollection:
-    """Index-engine build for token blocking and prefix--infix--suffix blocking.
-
-    With a shared ``context`` nothing is tokenised here: the build reads the
-    context's interned columns (:func:`_context_token_build`).  Without one
-    (or for data the context does not own) this is the per-engine pass:
-    ``builder.tokens_of`` (the library implementation -- exact-type dispatch
-    guarantees it is not overridden) supplies the keys of each description,
-    so the key *content* is the oracle's by construction; the engine's part
-    is the representation: keys are interned to dense ids once and the
-    inverted index holds flat ``array('q')`` postings of description
-    ordinals instead of nested string-keyed dicts of identifier lists.
-    """
-    if context is not None:
-        return _context_token_build(builder, context)
-    store = ProfileStore(
-        stop_words=builder.stop_words, min_token_length=builder.min_token_length
-    )
-    intern = store.intern
-    ids: List[str] = []
-    postings: Dict[int, array] = {}
-    for _side, description in BlockBuilder._iter_with_side(data):
-        ordinal = len(ids)
-        ids.append(description.identifier)
-        for token in builder.tokens_of(description):
-            _append_posting(postings, intern(token), ordinal)
-
-    left_count = len(data.left) if isinstance(data, CleanCleanTask) else -1
-    limit = builder.member_limit(len(ids))
-    collection = BlockCollection(name=builder.name)
-    for key, token_id in sorted((store.token(tid), tid) for tid in postings):
-        posting = postings[token_id]
-        if limit is not None and len(posting) > limit:
-            continue
-        _add_block(collection, key, posting, ids, left_count)
-    return collection
-
-
-def _emit_token_blocks(
-    builder: TokenBlocking, context, postings: Dict[int, Sequence[int]]
-) -> BlockCollection:
-    """Materialise a block collection from token-id postings over a context.
-
-    The shared emission tail of the sequential context build and the
-    multi-process build: blocks come out in deterministic sorted-key order,
-    oversized postings are dropped by the builder's
-    :meth:`~repro.blocking.token_blocking.TokenBlocking.member_limit`, and
-    degenerate blocks by :func:`_add_block` -- so any two paths that agree on
-    posting content produce identical collections.
-    """
-    ids = context.ids
-    left_count = context.left_count
-    limit = builder.member_limit(context.num_descriptions)
-    collection = BlockCollection(name=builder.name)
-    token_of = context.token
-    for key, token_id in sorted((token_of(tid), tid) for tid in postings):
-        posting = postings[token_id]
-        if limit is not None and len(posting) > limit:
-            continue
-        _add_block(collection, key, posting, ids, left_count)
-    return collection
-
-
-def _column_postings(context, token_filter) -> Dict[int, List[int]]:
-    """Token postings straight from the context's merged ids column (NumPy).
-
-    The column is description-major, so the ordinal of every entry is one
-    ``repeat`` over the pointer differences; the builder's admission rule is
-    a boolean take through the filter's per-vocabulary mask; and one *stable*
-    argsort by token id groups the entries into postings while keeping the
-    ordinals ascending inside each -- the content the per-description loop
-    appends one entry at a time.
-    """
-    np = _np
-    ptr, ids, _counts = context.token_columns()
-    token_ids = np.asarray(ids)
-    ordinals = np.repeat(np.arange(len(ptr) - 1), np.diff(ptr))
-    if not token_filter.trivial:
-        mask = np.frombuffer(token_filter.mask(context.vocabulary_size), dtype=np.bool_)
-        admitted = mask[token_ids]
-        token_ids, ordinals = token_ids[admitted], ordinals[admitted]
-    order = np.argsort(token_ids, kind="stable")
-    sorted_ids = token_ids[order]
-    # a posting starts wherever the sorted id changes (ids are >= 0)
-    starts = np.flatnonzero(np.diff(sorted_ids, prepend=-1))
-    flat = ordinals[order].tolist()
-    bounds = starts.tolist() + [len(flat)]
-    return {
-        key: flat[bounds[index] : bounds[index + 1]]
-        for index, key in enumerate(sorted_ids[starts].tolist())
-    }
-
-
-def _context_token_build(builder: TokenBlocking, context) -> BlockCollection:
-    """Token / prefix--infix--suffix build over a shared context's columns.
+def _context_token_build(builder: TokenBlocking, context, use_numpy: bool) -> BlockColumns:
+    """Token / prefix--infix--suffix build over a context's columns.
 
     The keys of a description are the context's merged distinct ids filtered
     by the builder's stop words and minimum token length (the admission rule
     ``token_set`` applies while tokenising), so the key set per description
-    is the oracle's by construction.  Plain token blocking derives all
-    postings at once from the whole column (:func:`_column_postings`);
-    prefix--infix--suffix blocking interns URI keys per description, so it
-    walks the per-description slices -- as plain token blocking does when
-    NumPy is not importable.
+    is the oracle's by construction.  The postings -- token ids, a pointer
+    column and the member ordinals, ascending inside each posting -- come
+    from one stable argsort of the whole column for plain token blocking
+    with NumPy, and from a walk over the per-description slices otherwise
+    (prefix--infix--suffix blocking interns URI keys per description).
     """
     token_filter = context.token_filter(builder.stop_words, builder.min_token_length)
     uri_keys = type(builder) is PrefixInfixSuffixBlocking
-    if _np is not None and not uri_keys:
-        return _emit_token_blocks(builder, context, _column_postings(context, token_filter))
-    trivial = token_filter.trivial
-    allows = token_filter.allows
-    ids: List[str] = context.ids
-    postings: Dict[int, array] = {}
-    stop_words = builder.stop_words
-    min_token_length = builder.min_token_length
-    for ordinal in range(context.num_descriptions):
-        token_ids, _counts = context.token_counts(ordinal)
-        if uri_keys:
-            # value tokens plus the URI-derived keys of PrefixInfixSuffix
-            # blocking; the infix keys may overlap the value tokens, so the
-            # per-description key set is deduplicated exactly like the
-            # oracle's ``tokens_of`` set union
-            keys = {t for t in token_ids if trivial or allows(t)}
-            _, infix, infix_tokens = uri_tokens(ids[ordinal])
-            if infix:
-                keys.add(context.intern(infix.lower()))
-            for token in infix_tokens:
-                if len(token) >= min_token_length and token not in stop_words:
-                    keys.add(context.intern(token))
-            for key in keys:
-                _append_posting(postings, key, ordinal)
-        else:
-            for token_id in token_ids:
-                if trivial or allows(token_id):
-                    _append_posting(postings, token_id, ordinal)
-
-    return _emit_token_blocks(builder, context, postings)
+    if use_numpy and not uri_keys:
+        np = _np
+        ptr, ids, _counts = context.token_columns()
+        token_ids = int_view(ids)
+        ordinals = np.repeat(np.arange(len(ptr) - 1), np.diff(int_view(ptr)))
+        if not token_filter.trivial:
+            mask = np.frombuffer(token_filter.mask(context.vocabulary_size), dtype=np.bool_)
+            admitted = mask[token_ids]
+            token_ids, ordinals = token_ids[admitted], ordinals[admitted]
+        # stable: the ordinals stay ascending inside every posting
+        order = stable_argsort(token_ids, context.vocabulary_size)
+        sorted_ids = token_ids[order]
+        # a posting starts wherever the sorted id changes (ids are >= 0)
+        starts = np.flatnonzero(np.diff(sorted_ids, prepend=-1))
+        tokens = sorted_ids[starts].tolist()
+        posting_ptr = np.append(starts, len(sorted_ids))
+        members = ordinals[order]
+    else:
+        trivial = token_filter.trivial
+        allows = token_filter.allows
+        ids = context.ids
+        postings: Dict[int, array] = {}
+        stop_words = builder.stop_words
+        min_token_length = builder.min_token_length
+        for ordinal in range(context.num_descriptions):
+            token_ids, _counts = context.token_counts(ordinal)
+            if uri_keys:
+                # value tokens plus the URI-derived keys of PrefixInfixSuffix
+                # blocking; the infix keys may overlap the value tokens, so the
+                # per-description key set is deduplicated exactly like the
+                # oracle's ``tokens_of`` set union
+                keys = {t for t in token_ids if trivial or allows(t)}
+                _, infix, infix_tokens = uri_tokens(ids[ordinal])
+                if infix:
+                    keys.add(context.intern(infix.lower()))
+                for token in infix_tokens:
+                    if len(token) >= min_token_length and token not in stop_words:
+                        keys.add(context.intern(token))
+                for key in keys:
+                    _append_posting(postings, key, ordinal)
+            else:
+                for token_id in token_ids:
+                    if trivial or allows(token_id):
+                        _append_posting(postings, token_id, ordinal)
+        tokens = list(postings)
+        posting_ptr, members = array("q", [0]), array("q")
+        for posting in postings.values():
+            members.extend(posting)
+            posting_ptr.append(len(members))
+    return BlockColumns.from_postings(
+        list(map(context.token, tokens)),
+        posting_ptr,
+        members,
+        context.ids,
+        context.left_count,
+        builder.member_limit(context.num_descriptions),
+        use_numpy,
+    )
 
 
 def _index_attribute_clustering_build(
-    builder: AttributeClusteringBlocking, data: ERInput, context=None
+    builder: AttributeClusteringBlocking, context
 ) -> BlockCollection:
     """Index-engine build for attribute-clustering blocking.
 
-    One tokenisation pass: the interned per-attribute token-id sets feed both
-    the attribute clustering (Jaccard over id sets equals Jaccard over the
-    oracle's string sets, and :func:`cluster_attribute_profiles` is the very
-    code the oracle runs) and the blocking keys, so the two stages agree on
-    tokenisation by construction.  With a shared ``context`` even that single
-    pass disappears: the per-attribute id sets are the context's columns
-    filtered by the builder's stop words and minimum token length.
+    No tokenisation pass: the per-attribute token-id sets are the context's
+    columns filtered by the builder's stop words and minimum token length,
+    and they feed both the attribute clustering (Jaccard over id sets equals
+    Jaccard over the oracle's string sets, and
+    :func:`cluster_attribute_profiles` is the very code the oracle runs) and
+    the blocking keys, so the two stages agree on tokenisation by
+    construction.
     """
-    # the two token-id sources -- context columns vs a fresh per-engine store
-    # -- only differ in where a description's (attribute, token ids) entries
-    # come from; the profile accumulation below is shared
-    if context is not None:
-        ids = context.ids
-        token_filter = context.token_filter(
-            builder.stop_words, builder.min_token_length
-        )
-        trivial = token_filter.trivial
-        allows = token_filter.allows
-
-        def description_entries():
-            for ordinal in range(context.num_descriptions):
-                yield [
-                    (attribute, [t for t in attr_ids if trivial or allows(t)])
-                    for attribute, attr_ids, _counts in context.attribute_entries(ordinal)
-                ]
-
-    else:
-        store = ProfileStore(
-            stop_words=builder.stop_words, min_token_length=builder.min_token_length
-        )
-        intern = store.intern
-        ids = []
-
-        def description_entries():
-            for _side, description in BlockBuilder._iter_with_side(data):
-                ids.append(description.identifier)
-                yield [
-                    (
-                        attribute,
-                        [
-                            intern(token)
-                            for token in token_set(
-                                description.values(attribute),
-                                stop_words=builder.stop_words,
-                                min_length=builder.min_token_length,
-                            )
-                        ],
-                    )
-                    for attribute in description.attribute_names
-                ]
+    ids = context.ids
+    token_filter = context.token_filter(builder.stop_words, builder.min_token_length)
+    trivial = token_filter.trivial
+    allows = token_filter.allows
 
     tokenised: List[List[Tuple[str, List[int]]]] = []
     attribute_profiles: Dict[str, Set[int]] = {}
-    for attribute_token_ids in description_entries():
+    for ordinal in range(context.num_descriptions):
         entries: List[Tuple[str, List[int]]] = []
-        for attribute, token_ids in attribute_token_ids:
+        for attribute, attr_ids, _counts in context.attribute_entries(ordinal):
+            token_ids = [t for t in attr_ids if trivial or allows(t)]
             profile = attribute_profiles.get(attribute)
             if profile is None:
                 attribute_profiles[attribute] = profile = set()
@@ -360,14 +260,9 @@ def _index_attribute_clustering_build(
         for key in keys:
             _append_posting(postings, key, ordinal)
 
-    left_count = (
-        context.left_count
-        if context is not None
-        else (len(data.left) if isinstance(data, CleanCleanTask) else -1)
-    )
     limit = builder.member_limit(len(ids))
     collection = BlockCollection(name=builder.name)
-    token_of = context.token if context is not None else store.token
+    token_of = context.token
     for key, pair in sorted(
         (f"c{cluster_id}#{token_of(token_id)}", (cluster_id, token_id))
         for cluster_id, token_id in postings
@@ -375,142 +270,71 @@ def _index_attribute_clustering_build(
         posting = postings[pair]
         if limit is not None and len(posting) > limit:
             continue
-        _add_block(collection, key, posting, ids, left_count)
+        _add_block(collection, key, posting, ids, context.left_count)
     return collection
-
-
-# ----------------------------------------------------------------------
-# CSR entity index over a block collection
-# ----------------------------------------------------------------------
-class _BlockIndex:
-    """Flat assignment arrays of a block collection (one entry per membership).
-
-    ``ent_of[p]`` is the ordinal of the description held by assignment ``p``;
-    assignments are laid out block-major (``blk_ptr[b]:blk_ptr[b+1]`` covers
-    block ``b`` in its member order) and ``card_of[p]`` caches the containing
-    block's cardinality.
-    """
-
-    __slots__ = ("ordinal", "ent_of", "card_of", "blk_ptr")
-
-    def __init__(self, blocks: BlockCollection) -> None:
-        self.ordinal: Dict[str, int] = {}
-        intern = self.ordinal.setdefault
-        self.ent_of = array("q")
-        self.card_of = array("q")
-        self.blk_ptr = array("q", [0])
-        for block in blocks:
-            cardinality = block.num_comparisons()
-            for member in block.members:
-                self.ent_of.append(intern(member, len(self.ordinal)))
-                self.card_of.append(cardinality)
-            self.blk_ptr.append(len(self.ent_of))
-
-    @property
-    def num_entities(self) -> int:
-        return len(self.ordinal)
-
-    @property
-    def num_assignments(self) -> int:
-        return len(self.ent_of)
 
 
 # ----------------------------------------------------------------------
 # index cleaning passes
 # ----------------------------------------------------------------------
-def _index_purge(
-    blocks: BlockCollection, purging: BlockPurging, parallel=None
-) -> BlockCollection:
-    """Streaming purging pass: one cardinality column, one selection sweep.
-
-    With a :class:`~repro.mapreduce.parallel.ParallelEngine` the cardinality
-    column is computed by the pool over contiguous block ranges; threshold
-    selection stays on the driver and the output is bit-identical.
-    """
-    purged = BlockCollection(name=f"{blocks.name}/purged")
-    if len(blocks) == 0:
-        return purged
-    if parallel is not None:
-        cards = parallel.block_cardinalities(blocks)
-    else:
-        cards = array("q", (block.num_comparisons() for block in blocks))
+def _index_purge(columns: BlockColumns, purging: BlockPurging, use_numpy: bool) -> BlockColumns:
+    """Purging: a mask over the cardinality column."""
+    cards = columns.cardinalities(use_numpy)
     if purging.max_comparisons is not None:
         threshold = purging.max_comparisons
     else:
-        threshold = adaptive_cardinality_threshold(sorted(cards), purging.smoothing_factor)
-    for block, cardinality in zip(blocks, cards):
-        if cardinality <= threshold:
-            purged.add(block)
-    return purged
+        ascending = _np.sort(cards).tolist() if use_numpy else sorted(cards)
+        threshold = adaptive_cardinality_threshold(ascending, purging.smoothing_factor)
+    if use_numpy:
+        sizes = _np.diff(int_view(columns.blk_ptr))
+        return columns.select(_np.repeat(cards <= threshold, sizes), True)
+    flags = bytearray()
+    for start, stop, cardinality in zip(columns.blk_ptr, columns.blk_ptr[1:], cards):
+        flags.extend(bytes([cardinality <= threshold]) * (stop - start))
+    return columns.select(flags, False)
 
 
-def _index_filter(
-    blocks: BlockCollection, filtering: BlockFiltering, use_numpy: bool, parallel=None
-) -> BlockCollection:
-    """Streaming filtering pass over the CSR assignment arrays.
+def _index_filter(columns: BlockColumns, filtering: BlockFiltering, use_numpy: bool) -> BlockColumns:
+    """Filtering: rank every description's assignments, keep the flagged ones.
 
     Every description keeps the assignments to its ``ceil(ratio * degree)``
-    smallest blocks (at least one).  The NumPy path ranks all assignments in
+    smallest blocks (at least one).  The NumPy body ranks all assignments in
     one stable ``lexsort`` by (entity, cardinality) -- stability preserves
     the block-major layout, i.e. ascending block index, as the tie-break,
     exactly like the oracle's per-entity ``(cardinality, block index)``
-    sort; the fallback runs the same stable sort per entity.
+    sort; the plain-loop body runs the same stable sort per entity.
     """
-    filtered = BlockCollection(name=f"{blocks.name}/filtered")
-    if len(blocks) == 0:
-        return filtered
-    index = _BlockIndex(blocks)
     ratio = filtering.ratio
-
-    if parallel is not None and index.num_assignments:
-        # per-entity keep sets are independent, so pooled ranged passes over
-        # the shared assignment columns reproduce the flags bit-identically
-        keep_flags = parallel.filter_keep_flags(
-            index.ent_of, index.card_of, index.num_entities, ratio, use_numpy
-        )
-    elif use_numpy and _np is not None and index.num_assignments:
-        keep_flags = bytearray(index.num_assignments)
+    cards = columns.cardinalities(use_numpy)
+    num_entities = len(columns.ids)
+    if use_numpy:
         np = _np
-        ent_of = np.frombuffer(index.ent_of, dtype=np.int64)
-        card_of = np.frombuffer(index.card_of, dtype=np.int64)
+        ent_of = int_view(columns.members)
+        card_of = np.repeat(cards, np.diff(int_view(columns.blk_ptr)))
         order = np.lexsort((card_of, ent_of))
         ent_sorted = ent_of[order]
-        degrees = np.bincount(ent_of, minlength=index.num_entities)
+        degrees = np.bincount(ent_of, minlength=num_entities)
         ent_ptr = np.concatenate(([0], np.cumsum(degrees)))
-        rank = np.arange(index.num_assignments, dtype=np.int64) - ent_ptr[ent_sorted]
+        rank = np.arange(len(ent_of)) - ent_ptr[ent_sorted]
         keep_counts = np.maximum(1, np.ceil(ratio * degrees)).astype(np.int64)
-        for position in order[rank < keep_counts[ent_sorted]].tolist():
-            keep_flags[position] = 1
-    else:
-        keep_flags = bytearray(index.num_assignments)
-        per_entity: List[List[int]] = [[] for _ in range(index.num_entities)]
-        for position, o in enumerate(index.ent_of):
-            per_entity[o].append(position)
-        card_of = index.card_of
-        for positions in per_entity:
-            # positions are ascending (block-major layout) and sort() is
-            # stable, so ranking by cardinality alone reproduces the
-            # oracle's (cardinality, block index) ranking
-            positions.sort(key=card_of.__getitem__)
-            keep = max(1, math.ceil(ratio * len(positions)))
-            for position in positions[:keep]:
-                keep_flags[position] = 1
-
-    blk_ptr = index.blk_ptr
-    for block_index, block in enumerate(blocks):
-        start, end = blk_ptr[block_index], blk_ptr[block_index + 1]
-        flags = keep_flags[start:end]
-        if block.is_bilateral:
-            split = len(block.left_members)
-            left = [m for m, f in zip(block.left_members, flags[:split]) if f]
-            right = [m for m, f in zip(block.right_members, flags[split:]) if f]
-            if left and right:
-                filtered.add(Block(block.key, left_members=left, right_members=right))
-        else:
-            members = [m for m, f in zip(block.members, flags) if f]
-            if len(members) >= 2:
-                filtered.add(Block(block.key, members=members))
-    return filtered
+        flags = np.zeros(len(ent_of), dtype=np.bool_)
+        flags[order[rank < keep_counts[ent_sorted]]] = True
+        return columns.select(flags, True)
+    card_of = array("q")
+    for start, stop, cardinality in zip(columns.blk_ptr, columns.blk_ptr[1:], cards):
+        card_of.extend([cardinality] * (stop - start))
+    per_entity: List[List[int]] = [[] for _ in range(num_entities)]
+    for position, o in enumerate(columns.members):
+        per_entity[o].append(position)
+    flags = bytearray(len(card_of))
+    for positions in per_entity:
+        # positions are ascending (block-major layout) and sort() is
+        # stable, so ranking by cardinality alone reproduces the
+        # oracle's (cardinality, block index) ranking
+        positions.sort(key=card_of.__getitem__)
+        for position in positions[: max(1, math.ceil(ratio * len(positions)))]:
+            flags[position] = 1
+    return columns.select(flags, False)
 
 
 def _index_propagate(
@@ -534,37 +358,41 @@ def _index_propagate(
     collections beyond that (which would not fit in memory anyway) take the
     arbitrary-precision pure-Python path automatically.
     """
-    if parallel is not None and len(blocks):
+    columns = BlockColumns.from_collection(blocks)
+    name = f"{blocks.name}/propagated"
+    if parallel is not None and len(columns):
         # ranged worker passes with driver-side first-occurrence resolution;
         # emission order, keys and orientation match the sequential pass
-        return parallel.propagate_pairs(blocks)
-    if use_numpy and _np is not None:
-        # total member count bounds the number of distinct ordinals cheaply
-        if sum(len(block) for block in blocks) < (1 << 31):
-            return _propagate_numpy(blocks)
-    return _propagate_python(blocks)
+        out = parallel.propagate_pairs(columns)
+    elif use_numpy and _np is not None and len(columns.members) < (1 << 31):
+        # the member count bounds the number of distinct ordinals cheaply
+        out = _propagate_numpy(columns)
+    else:
+        out = _propagate_python(columns)
+    deduplicated = BlockCollection(name=name)
+    deduplicated._extend_trusted(out)
+    return deduplicated
 
 
-def _propagate_python(blocks: BlockCollection) -> BlockCollection:
-    deduplicated = BlockCollection(name=f"{blocks.name}/propagated")
-    ordinal: Dict[str, int] = {}
-    intern = ordinal.setdefault
+def _propagate_python(columns: BlockColumns) -> List[Block]:
+    ids = columns.ids
+    members = columns.members
     seen: Set[int] = set()
     seen_add = seen.add
     out: List[Block] = []
     append = out.append
     pair = Block.pair
     bilateral_pair = Block.bilateral_pair
-    for block in blocks:
-        if block.is_bilateral:
-            left_members = block.left_members
-            right_members = block.right_members
-            left_ordinals = [intern(m, len(ordinal)) for m in left_members]
-            right_ordinals = [intern(m, len(ordinal)) for m in right_members]
+    for start, stop, split in zip(columns.blk_ptr, columns.blk_ptr[1:], columns.split):
+        if split >= 0:
+            left_ordinals = members[start : start + split]
+            right_ordinals = members[start + split : stop]
             left_set = set(left_ordinals)
-            for a, id_a in zip(left_ordinals, left_members):
+            for a in left_ordinals:
+                id_a = ids[a]
                 shifted = a << 32
-                for b, id_b in zip(right_ordinals, right_members):
+                for b in right_ordinals:
+                    id_b = ids[b]
                     if a == b:  # self-pair: fail exactly like the oracle
                         canonical_pair(id_a, id_b)
                     code = shifted | b if a < b else (b << 32) | a
@@ -582,27 +410,24 @@ def _propagate_python(blocks: BlockCollection) -> BlockCollection:
                     else:
                         append(bilateral_pair(f"pair:{first}|{second}", second, first))
         else:
-            members = block.members
-            member_ordinals = [intern(m, len(ordinal)) for m in members]
+            member_ordinals = members[start:stop]
             for i, a in enumerate(member_ordinals):
-                id_a = members[i]
+                id_a = ids[a]
                 shifted = a << 32
-                for j in range(i + 1, len(member_ordinals)):
-                    b = member_ordinals[j]
+                for b in member_ordinals[i + 1 :]:
                     code = shifted | b if a < b else (b << 32) | a
                     if code in seen:
                         continue
                     seen_add(code)
-                    id_b = members[j]
+                    id_b = ids[b]
                     if id_a < id_b:
                         append(pair(f"pair:{id_a}|{id_b}", id_a, id_b))
                     else:
                         append(pair(f"pair:{id_b}|{id_a}", id_b, id_a))
-    deduplicated._extend_trusted(out)
-    return deduplicated
+    return out
 
 
-def _propagate_numpy(blocks: BlockCollection) -> BlockCollection:
+def _propagate_numpy(columns: BlockColumns) -> List[Block]:
     """Vectorised propagation; peak memory is O(aggregate comparisons).
 
     The full code/endpoint arrays are materialised before the global
@@ -614,32 +439,27 @@ def _propagate_numpy(blocks: BlockCollection) -> BlockCollection:
     the distinct-pair set.
     """
     np = _np
-    deduplicated = BlockCollection(name=f"{blocks.name}/propagated")
-    ordinal: Dict[str, int] = {}
-    intern = ordinal.setdefault
+    ids = columns.ids
+    members = int_view(columns.members)
     code_chunks: List = []
     a_chunks: List = []
     b_chunks: List = []
     #: per chunk: the generating block's left-ordinal set, or None (unilateral)
     chunk_left: List[Optional[Set[int]]] = []
     chunk_sizes: List[int] = []
-    for block in blocks:
-        if block.is_bilateral:
-            left_ordinals = [intern(m, len(ordinal)) for m in block.left_members]
-            right_ordinals = [intern(m, len(ordinal)) for m in block.right_members]
-            left = np.asarray(left_ordinals, dtype=np.int64)
-            right = np.asarray(right_ordinals, dtype=np.int64)
+    for start, stop, split in zip(columns.blk_ptr, columns.blk_ptr[1:], columns.split):
+        if split >= 0:
+            left = members[start : start + split]
+            right = members[start + split : stop]
             a = np.repeat(left, len(right))
             b = np.tile(right, len(left))
             self_pairs = a == b
             if self_pairs.any():  # fail on the first self-pair, like the oracle
-                position = int(np.argmax(self_pairs))
-                member = block.left_members[position // len(right)]
-                canonical_pair(member, block.right_members[position % len(right)])
-            chunk_left.append(set(left_ordinals))
+                member = ids[int(a[int(np.argmax(self_pairs))])]
+                canonical_pair(member, member)
+            chunk_left.append(set(left.tolist()))
         else:
-            member_ordinals = [intern(m, len(ordinal)) for m in block.members]
-            flat = np.asarray(member_ordinals, dtype=np.int64)
+            flat = members[start:stop]
             upper_i, upper_j = np.triu_indices(len(flat), 1)
             a = flat[upper_i]
             b = flat[upper_j]
@@ -649,10 +469,7 @@ def _propagate_numpy(blocks: BlockCollection) -> BlockCollection:
         b_chunks.append(b)
         chunk_sizes.append(len(a))
     if not code_chunks:
-        return deduplicated
-
-    # ordinal -> identifier (the interning dict preserves insertion order)
-    ids = list(ordinal)
+        return []
 
     codes = np.concatenate(code_chunks)
     a_all = np.concatenate(a_chunks)
@@ -673,12 +490,9 @@ def _propagate_numpy(blocks: BlockCollection) -> BlockCollection:
     new_block = Block.__new__
     empty = ()
     if all(left_set is None for left_set in chunk_left):  # purely unilateral
-        # canonical pair order resolved vectorised: rank[o] is ordinal o's
-        # position in the identifiers' lexicographic order, and NumPy's
-        # unicode comparison agrees with Python's str comparison, so the
-        # swap mask reproduces the per-pair `id_a < id_b` checks
-        rank = np.empty(len(ids), dtype=np.int64)
-        rank[np.argsort(np.array(ids))] = np.arange(len(ids), dtype=np.int64)
+        # canonical pair order resolved vectorised: comparing identifier
+        # ranks reproduces the per-pair `id_a < id_b` checks
+        rank = identifier_ranks(ids)
         swap = rank[b_sel] < rank[a_sel]
         first_list = np.where(swap, b_sel, a_sel).tolist()
         second_list = np.where(swap, a_sel, b_sel).tolist()
@@ -722,8 +536,7 @@ def _propagate_numpy(blocks: BlockCollection) -> BlockCollection:
                     block._left = (second,)
                     block._right = (first,)
             append(block)
-    deduplicated._extend_trusted(out)
-    return deduplicated
+    return out
 
 
 # ----------------------------------------------------------------------
@@ -745,26 +558,23 @@ class BlockingEngine:
         ``"index"`` (default) or ``"oracle"``.
     use_numpy:
         Force (``True``, raising :class:`ValueError` when NumPy is not
-        importable) or forbid (``False``) the vectorised filtering and
-        propagation passes; ``None`` (default) uses NumPy whenever it is
-        importable.  Both paths produce bit-identical output.
+        importable) or forbid (``False``) the NumPy kernel bodies; ``None``
+        (default) uses NumPy whenever it is importable.  Both bodies produce
+        bit-identical output.
     context:
         Optional shared :class:`~repro.core.context.PipelineContext`.  When
         given and the context owns the input data, the index builders read
-        the context's interned token columns instead of tokenising the
-        collection themselves -- the single-interning guarantee of the
-        shared pipeline context.  Ignored (per-engine interning, exactly as
-        before) for data the context does not own, for the oracle engine,
-        and for builders without an index implementation.
+        its interned token columns and the blocks speak its ordinals -- the
+        single-interning guarantee of the shared pipeline context.  For data
+        the context does not own (or without one) the token builders intern
+        a private context; the long-tail builders tokenise themselves.
+        Ignored by the oracle engine and by builders without an index
+        implementation.
     parallel:
-        Optional :class:`~repro.mapreduce.parallel.ParallelEngine`.  When
-        given (together with a context that owns the input), plain
-        :class:`TokenBlocking` builds fan the postings pass out to worker
-        processes over the context's shared columns -- bit-identical to the
-        single-process index build.  Every other configuration (the
-        prefix--infix--suffix and attribute-clustering schemes intern new
-        keys driver-side, foreign collections have no shared columns)
-        silently stays single-process.
+        Optional :class:`~repro.mapreduce.parallel.ParallelEngine`.
+        Comparison propagation fans out over it; building, purging and
+        filtering run on the driver's column kernels either way (shipping
+        their columns costs more than the kernels do).
 
     Notes
     -----
@@ -810,23 +620,19 @@ class BlockingEngine:
         """Build the blocks of ``data`` with the configured builder."""
         if self.build_index_applicable:
             self.last_engine = "index"
+            builder = self.builder
             context = self.context
             if context is not None and not context.owns(data):
                 context = None
-            array_build = _ARRAY_BUILDS.get(type(self.builder))
+            array_build = _ARRAY_BUILDS.get(type(builder))
             if array_build is not None:
-                return array_build(self.builder, data, context, self._use_numpy)
-            if type(self.builder) is AttributeClusteringBlocking:
-                return _index_attribute_clustering_build(self.builder, data, context)
-            if (
-                self.parallel is not None
-                and context is not None
-                and type(self.builder) is TokenBlocking
-                and context.num_descriptions > 0
-            ):
-                postings = self.parallel.token_postings(self.builder, context)
-                return _emit_token_blocks(self.builder, context, postings)
-            return _index_token_build(self.builder, data, context)
+                return array_build(builder, data, context, self._use_numpy)
+            if context is None:
+                context = PipelineContext(data)
+            if type(builder) is AttributeClusteringBlocking:
+                return _index_attribute_clustering_build(builder, context)
+            columns = _context_token_build(builder, context, self._use_numpy)
+            return BlockCollection.from_columns(columns, name=builder.name)
         self.last_engine = "oracle"
         if self.engine == "index" and not self._warned_fallback:
             self._warned_fallback = True
@@ -851,40 +657,33 @@ class BlockingEngine:
         Mirrors :func:`repro.blocking.cleaning.clean_blocks`; each step runs
         on the index engine when its cleaner is the exact library class, and
         falls back to the cleaner's own ``process`` otherwise (custom
-        subclasses may override behaviour the streaming pass cannot see).
+        subclasses may override behaviour the column kernels cannot see).
         """
         result = blocks
-        oracle_used = self.engine != "index"
-        ran = False
-        if purging is not None:
-            ran = True
-            if self.engine == "index" and type(purging) is BlockPurging:
-                result = _index_purge(result, purging, parallel=self.parallel)
+        index = self.engine == "index"
+        oracle_used = not index
+        steps = (
+            (purging, BlockPurging, _index_purge, "purged"),
+            (filtering, BlockFiltering, _index_filter, "filtered"),
+        )
+        for cleaner, library_type, kernel, suffix in steps:
+            if cleaner is None:
+                continue
+            if index and type(cleaner) is library_type:
+                columns = kernel(BlockColumns.from_collection(result), cleaner, self._use_numpy)
+                result = BlockCollection.from_columns(columns, name=f"{result.name}/{suffix}")
             else:
                 oracle_used = True
-                result = purging.process(result)
-        if filtering is not None:
-            ran = True
-            if self.engine == "index" and type(filtering) is BlockFiltering:
-                result = _index_filter(
-                    result, filtering, self._use_numpy, parallel=self.parallel
-                )
-            else:
-                oracle_used = True
-                result = filtering.process(result)
+                result = cleaner.process(result)
         if propagate:
-            ran = True
-            if self.engine == "index":
-                result = _index_propagate(
-                    result, self._use_numpy, parallel=self.parallel
-                )
+            if index:
+                result = _index_propagate(result, self._use_numpy, parallel=self.parallel)
             else:
-                oracle_used = True
                 result = ComparisonPropagation().process(result)
-        if ran:
-            self.last_engine = "oracle" if oracle_used else "index"
-        else:
+        if purging is None and filtering is None and not propagate:
             self.last_engine = self.engine
+        else:
+            self.last_engine = "oracle" if oracle_used else "index"
         return result
 
     def run(

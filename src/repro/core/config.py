@@ -57,16 +57,13 @@ class WorkflowConfig:
         (:class:`~repro.mapreduce.parallel.ParallelEngine`).  The default
         ``1`` runs everything in-process; with ``num_workers > 1`` one engine
         (whose workers read the columns through shared memory) is opened for
-        the whole run and every parallelisable stage fans out (interning is
-        not one: the context interns itself in the driver): the blocking
-        postings pass, the block-cleaning passes (purging cardinalities,
-        filtering keep flags, comparison propagation), the meta-blocking
-        weight streams and retained-edge emission, the weight sort of the
-        comparison columns, the batched matching scores, and the
-        connected-components clustering.  Stages
-        the workers cannot reproduce (custom subclasses, foreign
-        collections, the greedy center clusterings) silently run
-        in-process.  Results -- blocks, retained edges, match decisions,
+        the whole run and every parallelisable stage fans out: the
+        meta-blocking weight streams and retained-edge emission, the weight
+        sort of the comparison columns and the connected-components
+        clustering (interning, the blocking build with purging and
+        filtering, and matching are whole-column kernels in the driver).
+        Stages the workers cannot reproduce (custom subclasses, the greedy
+        center clusterings) silently run in-process.  Results -- blocks, retained edges, match decisions,
         clusters, tie orders -- are bit-identical to the single-process run
         at every worker count.
     worker_timeout:

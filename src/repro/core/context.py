@@ -38,9 +38,8 @@ the pass has succeeded: an interrupted pass leaves the context un-interned.
 :meth:`~PipelineContext.token_stream` are *per description* and return
 ``array('q')`` slices; :meth:`~PipelineContext.token_columns` hands out the
 merged columns *whole* (``ptr``, ``ids``, ``counts``) for the consumers that
-work on all descriptions at once -- the token-blocking postings build,
-:meth:`~PipelineContext.fit_vectorizer` and the parallel engine's shared
-segment -- so none of them loops per description.
+work on all descriptions at once -- the token-blocking postings build and
+:meth:`~PipelineContext.fit_vectorizer` -- so neither loops per description.
 
 All downstream token views are derived from these columns without touching
 the raw strings again:
@@ -202,8 +201,8 @@ class TokenFilter:
     def mask(self, size: int) -> bytes:
         """The admission flags of token ids ``0..size-1`` as immutable bytes.
 
-        The multi-process engine ships this snapshot to worker processes so
-        they can apply the filter without the vocabulary strings.
+        The token-blocking postings build applies the filter to the whole
+        merged column as one boolean take through this snapshot.
         """
         if len(self._flags) < size:
             self._extend(size)

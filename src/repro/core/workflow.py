@@ -35,6 +35,7 @@ from typing import Dict, List, Optional, Sequence, Tuple, Union
 from repro.blocking.base import BlockBuilder, BlockCollection, ERInput
 from repro.blocking.canopy import CanopyClusteringBlocking
 from repro.blocking.cleaning import BlockFiltering, BlockPurging
+from repro.blocking.columns import BlockColumns
 from repro.blocking.engine import BlockingEngine
 from repro.blocking.minhash import MinHashLSHBlocking
 from repro.blocking.sorted_neighborhood import (
@@ -561,15 +562,13 @@ class ERWorkflow:
         if blocks is None:
             blocks = BlockingEngine(TokenBlocking(), context=context).build(data)
         descriptions = context.descriptions
-        index = EntityIndexEngine(
-            blocks, ids=[description.identifier for description in descriptions]
-        )
+        index = EntityIndexEngine.from_columns(BlockColumns.from_collection(blocks, context.ids))
         # the one-vs-many batch pass needs a matcher the batch engine implements
         batch = engine.batch_applicable
         path = "batch" if batch else f"pairwise: {type(engine.matcher).__name__}"
         threshold = engine.matcher.threshold if batch else None
 
-        pending = [(index.ordinal(first), index.ordinal(second)) for first, second in matches]
+        pending = [(context.ordinal(first), context.ordinal(second)) for first, second in matches]
         clusters = IntUnionFind(index.num_entities)
         for first, second in pending:
             clusters.union(first, second)

@@ -36,6 +36,8 @@ from repro.datamodel.pairs import (
     pair_code,
 )
 from repro.blocking.base import BlockCollection
+from repro.blocking.columns import BlockColumns
+from repro.metablocking.entity_index import EntityIndexEngine
 
 
 def f_measure(precision: float, recall: float) -> float:
@@ -222,6 +224,16 @@ def evaluate_comparisons(
         pairs = _as_pair_set(comparisons)
         detected = len(pairs & ground_truth.matching_pairs())
         num_pairs = len(pairs)
+    return _blocking_quality(num_pairs, detected, ground_truth, data)
+
+
+def _blocking_quality(
+    num_pairs: int,
+    detected: int,
+    ground_truth: GroundTruth,
+    data: Union[EntityCollection, CleanCleanTask, int, None],
+) -> BlockingQuality:
+    """PC / PQ / RR from the distinct-comparison and detected-match counts."""
     total_matches = ground_truth.num_matches()
     total_possible = _total_possible(data, num_pairs)
 
@@ -244,8 +256,22 @@ def evaluate_blocks(
     ground_truth: GroundTruth,
     data: Union[EntityCollection, CleanCleanTask, int, None] = None,
 ) -> BlockingQuality:
-    """Evaluate a block collection (its distinct comparisons) against the ground truth."""
-    return evaluate_comparisons(blocks.distinct_pairs(), ground_truth, data)
+    """Evaluate a block collection (its distinct comparisons) against the ground truth.
+
+    Counted from the collection's columns, never from a materialised pair
+    set: the distinct comparisons are the edges of the blocking graph
+    (:meth:`EntityIndexEngine.count_edges
+    <repro.metablocking.entity_index.EntityIndexEngine.count_edges>`) and a
+    true pair is detected when the block rows of its two descriptions
+    intersect -- field for field what ``evaluate_comparisons`` gives for
+    ``blocks.distinct_pairs()``.
+    """
+    index = EntityIndexEngine.from_columns(BlockColumns.from_collection(blocks))
+    detected = 0
+    for first, second in ground_truth.matching_pairs():
+        i, j = index.ordinal(first), index.ordinal(second)
+        detected += i is not None and j is not None and index.compared(i, j)
+    return _blocking_quality(index.count_edges(), detected, ground_truth, data)
 
 
 def _declared_pair_source(

@@ -9,18 +9,16 @@ and the two serve different purposes:
 actual wall-clock speedup on multi-core machines:
 
 * :class:`~repro.mapreduce.parallel.ParallelEngine` shards the flat columns
-  of the shared :class:`~repro.core.context.PipelineContext` and of the
-  meta-blocking CSR index by contiguous entity-ordinal ranges
+  of the blocks and of the meta-blocking CSR index by contiguous ranges
   (:func:`~repro.mapreduce.balancing.contiguous_partitions` balances the
-  ranges by per-entity cost) and runs every parallelisable workflow stage
-  in ``multiprocessing`` workers (interning and matching are not among
-  them: both run whole-column kernels in the driver): the blocking postings
-  pass, the block-cleaning passes (purging cardinalities, filtering keep
-  flags, comparison propagation), the meta-blocking index engine's ranged pruning
-  passes (retained-edge columns for all pruning schemes), the weight sort
-  of the comparison columns (per-shard argsort + driver k-way merge) and
-  the connected-components clustering (per-shard union--find merged in
-  first-touch order);
+  ranges by per-item cost) and runs every parallelisable workflow stage
+  in ``multiprocessing`` workers (interning, the blocking build with purging
+  and filtering, and matching are not among them: each runs whole-column
+  kernels in the driver): comparison propagation, the meta-blocking index
+  engine's ranged pruning passes (retained-edge columns for all pruning
+  schemes), the weight sort of the comparison columns (per-shard argsort +
+  driver k-way merge) and the connected-components clustering (per-shard
+  union--find merged in first-touch order);
 * the columns cross the process boundary through
   :class:`~repro.mapreduce.shm.ColumnSegment` shared memory -- workers
   attach zero-copy and only the small per-partition result columns are
@@ -32,9 +30,9 @@ actual wall-clock speedup on multi-core machines:
   the same exact integers;
 * the engines it plugs into (``BlockingEngine``, ``MetaBlocking``,
   ``ClusteringEngine``) fall back to their single-process paths for anything
-  the workers cannot reproduce -- non-token blocking schemes, foreign
-  collections outside the shared context, custom weighting/pruning
-  subclasses -- so enabling the engine never changes a result.
+  the workers cannot reproduce -- custom weighting/pruning subclasses,
+  clustering algorithms other than connected components -- so enabling the
+  engine never changes a result.
 
 Shared-memory lifecycle: the driver (the ``ParallelEngine``) owns every
 segment and unlinks all of them in :meth:`~repro.mapreduce.parallel.ParallelEngine.close`

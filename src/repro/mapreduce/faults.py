@@ -4,7 +4,7 @@ Fault tolerance cannot be trusted on inspection: the only way to know that a
 worker SIGKILL mid-shard is survived -- with the bit-identity contract intact
 and no shared-memory segment leaked -- is to kill a worker mid-shard, on every
 stage, on purpose.  This module is that switch.  A :class:`FaultSpec` names a
-*stage* (the supervisor's stage label, e.g. ``"postings"`` or ``"wnp_stats"``),
+*stage* (the supervisor's stage label, e.g. ``"wnp_stats"`` or ``"clustering"``),
 a *shard* index, a *mode* and how many dispatch *attempts* it fires on; the
 spec travels to the worker processes through the :data:`ENV_VAR` environment
 variable (so it reaches forked and spawned pools alike), and
@@ -39,10 +39,10 @@ Programmatic use::
 
     from repro.mapreduce import faults
 
-    with faults.injected(faults.FaultSpec(stage="postings", mode="kill")):
-        workflow.run(data)          # shard 0 of the postings stage dies once
+    with faults.injected(faults.FaultSpec(stage="wnp_stats", mode="kill")):
+        workflow.run(data)          # shard 0 of the wnp_stats stage dies once
 
-or from the shell: ``REPRO_FAULTS="stage=postings;mode=kill;shard=0"``.
+or from the shell: ``REPRO_FAULTS="stage=wnp_stats;mode=kill;shard=0"``.
 """
 
 from __future__ import annotations

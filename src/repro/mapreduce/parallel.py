@@ -1,25 +1,24 @@
 """The multi-process parallel engine over shared pipeline columns.
 
 :class:`ParallelEngine` is the driver side of the real (non-simulated)
-parallel execution path: it shards the flat columns of a
-:class:`~repro.core.context.PipelineContext` or
-:class:`~repro.metablocking.entity_index.EntityIndexEngine` by contiguous
-entity-ordinal ranges (:func:`~repro.mapreduce.balancing.contiguous_partitions`
-balances the ranges by per-entity cost), exposes the columns to a
+parallel execution path: it shards the flat columns of an
+:class:`~repro.metablocking.entity_index.EntityIndexEngine`, a
+:class:`~repro.blocking.columns.BlockColumns` or a comparison table by
+contiguous ranges (:func:`~repro.mapreduce.balancing.contiguous_partitions`
+balances the ranges by per-item cost), exposes the columns to a
 ``multiprocessing`` pool through :class:`~repro.mapreduce.shm.ColumnSegment`
 shared memory, and concatenates the per-partition result columns back in
 range order.  The worker-side kernels live in :mod:`repro.mapreduce.worker`.
 
 The engine parallelises exactly the stages whose sequential engines it can
-reproduce bit for bit -- token-blocking postings and the meta-blocking index
+reproduce bit for bit -- comparison propagation, the meta-blocking index
 engine's ranged pruning passes (all weighting schemes, including the ECBS/EJS
-global factors) -- and the callers in :mod:`repro.blocking.engine` and
-:mod:`repro.metablocking.pipeline` fall back to their single-process paths
-for anything else, so plugging an engine in never changes a result.  Matching
-is not a pooled stage: its ordinal-pair kernel
-(:meth:`MatchingEngine.decide_ordinal_pairs
-<repro.matching.engine.MatchingEngine.decide_ordinal_pairs>`) outruns the
-cost of shipping its pairs.
+global factors), the weight sort and connected-components clustering -- and
+the callers fall back to their single-process paths for anything else, so
+plugging an engine in never changes a result.  Interning, the blocking build
+with purging and filtering, and matching are not pooled stages: each is a
+whole-column kernel in the driver that outruns the cost of shipping its
+columns.
 
 Lifecycle: the engine owns every shared-memory segment it creates and every
 pool process it forks; :meth:`close` (or use as a context manager) tears both
@@ -134,8 +133,6 @@ class ParallelEngine:
         self._segment_seq = 0
         # caches hold strong references to their keys' objects so an id()
         # can never be recycled while its entry is alive
-        self._context_entries: Dict[int, Tuple[object, dict]] = {}
-        self._mask_specs: Dict[Tuple[int, int], Tuple[object, Optional[SegmentSpec]]] = {}
         self._index_entries: Dict[int, Tuple[object, dict]] = {}
         self._closed = False
         # a crashed previous run cannot clean up after itself: its successor
@@ -213,8 +210,6 @@ class ParallelEngine:
                     segment.destroy()
                 except Exception as error:  # pragma: no cover - defensive
                     errors.append(error)
-            self._context_entries.clear()
-            self._mask_specs.clear()
             self._index_entries.clear()
             if errors:  # pragma: no cover - defensive
                 raise errors[0]
@@ -232,42 +227,6 @@ class ParallelEngine:
             pass
 
     # ------------------------------------------------------------------
-    # shared-column export
-    # ------------------------------------------------------------------
-    def _context_entry(self, context) -> dict:
-        """The shared token-CSR segment of ``context`` (exported once)."""
-        key = id(context)
-        cached = self._context_entries.get(key)
-        if cached is not None and cached[0] is context:
-            return cached[1]
-        num_descriptions = context.num_descriptions
-        tok_ptr, tok_ids, tok_counts = context.token_columns()
-        segment = self._segment(
-            {
-                "tok_ptr": ("q", tok_ptr),
-                "tok_ids": ("q", tok_ids),
-                "tok_counts": ("q", tok_counts),
-            }
-        )
-        entry = {"spec": segment.spec, "n": num_descriptions, "tok_ptr": tok_ptr}
-        self._context_entries[key] = (context, entry)
-        return entry
-
-    def _mask_spec(self, context, stop_words, min_token_length) -> Optional[SegmentSpec]:
-        """The shared admission mask of one token-filter config (``None`` if trivial)."""
-        token_filter = context.token_filter(stop_words, min_token_length)
-        if token_filter.trivial:
-            return None
-        key = (id(context), id(token_filter))
-        cached = self._mask_specs.get(key)
-        if cached is not None and cached[0] is token_filter:
-            return cached[1]
-        mask = token_filter.mask(context.vocabulary_size)
-        segment = self._segment({"mask": ("B", mask)})
-        self._mask_specs[key] = (token_filter, segment.spec)
-        return segment.spec
-
-    # ------------------------------------------------------------------
     # context interning
     # ------------------------------------------------------------------
     def intern_context(self, context) -> bool:
@@ -281,144 +240,42 @@ class ParallelEngine:
         return False
 
     # ------------------------------------------------------------------
-    # blocking
-    # ------------------------------------------------------------------
-    def token_postings(self, builder, context) -> Dict[int, array]:
-        """Token postings (``token id -> ascending description ordinals``) of
-        ``context`` under ``builder``'s admission rule, built by the pool.
-
-        Partitions are balanced by per-description token count; each worker
-        returns its range's local postings and the range-order merge
-        reproduces the sequential builder's posting content exactly (ordinals
-        ascend within and across ranges).
-        """
-        entry = self._context_entry(context)
-        mask_spec = self._mask_spec(context, builder.stop_words, builder.min_token_length)
-        tok_ptr = entry["tok_ptr"]
-        costs = [tok_ptr[o + 1] - tok_ptr[o] for o in range(entry["n"])]
-        tasks = [
-            (entry["spec"], mask_spec, start, stop)
-            for start, stop in contiguous_partitions(costs, self.num_workers)
-        ]
-        postings: Dict[int, array] = {}
-        for token_column, counts, flat in self._run(worker.token_postings_job, tasks, "postings"):
-            position = 0
-            for token_id, count in zip(token_column, counts):
-                posting = postings.get(token_id)
-                if posting is None:
-                    postings[token_id] = posting = array("q")
-                posting.extend(flat[position : position + count])
-                position += count
-        return postings
-
-    # ------------------------------------------------------------------
     # block cleaning
     # ------------------------------------------------------------------
-    def block_cardinalities(self, blocks) -> array:
-        """Cardinality column of ``blocks`` (block purging), built by the pool.
+    def propagate_pairs(self, columns) -> list:
+        """Comparison propagation of ``columns``, fanned out over block ranges.
 
-        The driver ships only per-block ``(size, split)`` pairs; workers
-        compute their range's ``Block.num_comparisons`` integers and the
-        range-order concatenation equals the sequential column exactly.
+        The driver ships the CSR layout of the
+        :class:`~repro.blocking.columns.BlockColumns` plus identifier ranks,
+        and workers stream their range's comparisons as dedup codes with
+        canonical endpoints and a bilateral orientation flag, deduplicated
+        locally.  The driver then resolves global first occurrences through
+        one seen-set walked in range order -- reproducing the sequential
+        pass's emission sequence, key strings and left/right orientation --
+        and re-raises the oracle's self-pair error at the exact comparison
+        the sequential pass would.  Returns the pair blocks in emission
+        order.
         """
-        lens = array("q")
-        splits = array("q")
-        for block in blocks:
-            if block.is_bilateral:
-                left = len(block.left_members)
-                lens.append(left + len(block.right_members))
-                splits.append(left)
-            else:
-                lens.append(len(block.members))
-                splits.append(-1)
-        segment = self._segment({"blk_len": ("q", lens), "blk_split": ("q", splits)})
-        tasks = [
-            (segment.spec, start, stop)
-            for start, stop in contiguous_partitions([1] * len(lens), self.num_workers)
-        ]
-        cards = array("q")
-        for chunk in self._run(worker.block_cardinalities_job, tasks, "cardinalities"):
-            cards.extend(chunk)
-        return cards
+        from repro.blocking.base import Block
 
-    def filter_keep_flags(self, ent_of, card_of, num_entities, ratio, use_numpy) -> bytearray:
-        """Keep flags over the assignment positions (block filtering).
-
-        Entities are sharded into contiguous ordinal ranges balanced by
-        degree; each worker ranks its entities' assignments with the same
-        stable (cardinality, block index) sort the sequential pass runs, and
-        since per-entity decisions are independent the OR of the ranges'
-        keep sets is bit-identical to the sequential flags.
-        """
-        keep_flags = bytearray(len(ent_of))
-        segment = self._segment({"ent_of": ("q", ent_of), "card_of": ("q", card_of)})
-        degrees = [0] * num_entities
-        for o in ent_of:
-            degrees[o] += 1
-        costs = [degree + 1 for degree in degrees]
-        tasks = [
-            (segment.spec, ratio, start, stop, use_numpy)
-            for start, stop in contiguous_partitions(costs, self.num_workers)
-        ]
-        for chunk in self._run(worker.filter_keep_job, tasks, "filtering"):
-            for position in chunk:
-                keep_flags[position] = 1
-        return keep_flags
-
-    def propagate_pairs(self, blocks) -> "object":
-        """Comparison propagation of ``blocks``, fanned out over block ranges.
-
-        The driver interns members block-major (the sequential intern order),
-        ships the CSR layout plus identifier ranks, and workers stream their
-        range's comparisons as dedup codes with canonical endpoints and a
-        bilateral orientation flag, deduplicated locally.  The driver then
-        resolves global first occurrences through one seen-set walked in
-        range order -- reproducing the sequential pass's emission sequence,
-        key strings and left/right orientation -- and re-raises the oracle's
-        self-pair error at the exact comparison the sequential pass would.
-        """
-        from repro.blocking.base import Block, BlockCollection
-
-        ordinal: Dict[str, int] = {}
-        intern = ordinal.setdefault
-        ent_of = array("q")
-        blk_ptr = array("q", [0])
-        blk_split = array("q")
-        costs = []
-        for block in blocks:
-            if block.is_bilateral:
-                left = block.left_members
-                right = block.right_members
-                for member in left:
-                    ent_of.append(intern(member, len(ordinal)))
-                for member in right:
-                    ent_of.append(intern(member, len(ordinal)))
-                blk_split.append(len(left))
-                costs.append(1 + len(left) * len(right))
-            else:
-                members = block.members
-                for member in members:
-                    ent_of.append(intern(member, len(ordinal)))
-                blk_split.append(-1)
-                size = len(members)
-                costs.append(1 + size * (size - 1) // 2)
-            blk_ptr.append(len(ent_of))
-        ids = list(ordinal)
+        ids = columns.ids
+        blk_ptr = columns.blk_ptr
         rank_column = array("q")
         _extend_int64(rank_column, identifier_ranks(ids))
         segment = self._segment(
             {
                 "blk_ptr": ("q", blk_ptr),
-                "blk_split": ("q", blk_split),
-                "ent_of": ("q", ent_of),
+                "blk_split": ("q", columns.split),
+                "ent_of": ("q", columns.members),
                 "ranks": ("q", rank_column),
             }
         )
+        # one unit per block plus its comparisons
+        costs = [1 + cardinality for cardinality in columns.cardinalities(False)]
         tasks = [
             (segment.spec, start, stop)
             for start, stop in contiguous_partitions(costs, self.num_workers)
         ]
-        deduplicated = BlockCollection(name=f"{blocks.name}/propagated")
         seen = set()
         seen_add = seen.add
         out = []
@@ -440,12 +297,12 @@ class ParallelEngine:
                     append(bilateral_pair(f"pair:{first}|{second}", second, first))
             if error is not None:
                 block_index, left_pos, right_pos = error
-                block = blocks[block_index]
+                start = blk_ptr[block_index]
                 canonical_pair(
-                    block.left_members[left_pos], block.right_members[right_pos]
+                    ids[columns.members[start + left_pos]],
+                    ids[columns.members[start + columns.split[block_index] + right_pos]],
                 )
-        deduplicated._extend_trusted(out)
-        return deduplicated
+        return out
 
     # ------------------------------------------------------------------
     # meta-blocking

@@ -25,7 +25,6 @@ two different payloads.
 
 from __future__ import annotations
 
-import math
 from array import array
 from typing import Dict, Optional, Tuple
 
@@ -101,110 +100,8 @@ def _engines_pop(name: str) -> None:
 
 
 # ----------------------------------------------------------------------
-# blocking
-# ----------------------------------------------------------------------
-def token_postings_job(args) -> Tuple[array, array, array]:
-    """Local token postings of one entity-ordinal range.
-
-    Reads the context's token CSR (``tok_ptr``/``tok_ids``) and the
-    builder's admission mask, and returns the range's postings as three
-    columns: the touched token ids (sorted ascending), the posting length
-    per token, and the flattened ordinals (appended in ordinal order, so the
-    driver's range-order merge yields ascending postings -- the sequential
-    builder's exact content).
-    """
-    ctx_spec, mask_spec, start, stop = args
-    views = _segment(ctx_spec).views
-    tok_ptr = views["tok_ptr"]
-    tok_ids = views["tok_ids"]
-    mask = _segment(mask_spec).views["mask"] if mask_spec is not None else None
-    postings: Dict[int, array] = {}
-    for ordinal in range(start, stop):
-        for token_id in tok_ids[tok_ptr[ordinal] : tok_ptr[ordinal + 1]]:
-            if mask is not None and not mask[token_id]:
-                continue
-            posting = postings.get(token_id)
-            if posting is None:
-                postings[token_id] = posting = array("q")
-            posting.append(ordinal)
-    token_column = array("q", sorted(postings))
-    counts = array("q", (len(postings[t]) for t in token_column))
-    flat = array("q")
-    for token_id in token_column:
-        flat.extend(postings[token_id])
-    return token_column, counts, flat
-
-
-# ----------------------------------------------------------------------
 # block cleaning
 # ----------------------------------------------------------------------
-def block_cardinalities_job(args) -> array:
-    """Cardinality column of one block range, from per-block sizes.
-
-    ``split * (n - split)`` for bilateral blocks and ``n * (n - 1) // 2``
-    for unilateral ones -- the exact integers ``Block.num_comparisons``
-    computes from its member tuples.
-    """
-    spec, start, stop = args
-    views = _segment(spec).views
-    lens = views["blk_len"]
-    splits = views["blk_split"]
-    cards = array("q")
-    for b in range(start, stop):
-        n = lens[b]
-        split = splits[b]
-        cards.append(split * (n - split) if split >= 0 else n * (n - 1) // 2)
-    return cards
-
-
-def filter_keep_job(args) -> array:
-    """Kept assignment positions of one entity-ordinal range (block filtering).
-
-    Each entity in the range keeps its ``max(1, ceil(ratio * degree))``
-    smallest-cardinality assignments; ties break on ascending assignment
-    position (= ascending block index), via the same stable sorts the
-    sequential pass runs.  Per-entity decisions are independent, so the
-    union of the ranges' kept positions equals the sequential keep set.
-    """
-    spec, ratio, start, stop, use_numpy = args
-    kept = array("q")
-    if start >= stop:
-        return kept
-    views = _segment(spec).views
-    ent_of = views["ent_of"]
-    card_of = views["card_of"]
-    if use_numpy and _np is not None:
-        np = _np
-        ent = np.frombuffer(ent_of, dtype=np.int64)
-        card = np.frombuffer(card_of, dtype=np.int64)
-        positions = np.flatnonzero((ent >= start) & (ent < stop))
-        if not len(positions):
-            return kept
-        sub_ent = ent[positions] - start
-        sub_card = card[positions]
-        order = np.lexsort((sub_card, sub_ent))
-        ent_sorted = sub_ent[order]
-        degrees = np.bincount(sub_ent, minlength=stop - start)
-        ent_ptr = np.concatenate(([0], np.cumsum(degrees)))
-        rank = np.arange(len(positions), dtype=np.int64) - ent_ptr[ent_sorted]
-        keep_counts = np.maximum(1, np.ceil(ratio * degrees)).astype(np.int64)
-        kept.frombytes(
-            np.ascontiguousarray(
-                positions[order][rank < keep_counts[ent_sorted]], dtype=np.int64
-            ).tobytes()
-        )
-        return kept
-    per_entity = [[] for _ in range(stop - start)]
-    for position, o in enumerate(ent_of):
-        if start <= o < stop:
-            per_entity[o - start].append(position)
-    for positions in per_entity:
-        positions.sort(key=card_of.__getitem__)
-        keep = max(1, math.ceil(ratio * len(positions)))
-        kept.extend(positions[:keep])
-    return kept
-
-
 def propagate_pairs_job(args):
     """Candidate pair stream of one block range (comparison propagation).
 

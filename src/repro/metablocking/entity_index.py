@@ -18,8 +18,12 @@ of the input block collection, stored as flat integer arrays in CSR form:
   block the description sits on, so clean--clean collections only generate
   cross-source comparisons.
 
-Description identifiers are interned once into an ordinal mapping and
-everything downstream stays in ordinal space: edge weights (CBS, ECBS, JS,
+The block-side columns are the blocking engine's own
+:class:`~repro.blocking.columns.BlockColumns`
+(:meth:`EntityIndexEngine.from_columns`; block *objects* are interned once by
+:meth:`BlockColumns.from_collection
+<repro.blocking.columns.BlockColumns.from_collection>`) and everything
+downstream stays in ordinal space: edge weights (CBS, ECBS, JS,
 EJS, ARCS) and all six pruning schemes (WEP, CEP, WNP, CNP and the reciprocal
 node variants) run as *ranged* passes over node-ordinal ranges and produce
 flat ``(first, second, weight)`` ordinal columns
@@ -63,6 +67,9 @@ from math import fsum
 from typing import Dict, Iterator, List, Optional, Sequence, Tuple
 
 from repro.blocking.base import BlockCollection
+from repro.blocking.columns import BlockColumns, int_view, stable_argsort
+from repro.blocking.columns import flat_slices as _slices
+from repro.blocking.columns import typed_array as _typed_array
 from repro.datamodel.pairs import identifier_ranks
 from repro.metablocking.graph import WeightedEdge
 
@@ -101,13 +108,6 @@ def _int_array(size: int) -> array:
     return array("q", bytes(8 * size))
 
 
-def _typed_array(typecode: str, column) -> array:
-    """A contiguous ndarray column copied (once) into a typed array."""
-    out = array(typecode)
-    out.frombytes(memoryview(column).cast("B"))
-    return out
-
-
 def _concat(parts: Sequence[tuple]) -> tuple:
     """Concatenate aligned column tuples in order.
 
@@ -124,12 +124,6 @@ def _concat(parts: Sequence[tuple]) -> tuple:
     if not parts:
         parts = [(_np.zeros(0, _np.int64), _np.zeros(0, _np.int64), _np.zeros(0))]
     return tuple(_np.concatenate(columns) for columns in zip(*parts))
-
-
-def _slices(starts, lengths):
-    """Flat indices of the concatenated ranges ``[starts[i], starts[i] + lengths[i])``."""
-    offsets = _np.cumsum(lengths) - lengths
-    return _np.repeat(starts - offsets, lengths) + _np.arange(int(lengths.sum()))
 
 
 def _edge_columns(rows) -> Tuple[array, array, array]:
@@ -196,7 +190,9 @@ class EntityIndexEngine:
         ordinal, so ``num_entities > len(ids)`` tells the caller that the
         table does not cover the blocks (and ``identifier(len(ids))`` names
         the first uncovered member).  By default ordinals are assigned in
-        first-seen block-member order.
+        first-seen block-member order; a column-backed collection keeps the
+        ordinals of its backing (see :meth:`BlockColumns.from_collection
+        <repro.blocking.columns.BlockColumns.from_collection>`).
     """
 
     def __init__(
@@ -205,85 +201,102 @@ class EntityIndexEngine:
         use_numpy: Optional[bool] = None,
         ids: Optional[Sequence[str]] = None,
     ) -> None:
-        self.blocks = blocks
-        ids = list(ids) if ids is not None else []
-        ordinal: Dict[str, int] = {identifier: o for o, identifier in enumerate(ids)}
-        blk_ents = array("q")
-        blk_ptr = array("q", [0])
-        blk_split = array("q")  # number of left members, or -1 for unilateral
-        recip = array("d")  # 1 / block cardinality, for ARCS
+        self._transpose(BlockColumns.from_collection(blocks, ids), use_numpy)
 
-        for block in blocks:
-            blk_split.append(len(block.left_members) if block.is_bilateral else -1)
-            if block.is_bilateral:
-                # the graph engine raises (via canonical_pair) on the self-pair
-                # such a malformed block generates; fail identically, and early
-                right = set(block.right_members)
-                for member in block.left_members:
-                    if member in right:
-                        # same entity the graph engine's left x right iteration
-                        # trips over first, so both engines report identically
-                        raise ValueError(
-                            f"a comparison requires two distinct descriptions, got {member!r} twice"
-                        )
-            for member in block.members:
-                o = ordinal.get(member)
-                if o is None:
-                    o = len(ids)
-                    ordinal[member] = o
-                    ids.append(member)
-                blk_ents.append(o)
-            blk_ptr.append(len(blk_ents))
-            cardinality = block.num_comparisons()
-            recip.append(1.0 / cardinality if cardinality > 0 else 0.0)
+    @classmethod
+    def from_columns(
+        cls, columns: BlockColumns, use_numpy: Optional[bool] = None
+    ) -> "EntityIndexEngine":
+        """The index over ``columns`` as they are: no identifier is read.
 
-        self._ids = ids
-        self._ordinal = ordinal
-        self._blk_ents = blk_ents
-        self._blk_ptr = blk_ptr
-        self._blk_split = blk_split
-        self._recip = recip
-        self.num_entities = len(ids)
-        self.num_blocks = len(blocks)
+        The engine speaks the ordinals of ``columns.ids`` (the shared
+        context's table for blocks the blocking engine built) and shares the
+        block-side columns; only the block -> entity transpose is computed.
+        """
+        self = cls.__new__(cls)
+        self._transpose(columns, use_numpy)
+        return self
+
+    def _transpose(self, columns: BlockColumns, use_numpy: Optional[bool]) -> None:
+        """Adopt the block-side columns and derive the entity-side ones.
+
+        The entity rows list their blocks in ascending block order (one
+        stable argsort of the member column, or the counting loops without
+        NumPy).  A description on both sides of a bilateral block makes the
+        graph engine raise (via ``canonical_pair``) on the self-pair it
+        generates; it shows here as one entity row naming a block twice and
+        fails identically, and early.
+        """
+        self._ids = columns.ids
+        self._ordinal_cache: Optional[Dict[str, int]] = None
+        blk_ents = self._blk_ents = columns.members
+        blk_ptr = self._blk_ptr = columns.blk_ptr
+        blk_split = self._blk_split = columns.split
+        self.num_entities = len(columns.ids)
+        self.num_blocks = len(columns)
         #: total number of block assignments (sum of block sizes)
         self.num_assignments = len(blk_ents)
-
-        # transpose: entity -> (block, side) in ascending block order
-        counts = _int_array(self.num_entities)
-        for o in blk_ents:
-            counts[o] += 1
-        ent_ptr = _int_array(self.num_entities + 1)
-        for i in range(self.num_entities):
-            ent_ptr[i + 1] = ent_ptr[i] + counts[i]
-        fill = list(ent_ptr[: self.num_entities])
-        ent_blocks = _int_array(self.num_assignments)
-        ent_side = array("b", bytes(self.num_assignments))
-        for b in range(self.num_blocks):
-            start, end, split = blk_ptr[b], blk_ptr[b + 1], blk_split[b]
-            for pos in range(start, end):
-                o = blk_ents[pos]
-                p = fill[o]
-                ent_blocks[p] = b
-                ent_side[p] = 1 if 0 <= split <= pos - start else 0
-                fill[o] = p + 1
-        self._ent_ptr = ent_ptr
-        self._ent_blocks = ent_blocks
-        self._ent_side = ent_side
-
         self._use_numpy = (_np is not None) if use_numpy is None else (use_numpy and _np is not None)
+        repeated = -1  # first position (block-major) of a member its block lists twice
         if self._use_numpy:
-            self._np_blk_ents = _np.frombuffer(blk_ents, dtype=_np.int64) if blk_ents else _np.zeros(0, _np.int64)
-            self._np_blk_ptr = _np.frombuffer(blk_ptr, dtype=_np.int64)
-            self._np_blk_split = (
-                _np.frombuffer(blk_split, dtype=_np.int64) if blk_split else _np.zeros(0, _np.int64)
+            np = _np
+            self._np_blk_ents = ents = int_view(blk_ents)
+            self._np_blk_ptr = ptr = int_view(blk_ptr)
+            self._np_blk_split = split = int_view(blk_split)
+            cards = columns.cardinalities(True)
+            self._np_recip = np.divide(1.0, cards, out=np.zeros(len(cards)), where=cards > 0)
+            sizes = np.diff(ptr)
+            block_of = np.repeat(np.arange(self.num_blocks), sizes)
+            order = stable_argsort(ents, self.num_entities)
+            self._np_ent_blocks = block_of[order]
+            degrees = np.bincount(ents, minlength=self.num_entities)
+            self._np_ent_ptr = np.concatenate(([0], np.cumsum(degrees)))
+            split_of = split[block_of]
+            on_right = np.arange(self.num_assignments) - ptr[block_of] >= split_of
+            self._np_ent_side = ((split_of >= 0) & on_right)[order].astype(np.int8)
+            ent_sorted = ents[order]
+            twice = (ent_sorted[1:] == ent_sorted[:-1]) & (
+                self._np_ent_blocks[1:] == self._np_ent_blocks[:-1]
             )
-            self._np_recip = _np.frombuffer(recip, dtype=_np.float64) if recip else _np.zeros(0)
-            self._np_ent_ptr = _np.frombuffer(ent_ptr, dtype=_np.int64)
-            self._np_ent_blocks = (
-                _np.frombuffer(ent_blocks, dtype=_np.int64) if ent_blocks else _np.zeros(0, _np.int64)
+            if twice.any():
+                repeated = int(order[:-1][twice].min())
+            self._recip = _typed_array("d", self._np_recip)
+            self._ent_ptr = _typed_array("q", self._np_ent_ptr)
+            self._ent_blocks = _typed_array("q", self._np_ent_blocks)
+            self._ent_side = _typed_array("b", self._np_ent_side)
+        else:
+            self._recip = array(
+                "d", (1.0 / c if c > 0 else 0.0 for c in columns.cardinalities(False))
             )
-            self._np_ent_side = (
-                _np.frombuffer(ent_side, dtype=_np.int8) if ent_side else _np.zeros(0, _np.int8)
+            counts = _int_array(self.num_entities)
+            for o in blk_ents:
+                counts[o] += 1
+            ent_ptr = _int_array(self.num_entities + 1)
+            for i in range(self.num_entities):
+                ent_ptr[i + 1] = ent_ptr[i] + counts[i]
+            fill = list(ent_ptr[: self.num_entities])
+            ent_blocks = _int_array(self.num_assignments)
+            ent_side = array("b", bytes(self.num_assignments))
+            for b in range(self.num_blocks):
+                start, end, split = blk_ptr[b], blk_ptr[b + 1], blk_split[b]
+                for pos in range(start, end):
+                    o = blk_ents[pos]
+                    p = fill[o]
+                    if repeated < 0 and p > ent_ptr[o] and ent_blocks[p - 1] == b:
+                        right = set(blk_ents[start + split : end])
+                        repeated = next(q for q in range(start, start + split) if blk_ents[q] in right)
+                    ent_blocks[p] = b
+                    ent_side[p] = 1 if 0 <= split <= pos - start else 0
+                    fill[o] = p + 1
+            self._ent_ptr = ent_ptr
+            self._ent_blocks = ent_blocks
+            self._ent_side = ent_side
+        if repeated >= 0:
+            # the entity the graph engine's left x right iteration trips over
+            # first, so both engines report identically
+            raise ValueError(
+                "a comparison requires two distinct descriptions, "
+                f"got {self._ids[blk_ents[repeated]]!r} twice"
             )
 
         self._degree_cache: Optional[Tuple[array, int]] = None
@@ -311,9 +324,8 @@ class EntityIndexEngine:
         identifier-facing methods must not be called on a replica.
         """
         self = cls.__new__(cls)
-        self.blocks = None
         self._ids = None
-        self._ordinal = None
+        self._ordinal_cache = None
         self._blk_ents = columns["blk_ents"]
         self._blk_ptr = columns["blk_ptr"]
         self._blk_split = columns["blk_split"]
@@ -355,10 +367,12 @@ class EntityIndexEngine:
         return self._ids[ordinal]
 
     def ordinal(self, identifier: str) -> Optional[int]:
-        return self._ordinal.get(identifier)
+        if self._ordinal_cache is None:
+            self._ordinal_cache = {name: o for o, name in enumerate(self._ids)}
+        return self._ordinal_cache.get(identifier)
 
     def node_blocks_count(self, identifier: str) -> int:
-        o = self._ordinal.get(identifier)
+        o = self.ordinal(identifier)
         if o is None:
             return 0
         return self._ent_ptr[o + 1] - self._ent_ptr[o]
@@ -367,11 +381,31 @@ class EntityIndexEngine:
     def num_nodes(self) -> int:
         """Descriptions placed in at least one block -- the blocking graph's nodes.
 
-        Fewer than :attr:`num_entities` when the identifier table (``ids=``)
-        holds descriptions no block contains.
+        Fewer than :attr:`num_entities` when the identifier table holds
+        descriptions no block contains.
         """
+        if self._use_numpy:
+            return int(_np.count_nonzero(_np.diff(self._np_ent_ptr)))
         ent_ptr = self._ent_ptr
         return sum(ent_ptr[o] < ent_ptr[o + 1] for o in range(self.num_entities))
+
+    def compared(self, i: int, j: int) -> bool:
+        """Whether some block compares ordinals ``i`` and ``j`` (a graph edge).
+
+        They share a unilateral block, or sit on opposite sides of a
+        bilateral one.
+        """
+        ent_blocks, ent_side = self._ent_blocks, self._ent_side
+        side_of = {
+            ent_blocks[pos]: ent_side[pos]
+            for pos in range(self._ent_ptr[j], self._ent_ptr[j + 1])
+        }
+        for pos in range(self._ent_ptr[i], self._ent_ptr[i + 1]):
+            block = ent_blocks[pos]
+            side = side_of.get(block)
+            if side is not None and (self._blk_split[block] < 0 or side != ent_side[pos]):
+                return True
+        return False
 
     def count_edges(self) -> int:
         """Number of distinct co-occurring pairs (blocking-graph edges)."""

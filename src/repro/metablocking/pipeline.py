@@ -42,6 +42,7 @@ from array import array
 from typing import Iterator, List, Optional, Tuple, Union
 
 from repro.blocking.base import Block, BlockCollection
+from repro.blocking.columns import BlockColumns
 from repro.datamodel.collection import CleanCleanTask
 from repro.datamodel.pairs import Comparison, ComparisonColumns, OrdinalInterner
 from repro.metablocking.entity_index import EntityIndexEngine, edges_view
@@ -172,9 +173,12 @@ class MetaBlocking:
         if spec is None:
             return None
         weighting_name, pruning_name, kwargs = spec
-        index = EntityIndexEngine(blocks, ids=None if context is None else context.ids)
-        if context is not None and index.num_entities > len(context.ids):
-            raise _uncovered(index.identifier(len(context.ids)))
+        # blocks the blocking engine built over this context are columns
+        # over its ordinals already: nothing is interned
+        columns = BlockColumns.from_collection(blocks, None if context is None else context.ids)
+        if context is not None and len(columns.ids) > len(context.ids):
+            raise _uncovered(columns.ids[len(context.ids)])
+        index = EntityIndexEngine.from_columns(columns)
         columns = None
         if parallel is not None:
             # worker-side per-range selection: only retained edges cross the

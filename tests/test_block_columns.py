@@ -1,0 +1,430 @@
+"""Blocks as columns: ``BlockColumns``, its kernels and the lazy ``BlockCollection`` view.
+
+The column kernels (``from_postings`` / ``select`` behind build, purging and
+filtering; the block -> entity transpose of ``EntityIndexEngine``) each have a
+NumPy body and a plain-loop body; every test here runs both (``use_numpy``)
+and, where the engine picks the body itself, with NumPy hidden from the
+modules (``_np = None``).  The references are the object-path oracles:
+``TokenBlocking.build``, ``BlockPurging.process``, ``BlockFiltering.process``
+and ``BlockCollection.distinct_pairs``.
+"""
+
+from __future__ import annotations
+
+from array import array
+
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from repro.blocking import columns as columns_module
+from repro.blocking import engine as engine_module
+from repro.blocking.base import Block, BlockCollection
+from repro.blocking.cleaning import BlockFiltering, BlockPurging
+from repro.blocking.columns import BlockColumns
+from repro.blocking.engine import BlockingEngine
+from repro.blocking.token_blocking import TokenBlocking
+from repro.core.context import PipelineContext
+from repro.core.workflow import default_workflow
+from repro.datamodel.collection import CleanCleanTask, EntityCollection
+from repro.datamodel.description import EntityDescription
+from repro.datasets import DatasetConfig, generate_dirty_dataset
+from repro.datasets.builtin import load_census, load_restaurants
+from repro.evaluation.metrics import evaluate_blocks, evaluate_comparisons
+from repro.metablocking import entity_index as entity_index_module
+from repro.metablocking.entity_index import EntityIndexEngine
+
+#: the kernel bodies this interpreter can run (``use_numpy`` values)
+BODIES = (True, False) if columns_module._np is not None else (False,)
+
+
+def snapshot(blocks):
+    """Key order, member order and the bilateral split of every block."""
+    return [
+        (block.key, block.members, block.left_members, block.right_members) for block in blocks
+    ]
+
+
+@pytest.fixture(params=("numpy", "hidden"))
+def numpy_mode(request, monkeypatch):
+    """Run a test with NumPy importable and again with it hidden from the modules."""
+    if request.param == "hidden":
+        for module in (columns_module, engine_module, entity_index_module):
+            monkeypatch.setattr(module, "_np", None)
+    return request.param
+
+
+@pytest.fixture
+def blocks_constructed():
+    """The class of every ``Block`` constructed while the fixture is active.
+
+    Counts at ``Block.__new__``, which the validating constructor and every
+    trusted fast path go through.  CPython refuses constructor arguments on a
+    type whose assigned ``__new__`` was deleted again, so the fixture leaves a
+    pass-through behind instead of deleting its counter.
+    """
+    created = []
+
+    def counting_new(cls, *args, **kwargs):
+        created.append(cls)
+        return object.__new__(cls)
+
+    Block.__new__ = staticmethod(counting_new)
+    try:
+        yield created
+    finally:
+        Block.__new__ = staticmethod(lambda cls, *args, **kwargs: object.__new__(cls))
+
+
+DIRTY = BlockCollection(
+    [
+        Block("small", members=["a", "b"]),
+        Block("mid", members=["b", "c", "d"]),
+        Block("big", members=["a", "b", "c", "d", "e", "f"]),
+    ],
+    name="dirty",
+)
+CLEAN_CLEAN = BlockCollection(
+    [
+        Block("one", left_members=["l1"], right_members=["r1", "r2"]),
+        Block("two", left_members=["l1", "l2"], right_members=["r2"]),
+        Block("wide", left_members=["l1", "l2", "l3"], right_members=["r1", "r2", "r3"]),
+    ],
+    name="clean-clean",
+)
+MIXED = BlockCollection(list(DIRTY) + list(CLEAN_CLEAN), name="mixed")
+COLLECTIONS = {
+    "dirty": DIRTY,
+    "clean-clean": CLEAN_CLEAN,
+    "mixed": MIXED,
+    "empty": BlockCollection(name="empty"),
+}
+
+
+# ----------------------------------------------------------------------
+# columns <-> collection
+# ----------------------------------------------------------------------
+class TestRoundTrip:
+    @pytest.mark.parametrize("name", sorted(COLLECTIONS))
+    def test_objects_to_columns_and_back(self, name, numpy_mode):
+        blocks = COLLECTIONS[name]
+        columns = BlockColumns.from_collection(blocks)
+        assert len(columns) == len(blocks)
+        assert columns.total_comparisons() == blocks.total_comparisons()
+        assert list(columns.cardinalities(False)) == [b.num_comparisons() for b in blocks]
+        view = BlockCollection.from_columns(columns, name="view")
+        assert len(view) == len(blocks)
+        assert view.total_comparisons() == blocks.total_comparisons()
+        assert snapshot(view) == snapshot(blocks)
+
+    def test_first_seen_ordinals_and_given_table(self):
+        columns = BlockColumns.from_collection(DIRTY)
+        assert columns.ids == ["a", "b", "c", "d", "e", "f"]
+        table = ["f", "zz", "a"]
+        padded = BlockColumns.from_collection(DIRTY, table)
+        # the table keeps its ordinals, uncovered members follow it
+        assert padded.ids[:3] == table and sorted(padded.ids[3:]) == ["b", "c", "d", "e"]
+        assert table == ["f", "zz", "a"]
+        assert snapshot(BlockCollection.from_columns(padded)) == snapshot(DIRTY)
+
+    def test_duplicate_identifier_table_is_refused(self):
+        with pytest.raises(ValueError, match="duplicate"):
+            BlockColumns.from_collection(DIRTY, ["a", "a"])
+
+    def test_backing_is_handed_over_not_reinterned(self, tiny_collection):
+        context = PipelineContext(tiny_collection)
+        blocks = BlockingEngine(context=context).build(tiny_collection)
+        backing = BlockColumns.from_collection(blocks)
+        assert backing.ids is context.ids
+        assert BlockColumns.from_collection(blocks, context.ids) is backing
+        # another table: interned from the (now materialised) objects
+        other = BlockColumns.from_collection(blocks, list(context.ids))
+        assert other is not backing and other.ids == context.ids
+        assert list(other.members) == list(backing.members)
+
+    @pytest.mark.parametrize("use_numpy", BODIES)
+    def test_a_side_emptied_by_select_drops_the_block(self, use_numpy):
+        columns = BlockColumns.from_collection(CLEAN_CLEAN)
+        # drop l1 everywhere: "one" loses its whole left side, the others shrink
+        flags = [columns.ids[o] != "l1" for o in columns.members]
+        flags = columns_module._np.array(flags) if use_numpy else bytearray(flags)
+        kept = BlockCollection.from_columns(columns.select(flags, use_numpy))
+        assert snapshot(kept) == [
+            ("two", ("l2", "r2"), ("l2",), ("r2",)),
+            ("wide", ("l2", "l3", "r1", "r2", "r3"), ("l2", "l3"), ("r1", "r2", "r3")),
+        ]
+
+    @pytest.mark.parametrize("use_numpy", BODIES)
+    def test_unilateral_block_left_with_one_member_is_dropped(self, use_numpy):
+        columns = BlockColumns.from_collection(DIRTY)
+        flags = [columns.ids[o] in ("b", "c") for o in columns.members]
+        flags = columns_module._np.array(flags) if use_numpy else bytearray(flags)
+        kept = BlockCollection.from_columns(columns.select(flags, use_numpy))
+        assert snapshot(kept) == [("mid", ("b", "c"), (), ()), ("big", ("b", "c"), (), ())]
+
+    def test_purging_everything_leaves_an_empty_view(self, numpy_mode):
+        purged = BlockingEngine().clean(MIXED, purging=BlockPurging(max_comparisons=0))
+        assert len(purged) == 0 and purged.total_comparisons() == 0
+        assert list(purged) == []
+        assert purged.name == "mixed/purged"
+        # and the next pass takes the empty columns as they are
+        assert len(BlockingEngine().clean(purged, filtering=BlockFiltering(0.5))) == 0
+
+    @pytest.mark.parametrize("bilateral", (False, True))
+    def test_empty_input_builds_empty_columns(self, bilateral, numpy_mode):
+        data = (
+            CleanCleanTask(EntityCollection(name="l"), EntityCollection(name="r"))
+            if bilateral
+            else EntityCollection()
+        )
+        blocks = BlockingEngine().run(data, BlockPurging(), BlockFiltering(0.8))
+        assert len(blocks) == 0 and list(blocks) == []
+        index = EntityIndexEngine(blocks)
+        assert index.num_entities == index.num_nodes == index.count_edges() == 0
+
+
+# ----------------------------------------------------------------------
+# the token build, with and without a shared context
+# ----------------------------------------------------------------------
+class TestTokenBuild:
+    @pytest.mark.parametrize("use_numpy", BODIES)
+    @pytest.mark.parametrize("dataset", ("small_dirty_dataset", "small_clean_clean_dataset"))
+    def test_private_context_equals_shared_context_equals_oracle(
+        self, request, dataset, use_numpy
+    ):
+        generated = request.getfixturevalue(dataset)
+        data = getattr(generated, "task", None) or generated.collection
+        builder = TokenBlocking(max_block_fraction=0.3)
+        oracle = snapshot(builder.build(data))
+        shared = PipelineContext(data)
+        foreign = PipelineContext(EntityCollection([EntityDescription("x", {"a": "b"})]))
+        for context in (None, shared, foreign):
+            engine = BlockingEngine(builder, use_numpy=use_numpy, context=context)
+            built = engine.build(data)
+            assert engine.last_engine == "index"
+            assert built._columns is not None  # the blocks are columns, not objects
+            assert snapshot(built) == oracle
+        # only the context that owns the data lends its ordinals
+        columns = BlockColumns.from_collection(
+            BlockingEngine(builder, use_numpy=use_numpy, context=shared).build(data)
+        )
+        assert columns.ids is shared.ids
+
+
+# ----------------------------------------------------------------------
+# purging and filtering on columns equal the oracle cleaners
+# ----------------------------------------------------------------------
+@st.composite
+def block_collections(draw):
+    """Random small collections: dirty, clean--clean or mixed, never malformed."""
+    left = [f"l{i}" for i in range(draw(st.integers(min_value=2, max_value=7)))]
+    right = [f"r{i}" for i in range(draw(st.integers(min_value=1, max_value=7)))]
+    blocks = []
+    for index in range(draw(st.integers(min_value=1, max_value=9))):
+        lefts = draw(st.lists(st.sampled_from(left), min_size=1, max_size=len(left), unique=True))
+        rights = draw(
+            st.lists(st.sampled_from(right), min_size=1, max_size=len(right), unique=True)
+        )
+        if draw(st.booleans()):
+            blocks.append(Block(f"b{index}", left_members=lefts, right_members=rights))
+        else:
+            blocks.append(Block(f"b{index}", members=lefts + rights))
+    return BlockCollection(blocks)
+
+
+@given(
+    block_collections(),
+    st.sampled_from((0.1, 0.34, 0.5, 0.8, 1.0)),
+    st.sampled_from((None, 0, 2, 6, 1000)),
+    st.sampled_from((1.0, 1.5, 2.0, 4.0)),
+)
+@settings(max_examples=120, deadline=None)
+def test_purge_and_filter_on_columns_equal_the_oracle_cleaners(
+    blocks, ratio, max_comparisons, smoothing
+):
+    purging = BlockPurging(smoothing_factor=smoothing, max_comparisons=max_comparisons)
+    filtering = BlockFiltering(ratio)
+    expected_purged = snapshot(purging.process(blocks))
+    expected_filtered = snapshot(filtering.process(blocks))
+    expected_both = snapshot(filtering.process(purging.process(blocks)))
+    for use_numpy in BODIES:
+        engine = BlockingEngine(use_numpy=use_numpy)
+        purged = engine.clean(blocks, purging=purging)
+        assert (len(purged), snapshot(purged)) == (len(expected_purged), expected_purged)
+        assert snapshot(engine.clean(blocks, filtering=filtering)) == expected_filtered
+        both = engine.clean(blocks, purging=purging, filtering=filtering)
+        assert engine.last_engine == "index"
+        total = both.total_comparisons()  # from the columns, before any object exists
+        assert snapshot(both) == expected_both
+        assert total == sum(block.num_comparisons() for block in both)
+
+
+# ----------------------------------------------------------------------
+# EntityIndexEngine.from_columns vs the object constructor
+# ----------------------------------------------------------------------
+INDEX_ARRAYS = (
+    "_blk_ptr", "_blk_ents", "_blk_split", "_recip", "_ent_ptr", "_ent_blocks", "_ent_side",
+)
+
+
+def _padded(collection) -> EntityCollection:
+    """``collection`` between descriptions no block will contain."""
+    size = len(collection)
+    return EntityCollection(
+        [EntityDescription(f"!unblocked:{i}") for i in range(size // 2)]
+        + list(collection)
+        + [EntityDescription(f"~unblocked:{i}") for i in range(size - size // 2)]
+    )
+
+
+class TestIndexFromColumns:
+    @pytest.mark.parametrize("use_numpy", BODIES)
+    @pytest.mark.parametrize("padded", (False, True))
+    @pytest.mark.parametrize("load", (load_census, load_restaurants))
+    def test_arrays_equal_the_object_constructors(self, load, padded, use_numpy):
+        collection = load().collection
+        data = _padded(collection) if padded else collection
+        context = PipelineContext(data)
+        built = BlockingEngine(context=context, use_numpy=use_numpy).build(data)
+        from_columns = EntityIndexEngine.from_columns(
+            BlockColumns.from_collection(built, context.ids), use_numpy=use_numpy
+        )
+        objects = TokenBlocking().build(collection)
+        assert objects._columns is None
+        from_objects = EntityIndexEngine(objects, use_numpy=use_numpy, ids=context.ids)
+        for name in INDEX_ARRAYS:
+            assert getattr(from_columns, name) == getattr(from_objects, name), name
+        assert from_columns.ids == from_objects.ids == context.ids
+        assert from_columns.num_entities == len(data)
+        assert from_columns.num_nodes == from_objects.num_nodes <= len(collection)
+        assert from_columns.count_edges() == from_objects.count_edges()
+
+    @pytest.mark.parametrize("dataset", ("small_dirty_dataset", "small_clean_clean_dataset"))
+    def test_numpy_and_loop_transposes_agree(self, request, dataset):
+        generated = request.getfixturevalue(dataset)
+        data = getattr(generated, "task", None) or generated.collection
+        columns = BlockColumns.from_collection(BlockingEngine().build(data))
+        fast = EntityIndexEngine.from_columns(columns, use_numpy=True)
+        slow = EntityIndexEngine.from_columns(columns, use_numpy=False)
+        for name in INDEX_ARRAYS:
+            assert getattr(fast, name) == getattr(slow, name), name
+        assert fast.num_nodes == slow.num_nodes
+
+    @pytest.mark.parametrize("use_numpy", BODIES)
+    def test_member_on_both_sides_fails_like_the_graph_engine(self, use_numpy):
+        blocks = BlockCollection(
+            [
+                Block("fine", left_members=["l1"], right_members=["r1"]),
+                Block("bad", left_members=["l1", "x", "y"], right_members=["y", "x"]),
+            ]
+        )
+        # the first *left* member that is also on the right, as left x right trips
+        with pytest.raises(ValueError, match="two distinct descriptions, got 'x' twice"):
+            EntityIndexEngine(blocks, use_numpy=use_numpy)
+
+
+# ----------------------------------------------------------------------
+# evaluate_blocks counts from columns
+# ----------------------------------------------------------------------
+class TestEvaluateBlocks:
+    @pytest.mark.parametrize("cleaned", (False, True))
+    @pytest.mark.parametrize(
+        "dataset", ("census", "restaurants", "small_dirty_dataset", "small_clean_clean_dataset")
+    )
+    def test_field_for_field_equal_to_the_pair_set(self, request, dataset, cleaned, numpy_mode):
+        if dataset in ("census", "restaurants"):
+            generated = {"census": load_census, "restaurants": load_restaurants}[dataset]()
+        else:
+            generated = request.getfixturevalue(dataset)
+        data = getattr(generated, "task", None) or generated.collection
+        engine = BlockingEngine()
+        blocks = engine.build(data)
+        if cleaned:
+            blocks = engine.clean(blocks, purging=BlockPurging(), filtering=BlockFiltering(0.8))
+        got = evaluate_blocks(blocks, generated.ground_truth, data)
+        assert blocks._columns is not None  # counted without materialising a block
+        expected = evaluate_comparisons(blocks.distinct_pairs(), generated.ground_truth, data)
+        assert got == expected
+        assert got.num_detected_matches > 0
+
+    def test_same_side_co_occurrence_is_no_comparison(self):
+        from repro.datamodel.ground_truth import GroundTruth
+
+        blocks = BlockCollection(
+            [Block("b", left_members=["l1", "l2"], right_members=["r1"])]
+        )
+        truth = GroundTruth([["l1", "l2"], ["r1"]])
+        quality = evaluate_blocks(blocks, truth)
+        assert quality.num_comparisons == 2 and quality.num_detected_matches == 0
+        assert quality == evaluate_comparisons(blocks.distinct_pairs(), truth)
+
+
+# ----------------------------------------------------------------------
+# the lazy view
+# ----------------------------------------------------------------------
+class TestLazyView:
+    @pytest.fixture(scope="class")
+    def publications(self):
+        return generate_dirty_dataset(
+            DatasetConfig(num_entities=600, domain="publication", seed=29)
+        )
+
+    def test_default_workflow_constructs_no_block(self, publications, blocks_constructed):
+        result = default_workflow().run(publications.collection, publications.ground_truth)
+        assert result.clusters and result.blocking_quality is not None
+        assert result.report.stage("block_filtering@index").get("blocks") > 0
+        assert blocks_constructed == []
+
+    def test_without_metablocking_each_block_is_materialised_once(
+        self, publications, blocks_constructed
+    ):
+        result = default_workflow(enable_metablocking=False).run(publications.collection)
+        assert result.clusters
+        # the cleaned blocks feed the scheduler; the raw and the purged
+        # collections stay columns
+        cleaned = result.report.stage("block_filtering@index").get("blocks")
+        assert len(blocks_constructed) == cleaned > 0
+
+    def test_iterating_a_result_materialises_each_block_once(
+        self, publications, blocks_constructed
+    ):
+        data = publications.collection
+        blocks = BlockingEngine().run(data, BlockPurging(), BlockFiltering(0.8))
+        assert blocks_constructed == []
+        assert len(blocks) > 0 and blocks.total_comparisons() > 0
+        assert blocks_constructed == []
+        first = list(blocks)
+        assert len(blocks_constructed) == len(first) == len(blocks)
+        assert blocks[0] is first[0] and list(blocks) == first
+        assert blocks.entity_index() and blocks.placed_identifiers()
+        assert len(blocks_constructed) == len(first)
+
+    def test_add_materialises_first_and_statistics_follow_the_objects(self, tiny_collection):
+        blocks = BlockingEngine().build(tiny_collection)
+        backing = BlockColumns.from_collection(blocks)
+        size, total = len(blocks), blocks.total_comparisons()
+        members = list(backing.members)
+        blocks.add(Block("zz-added", members=["x", "y", "z"]))
+        assert blocks._columns is None
+        assert len(blocks) == size + 1 and blocks.total_comparisons() == total + 3
+        assert [block.key for block in blocks][-1] == "zz-added"
+        blocks.add(Block("degenerate", members=["x"]))  # still silently dropped
+        assert len(blocks) == size + 1
+        # the columns the view came from are untouched...
+        assert len(backing) == size and list(backing.members) == members
+        # ...and what is interned next is the objects, the added block included
+        again = BlockColumns.from_collection(blocks)
+        assert again is not backing and again.keys[-1] == "zz-added"
+
+    def test_mutating_a_materialised_view_never_writes_through(self, tiny_collection):
+        context = PipelineContext(tiny_collection)
+        engine = BlockingEngine(context=context)
+        blocks = engine.build(tiny_collection)
+        backing = BlockColumns.from_collection(blocks)
+        keys, members = list(backing.keys), array("q", backing.members)
+        purged = engine.clean(blocks, purging=BlockPurging())  # a view over derived columns
+        materialised = list(blocks)
+        blocks.add(Block("zz-added", members=["a1", "b1"]))
+        assert backing.keys == keys and backing.members == members
+        assert "zz-added" not in [block.key for block in purged]
+        assert snapshot(purged) == snapshot(BlockPurging().process(BlockCollection(materialised)))

@@ -89,9 +89,6 @@ CONFIG_OVERRIDES = {
 }
 
 STAGE_TO_CONFIG = {
-    "postings": "default",
-    "cardinalities": "default",
-    "filtering": "default",
     "wnp_stats": "default",
     "wnp_emit": "default",
     "weight_sort": "default",
@@ -149,7 +146,7 @@ class TestWorkflowKillMatrix:
         assert _result_fingerprint(result) == baselines[config_key]
         assert_no_orphans()
 
-    @pytest.mark.parametrize("stage", ("postings", "clustering"))
+    @pytest.mark.parametrize("stage", ("wnp_stats", "clustering"))
     def test_hung_worker_recovered_by_timeout(self, small_dirty_dataset, baselines, stage):
         result = _run_faulted(
             small_dirty_dataset,
@@ -161,7 +158,7 @@ class TestWorkflowKillMatrix:
         assert _result_fingerprint(result) == baselines["default"]
         assert_no_orphans()
 
-    @pytest.mark.parametrize("stage", ("postings", "wnp_emit"))
+    @pytest.mark.parametrize("stage", ("wnp_stats", "wnp_emit"))
     def test_straggler_worker_changes_nothing(self, small_dirty_dataset, baselines, stage):
         # a delayed worker needs no recovery at all -- and must not get any
         result = _run_faulted(
@@ -173,7 +170,7 @@ class TestWorkflowKillMatrix:
         assert _result_fingerprint(result) == baselines["default"]
         assert_no_orphans()
 
-    @pytest.mark.parametrize("stage", ("postings", "wnp_emit"))
+    @pytest.mark.parametrize("stage", ("wnp_stats", "wnp_emit"))
     def test_kill_at_four_workers(self, small_dirty_dataset, baselines, stage):
         result = _run_faulted(
             small_dirty_dataset,
@@ -192,10 +189,10 @@ class TestWorkflowKillMatrix:
             result = _run_faulted(
                 small_dirty_dataset,
                 "default",
-                FaultSpec(stage="postings", mode="kill", attempts=99),
+                FaultSpec(stage="wnp_stats", mode="kill", attempts=99),
                 max_shard_retries=1,
             )
-        counts = result.fault_events["postings"]
+        counts = result.fault_events["wnp_stats"]
         assert counts["degraded"] >= 1
         assert counts["retries"] >= 1
         assert result.degraded_shards >= 1
@@ -207,20 +204,20 @@ class TestWorkflowKillMatrix:
             _run_faulted(
                 small_dirty_dataset,
                 "default",
-                FaultSpec(stage="postings", mode="kill", attempts=99),
+                FaultSpec(stage="wnp_stats", mode="kill", attempts=99),
                 max_shard_retries=1,
                 on_worker_failure="raise",
             )
-        assert excinfo.value.stage == "postings"
+        assert excinfo.value.stage == "wnp_stats"
         assert excinfo.value.attempts == 2  # initial dispatch + 1 retry
         assert_no_orphans()
 
     def test_fault_events_reach_the_stage_report(self, small_dirty_dataset):
         result = _run_faulted(
-            small_dirty_dataset, "default", FaultSpec(stage="postings", mode="kill")
+            small_dirty_dataset, "default", FaultSpec(stage="wnp_stats", mode="kill")
         )
         stages = [stage.stage for stage in result.report]
-        assert "fault_recovery[postings]" in stages
+        assert "fault_recovery[wnp_stats]" in stages
         assert "worker faults survived" in result.summary()
 
 
@@ -361,17 +358,17 @@ class TestFaultSpec:
 
     def test_unknown_mode_rejected(self):
         with pytest.raises(ValueError, match="unknown fault mode"):
-            FaultSpec(stage="postings", mode="explode")
+            FaultSpec(stage="wnp_stats", mode="explode")
 
     def test_malformed_env_value_rejected(self):
         with pytest.raises(ValueError, match="malformed"):
-            FaultSpec.decode("stage=postings")  # no mode
+            FaultSpec.decode("stage=wnp_stats")  # no mode
         with pytest.raises(ValueError, match="malformed"):
-            FaultSpec.decode("stage=postings;mode=kill;shard=three")
+            FaultSpec.decode("stage=wnp_stats;mode=kill;shard=three")
 
     def test_injected_context_arms_and_disarms(self):
         assert faults.active() is None
-        with faults.injected(FaultSpec(stage="postings", mode="kill")) as spec:
+        with faults.injected(FaultSpec(stage="wnp_stats", mode="kill")) as spec:
             assert faults.active() == spec
         assert faults.active() is None
 
@@ -424,15 +421,15 @@ class TestShmJanitor:
     def test_live_engine_segments_are_never_orphans(self, small_dirty_dataset):
         data = small_dirty_dataset.collection
         context = PipelineContext(data)
+        blocks = BlockingEngine(
+            TokenBlocking(max_block_fraction=0.5), context=context
+        ).build(data)
         with ParallelEngine(num_workers=2) as par:
-            blocks = BlockingEngine(
-                TokenBlocking(max_block_fraction=0.5), context=context, parallel=par
-            ).build(data)
-            assert blocks
+            assert len(MetaBlocking("CBS", "WNP").weighted_columns(blocks, parallel=par))
             # the engine's own segments are registered and must be invisible
             # to the janitor while the engine lives
             live = [s._shm.name for s in par._segments]
-            assert live  # the postings pass shipped at least one segment
+            assert live  # the pruning passes shipped at least one segment
             orphans = shm.orphaned_segments()
             assert not set(live) & set(orphans)
         assert_no_orphans()
@@ -454,7 +451,7 @@ class TestCliFaultReporting:
     def _result(self, degraded: int) -> WorkflowResult:
         result = WorkflowResult()
         result.fault_events = {
-            "postings": {"retries": 2, "degraded": degraded, "pool_rebuilds": 2}
+            "wnp_stats": {"retries": 2, "degraded": degraded, "pool_rebuilds": 2}
         }
         return result
 
@@ -462,7 +459,7 @@ class TestCliFaultReporting:
         code = cli._report_faults(self._result(degraded=0), strict=False)
         out = capsys.readouterr().out
         assert code == 0
-        assert "worker faults survived in postings" in out
+        assert "worker faults survived in wnp_stats" in out
         assert "retries=2" in out
 
     def test_strict_exit_on_degradation(self, capsys):

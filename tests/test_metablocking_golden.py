@@ -37,8 +37,9 @@ DATASETS = {"restaurants": load_restaurants, "census": load_census}
 class _PurePythonIndex(EntityIndexEngine):
     """The index engine pinned to its pure-Python twin."""
 
-    def __init__(self, blocks, ids=None):
-        super().__init__(blocks, use_numpy=False, ids=ids)
+    @classmethod
+    def from_columns(cls, columns, use_numpy=None):
+        return super().from_columns(columns, use_numpy=False)
 
 
 def _blocks(dataset_name: str):

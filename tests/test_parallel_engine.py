@@ -1,7 +1,7 @@
 """Bit-identity of the multi-process parallel engine vs the sequential engines.
 
 The contract of :class:`~repro.mapreduce.parallel.ParallelEngine` is that
-enabling it never changes a result: the blocks and the retained meta-blocking
+enabling it never changes a result: the retained meta-blocking
 edges (weights *and* order, i.e. tie order) must be bit-identical to the
 single-process array engines for every worker count.  These tests sweep
 dirty and clean--clean collections across 1/2/4/8 workers, every weighting x
@@ -19,6 +19,7 @@ import os
 
 import pytest
 
+from repro.blocking.cleaning import BlockFiltering, BlockPurging
 from repro.blocking.engine import BlockingEngine
 from repro.blocking.token_blocking import TokenBlocking
 from repro.core import ERWorkflow, WorkflowConfig
@@ -114,30 +115,24 @@ class TestContiguousPartitions:
 
 
 class TestParallelBlocking:
-    @pytest.mark.parametrize("dataset", DATASETS)
-    @pytest.mark.parametrize("workers", WORKER_COUNTS)
-    def test_blocks_bit_identical(self, request, dataset, workers):
-        data, context, seq_blocks = _setup(request, dataset)
-        with ParallelEngine(num_workers=workers) as par:
-            engine = BlockingEngine(
-                TokenBlocking(max_block_fraction=0.5), context=context, parallel=par
-            )
-            built = engine.build(data)
-        # sharding the postings pass does not change the algorithm reported
-        assert engine.last_engine == "index"
-        assert blocks_snapshot(built) == blocks_snapshot(seq_blocks)
+    """Build, purging and filtering are not pooled stages: ``parallel=`` is
+    accepted and the driver's column kernels run either way."""
 
     @pytest.mark.parametrize("dataset", DATASETS)
-    def test_member_limit_matches_sequential(self, request, dataset):
-        # max_block_fraction exercises the member-limit admission mask
-        data, context, _ = _setup(request, dataset)
-        builder = TokenBlocking(max_block_fraction=0.3)
-        seq_blocks = BlockingEngine(builder, context=context).build(data)
-        with ParallelEngine(num_workers=3) as par:
-            built = BlockingEngine(
-                TokenBlocking(max_block_fraction=0.3), context=context, parallel=par
-            ).build(data)
+    def test_build_and_clean_stay_on_the_driver(self, request, dataset):
+        data, context, seq_blocks = _setup(request, dataset)
+        builder = TokenBlocking(max_block_fraction=0.5)
+        with ParallelEngine(num_workers=2) as par:
+            engine = BlockingEngine(builder, context=context, parallel=par)
+            built = engine.build(data)
+            assert engine.last_engine == "index"
+            cleaned = engine.clean(built, purging=BlockPurging(), filtering=BlockFiltering(0.8))
+            assert par._segments == []  # nothing was shipped to the pool
+        expected = BlockingEngine(builder, context=context).clean(
+            seq_blocks, purging=BlockPurging(), filtering=BlockFiltering(0.8)
+        )
         assert blocks_snapshot(built) == blocks_snapshot(seq_blocks)
+        assert blocks_snapshot(cleaned) == blocks_snapshot(expected)
 
 
 class TestParallelMetaBlocking:
@@ -236,13 +231,14 @@ class TestEdgeCasesAndLifecycle:
         assert leaked == []
 
     def test_close_is_idempotent_and_final(self, dirty_setup):
-        data, context, _ = dirty_setup
+        _, _, blocks = dirty_setup
         par = ParallelEngine(num_workers=2)
-        BlockingEngine(TokenBlocking(), context=context, parallel=par).build(data)
+        metablocking = MetaBlocking("CBS", "WNP")
+        edges_snapshot(metablocking.iter_retained(blocks, parallel=par))
         par.close()
         par.close()
         with pytest.raises(RuntimeError):
-            BlockingEngine(TokenBlocking(), context=context, parallel=par).build(data)
+            edges_snapshot(metablocking.iter_retained(blocks, parallel=par))
 
     @pytest.mark.parametrize("dataset", DATASETS)
     def test_workflow_end_to_end_equivalence(self, request, dataset):

@@ -1,9 +1,9 @@
 """Per-phase bit-identity of the newly parallelised workflow stages.
 
-``tests/test_parallel_engine.py`` covers the original pooled stages
-(blocking postings, meta-blocking node weights, matching scores); this
+``tests/test_parallel_engine.py`` covers the original pooled stage
+(meta-blocking node weights); this
 module sweeps the stages added for the multi-core end-to-end workflow --
-the block-cleaning passes (purging, filtering, comparison propagation), the
+comparison propagation behind the driver-side purging and filtering, the
 parametrised pruning schemes (explicit CEP budgets and CNP ``k`` values, the
 reciprocal variants), the pooled weight
 sort of the comparison columns and the per-shard union--find clustering --
@@ -172,8 +172,8 @@ class TestParallelCleaning:
 
     @pytest.mark.parametrize("dataset", DATASETS)
     def test_pure_python_cleaning_matches(self, request, dataset):
-        # the no-NumPy replica of the filtering/propagation passes must
-        # stay bit-identical when the pool computes the keep flags
+        # the plain-loop bodies of the purging/filtering kernels must feed the
+        # pooled propagation the same columns
         _, _, blocks = _setup(request, dataset)
         purging = BlockPurging()
         filtering = BlockFiltering(0.8)
@@ -199,18 +199,6 @@ class TestParallelCleaning:
                 blocks, purging=BlockPurging(), filtering=BlockFiltering(0.8), propagate=True
             )
         assert blocks_snapshot(got) == blocks_snapshot(oracle)
-
-    def test_purge_only_and_filter_only(self, dirty_setup):
-        _, _, blocks = dirty_setup
-        serial = BlockingEngine()
-        with ParallelEngine(num_workers=2) as par:
-            parallel_engine = BlockingEngine(parallel=par)
-            assert blocks_snapshot(
-                parallel_engine.clean(blocks, purging=BlockPurging())
-            ) == blocks_snapshot(serial.clean(blocks, purging=BlockPurging()))
-            assert blocks_snapshot(
-                parallel_engine.clean(blocks, filtering=BlockFiltering(0.5))
-            ) == blocks_snapshot(serial.clean(blocks, filtering=BlockFiltering(0.5)))
 
 
 class TestParallelPruningParameters:
