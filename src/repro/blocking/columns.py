@@ -75,23 +75,6 @@ def flat_slices(starts, lengths):
     return _np.repeat(starts - offsets, lengths) + _np.arange(int(lengths.sum()))
 
 
-def stable_argsort(keys, bound: int):
-    """Stable argsort of an ndarray of non-negative integers below ``bound``.
-
-    One least-significant-digit pass per 16-bit digit of ``bound``: NumPy
-    sorts 16-bit keys by radix (linear) and wider ones by merging, so the
-    digit passes are several times faster than one ``argsort`` of the int64
-    keys and give the same permutation.
-    """
-    order = _np.argsort(keys.astype(_np.uint16), kind="stable")  # the low digit
-    shift = 16
-    while bound >> shift:
-        digit = (keys >> shift).astype(_np.uint16)
-        order = order[_np.argsort(digit[order], kind="stable")]
-        shift += 16
-    return order
-
-
 class BlockColumns:
     """A block collection as flat columns over one identifier table.
 

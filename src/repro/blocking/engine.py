@@ -93,7 +93,7 @@ from repro.blocking.cleaning import (
     ComparisonPropagation,
     adaptive_cardinality_threshold,
 )
-from repro.blocking.columns import BlockColumns, int_view, stable_argsort
+from repro.blocking.columns import BlockColumns, int_view
 from repro.blocking.columns import add_block as _add_block
 from repro.blocking.columns import append_posting as _append_posting
 from repro.blocking.minhash import MinHashLSHBlocking
@@ -113,7 +113,7 @@ from repro.blocking.token_blocking import (
     cluster_attribute_profiles,
 )
 from repro.core.context import PipelineContext
-from repro.datamodel.pairs import canonical_pair, identifier_ranks
+from repro.datamodel.pairs import canonical_pair, identifier_ranks, stable_argsort
 from repro.text.tokenize import uri_tokens
 
 try:  # pragma: no cover - exercised implicitly when numpy is installed

@@ -39,7 +39,8 @@ class WorkflowConfig:
         :data:`~repro.core.workflow.SCHEDULERS`.
     budget:
         Optional comparison budget for the matching phase (``None`` = resolve
-        every scheduled comparison).
+        every scheduled comparison), otherwise a non-negative ``int`` (not a
+        ``bool``); anything else raises :class:`ValueError` on construction.
     match_threshold:
         Similarity threshold of the default profile matcher.
     use_tfidf:
@@ -58,10 +59,10 @@ class WorkflowConfig:
         ``1`` runs everything in-process; with ``num_workers > 1`` one engine
         (whose workers read the columns through shared memory) is opened for
         the whole run and every parallelisable stage fans out: the
-        meta-blocking weight streams and retained-edge emission, the weight
-        sort of the comparison columns and the connected-components
-        clustering (interning, the blocking build with purging and
-        filtering, and matching are whole-column kernels in the driver).
+        meta-blocking weight streams and retained-edge emission and the
+        connected-components clustering (interning, the blocking build with
+        purging and filtering, the weight sort and matching are whole-column
+        kernels in the driver).
         Stages the workers cannot reproduce (custom subclasses, the greedy
         center clusterings) silently run in-process.  Results -- blocks, retained edges, match decisions,
         clusters, tie orders -- are bit-identical to the single-process run
@@ -107,6 +108,15 @@ class WorkflowConfig:
     worker_timeout: Optional[float] = None
     max_shard_retries: int = 2
     on_worker_failure: str = "degrade"
+
+    def __post_init__(self) -> None:
+        budget = self.budget
+        if budget is not None and (
+            isinstance(budget, bool) or not isinstance(budget, int) or budget < 0
+        ):
+            raise ValueError(
+                f"WorkflowConfig.budget must be None or a non-negative int, got {budget!r}"
+            )
 
     def describe(self) -> str:
         """One-line human-readable summary of the configured pipeline."""

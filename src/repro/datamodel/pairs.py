@@ -105,6 +105,42 @@ def identifier_ranks(ids: Sequence[str]) -> Sequence[int]:
     return rank
 
 
+def stable_argsort(keys, bound: int):
+    """Stable argsort of an ndarray of non-negative integers below ``bound``.
+
+    One least-significant-digit pass per 16-bit digit of ``bound``: NumPy
+    sorts 16-bit keys by radix (linear) and wider ones by merging, so the
+    digit passes are several times faster than one ``argsort`` of the int64
+    keys and give the same permutation.
+    """
+    order = _np.argsort(keys.astype(_np.uint16), kind="stable")  # the low digit
+    shift = 16
+    while bound >> shift:
+        digit = (keys >> shift).astype(_np.uint16)
+        order = order[_np.argsort(digit[order], kind="stable")]
+        shift += 16
+    return order
+
+
+def heaviest_first(rank, first, second, weights=None):
+    """The stable permutation ordering rows by ``(-weight, rank[first], rank[second])``.
+
+    NumPy columns in, an index array out: the permutation
+    ``np.lexsort((rank[second], rank[first], -weights))`` gives (by the
+    pair alone when ``weights`` is ``None``), from two stable argsorts
+    instead of three key passes -- the pair as one composite key
+    ``rank[first] * n + rank[second]`` (``n = len(rank)``, so it orders
+    like the pair; radix passes of :func:`stable_argsort`), then the negated
+    weights over that order.  Rows that tie on the whole key keep their
+    input order.
+    """
+    size = len(rank)
+    order = stable_argsort(rank[first] * size + rank[second], size * size)
+    if weights is not None:
+        order = order[_np.argsort(-weights[order], kind="stable")]
+    return order
+
+
 class OrdinalInterner:
     """Assigns dense ordinals to identifiers in first-seen order.
 
@@ -234,9 +270,9 @@ class ComparisonColumns(Sequence):
         The exact order of ``MetaBlocking.weighted_comparisons`` and of
         :class:`~repro.progressive.schedulers.WeightOrderScheduler`:
         descending weight, ties broken by the canonical identifier pair
-        (missing weights sort last).  NumPy runs one ``lexsort`` over the
-        rank and weight columns; the fallback sorts row indices with the
-        equivalent key.  Both orders are identical.
+        (missing weights sort last).  NumPy orders the rank and weight
+        columns with :func:`heaviest_first`; the fallback sorts row indices
+        with the equivalent key.  Both orders are identical.
         """
         n = len(self)
         if n <= 1 or self.weight_ordered:
@@ -245,15 +281,14 @@ class ComparisonColumns(Sequence):
         if _np is not None:
             first = _np.frombuffer(self.first, dtype=_np.int64)
             second = _np.frombuffer(self.second, dtype=_np.int64)
-            if self.weights is None:
-                order = _np.lexsort((rank[second], rank[first]))
-            else:
+            weights = None
+            if self.weights is not None:
                 weights = _np.frombuffer(self.weights, dtype=_np.float64)
-                order = _np.lexsort((rank[second], rank[first], -weights))
+            order = heaviest_first(rank, first, second, weights)
             sorted_first = array("q", first[order].tobytes())
             sorted_second = array("q", second[order].tobytes())
             sorted_weights = None
-            if self.weights is not None:
+            if weights is not None:
                 sorted_weights = array("d", weights[order].tobytes())
         else:
             first = self.first

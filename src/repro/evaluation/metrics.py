@@ -39,6 +39,11 @@ from repro.blocking.base import BlockCollection
 from repro.blocking.columns import BlockColumns
 from repro.metablocking.entity_index import EntityIndexEngine
 
+try:  # pragma: no cover - exercised implicitly when numpy is installed
+    import numpy as _np
+except ImportError:  # pragma: no cover
+    _np = None
+
 
 def f_measure(precision: float, recall: float) -> float:
     """Harmonic mean of precision and recall (0 when both are 0)."""
@@ -168,14 +173,21 @@ def _count_detected_columns(
     """(distinct comparisons, detected matches) of columnar candidates.
 
     The ground truth is resolved once per table identifier; each row then
-    costs two integer compares, and deduplication (skipped entirely for
-    columns flagged ``distinct``) runs on packed pair codes.  The counts --
-    and hence every derived metric -- equal the tuple-set formulation's
-    exactly.
+    costs two integer compares -- one NumPy gather over the cluster-index
+    column for columns flagged ``distinct`` -- and deduplication (skipped
+    entirely for ``distinct`` columns) runs on packed pair codes.  The
+    counts -- and hence every derived metric -- equal the tuple-set
+    formulation's exactly.
     """
     cluster_index = ground_truth.cluster_indices(columns.ids)
     detected = 0
     if getattr(columns, "distinct", False):
+        if _np is not None:
+            cluster = _np.asarray(cluster_index, dtype=_np.int64)
+            of_first = cluster[_np.asarray(columns.first, dtype=_np.int64)]
+            of_second = cluster[_np.asarray(columns.second, dtype=_np.int64)]
+            detected = int(_np.count_nonzero((of_first >= 0) & (of_first == of_second)))
+            return len(columns), detected
         for f, s in zip(columns.first, columns.second):
             index = cluster_index[f]
             if index >= 0 and index == cluster_index[s]:

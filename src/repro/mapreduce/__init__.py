@@ -13,12 +13,11 @@ actual wall-clock speedup on multi-core machines:
   (:func:`~repro.mapreduce.balancing.contiguous_partitions` balances the
   ranges by per-item cost) and runs every parallelisable workflow stage
   in ``multiprocessing`` workers (interning, the blocking build with purging
-  and filtering, and matching are not among them: each runs whole-column
-  kernels in the driver): comparison propagation, the meta-blocking index
-  engine's ranged pruning passes (retained-edge columns for all pruning
-  schemes), the weight sort of the comparison columns (per-shard argsort +
-  driver k-way merge) and the connected-components clustering (per-shard
-  union--find merged in first-touch order);
+  and filtering, the weight sort and matching are not among them: each runs
+  whole-column kernels in the driver): comparison propagation, the
+  meta-blocking index engine's ranged pruning passes (retained-edge columns
+  for all pruning schemes) and the connected-components clustering
+  (per-shard union--find merged in first-touch order);
 * the columns cross the process boundary through
   :class:`~repro.mapreduce.shm.ColumnSegment` shared memory -- workers
   attach zero-copy and only the small per-partition result columns are

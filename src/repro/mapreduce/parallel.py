@@ -13,12 +13,12 @@ range order.  The worker-side kernels live in :mod:`repro.mapreduce.worker`.
 The engine parallelises exactly the stages whose sequential engines it can
 reproduce bit for bit -- comparison propagation, the meta-blocking index
 engine's ranged pruning passes (all weighting schemes, including the ECBS/EJS
-global factors), the weight sort and connected-components clustering -- and
+global factors) and connected-components clustering -- and
 the callers fall back to their single-process paths for anything else, so
 plugging an engine in never changes a result.  Interning, the blocking build
-with purging and filtering, and matching are not pooled stages: each is a
-whole-column kernel in the driver that outruns the cost of shipping its
-columns.
+with purging and filtering, the weight sort and matching are not pooled
+stages: each is a whole-column kernel in the driver that outruns the cost of
+shipping its columns.
 
 Lifecycle: the engine owns every shared-memory segment it creates and every
 pool process it forks; :meth:`close` (or use as a context manager) tears both
@@ -41,13 +41,12 @@ orphans left by crashed previous runs (:func:`repro.mapreduce.shm.sweep`).
 
 from __future__ import annotations
 
-import heapq
 import multiprocessing
 from array import array
 from typing import Dict, List, Optional, Sequence, Tuple
 
 from repro.core.unionfind import IntUnionFind
-from repro.datamodel.pairs import ComparisonColumns, canonical_pair, identifier_ranks
+from repro.datamodel.pairs import canonical_pair, identifier_ranks
 from repro.mapreduce import shm, worker
 from repro.mapreduce.balancing import contiguous_partitions
 from repro.mapreduce.shm import ColumnSegment, SegmentSpec
@@ -379,111 +378,17 @@ class ParallelEngine:
         if cached is not None:
             return cached
         if scheme == "EJS" and index_engine._degree_cache is None:
-            self._pooled_degrees(index_engine, entry)
+            # the degree half of pooled CBS threshold passes: integer sums
+            tasks = [
+                (entry["spec"], None, index_engine._use_numpy, "wnp_stats", "CBS", start, stop, ())
+                for start, stop in entry["parts"]
+            ]
+            stats = self._run(worker.pruning_pass_job, tasks, "degrees")
+            index_engine._degree_cache = index_engine._degree_column(stats)
         factors = array("d", index_engine._factors(scheme))
         segment = self._segment({"factors": ("d", factors)})
         entry["factors"][scheme] = segment.spec
         return segment.spec
-
-    def _pooled_degrees(self, index_engine, entry: dict) -> None:
-        """Fill the index's EJS degree cache from pooled partial-degree rounds.
-
-        Each worker returns the degree contributions of its node range as a
-        full-length integer column; summing the columns is a commutative
-        integer reduction, so the result equals the sequential
-        ``_degrees`` column exactly.
-        """
-        tasks = [
-            (entry["spec"], start, stop, index_engine._use_numpy)
-            for start, stop in entry["parts"]
-        ]
-        results = self._run(worker.partial_degrees_job, tasks, "degrees")
-        num_entities = index_engine.num_entities
-        num_edges = 0
-        if _np is not None and index_engine._use_numpy:
-            accumulated = _np.zeros(num_entities, dtype=_np.int64)
-            for degrees, edges in results:
-                if len(degrees):
-                    accumulated += _np.frombuffer(degrees, dtype=_np.int64)
-                num_edges += edges
-            total = array("q")
-            total.frombytes(accumulated.tobytes())
-        else:
-            total = array("q", bytes(8 * num_entities))
-            for degrees, edges in results:
-                num_edges += edges
-                for node, degree in enumerate(degrees):
-                    if degree:
-                        total[node] += degree
-        index_engine._degree_cache = (total, num_edges)
-
-    # ------------------------------------------------------------------
-    # comparison columns
-    # ------------------------------------------------------------------
-    def weight_sort(self, columns):
-        """``columns.weight_sorted()`` with pooled per-shard sorting.
-
-        Row ranges are argsorted by the full ``(-weight, rank(first),
-        rank(second))`` key in the workers, and the driver k-way merges the
-        shard orders (heap merge over the same key, with the absolute row
-        index as the final stability tie-break).  The resulting permutation
-        -- and therefore the output columns -- is identical to the
-        sequential sort's.  Returns ``None`` when there is nothing to sort
-        (the caller falls back to :meth:`ComparisonColumns.weight_sorted`).
-        """
-        n = len(columns)
-        if n <= 1 or columns.weight_ordered:
-            return None
-        rank_column = array("q")
-        _extend_int64(rank_column, identifier_ranks(columns.ids))
-        exported = {
-            "rank": ("q", rank_column),
-            "first": ("q", columns.first),
-            "second": ("q", columns.second),
-        }
-        has_weights = columns.weights is not None
-        if has_weights:
-            exported["weights"] = ("d", columns.weights)
-        segment = self._segment(exported)
-        tasks = [
-            (segment.spec, has_weights, start, stop)
-            for start, stop in contiguous_partitions([1] * n, self.num_workers)
-        ]
-        shards = self._run(worker.weight_sort_job, tasks, "weight_sort")
-        first = columns.first
-        second = columns.second
-        weights = columns.weights
-        rank = rank_column
-
-        def keyed(shard):
-            # the trailing row index only decides full-key ties: within a
-            # shard indices ascend (stable shard sort) and across shards the
-            # earlier shard holds the smaller indices, so it reproduces the
-            # sequential sort's stability exactly
-            if has_weights:
-                for i in shard:
-                    yield (-weights[i], rank[first[i]], rank[second[i]], i)
-            else:
-                for i in shard:
-                    yield (rank[first[i]], rank[second[i]], i)
-
-        sorted_first = array("q")
-        sorted_second = array("q")
-        sorted_weights = array("d") if has_weights else None
-        for row in heapq.merge(*(keyed(shard) for shard in shards)):
-            i = row[-1]
-            sorted_first.append(first[i])
-            sorted_second.append(second[i])
-            if has_weights:
-                sorted_weights.append(weights[i])
-        return ComparisonColumns(
-            columns.ids,
-            sorted_first,
-            sorted_second,
-            sorted_weights,
-            distinct=columns.distinct,
-            weight_ordered=True,
-        )
 
     # ------------------------------------------------------------------
     # clustering

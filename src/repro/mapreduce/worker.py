@@ -33,11 +33,6 @@ from repro.mapreduce import faults
 from repro.mapreduce.shm import AttachedSegment, SegmentSpec, attach
 from repro.metablocking.entity_index import EntityIndexEngine
 
-try:  # pragma: no cover - exercised implicitly when numpy is installed
-    import numpy as _np
-except ImportError:  # pragma: no cover
-    _np = None
-
 #: attached segments this worker keeps mapped (evicted view-first, oldest first)
 _SEGMENT_CACHE_SIZE = 8
 
@@ -200,13 +195,6 @@ def _index_engine(
     return engine
 
 
-def partial_degrees_job(args) -> Tuple[array, int]:
-    """EJS support round: the degree contributions of one node range."""
-    mb_spec, start, stop, use_numpy = args
-    engine = _index_engine(mb_spec, use_numpy, None, "")
-    return engine._partial_degrees(start, stop)
-
-
 def pruning_pass_job(args):
     """One ranged pruning pass (``wep_stats`` ... ``cep``) of one node range.
 
@@ -220,51 +208,6 @@ def pruning_pass_job(args):
     mb_spec, factors_spec, use_numpy, step, scheme, start, stop, params = args
     engine = _index_engine(mb_spec, use_numpy, factors_spec, scheme)
     return getattr(engine, "_" + step)(scheme, start, stop, *params)
-
-
-# ----------------------------------------------------------------------
-# comparison columns
-# ----------------------------------------------------------------------
-def weight_sort_job(args) -> array:
-    """Sorted row indices of one row range of a :class:`ComparisonColumns`.
-
-    The range's rows are ordered by the table's full sort key
-    ``(-weight, rank(first), rank(second))`` (ranks stand in for the
-    identifier strings); the driver's k-way merge of the shard orders
-    reproduces the sequential ``weight_sorted`` permutation exactly,
-    stability included.
-    """
-    spec, has_weights, start, stop = args
-    views = _segment(spec).views
-    rank = views["rank"]
-    first = views["first"]
-    second = views["second"]
-    if _np is not None:
-        np = _np
-        np_rank = np.frombuffer(rank, dtype=np.int64)
-        np_first = np.frombuffer(first, dtype=np.int64)[start:stop]
-        np_second = np.frombuffer(second, dtype=np.int64)[start:stop]
-        if has_weights:
-            np_weights = np.frombuffer(views["weights"], dtype=np.float64)[start:stop]
-            order = np.lexsort((np_rank[np_second], np_rank[np_first], -np_weights))
-        else:
-            order = np.lexsort((np_rank[np_second], np_rank[np_first]))
-        result = array("q")
-        result.frombytes(
-            np.ascontiguousarray(order + start, dtype=np.int64).tobytes()
-        )
-        return result
-    if has_weights:
-        weights = views["weights"]
-        indices = sorted(
-            range(start, stop),
-            key=lambda i: (-weights[i], rank[first[i]], rank[second[i]]),
-        )
-    else:
-        indices = sorted(
-            range(start, stop), key=lambda i: (rank[first[i]], rank[second[i]])
-        )
-    return array("q", indices)
 
 
 # ----------------------------------------------------------------------

@@ -16,7 +16,8 @@ phases:
     (path halving, first-root-wins -- the exact union rule of the oracle);
   - :class:`~repro.matching.clustering.CenterClustering` and
     :class:`~repro.matching.clustering.MergeCenterClustering` first order the
-    positive rows heaviest-first with one ``lexsort``/argsort over the
+    positive rows heaviest-first with
+    :func:`~repro.datamodel.pairs.heaviest_first` over the
     ``(similarity, first, second)`` columns -- similarity ties break on the
     identifier ranks, exactly the oracle's ``(-weight, first, second)`` sort
     key (see :func:`~repro.datamodel.pairs.identifier_ranks`) -- and then
@@ -44,7 +45,7 @@ from array import array
 from typing import FrozenSet, Iterable, List, Optional, Sequence, Union
 
 from repro.core.unionfind import IntUnionFind
-from repro.datamodel.pairs import DecisionColumns, identifier_ranks
+from repro.datamodel.pairs import DecisionColumns, heaviest_first, identifier_ranks
 from repro.matching.clustering import (
     CenterClustering,
     ClusteringAlgorithm,
@@ -255,8 +256,7 @@ class ClusteringEngine:
             first = _np.frombuffer(first, dtype=_np.int64)[positive]
             second = _np.frombuffer(second, dtype=_np.int64)[positive]
             similarity = _np.frombuffer(columns.similarity, dtype=_np.float64)[positive]
-            order = _np.lexsort((rank[second], rank[first], -similarity))
-            return positive[order].tolist()
+            return positive[heaviest_first(rank, first, second, similarity)].tolist()
         similarity = columns.similarity
         positive = [i for i, flag in enumerate(columns.is_match) if flag]
         positive.sort(

@@ -35,8 +35,8 @@ range in a worker process is the parallel one -- the same code either way.
 
 With NumPy the neighbourhoods of a whole *batch* of nodes are expanded at
 once (:meth:`EntityIndexEngine._neighbourhoods`: one CSR gather, one
-``np.unique`` over ``node * N + neighbour`` keys, one ``np.bincount`` for
-ARCS), the batches being cut so that each expands about
+in-place sort of int32 ``(node - first node) * N + neighbour`` keys, one
+``np.bincount`` for ARCS), the batches being cut so that each expands about
 :data:`_BATCH_PAIRS` co-occurrence pairs.  Pruned edges are never all
 resident.  Peak transient memory is one node batch, plus what cutting the
 batches needs -- two span columns (and, briefly, half a dozen more) as long
@@ -50,11 +50,14 @@ columns.
 Both paths produce bit-identical weights: per-edge arithmetic uses the same
 operand order as the graph engine (canonical identifier order for the
 ECBS/EJS discount factors, ascending block order for the ARCS accumulation),
-and every threshold sum (WEP global mean, WNP node-local means) is the
-exactly rounded :func:`math.fsum` of its weights, which is independent of
-accumulation order and of how the node range was cut.  Pruning uses the same
-budgets and tie-breaks as the graph engine, so both engines retain the same
-comparison sets; ``tests/test_metablocking_equivalence.py`` and the frozen
+and every threshold (WEP global mean, WNP node-local means) is decided as
+the exactly rounded :func:`math.fsum` of its weights, which is independent
+of accumulation order and of how the node range was cut -- WNP sums in
+whatever order its one lower-half walk meets the edges and refines, against
+the ``fsum`` threshold, every decision its rounding margin cannot settle.
+Pruning uses the same budgets and tie-breaks as the graph engine, so both
+engines retain the same comparison sets;
+``tests/test_metablocking_equivalence.py`` and the frozen
 ``tests/fixtures/metablocking/`` rows lock this in.
 """
 
@@ -67,10 +70,10 @@ from math import fsum
 from typing import Dict, Iterator, List, Optional, Sequence, Tuple
 
 from repro.blocking.base import BlockCollection
-from repro.blocking.columns import BlockColumns, int_view, stable_argsort
+from repro.blocking.columns import BlockColumns, int_view
 from repro.blocking.columns import flat_slices as _slices
 from repro.blocking.columns import typed_array as _typed_array
-from repro.datamodel.pairs import identifier_ranks
+from repro.datamodel.pairs import identifier_ranks, stable_argsort
 from repro.metablocking.graph import WeightedEdge
 
 try:  # pragma: no cover - exercised implicitly when numpy is installed
@@ -101,6 +104,9 @@ _CEP_COMPACT_SLACK = 1024
 #: time is flat from 16k to 128k -- and small enough that the dozen transient
 #: pair-length columns of a batch stay around two megabytes.
 _BATCH_PAIRS = 1 << 15
+
+#: Largest batch-relative neighbourhood key an int32 holds; bounds a batch's span.
+_INT32_MAX = (1 << 31) - 1
 
 
 def _int_array(size: int) -> array:
@@ -306,6 +312,8 @@ class EntityIndexEngine:
         #: statistics of the last run
         self.last_num_edges: Optional[int] = None
         self.last_retained: Optional[int] = None
+        #: nodes whose float-scheme WNP threshold the last run refined (per range)
+        self.last_refined: Optional[int] = None
 
     @classmethod
     def from_arrays(
@@ -353,6 +361,7 @@ class EntityIndexEngine:
         self._rank_cache = columns["ranks"]
         self.last_num_edges = None
         self.last_retained = None
+        self.last_refined = None
         return self
 
     # ------------------------------------------------------------------
@@ -468,18 +477,23 @@ class EntityIndexEngine:
     def _neighbourhoods(self, start: int, stop: int, lower: bool, want_arcs: bool):
         """Vectorised neighbourhoods of the nodes in ``[start, stop)``, batch by batch.
 
-        Yields flat ``(src, dst, counts, arcs)`` columns sorted by
+        Yields flat int64 ``(src, dst, counts, arcs)`` columns sorted by
         ``(src, dst)``: one row per distinct neighbour ``dst`` of node ``src``
         (``dst > src`` only with ``lower``, so that every undirected edge is
         seen exactly once across all nodes), the number of blocks the two
         share, and -- when requested, else ``None`` -- their ARCS sum.  The
         range is cut at node boundaries into batches expanding at most
         :data:`_BATCH_PAIRS` co-occurrence pairs (block sizes tell how many
-        before anything is gathered); one batch gathers the opposite-side
-        member slice of every block assignment of its nodes, keys the pairs
-        ``node * N + neighbour`` and groups them with one ``np.unique``.
-        ``np.bincount`` adds the per-block reciprocal weights in input
-        (= ascending block) order, matching the scalar accumulation.
+        before anything is gathered) and spanning at most
+        ``(2**31 - 1) // N`` nodes, so that the batch-relative key
+        ``(src - first node) * N + dst`` fits an int32 (ordinals do, as
+        :func:`~repro.datamodel.pairs.pair_code` assumes).  One batch gathers
+        the opposite-side member slice of every block assignment of its
+        nodes, sorts the int32 keys in place (half the bytes of an int64
+        sort) and reads the distinct rows and their counts off the run heads.
+        ARCS argsorts stably instead, so ``np.bincount`` adds each pair's
+        per-block reciprocals in gather (= ascending block) order, the scalar
+        accumulation's.
 
         Held across the batches: the start and length of every facing member
         slice (two columns as long as the range's block assignments) and two
@@ -495,27 +509,38 @@ class EntityIndexEngine:
         bounds = ent_ptr[start : stop + 1] - base  # the nodes' assignment offsets
         before = np.concatenate(([0], np.cumsum(lengths)))[bounds]  # pairs expanded before each node
         num_entities = self.num_entities
+        span = _INT32_MAX // num_entities
         node = 0
         while node < stop - start:
             limit = before[node] + _BATCH_PAIRS
-            cut = max(node + 1, int(np.searchsorted(before, limit, side="right")) - 1)
+            cut = int(np.searchsorted(before, limit, side="right")) - 1
+            cut = max(node + 1, min(cut, node + span))
             q0, q1 = int(bounds[node]), int(bounds[cut])
-            src = np.repeat(np.arange(start + node, start + cut), np.diff(before[node : cut + 1]))
+            first = start + node
+            src = np.repeat(np.arange(cut - node, dtype=np.int32), np.diff(before[node : cut + 1]))
             node = cut
             spans = lengths[q0:q1]
-            dst = self._np_blk_ents[_slices(lo[q0:q1], spans)]
-            mask = dst > src if lower else dst != src
+            dst = self._np_blk_ents[_slices(lo[q0:q1], spans)].astype(np.int32)
+            mask = dst > src + first if lower else dst != src + first
             keys = src[mask] * num_entities + dst[mask]
             if keys.size == 0:
                 continue
             arcs = None
             if want_arcs:
-                weights = np.repeat(self._np_recip[blocks[q0:q1]], spans)[mask]
-                keys, inverse, counts = np.unique(keys, return_inverse=True, return_counts=True)
-                arcs = np.bincount(inverse, weights=weights, minlength=len(keys))
+                order = np.argsort(keys, kind="stable")
+                keys = keys[order]
             else:
-                keys, counts = np.unique(keys, return_counts=True)
-            src, dst = np.divmod(keys, num_entities)
+                keys.sort()
+            edge = np.empty(keys.size + 1, dtype=bool)  # a run starts / the last one ends
+            edge[0] = edge[-1] = True
+            np.not_equal(keys[1:], keys[:-1], out=edge[1:-1])
+            heads = np.flatnonzero(edge)
+            counts = heads[1:] - heads[:-1]
+            if want_arcs:
+                weights = np.repeat(self._np_recip[blocks[q0:q1]], spans)[mask][order]
+                arcs = np.bincount(np.cumsum(edge[:-1]) - 1, weights=weights)
+            src, dst = np.divmod(keys[heads[:-1]].astype(np.int64), num_entities)
+            src += first
             yield src, dst, counts, arcs
 
     def _facing_spans(self, blocks, side):
@@ -582,40 +607,20 @@ class EntityIndexEngine:
     def _degrees(self) -> Tuple[array, int]:
         """Per-node distinct-neighbour counts and the total edge count."""
         if self._degree_cache is None:
-            self._degree_cache = self._partial_degrees(0, self.num_entities)
+            self._degree_cache = self._degree_column([self._wnp_stats("CBS", 0, self.num_entities)])
         return self._degree_cache
 
-    def _partial_degrees(self, start: int, stop: int) -> Tuple[array, int]:
-        """Degree contributions of the nodes in ``[start, stop)``.
+    def _degree_column(self, stats: list) -> Tuple[array, int]:
+        """The degree column and edge count from the ranges' :meth:`_wnp_stats` columns.
 
-        A full-length degree column holding both endpoints' counts for every
-        edge whose lower endpoint lies in the range, plus the number of those
-        edges.  Summing the partial columns (and edge counts) of a disjoint
-        cover of the node range gives the whole-range column exactly --
-        integer additions commute -- which is how the parallel engine
-        computes the EJS degree column without ever running the full pass in
-        one process.
+        Integer sums, so every cover of the node range gives the same column
+        -- which is how the parallel engine computes the EJS degree column
+        without ever running the full pass in one process.
         """
-        num_edges = 0
+        degrees, _sums = self._summed_stats(stats)
         if self._use_numpy:
-            np_degrees = _np.zeros(self.num_entities, dtype=_np.int64)
-            for src, dst, _counts, _arcs in self._neighbourhoods(start, stop, True, False):
-                lowest = int(src[0])  # src is sorted: its nodes form one short span
-                degree = _np.bincount(src - lowest)
-                np_degrees[lowest : lowest + len(degree)] += degree
-                _np.add.at(np_degrees, dst, 1)
-                num_edges += len(src)
-            return _typed_array("q", np_degrees), num_edges
-        degrees = _int_array(self.num_entities)
-        cbs = [0] * self.num_entities
-        for i in range(start, stop):
-            touched = self._scan_node(i, cbs, None, lower=True)
-            degrees[i] += len(touched)
-            num_edges += len(touched)
-            for j in touched:
-                degrees[j] += 1
-                cbs[j] = 0
-        return degrees, num_edges
+            return _typed_array("q", degrees), int(degrees.sum()) // 2
+        return degrees, sum(degrees) // 2
 
     # ------------------------------------------------------------------
     # weighting
@@ -799,7 +804,8 @@ class EntityIndexEngine:
         ``(lower ordinal, higher ordinal)`` order, CEP's in its selection
         order ``(-weight, first, second)`` by identifier.  ``budget`` (CEP)
         and ``k`` (CNP) override the standard defaults.  Sets the run
-        statistics (:attr:`last_num_edges`, :attr:`last_retained`).
+        statistics (:attr:`last_num_edges`, :attr:`last_retained`,
+        :attr:`last_refined`).
         """
         return self._retained(weighting, pruning, budget, k, self._whole_range)
 
@@ -846,6 +852,7 @@ class EntityIndexEngine:
             )
         reciprocal = key.startswith("Reciprocal")
         columns = None
+        refined = 0
         if key == "WEP":
             stats = fan_out("wep_stats", scheme)
             num_edges = sum(count for count, _partials in stats)
@@ -873,11 +880,14 @@ class EntityIndexEngine:
             )
             columns = _edge_columns((a, b, -negated) for negated, _first, _second, a, b in rows)
         elif key in ("WNP", "ReciprocalWNP"):
-            stats = fan_out("wnp_stats", scheme)
-            num_edges = sum(total for total, _thresholds in stats) // 2  # seen from both ends
+            num_edges, thresholds, degrees = self._wnp_thresholds(
+                scheme, fan_out("wnp_stats", scheme)
+            )
             if num_edges:
-                (thresholds,) = _concat([(column,) for _total, column in stats])
-                columns = _concat(fan_out("wnp_emit", scheme, thresholds, reciprocal))
+                parts = fan_out("wnp_emit", scheme, thresholds, degrees, reciprocal)
+                refined = sum(part[3] for part in parts)
+                columns = _concat([part[:3] for part in parts])
+                del parts  # merged: the per-range columns are garbage
         else:
             if k is None:
                 # per graph *node*: descriptions of the identifier table that
@@ -913,6 +923,7 @@ class EntityIndexEngine:
             weights = _typed_array("d", weights)
         self.last_num_edges = num_edges
         self.last_retained = len(weights)
+        self.last_refined = refined
         return src, dst, weights
 
     def _rank_list(self) -> Sequence[int]:
@@ -965,60 +976,140 @@ class EntityIndexEngine:
         )
 
     def _wnp_stats(self, scheme: str, start: int, stop: int):
-        """WNP threshold pass: ``(degree total, threshold column)`` of one range.
+        """WNP threshold pass: partial ``(degrees, sums)`` columns of one range.
 
-        A node's threshold is the exactly rounded mean of its incident edge
-        weights (0.0 for an isolated node).  Each node's whole neighbourhood
-        lies within its own range pass, so the column does not depend on how
-        the node range was cut.
+        A lower-half pass: every edge whose lower endpoint lies in the range
+        adds one and its weight to *both* endpoints' entries of two
+        full-length columns (span-local ``bincount`` for the batch's sources,
+        ``add.at`` for its scattered destinations).  Adding the columns of a
+        disjoint cover of the node range (:meth:`_summed_stats`) gives
+        every node's degree exactly, and its weight sum exactly for CBS
+        (integer-valued) but only up to rounding for the float schemes, which
+        :meth:`_wnp_emit` makes exact where it matters.
         """
-        size = stop - start
+        num_entities = self.num_entities
         if self._use_numpy:
             np = _np
-            degrees = np.zeros(size, dtype=np.int64)
-            sums = np.zeros(size)
-            for src, _dst, weights in self._weighted_batches(scheme, False, start, stop):
+            degrees = np.zeros(num_entities, dtype=np.int64)
+            sums = np.zeros(num_entities)
+            for src, dst, weights in self._weighted_batches(scheme, True, start, stop):
                 lowest = int(src[0])  # src is sorted: its nodes form one short span
-                degree = np.bincount(src - lowest)
-                span = slice(lowest - start, lowest - start + len(degree))
-                degrees[span] = degree
-                if scheme == "CBS":
-                    # integer-valued weights: every partial sum is exact
-                    sums[span] = np.bincount(src - lowest, weights=weights)
-                else:
-                    flat = weights.tolist()
-                    ends = np.cumsum(degree).tolist()
-                    sums[span] = [fsum(flat[lo:hi]) for lo, hi in zip([0, *ends], ends)]
-            thresholds = np.divide(sums, degrees, out=sums, where=degrees > 0)
-            return int(degrees.sum()), thresholds
-        thresholds = array("d", bytes(8 * size))
-        total = 0
-        for i, neighbours, weights in self._node_weights(scheme, False, start, stop):
-            total += len(neighbours)
-            thresholds[i - start] = fsum(weights) / len(neighbours)
-        return total, thresholds
+                local = src - lowest
+                degree = np.bincount(local)
+                degrees[lowest : lowest + len(degree)] += degree
+                sums[lowest : lowest + len(degree)] += np.bincount(local, weights=weights)
+                np.add.at(degrees, dst, 1)
+                np.add.at(sums, dst, weights)
+            return degrees, sums
+        degrees = _int_array(num_entities)
+        sums = array("d", bytes(8 * num_entities))
+        for i, neighbours, weights in self._node_weights(scheme, True, start, stop):
+            degrees[i] += len(neighbours)
+            for j, weight in zip(neighbours, weights):
+                degrees[j] += 1
+                sums[i] += weight
+                sums[j] += weight
+        return degrees, sums
 
-    def _wnp_emit(self, scheme: str, start: int, stop: int, thresholds, reciprocal: bool):
-        """WNP emission pass: the retained ``(src, dst, weight)`` rows of one range."""
+    def _wnp_thresholds(self, scheme: str, stats: list):
+        """``(edge count, thresholds, degrees)`` from the ranges' partial columns.
+
+        A node's WNP threshold is the exactly rounded mean of its incident
+        edge weights, ``fsum(weights) / degree`` (0.0 for an isolated node).
+        The summed columns give it exactly for CBS (``degrees`` is then
+        ``None``: :meth:`_wnp_emit` has nothing to refine), up to rounding
+        for the float schemes.
+        """
+        degrees, thresholds = self._summed_stats(stats)
         if self._use_numpy:
-            thresholds = _np.asarray(thresholds)
+            _np.divide(thresholds, degrees, out=thresholds, where=degrees > 0)
+            num_edges = int(degrees.sum()) // 2
+        else:
+            for node, degree in enumerate(degrees):
+                if degree:
+                    thresholds[node] /= degree
+            num_edges = sum(degrees) // 2
+        return num_edges, thresholds, None if scheme == "CBS" else degrees
+
+    def _summed_stats(self, stats: list):
+        """The ranges' partial ``(degrees, sums)`` columns added up (into the first)."""
+        if self._use_numpy:
+            return sum(degrees for degrees, _sums in stats), sum(sums for _degrees, sums in stats)
+        (degrees, sums), *rest = stats
+        for more_degrees, more_sums in rest:
+            for node in range(self.num_entities):
+                degrees[node] += more_degrees[node]
+                sums[node] += more_sums[node]
+        return degrees, sums
+
+    def _wnp_emit(
+        self, scheme: str, start: int, stop: int, thresholds, degrees, reciprocal: bool
+    ):
+        """WNP emission pass: ``(src, dst, weight, refined nodes)`` of one range.
+
+        The retained rows of the lower-half edges of the range, decided
+        against the summed ``thresholds`` -- exact unless ``degrees`` is
+        given.  Then a summed threshold ``t' = fl(s' / d)`` comes from a sum
+        ``s'`` rounded in some order, and the exact one is
+        ``t = fl(fl(s) / d)``.  The weights are non-negative and a sum of
+        ``d`` of them, in any order and grouping, takes ``d - 1`` rounded
+        additions, so ``|s' - s| <= (d - 1) u s / (1 - (d - 1) u)`` with
+        ``u = 2**-53``; the two divisions and ``fl(s)`` add ``3 u`` more,
+        hence ``|t' - t| <= (d + 2) u t'`` to first order (and ``t' = t`` for
+        ``d = 1``).  An endpoint whose weight lies within twice that,
+        ``(d + 2) * 2**-52 * t'`` (headroom for the second-order terms and
+        the margin's own rounding while ``d u`` is far below one), of its
+        summed threshold is decided against ``fsum`` over its own full
+        neighbourhood instead, computed once per node, so the decisions
+        equal a pass over exact thresholds.  The fourth entry counts the
+        nodes refined this way.
+        """
+        exact: Dict[int, float] = {}
+
+        def refined(node: int) -> float:
+            if node not in exact:
+                for _node, _neighbours, weights in self._node_weights(scheme, False, node, node + 1):
+                    exact[node] = fsum(weights) / len(weights)
+            return exact[node]
+
+        if self._use_numpy:
+            np = _np
+            thresholds = np.asarray(thresholds)
             kept = []
             for src, dst, weights in self._weighted_batches(scheme, True, start, stop):
-                keep_first = weights >= thresholds[src]
-                keep_second = weights >= thresholds[dst]
+                of_src, of_dst = thresholds[src], thresholds[dst]
+                if degrees is not None:
+                    for nodes, of_nodes in ((src, of_src), (dst, of_dst)):
+                        degree = degrees[nodes]
+                        near = (degree > 1) & (
+                            np.abs(weights - of_nodes) <= (degree + 2) * 2.0**-52 * of_nodes
+                        )
+                        if near.any():
+                            of_nodes[near] = [refined(node) for node in nodes[near].tolist()]
+                keep_first = weights >= of_src
+                keep_second = weights >= of_dst
                 keep = (keep_first & keep_second) if reciprocal else (keep_first | keep_second)
                 keep &= weights > 0
                 kept.append((src[keep], dst[keep], weights[keep]))
-            return _concat(kept)
+            return (*_concat(kept), len(exact))
         agree = (lambda first, second: first and second) if reciprocal else (
             lambda first, second: first or second
         )
-        return _edge_columns(
+
+        def threshold(node: int, weight: float) -> float:
+            summed = thresholds[node]
+            if degrees is None or degrees[node] < 2:
+                return summed
+            near = abs(weight - summed) <= (degrees[node] + 2) * 2.0**-52 * summed
+            return refined(node) if near else summed
+
+        columns = _edge_columns(
             (i, j, weight)
             for i, neighbours, weights in self._node_weights(scheme, True, start, stop)
             for j, weight in zip(neighbours, weights)
-            if weight > 0 and agree(weight >= thresholds[i], weight >= thresholds[j])
+            if weight > 0 and agree(weight >= threshold(i, weight), weight >= threshold(j, weight))
         )
+        return (*columns, len(exact))
 
     def _cnp(self, scheme: str, start: int, stop: int, k: int):
         """CNP endorsement pass: ``(degree total, src, dst, weight)`` of one range.

@@ -254,8 +254,8 @@ class MetaBlocking:
         index engine's own table (block members in first-seen order).  The
         last-run statistics (:attr:`last_graph_edges`,
         :attr:`last_retained_edges`, :attr:`last_engine`) are set when this
-        returns.  ``parallel`` fans out the pruning passes and the weight
-        sort.
+        returns.  ``parallel`` fans out the pruning passes; the weight sort
+        runs here.
         """
         self.last_input_comparisons = blocks.total_comparisons()
         columns = self._index_columns(blocks, context, parallel)
@@ -283,12 +283,6 @@ class MetaBlocking:
             weights,
             distinct=True,
         )
-        if parallel is not None:
-            # pooled per-shard argsort + driver k-way merge; identical
-            # permutation (tie order included) to the sequential sort
-            pooled = parallel.weight_sort(columns)
-            if pooled is not None:
-                return pooled
         return columns.weight_sorted()
 
     def process(

@@ -11,6 +11,7 @@ from __future__ import annotations
 
 from bisect import bisect_right
 from itertools import accumulate, repeat
+from math import isfinite
 from typing import Optional
 
 
@@ -21,12 +22,12 @@ class Budget:
     ----------
     total:
         Total cost available; ``None`` means unlimited (useful for measuring
-        the full curve).
+        the full curve).  Anything else must be a finite non-negative number.
     """
 
     def __init__(self, total: Optional[float] = None) -> None:
-        if total is not None and total < 0:
-            raise ValueError("budget must be non-negative")
+        if total is not None and not (isfinite(total) and total >= 0):
+            raise ValueError(f"budget must be a finite non-negative number, got {total!r}")
         self.total = total
         self._spent = 0.0
 

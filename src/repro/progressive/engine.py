@@ -12,10 +12,11 @@ two-engine pattern of the blocking, meta-blocking and matching phases:
 
   - :class:`~repro.progressive.schedulers.WeightOrderScheduler` orders the
     meta-blocking engine's :class:`~repro.datamodel.pairs.ComparisonColumns`
-    with one ``lexsort``/argsort over the ``(weight, first, second)``
-    columns (weight ties break on the identifier ranks, exactly the object
-    sort key) -- and recognises columns that are already weight-sorted, in
-    which case scheduling is a zero-cost pass-through;
+    with :func:`~repro.datamodel.pairs.heaviest_first` over the
+    ``(weight, first, second)`` columns (weight ties break on the
+    identifier ranks, exactly the object sort key) -- and recognises
+    columns that are already weight-sorted, in which case scheduling is a
+    zero-cost pass-through;
   - :class:`~repro.progressive.schedulers.RandomOrderScheduler` shuffles row
     indices with the same seeded Fisher--Yates permutation the object path
     applies to its comparison list;

@@ -14,6 +14,8 @@ import types
 import pytest
 
 from repro.blocking.base import Block, BlockCollection
+from repro.blocking.token_blocking import TokenBlocking
+from repro.metablocking import entity_index
 from repro.metablocking import (
     CBS,
     EntityIndexEngine,
@@ -340,3 +342,122 @@ class TestWeightingEdgeCaseValues:
             for e in EntityIndexEngine(blocks).iter_retained("ARCS", "CNP")
         }
         assert retained[("x", "y")] == pytest.approx(1.0 + 1.0 / 6.0)
+
+
+def ranged_fan_out(engine, cuts):
+    """The sequential ``fan_out`` of :meth:`EntityIndexEngine._retained` over
+    the cover of the node range that ``cuts`` splits it into."""
+    bounds = [0, *cuts, engine.num_entities]
+
+    def fan_out(step, scheme, *params):
+        return [
+            getattr(engine, "_" + step)(scheme, start, stop, *params)
+            for start, stop in zip(bounds, bounds[1:])
+        ]
+
+    return fan_out
+
+
+def rows(columns):
+    return [tuple(column) for column in columns]
+
+
+class TestWnpThresholdRefinement:
+    """WNP sums each node's weights in the order its one lower-half walk
+    meets them and decides every row inside the rounding margin of that sum
+    against the node's exact ``fsum`` threshold."""
+
+    #: JS puts e4's summed threshold an ulp above its exact one, 0.6, which is
+    #: the weight of (e1, e4): the summed threshold alone would drop the row
+    BLOCKS = [
+        ["e0", "e1", "e2", "e3", "e4"],
+        ["e1", "e3", "e4"],
+        ["e3", "e4"],
+        ["e0", "e1", "e2", "e3", "e4"],
+        ["e1", "e3"],
+    ]
+
+    def blocks(self):
+        return BlockCollection(
+            [Block(f"b{i}", members=members) for i, members in enumerate(self.BLOCKS)]
+        )
+
+    @pytest.mark.parametrize("use_numpy", (True, False))
+    @pytest.mark.parametrize("weighting", ("JS", "EJS"))
+    def test_a_summed_threshold_flips_a_decision(self, weighting, use_numpy):
+        engine = EntityIndexEngine(self.blocks(), use_numpy=use_numpy)
+        stats = [engine._wnp_stats(weighting, 0, engine.num_entities)]
+        _edges, summed, _degrees = engine._wnp_thresholds(weighting, stats)
+        flipped = [
+            (node, float(weight))
+            for node in range(engine.num_entities)
+            for _node, _neighbours, weights in engine._node_weights(
+                weighting, False, node, node + 1
+            )
+            for weight in weights
+            if (weight >= summed[node]) != (weight >= math.fsum(weights) / len(weights))
+        ]
+        assert flipped
+
+    @pytest.mark.parametrize("use_numpy", (True, False))
+    @pytest.mark.parametrize("pruning", ("WNP", "ReciprocalWNP"))
+    @pytest.mark.parametrize("weighting", ("JS", "EJS"))
+    def test_refined_rows_equal_the_two_pass_reference(self, weighting, pruning, use_numpy):
+        blocks = self.blocks()
+        engine = EntityIndexEngine(blocks, use_numpy=use_numpy)
+        retained = {(e.first, e.second, e.weight) for e in engine.iter_retained(weighting, pruning)}
+        assert engine.last_refined > 0
+        reference = MetaBlocking(weighting, pruning, engine="graph").retained_edges(blocks)
+        assert retained == {(e.first, e.second, e.weight) for e in reference}
+
+    @pytest.mark.parametrize("use_numpy", (True, False))
+    def test_integer_cbs_sums_are_never_refined(self, use_numpy):
+        engine = EntityIndexEngine(self.blocks(), use_numpy=use_numpy)
+        engine.retained_columns("CBS", "WNP")
+        assert engine.last_refined == 0
+
+
+class TestRangeCovers:
+    """The ranged passes merge into the same columns, row for row, whatever
+    contiguous cover of the node range they run over."""
+
+    @pytest.fixture(scope="class")
+    def blocks(self, small_dirty_dataset):
+        return TokenBlocking().build(small_dirty_dataset.collection)
+
+    @pytest.mark.parametrize("use_numpy", (True, False))
+    @pytest.mark.parametrize("pruning", ("WNP", "ReciprocalWNP"))
+    @pytest.mark.parametrize("weighting", WEIGHTING_SCHEMES)
+    def test_one_two_and_three_range_covers_agree(self, blocks, weighting, pruning, use_numpy):
+        engine = EntityIndexEngine(blocks, use_numpy=use_numpy)
+        n = engine.num_entities
+        whole = rows(engine.retained_columns(weighting, pruning))
+        assert whole
+        for cuts in ([n // 2], [n // 5, 3 * n // 4], [1, n - 1]):
+            covered = engine._retained(weighting, pruning, None, None, ranged_fan_out(engine, cuts))
+            assert rows(covered) == whole
+
+
+class TestNeighbourhoodBatchSpan:
+    """Batch-relative int32 keys: a batch spans at most ``(2**31 - 1) // N``
+    nodes, so a table large enough for that to bind cuts one-node batches."""
+
+    @pytest.mark.skipif(entity_index._np is None, reason="numpy not installed")
+    @pytest.mark.parametrize("lower", (True, False))
+    def test_one_node_batches_give_the_same_columns(self, small_dirty_dataset, monkeypatch, lower):
+        np = entity_index._np
+        blocks = TokenBlocking().build(small_dirty_dataset.collection)
+        plain = EntityIndexEngine(blocks)
+        padded_ids = list(plain.ids) + [f"padding-{i}" for i in range(5000)]
+        padded = EntityIndexEngine(blocks, ids=padded_ids)
+        # pretend int32 ends just below two rows of the padded table: span 1
+        monkeypatch.setattr(entity_index, "_INT32_MAX", 2 * len(padded_ids) - 1)
+        expected = list(plain._neighbourhoods(0, plain.num_entities, lower, True))
+        batches = list(padded._neighbourhoods(0, padded.num_entities, lower, True))
+        assert len(expected) < len(batches)
+        assert all(src[0] == src[-1] for src, *_ in batches)
+        for column in range(4):
+            assert np.array_equal(
+                np.concatenate([batch[column] for batch in expected]),
+                np.concatenate([batch[column] for batch in batches]),
+            )

@@ -214,6 +214,33 @@ class TestOrdinalFastPaths:
             via_tuples = evaluate_comparisons(pairs, truth, 500)
             assert via_columns == via_tuples
 
+    @pytest.mark.parametrize("distinct", (True, False))
+    def test_count_bodies_agree(self, monkeypatch, distinct):
+        """The NumPy gather and the per-row loop of ``_count_detected_columns``
+        give the tuple-set counts; singleton descriptions are unknown to the
+        truth (cluster index -1)."""
+        from repro.datamodel.pairs import ComparisonColumns, OrdinalInterner
+        from repro.evaluation import metrics
+        from array import array
+
+        for seed in (1, 7, 23):
+            truth, pairs = self._random_case(seed)
+            canonical = [tuple(sorted(pair)) for pair in pairs]
+            canonical += sorted(truth.matching_pairs())[::2]
+            canonical = list(dict.fromkeys(canonical))
+            if not distinct:
+                canonical += canonical[::3]  # repeated rows count once
+            intern = OrdinalInterner()
+            first = array("q", (intern(a) for a, _b in canonical))
+            second = array("q", (intern(b) for _a, b in canonical))
+            columns = ComparisonColumns(intern.ids, first, second, distinct=distinct)
+            expected = (len(set(canonical)), len(set(canonical) & truth.matching_pairs()))
+            assert expected[1] > 0
+            assert metrics._count_detected_columns(columns, truth) == expected
+            with monkeypatch.context() as patched:
+                patched.setattr(metrics, "_np", None)
+                assert metrics._count_detected_columns(columns, truth) == expected
+
     def test_evaluate_comparisons_distinct_columns_skip_dedup(self):
         from repro.datamodel.pairs import ComparisonColumns, OrdinalInterner
         from array import array

@@ -91,7 +91,6 @@ CONFIG_OVERRIDES = {
 STAGE_TO_CONFIG = {
     "wnp_stats": "default",
     "wnp_emit": "default",
-    "weight_sort": "default",
     "clustering": "default",
     "wep_stats": "wep",
     "wep_emit": "wep",

@@ -206,8 +206,8 @@ def test_ranged_passes_over_a_cover_concatenate_to_the_whole_range(kind, use_num
     def fan_out(step, scheme, *params):
         return [getattr(engine, "_" + step)(scheme, start, stop, *params) for start, stop in cover]
 
-    assert engine._partial_degrees(0, n)[1] == sum(
-        engine._partial_degrees(start, stop)[1] for start, stop in cover
+    assert engine._degree_column([engine._wnp_stats("CBS", 0, n)]) == engine._degree_column(
+        [engine._wnp_stats("CBS", start, stop) for start, stop in cover]
     )
     for weighting in WEIGHTING_SCHEMES:
         for pruning in PRUNING_SCHEMES:

@@ -2,7 +2,8 @@
 
 import pytest
 
-from repro.datamodel.pairs import Comparison, ComparisonCounter, canonical_pair
+from repro.datamodel import pairs
+from repro.datamodel.pairs import Comparison, ComparisonCounter, canonical_pair, heaviest_first
 
 
 def test_canonical_pair_orders_lexicographically():
@@ -122,3 +123,26 @@ class TestDecisionColumns:
 
         with pytest.raises(ValueError):
             DecisionColumns(["a", "b"], first=array("q", [0]), second=array("q", []))
+
+
+@pytest.mark.skipif(pairs._np is None, reason="numpy not installed")
+@pytest.mark.parametrize("weighted", (True, False))
+@pytest.mark.parametrize("seed", (0, 1, 2))
+def test_heaviest_first_equals_the_three_key_lexsort(seed, weighted):
+    """Same permutation as ``lexsort`` -- weight ties, pair ties and whole
+    duplicate rows (which keep their input order) included."""
+    np = pairs._np
+    rng = np.random.default_rng(seed)
+    size, rows = 40, 500
+    rank = rng.permutation(size)
+    first = rng.integers(0, size, rows)
+    second = rng.integers(0, size, rows)
+    weights = rng.integers(0, 4, rows).astype(float)  # few distinct weights: many ties
+    copies = rng.integers(100, rows, 100)
+    first[:100], second[:100], weights[:100] = first[copies], second[copies], weights[copies]
+    if weighted:
+        expected = np.lexsort((rank[second], rank[first], -weights))
+    else:
+        expected = np.lexsort((rank[second], rank[first]))
+        weights = None
+    assert np.array_equal(heaviest_first(rank, first, second, weights), expected)

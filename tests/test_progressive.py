@@ -50,6 +50,11 @@ class TestBudget:
         budget.reset()
         assert budget.spent == 0.0
 
+    @pytest.mark.parametrize("total", [-1, -0.5, float("nan"), float("inf"), float("-inf")])
+    def test_rejects_totals_that_are_not_finite_and_non_negative(self, total):
+        with pytest.raises(ValueError, match="finite non-negative"):
+            Budget(total)
+
     def test_cannot_overcharge_partially(self):
         budget = Budget(5)
         assert budget.charge(4)

@@ -60,6 +60,18 @@ class TestWorkflowConfig:
         assert "budget=100" in description
         assert "iterative-merging" in description
 
+    @pytest.mark.parametrize("budget", [-5, 2.5, float("nan"), True, False, "10"])
+    def test_invalid_budget_fails_on_construction(self, budget):
+        """Before any stage runs, naming the field."""
+        with pytest.raises(ValueError, match="WorkflowConfig.budget"):
+            WorkflowConfig(budget=budget)
+        with pytest.raises(ValueError, match="WorkflowConfig.budget"):
+            default_workflow(budget=budget)
+
+    @pytest.mark.parametrize("budget", [None, 0, 40000])
+    def test_valid_budget_is_kept(self, budget):
+        assert WorkflowConfig(budget=budget).budget == budget
+
     def test_default_workflow_rejects_unknown_overrides(self):
         with pytest.raises(AttributeError):
             default_workflow(nonexistent_option=True)
