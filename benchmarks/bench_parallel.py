@@ -1,12 +1,9 @@
-"""E4 -- simulated parallel blocking and meta-blocking: speedup and load balance.
+"""The multi-process engine's scaling curve on the meta-blocking weighting stage.
 
-Reproduces the shape of the MapReduce blocking / parallel meta-blocking
-experiments: the simulated speedup of parallel token blocking grows close to
-linearly with the number of workers when the reduce side is balanced with the
-skew-aware (greedy) partitioner, while the default hash partitioner is limited
-by the skewed block-size distribution; the three-stage parallel meta-blocking
-produces exactly the same retained edges as the sequential implementation and
-scales near-linearly because its per-pair work is fine-grained.
+``test_scaling_smoke`` runs EJS + WNP sequentially and through
+:class:`~repro.mapreduce.parallel.ParallelEngine` at 1/2/4/8 workers,
+asserts a bit-identical retained-edge stream at every worker count and
+writes ``benchmarks/results/BENCH_parallel.json``.
 """
 
 from __future__ import annotations
@@ -16,118 +13,15 @@ import os
 import time
 import tracemalloc
 
-import pytest
-
 from benchmarks.conftest import RESULTS_DIR, save_table
 from repro.blocking import TokenBlocking
 from repro.blocking.engine import BlockingEngine
 from repro.core.context import PipelineContext
 from repro.datasets import DatasetConfig, generate_dirty_dataset
-from repro.mapreduce import (
-    GreedyBalancedPartitioner,
-    HashPartitioner,
-    MapReduceEngine,
-    ParallelEngine,
-    ParallelMetaBlocking,
-    ParallelTokenBlocking,
-)
+from repro.mapreduce import ParallelEngine
 from repro.metablocking import MetaBlocking
 
-WORKER_COUNTS = (1, 2, 4, 8, 16)
 
-
-def test_parallel_token_blocking_speedup(benchmark, dirty_dataset):
-    collection = dirty_dataset.collection
-    sequential_blocks = TokenBlocking().build(collection)
-
-    benchmark.pedantic(
-        lambda: ParallelTokenBlocking().build(collection, MapReduceEngine(num_workers=8)),
-        rounds=3,
-        iterations=1,
-    )
-
-    rows = []
-    results = {}
-    for workers in WORKER_COUNTS:
-        for partitioner in (HashPartitioner(), GreedyBalancedPartitioner()):
-            engine = MapReduceEngine(num_workers=workers, partitioner=partitioner)
-            blocks, stats = ParallelTokenBlocking().build(collection, engine)
-            results[(workers, partitioner.name)] = (blocks, stats)
-            rows.append(
-                {
-                    "workers": workers,
-                    "partitioner": partitioner.name,
-                    "makespan": stats.makespan,
-                    "speedup": stats.speedup,
-                    "imbalance": stats.reduce_imbalance,
-                }
-            )
-    save_table(
-        "E4_parallel_token_blocking",
-        rows,
-        f"simulated parallel token blocking ({len(collection)} descriptions)",
-        notes=(
-            "Expected shape: near-linear speedup with the skew-aware greedy partitioner; the "
-            "hash partitioner is limited by reduce-side skew (imbalance > 1)."
-        ),
-    )
-    benchmark.extra_info["rows"] = rows
-
-    # correctness is independent of the execution mode
-    blocks_16, _ = results[(16, "greedy_balanced")]
-    assert blocks_16.distinct_pairs() == sequential_blocks.distinct_pairs()
-
-    # speedup shape
-    _, hash_16 = results[(16, "hash")]
-    _, greedy_16 = results[(16, "greedy_balanced")]
-    _, greedy_1 = results[(1, "greedy_balanced")]
-    assert greedy_1.speedup == pytest.approx(1.0)
-    assert greedy_16.speedup > 10.0
-    assert greedy_16.speedup >= hash_16.speedup
-    assert greedy_16.reduce_imbalance <= hash_16.reduce_imbalance
-
-
-def test_parallel_metablocking_speedup(benchmark, dirty_dataset):
-    collection = dirty_dataset.collection
-    blocks = TokenBlocking().build(collection)
-    sequential = {edge.pair for edge in MetaBlocking("CBS", "WEP").retained_edges(blocks)}
-
-    def run(workers: int):
-        engine = MapReduceEngine(num_workers=workers, partitioner=GreedyBalancedPartitioner())
-        return ParallelMetaBlocking("CBS", "WEP").run(blocks, engine)
-
-    benchmark.pedantic(lambda: run(8), rounds=1, iterations=1)
-
-    rows = []
-    for workers in WORKER_COUNTS:
-        edges, stages = run(workers)
-        makespan = sum(stage.makespan for stage in stages)
-        sequential_cost = sum(stage.sequential_cost for stage in stages)
-        rows.append(
-            {
-                "workers": workers,
-                "retained edges": len(edges),
-                "makespan": makespan,
-                "speedup": sequential_cost / max(1e-9, makespan),
-            }
-        )
-        if workers == 16:
-            assert {edge.pair for edge in edges} == sequential
-
-    save_table(
-        "E4_parallel_metablocking",
-        rows,
-        "simulated three-stage parallel meta-blocking (CBS + WEP)",
-        notes="Retained edges are identical to the sequential run at every worker count.",
-    )
-    benchmark.extra_info["rows"] = rows
-    assert rows[-1]["speedup"] > 8.0
-    assert all(row["retained edges"] == rows[0]["retained edges"] for row in rows)
-
-
-# ----------------------------------------------------------------------
-# real multi-process engine: scaling smoke
-# ----------------------------------------------------------------------
 def _available_cores() -> int:
     try:
         return len(os.sched_getaffinity(0))

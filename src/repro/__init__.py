@@ -14,8 +14,8 @@ The library is organised around the tutorial's Figure 1 workflow:
 * :mod:`repro.blocking` -- traditional and schema-agnostic blocking schemes,
   block cleaning.
 * :mod:`repro.metablocking` -- blocking graph, edge weighting, pruning.
-* :mod:`repro.mapreduce` -- simulated MapReduce engine and parallel
-  blocking / meta-blocking jobs.
+* :mod:`repro.mapreduce` -- the multi-process engine for the parallel
+  stages (shared-memory columns, supervised worker pool).
 * :mod:`repro.matching` -- pairwise matchers, oracle, clustering.
 * :mod:`repro.iterative` -- merging-based and relationship-based iterative ER,
   iterative blocking.

@@ -53,21 +53,26 @@ def _load_collection(path: str, id_field: str) -> EntityCollection:
 
 
 def _workflow_from_args(args: argparse.Namespace) -> ERWorkflow:
-    config = WorkflowConfig(
-        blocking=args.blocking,
-        enable_metablocking=not args.no_metablocking,
-        weighting_scheme=args.weighting,
-        pruning_scheme=args.pruning,
-        scheduler=args.scheduler,
-        budget=args.budget,
-        match_threshold=args.threshold,
-        iterate_merges=args.iterate,
-        clustering=args.clustering,
-        num_workers=args.num_workers,
-        worker_timeout=args.worker_timeout,
-        max_shard_retries=args.max_shard_retries,
-        on_worker_failure=args.on_worker_failure,
-    )
+    try:
+        config = WorkflowConfig(
+            blocking=args.blocking,
+            enable_metablocking=not args.no_metablocking,
+            weighting_scheme=args.weighting,
+            pruning_scheme=args.pruning,
+            scheduler=args.scheduler,
+            budget=args.budget,
+            match_threshold=args.threshold,
+            iterate_merges=args.iterate,
+            clustering=args.clustering,
+            num_workers=args.num_workers,
+            worker_timeout=args.worker_timeout,
+            max_shard_retries=args.max_shard_retries,
+            on_worker_failure=args.on_worker_failure,
+        )
+    except ValueError as error:
+        # a value the option's type admits but the workflow does not
+        # (--budget -5, --num-workers 0): a usage error, exit status 2
+        args.usage_error(str(error))
     return ERWorkflow(config)
 
 
@@ -162,11 +167,12 @@ def _add_workflow_arguments(parser: argparse.ArgumentParser) -> None:
     parser.add_argument("--iterate", action="store_true", help="enable merging-based iteration")
     parser.add_argument("--id-field", default="id", help="identifier column for CSV input")
     parser.add_argument("--output", default=None, help="file to write the clusters to")
+    parser.set_defaults(usage_error=parser.error)
 
 
 def _command_resolve(args: argparse.Namespace) -> int:
-    collection = _load_collection(args.input, args.id_field)
     workflow = _workflow_from_args(args)
+    collection = _load_collection(args.input, args.id_field)
     print(f"resolving {len(collection)} descriptions with: {workflow.config.describe()}")
     result = workflow.run(collection)
     print(result.report.render())
@@ -176,10 +182,10 @@ def _command_resolve(args: argparse.Namespace) -> int:
 
 
 def _command_link(args: argparse.Namespace) -> int:
+    workflow = _workflow_from_args(args)
     left = _load_collection(args.left, args.id_field)
     right = _load_collection(args.right, args.id_field)
     task = CleanCleanTask(left, right)
-    workflow = _workflow_from_args(args)
     print(
         f"linking {len(left)} x {len(right)} descriptions with: {workflow.config.describe()}"
     )

@@ -50,7 +50,9 @@ class WorkflowConfig:
         matching on the merge results (merging-based iteration).
     max_iterations:
         Upper bound on update/iterate rounds; must be at least 1 when
-        ``iterate_merges`` is on (``ERWorkflow.run`` raises otherwise).
+        ``iterate_merges`` is on (:class:`ValueError` on construction
+        otherwise, as for a ``num_workers`` below 1 or an unknown
+        ``on_worker_failure``).
     clustering:
         Final clustering, one of :data:`~repro.core.workflow.CLUSTERINGS`.
     num_workers:
@@ -116,6 +118,18 @@ class WorkflowConfig:
         ):
             raise ValueError(
                 f"WorkflowConfig.budget must be None or a non-negative int, got {budget!r}"
+            )
+        if self.iterate_merges and self.max_iterations < 1:
+            raise ValueError(
+                "max_iterations must be at least 1 when iterate_merges is on, "
+                f"got {self.max_iterations}"
+            )
+        if self.num_workers < 1:
+            raise ValueError(f"num_workers must be at least 1, got {self.num_workers}")
+        if self.on_worker_failure not in FAILURE_POLICIES:
+            raise ValueError(
+                f"on_worker_failure must be one of {FAILURE_POLICIES}, "
+                f"got {self.on_worker_failure!r}"
             )
 
     def describe(self) -> str:

@@ -155,16 +155,17 @@ class TokenFilter:
     The mask is evaluated once per token *id* and cached in a flat
     ``bytearray``, so filtering a description's column touches no strings.
     The vocabulary may keep growing after the filter is created (e.g. the
-    prefix--infix--suffix builder interns URI tokens on the fly); the mask
-    extends itself lazily.
+    prefix--infix--suffix builder interns URI tokens on the fly); the filter
+    holds the context's token list itself (appended to in place, never
+    replaced), so the mask extends itself lazily -- and the context, which
+    caches its filters, is not referenced back: a finished run leaves no
+    reference cycle for the garbage collector.
     """
 
-    __slots__ = ("_context", "stop_words", "min_length", "_flags")
+    __slots__ = ("_tokens", "stop_words", "min_length", "_flags")
 
-    def __init__(
-        self, context: "PipelineContext", stop_words: FrozenSet[str], min_length: int
-    ) -> None:
-        self._context = context
+    def __init__(self, tokens: List[str], stop_words: FrozenSet[str], min_length: int) -> None:
+        self._tokens = tokens
         self.stop_words = stop_words
         self.min_length = min_length
         self._flags = bytearray()
@@ -176,7 +177,7 @@ class TokenFilter:
 
     def _extend(self, size: int) -> None:
         flags = self._flags
-        tokens = self._context._tokens
+        tokens = self._tokens
         stops = self.stop_words
         min_length = self.min_length
         for token_id in range(len(flags), size):
@@ -193,7 +194,7 @@ class TokenFilter:
         if self.trivial:
             return token_ids if isinstance(token_ids, array) else array("q", token_ids)
         flags = self._flags
-        vocabulary_size = self._context.vocabulary_size
+        vocabulary_size = len(self._tokens)
         if len(flags) < vocabulary_size:
             self._extend(vocabulary_size)
         return array("q", (t for t in token_ids if flags[t]))
@@ -366,7 +367,7 @@ class PipelineContext:
         key = (stops, min_length)
         cached = self._filters.get(key)
         if cached is None:
-            cached = self._filters[key] = TokenFilter(self, stops, min_length)
+            cached = self._filters[key] = TokenFilter(self._tokens, stops, min_length)
         return cached
 
     # ------------------------------------------------------------------

@@ -15,9 +15,9 @@ processes).  This module provides the two pieces:
   append-only ordinal table, dense token vocabulary that accepts new terms,
   per-attribute token-id/count columns in CSR layout over growable chunks,
   and one merged distinct-token column per record.  It reuses
-  :class:`~repro.core.context.TokenFilter` unchanged (the filter only needs
-  ``_tokens`` and ``vocabulary_size``, both of which this class provides),
-  so stop-word masks keep extending lazily as the vocabulary grows.
+  :class:`~repro.core.context.TokenFilter` unchanged (the filter holds the
+  ``_tokens`` list, which only ever grows in place), so stop-word masks keep
+  extending lazily as the vocabulary grows.
 
 Interning here is one arrival at a time, but to the same definition as
 ``PipelineContext``'s chunked batch pass -- ``tokenize`` over each
@@ -208,7 +208,7 @@ class GrowableContext:
         key = (stops, min_length)
         cached = self._filters.get(key)
         if cached is None:
-            cached = self._filters[key] = TokenFilter(self, stops, min_length)
+            cached = self._filters[key] = TokenFilter(self._tokens, stops, min_length)
         return cached
 
     # ------------------------------------------------------------------

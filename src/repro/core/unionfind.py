@@ -20,7 +20,12 @@ deterministic and lets the array engines replicate it exactly.
 from __future__ import annotations
 
 from array import array
-from typing import Dict, FrozenSet, Hashable, Iterable, Iterator, List, Optional
+from typing import Dict, FrozenSet, Hashable, Iterable, Iterator, List, Optional, Sequence
+
+try:  # pragma: no cover - exercised implicitly when numpy is installed
+    import numpy as _np
+except ImportError:  # pragma: no cover
+    _np = None
 
 __all__ = ["UnionFind", "IntUnionFind"]
 
@@ -138,6 +143,20 @@ class IntUnionFind:
 
     def connected(self, first: int, second: int) -> bool:
         return self.find(first) == self.find(second)
+
+    def roots(self, ordinals: Sequence[int]):
+        """The root of every ordinal in ``ordinals``, as an int64 ndarray.
+
+        The roots :meth:`find` returns, from one pointer chase over all of
+        them at once that leaves the parent array as it is (NumPy only).
+        """
+        parent = _np.frombuffer(self.parent, dtype=_np.int64)
+        roots = parent[_np.asarray(ordinals, dtype=_np.int64)]
+        while True:
+            up = parent[roots]
+            if (up == roots).all():
+                return roots
+            roots = up
 
     def __repr__(self) -> str:
         return f"IntUnionFind({len(self.parent)} ordinals)"

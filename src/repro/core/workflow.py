@@ -49,7 +49,7 @@ from repro.blocking.token_blocking import (
     PrefixInfixSuffixBlocking,
     TokenBlocking,
 )
-from repro.core.config import FAILURE_POLICIES, WorkflowConfig
+from repro.core.config import WorkflowConfig
 from repro.core.context import PipelineContext
 from repro.core.results import WorkflowResult
 from repro.core.unionfind import IntUnionFind
@@ -85,6 +85,11 @@ from repro.progressive.schedulers import (
     WeightOrderScheduler,
 )
 from repro.progressive.sorted_list import SortedListScheduler
+
+try:  # pragma: no cover - exercised implicitly when numpy is installed
+    import numpy as _np
+except ImportError:  # pragma: no cover
+    _np = None
 
 _BLOCKING_FACTORIES = {
     "token": lambda: TokenBlocking(),
@@ -154,21 +159,9 @@ class ERWorkflow:
         self._scheduler_override = scheduler
 
     def _resolve_components(self):
-        """Check the options and build every named component before any stage
-        runs, so a misspelt ``clustering`` fails at once."""
+        """Build every named component before any stage runs, so a misspelt
+        ``clustering`` fails at once."""
         config = self.config
-        if config.iterate_merges and config.max_iterations < 1:
-            raise ValueError(
-                "max_iterations must be at least 1 when iterate_merges is on, "
-                f"got {config.max_iterations}"
-            )
-        if config.num_workers < 1:
-            raise ValueError(f"num_workers must be at least 1, got {config.num_workers}")
-        if config.on_worker_failure not in FAILURE_POLICIES:
-            raise ValueError(
-                f"on_worker_failure must be one of {FAILURE_POLICIES}, "
-                f"got {config.on_worker_failure!r}"
-            )
         builder = self._blocking_override
         if builder is None:
             builder = _by_name(_BLOCKING_FACTORIES, "blocking scheme", config.blocking)
@@ -555,9 +548,15 @@ class ERWorkflow:
         neighbourhood is scored in one
         :meth:`MatchingEngine.score_against` pass before the visit loop --
         scoring is stateless, so scoring a candidate the cluster check then
-        skips changes nothing.  Otherwise the matcher may be stateful (e.g.
-        the noisy oracle's RNG): only the candidates that survive the
-        cluster check reach ``engine.decide``, one at a time, in visit order.
+        skips changes nothing.  Unions happen only at matches, so up to the
+        first visited match the cluster state is fixed: with NumPy that
+        **visit prefix** is counted in one pass (every candidate's root from
+        :meth:`IntUnionFind.roots`, visited where it differs from the
+        merge's) and the per-candidate loop runs from that match on;
+        without NumPy the loop runs from the first candidate.
+        Otherwise the matcher may be stateful (e.g. the noisy oracle's RNG):
+        only the candidates that survive the cluster check reach
+        ``engine.decide``, one at a time, in visit order.
         """
         if blocks is None:
             blocks = BlockingEngine(TokenBlocking(), context=context).build(data)
@@ -586,11 +585,22 @@ class ERWorkflow:
                 merged = merge_descriptions(descriptions[first], descriptions[second])
                 candidates = index.co_blocked((first, second))
                 counts["candidates"] += len(candidates)
-                scores = engine.score_against(merged, candidates) if batch else None
                 # first-root-wins unions: this stays the root of ``first``'s
                 # cluster through every union the loop below makes
                 root = clusters.find(first)
-                for position, candidate in enumerate(candidates):
+                prefix = batch and _np is not None
+                # one ordinal array serves the scoring and the visit prefix
+                ordinals = _np.asarray(candidates, dtype=_np.int64) if prefix else candidates
+                scores = engine.score_against(merged, ordinals) if batch else None
+                start = 0
+                if prefix:
+                    # the visit prefix: no union before the first visited match
+                    visit = clusters.roots(ordinals) != root
+                    matched = _np.flatnonzero(visit & (_np.asarray(scores) >= threshold))
+                    start = int(matched[0]) if len(matched) else len(candidates)
+                    comparisons += int(_np.count_nonzero(visit[:start]))
+                for position in range(start, len(candidates)):
+                    candidate = candidates[position]
                     if clusters.find(candidate) == root:
                         continue
                     comparisons += 1

@@ -22,7 +22,7 @@ class EntityCollection:
 
     Descriptions keep their insertion order, which gives every description a
     stable integer *position* used by position-based algorithms (e.g. sorted
-    neighbourhood) and by the MapReduce simulation for partitioning.
+    neighbourhood).
     """
 
     def __init__(

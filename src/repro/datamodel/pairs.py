@@ -122,6 +122,20 @@ def stable_argsort(keys, bound: int):
     return order
 
 
+def first_occurrences(first, second, size: int):
+    """Ascending row indices of the first occurrence of every unordered pair.
+
+    NumPy ordinal columns below ``size`` in, an index array out: one
+    ``np.unique(min * size + max, return_index=True)`` finds the first row
+    of every distinct pair, and sorting those rows restores input order.
+    """
+    low = _np.minimum(first, second)
+    high = _np.maximum(first, second)
+    _codes, index = _np.unique(low * size + high, return_index=True)
+    index.sort()
+    return index
+
+
 def heaviest_first(rank, first, second, weights=None):
     """The stable permutation ordering rows by ``(-weight, rank[first], rank[second])``.
 

@@ -1,12 +1,9 @@
-"""Parallel execution: a real multi-process engine and a MapReduce simulation.
+"""Parallel execution: a multi-process engine over shared columns.
 
 The tutorial discusses MapReduce-based parallelisations of blocking (Dedoop,
-parallel token blocking) and of meta-blocking.  This package provides both a
-*real* multi-core execution path and the original single-process simulation,
-and the two serve different purposes:
-
-**The multi-process engine** (:mod:`repro.mapreduce.parallel`) delivers
-actual wall-clock speedup on multi-core machines:
+parallel token blocking) and of meta-blocking.  This package runs the
+workflow's parallelisable stages on real worker processes
+(:mod:`repro.mapreduce.parallel`):
 
 * :class:`~repro.mapreduce.parallel.ParallelEngine` shards the flat columns
   of the blocks and of the meta-blocking CSR index by contiguous ranges
@@ -53,36 +50,9 @@ merge walks shards in range order.  Segment names carry a parseable
 SIGKILLed driver; a deterministic fault-injection harness
 (:mod:`repro.mapreduce.faults`) lets the chaos suite kill, hang or delay a
 chosen worker at an exact (stage, shard, attempt) coordinate.
-
-**The MapReduce simulation** (:mod:`repro.mapreduce.engine`,
-:mod:`repro.mapreduce.jobs`) remains the readable oracle for the *semantics*
-of the published MapReduce formulations, and the path custom user-defined
-jobs run on:
-
-* :class:`~repro.mapreduce.engine.MapReduceEngine` executes map, shuffle and
-  reduce phases exactly once in-process with a configurable number of
-  simulated workers, charging each worker a per-record cost and reporting
-  the simulated makespan (the maximum per-worker cost), which is what
-  speedup and load-balance experiments measure;
-* :mod:`repro.mapreduce.jobs` defines the parallel token-blocking job and
-  the three-stage parallel meta-blocking jobs;
-* :mod:`repro.mapreduce.balancing` provides reduce-side load-balancing
-  strategies (naive hashing vs. greedy longest-processing-time placement),
-  the knob the parallel meta-blocking papers study under block-size skew.
 """
 
-from repro.mapreduce.balancing import (
-    GreedyBalancedPartitioner,
-    HashPartitioner,
-    Partitioner,
-    contiguous_partitions,
-)
-from repro.mapreduce.engine import JobStatistics, MapReduceEngine, MapReduceJob
-from repro.mapreduce.jobs import (
-    ParallelMetaBlocking,
-    ParallelTokenBlocking,
-    block_collection_from_reduce_output,
-)
+from repro.mapreduce.balancing import contiguous_partitions
 from repro.mapreduce.parallel import ParallelEngine
 from repro.mapreduce.supervisor import (
     DegradedExecutionWarning,
@@ -92,17 +62,8 @@ from repro.mapreduce.supervisor import (
 
 __all__ = [
     "DegradedExecutionWarning",
-    "GreedyBalancedPartitioner",
-    "HashPartitioner",
-    "JobStatistics",
-    "MapReduceEngine",
-    "MapReduceJob",
     "ParallelEngine",
     "Supervisor",
     "WorkerFailureError",
-    "ParallelMetaBlocking",
-    "ParallelTokenBlocking",
-    "Partitioner",
-    "block_collection_from_reduce_output",
     "contiguous_partitions",
 ]

@@ -1,68 +1,16 @@
-"""Reduce-side partitioning and load balancing.
+"""Balanced contiguous partitioning of per-item costs.
 
-The shuffle phase assigns every intermediate key (and its list of values) to
-one reduce worker.  Because block sizes in token blocking are heavily skewed
--- a few tokens appear in a large fraction of all descriptions -- the naive
-hash partitioner can leave one reducer with most of the work.  The
-load-balancing strategies here reproduce that effect and its remedy:
-
-* :class:`HashPartitioner` -- assign keys by a deterministic hash, oblivious
-  to group sizes (the MapReduce default).
-* :class:`GreedyBalancedPartitioner` -- assign keys to workers greedily in
-  decreasing order of group cost (longest-processing-time first), the
-  standard skew-aware heuristic used by block-based load balancing.
+The multi-process engine of :mod:`repro.mapreduce.parallel` shards work by
+*ordinal ranges*, so each worker streams a contiguous slice of the shared
+columns and results concatenate back in ordinal order.  Block sizes in token
+blocking are heavily skewed, so equal-length ranges would leave one worker
+with most of the work; :func:`contiguous_partitions` cuts the ranges by cost
+instead.
 """
 
 from __future__ import annotations
 
-import abc
-import hashlib
-from typing import Dict, List, Sequence, Tuple
-
-
-def stable_hash(key: str) -> int:
-    """Deterministic hash of a string key (Python's ``hash`` is salted per process)."""
-    digest = hashlib.md5(key.encode("utf-8")).hexdigest()
-    return int(digest[:12], 16)
-
-
-class Partitioner(abc.ABC):
-    """Assigns intermediate keys to reduce workers."""
-
-    name = "partitioner"
-
-    @abc.abstractmethod
-    def assign(self, group_costs: Dict[str, float], num_workers: int) -> Dict[str, int]:
-        """Return a mapping ``key -> worker index`` given the cost of each key's group."""
-
-
-class HashPartitioner(Partitioner):
-    """Key-hash partitioning, oblivious to group sizes (the MapReduce default)."""
-
-    name = "hash"
-
-    def assign(self, group_costs: Dict[str, float], num_workers: int) -> Dict[str, int]:
-        if num_workers < 1:
-            raise ValueError("num_workers must be at least 1")
-        return {key: stable_hash(key) % num_workers for key in group_costs}
-
-
-class GreedyBalancedPartitioner(Partitioner):
-    """Longest-processing-time-first assignment of keys to the least-loaded worker."""
-
-    name = "greedy_balanced"
-
-    def assign(self, group_costs: Dict[str, float], num_workers: int) -> Dict[str, int]:
-        if num_workers < 1:
-            raise ValueError("num_workers must be at least 1")
-        loads = [0.0] * num_workers
-        assignment: Dict[str, int] = {}
-        # heaviest groups first; ties broken by key for determinism
-        for key in sorted(group_costs, key=lambda k: (-group_costs[k], k)):
-            worker = min(range(num_workers), key=lambda w: (loads[w], w))
-            assignment[key] = worker
-            loads[worker] += group_costs[key]
-        return assignment
+from typing import List, Sequence, Tuple
 
 
 def contiguous_partitions(
@@ -70,12 +18,8 @@ def contiguous_partitions(
 ) -> List[Tuple[int, int]]:
     """Split ``range(len(costs))`` into ``num_workers`` contiguous balanced ranges.
 
-    The multi-process engine of :mod:`repro.mapreduce.parallel` shards work by
-    *ordinal ranges* (so each worker streams a contiguous slice of the shared
-    columns and results concatenate back in ordinal order), which rules out
-    the per-key partitioners above.  The greedy rule here is their contiguous
-    sibling: walk a prefix sum of the costs and cut whenever the running
-    partition reaches the ideal per-worker share of the remaining work.
+    Walk a prefix sum of the costs and cut whenever the running partition
+    reaches the ideal per-worker share of the remaining work.
 
     Always returns exactly ``num_workers`` ``(start, stop)`` ranges covering
     the input in order; trailing ranges may be empty when there are more
@@ -105,14 +49,3 @@ def contiguous_partitions(
         remaining -= accumulated
         start = stop
     return ranges
-
-
-def load_imbalance(per_worker_cost: Sequence[float]) -> float:
-    """Imbalance ratio: max worker cost / mean worker cost (1.0 is perfectly balanced)."""
-    costs = [c for c in per_worker_cost]
-    if not costs:
-        return 1.0
-    mean = sum(costs) / len(costs)
-    if mean == 0:
-        return 1.0
-    return max(costs) / mean

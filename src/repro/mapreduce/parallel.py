@@ -1,7 +1,7 @@
 """The multi-process parallel engine over shared pipeline columns.
 
-:class:`ParallelEngine` is the driver side of the real (non-simulated)
-parallel execution path: it shards the flat columns of an
+:class:`ParallelEngine` is the driver side of the parallel execution path:
+it shards the flat columns of an
 :class:`~repro.metablocking.entity_index.EntityIndexEngine`, a
 :class:`~repro.blocking.columns.BlockColumns` or a comparison table by
 contiguous ranges (:func:`~repro.mapreduce.balancing.contiguous_partitions`
@@ -41,6 +41,7 @@ orphans left by crashed previous runs (:func:`repro.mapreduce.shm.sweep`).
 
 from __future__ import annotations
 
+import functools
 import multiprocessing
 from array import array
 from typing import Dict, List, Optional, Sequence, Tuple
@@ -66,6 +67,33 @@ def _extend_int64(destination: array, column) -> None:
         )
     else:
         destination.extend(column)
+
+
+def _build_pool(num_workers: int, start_method: Optional[str]):
+    """A worker pool of ``num_workers`` processes (``fork`` when offered)."""
+    method = start_method
+    if method is None and "fork" in multiprocessing.get_all_start_methods():
+        method = "fork"
+    context = (
+        multiprocessing.get_context(method)
+        if method is not None
+        else multiprocessing.get_context()
+    )
+    # only spawned workers run their own resource tracker; forked
+    # (and forkserver) workers share the driver's -- see shm.py.
+    # The driver's tracker must exist BEFORE the fork: otherwise a
+    # forked worker's first attach starts a private tracker that,
+    # when the worker exits, unlinks every segment it ever saw out
+    # from under the driver and its remaining workers.
+    if context.get_start_method() != "spawn":
+        from multiprocessing import resource_tracker
+
+        resource_tracker.ensure_running()
+    return context.Pool(
+        processes=num_workers,
+        initializer=worker.configure,
+        initargs=(context.get_start_method() == "spawn",),
+    )
 
 
 class ParallelEngine:
@@ -119,9 +147,10 @@ class ParallelEngine:
         if num_workers < 1:
             raise ValueError("num_workers must be at least 1")
         self.num_workers = num_workers
-        self._start_method = start_method
+        # a plain function, not a bound method: the supervisor must not hold
+        # the engine, or engine and supervisor form a reference cycle
         self._supervisor = Supervisor(
-            self._build_pool,
+            functools.partial(_build_pool, num_workers, start_method),
             timeout=worker_timeout,
             max_retries=max_shard_retries,
             on_failure=on_worker_failure,
@@ -149,31 +178,6 @@ class ParallelEngine:
         happy path.
         """
         return self._supervisor.stats
-
-    def _build_pool(self):
-        method = self._start_method
-        if method is None and "fork" in multiprocessing.get_all_start_methods():
-            method = "fork"
-        context = (
-            multiprocessing.get_context(method)
-            if method is not None
-            else multiprocessing.get_context()
-        )
-        # only spawned workers run their own resource tracker; forked
-        # (and forkserver) workers share the driver's -- see shm.py.
-        # The driver's tracker must exist BEFORE the fork: otherwise a
-        # forked worker's first attach starts a private tracker that,
-        # when the worker exits, unlinks every segment it ever saw out
-        # from under the driver and its remaining workers.
-        if context.get_start_method() != "spawn":
-            from multiprocessing import resource_tracker
-
-            resource_tracker.ensure_running()
-        return context.Pool(
-            processes=self.num_workers,
-            initializer=worker.configure,
-            initargs=(context.get_start_method() == "spawn",),
-        )
 
     def _run(self, job, tasks: Sequence[tuple], stage: str) -> list:
         if self._closed:

@@ -17,7 +17,11 @@ Two engines sit behind one interface, mirroring the meta-blocking engines:
     entries of one row of every pair are looked up in the other row with a
     single ``searchsorted`` over the globally sorted key column and summed
     per pair with a single ``bincount``.  No description, profile or
-    decision object exists per pair.
+    decision object exists per pair.  Its one-vs-many twin,
+    :meth:`MatchingEngine.score_against`, scores a profile outside the
+    columns (a merge) token-major: the rows holding each of its tokens come
+    from the columns' transpose, and the per-candidate sums are the very
+    sums the kernel would form.
   - The exact body (:meth:`MatchingEngine._exact`) scores one pair of cached
     :class:`~repro.text.profile_store.Profile` objects with the very
     expressions of the per-pair matcher: integer intersection counts fed to
@@ -61,6 +65,7 @@ runs on the calling process.
 
 from __future__ import annotations
 
+from itertools import repeat
 from typing import Dict, List, Optional, Sequence, Tuple, Union
 
 from repro.datamodel.collection import CleanCleanTask, EntityCollection
@@ -343,13 +348,22 @@ class MatchingEngine:
             scores = self.score_ordinal_pairs(first, second)
         else:
             store = self._batch_store("decide_ordinal_pairs", ordinals=True)
-            profile = store.ordinal_profile
-            scores = self._column_scores(
-                store,
-                first,
-                second,
-                lambda i: self._exact(profile(first[i]), profile(second[i])),
-            )
+            columns = store.columns()
+            rows_a = _np.asarray(first, dtype=_np.int64)
+            rows_b = _np.asarray(second, dtype=_np.int64)
+            shared = columns.shared(rows_a, rows_b)
+            if columns.weights is None:
+                scores = self._set_scores(
+                    columns.sizes[rows_a].tolist(), columns.sizes[rows_b].tolist(), shared
+                )
+            else:
+                profile = store.ordinal_profile
+                scores = self._cosine_scores(
+                    shared,
+                    columns.norms[rows_a] * columns.norms[rows_b],
+                    columns.margin(),
+                    lambda i: self._exact(profile(first[i]), profile(second[i])),
+                )
         return [score >= threshold for score in scores]
 
     def score_against(
@@ -360,52 +374,53 @@ class MatchingEngine:
         The one-vs-many entry point of the update/iterate phase: one side is
         a transient description (a merge, tokenised on demand into the shared
         vocabulary and not retained by the store), the other side is named by
-        the shared context's ordinals.  The merge becomes the transient row
-        of the store's profile columns and the candidates are scored by the
-        kernel of :meth:`decide_ordinal_pairs`; without NumPy every candidate
-        goes through the exact body.  Scores come back in the order of
-        ``ordinals``.  They are for thresholding: ``score >= threshold`` is
-        the per-pair matcher's decision on every pair, the set similarities
-        are exact, and a TF-IDF cosine farther from the threshold than the
-        columns' margin is the vectorised one (within that margin of exact).
+        the shared context's ordinals.  The candidates are scored token-major
+        (:meth:`ProfileColumns.shared_with
+        <repro.text.profile_store.ProfileColumns.shared_with>`: the sums
+        :meth:`decide_ordinal_pairs` would form for the pair, bit for bit)
+        with the same exact refinement at the threshold; without NumPy every
+        candidate goes through the exact body.  Scores come back in the
+        order of ``ordinals``.  They are for thresholding: ``score >=
+        threshold`` is the per-pair matcher's decision on every pair, the set
+        similarities are exact, and a TF-IDF cosine farther from the
+        threshold than the columns' margin is the vectorised one (within
+        that margin of exact).
         """
         store = self._batch_store("score_against", ordinals=True)
         query = store.build(description)
         profile = store.ordinal_profile
         if not self._use_numpy or not len(ordinals):
             return [self._exact(query, profile(ordinal)) for ordinal in ordinals]
-        row = store.columns().set_query(query)
-        return self._column_scores(
-            store,
-            _np.full(len(ordinals), row),
-            ordinals,
+        columns = store.columns()
+        rows = _np.asarray(ordinals, dtype=_np.int64)
+        shared = columns.shared_with(query, rows)
+        if columns.weights is None:
+            return self._set_scores(repeat(len(query)), columns.sizes[rows].tolist(), shared)
+        return self._cosine_scores(
+            shared,
+            query.norm * columns.norms[rows],
+            columns.margin(len(query)),
             lambda i: self._exact(query, profile(ordinals[i])),
         )
 
-    def _column_scores(self, store: ProfileStore, first, second, exact) -> List[float]:
-        """Scores of row pairs of the store's columns, exact where it decides.
+    def _set_scores(self, sizes_a, sizes_b, shared) -> List[float]:
+        """Set similarities from profile sizes and shared-token counts."""
+        # exact integers in, the oracle's expression per pair: (a * b) ** 0.5
+        # is not np.sqrt, so the final step stays scalar
+        name = self.matcher.similarity_name
+        return [
+            _set_score(name, size_a, size_b, count)
+            for size_a, size_b, count in zip(sizes_a, sizes_b, shared.tolist())
+        ]
+
+    def _cosine_scores(self, shared, scale, margin: float, exact) -> List[float]:
+        """TF-IDF cosines ``shared / scale``, exact where they decide.
 
         ``exact(i)`` is the exact body on pair ``i``; it replaces every
-        TF-IDF score within the columns' margin of the threshold.
+        cosine within ``margin`` of the threshold.
         """
-        columns = store.columns()
-        first = _np.asarray(first, dtype=_np.int64)
-        second = _np.asarray(second, dtype=_np.int64)
-        shared = columns.shared(first, second)
-        if columns.weights is None:
-            # exact integers in, the oracle's expression per pair: (a * b) **
-            # 0.5 is not np.sqrt, so the final step stays scalar
-            name = self.matcher.similarity_name
-            sizes = columns.sizes
-            return [
-                _set_score(name, size_a, size_b, count)
-                for size_a, size_b, count in zip(
-                    sizes[first].tolist(), sizes[second].tolist(), shared.tolist()
-                )
-            ]
-        scale = columns.norms[first] * columns.norms[second]
         scores = _np.divide(shared, scale, out=_np.zeros(len(scale)), where=scale > 0.0)
-        near = _np.abs(scores - self.matcher.threshold) <= columns.margin()
+        near = _np.abs(scores - self.matcher.threshold) <= margin
         for index in _np.flatnonzero(near).tolist():
             scores[index] = exact(index)
         return scores.tolist()

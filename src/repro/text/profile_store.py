@@ -36,7 +36,9 @@ globally sorted ``row * stride + id`` key column), derived from
 ``context.token_columns()`` in a handful of array operations with no
 :class:`Profile` object per description.  It is what the matching engine's
 ordinal-pair kernel reads (:meth:`MatchingEngine.decide_ordinal_pairs
-<repro.matching.engine.MatchingEngine.decide_ordinal_pairs>`); its weights
+<repro.matching.engine.MatchingEngine.decide_ordinal_pairs>`), and its
+lazily built transpose (rows per token) is what scores a merge against its
+neighbourhood (:meth:`ProfileColumns.shared_with`); its weights
 are the very floats of the per-description profiles (the same IEEE
 operations, elementwise), its dot products and norms are plain vectorised
 sums -- see :meth:`ProfileColumns.margin` for how far those can be from the
@@ -129,23 +131,27 @@ class Profile:
 
 
 class ProfileColumns:
-    """Every context description's profile as one CSR, plus one query row.
+    """Every context description's profile as one CSR, and its transpose.
 
     Row ``o`` (a context ordinal) holds the sorted token ids the store's
     token filter admits and, in TF-IDF mode, the aligned weights -- the
     floats the per-description :class:`Profile` carries, derived by the same
     IEEE operations elementwise.  ``keys`` is ``row * stride + id`` over all
     rows: ascending by construction, so one ``searchsorted`` finds any
-    (row, id) entry.  Row :attr:`query_row` (one past the last ordinal) is a
-    transient row that :meth:`set_query` overwrites per query of the
-    one-vs-many pass; it sits at the end of the same columns, so
-    :meth:`shared` treats it like any other row.
+    (row, id) entry (:meth:`shared`, row against row).
+
+    The transpose -- per token id, the rows that hold it and their weights
+    -- is built lazily, once, by one stable argsort of the id column; it
+    scores one profile outside the columns against many rows
+    (:meth:`shared_with`, the update phase's merges).
 
     ``sizes`` is the profile length per row (what the set similarities
     divide by), ``norms`` the L2 norm per row (TF-IDF mode only).
     """
 
-    __slots__ = ("ptr", "ids", "weights", "keys", "sizes", "norms", "stride", "_longest")
+    __slots__ = (
+        "ptr", "ids", "weights", "keys", "sizes", "norms", "stride", "_longest", "_by_token"
+    )
 
     def __init__(self, context, token_filter, vectorizer=None) -> None:
         np = _np
@@ -161,11 +167,12 @@ class ProfileColumns:
             np.cumsum(keep, out=kept_before[1:])
             ptr, ids, counts = kept_before[ptr], ids[keep], counts[keep]
         sizes = np.diff(ptr)
-        self.ptr = np.append(ptr, ptr[-1])
-        self.sizes = np.append(sizes, 0)
+        self.ptr = ptr
+        self.sizes = sizes
         self.ids = ids
         self.keys = np.repeat(np.arange(len(sizes)) * self.stride, sizes) + ids
         self._longest = int(sizes.max(initial=0))
+        self._by_token = None
         self.weights = self.norms = None
         if vectorizer is not None:
             # the idf floats are the vectorizer's own (np.log need not round
@@ -179,47 +186,10 @@ class ProfileColumns:
             starts = ptr[:-1][filled]
             max_count = np.repeat(np.maximum.reduceat(counts, starts), sizes[filled])
             self.weights = (0.5 + 0.5 * counts / max_count) * idf[ids]
-            self.norms = np.zeros(len(sizes) + 1, dtype=np.float64)
-            self.norms[:-1][filled] = np.sqrt(
-                np.add.reduceat(self.weights * self.weights, starts)
-            )
+            self.norms = np.zeros(len(sizes), dtype=np.float64)
+            self.norms[filled] = np.sqrt(np.add.reduceat(self.weights * self.weights, starts))
 
-    @property
-    def query_row(self) -> int:
-        return len(self.sizes) - 1
-
-    def set_query(self, profile: Profile) -> int:
-        """Make ``profile`` the transient row and return its row number.
-
-        Ids the vocabulary gained after the columns were built stay out of
-        the row: no context row holds them, so they are shared with none --
-        the row's size and norm are the profile's own and do count them.
-        """
-        np = _np
-        row = self.query_row
-        ids = np.array(profile.token_ids, dtype=np.int64)
-        known = ids < self.stride
-        ids = ids[known]
-        start = int(self.ptr[row])
-        stop = start + len(ids)
-        missing = stop - len(self.ids)
-        if missing > 0:
-            room = np.zeros(max(missing, 1024), dtype=np.int64)
-            self.ids = np.concatenate((self.ids, room))
-            self.keys = np.concatenate((self.keys, room))
-            if self.weights is not None:
-                self.weights = np.concatenate((self.weights, room.astype(np.float64)))
-        self.ids[start:stop] = ids
-        self.keys[start:stop] = row * self.stride + ids
-        self.ptr[row + 1] = stop
-        self.sizes[row] = len(profile)
-        if self.weights is not None:
-            weights = np.array(profile.weights or (), dtype=np.float64)
-            self.weights[start:stop] = weights[known]
-            self.norms[row] = profile.norm
-        return row
-
-    def margin(self) -> float:
+    def margin(self, query_size: int = 0) -> float:
         """How far a cosine from these columns can be from the exact one.
 
         Both paths multiply the same weight pairs (one rounding, the same
@@ -231,9 +201,11 @@ class ProfileColumns:
         norms by ``(L / 2 + 2) u`` (a square root halves the error of its
         argument and rounds once), the norm products and the quotients
         round once per path: ``(2 L + 8) u`` of a score that is at most 1.
-        The margin is twice that.
+        The margin is twice that.  ``query_size`` is the length of a profile
+        scored against the rows (:meth:`shared_with`); it counts towards
+        ``L``.
         """
-        longest = max(self._longest, int(self.sizes[-1]))
+        longest = max(self._longest, query_size)
         return (4 * longest + 16) * 2.0**-53
 
     def shared(self, first, second):
@@ -257,7 +229,7 @@ class ProfileColumns:
         pair = np.repeat(np.arange(len(probe)), sizes)
         entry = np.arange(bounds[-1]) + np.repeat(ptr[probe] - bounds[:-1], sizes)
         wanted = np.repeat(table * self.stride, sizes) + self.ids[entry]
-        keys = self.keys[: ptr[-1]]
+        keys = self.keys
         found = np.searchsorted(keys, wanted)
         found[found == len(keys)] = 0
         hit = keys[found] == wanted
@@ -266,6 +238,56 @@ class ProfileColumns:
             return np.bincount(pair, minlength=len(probe))
         products = self.weights[entry[hit]] * self.weights[found[hit]]
         return np.bincount(pair, weights=products, minlength=len(probe))
+
+    def _transpose(self):
+        """``(ptr, rows, weights, slot)``: per token id ``t``, the rows that
+        hold it, ``rows[ptr[t]:ptr[t + 1]]`` in ascending row order, and
+        their aligned weights (``None`` in set mode); ``slot`` is a row-sized
+        scratch column of ``-1``."""
+        if self._by_token is None:
+            np = _np
+            order = np.argsort(self.ids, kind="stable")
+            ptr = np.zeros(self.stride + 1, dtype=np.int64)
+            np.cumsum(np.bincount(self.ids, minlength=self.stride), out=ptr[1:])
+            rows = np.repeat(np.arange(len(self.sizes)), self.sizes)[order]
+            weights = self.weights[order] if self.weights is not None else None
+            slot = np.full(len(self.sizes), -1, dtype=np.int64)
+            self._by_token = (ptr, rows, weights, slot)
+        return self._by_token
+
+    def shared_with(self, profile: Profile, rows):
+        """Per row of ``rows``: what :meth:`shared` gives for that row and a
+        row holding ``profile``.
+
+        The transpose segments of the profile's ids are gathered in
+        ascending id order and ``bincount`` adds each row's hits in that
+        order -- the ids and products :meth:`shared` adds, in its order, so
+        the sums are bit-equal.  Ids the vocabulary gained after the columns
+        were built are held by no row.  Rows are placed through the scratch
+        ``slot`` column (reset before returning), so a call costs what the
+        profile's segments hold, not the number of rows.
+        """
+        np = _np
+        token_ptr, token_rows, token_weights, slot = self._transpose()
+        rows = np.asarray(rows, dtype=np.int64)
+        ids = np.asarray(profile.token_ids, dtype=np.int64)
+        known = ids < self.stride
+        starts = token_ptr[ids[known]]
+        lengths = token_ptr[ids[known] + 1] - starts
+        bounds = np.cumsum(lengths) - lengths
+        entry = np.repeat(starts - bounds, lengths) + np.arange(int(lengths.sum()))
+        slot[rows] = np.arange(len(rows))
+        try:
+            position = slot[token_rows[entry]]
+            back = slot[rows]
+        finally:
+            slot[rows] = -1
+        hit = position >= 0
+        if token_weights is None:
+            return np.bincount(position[hit], minlength=len(rows))[back]
+        weights = np.asarray(profile.weights or (), dtype=np.float64)[known]
+        products = np.repeat(weights, lengths)[hit] * token_weights[entry[hit]]
+        return np.bincount(position[hit], weights=products, minlength=len(rows))[back]
 
 
 class ProfileStore:

@@ -33,6 +33,7 @@ from repro.datasets.builtin import load_census, load_restaurants
 from repro.evaluation.metrics import evaluate_blocks, evaluate_comparisons
 from repro.metablocking import entity_index as entity_index_module
 from repro.metablocking.entity_index import EntityIndexEngine
+from repro.progressive import engine as scheduling_module
 
 #: the kernel bodies this interpreter can run (``use_numpy`` values)
 BODIES = (True, False) if columns_module._np is not None else (False,)
@@ -375,15 +376,21 @@ class TestLazyView:
         assert result.report.stage("block_filtering@index").get("blocks") > 0
         assert blocks_constructed == []
 
-    def test_without_metablocking_each_block_is_materialised_once(
-        self, publications, blocks_constructed
+    @pytest.mark.parametrize("iterate_merges", [False, True])
+    def test_without_metablocking_no_block_is_constructed(
+        self, publications, blocks_constructed, iterate_merges
     ):
-        result = default_workflow(enable_metablocking=False).run(publications.collection)
+        result = default_workflow(
+            enable_metablocking=False, iterate_merges=iterate_merges
+        ).run(publications.collection)
         assert result.clusters
-        # the cleaned blocks feed the scheduler; the raw and the purged
-        # collections stay columns
+        # the scheduler takes the cleaned blocks' pairs from their columns
+        # (the plain-loop body walks them as objects, each once), the update
+        # phase its neighbourhoods from the raw blocks' columns
         cleaned = result.report.stage("block_filtering@index").get("blocks")
-        assert len(blocks_constructed) == cleaned > 0
+        assert cleaned > 0
+        walked = cleaned if scheduling_module._np is None else 0
+        assert len(blocks_constructed) == walked
 
     def test_iterating_a_result_materialises_each_block_once(
         self, publications, blocks_constructed

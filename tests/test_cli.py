@@ -158,6 +158,26 @@ def test_unknown_scheme_name_is_a_usage_error(flag, capsys):
     assert "invalid choice: 'bogus'" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize(
+    "command", [["resolve", "x.json"], ["link", "left.json", "right.json"]]
+)
+@pytest.mark.parametrize(
+    "option, message",
+    [
+        (["--budget", "-5"], "budget must be None or a non-negative int"),
+        (["--num-workers", "0"], "num_workers must be at least 1"),
+    ],
+)
+def test_a_bad_option_value_is_a_usage_error(command, option, message, capsys):
+    """A value the option's type admits but the workflow refuses exits 2
+    with the message, before any input file is read."""
+    with pytest.raises(SystemExit) as usage_error:
+        main(command + option)
+    assert usage_error.value.code == 2
+    err = capsys.readouterr().err
+    assert err.startswith("usage:") and message in err
+
+
 def test_clustering_algorithm_flag(tmp_path, capsys):
     data = tmp_path / "dirty.csv"
     main(["generate", "--entities", "30", "--seed", "7", "--output", str(data)])

@@ -13,6 +13,7 @@ from __future__ import annotations
 
 import math
 import random
+from array import array
 
 import pytest
 from hypothesis import given, settings
@@ -33,7 +34,7 @@ from repro.matching import (
 from repro.progressive.runner import run_progressive
 from repro.progressive.scheduler import CostBenefitScheduler
 from repro.progressive.schedulers import StaticOrderScheduler, WeightOrderScheduler
-from repro.text.profile_store import ProfileStore
+from repro.text.profile_store import Profile, ProfileStore
 from repro.text.vectorizer import TfIdfVectorizer
 
 try:
@@ -474,10 +475,11 @@ class TestWorkflowEquivalence:
         assert oracle.calls == result.comparisons_executed
 
 
-def assert_decision_exact(engine, scores, exact):
-    """The contract of ``score_against``: thresholding gives the oracle's
-    decisions; scores are exact in the set modes and without NumPy, and
-    within the columns' margin of exact on the TF-IDF kernel."""
+def assert_decision_exact(engine, query, scores, exact):
+    """The contract of ``score_against(query, ...)``: thresholding gives the
+    oracle's decisions; scores are exact in the set modes and without NumPy,
+    and within the columns' margin (for the query's length) of exact on the
+    TF-IDF kernel."""
     threshold = engine.matcher.threshold
     assert [score >= threshold for score in scores] == [
         score >= threshold for score in exact
@@ -485,7 +487,8 @@ def assert_decision_exact(engine, scores, exact):
     if engine.matcher.vectorizer is None or not engine._use_numpy or not exact:
         assert scores == exact
     else:
-        assert scores == pytest.approx(exact, rel=0, abs=engine.store.columns().margin())
+        margin = engine.store.columns().margin(len(engine.store.build(query)))
+        assert scores == pytest.approx(exact, rel=0, abs=margin)
 
 
 def _force_pure_python(monkeypatch):
@@ -606,6 +609,31 @@ class TestUpdatePhaseEquivalence:
         assert batch.iterations == 2
 
     @pytest.mark.parametrize("use_numpy", NUMPY_MODES, ids=lambda flag: f"numpy={flag}")
+    def test_clustered_candidates_before_the_first_visited_match(self, use_numpy, monkeypatch):
+        """The visit prefix of ``a+b`` is ``aa`` (clustered with ``a``: not
+        a comparison) then ``c`` (visited, no match); ``d`` is the first
+        visited match, and its union absorbs ``dd`` behind it."""
+        if not use_numpy:
+            _force_pure_python(monkeypatch)
+        data = self._collection(
+            a=["xp", "xq", "xr", "xs"],
+            aa=["xp", "xq", "xr", "xs", "xu"],
+            b=["xp", "xq", "xr", "xt"],
+            c=["xp", "zone", "ztwo", "zthree"],
+            d=["xr", "xs", "xt", "xv"],
+            dd=["xr", "xs", "xt", "xv", "xw"],
+        )
+        batch = _run_update_phase(data, "batch", **self.BARE)
+        pairwise = _run_update_phase(data, "pairwise", **self.BARE)
+        _assert_same_update_phase(batch, pairwise)
+        assert batch.matches[:4] == [("a", "aa"), ("a", "b"), ("aa", "b"), ("d", "dd")]
+        assert batch.matches[4:] == [("a", "d")]
+        stage = batch.report.stage("update_iterate")
+        # round 1: a+aa visits c, d, dd; a+b c, d; aa+b c; d+dd (which shares
+        # no token with c) nothing; round 2: a+d visits c
+        assert (stage.get("candidates"), stage.get("comparisons")) == (19, 7)
+
+    @pytest.mark.parametrize("use_numpy", NUMPY_MODES, ids=lambda flag: f"numpy={flag}")
     def test_second_round_finds_what_the_first_could_not(self, use_numpy, monkeypatch):
         """``d`` matches neither ``a+b`` nor any source, only the ``a+c``
         merge that exists once round 1 has found ``(a, c)``."""
@@ -649,6 +677,7 @@ class TestUpdatePhaseEquivalence:
         for merged in (known, novel, known):
             assert_decision_exact(
                 engine,
+                merged,
                 engine.score_against(merged, ordinals),
                 [matcher.similarity(merged, description) for description in collection],
             )
@@ -690,6 +719,7 @@ class TestUpdatePhaseEquivalence:
             for subset in (ordinals, ordinals[:1], []):
                 assert_decision_exact(
                     engine,
+                    query,
                     engine.score_against(query, subset),
                     [matcher.similarity(query, collection[ordinal]) for ordinal in subset],
                 )
@@ -961,6 +991,59 @@ class TestColumnarDrain:
 
 
 @pytest.mark.skipif(not HAS_NUMPY, reason="numpy not installed")
+@pytest.mark.parametrize("mode", KERNEL_MODES)
+class TestTokenMajorScores:
+    """``ProfileColumns.shared_with`` (one profile against many rows, through
+    the transpose) against ``ProfileColumns.shared`` (row against row): the
+    same sums, bit for bit (``==``).  ``score_against`` then divides by the
+    query's exact norm where the pair kernel takes the row's summed one, so
+    its set scores and its decisions are the pair kernel's."""
+
+    @staticmethod
+    def _setup(mode, seed=21):
+        context = PipelineContext(_random_collection(seed))
+        engine = MatchingEngine(_kernel_matcher(mode, context, 0.3), context=context)
+        store = engine._batch_store("test", ordinals=True)
+        return context, engine, store, store.columns()
+
+    def test_every_row_as_the_query(self, mode):
+        context, engine, store, columns = self._setup(mode)
+        size = context.num_descriptions
+        rows = list(range(size)) + [3, 3, 0]  # repeated candidates too
+        for query in range(size):
+            token_major = columns.shared_with(store.ordinal_profile(query), rows)
+            pair_kernel = columns.shared([query] * len(rows), rows)
+            assert token_major.tolist() == pair_kernel.tolist()
+            assert 0 in pair_kernel.tolist()  # candidates that share nothing
+            scores = engine.score_against(context.description(query), rows)
+            flags = engine.decide_ordinal_pairs([query] * len(rows), rows)
+            assert [score >= 0.3 for score in scores] == flags
+            if mode != "tfidf":
+                assert scores == engine.score_ordinal_pairs([query] * len(rows), rows)
+
+    def test_ids_beyond_the_stride_are_shared_with_no_row(self, mode):
+        context, _engine, store, columns = self._setup(mode)
+        rows = list(range(context.num_descriptions))
+        for query in range(context.num_descriptions):
+            known = store.ordinal_profile(query)
+            extended = Profile(
+                "outsider",
+                array("q", list(known.token_ids) + [columns.stride, columns.stride + 3]),
+                None if mode != "tfidf" else array("d", list(known.weights or ()) + [0.5, 2.0]),
+            )
+            assert columns.shared_with(extended, rows).tolist() == (
+                columns.shared_with(known, rows).tolist()
+            )
+
+    def test_an_empty_query_and_no_candidates(self, mode):
+        context, _engine, store, columns = self._setup(mode)
+        empty = Profile("empty", array("q"))
+        rows = list(range(context.num_descriptions))
+        assert columns.shared_with(empty, rows).tolist() == [0] * len(rows)
+        assert columns.shared_with(store.ordinal_profile(0), []).tolist() == []
+
+
+@pytest.mark.skipif(not HAS_NUMPY, reason="numpy not installed")
 class TestKernelMargin:
     """The vectorised cosine stays within the margin the code states."""
 
@@ -989,10 +1072,19 @@ class TestKernelMargin:
         size = len(collection)
         first = [a for a in range(size) for b in range(size) if a != b]
         second = [b for a in range(size) for b in range(size) if a != b]
-        store = engine._batch_store("test", ordinals=True)
+        import numpy as np
+
+        rows_a = np.asarray(first, dtype=np.int64)
+        rows_b = np.asarray(second, dtype=np.int64)
+        columns = engine._batch_store("test", ordinals=True).columns()
         exact = engine.score_ordinal_pairs(first, second)
-        vectorised = engine._column_scores(store, first, second, exact=exact.__getitem__)
-        margin = store.columns().margin()
+        margin = columns.margin()
+        vectorised = engine._cosine_scores(
+            columns.shared(rows_a, rows_b),
+            columns.norms[rows_a] * columns.norms[rows_b],
+            margin,
+            exact.__getitem__,
+        )
         assert 0.0 < margin < 1e-12
         assert max(abs(v - e) for v, e in zip(vectorised, exact)) <= margin
 

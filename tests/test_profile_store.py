@@ -164,8 +164,21 @@ class TestContextOrdinalViews:
             if tfidf:
                 assert columns.weights[rows].tolist() == list(profile.weights or ())
                 assert columns.norms[ordinal] == pytest.approx(profile.norm, rel=1e-15)
-        assert columns.query_row == 4 and ptr[4] == ptr[5]
-        assert (numpy.diff(columns.keys[: ptr[-1]]) > 0).all()
+        assert len(columns.sizes) == len(ptr) - 1 == 4
+        assert (numpy.diff(columns.keys) > 0).all()
+        # the transpose lists, per token id, the rows holding it in row order
+        token_ptr, token_rows, token_weights, _slot = columns._transpose()
+        for token_id in range(columns.stride):
+            segment = slice(token_ptr[token_id], token_ptr[token_id + 1])
+            holders = [o for o in range(4) if token_id in store.ordinal_profile(o).token_ids]
+            assert token_rows[segment].tolist() == holders
+            if tfidf:
+                assert token_weights[segment].tolist() == [
+                    dict(zip(store.ordinal_profile(o).token_ids, store.ordinal_profile(o).weights))[
+                        token_id
+                    ]
+                    for o in holders
+                ]
 
     def test_a_store_without_context_has_no_ordinals(self):
         with pytest.raises(ValueError, match="shared pipeline context"):

@@ -13,10 +13,13 @@ import random
 import pytest
 
 import repro.datamodel.pairs as pairs_module
+import repro.progressive.engine as scheduling_module
+from repro.blocking.base import Block, BlockCollection
 from repro.blocking.cleaning import BlockFiltering, BlockPurging
 from repro.blocking.engine import BlockingEngine
 from repro.blocking.token_blocking import TokenBlocking
-from repro.datamodel.pairs import Comparison, ComparisonColumns
+from repro.core.context import PipelineContext
+from repro.datamodel.pairs import Comparison, ComparisonColumns, first_occurrences
 from repro.datasets import (
     DatasetConfig,
     generate_clean_clean_task,
@@ -24,7 +27,11 @@ from repro.datasets import (
 )
 from repro.matching.matchers import ProfileSimilarityMatcher
 from repro.metablocking.pipeline import MetaBlocking
-from repro.progressive.engine import SCHEDULING_ENGINES, SchedulingEngine
+from repro.progressive.engine import (
+    SCHEDULING_ENGINES,
+    SchedulingEngine,
+    _columns_from_blocks,
+)
 from repro.progressive.psnm import (
     ProgressiveBlockScheduler,
     ProgressiveSortedNeighborhood,
@@ -383,3 +390,78 @@ def engine_with_rows(engine, rows):
 
     stub = _Stub(engine.scheduler, engine="array")
     return stub
+
+
+class TestBlockPairKernel:
+    """``_columns_from_blocks``: the NumPy body against the Block loop and
+    the plain-loop body -- the same rows, in the same order."""
+
+    @staticmethod
+    def _rows(columns):
+        return [columns.pair(index) for index in range(len(columns))]
+
+    @staticmethod
+    def _both_bodies(blocks, monkeypatch):
+        with_numpy = _columns_from_blocks(blocks)
+        with monkeypatch.context() as patch:
+            patch.setattr(scheduling_module, "_np", None)
+            without_numpy = _columns_from_blocks(blocks)
+        return with_numpy, without_numpy
+
+    @pytest.mark.skipif(not HAS_NUMPY, reason="needs both NumPy and fallback paths")
+    @pytest.mark.parametrize("kind", ["dirty", "clean_clean"])
+    def test_column_backed_blocks(self, kind, monkeypatch):
+        data, _ = _dataset(kind, seed=31)
+        context = PipelineContext(data)
+        blocks = BlockingEngine(TokenBlocking(), context=context).build(data)
+        columns = _columns_from_blocks(blocks)
+        # the table is the context's own and no Block was materialised
+        assert columns.ids is context.ids and blocks._columns is not None
+        expected = [comparison.pair for comparison in blocks.distinct_comparisons()]
+        assert blocks.total_comparisons() > len(expected)  # pairs repeat across blocks
+        assert self._rows(columns) == expected
+        # the blocks are objects now: both bodies intern them afresh
+        with_numpy, without_numpy = self._both_bodies(blocks, monkeypatch)
+        assert self._rows(with_numpy) == self._rows(without_numpy) == expected
+
+    @pytest.mark.skipif(not HAS_NUMPY, reason="needs both NumPy and fallback paths")
+    def test_mixed_blocks_whose_table_is_not_in_identifier_order(self, monkeypatch):
+        blocks = BlockCollection(
+            [
+                Block("k1", members=["m", "c", "x", "a"]),
+                Block("k2", left_members=["x", "b"], right_members=["a", "z"]),
+                Block("k3", members=["a", "c", "z"]),
+            ]
+        )
+        with_numpy, without_numpy = self._both_bodies(blocks, monkeypatch)
+        assert with_numpy.ids == ["m", "c", "x", "a", "b", "z"]  # first seen
+        expected = [comparison.pair for comparison in blocks.distinct_comparisons()]
+        assert len(expected) == 11  # (a, c) and (a, x) repeat
+        assert self._rows(with_numpy) == self._rows(without_numpy) == expected
+        assert with_numpy.distinct and with_numpy.weights is None
+
+    @pytest.mark.parametrize("use_numpy", [True, False], ids=["numpy", "plain"])
+    def test_one_description_on_both_sides_raises(self, use_numpy, monkeypatch):
+        if not use_numpy:
+            monkeypatch.setattr(scheduling_module, "_np", None)
+        elif not HAS_NUMPY:
+            pytest.skip("numpy not installed")
+        blocks = BlockCollection([Block("k", left_members=["a", "b"], right_members=["c", "a"])])
+        with pytest.raises(ValueError, match="'a' twice"):
+            _columns_from_blocks(blocks)
+
+    @pytest.mark.skipif(not HAS_NUMPY, reason="needs NumPy")
+    def test_first_occurrences_keeps_the_rows_deduplicated_keeps(self):
+        import numpy as np
+        from array import array
+
+        rng = random.Random(5)
+        ids = [f"i{k:02d}" for k in rng.sample(range(30), 30)]
+        rows = [rng.sample(range(30), 2) for _ in range(300)]  # both orientations repeat
+        first = array("q", (a for a, _ in rows))
+        second = array("q", (b for _, b in rows))
+        deduplicated = ComparisonColumns(ids, first, second).deduplicated()
+        keep = first_occurrences(np.asarray(first), np.asarray(second), len(ids))
+        assert len(deduplicated) == len(keep) < len(rows)
+        assert deduplicated.first.tolist() == np.asarray(first)[keep].tolist()
+        assert deduplicated.second.tolist() == np.asarray(second)[keep].tolist()

@@ -97,6 +97,27 @@ class TestIntUnionFind:
         for i in range(50):
             assert keyed.find(str(i)) == str(coded.find(i))
 
+    def test_roots_equal_find_after_random_unions(self):
+        import random
+
+        import repro.core.unionfind as unionfind_module
+
+        if unionfind_module._np is None:
+            pytest.skip("numpy not installed")
+        rng = random.Random(7)
+        links = IntUnionFind(200)
+        for step in range(150):
+            links.union(rng.randrange(200), rng.randrange(200))
+            if step % 50 == 49:
+                ordinals = [rng.randrange(200) for _ in range(120)]
+                parent = list(links.parent)
+                roots = links.roots(ordinals).tolist()
+                assert list(links.parent) == parent  # read only
+                assert roots == [links.find(ordinal) for ordinal in ordinals]
+        assert list(links.roots([])) == []
+        links.grow(210)  # no buffer export outlives the call
+        assert links.roots([205])[0] == 205
+
 
 class TestConsumerRegressions:
     """Pin the cluster output of every module that migrated to UnionFind."""

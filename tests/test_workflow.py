@@ -110,9 +110,8 @@ class TestWorkflowConfig:
 
     @pytest.mark.parametrize("max_iterations", [0, -1])
     def test_iteration_needs_at_least_one_round(self, small_dirty_dataset, max_iterations):
-        workflow = default_workflow(iterate_merges=True, max_iterations=max_iterations)
         with pytest.raises(ValueError, match="max_iterations"):
-            workflow.run(small_dirty_dataset.collection)
+            default_workflow(iterate_merges=True, max_iterations=max_iterations)
         # the bound is only read by the update phase
         assert default_workflow(max_iterations=max_iterations).run(
             small_dirty_dataset.collection
@@ -155,6 +154,25 @@ class TestWorkflowExecution:
             results["oracle"].report.stage("blocking[token_blocking@oracle]").notes
             == "oracle: ReadableBlocking"
         )
+
+    @pytest.mark.parametrize("iterate_merges", [False, True])
+    def test_a_serial_run_leaves_no_reference_cycle(self, small_dirty_dataset, iterate_merges):
+        """Everything a run builds is freed by reference counting: a
+        long-lived caller's RSS does not wait for a full collection."""
+        import gc
+
+        data = small_dirty_dataset.collection
+        default_workflow(iterate_merges=iterate_merges).run(data)  # first-use imports
+        gc.collect()
+        gc.set_debug(gc.DEBUG_SAVEALL)
+        try:
+            default_workflow(iterate_merges=iterate_merges).run(data)
+            gc.collect()
+            left = [type(thing).__name__ for thing in gc.garbage]
+        finally:
+            gc.set_debug(0)
+            gc.garbage.clear()
+        assert left == []
 
     def test_workflow_without_ground_truth_still_runs(self, small_dirty_dataset):
         result = default_workflow().run(small_dirty_dataset.collection)
