@@ -5,6 +5,7 @@ import pytest
 from repro.datamodel.collection import CleanCleanTask
 from repro.datasets import DatasetConfig, generate_bibliographic_dataset, generate_clean_clean_task, generate_dirty_dataset
 from repro.datasets.corruption import CorruptionConfig
+from repro.datasets.generator import iter_descriptions
 
 
 class TestDirtyDataset:
@@ -46,6 +47,32 @@ class TestDirtyDataset:
     def test_descriptions_property_returns_collection(self):
         dataset = generate_dirty_dataset(DatasetConfig(num_entities=5, seed=4))
         assert dataset.descriptions is dataset.collection
+
+
+def _content(description):
+    """Everything a description carries (its ``repr`` shows three attributes)."""
+    return (
+        description.identifier,
+        description.source,
+        tuple(description.attributes.items()),
+        tuple(description.relationships.items()),
+    )
+
+
+class TestStreamedDescriptions:
+    @pytest.mark.parametrize("duplicates", [0.0, 0.4, 1.2, 2.5])
+    @pytest.mark.parametrize("seed", [0, 17, 330])
+    @pytest.mark.parametrize("domain", ["person", "product", "publication"])
+    def test_stream_is_a_permutation_of_the_dirty_collection(self, domain, seed, duplicates):
+        config = DatasetConfig(
+            num_entities=25, duplicates_per_entity=duplicates, domain=domain, seed=seed
+        )
+        streamed = sorted(map(_content, iter_descriptions(config)))
+        assert streamed == sorted(map(_content, generate_dirty_dataset(config).collection))
+
+    def test_unknown_domain_raises(self):
+        with pytest.raises(ValueError, match="spaceship"):
+            next(iter_descriptions(DatasetConfig(num_entities=5, domain="spaceship")))
 
 
 class TestCleanCleanTask:

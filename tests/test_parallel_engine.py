@@ -26,6 +26,8 @@ from repro.core import ERWorkflow, WorkflowConfig
 from repro.core.context import PipelineContext
 from repro.datamodel.collection import EntityCollection
 from repro.datamodel.description import EntityDescription
+from repro.datasets import DatasetConfig
+from repro.datasets.generator import iter_descriptions
 from repro.mapreduce.balancing import contiguous_partitions
 from repro.mapreduce.parallel import ParallelEngine
 from repro.metablocking.entity_index import EntityIndexEngine
@@ -67,6 +69,13 @@ def dirty_setup(small_dirty_dataset):
     context = PipelineContext(data)
     blocks = BlockingEngine(TokenBlocking(max_block_fraction=0.5), context=context).build(data)
     return data, context, blocks
+
+
+@pytest.fixture(scope="module")
+def streamed_setup():
+    """A dirty collection streamed through the generator; only the workflow reads it."""
+    config = DatasetConfig(num_entities=150, duplicates_per_entity=1.0, domain="person", seed=330)
+    return EntityCollection(iter_descriptions(config), name="streamed"), None, None
 
 
 @pytest.fixture(scope="module")
@@ -240,11 +249,11 @@ class TestEdgeCasesAndLifecycle:
         with pytest.raises(RuntimeError):
             edges_snapshot(metablocking.iter_retained(blocks, parallel=par))
 
-    @pytest.mark.parametrize("dataset", DATASETS)
+    @pytest.mark.parametrize("dataset", DATASETS + ("streamed",))
     def test_workflow_end_to_end_equivalence(self, request, dataset):
         data, _, _ = _setup(request, dataset)
         signatures = []
-        for workers in (1, 4):
+        for workers in (1, 2, 4):
             config = WorkflowConfig(num_workers=workers, iterate_merges=True)
             result = ERWorkflow(config).run(data)
             signatures.append(
@@ -252,6 +261,11 @@ class TestEdgeCasesAndLifecycle:
                     sorted(tuple(sorted(match)) for match in result.matches),
                     sorted(frozenset(cluster) for cluster in result.clusters),
                     result.comparisons_executed,
+                    # every stage's counts; the label names the path that ran
+                    [
+                        {k: v for k, v in row.items() if k not in ("stage", "seconds")}
+                        for row in result.report.to_rows()
+                    ],
                 )
             )
-        assert signatures[0] == signatures[1]
+        assert signatures[1:] == signatures[:1] * 2
