@@ -22,14 +22,14 @@ from one :class:`PipelineContext`, which interns the collection **once**:
     all attributes plus the aligned counts.
 
 **Chunks.**  The interning pass walks the descriptions in chunks of
-``_CHUNK_DESCRIPTIONS``.  A chunk is tokenised into one flat token list plus
-the token count of each slot; the vocabulary is get-or-assigned over the
-chunk's *distinct* tokens (``dict.fromkeys`` keeps first-occurrence order and
-chunks are visited in stream order, so every token still receives its id at
-its global first occurrence -- the ids are the ones a token-by-token pass
-assigns); the list is mapped to ids in one C-level pass; and one
-sorted-distinct/count kernel (:func:`_sorted_distinct`) derives the slot and
-the merged columns of the whole chunk.  The transient arrays are bounded by
+``_CHUNK_DESCRIPTIONS``.  One :func:`~repro.text.tokenize.tokenize_slots`
+call splits a chunk's slots into one word list, a mark closing each slot;
+one C-level pass maps it to ids through a vocabulary that gives a new token
+the next id on its first lookup (chunks go in stream order, so the ids are
+the ones a token-by-token pass assigns) and the mark -1, so slot ends are
+the mark positions less the marks before them; and one sorted-distinct/count
+kernel (:func:`_sorted_distinct`) derives the slot and the merged columns of
+the whole chunk.  The transient arrays are bounded by
 the chunk, the columns grow by ``frombytes``.  Nothing is published until
 the pass has succeeded: an interrupted pass leaves the context un-interned.
 
@@ -70,13 +70,14 @@ token data costs nothing beyond the constructor.
 
 from __future__ import annotations
 
+import itertools
 from array import array
-from collections import Counter
+from collections import Counter, defaultdict
 from typing import Dict, FrozenSet, Iterable, Iterator, List, Optional, Tuple
 
 from repro.datamodel.collection import CleanCleanTask
 from repro.datamodel.description import EntityDescription
-from repro.text.tokenize import tokenize
+from repro.text.tokenize import SLOT_MARK, tokenize_slots
 from repro.text.vectorizer import TfIdfVectorizer
 
 try:  # pragma: no cover - exercised implicitly when numpy is installed
@@ -269,44 +270,53 @@ class PipelineContext:
         else:
             descriptions = list(data)
             left_count = -1
-        token_ids: Dict[str, int] = {}
-        tokens: List[str] = []
+        token_ids = defaultdict(itertools.count().__next__, {SLOT_MARK: -1})  # new: next id
         stream_ptr, stream_ids = array("q", [0]), array("q")
         slot_ptr = array("q", [0])
         slot_names: List[str] = []
         slots, merged = _Csr(), _Csr()
         for chunk_start in range(0, len(descriptions), _CHUNK_DESCRIPTIONS):
-            # chunk-local CSR of the raw tokens: token list, the token
-            # position each slot ends at, the slot each description ends at
-            chunk_tokens: List[str] = []
-            slot_ends = array("q", [0])
-            description_ends = array("q", [0])
+            # one slot per (description, attribute): its values joined by a space
+            pieces: List[str] = []
+            description_ends = [0]
             slot_base = len(slot_names)
             for description in descriptions[chunk_start : chunk_start + _CHUNK_DESCRIPTIONS]:
-                names = description.attribute_names
-                for attribute in names:
-                    for value in description.values(attribute):
-                        chunk_tokens += tokenize(value)
-                    slot_ends.append(len(chunk_tokens))
-                slot_names += names
+                attributes = description.attributes
+                pieces += map(" ".join, attributes.values())
+                slot_names += attributes
                 description_ends.append(len(slot_names) - slot_base)
-            fresh = [token for token in dict.fromkeys(chunk_tokens) if token not in token_ids]
-            token_ids.update(zip(fresh, range(len(tokens), len(tokens) + len(fresh))))
-            tokens += fresh
-            ids = array("q", map(token_ids.__getitem__, chunk_tokens))
-            token_ends = array("q", map(slot_ends.__getitem__, description_ends))
+            chunk_tokens = tokenize_slots(pieces)
+            del pieces
+            # the ids less the marks; a slot ends at its mark less the marks before
+            marked = map(token_ids.__getitem__, chunk_tokens)
+            if _np is not None:
+                marked = _np.fromiter(marked, _np.int64, len(chunk_tokens))
+                del chunk_tokens
+                marks = _np.flatnonzero(marked < 0)
+                ids = _np.delete(marked, marks)
+                slot_ends = _np.concatenate(([0], marks - _np.arange(len(marks))))
+                token_ends = slot_ends[description_ends]
+            else:
+                ids, slot_ends = array("q"), array("q", [0])
+                for token_id in marked:
+                    if token_id < 0:
+                        slot_ends.append(len(ids))
+                    else:
+                        ids.append(token_id)
+                token_ends = array("q", map(slot_ends.__getitem__, description_ends))
             _extend(stream_ptr, token_ends[1:], len(stream_ids))
-            stream_ids.extend(ids)
+            _extend(stream_ids, ids)
             _extend(slot_ptr, description_ends[1:], slot_base)
-            slots.extend(*_sorted_distinct(ids, slot_ends, len(tokens)))
-            merged.extend(*_sorted_distinct(ids, token_ends, len(tokens)))
+            slots.extend(*_sorted_distinct(ids, slot_ends, len(token_ids)))
+            merged.extend(*_sorted_distinct(ids, token_ends, len(token_ids)))
+        del token_ids[SLOT_MARK]
         self._ids = [description.identifier for description in descriptions]
         self._ordinal = {identifier: ordinal for ordinal, identifier in enumerate(self._ids)}
         self._descriptions = descriptions
         self.left_count = left_count
         # filled in place: whoever already holds the vocabulary sees it
         self._token_ids.update(token_ids)
-        self._tokens[:] = tokens
+        self._tokens[:] = token_ids  # the keys, in id order
         self._stream_ptr, self._stream_ids = stream_ptr, stream_ids
         self._slot_ptr, self._slot_names = slot_ptr, slot_names
         self._slots, self._merged = slots, merged
@@ -351,6 +361,7 @@ class PipelineContext:
 
     def token(self, token_id: int) -> str:
         """Inverse of :meth:`intern`."""
+        self._intern_all()
         return self._tokens[token_id]
 
     @property

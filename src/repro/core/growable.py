@@ -19,11 +19,11 @@ processes).  This module provides the two pieces:
   ``_tokens`` list, which only ever grows in place), so stop-word masks keep
   extending lazily as the vocabulary grows.
 
-Interning here is one arrival at a time, but to the same definition as
-``PipelineContext``'s chunked batch pass -- ``tokenize`` over each
-attribute's values in insertion order, first-touch vocabulary ids, sorted
-distinct (id, count) columns -- so a record interned here produces the same
-per-record token structure the batch pipeline would build for it.
+Interning here is one arrival at a time, through ``PipelineContext``'s chunk
+kernel (:func:`~repro.text.tokenize.tokenize_slots` on a chunk of one),
+first-touch vocabulary ids and sorted distinct (id, count) columns, so a
+stream of records fed here serves the vocabulary and per-record columns
+the batch pass builds over the same descriptions.
 
 Identifiers may be *re-bound*: removing a record from an index and adding a
 revised description appends a fresh ordinal and points the identifier at it;
@@ -39,7 +39,7 @@ from typing import Any, Dict, FrozenSet, Iterable, Iterator, List, Optional, Seq
 from repro.core.context import TokenFilter
 from repro.core.snapshot import SnapshotReader, SnapshotWriter
 from repro.datamodel.description import EntityDescription
-from repro.text.tokenize import tokenize
+from repro.text.tokenize import SLOT_MARK, tokenize_slots
 
 __all__ = ["GrowableColumn", "GrowableContext"]
 
@@ -241,17 +241,18 @@ class GrowableContext:
         slot_counts: List[int] = []
         slot_ends: List[int] = []
         slot_base = len(self._slot_token_ids)
+        # a chunk of one: each attribute's words end at the next slot mark
+        words = iter(tokenize_slots(list(map(" ".join, description.attributes.values()))))
         for attribute in description.attribute_names:
             counts: Dict[int, int] = {}
-            for value in description.values(attribute):
-                for token in tokenize(value):
-                    token_id = token_ids.get(token)
-                    if token_id is None:
-                        token_id = len(tokens)
-                        token_ids[token] = token_id
-                        tokens.append(token)
-                    counts[token_id] = counts.get(token_id, 0) + 1
-                    merged[token_id] = merged.get(token_id, 0) + 1
+            for token in iter(words.__next__, SLOT_MARK):
+                token_id = token_ids.get(token)
+                if token_id is None:
+                    token_id = len(tokens)
+                    token_ids[token] = token_id
+                    tokens.append(token)
+                counts[token_id] = counts.get(token_id, 0) + 1
+                merged[token_id] = merged.get(token_id, 0) + 1
             attr_id = attr_ids.get(attribute)
             if attr_id is None:
                 attr_id = len(self._attr_names)

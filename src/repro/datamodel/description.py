@@ -17,6 +17,7 @@ the model intentionally makes no schema assumptions:
 from __future__ import annotations
 
 import itertools
+from types import MappingProxyType
 from typing import Dict, Iterable, Iterator, List, Mapping, Optional, Sequence, Tuple
 
 
@@ -109,7 +110,7 @@ class EntityDescription:
     @property
     def attributes(self) -> Mapping[str, Tuple[str, ...]]:
         """The attribute--values mapping (read-only view)."""
-        return dict(self._attributes)
+        return MappingProxyType(self._attributes)
 
     @property
     def relationships(self) -> Mapping[str, Tuple[str, ...]]:

@@ -12,8 +12,16 @@ import re
 import unicodedata
 from typing import FrozenSet, Iterable, List, Optional, Sequence, Set, Tuple
 
-_WORD_RE = re.compile(r"[a-z0-9]+")
 _URI_SPLIT_RE = re.compile(r"[/#:]")
+
+#: ``bytes.translate`` table of the word split: A-Z lowered, a-z and 0-9
+#: kept, every other byte a space, so one ``split()`` yields the words
+_WORD_TABLE = bytes(
+    ord(c.lower()) if c.isascii() and c.isalnum() else 32 for c in map(chr, range(256))
+)
+#: The slot table's image of ``\x1f``, closing each slot; a ``|`` in a value is a space
+SLOT_MARK = "|"
+_SLOT_TABLE = _WORD_TABLE[:0x1F] + SLOT_MARK.encode() + _WORD_TABLE[0x20:]
 
 #: A small stop-word list; highly frequent tokens produce enormous blocks and
 #: carry almost no matching evidence, so blocking implementations may drop them.
@@ -38,17 +46,23 @@ DEFAULT_STOP_WORDS: FrozenSet[str] = frozenset(
 )
 
 
-def _words(value: str) -> List[str]:
-    """The normalised word tokens of ``value``, in order (duplicates kept).
-
-    The one word split :func:`normalize` and :func:`tokenize` share: strip
-    accents (NFKD, non-ASCII dropped), lowercase, keep the letter/digit runs.
-    An all-ASCII value is its own NFKD form and survives the ASCII round trip
-    unchanged, so it goes straight to the lowercase + split.
-    """
+def _words(value: str, table: bytes = _WORD_TABLE) -> List[str]:
+    """The one word split: NFKD + ASCII-ignore unless ASCII, ``table``, ``split()``."""
     if not value.isascii():
         value = unicodedata.normalize("NFKD", value).encode("ascii", "ignore").decode("ascii")
-    return _WORD_RE.findall(value.lower())
+    return value.encode("ascii").translate(table).decode("ascii").split()
+
+
+def tokenize_slots(slots: Sequence[str]) -> List[str]:
+    """``tokenize(slot) + [SLOT_MARK]`` over every slot: the interning chunk kernel.
+
+    One split of the slots joined by ``" \\x1f "`` (a ``\\x1f`` inside a slot is
+    a space first); NFKD never reorders across a space.
+    """
+    text = " \x1f ".join([*slots, ""])
+    if text.count("\x1f") != len(slots):
+        text = " \x1f ".join([slot.replace("\x1f", " ") for slot in slots] + [""])
+    return _words(text, _SLOT_TABLE)
 
 
 def normalize(value: str) -> str:

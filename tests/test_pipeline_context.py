@@ -7,11 +7,13 @@ token views (blocking keys, TF-IDF fit, matching profiles) are bit-identical
 to the per-stage tokenising paths; a full ``ERWorkflow.run`` produces exactly
 the output of a run whose components never read the context (a builder and a
 matcher subclass, which tokenise for themselves); and -- the
-single-interning guarantee -- a default workflow run tokenises every
-attribute value exactly once.
+single-interning guarantee -- a default workflow run sends every
+(description, attribute) slot through the chunk kernel exactly once and
+splits no value on its own.
 """
 
 import importlib
+from collections import Counter
 
 import pytest
 from hypothesis import given, settings
@@ -29,6 +31,7 @@ from repro.blocking.token_blocking import (
 from repro.core import context as context_module
 from repro.core.config import WorkflowConfig
 from repro.core.context import PipelineContext
+from repro.core.growable import GrowableContext
 from repro.core.workflow import ERWorkflow, default_workflow
 from repro.datamodel.collection import CleanCleanTask, EntityCollection
 from repro.datamodel.description import EntityDescription
@@ -169,15 +172,20 @@ def _odd_values_collection():
         EntityDescription("odd:6"),  # no attributes, end of the first chunk of 7
         EntityDescription("odd:7", plain),
         EntityDescription("odd:8", {"name": "turing turing alan", "alias": "Alan"}),
-        EntityDescription("odd:9", {"punct": "---"}),
+        # the chunk kernel's separator and slot mark inside values
+        EntityDescription("odd:9", {"punct": "---", "sep": ["x\x1fy|z", "|\x1f|", "\x1f"]}),
         EntityDescription("odd:10"),  # no attributes, end of the collection
     ]
     return EntityCollection(descriptions, name="odd")
 
 
-#: text that exercises both word-split branches and values without tokens
+#: text that exercises both word-split branches, values without tokens, the
+#: kernel's separator and mark (``\x1f``, ``|``), the Kelvin sign, dotted I
+#: and sigma
 _value_text = st.text(
-    alphabet="abcAB01 -.\t\x00\u00e9\u00df\ufb01\u6771", min_size=0, max_size=12
+    alphabet="abcAB01 -.\t\x00\x1f|\u00e9\u00df\ufb01\u6771\u212a\u0130\u03a3",
+    min_size=0,
+    max_size=12,
 )
 
 
@@ -239,6 +247,11 @@ class TestColumnsEqualReference:
             "the", "data", "base", "data", "data",
         ]
         assert reference["token_stream"][5] == []
+        assert [tokens[t] for t in reference["token_stream"][9]] == ["x", "y", "z"]
+        assert [(name, counts) for name, _ids, counts in entries[9]] == [
+            ("punct", []),
+            ("sep", [1, 1, 1]),
+        ]
 
     @settings(max_examples=60, deadline=None)
     @given(
@@ -257,19 +270,50 @@ class TestColumnsEqualReference:
         """A pass that raises leaves the context un-interned, not truncated."""
         data = dirty.collection
         calls = []
+        kernel = context_module.tokenize_slots
 
-        def failing_once(value):
-            calls.append(value)
-            if len(calls) == 200:
+        def failing_once(slots):
+            calls.append(slots)
+            if len(calls) == 3:  # two chunks are interned, the third raises
                 raise KeyboardInterrupt
-            return tokenize_module.tokenize(value)
+            return kernel(slots)
 
-        monkeypatch.setattr(context_module, "tokenize", failing_once)
+        monkeypatch.setattr(context_module, "_CHUNK_DESCRIPTIONS", 16)
+        monkeypatch.setattr(context_module, "tokenize_slots", failing_once)
         context = PipelineContext(data)
         with pytest.raises(KeyboardInterrupt):
             context.num_descriptions
+        assert context.vocabulary_size == len(reference_columns(data)["tokens"])
         assert interned_columns(context) == reference_columns(data)
         assert context.num_descriptions == len(data)
+
+    def test_token_on_a_fresh_context_interns_first(self, dirty):
+        data = dirty.collection
+        assert PipelineContext(data).token(0) == reference_columns(data)["tokens"][0]
+
+
+class TestGrowableTwin:
+    """``GrowableContext`` fed one record at a time interns like the batch pass."""
+
+    @pytest.mark.parametrize("kind", ["dirty", "odd"])
+    def test_record_by_record_equals_batch(self, dirty, kind, chunk_size):
+        data = {"dirty": dirty.collection, "odd": _odd_values_collection()}[kind]
+        batch = PipelineContext(data)
+        growable = GrowableContext()
+        for description in data:
+            growable.add_record(description)
+        assert growable._tokens == [batch.token(t) for t in range(batch.vocabulary_size)]
+        for ordinal in range(batch.num_descriptions):
+            assert [
+                (name, list(ids), list(counts))
+                for name, ids, counts in growable.attribute_entries(ordinal)
+            ] == [
+                (name, ids.tolist(), counts.tolist())
+                for name, ids, counts in batch.attribute_entries(ordinal)
+            ]
+            ids, counts = batch.token_counts(ordinal)
+            assert list(growable.token_ids_of(ordinal)) == ids.tolist()
+            assert list(growable.token_counts_of(ordinal)) == counts.tolist()
 
 
 class TestContextStructure:
@@ -455,55 +499,67 @@ class TestWorkflowEquivalence:
         assert results[True].clusters == results[False].clusters
 
 
+def _slots(data):
+    """Every (description, attribute) slot's values, joined as the kernel sees them."""
+    return Counter(
+        " ".join(description.values(attribute))
+        for description in data
+        for attribute in description.attribute_names
+    )
+
+
 class TestSingleInterning:
-    def _count_word_split_calls(self, monkeypatch):
-        calls = []
-        original = tokenize_module._words
+    def _count_tokenisation(self, monkeypatch):
+        """The slots the interning kernel sees and the per-value word splits."""
+        slots, values = Counter(), []
+        kernel, words = context_module.tokenize_slots, tokenize_module._words
 
-        def counting(value):
-            calls.append(value)
-            return original(value)
+        def counting_kernel(pieces):
+            slots.update(pieces)
+            return kernel(pieces)
 
+        def counting_words(value, table=tokenize_module._WORD_TABLE):
+            if table is tokenize_module._WORD_TABLE:  # not the kernel's own split
+                values.append(value)
+            return words(value, table)
+
+        monkeypatch.setattr(context_module, "tokenize_slots", counting_kernel)
         # ``tokenize`` and ``normalize`` resolve their shared word split
         # through the module globals, so patching the module attribute
-        # intercepts every tokenisation no matter which module called it
-        monkeypatch.setattr(tokenize_module, "_words", counting)
-        return calls
+        # intercepts every per-value tokenisation, whichever module called it
+        monkeypatch.setattr(tokenize_module, "_words", counting_words)
+        return slots, values
 
-    def test_default_workflow_tokenises_each_value_exactly_once(
-        self, dirty, monkeypatch
-    ):
+    def test_default_workflow_tokenises_each_slot_exactly_once(self, dirty, monkeypatch):
         data = dirty.collection
-        num_values = sum(len(description.values()) for description in data)
-        calls = self._count_word_split_calls(monkeypatch)
+        slots, values = self._count_tokenisation(monkeypatch)
         default_workflow().run(data, dirty.ground_truth)
-        assert len(calls) == num_values
+        assert slots == _slots(data)
+        assert values == []
 
     def test_merge_iteration_only_tokenises_merged_descriptions(
         self, dirty, monkeypatch
     ):
         """With merging enabled, extra tokenisation is only for merge products."""
         data = dirty.collection
-        num_values = sum(len(description.values()) for description in data)
-        calls = self._count_word_split_calls(monkeypatch)
+        slots, values = self._count_tokenisation(monkeypatch)
         result = default_workflow(iterate_merges=True).run(data, dirty.ground_truth)
-        extra = len(calls) - num_values
-        assert extra >= 0
-        # every original value was tokenised exactly once; anything beyond
-        # that belongs to transient merged descriptions ("a+b" identifiers)
+        # every original slot went through the kernel exactly once; a
+        # per-value split belongs to a transient merged description
+        assert slots == _slots(data)
         if result.iterations == 0:
-            assert extra == 0
+            assert values == []
 
     def test_self_tokenising_components_tokenise_several_times(self, dirty, monkeypatch):
         """Sanity check of the counter: components that do not read the
-        context pay their own passes on top of the interning one."""
+        context pay their own per-value passes."""
         data = dirty.collection
         num_values = sum(len(description.values()) for description in data)
         workflow = self_tokenising_workflow(data)
-        calls = self._count_word_split_calls(monkeypatch)
+        _slots_seen, values = self._count_tokenisation(monkeypatch)
         with pytest.warns(RuntimeWarning):
             workflow.run(data, dirty.ground_truth)
-        assert len(calls) >= 2 * num_values
+        assert len(values) >= 2 * num_values
 
     @pytest.mark.parametrize(
         "blocking",
@@ -520,7 +576,7 @@ class TestSingleInterning:
     ):
         """Every newly ported family rides the context: zero extra tokenisation."""
         data = dirty.collection
-        num_values = sum(len(description.values()) for description in data)
-        calls = self._count_word_split_calls(monkeypatch)
+        slots, values = self._count_tokenisation(monkeypatch)
         default_workflow(blocking=blocking).run(data, dirty.ground_truth)
-        assert len(calls) == num_values
+        assert slots == _slots(data)
+        assert values == []

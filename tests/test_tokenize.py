@@ -6,6 +6,7 @@ import unicodedata
 
 from repro.text.tokenize import (
     DEFAULT_STOP_WORDS,
+    SLOT_MARK,
     normalize,
     prefix,
     qgrams,
@@ -13,6 +14,7 @@ from repro.text.tokenize import (
     suffixes,
     token_set,
     tokenize,
+    tokenize_slots,
     uri_tokens,
 )
 
@@ -113,22 +115,50 @@ def _join_and_split_tokenize(value, stop_words=None, min_length=1):
     ]
 
 
+_FUZZ_ALPHABET = (
+    "abcXYZ019 .,-_/\t\n\x00"  # ASCII letters, digits, punctuation, controls
+    "\x1f|\uff5c"  # the slot kernel's separator and mark, fullwidth vertical line
+    "\u00e9\u00fc\u00d1\u00df"  # accented Latin, sharp s
+    "\ufb01\u2167\u00bd\uff21"  # fi ligature, roman numeral, one half, fullwidth A
+    "\u212a\u0130\u03a3\u03c2"  # Kelvin sign, dotted capital I, sigma, final sigma
+    "\u6771\u4eac\u0416\u0301"  # CJK, Cyrillic, a lone combining accent
+)
+
+
+def _fuzz_values(seed, count, max_length):
+    rng = random.Random(seed)
+    return [
+        "".join(rng.choice(_FUZZ_ALPHABET) for _ in range(rng.randint(0, max_length)))
+        for _ in range(count)
+    ]
+
+
 def test_word_split_equals_join_and_split_formulation():
     """ASCII values skip NFKD, non-ASCII ones do not: same output either way."""
-    alphabet = (
-        "abcXYZ019 .,-_/\t\n\x00"  # ASCII letters, digits, punctuation, controls
-        "\u00e9\u00fc\u00d1\u00df"  # accented Latin, sharp s
-        "\ufb01\u2167\u00bd\uff21"  # fi ligature, roman numeral, one half, fullwidth A
-        "\u6771\u4eac\u0416\u0301"  # CJK, Cyrillic, a lone combining accent
-    )
-    rng = random.Random(19)
-    values = ["", " ", "---", "The\x00Data\tBase"]
-    values += [
-        "".join(rng.choice(alphabet) for _ in range(rng.randint(0, 24))) for _ in range(600)
-    ]
+    values = ["", " ", "---", "The\x00Data\tBase", "\u212a\u0130\u03a3"]
+    values += _fuzz_values(19, 600, 24)
     for value in values:
         assert normalize(value) == _join_and_split_normalize(value)
         assert tokenize(value) == _join_and_split_tokenize(value)
         assert tokenize(value, stop_words=DEFAULT_STOP_WORDS, min_length=2) == (
             _join_and_split_tokenize(value, stop_words=DEFAULT_STOP_WORDS, min_length=2)
         )
+
+
+def _per_slot(slots):
+    return [token for slot in slots for token in [*_join_and_split_tokenize(slot), SLOT_MARK]]
+
+
+def test_slot_kernel_equals_per_slot_tokenize():
+    """One chunk-wide split gives every slot's words, each slot closed by the mark."""
+    assert tokenize_slots([]) == []  # no slot, no stray mark
+    assert tokenize_slots(["", "---"]) == [SLOT_MARK, SLOT_MARK]
+    assert tokenize_slots(["a\x1fb|c", "K İ"]) == ["a", "b", "c", "|", "k", "i", "|"]
+    values = _fuzz_values(23, 1800, 12)
+    rng = random.Random(29)
+    position = 0
+    while position < len(values):
+        size = rng.randint(0, 9)
+        slots = values[position : position + size]
+        assert tokenize_slots(slots) == _per_slot(slots)
+        position += max(size, 1)
