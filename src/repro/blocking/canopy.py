@@ -27,10 +27,7 @@ from repro.datamodel.description import EntityDescription
 from repro.text.similarity import jaccard_similarity
 from repro.text.tokenize import DEFAULT_STOP_WORDS, token_set
 
-try:  # pragma: no cover - exercised implicitly when numpy is installed
-    import numpy as _np
-except ImportError:  # pragma: no cover
-    _np = None
+import numpy as _np
 
 
 class CanopyClusteringBlocking(BlockBuilder):
@@ -128,15 +125,12 @@ class CanopyClusteringBlocking(BlockBuilder):
 # ----------------------------------------------------------------------
 # array build (dispatched by repro.blocking.engine.BlockingEngine)
 # ----------------------------------------------------------------------
-def _index_build(
-    builder: CanopyClusteringBlocking, data: ERInput, context, use_numpy: bool
-) -> BlockCollection:
+def _index_build(builder: CanopyClusteringBlocking, data: ERInput, context) -> BlockCollection:
     """Array build: canopy selection over token postings instead of pair calls.
 
     Per centre, the intersection sizes against *every* description come from
-    one pass over the centre's token postings (a shared-count accumulation,
-    vectorised as a ``bincount`` over the concatenated postings when NumPy
-    is available); the Jaccard values are the same ``shared / (|a| + |b| -
+    one ``bincount`` over the centre's concatenated token postings; the
+    Jaccard values are the same ``shared / (|a| + |b| -
     shared)`` integer divisions the oracle computes per pair, so thresholds
     and tie behaviour agree bit-for-bit.  The shuffled centre order is
     identical because ``random.Random.shuffle`` permutes by position,
@@ -160,14 +154,12 @@ def _index_build(
         for token_id in column:
             append_posting(postings, token_id, ordinal)
 
-    np_mode = use_numpy and _np is not None
-    if np_mode:
-        np = _np
-        np_postings = {
-            token_id: np.frombuffer(posting, dtype=np.int64)
-            for token_id, posting in postings.items()
-        }
-        np_sizes = np.asarray(sizes, dtype=np.int64)
+    np = _np
+    np_postings = {
+        token_id: np.frombuffer(posting, dtype=np.int64)
+        for token_id, posting in postings.items()
+    }
+    np_sizes = np.asarray(sizes, dtype=np.int64)
 
     loose = builder.loose_threshold
     tight = builder.tight_threshold
@@ -187,22 +179,13 @@ def _index_build(
             # Jaccard with an empty centre: 1.0 against other empty sets,
             # 0.0 otherwise (the oracle's empty-set special cases)
             similarities = [1.0 if sizes[o] == 0 else 0.0 for o in range(n)]
-        elif np_mode:
+        else:
             shared = np.bincount(
                 np.concatenate([np_postings[t] for t in center_column]), minlength=n
             )
             # denominators are >= center_size >= 1; candidates with an empty
             # column get shared == 0, i.e. similarity 0.0, like the oracle
             similarities = (shared / (center_size + np_sizes - shared)).tolist()
-        else:
-            shared_counts = [0] * n
-            for token_id in center_column:
-                for ordinal in postings[token_id]:
-                    shared_counts[ordinal] += 1
-            similarities = [
-                shared_counts[o] / (center_size + sizes[o] - shared_counts[o])
-                for o in range(n)
-            ]
 
         members = [center]
         removed: List[int] = []

@@ -13,9 +13,7 @@ exists until somebody iterates the
 :class:`~repro.blocking.base.BlockCollection` viewing the columns.
 :meth:`BlockColumns.from_collection` is the one interning pass for whatever
 arrives as objects (the long-tail builders, oracle builds, user collections),
-:meth:`BlockColumns.blocks` the one way back.  Each kernel has a NumPy body
-and a plain-loop body over the same ``array('q')`` columns, selected by
-``use_numpy`` and bit-identical.
+:meth:`BlockColumns.blocks` the one way back.
 
 **Token columns.**  The long-tail scheme families (minhash/LSH, canopy, the
 similarity self-join) all start from the same view of the input: one sorted
@@ -44,17 +42,13 @@ degenerate-block rules.
 from __future__ import annotations
 
 from array import array
-from bisect import bisect_left
 from typing import Callable, Dict, List, Optional, Sequence
 
 from repro.blocking.base import Block, BlockBuilder, BlockCollection, ERInput
 from repro.datamodel.collection import CleanCleanTask
 from repro.text.tokenize import token_set
 
-try:  # pragma: no cover - exercised implicitly when numpy is installed
-    import numpy as _np
-except ImportError:  # pragma: no cover
-    _np = None
+import numpy as _np
 
 
 def int_view(column):
@@ -158,7 +152,6 @@ class BlockColumns:
         ids: Sequence[str],
         left_count: int,
         limit: Optional[int],
-        use_numpy: bool,
     ) -> "BlockColumns":
         """Blocks from key postings, in sorted-key order.
 
@@ -170,125 +163,76 @@ class BlockColumns:
         degenerate ones (fewer than two members, an empty side) are dropped,
         exactly as by :func:`add_block`.
         """
-        if use_numpy:
-            np = _np
-            ptr, members = int_view(ptr), int_view(members)
-            sizes = np.diff(ptr)
-            if left_count >= 0:
-                posting_of = np.repeat(np.arange(len(sizes)), sizes)
-                left = np.bincount(posting_of[members < left_count], minlength=len(sizes))
-                keep = (left > 0) & (left < sizes)
-            else:
-                left = np.full(len(sizes), -1, dtype=np.int64)
-                keep = sizes >= 2
-            if limit is not None:
-                keep &= sizes <= limit
-            kept = np.flatnonzero(keep).tolist()
-            kept.sort(key=keys.__getitem__)
-            kept = np.asarray(kept, dtype=np.int64)
-            sizes = sizes[kept]
-            return cls(
-                [keys[p] for p in kept.tolist()],
-                typed_array("q", np.concatenate(([0], np.cumsum(sizes)))),
-                typed_array("q", members[flat_slices(ptr[kept], sizes)]),
-                typed_array("q", left[kept]),
-                ids,
-            )
-        out = cls([], array("q", [0]), array("q"), array("q"), ids)
-        for p in sorted(range(len(keys)), key=keys.__getitem__):
-            start, stop = ptr[p], ptr[p + 1]
-            size = stop - start
-            if limit is not None and size > limit:
-                continue
-            left = -1
-            if left_count >= 0:
-                left = bisect_left(members, left_count, start, stop) - start
-                if not 0 < left < size:
-                    continue
-            elif size < 2:
-                continue
-            out.keys.append(keys[p])
-            out.members.extend(members[start:stop])
-            out.blk_ptr.append(len(out.members))
-            out.split.append(left)
-        return out
+        np = _np
+        ptr, members = int_view(ptr), int_view(members)
+        sizes = np.diff(ptr)
+        if left_count >= 0:
+            posting_of = np.repeat(np.arange(len(sizes)), sizes)
+            left = np.bincount(posting_of[members < left_count], minlength=len(sizes))
+            keep = (left > 0) & (left < sizes)
+        else:
+            left = np.full(len(sizes), -1, dtype=np.int64)
+            keep = sizes >= 2
+        if limit is not None:
+            keep &= sizes <= limit
+        kept = np.flatnonzero(keep).tolist()
+        kept.sort(key=keys.__getitem__)
+        kept = np.asarray(kept, dtype=np.int64)
+        sizes = sizes[kept]
+        return cls(
+            [keys[p] for p in kept.tolist()],
+            typed_array("q", np.concatenate(([0], np.cumsum(sizes)))),
+            typed_array("q", members[flat_slices(ptr[kept], sizes)]),
+            typed_array("q", left[kept]),
+            ids,
+        )
 
     # ------------------------------------------------------------------
     # statistics
     # ------------------------------------------------------------------
-    def cardinalities(self, use_numpy: bool):
-        """Comparisons per block: an int64 ndarray (NumPy) or an ``array('q')``."""
-        if use_numpy:
-            sizes = _np.diff(int_view(self.blk_ptr))
-            split = int_view(self.split)
-            return _np.where(split >= 0, split * (sizes - split), sizes * (sizes - 1) // 2)
-        blk_ptr = self.blk_ptr
-        return array(
-            "q",
-            (
-                left * (stop - start - left)
-                if left >= 0
-                else (stop - start) * (stop - start - 1) // 2
-                for start, stop, left in zip(blk_ptr, blk_ptr[1:], self.split)
-            ),
-        )
+    def cardinalities(self):
+        """Comparisons per block, as an int64 ndarray."""
+        sizes = _np.diff(int_view(self.blk_ptr))
+        split = int_view(self.split)
+        return _np.where(split >= 0, split * (sizes - split), sizes * (sizes - 1) // 2)
 
     def total_comparisons(self) -> int:
         """Aggregate cardinality ``||B||`` (redundant comparisons counted)."""
-        if _np is not None:
-            return int(self.cardinalities(True).sum())
-        return sum(self.cardinalities(False))
+        return int(self.cardinalities().sum())
 
     # ------------------------------------------------------------------
     # restriction
     # ------------------------------------------------------------------
-    def select(self, flags, use_numpy: bool) -> "BlockColumns":
+    def select(self, flags) -> "BlockColumns":
         """The columns restricted to the flagged assignments.
 
-        ``flags`` holds one keep flag per entry of :attr:`members` (a bool
-        ndarray for the NumPy body, a ``bytearray`` otherwise).  Block order
-        and member order are preserved; blocks left without a comparison
-        (fewer than two members, an empty side) are dropped.
+        ``flags`` is a bool ndarray with one keep flag per entry of
+        :attr:`members`.  Block order and member order are preserved; blocks
+        left without a comparison (fewer than two members, an empty side)
+        are dropped.
         """
-        if use_numpy:
-            np = _np
-            ptr, split = int_view(self.blk_ptr), int_view(self.split)
-            sizes = np.diff(ptr)
-            block_of = np.repeat(np.arange(len(sizes)), sizes)
-            new_sizes = np.bincount(block_of[flags], minlength=len(sizes))
-            bilateral = split >= 0
-            if bilateral.any():
-                on_left = np.arange(len(block_of)) - ptr[block_of] < split[block_of]
-                left = np.bincount(block_of[flags & on_left], minlength=len(sizes))
-                keep = np.where(bilateral, (left > 0) & (left < new_sizes), new_sizes >= 2)
-                left[~bilateral] = -1
-            else:
-                left = split
-                keep = new_sizes >= 2
-            kept = np.flatnonzero(keep)
-            return BlockColumns(
-                [self.keys[b] for b in kept.tolist()],
-                typed_array("q", np.concatenate(([0], np.cumsum(new_sizes[kept])))),
-                typed_array("q", int_view(self.members)[flags & keep[block_of]]),
-                typed_array("q", left[kept]),
-                self.ids,
-            )
-        out = BlockColumns([], array("q", [0]), array("q"), array("q"), self.ids)
-        blk_ptr, members = self.blk_ptr, self.members
-        for b, key in enumerate(self.keys):
-            start, stop, left = blk_ptr[b], blk_ptr[b + 1], self.split[b]
-            kept = [m for m, flag in zip(members[start:stop], flags[start:stop]) if flag]
-            if left >= 0:
-                left = sum(1 for flag in flags[start : start + left] if flag)
-                if not 0 < left < len(kept):
-                    continue
-            elif len(kept) < 2:
-                continue
-            out.keys.append(key)
-            out.members.extend(kept)
-            out.blk_ptr.append(len(out.members))
-            out.split.append(left)
-        return out
+        np = _np
+        ptr, split = int_view(self.blk_ptr), int_view(self.split)
+        sizes = np.diff(ptr)
+        block_of = np.repeat(np.arange(len(sizes)), sizes)
+        new_sizes = np.bincount(block_of[flags], minlength=len(sizes))
+        bilateral = split >= 0
+        if bilateral.any():
+            on_left = np.arange(len(block_of)) - ptr[block_of] < split[block_of]
+            left = np.bincount(block_of[flags & on_left], minlength=len(sizes))
+            keep = np.where(bilateral, (left > 0) & (left < new_sizes), new_sizes >= 2)
+            left[~bilateral] = -1
+        else:
+            left = split
+            keep = new_sizes >= 2
+        kept = np.flatnonzero(keep)
+        return BlockColumns(
+            [self.keys[b] for b in kept.tolist()],
+            typed_array("q", np.concatenate(([0], np.cumsum(new_sizes[kept])))),
+            typed_array("q", int_view(self.members)[flags & keep[block_of]]),
+            typed_array("q", left[kept]),
+            self.ids,
+        )
 
     # ------------------------------------------------------------------
     # the way back to objects

@@ -48,9 +48,6 @@ columns as they are).
     tuples, emitting first-occurrence pair blocks in the oracle's exact
     order.
 
-  Every kernel has a NumPy body and a plain-loop body over the same
-  ``array('q')`` columns, selected by ``use_numpy`` and bit-identical.
-
   **Long-tail families**: the minhash/LSH, canopy, sorted-neighbourhood
   (single-, extended- and multi-pass) and similarity-self-join schemes have
   array builds in their own modules, dispatched through ``_ARRAY_BUILDS``
@@ -79,7 +76,6 @@ engines reject).
 
 from __future__ import annotations
 
-import math
 import warnings
 from array import array
 from typing import Dict, List, Optional, Set, Tuple
@@ -116,10 +112,7 @@ from repro.core.context import PipelineContext
 from repro.datamodel.pairs import canonical_pair, identifier_ranks, stable_argsort
 from repro.text.tokenize import uri_tokens
 
-try:  # pragma: no cover - exercised implicitly when numpy is installed
-    import numpy as _np
-except ImportError:  # pragma: no cover
-    _np = None
+import numpy as _np
 
 #: Execution engines of the blocking phase.
 BLOCKING_ENGINES = ("index", "oracle")
@@ -131,7 +124,7 @@ _INDEX_BUILDERS = (TokenBlocking, PrefixInfixSuffixBlocking, AttributeClustering
 
 #: Long-tail scheme families with an array build in their own module.  Same
 #: exact-type rule as ``_INDEX_BUILDERS``; each build function has the
-#: signature ``(builder, data, context, use_numpy) -> BlockCollection``.
+#: signature ``(builder, data, context) -> BlockCollection``.
 _ARRAY_BUILDS = {
     MinHashLSHBlocking: _minhash_index_build,
     CanopyClusteringBlocking: _canopy_index_build,
@@ -142,7 +135,7 @@ _ARRAY_BUILDS = {
 }
 
 
-def _context_token_build(builder: TokenBlocking, context, use_numpy: bool) -> BlockColumns:
+def _context_token_build(builder: TokenBlocking, context) -> BlockColumns:
     """Token / prefix--infix--suffix build over a context's columns.
 
     The keys of a description are the context's merged distinct ids filtered
@@ -150,13 +143,12 @@ def _context_token_build(builder: TokenBlocking, context, use_numpy: bool) -> Bl
     ``token_set`` applies while tokenising), so the key set per description
     is the oracle's by construction.  The postings -- token ids, a pointer
     column and the member ordinals, ascending inside each posting -- come
-    from one stable argsort of the whole column for plain token blocking
-    with NumPy, and from a walk over the per-description slices otherwise
-    (prefix--infix--suffix blocking interns URI keys per description).
+    from one stable argsort of the whole column for plain token blocking,
+    and from a walk over the per-description slices for prefix--infix--suffix
+    blocking, which interns URI keys per description.
     """
     token_filter = context.token_filter(builder.stop_words, builder.min_token_length)
-    uri_keys = type(builder) is PrefixInfixSuffixBlocking
-    if use_numpy and not uri_keys:
+    if type(builder) is not PrefixInfixSuffixBlocking:
         np = _np
         ptr, ids, _counts = context.token_columns()
         token_ids = int_view(ids)
@@ -182,24 +174,18 @@ def _context_token_build(builder: TokenBlocking, context, use_numpy: bool) -> Bl
         min_token_length = builder.min_token_length
         for ordinal in range(context.num_descriptions):
             token_ids, _counts = context.token_counts(ordinal)
-            if uri_keys:
-                # value tokens plus the URI-derived keys of PrefixInfixSuffix
-                # blocking; the infix keys may overlap the value tokens, so the
-                # per-description key set is deduplicated exactly like the
-                # oracle's ``tokens_of`` set union
-                keys = {t for t in token_ids if trivial or allows(t)}
-                _, infix, infix_tokens = uri_tokens(ids[ordinal])
-                if infix:
-                    keys.add(context.intern(infix.lower()))
-                for token in infix_tokens:
-                    if len(token) >= min_token_length and token not in stop_words:
-                        keys.add(context.intern(token))
-                for key in keys:
-                    _append_posting(postings, key, ordinal)
-            else:
-                for token_id in token_ids:
-                    if trivial or allows(token_id):
-                        _append_posting(postings, token_id, ordinal)
+            # value tokens plus the URI-derived keys; the infix keys may
+            # overlap the value tokens, so the per-description key set is
+            # deduplicated exactly like the oracle's ``tokens_of`` set union
+            keys = {t for t in token_ids if trivial or allows(t)}
+            _, infix, infix_tokens = uri_tokens(ids[ordinal])
+            if infix:
+                keys.add(context.intern(infix.lower()))
+            for token in infix_tokens:
+                if len(token) >= min_token_length and token not in stop_words:
+                    keys.add(context.intern(token))
+            for key in keys:
+                _append_posting(postings, key, ordinal)
         tokens = list(postings)
         posting_ptr, members = array("q", [0]), array("q")
         for posting in postings.values():
@@ -212,7 +198,6 @@ def _context_token_build(builder: TokenBlocking, context, use_numpy: bool) -> Bl
         context.ids,
         context.left_count,
         builder.member_limit(context.num_descriptions),
-        use_numpy,
     )
 
 
@@ -277,86 +262,54 @@ def _index_attribute_clustering_build(
 # ----------------------------------------------------------------------
 # index cleaning passes
 # ----------------------------------------------------------------------
-def _index_purge(columns: BlockColumns, purging: BlockPurging, use_numpy: bool) -> BlockColumns:
+def _index_purge(columns: BlockColumns, purging: BlockPurging) -> BlockColumns:
     """Purging: a mask over the cardinality column."""
-    cards = columns.cardinalities(use_numpy)
+    cards = columns.cardinalities()
     if purging.max_comparisons is not None:
         threshold = purging.max_comparisons
     else:
-        ascending = _np.sort(cards).tolist() if use_numpy else sorted(cards)
+        ascending = _np.sort(cards).tolist()
         threshold = adaptive_cardinality_threshold(ascending, purging.smoothing_factor)
-    if use_numpy:
-        sizes = _np.diff(int_view(columns.blk_ptr))
-        return columns.select(_np.repeat(cards <= threshold, sizes), True)
-    flags = bytearray()
-    for start, stop, cardinality in zip(columns.blk_ptr, columns.blk_ptr[1:], cards):
-        flags.extend(bytes([cardinality <= threshold]) * (stop - start))
-    return columns.select(flags, False)
+    sizes = _np.diff(int_view(columns.blk_ptr))
+    return columns.select(_np.repeat(cards <= threshold, sizes))
 
 
-def _index_filter(columns: BlockColumns, filtering: BlockFiltering, use_numpy: bool) -> BlockColumns:
+def _index_filter(columns: BlockColumns, filtering: BlockFiltering) -> BlockColumns:
     """Filtering: rank every description's assignments, keep the flagged ones.
 
     Every description keeps the assignments to its ``ceil(ratio * degree)``
-    smallest blocks (at least one).  The NumPy body ranks all assignments in
-    one stable ``lexsort`` by (entity, cardinality) -- stability preserves
-    the block-major layout, i.e. ascending block index, as the tie-break,
+    smallest blocks (at least one).  All assignments are ranked in one
+    stable ``lexsort`` by (entity, cardinality) -- stability preserves the
+    block-major layout, i.e. ascending block index, as the tie-break,
     exactly like the oracle's per-entity ``(cardinality, block index)``
-    sort; the plain-loop body runs the same stable sort per entity.
+    sort.
     """
+    np = _np
     ratio = filtering.ratio
-    cards = columns.cardinalities(use_numpy)
-    num_entities = len(columns.ids)
-    if use_numpy:
-        np = _np
-        ent_of = int_view(columns.members)
-        card_of = np.repeat(cards, np.diff(int_view(columns.blk_ptr)))
-        order = np.lexsort((card_of, ent_of))
-        ent_sorted = ent_of[order]
-        degrees = np.bincount(ent_of, minlength=num_entities)
-        ent_ptr = np.concatenate(([0], np.cumsum(degrees)))
-        rank = np.arange(len(ent_of)) - ent_ptr[ent_sorted]
-        keep_counts = np.maximum(1, np.ceil(ratio * degrees)).astype(np.int64)
-        flags = np.zeros(len(ent_of), dtype=np.bool_)
-        flags[order[rank < keep_counts[ent_sorted]]] = True
-        return columns.select(flags, True)
-    card_of = array("q")
-    for start, stop, cardinality in zip(columns.blk_ptr, columns.blk_ptr[1:], cards):
-        card_of.extend([cardinality] * (stop - start))
-    per_entity: List[List[int]] = [[] for _ in range(num_entities)]
-    for position, o in enumerate(columns.members):
-        per_entity[o].append(position)
-    flags = bytearray(len(card_of))
-    for positions in per_entity:
-        # positions are ascending (block-major layout) and sort() is
-        # stable, so ranking by cardinality alone reproduces the
-        # oracle's (cardinality, block index) ranking
-        positions.sort(key=card_of.__getitem__)
-        for position in positions[: max(1, math.ceil(ratio * len(positions)))]:
-            flags[position] = 1
-    return columns.select(flags, False)
+    cards = columns.cardinalities()
+    ent_of = int_view(columns.members)
+    card_of = np.repeat(cards, np.diff(int_view(columns.blk_ptr)))
+    order = np.lexsort((card_of, ent_of))
+    ent_sorted = ent_of[order]
+    degrees = np.bincount(ent_of, minlength=len(columns.ids))
+    ent_ptr = np.concatenate(([0], np.cumsum(degrees)))
+    rank = np.arange(len(ent_of)) - ent_ptr[ent_sorted]
+    keep_counts = np.maximum(1, np.ceil(ratio * degrees)).astype(np.int64)
+    flags = np.zeros(len(ent_of), dtype=np.bool_)
+    flags[order[rank < keep_counts[ent_sorted]]] = True
+    return columns.select(flags)
 
 
-def _index_propagate(
-    blocks: BlockCollection, use_numpy: bool, parallel=None
-) -> BlockCollection:
-    """Streaming comparison propagation: integer-coded pair deduplication.
+def _index_propagate(blocks: BlockCollection, parallel=None) -> BlockCollection:
+    """Comparison propagation: integer-coded pair deduplication.
 
-    Pairs are deduplicated as single integers ``(min << 32) | max`` over
-    description ordinals (ordinals are assumed to fit 32 bits -- four
-    billion descriptions -- which every realistic collection satisfies);
-    blocks and within-block comparisons are visited in the oracle's order,
-    so the first-occurrence pair blocks come out in the identical sequence
-    (and with the identical left/right orientation, which the oracle takes
-    from the first block that proposes the pair).
-
-    The NumPy path generates each block's pair codes vectorised and
-    resolves first occurrences globally with one ``np.unique``; the
-    pure-Python path streams the same codes through a set.  The per-pair
-    output blocks are identical either way.  The vectorised codes live in
-    ``int64``, whose sign bit caps the shifted half at ``2**31`` ordinals;
-    collections beyond that (which would not fit in memory anyway) take the
-    arbitrary-precision pure-Python path automatically.
+    Pairs are deduplicated as single ``int64`` codes over description
+    ordinals (the bound :func:`~repro.datamodel.pairs.pair_code` assumes:
+    fewer than ``2**31`` ordinals); blocks and within-block comparisons are
+    visited in the oracle's order, so the first-occurrence pair blocks come
+    out in the identical sequence (and with the identical left/right
+    orientation, which the oracle takes from the first block that proposes
+    the pair).
     """
     columns = BlockColumns.from_collection(blocks)
     name = f"{blocks.name}/propagated"
@@ -364,79 +317,21 @@ def _index_propagate(
         # ranged worker passes with driver-side first-occurrence resolution;
         # emission order, keys and orientation match the sequential pass
         out = parallel.propagate_pairs(columns)
-    elif use_numpy and _np is not None and len(columns.members) < (1 << 31):
-        # the member count bounds the number of distinct ordinals cheaply
-        out = _propagate_numpy(columns)
     else:
-        out = _propagate_python(columns)
+        out = _propagate(columns)
     deduplicated = BlockCollection(name=name)
     deduplicated._extend_trusted(out)
     return deduplicated
 
 
-def _propagate_python(columns: BlockColumns) -> List[Block]:
-    ids = columns.ids
-    members = columns.members
-    seen: Set[int] = set()
-    seen_add = seen.add
-    out: List[Block] = []
-    append = out.append
-    pair = Block.pair
-    bilateral_pair = Block.bilateral_pair
-    for start, stop, split in zip(columns.blk_ptr, columns.blk_ptr[1:], columns.split):
-        if split >= 0:
-            left_ordinals = members[start : start + split]
-            right_ordinals = members[start + split : stop]
-            left_set = set(left_ordinals)
-            for a in left_ordinals:
-                id_a = ids[a]
-                shifted = a << 32
-                for b in right_ordinals:
-                    id_b = ids[b]
-                    if a == b:  # self-pair: fail exactly like the oracle
-                        canonical_pair(id_a, id_b)
-                    code = shifted | b if a < b else (b << 32) | a
-                    if code in seen:
-                        continue
-                    seen_add(code)
-                    if id_a < id_b:
-                        first, second, first_ordinal = id_a, id_b, a
-                    else:
-                        first, second, first_ordinal = id_b, id_a, b
-                    # orientation follows the oracle: the canonical first
-                    # identifier leads if it sits on this block's left side
-                    if first_ordinal in left_set:
-                        append(bilateral_pair(f"pair:{first}|{second}", first, second))
-                    else:
-                        append(bilateral_pair(f"pair:{first}|{second}", second, first))
-        else:
-            member_ordinals = members[start:stop]
-            for i, a in enumerate(member_ordinals):
-                id_a = ids[a]
-                shifted = a << 32
-                for b in member_ordinals[i + 1 :]:
-                    code = shifted | b if a < b else (b << 32) | a
-                    if code in seen:
-                        continue
-                    seen_add(code)
-                    id_b = ids[b]
-                    if id_a < id_b:
-                        append(pair(f"pair:{id_a}|{id_b}", id_a, id_b))
-                    else:
-                        append(pair(f"pair:{id_b}|{id_a}", id_b, id_a))
-    return out
-
-
-def _propagate_numpy(columns: BlockColumns) -> List[Block]:
+def _propagate(columns: BlockColumns) -> List[Block]:
     """Vectorised propagation; peak memory is O(aggregate comparisons).
 
     The full code/endpoint arrays are materialised before the global
     ``np.unique`` (~24 bytes per redundant comparison), trading a transient
-    spike for the per-pair Python work the streaming path pays.  For inputs
-    whose aggregate cardinality vastly exceeds the distinct pair count --
-    e.g. unpurged collections with extreme redundancy -- prefer purging
-    first (as the workflow does) or the pure-Python path, which holds only
-    the distinct-pair set.
+    spike for per-pair Python work.  For inputs whose aggregate cardinality
+    vastly exceeds the distinct pair count -- e.g. unpurged collections with
+    extreme redundancy -- purge first, as the workflow does.
     """
     np = _np
     ids = columns.ids
@@ -556,11 +451,6 @@ class BlockingEngine:
         own ``build``, so the engine is always safe to use.
     engine:
         ``"index"`` (default) or ``"oracle"``.
-    use_numpy:
-        Force (``True``, raising :class:`ValueError` when NumPy is not
-        importable) or forbid (``False``) the NumPy kernel bodies; ``None``
-        (default) uses NumPy whenever it is importable.  Both bodies produce
-        bit-identical output.
     context:
         Optional shared :class:`~repro.core.context.PipelineContext`.  When
         given and the context owns the input data, the index builders read
@@ -588,22 +478,15 @@ class BlockingEngine:
         self,
         builder: Optional[BlockBuilder] = None,
         engine: str = "index",
-        use_numpy: Optional[bool] = None,
         context=None,
         parallel=None,
     ) -> None:
         if engine not in BLOCKING_ENGINES:
             raise ValueError(f"unknown engine {engine!r}; available: {BLOCKING_ENGINES}")
-        if use_numpy and _np is None:
-            raise ValueError(
-                "use_numpy=True but numpy is not importable; "
-                "pass use_numpy=None to fall back automatically"
-            )
         self.builder = builder if builder is not None else TokenBlocking()
         self.engine = engine
         self.context = context
         self.parallel = parallel
-        self._use_numpy = (_np is not None) if use_numpy is None else bool(use_numpy)
         #: engine that actually executed the last build/clean call
         self.last_engine: Optional[str] = None
         self._warned_fallback = False
@@ -626,12 +509,12 @@ class BlockingEngine:
                 context = None
             array_build = _ARRAY_BUILDS.get(type(builder))
             if array_build is not None:
-                return array_build(builder, data, context, self._use_numpy)
+                return array_build(builder, data, context)
             if context is None:
                 context = PipelineContext(data)
             if type(builder) is AttributeClusteringBlocking:
                 return _index_attribute_clustering_build(builder, context)
-            columns = _context_token_build(builder, context, self._use_numpy)
+            columns = _context_token_build(builder, context)
             return BlockCollection.from_columns(columns, name=builder.name)
         self.last_engine = "oracle"
         if self.engine == "index" and not self._warned_fallback:
@@ -670,14 +553,14 @@ class BlockingEngine:
             if cleaner is None:
                 continue
             if index and type(cleaner) is library_type:
-                columns = kernel(BlockColumns.from_collection(result), cleaner, self._use_numpy)
+                columns = kernel(BlockColumns.from_collection(result), cleaner)
                 result = BlockCollection.from_columns(columns, name=f"{result.name}/{suffix}")
             else:
                 oracle_used = True
                 result = cleaner.process(result)
         if propagate:
             if index:
-                result = _index_propagate(result, self._use_numpy, parallel=self.parallel)
+                result = _index_propagate(result, parallel=self.parallel)
             else:
                 result = ComparisonPropagation().process(result)
         if purging is None and filtering is None and not propagate:

@@ -23,10 +23,12 @@ from __future__ import annotations
 import math
 from typing import Dict, List, Optional, Sequence, Set, Tuple
 
+import numpy as _np
+
 from repro.blocking.base import Block, BlockBuilder, BlockCollection, ERInput
 from repro.datamodel.collection import CleanCleanTask
 from repro.datamodel.description import EntityDescription
-from repro.datamodel.pairs import canonical_pair
+from repro.datamodel.pairs import canonical_pair, identifier_ranks
 from repro.text.similarity import jaccard_similarity
 from repro.text.tokenize import DEFAULT_STOP_WORDS, token_set
 
@@ -194,7 +196,6 @@ class SimilarityJoinBlocking(BlockBuilder):
 # array build (dispatched by repro.blocking.engine.BlockingEngine)
 # ----------------------------------------------------------------------
 def _vectorised_candidates(
-    np,
     columns,
     n: int,
     left_count: int,
@@ -204,7 +205,7 @@ def _vectorised_candidates(
     use_positional: bool,
     rank_of: Dict[int, int],
     num_tokens: int,
-    id_rank: Sequence[int],
+    id_rank,
     record_order: Sequence[int],
 ):
     """All candidate codes in one vectorised pass, sorted ascending.
@@ -224,6 +225,7 @@ def _vectorised_candidates(
     oracle's shortest-first processing order, so the returned candidate
     set is bit-identical to the sequential loop's.
     """
+    np = _np
     lens = np.fromiter((len(column) for column in columns), dtype=np.int64, count=n)
     if n == 0 or int(lens.sum()) == 0:
         return np.empty(0, dtype=np.int64)
@@ -289,15 +291,13 @@ def _vectorised_candidates(
             later_size - entry_positions[later], earlier_size - entry_positions[earlier]
         )
         keep &= remaining >= coefficient * (later_size + earlier_size)
-    first_rank = np.asarray(id_rank, dtype=np.int64)[later_record[keep]]
-    second_rank = np.asarray(id_rank, dtype=np.int64)[earlier_record[keep]]
+    first_rank = id_rank[later_record[keep]]
+    second_rank = id_rank[earlier_record[keep]]
     codes = np.minimum(first_rank, second_rank) * n + np.maximum(first_rank, second_rank)
     return np.unique(codes)
 
 
-def _index_build(
-    builder: SimilarityJoinBlocking, data: ERInput, context, use_numpy: bool
-) -> BlockCollection:
+def _index_build(builder: SimilarityJoinBlocking, data: ERInput, context) -> BlockCollection:
     """Array build: prefix filtering over sorted-id columns, columnar verification.
 
     Candidate generation runs entirely in *rank space*: the global
@@ -306,10 +306,9 @@ def _index_build(
     list, records are processed shortest-first with identifier
     tie-breaks, and the length/positional filters evaluate the identical
     float expressions -- so the candidate *set* is the oracle's exactly.
-    With NumPy the whole prefix-index scan collapses into one vectorised
-    encounter enumeration (see :func:`_vectorised_candidates` for why the
-    positional filter admits this); without it a rank-space port of the
-    oracle's sequential loop runs instead.  Candidate pairs are
+    The whole prefix-index scan collapses into one vectorised encounter
+    enumeration (see :func:`_vectorised_candidates` for why the positional
+    filter admits this).  Candidate pairs are
     packed into single integers whose ascending order equals the oracle's
     sorted canonical string pairs.  Verification then runs through the
     matching engine's columnar set scorer
@@ -345,113 +344,42 @@ def _index_build(
 
     # identifier ranks: candidate pairs order by them exactly as canonical
     # string pairs sort, and ascending rank is the oracle's emission order
-    by_rank = sorted(range(n), key=ids.__getitem__)
-    id_rank = [0] * n
-    for rank, ordinal in enumerate(by_rank):
-        id_rank[ordinal] = rank
+    id_rank = identifier_ranks(ids)
 
     record_order = sorted(range(n), key=lambda o: (len(columns[o]), ids[o]))
 
     use_positional = builder.use_positional_filter
     coefficient = threshold / (1.0 + threshold)
-    try:
-        import numpy as _np
-    except ImportError:  # pragma: no cover - exercised by the no-NumPy CI job
-        _np = None
-
-    if _np is not None and use_numpy is not False:
-        ordered_codes = _vectorised_candidates(
-            _np,
-            columns,
-            n,
-            left_count,
-            bilateral,
-            threshold,
-            coefficient,
-            use_positional,
-            rank_of,
-            view.num_tokens,
-            id_rank,
-            record_order,
+    ordered_codes = _vectorised_candidates(
+        columns,
+        n,
+        left_count,
+        bilateral,
+        threshold,
+        coefficient,
+        use_positional,
+        rank_of,
+        view.num_tokens,
+        id_rank,
+        record_order,
+    )
+    builder.last_candidate_count = int(ordered_codes.size)
+    # ascending packed codes sort exactly like the oracle's sorted canonical
+    # (first identifier, second identifier) pairs
+    rank_to_ordinal = _np.argsort(id_rank)
+    ordinal_pairs = list(
+        zip(
+            rank_to_ordinal[ordered_codes // n].tolist(),
+            rank_to_ordinal[ordered_codes % n].tolist(),
         )
-        builder.last_candidate_count = int(ordered_codes.size)
-        if ordered_codes.size:
-            rank_to_ordinal = _np.fromiter(by_rank, dtype=_np.int64, count=n)
-            ordinal_pairs = list(
-                zip(
-                    rank_to_ordinal[ordered_codes // n].tolist(),
-                    rank_to_ordinal[ordered_codes % n].tolist(),
-                )
-            )
-        else:
-            ordinal_pairs = []
-    else:
-        # every record's tokens, translated to ranks and integer-sorted: the
-        # ascending rank order is exactly the oracle's (document frequency,
-        # token string) order, without a key function in the inner sort
-        rank_getter = rank_of.__getitem__
-        ranked: List[List[int]] = [sorted(map(rank_getter, column)) for column in columns]
-        index: Dict[int, List[Tuple[int, int, int]]] = {}
-        index_get = index.get
-        candidate_codes: Set[int] = set()
-        add_candidate = candidate_codes.add
-        for ordinal in record_order:
-            tokens = ranked[ordinal]
-            size = len(tokens)
-            if size == 0:
-                continue
-            prefix_len = _prefix_length(size, threshold)
-            if prefix_len > size:
-                prefix_len = size
-            overlap_bound: Dict[int, float] = {}
-            bound_get = overlap_bound.get
-            rank = id_rank[ordinal]
-            on_left = ordinal < left_count
-            min_other_size = threshold * size
-            for position in range(prefix_len):
-                token = tokens[position]
-                postings = index_get(token)
-                if postings is None:
-                    index[token] = [(ordinal, position, size)]
-                    continue
-                remaining_here = size - position
-                for other, other_position, other_size in postings:
-                    if bilateral and (other < left_count) == on_left:
-                        continue
-                    if other_size < min_other_size:
-                        continue
-                    if use_positional:
-                        other_remaining = other_size - other_position
-                        remaining = (
-                            remaining_here
-                            if remaining_here < other_remaining
-                            else other_remaining
-                        )
-                        prior = bound_get(other, 0.0)
-                        if prior + remaining < coefficient * (size + other_size):
-                            overlap_bound[other] = prior + 1.0
-                            continue
-                    other_rank = id_rank[other]
-                    add_candidate(
-                        rank * n + other_rank
-                        if rank < other_rank
-                        else other_rank * n + rank
-                    )
-                postings.append((ordinal, position, size))
-
-        builder.last_candidate_count = len(candidate_codes)
-        # ascending packed codes sort exactly like the oracle's sorted
-        # canonical (first identifier, second identifier) pairs
-        ordinal_pairs = [
-            (by_rank[code // n], by_rank[code % n]) for code in sorted(candidate_codes)
-        ]
+    )
     matcher = ProfileSimilarityMatcher(
         threshold=threshold,
         stop_words=builder.stop_words,
         min_token_length=builder.min_token_length,
         similarity_name="jaccard",
     )
-    engine = MatchingEngine(matcher, context=context, use_numpy=use_numpy)
+    engine = MatchingEngine(matcher, context=context)
     scores = engine.score_id_set_pairs(ordinal_pairs, columns)
 
     collection = BlockCollection(name=builder.name)

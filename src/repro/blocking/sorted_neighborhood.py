@@ -345,7 +345,7 @@ def _emit_key_windows(
     collection._extend_trusted(out)
 
 
-def _index_build(builder, data: ERInput, context, use_numpy: bool) -> BlockCollection:
+def _index_build(builder, data: ERInput, context) -> BlockCollection:
     """Array build for the three sorted-neighbourhood variants.
 
     One sorted pass per sorting key; windows are emitted through trusted

@@ -72,7 +72,7 @@ from __future__ import annotations
 
 import itertools
 from array import array
-from collections import Counter, defaultdict
+from collections import defaultdict
 from typing import Dict, FrozenSet, Iterable, Iterator, List, Optional, Tuple
 
 from repro.datamodel.collection import CleanCleanTask
@@ -80,10 +80,7 @@ from repro.datamodel.description import EntityDescription
 from repro.text.tokenize import SLOT_MARK, tokenize_slots
 from repro.text.vectorizer import TfIdfVectorizer
 
-try:  # pragma: no cover - exercised implicitly when numpy is installed
-    import numpy as _np
-except ImportError:  # pragma: no cover
-    _np = None
+import numpy as _np
 
 ERInput = object  # EntityCollection | CleanCleanTask (kept loose to stay import-light)
 
@@ -101,16 +98,7 @@ def _sorted_distinct(ids, ptr, id_space: int):
     + id`` sorts by (segment, id) and counts in a single call; the output
     pointer comes from pointer differences over the sorted keys, so an empty
     segment comes out empty (``np.add.reduceat`` would not give 0 for it).
-    Without NumPy the same columns are filled one segment at a time.
     """
-    if _np is None:
-        out_ptr, out_ids, out_counts = [0], [], []
-        for start, stop in zip(ptr, ptr[1:]):
-            counted = sorted(Counter(ids[start:stop]).items())
-            out_ids.extend(token_id for token_id, _ in counted)
-            out_counts.extend(count for _, count in counted)
-            out_ptr.append(len(out_ids))
-        return out_ptr, out_ids, out_counts
     np = _np
     segment = np.repeat(np.arange(len(ptr) - 1, dtype=np.int64), np.diff(ptr))
     keys, counts = np.unique(segment * id_space + ids, return_counts=True)
@@ -121,12 +109,7 @@ def _sorted_distinct(ids, ptr, id_space: int):
 
 def _extend(column: array, values, offset: int = 0) -> None:
     """Append ``values`` (+ ``offset``) to an ``array('q')`` column."""
-    if _np is not None:
-        column.frombytes((_np.asarray(values, dtype=_np.int64) + offset).tobytes())
-    elif offset:
-        column.extend(value + offset for value in values)
-    else:
-        column.extend(values)
+    column.frombytes((_np.asarray(values, dtype=_np.int64) + offset).tobytes())
 
 
 class _Csr:
@@ -288,22 +271,14 @@ class PipelineContext:
             chunk_tokens = tokenize_slots(pieces)
             del pieces
             # the ids less the marks; a slot ends at its mark less the marks before
-            marked = map(token_ids.__getitem__, chunk_tokens)
-            if _np is not None:
-                marked = _np.fromiter(marked, _np.int64, len(chunk_tokens))
-                del chunk_tokens
-                marks = _np.flatnonzero(marked < 0)
-                ids = _np.delete(marked, marks)
-                slot_ends = _np.concatenate(([0], marks - _np.arange(len(marks))))
-                token_ends = slot_ends[description_ends]
-            else:
-                ids, slot_ends = array("q"), array("q", [0])
-                for token_id in marked:
-                    if token_id < 0:
-                        slot_ends.append(len(ids))
-                    else:
-                        ids.append(token_id)
-                token_ends = array("q", map(slot_ends.__getitem__, description_ends))
+            marked = _np.fromiter(
+                map(token_ids.__getitem__, chunk_tokens), _np.int64, len(chunk_tokens)
+            )
+            del chunk_tokens
+            marks = _np.flatnonzero(marked < 0)
+            ids = _np.delete(marked, marks)
+            slot_ends = _np.concatenate(([0], marks - _np.arange(len(marks))))
+            token_ends = slot_ends[description_ends]
             _extend(stream_ptr, token_ends[1:], len(stream_ids))
             _extend(stream_ids, ids)
             _extend(slot_ptr, description_ends[1:], slot_base)
@@ -453,13 +428,9 @@ class PipelineContext:
             return cached
         _ptr, ids, _counts = self.token_columns()
         tokens = self._tokens
-        if _np is not None:
-            frequencies = _np.bincount(
-                _np.frombuffer(ids, dtype=_np.int64), minlength=len(tokens)
-            ).tolist()
-        else:
-            counted = Counter(ids)
-            frequencies = [counted[token_id] for token_id in range(len(tokens))]
+        frequencies = _np.bincount(
+            _np.frombuffer(ids, dtype=_np.int64), minlength=len(tokens)
+        ).tolist()
         document_frequency = {
             token: frequency
             for token, frequency in zip(tokens, frequencies)

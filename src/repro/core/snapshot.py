@@ -5,23 +5,24 @@ its resolution state -- a growable vocabulary, token-id columns, union--find
 parents, cluster postings -- must survive a restart without re-interning the
 whole arrival history.  This module is the persistence primitive that makes
 that possible: a snapshot is a **directory of ``.npy`` files plus a
-``manifest.json``**, written with a pure-Python ``.npy`` v1.0 writer so the
-bytes on disk are identical whether or not NumPy is installed.
+``manifest.json``**, written with a pure-Python ``.npy`` v1.0 writer, so the
+bytes on disk do not depend on the installed NumPy version.
 
 Design rules:
 
-* **One format, two readers.**  Columns are standard one-dimensional
-  little-endian ``.npy`` arrays (``<i8``).  With NumPy installed they are
-  opened with ``np.load(mmap_mode="r")``; without it, with ``mmap`` +
-  ``memoryview.cast('q')``.  Either way a loaded column is a zero-copy view
-  over the file, and both readers see bit-identical values.
+* **One format, one reader.**  Columns are standard one-dimensional
+  little-endian ``.npy`` arrays (``<i8``), opened with
+  ``np.load(mmap_mode="r")``: a loaded column is a zero-copy view over the
+  file.  A malformed column file raises :class:`SnapshotError`.
 * **Strings as blob + offsets.**  A string column is a raw UTF-8
   concatenation (``<name>.blob``) plus an ``int64`` offset column of length
   ``n + 1`` -- the same CSR shape as every other column.
 * **Versioned manifest.**  ``manifest.json`` records
   :data:`SNAPSHOT_FORMAT_VERSION`, the column/string inventory with lengths
   (validated on load) and a free-form ``meta`` mapping for the writer's own
-  configuration.  A reader refuses manifests whose major format version it
+  configuration.  Its shape is checked when a reader opens it: a manifest
+  that is not an object, or an inventory or checksum table of the wrong
+  shape, raises :class:`SnapshotError`.  A reader refuses manifests whose major format version it
   does not know -- snapshots are a service interface, failing loudly beats
   misreading state.
 * **Crash-safe writes** (format 1.1).  The writer stages every file in a
@@ -46,23 +47,19 @@ only about named int64 columns, named string columns and a metadata dict.
 
 from __future__ import annotations
 
-import ast
 import json
-import mmap
 import os
 import secrets
 import shutil
 import struct
+import tokenize
 import warnings
 import zlib
 from array import array
 from pathlib import Path
-from typing import Any, Dict, Iterable, List, Optional, Sequence, Union
+from typing import Any, Callable, Dict, Iterable, List, Optional, Sequence, Union
 
-try:  # optional accelerator -- the format does not depend on it
-    import numpy as _np
-except ImportError:  # pragma: no cover - exercised by the no-numpy CI job
-    _np = None
+import numpy as _np
 
 __all__ = [
     "SNAPSHOT_FORMAT_VERSION",
@@ -108,14 +105,14 @@ def _file_crc32(path: Path) -> int:
 
 
 # ----------------------------------------------------------------------
-# .npy primitives (pure Python, NumPy-compatible)
+# .npy primitives
 # ----------------------------------------------------------------------
 def _npy_header(count: int, descr: str) -> bytes:
     """A NumPy-format 1.0 header for a 1-D array, padded numpy-style.
 
     The header dict uses the exact literal layout ``np.lib.format`` emits and
-    is padded with spaces so the data section starts on a 64-byte boundary --
-    which is what makes the memory-mapped ``memoryview.cast('q')`` aligned.
+    is padded with spaces so the data section starts on a 64-byte boundary,
+    which keeps the memory-mapped int64 values aligned.
     """
     header = "{'descr': '%s', 'fortran_order': False, 'shape': (%d,), }" % (
         descr,
@@ -149,49 +146,25 @@ def write_npy(path: Union[str, Path], chunks: Iterable[Any], count: int) -> None
         raise ValueError(f"{path.name}: wrote {written} values, declared {count}")
 
 
-def _parse_npy_header(buffer: Any) -> "tuple[str, int, int]":
-    """``(descr, count, data offset)`` of a 1-D ``.npy`` buffer."""
-    if bytes(buffer[:6]) != _MAGIC:
-        raise ValueError("not a .npy file (bad magic)")
-    major = buffer[6]
-    if major == 1:
-        (header_len,) = struct.unpack_from("<H", buffer, 8)
-        start = 10
-    elif major == 2:
-        (header_len,) = struct.unpack_from("<I", buffer, 8)
-        start = 12
-    else:
-        raise ValueError(f"unsupported .npy version {major}")
-    info = ast.literal_eval(bytes(buffer[start : start + header_len]).decode("latin1"))
-    shape = info["shape"]
-    if info.get("fortran_order") or len(shape) != 1:
-        raise ValueError(f"expected a C-ordered 1-D array, got {info!r}")
-    return info["descr"], shape[0], start + header_len
+def read_npy(path: Union[str, Path]) -> Sequence[int]:
+    """Memory-map a 1-D int64 ``.npy`` file back as a zero-copy ``np.memmap`` view.
 
-
-def read_npy(path: Union[str, Path], use_numpy: Optional[bool] = None) -> Sequence[int]:
-    """Memory-map a 1-D int64 ``.npy`` file back as a zero-copy view.
-
-    Returns an ``np.memmap``-backed array when NumPy is importable (unless
-    ``use_numpy=False``), otherwise a ``memoryview`` cast to ``'q'`` over an
-    ``mmap``.  Both support ``len``, indexing, slicing and iteration; the
-    ``memoryview`` keeps its ``mmap`` alive through the buffer protocol.
+    A file that is not such a column -- empty, a bad magic string, an
+    unparsable header, another shape or dtype, fewer bytes than its header
+    declares -- raises :class:`SnapshotError`; a missing file raises
+    :class:`OSError`.
     """
     path = Path(path)
-    numpy_wanted = (_np is not None) if use_numpy is None else bool(use_numpy)
-    if numpy_wanted:
-        if _np is None:
-            raise ValueError("use_numpy=True but numpy is not importable")
+    try:
         loaded = _np.load(str(path), mmap_mode="r")
-        if loaded.ndim != 1 or loaded.dtype != _np.int64:
-            raise ValueError(f"{path.name}: expected a 1-D int64 column")
-        return loaded
-    with open(path, "rb") as handle:
-        mapped = mmap.mmap(handle.fileno(), 0, access=mmap.ACCESS_READ)
-    descr, count, offset = _parse_npy_header(mapped)
-    if descr != _INT64:
-        raise ValueError(f"{path.name}: expected {_INT64}, got {descr!r}")
-    return memoryview(mapped)[offset : offset + count * 8].cast("q")
+    except (ValueError, EOFError, tokenize.TokenError) as error:
+        raise SnapshotError(f"{path.name}: not a readable .npy column ({error})") from error
+    if loaded.ndim != 1 or loaded.dtype != _np.int64:
+        raise SnapshotError(
+            f"{path.name}: expected a 1-D {_INT64} column, got shape "
+            f"{loaded.shape} of {loaded.dtype.str}"
+        )
+    return loaded
 
 
 # ----------------------------------------------------------------------
@@ -204,7 +177,7 @@ def _chunks_of(values: Any) -> "tuple[List[Any], int]":
         return list(chunks()), len(values)
     if isinstance(values, array) and values.typecode == "q":
         return [values], len(values)
-    if _np is not None and isinstance(values, _np.ndarray):
+    if isinstance(values, _np.ndarray):
         return [_np.ascontiguousarray(values, dtype=_np.int64)], len(values)
     flat = array("q", values)
     return [flat], len(flat)
@@ -331,6 +304,31 @@ class SnapshotWriter:
             pass
 
 
+def _is_count(value: Any) -> bool:
+    return type(value) is int and value >= 0
+
+
+def _is_checksum(value: Any) -> bool:
+    return isinstance(value, list) and len(value) == 2 and all(map(_is_count, value))
+
+
+def _check_entries(
+    manifest_path: Path, key: str, entries: Any, valid: Callable[[Any], bool], expected: str
+) -> None:
+    """Raise :class:`SnapshotError` unless ``entries`` maps names to valid values."""
+    if not isinstance(entries, dict):
+        raise SnapshotError(
+            f"snapshot manifest at {manifest_path}: {key!r} is not a mapping; "
+            "the snapshot is corrupted"
+        )
+    for name, value in entries.items():
+        if not valid(value):
+            raise SnapshotError(
+                f"snapshot manifest at {manifest_path}: {key}[{name!r}] is {value!r}, "
+                f"expected {expected}; the snapshot is corrupted"
+            )
+
+
 class SnapshotReader:
     """Opens a snapshot directory, validating version, inventory and integrity.
 
@@ -342,9 +340,8 @@ class SnapshotReader:
     integrity cannot be verified.
     """
 
-    def __init__(self, path: Union[str, Path], use_numpy: Optional[bool] = None) -> None:
+    def __init__(self, path: Union[str, Path]) -> None:
         self.path = Path(path)
-        self._use_numpy = use_numpy
         manifest_path = self.path / _MANIFEST
         if not manifest_path.is_file():
             raise FileNotFoundError(f"no snapshot manifest at {manifest_path}")
@@ -355,6 +352,11 @@ class SnapshotReader:
                 f"snapshot manifest at {manifest_path} is not valid JSON "
                 f"({error}); the snapshot is corrupted"
             ) from error
+        if not isinstance(manifest, dict):
+            raise SnapshotError(
+                f"snapshot manifest at {manifest_path} is not a JSON object; "
+                "the snapshot is corrupted"
+            )
         version = manifest.get("format_version")
         if version != SNAPSHOT_FORMAT_VERSION:
             raise SnapshotError(
@@ -367,10 +369,24 @@ class SnapshotReader:
                     f"snapshot manifest at {manifest_path} is missing its "
                     f"{key!r} inventory; the snapshot is corrupted or partial"
                 )
+            _check_entries(manifest_path, key, manifest[key], _is_count, "a count >= 0")
         self._columns: Dict[str, int] = manifest["columns"]
         self._strings: Dict[str, int] = manifest["strings"]
         self.meta: Dict[str, Any] = manifest.get("meta", {})
+        if not isinstance(self.meta, dict):
+            raise SnapshotError(
+                f"snapshot manifest at {manifest_path}: 'meta' is not a mapping; "
+                "the snapshot is corrupted"
+            )
         self._checksums: Optional[Dict[str, Any]] = manifest.get("checksums")
+        if self._checksums is not None:
+            _check_entries(
+                manifest_path,
+                "checksums",
+                self._checksums,
+                _is_checksum,
+                "a [CRC32, byte length] pair of integers",
+            )
         self._verified: "set[str]" = set()
         if self._checksums is None:
             warnings.warn(
@@ -390,7 +406,7 @@ class SnapshotReader:
                 f"snapshot manifest records no checksum for {filename!r}; "
                 "the manifest is corrupted or partial"
             )
-        expected_crc, expected_bytes = int(entry[0]), int(entry[1])
+        expected_crc, expected_bytes = entry
         path = self.path / filename
         actual_bytes = path.stat().st_size
         if actual_bytes != expected_bytes:
@@ -416,7 +432,7 @@ class SnapshotReader:
                 "the snapshot is partial"
             )
         try:
-            return read_npy(path, use_numpy=self._use_numpy)
+            return read_npy(path)
         except (ValueError, OSError) as error:
             raise SnapshotError(
                 f"{label}: snapshot file {filename!r} is unreadable ({error}); "

@@ -22,10 +22,7 @@ from __future__ import annotations
 from array import array
 from typing import Dict, FrozenSet, Hashable, Iterable, Iterator, List, Optional, Sequence
 
-try:  # pragma: no cover - exercised implicitly when numpy is installed
-    import numpy as _np
-except ImportError:  # pragma: no cover
-    _np = None
+import numpy as _np
 
 __all__ = ["UnionFind", "IntUnionFind"]
 
@@ -148,7 +145,7 @@ class IntUnionFind:
         """The root of every ordinal in ``ordinals``, as an int64 ndarray.
 
         The roots :meth:`find` returns, from one pointer chase over all of
-        them at once that leaves the parent array as it is (NumPy only).
+        them at once that leaves the parent array as it is.
         """
         parent = _np.frombuffer(self.parent, dtype=_np.int64)
         roots = parent[_np.asarray(ordinals, dtype=_np.int64)]

@@ -86,10 +86,7 @@ from repro.progressive.schedulers import (
 )
 from repro.progressive.sorted_list import SortedListScheduler
 
-try:  # pragma: no cover - exercised implicitly when numpy is installed
-    import numpy as _np
-except ImportError:  # pragma: no cover
-    _np = None
+import numpy as _np
 
 _BLOCKING_FACTORIES = {
     "token": lambda: TokenBlocking(),
@@ -549,11 +546,10 @@ class ERWorkflow:
         :meth:`MatchingEngine.score_against` pass before the visit loop --
         scoring is stateless, so scoring a candidate the cluster check then
         skips changes nothing.  Unions happen only at matches, so up to the
-        first visited match the cluster state is fixed: with NumPy that
-        **visit prefix** is counted in one pass (every candidate's root from
+        first visited match the cluster state is fixed: that **visit
+        prefix** is counted in one pass (every candidate's root from
         :meth:`IntUnionFind.roots`, visited where it differs from the
-        merge's) and the per-candidate loop runs from that match on;
-        without NumPy the loop runs from the first candidate.
+        merge's) and the per-candidate loop runs from that match on.
         Otherwise the matcher may be stateful (e.g. the noisy oracle's RNG):
         only the candidates that survive the cluster check reach
         ``engine.decide``, one at a time, in visit order.
@@ -588,12 +584,11 @@ class ERWorkflow:
                 # first-root-wins unions: this stays the root of ``first``'s
                 # cluster through every union the loop below makes
                 root = clusters.find(first)
-                prefix = batch and _np is not None
                 # one ordinal array serves the scoring and the visit prefix
-                ordinals = _np.asarray(candidates, dtype=_np.int64) if prefix else candidates
+                ordinals = _np.asarray(candidates, dtype=_np.int64) if batch else candidates
                 scores = engine.score_against(merged, ordinals) if batch else None
                 start = 0
-                if prefix:
+                if batch:
                     # the visit prefix: no union before the first visited match
                     visit = clusters.roots(ordinals) != root
                     matched = _np.flatnonzero(visit & (_np.asarray(scores) >= threshold))

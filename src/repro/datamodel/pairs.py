@@ -13,10 +13,7 @@ from array import array
 from dataclasses import dataclass, field
 from typing import Dict, Iterator, List, Optional, Sequence, Set, Tuple
 
-try:  # pragma: no cover - exercised implicitly when numpy is installed
-    import numpy as _np
-except ImportError:  # pragma: no cover
-    _np = None
+import numpy as _np
 
 
 def canonical_pair(first: str, second: str) -> Tuple[str, str]:
@@ -80,9 +77,11 @@ class Comparison:
 def pair_code(a: int, b: int) -> int:
     """Pack an unordered ordinal pair into one integer (``min << 32 | max``).
 
-    The packing assumes ordinals fit 32 bits (four billion descriptions),
-    which every realistic collection satisfies; it is the single definition
-    of the dedup-code scheme used by the columnar paths.
+    It is the single definition of the dedup-code scheme used by the
+    columnar paths, which hold the codes in ``int64`` columns: the sign bit
+    bounds the shifted half, so ordinals must stay below ``2**31`` (two
+    billion descriptions), which every collection that fits in memory
+    satisfies.
     """
     return (a << 32) | b if a < b else (b << 32) | a
 
@@ -95,13 +94,8 @@ def identifier_ranks(ids: Sequence[str]) -> Sequence[int]:
     the clustering engine's heaviest-first edge sort) break weight ties
     exactly like a sort over the identifier pair itself.
     """
-    if _np is not None:
-        rank = _np.empty(len(ids), dtype=_np.int64)
-        rank[_np.argsort(_np.array(ids))] = _np.arange(len(ids), dtype=_np.int64)
-        return rank
-    rank = [0] * len(ids)
-    for position, ordinal in enumerate(sorted(range(len(ids)), key=ids.__getitem__)):
-        rank[ordinal] = position
+    rank = _np.empty(len(ids), dtype=_np.int64)
+    rank[_np.argsort(_np.array(ids))] = _np.arange(len(ids), dtype=_np.int64)
     return rank
 
 
@@ -284,44 +278,22 @@ class ComparisonColumns(Sequence):
         The exact order of ``MetaBlocking.weighted_comparisons`` and of
         :class:`~repro.progressive.schedulers.WeightOrderScheduler`:
         descending weight, ties broken by the canonical identifier pair
-        (missing weights sort last).  NumPy orders the rank and weight
-        columns with :func:`heaviest_first`; the fallback sorts row indices
-        with the equivalent key.  Both orders are identical.
+        (missing weights sort last): :func:`heaviest_first` over the rank
+        and weight columns.
         """
-        n = len(self)
-        if n <= 1 or self.weight_ordered:
+        if len(self) <= 1 or self.weight_ordered:
             return self
-        rank = self._ranks()
-        if _np is not None:
-            first = _np.frombuffer(self.first, dtype=_np.int64)
-            second = _np.frombuffer(self.second, dtype=_np.int64)
-            weights = None
-            if self.weights is not None:
-                weights = _np.frombuffer(self.weights, dtype=_np.float64)
-            order = heaviest_first(rank, first, second, weights)
-            sorted_first = array("q", first[order].tobytes())
-            sorted_second = array("q", second[order].tobytes())
-            sorted_weights = None
-            if weights is not None:
-                sorted_weights = array("d", weights[order].tobytes())
-        else:
-            first = self.first
-            second = self.second
-            weights = self.weights
-            if weights is None:
-                indices = sorted(
-                    range(n), key=lambda i: (rank[first[i]], rank[second[i]])
-                )
-            else:
-                indices = sorted(
-                    range(n),
-                    key=lambda i: (-weights[i], rank[first[i]], rank[second[i]]),
-                )
-            sorted_first = array("q", (first[i] for i in indices))
-            sorted_second = array("q", (second[i] for i in indices))
-            sorted_weights = (
-                array("d", (weights[i] for i in indices)) if weights is not None else None
-            )
+        first = _np.frombuffer(self.first, dtype=_np.int64)
+        second = _np.frombuffer(self.second, dtype=_np.int64)
+        weights = None
+        if self.weights is not None:
+            weights = _np.frombuffer(self.weights, dtype=_np.float64)
+        order = heaviest_first(self._ranks(), first, second, weights)
+        sorted_first = array("q", first[order].tobytes())
+        sorted_second = array("q", second[order].tobytes())
+        sorted_weights = None
+        if weights is not None:
+            sorted_weights = array("d", weights[order].tobytes())
         return ComparisonColumns(
             self.ids,
             sorted_first,

@@ -39,10 +39,7 @@ from repro.blocking.base import BlockCollection
 from repro.blocking.columns import BlockColumns
 from repro.metablocking.entity_index import EntityIndexEngine
 
-try:  # pragma: no cover - exercised implicitly when numpy is installed
-    import numpy as _np
-except ImportError:  # pragma: no cover
-    _np = None
+import numpy as _np
 
 
 def f_measure(precision: float, recall: float) -> float:
@@ -182,16 +179,10 @@ def _count_detected_columns(
     cluster_index = ground_truth.cluster_indices(columns.ids)
     detected = 0
     if getattr(columns, "distinct", False):
-        if _np is not None:
-            cluster = _np.asarray(cluster_index, dtype=_np.int64)
-            of_first = cluster[_np.asarray(columns.first, dtype=_np.int64)]
-            of_second = cluster[_np.asarray(columns.second, dtype=_np.int64)]
-            detected = int(_np.count_nonzero((of_first >= 0) & (of_first == of_second)))
-            return len(columns), detected
-        for f, s in zip(columns.first, columns.second):
-            index = cluster_index[f]
-            if index >= 0 and index == cluster_index[s]:
-                detected += 1
+        cluster = _np.asarray(cluster_index, dtype=_np.int64)
+        of_first = cluster[_np.asarray(columns.first, dtype=_np.int64)]
+        of_second = cluster[_np.asarray(columns.second, dtype=_np.int64)]
+        detected = int(_np.count_nonzero((of_first >= 0) & (of_first == of_second)))
         return len(columns), detected
     seen: Set[int] = set()
     add = seen.add

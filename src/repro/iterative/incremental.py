@@ -93,9 +93,6 @@ class IncrementalResolver:
         Tokenisation options of the incremental token index.
     engine:
         ``"array"`` (default) or ``"object"``; see the module docstring.
-    use_numpy:
-        Picks the array engine's candidate-counting kernel (and, in
-        :meth:`restore`, the snapshot reader); ``None`` auto-detects.
     """
 
     def __init__(
@@ -105,7 +102,6 @@ class IncrementalResolver:
         stop_words=DEFAULT_STOP_WORDS,
         min_token_length: int = 2,
         engine: str = "array",
-        use_numpy: Optional[bool] = None,
     ) -> None:
         if engine not in INCREMENTAL_ENGINES:
             raise ValueError(
@@ -134,7 +130,6 @@ class IncrementalResolver:
                 max_candidates=max_candidates,
                 stop_words=self.stop_words,
                 min_token_length=min_token_length,
-                use_numpy=use_numpy,
             )
 
         self._descriptions: Dict[str, EntityDescription] = {}
@@ -393,7 +388,6 @@ class IncrementalResolver:
         cls,
         path: Union[str, Path],
         matcher: Optional[ProfileSimilarityMatcher] = None,
-        use_numpy: Optional[bool] = None,
     ) -> "IncrementalResolver":
         """Rebuild a resolver from a snapshot, memory-mapping its columns.
 
@@ -406,14 +400,13 @@ class IncrementalResolver:
         """
         from repro.iterative.index import IncrementalIndex
 
-        index = IncrementalIndex.load(path, matcher=matcher, use_numpy=use_numpy)
+        index = IncrementalIndex.load(path, matcher=matcher)
         resolver = cls(
             index.matcher,
             max_candidates=index.max_candidates,
             stop_words=index.stop_words,
             min_token_length=index.min_token_length,
             engine="array",
-            use_numpy=use_numpy,
         )
         resolver._index = index
         return resolver

@@ -13,7 +13,7 @@ keeps the same state as flat integers over a shared
   reverse index**, so a merge re-points only the absorbed root's postings
   (the historical oracle rescanned the whole token index per merge); an
   arrival's shared-token counts are the run lengths of its concatenated
-  postings after one sort (``Counter`` without NumPy), and only the roots
+  postings after one sort, and only the roots
   at or above the cut-off count are ranked in Python;
 * a candidate is scored straight from set sizes -- the arrival cluster's
   token-id ``frozenset`` intersected with the candidate's column, fed to
@@ -54,8 +54,6 @@ raise ``RuntimeError``).
 from __future__ import annotations
 
 from array import array
-from collections import Counter
-from itertools import chain
 from pathlib import Path
 from typing import Any, Dict, FrozenSet, Iterable, List, Optional, Sequence, Union
 
@@ -68,10 +66,7 @@ from repro.matching.engine import _set_score
 from repro.matching.matchers import ProfileSimilarityMatcher
 from repro.text.tokenize import DEFAULT_STOP_WORDS, token_set
 
-try:  # pragma: no cover - exercised implicitly when numpy is installed
-    import numpy as _np
-except ImportError:  # pragma: no cover
-    _np = None
+import numpy as _np
 
 __all__ = ["IncrementalIndex"]
 
@@ -113,10 +108,6 @@ class IncrementalIndex:
         facade handles the fallback.
     max_candidates, stop_words, min_token_length:
         As on :class:`~repro.iterative.incremental.IncrementalResolver`.
-    use_numpy:
-        Picks the candidate-counting kernel (sorted-run count over the
-        concatenated postings, or ``Counter``) and, in :meth:`load`, the
-        snapshot reader; ``None`` auto-detects.
     context:
         Optional pre-existing :class:`GrowableContext` (used by
         :meth:`load`); a fresh one is created by default.
@@ -128,7 +119,6 @@ class IncrementalIndex:
         max_candidates: int = 20,
         stop_words=DEFAULT_STOP_WORDS,
         min_token_length: int = 2,
-        use_numpy: Optional[bool] = None,
         context: Optional[GrowableContext] = None,
     ) -> None:
         if type(matcher) is not ProfileSimilarityMatcher or matcher.vectorizer is not None:
@@ -142,12 +132,6 @@ class IncrementalIndex:
         self.max_candidates = max_candidates
         self.stop_words = frozenset(stop_words) if stop_words else frozenset()
         self.min_token_length = min_token_length
-        if use_numpy and _np is None:
-            raise ValueError(
-                "use_numpy=True but numpy is not importable; "
-                "pass use_numpy=None to fall back automatically"
-            )
-        self._use_numpy = (_np is not None) if use_numpy is None else bool(use_numpy)
         self.context = context if context is not None else GrowableContext()
         self._index_filter = self.context.token_filter(
             self.stop_words, self.min_token_length
@@ -253,38 +237,33 @@ class IncrementalIndex:
         """Root ordinals sharing tokens, most shared first, identifier tie-break."""
         postings = self._postings
         hits = [postings[token_id] for token_id in token_ids if token_id in postings]
+        if not hits:
+            return []
         limit = self.max_candidates
+        # one sort of the concatenated postings; a root's shared-token count
+        # is the length of its run.  The buffer is private, so no view of a
+        # posting is alive when the posting is appended to.
+        buffer = array("q")
+        for roots in hits:
+            buffer.extend(roots)
+        run = _np.frombuffer(buffer, dtype=_np.int64)
+        run.sort()
+        boundary = _np.empty(len(run) + 1, dtype=bool)
+        boundary[0] = boundary[-1] = True
+        _np.not_equal(run[1:], run[:-1], out=boundary[1:-1])
+        edges = _np.flatnonzero(boundary)
+        distinct, counts = run[edges[:-1]], edges[1:] - edges[:-1]
         # Common tokens make the shared-count map much larger than ``limit``,
-        # so both kernels select instead of sorting it whole: roots strictly
+        # so the kernel selects instead of sorting it whole: roots strictly
         # above the cut-off count (the ``limit``-th largest) all make it,
         # the bucket tied at the cut-off fills what is left.
         tied: List[int] = []
-        if self._use_numpy and hits:
-            # one sort of the concatenated postings; a root's shared-token
-            # count is the length of its run.  The buffer is private, so no
-            # view of a posting is alive when the posting is appended to.
-            buffer = array("q")
-            for roots in hits:
-                buffer.extend(roots)
-            run = _np.frombuffer(buffer, dtype=_np.int64)
-            run.sort()
-            boundary = _np.empty(len(run) + 1, dtype=bool)
-            boundary[0] = boundary[-1] = True
-            _np.not_equal(run[1:], run[:-1], out=boundary[1:-1])
-            edges = _np.flatnonzero(boundary)
-            distinct, counts = run[edges[:-1]], edges[1:] - edges[:-1]
-            if len(distinct) > limit:
-                cut = _np.partition(counts, -limit)[-limit]
-                tied = distinct[counts == cut].tolist()
-                keep = counts > cut
-                distinct, counts = distinct[keep], counts[keep]
-            shared = dict(zip(distinct.tolist(), counts.tolist()))
-        else:
-            shared = Counter(chain.from_iterable(hits))
-            if len(shared) > limit:
-                cut = sorted(shared.values())[-limit]
-                tied = [root for root, count in shared.items() if count == cut]
-                shared = {root: count for root, count in shared.items() if count > cut}
+        if len(distinct) > limit:
+            cut = _np.partition(counts, -limit)[-limit]
+            tied = distinct[counts == cut].tolist()
+            keep = counts > cut
+            distinct, counts = distinct[keep], counts[keep]
+        shared = dict(zip(distinct.tolist(), counts.tolist()))
         ids = self.context.ids
         ranked = sorted(shared, key=lambda root: (-shared[root], ids[root]))
         # the tied bucket shares one count: identifier order alone is the
@@ -548,7 +527,6 @@ class IncrementalIndex:
         cls,
         path: Union[str, Path],
         matcher: Optional[ProfileSimilarityMatcher] = None,
-        use_numpy: Optional[bool] = None,
     ) -> "IncrementalIndex":
         """Memory-map a snapshot back into a live, growable index.
 
@@ -556,7 +534,7 @@ class IncrementalIndex:
         which case its configuration must match the snapshot's exactly
         (scores would silently diverge otherwise).
         """
-        reader = SnapshotReader(path, use_numpy=use_numpy)
+        reader = SnapshotReader(path)
         meta = reader.meta
         if meta.get("kind") != "incremental-index":
             raise ValueError(f"snapshot at {path} is not an incremental index")
@@ -589,11 +567,10 @@ class IncrementalIndex:
             max_candidates=meta["max_candidates"],
             stop_words=meta["stop_words"],
             min_token_length=meta["min_token_length"],
-            use_numpy=use_numpy,
             context=context,
         )
-        # every column is read once with tolist() (both readers have it):
-        # indexing a mapped column element by element boxes a scalar a time
+        # every column is read once with tolist(): indexing a mapped column
+        # element by element boxes a scalar a time
         index._uf.parent = array("q", reader.column("index.uf_parent").tolist())
         index._alive = bytearray(reader.column("index.alive").tolist())
         index._live = meta["live"]

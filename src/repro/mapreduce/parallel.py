@@ -53,15 +53,12 @@ from repro.mapreduce.balancing import contiguous_partitions
 from repro.mapreduce.shm import ColumnSegment, SegmentSpec
 from repro.mapreduce.supervisor import Supervisor
 
-try:  # pragma: no cover - exercised implicitly when numpy is installed
-    import numpy as _np
-except ImportError:  # pragma: no cover
-    _np = None
+import numpy as _np
 
 
 def _extend_int64(destination: array, column) -> None:
     """Append ``column`` (array/ndarray/sequence of ints) to an ``array('q')``."""
-    if _np is not None and isinstance(column, _np.ndarray):
+    if isinstance(column, _np.ndarray):
         destination.frombytes(
             _np.ascontiguousarray(column, dtype=_np.int64).tobytes()
         )
@@ -274,7 +271,7 @@ class ParallelEngine:
             }
         )
         # one unit per block plus its comparisons
-        costs = [1 + cardinality for cardinality in columns.cardinalities(False)]
+        costs = (1 + columns.cardinalities()).tolist()
         tasks = [
             (segment.spec, start, stop)
             for start, stop in contiguous_partitions(costs, self.num_workers)
@@ -335,7 +332,7 @@ class ParallelEngine:
         def fan_out(step: str, scheme: str, *params) -> list:
             factors_spec = self._factors_spec(index_engine, entry, scheme)
             tasks = [
-                (entry["spec"], factors_spec, index_engine._use_numpy, step, scheme, start, stop, params)
+                (entry["spec"], factors_spec, step, scheme, start, stop, params)
                 for start, stop in entry["parts"]
             ]
             return self._run(worker.pruning_pass_job, tasks, step)
@@ -384,7 +381,7 @@ class ParallelEngine:
         if scheme == "EJS" and index_engine._degree_cache is None:
             # the degree half of pooled CBS threshold passes: integer sums
             tasks = [
-                (entry["spec"], None, index_engine._use_numpy, "wnp_stats", "CBS", start, stop, ())
+                (entry["spec"], None, "wnp_stats", "CBS", start, stop, ())
                 for start, stop in entry["parts"]
             ]
             stats = self._run(worker.pruning_pass_job, tasks, "degrees")

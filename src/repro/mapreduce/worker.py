@@ -37,7 +37,7 @@ from repro.metablocking.entity_index import EntityIndexEngine
 _SEGMENT_CACHE_SIZE = 8
 
 _segments: Dict[str, AttachedSegment] = {}
-_engines: Dict[Tuple[str, bool], EntityIndexEngine] = {}
+_engines: Dict[str, EntityIndexEngine] = {}
 
 #: whether attachments must be unregistered from this process's resource
 #: tracker -- True only in spawned workers, which run their own tracker
@@ -84,14 +84,11 @@ def _segment(spec: SegmentSpec) -> AttachedSegment:
         evicted_name, evicted = next(iter(_segments.items()))
         del _segments[evicted_name]
         # derived caches hold copies or views into this mapping: drop them
-        _engines_pop(evicted_name)
+        _engines.pop(evicted_name, None)
         evicted.release()
     return segment
 
 
-def _engines_pop(name: str) -> None:
-    for key in [k for k in _engines if k[0] == name]:
-        del _engines[key]
 
 
 # ----------------------------------------------------------------------
@@ -179,17 +176,12 @@ def propagate_pairs_job(args):
 # meta-blocking
 # ----------------------------------------------------------------------
 def _index_engine(
-    mb_spec: SegmentSpec,
-    use_numpy: bool,
-    factors_spec: Optional[SegmentSpec],
-    scheme: str,
+    mb_spec: SegmentSpec, factors_spec: Optional[SegmentSpec], scheme: str
 ) -> EntityIndexEngine:
     segment = _segment(mb_spec)
-    key = (mb_spec[0], use_numpy)
-    engine = _engines.get(key)
+    engine = _engines.get(mb_spec[0])
     if engine is None:
-        engine = EntityIndexEngine.from_arrays(segment.views, use_numpy)
-        _engines[key] = engine
+        engine = _engines[mb_spec[0]] = EntityIndexEngine.from_arrays(segment.views)
     if factors_spec is not None and scheme not in engine._factor_cache:
         engine._factor_cache[scheme] = _segment(factors_spec).views["factors"]
     return engine
@@ -205,8 +197,8 @@ def pruning_pass_job(args):
     <repro.metablocking.entity_index.EntityIndexEngine._retained>` for the
     protocol the driver runs around it.
     """
-    mb_spec, factors_spec, use_numpy, step, scheme, start, stop, params = args
-    engine = _index_engine(mb_spec, use_numpy, factors_spec, scheme)
+    mb_spec, factors_spec, step, scheme, start, stop, params = args
+    engine = _index_engine(mb_spec, factors_spec, scheme)
     return getattr(engine, "_" + step)(scheme, start, stop, *params)
 
 

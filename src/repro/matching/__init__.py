@@ -24,9 +24,9 @@ tokenisation and TF-IDF weighting cost *K* times.
 workflow default) instead resolves each description once into a columnar
 :class:`~repro.text.profile_store.ProfileStore` -- interned integer token
 ids, sorted id arrays and TF-IDF weight columns with their norms -- and
-decides whole columns of ordinal pairs with one kernel over it (NumPy; an
-exact per-pair body refines the pairs at the threshold and is the whole
-engine without NumPy, with bit-identical decisions).
+decides whole columns of ordinal pairs with one NumPy kernel over it (an
+exact per-pair body refines the pairs at the threshold, so decisions are
+bit-identical).
 
 The per-pair matchers remain the *oracle*: ``engine="pairwise"`` executes
 them verbatim, the equivalence suite (``tests/test_matching_equivalence.py``)

@@ -54,10 +54,7 @@ from repro.matching.clustering import (
 )
 from repro.matching.matchers import MatchDecision
 
-try:  # pragma: no cover - exercised implicitly when numpy is installed
-    import numpy as _np
-except ImportError:  # pragma: no cover
-    _np = None
+import numpy as _np
 
 #: Execution engines of the clustering phase.
 CLUSTERING_ENGINES = ("array", "object")
@@ -84,10 +81,6 @@ class ClusteringEngine:
         use.
     engine:
         ``"array"`` (default) or ``"object"``.
-    use_numpy:
-        Force (``True``, raising :class:`ValueError` when NumPy is not
-        importable) or forbid (``False``) the vectorised edge sort; ``None``
-        uses NumPy whenever importable.  Both paths are bit-identical.
     parallel:
         Optional :class:`~repro.mapreduce.parallel.ParallelEngine`.  The
         connected-components union--find then runs as per-shard passes over
@@ -106,21 +99,14 @@ class ClusteringEngine:
         self,
         algorithm: ClusteringAlgorithm,
         engine: str = "array",
-        use_numpy: Optional[bool] = None,
         parallel=None,
     ) -> None:
         if engine not in CLUSTERING_ENGINES:
             raise ValueError(
                 f"unknown engine {engine!r}; available: {CLUSTERING_ENGINES}"
             )
-        if use_numpy and _np is None:
-            raise ValueError(
-                "use_numpy=True but numpy is not importable; "
-                "pass use_numpy=None to fall back automatically"
-            )
         self.algorithm = algorithm
         self.engine = engine
-        self._use_numpy = (_np is not None) if use_numpy is None else bool(use_numpy)
         self.parallel = parallel
         #: engine that actually produced the last clusters
         self.last_engine: Optional[str] = None
@@ -247,22 +233,14 @@ class ClusteringEngine:
         canonical-orientation columns of :meth:`_canonical_rows`; rank
         comparison equals string comparison).
         """
+        positive = _np.flatnonzero(_np.frombuffer(columns.is_match, dtype=_np.uint8))
+        if not len(positive):
+            return ()
+        first = _np.frombuffer(first, dtype=_np.int64)[positive]
+        second = _np.frombuffer(second, dtype=_np.int64)[positive]
+        similarity = _np.frombuffer(columns.similarity, dtype=_np.float64)[positive]
         rank = identifier_ranks(columns.ids)
-        if self._use_numpy:
-            flags = _np.frombuffer(columns.is_match, dtype=_np.uint8)
-            positive = _np.flatnonzero(flags)
-            if not len(positive):
-                return ()
-            first = _np.frombuffer(first, dtype=_np.int64)[positive]
-            second = _np.frombuffer(second, dtype=_np.int64)[positive]
-            similarity = _np.frombuffer(columns.similarity, dtype=_np.float64)[positive]
-            return positive[heaviest_first(rank, first, second, similarity)].tolist()
-        similarity = columns.similarity
-        positive = [i for i, flag in enumerate(columns.is_match) if flag]
-        positive.sort(
-            key=lambda i: (-similarity[i], rank[first[i]], rank[second[i]])
-        )
-        return positive
+        return positive[heaviest_first(rank, first, second, similarity)].tolist()
 
     def _cluster_center(self, columns: DecisionColumns) -> List[FrozenSet[str]]:
         ids = columns.ids

@@ -11,8 +11,8 @@ Two engines sit behind one interface, mirroring the meta-blocking engines:
 
 * ``engine="batch"`` (the default) has one **kernel** and one **exact body**.
 
-  - The kernel (:meth:`MatchingEngine.decide_ordinal_pairs`, NumPy and a
-    shared pipeline context) decides whole columns of context-ordinal pairs
+  - The kernel (:meth:`MatchingEngine.decide_ordinal_pairs`, over a shared
+    pipeline context) decides whole columns of context-ordinal pairs
     from the store's :class:`~repro.text.profile_store.ProfileColumns`: the
     entries of one row of every pair are looked up in the other row with a
     single ``searchsorted`` over the globally sorted key column and summed
@@ -27,9 +27,8 @@ Two engines sit behind one interface, mirroring the meta-blocking engines:
     expressions of the per-pair matcher: integer intersection counts fed to
     :func:`_set_score`, and :func:`~repro.text.vectorizer.weighted_cosine`
     (``fsum`` dot product over norms the store precomputed with ``fsum``).
-    It is the refine step of the kernel, the whole batch engine when NumPy
-    is missing (``use_numpy`` selects the kernel, nothing else), and the path
-    of every description the context does not own (merges, foreign data).
+    It is the refine step of the kernel and the path of every description
+    the context does not own (merges, foreign data).
 
   **Filter and refine.**  The set similarities are exact in the kernel too:
   shared counts and profile lengths are integers.  A TF-IDF cosine from the
@@ -80,10 +79,7 @@ from repro.matching.matchers import (
 from repro.text.profile_store import Profile, ProfileStore
 from repro.text.vectorizer import weighted_cosine
 
-try:  # pragma: no cover - exercised implicitly when numpy is installed
-    import numpy as _np
-except ImportError:  # pragma: no cover
-    _np = None
+import numpy as _np
 
 #: Execution engines of the matching phase.
 MATCHING_ENGINES = ("batch", "pairwise")
@@ -124,11 +120,6 @@ class MatchingEngine:
         oracle, so the engine is always safe to use.
     engine:
         ``"batch"`` (default) or ``"pairwise"``.
-    use_numpy:
-        Force (``True``, raising :class:`ValueError` when NumPy is not
-        importable) or forbid (``False``) the ordinal-pair kernel; ``None``
-        uses it whenever NumPy is importable.  Decisions are bit-identical
-        either way.
     context:
         Optional shared :class:`~repro.core.context.PipelineContext`.  When
         given, the engine's profile store is backed by the context: profiles
@@ -153,21 +144,14 @@ class MatchingEngine:
         self,
         matcher: Matcher,
         engine: str = "batch",
-        use_numpy: Optional[bool] = None,
         context=None,
         parallel=None,
     ) -> None:
         if engine not in MATCHING_ENGINES:
             raise ValueError(f"unknown engine {engine!r}; available: {MATCHING_ENGINES}")
-        if use_numpy and _np is None:
-            raise ValueError(
-                "use_numpy=True but numpy is not importable; "
-                "pass use_numpy=None to fall back automatically"
-            )
         self.matcher = matcher
         self.engine = engine
         self.context = context
-        self._use_numpy = (_np is not None) if use_numpy is None else bool(use_numpy)
         self._store: Optional[ProfileStore] = None
         self._store_source: Optional[object] = None
         #: engine that actually executed the last call
@@ -340,30 +324,29 @@ class MatchingEngine:
 
         The kernel of the matching phase (see the module docstring): one
         pass over the store's profile columns, the exact body only for the
-        pairs within the margin of the threshold -- and for all of them when
-        NumPy is not in use.  The flags are the per-pair matcher's decisions.
+        pairs within the margin of the threshold.  The flags are the
+        per-pair matcher's decisions.
         """
-        threshold = self.matcher.threshold
-        if not self._use_numpy:
-            scores = self.score_ordinal_pairs(first, second)
+        store = self._batch_store("decide_ordinal_pairs", ordinals=True)
+        if not len(first):
+            return []
+        columns = store.columns()
+        rows_a = _np.asarray(first, dtype=_np.int64)
+        rows_b = _np.asarray(second, dtype=_np.int64)
+        shared = columns.shared(rows_a, rows_b)
+        if columns.weights is None:
+            scores = self._set_scores(
+                columns.sizes[rows_a].tolist(), columns.sizes[rows_b].tolist(), shared
+            )
         else:
-            store = self._batch_store("decide_ordinal_pairs", ordinals=True)
-            columns = store.columns()
-            rows_a = _np.asarray(first, dtype=_np.int64)
-            rows_b = _np.asarray(second, dtype=_np.int64)
-            shared = columns.shared(rows_a, rows_b)
-            if columns.weights is None:
-                scores = self._set_scores(
-                    columns.sizes[rows_a].tolist(), columns.sizes[rows_b].tolist(), shared
-                )
-            else:
-                profile = store.ordinal_profile
-                scores = self._cosine_scores(
-                    shared,
-                    columns.norms[rows_a] * columns.norms[rows_b],
-                    columns.margin(),
-                    lambda i: self._exact(profile(first[i]), profile(second[i])),
-                )
+            profile = store.ordinal_profile
+            scores = self._cosine_scores(
+                shared,
+                columns.norms[rows_a] * columns.norms[rows_b],
+                columns.margin(),
+                lambda i: self._exact(profile(first[i]), profile(second[i])),
+            )
+        threshold = self.matcher.threshold
         return [score >= threshold for score in scores]
 
     def score_against(
@@ -378,9 +361,8 @@ class MatchingEngine:
         (:meth:`ProfileColumns.shared_with
         <repro.text.profile_store.ProfileColumns.shared_with>`: the sums
         :meth:`decide_ordinal_pairs` would form for the pair, bit for bit)
-        with the same exact refinement at the threshold; without NumPy every
-        candidate goes through the exact body.  Scores come back in the
-        order of ``ordinals``.  They are for thresholding: ``score >=
+        with the same exact refinement at the threshold.  Scores come back in
+        the order of ``ordinals``.  They are for thresholding: ``score >=
         threshold`` is the per-pair matcher's decision on every pair, the set
         similarities are exact, and a TF-IDF cosine farther from the
         threshold than the columns' margin is the vectorised one (within
@@ -389,8 +371,8 @@ class MatchingEngine:
         store = self._batch_store("score_against", ordinals=True)
         query = store.build(description)
         profile = store.ordinal_profile
-        if not self._use_numpy or not len(ordinals):
-            return [self._exact(query, profile(ordinal)) for ordinal in ordinals]
+        if not len(ordinals):
+            return []
         columns = store.columns()
         rows = _np.asarray(ordinals, dtype=_np.int64)
         shared = columns.shared_with(query, rows)

@@ -22,7 +22,7 @@ Two interchangeable execution engines implement the restructuring:
   ``(first, second, weight)`` columns.  Pruned edges are never all resident:
   peak transient memory is one node batch plus the retained columns, not the
   number of graph edges, and the hot loops run over machine integers
-  (vectorised with NumPy when available).  Pick it for anything beyond toy
+  (vectorised with NumPy).  Pick it for anything beyond toy
   inputs.
 * **graph** -- :class:`~repro.metablocking.graph.BlockingGraph` materialises a
   dictionary entry per edge plus per-edge shared-block lists, and the pruning

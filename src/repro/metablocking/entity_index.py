@@ -33,9 +33,9 @@ flat ``(first, second, weight)`` ordinal columns
 over the whole node range is the sequential engine, a pass per contiguous
 range in a worker process is the parallel one -- the same code either way.
 
-With NumPy the neighbourhoods of a whole *batch* of nodes are expanded at
-once (:meth:`EntityIndexEngine._neighbourhoods`: one CSR gather, one
-in-place sort of int32 ``(node - first node) * N + neighbour`` keys, one
+The neighbourhoods of a whole *batch* of nodes are expanded at once
+(:meth:`EntityIndexEngine._neighbourhoods`: one CSR gather, one in-place
+sort of int32 ``(node - first node) * N + neighbour`` keys, one
 ``np.bincount`` for ARCS), the batches being cut so that each expands about
 :data:`_BATCH_PAIRS` co-occurrence pairs.  Pruned edges are never all
 resident.  Peak transient memory is one node batch, plus what cutting the
@@ -43,12 +43,10 @@ batches needs -- two span columns (and, briefly, half a dozen more) as long
 as the block assignments of the node range, the order of the index itself --
 plus the retained columns, which exist once as ndarrays and once as the
 typed arrays handed out (plus the O(budget) candidate buffer of CEP and the
-O(k * nodes) endorsements of CNP).  Without NumPy a pure-Python fallback
-scans one node at a time over the same typed arrays and drains into the same
-columns.
+O(k * nodes) endorsements of CNP).
 
-Both paths produce bit-identical weights: per-edge arithmetic uses the same
-operand order as the graph engine (canonical identifier order for the
+The weights are bit-identical to the graph engine's: per-edge arithmetic uses
+the same operand order (canonical identifier order for the
 ECBS/EJS discount factors, ascending block order for the ARCS accumulation),
 and every threshold (WEP global mean, WNP node-local means) is decided as
 the exactly rounded :func:`math.fsum` of its weights, which is independent
@@ -76,10 +74,7 @@ from repro.blocking.columns import typed_array as _typed_array
 from repro.datamodel.pairs import identifier_ranks, stable_argsort
 from repro.metablocking.graph import WeightedEdge
 
-try:  # pragma: no cover - exercised implicitly when numpy is installed
-    import numpy as _np
-except ImportError:  # pragma: no cover
-    _np = None
+import numpy as _np
 
 #: Weighting schemes natively supported by the index engine.
 INDEX_WEIGHTING_SCHEMES = ("CBS", "ECBS", "JS", "EJS", "ARCS")
@@ -109,24 +104,12 @@ _BATCH_PAIRS = 1 << 15
 _INT32_MAX = (1 << 31) - 1
 
 
-def _int_array(size: int) -> array:
-    """A zero-filled signed 64-bit array of ``size`` entries."""
-    return array("q", bytes(8 * size))
-
-
 def _concat(parts: Sequence[tuple]) -> tuple:
-    """Concatenate aligned column tuples in order.
+    """Concatenate aligned ``(src, dst, weight)`` column tuples in order.
 
-    The NumPy passes hand over ndarray columns (possibly no part at all, which
-    gives three empty edge columns), the pure-Python passes ``array`` columns
-    (always at least one part).
+    The parts hold ndarray or typed-array columns; no part at all gives three
+    empty edge columns.
     """
-    if parts and isinstance(parts[0][0], array):
-        merged = tuple(array(column.typecode) for column in parts[0])
-        for part in parts:
-            for column, extension in zip(merged, part):
-                column.extend(extension)
-        return merged
     if not parts:
         parts = [(_np.zeros(0, _np.int64), _np.zeros(0, _np.int64), _np.zeros(0))]
     return tuple(_np.concatenate(columns) for columns in zip(*parts))
@@ -181,10 +164,6 @@ class EntityIndexEngine:
         The (cleaned) block collection to restructure.  Bilateral blocks are
         handled per block: only cross-side co-occurrences produce edges,
         exactly as in :class:`~repro.metablocking.graph.BlockingGraph`.
-    use_numpy:
-        Force (``True``) or forbid (``False``) the vectorised neighbourhood
-        path; ``None`` (default) uses NumPy whenever it is importable.  Both
-        paths produce bit-identical output.
     ids:
         Optional identifier table fixing the ordinal assignment (ordinal
         ``o`` is ``ids[o]``), e.g. the shared pipeline context's, so the
@@ -201,18 +180,11 @@ class EntityIndexEngine:
         <repro.blocking.columns.BlockColumns.from_collection>`).
     """
 
-    def __init__(
-        self,
-        blocks: BlockCollection,
-        use_numpy: Optional[bool] = None,
-        ids: Optional[Sequence[str]] = None,
-    ) -> None:
-        self._transpose(BlockColumns.from_collection(blocks, ids), use_numpy)
+    def __init__(self, blocks: BlockCollection, ids: Optional[Sequence[str]] = None) -> None:
+        self._transpose(BlockColumns.from_collection(blocks, ids))
 
     @classmethod
-    def from_columns(
-        cls, columns: BlockColumns, use_numpy: Optional[bool] = None
-    ) -> "EntityIndexEngine":
+    def from_columns(cls, columns: BlockColumns) -> "EntityIndexEngine":
         """The index over ``columns`` as they are: no identifier is read.
 
         The engine speaks the ordinals of ``columns.ids`` (the shared
@@ -220,16 +192,17 @@ class EntityIndexEngine:
         block-side columns; only the block -> entity transpose is computed.
         """
         self = cls.__new__(cls)
-        self._transpose(columns, use_numpy)
+        self._transpose(columns)
         return self
 
-    def _transpose(self, columns: BlockColumns, use_numpy: Optional[bool]) -> None:
+    def _transpose(self, columns: BlockColumns) -> None:
         """Adopt the block-side columns and derive the entity-side ones.
 
         The entity rows list their blocks in ascending block order (one
-        stable argsort of the member column, or the counting loops without
-        NumPy).  A description on both sides of a bilateral block makes the
-        graph engine raise (via ``canonical_pair``) on the self-pair it
+        stable argsort of the member column).  The typed-array mirrors of
+        the entity-side columns serve the scalar accessors and the parallel
+        engine's segment export.  A description on both sides of a bilateral
+        block makes the graph engine raise (via ``canonical_pair``) on the self-pair it
         generates; it shows here as one entity row naming a block twice and
         fails identically, and early.
         """
@@ -242,68 +215,38 @@ class EntityIndexEngine:
         self.num_blocks = len(columns)
         #: total number of block assignments (sum of block sizes)
         self.num_assignments = len(blk_ents)
-        self._use_numpy = (_np is not None) if use_numpy is None else (use_numpy and _np is not None)
-        repeated = -1  # first position (block-major) of a member its block lists twice
-        if self._use_numpy:
-            np = _np
-            self._np_blk_ents = ents = int_view(blk_ents)
-            self._np_blk_ptr = ptr = int_view(blk_ptr)
-            self._np_blk_split = split = int_view(blk_split)
-            cards = columns.cardinalities(True)
-            self._np_recip = np.divide(1.0, cards, out=np.zeros(len(cards)), where=cards > 0)
-            sizes = np.diff(ptr)
-            block_of = np.repeat(np.arange(self.num_blocks), sizes)
-            order = stable_argsort(ents, self.num_entities)
-            self._np_ent_blocks = block_of[order]
-            degrees = np.bincount(ents, minlength=self.num_entities)
-            self._np_ent_ptr = np.concatenate(([0], np.cumsum(degrees)))
-            split_of = split[block_of]
-            on_right = np.arange(self.num_assignments) - ptr[block_of] >= split_of
-            self._np_ent_side = ((split_of >= 0) & on_right)[order].astype(np.int8)
-            ent_sorted = ents[order]
-            twice = (ent_sorted[1:] == ent_sorted[:-1]) & (
-                self._np_ent_blocks[1:] == self._np_ent_blocks[:-1]
-            )
-            if twice.any():
-                repeated = int(order[:-1][twice].min())
-            self._recip = _typed_array("d", self._np_recip)
-            self._ent_ptr = _typed_array("q", self._np_ent_ptr)
-            self._ent_blocks = _typed_array("q", self._np_ent_blocks)
-            self._ent_side = _typed_array("b", self._np_ent_side)
-        else:
-            self._recip = array(
-                "d", (1.0 / c if c > 0 else 0.0 for c in columns.cardinalities(False))
-            )
-            counts = _int_array(self.num_entities)
-            for o in blk_ents:
-                counts[o] += 1
-            ent_ptr = _int_array(self.num_entities + 1)
-            for i in range(self.num_entities):
-                ent_ptr[i + 1] = ent_ptr[i] + counts[i]
-            fill = list(ent_ptr[: self.num_entities])
-            ent_blocks = _int_array(self.num_assignments)
-            ent_side = array("b", bytes(self.num_assignments))
-            for b in range(self.num_blocks):
-                start, end, split = blk_ptr[b], blk_ptr[b + 1], blk_split[b]
-                for pos in range(start, end):
-                    o = blk_ents[pos]
-                    p = fill[o]
-                    if repeated < 0 and p > ent_ptr[o] and ent_blocks[p - 1] == b:
-                        right = set(blk_ents[start + split : end])
-                        repeated = next(q for q in range(start, start + split) if blk_ents[q] in right)
-                    ent_blocks[p] = b
-                    ent_side[p] = 1 if 0 <= split <= pos - start else 0
-                    fill[o] = p + 1
-            self._ent_ptr = ent_ptr
-            self._ent_blocks = ent_blocks
-            self._ent_side = ent_side
-        if repeated >= 0:
-            # the entity the graph engine's left x right iteration trips over
-            # first, so both engines report identically
+        np = _np
+        self._np_blk_ents = ents = int_view(blk_ents)
+        self._np_blk_ptr = ptr = int_view(blk_ptr)
+        self._np_blk_split = split = int_view(blk_split)
+        cards = columns.cardinalities()
+        self._np_recip = np.divide(1.0, cards, out=np.zeros(len(cards)), where=cards > 0)
+        sizes = np.diff(ptr)
+        block_of = np.repeat(np.arange(self.num_blocks), sizes)
+        order = stable_argsort(ents, self.num_entities)
+        self._np_ent_blocks = block_of[order]
+        degrees = np.bincount(ents, minlength=self.num_entities)
+        self._np_ent_ptr = np.concatenate(([0], np.cumsum(degrees)))
+        split_of = split[block_of]
+        on_right = np.arange(self.num_assignments) - ptr[block_of] >= split_of
+        self._np_ent_side = ((split_of >= 0) & on_right)[order].astype(np.int8)
+        ent_sorted = ents[order]
+        twice = (ent_sorted[1:] == ent_sorted[:-1]) & (
+            self._np_ent_blocks[1:] == self._np_ent_blocks[:-1]
+        )
+        if twice.any():
+            # the first position (block-major) of a member its block lists
+            # twice: the entity the graph engine's left x right iteration
+            # trips over first, so both engines report identically
+            repeated = int(order[:-1][twice].min())
             raise ValueError(
                 "a comparison requires two distinct descriptions, "
                 f"got {self._ids[blk_ents[repeated]]!r} twice"
             )
+        self._recip = _typed_array("d", self._np_recip)
+        self._ent_ptr = _typed_array("q", self._np_ent_ptr)
+        self._ent_blocks = _typed_array("q", self._np_ent_blocks)
+        self._ent_side = _typed_array("b", self._np_ent_side)
 
         self._degree_cache: Optional[Tuple[array, int]] = None
         self._factor_cache: Dict[str, Sequence[float]] = {}
@@ -319,7 +262,6 @@ class EntityIndexEngine:
     def from_arrays(
         cls,
         columns: Dict[str, Sequence],
-        use_numpy: bool,
         factors: Optional[Dict[str, Sequence[float]]] = None,
     ) -> "EntityIndexEngine":
         """Reconstruct a replica from exported flat columns.
@@ -344,18 +286,16 @@ class EntityIndexEngine:
         self.num_entities = len(columns["ent_ptr"]) - 1
         self.num_blocks = len(columns["blk_ptr"]) - 1
         self.num_assignments = len(columns["blk_ents"])
-        self._use_numpy = use_numpy and _np is not None
-        if self._use_numpy:
-            as_np = lambda col, dtype: (
-                _np.asarray(col, dtype=dtype) if len(col) else _np.zeros(0, dtype)
-            )
-            self._np_blk_ents = as_np(self._blk_ents, _np.int64)
-            self._np_blk_ptr = as_np(self._blk_ptr, _np.int64)
-            self._np_blk_split = as_np(self._blk_split, _np.int64)
-            self._np_recip = as_np(self._recip, _np.float64)
-            self._np_ent_ptr = as_np(self._ent_ptr, _np.int64)
-            self._np_ent_blocks = as_np(self._ent_blocks, _np.int64)
-            self._np_ent_side = as_np(self._ent_side, _np.int8)
+        as_np = lambda col, dtype: (
+            _np.asarray(col, dtype=dtype) if len(col) else _np.zeros(0, dtype)
+        )
+        self._np_blk_ents = as_np(self._blk_ents, _np.int64)
+        self._np_blk_ptr = as_np(self._blk_ptr, _np.int64)
+        self._np_blk_split = as_np(self._blk_split, _np.int64)
+        self._np_recip = as_np(self._recip, _np.float64)
+        self._np_ent_ptr = as_np(self._ent_ptr, _np.int64)
+        self._np_ent_blocks = as_np(self._ent_blocks, _np.int64)
+        self._np_ent_side = as_np(self._ent_side, _np.int8)
         self._degree_cache = None
         self._factor_cache = dict(factors) if factors else {}
         self._rank_cache = columns["ranks"]
@@ -393,10 +333,7 @@ class EntityIndexEngine:
         Fewer than :attr:`num_entities` when the identifier table holds
         descriptions no block contains.
         """
-        if self._use_numpy:
-            return int(_np.count_nonzero(_np.diff(self._np_ent_ptr)))
-        ent_ptr = self._ent_ptr
-        return sum(ent_ptr[o] < ent_ptr[o + 1] for o in range(self.num_entities))
+        return int(_np.count_nonzero(_np.diff(self._np_ent_ptr)))
 
     def compared(self, i: int, j: int) -> bool:
         """Whether some block compares ordinals ``i`` and ``j`` (a graph edge).
@@ -423,57 +360,6 @@ class EntityIndexEngine:
     # ------------------------------------------------------------------
     # neighbourhood expansion
     # ------------------------------------------------------------------
-    def _scan_node(
-        self,
-        i: int,
-        cbs: List[int],
-        arcs: Optional[List[float]],
-        lower: bool,
-    ) -> List[int]:
-        """Accumulate node ``i``'s neighbourhood into the scratch buffers.
-
-        Returns the sorted list of touched neighbour ordinals; ``cbs[j]`` then
-        holds the number of shared blocks and ``arcs[j]`` (when requested) the
-        ARCS partial sum, accumulated in ascending block order -- the same
-        order the graph engine uses, so float results are bit-identical.
-        With ``lower`` the scan is restricted to neighbours ``j > i`` so that
-        every undirected edge is visited exactly once across all nodes.  The
-        caller must reset the touched buffer slots before the next node.
-        """
-        blk_ents = self._blk_ents
-        blk_ptr = self._blk_ptr
-        blk_split = self._blk_split
-        touched: List[int] = []
-        append = touched.append
-        for pos in range(self._ent_ptr[i], self._ent_ptr[i + 1]):
-            b = self._ent_blocks[pos]
-            start = blk_ptr[b]
-            split = blk_split[b]
-            if split < 0:
-                lo, hi = start, blk_ptr[b + 1]
-            elif self._ent_side[pos]:
-                lo, hi = start, start + split  # i on the right: scan the left side
-            else:
-                lo, hi = start + split, blk_ptr[b + 1]  # i on the left: scan the right
-            if arcs is None:
-                for j in blk_ents[lo:hi]:
-                    if j == i or (lower and j < i):
-                        continue
-                    if not cbs[j]:
-                        append(j)
-                    cbs[j] += 1
-            else:
-                r = self._recip[b]
-                for j in blk_ents[lo:hi]:
-                    if j == i or (lower and j < i):
-                        continue
-                    if not cbs[j]:
-                        append(j)
-                    cbs[j] += 1
-                    arcs[j] += r
-        touched.sort()
-        return touched
-
     def _neighbourhoods(self, start: int, stop: int, lower: bool, want_arcs: bool):
         """Vectorised neighbourhoods of the nodes in ``[start, stop)``, batch by batch.
 
@@ -492,8 +378,8 @@ class EntityIndexEngine:
         nodes, sorts the int32 keys in place (half the bytes of an int64
         sort) and reads the distinct rows and their counts off the run heads.
         ARCS argsorts stably instead, so ``np.bincount`` adds each pair's
-        per-block reciprocals in gather (= ascending block) order, the scalar
-        accumulation's.
+        per-block reciprocals in gather (= ascending block) order, the graph
+        engine's accumulation order.
 
         Held across the batches: the start and length of every facing member
         slice (two columns as long as the range's block assignments) and two
@@ -568,28 +454,19 @@ class EntityIndexEngine:
         """
         if len(ordinals) == 0:
             return []
-        ranks = self._ranks()
-        if self._use_numpy:
-            np = _np
-            blocks = np.concatenate(
-                [self._np_ent_blocks[self._ent_ptr[o] : self._ent_ptr[o + 1]] for o in ordinals]
-            )
-            start = self._np_blk_ptr[blocks]
-            flat = _slices(start, self._np_blk_ptr[blocks + 1] - start)
-            # raw token blocks are large and overlap heavily: marking members
-            # in an entity-sized mask is cheaper than sorting the duplicates out
-            mask = np.zeros(self.num_entities, dtype=bool)
-            mask[self._np_blk_ents[flat]] = True
-            mask[list(ordinals)] = False
-            members = np.flatnonzero(mask)
-            return members[np.argsort(ranks[members])].tolist()
-        members = set()
-        for o in ordinals:
-            for pos in range(self._ent_ptr[o], self._ent_ptr[o + 1]):
-                b = self._ent_blocks[pos]
-                members.update(self._blk_ents[self._blk_ptr[b] : self._blk_ptr[b + 1]])
-        members.difference_update(ordinals)
-        return sorted(members, key=ranks.__getitem__)
+        np = _np
+        blocks = np.concatenate(
+            [self._np_ent_blocks[self._ent_ptr[o] : self._ent_ptr[o + 1]] for o in ordinals]
+        )
+        start = self._np_blk_ptr[blocks]
+        flat = _slices(start, self._np_blk_ptr[blocks + 1] - start)
+        # raw token blocks are large and overlap heavily: marking members
+        # in an entity-sized mask is cheaper than sorting the duplicates out
+        mask = np.zeros(self.num_entities, dtype=bool)
+        mask[self._np_blk_ents[flat]] = True
+        mask[list(ordinals)] = False
+        members = np.flatnonzero(mask)
+        return members[np.argsort(self._ranks()[members])].tolist()
 
     def _ranks(self) -> Sequence[int]:
         """Identifier ranks: comparing ranks == comparing identifier strings.
@@ -618,9 +495,7 @@ class EntityIndexEngine:
         without ever running the full pass in one process.
         """
         degrees, _sums = self._summed_stats(stats)
-        if self._use_numpy:
-            return _typed_array("q", degrees), int(degrees.sum()) // 2
-        return degrees, sum(degrees) // 2
+        return _typed_array("q", degrees), int(degrees.sum()) // 2
 
     # ------------------------------------------------------------------
     # weighting
@@ -652,69 +527,14 @@ class EntityIndexEngine:
         self._factor_cache[scheme] = factors
         return factors
 
-    def _weigh_scalar_factory(self, scheme: str):
-        """Return ``weigh(i, j, shared, arcs) -> float`` for ``scheme``.
+    def _weigh_vector_factory(self, scheme: str):
+        """Return ``weigh(src, dst, counts, arcs) -> float64 array``.
 
         The arithmetic mirrors :mod:`repro.metablocking.weighting` exactly,
         including operand order (the graph engine multiplies the per-node
         discount factors in canonical identifier order, here realised through
-        the precomputed rank column).
-        """
-        ent_ptr = self._ent_ptr
-
-        if scheme == "CBS":
-            return lambda i, j, shared, arcs: float(shared)
-
-        if scheme == "ARCS":
-            return lambda i, j, shared, arcs: arcs
-
-        if scheme in ("ECBS", "EJS"):
-            factor = self._factors(scheme)
-            ranks = self._ranks()
-            if scheme == "ECBS":
-
-                def weigh(i: int, j: int, shared: int, arcs: float) -> float:
-                    if ranks[i] > ranks[j]:
-                        i, j = j, i
-                    return shared * factor[i] * factor[j]
-
-            else:
-
-                def weigh(i: int, j: int, shared: int, arcs: float) -> float:
-                    union = (
-                        (ent_ptr[i + 1] - ent_ptr[i])
-                        + (ent_ptr[j + 1] - ent_ptr[j])
-                        - shared
-                    )
-                    jaccard = shared / union if union else 0.0
-                    if ranks[i] > ranks[j]:
-                        i, j = j, i
-                    return jaccard * factor[i] * factor[j]
-
-            return weigh
-
-        if scheme == "JS":
-
-            def weigh(i: int, j: int, shared: int, arcs: float) -> float:
-                union = (
-                    (ent_ptr[i + 1] - ent_ptr[i])
-                    + (ent_ptr[j + 1] - ent_ptr[j])
-                    - shared
-                )
-                return shared / union if union else 0.0
-
-            return weigh
-
-        raise KeyError(
-            f"unknown weighting scheme {scheme!r}; available: {sorted(INDEX_WEIGHTING_SCHEMES)}"
-        )
-
-    def _weigh_vector_factory(self, scheme: str):
-        """Return ``weigh(src, dst, counts, arcs) -> float64 array``.
-
-        Elementwise operations replicate the scalar operand order, so the
-        vectorised weights are bit-identical to the scalar path's -- and an
-        edge weighs the same from either endpoint.
+        the precomputed rank column), so an edge weighs the same as in the
+        graph engine -- and from either endpoint.
         """
         np = _np
 
@@ -755,35 +575,14 @@ class EntityIndexEngine:
         """Per node of ``[start, stop)``, its (restricted) neighbourhood and weights.
 
         Yields ``(i, neighbours, weights)`` with neighbours sorted ascending;
-        nodes whose restricted neighbourhood is empty are skipped.  The NumPy
-        path splits the batched kernel's columns per node (array slices), the
-        fallback scans node by node (lists) -- weights are bit-identical
-        either way.  The neighbourhoods themselves still span all nodes.
+        nodes whose restricted neighbourhood is empty are skipped.  The
+        batched kernel's columns are split per node (array slices).  The
+        neighbourhoods themselves still span all nodes.
         """
-        if self._use_numpy:
-            for src, dst, weights in self._weighted_batches(scheme, lower, start, stop):
-                cuts = (_np.flatnonzero(src[1:] != src[:-1]) + 1).tolist()
-                for i, lo, hi in zip(src[[0, *cuts]].tolist(), [0, *cuts], [*cuts, len(src)]):
-                    yield i, dst[lo:hi], weights[lo:hi]
-            return
-        want_arcs = scheme == "ARCS"
-        weigh = self._weigh_scalar_factory(scheme)
-        cbs = [0] * self.num_entities
-        arcs = [0.0] * self.num_entities if want_arcs else None
-        for i in range(start, stop):
-            touched = self._scan_node(i, cbs, arcs, lower)
-            if not touched:
-                continue
-            if want_arcs:
-                weights = [weigh(i, j, cbs[j], arcs[j]) for j in touched]
-                for j in touched:
-                    cbs[j] = 0
-                    arcs[j] = 0.0
-            else:
-                weights = [weigh(i, j, cbs[j], 0.0) for j in touched]
-                for j in touched:
-                    cbs[j] = 0
-            yield i, touched, weights
+        for src, dst, weights in self._weighted_batches(scheme, lower, start, stop):
+            cuts = (_np.flatnonzero(src[1:] != src[:-1]) + 1).tolist()
+            for i, lo, hi in zip(src[[0, *cuts]].tolist(), [0, *cuts], [*cuts, len(src)]):
+                yield i, dst[lo:hi], weights[lo:hi]
 
     # ------------------------------------------------------------------
     # pruning
@@ -906,21 +705,16 @@ class EntityIndexEngine:
                 for (a, b), (weight, endorsements) in sorted(endorsed.items())
                 if endorsements >= needed and weight > 0
             )
-        src, dst, weights = columns or _edge_columns(())
+        src, dst, weights = columns or _concat([])
+        src, dst = _np.asarray(src), _np.asarray(dst)
         # canonical orientation by identifier rank, as plain typed arrays
-        if isinstance(src, array):
-            ranks = self._rank_list()
-            for row, (a, b) in enumerate(zip(src, dst)):
-                if ranks[a] > ranks[b]:
-                    src[row], dst[row] = b, a
-        else:
-            ranks = _np.asarray(self._ranks())
-            swap = ranks[src] > ranks[dst]
-            src, dst = (
-                _typed_array("q", _np.where(swap, dst, src)),
-                _typed_array("q", _np.where(swap, src, dst)),
-            )
-            weights = _typed_array("d", weights)
+        ranks = _np.asarray(self._ranks())
+        swap = ranks[src] > ranks[dst]
+        src, dst = (
+            _typed_array("q", _np.where(swap, dst, src)),
+            _typed_array("q", _np.where(swap, src, dst)),
+        )
+        weights = _typed_array("d", weights)
         self.last_num_edges = num_edges
         self.last_retained = len(weights)
         self.last_refined = refined
@@ -940,10 +734,7 @@ class EntityIndexEngine:
         caller needs; a proper sub-range has to hand over the unrounded
         expansion.
         """
-        if self._use_numpy:
-            batches = (w.tolist() for _s, _d, w in self._weighted_batches(scheme, True, start, stop))
-        else:
-            batches = (w for _i, _n, w in self._node_weights(scheme, True, start, stop))
+        batches = (w.tolist() for _s, _d, w in self._weighted_batches(scheme, True, start, stop))
         count = 0
 
         def stream() -> Iterator[float]:
@@ -958,22 +749,16 @@ class EntityIndexEngine:
 
     def _wep_emit(self, scheme: str, start: int, stop: int, threshold: float):
         """WEP emission pass: the retained ``(src, dst, weight)`` rows of one range."""
-        if self._use_numpy:
-            np = _np
-            kept = []
-            for src, dst, weights in self._weighted_batches(scheme, True, start, stop):
-                close = np.abs(weights - threshold) <= 1e-9 * np.maximum(
-                    np.abs(weights), abs(threshold)
-                )
-                keep = (weights > threshold) | (close & (weights > 0))
-                kept.append((src[keep], dst[keep], weights[keep]))
-            return _concat(kept)
-        return _edge_columns(
-            (i, j, weight)
-            for i, neighbours, weights in self._node_weights(scheme, True, start, stop)
-            for j, weight in zip(neighbours, weights)
-            if weight > threshold or (math.isclose(weight, threshold) and weight > 0)
-        )
+        np = _np
+        kept = []
+        for src, dst, weights in self._weighted_batches(scheme, True, start, stop):
+            # math.isclose(weight, threshold) with its default tolerances
+            close = np.abs(weights - threshold) <= 1e-9 * np.maximum(
+                np.abs(weights), abs(threshold)
+            )
+            keep = (weights > threshold) | (close & (weights > 0))
+            kept.append((src[keep], dst[keep], weights[keep]))
+        return _concat(kept)
 
     def _wnp_stats(self, scheme: str, start: int, stop: int):
         """WNP threshold pass: partial ``(degrees, sums)`` columns of one range.
@@ -987,28 +772,17 @@ class EntityIndexEngine:
         (integer-valued) but only up to rounding for the float schemes, which
         :meth:`_wnp_emit` makes exact where it matters.
         """
-        num_entities = self.num_entities
-        if self._use_numpy:
-            np = _np
-            degrees = np.zeros(num_entities, dtype=np.int64)
-            sums = np.zeros(num_entities)
-            for src, dst, weights in self._weighted_batches(scheme, True, start, stop):
-                lowest = int(src[0])  # src is sorted: its nodes form one short span
-                local = src - lowest
-                degree = np.bincount(local)
-                degrees[lowest : lowest + len(degree)] += degree
-                sums[lowest : lowest + len(degree)] += np.bincount(local, weights=weights)
-                np.add.at(degrees, dst, 1)
-                np.add.at(sums, dst, weights)
-            return degrees, sums
-        degrees = _int_array(num_entities)
-        sums = array("d", bytes(8 * num_entities))
-        for i, neighbours, weights in self._node_weights(scheme, True, start, stop):
-            degrees[i] += len(neighbours)
-            for j, weight in zip(neighbours, weights):
-                degrees[j] += 1
-                sums[i] += weight
-                sums[j] += weight
+        np = _np
+        degrees = np.zeros(self.num_entities, dtype=np.int64)
+        sums = np.zeros(self.num_entities)
+        for src, dst, weights in self._weighted_batches(scheme, True, start, stop):
+            lowest = int(src[0])  # src is sorted: its nodes form one short span
+            local = src - lowest
+            degree = np.bincount(local)
+            degrees[lowest : lowest + len(degree)] += degree
+            sums[lowest : lowest + len(degree)] += np.bincount(local, weights=weights)
+            np.add.at(degrees, dst, 1)
+            np.add.at(sums, dst, weights)
         return degrees, sums
 
     def _wnp_thresholds(self, scheme: str, stats: list):
@@ -1021,26 +795,13 @@ class EntityIndexEngine:
         for the float schemes.
         """
         degrees, thresholds = self._summed_stats(stats)
-        if self._use_numpy:
-            _np.divide(thresholds, degrees, out=thresholds, where=degrees > 0)
-            num_edges = int(degrees.sum()) // 2
-        else:
-            for node, degree in enumerate(degrees):
-                if degree:
-                    thresholds[node] /= degree
-            num_edges = sum(degrees) // 2
+        _np.divide(thresholds, degrees, out=thresholds, where=degrees > 0)
+        num_edges = int(degrees.sum()) // 2
         return num_edges, thresholds, None if scheme == "CBS" else degrees
 
     def _summed_stats(self, stats: list):
-        """The ranges' partial ``(degrees, sums)`` columns added up (into the first)."""
-        if self._use_numpy:
-            return sum(degrees for degrees, _sums in stats), sum(sums for _degrees, sums in stats)
-        (degrees, sums), *rest = stats
-        for more_degrees, more_sums in rest:
-            for node in range(self.num_entities):
-                degrees[node] += more_degrees[node]
-                sums[node] += more_sums[node]
-        return degrees, sums
+        """The ranges' partial ``(degrees, sums)`` columns added up."""
+        return sum(degrees for degrees, _sums in stats), sum(sums for _degrees, sums in stats)
 
     def _wnp_emit(
         self, scheme: str, start: int, stop: int, thresholds, degrees, reciprocal: bool
@@ -1072,44 +833,25 @@ class EntityIndexEngine:
                     exact[node] = fsum(weights) / len(weights)
             return exact[node]
 
-        if self._use_numpy:
-            np = _np
-            thresholds = np.asarray(thresholds)
-            kept = []
-            for src, dst, weights in self._weighted_batches(scheme, True, start, stop):
-                of_src, of_dst = thresholds[src], thresholds[dst]
-                if degrees is not None:
-                    for nodes, of_nodes in ((src, of_src), (dst, of_dst)):
-                        degree = degrees[nodes]
-                        near = (degree > 1) & (
-                            np.abs(weights - of_nodes) <= (degree + 2) * 2.0**-52 * of_nodes
-                        )
-                        if near.any():
-                            of_nodes[near] = [refined(node) for node in nodes[near].tolist()]
-                keep_first = weights >= of_src
-                keep_second = weights >= of_dst
-                keep = (keep_first & keep_second) if reciprocal else (keep_first | keep_second)
-                keep &= weights > 0
-                kept.append((src[keep], dst[keep], weights[keep]))
-            return (*_concat(kept), len(exact))
-        agree = (lambda first, second: first and second) if reciprocal else (
-            lambda first, second: first or second
-        )
-
-        def threshold(node: int, weight: float) -> float:
-            summed = thresholds[node]
-            if degrees is None or degrees[node] < 2:
-                return summed
-            near = abs(weight - summed) <= (degrees[node] + 2) * 2.0**-52 * summed
-            return refined(node) if near else summed
-
-        columns = _edge_columns(
-            (i, j, weight)
-            for i, neighbours, weights in self._node_weights(scheme, True, start, stop)
-            for j, weight in zip(neighbours, weights)
-            if weight > 0 and agree(weight >= threshold(i, weight), weight >= threshold(j, weight))
-        )
-        return (*columns, len(exact))
+        np = _np
+        thresholds = np.asarray(thresholds)
+        kept = []
+        for src, dst, weights in self._weighted_batches(scheme, True, start, stop):
+            of_src, of_dst = thresholds[src], thresholds[dst]
+            if degrees is not None:
+                for nodes, of_nodes in ((src, of_src), (dst, of_dst)):
+                    degree = degrees[nodes]
+                    near = (degree > 1) & (
+                        np.abs(weights - of_nodes) <= (degree + 2) * 2.0**-52 * of_nodes
+                    )
+                    if near.any():
+                        of_nodes[near] = [refined(node) for node in nodes[near].tolist()]
+            keep_first = weights >= of_src
+            keep_second = weights >= of_dst
+            keep = (keep_first & keep_second) if reciprocal else (keep_first | keep_second)
+            keep &= weights > 0
+            kept.append((src[keep], dst[keep], weights[keep]))
+        return (*_concat(kept), len(exact))
 
     def _cnp(self, scheme: str, start: int, stop: int, k: int):
         """CNP endorsement pass: ``(degree total, src, dst, weight)`` of one range.
@@ -1120,7 +862,6 @@ class EntityIndexEngine:
         strings the graph engine compares, an order-equivalent key.
         """
         ranks = self._rank_list()
-        vectorised = self._use_numpy
         endorsed: List[Tuple[int, int, float]] = []
         total = 0
         for i, neighbours, weights in self._node_weights(scheme, False, start, stop):
@@ -1128,13 +869,12 @@ class EntityIndexEngine:
             total += degree
             if k <= 0:
                 continue
-            if vectorised:
-                if degree > k:
-                    # pre-select on weight alone (keeping boundary ties), then let
-                    # nlargest apply the exact (weight, first, second) tie-break
-                    keep = weights >= _np.partition(weights, degree - k)[degree - k]
-                    neighbours, weights = neighbours[keep], weights[keep]
-                neighbours, weights = neighbours.tolist(), weights.tolist()
+            if degree > k:
+                # pre-select on weight alone (keeping boundary ties), then let
+                # nlargest apply the exact (weight, first, second) tie-break
+                keep = weights >= _np.partition(weights, degree - k)[degree - k]
+                neighbours, weights = neighbours[keep], weights[keep]
+            neighbours, weights = neighbours.tolist(), weights.tolist()
             rank_i = ranks[i]
             incident = [
                 (weight, min(rank_i, ranks[j]), max(rank_i, ranks[j]), j)
@@ -1155,7 +895,6 @@ class EntityIndexEngine:
         retained weight prunes whole neighbourhoods before any tuple is built.
         """
         ranks = self._rank_list()
-        vectorised = self._use_numpy
         count = 0
         buffer: List[Tuple[float, int, int, int, int]] = []
         cutoff = -math.inf  # once the buffer fills, weights strictly below are pruned
@@ -1164,11 +903,10 @@ class EntityIndexEngine:
             count += len(neighbours)
             if budget == 0:
                 continue
-            if vectorised:
-                if cutoff != -math.inf:
-                    keep = weights >= cutoff
-                    neighbours, weights = neighbours[keep], weights[keep]
-                neighbours, weights = neighbours.tolist(), weights.tolist()
+            if cutoff != -math.inf:
+                keep = weights >= cutoff
+                neighbours, weights = neighbours[keep], weights[keep]
+            neighbours, weights = neighbours.tolist(), weights.tolist()
             rank_i = ranks[i]
             for j, weight in zip(neighbours, weights):
                 if weight >= cutoff:

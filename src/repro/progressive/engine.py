@@ -80,10 +80,7 @@ from repro.progressive.schedulers import (
 )
 from repro.progressive.sorted_list import SortedListScheduler
 
-try:  # pragma: no cover - exercised implicitly when numpy is installed
-    import numpy as _np
-except ImportError:  # pragma: no cover
-    _np = None
+import numpy as _np
 
 #: Execution engines of the scheduling phase.
 SCHEDULING_ENGINES = ("array", "object")
@@ -122,63 +119,44 @@ def _columns_from_blocks(blocks: BlockCollection) -> ComparisonColumns:
     comparison order, first occurrence of every pair kept, the smaller
     identifier first.
 
-    NumPy reads the blocks as :class:`~repro.blocking.columns.BlockColumns`
-    and keeps their table -- the shared context's ``ids`` for blocks the
+    The blocks are read as :class:`~repro.blocking.columns.BlockColumns`,
+    keeping their table -- the shared context's ``ids`` for blocks the
     blocking engine built, so the drain needs no ordinal map and no
     :class:`~repro.blocking.base.Block` is materialised.  Every assignment
     is repeated once per partner (the later members of a unilateral block,
     the whole right side for a left member of a bilateral one), which lays
     out every raw pair in within-block order; :func:`first_occurrences`
     keeps the first row of each pair and identifier ranks orient it.
-    Without NumPy the blocks are walked pair by pair, one set probe each,
-    with identifiers interned in first-seen order.
     """
-    if _np is not None:
-        np = _np
-        columns = BlockColumns.from_collection(blocks)
-        ptr, members = int_view(columns.blk_ptr), int_view(columns.members)
-        block_of = np.repeat(np.arange(len(columns)), np.diff(ptr))
-        position = np.arange(len(members))
-        split = int_view(columns.split)[block_of]
-        bilateral = split >= 0
-        left_end = ptr[block_of] + split
-        start = np.where(bilateral, left_end, position + 1)
-        count = np.where(bilateral & (position >= left_end), 0, ptr[block_of + 1] - start)
-        first = np.repeat(members, count)
-        second = members[flat_slices(start, count)]
-        clash = np.flatnonzero(first == second)
-        if len(clash):
-            # one description on both sides of a bilateral block: the pair
-            # walk raises here, with this message
-            identifier = columns.ids[int(first[clash[0]])]
-            canonical_pair(identifier, identifier)
-        keep = first_occurrences(first, second, len(columns.ids))
-        first, second = first[keep], second[keep]
-        rank = identifier_ranks(columns.ids)
-        swap = rank[first] > rank[second]
-        return ComparisonColumns(
-            columns.ids,
-            typed_array("q", np.where(swap, second, first)),
-            typed_array("q", np.where(swap, first, second)),
-            None,
-            distinct=True,
-        )
-    intern = OrdinalInterner()
-    first = array("q")
-    second = array("q")
-    seen: Set[int] = set()
-    add = seen.add
-    for block in blocks:
-        for id_a, id_b in block.pairs():
-            a = intern(id_a)
-            b = intern(id_b)
-            code = pair_code(a, b)
-            if code in seen:
-                continue
-            add(code)
-            first.append(a)
-            second.append(b)
-    return ComparisonColumns(intern.ids, first, second, None, distinct=True)
+    np = _np
+    columns = BlockColumns.from_collection(blocks)
+    ptr, members = int_view(columns.blk_ptr), int_view(columns.members)
+    block_of = np.repeat(np.arange(len(columns)), np.diff(ptr))
+    position = np.arange(len(members))
+    split = int_view(columns.split)[block_of]
+    bilateral = split >= 0
+    left_end = ptr[block_of] + split
+    start = np.where(bilateral, left_end, position + 1)
+    count = np.where(bilateral & (position >= left_end), 0, ptr[block_of + 1] - start)
+    first = np.repeat(members, count)
+    second = members[flat_slices(start, count)]
+    clash = np.flatnonzero(first == second)
+    if len(clash):
+        # one description on both sides of a bilateral block: the oracle's
+        # pair walk raises here, with this message
+        identifier = columns.ids[int(first[clash[0]])]
+        canonical_pair(identifier, identifier)
+    keep = first_occurrences(first, second, len(columns.ids))
+    first, second = first[keep], second[keep]
+    rank = identifier_ranks(columns.ids)
+    swap = rank[first] > rank[second]
+    return ComparisonColumns(
+        columns.ids,
+        typed_array("q", np.where(swap, second, first)),
+        typed_array("q", np.where(swap, first, second)),
+        None,
+        distinct=True,
+    )
 
 
 class SchedulingEngine:

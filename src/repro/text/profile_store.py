@@ -58,10 +58,7 @@ from repro.datamodel.description import EntityDescription
 from repro.text.tokenize import token_set
 from repro.text.vectorizer import SparseVector, TfIdfVectorizer
 
-try:  # pragma: no cover - exercised implicitly when numpy is installed
-    import numpy as _np
-except ImportError:  # pragma: no cover
-    _np = None
+import numpy as _np
 
 
 class Profile:
@@ -445,7 +442,7 @@ class ProfileStore:
 
     def columns(self) -> ProfileColumns:
         """Every context description's profile as one :class:`ProfileColumns`
-        (NumPy only; built once)."""
+        (built once)."""
         if self._columns is None:
             if self.context is None:
                 raise ValueError("profile columns need a shared pipeline context")

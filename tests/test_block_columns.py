@@ -1,24 +1,21 @@
 """Blocks as columns: ``BlockColumns``, its kernels and the lazy ``BlockCollection`` view.
 
-The column kernels (``from_postings`` / ``select`` behind build, purging and
-filtering; the block -> entity transpose of ``EntityIndexEngine``) each have a
-NumPy body and a plain-loop body; every test here runs both (``use_numpy``)
-and, where the engine picks the body itself, with NumPy hidden from the
-modules (``_np = None``).  The references are the object-path oracles:
-``TokenBlocking.build``, ``BlockPurging.process``, ``BlockFiltering.process``
-and ``BlockCollection.distinct_pairs``.
+The column kernels are ``from_postings`` / ``select`` behind build, purging
+and filtering, and the block -> entity transpose of ``EntityIndexEngine``.
+The references are the object-path oracles: ``TokenBlocking.build``,
+``BlockPurging.process``, ``BlockFiltering.process``,
+``BlockCollection.entity_index`` and ``BlockCollection.distinct_pairs``.
 """
 
 from __future__ import annotations
 
 from array import array
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.blocking import columns as columns_module
-from repro.blocking import engine as engine_module
 from repro.blocking.base import Block, BlockCollection
 from repro.blocking.cleaning import BlockFiltering, BlockPurging
 from repro.blocking.columns import BlockColumns
@@ -31,12 +28,7 @@ from repro.datamodel.description import EntityDescription
 from repro.datasets import DatasetConfig, generate_dirty_dataset
 from repro.datasets.builtin import load_census, load_restaurants
 from repro.evaluation.metrics import evaluate_blocks, evaluate_comparisons
-from repro.metablocking import entity_index as entity_index_module
 from repro.metablocking.entity_index import EntityIndexEngine
-from repro.progressive import engine as scheduling_module
-
-#: the kernel bodies this interpreter can run (``use_numpy`` values)
-BODIES = (True, False) if columns_module._np is not None else (False,)
 
 
 def snapshot(blocks):
@@ -44,15 +36,6 @@ def snapshot(blocks):
     return [
         (block.key, block.members, block.left_members, block.right_members) for block in blocks
     ]
-
-
-@pytest.fixture(params=("numpy", "hidden"))
-def numpy_mode(request, monkeypatch):
-    """Run a test with NumPy importable and again with it hidden from the modules."""
-    if request.param == "hidden":
-        for module in (columns_module, engine_module, entity_index_module):
-            monkeypatch.setattr(module, "_np", None)
-    return request.param
 
 
 @pytest.fixture
@@ -107,12 +90,12 @@ COLLECTIONS = {
 # ----------------------------------------------------------------------
 class TestRoundTrip:
     @pytest.mark.parametrize("name", sorted(COLLECTIONS))
-    def test_objects_to_columns_and_back(self, name, numpy_mode):
+    def test_objects_to_columns_and_back(self, name):
         blocks = COLLECTIONS[name]
         columns = BlockColumns.from_collection(blocks)
         assert len(columns) == len(blocks)
         assert columns.total_comparisons() == blocks.total_comparisons()
-        assert list(columns.cardinalities(False)) == [b.num_comparisons() for b in blocks]
+        assert columns.cardinalities().tolist() == [b.num_comparisons() for b in blocks]
         view = BlockCollection.from_columns(columns, name="view")
         assert len(view) == len(blocks)
         assert view.total_comparisons() == blocks.total_comparisons()
@@ -143,27 +126,23 @@ class TestRoundTrip:
         assert other is not backing and other.ids == context.ids
         assert list(other.members) == list(backing.members)
 
-    @pytest.mark.parametrize("use_numpy", BODIES)
-    def test_a_side_emptied_by_select_drops_the_block(self, use_numpy):
+    def test_a_side_emptied_by_select_drops_the_block(self):
         columns = BlockColumns.from_collection(CLEAN_CLEAN)
         # drop l1 everywhere: "one" loses its whole left side, the others shrink
-        flags = [columns.ids[o] != "l1" for o in columns.members]
-        flags = columns_module._np.array(flags) if use_numpy else bytearray(flags)
-        kept = BlockCollection.from_columns(columns.select(flags, use_numpy))
+        flags = np.array([columns.ids[o] != "l1" for o in columns.members])
+        kept = BlockCollection.from_columns(columns.select(flags))
         assert snapshot(kept) == [
             ("two", ("l2", "r2"), ("l2",), ("r2",)),
             ("wide", ("l2", "l3", "r1", "r2", "r3"), ("l2", "l3"), ("r1", "r2", "r3")),
         ]
 
-    @pytest.mark.parametrize("use_numpy", BODIES)
-    def test_unilateral_block_left_with_one_member_is_dropped(self, use_numpy):
+    def test_unilateral_block_left_with_one_member_is_dropped(self):
         columns = BlockColumns.from_collection(DIRTY)
-        flags = [columns.ids[o] in ("b", "c") for o in columns.members]
-        flags = columns_module._np.array(flags) if use_numpy else bytearray(flags)
-        kept = BlockCollection.from_columns(columns.select(flags, use_numpy))
+        flags = np.array([columns.ids[o] in ("b", "c") for o in columns.members])
+        kept = BlockCollection.from_columns(columns.select(flags))
         assert snapshot(kept) == [("mid", ("b", "c"), (), ()), ("big", ("b", "c"), (), ())]
 
-    def test_purging_everything_leaves_an_empty_view(self, numpy_mode):
+    def test_purging_everything_leaves_an_empty_view(self):
         purged = BlockingEngine().clean(MIXED, purging=BlockPurging(max_comparisons=0))
         assert len(purged) == 0 and purged.total_comparisons() == 0
         assert list(purged) == []
@@ -172,7 +151,7 @@ class TestRoundTrip:
         assert len(BlockingEngine().clean(purged, filtering=BlockFiltering(0.5))) == 0
 
     @pytest.mark.parametrize("bilateral", (False, True))
-    def test_empty_input_builds_empty_columns(self, bilateral, numpy_mode):
+    def test_empty_input_builds_empty_columns(self, bilateral):
         data = (
             CleanCleanTask(EntityCollection(name="l"), EntityCollection(name="r"))
             if bilateral
@@ -188,11 +167,8 @@ class TestRoundTrip:
 # the token build, with and without a shared context
 # ----------------------------------------------------------------------
 class TestTokenBuild:
-    @pytest.mark.parametrize("use_numpy", BODIES)
     @pytest.mark.parametrize("dataset", ("small_dirty_dataset", "small_clean_clean_dataset"))
-    def test_private_context_equals_shared_context_equals_oracle(
-        self, request, dataset, use_numpy
-    ):
+    def test_private_context_equals_shared_context_equals_oracle(self, request, dataset):
         generated = request.getfixturevalue(dataset)
         data = getattr(generated, "task", None) or generated.collection
         builder = TokenBlocking(max_block_fraction=0.3)
@@ -200,14 +176,14 @@ class TestTokenBuild:
         shared = PipelineContext(data)
         foreign = PipelineContext(EntityCollection([EntityDescription("x", {"a": "b"})]))
         for context in (None, shared, foreign):
-            engine = BlockingEngine(builder, use_numpy=use_numpy, context=context)
+            engine = BlockingEngine(builder, context=context)
             built = engine.build(data)
             assert engine.last_engine == "index"
             assert built._columns is not None  # the blocks are columns, not objects
             assert snapshot(built) == oracle
         # only the context that owns the data lends its ordinals
         columns = BlockColumns.from_collection(
-            BlockingEngine(builder, use_numpy=use_numpy, context=shared).build(data)
+            BlockingEngine(builder, context=shared).build(data)
         )
         assert columns.ids is shared.ids
 
@@ -248,16 +224,15 @@ def test_purge_and_filter_on_columns_equal_the_oracle_cleaners(
     expected_purged = snapshot(purging.process(blocks))
     expected_filtered = snapshot(filtering.process(blocks))
     expected_both = snapshot(filtering.process(purging.process(blocks)))
-    for use_numpy in BODIES:
-        engine = BlockingEngine(use_numpy=use_numpy)
-        purged = engine.clean(blocks, purging=purging)
-        assert (len(purged), snapshot(purged)) == (len(expected_purged), expected_purged)
-        assert snapshot(engine.clean(blocks, filtering=filtering)) == expected_filtered
-        both = engine.clean(blocks, purging=purging, filtering=filtering)
-        assert engine.last_engine == "index"
-        total = both.total_comparisons()  # from the columns, before any object exists
-        assert snapshot(both) == expected_both
-        assert total == sum(block.num_comparisons() for block in both)
+    engine = BlockingEngine()
+    purged = engine.clean(blocks, purging=purging)
+    assert (len(purged), snapshot(purged)) == (len(expected_purged), expected_purged)
+    assert snapshot(engine.clean(blocks, filtering=filtering)) == expected_filtered
+    both = engine.clean(blocks, purging=purging, filtering=filtering)
+    assert engine.last_engine == "index"
+    total = both.total_comparisons()  # from the columns, before any object exists
+    assert snapshot(both) == expected_both
+    assert total == sum(block.num_comparisons() for block in both)
 
 
 # ----------------------------------------------------------------------
@@ -279,20 +254,19 @@ def _padded(collection) -> EntityCollection:
 
 
 class TestIndexFromColumns:
-    @pytest.mark.parametrize("use_numpy", BODIES)
     @pytest.mark.parametrize("padded", (False, True))
     @pytest.mark.parametrize("load", (load_census, load_restaurants))
-    def test_arrays_equal_the_object_constructors(self, load, padded, use_numpy):
+    def test_arrays_equal_the_object_constructors(self, load, padded):
         collection = load().collection
         data = _padded(collection) if padded else collection
         context = PipelineContext(data)
-        built = BlockingEngine(context=context, use_numpy=use_numpy).build(data)
+        built = BlockingEngine(context=context).build(data)
         from_columns = EntityIndexEngine.from_columns(
-            BlockColumns.from_collection(built, context.ids), use_numpy=use_numpy
+            BlockColumns.from_collection(built, context.ids)
         )
         objects = TokenBlocking().build(collection)
         assert objects._columns is None
-        from_objects = EntityIndexEngine(objects, use_numpy=use_numpy, ids=context.ids)
+        from_objects = EntityIndexEngine(objects, ids=context.ids)
         for name in INDEX_ARRAYS:
             assert getattr(from_columns, name) == getattr(from_objects, name), name
         assert from_columns.ids == from_objects.ids == context.ids
@@ -301,18 +275,24 @@ class TestIndexFromColumns:
         assert from_columns.count_edges() == from_objects.count_edges()
 
     @pytest.mark.parametrize("dataset", ("small_dirty_dataset", "small_clean_clean_dataset"))
-    def test_numpy_and_loop_transposes_agree(self, request, dataset):
+    def test_transpose_equals_the_object_entity_index(self, request, dataset):
         generated = request.getfixturevalue(dataset)
         data = getattr(generated, "task", None) or generated.collection
-        columns = BlockColumns.from_collection(BlockingEngine().build(data))
-        fast = EntityIndexEngine.from_columns(columns, use_numpy=True)
-        slow = EntityIndexEngine.from_columns(columns, use_numpy=False)
-        for name in INDEX_ARRAYS:
-            assert getattr(fast, name) == getattr(slow, name), name
-        assert fast.num_nodes == slow.num_nodes
+        blocks = BlockingEngine().build(data)
+        index = EntityIndexEngine.from_columns(BlockColumns.from_collection(blocks))
+        objects = list(blocks)
+        expected = blocks.entity_index()
+        ent_ptr = index._ent_ptr
+        for ordinal, identifier in enumerate(index.ids):
+            rows = range(ent_ptr[ordinal], ent_ptr[ordinal + 1])
+            assert [index._ent_blocks[row] for row in rows] == expected.get(identifier, [])
+            assert [index._ent_side[row] for row in rows] == [
+                int(identifier in objects[index._ent_blocks[row]].right_members) for row in rows
+            ]
+        assert list(index._recip) == [1 / block.num_comparisons() for block in objects]
+        assert index.num_nodes == len(expected)
 
-    @pytest.mark.parametrize("use_numpy", BODIES)
-    def test_member_on_both_sides_fails_like_the_graph_engine(self, use_numpy):
+    def test_member_on_both_sides_fails_like_the_graph_engine(self):
         blocks = BlockCollection(
             [
                 Block("fine", left_members=["l1"], right_members=["r1"]),
@@ -321,7 +301,7 @@ class TestIndexFromColumns:
         )
         # the first *left* member that is also on the right, as left x right trips
         with pytest.raises(ValueError, match="two distinct descriptions, got 'x' twice"):
-            EntityIndexEngine(blocks, use_numpy=use_numpy)
+            EntityIndexEngine(blocks)
 
 
 # ----------------------------------------------------------------------
@@ -332,7 +312,7 @@ class TestEvaluateBlocks:
     @pytest.mark.parametrize(
         "dataset", ("census", "restaurants", "small_dirty_dataset", "small_clean_clean_dataset")
     )
-    def test_field_for_field_equal_to_the_pair_set(self, request, dataset, cleaned, numpy_mode):
+    def test_field_for_field_equal_to_the_pair_set(self, request, dataset, cleaned):
         if dataset in ("census", "restaurants"):
             generated = {"census": load_census, "restaurants": load_restaurants}[dataset]()
         else:
@@ -384,13 +364,10 @@ class TestLazyView:
             enable_metablocking=False, iterate_merges=iterate_merges
         ).run(publications.collection)
         assert result.clusters
-        # the scheduler takes the cleaned blocks' pairs from their columns
-        # (the plain-loop body walks them as objects, each once), the update
-        # phase its neighbourhoods from the raw blocks' columns
-        cleaned = result.report.stage("block_filtering@index").get("blocks")
-        assert cleaned > 0
-        walked = cleaned if scheduling_module._np is None else 0
-        assert len(blocks_constructed) == walked
+        # the scheduler takes the cleaned blocks' pairs from their columns,
+        # the update phase its neighbourhoods from the raw blocks' columns
+        assert result.report.stage("block_filtering@index").get("blocks") > 0
+        assert blocks_constructed == []
 
     def test_iterating_a_result_materialises_each_block_once(
         self, publications, blocks_constructed

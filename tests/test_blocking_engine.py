@@ -126,27 +126,25 @@ class TestIndexCleaningDetails:
         filtered = engine.clean(blocks, filtering=BlockFiltering(0.1))
         assert "a" in filtered.placed_identifiers()
 
-    @pytest.mark.parametrize("use_numpy", (None, False))
-    def test_propagation_first_block_wins_orientation(self, use_numpy):
+    def test_propagation_first_block_wins_orientation(self):
         blocks = BlockCollection(
             [
                 Block("first", left_members=["l1"], right_members=["r1"]),
                 Block("second", left_members=["r1"], right_members=["l1"]),
             ]
         )
-        propagated = _index_propagate(blocks, use_numpy is None)
+        propagated = _index_propagate(blocks)
         assert len(propagated) == 1
         block = propagated[0]
         assert block.left_members == ("l1",)
         assert block.right_members == ("r1",)
 
-    @pytest.mark.parametrize("use_numpy", (None, False))
-    def test_propagation_self_pair_raises_like_the_oracle(self, use_numpy):
+    def test_propagation_self_pair_raises_like_the_oracle(self):
         blocks = BlockCollection(
             [Block("bad", left_members=["dup", "l2"], right_members=["dup"])]
         )
         with pytest.raises(ValueError, match="two distinct descriptions"):
-            _index_propagate(blocks, use_numpy is None)
+            _index_propagate(blocks)
 
 
 class TestPairFastPaths:

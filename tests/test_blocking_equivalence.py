@@ -1,12 +1,8 @@
 """Property-based equivalence of the oracle and index blocking engines.
 
 For seeded random collections -- dirty and clean--clean -- every supported
-builder x cleaning combination must produce the *same block collection* on
-three execution paths:
-
-* the legacy builders/cleaners (the oracle),
-* the index engine with its NumPy fast path (when NumPy is present),
-* the index engine's pure-Python fallback.
+builder x cleaning combination must produce the *same block collection* in
+the legacy builders/cleaners (the oracle) and the index engine.
 
 Equality is block for block: the same number of blocks, the same keys in the
 same (deterministic) order, and the same member tuples -- including the
@@ -118,15 +114,14 @@ def _assert_engines_agree(data, builder_name: str, cleaning_name: str) -> None:
     cleaning = CLEANING[cleaning_name]
     expected = snapshot(clean_blocks(oracle_blocks, **cleaning))
 
-    for use_numpy, label in ((None, "numpy"), (False, "pure-python")):
-        engine = BlockingEngine(BUILDERS[builder_name](), engine="index", use_numpy=use_numpy)
-        built = engine.build(data)
-        assert engine.last_engine == "index", (builder_name, label)
-        assert snapshot(built) == snapshot(oracle_blocks), (builder_name, label)
-        cleaned = engine.clean(built, **cleaning)
-        if cleaning:
-            assert engine.last_engine == "index", (builder_name, cleaning_name, label)
-        assert snapshot(cleaned) == expected, (builder_name, cleaning_name, label)
+    engine = BlockingEngine(BUILDERS[builder_name](), engine="index")
+    built = engine.build(data)
+    assert engine.last_engine == "index", builder_name
+    assert snapshot(built) == snapshot(oracle_blocks), builder_name
+    cleaned = engine.clean(built, **cleaning)
+    if cleaning:
+        assert engine.last_engine == "index", (builder_name, cleaning_name)
+    assert snapshot(cleaned) == expected, (builder_name, cleaning_name)
 
     # the oracle engine of BlockingEngine is the legacy path verbatim
     oracle_engine = BlockingEngine(BUILDERS[builder_name](), engine="oracle")
@@ -156,9 +151,8 @@ def test_filtering_ratio_sweep(seed, ratio):
     data = random_dirty_collection(seed, size=60)
     blocks = TokenBlocking().build(data)
     expected = snapshot(BlockFiltering(ratio).process(blocks))
-    for use_numpy in (None, False):
-        engine = BlockingEngine(engine="index", use_numpy=use_numpy)
-        assert snapshot(engine.clean(blocks, filtering=BlockFiltering(ratio))) == expected
+    engine = BlockingEngine(engine="index")
+    assert snapshot(engine.clean(blocks, filtering=BlockFiltering(ratio))) == expected
 
 
 @pytest.mark.parametrize("seed", SEEDS[:2])

@@ -75,18 +75,14 @@ def test_fixture_covers_all_combos(dataset_name):
     assert set(fixture["combos"]) == expected
 
 
-@pytest.mark.parametrize("engine", ("oracle", "index", "index-pure-python"))
+@pytest.mark.parametrize("engine", ("oracle", "index"))
 @pytest.mark.parametrize("dataset_name", sorted(DATASETS))
 def test_engines_reproduce_golden_output(dataset_name, engine):
     collection = DATASETS[dataset_name]().collection
     fixture = _fixture(dataset_name)
-    use_numpy = False if engine == "index-pure-python" else None
-    engine_name = "oracle" if engine == "oracle" else "index"
     for combo, frozen in fixture["combos"].items():
         builder_name, cleaning_name = combo.split("+")
-        blocking = BlockingEngine(
-            BUILDERS[builder_name](), engine=engine_name, use_numpy=use_numpy
-        )
+        blocking = BlockingEngine(BUILDERS[builder_name](), engine=engine)
         blocks = blocking.clean(blocking.build(collection), **CLEANING[cleaning_name])
         assert _serialise(blocks) == frozen["blocks"], (
             f"{dataset_name}/{combo}/{engine}: block collection changed"

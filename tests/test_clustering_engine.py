@@ -3,7 +3,7 @@
 The object algorithms of :mod:`repro.matching.clustering` are the oracle;
 :class:`~repro.matching.cluster_engine.ClusteringEngine` must reproduce their
 clusters bit for bit -- same frozensets, same list order, same behaviour at
-equal-similarity ties -- on both its NumPy and pure-Python edge-sort paths.
+equal-similarity ties.
 
 ``tests/fixtures/clustering/*.json`` freezes the oracle's clusters on the
 builtin datasets at two thresholds; every engine configuration must keep
@@ -30,11 +30,6 @@ from repro.matching.clustering import (
 )
 from repro.matching.matchers import MatchDecision, ProfileSimilarityMatcher
 
-try:
-    import numpy
-except ImportError:
-    numpy = None
-
 FIXTURES_DIR = Path(__file__).parent / "fixtures" / "clustering"
 
 ALGORITHMS = {
@@ -42,9 +37,6 @@ ALGORITHMS = {
     "center": CenterClustering,
     "merge_center": MergeCenterClustering,
 }
-
-#: NumPy toggles that must all be bit-identical (None = auto).
-NUMPY_MODES = (None, False) if numpy is None else (True, False)
 
 
 def decision(first, second, similarity=1.0, is_match=True):
@@ -97,15 +89,12 @@ class TestSeededEquivalence:
     @pytest.mark.parametrize("kind", ["dirty", "clean_clean"])
     @pytest.mark.parametrize("variant", ["plain", "ties", "dense", "empty", "singleton"])
     @pytest.mark.parametrize("algorithm", sorted(ALGORITHMS))
-    @pytest.mark.parametrize("use_numpy", NUMPY_MODES)
-    def test_array_equals_oracle(self, kind, variant, algorithm, use_numpy):
+    def test_array_equals_oracle(self, kind, variant, algorithm):
         """Identical clusters -- content *and* list order -- on every path."""
         for seed in (3, 11, 27):
             decisions = _seeded_decisions(seed, kind, variant)
             oracle = ALGORITHMS[algorithm]().cluster(decisions)
-            engine = ClusteringEngine(
-                ALGORITHMS[algorithm](), engine="array", use_numpy=use_numpy
-            )
+            engine = ClusteringEngine(ALGORITHMS[algorithm](), engine="array")
             columns = DecisionColumns.from_decisions(decisions)
             assert engine.cluster(columns) == oracle
             assert engine.last_engine == "array"
@@ -139,26 +128,18 @@ class TestTieBreaking:
     ]
 
     @pytest.mark.parametrize("engine_name", CLUSTERING_ENGINES)
-    @pytest.mark.parametrize("use_numpy", NUMPY_MODES)
-    def test_center_processes_tied_edges_in_pair_order(self, engine_name, use_numpy):
+    def test_center_processes_tied_edges_in_pair_order(self, engine_name):
         # order (a,b), (b,c), (c,d): a centers b; b is no center, so c starts
         # its own cluster; then (c,d) attaches d to center c
-        engine = ClusteringEngine(
-            CenterClustering(), engine=engine_name, use_numpy=use_numpy
-        )
+        engine = ClusteringEngine(CenterClustering(), engine=engine_name)
         clusters = engine.cluster(DecisionColumns.from_decisions(self.TIED))
         assert clusters == [frozenset({"a", "b"}), frozenset({"c", "d"})]
 
     @pytest.mark.parametrize("engine_name", CLUSTERING_ENGINES)
-    @pytest.mark.parametrize("use_numpy", NUMPY_MODES)
-    def test_merge_center_processes_tied_edges_in_pair_order(
-        self, engine_name, use_numpy
-    ):
+    def test_merge_center_processes_tied_edges_in_pair_order(self, engine_name):
         # order (a,b), (b,c), (c,d): a centers b; (b,c) attaches c to a's
         # cluster; (c,d) attaches d as well -- one cluster, deterministically
-        engine = ClusteringEngine(
-            MergeCenterClustering(), engine=engine_name, use_numpy=use_numpy
-        )
+        engine = ClusteringEngine(MergeCenterClustering(), engine=engine_name)
         clusters = engine.cluster(DecisionColumns.from_decisions(self.TIED))
         assert clusters == [frozenset({"a", "b", "c", "d"})]
 
@@ -179,11 +160,6 @@ class TestEngineDispatch:
     def test_unknown_engine_rejected(self):
         with pytest.raises(ValueError, match="unknown engine"):
             ClusteringEngine(CenterClustering(), engine="bogus")
-
-    @pytest.mark.skipif(numpy is not None, reason="numpy importable")
-    def test_use_numpy_requires_numpy(self):
-        with pytest.raises(ValueError, match="numpy is not importable"):
-            ClusteringEngine(CenterClustering(), use_numpy=True)
 
     def test_custom_subclass_falls_back_to_object(self):
         class LoudCenter(CenterClustering):
@@ -263,27 +239,20 @@ def test_fixture_covers_all_combos(dataset_name):
     assert set(fixture["combos"]) == expected
 
 
-@pytest.mark.parametrize(
-    "engine_config",
-    [("object", None)] + [("array", mode) for mode in NUMPY_MODES],
-    ids=lambda c: f"{c[0]}-numpy={c[1]}",
-)
+@pytest.mark.parametrize("engine_name", CLUSTERING_ENGINES)
 @pytest.mark.parametrize("dataset_name", ["restaurants", "census"])
-def test_engines_reproduce_golden_clusters(dataset_name, engine_config):
-    engine_name, use_numpy = engine_config
+def test_engines_reproduce_golden_clusters(dataset_name, engine_name):
     dataset = _builtin_datasets()[dataset_name]
     fixture = _fixture(dataset_name)
     for threshold_name, threshold in THRESHOLDS.items():
         decisions = _dataset_decisions(dataset, threshold)
         columns = DecisionColumns.from_decisions(decisions)
         for algorithm_name, algorithm in ALGORITHMS.items():
-            engine = ClusteringEngine(
-                algorithm(), engine=engine_name, use_numpy=use_numpy
-            )
+            engine = ClusteringEngine(algorithm(), engine=engine_name)
             clusters = engine.cluster(columns)
             assert (
                 _cluster_lists(clusters) == fixture[f"{algorithm_name}+{threshold_name}"]
-            ), f"{dataset_name}/{algorithm_name}+{threshold_name} diverged on {engine_config}"
+            ), f"{dataset_name}/{algorithm_name}+{threshold_name} diverged on {engine_name}"
 
 
 if __name__ == "__main__":
@@ -307,15 +276,12 @@ class TestExecutionOrientation:
         return columns
 
     @pytest.mark.parametrize("algorithm", sorted(ALGORITHMS))
-    @pytest.mark.parametrize("use_numpy", NUMPY_MODES)
-    def test_reversed_rows_cluster_like_the_oracle(self, algorithm, use_numpy):
+    def test_reversed_rows_cluster_like_the_oracle(self, algorithm):
         for seed in (3, 27):
             for variant in ("plain", "ties"):
                 decisions = _seeded_decisions(seed, "dirty", variant)
                 oracle = ALGORITHMS[algorithm]().cluster(decisions)
-                engine = ClusteringEngine(
-                    ALGORITHMS[algorithm](), engine="array", use_numpy=use_numpy
-                )
+                engine = ClusteringEngine(ALGORITHMS[algorithm](), engine="array")
                 assert engine.cluster(self._reversed_columns(decisions)) == oracle
 
     def test_mixed_orientation_tie_break(self):

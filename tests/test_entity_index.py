@@ -11,6 +11,7 @@ from __future__ import annotations
 import math
 import types
 
+import numpy as np
 import pytest
 
 from repro.blocking.base import Block, BlockCollection
@@ -205,8 +206,8 @@ class TestEngineSelection:
         assert metablocking.last_retained_edges == 1 + len(remaining)
 
 
-class TestNumpyFallbackPath:
-    def test_forced_pure_python_path_matches(self):
+class TestGraphOracle:
+    def test_mixed_blocks_match_the_graph_engine_bit_for_bit(self):
         blocks = BlockCollection(
             [
                 Block("b0", members=["n3", "n1", "n2"]),
@@ -214,17 +215,14 @@ class TestNumpyFallbackPath:
                 Block("b2", members=["n4", "n2"]),
             ]
         )
-        fast = EntityIndexEngine(blocks)
-        slow = EntityIndexEngine(blocks, use_numpy=False)
+        index = EntityIndexEngine(blocks)
         for weighting in WEIGHTING_SCHEMES:
             for pruning in PRUNING_SCHEMES:
-                expected = {
-                    (e.first, e.second): e.weight
-                    for e in fast.iter_retained(weighting, pruning)
-                }
+                graph = MetaBlocking(weighting, pruning, engine="graph")
+                expected = {(e.first, e.second): e.weight for e in graph.retained_edges(blocks)}
                 actual = {
                     (e.first, e.second): e.weight
-                    for e in slow.iter_retained(weighting, pruning)
+                    for e in index.iter_retained(weighting, pruning)
                 }
                 assert expected == actual
 
@@ -242,11 +240,8 @@ class TestCoBlockedNeighbourhoods:
     #: a caller-fixed ordinal space, not in identifier order; n0 is in no block
     IDS = ["n4", "n0", "n7", "n1", "n6", "n3", "n2", "n5"]
 
-    @pytest.mark.parametrize("use_numpy", [None, False])
-    def test_identifier_order_over_given_ordinals(self, use_numpy):
-        engine = EntityIndexEngine(
-            BlockCollection(self.BLOCKS), use_numpy=use_numpy, ids=self.IDS
-        )
+    def test_identifier_order_over_given_ordinals(self):
+        engine = EntityIndexEngine(BlockCollection(self.BLOCKS), ids=self.IDS)
         assert engine.num_entities == len(self.IDS)
         assert [engine.identifier(o) for o in range(len(self.IDS))] == self.IDS
 
@@ -267,9 +262,8 @@ class TestCoBlockedNeighbourhoods:
             "n3", "n1", "n2", "n5", "n4", "n6", "n7"
         ]
 
-    @pytest.mark.parametrize("use_numpy", [None, False])
-    def test_no_sources_have_no_neighbourhood(self, use_numpy):
-        engine = EntityIndexEngine(BlockCollection(self.BLOCKS), use_numpy=use_numpy)
+    def test_no_sources_have_no_neighbourhood(self):
+        engine = EntityIndexEngine(BlockCollection(self.BLOCKS))
         assert engine.co_blocked([]) == []
 
     def test_members_outside_the_given_table_are_appended(self):
@@ -382,10 +376,9 @@ class TestWnpThresholdRefinement:
             [Block(f"b{i}", members=members) for i, members in enumerate(self.BLOCKS)]
         )
 
-    @pytest.mark.parametrize("use_numpy", (True, False))
     @pytest.mark.parametrize("weighting", ("JS", "EJS"))
-    def test_a_summed_threshold_flips_a_decision(self, weighting, use_numpy):
-        engine = EntityIndexEngine(self.blocks(), use_numpy=use_numpy)
+    def test_a_summed_threshold_flips_a_decision(self, weighting):
+        engine = EntityIndexEngine(self.blocks())
         stats = [engine._wnp_stats(weighting, 0, engine.num_entities)]
         _edges, summed, _degrees = engine._wnp_thresholds(weighting, stats)
         flipped = [
@@ -399,20 +392,18 @@ class TestWnpThresholdRefinement:
         ]
         assert flipped
 
-    @pytest.mark.parametrize("use_numpy", (True, False))
     @pytest.mark.parametrize("pruning", ("WNP", "ReciprocalWNP"))
     @pytest.mark.parametrize("weighting", ("JS", "EJS"))
-    def test_refined_rows_equal_the_two_pass_reference(self, weighting, pruning, use_numpy):
+    def test_refined_rows_equal_the_two_pass_reference(self, weighting, pruning):
         blocks = self.blocks()
-        engine = EntityIndexEngine(blocks, use_numpy=use_numpy)
+        engine = EntityIndexEngine(blocks)
         retained = {(e.first, e.second, e.weight) for e in engine.iter_retained(weighting, pruning)}
         assert engine.last_refined > 0
         reference = MetaBlocking(weighting, pruning, engine="graph").retained_edges(blocks)
         assert retained == {(e.first, e.second, e.weight) for e in reference}
 
-    @pytest.mark.parametrize("use_numpy", (True, False))
-    def test_integer_cbs_sums_are_never_refined(self, use_numpy):
-        engine = EntityIndexEngine(self.blocks(), use_numpy=use_numpy)
+    def test_integer_cbs_sums_are_never_refined(self):
+        engine = EntityIndexEngine(self.blocks())
         engine.retained_columns("CBS", "WNP")
         assert engine.last_refined == 0
 
@@ -425,11 +416,10 @@ class TestRangeCovers:
     def blocks(self, small_dirty_dataset):
         return TokenBlocking().build(small_dirty_dataset.collection)
 
-    @pytest.mark.parametrize("use_numpy", (True, False))
     @pytest.mark.parametrize("pruning", ("WNP", "ReciprocalWNP"))
     @pytest.mark.parametrize("weighting", WEIGHTING_SCHEMES)
-    def test_one_two_and_three_range_covers_agree(self, blocks, weighting, pruning, use_numpy):
-        engine = EntityIndexEngine(blocks, use_numpy=use_numpy)
+    def test_one_two_and_three_range_covers_agree(self, blocks, weighting, pruning):
+        engine = EntityIndexEngine(blocks)
         n = engine.num_entities
         whole = rows(engine.retained_columns(weighting, pruning))
         assert whole
@@ -442,10 +432,8 @@ class TestNeighbourhoodBatchSpan:
     """Batch-relative int32 keys: a batch spans at most ``(2**31 - 1) // N``
     nodes, so a table large enough for that to bind cuts one-node batches."""
 
-    @pytest.mark.skipif(entity_index._np is None, reason="numpy not installed")
     @pytest.mark.parametrize("lower", (True, False))
     def test_one_node_batches_give_the_same_columns(self, small_dirty_dataset, monkeypatch, lower):
-        np = entity_index._np
         blocks = TokenBlocking().build(small_dirty_dataset.collection)
         plain = EntityIndexEngine(blocks)
         padded_ids = list(plain.ids) + [f"padding-{i}" for i in range(5000)]

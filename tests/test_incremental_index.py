@@ -30,14 +30,7 @@ from repro.iterative import IncrementalResolver
 from repro.iterative.index import IncrementalIndex
 from repro.matching import ProfileSimilarityMatcher
 
-try:
-    import numpy
-except ImportError:  # pragma: no cover - exercised by the no-numpy CI job
-    numpy = None
-
 FIXTURE_PATH = Path(__file__).parent / "fixtures" / "incremental" / "golden_stream.json"
-
-NUMPY_MODES = [False] + ([True] if numpy is not None else [])
 
 
 # ----------------------------------------------------------------------
@@ -125,14 +118,11 @@ def _representations(resolver, identifiers):
 # ----------------------------------------------------------------------
 # array-vs-oracle equivalence
 # ----------------------------------------------------------------------
-@pytest.mark.parametrize("use_numpy", NUMPY_MODES)
-def test_array_matches_oracle_at_every_prefix(use_numpy):
+def test_array_matches_oracle_at_every_prefix():
     descriptions = _stream_descriptions()
     matcher = ProfileSimilarityMatcher(threshold=0.5)
     oracle = IncrementalResolver(matcher, engine="object")
-    index = IncrementalIndex(
-        ProfileSimilarityMatcher(threshold=0.5), use_numpy=use_numpy
-    )
+    index = IncrementalIndex(ProfileSimilarityMatcher(threshold=0.5))
     for description in descriptions:
         expected = _arrival(oracle.add(description))
         actual = _arrival(index.add(description))
@@ -145,15 +135,12 @@ def test_array_matches_oracle_at_every_prefix(use_numpy):
     ]
 
 
-@pytest.mark.parametrize("use_numpy", NUMPY_MODES)
-def test_array_matches_oracle_through_removes_and_updates(use_numpy):
+def test_array_matches_oracle_through_removes_and_updates():
     descriptions = _stream_descriptions(num_entities=30, duplicates=1.8, seed=31)
     operations = _mixed_operations(descriptions)
     matcher = ProfileSimilarityMatcher(threshold=0.5)
     oracle = IncrementalResolver(matcher, engine="object")
-    index = IncrementalIndex(
-        ProfileSimilarityMatcher(threshold=0.5), use_numpy=use_numpy
-    )
+    index = IncrementalIndex(ProfileSimilarityMatcher(threshold=0.5))
     for operation in operations:
         assert _apply(index, operation) == _apply(oracle, operation)
         assert _state(index) == _state(oracle)
@@ -194,14 +181,11 @@ def test_duplicate_and_unknown_identifiers():
     assert index.cluster_of("a") == {"a"}
 
 
-@pytest.mark.parametrize("use_numpy", NUMPY_MODES)
-def test_resolve_is_read_only_and_matches_oracle(use_numpy):
+def test_resolve_is_read_only_and_matches_oracle():
     descriptions = _stream_descriptions(num_entities=25, seed=37)
     matcher = ProfileSimilarityMatcher(threshold=0.5)
     oracle = IncrementalResolver(matcher, engine="object")
-    index = IncrementalIndex(
-        ProfileSimilarityMatcher(threshold=0.5), use_numpy=use_numpy
-    )
+    index = IncrementalIndex(ProfileSimilarityMatcher(threshold=0.5))
     oracle.add_all(descriptions)
     index.add_all(descriptions)
     queries = descriptions[::5] + [
@@ -245,8 +229,7 @@ def _assert_postings_invariants(index):
 
 
 @pytest.mark.parametrize("matcher_min_length", [2, 3], ids=["shared", "own-filter"])
-@pytest.mark.parametrize("use_numpy", NUMPY_MODES)
-def test_postings_stay_the_inversion_of_root_tokens(tmp_path, use_numpy, matcher_min_length):
+def test_postings_stay_the_inversion_of_root_tokens(tmp_path, matcher_min_length):
     """After every add / remove / update -- multi-merge arrivals included, and
     on across a snapshot restore -- with the oracle's results throughout."""
     descriptions = _stream_descriptions(num_entities=30, duplicates=2.5, seed=53)
@@ -256,13 +239,13 @@ def test_postings_stay_the_inversion_of_root_tokens(tmp_path, use_numpy, matcher
         return ProfileSimilarityMatcher(threshold=0.45, min_token_length=matcher_min_length)
 
     oracle = IncrementalResolver(matcher(), engine="object")
-    index = IncrementalIndex(matcher(), use_numpy=use_numpy)
+    index = IncrementalIndex(matcher())
     assert (index._match_tokens is index._root_tokens) == (matcher_min_length == 2)
     most_merged = 0
     for position, operation in enumerate(operations):
         if position == len(operations) // 2:
             index.save(tmp_path / "snap")
-            index = IncrementalIndex.load(tmp_path / "snap", use_numpy=use_numpy)
+            index = IncrementalIndex.load(tmp_path / "snap")
             _assert_postings_invariants(index)
         if operation[0] != "remove":
             assert index.resolve(operation[1]) == oracle.resolve(operation[1])
@@ -275,8 +258,7 @@ def test_postings_stay_the_inversion_of_root_tokens(tmp_path, use_numpy, matcher
     assert most_merged >= 2, "the stream must contain multi-merge arrivals"
 
 
-@pytest.mark.parametrize("use_numpy", NUMPY_MODES)
-def test_candidate_selection_is_the_prefix_of_the_full_sort(use_numpy):
+def test_candidate_selection_is_the_prefix_of_the_full_sort():
     """More roots tied at the cut-off count than ``max_candidates`` leaves
     room for: the selection equals the ``(-shared, identifier)`` sort's prefix."""
     probe = ["alpha", "bravo", "charlie", "delta"]
@@ -288,7 +270,7 @@ def test_candidate_selection_is_the_prefix_of_the_full_sort(use_numpy):
         **{name: [probe[position % 4]] for position, name in enumerate("tdxbwf")},
         "a": [],
     }
-    index = IncrementalIndex(ProfileSimilarityMatcher(threshold=0.99), use_numpy=use_numpy)
+    index = IncrementalIndex(ProfileSimilarityMatcher(threshold=0.99))
     for name, tokens in shared_tokens.items():
         # private filler keeps every record its own cluster
         index.add(EntityDescription(name, {"name": " ".join(tokens + [f"only{name}"] * 3)}))
@@ -313,23 +295,17 @@ def test_candidate_selection_is_the_prefix_of_the_full_sort(use_numpy):
 # ----------------------------------------------------------------------
 # snapshot persistence
 # ----------------------------------------------------------------------
-@pytest.mark.parametrize("save_numpy", NUMPY_MODES)
-@pytest.mark.parametrize("load_numpy", NUMPY_MODES)
-def test_snapshot_round_trip_then_continue(tmp_path, save_numpy, load_numpy):
+def test_snapshot_round_trip_then_continue(tmp_path):
     descriptions = _stream_descriptions(num_entities=30, seed=41)
     half = len(descriptions) // 2
 
-    straight = IncrementalIndex(
-        ProfileSimilarityMatcher(threshold=0.5), use_numpy=save_numpy
-    )
+    straight = IncrementalIndex(ProfileSimilarityMatcher(threshold=0.5))
     straight.add_all(descriptions[:half])
 
-    index = IncrementalIndex(
-        ProfileSimilarityMatcher(threshold=0.5), use_numpy=save_numpy
-    )
+    index = IncrementalIndex(ProfileSimilarityMatcher(threshold=0.5))
     index.add_all(descriptions[:half])
     index.save(tmp_path / "snap")
-    restored = IncrementalIndex.load(tmp_path / "snap", use_numpy=load_numpy)
+    restored = IncrementalIndex.load(tmp_path / "snap")
     assert _state(restored) == _state(index)
 
     # continuing to add on the restored index reproduces the straight run

@@ -5,8 +5,7 @@ The per-pair matchers of :mod:`repro.matching.matchers` are the oracle;
 exact float equality on every similarity, identical match booleans, identical
 order, identical skip accounting -- across every matcher family, at exact
 threshold ties, on merged (iterative) descriptions and on degenerate
-profiles, with the NumPy and pure-Python scoring passes agreeing with each
-other as well.
+profiles, through the exact body and the NumPy ordinal-pair kernel alike.
 """
 
 from __future__ import annotations
@@ -36,15 +35,6 @@ from repro.progressive.scheduler import CostBenefitScheduler
 from repro.progressive.schedulers import StaticOrderScheduler, WeightOrderScheduler
 from repro.text.profile_store import Profile, ProfileStore
 from repro.text.vectorizer import TfIdfVectorizer
-
-try:
-    import numpy  # noqa: F401
-
-    HAS_NUMPY = True
-except ImportError:
-    HAS_NUMPY = False
-
-NUMPY_MODES = (True, False) if HAS_NUMPY else (False,)
 
 VOCABULARY = [
     "alan", "turing", "grace", "hopper", "ada", "lovelace", "london", "york",
@@ -135,19 +125,17 @@ class TestBatchMatchesOracle:
             "rule-based",
         ],
     )
-    @pytest.mark.parametrize("use_numpy", NUMPY_MODES)
-    def test_all_matcher_families(self, seed, matcher_name, use_numpy):
+    def test_all_matcher_families(self, seed, matcher_name):
         collection = _random_collection(seed)
         comparisons = _random_comparisons(collection, seed)
         matcher = _matchers(collection)[matcher_name]
         oracle = matcher.decide_all(comparisons, collection)
-        engine = MatchingEngine(matcher, engine="batch", use_numpy=use_numpy)
+        engine = MatchingEngine(matcher, engine="batch")
         assert_bit_identical(oracle, engine.decide_all(comparisons, collection))
         expected_engine = "batch" if matcher_name.startswith("profile") else "pairwise"
         assert engine.last_engine == expected_engine
 
-    @pytest.mark.parametrize("use_numpy", NUMPY_MODES)
-    def test_clean_clean_task(self, use_numpy):
+    def test_clean_clean_task(self):
         left = _random_collection(5, size=20)
         right = EntityCollection(
             [
@@ -163,39 +151,32 @@ class TestBatchMatchesOracle:
             for b in list(right.identifiers)[:10]
         ]
         matcher = ProfileSimilarityMatcher(threshold=0.3)
-        engine = MatchingEngine(matcher, engine="batch", use_numpy=use_numpy)
+        engine = MatchingEngine(matcher, engine="batch")
         assert_bit_identical(
             matcher.decide_all(comparisons, task), engine.decide_all(comparisons, task)
         )
 
-    def test_numpy_and_python_paths_identical(self):
-        if not HAS_NUMPY:
-            pytest.skip("numpy not installed")
+    def test_kernel_flags_equal_the_oracle_decisions(self):
         collection = _random_collection(3)
         comparisons = _random_comparisons(collection, 3)
+        context = PipelineContext(collection)
+        first = [context.ordinal(comparison.first) for comparison in comparisons]
+        second = [context.ordinal(comparison.second) for comparison in comparisons]
         for matcher in (
             ProfileSimilarityMatcher(threshold=0.3),
-            ProfileSimilarityMatcher(
-                threshold=0.25, vectorizer=TfIdfVectorizer().fit(iter(collection))
-            ),
+            ProfileSimilarityMatcher(threshold=0.25, vectorizer=context.fit_vectorizer()),
         ):
-            with_numpy = MatchingEngine(matcher, use_numpy=True).decide_all(
-                comparisons, collection
-            )
-            without = MatchingEngine(matcher, use_numpy=False).decide_all(
-                comparisons, collection
-            )
-            for a, b in zip(with_numpy, without):
-                assert a.similarity == b.similarity
-                assert a.is_match == b.is_match
+            oracle = matcher.decide_all(comparisons, collection)
+            engine = MatchingEngine(matcher, context=context)
+            assert engine.decide_ordinal_pairs(first, second) == [d.is_match for d in oracle]
+            assert engine.score_ordinal_pairs(first, second) == [d.similarity for d in oracle]
 
 
 class TestThresholdTies:
     """At an exact tie the decision is >= on both engines, bit for bit."""
 
     @pytest.mark.parametrize("use_tfidf", [False, True])
-    @pytest.mark.parametrize("use_numpy", NUMPY_MODES)
-    def test_exact_tie_is_a_match_on_both_engines(self, use_tfidf, use_numpy):
+    def test_exact_tie_is_a_match_on_both_engines(self, use_tfidf):
         collection = _random_collection(4)
         comparisons = _random_comparisons(collection, 4, count=50)
         vectorizer = TfIdfVectorizer().fit(iter(collection)) if use_tfidf else None
@@ -211,15 +192,15 @@ class TestThresholdTies:
         for threshold in (tie, min(1.0, math.nextafter(tie, 2.0))):
             matcher = ProfileSimilarityMatcher(threshold=threshold, vectorizer=vectorizer)
             oracle = matcher.decide_all(comparisons, collection)
-            engine = MatchingEngine(matcher, use_numpy=use_numpy)
+            engine = MatchingEngine(matcher)
             assert_bit_identical(oracle, engine.decide_all(comparisons, collection))
         # sanity: the tie itself flips exactly at nextafter(threshold)
         at_tie = ProfileSimilarityMatcher(threshold=tie, vectorizer=vectorizer)
         above = ProfileSimilarityMatcher(
             threshold=math.nextafter(tie, 2.0), vectorizer=vectorizer
         )
-        tie_engine = MatchingEngine(at_tie, use_numpy=use_numpy)
-        above_engine = MatchingEngine(above, use_numpy=use_numpy)
+        tie_engine = MatchingEngine(at_tie)
+        above_engine = MatchingEngine(above)
         tie_decisions = tie_engine.decide_all(comparisons, collection)
         above_decisions = above_engine.decide_all(comparisons, collection)
         flipped = [
@@ -234,13 +215,12 @@ class TestMergedDescriptions:
     """The iterative phase compares freshly merged descriptions through the engine."""
 
     @pytest.mark.parametrize("use_tfidf", [False, True])
-    @pytest.mark.parametrize("use_numpy", NUMPY_MODES)
-    def test_decide_pairs_on_merged_descriptions(self, use_tfidf, use_numpy):
+    def test_decide_pairs_on_merged_descriptions(self, use_tfidf):
         collection = _random_collection(7)
         descriptions = list(collection)
         vectorizer = TfIdfVectorizer().fit(iter(collection)) if use_tfidf else None
         matcher = ProfileSimilarityMatcher(threshold=0.3, vectorizer=vectorizer)
-        engine = MatchingEngine(matcher, use_numpy=use_numpy)
+        engine = MatchingEngine(matcher)
         pairs = []
         for i in range(0, 16, 2):
             merged = merge_descriptions(descriptions[i], descriptions[i + 1])
@@ -281,8 +261,7 @@ class TestMergedDescriptions:
 
 
 class TestDegenerateProfiles:
-    @pytest.mark.parametrize("use_numpy", NUMPY_MODES)
-    def test_empty_and_stopword_only_profiles(self, use_numpy):
+    def test_empty_and_stopword_only_profiles(self):
         collection = _random_collection(8)
         degenerate = ["empty", "blank", "stopwords", "short"]
         regular = ["e000", "e001"]
@@ -299,11 +278,11 @@ class TestDegenerateProfiles:
             ),
         ):
             oracle = matcher.decide_all(comparisons, collection)
-            engine = MatchingEngine(matcher, use_numpy=use_numpy)
+            engine = MatchingEngine(matcher)
             assert_bit_identical(oracle, engine.decide_all(comparisons, collection))
         # two empty set-profiles are identical (similarity 1), empty vs
         # non-empty scores 0; both engines agree on the conventions
-        set_engine = MatchingEngine(ProfileSimilarityMatcher(threshold=0.5), use_numpy=use_numpy)
+        set_engine = MatchingEngine(ProfileSimilarityMatcher(threshold=0.5))
         decisions = {
             d.comparison.pair: d.similarity
             for d in set_engine.decide_all(comparisons, collection)
@@ -477,27 +456,17 @@ class TestWorkflowEquivalence:
 
 def assert_decision_exact(engine, query, scores, exact):
     """The contract of ``score_against(query, ...)``: thresholding gives the
-    oracle's decisions; scores are exact in the set modes and without NumPy,
-    and within the columns' margin (for the query's length) of exact on the
-    TF-IDF kernel."""
+    oracle's decisions; scores are exact in the set modes, and within the
+    columns' margin (for the query's length) of exact on the TF-IDF kernel."""
     threshold = engine.matcher.threshold
     assert [score >= threshold for score in scores] == [
         score >= threshold for score in exact
     ]
-    if engine.matcher.vectorizer is None or not engine._use_numpy or not exact:
+    if engine.matcher.vectorizer is None or not exact:
         assert scores == exact
     else:
         margin = engine.store.columns().margin(len(engine.store.build(query)))
         assert scores == pytest.approx(exact, rel=0, abs=margin)
-
-
-def _force_pure_python(monkeypatch):
-    """Route the update phase's columnar passes onto their NumPy-free twins."""
-    import repro.matching.engine as engine_module
-    import repro.metablocking.entity_index as index_module
-
-    monkeypatch.setattr(engine_module, "_np", None)
-    monkeypatch.setattr(index_module, "_np", None)
 
 
 def _assert_same_update_phase(batch, pairwise):
@@ -545,10 +514,7 @@ class TestUpdatePhaseEquivalence:
 
     @pytest.mark.parametrize("kind", ["dirty", "clean_clean"])
     @pytest.mark.parametrize("use_tfidf", [True, False], ids=["tfidf", "jaccard"])
-    @pytest.mark.parametrize("use_numpy", NUMPY_MODES, ids=lambda flag: f"numpy={flag}")
-    def test_seeded_inputs(self, inputs, kind, use_tfidf, use_numpy, monkeypatch):
-        if not use_numpy:
-            _force_pure_python(monkeypatch)
+    def test_seeded_inputs(self, inputs, kind, use_tfidf):
         new_matches = 0
         absorbed = 0
         for threshold in self.THRESHOLDS:
@@ -582,14 +548,11 @@ class TestUpdatePhaseEquivalence:
         match_threshold=0.5,
     )
 
-    @pytest.mark.parametrize("use_numpy", NUMPY_MODES, ids=lambda flag: f"numpy={flag}")
-    def test_earlier_union_absorbs_a_later_candidate(self, use_numpy, monkeypatch):
+    def test_earlier_union_absorbs_a_later_candidate(self):
         """``a+b`` matches ``c1``; ``c2`` is already clustered with ``c1``, so
         the union made for ``c1`` absorbs it before its turn comes -- it was
         scored (batch) but must not count as a comparison, as it never
         reaches the per-pair matcher."""
-        if not use_numpy:
-            _force_pure_python(monkeypatch)
         data = self._collection(
             a=["xone", "xtwo", "xthree", "xfour"],
             b=["xone", "xtwo", "xthree", "xfive"],
@@ -608,13 +571,10 @@ class TestUpdatePhaseEquivalence:
         assert stage.get("comparisons") == 1
         assert batch.iterations == 2
 
-    @pytest.mark.parametrize("use_numpy", NUMPY_MODES, ids=lambda flag: f"numpy={flag}")
-    def test_clustered_candidates_before_the_first_visited_match(self, use_numpy, monkeypatch):
+    def test_clustered_candidates_before_the_first_visited_match(self):
         """The visit prefix of ``a+b`` is ``aa`` (clustered with ``a``: not
         a comparison) then ``c`` (visited, no match); ``d`` is the first
         visited match, and its union absorbs ``dd`` behind it."""
-        if not use_numpy:
-            _force_pure_python(monkeypatch)
         data = self._collection(
             a=["xp", "xq", "xr", "xs"],
             aa=["xp", "xq", "xr", "xs", "xu"],
@@ -633,12 +593,9 @@ class TestUpdatePhaseEquivalence:
         # no token with c) nothing; round 2: a+d visits c
         assert (stage.get("candidates"), stage.get("comparisons")) == (19, 7)
 
-    @pytest.mark.parametrize("use_numpy", NUMPY_MODES, ids=lambda flag: f"numpy={flag}")
-    def test_second_round_finds_what_the_first_could_not(self, use_numpy, monkeypatch):
+    def test_second_round_finds_what_the_first_could_not(self):
         """``d`` matches neither ``a+b`` nor any source, only the ``a+c``
         merge that exists once round 1 has found ``(a, c)``."""
-        if not use_numpy:
-            _force_pure_python(monkeypatch)
         data = self._collection(
             a=["xone", "xtwo", "xthree", "xfour"],
             b=["xone", "xtwo", "xthree", "xfive"],
@@ -653,8 +610,7 @@ class TestUpdatePhaseEquivalence:
         assert batch.report.stage("update_iterate").get("comparisons") == 3
 
     @pytest.mark.parametrize("use_tfidf", [True, False], ids=["tfidf", "jaccard"])
-    @pytest.mark.parametrize("use_numpy", NUMPY_MODES, ids=lambda flag: f"numpy={flag}")
-    def test_merge_with_tokens_unseen_at_interning_time(self, use_tfidf, use_numpy):
+    def test_merge_with_tokens_unseen_at_interning_time(self, use_tfidf):
         """A merge may carry tokens the context never interned: they are
         interned on demand, so the vocabulary grows past the key stride of
         the profile columns between two ``score_against`` calls on one
@@ -666,7 +622,7 @@ class TestUpdatePhaseEquivalence:
         context = PipelineContext(collection)
         vectorizer = context.fit_vectorizer() if use_tfidf else None
         matcher = ProfileSimilarityMatcher(threshold=0.3, vectorizer=vectorizer)
-        engine = MatchingEngine(matcher, use_numpy=use_numpy, context=context)
+        engine = MatchingEngine(matcher, context=context)
         ordinals = list(range(context.num_descriptions))
         known = merge_descriptions(collection["e001"], collection["e002"])
         novel = merge_descriptions(
@@ -698,16 +654,13 @@ class TestUpdatePhaseEquivalence:
             "profile-tfidf",
         ],
     )
-    @pytest.mark.parametrize("use_numpy", NUMPY_MODES, ids=lambda flag: f"numpy={flag}")
-    def test_score_against_matches_the_oracle(self, matcher_name, use_numpy):
+    def test_score_against_matches_the_oracle(self, matcher_name):
         """Every similarity family, degenerate profiles on either side."""
         from repro.core.context import PipelineContext
 
         collection = _random_collection(8)
         matcher = _matchers(collection)[matcher_name]
-        engine = MatchingEngine(
-            matcher, use_numpy=use_numpy, context=PipelineContext(collection)
-        )
+        engine = MatchingEngine(matcher, context=PipelineContext(collection))
         rng = random.Random(8)
         queries = [
             merge_descriptions(collection["e003"], collection["e004"]),
@@ -764,7 +717,6 @@ def _kernel_matcher(mode: str, context, threshold: float, min_token_length=None)
 KERNEL_MODES = ("tfidf", "jaccard", "cosine")
 
 
-@pytest.mark.parametrize("use_numpy", NUMPY_MODES, ids=lambda flag: f"numpy={flag}")
 class TestOrdinalKernel:
     """``decide_ordinal_pairs`` against ``matcher.similarity(a, b) >= t``:
     filter-and-refine must never let a vectorised score decide a pair the
@@ -780,7 +732,7 @@ class TestOrdinalKernel:
 
     @pytest.mark.parametrize("kind", ["dirty", "clean_clean"])
     @pytest.mark.parametrize("mode", KERNEL_MODES)
-    def test_threshold_at_a_pairs_own_score(self, kind, mode, use_numpy):
+    def test_threshold_at_a_pairs_own_score(self, kind, mode):
         _data, context, first, second = _kernel_input(kind, seed=12)
         exact = self._exact(_kernel_matcher(mode, context, 0.0), context, first, second)
         inner = sorted({score for score in exact if 0.0 < score < 1.0})
@@ -788,14 +740,14 @@ class TestOrdinalKernel:
         for tie in (inner[0], inner[len(inner) // 2], inner[-1]):
             for threshold, at_tie in ((tie, True), (math.nextafter(tie, math.inf), False)):
                 matcher = _kernel_matcher(mode, context, threshold)
-                engine = MatchingEngine(matcher, use_numpy=use_numpy, context=context)
+                engine = MatchingEngine(matcher, context=context)
                 flags = engine.decide_ordinal_pairs(first, second)
                 assert flags == [score >= threshold for score in exact]
                 assert {flag for flag, score in zip(flags, exact) if score == tie} == {at_tie}
                 assert engine.last_engine == "batch"
 
     @pytest.mark.parametrize("mode", KERNEL_MODES)
-    def test_thresholds_one_and_zero(self, mode, use_numpy):
+    def test_thresholds_one_and_zero(self, mode):
         """``t = 1.0`` over exact duplicates (a vectorised cosine of a
         description with itself need not be 1.0) and ``t = 0.0`` (every pair
         matches, disjoint ones included)."""
@@ -810,25 +762,25 @@ class TestOrdinalKernel:
         for threshold in (1.0, 0.0):
             matcher = _kernel_matcher(mode, context, threshold)
             exact = self._exact(matcher, context, first, second)
-            engine = MatchingEngine(matcher, use_numpy=use_numpy, context=context)
+            engine = MatchingEngine(matcher, context=context)
             flags = engine.decide_ordinal_pairs(first, second)
             assert flags == [score >= threshold for score in exact]
             assert any(flags) and (threshold == 0.0) == all(flags)
 
     @pytest.mark.parametrize("kind", ["dirty", "clean_clean"])
     @pytest.mark.parametrize("mode", KERNEL_MODES)
-    def test_min_token_length_filters_before_the_maximal_count(self, kind, mode, use_numpy):
+    def test_min_token_length_filters_before_the_maximal_count(self, kind, mode):
         """"a b a b" repeats only tokens the filter drops: a maximal count
         taken before the filter would scale every weight of the row."""
         _data, context, first, second = _kernel_input(kind, seed=14)
         matcher = _kernel_matcher(mode, context, 0.3, min_token_length=3)
         exact = self._exact(matcher, context, first, second)
-        engine = MatchingEngine(matcher, use_numpy=use_numpy, context=context)
+        engine = MatchingEngine(matcher, context=context)
         assert engine.decide_ordinal_pairs(first, second) == [s >= 0.3 for s in exact]
         assert engine.score_ordinal_pairs(first, second) == exact
 
     @pytest.mark.parametrize("mode", KERNEL_MODES)
-    def test_empty_and_all_filtered_profiles(self, mode, use_numpy):
+    def test_empty_and_all_filtered_profiles(self, mode):
         collection = _random_collection(15, size=4)
         context = PipelineContext(collection)
         ordinal = {identifier: context.ordinal(identifier) for identifier in collection.identifiers}
@@ -839,7 +791,7 @@ class TestOrdinalKernel:
         # min_token_length=2 under TF-IDF too, so "short" is all-filtered there
         matcher = _kernel_matcher(mode, context, 0.5, min_token_length=2)
         exact = self._exact(matcher, context, first, second)
-        engine = MatchingEngine(matcher, use_numpy=use_numpy, context=context)
+        engine = MatchingEngine(matcher, context=context)
         assert engine.decide_ordinal_pairs(first, second) == [s >= 0.5 for s in exact]
         # two empties: nothing to compare under TF-IDF, identical as sets
         both_empty = 0.0 if mode == "tfidf" else 1.0
@@ -847,22 +799,20 @@ class TestOrdinalKernel:
             empties = (context.ids[a] in degenerate) + (context.ids[b] in degenerate)
             assert score == (both_empty if empties == 2 else 0.0)
 
-    def test_an_empty_batch(self, use_numpy):
+    def test_an_empty_batch(self):
         context = PipelineContext(_random_collection(16, size=4))
         for mode in KERNEL_MODES:
-            engine = MatchingEngine(
-                _kernel_matcher(mode, context, 0.5), use_numpy=use_numpy, context=context
-            )
+            engine = MatchingEngine(_kernel_matcher(mode, context, 0.5), context=context)
             assert engine.decide_ordinal_pairs([], []) == []
 
     @pytest.mark.parametrize("name", ["jaccard", "dice", "overlap", "cosine"])
-    def test_id_column_scores_are_the_exact_set_body(self, name, use_numpy):
+    def test_id_column_scores_are_the_exact_set_body(self, name):
         """``score_id_set_pairs`` (the similarity join's verification) and
         the exact body share one set-scoring expression: same floats as the
         per-pair matcher, a column with no ids included."""
         _data, context, first, second = _kernel_input("dirty", seed=17)
         matcher = ProfileSimilarityMatcher(threshold=0.3, similarity_name=name)
-        engine = MatchingEngine(matcher, use_numpy=use_numpy, context=context)
+        engine = MatchingEngine(matcher, context=context)
         profile = engine._batch_store("test", ordinals=True).ordinal_profile
         columns = [list(profile(o).token_ids) for o in range(context.num_descriptions)]
         columns.append([])
@@ -875,8 +825,8 @@ class TestOrdinalKernel:
         with pytest.raises(ValueError, match="set-mode"):
             MatchingEngine(tfidf, context=context).score_id_set_pairs(pairs, columns)
 
-    def test_ordinal_entry_points_need_a_context(self, use_numpy):
-        engine = MatchingEngine(ProfileSimilarityMatcher(threshold=0.3), use_numpy=use_numpy)
+    def test_ordinal_entry_points_need_a_context(self):
+        engine = MatchingEngine(ProfileSimilarityMatcher(threshold=0.3))
         for call in (engine.decide_ordinal_pairs, engine.score_ordinal_pairs):
             with pytest.raises(ValueError, match="shared pipeline context"):
                 call([0], [1])
@@ -894,7 +844,6 @@ def _progressive_trace(result):
     )
 
 
-@pytest.mark.parametrize("use_numpy", NUMPY_MODES, ids=lambda flag: f"numpy={flag}")
 class TestColumnarDrain:
     """``run_progressive`` on the kernel path (an engine whose context owns
     the data) against the per-pair engine on the object schedule."""
@@ -915,7 +864,7 @@ class TestColumnarDrain:
     @pytest.mark.parametrize("keep_decisions", [True, False])
     @pytest.mark.parametrize("budget", [None, 90])
     def test_a_schedule_table_that_is_not_the_contexts(
-        self, small_dirty_dataset, budget, keep_decisions, use_numpy
+        self, small_dirty_dataset, budget, keep_decisions
     ):
         """Block candidates are interned by the scheduling engine in block
         order (``_columns_from_blocks``): its ordinals are not the context's."""
@@ -923,7 +872,7 @@ class TestColumnarDrain:
         context = PipelineContext(data)
         blocks = TokenBlocking().build(data)
         matcher = ProfileSimilarityMatcher(threshold=0.5, vectorizer=context.fit_vectorizer())
-        engine = MatchingEngine(matcher, use_numpy=use_numpy, context=context)
+        engine = MatchingEngine(matcher, context=context)
         options = dict(budget=budget, keep_decisions=keep_decisions)
         columnar = self._run(
             small_dirty_dataset, WeightOrderScheduler(), blocks, matcher, engine, "array", **options
@@ -935,7 +884,7 @@ class TestColumnarDrain:
         assert _progressive_trace(columnar) == _progressive_trace(oracle)
         assert columnar.declared_matches and columnar.true_matches_found == oracle.true_matches_found
 
-    def test_an_unknown_identifier_is_skipped_and_warned(self, small_dirty_dataset, use_numpy):
+    def test_an_unknown_identifier_is_skipped_and_warned(self, small_dirty_dataset):
         data = small_dirty_dataset.collection
         known = list(data.identifiers)[:12]
         order = [Comparison(a, b) for a, b in zip(known, known[1:])]
@@ -944,7 +893,7 @@ class TestColumnarDrain:
         matcher = ProfileSimilarityMatcher(threshold=0.2, vectorizer=context.fit_vectorizer())
         traces = []
         for engine, scheduling in (
-            (MatchingEngine(matcher, use_numpy=use_numpy, context=context), "array"),
+            (MatchingEngine(matcher, context=context), "array"),
             ("pairwise", "object"),
         ):
             with pytest.warns(RuntimeWarning, match="skipped 2 comparison"):
@@ -958,12 +907,12 @@ class TestColumnarDrain:
         assert traces[0] == traces[1]
 
     def test_no_profile_lookup_and_no_identifier_resolution(
-        self, small_dirty_dataset, use_numpy, monkeypatch
+        self, small_dirty_dataset, monkeypatch
     ):
         """The kernel path reads ordinal columns: ``ProfileStore.profile``
         (descriptions in) and ``EntityCollection.get`` (identifiers in) are
-        never reached; with NumPy no profile object is built at all unless a
-        pair falls inside the margin."""
+        never reached, and no profile object is built at all unless a pair
+        falls inside the margin."""
         from repro.metablocking.pipeline import MetaBlocking
 
         data = small_dirty_dataset.collection
@@ -971,7 +920,7 @@ class TestColumnarDrain:
         candidates = MetaBlocking().weighted_columns(TokenBlocking().build(data), context=context)
         assert candidates.ids is context.ids
         matcher = ProfileSimilarityMatcher(threshold=0.5, vectorizer=context.fit_vectorizer())
-        engine = MatchingEngine(matcher, use_numpy=use_numpy, context=context)
+        engine = MatchingEngine(matcher, context=context)
         calls = []
         for owner, name in ((ProfileStore, "profile"), (EntityCollection, "get")):
             original = getattr(owner, name)
@@ -986,11 +935,9 @@ class TestColumnarDrain:
         )
         assert result.comparisons_executed == len(candidates) > 0
         assert calls == []
-        if use_numpy:
-            assert engine.store._ordinal_profiles is None
+        assert engine.store._ordinal_profiles is None
 
 
-@pytest.mark.skipif(not HAS_NUMPY, reason="numpy not installed")
 @pytest.mark.parametrize("mode", KERNEL_MODES)
 class TestTokenMajorScores:
     """``ProfileColumns.shared_with`` (one profile against many rows, through
@@ -1043,7 +990,6 @@ class TestTokenMajorScores:
         assert columns.shared_with(store.ordinal_profile(0), []).tolist() == []
 
 
-@pytest.mark.skipif(not HAS_NUMPY, reason="numpy not installed")
 class TestKernelMargin:
     """The vectorised cosine stays within the margin the code states."""
 
@@ -1102,16 +1048,6 @@ class TestGuards:
                 candidates=[Comparison("a1", "a2")],
                 engine=engine,
             )
-
-    def test_forcing_numpy_without_numpy_raises(self, monkeypatch):
-        import repro.matching.engine as engine_module
-
-        monkeypatch.setattr(engine_module, "_np", None)
-        with pytest.raises(ValueError, match="use_numpy=True"):
-            MatchingEngine(ProfileSimilarityMatcher(), use_numpy=True)
-        # the automatic and forbidden modes still work without numpy
-        for use_numpy in (None, False):
-            MatchingEngine(ProfileSimilarityMatcher(), use_numpy=use_numpy)
 
     @pytest.mark.parametrize("engine_name", ["batch", "pairwise"])
     def test_runner_counts_and_warns_on_unresolvable_comparisons(

@@ -2,16 +2,13 @@
 
 For seeded random block collections -- dirty, clean--clean and mixed -- every
 (weighting x pruning) combination must retain the *same comparison set* with
-the *same weights* (within 1e-9) on three execution paths:
+the *same weights* in the legacy object-graph engine (the oracle) and the
+entity-index engine.
 
-* the legacy object-graph engine (the oracle),
-* the entity-index engine with its NumPy fast path (when NumPy is present),
-* the entity-index engine's pure-Python fallback.
-
-The two index paths must agree bit-for-bit.  The graph engine is compared
-with a 1e-9 weight tolerance, but in practice it also matches exactly: both
-engines compute per-edge weights with the same operand order and compute the
-WEP/WNP thresholds with :func:`math.fsum`, whose exactly rounded result is
+The graph engine is compared with a 1e-9 weight tolerance, but it also
+matches bit for bit (held on the mixed collections): both engines compute
+per-edge weights with the same operand order and compute the WEP/WNP
+thresholds with :func:`math.fsum`, whose exactly rounded result is
 independent of accumulation order -- so even edges lying mathematically *on* a
 threshold (common with ARCS on bilateral blocks) are resolved identically.
 
@@ -146,23 +143,19 @@ def test_custom_cnp_k_equivalence(seed, weighting, k):
 @pytest.mark.parametrize("seed", SEEDS[:3])
 @pytest.mark.parametrize("weighting", WEIGHTING_SCHEMES)
 @pytest.mark.parametrize("pruning", PRUNING_SCHEMES)
-def test_numpy_and_pure_python_paths_are_bit_identical(seed, weighting, pruning):
-    """The vectorised and fallback paths of the index engine agree exactly."""
+def test_index_engine_is_bit_identical_to_the_graph_engine(seed, weighting, pruning):
+    """The index engine's weights equal the graph oracle's exactly."""
     blocks = random_mixed_blocks(seed)
-    vectorised = EntityIndexEngine(blocks)
-    fallback = EntityIndexEngine(blocks, use_numpy=False)
-    assert fallback._use_numpy is False
-    expected = {
-        (edge.first, edge.second): edge.weight
-        for edge in vectorised.iter_retained(weighting, pruning)
-    }
+    graph_mb = MetaBlocking(weighting, pruning, engine="graph")
+    expected = _retained(graph_mb, blocks)
+    index = EntityIndexEngine(blocks)
     actual = {
         (edge.first, edge.second): edge.weight
-        for edge in fallback.iter_retained(weighting, pruning)
+        for edge in index.iter_retained(weighting, pruning)
     }
     assert expected == actual  # bit-for-bit, no tolerance
-    assert vectorised.last_num_edges == fallback.last_num_edges
-    assert vectorised.last_retained == fallback.last_retained
+    assert index.last_num_edges == graph_mb.last_graph_edges
+    assert index.last_retained == graph_mb.last_retained_edges
 
 
 # ---------------------------------------------------------------------------
@@ -188,18 +181,16 @@ def test_batch_budget_never_changes_the_columns(kind, monkeypatch):
     blocks = SEAM_COLLECTIONS[kind](42)
     expected = _all_combo_columns(EntityIndexEngine(blocks))
     assert sum(len(weights) for _f, _s, weights in expected.values()) > 100
-    assert expected == _all_combo_columns(EntityIndexEngine(blocks, use_numpy=False))
     for budget in (1, 7):
         monkeypatch.setattr(entity_index, "_BATCH_PAIRS", budget)
         assert _all_combo_columns(EntityIndexEngine(blocks)) == expected, budget
 
 
-@pytest.mark.parametrize("use_numpy", (None, False))
 @pytest.mark.parametrize("kind", sorted(SEAM_COLLECTIONS))
-def test_ranged_passes_over_a_cover_concatenate_to_the_whole_range(kind, use_numpy):
+def test_ranged_passes_over_a_cover_concatenate_to_the_whole_range(kind):
     """What the parallel workers rely on: any contiguous cover, same columns."""
     blocks = SEAM_COLLECTIONS[kind](11)
-    engine = EntityIndexEngine(blocks, use_numpy=use_numpy)
+    engine = EntityIndexEngine(blocks)
     n = engine.num_entities
     cover = [(0, 1), (1, 1), (1, n // 2), (n // 2, n - 3), (n - 3, n)]
 
@@ -217,9 +208,8 @@ def test_ranged_passes_over_a_cover_concatenate_to_the_whole_range(kind, use_num
             assert (engine.last_num_edges, engine.last_retained) == statistics
 
 
-@pytest.mark.parametrize("use_numpy", (None, False))
 @pytest.mark.parametrize("kind", sorted(SEAM_COLLECTIONS))
-def test_identifier_table_with_unblocked_descriptions_changes_nothing(kind, use_numpy):
+def test_identifier_table_with_unblocked_descriptions_changes_nothing(kind):
     """Table entries no block contains are no graph nodes.
 
     The workflow builds the index over the context's identifier table, which
@@ -229,14 +219,14 @@ def test_identifier_table_with_unblocked_descriptions_changes_nothing(kind, use_
     retain what the graph engine and the engine's own table retain.
     """
     blocks = SEAM_COLLECTIONS[kind](97)
-    plain = EntityIndexEngine(blocks, use_numpy=use_numpy)
+    plain = EntityIndexEngine(blocks)
     members = plain.ids
     table = (
         [f"!unblocked:{i}" for i in range(len(members))]
         + members[::-1]
         + [f"~unblocked:{i}" for i in range(len(members))]
     )
-    padded = EntityIndexEngine(blocks, use_numpy=use_numpy, ids=table)
+    padded = EntityIndexEngine(blocks, ids=table)
     assert padded.num_entities == 3 * plain.num_entities
     assert padded.num_nodes == plain.num_nodes == plain.num_entities
 

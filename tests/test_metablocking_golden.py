@@ -24,22 +24,13 @@ from repro.core.context import PipelineContext
 from repro.datamodel.collection import EntityCollection
 from repro.datamodel.description import EntityDescription
 from repro.datasets.builtin import load_census, load_restaurants
-from repro.metablocking import MetaBlocking, pipeline
-from repro.metablocking.entity_index import EntityIndexEngine
+from repro.metablocking import MetaBlocking
 
 FIXTURES_DIR = Path(__file__).parent / "fixtures" / "metablocking"
 
 WEIGHTING_SCHEMES = ("CBS", "ECBS", "JS", "EJS", "ARCS")
 PRUNING_SCHEMES = ("WEP", "CEP", "WNP", "CNP", "ReciprocalWNP", "ReciprocalCNP")
 DATASETS = {"restaurants": load_restaurants, "census": load_census}
-
-
-class _PurePythonIndex(EntityIndexEngine):
-    """The index engine pinned to its pure-Python twin."""
-
-    @classmethod
-    def from_columns(cls, columns, use_numpy=None):
-        return super().from_columns(columns, use_numpy=False)
 
 
 def _blocks(dataset_name: str):
@@ -87,10 +78,9 @@ def _padded(collection) -> EntityCollection:
     )
 
 
-@pytest.mark.parametrize("use_numpy", (True, False))
 @pytest.mark.parametrize("context_kind", ("collection", "padded", None))
 @pytest.mark.parametrize("dataset_name", sorted(DATASETS))
-def test_weighted_columns_reproduce_golden_rows(dataset_name, context_kind, use_numpy, monkeypatch):
+def test_weighted_columns_reproduce_golden_rows(dataset_name, context_kind):
     """The columnar output is the frozen rows in ``(-weight, first, second)`` order.
 
     Whatever the identifier table: the engine's own, the context's, or a
@@ -98,8 +88,6 @@ def test_weighted_columns_reproduce_golden_rows(dataset_name, context_kind, use_
     filtering or unique tokens leave them) -- those are no graph nodes and
     must not move the CNP default ``k``.
     """
-    if not use_numpy:
-        monkeypatch.setattr(pipeline, "EntityIndexEngine", _PurePythonIndex)
     collection = DATASETS[dataset_name]().collection
     blocks = TokenBlocking().build(collection)
     with_context = context_kind is not None

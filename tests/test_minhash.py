@@ -60,7 +60,7 @@ class TestSeedScheme:
     All per-permutation hash coefficients derive from one
     ``random.Random(seed)`` stream with interleaved draws (``a`` then ``b``
     per permutation), so signatures are reproducible across processes,
-    platforms and the NumPy / pure-Python execution paths.  These exact
+    platforms and the object / array builds.  These exact
     values freeze that scheme: any change to the coefficient derivation or
     the hash formula fails here.
     """
@@ -94,14 +94,11 @@ class TestSeedScheme:
             ]
         )
         oracle = MinHashLSHBlocking(num_bands=3, rows_per_band=2, seed=1).build(collection)
-        for use_numpy in (None, False):
-            engine = BlockingEngine(
-                MinHashLSHBlocking(num_bands=3, rows_per_band=2, seed=1),
-                engine="index",
-                use_numpy=use_numpy,
-            )
-            built = engine.build(collection)
-            assert [b.key for b in built] == [b.key for b in oracle]
+        engine = BlockingEngine(
+            MinHashLSHBlocking(num_bands=3, rows_per_band=2, seed=1), engine="index"
+        )
+        built = engine.build(collection)
+        assert [b.key for b in built] == [b.key for b in oracle]
 
 
 class TestMinHashLSHBlocking:

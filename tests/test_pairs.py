@@ -1,8 +1,8 @@
 """Tests for comparisons and the comparison counter."""
 
+import numpy as np
 import pytest
 
-from repro.datamodel import pairs
 from repro.datamodel.pairs import Comparison, ComparisonCounter, canonical_pair, heaviest_first
 
 
@@ -125,13 +125,11 @@ class TestDecisionColumns:
             DecisionColumns(["a", "b"], first=array("q", [0]), second=array("q", []))
 
 
-@pytest.mark.skipif(pairs._np is None, reason="numpy not installed")
 @pytest.mark.parametrize("weighted", (True, False))
 @pytest.mark.parametrize("seed", (0, 1, 2))
 def test_heaviest_first_equals_the_three_key_lexsort(seed, weighted):
     """Same permutation as ``lexsort`` -- weight ties, pair ties and whole
     duplicate rows (which keep their input order) included."""
-    np = pairs._np
     rng = np.random.default_rng(seed)
     size, rows = 40, 500
     rank = rng.permutation(size)

@@ -5,7 +5,7 @@ enabling it never changes a result: the retained meta-blocking
 edges (weights *and* order, i.e. tie order) must be bit-identical to the
 single-process array engines for every worker count.  These tests sweep
 dirty and clean--clean collections across 1/2/4/8 workers, every weighting x
-pruning scheme pair, the pure-Python index replica, and the degenerate
+pruning scheme pair, the replicas against the graph oracle, and the degenerate
 shapes (empty collection, single entity, more workers than entities).
 
 The lifecycle tests assert the driver-owns-everything rule observably: after
@@ -170,19 +170,21 @@ class TestParallelMetaBlocking:
         assert got == expected
 
     @pytest.mark.parametrize("weighting", ("CBS", "EJS"))
-    def test_pure_python_replica(self, dirty_setup, weighting):
-        # a pure-Python driver index must get pure-Python worker replicas
+    def test_replicas_match_the_graph_oracle(self, dirty_setup, weighting):
+        # the worker replicas retain the graph engine's edges, weights bit for bit
         _, _, blocks = dirty_setup
-        sequential = EntityIndexEngine(blocks, use_numpy=False)
-        expected = sequential.retained_columns(weighting, "WNP")
-        assert expected == EntityIndexEngine(blocks).retained_columns(weighting, "WNP")
-        sharded = EntityIndexEngine(blocks, use_numpy=False)
+        graph = MetaBlocking(weighting, "WNP", engine="graph")
+        expected = sorted((e.first, e.second, e.weight) for e in graph.retained_edges(blocks))
+        sharded = EntityIndexEngine(blocks)
         with ParallelEngine(num_workers=3) as par:
             got = par.retained_edges(sharded, weighting, "WNP")
-        assert got == expected
         assert len(got[0]) > 0
-        assert sharded.last_num_edges == sequential.last_num_edges
-        assert sharded.last_retained == sequential.last_retained == len(got[0])
+        named = sorted(
+            (sharded.identifier(f), sharded.identifier(s), w) for f, s, w in zip(*got)
+        )
+        assert named == expected
+        assert sharded.last_num_edges == graph.last_graph_edges
+        assert sharded.last_retained == graph.last_retained_edges == len(got[0])
 
 
 class TestEdgeCasesAndLifecycle:

@@ -171,30 +171,15 @@ class TestParallelCleaning:
         assert blocks_snapshot(got) == blocks_snapshot(expected)
 
     @pytest.mark.parametrize("dataset", DATASETS)
-    def test_pure_python_cleaning_matches(self, request, dataset):
-        # the plain-loop bodies of the purging/filtering kernels must feed the
-        # pooled propagation the same columns
-        _, _, blocks = _setup(request, dataset)
-        purging = BlockPurging()
-        filtering = BlockFiltering(0.8)
-        expected = BlockingEngine(use_numpy=False).clean(
-            blocks, purging=purging, filtering=filtering, propagate=True
-        )
-        with ParallelEngine(num_workers=3) as par:
-            got = BlockingEngine(use_numpy=False, parallel=par).clean(
-                blocks, purging=purging, filtering=filtering, propagate=True
-            )
-        assert blocks_snapshot(got) == blocks_snapshot(expected)
-
-    @pytest.mark.parametrize("dataset", DATASETS)
-    def test_cleaning_matches_oracle_cleaners(self, request, dataset):
+    @pytest.mark.parametrize("workers", (3, 4))
+    def test_cleaning_matches_oracle_cleaners(self, request, dataset, workers):
         # cross-check the parallel pipeline against the plain object-path
         # cleaners, not just the sequential index engine
         _, _, blocks = _setup(request, dataset)
         oracle = ComparisonPropagation().process(
             BlockFiltering(0.8).process(BlockPurging().process(blocks))
         )
-        with ParallelEngine(num_workers=4) as par:
+        with ParallelEngine(num_workers=workers) as par:
             got = BlockingEngine(parallel=par).clean(
                 blocks, purging=BlockPurging(), filtering=BlockFiltering(0.8), propagate=True
             )

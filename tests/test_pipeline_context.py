@@ -210,20 +210,11 @@ def chunk_size(request, monkeypatch):
     return request.param
 
 
-@pytest.fixture(params=[True, False], ids=["numpy", "no-numpy"])
-def column_kernel(request, monkeypatch):
-    if not request.param:
-        monkeypatch.setattr(context_module, "_np", None)
-    elif context_module._np is None:
-        pytest.skip("numpy is not importable")
-    return request.param
-
-
 class TestColumnsEqualReference:
     """The chunked pass reproduces the token-by-token loop, column for column."""
 
     @pytest.mark.parametrize("kind", ["dirty", "clean_clean", "odd"])
-    def test_fixture_columns(self, dirty, clean_clean, kind, chunk_size, column_kernel):
+    def test_fixture_columns(self, dirty, clean_clean, kind, chunk_size):
         data = {
             "dirty": dirty.collection,
             "clean_clean": clean_clean.task,
@@ -257,13 +248,10 @@ class TestColumnsEqualReference:
     @given(
         data=_generated_collections(),
         chunk=st.sampled_from([1, 7, context_module._CHUNK_DESCRIPTIONS]),
-        numpy_kernel=st.booleans(),
     )
-    def test_generated_columns(self, data, chunk, numpy_kernel):
+    def test_generated_columns(self, data, chunk):
         with pytest.MonkeyPatch.context() as patch:
             patch.setattr(context_module, "_CHUNK_DESCRIPTIONS", chunk)
-            if not numpy_kernel:
-                patch.setattr(context_module, "_np", None)
             assert interned_columns(PipelineContext(data)) == reference_columns(data)
 
     def test_interrupted_pass_publishes_nothing(self, dirty, monkeypatch):
@@ -384,24 +372,18 @@ class TestDerivedViews:
             assert _block_tuples(shared) == _block_tuples(plain)
 
     def test_plain_token_build_reads_whole_columns(self, dirty, monkeypatch):
-        """With NumPy the postings come from the merged column at once: no
-        per-token filter call, no per-token posting append; without it the
-        per-description loop builds the same blocks."""
+        """The postings come from the merged column at once: no per-token
+        filter call, no per-token posting append -- and the oracle's blocks."""
         from repro.blocking import engine as engine_module
 
         data = dirty.collection
-        expected = _block_tuples(BlockingEngine(TokenBlocking()).build(data))
+        expected = _block_tuples(TokenBlocking().build(data))
 
         def per_token_call(*_args):
             raise AssertionError("per-token call in the whole-column build")
 
-        if engine_module._np is not None:
-            with monkeypatch.context() as patch:
-                patch.setattr(context_module.TokenFilter, "allows", per_token_call)
-                patch.setattr(engine_module, "_append_posting", per_token_call)
-                shared = BlockingEngine(TokenBlocking(), context=PipelineContext(data))
-                assert _block_tuples(shared.build(data)) == expected
-        monkeypatch.setattr(engine_module, "_np", None)
+        monkeypatch.setattr(context_module.TokenFilter, "allows", per_token_call)
+        monkeypatch.setattr(engine_module, "_append_posting", per_token_call)
         shared = BlockingEngine(TokenBlocking(), context=PipelineContext(data))
         assert _block_tuples(shared.build(data)) == expected
 

@@ -4,19 +4,13 @@ from __future__ import annotations
 
 import math
 
+import numpy
 import pytest
 
 from repro.datamodel.description import EntityDescription
 from repro.text.profile_store import ProfileStore
 from repro.text.tokenize import DEFAULT_STOP_WORDS, token_set
 from repro.text.vectorizer import TfIdfVectorizer
-
-try:
-    import numpy
-
-    HAS_NUMPY = True
-except ImportError:
-    HAS_NUMPY = False
 
 
 def alan() -> EntityDescription:
@@ -144,7 +138,6 @@ class TestContextOrdinalViews:
             "a1", "void", "b1", "c1"
         ]
 
-    @pytest.mark.skipif(not HAS_NUMPY, reason="numpy not installed")
     @pytest.mark.parametrize("min_token_length", [1, 3])
     @pytest.mark.parametrize("tfidf", [False, True])
     def test_columns_hold_the_floats_of_the_exact_profiles(self, tfidf, min_token_length):

@@ -12,8 +12,6 @@ import random
 
 import pytest
 
-import repro.datamodel.pairs as pairs_module
-import repro.progressive.engine as scheduling_module
 from repro.blocking.base import Block, BlockCollection
 from repro.blocking.cleaning import BlockFiltering, BlockPurging
 from repro.blocking.engine import BlockingEngine
@@ -45,8 +43,6 @@ from repro.progressive.schedulers import (
 from repro.progressive.sorted_list import SortedListScheduler
 from repro.progressive.hierarchy import PartitionHierarchyScheduler
 from repro.text.vectorizer import TfIdfVectorizer
-
-HAS_NUMPY = pairs_module._np is not None
 
 
 def _dataset(kind: str, seed: int):
@@ -242,12 +238,11 @@ class TestWeightTies:
             (c.pair, c.weight) for c in expected
         ]
 
-    @pytest.mark.skipif(not HAS_NUMPY, reason="needs both NumPy and fallback paths")
-    def test_weight_sorted_numpy_and_python_agree(self, monkeypatch):
+    def test_weight_sorted_equals_the_object_sort(self):
         data, _ = _dataset("dirty", seed=13)
         columns = _candidates(data, "columns")
         # rebuild from a shuffled row list (drops the pre-sorted marker, so
-        # both paths actually sort)
+        # the columns actually sort)
         rng = random.Random(1)
         order = list(range(len(columns)))
         rng.shuffle(order)
@@ -259,17 +254,11 @@ class TestWeightTies:
             array("q", (columns.second[i] for i in order)),
             array("d", (columns.weights[i] for i in order)),
         )
-        with_numpy = list(shuffled.weight_sorted())
-        monkeypatch.setattr(pairs_module, "_np", None)
-        without_numpy = list(shuffled.weight_sorted())
-        assert [(c.pair, c.weight) for c in with_numpy] == [
-            (c.pair, c.weight) for c in without_numpy
-        ]
-        # and both equal the object sort
+        got = list(shuffled.weight_sorted())
         expected = sorted(
             list(shuffled), key=lambda c: (-c.weight, c.first, c.second)
         )
-        assert [(c.pair, c.weight) for c in with_numpy] == [
+        assert [(c.pair, c.weight) for c in got] == [
             (c.pair, c.weight) for c in expected
         ]
 
@@ -393,24 +382,15 @@ def engine_with_rows(engine, rows):
 
 
 class TestBlockPairKernel:
-    """``_columns_from_blocks``: the NumPy body against the Block loop and
-    the plain-loop body -- the same rows, in the same order."""
+    """``_columns_from_blocks`` against the Block loop
+    (``distinct_comparisons``) -- the same rows, in the same order."""
 
     @staticmethod
     def _rows(columns):
         return [columns.pair(index) for index in range(len(columns))]
 
-    @staticmethod
-    def _both_bodies(blocks, monkeypatch):
-        with_numpy = _columns_from_blocks(blocks)
-        with monkeypatch.context() as patch:
-            patch.setattr(scheduling_module, "_np", None)
-            without_numpy = _columns_from_blocks(blocks)
-        return with_numpy, without_numpy
-
-    @pytest.mark.skipif(not HAS_NUMPY, reason="needs both NumPy and fallback paths")
     @pytest.mark.parametrize("kind", ["dirty", "clean_clean"])
-    def test_column_backed_blocks(self, kind, monkeypatch):
+    def test_column_backed_blocks(self, kind):
         data, _ = _dataset(kind, seed=31)
         context = PipelineContext(data)
         blocks = BlockingEngine(TokenBlocking(), context=context).build(data)
@@ -420,12 +400,10 @@ class TestBlockPairKernel:
         expected = [comparison.pair for comparison in blocks.distinct_comparisons()]
         assert blocks.total_comparisons() > len(expected)  # pairs repeat across blocks
         assert self._rows(columns) == expected
-        # the blocks are objects now: both bodies intern them afresh
-        with_numpy, without_numpy = self._both_bodies(blocks, monkeypatch)
-        assert self._rows(with_numpy) == self._rows(without_numpy) == expected
+        # the blocks are objects now: interned afresh, the same rows
+        assert self._rows(_columns_from_blocks(blocks)) == expected
 
-    @pytest.mark.skipif(not HAS_NUMPY, reason="needs both NumPy and fallback paths")
-    def test_mixed_blocks_whose_table_is_not_in_identifier_order(self, monkeypatch):
+    def test_mixed_blocks_whose_table_is_not_in_identifier_order(self):
         blocks = BlockCollection(
             [
                 Block("k1", members=["m", "c", "x", "a"]),
@@ -433,24 +411,18 @@ class TestBlockPairKernel:
                 Block("k3", members=["a", "c", "z"]),
             ]
         )
-        with_numpy, without_numpy = self._both_bodies(blocks, monkeypatch)
-        assert with_numpy.ids == ["m", "c", "x", "a", "b", "z"]  # first seen
+        columns = _columns_from_blocks(blocks)
+        assert columns.ids == ["m", "c", "x", "a", "b", "z"]  # first seen
         expected = [comparison.pair for comparison in blocks.distinct_comparisons()]
         assert len(expected) == 11  # (a, c) and (a, x) repeat
-        assert self._rows(with_numpy) == self._rows(without_numpy) == expected
-        assert with_numpy.distinct and with_numpy.weights is None
+        assert self._rows(columns) == expected
+        assert columns.distinct and columns.weights is None
 
-    @pytest.mark.parametrize("use_numpy", [True, False], ids=["numpy", "plain"])
-    def test_one_description_on_both_sides_raises(self, use_numpy, monkeypatch):
-        if not use_numpy:
-            monkeypatch.setattr(scheduling_module, "_np", None)
-        elif not HAS_NUMPY:
-            pytest.skip("numpy not installed")
+    def test_one_description_on_both_sides_raises(self):
         blocks = BlockCollection([Block("k", left_members=["a", "b"], right_members=["c", "a"])])
         with pytest.raises(ValueError, match="'a' twice"):
             _columns_from_blocks(blocks)
 
-    @pytest.mark.skipif(not HAS_NUMPY, reason="needs NumPy")
     def test_first_occurrences_keeps_the_rows_deduplicated_keeps(self):
         import numpy as np
         from array import array

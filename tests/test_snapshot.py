@@ -1,19 +1,21 @@
 """Tests for the versioned columnar snapshot format (:mod:`repro.core.snapshot`).
 
 The format is a service interface: the pure-Python writer must emit bytes
-that NumPy's own loader accepts, both readers (``np.load`` memmap and
-``mmap`` + ``memoryview``) must see identical values, and version or
-inventory mismatches must fail loudly instead of misreading state.
+that NumPy's own loader accepts, the reader (an ``np.load`` memmap) must see
+the values written, and malformed files, version or inventory mismatches
+must fail loudly with :class:`SnapshotError` instead of misreading state.
 """
 
 from __future__ import annotations
 
+import io
 import json
 import subprocess
 import sys
 from array import array
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 from repro.core.snapshot import (
@@ -25,21 +27,12 @@ from repro.core.snapshot import (
     write_npy,
 )
 
-try:
-    import numpy as np
-except ImportError:  # pragma: no cover - exercised by the no-numpy CI job
-    np = None
-
-requires_numpy = pytest.mark.skipif(np is None, reason="requires numpy")
-
-
-def test_npy_round_trip_pure_python(tmp_path):
+def test_npy_round_trip(tmp_path):
     values = array("q", [0, 1, -1, 2**62, -(2**62), 42])
     path = tmp_path / "col.npy"
     write_npy(path, [values], len(values))
-    loaded = read_npy(path, use_numpy=False)
+    loaded = read_npy(path)
     assert list(loaded) == list(values)
-    # slicing and indexing work on the memoryview reader
     assert loaded[2] == -1
     assert list(loaded[1:3]) == [1, -1]
 
@@ -47,7 +40,7 @@ def test_npy_round_trip_pure_python(tmp_path):
 def test_npy_streams_multiple_chunks(tmp_path):
     path = tmp_path / "col.npy"
     write_npy(path, [array("q", [1, 2]), array("q", []), array("q", [3])], 3)
-    assert list(read_npy(path, use_numpy=False)) == [1, 2, 3]
+    assert list(read_npy(path)) == [1, 2, 3]
 
 
 def test_npy_count_mismatch_is_an_error(tmp_path):
@@ -56,7 +49,7 @@ def test_npy_count_mismatch_is_an_error(tmp_path):
 
 
 def test_npy_data_section_is_64_byte_aligned(tmp_path):
-    # alignment is what makes memoryview.cast('q') legal on the mapped file
+    # the mapped int64 values start on a 64-byte boundary
     path = tmp_path / "col.npy"
     write_npy(path, [array("q", [7])], 1)
     raw = path.read_bytes()
@@ -64,7 +57,6 @@ def test_npy_data_section_is_64_byte_aligned(tmp_path):
     assert header_size % 64 == 0
 
 
-@requires_numpy
 def test_numpy_reads_pure_python_bytes(tmp_path):
     values = array("q", range(-5, 100))
     path = tmp_path / "col.npy"
@@ -73,15 +65,48 @@ def test_numpy_reads_pure_python_bytes(tmp_path):
     assert loaded.dtype == np.int64
     assert loaded.ndim == 1
     assert loaded.tolist() == list(values)
-    # and the memmap reader of this module agrees with the pure one
-    assert list(read_npy(path, use_numpy=True)) == list(read_npy(path, use_numpy=False))
 
 
-@requires_numpy
-def test_pure_python_reads_numpy_bytes(tmp_path):
+def test_reader_reads_numpy_bytes(tmp_path):
     path = tmp_path / "col.npy"
     np.save(str(path), np.arange(17, dtype=np.int64))
-    assert list(read_npy(path, use_numpy=False)) == list(range(17))
+    assert list(read_npy(path)) == list(range(17))
+
+
+def _int64_npy(count: int = 3) -> bytes:
+    buffer = io.BytesIO()
+    np.save(buffer, np.arange(count, dtype=np.int64))
+    return buffer.getvalue()
+
+
+MALFORMED_COLUMNS = {
+    "empty-file": b"",
+    "bad-magic": b"\x93NUMPX" + _int64_npy()[6:],
+    "unparsable-header": _int64_npy().replace(b"{'descr'", b"{'descr", 1),
+    "untokenisable-header": _int64_npy().replace(b"(3,), }", b"(3,,   ", 1),
+    "two-dimensional": _int64_npy().replace(b"(3,)", b"(1, 3)", 1),
+    "wrong-dtype": _int64_npy().replace(b"<i8", b"<f8", 1),
+    "short-data": _int64_npy()[:-8],
+}
+
+
+@pytest.mark.parametrize("case", sorted(MALFORMED_COLUMNS))
+def test_malformed_column_file_is_a_snapshot_error(tmp_path, case):
+    path = tmp_path / "col.npy"
+    path.write_bytes(MALFORMED_COLUMNS[case])
+    with pytest.raises(SnapshotError):
+        read_npy(path)
+    # and through a reader, named after the column (no checksums: the
+    # header is what is under test, not the CRC)
+    target = tmp_path / "snap"
+    target.mkdir()
+    (target / "col.npy").write_bytes(MALFORMED_COLUMNS[case])
+    manifest = {"format_version": SNAPSHOT_FORMAT_VERSION, "columns": {"col": 3}, "strings": {}}
+    (target / "manifest.json").write_text(json.dumps(manifest))
+    with pytest.warns(RuntimeWarning, match="integrity cannot be verified"):
+        reader = SnapshotReader(target)
+    with pytest.raises(SnapshotError, match="column 'col'"):
+        reader.column("col")
 
 
 def test_snapshot_directory_round_trip(tmp_path):
@@ -128,6 +153,46 @@ def test_snapshot_rejects_unknown_format_version(tmp_path):
     manifest_path.write_text(json.dumps(manifest))
     with pytest.raises(ValueError, match="format version"):
         SnapshotReader(tmp_path / "snap")
+
+
+def _valid_manifest() -> dict:
+    return {
+        "format_version": SNAPSHOT_FORMAT_VERSION,
+        "format_minor": 1,
+        "checksums": {"a.npy": [0, 136]},
+        "columns": {"a": 1},
+        "strings": {"s": 2},
+        "meta": {},
+    }
+
+
+MALFORMED_MANIFESTS = {
+    "top-level-list": lambda manifest: [manifest],
+    "empty-checksum-pair": lambda manifest: {**manifest, "checksums": {"a.npy": []}},
+    "string-checksum": lambda manifest: {**manifest, "checksums": {"a.npy": "x"}},
+    "checksum-triple": lambda manifest: {**manifest, "checksums": {"a.npy": [1, 2, 3]}},
+    "checksums-list": lambda manifest: {**manifest, "checksums": [1]},
+    "columns-int": lambda manifest: {**manifest, "columns": 5},
+    "negative-column-length": lambda manifest: {**manifest, "columns": {"a": -1}},
+    "float-column-length": lambda manifest: {**manifest, "columns": {"a": 1.5}},
+    "bool-column-length": lambda manifest: {**manifest, "columns": {"a": True}},
+    "null-string-count": lambda manifest: {**manifest, "strings": {"s": None}},
+    "meta-list": lambda manifest: {**manifest, "meta": []},
+}
+
+
+@pytest.mark.parametrize("case", sorted(MALFORMED_MANIFESTS))
+def test_malformed_manifest_shape_is_a_snapshot_error(tmp_path, case):
+    (tmp_path / "manifest.json").write_text(
+        json.dumps(MALFORMED_MANIFESTS[case](_valid_manifest()))
+    )
+    with pytest.raises(SnapshotError):
+        SnapshotReader(tmp_path)
+
+
+def test_valid_manifest_shape_opens(tmp_path):
+    (tmp_path / "manifest.json").write_text(json.dumps(_valid_manifest()))
+    assert SnapshotReader(tmp_path).meta == {}
 
 
 def test_snapshot_validates_column_lengths(tmp_path):
@@ -328,29 +393,19 @@ index.save({str(target)!r})
     assert all(name.startswith(".snap.tmp-") for name in debris)
 
 
-@requires_numpy
-def test_snapshot_bytes_identical_across_numpy_modes(tmp_path):
-    """The writer never uses NumPy, so the on-disk bytes cannot depend on it.
-
-    This pins the cross-environment compatibility story: a snapshot written
-    on a NumPy machine restores bit-identically on a pure-Python one and
-    vice versa.
-    """
+def test_snapshot_bytes_are_deterministic(tmp_path):
+    """Two saves of the same state write the same bytes, file for file."""
     from repro.datasets import DatasetConfig, generate_dirty_dataset
     from repro.iterative.index import IncrementalIndex
     from repro.matching import ProfileSimilarityMatcher
 
     dataset = generate_dirty_dataset(DatasetConfig(num_entities=15, seed=3))
-    digests = {}
-    for use_numpy in (True, False):
-        index = IncrementalIndex(
-            ProfileSimilarityMatcher(threshold=0.5), use_numpy=use_numpy
-        )
+    digests = []
+    for attempt in range(2):
+        index = IncrementalIndex(ProfileSimilarityMatcher(threshold=0.5))
         for description in dataset.collection:
             index.add(description)
-        target = tmp_path / f"snap-{use_numpy}"
+        target = tmp_path / f"snap-{attempt}"
         index.save(target)
-        digests[use_numpy] = {
-            entry.name: entry.read_bytes() for entry in sorted(target.iterdir())
-        }
-    assert digests[True] == digests[False]
+        digests.append({entry.name: entry.read_bytes() for entry in sorted(target.iterdir())})
+    assert digests[0] == digests[1]

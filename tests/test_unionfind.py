@@ -100,10 +100,6 @@ class TestIntUnionFind:
     def test_roots_equal_find_after_random_unions(self):
         import random
 
-        import repro.core.unionfind as unionfind_module
-
-        if unionfind_module._np is None:
-            pytest.skip("numpy not installed")
         rng = random.Random(7)
         links = IntUnionFind(200)
         for step in range(150):
