@@ -6,7 +6,7 @@ the *same weights* in the legacy object-graph engine (the oracle) and the
 entity-index engine.
 
 The graph engine is compared with a 1e-9 weight tolerance, but it also
-matches bit for bit (held on the mixed collections): both engines compute
+matches bit for bit (held on all three kinds of collection): both engines compute
 per-edge weights with the same operand order and compute the WEP/WNP
 thresholds with :func:`math.fsum`, whose exactly rounded result is
 independent of accumulation order -- so even edges lying mathematically *on* a
@@ -140,12 +140,20 @@ def test_custom_cnp_k_equivalence(seed, weighting, k):
     _assert_engines_agree(blocks, weighting, CardinalityNodePruning(k=k))
 
 
+RANDOM_COLLECTIONS = {
+    "dirty": random_dirty_blocks,
+    "clean-clean": random_bilateral_blocks,
+    "mixed": random_mixed_blocks,
+}
+
+
+@pytest.mark.parametrize("kind", sorted(RANDOM_COLLECTIONS))
 @pytest.mark.parametrize("seed", SEEDS[:3])
 @pytest.mark.parametrize("weighting", WEIGHTING_SCHEMES)
 @pytest.mark.parametrize("pruning", PRUNING_SCHEMES)
-def test_index_engine_is_bit_identical_to_the_graph_engine(seed, weighting, pruning):
+def test_index_engine_is_bit_identical_to_the_graph_engine(kind, seed, weighting, pruning):
     """The index engine's weights equal the graph oracle's exactly."""
-    blocks = random_mixed_blocks(seed)
+    blocks = RANDOM_COLLECTIONS[kind](seed)
     graph_mb = MetaBlocking(weighting, pruning, engine="graph")
     expected = _retained(graph_mb, blocks)
     index = EntityIndexEngine(blocks)

@@ -18,6 +18,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+from repro.core.growable import GrowableColumn
 from repro.core.snapshot import (
     SNAPSHOT_FORMAT_VERSION,
     SnapshotError,
@@ -87,6 +88,10 @@ MALFORMED_COLUMNS = {
     "two-dimensional": _int64_npy().replace(b"(3,)", b"(1, 3)", 1),
     "wrong-dtype": _int64_npy().replace(b"<i8", b"<f8", 1),
     "short-data": _int64_npy()[:-8],
+    "big-endian": _int64_npy().replace(b"<i8", b">i8", 1),
+    "zero-dimensional": _int64_npy().replace(b"(3,)", b"()  ", 1),
+    "object-dtype": _int64_npy().replace(b"'<i8'", b"'|O' ", 1),
+    "negative-length": _int64_npy().replace(b"(3,), }", b"(-3,),}", 1),
 }
 
 
@@ -126,6 +131,53 @@ def test_snapshot_directory_round_trip(tmp_path):
         reader.column("missing")
     with pytest.raises(KeyError):
         reader.strings("numbers")
+
+
+def _growable(values):
+    column = GrowableColumn(chunk_size=7)
+    column.extend(values)
+    return column
+
+
+def _growable_over_a_snapshot(values, directory):
+    # a restored column: the first half memory-mapped, the rest appended
+    half = len(values) // 2
+    path = directory / "base.npy"
+    write_npy(path, [array("q", values[:half])], half)
+    column = GrowableColumn(base=read_npy(path), chunk_size=7)
+    column.extend(values[half:])
+    return column
+
+
+#: Every kind of column source the writer accepts, built from a list of ints.
+COLUMN_SOURCES = {
+    "array": lambda values, _directory: array("q", values),
+    "list": lambda values, _directory: list(values),
+    "generator": lambda values, _directory: (value for value in values),
+    "int64-ndarray": lambda values, _directory: np.array(values, dtype=np.int64),
+    "int32-ndarray": lambda values, _directory: np.array(values, dtype=np.int32),
+    "strided-ndarray": lambda values, _directory: np.repeat(
+        np.array(values, dtype=np.int64), 2
+    )[::2],
+    "growable": lambda values, _directory: _growable(values),
+    "growable-over-snapshot": _growable_over_a_snapshot,
+}
+
+
+@pytest.mark.parametrize("length", (0, 1, 50))
+@pytest.mark.parametrize("source", sorted(COLUMN_SOURCES))
+def test_every_column_source_writes_the_same_bytes(tmp_path, source, length):
+    values = [(-1) ** i * (i * 7919 % 100_003) for i in range(length)]
+    reference = tmp_path / "reference"
+    with SnapshotWriter(reference) as writer:
+        writer.column("col", array("q", values))
+    target = tmp_path / "snap"
+    with SnapshotWriter(target) as writer:
+        writer.column("col", COLUMN_SOURCES[source](values, tmp_path))
+    column = SnapshotReader(target).column("col")
+    assert column.dtype == np.int64
+    assert column.tolist() == values
+    assert (target / "col.npy").read_bytes() == (reference / "col.npy").read_bytes()
 
 
 def test_snapshot_rejects_duplicate_columns(tmp_path):
