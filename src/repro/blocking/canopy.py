@@ -136,7 +136,7 @@ def _index_build(builder: CanopyClusteringBlocking, data: ERInput, context) -> B
     identical because ``random.Random.shuffle`` permutes by position,
     regardless of the list's contents.
     """
-    view = TokenColumnView.build(data, context, builder.stop_words, builder.min_token_length)
+    view = TokenColumnView.from_context(context, builder.stop_words, builder.min_token_length)
     columns = view.columns
     n = len(columns)
     collection = BlockCollection(name=builder.name)

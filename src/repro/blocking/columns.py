@@ -19,20 +19,10 @@ arrives as objects (the long-tail builders, oracle builds, user collections),
 similarity self-join) all start from the same view of the input: one sorted
 distinct token-id column per description, admitted through the builder's stop
 words and minimum token length.  :class:`TokenColumnView` materialises that
-view either
-
-* **from a shared context** -- the per-description columns are the
-  :class:`~repro.core.context.PipelineContext` interned counts filtered by
-  the cached :class:`~repro.core.context.TokenFilter` mask, so no raw
-  string is touched (the single-interning guarantee), or
-* **from the raw data** -- one ``token_set`` pass per description with a
-  local vocabulary, exactly the tokenisation the oracle builders pay.
-
-Both sources produce identical *token sets* per description; only the
-integer ids differ (context ids are global interning order, local ids are
-first-occurrence order).  The array builds never compare ids across the
-two sources -- ids reach strings only through :meth:`TokenColumnView.token_of`
--- so the choice of source never changes a build's output.
+view from a :class:`~repro.core.context.PipelineContext`: the
+per-description columns are its interned counts filtered by the cached
+:class:`~repro.core.context.TokenFilter` mask, so no raw string is touched
+(the single-interning guarantee).
 :func:`append_posting` and :func:`add_block` are their posting/emission
 helpers: ascending ordinal postings materialised into
 :class:`~repro.blocking.base.Block` objects with the oracle's
@@ -44,9 +34,7 @@ from __future__ import annotations
 from array import array
 from typing import Callable, Dict, List, Optional, Sequence
 
-from repro.blocking.base import Block, BlockBuilder, BlockCollection, ERInput
-from repro.datamodel.collection import CleanCleanTask
-from repro.text.tokenize import token_set
+from repro.blocking.base import Block, BlockCollection
 
 import numpy as _np
 
@@ -310,7 +298,7 @@ class TokenColumnView:
         builder's stop words and minimum token length.
     num_tokens:
         Size of the id space: every column id is below it (the context's
-        vocabulary size, or the local vocabulary's).
+        vocabulary size).
     """
 
     __slots__ = ("ids", "left_count", "columns", "num_tokens", "_token_of")
@@ -356,41 +344,3 @@ class TokenColumnView:
             context.vocabulary_size,
             context.token,
         )
-
-    @classmethod
-    def from_data(
-        cls, data: ERInput, stop_words: Optional[frozenset], min_token_length: int
-    ) -> "TokenColumnView":
-        """The view from the raw descriptions -- one ``token_set`` pass each."""
-        token_ids: Dict[str, int] = {}
-        tokens: List[str] = []
-        ids: List[str] = []
-        columns: List[array] = []
-        for _side, description in BlockBuilder._iter_with_side(data):
-            ids.append(description.identifier)
-            column = array("q")
-            for token in token_set(
-                description.values(), stop_words=stop_words, min_length=min_token_length
-            ):
-                token_id = token_ids.get(token)
-                if token_id is None:
-                    token_id = len(tokens)
-                    token_ids[token] = token_id
-                    tokens.append(token)
-                column.append(token_id)
-            columns.append(array("q", sorted(column)))
-        left_count = len(data.left) if isinstance(data, CleanCleanTask) else -1
-        return cls(ids, left_count, columns, len(tokens), tokens.__getitem__)
-
-    @classmethod
-    def build(
-        cls,
-        data: ERInput,
-        context,
-        stop_words: Optional[frozenset],
-        min_token_length: int,
-    ) -> "TokenColumnView":
-        """From the context when it is usable for ``data``, else from the data."""
-        if context is not None and context.owns(data):
-            return cls.from_context(context, stop_words, min_token_length)
-        return cls.from_data(data, stop_words, min_token_length)

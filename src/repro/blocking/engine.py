@@ -456,10 +456,9 @@ class BlockingEngine:
         given and the context owns the input data, the index builders read
         its interned token columns and the blocks speak its ordinals -- the
         single-interning guarantee of the shared pipeline context.  For data
-        the context does not own (or without one) the token builders intern
-        a private context; the long-tail builders tokenise themselves.
-        Ignored by the oracle engine and by builders without an index
-        implementation.
+        the context does not own (or without one) the index builders intern
+        a private context.  Ignored by the oracle engine and by builders
+        without an index implementation.
     parallel:
         Optional :class:`~repro.mapreduce.parallel.ParallelEngine`.
         Comparison propagation fans out over it; building, purging and
@@ -505,13 +504,11 @@ class BlockingEngine:
             self.last_engine = "index"
             builder = self.builder
             context = self.context
-            if context is not None and not context.owns(data):
-                context = None
+            if context is None or not context.owns(data):
+                context = PipelineContext(data)
             array_build = _ARRAY_BUILDS.get(type(builder))
             if array_build is not None:
                 return array_build(builder, data, context)
-            if context is None:
-                context = PipelineContext(data)
             if type(builder) is AttributeClusteringBlocking:
                 return _index_attribute_clustering_build(builder, context)
             columns = _context_token_build(builder, context)

@@ -203,7 +203,7 @@ def _index_build(builder: MinHashLSHBlocking, data: ERInput, context) -> BlockCo
     integer tuples with the final emission in the oracle's sorted
     key-string order.
     """
-    view = TokenColumnView.build(data, context, builder.stop_words, builder.min_token_length)
+    view = TokenColumnView.from_context(context, builder.stop_words, builder.min_token_length)
     hash_cache: Dict[int, int] = {}
     token_of = view.token_of
     entities: List[int] = []

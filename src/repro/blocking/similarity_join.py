@@ -321,7 +321,7 @@ def _index_build(builder: SimilarityJoinBlocking, data: ERInput, context) -> Blo
     from repro.matching.engine import MatchingEngine
     from repro.matching.matchers import ProfileSimilarityMatcher
 
-    view = TokenColumnView.build(data, context, builder.stop_words, builder.min_token_length)
+    view = TokenColumnView.from_context(context, builder.stop_words, builder.min_token_length)
     columns = view.columns
     ids = view.ids
     n = len(columns)

@@ -222,14 +222,14 @@ def _entry_rows(
 ) -> List[Tuple[str, str, int]]:
     """``(key, identifier, ordinal)`` rows sorted exactly like :func:`sorted_order`.
 
-    With a shared context and the default key, the key string is rebuilt
-    from the context's ordered token-id streams (space-joined token strings
-    equal ``normalize(description.text())`` by construction), so no raw
-    value is re-normalised.  Ties sort by identifier; the ordinal is never
-    compared because identifiers are unique.
+    With the default key, the key string is rebuilt from the context's
+    ordered token-id streams (space-joined token strings equal
+    ``normalize(description.text())`` by construction), so no raw value is
+    re-normalised; a custom key reads the descriptions.  Ties sort by
+    identifier; the ordinal is never compared because identifiers are unique.
     """
     rows: List[Tuple[str, str, int]] = []
-    if context is not None and sorting_key is None:
+    if sorting_key is None:
         # bind the vocabulary list once: the per-token lookup then runs at
         # C speed inside map() instead of calling context.token() per token
         tokens = context._tokens
@@ -241,9 +241,8 @@ def _entry_rows(
                 (" ".join(map(lookup, token_stream(ordinal))), ids[ordinal], ordinal)
             )
     else:
-        key_of = sorting_key or default_sorting_key
         for ordinal, (_side, description) in enumerate(BlockBuilder._iter_with_side(data)):
-            rows.append((key_of(description), description.identifier, ordinal))
+            rows.append((sorting_key(description), description.identifier, ordinal))
     rows.sort()
     return rows
 

@@ -27,6 +27,7 @@ from typing import List, Optional, Sequence
 
 from repro.core import ERWorkflow, WorkflowConfig
 from repro.core.config import FAILURE_POLICIES
+from repro.core.snapshot import SnapshotError
 from repro.core.workflow import BLOCKING_SCHEMES, CLUSTERINGS, SCHEDULERS
 from repro.datamodel.collection import CleanCleanTask, EntityCollection
 from repro.datasets import (
@@ -204,9 +205,15 @@ def _command_incremental(args: argparse.Namespace) -> int:
         f"incrementally resolving {len(collection)} arrivals "
         f"(threshold={args.threshold}, {mode})"
     )
-    result = workflow.run_incremental(
-        collection, snapshot=args.snapshot, restore=args.restore
-    )
+    try:
+        result = workflow.run_incremental(
+            collection, snapshot=args.snapshot, restore=args.restore
+        )
+    except (OSError, SnapshotError) as error:
+        # a missing, corrupt or foreign snapshot directory is a bad
+        # argument, not a crash: one line, the usage-error exit status
+        print(f"repro incremental: error: {error}", file=sys.stderr)
+        return 2
     print(result.report.render())
     print(f"{len(result.clusters)} clusters, {result.num_matches} declared matches")
     if args.snapshot:

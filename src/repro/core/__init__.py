@@ -11,9 +11,10 @@ default for schema-free Web data.
 
 Beyond the batch pipeline, the package holds the shared columnar substrate:
 :class:`~repro.core.context.PipelineContext` (one interning pass per run),
-its streaming twin :class:`~repro.core.growable.GrowableContext` (append-only
-columns for incremental ER), and :mod:`repro.core.snapshot` (versioned
-on-disk persistence that memory-maps those columns back).
+its streaming counterpart :class:`~repro.core.growable.GrowableContext`
+(append-only ordinals, vocabulary and merged distinct ids for incremental
+ER), and :mod:`repro.core.snapshot` (versioned on-disk persistence that
+memory-maps those columns back).
 """
 
 from repro.core.config import WorkflowConfig

@@ -11,19 +11,18 @@ processes).  This module provides the two pieces:
   memory-mapped snapshot column).  Appending never copies the base, so an
   index restored from disk continues growing without re-interning a single
   token.
-* :class:`GrowableContext` -- the growable twin of ``PipelineContext``:
-  append-only ordinal table, dense token vocabulary that accepts new terms,
-  per-attribute token-id/count columns in CSR layout over growable chunks,
-  and one merged distinct-token column per record.  It reuses
-  :class:`~repro.core.context.TokenFilter` unchanged (the filter holds the
-  ``_tokens`` list, which only ever grows in place), so stop-word masks keep
-  extending lazily as the vocabulary grows.
+* :class:`GrowableContext` -- what the incremental index reads of an
+  arrival: append-only ordinal table, dense token vocabulary that accepts
+  new terms, and the merged distinct ids of every record in CSR layout over
+  growable chunks.  It reuses :class:`~repro.core.context.TokenFilter`
+  unchanged (the filter holds the ``_tokens`` list, which only ever grows in
+  place), so stop-word masks keep extending lazily as the vocabulary grows.
 
-Interning here is one arrival at a time, through ``PipelineContext``'s chunk
-kernel (:func:`~repro.text.tokenize.tokenize_slots` on a chunk of one),
-first-touch vocabulary ids and sorted distinct (id, count) columns, so a
-stream of records fed here serves the vocabulary and per-record columns
-the batch pass builds over the same descriptions.
+Interning is one arrival at a time: one
+:func:`~repro.text.tokenize.tokenize_slots` call on a chunk of one record,
+first-touch vocabulary ids in word order, one append of the sorted distinct
+ids -- the vocabulary and merged distinct ids the batch pass builds over the
+same descriptions.
 
 Identifiers may be *re-bound*: removing a record from an index and adding a
 revised description appends a fresh ordinal and points the identifier at it;
@@ -141,23 +140,10 @@ class GrowableContext:
         # vocabulary; the string->id map is rebuilt lazily after a restore
         self._tokens: List[str] = []
         self._token_ids: Optional[Dict[str, int]] = {}
-        # attribute-name dictionary (same lazy-map treatment)
-        self._attr_names: List[str] = []
-        self._attr_name_ids: Optional[Dict[str, int]] = {}
-        # per record: CSR over attribute slots; per slot: attribute name id
-        # and CSR over (token id, count) pairs
-        self._record_slot_ptr = GrowableColumn()
-        self._record_slot_ptr.append(0)
-        self._slot_attr = GrowableColumn()
-        self._slot_token_ptr = GrowableColumn()
-        self._slot_token_ptr.append(0)
-        self._slot_token_ids = GrowableColumn()
-        self._slot_token_counts = GrowableColumn()
-        # per record: merged all-attribute sorted distinct ids + counts
+        # per record: CSR over the sorted distinct ids of all its values
         self._token_ptr = GrowableColumn()
         self._token_ptr.append(0)
         self._token_ids_column = GrowableColumn()
-        self._token_counts_column = GrowableColumn()
         self._filters: Dict[Tuple[FrozenSet[str], int], TokenFilter] = {}
 
     # ------------------------------------------------------------------
@@ -214,13 +200,6 @@ class GrowableContext:
     # ------------------------------------------------------------------
     # interning
     # ------------------------------------------------------------------
-    def _attr_map(self) -> Dict[str, int]:
-        mapping = self._attr_name_ids
-        if mapping is None:
-            mapping = {name: index for index, name in enumerate(self._attr_names)}
-            self._attr_name_ids = mapping
-        return mapping
-
     def add_record(self, description: EntityDescription) -> int:
         """Intern one description, appending a fresh ordinal.
 
@@ -233,44 +212,16 @@ class GrowableContext:
         self._ids.append(description.identifier)
         token_ids = self._vocab_map()
         tokens = self._tokens
-        attr_ids = self._attr_map()
-        merged: Dict[int, int] = {}
-        # the record's slot columns, handed over whole after the loop
-        slot_attrs: List[int] = []
-        slot_ids: List[int] = []
-        slot_counts: List[int] = []
-        slot_ends: List[int] = []
-        slot_base = len(self._slot_token_ids)
-        # a chunk of one: each attribute's words end at the next slot mark
-        words = iter(tokenize_slots(list(map(" ".join, description.attributes.values()))))
-        for attribute in description.attribute_names:
-            counts: Dict[int, int] = {}
-            for token in iter(words.__next__, SLOT_MARK):
-                token_id = token_ids.get(token)
-                if token_id is None:
-                    token_id = len(tokens)
-                    token_ids[token] = token_id
-                    tokens.append(token)
-                counts[token_id] = counts.get(token_id, 0) + 1
-                merged[token_id] = merged.get(token_id, 0) + 1
-            attr_id = attr_ids.get(attribute)
-            if attr_id is None:
-                attr_id = len(self._attr_names)
-                attr_ids[attribute] = attr_id
-                self._attr_names.append(attribute)
-            slot_attrs.append(attr_id)
-            ordered = sorted(counts)
-            slot_ids += ordered
-            slot_counts += [counts[token_id] for token_id in ordered]
-            slot_ends.append(slot_base + len(slot_ids))
-        self._slot_attr.extend(slot_attrs)
-        self._slot_token_ids.extend(slot_ids)
-        self._slot_token_counts.extend(slot_counts)
-        self._slot_token_ptr.extend(slot_ends)
-        self._record_slot_ptr.append(len(self._slot_attr))
-        merged_ids = sorted(merged)
-        self._token_ids_column.extend(merged_ids)
-        self._token_counts_column.extend([merged[token_id] for token_id in merged_ids])
+        # a chunk of one: its distinct words in first-touch order, less the
+        # mark that closes each attribute
+        slots = list(map(" ".join, description.attributes.values()))
+        words = dict.fromkeys(tokenize_slots(slots))
+        words.pop(SLOT_MARK, None)
+        for token in words:
+            if token not in token_ids:
+                token_ids[token] = len(tokens)
+                tokens.append(token)
+        self._token_ids_column.extend(sorted(map(token_ids.__getitem__, words)))
         self._token_ptr.append(len(self._token_ids_column))
         return ordinal
 
@@ -283,49 +234,24 @@ class GrowableContext:
             self._token_ptr[ordinal], self._token_ptr[ordinal + 1]
         )
 
-    def token_counts_of(self, ordinal: int) -> Sequence[int]:
-        """Occurrence counts aligned with :meth:`token_ids_of`."""
-        return self._token_counts_column.view(
-            self._token_ptr[ordinal], self._token_ptr[ordinal + 1]
-        )
-
-    def attribute_entries(self, ordinal: int) -> Iterator[Tuple[str, Sequence[int], Sequence[int]]]:
-        """``(attribute, sorted distinct ids, aligned counts)`` per attribute."""
-        for slot in range(
-            self._record_slot_ptr[ordinal], self._record_slot_ptr[ordinal + 1]
-        ):
-            start = self._slot_token_ptr[slot]
-            stop = self._slot_token_ptr[slot + 1]
-            yield (
-                self._attr_names[self._slot_attr[slot]],
-                self._slot_token_ids.view(start, stop),
-                self._slot_token_counts.view(start, stop),
-            )
-
     # ------------------------------------------------------------------
     # persistence
     # ------------------------------------------------------------------
     def write_snapshot(self, writer: SnapshotWriter) -> None:
-        """Persist every column and string table under ``context.*`` names."""
+        """Persist the ordinal table, the vocabulary and the merged-id CSR."""
         writer.strings("context.ids", self._ids)
         writer.strings("context.tokens", self._tokens)
-        writer.strings("context.attr_names", self._attr_names)
-        writer.column("context.record_slot_ptr", self._record_slot_ptr)
-        writer.column("context.slot_attr", self._slot_attr)
-        writer.column("context.slot_token_ptr", self._slot_token_ptr)
-        writer.column("context.slot_token_ids", self._slot_token_ids)
-        writer.column("context.slot_token_counts", self._slot_token_counts)
         writer.column("context.token_ptr", self._token_ptr)
         writer.column("context.token_ids", self._token_ids_column)
-        writer.column("context.token_counts", self._token_counts_column)
 
     @classmethod
     def from_snapshot(cls, reader: SnapshotReader) -> "GrowableContext":
         """Rebuild a context over the reader's memory-mapped columns.
 
         Numeric columns become the read-only bases of fresh growable
-        columns (no copies); the string->id maps are rebuilt lazily on the
-        first mutation.
+        columns (no copies); the string->id map is rebuilt lazily on the
+        first mutation.  Entries are opened by name, so the further
+        ``context.*`` columns of a format-1.1 snapshot are never read.
         """
         context = cls()
         context._ids = reader.strings("context.ids")
@@ -334,18 +260,6 @@ class GrowableContext:
         }
         context._tokens = reader.strings("context.tokens")
         context._token_ids = None
-        context._attr_names = reader.strings("context.attr_names")
-        context._attr_name_ids = None
-        context._record_slot_ptr = GrowableColumn(reader.column("context.record_slot_ptr"))
-        context._slot_attr = GrowableColumn(reader.column("context.slot_attr"))
-        context._slot_token_ptr = GrowableColumn(reader.column("context.slot_token_ptr"))
-        context._slot_token_ids = GrowableColumn(reader.column("context.slot_token_ids"))
-        context._slot_token_counts = GrowableColumn(
-            reader.column("context.slot_token_counts")
-        )
         context._token_ptr = GrowableColumn(reader.column("context.token_ptr"))
         context._token_ids_column = GrowableColumn(reader.column("context.token_ids"))
-        context._token_counts_column = GrowableColumn(
-            reader.column("context.token_counts")
-        )
         return context

@@ -1,9 +1,9 @@
 """Versioned on-disk snapshots of flat columnar state.
 
 The incremental-ER index (ROADMAP item 2) is an always-on service component:
-its resolution state -- a growable vocabulary, token-id columns, union--find
-parents, cluster postings -- must survive a restart without re-interning the
-whole arrival history.  This module is the persistence primitive that makes
+its resolution state -- a growable vocabulary, merged distinct ids,
+union--find parents, cluster postings -- must survive a restart without
+re-interning the whole arrival history.  This module is the persistence primitive that makes
 that possible: a snapshot is a **directory of ``.npy`` files plus a
 ``manifest.json``**, written with a pure-Python ``.npy`` v1.0 writer, so the
 bytes on disk do not depend on the installed NumPy version.
@@ -75,9 +75,12 @@ __all__ = [
 SNAPSHOT_FORMAT_VERSION = 1
 
 #: Minor revision: 1 added per-file CRC32/length checksums and the atomic
-#: temp-dir write.  Readers accept any minor under the same major (the
-#: checksums are advisory metadata, not a layout change).
-SNAPSHOT_FORMAT_MINOR = 1
+#: temp-dir write; 2 dropped the growable context's columns nothing reads
+#: (per-attribute slots, attribute names, merged counts).  Readers accept
+#: any minor under the same major: checksums are advisory metadata, and
+#: entries are opened by name, so columns a reader does not ask for are
+#: never read.
+SNAPSHOT_FORMAT_MINOR = 2
 
 _MAGIC = b"\x93NUMPY"
 _INT64 = "<i8"

@@ -30,10 +30,10 @@ Execution engines
 The resolver has two engines; ``engine="object"`` is passed by the equivalence
 suite and benchmarks only, never by the workflow.  The array default delegates to
 :class:`~repro.iterative.index.IncrementalIndex` -- arrivals are interned
-once into a shared :class:`~repro.core.growable.GrowableContext`, candidates
-are counted over array postings by one sorted-run kernel and scored straight
-from token-id set intersection sizes, and the
-state can be snapshotted to disk (:meth:`~IncrementalResolver.save`) and
+once (ordinal, vocabulary ids, merged distinct ids) into a shared
+:class:`~repro.core.growable.GrowableContext`, candidates are counted
+over array postings by one sorted-run kernel and scored straight from
+token-id set intersection sizes, and the state can be snapshotted to disk (:meth:`~IncrementalResolver.save`) and
 memory-mapped back (:meth:`~IncrementalResolver.restore`).  The object path
 in this module is the readable per-pair oracle the array engine is tested
 against, bit for bit: clusters, merged representations, match decisions and

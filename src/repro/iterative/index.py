@@ -6,8 +6,8 @@ objects and re-tokenises on every comparison.  :class:`IncrementalIndex`
 keeps the same state as flat integers over a shared
 :class:`~repro.core.growable.GrowableContext`:
 
-* arrivals are interned **once** -- ordinal, vocabulary ids, per-attribute
-  and merged token columns -- instead of being re-tokenised per comparison;
+* arrivals are interned **once** -- ordinal, vocabulary ids, merged
+  distinct ids -- instead of being re-tokenised per comparison;
 * candidate generation runs over integer postings (``token id ->
   array('q')`` of distinct cluster-root ordinals) with a **root -> token
   reverse index**, so a merge re-points only the absorbed root's postings
@@ -58,7 +58,7 @@ from pathlib import Path
 from typing import Any, Dict, FrozenSet, Iterable, List, Optional, Sequence, Union
 
 from repro.core.growable import GrowableContext
-from repro.core.snapshot import SnapshotReader, SnapshotWriter
+from repro.core.snapshot import SnapshotError, SnapshotReader, SnapshotWriter
 from repro.core.unionfind import IntUnionFind
 from repro.datamodel.collection import EntityCollection
 from repro.datamodel.description import EntityDescription, merge_descriptions
@@ -537,7 +537,7 @@ class IncrementalIndex:
         reader = SnapshotReader(path)
         meta = reader.meta
         if meta.get("kind") != "incremental-index":
-            raise ValueError(f"snapshot at {path} is not an incremental index")
+            raise SnapshotError(f"snapshot at {path} is not an incremental index")
         recorded = meta["matcher"]
         if matcher is None:
             matcher = ProfileSimilarityMatcher(

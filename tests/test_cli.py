@@ -1,6 +1,7 @@
 """Tests for the command-line interface."""
 
 import json
+import shutil
 
 import pytest
 
@@ -220,3 +221,38 @@ def test_incremental_snapshot_restore_roundtrip(tmp_path, capsys):
     assert main(["incremental", str(more), "--restore", str(snap)]) == 0
     out = capsys.readouterr().out
     assert "incremental_restore" in out
+
+
+def _truncate_a_column(snap):
+    column = snap / "context.token_ids.npy"
+    column.write_bytes(column.read_bytes()[:-8])
+
+
+def _mark_foreign(snap):
+    manifest = json.loads((snap / "manifest.json").read_text())
+    manifest["meta"]["kind"] = "something-else"
+    (snap / "manifest.json").write_text(json.dumps(manifest))
+
+
+@pytest.mark.parametrize(
+    "damage, message",
+    [
+        (lambda snap: shutil.rmtree(snap), "no snapshot manifest"),
+        (_truncate_a_column, "context.token_ids"),
+        (_mark_foreign, "is not an incremental index"),
+    ],
+    ids=["missing", "truncated-column", "foreign-kind"],
+)
+def test_a_bad_restore_directory_is_a_usage_error(tmp_path, capsys, damage, message):
+    """A missing, corrupt or non-index snapshot fails with one line on
+    stderr and the usage-error status, not a traceback."""
+    data = tmp_path / "dirty.csv"
+    main(["generate", "--entities", "10", "--seed", "9", "--output", str(data)])
+    snap = tmp_path / "snap"
+    assert main(["incremental", str(data), "--snapshot", str(snap)]) == 0
+    damage(snap)
+    capsys.readouterr()
+    assert main(["incremental", str(data), "--restore", str(snap)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("repro incremental: error: ") and message in err
+    assert err.count("\n") == 1

@@ -53,14 +53,8 @@ def test_extend_equals_repeated_append(make_base):
 
 def _columns(context):
     return {
-        "record_slot_ptr": list(context._record_slot_ptr),
-        "slot_attr": list(context._slot_attr),
-        "slot_token_ptr": list(context._slot_token_ptr),
-        "slot_token_ids": list(context._slot_token_ids),
-        "slot_token_counts": list(context._slot_token_counts),
         "token_ptr": list(context._token_ptr),
         "token_ids": list(context._token_ids_column),
-        "token_counts": list(context._token_counts_column),
     }
 
 
@@ -83,19 +77,8 @@ def test_add_record_columns_are_frozen():
     )
     assert (first, second) == (0, 1)
     assert context._tokens == ["alan", "turing", "mathison", "london", "england"]
-    assert context._attr_names == ["name", "city", "note", "alias", "empty"]
     assert _columns(context) == {
-        "record_slot_ptr": [0, 3, 6],
-        "slot_attr": [0, 1, 2, 1, 3, 4],
-        "slot_token_ptr": [0, 3, 4, 7, 8, 9, 9],
-        "slot_token_ids": [0, 1, 2, 3, 1, 3, 4, 4, 0],
-        "slot_token_counts": [2, 2, 1, 1, 1, 2, 1, 1, 2],
         "token_ptr": [0, 5, 7],
         "token_ids": [0, 1, 2, 3, 4, 0, 4],
-        "token_counts": [2, 3, 1, 3, 1, 2, 1],
     }
     assert list(context.token_ids_of(0)) == [0, 1, 2, 3, 4]
-    assert list(context.token_counts_of(1)) == [2, 1]
-    assert [
-        (name, list(ids), list(counts)) for name, ids, counts in context.attribute_entries(1)
-    ] == [("city", [4], [1]), ("alias", [0], [2]), ("empty", [], [])]

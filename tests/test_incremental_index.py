@@ -31,6 +31,9 @@ from repro.iterative.index import IncrementalIndex
 from repro.matching import ProfileSimilarityMatcher
 
 FIXTURE_PATH = Path(__file__).parent / "fixtures" / "incremental" / "golden_stream.json"
+#: The first 40 arrivals of ``_stream_descriptions(num_entities=30, seed=41)``
+#: at threshold 0.5, saved by the format-1.1 writer
+SNAPSHOT_1_1 = Path(__file__).parent / "fixtures" / "incremental" / "snapshot_1_1"
 
 
 # ----------------------------------------------------------------------
@@ -323,6 +326,41 @@ def test_snapshot_round_trip_then_continue(tmp_path):
         _arrival(r) for r in straight.remove(victim)
     ]
     assert _state(restored) == _state(straight)
+
+
+def test_format_1_1_snapshot_loads_and_continues(tmp_path):
+    """A format-1.1 snapshot -- the first 40 arrivals, saved with the eleven
+    ``context.*`` entries the context used to write -- continues exactly
+    like a live index fed the same operations, and saves again as 1.2."""
+    manifest = json.loads((SNAPSHOT_1_1 / "manifest.json").read_text(encoding="utf-8"))
+    assert (manifest["format_version"], manifest["format_minor"]) == (1, 1)
+    assert len(_context_entries(manifest)) == 11
+    descriptions = _stream_descriptions(num_entities=30, seed=41)
+    live = IncrementalIndex(ProfileSimilarityMatcher(threshold=0.5))
+    live.add_all(descriptions)
+    restored = IncrementalIndex.load(SNAPSHOT_1_1)
+    assert len(restored) == 40
+    restored.add_all(descriptions[40:])
+    victim = descriptions[0].identifier
+    assert [_arrival(r) for r in restored.remove(victim)] == [
+        _arrival(r) for r in live.remove(victim)
+    ]
+    assert restored.clusters() == live.clusters()
+    assert restored.comparisons_executed == live.comparisons_executed
+    restored.save(tmp_path / "snap")
+    resaved = json.loads((tmp_path / "snap" / "manifest.json").read_text(encoding="utf-8"))
+    assert resaved["format_minor"] == 2
+    assert _context_entries(resaved) == [
+        "context.ids",
+        "context.token_ids",
+        "context.token_ptr",
+        "context.tokens",
+    ]
+
+
+def _context_entries(manifest):
+    names = [*manifest["columns"], *manifest["strings"]]
+    return sorted(name for name in names if name.startswith("context."))
 
 
 def test_restored_index_has_no_descriptions(tmp_path):

