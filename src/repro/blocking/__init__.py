@@ -20,34 +20,18 @@ The package covers three families:
   :class:`~repro.blocking.cleaning.BlockFiltering`,
   :class:`~repro.blocking.cleaning.ComparisonPropagation`.
 
-Execution engines
------------------
+Execution paths
+---------------
 
 Building and cleaning run behind
-:class:`~repro.blocking.engine.BlockingEngine`, which follows the two-engine
-pattern of :mod:`repro.metablocking` and :mod:`repro.matching`:
-
-* ``engine="index"`` (the default) executes every builtin builder and the
-  three cleaners on flat integer arrays.  Tokens are interned once per
-  collection into dense ids by a
-  :class:`~repro.text.profile_store.ProfileStore`, the inverted key index
-  maps ``token id -> array('q') posting of description ordinals`` (postings
-  grow in description order, so emitting blocks in sorted-key order
-  reproduces the legacy builders block for block), and the cleaners stream
-  over a CSR entity index of the block collection: ``blk_ptr`` delimits each
-  block's assignment span, ``ent_of`` holds the description ordinal of every
-  assignment and ``card_of`` the containing block's cardinality.  Purging
-  selects blocks against the shared adaptive threshold in one cardinality
-  pass, filtering ranks all assignments with a single stable sort by
-  ``(entity, cardinality)`` (one NumPy ``lexsort``), and comparison propagation
-  deduplicates pairs as single ``(min ordinal << 32) | max ordinal``
-  integers instead of canonical string tuples.
-* ``engine="oracle"`` runs the legacy per-``dict``/``set`` builders and
-  cleaners below, which stay the readable reference implementation, the
-  equivalence-suite oracle, and the automatic fallback for custom schemes
-  (announced by a one-time :class:`RuntimeWarning` naming the scheme).
-
-Both engines produce block-for-block identical collections; see
+:class:`~repro.blocking.engine.BlockingEngine`.  The exact library builders
+and cleaners run on flat integer columns (postings of description ordinals,
+a CSR of block members, one ``lexsort`` for filtering, pairs deduplicated as
+single integers); any other builder or cleaner -- subclasses included --
+runs its own ``build`` / ``process``, the readable reference the
+equivalence suite compares against.  A builder falling back announces
+itself with a one-time :class:`RuntimeWarning` naming the scheme.  Both
+paths produce block-for-block identical collections; see
 :mod:`repro.blocking.engine` for the exact layout and guarantees.
 
 Tie rules pinned by the array engines
@@ -77,7 +61,7 @@ from repro.blocking.cleaning import (
     adaptive_cardinality_threshold,
     clean_blocks,
 )
-from repro.blocking.engine import BLOCKING_ENGINES, BlockingEngine
+from repro.blocking.engine import BlockingEngine
 from repro.blocking.minhash import MinHashLSHBlocking, MinHashSignature
 from repro.blocking.multiblock import MultidimensionalBlocking
 from repro.blocking.similarity_join import SimilarityJoinBlocking
@@ -106,7 +90,6 @@ from repro.blocking.token_blocking import (
 
 __all__ = [
     "AttributeClusteringBlocking",
-    "BLOCKING_ENGINES",
     "Block",
     "BlockBuilder",
     "BlockCollection",

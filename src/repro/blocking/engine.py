@@ -13,7 +13,7 @@ only if somebody iterates it (the default workflow never does:
 <repro.metablocking.entity_index.EntityIndexEngine.from_columns>` takes the
 columns as they are).
 
-* ``engine="index"`` (the default) --
+* **Index path** (the exact library types) --
 
   **Building**: :class:`TokenBlocking` and
   :class:`PrefixInfixSuffixBlocking` read the merged token-id column of a
@@ -55,18 +55,18 @@ columns as they are).
   integer matrix, canopies from token postings, windows from one sorted
   pass, prefix filtering over sorted-id columns with columnar verification.
 
-* ``engine="oracle"`` -- delegates to the legacy builders/cleaners, which
-  remain the readable reference implementation, the test oracle of the
-  equivalence suite (``tests/test_blocking_equivalence.py``; only tests and
-  benchmarks select it), and the path user builders take into the workflow --
-  every scheme the index engine does not natively support: custom
-  :class:`~repro.blocking.base.BlockBuilder` implementations,
+* **Oracle path** -- delegates to the legacy builders/cleaners, which
+  remain the readable reference implementation (the equivalence suite,
+  ``tests/test_blocking_equivalence.py``, calls ``builder.build`` and
+  ``cleaner.process`` directly) and the path user builders take into the
+  workflow -- every scheme the index path does not natively support:
+  custom :class:`~repro.blocking.base.BlockBuilder` implementations,
   subclasses of the supported builders (whose overridden ``tokens_of`` /
   ``build`` the columnar path cannot see), and subclasses of the cleaner
-  classes.  Falling back from ``engine="index"`` emits a one-time
+  classes.  A builder falling back emits a one-time
   :class:`RuntimeWarning` naming the scheme, so the cliff is visible.
 
-Both engines produce block-for-block identical collections -- same blocks,
+Both paths produce block-for-block identical collections -- same blocks,
 same deterministic key order, same member order within every block -- so
 swapping them never changes a workflow's output, only its speed.  The
 cleaning passes assume well-formed bilateral blocks (no identifier occurring
@@ -86,7 +86,6 @@ from repro.blocking.canopy import _index_build as _canopy_index_build
 from repro.blocking.cleaning import (
     BlockFiltering,
     BlockPurging,
-    ComparisonPropagation,
     adaptive_cardinality_threshold,
 )
 from repro.blocking.columns import BlockColumns, int_view
@@ -113,9 +112,6 @@ from repro.datamodel.pairs import canonical_pair, identifier_ranks, stable_argso
 from repro.text.tokenize import uri_tokens
 
 import numpy as _np
-
-#: Execution engines of the blocking phase.
-BLOCKING_ENGINES = ("index", "oracle")
 
 #: Builders with a native index-engine implementation.  Exact type checks:
 #: subclasses may override ``tokens_of``/``build`` in ways the columnar path
@@ -438,7 +434,7 @@ def _propagate(columns: BlockColumns) -> List[Block]:
 # the engine
 # ----------------------------------------------------------------------
 class BlockingEngine:
-    """Block building and cleaning with an index and an oracle engine.
+    """Block building and cleaning on the index path, the oracle as fallback.
 
     Parameters
     ----------
@@ -449,16 +445,14 @@ class BlockingEngine:
         :class:`AttributeClusteringBlocking` (exact types); every other
         builder -- including subclasses -- transparently falls back to its
         own ``build``, so the engine is always safe to use.
-    engine:
-        ``"index"`` (default) or ``"oracle"``.
     context:
         Optional shared :class:`~repro.core.context.PipelineContext`.  When
         given and the context owns the input data, the index builders read
         its interned token columns and the blocks speak its ordinals -- the
         single-interning guarantee of the shared pipeline context.  For data
         the context does not own (or without one) the index builders intern
-        a private context.  Ignored by the oracle engine and by builders
-        without an index implementation.
+        a private context.  Ignored by builders without an index
+        implementation.
     parallel:
         Optional :class:`~repro.mapreduce.parallel.ParallelEngine`.
         Comparison propagation fans out over it; building, purging and
@@ -476,14 +470,10 @@ class BlockingEngine:
     def __init__(
         self,
         builder: Optional[BlockBuilder] = None,
-        engine: str = "index",
         context=None,
         parallel=None,
     ) -> None:
-        if engine not in BLOCKING_ENGINES:
-            raise ValueError(f"unknown engine {engine!r}; available: {BLOCKING_ENGINES}")
         self.builder = builder if builder is not None else TokenBlocking()
-        self.engine = engine
         self.context = context
         self.parallel = parallel
         #: engine that actually executed the last build/clean call
@@ -494,9 +484,7 @@ class BlockingEngine:
     @property
     def build_index_applicable(self) -> bool:
         """Whether :meth:`build` will run on the index engine."""
-        return self.engine == "index" and (
-            type(self.builder) in _INDEX_BUILDERS or type(self.builder) in _ARRAY_BUILDS
-        )
+        return type(self.builder) in _INDEX_BUILDERS or type(self.builder) in _ARRAY_BUILDS
 
     def build(self, data: ERInput) -> BlockCollection:
         """Build the blocks of ``data`` with the configured builder."""
@@ -514,7 +502,7 @@ class BlockingEngine:
             columns = _context_token_build(builder, context)
             return BlockCollection.from_columns(columns, name=builder.name)
         self.last_engine = "oracle"
-        if self.engine == "index" and not self._warned_fallback:
+        if not self._warned_fallback:
             self._warned_fallback = True
             warnings.warn(
                 f"blocking scheme {type(self.builder).__name__} "
@@ -540,8 +528,7 @@ class BlockingEngine:
         subclasses may override behaviour the column kernels cannot see).
         """
         result = blocks
-        index = self.engine == "index"
-        oracle_used = not index
+        oracle_used = False
         steps = (
             (purging, BlockPurging, _index_purge, "purged"),
             (filtering, BlockFiltering, _index_filter, "filtered"),
@@ -549,21 +536,15 @@ class BlockingEngine:
         for cleaner, library_type, kernel, suffix in steps:
             if cleaner is None:
                 continue
-            if index and type(cleaner) is library_type:
+            if type(cleaner) is library_type:
                 columns = kernel(BlockColumns.from_collection(result), cleaner)
                 result = BlockCollection.from_columns(columns, name=f"{result.name}/{suffix}")
             else:
                 oracle_used = True
                 result = cleaner.process(result)
         if propagate:
-            if index:
-                result = _index_propagate(result, parallel=self.parallel)
-            else:
-                result = ComparisonPropagation().process(result)
-        if purging is None and filtering is None and not propagate:
-            self.last_engine = self.engine
-        else:
-            self.last_engine = "oracle" if oracle_used else "index"
+            result = _index_propagate(result, parallel=self.parallel)
+        self.last_engine = "oracle" if oracle_used else "index"
         return result
 
     def run(

@@ -53,6 +53,13 @@ def _load_collection(path: str, id_field: str) -> EntityCollection:
     raise SystemExit(f"unsupported input format {suffix!r}; expected .csv or .json")
 
 
+def _input_error(command: str, error: Exception) -> int:
+    """A missing or malformed input is a bad argument, not a crash: one
+    line on stderr and the usage-error exit status."""
+    print(f"repro {command}: error: {error}", file=sys.stderr)
+    return 2
+
+
 def _workflow_from_args(args: argparse.Namespace) -> ERWorkflow:
     try:
         config = WorkflowConfig(
@@ -173,7 +180,10 @@ def _add_workflow_arguments(parser: argparse.ArgumentParser) -> None:
 
 def _command_resolve(args: argparse.Namespace) -> int:
     workflow = _workflow_from_args(args)
-    collection = _load_collection(args.input, args.id_field)
+    try:
+        collection = _load_collection(args.input, args.id_field)
+    except (OSError, ValueError) as error:
+        return _input_error("resolve", error)
     print(f"resolving {len(collection)} descriptions with: {workflow.config.describe()}")
     result = workflow.run(collection)
     print(result.report.render())
@@ -184,9 +194,12 @@ def _command_resolve(args: argparse.Namespace) -> int:
 
 def _command_link(args: argparse.Namespace) -> int:
     workflow = _workflow_from_args(args)
-    left = _load_collection(args.left, args.id_field)
-    right = _load_collection(args.right, args.id_field)
-    task = CleanCleanTask(left, right)
+    try:
+        left = _load_collection(args.left, args.id_field)
+        right = _load_collection(args.right, args.id_field)
+        task = CleanCleanTask(left, right)
+    except (OSError, ValueError) as error:
+        return _input_error("link", error)
     print(
         f"linking {len(left)} x {len(right)} descriptions with: {workflow.config.describe()}"
     )
@@ -198,7 +211,10 @@ def _command_link(args: argparse.Namespace) -> int:
 
 
 def _command_incremental(args: argparse.Namespace) -> int:
-    collection = _load_collection(args.input, args.id_field)
+    try:
+        collection = _load_collection(args.input, args.id_field)
+    except (OSError, ValueError) as error:
+        return _input_error("incremental", error)
     workflow = ERWorkflow(WorkflowConfig(match_threshold=args.threshold))
     mode = f"restored from {args.restore}" if args.restore else "fresh index"
     print(
@@ -210,10 +226,8 @@ def _command_incremental(args: argparse.Namespace) -> int:
             collection, snapshot=args.snapshot, restore=args.restore
         )
     except (OSError, SnapshotError) as error:
-        # a missing, corrupt or foreign snapshot directory is a bad
-        # argument, not a crash: one line, the usage-error exit status
-        print(f"repro incremental: error: {error}", file=sys.stderr)
-        return 2
+        # a missing, corrupt or foreign snapshot directory is a bad argument
+        return _input_error("incremental", error)
     print(result.report.render())
     print(f"{len(result.clusters)} clusters, {result.num_matches} declared matches")
     if args.snapshot:

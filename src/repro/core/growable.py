@@ -253,6 +253,10 @@ class GrowableContext:
         first mutation.  Entries are opened by name, so the further
         ``context.*`` columns of a format-1.1 snapshot are never read.
         """
+        reader.require(
+            columns=("context.token_ptr", "context.token_ids"),
+            strings=("context.ids", "context.tokens"),
+        )
         context = cls()
         context._ids = reader.strings("context.ids")
         context._ordinal = {

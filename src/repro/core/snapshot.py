@@ -442,6 +442,20 @@ class SnapshotReader:
                 "the file is truncated or corrupted"
             ) from error
 
+    def require(self, columns: Sequence[str] = (), strings: Sequence[str] = ()) -> None:
+        """Raise :class:`SnapshotError` naming the first of a loader's
+        required ``columns`` / ``strings`` the inventory lacks."""
+        for kind, names, inventory in (
+            ("column", columns, self._columns),
+            ("string column", strings, self._strings),
+        ):
+            for name in names:
+                if name not in inventory:
+                    raise SnapshotError(
+                        f"snapshot at {self.path} has no {kind} {name!r}; "
+                        "the manifest is corrupted or partial"
+                    )
+
     def column(self, name: str) -> Sequence[int]:
         """Memory-mapped view of the int64 column ``name``, integrity-checked."""
         if name not in self._columns:

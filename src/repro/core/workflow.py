@@ -423,8 +423,7 @@ class ERWorkflow:
         result.matches = list(progressive.declared_matches)
         result.curve = progressive.curve
         stage = report.add_stage(
-            f"matching[{scheduler.name}@{scheduling.last_engine or scheduling.engine}"
-            f"+{engine.last_engine or engine.engine}]",
+            f"matching[{scheduler.name}@{scheduling.last_engine}+{engine.last_engine}]",
             comparisons=progressive.comparisons_executed,
             declared_matches=len(progressive.declared_matches),
             seconds=time.perf_counter() - start,

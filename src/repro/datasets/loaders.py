@@ -83,12 +83,21 @@ def save_collection_csv(collection: EntityCollection, path: Union[str, Path], id
 
 
 def load_collection_json(path: Union[str, Path]) -> EntityCollection:
-    """Load a collection from the JSON interchange format (full round-trip)."""
+    """Load a collection from the JSON interchange format (full round-trip).
+
+    Raises :class:`ValueError` for a payload that is not an object with a
+    ``descriptions`` list, or for a record without an ``id``.
+    """
     path = Path(path)
     with path.open(encoding="utf-8") as handle:
         payload = json.load(handle)
+    records = payload.get("descriptions") if isinstance(payload, dict) else None
+    if not isinstance(records, list):
+        raise ValueError(f"{path}: expected a JSON object with a 'descriptions' list")
     collection = EntityCollection(name=payload.get("name", path.stem))
-    for record in payload.get("descriptions", []):
+    for position, record in enumerate(records):
+        if not isinstance(record, dict) or "id" not in record:
+            raise ValueError(f"{path}: description {position} has no 'id'")
         description = EntityDescription(
             record["id"],
             attributes=record.get("attributes"),

@@ -15,16 +15,18 @@ Iterative blocking (:mod:`repro.iterative.iterative_blocking`) interleaves the
 iterative process with blocking: merges found in one block are propagated to
 all other blocks, saving redundant comparisons and finding extra matches.
 
-Execution engines and tie rules
--------------------------------
+Execution paths and tie rules
+-----------------------------
 
 The four resolvers (:class:`RSwoosh`, :class:`NaivePairwiseER`,
-:class:`CollectiveER`, :class:`AttributeOnlyER`) take an
-``engine="array"|"object"`` switch: the array default batches similarity
-scoring through :class:`~repro.matching.engine.MatchingEngine` and keeps
-cluster state in an integer union--find, while the object path is the
-readable per-pair oracle; custom matcher types fall back to the object path
-automatically (``last_engine`` reports what ran).  Both engines pin the same
+:class:`CollectiveER`, :class:`AttributeOnlyER`) pick their path by the
+matcher's exact type: for a
+:class:`~repro.matching.matchers.ProfileSimilarityMatcher` the array path
+batches similarity scoring through
+:class:`~repro.matching.engine.MatchingEngine` and keeps cluster state in an
+integer union--find; any other matcher, subclasses included, runs the
+readable per-pair object path (``last_engine`` reports what ran).  Both
+paths pin the same
 tie rules: candidate pairs initialise and re-queue in sorted canonical-pair
 order, R-Swoosh merges the *first* matching partner in resolved order, the
 naive baseline merges the lexicographically first matching index pair, a
@@ -33,11 +35,7 @@ clusters emit in ascending surviving-cluster order.
 """
 
 from repro.iterative.collective import AttributeOnlyER, CollectiveER, CollectiveResult
-from repro.iterative.incremental import (
-    INCREMENTAL_ENGINES,
-    ArrivalResult,
-    IncrementalResolver,
-)
+from repro.iterative.incremental import ArrivalResult, IncrementalResolver
 from repro.iterative.index import IncrementalIndex
 from repro.iterative.iterative_blocking import (
     IndependentBlockProcessing,
@@ -45,12 +43,10 @@ from repro.iterative.iterative_blocking import (
     IterativeBlockingResult,
 )
 from repro.iterative.queue import ComparisonQueue, IterativeResult, QueueBasedResolver
-from repro.iterative.swoosh import ITERATIVE_ENGINES, NaivePairwiseER, RSwoosh, SwooshResult
+from repro.iterative.swoosh import NaivePairwiseER, RSwoosh, SwooshResult
 
 __all__ = [
     "ArrivalResult",
-    "INCREMENTAL_ENGINES",
-    "ITERATIVE_ENGINES",
     "AttributeOnlyER",
     "CollectiveER",
     "CollectiveResult",

@@ -19,13 +19,14 @@ triggers new or re-prioritised comparisons of related pairs.
    to the merged ones is re-prioritised (its relational evidence has changed),
    which is what makes the process iterative rather than one-shot.
 
-Like the merging-based resolvers, both classes here carry an
-``engine="array"|"object"`` switch: the array path (default, requires the
-exact :class:`~repro.matching.matchers.ProfileSimilarityMatcher` type,
-otherwise it falls back automatically) scores the initialisation phase in
+Like the merging-based resolvers, both classes here pick their path by the
+attribute matcher's exact type: for a
+:class:`~repro.matching.matchers.ProfileSimilarityMatcher` the array path
+scores the initialisation phase in
 one batched call and keeps the cluster state in an
 :class:`~repro.core.unionfind.IntUnionFind` over description ordinals
-instead of dictionaries of identifier sets.  Queue order, comparison
+instead of dictionaries of identifier sets; any other matcher runs the
+dictionary-based object path.  Queue order, comparison
 counts, matches, rescue/requeue statistics and the final cluster list
 (ordered by ascending surviving cluster index, the oracle's dict order)
 are bit-identical to the object path.
@@ -42,7 +43,6 @@ from repro.datamodel.collection import EntityCollection
 from repro.datamodel.description import EntityDescription
 from repro.datamodel.pairs import Comparison, canonical_pair
 from repro.iterative.queue import ComparisonQueue
-from repro.iterative.swoosh import ITERATIVE_ENGINES
 from repro.matching.matchers import Matcher, ProfileSimilarityMatcher
 from repro.text.similarity import jaccard_similarity
 
@@ -115,12 +115,6 @@ class CollectiveER:
           disambiguate same-name entities at the price of recall).
     budget:
         Optional maximum number of similarity evaluations.
-    engine:
-        ``"array"`` (default, batched scoring + integer union--find cluster
-        state for the exact :class:`ProfileSimilarityMatcher` type) or
-        ``"object"`` (the dictionary-based oracle); custom matchers fall
-        back to the object path automatically, reported via
-        :attr:`last_engine`.
     """
 
     name = "collective_er"
@@ -133,21 +127,17 @@ class CollectiveER:
         candidate_threshold: float = 0.2,
         combination: str = "boost",
         budget: Optional[int] = None,
-        engine: str = "array",
     ) -> None:
         if not 0.0 <= relationship_weight <= 1.0:
             raise ValueError("relationship weight must be in [0, 1]")
         if combination not in ("boost", "weighted"):
             raise ValueError("combination must be 'boost' or 'weighted'")
-        if engine not in ITERATIVE_ENGINES:
-            raise ValueError(f"unknown engine {engine!r}; available: {ITERATIVE_ENGINES}")
         self.attribute_matcher = attribute_matcher or ProfileSimilarityMatcher(threshold=1.0)
         self.match_threshold = match_threshold
         self.relationship_weight = relationship_weight
         self.candidate_threshold = candidate_threshold
         self.combination = combination
         self.budget = budget
-        self.engine = engine
         #: engine that actually executed the last resolve call
         self.last_engine: Optional[str] = None
 
@@ -398,7 +388,7 @@ class CollectiveER:
         iterable of comparisons); when ``None`` all pairs of descriptions that
         share at least one token are used (token-blocking candidates).
         """
-        if self.engine == "array" and type(self.attribute_matcher) is ProfileSimilarityMatcher:
+        if type(self.attribute_matcher) is ProfileSimilarityMatcher:
             self.last_engine = "array"
             return self._resolve_array(collection, candidates)
         self.last_engine = "object"
@@ -521,14 +511,10 @@ class AttributeOnlyER:
         attribute_matcher: Optional[Matcher] = None,
         match_threshold: float = 0.6,
         budget: Optional[int] = None,
-        engine: str = "array",
     ) -> None:
-        if engine not in ITERATIVE_ENGINES:
-            raise ValueError(f"unknown engine {engine!r}; available: {ITERATIVE_ENGINES}")
         self.attribute_matcher = attribute_matcher or ProfileSimilarityMatcher(threshold=1.0)
         self.match_threshold = match_threshold
         self.budget = budget
-        self.engine = engine
         #: engine that actually executed the last resolve call
         self.last_engine: Optional[str] = None
 
@@ -537,7 +523,7 @@ class AttributeOnlyER:
         collection: EntityCollection,
         candidates: Union[BlockCollection, Iterable[Comparison], None] = None,
     ) -> CollectiveResult:
-        if self.engine == "array" and type(self.attribute_matcher) is ProfileSimilarityMatcher:
+        if type(self.attribute_matcher) is ProfileSimilarityMatcher:
             self.last_engine = "array"
             return self._resolve_array(collection, candidates)
         self.last_engine = "object"

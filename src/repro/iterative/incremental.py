@@ -25,24 +25,23 @@ affected neighbourhood is recomputed, via a root->tokens reverse map),
 read-only query "which existing cluster would this record join?" without
 mutating any state.
 
-Execution engines
------------------
-The resolver has two engines; ``engine="object"`` is passed by the equivalence
-suite and benchmarks only, never by the workflow.  The array default delegates to
+Execution paths
+---------------
+The matcher's exact type selects one of two paths.  The array path delegates to
 :class:`~repro.iterative.index.IncrementalIndex` -- arrivals are interned
 once (ordinal, vocabulary ids, merged distinct ids) into a shared
 :class:`~repro.core.growable.GrowableContext`, candidates are counted
 over array postings by one sorted-run kernel and scored straight from
 token-id set intersection sizes, and the state can be snapshotted to disk (:meth:`~IncrementalResolver.save`) and
 memory-mapped back (:meth:`~IncrementalResolver.restore`).  The object path
-in this module is the readable per-pair oracle the array engine is tested
+in this module is the readable per-pair oracle the array path is tested
 against, bit for bit: clusters, merged representations, match decisions and
 comparison counts agree at every prefix of any arrival stream.
 
-The array engine natively supports a plain set-mode
+The array path natively supports a plain set-mode
 :class:`~repro.matching.matchers.ProfileSimilarityMatcher`; TF-IDF matchers
 (whose global document frequencies keep shifting under online arrivals) and
-custom matcher types fall back to the object oracle automatically --
+any other matcher type, subclasses included, run the object path --
 ``last_engine`` reports what actually ran.
 
 The amortised cost per arrival is bounded by ``max_candidates`` comparisons,
@@ -60,10 +59,6 @@ from repro.datamodel.collection import EntityCollection
 from repro.datamodel.description import EntityDescription, merge_descriptions
 from repro.matching.matchers import Matcher, ProfileSimilarityMatcher
 from repro.text.tokenize import DEFAULT_STOP_WORDS, token_set
-
-#: Engines of :class:`IncrementalResolver`.
-INCREMENTAL_ENGINES = ("array", "object")
-
 
 @dataclass
 class ArrivalResult:
@@ -91,8 +86,6 @@ class IncrementalResolver:
         (the candidates sharing the most tokens are kept).
     stop_words, min_token_length:
         Tokenisation options of the incremental token index.
-    engine:
-        ``"array"`` (default) or ``"object"``; see the module docstring.
     """
 
     def __init__(
@@ -101,28 +94,18 @@ class IncrementalResolver:
         max_candidates: int = 20,
         stop_words=DEFAULT_STOP_WORDS,
         min_token_length: int = 2,
-        engine: str = "array",
     ) -> None:
-        if engine not in INCREMENTAL_ENGINES:
-            raise ValueError(
-                f"unknown engine {engine!r}; available: {INCREMENTAL_ENGINES}"
-            )
         if max_candidates < 1:
             raise ValueError("max_candidates must be at least 1")
         self.matcher = matcher
         self.max_candidates = max_candidates
         self.stop_words = frozenset(stop_words) if stop_words else frozenset()
         self.min_token_length = min_token_length
-        self.engine = engine
         #: engine that actually executed the last operation
         self.last_engine: Optional[str] = None
 
         self._index = None
-        if (
-            engine == "array"
-            and type(matcher) is ProfileSimilarityMatcher
-            and matcher.vectorizer is None
-        ):
+        if type(matcher) is ProfileSimilarityMatcher and matcher.vectorizer is None:
             from repro.iterative.index import IncrementalIndex
 
             self._index = IncrementalIndex(
@@ -372,14 +355,14 @@ class IncrementalResolver:
     def save(self, path: Union[str, Path]) -> None:
         """Snapshot the resolution state to ``path`` (a directory).
 
-        Only the array engine has a columnar state to persist; the object
-        oracle raises ``ValueError``.
+        Only the array path has a columnar state to persist; the object
+        path raises ``ValueError``.
         """
         index = self._run_array()
         if index is None:
             raise ValueError(
-                "snapshots require the array engine (a plain set-mode "
-                "ProfileSimilarityMatcher resolved with engine='array')"
+                "snapshots require the array path (a plain set-mode "
+                "ProfileSimilarityMatcher)"
             )
         index.save(path)
 
@@ -406,7 +389,6 @@ class IncrementalResolver:
             max_candidates=index.max_candidates,
             stop_words=index.stop_words,
             min_token_length=index.min_token_length,
-            engine="array",
         )
         resolver._index = index
         return resolver

@@ -73,6 +73,21 @@ __all__ = ["IncrementalIndex"]
 _TREE_OPEN = -1
 _TREE_CLOSE = -2
 
+#: the snapshot columns :meth:`IncrementalIndex.load` reads; the match-token
+#: CSR exists only when the match filter differs from the blocking one
+_INDEX_COLUMNS = (
+    "index.uf_parent",
+    "index.alive",
+    "index.roots",
+    "index.member_ptr",
+    "index.member_data",
+    "index.root_token_ptr",
+    "index.root_token_data",
+    "index.tree_ptr",
+    "index.tree_data",
+)
+_MATCH_COLUMNS = ("index.match_token_ptr", "index.match_token_data")
+
 
 def _encode_tree(node: Any, out: array) -> None:
     if isinstance(node, list):
@@ -561,6 +576,9 @@ class IncrementalIndex:
                     "matcher configuration does not match the snapshot; "
                     "load(path) rebuilds the recorded matcher automatically"
                 )
+        reader.require(
+            columns=_INDEX_COLUMNS if meta["shared_filter"] else _INDEX_COLUMNS + _MATCH_COLUMNS
+        )
         context = GrowableContext.from_snapshot(reader)
         index = cls(
             matcher,

@@ -16,14 +16,13 @@ descriptions that neither source matched alone.
   current descriptions, merge the first match found, and restart, until no
   pair matches (fixpoint).
 
-Both resolvers carry the two-engine switch of the columnar pipeline:
-``engine="array"`` (the default) scores each comparison row in one batched
+Both resolvers have two paths, chosen by the matcher's exact type: for a
+:class:`~repro.matching.matchers.ProfileSimilarityMatcher` the array path
+scores each comparison row in one batched
 :meth:`~repro.matching.engine.MatchingEngine.similarity_scores` call --
-profiles are interned once instead of re-tokenised per comparison -- while
-``engine="object"`` is the readable per-pair oracle above.  The array path
-requires the exact :class:`~repro.matching.matchers.ProfileSimilarityMatcher`
-type (custom matchers fall back to the object path automatically, reported
-via :attr:`last_engine`); resolution order, comparison counts, merges and
+profiles are interned once instead of re-tokenised per comparison -- and any
+other matcher (subclasses included) runs the readable per-pair object path
+above, reported via :attr:`last_engine`.  Resolution order, comparison counts, merges and
 budget behaviour are bit-identical by construction: a row is only scored up
 to the first match / the remaining budget, exactly where the oracle stops.
 """
@@ -36,9 +35,6 @@ from typing import Dict, FrozenSet, List, Optional, Sequence, Set, Tuple
 from repro.datamodel.collection import EntityCollection
 from repro.datamodel.description import EntityDescription, merge_descriptions, provenance
 from repro.matching.matchers import Matcher, ProfileSimilarityMatcher
-
-#: Execution engines of the iterative resolvers.
-ITERATIVE_ENGINES = ("array", "object")
 
 
 @dataclass
@@ -76,28 +72,18 @@ class RSwoosh:
     budget:
         Optional maximum number of comparisons; the run stops when it is
         exhausted (useful for progressive evaluations).
-    engine:
-        ``"array"`` (default, batched columnar scoring for the exact
-        :class:`ProfileSimilarityMatcher` type) or ``"object"`` (the
-        per-pair oracle); custom matchers fall back to the object path
-        automatically.
     """
 
     name = "r_swoosh"
 
-    def __init__(
-        self, matcher: Matcher, budget: Optional[int] = None, engine: str = "array"
-    ) -> None:
-        if engine not in ITERATIVE_ENGINES:
-            raise ValueError(f"unknown engine {engine!r}; available: {ITERATIVE_ENGINES}")
+    def __init__(self, matcher: Matcher, budget: Optional[int] = None) -> None:
         self.matcher = matcher
         self.budget = budget
-        self.engine = engine
         #: engine that actually executed the last resolve call
         self.last_engine: Optional[str] = None
 
     def resolve(self, collection: EntityCollection) -> SwooshResult:
-        if self.engine == "array" and type(self.matcher) is ProfileSimilarityMatcher:
+        if type(self.matcher) is ProfileSimilarityMatcher:
             self.last_engine = "array"
             return self._resolve_array(collection)
         self.last_engine = "object"
@@ -194,19 +180,14 @@ class NaivePairwiseER:
 
     name = "naive_pairwise"
 
-    def __init__(
-        self, matcher: Matcher, budget: Optional[int] = None, engine: str = "array"
-    ) -> None:
-        if engine not in ITERATIVE_ENGINES:
-            raise ValueError(f"unknown engine {engine!r}; available: {ITERATIVE_ENGINES}")
+    def __init__(self, matcher: Matcher, budget: Optional[int] = None) -> None:
         self.matcher = matcher
         self.budget = budget
-        self.engine = engine
         #: engine that actually executed the last resolve call
         self.last_engine: Optional[str] = None
 
     def resolve(self, collection: EntityCollection) -> SwooshResult:
-        if self.engine == "array" and type(self.matcher) is ProfileSimilarityMatcher:
+        if type(self.matcher) is ProfileSimilarityMatcher:
             self.last_engine = "array"
             return self._resolve_array(collection)
         self.last_engine = "object"

@@ -13,30 +13,28 @@ provides:
 * equivalence clustering of pairwise match decisions
   (:mod:`repro.matching.clustering`).
 
-Execution engines
------------------
+Execution paths
+---------------
 Like the meta-blocking stage, matching separates *what* is decided from *how*
 the decisions are executed.  The matchers are the readable per-pair
 formulation, but they re-derive both descriptions' token profiles on every
 comparison, so an entity appearing in *K* candidate pairs pays its
 tokenisation and TF-IDF weighting cost *K* times.
-:class:`~repro.matching.engine.MatchingEngine` (``engine="batch"``, the
-workflow default) instead resolves each description once into a columnar
+:class:`~repro.matching.engine.MatchingEngine` instead resolves each description once into a columnar
 :class:`~repro.text.profile_store.ProfileStore` -- interned integer token
 ids, sorted id arrays and TF-IDF weight columns with their norms -- and
 decides whole columns of ordinal pairs with one NumPy kernel over it (an
 exact per-pair body refines the pairs at the threshold, so decisions are
 bit-identical).
 
-The per-pair matchers remain the *oracle*: ``engine="pairwise"`` executes
-them verbatim, the equivalence suite (``tests/test_matching_equivalence.py``)
-pins both engines to bit-identical decisions, and the batch engine falls back
-to the oracle automatically whenever it cannot replicate the configured
-matcher -- :class:`~repro.matching.matchers.RuleBasedMatcher`,
+The per-pair matchers remain the *oracle*: the equivalence suite
+(``tests/test_matching_equivalence.py``) pins the engine to bit-identical
+decisions against ``matcher.decide_all``, and the engine runs the matcher
+itself whenever it cannot replicate it -- :class:`~repro.matching.matchers.RuleBasedMatcher`,
 :class:`~repro.matching.matchers.AttributeWeightedMatcher`, custom
 :class:`~repro.matching.matchers.Matcher` implementations and
 ``ProfileSimilarityMatcher`` *subclasses* (whose overridden similarity the
-columnar path cannot see).  Swapping engines therefore never changes a
+columnar path cannot see).  Which path runs therefore never changes a
 workflow's output, only its speed.
 
 The update/iterate phase of :class:`~repro.core.workflow.ERWorkflow` uses
@@ -57,26 +55,24 @@ executed decisions straight into a columnar
 :class:`~repro.datamodel.pairs.DecisionColumns` (ordinal ``first``/``second``
 plus flat ``similarity``/``is_match`` arrays; decision objects materialise
 lazily as the oracle bridge), and
-:class:`~repro.matching.cluster_engine.ClusteringEngine`
-(``engine="array"``, the workflow default) clusters those columns with
+:class:`~repro.matching.cluster_engine.ClusteringEngine` clusters those columns with
 integer path-halving union--find and argsort passes -- bit-identical clusters
 to the object algorithms, including the heaviest-first tie order (descending
-similarity, ties in canonical identifier-pair order).  ``engine="object"``
-executes the :mod:`repro.matching.clustering` algorithms verbatim; custom
+similarity, ties in canonical identifier-pair order).  Custom
 :class:`~repro.matching.clustering.ClusteringAlgorithm` implementations --
-and subclasses of the three library algorithms -- always fall back to it,
-receiving lazily materialised decisions, so the engine is safe for any
+and subclasses of the three library algorithms -- run their own
+``cluster``, receiving lazily materialised decisions, so the engine is safe for any
 algorithm.
 """
 
-from repro.matching.cluster_engine import CLUSTERING_ENGINES, ClusteringEngine
+from repro.matching.cluster_engine import ClusteringEngine
 from repro.matching.clustering import (
     CenterClustering,
     ClusteringAlgorithm,
     ConnectedComponentsClustering,
     MergeCenterClustering,
 )
-from repro.matching.engine import MATCHING_ENGINES, MatchingEngine
+from repro.matching.engine import MatchingEngine
 from repro.matching.matchers import (
     AttributeWeightedMatcher,
     DecisionList,
@@ -90,13 +86,11 @@ from repro.matching.oracle import OracleMatcher
 
 __all__ = [
     "AttributeWeightedMatcher",
-    "CLUSTERING_ENGINES",
     "CenterClustering",
     "ClusteringAlgorithm",
     "ClusteringEngine",
     "ConnectedComponentsClustering",
     "DecisionList",
-    "MATCHING_ENGINES",
     "MatchDecision",
     "Matcher",
     "MatchingEngine",

@@ -4,12 +4,10 @@ Clustering was the last per-object phase of the workflow tail: every run
 materialised a ``MatchDecision`` per declared match only to feed a
 string-keyed union--find.  :class:`ClusteringEngine` executes the same three
 library algorithms over the flat ordinal columns of a
-:class:`~repro.datamodel.pairs.DecisionColumns`, following the established
-two-engine pattern of the blocking, meta-blocking, matching and scheduling
-phases:
+:class:`~repro.datamodel.pairs.DecisionColumns`, following the pattern of the blocking, meta-blocking, matching and
+scheduling phases: the algorithm's exact type selects the path.
 
-* ``engine="array"`` (the default) -- the library algorithms run natively on
-  columns:
+* **Array path** -- the library algorithms run natively on columns:
 
   - :class:`~repro.matching.clustering.ConnectedComponentsClustering` is one
     :class:`~repro.core.unionfind.IntUnionFind` pass over the positive rows
@@ -25,12 +23,12 @@ phases:
 
   Cluster output is bit-identical to the oracle: the same frozensets in the
   same list order (clusters appear in first-assignment order of their
-  members, which the array engine tracks explicitly).
+  members, which the array path tracks explicitly).
 
-* ``engine="object"`` -- delegates to the algorithm's own
+* **Object path** -- delegates to the algorithm's own
   :meth:`~repro.matching.clustering.ClusteringAlgorithm.cluster`: the
-  readable reference, selected only by the equivalence suite
-  (``tests/test_clustering_engine.py``) and benchmarks, never by the workflow.
+  readable reference, which the equivalence suite
+  (``tests/test_clustering_engine.py``) calls directly as its oracle.
 
 Custom :class:`~repro.matching.clustering.ClusteringAlgorithm` subclasses --
 including subclasses of the three library algorithms, whose overridden
@@ -56,9 +54,6 @@ from repro.matching.matchers import MatchDecision
 
 import numpy as _np
 
-#: Execution engines of the clustering phase.
-CLUSTERING_ENGINES = ("array", "object")
-
 #: Library algorithms the array engine replicates (exact types; subclasses
 #: fall back to their own ``cluster``).
 _ARRAY_ALGORITHMS = (
@@ -69,7 +64,7 @@ _ARRAY_ALGORITHMS = (
 
 
 class ClusteringEngine:
-    """Match-decision clustering with an array and an object (oracle) engine.
+    """Match-decision clustering on columns, the algorithm's own as fallback.
 
     Parameters
     ----------
@@ -79,8 +74,6 @@ class ClusteringEngine:
         every other algorithm -- subclasses included -- transparently falls
         back to its own ``cluster`` method, so the engine is always safe to
         use.
-    engine:
-        ``"array"`` (default) or ``"object"``.
     parallel:
         Optional :class:`~repro.mapreduce.parallel.ParallelEngine`.  The
         connected-components union--find then runs as per-shard passes over
@@ -98,15 +91,9 @@ class ClusteringEngine:
     def __init__(
         self,
         algorithm: ClusteringAlgorithm,
-        engine: str = "array",
         parallel=None,
     ) -> None:
-        if engine not in CLUSTERING_ENGINES:
-            raise ValueError(
-                f"unknown engine {engine!r}; available: {CLUSTERING_ENGINES}"
-            )
         self.algorithm = algorithm
-        self.engine = engine
         self.parallel = parallel
         #: engine that actually produced the last clusters
         self.last_engine: Optional[str] = None
@@ -120,7 +107,7 @@ class ClusteringEngine:
         library: subclasses may override ``cluster`` in ways the columnar
         path cannot see, so they stay on the object oracle.
         """
-        return self.engine == "array" and type(self.algorithm) in _ARRAY_ALGORITHMS
+        return type(self.algorithm) in _ARRAY_ALGORITHMS
 
     def cluster(
         self, decisions: Union[DecisionColumns, Iterable[MatchDecision]]

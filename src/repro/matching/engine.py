@@ -7,9 +7,11 @@ same decisions against a columnar
 :class:`~repro.text.profile_store.ProfileStore`, in which each description is
 tokenised, interned and (in TF-IDF mode) weighted exactly once.
 
-Two engines sit behind one interface, mirroring the meta-blocking engines:
+Two paths sit behind one interface, mirroring the meta-blocking engine, and
+the matcher's exact type picks one:
 
-* ``engine="batch"`` (the default) has one **kernel** and one **exact body**.
+* the **batch** path (an exact :class:`ProfileSimilarityMatcher`) has one
+  **kernel** and one **exact body**.
 
   - The kernel (:meth:`MatchingEngine.decide_ordinal_pairs`, over a shared
     pipeline context) decides whole columns of context-ordinal pairs
@@ -48,17 +50,18 @@ Two engines sit behind one interface, mirroring the meta-blocking engines:
   scores exist to be thresholded by the update phase: they lie on the exact
   score's side of the threshold and within the margin of it.
 
-* ``engine="pairwise"`` -- delegates to the per-pair matcher, which remains
-  the oracle of the equivalence suite (``tests/test_matching_equivalence.py``)
-  and the automatic fallback whenever the batch path cannot replicate the
-  matcher: :class:`~repro.matching.matchers.RuleBasedMatcher`,
+* the **pairwise** path -- delegates to the per-pair matcher, which remains
+  the readable reference (the equivalence suite,
+  ``tests/test_matching_equivalence.py``, compares against
+  ``matcher.decide_all``) and runs whenever the batch path cannot replicate
+  the matcher: :class:`~repro.matching.matchers.RuleBasedMatcher`,
   :class:`~repro.matching.matchers.AttributeWeightedMatcher`, custom
   :class:`~repro.matching.matchers.Matcher` implementations and
   ``ProfileSimilarityMatcher`` *subclasses* (whose overridden behaviour the
-  columnar path cannot see) all run pairwise even under ``engine="batch"``.
+  columnar path cannot see).
 
-Because decisions are bit-identical and emitted in input order, swapping the
-engines never changes a workflow's output -- only its speed.  Matching always
+Because decisions are bit-identical and emitted in input order, which path
+runs never changes a workflow's output -- only its speed.  Matching always
 runs on the calling process.
 """
 
@@ -80,9 +83,6 @@ from repro.text.profile_store import Profile, ProfileStore
 from repro.text.vectorizer import weighted_cosine
 
 import numpy as _np
-
-#: Execution engines of the matching phase.
-MATCHING_ENGINES = ("batch", "pairwise")
 
 
 def _set_score(similarity_name: str, size_a: int, size_b: int, shared: int) -> float:
@@ -108,7 +108,7 @@ def _id_set_score(similarity_name: str, first: frozenset, second: frozenset) -> 
 
 
 class MatchingEngine:
-    """Comparison executor with a batched and a per-pair (oracle) engine.
+    """Comparison executor: batched for the library matcher, per-pair otherwise.
 
     Parameters
     ----------
@@ -118,8 +118,6 @@ class MatchingEngine:
         (both its set-similarity and TF-IDF modes); every other matcher --
         including subclasses -- transparently falls back to the per-pair
         oracle, so the engine is always safe to use.
-    engine:
-        ``"batch"`` (default) or ``"pairwise"``.
     context:
         Optional shared :class:`~repro.core.context.PipelineContext`.  When
         given, the engine's profile store is backed by the context: profiles
@@ -136,26 +134,20 @@ class MatchingEngine:
     -----
     An engine instance owns one :class:`~repro.text.profile_store.ProfileStore`
     bound to the first input data it sees; it is meant to live for one
-    workflow run (one dataset).  :attr:`last_engine` reports which engine
-    actually executed the most recent call (``"batch"`` or ``"pairwise"``).
+    workflow run (one dataset).  :attr:`last_engine` reports the path the
+    matcher's type selects (``"batch"`` or ``"pairwise"``).
     """
 
     def __init__(
         self,
         matcher: Matcher,
-        engine: str = "batch",
         context=None,
         parallel=None,
     ) -> None:
-        if engine not in MATCHING_ENGINES:
-            raise ValueError(f"unknown engine {engine!r}; available: {MATCHING_ENGINES}")
         self.matcher = matcher
-        self.engine = engine
         self.context = context
         self._store: Optional[ProfileStore] = None
         self._store_source: Optional[object] = None
-        #: engine that actually executed the last call
-        self.last_engine: Optional[str] = None
         #: comparisons skipped by the last ``decide_all`` (unresolvable ids)
         self.last_skipped = 0
 
@@ -168,7 +160,12 @@ class MatchingEngine:
         dispatch: subclasses may override ``similarity`` in ways the columnar
         path cannot replicate, so they stay on the per-pair oracle.
         """
-        return self.engine == "batch" and type(self.matcher) is ProfileSimilarityMatcher
+        return type(self.matcher) is ProfileSimilarityMatcher
+
+    @property
+    def last_engine(self) -> str:
+        """The path every call runs: ``"batch"`` or ``"pairwise"``."""
+        return "batch" if self.batch_applicable else "pairwise"
 
     @property
     def store(self) -> Optional[ProfileStore]:
@@ -208,7 +205,6 @@ class MatchingEngine:
             )
         if ordinals and self.context is None:
             raise ValueError(f"{caller} needs a shared pipeline context")
-        self.last_engine = "batch"
         return self._store_for(None)
 
     # ------------------------------------------------------------------
@@ -242,12 +238,10 @@ class MatchingEngine:
         """Decide ``comparisons`` against ``data``; same contract as
         :meth:`Matcher.decide_all`, decisions in input order."""
         if not self.batch_applicable:
-            self.last_engine = "pairwise"
             decisions = self.matcher.decide_all(comparisons, data)
             self.last_skipped = decisions.skipped
             return decisions
 
-        self.last_engine = "batch"
         profile = self._store_for(data).profile
         decisions = DecisionList()
         for comparison in comparisons:
@@ -285,7 +279,6 @@ class MatchingEngine:
         identifier.
         """
         if not self.batch_applicable:
-            self.last_engine = "pairwise"
             return [self.matcher.decide(first, second) for first, second in pairs]
         return [
             self._decision(Comparison(first.identifier, second.identifier), score)
@@ -429,7 +422,6 @@ class MatchingEngine:
             )
         if self.matcher.vectorizer is not None:
             raise ValueError("score_id_set_pairs only supports set-mode matchers")
-        self.last_engine = "batch"
         name = self.matcher.similarity_name
         sets: Dict[int, frozenset] = {}
 

@@ -12,9 +12,10 @@ pruned.  The classical scheme combinations are:
 * pruning: weighted/cardinality edge pruning (WEP/CEP) and weighted/cardinality
   node pruning (WNP/CNP), plus their reciprocal variants.
 
-Two interchangeable execution engines implement the restructuring:
+Two interchangeable execution paths implement the restructuring, chosen by
+the schemes' exact types:
 
-* **index** (default) -- :class:`~repro.metablocking.entity_index.EntityIndexEngine`
+* **index** (the standard schemes) -- :class:`~repro.metablocking.entity_index.EntityIndexEngine`
   stores block membership as flat integer arrays in CSR form with an interned
   identifier/ordinal mapping, stays in ordinal space from there on (weights
   and pruning run as ranged passes that expand a bounded batch of node
@@ -24,7 +25,7 @@ Two interchangeable execution engines implement the restructuring:
   number of graph edges, and the hot loops run over machine integers
   (vectorised with NumPy).  Pick it for anything beyond toy
   inputs.
-* **graph** -- :class:`~repro.metablocking.graph.BlockingGraph` materialises a
+* **graph** (any other scheme) -- :class:`~repro.metablocking.graph.BlockingGraph` materialises a
   dictionary entry per edge plus per-edge shared-block lists, and the pruning
   schemes in :mod:`repro.metablocking.pruning` materialise every weighted
   edge before filtering.  Memory and time are O(edges), but the code follows
@@ -35,8 +36,9 @@ Two interchangeable execution engines implement the restructuring:
   automatically fall back to it), and as the oracle of the equivalence test
   suite.
 
-Both engines retain identical comparison sets for every (weighting x pruning)
-combination; select one via ``MetaBlocking(..., engine="index"|"graph")``.
+Both paths retain identical comparison sets for every (weighting x pruning)
+combination; the equivalence suite holds the index path to
+``pruning.prune(BlockingGraph(blocks), weighting)``.
 """
 
 from repro.metablocking.entity_index import (
@@ -45,7 +47,7 @@ from repro.metablocking.entity_index import (
     EntityIndexEngine,
 )
 from repro.metablocking.graph import BlockingGraph, WeightedEdge
-from repro.metablocking.pipeline import ENGINES, MetaBlocking
+from repro.metablocking.pipeline import MetaBlocking
 from repro.metablocking.pruning import (
     CardinalityEdgePruning,
     CardinalityNodePruning,
@@ -70,7 +72,6 @@ __all__ = [
     "CBS",
     "ECBS",
     "EJS",
-    "ENGINES",
     "INDEX_PRUNING_SCHEMES",
     "INDEX_WEIGHTING_SCHEMES",
     "JS",

@@ -1,24 +1,24 @@
 """End-to-end meta-blocking: block collection in, restructured comparisons out.
 
 :class:`MetaBlocking` wires together a weighting scheme, a pruning scheme and
-one of two execution engines:
+one of two execution paths, chosen by the schemes' exact types:
 
-* ``engine="index"`` (the default) -- the array-backed
+* the index path (the ten standard schemes) -- the array-backed
   :class:`~repro.metablocking.entity_index.EntityIndexEngine`, which runs
   batched passes over CSR block-membership arrays, stays in ordinal space
   and hands back the retained edges as flat ``(first, second, weight)``
   columns; pruned edges are never all resident (peak transient memory is
   one node batch, plus span columns of the order of the index itself for
   cutting the batches, plus the retained columns);
-* ``engine="graph"`` -- the legacy object
-  :class:`~repro.metablocking.graph.BlockingGraph`, kept as the readable
-  reference implementation and as the test oracle of the equivalence suite.
+* the graph path (any other scheme, subclasses included) -- the legacy
+  object :class:`~repro.metablocking.graph.BlockingGraph` pruned by the
+  scheme's own ``prune``, kept as the readable reference implementation;
+  the equivalence suite calls ``pruning.prune(BlockingGraph(blocks),
+  weighting)`` as its oracle.
 
-Both engines retain the same comparisons for every (weighting x pruning)
-combination; the index engine falls back to the graph engine automatically
-when custom (user-defined) scheme instances are supplied, since only the five
-standard weighting and six standard pruning schemes have columnar
-implementations.
+Both paths retain the same comparisons for every (weighting x pruning)
+combination; only the five standard weighting and six standard pruning
+schemes have columnar implementations.
 
 The output can be consumed in four forms:
 
@@ -67,8 +67,6 @@ from repro.metablocking.weighting import (
     get_weighting_scheme,
 )
 
-ENGINES = ("index", "graph")
-
 _INDEX_WEIGHTINGS = {CBS: "CBS", ECBS: "ECBS", JS: "JS", EJS: "EJS", ARCS: "ARCS"}
 
 
@@ -80,7 +78,7 @@ def _uncovered(identifier: str) -> KeyError:
 
 
 class MetaBlocking:
-    """Meta-blocking pipeline with pluggable weighting, pruning and engine.
+    """Meta-blocking pipeline with pluggable weighting and pruning schemes.
 
     Parameters
     ----------
@@ -90,16 +88,12 @@ class MetaBlocking:
     pruning:
         A :class:`PruningScheme` instance or its name (``"WEP"``, ``"CEP"``,
         ``"WNP"``, ``"CNP"``, ``"ReciprocalWNP"``, ``"ReciprocalCNP"``).
-    engine:
-        ``"index"`` (default) for the array-backed columnar engine,
-        ``"graph"`` for the legacy object-graph engine.
     """
 
     def __init__(
         self,
         weighting: Union[WeightingScheme, str, None] = None,
         pruning: Union[PruningScheme, str, None] = None,
-        engine: str = "index",
     ) -> None:
         if weighting is None:
             self.weighting: WeightingScheme = CBS()
@@ -113,9 +107,6 @@ class MetaBlocking:
             self.pruning = get_pruning_scheme(pruning)
         else:
             self.pruning = pruning
-        if engine not in ENGINES:
-            raise ValueError(f"unknown engine {engine!r}; available: {ENGINES}")
-        self.engine = engine
         #: statistics of the last run, reported by benchmarks; populated
         #: identically by both engines (by :meth:`iter_retained` when its
         #: first edge is requested, by :meth:`weighted_columns` on return)
@@ -169,7 +160,7 @@ class MetaBlocking:
         context that does not cover the blocks is refused before any pruning
         work.  Sets the last-run statistics.
         """
-        spec = self._index_spec() if self.engine == "index" else None
+        spec = self._index_spec()
         if spec is None:
             return None
         weighting_name, pruning_name, kwargs = spec

@@ -27,37 +27,33 @@ Schedulers implemented:
 against a matcher under a comparison budget and records the progressive
 recall curve.
 
-Scheduling engines
-------------------
+Scheduling paths
+----------------
 
 Like the blocking, meta-blocking and matching phases, scheduling executes
-behind a two-engine interface,
-:class:`~repro.progressive.engine.SchedulingEngine`:
+behind :class:`~repro.progressive.engine.SchedulingEngine`, and the
+scheduler's exact type selects the path.  The feedback-free library
+schedulers -- weight-ordered, static-order, random-order, sorted-list and
+progressive-block (with promotion disabled) -- run over flat ordinal/weight
+arrays: meta-blocking hands its retained edges over as
+:class:`~repro.datamodel.pairs.ComparisonColumns`, ordering is one argsort
+or a lazy row generator, a comparison budget becomes a slice of the ordered
+rows, and :func:`~repro.progressive.runner.run_progressive` feeds the drawn
+rows straight into
+:meth:`~repro.matching.engine.MatchingEngine.decide_ordinal_pairs` without
+ever materialising scheduled ``Comparison`` objects.
 
-* ``engine="array"`` (what the workflow runs) executes the feedback-free library
-  schedulers -- weight-ordered, static-order, random-order, sorted-list and
-  progressive-block (with promotion disabled) -- over flat ordinal/weight
-  arrays: meta-blocking hands its retained edges over as
-  :class:`~repro.datamodel.pairs.ComparisonColumns` (one identifier table
-  plus ``(first, second, weight)`` columns), ordering is one argsort or a
-  lazy row generator, a comparison budget becomes a slice of the ordered
-  rows, and :func:`~repro.progressive.runner.run_progressive` feeds the
-  drawn rows straight into
-  :meth:`~repro.matching.engine.MatchingEngine.decide_pairs` without ever
-  materialising scheduled ``Comparison`` objects.
-* ``engine="object"`` delegates to the scheduler's own ``schedule``
-  generator -- the readable reference, selected only by the equivalence suite
-  (``tests/test_scheduling_engine.py``) and benchmarks, never by the workflow.
-
-**Fallback rules.**  Adaptive schedulers (progressive sorted neighbourhood,
-the cost--benefit scheduler, progressive blocking with match promotion),
-custom :class:`~repro.progressive.schedulers.ProgressiveScheduler`
-implementations and subclasses of the native types always run on the object
-path: their order may depend on match feedback or overridden behaviour that
-an up-front array order cannot represent.  That exact-type rule is how user
-schedulers plug into the workflow.  Both engines produce bit-identical
-schedules -- the same comparisons in the same order (including order under
-weight ties), hence the same matches and the same progressive recall curve.
+Every other scheduler -- the adaptive ones (progressive sorted
+neighbourhood, the cost--benefit scheduler, progressive blocking with match
+promotion), custom :class:`~repro.progressive.schedulers.ProgressiveScheduler`
+implementations and subclasses of the native types -- runs its own
+``schedule`` generator, the readable reference the equivalence suite
+(``tests/test_scheduling_engine.py``) compares against: its order may depend
+on match feedback or overridden behaviour that an up-front array order
+cannot represent.  That exact-type rule is how user schedulers plug into
+the workflow.  Both paths produce bit-identical schedules -- the same
+comparisons in the same order (including order under weight ties), hence
+the same matches and the same progressive recall curve.
 """
 
 from repro.progressive.budget import Budget

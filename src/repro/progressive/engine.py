@@ -4,11 +4,11 @@ Scheduling was the last object-graph phase of the workflow: every scheduler
 materialised a ``List[Comparison]`` (often twice -- meta-blocking built one
 sorted list, the scheduler deduplicated and re-sorted it) and the runner drew
 the per-pair objects one by one.  :class:`SchedulingEngine` executes the same
-schedules over flat ordinal/weight arrays, following the established
-two-engine pattern of the blocking, meta-blocking and matching phases:
+schedules over flat ordinal/weight arrays, following the pattern of the blocking, meta-blocking and matching phases:
+the scheduler's exact type selects the path.
 
-* ``engine="array"`` (the default) -- the feedback-free library schedulers
-  run natively on columns:
+* **Array path** -- the feedback-free library schedulers run natively on
+  columns:
 
   - :class:`~repro.progressive.schedulers.WeightOrderScheduler` orders the
     meta-blocking engine's :class:`~repro.datamodel.pairs.ComparisonColumns`
@@ -35,17 +35,17 @@ two-engine pattern of the blocking, meta-blocking and matching phases:
   in batched draws (see :func:`~repro.progressive.runner.run_progressive`),
   so a budgeted run touches only the array prefix it can afford.
 
-* ``engine="object"`` -- delegates to the scheduler's own
+* **Object path** -- delegates to the scheduler's own
   :meth:`~repro.progressive.schedulers.ProgressiveScheduler.schedule`
-  generator: the readable reference, selected only by the equivalence suite
-  (``tests/test_scheduling_engine.py``) and benchmarks, never by the workflow.
+  generator: the readable reference, which the equivalence suite
+  (``tests/test_scheduling_engine.py``) calls directly as its oracle.
 
 Schedulers that adapt to match feedback (progressive sorted neighbourhood,
 the cost--benefit scheduler, progressive blocking with promotion) and custom
 :class:`~repro.progressive.schedulers.ProgressiveScheduler` implementations
 fall back to the object path automatically -- their next draw may depend on
 the previous decision, which an up-front array order cannot represent.  Both
-engines produce bit-identical schedules: the same comparisons, in the same
+paths produce bit-identical schedules: the same comparisons, in the same
 order (including order under weight ties), hence the same matches and the
 same progressive recall curve.
 """
@@ -81,9 +81,6 @@ from repro.progressive.schedulers import (
 from repro.progressive.sorted_list import SortedListScheduler
 
 import numpy as _np
-
-#: Execution engines of the scheduling phase.
-SCHEDULING_ENGINES = ("array", "object")
 
 #: Row type of an array schedule: (first ordinal, second ordinal, weight).
 Row = Tuple[int, int, Optional[float]]
@@ -160,7 +157,7 @@ def _columns_from_blocks(blocks: BlockCollection) -> ComparisonColumns:
 
 
 class SchedulingEngine:
-    """Comparison scheduling with an array and an object (oracle) engine.
+    """Comparison scheduling on columns, the scheduler's own as fallback.
 
     Parameters
     ----------
@@ -171,8 +168,6 @@ class SchedulingEngine:
         overridden behaviour the columnar path cannot see -- transparently
         falls back to its own ``schedule`` generator, so the engine is
         always safe to use.
-    engine:
-        ``"array"`` (default) or ``"object"``.
 
     Notes
     -----
@@ -180,13 +175,8 @@ class SchedulingEngine:
     recent schedule (``"array"`` or ``"object"``).
     """
 
-    def __init__(self, scheduler: ProgressiveScheduler, engine: str = "array") -> None:
-        if engine not in SCHEDULING_ENGINES:
-            raise ValueError(
-                f"unknown engine {engine!r}; available: {SCHEDULING_ENGINES}"
-            )
+    def __init__(self, scheduler: ProgressiveScheduler) -> None:
         self.scheduler = scheduler
-        self.engine = engine
         #: engine that actually produced the last schedule
         self.last_engine: Optional[str] = None
 
@@ -212,8 +202,6 @@ class SchedulingEngine:
 
     def array_applicable(self, candidates: CandidateSource) -> bool:
         """Whether :meth:`schedule` will run on the array engine for this input."""
-        if self.engine != "array":
-            return False
         scheduler = self.scheduler
         kind = type(scheduler)
         columnar = isinstance(candidates, (ComparisonColumns, BlockCollection))

@@ -7,9 +7,9 @@ every decision back to the scheduler (the update phase), and records the
 progressive recall curve against the ground truth (when provided).
 
 Comparisons are executed through a
-:class:`~repro.matching.engine.MatchingEngine` (``engine="batch"`` by
-default), which caches each description's token profile in a columnar store
-so an entity compared *K* times is tokenised once.  There are three
+:class:`~repro.matching.engine.MatchingEngine`, which caches each
+description's token profile in a columnar store so an entity compared *K*
+times is tokenised once.  There are three
 execution shapes, all bit-identical to the historical per-pair loop
 (decisions, matches, ``budget_spent``, one curve point per comparison):
 
@@ -50,7 +50,7 @@ from repro.evaluation.curves import ProgressiveRecallCurve
 from repro.matching.engine import MatchingEngine
 from repro.matching.matchers import DecisionList, MatchDecision, Matcher
 from repro.progressive.budget import Budget
-from repro.progressive.engine import ScheduledRows, SchedulingEngine
+from repro.progressive.engine import SchedulingEngine
 from repro.progressive.schedulers import CandidateSource, ERInput, ProgressiveScheduler
 
 #: Comparisons drawn per scheduler drain when batch execution applies.
@@ -140,9 +140,9 @@ def run_progressive(
     budget: Union[Budget, int, None] = None,
     ground_truth: Optional[GroundTruth] = None,
     keep_decisions: bool = False,
-    engine: Union[str, MatchingEngine] = "batch",
+    engine: Optional[MatchingEngine] = None,
     batch_size: int = DEFAULT_BATCH_SIZE,
-    scheduling: Union[str, SchedulingEngine, None] = None,
+    scheduling: Optional[SchedulingEngine] = None,
 ) -> ProgressiveResult:
     """Run ``scheduler`` against ``matcher`` until the budget is exhausted.
 
@@ -167,31 +167,29 @@ def run_progressive(
         ``result.decisions`` is a
         :class:`~repro.datamodel.pairs.DecisionColumns` only on the columnar
         drain -- an array schedule *and* a ``MatchingEngine`` whose shared
-        context owns ``data``; every other combination, including
-        ``scheduling="array"`` with an engine that has no such context (one
-        built here from a name never has), returns a plain list of the same
-        decisions.
+        context owns ``data``; every other combination, including an engine
+        without such a context (the one built here when ``engine`` is
+        ``None`` never has one), returns a plain list of the same decisions.
     engine:
-        ``"batch"`` (default), ``"pairwise"`` or a ready-made
-        :class:`~repro.matching.engine.MatchingEngine` wrapping ``matcher``.
+        A :class:`~repro.matching.engine.MatchingEngine` wrapping
+        ``matcher``, or ``None`` (default) for ``MatchingEngine(matcher)``.
         The engine only changes *how* comparisons are scored (cached columnar
         profiles, one kernel over ordinal columns), never the decisions;
-        matchers the batch engine cannot replicate fall back to per-pair
-        execution automatically.
+        matchers the batch path cannot replicate run per pair.
     batch_size:
         How many comparisons are drawn per scheduler drain when batch
         execution applies.  Schedulers that adapt to feedback are always
         drained one comparison at a time, whatever this value.
     scheduling:
-        ``None`` (default -- the scheduler's own ``schedule`` generator runs,
-        the historical behaviour), ``"array"``/``"object"`` or a ready-made
-        :class:`~repro.progressive.engine.SchedulingEngine` wrapping
-        ``scheduler``.  The array engine executes feedback-free library
+        A :class:`~repro.progressive.engine.SchedulingEngine` wrapping
+        ``scheduler``, or ``None`` (default) for
+        ``SchedulingEngine(scheduler)``.  It executes feedback-free library
         schedulers over flat ordinal rows, which an engine with a shared
         context over ``data`` drains straight into
         :meth:`MatchingEngine.decide_ordinal_pairs` without materialising
-        scheduled ``Comparison`` objects; the schedule -- and hence every
-        decision, match and curve point -- is bit-identical either way.
+        scheduled ``Comparison`` objects; every other scheduler runs its own
+        ``schedule``.  The schedule -- and hence every decision, match and
+        curve point -- is bit-identical either way.
     """
     if budget is None:
         budget_obj = Budget(None)
@@ -200,16 +198,22 @@ def run_progressive(
     else:
         budget_obj = Budget(float(budget))
 
-    if isinstance(engine, MatchingEngine):
-        if engine.matcher is not matcher:
-            raise ValueError(
-                "the MatchingEngine passed as `engine` wraps a different matcher "
-                "than the `matcher` argument; decisions would silently come from "
-                "the engine's matcher"
-            )
-        executor = engine
-    else:
-        executor = MatchingEngine(matcher, engine=engine)
+    if engine is None:
+        engine = MatchingEngine(matcher)
+    elif engine.matcher is not matcher:
+        raise ValueError(
+            "the MatchingEngine passed as `engine` wraps a different matcher "
+            "than the `matcher` argument; decisions would silently come from "
+            "the engine's matcher"
+        )
+    if scheduling is None:
+        scheduling = SchedulingEngine(scheduler)
+    elif scheduling.scheduler is not scheduler:
+        raise ValueError(
+            "the SchedulingEngine passed as `scheduling` wraps a different "
+            "scheduler than the `scheduler` argument; the schedule would "
+            "silently come from the engine's scheduler"
+        )
 
     curve = None
     if ground_truth is not None:
@@ -248,25 +252,11 @@ def run_progressive(
 
     # batch drains are only sound when the scheduler ignores feedback: an
     # adaptive scheduler's next draw may depend on the previous decision
-    rows: Optional[ScheduledRows] = None
-    if scheduling is not None:
-        if isinstance(scheduling, SchedulingEngine):
-            if scheduling.scheduler is not scheduler:
-                raise ValueError(
-                    "the SchedulingEngine passed as `scheduling` wraps a different "
-                    "scheduler than the `scheduler` argument; the schedule would "
-                    "silently come from the engine's scheduler"
-                )
-        else:
-            scheduling = SchedulingEngine(scheduler, engine=scheduling)
-        adaptive = not scheduling.feedback_free
-        rows = scheduling.schedule_rows(data, candidates)
-        scheduled = rows.comparisons() if rows is not None else scheduler.schedule(data, candidates)
-    else:
-        adaptive = type(scheduler).feedback is not ProgressiveScheduler.feedback
-        scheduled = scheduler.schedule(data, candidates)
+    adaptive = not scheduling.feedback_free
+    rows = scheduling.schedule_rows(data, candidates)
+    scheduled = rows.comparisons() if rows is not None else scheduler.schedule(data, candidates)
 
-    if executor.batch_applicable and not adaptive and batch_size > 1:
+    if engine.batch_applicable and not adaptive and batch_size > 1:
         # the batch path only runs for a fixed-cost ProfileSimilarityMatcher,
         # so a draw never needs to exceed what the remaining budget can charge
         cost = matcher.cost
@@ -279,7 +269,7 @@ def run_progressive(
             remaining = budget_obj.remaining
             return 0 if remaining < cost else min(batch_size, int(remaining / cost) + 1)
 
-        context = executor.context
+        context = engine.context
         if rows is not None and context is not None and context.owns(data):
             # ---------- columnar drain: ordinals in, flags out ----------
             # every batch is two ordinal columns handed to the engine's
@@ -326,10 +316,10 @@ def run_progressive(
                             for column in (first, second, left, right)
                         )
                 if decisions_out is None:
-                    flags = executor.decide_ordinal_pairs(left, right)
+                    flags = engine.decide_ordinal_pairs(left, right)
                 else:
                     # the similarities are output: every one from the exact body
-                    scores = executor.score_ordinal_pairs(left, right)
+                    scores = engine.score_ordinal_pairs(left, right)
                     flags = [score >= matcher.threshold for score in scores]
                 executed = budget_obj.charge_many(cost, len(flags))
                 result.comparisons_executed += executed
@@ -373,7 +363,7 @@ def run_progressive(
                 drawn, resolved = resolve_draw(affordable_draw())
                 if not drawn:
                     break
-                decisions = executor.decide_pairs([(f, s) for _, f, s in resolved])
+                decisions = engine.decide_pairs([(f, s) for _, f, s in resolved])
                 for (comparison, _, _), decision in zip(resolved, decisions):
                     if not process(comparison, decision):
                         exhausted = True
@@ -385,7 +375,7 @@ def run_progressive(
             if first is None or second is None:
                 skips.record_skip(comparison.pair)
                 continue
-            if not process(comparison, executor.decide(first, second)):
+            if not process(comparison, engine.decide(first, second)):
                 break
 
     result.skipped_comparisons = skips.skipped

@@ -1,9 +1,17 @@
-"""Shared fixtures: small deterministic datasets and hand-built collections."""
+"""Shared fixtures: small deterministic datasets and hand-built collections.
+
+Also the readable subclasses the equivalence suites use as oracles: a
+subclass is not the exact library type, so every stage runs the
+component's own readable method for it instead of the columnar path.
+"""
 
 from __future__ import annotations
 
+import copy
+
 import pytest
 
+from repro.blocking.token_blocking import TokenBlocking
 from repro.datamodel.collection import CleanCleanTask, EntityCollection
 from repro.datamodel.description import EntityDescription
 from repro.datamodel.ground_truth import GroundTruth
@@ -14,6 +22,49 @@ from repro.datasets import (
     generate_dirty_dataset,
 )
 from repro.datasets.corruption import CorruptionConfig
+from repro.matching.matchers import ProfileSimilarityMatcher
+from repro.metablocking.graph import BlockingGraph
+from repro.metablocking.pipeline import MetaBlocking
+from repro.metablocking.pruning import get_pruning_scheme
+from repro.metablocking.weighting import get_weighting_scheme
+from repro.progressive.schedulers import WeightOrderScheduler
+
+
+class ReadableBlocking(TokenBlocking):
+    pass
+
+
+class ReadableScheduler(WeightOrderScheduler):
+    pass
+
+
+class ReadableMatcher(ProfileSimilarityMatcher):
+    pass
+
+
+def readable(component):
+    """A copy of ``component`` whose type is a trivial subclass of its own,
+    so every stage runs the component's own readable method for it."""
+    clone = copy.copy(component)
+    kind = type(component)
+    clone.__class__ = type(f"Readable{kind.__name__}", (kind,), {})
+    return clone
+
+
+def graph_retained(blocks, weighting, pruning):
+    """The meta-blocking reference, ``pruning.prune(BlockingGraph(blocks),
+    weighting)``, for scheme names or instances: ``(retained edges, graph)``."""
+    if isinstance(weighting, str):
+        weighting = get_weighting_scheme(weighting)
+    if isinstance(pruning, str):
+        pruning = get_pruning_scheme(pruning)
+    graph = BlockingGraph(blocks)
+    return pruning.prune(graph, weighting), graph
+
+
+def graph_metablocking(weighting: str, pruning) -> MetaBlocking:
+    """``MetaBlocking`` on its graph path: the weighting scheme as a subclass."""
+    return MetaBlocking(readable(get_weighting_scheme(weighting)), pruning)
 
 
 @pytest.fixture(scope="session")

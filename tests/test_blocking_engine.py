@@ -24,7 +24,8 @@ def _collection(*pairs):
 
 class TestEngineSelection:
     def test_unknown_engine_rejected(self):
-        with pytest.raises(ValueError):
+        # the builder's type is the only selector: there is no engine knob
+        with pytest.raises(TypeError):
             BlockingEngine(engine="turbo")
 
     def test_default_builder_is_token_blocking(self):
@@ -32,7 +33,7 @@ class TestEngineSelection:
 
     def test_sorted_neighborhood_runs_on_the_index_engine(self):
         data = _collection(("a", "alan turing"), ("b", "alan hopper"), ("c", "grace hopper"))
-        engine = BlockingEngine(SortedNeighborhoodBlocking(window_size=2), engine="index")
+        engine = BlockingEngine(SortedNeighborhoodBlocking(window_size=2))
         blocks = engine.build(data)
         assert engine.last_engine == "index"
         engine.clean(blocks, purging=BlockPurging())
@@ -43,7 +44,7 @@ class TestEngineSelection:
             pass
 
         data = _collection(("a", "alan turing"), ("b", "alan hopper"), ("c", "grace hopper"))
-        engine = BlockingEngine(CustomBuilder(window_size=2), engine="index")
+        engine = BlockingEngine(CustomBuilder(window_size=2))
         with pytest.warns(RuntimeWarning):
             blocks = engine.build(data)
         assert engine.last_engine == "oracle"
@@ -56,13 +57,13 @@ class TestEngineSelection:
             pass
 
         data = _collection(("a", "alan turing"), ("b", "alan hopper"))
-        engine = BlockingEngine(CustomBuilder(window_size=2), engine="index")
+        engine = BlockingEngine(CustomBuilder(window_size=2))
         with pytest.warns(RuntimeWarning):
             engine.run(data, purging=BlockPurging())
         assert engine.last_engine == "oracle"
 
     def test_clean_without_steps_reports_configured_engine(self):
-        engine = BlockingEngine(engine="index")
+        engine = BlockingEngine()
         blocks = BlockCollection([Block("t", members=["a", "b"])])
         assert engine.clean(blocks) is blocks
         assert engine.last_engine == "index"
@@ -72,7 +73,7 @@ class TestEngineSelection:
             pass
 
         data = _collection(("a", "alan turing"), ("b", "alan hopper"), ("c", "grace hopper"))
-        engine = BlockingEngine(engine="index")
+        engine = BlockingEngine()
         blocks = engine.build(data)
         cleaned = engine.clean(blocks, purging=BlockPurging(), filtering=CustomFiltering(0.8))
         assert engine.last_engine == "oracle"
@@ -82,16 +83,16 @@ class TestEngineSelection:
 
 class TestEmptyInputs:
     def test_empty_dirty_collection(self):
-        engine = BlockingEngine(engine="index")
+        engine = BlockingEngine()
         assert len(engine.build(EntityCollection())) == 0
 
     def test_empty_clean_clean_task(self):
         task = CleanCleanTask(EntityCollection(name="l"), EntityCollection(name="r"))
-        engine = BlockingEngine(engine="index")
+        engine = BlockingEngine()
         assert len(engine.build(task)) == 0
 
     def test_cleaning_empty_collection(self):
-        engine = BlockingEngine(engine="index")
+        engine = BlockingEngine()
         empty = BlockCollection(name="empty")
         for kwargs in (
             {"purging": BlockPurging()},
@@ -110,7 +111,7 @@ class TestIndexCleaningDetails:
             ]
         )
         purging = BlockPurging(max_comparisons=5)
-        engine = BlockingEngine(engine="index")
+        engine = BlockingEngine()
         assert [b.key for b in engine.clean(blocks, purging=purging)] == [
             b.key for b in purging.process(blocks)
         ]
@@ -122,7 +123,7 @@ class TestIndexCleaningDetails:
                 Block("big", members=["a", "b", "c", "d", "e"]),
             ]
         )
-        engine = BlockingEngine(engine="index")
+        engine = BlockingEngine()
         filtered = engine.clean(blocks, filtering=BlockFiltering(0.1))
         assert "a" in filtered.placed_identifiers()
 

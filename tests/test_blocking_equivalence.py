@@ -114,7 +114,7 @@ def _assert_engines_agree(data, builder_name: str, cleaning_name: str) -> None:
     cleaning = CLEANING[cleaning_name]
     expected = snapshot(clean_blocks(oracle_blocks, **cleaning))
 
-    engine = BlockingEngine(BUILDERS[builder_name](), engine="index")
+    engine = BlockingEngine(BUILDERS[builder_name]())
     built = engine.build(data)
     assert engine.last_engine == "index", builder_name
     assert snapshot(built) == snapshot(oracle_blocks), builder_name
@@ -122,12 +122,6 @@ def _assert_engines_agree(data, builder_name: str, cleaning_name: str) -> None:
     if cleaning:
         assert engine.last_engine == "index", (builder_name, cleaning_name)
     assert snapshot(cleaned) == expected, (builder_name, cleaning_name)
-
-    # the oracle engine of BlockingEngine is the legacy path verbatim
-    oracle_engine = BlockingEngine(BUILDERS[builder_name](), engine="oracle")
-    assert snapshot(oracle_engine.build(data)) == snapshot(oracle_blocks)
-    assert oracle_engine.last_engine == "oracle"
-    assert snapshot(oracle_engine.clean(oracle_blocks, **cleaning)) == expected
 
 
 @pytest.mark.parametrize("seed", SEEDS)
@@ -151,7 +145,7 @@ def test_filtering_ratio_sweep(seed, ratio):
     data = random_dirty_collection(seed, size=60)
     blocks = TokenBlocking().build(data)
     expected = snapshot(BlockFiltering(ratio).process(blocks))
-    engine = BlockingEngine(engine="index")
+    engine = BlockingEngine()
     assert snapshot(engine.clean(blocks, filtering=BlockFiltering(ratio))) == expected
 
 
@@ -164,7 +158,7 @@ def test_max_block_fraction_sweep(seed, fraction):
         lambda: AttributeClusteringBlocking(max_block_fraction=fraction),
     ):
         expected = snapshot(factory().build(data))
-        engine = BlockingEngine(factory(), engine="index")
+        engine = BlockingEngine(factory())
         assert snapshot(engine.build(data)) == expected
 
 
@@ -176,7 +170,7 @@ def test_builder_subclass_falls_back_to_oracle():
             return {token[0] for token in super().tokens_of(description)}
 
     data = random_dirty_collection(5)
-    engine = BlockingEngine(FirstCharBlocking(), engine="index")
+    engine = BlockingEngine(FirstCharBlocking())
     with pytest.warns(RuntimeWarning, match="FirstCharBlocking"):
         blocks = engine.build(data)
     assert engine.last_engine == "oracle"
@@ -190,7 +184,7 @@ def test_cleaner_subclass_falls_back_to_oracle():
 
     data = random_dirty_collection(6)
     blocks = TokenBlocking().build(data)
-    engine = BlockingEngine(engine="index")
+    engine = BlockingEngine()
     cleaned = engine.clean(blocks, purging=NoisyPurging())
     assert engine.last_engine == "oracle"
     assert snapshot(cleaned) == snapshot(NoisyPurging().process(blocks))

@@ -234,14 +234,27 @@ def _mark_foreign(snap):
     (snap / "manifest.json").write_text(json.dumps(manifest))
 
 
+def _drop_entry(name):
+    """Damage: the manifest's column inventory loses ``name``."""
+
+    def damage(snap):
+        manifest = json.loads((snap / "manifest.json").read_text())
+        del manifest["columns"][name]
+        (snap / "manifest.json").write_text(json.dumps(manifest))
+
+    return damage
+
+
 @pytest.mark.parametrize(
     "damage, message",
     [
         (lambda snap: shutil.rmtree(snap), "no snapshot manifest"),
         (_truncate_a_column, "context.token_ids"),
         (_mark_foreign, "is not an incremental index"),
+        (_drop_entry("context.token_ids"), "has no column 'context.token_ids'"),
+        (_drop_entry("index.tree_data"), "has no column 'index.tree_data'"),
     ],
-    ids=["missing", "truncated-column", "foreign-kind"],
+    ids=["missing", "truncated-column", "foreign-kind", "no-context-entry", "no-index-entry"],
 )
 def test_a_bad_restore_directory_is_a_usage_error(tmp_path, capsys, damage, message):
     """A missing, corrupt or non-index snapshot fails with one line on
@@ -255,4 +268,31 @@ def test_a_bad_restore_directory_is_a_usage_error(tmp_path, capsys, damage, mess
     assert main(["incremental", str(data), "--restore", str(snap)]) == 2
     err = capsys.readouterr().err
     assert err.startswith("repro incremental: error: ") and message in err
+    assert err.count("\n") == 1
+
+
+@pytest.mark.parametrize(
+    "command, content, message",
+    [
+        ("resolve", None, "No such file"),
+        ("resolve", "id,name\na,alan\na,grace\n", "duplicate identifier"),
+        ("resolve", '{"x": 1}', "'descriptions' list"),
+        ("incremental", '{"descriptions": [{"attributes": {}}]}', "has no 'id'"),
+        ("link", None, "No such file"),
+        ("link", "id,name\na,alan\n", "disjoint identifier spaces"),
+    ],
+    ids=["missing", "duplicate-id", "not-a-collection", "record-without-id", "link-missing",
+         "link-shared-id"],
+)
+def test_a_bad_input_file_is_a_usage_error(tmp_path, capsys, command, content, message):
+    """A missing or malformed input fails with one line on stderr and the
+    usage-error status, not a traceback (or a silently empty run)."""
+    suffix = ".json" if content is not None and content.startswith("{") else ".csv"
+    data = tmp_path / f"input{suffix}"
+    if content is not None:
+        data.write_text(content, encoding="utf-8")
+    inputs = [str(data), str(data)] if command == "link" else [str(data)]
+    assert main([command, *inputs]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith(f"repro {command}: error: ") and message in err
     assert err.count("\n") == 1

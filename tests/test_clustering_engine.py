@@ -6,8 +6,8 @@ clusters bit for bit -- same frozensets, same list order, same behaviour at
 equal-similarity ties.
 
 ``tests/fixtures/clustering/*.json`` freezes the oracle's clusters on the
-builtin datasets at two thresholds; every engine configuration must keep
-reproducing them exactly.  Regenerating the fixtures (only when the
+builtin datasets at two thresholds; the array path and the algorithms' own
+``cluster`` must keep reproducing them exactly.  Regenerating the fixtures (only when the
 clustering semantics change on purpose): run this module as a script::
 
     PYTHONPATH=src python tests/test_clustering_engine.py
@@ -20,9 +20,10 @@ import random
 from pathlib import Path
 
 import pytest
+from conftest import readable
 
 from repro.datamodel.pairs import Comparison, DecisionColumns
-from repro.matching.cluster_engine import CLUSTERING_ENGINES, ClusteringEngine
+from repro.matching.cluster_engine import ClusteringEngine
 from repro.matching.clustering import (
     CenterClustering,
     ConnectedComponentsClustering,
@@ -37,6 +38,19 @@ ALGORITHMS = {
     "center": CenterClustering,
     "merge_center": MergeCenterClustering,
 }
+
+#: the engine's array path and the oracle, the algorithm's own ``cluster``
+PATHS = ("array", "object")
+
+
+def _clusters(path, algorithm, columns):
+    """Cluster ``columns`` on ``path``."""
+    if path == "object":
+        return algorithm.cluster(columns)
+    engine = ClusteringEngine(algorithm)
+    clusters = engine.cluster(columns)
+    assert engine.last_engine == "array"
+    return clusters
 
 
 def decision(first, second, similarity=1.0, is_match=True):
@@ -94,7 +108,7 @@ class TestSeededEquivalence:
         for seed in (3, 11, 27):
             decisions = _seeded_decisions(seed, kind, variant)
             oracle = ALGORITHMS[algorithm]().cluster(decisions)
-            engine = ClusteringEngine(ALGORITHMS[algorithm](), engine="array")
+            engine = ClusteringEngine(ALGORITHMS[algorithm]())
             columns = DecisionColumns.from_decisions(decisions)
             assert engine.cluster(columns) == oracle
             assert engine.last_engine == "array"
@@ -103,8 +117,9 @@ class TestSeededEquivalence:
 
     @pytest.mark.parametrize("algorithm", sorted(ALGORITHMS))
     def test_object_engine_runs_the_oracle(self, algorithm):
+        """A subclass of a library algorithm runs its own ``cluster``."""
         decisions = _seeded_decisions(5, "dirty", "plain")
-        engine = ClusteringEngine(ALGORITHMS[algorithm](), engine="object")
+        engine = ClusteringEngine(readable(ALGORITHMS[algorithm]()))
         assert engine.cluster(decisions) == ALGORITHMS[algorithm]().cluster(decisions)
         assert engine.last_engine == "object"
 
@@ -112,13 +127,13 @@ class TestSeededEquivalence:
         """DecisionColumns input works on the object path via lazy decisions."""
         decisions = _seeded_decisions(9, "dirty", "ties")
         columns = DecisionColumns.from_decisions(decisions)
-        engine = ClusteringEngine(CenterClustering(), engine="object")
+        engine = ClusteringEngine(readable(CenterClustering()))
         assert engine.cluster(columns) == CenterClustering().cluster(decisions)
 
 
 class TestTieBreaking:
     """Equal-similarity edges are scanned in canonical identifier-pair order
-    -- the ``ComparisonColumns.weight_sorted`` rule -- on both engines."""
+    -- the ``ComparisonColumns.weight_sorted`` rule -- on both paths."""
 
     TIED = [
         # all similarities equal: the scan order is purely the pair order
@@ -127,20 +142,20 @@ class TestTieBreaking:
         decision("b", "c", 0.8),
     ]
 
-    @pytest.mark.parametrize("engine_name", CLUSTERING_ENGINES)
+    @pytest.mark.parametrize("engine_name", PATHS)
     def test_center_processes_tied_edges_in_pair_order(self, engine_name):
         # order (a,b), (b,c), (c,d): a centers b; b is no center, so c starts
         # its own cluster; then (c,d) attaches d to center c
-        engine = ClusteringEngine(CenterClustering(), engine=engine_name)
-        clusters = engine.cluster(DecisionColumns.from_decisions(self.TIED))
+        columns = DecisionColumns.from_decisions(self.TIED)
+        clusters = _clusters(engine_name, CenterClustering(), columns)
         assert clusters == [frozenset({"a", "b"}), frozenset({"c", "d"})]
 
-    @pytest.mark.parametrize("engine_name", CLUSTERING_ENGINES)
+    @pytest.mark.parametrize("engine_name", PATHS)
     def test_merge_center_processes_tied_edges_in_pair_order(self, engine_name):
         # order (a,b), (b,c), (c,d): a centers b; (b,c) attaches c to a's
         # cluster; (c,d) attaches d as well -- one cluster, deterministically
-        engine = ClusteringEngine(MergeCenterClustering(), engine=engine_name)
-        clusters = engine.cluster(DecisionColumns.from_decisions(self.TIED))
+        columns = DecisionColumns.from_decisions(self.TIED)
+        clusters = _clusters(engine_name, MergeCenterClustering(), columns)
         assert clusters == [frozenset({"a", "b", "c", "d"})]
 
     def test_heavier_edge_beats_pair_order(self):
@@ -148,25 +163,21 @@ class TestTieBreaking:
             decision("b", "c", 0.9),  # heaviest first: b centers c...
             decision("a", "c", 0.8),
         ]
-        for engine_name in CLUSTERING_ENGINES:
-            engine = ClusteringEngine(CenterClustering(), engine=engine_name)
-            clusters = engine.cluster(DecisionColumns.from_decisions(decisions))
+        for engine_name in PATHS:
+            columns = DecisionColumns.from_decisions(decisions)
+            clusters = _clusters(engine_name, CenterClustering(), columns)
             # ...so a arrives at assigned non-center c and centers itself;
             # under pair order (a,c) first, a would instead have centered c
             assert clusters == [frozenset({"b", "c"}), frozenset({"a"})]
 
 
 class TestEngineDispatch:
-    def test_unknown_engine_rejected(self):
-        with pytest.raises(ValueError, match="unknown engine"):
-            ClusteringEngine(CenterClustering(), engine="bogus")
-
     def test_custom_subclass_falls_back_to_object(self):
         class LoudCenter(CenterClustering):
             def cluster(self, decisions):
                 return [frozenset({"overridden"})]
 
-        engine = ClusteringEngine(LoudCenter(), engine="array")
+        engine = ClusteringEngine(LoudCenter())
         assert not engine.array_applicable
         clusters = engine.cluster(DecisionColumns.from_decisions([decision("a", "b")]))
         assert clusters == [frozenset({"overridden"})]
@@ -239,7 +250,7 @@ def test_fixture_covers_all_combos(dataset_name):
     assert set(fixture["combos"]) == expected
 
 
-@pytest.mark.parametrize("engine_name", CLUSTERING_ENGINES)
+@pytest.mark.parametrize("engine_name", PATHS)
 @pytest.mark.parametrize("dataset_name", ["restaurants", "census"])
 def test_engines_reproduce_golden_clusters(dataset_name, engine_name):
     dataset = _builtin_datasets()[dataset_name]
@@ -248,8 +259,7 @@ def test_engines_reproduce_golden_clusters(dataset_name, engine_name):
         decisions = _dataset_decisions(dataset, threshold)
         columns = DecisionColumns.from_decisions(decisions)
         for algorithm_name, algorithm in ALGORITHMS.items():
-            engine = ClusteringEngine(algorithm(), engine=engine_name)
-            clusters = engine.cluster(columns)
+            clusters = _clusters(engine_name, algorithm(), columns)
             assert (
                 _cluster_lists(clusters) == fixture[f"{algorithm_name}+{threshold_name}"]
             ), f"{dataset_name}/{algorithm_name}+{threshold_name} diverged on {engine_name}"
@@ -281,7 +291,7 @@ class TestExecutionOrientation:
             for variant in ("plain", "ties"):
                 decisions = _seeded_decisions(seed, "dirty", variant)
                 oracle = ALGORITHMS[algorithm]().cluster(decisions)
-                engine = ClusteringEngine(ALGORITHMS[algorithm](), engine="array")
+                engine = ClusteringEngine(ALGORITHMS[algorithm]())
                 assert engine.cluster(self._reversed_columns(decisions)) == oracle
 
     def test_mixed_orientation_tie_break(self):
@@ -293,9 +303,7 @@ class TestExecutionOrientation:
         columns.append(intern("d"), intern("c"), 0.8, True)  # stored as (d, c)
         columns.append(intern("a"), intern("b"), 0.8, True)
         columns.append(intern("c"), intern("b"), 0.8, True)  # stored as (c, b)
-        for engine_name in CLUSTERING_ENGINES:
-            clusters = ClusteringEngine(CenterClustering(), engine=engine_name).cluster(
-                columns
-            )
+        for engine_name in PATHS:
+            clusters = _clusters(engine_name, CenterClustering(), columns)
             # canonical scan order (a,b), (b,c), (c,d) -- see TestTieBreaking
             assert clusters == [frozenset({"a", "b"}), frozenset({"c", "d"})]

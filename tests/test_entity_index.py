@@ -13,6 +13,7 @@ import types
 
 import numpy as np
 import pytest
+from conftest import graph_metablocking, graph_retained
 
 from repro.blocking.base import Block, BlockCollection
 from repro.blocking.token_blocking import TokenBlocking
@@ -32,8 +33,10 @@ PRUNING_SCHEMES = ("WEP", "CEP", "WNP", "CNP", "ReciprocalWNP", "ReciprocalCNP")
 def all_combo_runs(blocks):
     for weighting in WEIGHTING_SCHEMES:
         for pruning in PRUNING_SCHEMES:
-            for engine in ("graph", "index"):
-                metablocking = MetaBlocking(weighting, pruning, engine=engine)
+            for metablocking in (
+                graph_metablocking(weighting, pruning),
+                MetaBlocking(weighting, pruning),
+            ):
                 yield metablocking, metablocking.retained_edges(blocks)
 
 
@@ -93,11 +96,11 @@ class TestEntityInEveryBlock:
         blocks = self.make_blocks()
         expected = {
             (e.first, e.second): e.weight
-            for e in MetaBlocking(weighting, pruning, engine="graph").retained_edges(blocks)
+            for e in graph_retained(blocks, weighting, pruning)[0]
         }
         actual = {
             (e.first, e.second): e.weight
-            for e in MetaBlocking(weighting, pruning, engine="index").retained_edges(blocks)
+            for e in MetaBlocking(weighting, pruning).retained_edges(blocks)
         }
         assert expected.keys() == actual.keys()
         for pair, weight in expected.items():
@@ -143,7 +146,8 @@ class TestCleanCleanWithoutCrossCoOccurrence:
 
 class TestEngineSelection:
     def test_unknown_engine_rejected(self):
-        with pytest.raises(ValueError):
+        # the schemes' types are the only selector: there is no engine knob
+        with pytest.raises(TypeError):
             MetaBlocking("CBS", "WNP", engine="quantum")
 
     def test_unknown_schemes_rejected_by_index_engine(self):
@@ -171,9 +175,9 @@ class TestEngineSelection:
             [Block("t", left_members=["x", "a"], right_members=["x", "b"])]
         )
         with pytest.raises(ValueError, match="'x' twice"):
-            MetaBlocking("CBS", "WNP", engine="graph").retained_edges(blocks)
+            graph_retained(blocks, "CBS", "WNP")
         with pytest.raises(ValueError, match="'x' twice"):
-            MetaBlocking("CBS", "WNP", engine="index").retained_edges(blocks)
+            MetaBlocking("CBS", "WNP").retained_edges(blocks)
 
     def test_custom_weighting_scheme_falls_back_to_graph(self):
         class Constant(WeightingScheme):
@@ -183,7 +187,7 @@ class TestEngineSelection:
                 return 1.0
 
         blocks = BlockCollection([Block("b", members=["a", "b", "c"])])
-        metablocking = MetaBlocking(Constant(), WeightedNodePruning(), engine="index")
+        metablocking = MetaBlocking(Constant(), WeightedNodePruning())
         retained = metablocking.retained_edges(blocks)
         assert metablocking.last_engine == "graph"
         assert len(retained) == 3
@@ -191,13 +195,13 @@ class TestEngineSelection:
 
     def test_standard_schemes_run_on_index_engine(self):
         blocks = BlockCollection([Block("b", members=["a", "b", "c"])])
-        metablocking = MetaBlocking(CBS(), WeightedNodePruning(), engine="index")
+        metablocking = MetaBlocking(CBS(), WeightedNodePruning())
         metablocking.retained_edges(blocks)
         assert metablocking.last_engine == "index"
 
     def test_iter_retained_is_lazy(self):
         blocks = BlockCollection([Block("b", members=["a", "b", "c", "d"])])
-        metablocking = MetaBlocking("CBS", "WNP", engine="index")
+        metablocking = MetaBlocking("CBS", "WNP")
         iterator = metablocking.iter_retained(blocks)
         assert isinstance(iterator, types.GeneratorType)
         first = next(iterator)
@@ -218,8 +222,8 @@ class TestGraphOracle:
         index = EntityIndexEngine(blocks)
         for weighting in WEIGHTING_SCHEMES:
             for pruning in PRUNING_SCHEMES:
-                graph = MetaBlocking(weighting, pruning, engine="graph")
-                expected = {(e.first, e.second): e.weight for e in graph.retained_edges(blocks)}
+                graph, _ = graph_retained(blocks, weighting, pruning)
+                expected = {(e.first, e.second): e.weight for e in graph}
                 actual = {
                     (e.first, e.second): e.weight
                     for e in index.iter_retained(weighting, pruning)
@@ -399,7 +403,7 @@ class TestWnpThresholdRefinement:
         engine = EntityIndexEngine(blocks)
         retained = {(e.first, e.second, e.weight) for e in engine.iter_retained(weighting, pruning)}
         assert engine.last_refined > 0
-        reference = MetaBlocking(weighting, pruning, engine="graph").retained_edges(blocks)
+        reference, _ = graph_retained(blocks, weighting, pruning)
         assert retained == {(e.first, e.second, e.weight) for e in reference}
 
     def test_integer_cbs_sums_are_never_refined(self):

@@ -1,6 +1,7 @@
 """Tests for incremental (arrival-at-a-time) entity resolution."""
 
 import pytest
+from conftest import ReadableMatcher
 
 from repro.datamodel.description import EntityDescription
 from repro.datasets import DatasetConfig, generate_dirty_dataset
@@ -116,9 +117,7 @@ def test_merge_repoints_only_absorbed_postings():
     dataset = generate_dirty_dataset(
         DatasetConfig(num_entities=25, duplicates_per_entity=2.0, seed=47)
     )
-    resolver = IncrementalResolver(
-        ProfileSimilarityMatcher(threshold=0.45), engine="object"
-    )
+    resolver = IncrementalResolver(ReadableMatcher(threshold=0.45))
     descriptions = list(dataset.collection)
     for position, description in enumerate(descriptions):
         resolver.add(description)
@@ -190,9 +189,7 @@ def test_comparisons_executed_counts_matcher_calls():
 
 
 def test_oracle_remove_dissolves_and_reresolves():
-    resolver = IncrementalResolver(
-        ProfileSimilarityMatcher(threshold=0.5), engine="object"
-    )
+    resolver = IncrementalResolver(ReadableMatcher(threshold=0.5))
     resolver.add(EntityDescription("a1", {"name": "alan turing", "city": "london"}))
     resolver.add(EntityDescription("a2", {"label": "alan m turing", "place": "london"}))
     resolver.add(EntityDescription("x", {"name": "grace hopper"}))
@@ -208,9 +205,7 @@ def test_oracle_remove_dissolves_and_reresolves():
 
 
 def test_oracle_update_changes_cluster_membership():
-    resolver = IncrementalResolver(
-        ProfileSimilarityMatcher(threshold=0.5), engine="object"
-    )
+    resolver = IncrementalResolver(ReadableMatcher(threshold=0.5))
     resolver.add(EntityDescription("a1", {"name": "alan turing", "city": "london"}))
     resolver.add(EntityDescription("b1", {"name": "grace hopper", "city": "arlington"}))
     resolver.add(EntityDescription("m", {"name": "alan turing", "city": "london"}))
@@ -224,9 +219,7 @@ def test_oracle_update_changes_cluster_membership():
 
 
 def test_resolve_is_a_pure_query():
-    resolver = IncrementalResolver(
-        ProfileSimilarityMatcher(threshold=0.5), engine="object"
-    )
+    resolver = IncrementalResolver(ReadableMatcher(threshold=0.5))
     resolver.add(EntityDescription("a1", {"name": "alan turing", "city": "london"}))
     before = resolver.comparisons_executed
     joined = resolver.resolve(

@@ -23,7 +23,9 @@ import json
 from pathlib import Path
 
 import pytest
+from conftest import ReadableMatcher, readable
 
+from repro.core.snapshot import SnapshotError
 from repro.datamodel.description import EntityDescription
 from repro.datasets import DatasetConfig, generate_dirty_dataset
 from repro.iterative import IncrementalResolver
@@ -124,7 +126,7 @@ def _representations(resolver, identifiers):
 def test_array_matches_oracle_at_every_prefix():
     descriptions = _stream_descriptions()
     matcher = ProfileSimilarityMatcher(threshold=0.5)
-    oracle = IncrementalResolver(matcher, engine="object")
+    oracle = IncrementalResolver(readable(matcher))
     index = IncrementalIndex(ProfileSimilarityMatcher(threshold=0.5))
     for description in descriptions:
         expected = _arrival(oracle.add(description))
@@ -142,7 +144,7 @@ def test_array_matches_oracle_through_removes_and_updates():
     descriptions = _stream_descriptions(num_entities=30, duplicates=1.8, seed=31)
     operations = _mixed_operations(descriptions)
     matcher = ProfileSimilarityMatcher(threshold=0.5)
-    oracle = IncrementalResolver(matcher, engine="object")
+    oracle = IncrementalResolver(readable(matcher))
     index = IncrementalIndex(ProfileSimilarityMatcher(threshold=0.5))
     for operation in operations:
         assert _apply(index, operation) == _apply(oracle, operation)
@@ -167,7 +169,8 @@ def test_resolver_facade_uses_array_engine():
 
 
 def test_engine_validation():
-    with pytest.raises(ValueError):
+    # the matcher's type is the only selector: there is no engine knob
+    with pytest.raises(TypeError):
         IncrementalResolver(ProfileSimilarityMatcher(), engine="vectorised")
 
 
@@ -187,7 +190,7 @@ def test_duplicate_and_unknown_identifiers():
 def test_resolve_is_read_only_and_matches_oracle():
     descriptions = _stream_descriptions(num_entities=25, seed=37)
     matcher = ProfileSimilarityMatcher(threshold=0.5)
-    oracle = IncrementalResolver(matcher, engine="object")
+    oracle = IncrementalResolver(readable(matcher))
     index = IncrementalIndex(ProfileSimilarityMatcher(threshold=0.5))
     oracle.add_all(descriptions)
     index.add_all(descriptions)
@@ -241,7 +244,7 @@ def test_postings_stay_the_inversion_of_root_tokens(tmp_path, matcher_min_length
     def matcher():
         return ProfileSimilarityMatcher(threshold=0.45, min_token_length=matcher_min_length)
 
-    oracle = IncrementalResolver(matcher(), engine="object")
+    oracle = IncrementalResolver(readable(matcher()))
     index = IncrementalIndex(matcher())
     assert (index._match_tokens is index._root_tokens) == (matcher_min_length == 2)
     most_merged = 0
@@ -363,6 +366,28 @@ def _context_entries(manifest):
     return sorted(name for name in names if name.startswith("context."))
 
 
+@pytest.mark.parametrize(
+    "kind, name",
+    [
+        ("columns", "context.token_ids"),
+        ("strings", "context.tokens"),
+        ("columns", "index.tree_data"),
+    ],
+)
+def test_a_missing_inventory_entry_is_a_snapshot_error(tmp_path, kind, name):
+    """An entry the loader reads but the manifest lacks is named in a
+    :class:`SnapshotError` before anything is read."""
+    index = IncrementalIndex(ProfileSimilarityMatcher(threshold=0.5))
+    index.add_all(_stream_descriptions(num_entities=30, seed=41)[:50])
+    index.save(tmp_path / "snap")
+    manifest_path = tmp_path / "snap" / "manifest.json"
+    manifest = json.loads(manifest_path.read_text(encoding="utf-8"))
+    del manifest[kind][name]
+    manifest_path.write_text(json.dumps(manifest), encoding="utf-8")
+    with pytest.raises(SnapshotError, match=f"has no (string )?column {name!r}"):
+        IncrementalIndex.load(tmp_path / "snap")
+
+
 def test_restored_index_has_no_descriptions(tmp_path):
     index = IncrementalIndex(ProfileSimilarityMatcher(threshold=0.5))
     index.add(EntityDescription("a", {"name": "alan turing"}))
@@ -399,8 +424,8 @@ def test_resolver_snapshot_facade(tmp_path):
     assert restored.last_engine == "array"
     restored.add(EntityDescription("b", {"name": "alan turing"}))
     assert restored.cluster_of("a") == {"a", "b"}
-    # the object engine has no snapshot support
-    oracle = IncrementalResolver(ProfileSimilarityMatcher(threshold=0.5), engine="object")
+    # the object path has no snapshot support
+    oracle = IncrementalResolver(ReadableMatcher(threshold=0.5))
     oracle.add(EntityDescription("a", {"name": "alan"}))
     with pytest.raises(ValueError):
         oracle.save(tmp_path / "nope")
@@ -438,9 +463,7 @@ def _decode_operation(record):
 
 def _freeze_fixture() -> dict:
     operations = _golden_operations()
-    oracle = IncrementalResolver(
-        ProfileSimilarityMatcher(threshold=0.5), engine="object"
-    )
+    oracle = IncrementalResolver(ReadableMatcher(threshold=0.5))
     results = [_apply(oracle, operation) for operation in operations]
     return {
         "description": "oracle outputs on a seeded add/remove/update stream",
@@ -454,10 +477,8 @@ def _freeze_fixture() -> dict:
 @pytest.mark.parametrize("engine", ["object", "array"])
 def test_golden_stream(engine):
     fixture = json.loads(FIXTURE_PATH.read_text(encoding="utf-8"))
-    resolver = IncrementalResolver(
-        ProfileSimilarityMatcher(threshold=fixture["matcher"]["threshold"]),
-        engine=engine,
-    )
+    matcher_type = ReadableMatcher if engine == "object" else ProfileSimilarityMatcher
+    resolver = IncrementalResolver(matcher_type(threshold=fixture["matcher"]["threshold"]))
     for record, expected in zip(fixture["operations"], fixture["results"]):
         assert _apply(resolver, _decode_operation(record)) == expected
     assert resolver.last_engine == engine

@@ -1,24 +1,26 @@
 """Array-vs-object equivalence for the iterative resolvers.
 
 The four resolvers of :mod:`repro.iterative` -- R-Swoosh, the naive
-pairwise fixpoint, collective ER and the attribute-only baseline -- carry
-an ``engine="array"|"object"`` switch.  The array engines batch similarity
+pairwise fixpoint, collective ER and the attribute-only baseline -- pick
+their path by the matcher's exact type.  The array paths batch similarity
 scoring and keep cluster state in integer union--find structures; these
 tests pin that every observable output (resolution order, matches, cluster
 lists, comparison counts, rescue/requeue statistics, budget cutoffs) is
-bit-identical to the per-pair object oracles, and that custom matcher
-subclasses fall back to the object path automatically.
+bit-identical to the per-pair object oracles, reached through a
+``ReadableMatcher`` (a trivial subclass, so not the exact library type).
 """
 
 from __future__ import annotations
 
 import pytest
+from conftest import ReadableMatcher
 
+import repro.iterative
 from repro.blocking.token_blocking import TokenBlocking
 from repro.datamodel.collection import EntityCollection
 from repro.datamodel.description import EntityDescription
 from repro.datasets import DatasetConfig, generate_bibliographic_dataset, generate_dirty_dataset
-from repro.iterative import ITERATIVE_ENGINES, AttributeOnlyER, CollectiveER, NaivePairwiseER, RSwoosh
+from repro.iterative import AttributeOnlyER, CollectiveER, NaivePairwiseER, RSwoosh
 from repro.matching.matchers import ProfileSimilarityMatcher
 
 
@@ -63,9 +65,8 @@ def relational_collection():
 
 
 def _assert_swoosh_identical(cls, collection, **kwargs):
-    matcher = ProfileSimilarityMatcher(threshold=0.55)
-    array = cls(matcher, engine="array", **kwargs)
-    oracle = cls(matcher, engine="object", **kwargs)
+    array = cls(ProfileSimilarityMatcher(threshold=0.55), **kwargs)
+    oracle = cls(ReadableMatcher(threshold=0.55), **kwargs)
     array_result = array.resolve(collection)
     oracle_result = oracle.resolve(collection)
     assert array.last_engine == "array"
@@ -105,17 +106,17 @@ class TestMergingResolvers:
 
     @pytest.mark.parametrize("cls", (RSwoosh, NaivePairwiseER))
     def test_unknown_engine_rejected(self, cls):
-        with pytest.raises(ValueError, match="turbo"):
+        # the matcher's type is the only selector: there is no engine knob
+        with pytest.raises(TypeError):
             cls(ProfileSimilarityMatcher(threshold=0.5), engine="turbo")
 
     def test_engine_names_exported(self):
-        assert ITERATIVE_ENGINES == ("array", "object")
+        assert not [name for name in repro.iterative.__all__ if name.endswith("_ENGINES")]
 
 
 def _assert_collective_identical(cls, collection, candidates=None, **kwargs):
-    matcher = ProfileSimilarityMatcher(threshold=1.0)
-    array = cls(attribute_matcher=matcher, engine="array", **kwargs)
-    oracle = cls(attribute_matcher=matcher, engine="object", **kwargs)
+    array = cls(attribute_matcher=ProfileSimilarityMatcher(threshold=1.0), **kwargs)
+    oracle = cls(attribute_matcher=ReadableMatcher(threshold=1.0), **kwargs)
     array_result = array.resolve(collection, candidates)
     oracle_result = oracle.resolve(collection, candidates)
     assert array.last_engine == "array"
@@ -182,5 +183,5 @@ class TestCollectiveResolvers:
 
     @pytest.mark.parametrize("cls", (CollectiveER, AttributeOnlyER))
     def test_unknown_engine_rejected(self, cls):
-        with pytest.raises(ValueError, match="turbo"):
+        with pytest.raises(TypeError):
             cls(engine="turbo")

@@ -1,5 +1,7 @@
 """Tests for CSV/JSON loading and saving of collections."""
 
+import pytest
+
 from repro.datamodel.collection import EntityCollection
 from repro.datamodel.description import EntityDescription
 from repro.datasets.loaders import (
@@ -71,3 +73,20 @@ def test_csv_load_uses_custom_id_field(tmp_path):
     path.write_text("uri,name\nx:1,Alan\nx:2,Grace\n", encoding="utf-8")
     loaded = load_collection_csv(path, id_field="uri")
     assert set(loaded.identifiers) == {"x:1", "x:2"}
+
+
+@pytest.mark.parametrize(
+    "payload, message",
+    [
+        ('{"x": 1}', "'descriptions' list"),
+        ('[{"id": "a"}]', "'descriptions' list"),
+        ('{"descriptions": {"id": "a"}}', "'descriptions' list"),
+        ('{"descriptions": [{"id": "a"}, {"attributes": {"name": ["b"]}}]}', "description 1 has no 'id'"),
+        ('{"descriptions": ["a"]}', "description 0 has no 'id'"),
+    ],
+)
+def test_json_load_rejects_a_payload_that_is_not_a_collection(tmp_path, payload, message):
+    path = tmp_path / "bad.json"
+    path.write_text(payload, encoding="utf-8")
+    with pytest.raises(ValueError, match=message):
+        load_collection_json(path)

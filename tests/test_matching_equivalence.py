@@ -1,7 +1,7 @@
 """Batch-vs-pairwise equivalence suite for the matching engines.
 
 The per-pair matchers of :mod:`repro.matching.matchers` are the oracle;
-``MatchingEngine("batch")`` must reproduce their decisions *bit for bit* --
+``MatchingEngine``'s batch path must reproduce their decisions *bit for bit* --
 exact float equality on every similarity, identical match booleans, identical
 order, identical skip accounting -- across every matcher family, at exact
 threshold ties, on merged (iterative) descriptions and on degenerate
@@ -15,6 +15,7 @@ import random
 from array import array
 
 import pytest
+from conftest import ReadableMatcher, ReadableScheduler, readable
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -130,7 +131,7 @@ class TestBatchMatchesOracle:
         comparisons = _random_comparisons(collection, seed)
         matcher = _matchers(collection)[matcher_name]
         oracle = matcher.decide_all(comparisons, collection)
-        engine = MatchingEngine(matcher, engine="batch")
+        engine = MatchingEngine(matcher)
         assert_bit_identical(oracle, engine.decide_all(comparisons, collection))
         expected_engine = "batch" if matcher_name.startswith("profile") else "pairwise"
         assert engine.last_engine == expected_engine
@@ -151,7 +152,7 @@ class TestBatchMatchesOracle:
             for b in list(right.identifiers)[:10]
         ]
         matcher = ProfileSimilarityMatcher(threshold=0.3)
-        engine = MatchingEngine(matcher, engine="batch")
+        engine = MatchingEngine(matcher)
         assert_bit_identical(
             matcher.decide_all(comparisons, task), engine.decide_all(comparisons, task)
         )
@@ -297,7 +298,7 @@ class TestSkipAccounting:
     @pytest.mark.parametrize("engine_name", ["batch", "pairwise"])
     def test_skips_are_counted_and_warned(self, tiny_collection, engine_name):
         matcher = ProfileSimilarityMatcher(threshold=0.3)
-        engine = MatchingEngine(matcher, engine=engine_name)
+        engine = MatchingEngine(matcher if engine_name == "batch" else readable(matcher))
         comparisons = [
             Comparison("a1", "a2"),
             Comparison("a1", "ghost"),
@@ -320,17 +321,13 @@ class TestSkipAccounting:
 
 
 class TestEngineDispatch:
-    def test_unknown_engine_rejected(self):
-        with pytest.raises(ValueError, match="unknown engine"):
-            MatchingEngine(ProfileSimilarityMatcher(), engine="sparkles")
-
     def test_profile_matcher_subclass_falls_back_to_oracle(self, tiny_collection):
         class Spiced(ProfileSimilarityMatcher):
             def similarity(self, first, second):
                 return min(1.0, super().similarity(first, second) + 0.1)
 
         matcher = Spiced(threshold=0.3)
-        engine = MatchingEngine(matcher, engine="batch")
+        engine = MatchingEngine(matcher)
         assert not engine.batch_applicable
         comparisons = [Comparison("a1", "a2")]
         decisions = engine.decide_all(comparisons, tiny_collection)
@@ -339,7 +336,7 @@ class TestEngineDispatch:
 
 
 class TestRunnerEquivalence:
-    """run_progressive produces identical results whatever the engine."""
+    """run_progressive produces identical results on either matching path."""
 
     @pytest.mark.parametrize("scheduler_factory", [WeightOrderScheduler, CostBenefitScheduler])
     @pytest.mark.parametrize("budget", [None, 150])
@@ -348,15 +345,14 @@ class TestRunnerEquivalence:
         comparisons = _random_comparisons(collection, 9, count=300)
         matcher = ProfileSimilarityMatcher(threshold=0.35)
         results = {}
-        for engine in ("batch", "pairwise"):
-            results[engine] = run_progressive(
+        for path, component in (("batch", matcher), ("pairwise", readable(matcher))):
+            results[path] = run_progressive(
                 scheduler=scheduler_factory(),
-                matcher=matcher,
+                matcher=component,
                 data=collection,
                 candidates=comparisons,
                 budget=budget,
                 keep_decisions=True,
-                engine=engine,
             )
         batch, pairwise = results["batch"], results["pairwise"]
         assert batch.comparisons_executed == pairwise.comparisons_executed
@@ -372,10 +368,9 @@ class TestRunnerEquivalence:
         matcher = ProfileSimilarityMatcher(threshold=0.35)
         baseline = run_progressive(
             scheduler=WeightOrderScheduler(),
-            matcher=matcher,
+            matcher=readable(matcher),
             data=collection,
             candidates=comparisons,
-            engine="pairwise",
             keep_decisions=True,
         )
         for batch_size in (1, 7, 1000):
@@ -384,7 +379,6 @@ class TestRunnerEquivalence:
                 matcher=matcher,
                 data=collection,
                 candidates=comparisons,
-                engine="batch",
                 batch_size=batch_size,
                 keep_decisions=True,
             )
@@ -394,14 +388,11 @@ class TestRunnerEquivalence:
             assert result.declared_matches == baseline.declared_matches
 
 
-class PerPairMatcher(ProfileSimilarityMatcher):
-    """Not the exact library type, so the workflow decides it pair by pair:
-    the per-pair oracle, reached the way a user's own matcher is."""
-
-
 def _run_update_phase(data, engine, ground_truth=None, **config):
     """The workflow with merge iteration on: the default matcher on the batch
-    path, or the same matcher as a :class:`PerPairMatcher` on the oracle's."""
+    path, or the same matcher as a ``ReadableMatcher`` on the oracle's: not the
+    exact library type, so the workflow decides it pair by pair, the way a
+    user's own matcher is."""
     from repro.core.config import WorkflowConfig
     from repro.core.workflow import ERWorkflow
 
@@ -409,7 +400,7 @@ def _run_update_phase(data, engine, ground_truth=None, **config):
     matcher = None
     if engine == "pairwise":
         vectorizer = TfIdfVectorizer().fit(iter(data)) if options.use_tfidf else None
-        matcher = PerPairMatcher(threshold=options.match_threshold, vectorizer=vectorizer)
+        matcher = ReadableMatcher(threshold=options.match_threshold, vectorizer=vectorizer)
     return ERWorkflow(options, matcher=matcher).run(data, ground_truth)
 
 
@@ -476,7 +467,7 @@ def _assert_same_update_phase(batch, pairwise):
     batch_stage = batch.report.stage("update_iterate")
     pairwise_stage = pairwise.report.stage("update_iterate")
     assert batch_stage.notes == "batch"
-    assert pairwise_stage.notes == "pairwise: PerPairMatcher"
+    assert pairwise_stage.notes == "pairwise: ReadableMatcher"
     for metric in ("new_matches", "iterations", "merges", "candidates", "comparisons"):
         assert batch_stage.get(metric) == pairwise_stage.get(metric), metric
 
@@ -681,7 +672,7 @@ class TestUpdatePhaseEquivalence:
         collection = _random_collection(9, size=6)
         matcher = ProfileSimilarityMatcher(threshold=0.3)
         with pytest.raises(ValueError, match="batch engine"):
-            MatchingEngine(matcher, engine="pairwise").score_against(collection["e000"], [1])
+            MatchingEngine(readable(matcher)).score_against(collection["e000"], [1])
         with pytest.raises(ValueError, match="shared pipeline context"):
             MatchingEngine(matcher).score_against(collection["e000"], [1, 2])
 
@@ -846,10 +837,10 @@ def _progressive_trace(result):
 
 class TestColumnarDrain:
     """``run_progressive`` on the kernel path (an engine whose context owns
-    the data) against the per-pair engine on the object schedule."""
+    the data) against the per-pair path on the object schedule."""
 
     @staticmethod
-    def _run(dataset, scheduler, candidates, matcher, engine, scheduling, **options):
+    def _run(dataset, scheduler, candidates, matcher, engine, **options):
         return run_progressive(
             scheduler=scheduler,
             matcher=matcher,
@@ -857,7 +848,6 @@ class TestColumnarDrain:
             candidates=candidates,
             ground_truth=dataset.ground_truth,
             engine=engine,
-            scheduling=scheduling,
             **options,
         )
 
@@ -875,11 +865,10 @@ class TestColumnarDrain:
         engine = MatchingEngine(matcher, context=context)
         options = dict(budget=budget, keep_decisions=keep_decisions)
         columnar = self._run(
-            small_dirty_dataset, WeightOrderScheduler(), blocks, matcher, engine, "array", **options
+            small_dirty_dataset, WeightOrderScheduler(), blocks, matcher, engine, **options
         )
         oracle = self._run(
-            small_dirty_dataset, WeightOrderScheduler(), blocks, matcher, "pairwise", "object",
-            **options,
+            small_dirty_dataset, ReadableScheduler(), blocks, readable(matcher), None, **options
         )
         assert _progressive_trace(columnar) == _progressive_trace(oracle)
         assert columnar.declared_matches and columnar.true_matches_found == oracle.true_matches_found
@@ -892,14 +881,13 @@ class TestColumnarDrain:
         context = PipelineContext(data)
         matcher = ProfileSimilarityMatcher(threshold=0.2, vectorizer=context.fit_vectorizer())
         traces = []
-        for engine, scheduling in (
-            (MatchingEngine(matcher, context=context), "array"),
-            ("pairwise", "object"),
+        for scheduler, component, engine in (
+            (StaticOrderScheduler(order), matcher, MatchingEngine(matcher, context=context)),
+            (readable(StaticOrderScheduler(order)), readable(matcher), None),
         ):
             with pytest.warns(RuntimeWarning, match="skipped 2 comparison"):
                 result = self._run(
-                    small_dirty_dataset, StaticOrderScheduler(order), None, matcher,
-                    engine, scheduling, keep_decisions=True,
+                    small_dirty_dataset, scheduler, None, component, engine, keep_decisions=True
                 )
             assert result.skipped_comparisons == 2
             assert result.comparisons_executed == len(order) - 2
@@ -931,7 +919,7 @@ class TestColumnarDrain:
 
             monkeypatch.setattr(owner, name, counted)
         result = self._run(
-            small_dirty_dataset, WeightOrderScheduler(), candidates, matcher, engine, "array"
+            small_dirty_dataset, WeightOrderScheduler(), candidates, matcher, engine
         )
         assert result.comparisons_executed == len(candidates) > 0
         assert calls == []
@@ -1058,13 +1046,13 @@ class TestGuards:
             Comparison("a1", "ghost"),
             Comparison("b1", "b2"),
         ]
+        matcher = ProfileSimilarityMatcher(threshold=0.3)
         with pytest.warns(RuntimeWarning, match="skipped 1 comparison"):
             result = run_progressive(
                 scheduler=WeightOrderScheduler(),
-                matcher=ProfileSimilarityMatcher(threshold=0.3),
+                matcher=matcher if engine_name == "batch" else readable(matcher),
                 data=tiny_collection,
                 candidates=comparisons,
-                engine=engine_name,
             )
         assert result.skipped_comparisons == 1
         assert result.comparisons_executed == 2

@@ -3,6 +3,7 @@
 import math
 
 import pytest
+from conftest import graph_metablocking
 
 from repro.blocking.base import Block, BlockCollection
 from repro.blocking.token_blocking import TokenBlocking
@@ -32,6 +33,12 @@ def make_blocks() -> BlockCollection:
         ]
     )
 
+
+
+def _metablocking(weighting, pruning, engine):
+    if engine == "graph":
+        return graph_metablocking(weighting, pruning)
+    return MetaBlocking(weighting, pruning)
 
 class TestBlockingGraph:
     def test_structure(self):
@@ -178,7 +185,7 @@ class TestMetaBlockingPipeline:
     @pytest.mark.parametrize("engine", ["graph", "index"])
     def test_last_run_statistics_populated_by_both_engines(self, engine):
         blocks = make_blocks()
-        metablocking = MetaBlocking("CBS", "CEP", engine=engine)
+        metablocking = _metablocking("CBS", "CEP", engine)
         assert metablocking.last_input_comparisons == 0  # nothing ran yet
         retained = metablocking.retained_edges(blocks)
         assert metablocking.last_engine == engine
@@ -202,7 +209,7 @@ class TestMetaBlockingPipeline:
                 Block("t4", members=["a", "d"]),
             ]
         )
-        metablocking = MetaBlocking("CBS", "CNP", engine=engine)
+        metablocking = _metablocking("CBS", "CNP", engine)
         comparisons = metablocking.weighted_comparisons(blocks)
         assert all(c.weight == 1.0 for c in comparisons)
         # with k=1 each node endorses its (weight, first, second)-largest edge:
@@ -213,7 +220,7 @@ class TestMetaBlockingPipeline:
             ("b", "c"),
             ("c", "d"),
         ]
-        rerun = MetaBlocking("CBS", "CNP", engine=engine).weighted_comparisons(blocks)
+        rerun = _metablocking("CBS", "CNP", engine).weighted_comparisons(blocks)
         assert [c.pair for c in rerun] == [c.pair for c in comparisons]
 
     def test_node_centric_keeps_more_recall_than_edge_centric(self, small_dirty_dataset):

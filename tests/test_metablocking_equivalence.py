@@ -1,9 +1,10 @@
-"""Property-based equivalence of the graph and entity-index meta-blocking engines.
+"""Property-based equivalence of the graph and entity-index meta-blocking paths.
 
 For seeded random block collections -- dirty, clean--clean and mixed -- every
 (weighting x pruning) combination must retain the *same comparison set* with
-the *same weights* in the legacy object-graph engine (the oracle) and the
-entity-index engine.
+the *same weights* in the legacy object graph (the oracle,
+``pruning.prune(BlockingGraph(blocks), weighting)``) and the entity-index
+engine.
 
 The graph engine is compared with a 1e-9 weight tolerance, but it also
 matches bit for bit (held on all three kinds of collection): both engines compute
@@ -23,6 +24,7 @@ import random
 from typing import List
 
 import pytest
+from conftest import graph_retained
 
 from repro.blocking.base import Block, BlockCollection
 from repro.metablocking import MetaBlocking
@@ -80,16 +82,15 @@ def random_mixed_blocks(seed: int) -> BlockCollection:
     return collection
 
 
-def _retained(metablocking: MetaBlocking, blocks: BlockCollection):
-    return {(edge.first, edge.second): edge.weight for edge in metablocking.retained_edges(blocks)}
+def _retained(edges):
+    return {(edge.first, edge.second): edge.weight for edge in edges}
 
 
 def _assert_engines_agree(blocks: BlockCollection, weighting: str, pruning) -> None:
-    graph_mb = MetaBlocking(weighting, pruning, engine="graph")
-    index_mb = MetaBlocking(weighting, pruning, engine="index")
-    expected = _retained(graph_mb, blocks)
-    actual = _retained(index_mb, blocks)
-    assert graph_mb.last_engine == "graph"
+    graph_edges, graph = graph_retained(blocks, weighting, pruning)
+    index_mb = MetaBlocking(weighting, pruning)
+    expected = _retained(graph_edges)
+    actual = _retained(index_mb.retained_edges(blocks))
     assert index_mb.last_engine == "index"
     assert expected.keys() == actual.keys(), (
         f"{weighting}+{pruning}: retained sets differ "
@@ -98,9 +99,9 @@ def _assert_engines_agree(blocks: BlockCollection, weighting: str, pruning) -> N
     )
     for pair, weight in expected.items():
         assert actual[pair] == pytest.approx(weight, abs=1e-9), (weighting, pruning, pair)
-    # the engines must also report identical statistics
-    assert graph_mb.last_graph_edges == index_mb.last_graph_edges
-    assert graph_mb.last_retained_edges == index_mb.last_retained_edges == len(actual)
+    # the engine must also report the graph's statistics
+    assert graph.num_edges == index_mb.last_graph_edges
+    assert len(graph_edges) == index_mb.last_retained_edges == len(actual)
 
 
 @pytest.mark.parametrize("seed", SEEDS)
@@ -154,16 +155,16 @@ RANDOM_COLLECTIONS = {
 def test_index_engine_is_bit_identical_to_the_graph_engine(kind, seed, weighting, pruning):
     """The index engine's weights equal the graph oracle's exactly."""
     blocks = RANDOM_COLLECTIONS[kind](seed)
-    graph_mb = MetaBlocking(weighting, pruning, engine="graph")
-    expected = _retained(graph_mb, blocks)
+    graph_edges, graph = graph_retained(blocks, weighting, pruning)
+    expected = _retained(graph_edges)
     index = EntityIndexEngine(blocks)
     actual = {
         (edge.first, edge.second): edge.weight
         for edge in index.iter_retained(weighting, pruning)
     }
     assert expected == actual  # bit-for-bit, no tolerance
-    assert index.last_num_edges == graph_mb.last_graph_edges
-    assert index.last_retained == graph_mb.last_retained_edges
+    assert index.last_num_edges == graph.num_edges
+    assert index.last_retained == len(graph_edges)
 
 
 # ---------------------------------------------------------------------------
@@ -253,5 +254,5 @@ def test_identifier_table_with_unblocked_descriptions_changes_nothing(kind):
                 plain.last_num_edges,
                 plain.last_retained,
             )
-            graph = MetaBlocking(weighting, pruning, engine="graph").retained_edges(blocks)
+            graph, _ = graph_retained(blocks, weighting, pruning)
             assert sorted((e.first, e.second, e.weight) for e in graph) == expected

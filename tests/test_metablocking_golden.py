@@ -18,6 +18,7 @@ import json
 from pathlib import Path
 
 import pytest
+from conftest import graph_retained
 
 from repro.blocking.token_blocking import TokenBlocking
 from repro.core.context import PipelineContext
@@ -56,9 +57,14 @@ def test_engines_reproduce_golden_output(dataset_name, engine):
     fixture = _fixture(dataset_name)
     for combo, frozen in fixture["combos"].items():
         weighting, pruning = combo.split("+")
-        metablocking = MetaBlocking(weighting, pruning, engine=engine)
-        edges = metablocking.retained_edges(blocks)
-        assert metablocking.last_graph_edges == frozen["graph_edges"], combo
+        if engine == "graph":
+            edges, graph = graph_retained(blocks, weighting, pruning)
+            graph_edges = graph.num_edges
+        else:
+            metablocking = MetaBlocking(weighting, pruning)
+            edges = metablocking.retained_edges(blocks)
+            graph_edges = metablocking.last_graph_edges
+        assert graph_edges == frozen["graph_edges"], combo
         # bit for bit: the frozen weights are what both engines compute
         actual = sorted([edge.first, edge.second, edge.weight] for edge in edges)
         assert actual == frozen["retained"], f"{dataset_name}/{combo}/{engine}"
@@ -119,10 +125,9 @@ def _regenerate() -> None:
         combos = {}
         for weighting in WEIGHTING_SCHEMES:
             for pruning in PRUNING_SCHEMES:
-                metablocking = MetaBlocking(weighting, pruning, engine="graph")
-                edges = metablocking.retained_edges(blocks)
+                edges, graph = graph_retained(blocks, weighting, pruning)
                 combos[f"{weighting}+{pruning}"] = {
-                    "graph_edges": metablocking.last_graph_edges,
+                    "graph_edges": graph.num_edges,
                     "retained": sorted([e.first, e.second, e.weight] for e in edges),
                 }
         payload = {

@@ -94,9 +94,7 @@ class TestSeedScheme:
             ]
         )
         oracle = MinHashLSHBlocking(num_bands=3, rows_per_band=2, seed=1).build(collection)
-        engine = BlockingEngine(
-            MinHashLSHBlocking(num_bands=3, rows_per_band=2, seed=1), engine="index"
-        )
+        engine = BlockingEngine(MinHashLSHBlocking(num_bands=3, rows_per_band=2, seed=1))
         built = engine.build(collection)
         assert [b.key for b in built] == [b.key for b in oracle]
 

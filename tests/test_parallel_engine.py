@@ -18,6 +18,7 @@ from __future__ import annotations
 import os
 
 import pytest
+from conftest import graph_retained
 
 from repro.blocking.cleaning import BlockFiltering, BlockPurging
 from repro.blocking.engine import BlockingEngine
@@ -173,8 +174,8 @@ class TestParallelMetaBlocking:
     def test_replicas_match_the_graph_oracle(self, dirty_setup, weighting):
         # the worker replicas retain the graph engine's edges, weights bit for bit
         _, _, blocks = dirty_setup
-        graph = MetaBlocking(weighting, "WNP", engine="graph")
-        expected = sorted((e.first, e.second, e.weight) for e in graph.retained_edges(blocks))
+        edges, graph = graph_retained(blocks, weighting, "WNP")
+        expected = sorted((e.first, e.second, e.weight) for e in edges)
         sharded = EntityIndexEngine(blocks)
         with ParallelEngine(num_workers=3) as par:
             got = par.retained_edges(sharded, weighting, "WNP")
@@ -183,8 +184,8 @@ class TestParallelMetaBlocking:
             (sharded.identifier(f), sharded.identifier(s), w) for f, s, w in zip(*got)
         )
         assert named == expected
-        assert sharded.last_num_edges == graph.last_graph_edges
-        assert sharded.last_retained == graph.last_retained_edges == len(got[0])
+        assert sharded.last_num_edges == graph.num_edges
+        assert sharded.last_retained == len(edges) == len(got[0])
 
 
 class TestEdgeCasesAndLifecycle:

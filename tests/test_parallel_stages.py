@@ -352,9 +352,7 @@ class TestParallelClustering:
         columns = _sparse_decisions(200)
         serial_engine = ClusteringEngine(ConnectedComponentsClustering())
         expected = serial_engine.cluster(columns)
-        oracle = ClusteringEngine(
-            ConnectedComponentsClustering(), engine="object"
-        ).cluster(columns)
+        oracle = ConnectedComponentsClustering().cluster(columns)
         assert expected == oracle
         with ParallelEngine(num_workers=workers) as par:
             engine = ClusteringEngine(ConnectedComponentsClustering(), parallel=par)

@@ -1,6 +1,7 @@
 """Tests for budgets, progressive schedulers and the progressive runner."""
 
 import pytest
+from conftest import readable
 
 from repro.blocking.token_blocking import TokenBlocking
 from repro.datamodel.collection import EntityCollection
@@ -100,12 +101,12 @@ class TestBatchedAccounting:
         )
         runs = [
             run_progressive(
-                WeightOrderScheduler(), matcher, data, blocks, budget=budget,
-                ground_truth=truth, engine=engine, scheduling=scheduling, batch_size=64,
+                WeightOrderScheduler(), component, data, blocks, budget=budget,
+                ground_truth=truth, engine=engine, batch_size=64,
             )
-            for engine, scheduling in (
-                (MatchingEngine(matcher, context=context), "array"),  # columnar drain
-                ("pairwise", None),  # one charge and one record per comparison
+            for component, engine in (
+                (matcher, MatchingEngine(matcher, context=context)),  # columnar drain
+                (readable(matcher), None),  # one charge and one record per comparison
             )
         ]
         batched, looped = runs

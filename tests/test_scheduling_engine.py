@@ -1,8 +1,9 @@
-"""Seeded equivalence suite: array vs object scheduling engines.
+"""Seeded equivalence suite: array vs object scheduling paths.
 
-The object engine (every scheduler's own ``schedule`` generator) is the
-oracle.  For each seeded dataset, candidate shape, scheduler, budget and
-NumPy mode, the array engine must reproduce the oracle *bit for bit*: the
+The object path (every scheduler's own ``schedule`` generator, reached by a
+trivial subclass of the scheduler) is the oracle.  For each seeded dataset,
+candidate shape, scheduler and budget, the array path must reproduce the
+oracle *bit for bit*: the
 same comparisons in the same order (including order under weight ties), the
 same declared matches, the same progressive recall curve and the same budget
 accounting.
@@ -11,6 +12,7 @@ accounting.
 import random
 
 import pytest
+from conftest import ReadableMatcher, ReadableScheduler, readable
 
 from repro.blocking.base import Block, BlockCollection
 from repro.blocking.cleaning import BlockFiltering, BlockPurging
@@ -25,11 +27,7 @@ from repro.datasets import (
 )
 from repro.matching.matchers import ProfileSimilarityMatcher
 from repro.metablocking.pipeline import MetaBlocking
-from repro.progressive.engine import (
-    SCHEDULING_ENGINES,
-    SchedulingEngine,
-    _columns_from_blocks,
-)
+from repro.progressive.engine import SchedulingEngine, _columns_from_blocks
 from repro.progressive.psnm import (
     ProgressiveBlockScheduler,
     ProgressiveSortedNeighborhood,
@@ -116,7 +114,7 @@ class TestSeededEquivalence:
     @pytest.mark.parametrize("shape", ["columns", "blocks"])
     @pytest.mark.parametrize("budget", [None, 40])
     def test_all_feedback_free_schedulers(self, kind, shape, budget):
-        """Array and object engines execute identical schedules end to end."""
+        """Array and object paths execute identical schedules end to end."""
         data, ground_truth = _dataset(kind, seed=11)
         candidates = _candidates(data, shape)
         matcher = _matcher(data, "tfidf")
@@ -126,19 +124,25 @@ class TestSeededEquivalence:
                 and shape != "blocks"
             ):
                 continue  # its array path only exists for block input
+            scheduled = SchedulingEngine(scheduler).schedule(data, candidates)
+            assert [(c.pair, c.weight) for c in scheduled] == [
+                (c.pair, c.weight) for c in scheduler.schedule(data, candidates)
+            ]
             results = {}
-            for engine in SCHEDULING_ENGINES:
-                results[engine] = _trace(
+            for path, component in (("array", scheduler), ("object", readable(scheduler))):
+                scheduling = SchedulingEngine(component)
+                results[path] = _trace(
                     _run(
-                        scheduler,
+                        component,
                         matcher,
                         data,
                         candidates,
-                        SchedulingEngine(scheduler, engine=engine),
+                        scheduling,
                         budget=budget,
                         ground_truth=ground_truth,
                     )
                 )
+                assert scheduling.last_engine == path
             assert results["array"] == results["object"], (
                 kind,
                 shape,
@@ -148,23 +152,17 @@ class TestSeededEquivalence:
 
     @pytest.mark.parametrize("kind", ["dirty", "clean_clean"])
     def test_matches_historical_runner_path(self, kind):
-        """`scheduling=None` (the pre-engine runner) is the same oracle."""
+        """`scheduling=None` (the default engine) runs the oracle's schedule."""
         data, ground_truth = _dataset(kind, seed=23)
         candidates = _candidates(data, "columns")
         matcher = _matcher(data, "set")
         for scheduler in (WeightOrderScheduler(), RandomOrderScheduler(seed=2)):
+            oracle = readable(scheduler)
             baseline = _trace(
-                _run(scheduler, matcher, data, candidates, None, ground_truth=ground_truth)
+                _run(oracle, matcher, data, candidates, None, ground_truth=ground_truth)
             )
             arrayed = _trace(
-                _run(
-                    scheduler,
-                    matcher,
-                    data,
-                    candidates,
-                    SchedulingEngine(scheduler, engine="array"),
-                    ground_truth=ground_truth,
-                )
+                _run(scheduler, matcher, data, candidates, None, ground_truth=ground_truth)
             )
             assert arrayed == baseline
 
@@ -173,25 +171,16 @@ class TestSeededEquivalence:
         data, ground_truth = _dataset("dirty", seed=31)
         candidates = _candidates(data, "columns")
         matcher = _matcher(data, "set")
-        scheduler = WeightOrderScheduler()
         results = [
             _trace(
-                _run(
-                    scheduler,
-                    matcher,
-                    data,
-                    candidates,
-                    SchedulingEngine(scheduler, engine=engine),
-                    engine=matching_engine,
-                    ground_truth=ground_truth,
-                )
+                _run(scheduler, component, data, candidates, None, ground_truth=ground_truth)
             )
-            for engine in SCHEDULING_ENGINES
-            for matching_engine in ("batch", "pairwise")
+            for scheduler in (WeightOrderScheduler(), ReadableScheduler())
+            for component in (matcher, ReadableMatcher(threshold=matcher.threshold))
         ]
         assert all(result == results[0] for result in results[1:])
 
-    @pytest.mark.parametrize("engine", SCHEDULING_ENGINES)
+    @pytest.mark.parametrize("engine", ["array", "object"])
     def test_static_order_runs_verbatim(self, engine):
         data, _ = _dataset("dirty", seed=7)
         candidates = _candidates(data, "columns")
@@ -199,13 +188,11 @@ class TestSeededEquivalence:
         random.Random(3).shuffle(order)
         order = order + order[:5]  # duplicates must be preserved verbatim
         scheduler = StaticOrderScheduler(order)
-        result = _run(
-            scheduler,
-            _matcher(data, "set"),
-            data,
-            candidates,
-            SchedulingEngine(scheduler, engine=engine),
-        )
+        if engine == "object":
+            scheduler = readable(scheduler)
+        scheduling = SchedulingEngine(scheduler)
+        result = _run(scheduler, _matcher(data, "set"), data, candidates, scheduling)
+        assert scheduling.last_engine == engine
         assert [d.pair for d in result.decisions] == [c.pair for c in order]
 
 
@@ -233,7 +220,7 @@ class TestWeightTies:
         )
         scheduler = WeightOrderScheduler()
         expected = list(scheduler.schedule(None, comparisons))
-        got = list(SchedulingEngine(scheduler, engine="array").schedule(None, columns))
+        got = list(SchedulingEngine(scheduler).schedule(None, columns))
         assert [(c.pair, c.weight) for c in got] == [
             (c.pair, c.weight) for c in expected
         ]
@@ -271,20 +258,19 @@ class TestFallback:
             ProgressiveSortedNeighborhood(),
             ProgressiveBlockScheduler(),  # promotion enabled => adaptive
         ):
-            engine = SchedulingEngine(scheduler, engine="array")
+            engine = SchedulingEngine(scheduler)
             assert not engine.array_applicable(candidates)
             assert engine.schedule_rows(data, candidates) is None
             assert engine.last_engine == "object"
-            assert not SchedulingEngine(
-                ProgressiveBlockScheduler(), engine="array"
-            ).feedback_free
-            # and the run still matches the plain runner
+            assert not SchedulingEngine(ProgressiveBlockScheduler()).feedback_free
+            # and the run is the one the scheduler's own schedule drives
             matcher = _matcher(data, "set")
             via_engine = _trace(
                 _run(scheduler, matcher, data, candidates, engine, ground_truth=ground_truth)
             )
+            oracle = readable(scheduler)
             plain = _trace(
-                _run(scheduler, matcher, data, candidates, None, ground_truth=ground_truth)
+                _run(oracle, matcher, data, candidates, None, ground_truth=ground_truth)
             )
             assert via_engine == plain
 
@@ -292,7 +278,7 @@ class TestFallback:
         data, _ = _dataset("dirty", seed=19)
         candidates = _candidates(data, "columns")
         scheduler = PartitionHierarchyScheduler()
-        engine = SchedulingEngine(scheduler, engine="array")
+        engine = SchedulingEngine(scheduler)
         assert engine.feedback_free
         assert engine.schedule_rows(data, candidates) is None
         assert engine.last_engine == "object"
@@ -304,7 +290,7 @@ class TestFallback:
 
         data, _ = _dataset("dirty", seed=3)
         candidates = _candidates(data, "columns")
-        engine = SchedulingEngine(TweakedWeightOrder(), engine="array")
+        engine = SchedulingEngine(TweakedWeightOrder())
         assert engine.schedule_rows(data, candidates) is None
         scheduled = list(engine.schedule(data, candidates))
         assert engine.last_engine == "object"
@@ -314,13 +300,9 @@ class TestFallback:
     def test_object_engine_forces_fallback(self):
         data, _ = _dataset("dirty", seed=3)
         candidates = _candidates(data, "columns")
-        engine = SchedulingEngine(WeightOrderScheduler(), engine="object")
+        engine = SchedulingEngine(ReadableScheduler())
         assert engine.schedule_rows(data, candidates) is None
         assert engine.last_engine == "object"
-
-    def test_unknown_engine_rejected(self):
-        with pytest.raises(ValueError):
-            SchedulingEngine(WeightOrderScheduler(), engine="bogus")
 
     def test_mismatched_engine_wrapper_rejected(self):
         data, _ = _dataset("dirty", seed=3)
@@ -331,7 +313,7 @@ class TestFallback:
                 matcher=_matcher(data, "set"),
                 data=data,
                 candidates=candidates,
-                scheduling=SchedulingEngine(WeightOrderScheduler(), engine="array"),
+                scheduling=SchedulingEngine(WeightOrderScheduler()),
             )
 
 
@@ -342,7 +324,7 @@ class TestBudgetSlicing:
         candidates = _candidates(data, "columns")
         drawn = []
         scheduler = WeightOrderScheduler()
-        engine = SchedulingEngine(scheduler, engine="array")
+        engine = SchedulingEngine(scheduler)
         rows = engine.schedule_rows(data, candidates)
         original = rows.rows
 
@@ -360,7 +342,6 @@ class TestBudgetSlicing:
             candidates=candidates,
             budget=25,
             ground_truth=ground_truth,
-            engine="batch",
             scheduling=engine_with_rows(engine, rows),
         )
         assert result.comparisons_executed == 25
@@ -377,8 +358,7 @@ def engine_with_rows(engine, rows):
             self.last_engine = "array"
             return rows
 
-    stub = _Stub(engine.scheduler, engine="array")
-    return stub
+    return _Stub(engine.scheduler)
 
 
 class TestBlockPairKernel:

@@ -73,7 +73,7 @@ def _assert_all_paths_agree(data, factory, label=""):
     expected = snapshot(factory().build(data))
     for with_context in (False, True):
         context = PipelineContext(data) if with_context else None
-        engine = BlockingEngine(factory(), engine="index", context=context)
+        engine = BlockingEngine(factory(), context=context)
         built = engine.build(data)
         assert engine.last_engine == "index", (label, with_context)
         assert snapshot(built) == expected, (label, with_context)
@@ -131,7 +131,7 @@ def test_similarity_join_statistics_match_oracle():
     oracle = SimilarityJoinBlocking(threshold=0.4)
     oracle.build(data)
     ported = SimilarityJoinBlocking(threshold=0.4)
-    BlockingEngine(ported, engine="index").build(data)
+    BlockingEngine(ported).build(data)
     assert ported.last_candidate_count == oracle.last_candidate_count
     assert ported.last_verified_count == oracle.last_verified_count
 
@@ -145,7 +145,7 @@ class TestFallbackWarning:
             pass
 
         data = random_dirty_collection(3, size=10)
-        engine = BlockingEngine(MyCustomScheme(window_size=2), engine="index")
+        engine = BlockingEngine(MyCustomScheme(window_size=2))
         with pytest.warns(RuntimeWarning, match="MyCustomScheme") as record:
             engine.build(data)
         assert engine.last_engine == "oracle"
@@ -161,22 +161,22 @@ class TestFallbackWarning:
     @pytest.mark.parametrize("builder_name", sorted(FAMILY_BUILDERS))
     def test_supported_builders_do_not_warn(self, builder_name):
         data = random_dirty_collection(3, size=10)
-        engine = BlockingEngine(FAMILY_BUILDERS[builder_name](), engine="index")
+        engine = BlockingEngine(FAMILY_BUILDERS[builder_name]())
         with warnings.catch_warnings():
             warnings.simplefilter("error")
             engine.build(data)
         assert engine.last_engine == "index"
 
     def test_oracle_engine_never_warns(self):
+        """The warning is the engine's: the builder's own build is silent."""
+
         class MyCustomScheme(SortedNeighborhoodBlocking):
             pass
 
         data = random_dirty_collection(3, size=10)
-        engine = BlockingEngine(MyCustomScheme(window_size=2), engine="oracle")
         with warnings.catch_warnings():
             warnings.simplefilter("error")
-            engine.build(data)
-        assert engine.last_engine == "oracle"
+            MyCustomScheme(window_size=2).build(data)
 
 
 # ----------------------------------------------------------------------
@@ -223,8 +223,11 @@ def test_engines_reproduce_family_golden_output(dataset_name, engine):
     collection = DATASETS[dataset_name]().collection
     fixture = _fixture(dataset_name)
     for builder_name, frozen in fixture["builders"].items():
-        blocking = BlockingEngine(GOLDEN_BUILDERS[builder_name](), engine=engine)
-        blocks = blocking.build(collection)
+        builder = GOLDEN_BUILDERS[builder_name]()
+        if engine == "oracle":
+            blocks = builder.build(collection)
+        else:
+            blocks = BlockingEngine(builder).build(collection)
         assert _serialise(blocks) == frozen["blocks"], (
             f"{dataset_name}/{builder_name}/{engine}: block collection changed"
         )

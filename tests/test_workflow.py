@@ -4,8 +4,8 @@ import dataclasses
 from contextlib import nullcontext
 
 import pytest
+from conftest import ReadableBlocking, ReadableMatcher, ReadableScheduler
 
-from repro.blocking.token_blocking import TokenBlocking
 from repro.core.config import WorkflowConfig
 from repro.core.workflow import ERWorkflow, default_workflow
 from repro.datamodel.pairs import DecisionColumns
@@ -30,20 +30,6 @@ REMOVED_OPTIONS = (
     "incremental_engine",
     "shared_context",
 )
-
-
-# The extension seam: a subclass is not the exact library type, so the stage
-# runs the component's own readable method instead of the columnar path.
-class ReadableBlocking(TokenBlocking):
-    pass
-
-
-class ReadableScheduler(WeightOrderScheduler):
-    pass
-
-
-class ReadableMatcher(ProfileSimilarityMatcher):
-    pass
 
 
 def readable_matcher(data):
@@ -107,6 +93,59 @@ class TestWorkflowConfig:
             "max_shard_retries",
             "on_worker_failure",
         ]
+
+    def test_stage_classes_take_no_engine_selector(self, tiny_collection):
+        """The library's half: each stage runs the path its component's type
+        selects, so no stage class or package exports an engine selector."""
+        import inspect
+
+        import repro.blocking
+        import repro.iterative
+        import repro.matching
+        import repro.metablocking
+        import repro.progressive
+        from repro.blocking import BlockingEngine
+        from repro.iterative import (
+            AttributeOnlyER,
+            CollectiveER,
+            IncrementalResolver,
+            NaivePairwiseER,
+            RSwoosh,
+        )
+        from repro.matching import ClusteringEngine, MatchingEngine
+        from repro.metablocking import MetaBlocking
+        from repro.progressive import SchedulingEngine, run_progressive
+
+        for stage in (
+            BlockingEngine,
+            MetaBlocking,
+            SchedulingEngine,
+            MatchingEngine,
+            ClusteringEngine,
+            IncrementalResolver,
+            RSwoosh,
+            NaivePairwiseER,
+            CollectiveER,
+            AttributeOnlyER,
+        ):
+            assert "engine" not in inspect.signature(stage).parameters, stage
+        for package in (
+            repro.blocking,
+            repro.iterative,
+            repro.matching,
+            repro.metablocking,
+            repro.progressive,
+        ):
+            assert not [name for name in package.__all__ if name.endswith("ENGINES")]
+        for selector in ({"engine": "batch"}, {"scheduling": "array"}):
+            with pytest.raises(AttributeError):
+                run_progressive(
+                    WeightOrderScheduler(),
+                    ProfileSimilarityMatcher(),
+                    tiny_collection,
+                    [],
+                    **selector,
+                )
 
     @pytest.mark.parametrize("max_iterations", [0, -1])
     def test_iteration_needs_at_least_one_round(self, small_dirty_dataset, max_iterations):
