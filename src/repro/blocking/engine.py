@@ -188,7 +188,7 @@ def _context_token_build(builder: TokenBlocking, context) -> BlockColumns:
             members.extend(posting)
             posting_ptr.append(len(members))
     return BlockColumns.from_postings(
-        list(map(context.token, tokens)),
+        list(map(context._tokens.__getitem__, tokens)),
         posting_ptr,
         members,
         context.ids,

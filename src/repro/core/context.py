@@ -17,21 +17,28 @@ from one :class:`PipelineContext`, which interns the collection **once**:
     consumers such as sorted-neighbourhood keys read it;
   - the **slot** columns: one slot per (description, attribute), holding the
     sorted distinct token ids of that attribute's values plus the aligned
-    occurrence counts;
+    occurrence counts, and the attribute names -- derived on first
+    :meth:`~PipelineContext.attribute_entries` (only attribute-clustering
+    blocking reads them), from the stream and each slot's end in it;
   - the **merged** columns: per description, the sorted distinct ids over
     all attributes plus the aligned counts.
 
 **Chunks.**  The interning pass walks the descriptions in chunks of
-``_CHUNK_DESCRIPTIONS``.  One :func:`~repro.text.tokenize.tokenize_slots`
+``_CHUNK_DESCRIPTIONS``.  The chunk's slots (each attribute's values joined
+by a space) and its per-description slot counts come from C-level ``map``
+passes over the attribute mappings, with no Python loop per description.
+One :func:`~repro.text.tokenize.tokenize_slots`
 call splits a chunk's slots into one word list, a mark closing each slot;
 one C-level pass maps it to ids through a vocabulary that gives a new token
 the next id on its first lookup (chunks go in stream order, so the ids are
 the ones a token-by-token pass assigns) and the mark -1, so slot ends are
 the mark positions less the marks before them; and one sorted-distinct/count
-kernel (:func:`_sorted_distinct`) derives the slot and the merged columns of
-the whole chunk.  The transient arrays are bounded by
+kernel (:func:`_sorted_distinct`) derives the merged columns of the whole
+chunk.  The transient arrays are bounded by
 the chunk, the columns grow by ``frombytes``.  Nothing is published until
 the pass has succeeded: an interrupted pass leaves the context un-interned.
+The slot columns are derived later the same way, one chunk at a time, and
+published only when complete.
 
 **Accessors.**  :meth:`~PipelineContext.token_counts`,
 :meth:`~PipelineContext.attribute_entries` and
@@ -71,6 +78,7 @@ token data costs nothing beyond the constructor.
 from __future__ import annotations
 
 import itertools
+import operator
 from array import array
 from collections import defaultdict
 from typing import Dict, FrozenSet, Iterable, Iterator, List, Optional, Tuple
@@ -88,6 +96,8 @@ ERInput = object  # EntityCollection | CleanCleanTask (kept loose to stay import
 #: kernel calls amortise, small enough that its transient arrays stay around
 #: a megabyte whatever the collection size.
 _CHUNK_DESCRIPTIONS = 2048
+
+_ATTRIBUTES = operator.attrgetter("attributes")
 
 
 def _sorted_distinct(ids, ptr, id_space: int):
@@ -160,13 +170,11 @@ class TokenFilter:
         return self.min_length <= 1 and not self.stop_words
 
     def _extend(self, size: int) -> None:
-        flags = self._flags
-        tokens = self._tokens
-        stops = self.stop_words
-        min_length = self.min_length
-        for token_id in range(len(flags), size):
-            token = tokens[token_id]
-            flags.append(len(token) >= min_length and token not in stops)
+        stops, min_length = self.stop_words, self.min_length
+        tokens = self._tokens[len(self._flags) : size]
+        # one comprehension: measured faster than a chain of C-level maps
+        # (len / comparison / membership), which pay a call per token each
+        self._flags.extend([len(t) >= min_length and t not in stops for t in tokens])
 
     def allows(self, token_id: int) -> bool:
         if len(self._flags) <= token_id:
@@ -220,11 +228,13 @@ class PipelineContext:
         # per description: every token id in value order (duplicates kept)
         self._stream_ptr = array("q", [0])
         self._stream_ids = array("q")
-        # per description: its (attribute) slots; per slot: the attribute
-        # name and the sorted distinct ids + counts of its values
+        # per description: its (attribute) slots; per slot: its end in the
+        # stream, and -- derived on first use -- the attribute name and the
+        # sorted distinct ids + counts of its values
         self._slot_ptr = array("q", [0])
-        self._slot_names: List[str] = []
-        self._slots = _Csr()
+        self._slot_bounds = array("q", [0])
+        self._slot_names: Optional[List[str]] = None
+        self._slots: Optional[_Csr] = None
         # per description: sorted distinct ids + counts over all attributes
         self._merged = _Csr()
         self._filters: Dict[Tuple[FrozenSet[str], int], TokenFilter] = {}
@@ -255,21 +265,18 @@ class PipelineContext:
             left_count = -1
         token_ids = defaultdict(itertools.count().__next__, {SLOT_MARK: -1})  # new: next id
         stream_ptr, stream_ids = array("q", [0]), array("q")
-        slot_ptr = array("q", [0])
-        slot_names: List[str] = []
-        slots, merged = _Csr(), _Csr()
+        slot_ptr, slot_bounds = array("q", [0]), array("q", [0])
+        merged = _Csr()
         for chunk_start in range(0, len(descriptions), _CHUNK_DESCRIPTIONS):
             # one slot per (description, attribute): its values joined by a space
-            pieces: List[str] = []
-            description_ends = [0]
-            slot_base = len(slot_names)
-            for description in descriptions[chunk_start : chunk_start + _CHUNK_DESCRIPTIONS]:
-                attributes = description.attributes
-                pieces += map(" ".join, attributes.values())
-                slot_names += attributes
-                description_ends.append(len(slot_names) - slot_base)
-            chunk_tokens = tokenize_slots(pieces)
-            del pieces
+            attributes = list(
+                map(_ATTRIBUTES, descriptions[chunk_start : chunk_start + _CHUNK_DESCRIPTIONS])
+            )
+            slot_counts = _np.fromiter(map(len, attributes), _np.int64, len(attributes))
+            description_ends = _np.concatenate(([0], _np.cumsum(slot_counts)))
+            values = itertools.chain.from_iterable(map(operator.methodcaller("values"), attributes))
+            chunk_tokens = tokenize_slots(list(map(" ".join, values)))
+            del attributes, values
             # the ids less the marks; a slot ends at its mark less the marks before
             marked = _np.fromiter(
                 map(token_ids.__getitem__, chunk_tokens), _np.int64, len(chunk_tokens)
@@ -279,22 +286,22 @@ class PipelineContext:
             ids = _np.delete(marked, marks)
             slot_ends = _np.concatenate(([0], marks - _np.arange(len(marks))))
             token_ends = slot_ends[description_ends]
+            _extend(slot_ptr, description_ends[1:], len(slot_bounds) - 1)
+            _extend(slot_bounds, slot_ends[1:], len(stream_ids))
             _extend(stream_ptr, token_ends[1:], len(stream_ids))
             _extend(stream_ids, ids)
-            _extend(slot_ptr, description_ends[1:], slot_base)
-            slots.extend(*_sorted_distinct(ids, slot_ends, len(token_ids)))
             merged.extend(*_sorted_distinct(ids, token_ends, len(token_ids)))
         del token_ids[SLOT_MARK]
-        self._ids = [description.identifier for description in descriptions]
-        self._ordinal = {identifier: ordinal for ordinal, identifier in enumerate(self._ids)}
+        self._ids = list(map(operator.attrgetter("identifier"), descriptions))
+        self._ordinal = dict(zip(self._ids, range(len(self._ids))))
         self._descriptions = descriptions
         self.left_count = left_count
         # filled in place: whoever already holds the vocabulary sees it
         self._token_ids.update(token_ids)
         self._tokens[:] = token_ids  # the keys, in id order
         self._stream_ptr, self._stream_ids = stream_ptr, stream_ids
-        self._slot_ptr, self._slot_names = slot_ptr, slot_names
-        self._slots, self._merged = slots, merged
+        self._slot_ptr, self._slot_bounds = slot_ptr, slot_bounds
+        self._merged = merged
         self._interned = True
 
     @property
@@ -367,10 +374,36 @@ class PipelineContext:
         empty profile for them.
         """
         self._intern_all()
+        if self._slots is None:
+            self._derive_slots()
         names = self._slot_names
         segment = self._slots.segment
         for slot in range(self._slot_ptr[ordinal], self._slot_ptr[ordinal + 1]):
             yield (names[slot], *segment(slot))
+
+    def _derive_slots(self) -> None:
+        """The slot names and the slot CSR, derived from the stream.
+
+        Slot ``s`` is ``stream_ids[slot_bounds[s]:slot_bounds[s + 1]]``; one
+        :func:`_sorted_distinct` call per chunk of descriptions keeps the
+        transient arrays bounded.  Both are published only at the end, so an
+        interrupted derivation leaves nothing behind and the next call starts
+        over.
+        """
+        stream_ids = _np.frombuffer(self._stream_ids, dtype=_np.int64)
+        bounds = _np.frombuffer(self._slot_bounds, dtype=_np.int64)
+        slot_ptr = self._slot_ptr
+        count = len(self._ids)
+        id_space = len(self._tokens)
+        slots = _Csr()
+        for chunk_start in range(0, count, _CHUNK_DESCRIPTIONS):
+            chunk_stop = min(chunk_start + _CHUNK_DESCRIPTIONS, count)
+            ptr = bounds[slot_ptr[chunk_start] : slot_ptr[chunk_stop] + 1]
+            slots.extend(
+                *_sorted_distinct(stream_ids[ptr[0] : ptr[-1]], ptr - ptr[0], id_space)
+            )
+        names = list(itertools.chain.from_iterable(map(_ATTRIBUTES, self._descriptions)))
+        self._slot_names, self._slots = names, slots
 
     def token_stream(self, ordinal: int) -> array:
         """Every token id of the description, in value order, duplicates kept.

@@ -259,9 +259,7 @@ class GrowableContext:
         )
         context = cls()
         context._ids = reader.strings("context.ids")
-        context._ordinal = {
-            identifier: ordinal for ordinal, identifier in enumerate(context._ids)
-        }
+        context._ordinal = dict(zip(context._ids, range(len(context._ids))))
         context._tokens = reader.strings("context.tokens")
         context._token_ids = None
         context._token_ptr = GrowableColumn(reader.column("context.token_ptr"))

@@ -22,7 +22,10 @@ Design rules:
   (validated on load) and a free-form ``meta`` mapping for the writer's own
   configuration.  Its shape is checked when a reader opens it: a manifest
   that is not an object, or an inventory or checksum table of the wrong
-  shape, raises :class:`SnapshotError`.  A reader refuses manifests whose major format version it
+  shape, raises :class:`SnapshotError`.  So does an entry name that is not
+  a plain file name (empty, ``.``, ``..``, or holding ``/``, ``\\`` or NUL),
+  before any file is opened; the writer refuses such a name with
+  :class:`ValueError`.  A reader refuses manifests whose major format version it
   does not know -- snapshots are a service interface, failing loudly beats
   misreading state.
 * **Crash-safe writes** (format 1.1).  The writer stages every file in a
@@ -94,6 +97,11 @@ class SnapshotError(ValueError):
     generic errors keep working; new code should catch :class:`SnapshotError`
     to distinguish integrity failures from ordinary bad arguments.
     """
+
+
+def _is_entry_name(name: str) -> bool:
+    """Whether ``name`` can only name a file directly inside the snapshot."""
+    return name not in ("", ".", "..") and not any(c in name for c in "/\\\x00")
 
 
 def _file_crc32(path: Path) -> int:
@@ -219,10 +227,19 @@ class SnapshotWriter:
         path = self._staging / filename
         self._checksums[filename] = (_file_crc32(path), path.stat().st_size)
 
-    def column(self, name: str, values: Any) -> None:
-        """Persist an int64 column under ``name``."""
+    def _claim(self, name: str) -> None:
+        """Reject a duplicate ``name`` or one that is not a plain file name."""
+        if not _is_entry_name(name):
+            raise ValueError(
+                f"snapshot column name {name!r} is empty, '.', '..' or holds "
+                "'/', '\\' or NUL"
+            )
         if name in self._columns or name in self._strings:
             raise ValueError(f"duplicate snapshot column {name!r}")
+
+    def column(self, name: str, values: Any) -> None:
+        """Persist an int64 column under ``name``."""
+        self._claim(name)
         chunks, count = _chunks_of(values)
         write_npy(self._staging / f"{name}.npy", chunks, count)
         self._record(f"{name}.npy")
@@ -230,8 +247,7 @@ class SnapshotWriter:
 
     def strings(self, name: str, values: Sequence[str]) -> None:
         """Persist a string column as a UTF-8 blob plus int64 offsets."""
-        if name in self._columns or name in self._strings:
-            raise ValueError(f"duplicate snapshot column {name!r}")
+        self._claim(name)
         offsets = array("q", [0])
         pieces: List[bytes] = []
         total = 0
@@ -318,13 +334,19 @@ def _is_checksum(value: Any) -> bool:
 def _check_entries(
     manifest_path: Path, key: str, entries: Any, valid: Callable[[Any], bool], expected: str
 ) -> None:
-    """Raise :class:`SnapshotError` unless ``entries`` maps names to valid values."""
+    """Raise :class:`SnapshotError` unless ``entries`` maps plain file names
+    (see :func:`_is_entry_name`) to valid values."""
     if not isinstance(entries, dict):
         raise SnapshotError(
             f"snapshot manifest at {manifest_path}: {key!r} is not a mapping; "
             "the snapshot is corrupted"
         )
     for name, value in entries.items():
+        if not _is_entry_name(name):
+            raise SnapshotError(
+                f"snapshot manifest at {manifest_path}: {key} entry {name!r} is not "
+                "a file name inside the snapshot; the snapshot is corrupted"
+            )
         if not valid(value):
             raise SnapshotError(
                 f"snapshot manifest at {manifest_path}: {key}[{name!r}] is {value!r}, "

@@ -2,7 +2,9 @@
 
 Covers four guarantees: the chunked interning pass fills exactly the columns
 of the token-by-token loop it replaced (``reference_columns``, kept here as
-the reference) at every chunk size and on both column kernels; the derived
+the reference) at every chunk size, whichever accessor comes first -- the
+slot columns are derived on demand, by attribute-clustering blocking only,
+and the stop-word/length mask follows the per-token rule; the derived
 token views (blocking keys, TF-IDF fit, matching profiles) are bit-identical
 to the per-stage tokenising paths; a full ``ERWorkflow.run`` produces exactly
 the output of a run whose components never read the context (a builder and a
@@ -213,14 +215,24 @@ def chunk_size(request, monkeypatch):
 class TestColumnsEqualReference:
     """The chunked pass reproduces the token-by-token loop, column for column."""
 
+    @pytest.mark.parametrize("first", ["attribute_entries", "token_columns"])
     @pytest.mark.parametrize("kind", ["dirty", "clean_clean", "odd"])
-    def test_fixture_columns(self, dirty, clean_clean, kind, chunk_size):
+    def test_fixture_columns(self, dirty, clean_clean, kind, chunk_size, first):
         data = {
             "dirty": dirty.collection,
             "clean_clean": clean_clean.task,
             "odd": _odd_values_collection(),
         }[kind]
-        assert interned_columns(PipelineContext(data)) == reference_columns(data)
+        reference = reference_columns(data)
+        context = PipelineContext(data)
+        if first == "attribute_entries":
+            # interns and derives the slot columns in one call
+            entries = [(n, a.tolist(), c.tolist()) for n, a, c in context.attribute_entries(0)]
+            assert entries == reference["attribute_entries"][0]
+        else:
+            context.token_columns()
+            assert context._slots is None  # interned, slot columns not derived yet
+        assert interned_columns(context) == reference
 
     def test_odd_values_hit_the_special_cases(self):
         reference = reference_columns(_odd_values_collection())
@@ -275,9 +287,102 @@ class TestColumnsEqualReference:
         assert interned_columns(context) == reference_columns(data)
         assert context.num_descriptions == len(data)
 
+    def test_interrupted_slot_derivation_publishes_nothing(self, dirty, monkeypatch):
+        """A derivation that raises leaves no partial slot CSR; the next call succeeds."""
+        data = dirty.collection
+        monkeypatch.setattr(context_module, "_CHUNK_DESCRIPTIONS", 16)
+        context = PipelineContext(data)
+        context.token_columns()
+        calls = []
+        kernel = context_module._sorted_distinct
+
+        def failing_once(*args):
+            calls.append(args)
+            if len(calls) == 2:  # one chunk of slots is derived, the second raises
+                raise KeyboardInterrupt
+            return kernel(*args)
+
+        monkeypatch.setattr(context_module, "_sorted_distinct", failing_once)
+        with pytest.raises(KeyboardInterrupt):
+            list(context.attribute_entries(0))
+        assert context._slots is None and context._slot_names is None
+        assert interned_columns(context) == reference_columns(data)
+        chunks = -(-len(data) // 16)
+        assert len(calls) == 2 + chunks
+
     def test_token_on_a_fresh_context_interns_first(self, dirty):
         data = dirty.collection
         assert PipelineContext(data).token(0) == reference_columns(data)["tokens"][0]
+
+
+class TestOnDemandSlots:
+    """Only attribute-clustering blocking reads the slot columns, so only it
+    derives them -- once per context."""
+
+    @pytest.fixture
+    def derived(self, monkeypatch):
+        contexts = []
+        derive = PipelineContext._derive_slots
+
+        def counting_derive(context):
+            contexts.append(context)
+            derive(context)
+
+        monkeypatch.setattr(PipelineContext, "_derive_slots", counting_derive)
+        return contexts
+
+    def test_default_workflow_never_derives_slots(self, dirty, derived):
+        default_workflow().run(dirty.collection, dirty.ground_truth)
+        assert derived == []
+
+    @pytest.mark.parametrize("builder_factory", [TokenBlocking, PrefixInfixSuffixBlocking])
+    def test_token_blocking_never_derives_slots(self, dirty, derived, builder_factory):
+        data = dirty.collection
+        BlockingEngine(builder_factory(), context=PipelineContext(data)).build(data)
+        assert derived == []
+
+    def test_attribute_clustering_derives_slots_once(self, dirty, derived):
+        data = dirty.collection
+        context = PipelineContext(data)
+        engine = BlockingEngine(AttributeClusteringBlocking(), context=context)
+        assert _block_tuples(engine.build(data)) == _block_tuples(engine.build(data))
+        assert derived == [context]
+        default_workflow(blocking="attribute_clustering").run(data, dirty.ground_truth)
+        assert len(derived) == 2 and derived[1] is not context
+
+
+#: stop words that hit the odd-values vocabulary, and none
+_FILTER_STOP_WORDS = [None, DEFAULT_STOP_WORDS | {"alan", "data", "x"}]
+
+
+def _per_token_flags(tokens, stop_words, min_length):
+    stops = frozenset(stop_words or ())
+    return bytes(len(token) >= min_length and token not in stops for token in tokens)
+
+
+class TestTokenFilter:
+    """The C-level mask equals the per-token admission rule."""
+
+    @pytest.mark.parametrize("stop_words", _FILTER_STOP_WORDS, ids=["no-stops", "stops"])
+    @pytest.mark.parametrize("min_length", [0, 1, 2, 3])
+    def test_batch_flags_follow_the_per_token_rule(self, stop_words, min_length):
+        context = PipelineContext(_odd_values_collection())
+        token_filter = context.token_filter(stop_words, min_length)
+        tokens = [context.token(t) for t in range(context.vocabulary_size)]
+        expected = _per_token_flags(tokens, stop_words, min_length)
+        assert token_filter.mask(len(tokens)) == expected
+        assert bytes(map(token_filter.allows, range(len(tokens)))) == expected
+
+    @pytest.mark.parametrize("stop_words", _FILTER_STOP_WORDS, ids=["no-stops", "stops"])
+    @pytest.mark.parametrize("min_length", [0, 1, 2, 3])
+    def test_growable_flags_follow_the_per_token_rule(self, stop_words, min_length):
+        growable = GrowableContext()
+        token_filter = growable.token_filter(stop_words, min_length)
+        for description in _odd_values_collection():
+            growable.add_record(description)
+            tokens = [growable.token(t) for t in range(growable.vocabulary_size)]
+            expected = _per_token_flags(tokens, stop_words, min_length)
+            assert token_filter.mask(len(tokens)) == expected
 
 
 class TestGrowableTwin:

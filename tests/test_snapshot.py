@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import io
 import json
+import re
 import subprocess
 import sys
 from array import array
@@ -187,6 +188,41 @@ def test_snapshot_rejects_duplicate_columns(tmp_path):
         writer.column("col", array("q", [2]))
     with pytest.raises(ValueError):
         writer.strings("col", ["x"])
+
+
+#: entry names that are not a plain file inside the snapshot directory
+HOSTILE_NAMES = ["../x", "a/b", "", "x\x00y", "a\\b", ".", ".."]
+
+
+@pytest.mark.parametrize("name", HOSTILE_NAMES)
+def test_writer_rejects_names_outside_the_snapshot(tmp_path, name):
+    with SnapshotWriter(tmp_path / "snap") as writer:
+        with pytest.raises(ValueError, match="snapshot column name"):
+            writer.column(name, array("q", [1]))
+        with pytest.raises(ValueError, match="snapshot column name"):
+            writer.strings(name, ["x"])
+    assert [path.name for path in tmp_path.iterdir()] == ["snap"]
+    assert sorted(path.name for path in (tmp_path / "snap").iterdir()) == ["manifest.json"]
+
+
+@pytest.mark.parametrize("key", ["columns", "strings", "checksums"])
+@pytest.mark.parametrize("name", HOSTILE_NAMES)
+def test_reader_rejects_manifest_names_outside_the_snapshot(tmp_path, monkeypatch, key, name):
+    from repro.core import snapshot as snapshot_module
+
+    def no_file_access(*_args):
+        raise AssertionError("the reader opened a data file")
+
+    monkeypatch.setattr(snapshot_module, "read_npy", no_file_access)
+    monkeypatch.setattr(snapshot_module, "_file_crc32", no_file_access)
+    (tmp_path / "x.npy").write_bytes(b"outside the snapshot")
+    snapshot = tmp_path / "snap"
+    snapshot.mkdir()
+    manifest = _valid_manifest()
+    manifest[key] = {**manifest[key], name: [0, 1] if key == "checksums" else 1}
+    (snapshot / "manifest.json").write_text(json.dumps(manifest))
+    with pytest.raises(SnapshotError, match=f"{key} entry {re.escape(repr(name))}"):
+        SnapshotReader(snapshot)
 
 
 def test_snapshot_requires_manifest(tmp_path):
