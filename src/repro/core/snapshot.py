@@ -39,8 +39,11 @@ Design rules:
 * **Tamper-evident loads** (format 1.1).  The manifest records a CRC32 and
   byte length for every data file; readers verify them on first access and
   reject truncated or corrupted files with a precise :class:`SnapshotError`.
-  Manifests written before 1.1 (no ``checksums`` key) still load, with a
-  :class:`RuntimeWarning` that integrity cannot be verified.
+  Manifests written before 1.1 (neither a ``format_minor`` nor a
+  ``checksums`` key) still load, with a :class:`RuntimeWarning` that
+  integrity cannot be verified; any other manifest must record an integer
+  ``format_minor >= 1`` *and* its checksums, so deleting one key raises
+  :class:`SnapshotError` instead of switching the checks off.
 
 The module is deliberately generic: it knows nothing about entity resolution,
 only about named int64 columns, named string columns and a metadata dict.
@@ -80,9 +83,9 @@ SNAPSHOT_FORMAT_VERSION = 1
 #: Minor revision: 1 added per-file CRC32/length checksums and the atomic
 #: temp-dir write; 2 dropped the growable context's columns nothing reads
 #: (per-attribute slots, attribute names, merged counts).  Readers accept
-#: any minor under the same major: checksums are advisory metadata, and
-#: entries are opened by name, so columns a reader does not ask for are
-#: never read.
+#: any minor >= 1 under the same major, with its checksums: entries are
+#: opened by name, so columns a reader does not ask for are never read.  A
+#: manifest without a minor is format 1.0 and must carry no checksums either.
 SNAPSHOT_FORMAT_MINOR = 2
 
 _MAGIC = b"\x93NUMPY"
@@ -361,8 +364,9 @@ class SnapshotReader:
     and CRC32 on first access (and cached as verified); a truncated or
     corrupted file raises a precise :class:`SnapshotError` instead of
     returning silently wrong state.  Snapshots written before format 1.1
-    carry no checksums: they load, with a :class:`RuntimeWarning` that
-    integrity cannot be verified.
+    carry neither a minor version nor checksums: they load, with a
+    :class:`RuntimeWarning` that integrity cannot be verified.  A manifest
+    with only one of the two raises :class:`SnapshotError`.
     """
 
     def __init__(self, path: Union[str, Path]) -> None:
@@ -403,8 +407,19 @@ class SnapshotReader:
                 f"snapshot manifest at {manifest_path}: 'meta' is not a mapping; "
                 "the snapshot is corrupted"
             )
+        # format 1.1 introduced both keys: a manifest with only one of them
+        # is damaged, not legacy, and must not switch the checksums off
         self._checksums: Optional[Dict[str, Any]] = manifest.get("checksums")
-        if self._checksums is not None:
+        if "format_minor" in manifest or "checksums" in manifest:
+            minor = manifest.get("format_minor")
+            if not (type(minor) is int and minor >= 1 and "checksums" in manifest):
+                found = f"format_minor {minor!r}" if "format_minor" in manifest else "no format_minor"
+                raise SnapshotError(
+                    f"snapshot manifest at {manifest_path} records {found} and "
+                    f"{'a' if 'checksums' in manifest else 'no'} checksum table; a 1.1+ "
+                    "manifest records an integer minor >= 1 and checksums, a 1.0 manifest "
+                    "neither: the manifest is corrupted"
+                )
             _check_entries(
                 manifest_path,
                 "checksums",

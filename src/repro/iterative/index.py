@@ -53,6 +53,7 @@ raise ``RuntimeError``).
 
 from __future__ import annotations
 
+import math
 from array import array
 from pathlib import Path
 from typing import Any, Dict, FrozenSet, Iterable, List, Optional, Sequence, Union
@@ -64,6 +65,7 @@ from repro.datamodel.collection import EntityCollection
 from repro.datamodel.description import EntityDescription, merge_descriptions
 from repro.matching.engine import _set_score
 from repro.matching.matchers import ProfileSimilarityMatcher
+from repro.text.similarity import SET_SIMILARITIES
 from repro.text.tokenize import DEFAULT_STOP_WORDS, token_set
 
 import numpy as _np
@@ -89,6 +91,88 @@ _INDEX_COLUMNS = (
 _MATCH_COLUMNS = ("index.match_token_ptr", "index.match_token_data")
 
 
+def _is_count(value: Any) -> bool:
+    return type(value) is int and value >= 0
+
+
+def _is_words(value: Any) -> bool:
+    return type(value) is list and all(type(word) is str for word in value)
+
+
+def _is_real(value: Any, low: float, high: float) -> bool:
+    return type(value) in (int, float) and low <= value <= high  # NaN fails both
+
+
+#: ``(field, valid, expected)`` of every ``meta`` entry :meth:`IncrementalIndex.load`
+#: reads, and of every entry of its ``matcher`` mapping
+_META_FIELDS = (
+    ("comparisons_executed", _is_count, "a count >= 0"),
+    ("live", _is_count, "a count >= 0"),
+    ("max_candidates", lambda value: _is_count(value) and value >= 1, "an integer >= 1"),
+    ("stop_words", _is_words, "a list of strings"),
+    ("min_token_length", _is_count, "a count >= 0"),
+    ("shared_filter", lambda value: type(value) is bool, "a boolean"),
+    ("matcher", lambda value: type(value) is dict, "a mapping"),
+)
+_MATCHER_FIELDS = (
+    ("threshold", lambda value: _is_real(value, 0.0, 1.0), "a number in [0, 1]"),
+    (
+        "similarity_name",
+        lambda value: type(value) is str and value in SET_SIMILARITIES,
+        f"one of {sorted(SET_SIMILARITIES)}",
+    ),
+    ("stop_words", _is_words, "a list of strings"),
+    ("min_token_length", _is_count, "a count >= 0"),
+    ("cost", lambda value: _is_real(value, 0.0, math.inf), "a number >= 0"),
+)
+
+
+def _check_fields(path, mapping: Dict[str, Any], fields, prefix: str = "") -> None:
+    """Raise :class:`SnapshotError` naming the first of ``fields`` that
+    ``mapping`` lacks or holds an invalid value for."""
+    for name, valid, expected in fields:
+        if name not in mapping or not valid(mapping[name]):
+            found = repr(mapping[name]) if name in mapping else "missing"
+            raise SnapshotError(
+                f"snapshot at {path}: meta field {prefix + name!r} is {found}, "
+                f"expected {expected}; the manifest is corrupted"
+            )
+
+
+def _check_values(path, name: str, column, low: int, high: int) -> None:
+    """Raise :class:`SnapshotError` unless every value of ``column`` lies in ``[low, high)``."""
+    if len(column) and (int(column.min()) < low or int(column.max()) >= high):
+        raise SnapshotError(
+            f"snapshot at {path}: column {name!r} holds a value outside "
+            f"[{low}, {high}); the snapshot is corrupted"
+        )
+
+
+def _read_csr(reader: SnapshotReader, name: str, rows: int, low: int, high: int):
+    """The ``index.<name>_ptr`` / ``index.<name>_data`` CSR of one row per root.
+
+    The pointers are returned as a list, the data column as read.  Raises
+    :class:`SnapshotError` naming the column unless there are ``rows + 1``
+    non-decreasing pointers from 0 to the data length and every data value
+    lies in ``[low, high)``.
+    """
+    pointers = reader.column(f"index.{name}_ptr")
+    data = reader.column(f"index.{name}_data")
+    if len(pointers) != rows + 1:
+        problem = f"holds {len(pointers)} pointers for {rows} roots"
+    elif pointers[0] != 0 or pointers[-1] != len(data):
+        problem = f"runs from {pointers[0]} to {pointers[-1]}, not from 0 to {len(data)}"
+    elif (_np.diff(pointers) < 0).any():
+        problem = "decreases"
+    else:
+        _check_values(reader.path, f"index.{name}_data", data, low, high)
+        return pointers.tolist(), data
+    raise SnapshotError(
+        f"snapshot at {reader.path}: column 'index.{name}_ptr' {problem}; "
+        "the snapshot is corrupted"
+    )
+
+
 def _encode_tree(node: Any, out: array) -> None:
     if isinstance(node, list):
         out.append(_TREE_OPEN)
@@ -110,6 +194,21 @@ def _decode_tree(values: Sequence[int], position: int) -> "tuple[list, int]":
             node.append(values[position])
             position += 1
     return node, position + 1
+
+
+def _decode_root_tree(path, values: Sequence[int], start: int, stop: int) -> list:
+    """The one merge tree ``values[start:stop]`` encodes, else :class:`SnapshotError`."""
+    try:
+        if values[start] == _TREE_OPEN:
+            tree, end = _decode_tree(values, start)
+            if end == stop:
+                return tree
+    except (IndexError, RecursionError):
+        pass
+    raise SnapshotError(
+        f"snapshot at {path}: column 'index.tree_data' does not encode one merge "
+        f"tree in [{start}, {stop}); the snapshot is corrupted"
+    )
 
 
 class IncrementalIndex:
@@ -547,13 +646,20 @@ class IncrementalIndex:
 
         The matcher is rebuilt from the manifest unless one is passed, in
         which case its configuration must match the snapshot's exactly
-        (scores would silently diverge otherwise).
+        (scores would silently diverge otherwise).  A meta field of the wrong
+        type or range, a ``shared_filter`` or ``live`` the rest of the state
+        contradicts, or a CSR column that does not hold one row per root
+        (``len(roots) + 1`` non-decreasing pointers from 0 to the data
+        length, ordinals below the record count, token ids below the
+        vocabulary size) raises a :class:`SnapshotError` naming it.
         """
         reader = SnapshotReader(path)
         meta = reader.meta
         if meta.get("kind") != "incremental-index":
             raise SnapshotError(f"snapshot at {path} is not an incremental index")
+        _check_fields(path, meta, _META_FIELDS)
         recorded = meta["matcher"]
+        _check_fields(path, recorded, _MATCHER_FIELDS, "matcher.")
         if matcher is None:
             matcher = ProfileSimilarityMatcher(
                 threshold=recorded["threshold"],
@@ -576,8 +682,16 @@ class IncrementalIndex:
                     "matcher configuration does not match the snapshot; "
                     "load(path) rebuilds the recorded matcher automatically"
                 )
+        shared_filter = meta["shared_filter"]
+        index_filter = (frozenset(meta["stop_words"]), meta["min_token_length"])
+        if shared_filter != ((matcher.stop_words, matcher.min_token_length) == index_filter):
+            raise SnapshotError(
+                f"snapshot at {path}: meta field 'shared_filter' is {shared_filter}, "
+                "but the recorded index and matcher token filters "
+                f"{'differ' if shared_filter else 'coincide'}; the manifest is corrupted"
+            )
         reader.require(
-            columns=_INDEX_COLUMNS if meta["shared_filter"] else _INDEX_COLUMNS + _MATCH_COLUMNS
+            columns=_INDEX_COLUMNS if shared_filter else _INDEX_COLUMNS + _MATCH_COLUMNS
         )
         context = GrowableContext.from_snapshot(reader)
         index = cls(
@@ -587,17 +701,26 @@ class IncrementalIndex:
             min_token_length=meta["min_token_length"],
             context=context,
         )
+        records, vocabulary = context.num_records, context.vocabulary_size
         # every column is read once with tolist(): indexing a mapped column
         # element by element boxes a scalar a time
         index._uf.parent = array("q", reader.column("index.uf_parent").tolist())
-        index._alive = bytearray(reader.column("index.alive").tolist())
+        alive = reader.column("index.alive")
+        _check_values(path, "index.alive", alive, 0, 2)
+        index._alive = bytearray(alive.tolist())
+        if meta["live"] != index._alive.count(1):
+            raise SnapshotError(
+                f"snapshot at {path}: meta field 'live' is {meta['live']}, but the "
+                "'index.alive' column flags another count; the manifest is corrupted"
+            )
         index._live = meta["live"]
         index.comparisons_executed = meta["comparisons_executed"]
-        roots = reader.column("index.roots").tolist()
-        member_ptr = reader.column("index.member_ptr").tolist()
-        member_data = reader.column("index.member_data").tolist()
-        token_ptr = reader.column("index.root_token_ptr").tolist()
-        token_column = reader.column("index.root_token_data")
+        roots_column = reader.column("index.roots")
+        _check_values(path, "index.roots", roots_column, 0, records)
+        roots = roots_column.tolist()
+        member_ptr, member_column = _read_csr(reader, "member", len(roots), 0, records)
+        member_data = member_column.tolist()
+        token_ptr, token_column = _read_csr(reader, "root_token", len(roots), 0, vocabulary)
         token_data = token_column.tolist()
         for position, root in enumerate(roots):
             index._members[root] = member_data[member_ptr[position] : member_ptr[position + 1]]
@@ -606,15 +729,16 @@ class IncrementalIndex:
             # merges replace it wholesale, so mutability is not needed
             index._root_tokens[root] = token_column[start:stop]
             index._post(root, token_data[start:stop])
-        if not meta["shared_filter"]:
-            match_ptr = reader.column("index.match_token_ptr").tolist()
-            match_data = reader.column("index.match_token_data")
+        if not shared_filter:
+            match_ptr, match_data = _read_csr(reader, "match_token", len(roots), 0, vocabulary)
             for position, root in enumerate(roots):
                 index._match_tokens[root] = match_data[
                     match_ptr[position] : match_ptr[position + 1]
                 ]
-        tree_ptr = reader.column("index.tree_ptr").tolist()
-        tree_data = reader.column("index.tree_data").tolist()
+        tree_ptr, tree_column = _read_csr(reader, "tree", len(roots), _TREE_CLOSE, records)
+        tree_data = tree_column.tolist()
         for position, root in enumerate(roots):
-            index._trees[root], _ = _decode_tree(tree_data, tree_ptr[position])
+            index._trees[root] = _decode_root_tree(
+                path, tree_data, tree_ptr[position], tree_ptr[position + 1]
+            )
         return index

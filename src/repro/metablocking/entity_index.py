@@ -16,7 +16,10 @@ of the input block collection, stored as flat integer arrays in CSR form:
   of the blocks containing it (the CSR transpose of the above);
 * ``_ent_side`` -- parallel to ``_ent_blocks``: which side of a bilateral
   block the description sits on, so clean--clean collections only generate
-  cross-source comparisons.
+  cross-source comparisons;
+* :meth:`~EntityIndexEngine._sorted_members` -- the int32 copy of
+  ``_blk_ents`` sorted within each (block, side) segment, with its ascending
+  int64 keys ``(2 * block + side) * N + member``, gathered from.
 
 The block-side columns are the blocking engine's own
 :class:`~repro.blocking.columns.BlockColumns`
@@ -36,13 +39,15 @@ range in a worker process is the parallel one -- the same code either way.
 The neighbourhoods of a whole *batch* of nodes are expanded at once
 (:meth:`EntityIndexEngine._neighbourhoods`: one CSR gather, one in-place
 sort of int32 ``(node - first node) * N + neighbour`` keys, one
-``np.bincount`` for ARCS), the batches being cut so that each expands about
-:data:`_BATCH_PAIRS` co-occurrence pairs.  Pruned edges are never all
-resident.  Peak transient memory is one node batch, plus what cutting the
-batches needs -- two span columns (and, briefly, half a dozen more) as long
-as the block assignments of the node range, the order of the index itself --
-plus the retained columns, which exist once as ndarrays and once as the
-typed arrays handed out (plus the O(budget) candidate buffer of CEP and the
+``np.bincount`` for ARCS), the batches being cut so that each gathers about
+:data:`_BATCH_PAIRS` co-occurrence pairs; a lower-half pass (WEP, CEP, WNP,
+the EJS degrees) gathers only the members above each node.  Pruned edges are
+never all resident.  Peak transient memory is one node batch, plus what
+cutting the batches needs -- two span columns (and, briefly, half a dozen
+more) as long as the block assignments of the node range, the order of the
+index itself -- plus the sorted copy (12 bytes per block assignment), plus
+the retained columns, which exist once as ndarrays and once as the typed
+arrays handed out (plus the O(budget) candidate buffer of CEP and the
 O(k * nodes) endorsements of CNP).
 
 The weights are bit-identical to the graph engine's: per-edge arithmetic uses
@@ -249,6 +254,7 @@ class EntityIndexEngine:
         self._ent_side = _typed_array("b", self._np_ent_side)
 
         self._degree_cache: Optional[Tuple[array, int]] = None
+        self._sorted_cache = None
         self._factor_cache: Dict[str, Sequence[float]] = {}
         self._rank_cache: Optional[Sequence[int]] = None
 
@@ -297,6 +303,7 @@ class EntityIndexEngine:
         self._np_ent_blocks = as_np(self._ent_blocks, _np.int64)
         self._np_ent_side = as_np(self._ent_side, _np.int8)
         self._degree_cache = None
+        self._sorted_cache = None
         self._factor_cache = dict(factors) if factors else {}
         self._rank_cache = columns["ranks"]
         self.last_num_edges = None
@@ -363,27 +370,28 @@ class EntityIndexEngine:
     def _neighbourhoods(self, start: int, stop: int, lower: bool, want_arcs: bool):
         """Vectorised neighbourhoods of the nodes in ``[start, stop)``, batch by batch.
 
-        Yields flat int64 ``(src, dst, counts, arcs)`` columns sorted by
-        ``(src, dst)``: one row per distinct neighbour ``dst`` of node ``src``
-        (``dst > src`` only with ``lower``, so that every undirected edge is
-        seen exactly once across all nodes), the number of blocks the two
-        share, and -- when requested, else ``None`` -- their ARCS sum.  The
-        range is cut at node boundaries into batches expanding at most
-        :data:`_BATCH_PAIRS` co-occurrence pairs (block sizes tell how many
-        before anything is gathered) and spanning at most
-        ``(2**31 - 1) // N`` nodes, so that the batch-relative key
-        ``(src - first node) * N + dst`` fits an int32 (ordinals do, as
-        :func:`~repro.datamodel.pairs.pair_code` assumes).  One batch gathers
-        the opposite-side member slice of every block assignment of its
-        nodes, sorts the int32 keys in place (half the bytes of an int64
-        sort) and reads the distinct rows and their counts off the run heads.
-        ARCS argsorts stably instead, so ``np.bincount`` adds each pair's
-        per-block reciprocals in gather (= ascending block) order, the graph
-        engine's accumulation order.
+        Yields ``(src, dst, counts, arcs)`` columns sorted by ``(src, dst)``:
+        one row per distinct neighbour ``dst`` of node ``src`` (``dst > src``
+        only with ``lower``, so that every undirected edge is seen exactly
+        once across all nodes), the number of blocks the two share, and --
+        when requested, else ``None`` -- their ARCS sum; ``src`` and ``dst``
+        are int32.  Each block assignment faces a segment of
+        :meth:`_sorted_members`; with ``lower``, one ``searchsorted`` of
+        ``(2 * block + facing side) * N + node`` cuts it to the suffix above
+        the node, so nothing is gathered to be masked away (without, the node
+        itself is masked out).  The range is cut at node boundaries into
+        batches gathering at most :data:`_BATCH_PAIRS` pairs (the slice
+        lengths tell how many) and spanning at most ``(2**31 - 1) // N``
+        nodes, so that the key ``(src - first node) * N + dst`` fits an int32
+        (ordinals do, as :func:`~repro.datamodel.pairs.pair_code` assumes).
+        One batch gathers its slices, sorts the int32 keys in place and
+        decodes the distinct rows, in int32, and their counts off the run
+        heads.  ARCS argsorts stably instead, so ``np.bincount`` adds each
+        pair's per-block reciprocals in gather (= ascending block) order, the
+        graph engine's: a pair meets at most once per block.
 
-        Held across the batches: the start and length of every facing member
-        slice (two columns as long as the range's block assignments) and two
-        node-length offset columns; everything else is per batch.
+        Held across the batches: the start and length of every gathered slice
+        (as long as the range's block assignments) and two node-length columns.
         """
         np = _np
         ent_ptr = self._np_ent_ptr
@@ -391,10 +399,16 @@ class EntityIndexEngine:
         blocks = self._np_ent_blocks[base : int(ent_ptr[stop])]
         if blocks.size == 0:
             return
-        lo, lengths = self._facing_spans(blocks, self._np_ent_side[base : base + blocks.size])
-        bounds = ent_ptr[start : stop + 1] - base  # the nodes' assignment offsets
-        before = np.concatenate(([0], np.cumsum(lengths)))[bounds]  # pairs expanded before each node
         num_entities = self.num_entities
+        segment_keys, members = self._sorted_members()
+        facing, lo, lengths = self._facing_spans(blocks, self._np_ent_side[base : base + blocks.size])
+        bounds = ent_ptr[start : stop + 1] - base  # the nodes' assignment offsets
+        if lower:
+            nodes = np.repeat(np.arange(start, stop), np.diff(bounds))
+            above = np.searchsorted(segment_keys, facing * num_entities + nodes, side="right")
+            lengths -= above - lo
+            lo = above
+        before = np.concatenate(([0], np.cumsum(lengths)))[bounds]  # pairs gathered before each node
         span = _INT32_MAX // num_entities
         node = 0
         while node < stop - start:
@@ -406,9 +420,13 @@ class EntityIndexEngine:
             src = np.repeat(np.arange(cut - node, dtype=np.int32), np.diff(before[node : cut + 1]))
             node = cut
             spans = lengths[q0:q1]
-            dst = self._np_blk_ents[_slices(lo[q0:q1], spans)].astype(np.int32)
-            mask = dst > src + first if lower else dst != src + first
-            keys = src[mask] * num_entities + dst[mask]
+            dst = members[_slices(lo[q0:q1], spans)]
+            keys = src * num_entities + dst
+            weights = np.repeat(self._np_recip[blocks[q0:q1]], spans) if want_arcs else None
+            if not lower:
+                mask = dst != src + first
+                keys = keys[mask]
+                weights = weights[mask] if want_arcs else None
             if keys.size == 0:
                 continue
             arcs = None
@@ -423,25 +441,46 @@ class EntityIndexEngine:
             heads = np.flatnonzero(edge)
             counts = heads[1:] - heads[:-1]
             if want_arcs:
-                weights = np.repeat(self._np_recip[blocks[q0:q1]], spans)[mask][order]
-                arcs = np.bincount(np.cumsum(edge[:-1]) - 1, weights=weights)
-            src, dst = np.divmod(keys[heads[:-1]].astype(np.int64), num_entities)
+                arcs = np.bincount(np.cumsum(edge[:-1]) - 1, weights=weights[order])
+            keys = keys[heads[:-1]]
+            src = keys // num_entities
+            dst = keys - src * num_entities
             src += first
             yield src, dst, counts, arcs
 
-    def _facing_spans(self, blocks, side):
-        """Per block assignment ``(block, side)``: start and length of the member slice it faces.
+    def _sorted_members(self):
+        """The member column sorted within each (block, side) segment: ``(keys, members)``.
 
-        The whole block for a unilateral one, the opposite side of a
-        bilateral one.
+        int32 ``members`` and their ascending int64 keys ``(2 * block + side) *
+        N + member``, each segment where it was; a private copy built on first
+        use and dropped when a pruning run returns (:attr:`BlockColumns.members`
+        itself is never reordered).
+        """
+        if self._sorted_cache is None:
+            np = _np
+            ptr, split = self._np_blk_ptr, self._np_blk_split
+            block_of = np.repeat(np.arange(self.num_blocks), np.diff(ptr))
+            split_of = split[block_of]
+            right = (split_of >= 0) & (np.arange(self.num_assignments) - ptr[block_of] >= split_of)
+            keys = (2 * block_of + right) * self.num_entities + self._np_blk_ents
+            keys.sort()
+            self._sorted_cache = keys, (keys % self.num_entities).astype(np.int32)
+        return self._sorted_cache
+
+    def _facing_spans(self, blocks, side):
+        """Per block assignment ``(block, side)``: the segment it faces and its span.
+
+        ``(segment, start, length)``: the whole block (segment ``2 * block``)
+        for a unilateral one, the opposite side of a bilateral one.
         """
         np = _np
         split = self._np_blk_split[blocks]
         first = self._np_blk_ptr[blocks]
         bilateral = split >= 0
-        lo = np.where(bilateral & (side == 0), first + split, first)
+        faces_right = bilateral & (side == 0)
+        lo = np.where(faces_right, first + split, first)
         hi = np.where(bilateral & (side == 1), first + split, self._np_blk_ptr[blocks + 1])
-        return lo, hi - lo
+        return 2 * blocks + faces_right, lo, hi - lo
 
     def co_blocked(self, ordinals: Sequence[int]) -> List[int]:
         """Every other description sharing a block with any of ``ordinals``.
@@ -706,7 +745,7 @@ class EntityIndexEngine:
                 if endorsements >= needed and weight > 0
             )
         src, dst, weights = columns or _concat([])
-        src, dst = _np.asarray(src), _np.asarray(dst)
+        src, dst = _np.asarray(src, dtype=_np.int64), _np.asarray(dst, dtype=_np.int64)
         # canonical orientation by identifier rank, as plain typed arrays
         ranks = _np.asarray(self._ranks())
         swap = ranks[src] > ranks[dst]
@@ -718,6 +757,7 @@ class EntityIndexEngine:
         self.last_num_edges = num_edges
         self.last_retained = len(weights)
         self.last_refined = refined
+        self._sorted_cache = None  # the engine outlives the run; its sorted copy need not
         return src, dst, weights
 
     def _rank_list(self) -> Sequence[int]:

@@ -14,9 +14,14 @@ import types
 import numpy as np
 import pytest
 from conftest import graph_metablocking, graph_retained
+from test_metablocking_equivalence import RANDOM_COLLECTIONS
 
 from repro.blocking.base import Block, BlockCollection
+from repro.blocking.cleaning import BlockFiltering, BlockPurging
+from repro.blocking.columns import BlockColumns
+from repro.blocking.engine import BlockingEngine
 from repro.blocking.token_blocking import TokenBlocking
+from repro.core.context import PipelineContext
 from repro.metablocking import entity_index
 from repro.metablocking import (
     CBS,
@@ -453,3 +458,100 @@ class TestNeighbourhoodBatchSpan:
                 np.concatenate([batch[column] for batch in expected]),
                 np.concatenate([batch[column] for batch in batches]),
             )
+
+
+def context_blocks(data) -> BlockCollection:
+    """Cleaned blocks built over a shared context: they speak its ordinals."""
+    engine = BlockingEngine(context=PipelineContext(data))
+    return engine.run(data, BlockPurging(), BlockFiltering(0.8))
+
+
+KERNEL_INPUTS = [
+    *(f"{kind}-{seed}" for kind in sorted(RANDOM_COLLECTIONS) for seed in (1, 2, 3)),
+    "context-dirty",
+    "context-clean-clean",
+]
+
+
+@pytest.fixture(params=KERNEL_INPUTS)
+def kernel_columns(request, small_dirty_dataset, small_clean_clean_dataset) -> BlockColumns:
+    name = request.param
+    if name == "context-dirty":
+        return BlockColumns.from_collection(context_blocks(small_dirty_dataset.collection))
+    if name == "context-clean-clean":
+        return BlockColumns.from_collection(context_blocks(small_clean_clean_dataset.task))
+    kind, seed = name.rsplit("-", 1)
+    columns = BlockColumns.from_collection(RANDOM_COLLECTIONS[kind](int(seed)))
+    # first-seen ordinals: past the first block, members come in sample order
+    members, ptr = np.asarray(columns.members), np.asarray(columns.blk_ptr)
+    assert any((np.diff(members[a:b]) < 0).any() for a, b in zip(ptr, ptr[1:]))
+    return columns
+
+
+def neighbourhood_rows(engine, lower: bool):
+    """The concatenated ``(src, dst, counts, arcs)`` columns of one whole-range pass."""
+    batches = list(engine._neighbourhoods(0, engine.num_entities, lower, True))
+    return [np.concatenate([batch[column] for batch in batches]) for column in range(4)]
+
+
+def replica(engine) -> EntityIndexEngine:
+    """The engine rebuilt from its flat columns, as a pool worker does."""
+    return EntityIndexEngine.from_arrays(
+        {
+            "blk_ptr": engine._blk_ptr,
+            "blk_ents": engine._blk_ents,
+            "blk_split": engine._blk_split,
+            "recip": engine._recip,
+            "ent_ptr": engine._ent_ptr,
+            "ent_blocks": engine._ent_blocks,
+            "ent_side": engine._ent_side,
+            "ranks": engine._ranks(),
+        }
+    )
+
+
+class TestNeighbourhoodKernel:
+    """A lower-half pass gathers only the facing members above each node:
+    it must yield exactly the rows of the full pass with ``dst > src``."""
+
+    def test_lower_rows_are_the_upper_triangle_of_the_full_rows(self, kernel_columns):
+        engine = EntityIndexEngine.from_columns(kernel_columns)
+        src, dst, counts, arcs = neighbourhood_rows(engine, lower=False)
+        above = dst > src
+        lower = neighbourhood_rows(engine, lower=True)
+        assert above.any() and len(lower[0]) == int(above.sum())
+        for column, full in zip(lower[:3], (src, dst, counts)):
+            assert np.array_equal(column, full[above])
+        assert lower[3].tobytes() == arcs[above].tobytes()
+
+    def test_lower_rows_equal_a_block_by_block_count(self, kernel_columns):
+        """Counts and ARCS sums, the latter added in ascending block order."""
+        engine = EntityIndexEngine.from_columns(kernel_columns)
+        members, ptr = list(kernel_columns.members), list(kernel_columns.blk_ptr)
+        expected = {}
+        for block, split in enumerate(kernel_columns.split):
+            inside = members[ptr[block] : ptr[block + 1]]
+            if split < 0:
+                pairs = [(a, b) for i, a in enumerate(inside) for b in inside[i + 1 :]]
+            else:
+                pairs = [(a, b) for a in inside[:split] for b in inside[split:]]
+            for a, b in pairs:
+                count, arcs = expected.get((min(a, b), max(a, b)), (0, 0.0))
+                expected[min(a, b), max(a, b)] = count + 1, arcs + engine._recip[block]
+        src, dst, counts, arcs = neighbourhood_rows(engine, lower=True)
+        assert dict(zip(zip(src.tolist(), dst.tolist()), zip(counts.tolist(), arcs.tolist()))) == expected
+
+    @pytest.mark.parametrize("lower", (True, False))
+    def test_a_replica_yields_the_same_rows(self, kernel_columns, lower):
+        engine = EntityIndexEngine.from_columns(kernel_columns)
+        for ours, theirs in zip(
+            neighbourhood_rows(engine, lower), neighbourhood_rows(replica(engine), lower)
+        ):
+            assert ours.tobytes() == theirs.tobytes()
+
+    @pytest.mark.parametrize("weighting", ("CBS", "ARCS"))
+    def test_a_wnp_run_leaves_the_member_column_as_it_was(self, kernel_columns, weighting):
+        before = np.asarray(kernel_columns.members).tobytes()
+        engine = EntityIndexEngine.from_columns(kernel_columns)
+        assert len(engine.retained_columns(weighting, "WNP")[0])
+        assert np.asarray(kernel_columns.members).tobytes() == before

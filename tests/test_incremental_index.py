@@ -8,6 +8,10 @@ order, comparison counts), same clusters, same merged representations, same
 ``resolve`` answers -- including after ``update``/``remove`` and after a
 snapshot save/load round trip, with and without NumPy.
 
+Snapshots must load or fail with :class:`~repro.core.snapshot.SnapshotError`:
+hand-damaged meta fields and columns name what is wrong, and a Hypothesis
+fuzz drops, replaces, truncates and flips its way through a saved index.
+
 ``tests/fixtures/incremental/golden_stream.json`` freezes a seeded
 adds/removes/updates stream **and the oracle's outputs on it**, so future
 changes to either engine cannot silently alter what incremental resolution
@@ -20,12 +24,19 @@ purpose): run this module as a script::
 from __future__ import annotations
 
 import json
+import re
+import shutil
+import tempfile
+from array import array
 from pathlib import Path
 
+import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from conftest import ReadableMatcher, readable
 
-from repro.core.snapshot import SnapshotError
+from repro.core.snapshot import SnapshotError, write_npy
 from repro.datamodel.description import EntityDescription
 from repro.datasets import DatasetConfig, generate_dirty_dataset
 from repro.iterative import IncrementalResolver
@@ -413,6 +424,187 @@ def test_snapshot_rejects_mismatched_matcher(tmp_path):
         tmp_path / "snap", matcher=ProfileSimilarityMatcher(threshold=0.5)
     )
     assert restored.cluster_of("a") == {"a"}
+
+
+def _saved_index(target, shared_filter=True):
+    """Save an index over a stream prefix with removes and updates; return
+    a description outside it that shares tokens with it."""
+    matcher = ProfileSimilarityMatcher(threshold=0.5, min_token_length=2 if shared_filter else 3)
+    index = IncrementalIndex(matcher)
+    descriptions = _stream_descriptions(num_entities=30, seed=41)
+    for operation in _mixed_operations(descriptions[:40]):
+        _apply(index, operation)
+    index.save(target)
+    manifest = json.loads((target / "manifest.json").read_text(encoding="utf-8"))
+    assert manifest["meta"]["shared_filter"] is shared_filter
+    return descriptions[45]
+
+
+def _edit_manifest(target, edit):
+    manifest_path = target / "manifest.json"
+    manifest = json.loads(manifest_path.read_text(encoding="utf-8"))
+    edit(manifest)
+    manifest_path.write_text(json.dumps(manifest), encoding="utf-8")
+
+
+@pytest.mark.parametrize(
+    "field, value",
+    [
+        ("live", None),
+        ("max_candidates", 0),
+        ("stop_words", [["the"]]),
+        ("min_token_length", "2"),
+        ("shared_filter", "yes"),
+        ("matcher.threshold", "0.5"),
+        ("matcher.threshold", 1.5),
+        ("matcher.similarity_name", "levenshtein"),
+        ("matcher.cost", -1),
+    ],
+)
+def test_invalid_meta_fields_are_snapshot_errors(tmp_path, field, value):
+    _saved_index(tmp_path / "snap")
+    *parents, name = field.split(".")
+
+    def edit(manifest):
+        meta = manifest["meta"]
+        for parent in parents:
+            meta = meta[parent]
+        if value is None:
+            del meta[name]
+        else:
+            meta[name] = value
+
+    _edit_manifest(tmp_path / "snap", edit)
+    with pytest.raises(SnapshotError, match=f"meta field {re.escape(repr(field))}"):
+        IncrementalIndex.load(tmp_path / "snap")
+
+
+@pytest.mark.parametrize(
+    "field, value, named",
+    [
+        ("shared_filter", False, "shared_filter"),
+        ("stop_words", ["zzz"], "shared_filter"),
+        ("live", 1, "live"),
+    ],
+)
+def test_meta_fields_contradicting_the_state_are_snapshot_errors(tmp_path, field, value, named):
+    _saved_index(tmp_path / "snap")
+    _edit_manifest(tmp_path / "snap", lambda manifest: manifest["meta"].update({field: value}))
+    with pytest.raises(SnapshotError, match=f"meta field {named!r}"):
+        IncrementalIndex.load(tmp_path / "snap")
+
+
+@pytest.mark.parametrize(
+    "column, damage, named",
+    [
+        ("index.member_ptr", lambda values: values[:-1], "index.member_ptr"),
+        ("index.member_ptr", lambda values: [1, *values[1:]], "index.member_ptr"),
+        (
+            "index.member_ptr",
+            lambda values: [values[0], values[2], values[1], *values[3:]],
+            "index.member_ptr",
+        ),
+        ("index.root_token_ptr", lambda values: [*values[:-1], 0], "index.root_token_ptr"),
+        ("index.member_data", lambda values: [10**6, *values[1:]], "index.member_data"),
+        ("index.roots", lambda values: [-1, *values[1:]], "index.roots"),
+        ("index.alive", lambda values: [2, *values[1:]], "index.alive"),
+        ("index.tree_data", lambda values: values[1:] + values[:1], "index.tree_data"),
+    ],
+)
+def test_inconsistent_columns_are_snapshot_errors(tmp_path, column, damage, named):
+    """Columns rewritten behind the checksums' back (as a pre-1.1 snapshot
+    could carry them) fail with a :class:`SnapshotError` naming the column."""
+    target = tmp_path / "snap"
+    _saved_index(target)
+    values = damage(np.load(target / f"{column}.npy").tolist())
+    write_npy(target / f"{column}.npy", [array("q", values)], len(values))
+
+    def legacy(manifest):
+        del manifest["checksums"], manifest["format_minor"]
+        manifest["columns"][column] = len(values)
+
+    _edit_manifest(target, legacy)
+    with pytest.warns(RuntimeWarning, match="integrity cannot be verified"):
+        with pytest.raises(SnapshotError, match=re.escape(f"'{named}'")):
+            IncrementalIndex.load(target)
+
+
+#: what a fuzzed manifest value is replaced with
+_HOSTILE_VALUES = st.one_of(
+    st.none(),
+    st.booleans(),
+    st.integers(min_value=-3, max_value=3),
+    st.just(2**40),
+    st.floats(),
+    st.text(max_size=3),
+    st.lists(st.integers(min_value=-1, max_value=3), max_size=2),
+    st.lists(st.text(max_size=2), max_size=2),
+    st.just({}),
+    st.just({"x": 1}),
+)
+
+
+def _manifest_paths(node, prefix=()):
+    """Every key path into the manifest, the root ``()`` first."""
+    yield prefix
+    items = node.items() if isinstance(node, dict) else enumerate(node) if isinstance(node, list) else ()
+    for key, child in items:
+        yield from _manifest_paths(child, (*prefix, key))
+
+
+@pytest.fixture(scope="module", params=[True, False], ids=["shared-filter", "own-filter"])
+def saved_snapshot(request, tmp_path_factory):
+    target = tmp_path_factory.mktemp("fuzz") / "snap"
+    probe = _saved_index(target, shared_filter=request.param)
+    manifest = json.loads((target / "manifest.json").read_text(encoding="utf-8"))
+    files = sorted(path.name for path in target.iterdir() if path.name != "manifest.json")
+    return target, probe, list(_manifest_paths(manifest)), files
+
+
+@settings(derandomize=True, max_examples=200, deadline=None)
+@given(data=st.data())
+def test_a_damaged_snapshot_loads_or_raises_a_snapshot_error(saved_snapshot, data):
+    """One damage per example -- a manifest value dropped or replaced at any
+    depth, or one data file truncated or a byte of it flipped: ``load``,
+    ``clusters()`` and one ``resolve()`` either succeed or raise
+    :class:`SnapshotError`, never anything else."""
+    source, probe, paths, files = saved_snapshot
+    with tempfile.TemporaryDirectory() as scratch:
+        target = Path(scratch) / "snap"
+        shutil.copytree(source, target)
+        kind = data.draw(st.sampled_from(["drop", "replace", "truncate", "flip"]))
+        if kind in ("drop", "replace"):
+            path = data.draw(st.sampled_from(paths[1:] if kind == "drop" else paths))
+            value = data.draw(_HOSTILE_VALUES) if kind == "replace" else None
+
+            def edit(manifest):
+                *parents, key = path
+                for parent in parents:
+                    manifest = manifest[parent]
+                if kind == "drop":
+                    del manifest[key]
+                else:
+                    manifest[key] = value
+
+            if path:
+                _edit_manifest(target, edit)
+            else:
+                (target / "manifest.json").write_text(json.dumps(value), encoding="utf-8")
+        else:
+            victim = target / data.draw(st.sampled_from(files))
+            payload = bytearray(victim.read_bytes())
+            position = data.draw(st.integers(min_value=0, max_value=len(payload) - 1))
+            if kind == "truncate":
+                del payload[position:]
+            else:
+                payload[position] ^= data.draw(st.integers(min_value=1, max_value=255))
+            victim.write_bytes(payload)
+        try:
+            index = IncrementalIndex.load(target)
+            index.clusters()
+            index.resolve(probe)
+        except SnapshotError:
+            pass
 
 
 def test_resolver_snapshot_facade(tmp_path):

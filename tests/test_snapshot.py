@@ -13,6 +13,7 @@ import json
 import re
 import subprocess
 import sys
+import warnings
 from array import array
 from pathlib import Path
 
@@ -361,18 +362,46 @@ def test_missing_data_file_is_partial(tmp_path):
 
 
 def test_legacy_manifest_loads_with_warning(tmp_path):
-    # snapshots written before format 1.1 carry no checksums: they must
-    # still load, but say so
+    # snapshots written before format 1.1 carry neither a minor version nor
+    # checksums: they must still load, but say so
     target = tmp_path / "snap"
     _write_sample_snapshot(target)
     manifest_path = target / "manifest.json"
     manifest = json.loads(manifest_path.read_text())
     del manifest["checksums"]
+    del manifest["format_minor"]
     manifest_path.write_text(json.dumps(manifest))
     with pytest.warns(RuntimeWarning, match="integrity cannot be verified"):
         reader = SnapshotReader(target)
     assert list(reader.column("numbers")) == [3, 1, 4, 1, 5, 9, 2, 6]
     assert reader.strings("names") == ["alpha", "beta", "gamma"]
+
+
+DAMAGED_VERSIONING = {
+    "no-checksums": lambda manifest: manifest.pop("checksums"),
+    "no-minor": lambda manifest: manifest.pop("format_minor"),
+    "null-checksums": lambda manifest: manifest.update(checksums=None),
+    "minor-zero": lambda manifest: manifest.update(format_minor=0),
+    "string-minor": lambda manifest: manifest.update(format_minor="2"),
+    "bool-minor": lambda manifest: manifest.update(format_minor=True),
+}
+
+
+@pytest.mark.parametrize("case", sorted(DAMAGED_VERSIONING))
+def test_deleting_one_versioning_key_is_a_snapshot_error(tmp_path, case):
+    # format 1.1 introduced the minor version and the checksums together:
+    # a manifest with only one of them (or a minor that is not an integer
+    # >= 1) is damaged, and must not load as an unverified legacy snapshot
+    target = tmp_path / "snap"
+    _write_sample_snapshot(target)
+    manifest_path = target / "manifest.json"
+    manifest = json.loads(manifest_path.read_text())
+    DAMAGED_VERSIONING[case](manifest)
+    manifest_path.write_text(json.dumps(manifest))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(SnapshotError, match="checksum"):
+            SnapshotReader(target)
 
 
 # ----------------------------------------------------------------------
