@@ -9,6 +9,15 @@ from typing import Optional
 FAILURE_POLICIES = ("degrade", "raise")
 
 
+def check_budget(budget: object, owner: str) -> None:
+    """Raise :class:`ValueError` unless ``budget`` is ``None`` or a
+    non-negative ``int`` that is not a ``bool``; ``owner`` names the field."""
+    if budget is not None and (
+        isinstance(budget, bool) or not isinstance(budget, int) or budget < 0
+    ):
+        raise ValueError(f"{owner} must be None or a non-negative int, got {budget!r}")
+
+
 @dataclass
 class WorkflowConfig:
     """Declarative configuration of :class:`~repro.core.workflow.ERWorkflow`.
@@ -112,13 +121,7 @@ class WorkflowConfig:
     on_worker_failure: str = "degrade"
 
     def __post_init__(self) -> None:
-        budget = self.budget
-        if budget is not None and (
-            isinstance(budget, bool) or not isinstance(budget, int) or budget < 0
-        ):
-            raise ValueError(
-                f"WorkflowConfig.budget must be None or a non-negative int, got {budget!r}"
-            )
+        check_budget(self.budget, "WorkflowConfig.budget")
         if self.iterate_merges and self.max_iterations < 1:
             raise ValueError(
                 "max_iterations must be at least 1 when iterate_merges is on, "

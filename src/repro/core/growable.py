@@ -251,7 +251,10 @@ class GrowableContext:
         Numeric columns become the read-only bases of fresh growable
         columns (no copies); the string->id map is rebuilt lazily on the
         first mutation.  Entries are opened by name, so the further
-        ``context.*`` columns of a format-1.1 snapshot are never read.
+        ``context.*`` columns of a format-1.1 snapshot are never read.  The
+        merged-id CSR must hold one row per identifier and only ids inside
+        the vocabulary, or :class:`~repro.core.snapshot.SnapshotError` names
+        the column (a pre-1.1 snapshot has no checksums to catch it first).
         """
         reader.require(
             columns=("context.token_ptr", "context.token_ids"),
@@ -262,6 +265,9 @@ class GrowableContext:
         context._ordinal = dict(zip(context._ids, range(len(context._ids))))
         context._tokens = reader.strings("context.tokens")
         context._token_ids = None
-        context._token_ptr = GrowableColumn(reader.column("context.token_ptr"))
-        context._token_ids_column = GrowableColumn(reader.column("context.token_ids"))
+        token_ptr, token_ids = reader.csr(
+            "context.token_ptr", "context.token_ids", len(context._ids), 0, len(context._tokens)
+        )
+        context._token_ptr = GrowableColumn(token_ptr)
+        context._token_ids_column = GrowableColumn(token_ids)
         return context

@@ -508,6 +508,45 @@ class SnapshotReader:
         self._verify(f"{name}.npy")
         return view
 
+    def _corrupted(self, what: str) -> SnapshotError:
+        return SnapshotError(f"snapshot at {self.path}: {what}; the snapshot is corrupted")
+
+    def values(self, name: str, low: int, high: int) -> Sequence[int]:
+        """The column ``name``; raises :class:`SnapshotError` naming it
+        unless every value lies in ``[low, high)``."""
+        view = self.column(name)
+        if len(view) and (int(view.min()) < low or int(view.max()) >= high):
+            raise self._corrupted(f"column {name!r} holds a value outside [{low}, {high})")
+        return view
+
+    def _check_offsets(self, label: str, offsets: Sequence[int], rows: int, end: int) -> None:
+        """Raise :class:`SnapshotError` naming ``label`` unless ``offsets``
+        are ``rows + 1`` non-decreasing values from 0 to ``end``."""
+        if len(offsets) != rows + 1:
+            problem = f"holds {len(offsets)} offsets for {rows} rows"
+        elif offsets[0] != 0 or offsets[-1] != end:
+            problem = f"runs from {offsets[0]} to {offsets[-1]}, not from 0 to {end}"
+        elif (_np.diff(offsets) < 0).any():
+            problem = "decreases"
+        else:
+            return
+        raise self._corrupted(f"{label} {problem}")
+
+    def csr(
+        self, pointers: str, data: str, rows: int, low: int, high: int
+    ) -> "tuple[Sequence[int], Sequence[int]]":
+        """The CSR of ``rows`` rows stored as the columns ``pointers`` and ``data``.
+
+        Raises :class:`SnapshotError` naming the column unless there are
+        ``rows + 1`` non-decreasing pointers from 0 to the data length and
+        every data value lies in ``[low, high)``.  Both views are returned
+        as read.
+        """
+        pointer_view = self.column(pointers)
+        data_view = self.column(data)
+        self._check_offsets(f"column {pointers!r}", pointer_view, rows, len(data_view))
+        return pointer_view, self.values(data, low, high)
+
     def strings(self, name: str) -> List[str]:
         """The string column ``name``, decoded eagerly and integrity-checked."""
         if name not in self._strings:
@@ -521,10 +560,10 @@ class SnapshotReader:
         self._verify(f"{name}.blob")
         blob = blob_path.read_bytes()
         offsets = self._open_npy(f"string column {name!r}", f"{name}.off.npy")
-        if len(offsets) != self._strings[name] + 1:
-            raise SnapshotError(f"string column {name!r}: offset table length mismatch")
         self._verify(f"{name}.off.npy")
-        return [
-            blob[offsets[index] : offsets[index + 1]].decode("utf-8")
-            for index in range(self._strings[name])
-        ]
+        self._check_offsets(f"string column {name!r}", offsets, self._strings[name], len(blob))
+        bounds = offsets.tolist()
+        try:
+            return [blob[start:stop].decode("utf-8") for start, stop in zip(bounds, bounds[1:])]
+        except UnicodeDecodeError as error:
+            raise self._corrupted(f"string column {name!r} is not UTF-8 ({error})") from error

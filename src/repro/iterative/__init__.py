@@ -15,23 +15,22 @@ Iterative blocking (:mod:`repro.iterative.iterative_blocking`) interleaves the
 iterative process with blocking: merges found in one block are propagated to
 all other blocks, saving redundant comparisons and finding extra matches.
 
-Execution paths and tie rules
------------------------------
+One body per resolver, and its tie rules
+----------------------------------------
 
-The four resolvers (:class:`RSwoosh`, :class:`NaivePairwiseER`,
-:class:`CollectiveER`, :class:`AttributeOnlyER`) pick their path by the
-matcher's exact type: for a
-:class:`~repro.matching.matchers.ProfileSimilarityMatcher` the array path
-batches similarity scoring through
-:class:`~repro.matching.engine.MatchingEngine` and keeps cluster state in an
-integer union--find; any other matcher, subclasses included, runs the
-readable per-pair object path (``last_engine`` reports what ran).  Both
-paths pin the same
-tie rules: candidate pairs initialise and re-queue in sorted canonical-pair
-order, R-Swoosh merges the *first* matching partner in resolved order, the
-naive baseline merges the lexicographically first matching index pair, a
-collective merge keeps the first description's cluster label, and final
-clusters emit in ascending surviving-cluster order.
+Each of the four resolvers (:class:`RSwoosh`, :class:`NaivePairwiseER`,
+:class:`CollectiveER`, :class:`AttributeOnlyER`) has one body.  The merging
+resolvers ask ``matcher.match`` one pair at a time for every matcher; the
+collective ones score their initial pairs through
+:class:`~repro.matching.engine.MatchingEngine` (batched for the exact
+:class:`~repro.matching.matchers.ProfileSimilarityMatcher`,
+``matcher.similarity`` pair by pair for any other).  The tie rules: candidate pairs
+initialise and re-queue in sorted canonical-pair order, R-Swoosh merges the
+*first* matching partner in resolved order, the naive baseline merges the
+lexicographically first matching index pair, a collective merge keeps the
+first description's cluster label, and final clusters emit in ascending
+surviving-cluster order.  ``tests/fixtures/iterative/`` freezes their
+output on seeded inputs.
 """
 
 from repro.iterative.collective import AttributeOnlyER, CollectiveER, CollectiveResult

@@ -19,30 +19,29 @@ triggers new or re-prioritised comparisons of related pairs.
    to the merged ones is re-prioritised (its relational evidence has changed),
    which is what makes the process iterative rather than one-shot.
 
-Like the merging-based resolvers, both classes here pick their path by the
-attribute matcher's exact type: for a
-:class:`~repro.matching.matchers.ProfileSimilarityMatcher` the array path
-scores the initialisation phase in
-one batched call and keeps the cluster state in an
-:class:`~repro.core.unionfind.IntUnionFind` over description ordinals
-instead of dictionaries of identifier sets; any other matcher runs the
-dictionary-based object path.  Queue order, comparison
-counts, matches, rescue/requeue statistics and the final cluster list
-(ordered by ascending surviving cluster index, the oracle's dict order)
-are bit-identical to the object path.
+Both classes here have one body, with the cluster state in an
+:class:`~repro.core.unionfind.IntUnionFind` over description ordinals.  The
+matcher decides only how the initial candidate pairs are scored: one batched
+:meth:`~repro.matching.engine.MatchingEngine.similarity_scores` call, which
+runs the columnar profile store for the exact
+:class:`~repro.matching.matchers.ProfileSimilarityMatcher` and
+``matcher.similarity`` pair by pair, in the same order, for any other.
+The final cluster list is ordered by ascending surviving cluster index.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, FrozenSet, Iterable, List, Optional, Sequence, Set, Tuple, Union
+from typing import Dict, FrozenSet, Iterable, List, Optional, Set, Tuple, Union
 
 from repro.blocking.base import BlockCollection
+from repro.core.config import check_budget
 from repro.core.unionfind import IntUnionFind, UnionFind
 from repro.datamodel.collection import EntityCollection
 from repro.datamodel.description import EntityDescription
-from repro.datamodel.pairs import Comparison, canonical_pair
+from repro.datamodel.pairs import Comparison
 from repro.iterative.queue import ComparisonQueue
+from repro.matching.engine import MatchingEngine
 from repro.matching.matchers import Matcher, ProfileSimilarityMatcher
 from repro.text.similarity import jaccard_similarity
 
@@ -59,6 +58,33 @@ def _candidate_pairs(
     if isinstance(candidates, BlockCollection):
         return candidates.distinct_pairs()
     return {comparison.pair for comparison in candidates}
+
+
+def _scored_candidates(
+    matcher: Matcher,
+    collection: EntityCollection,
+    candidates: Union[BlockCollection, Iterable[Comparison], None],
+    limit: Optional[int] = None,
+) -> Tuple[List[Tuple[str, str]], List[float]]:
+    """The first ``limit`` resolvable candidate pairs, in sorted order, and
+    their attribute similarities.
+
+    A pair naming an identifier the collection does not hold is skipped
+    and not counted.  The scores come from one
+    :meth:`~repro.matching.engine.MatchingEngine.similarity_scores` call.
+    """
+    resolvable: List[Tuple[str, str]] = []
+    batch: List[Tuple[EntityDescription, EntityDescription]] = []
+    for first, second in sorted(_candidate_pairs(collection, candidates)):
+        if limit is not None and len(resolvable) >= limit:
+            break
+        description_a = collection.get(first)
+        description_b = collection.get(second)
+        if description_a is None or description_b is None:
+            continue
+        resolvable.append((first, second))
+        batch.append((description_a, description_b))
+    return resolvable, MatchingEngine(matcher).similarity_scores(batch)
 
 
 @dataclass
@@ -114,7 +140,9 @@ class CollectiveER:
           of relational overlap also *suppresses* pairs (useful to
           disambiguate same-name entities at the price of recall).
     budget:
-        Optional maximum number of similarity evaluations.
+        Optional maximum number of similarity evaluations (``None`` or a
+        non-negative ``int``).  The initial scoring of the candidates always
+        runs; the iterative phase stops once the budget is spent.
     """
 
     name = "collective_er"
@@ -132,94 +160,15 @@ class CollectiveER:
             raise ValueError("relationship weight must be in [0, 1]")
         if combination not in ("boost", "weighted"):
             raise ValueError("combination must be 'boost' or 'weighted'")
+        check_budget(budget, f"{type(self).__name__}.budget")
         self.attribute_matcher = attribute_matcher or ProfileSimilarityMatcher(threshold=1.0)
         self.match_threshold = match_threshold
         self.relationship_weight = relationship_weight
         self.candidate_threshold = candidate_threshold
         self.combination = combination
         self.budget = budget
-        #: engine that actually executed the last resolve call
-        self.last_engine: Optional[str] = None
-
-    # ------------------------------------------------------------------
-    # relational structure
-    # ------------------------------------------------------------------
-    @staticmethod
-    def _neighbour_index(collection: EntityCollection) -> Dict[str, Set[str]]:
-        """Undirected neighbourhood: related identifiers in either direction."""
-        neighbours: Dict[str, Set[str]] = {d.identifier: set() for d in collection}
-        for description in collection:
-            for target in description.related():
-                if target in neighbours:
-                    neighbours[description.identifier].add(target)
-                    neighbours[target].add(description.identifier)
-        return neighbours
-
-    def _relational_similarity(
-        self,
-        first: str,
-        second: str,
-        neighbours: Dict[str, Set[str]],
-        cluster_of: Dict[str, int],
-    ) -> float:
-        """Jaccard similarity of the *clusters* of the two descriptions' neighbours."""
-        clusters_a = {cluster_of[n] for n in neighbours.get(first, ()) if n in cluster_of}
-        clusters_b = {cluster_of[n] for n in neighbours.get(second, ()) if n in cluster_of}
-        if not clusters_a or not clusters_b:
-            return 0.0
-        return jaccard_similarity(clusters_a, clusters_b)
-
-    @staticmethod
-    def _has_relational_evidence(
-        first: str,
-        second: str,
-        neighbours: Dict[str, Set[str]],
-        cluster_of: Dict[str, int],
-        cluster_members: Dict[int, Set[str]],
-    ) -> bool:
-        """Whether any neighbour of either description belongs to a non-singleton cluster.
-
-        Before any related match has been found, the relational similarity is
-        necessarily 0 for every pair; treating that absence of evidence as
-        negative evidence would penalise all pairs uniformly.  The combined
-        score therefore falls back to the attribute similarity until at least
-        one neighbour has been resolved into a cluster of two or more
-        descriptions.
-        """
-        for identifier in (first, second):
-            for neighbour in neighbours.get(identifier, ()):
-                cluster_index = cluster_of.get(neighbour)
-                if cluster_index is not None and len(cluster_members.get(cluster_index, ())) > 1:
-                    return True
-        return False
 
     def _combined_score(
-        self,
-        attribute_score: float,
-        first: str,
-        second: str,
-        neighbours: Dict[str, Set[str]],
-        cluster_of: Dict[str, int],
-        cluster_members: Dict[int, Set[str]],
-    ) -> float:
-        """Combine attribute and relational similarity according to ``combination``."""
-        if not self._has_relational_evidence(first, second, neighbours, cluster_of, cluster_members):
-            # no resolved neighbour anywhere near this pair yet: the relational
-            # signal is absent, not negative, so rely on attributes alone
-            return attribute_score
-        relational_score = self._relational_similarity(first, second, neighbours, cluster_of)
-        weighted = (
-            (1.0 - self.relationship_weight) * attribute_score
-            + self.relationship_weight * relational_score
-        )
-        if self.combination == "boost":
-            return max(attribute_score, weighted)
-        return weighted
-
-    # ------------------------------------------------------------------
-    # array engine: ordinal cluster state + batched initialisation
-    # ------------------------------------------------------------------
-    def _combined_score_ordinals(
         self,
         attribute_score: float,
         first: int,
@@ -228,23 +177,21 @@ class CollectiveER:
         links: IntUnionFind,
         cluster_size: List[int],
     ) -> float:
-        """Ordinal twin of :meth:`_combined_score`.
+        """Combine attribute and relational similarity according to ``combination``.
 
-        Cluster labels are union--find roots; they coincide with the
-        oracle's dictionary labels by induction (the winning side of every
-        merge is the first description's root in both), and the Jaccard of
-        the neighbour-cluster sets only depends on label *identity*, so the
-        scores are bit-identical.
+        The relational similarity is the Jaccard coefficient of the sets of
+        clusters (union--find roots) the two descriptions' neighbours belong
+        to.  Before any neighbour of either description has been resolved
+        into a cluster of two or more, that similarity is necessarily 0;
+        treating the absence of evidence as negative evidence would penalise
+        every pair uniformly, so the attribute similarity is used alone.
         """
         find = links.find
-        has_evidence = False
-        for ordinal in (first, second):
-            for neighbour in neighbour_sets[ordinal]:
-                if cluster_size[find(neighbour)] > 1:
-                    has_evidence = True
-                    break
-            if has_evidence:
-                break
+        has_evidence = any(
+            cluster_size[find(neighbour)] > 1
+            for ordinal in (first, second)
+            for neighbour in neighbour_sets[ordinal]
+        )
         if not has_evidence:
             return attribute_score
         clusters_a = {find(neighbour) for neighbour in neighbour_sets[first]}
@@ -260,18 +207,23 @@ class CollectiveER:
             return max(attribute_score, weighted)
         return weighted
 
-    def _resolve_array(
+    def resolve(
         self,
         collection: EntityCollection,
-        candidates: Union[BlockCollection, Iterable[Comparison], None],
+        candidates: Union[BlockCollection, Iterable[Comparison], None] = None,
     ) -> CollectiveResult:
-        from repro.matching.engine import MatchingEngine
+        """Run collective ER over ``collection``.
 
+        ``candidates`` supplies the initial pairs (a block collection or an
+        iterable of comparisons); when ``None`` all pairs of descriptions that
+        share at least one token are used (token-blocking candidates).
+        """
         result = CollectiveResult()
         identifiers = [description.identifier for description in collection]
         n = len(identifiers)
         ordinal_of = {identifier: ordinal for ordinal, identifier in enumerate(identifiers)}
 
+        # undirected neighbourhood: related descriptions in either direction
         neighbour_sets: List[Set[int]] = [set() for _ in range(n)]
         for ordinal, description in enumerate(collection):
             for target in description.related():
@@ -280,18 +232,8 @@ class CollectiveER:
                     neighbour_sets[ordinal].add(target_ordinal)
                     neighbour_sets[target_ordinal].add(ordinal)
 
-        # ----- initialisation phase: one batched scoring call -----------
-        scoring = MatchingEngine(self.attribute_matcher)
-        resolvable: List[Tuple[str, str]] = []
-        batch: List[Tuple[EntityDescription, EntityDescription]] = []
-        for first, second in sorted(_candidate_pairs(collection, candidates)):
-            description_a = collection.get(first)
-            description_b = collection.get(second)
-            if description_a is None or description_b is None:
-                continue
-            resolvable.append((first, second))
-            batch.append((description_a, description_b))
-        scores = scoring.similarity_scores(batch) if batch else []
+        # ----- initialisation phase: fill the queue ---------------------
+        resolvable, scores = _scored_candidates(self.attribute_matcher, collection, candidates)
         result.comparisons_executed += len(scores)
 
         attribute_similarity: Dict[Tuple[str, str], float] = {}
@@ -305,6 +247,7 @@ class CollectiveER:
                 queue.push(pair[0], pair[1], priority=score)
 
         # ----- iterative phase ------------------------------------------
+        # every description starts in its own cluster
         links = IntUnionFind(n)
         cluster_size = [1] * n
         members_of: Dict[int, List[int]] = {ordinal: [ordinal] for ordinal in range(n)}
@@ -326,7 +269,7 @@ class CollectiveER:
                 continue
 
             attribute_score = attribute_similarity.get(pair, 0.0)
-            combined = self._combined_score_ordinals(
+            combined = self._combined_score(
                 attribute_score, first_ordinal, second_ordinal, neighbour_sets, links, cluster_size
             )
             result.comparisons_executed += 1
@@ -335,14 +278,18 @@ class CollectiveER:
             if combined < self.match_threshold:
                 continue
 
+            # declare the match and merge the two clusters: the first
+            # description's root wins
             result.matches.append(pair)
             if attribute_score < self.match_threshold <= combined:
                 result.relational_rescues += 1
-            # the first description's root wins, like the oracle's ``target``
             links.union(first_ordinal, second_ordinal)
             cluster_size[target] += cluster_size[source]
             members_of[target].extend(members_of.pop(source))
 
+            # update phase: re-prioritise (and allow re-evaluation of) pairs whose
+            # descriptions are related to the merged clusters -- their relational
+            # evidence has changed, so earlier negative decisions may be revised
             affected = {
                 neighbour
                 for member in members_of[target]
@@ -356,7 +303,7 @@ class CollectiveER:
             for queued_pair in sorted(affected_pairs):
                 if links.connected(ordinal_of[queued_pair[0]], ordinal_of[queued_pair[1]]):
                     continue
-                new_priority = self._combined_score_ordinals(
+                new_priority = self._combined_score(
                     attribute_similarity[queued_pair],
                     ordinal_of[queued_pair[0]],
                     ordinal_of[queued_pair[1]],
@@ -368,132 +315,11 @@ class CollectiveER:
                 processed.discard(queued_pair)
                 result.requeue_events += 1
 
-        # ascending surviving root order == the oracle's dict iteration order
         result.clusters = [
             frozenset(identifiers[member] for member in members_of[root])
             for root in sorted(members_of)
             if len(members_of[root]) > 1
         ]
-        return result
-
-    # ------------------------------------------------------------------
-    def resolve(
-        self,
-        collection: EntityCollection,
-        candidates: Union[BlockCollection, Iterable[Comparison], None] = None,
-    ) -> CollectiveResult:
-        """Run collective ER over ``collection``.
-
-        ``candidates`` supplies the initial pairs (a block collection or an
-        iterable of comparisons); when ``None`` all pairs of descriptions that
-        share at least one token are used (token-blocking candidates).
-        """
-        if type(self.attribute_matcher) is ProfileSimilarityMatcher:
-            self.last_engine = "array"
-            return self._resolve_array(collection, candidates)
-        self.last_engine = "object"
-        return self._resolve_object(collection, candidates)
-
-    def _resolve_object(
-        self,
-        collection: EntityCollection,
-        candidates: Union[BlockCollection, Iterable[Comparison], None] = None,
-    ) -> CollectiveResult:
-        result = CollectiveResult()
-        neighbours = self._neighbour_index(collection)
-
-        # every description starts in its own cluster
-        cluster_of: Dict[str, int] = {
-            description.identifier: index for index, description in enumerate(collection)
-        }
-        cluster_members: Dict[int, Set[str]] = {
-            index: {identifier} for identifier, index in cluster_of.items()
-        }
-
-        # ----- initialisation phase: fill the queue --------------------
-        candidate_pairs = _candidate_pairs(collection, candidates)
-
-        attribute_similarity: Dict[Tuple[str, str], float] = {}
-        pairs_of_identifier: Dict[str, List[Tuple[str, str]]] = {}
-        queue = ComparisonQueue()
-        for first, second in sorted(candidate_pairs):
-            description_a = collection.get(first)
-            description_b = collection.get(second)
-            if description_a is None or description_b is None:
-                continue
-            score = self.attribute_matcher.similarity(description_a, description_b)
-            result.comparisons_executed += 1
-            if score >= self.candidate_threshold:
-                attribute_similarity[(first, second)] = score
-                pairs_of_identifier.setdefault(first, []).append((first, second))
-                pairs_of_identifier.setdefault(second, []).append((first, second))
-                queue.push(first, second, priority=score)
-
-        # ----- iterative phase -----------------------------------------
-        processed: Set[Tuple[str, str]] = set()
-        while len(queue) > 0:
-            if self.budget is not None and result.comparisons_executed >= self.budget:
-                break
-            pair = queue.pop()
-            if pair is None:
-                break
-            if pair in processed:
-                continue
-            first, second = pair
-            if cluster_of[first] == cluster_of[second]:
-                processed.add(pair)
-                continue
-
-            attribute_score = attribute_similarity.get(pair, 0.0)
-            combined = self._combined_score(
-                attribute_score, first, second, neighbours, cluster_of, cluster_members
-            )
-            result.comparisons_executed += 1
-            processed.add(pair)
-
-            if combined < self.match_threshold:
-                continue
-
-            # declare the match and merge the two clusters
-            result.matches.append(pair)
-            if attribute_score < self.match_threshold <= combined:
-                result.relational_rescues += 1
-            source = cluster_of[second]
-            target = cluster_of[first]
-            for member in cluster_members[source]:
-                cluster_of[member] = target
-            cluster_members[target].update(cluster_members[source])
-            del cluster_members[source]
-
-            # update phase: re-prioritise (and allow re-evaluation of) pairs whose
-            # descriptions are related to the merged clusters -- their relational
-            # evidence has changed, so earlier negative decisions may be revised
-            affected = {
-                neighbour
-                for member in cluster_members[target]
-                for neighbour in neighbours.get(member, ())
-            }
-            affected_pairs = {
-                queued_pair
-                for identifier in affected
-                for queued_pair in pairs_of_identifier.get(identifier, ())
-            }
-            for queued_pair in sorted(affected_pairs):
-                if cluster_of[queued_pair[0]] == cluster_of[queued_pair[1]]:
-                    continue
-                new_priority = self._combined_score(
-                    attribute_similarity[queued_pair],
-                    queued_pair[0],
-                    queued_pair[1],
-                    neighbours,
-                    cluster_of,
-                    cluster_members,
-                )
-                queue.push(queued_pair[0], queued_pair[1], priority=new_priority)
-                processed.discard(queued_pair)
-                result.requeue_events += 1
-
-        result.clusters = [frozenset(members) for members in cluster_members.values() if len(members) > 1]
         return result
 
 
@@ -502,6 +328,8 @@ class AttributeOnlyER:
 
     Used by benchmarks to quantify how many matches only relational evidence
     can recover (the ``relational_rescues`` of :class:`CollectiveER`).
+    ``budget`` caps the scored pairs at the first ``budget`` resolvable
+    candidates in sorted order (``None`` or a non-negative ``int``).
     """
 
     name = "attribute_only"
@@ -512,82 +340,23 @@ class AttributeOnlyER:
         match_threshold: float = 0.6,
         budget: Optional[int] = None,
     ) -> None:
+        check_budget(budget, f"{type(self).__name__}.budget")
         self.attribute_matcher = attribute_matcher or ProfileSimilarityMatcher(threshold=1.0)
         self.match_threshold = match_threshold
         self.budget = budget
-        #: engine that actually executed the last resolve call
-        self.last_engine: Optional[str] = None
 
     def resolve(
         self,
         collection: EntityCollection,
         candidates: Union[BlockCollection, Iterable[Comparison], None] = None,
     ) -> CollectiveResult:
-        if type(self.attribute_matcher) is ProfileSimilarityMatcher:
-            self.last_engine = "array"
-            return self._resolve_array(collection, candidates)
-        self.last_engine = "object"
-        return self._resolve_object(collection, candidates)
-
-    def _resolve_array(
-        self,
-        collection: EntityCollection,
-        candidates: Union[BlockCollection, Iterable[Comparison], None],
-    ) -> CollectiveResult:
-        """One batched scoring call over the first ``budget`` resolvable pairs.
-
-        The oracle stops *before* scoring the pair that would exceed the
-        budget and skips unresolvable pairs without counting them, so the
-        scored set is exactly the first ``budget`` resolvable pairs in
-        sorted order.
-        """
-        from repro.matching.engine import MatchingEngine
-
         result = CollectiveResult()
-        scoring = MatchingEngine(self.attribute_matcher)
-        resolvable: List[Tuple[str, str]] = []
-        batch: List[Tuple[EntityDescription, EntityDescription]] = []
-        for first, second in sorted(_candidate_pairs(collection, candidates)):
-            if self.budget is not None and len(resolvable) >= self.budget:
-                break
-            description_a = collection.get(first)
-            description_b = collection.get(second)
-            if description_a is None or description_b is None:
-                continue
-            resolvable.append((first, second))
-            batch.append((description_a, description_b))
-        scores = scoring.similarity_scores(batch) if batch else []
-
+        resolvable, scores = _scored_candidates(
+            self.attribute_matcher, collection, candidates, limit=self.budget
+        )
+        result.comparisons_executed = len(scores)
         links = UnionFind()
         for (first, second), score in zip(resolvable, scores):
-            result.comparisons_executed += 1
-            if score >= self.match_threshold:
-                result.matches.append((first, second))
-                # historical orientation: the root of ``second`` wins
-                links.union(second, first)
-
-        result.clusters = links.clusters(min_size=2)
-        return result
-
-    def _resolve_object(
-        self,
-        collection: EntityCollection,
-        candidates: Union[BlockCollection, Iterable[Comparison], None],
-    ) -> CollectiveResult:
-        result = CollectiveResult()
-        candidate_pairs = _candidate_pairs(collection, candidates)
-
-        links = UnionFind()
-
-        for first, second in sorted(candidate_pairs):
-            if self.budget is not None and result.comparisons_executed >= self.budget:
-                break
-            description_a = collection.get(first)
-            description_b = collection.get(second)
-            if description_a is None or description_b is None:
-                continue
-            score = self.attribute_matcher.similarity(description_a, description_b)
-            result.comparisons_executed += 1
             if score >= self.match_threshold:
                 result.matches.append((first, second))
                 # historical orientation: the root of ``second`` wins

@@ -139,38 +139,12 @@ def _check_fields(path, mapping: Dict[str, Any], fields, prefix: str = "") -> No
             )
 
 
-def _check_values(path, name: str, column, low: int, high: int) -> None:
-    """Raise :class:`SnapshotError` unless every value of ``column`` lies in ``[low, high)``."""
-    if len(column) and (int(column.min()) < low or int(column.max()) >= high):
-        raise SnapshotError(
-            f"snapshot at {path}: column {name!r} holds a value outside "
-            f"[{low}, {high}); the snapshot is corrupted"
-        )
-
-
 def _read_csr(reader: SnapshotReader, name: str, rows: int, low: int, high: int):
-    """The ``index.<name>_ptr`` / ``index.<name>_data`` CSR of one row per root.
-
-    The pointers are returned as a list, the data column as read.  Raises
-    :class:`SnapshotError` naming the column unless there are ``rows + 1``
-    non-decreasing pointers from 0 to the data length and every data value
-    lies in ``[low, high)``.
-    """
-    pointers = reader.column(f"index.{name}_ptr")
-    data = reader.column(f"index.{name}_data")
-    if len(pointers) != rows + 1:
-        problem = f"holds {len(pointers)} pointers for {rows} roots"
-    elif pointers[0] != 0 or pointers[-1] != len(data):
-        problem = f"runs from {pointers[0]} to {pointers[-1]}, not from 0 to {len(data)}"
-    elif (_np.diff(pointers) < 0).any():
-        problem = "decreases"
-    else:
-        _check_values(reader.path, f"index.{name}_data", data, low, high)
-        return pointers.tolist(), data
-    raise SnapshotError(
-        f"snapshot at {reader.path}: column 'index.{name}_ptr' {problem}; "
-        "the snapshot is corrupted"
-    )
+    """The ``index.<name>_ptr`` / ``index.<name>_data`` CSR of one row per root:
+    the pointers as a list, the data column as read (see
+    :meth:`SnapshotReader.csr <repro.core.snapshot.SnapshotReader.csr>`)."""
+    pointers, data = reader.csr(f"index.{name}_ptr", f"index.{name}_data", rows, low, high)
+    return pointers.tolist(), data
 
 
 def _encode_tree(node: Any, out: array) -> None:
@@ -705,9 +679,7 @@ class IncrementalIndex:
         # every column is read once with tolist(): indexing a mapped column
         # element by element boxes a scalar a time
         index._uf.parent = array("q", reader.column("index.uf_parent").tolist())
-        alive = reader.column("index.alive")
-        _check_values(path, "index.alive", alive, 0, 2)
-        index._alive = bytearray(alive.tolist())
+        index._alive = bytearray(reader.values("index.alive", 0, 2).tolist())
         if meta["live"] != index._alive.count(1):
             raise SnapshotError(
                 f"snapshot at {path}: meta field 'live' is {meta['live']}, but the "
@@ -715,9 +687,7 @@ class IncrementalIndex:
             )
         index._live = meta["live"]
         index.comparisons_executed = meta["comparisons_executed"]
-        roots_column = reader.column("index.roots")
-        _check_values(path, "index.roots", roots_column, 0, records)
-        roots = roots_column.tolist()
+        roots = reader.values("index.roots", 0, records).tolist()
         member_ptr, member_column = _read_csr(reader, "member", len(roots), 0, records)
         member_data = member_column.tolist()
         token_ptr, token_column = _read_csr(reader, "root_token", len(roots), 0, vocabulary)

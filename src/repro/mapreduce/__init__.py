@@ -27,7 +27,8 @@ workflow's parallelisable stages on real worker processes
 * the engines it plugs into (``BlockingEngine``, ``MetaBlocking``,
   ``ClusteringEngine``) fall back to their single-process paths for anything
   the workers cannot reproduce -- custom weighting/pruning subclasses,
-  clustering algorithms other than connected components -- so enabling the
+  any clustering other than the library's connected-components ``cluster``
+  -- so enabling the
   engine never changes a result.
 
 Shared-memory lifecycle: the driver (the ``ParallelEngine``) owns every

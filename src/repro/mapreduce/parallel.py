@@ -397,9 +397,9 @@ class ParallelEngine:
     def cluster_links(self, first, second, is_match, num_ids: int):
         """Connected components of the positive rows, via per-shard union--find.
 
-        ``first``/``second`` must already be in canonical orientation (the
-        clustering engine's ``_canonical_rows``).  Workers scan contiguous
-        row ranges -- each running the sequential union--find pass locally
+        ``first``/``second`` must already be in canonical orientation
+        (:func:`~repro.matching.clustering.canonical_rows`).  Workers scan
+        contiguous row ranges -- each running the sequential union--find pass locally
         -- and the driver links every locally touched member to its local
         root, shard by shard in range order.  The merged partition equals
         the sequential one (a union of equivalence relations over the same

@@ -54,15 +54,16 @@ The same split closes the pipeline tail.  The progressive runner can emit
 executed decisions straight into a columnar
 :class:`~repro.datamodel.pairs.DecisionColumns` (ordinal ``first``/``second``
 plus flat ``similarity``/``is_match`` arrays; decision objects materialise
-lazily as the oracle bridge), and
-:class:`~repro.matching.cluster_engine.ClusteringEngine` clusters those columns with
-integer path-halving union--find and argsort passes -- bit-identical clusters
-to the object algorithms, including the heaviest-first tie order (descending
-similarity, ties in canonical identifier-pair order).  Custom
-:class:`~repro.matching.clustering.ClusteringAlgorithm` implementations --
-and subclasses of the three library algorithms -- run their own
-``cluster``, receiving lazily materialised decisions, so the engine is safe for any
-algorithm.
+lazily as the oracle bridge), and each clustering algorithm of
+:mod:`repro.matching.clustering` has one body over those columns: integer
+path-halving union--find and argsort passes, with the heaviest-first tie
+order (descending similarity, ties in canonical identifier-pair order).
+:class:`~repro.matching.cluster_engine.ClusteringEngine`, the workflow's
+clustering stage, adds the pooled connected-components pass and otherwise
+calls the algorithm's own ``cluster``; custom
+:class:`~repro.matching.clustering.ClusteringAlgorithm` implementations and
+subclasses that override ``cluster`` receive the columns, which materialise
+decisions lazily when iterated.
 """
 
 from repro.matching.cluster_engine import ClusteringEngine

@@ -13,6 +13,21 @@ clusters.  Three classical algorithms are provided:
 * :class:`MergeCenterClustering` -- like center clustering, but an edge
   between two existing centers merges their clusters.
 
+Each algorithm has one body, over the flat ordinal columns of a
+:class:`~repro.datamodel.pairs.DecisionColumns`: an
+:class:`~repro.core.unionfind.IntUnionFind` (path halving, first-root-wins)
+and flat assignment/center arrays instead of string-keyed dictionaries.  An
+iterable of decision objects is interned into columns first
+(:meth:`DecisionColumns.from_decisions
+<repro.datamodel.pairs.DecisionColumns.from_decisions>`).  Rows are read in
+canonical orientation -- the lexicographically smaller identifier first,
+like ``decision.pair`` -- whatever orientation the columns store.
+
+Output order
+------------
+Clusters are listed in the order their first member was assigned, members
+being assigned in the order the scan touches them.
+
 Tie-breaking
 ------------
 Center and merge-center clustering scan edges *heaviest first*; edges of
@@ -21,36 +36,96 @@ equal weight are ordered by the canonical identifier pair ``(first, second)``
 :meth:`~repro.datamodel.pairs.ComparisonColumns.weight_sorted` and
 :class:`~repro.progressive.schedulers.WeightOrderScheduler`.  This order is
 part of the algorithms' contract (it decides which endpoint of a tied edge
-becomes a center) and is pinned by tests on both execution engines, so the
-clusters of a run are reproducible bit for bit.
+becomes a center) and is pinned by frozen fixtures
+(``tests/fixtures/clustering/``), so the clusters of a run are reproducible
+bit for bit.
 
-These classes are the readable *oracle* formulation over decision objects;
-:class:`~repro.matching.cluster_engine.ClusteringEngine` executes the same
-three algorithms over the flat ordinal columns of a
-:class:`~repro.datamodel.pairs.DecisionColumns` with integer union--find and
-argsort passes, falling back to the oracle for custom
-:class:`ClusteringAlgorithm` subclasses.
+:class:`~repro.matching.cluster_engine.ClusteringEngine` is the workflow's
+clustering stage: it adds the pooled connected-components pass and
+otherwise calls the algorithm's own :meth:`ClusteringAlgorithm.cluster`, so
+a custom algorithm -- or a subclass overriding ``cluster`` -- runs its own
+method.
 """
 
 from __future__ import annotations
 
 import abc
-from typing import Dict, FrozenSet, Iterable, List, Set, Tuple
+from array import array
+from typing import FrozenSet, Iterable, List, Sequence, Set, Tuple, Union
 
-from repro.core.unionfind import UnionFind
+import numpy as _np
+
+from repro.core.unionfind import IntUnionFind
+from repro.datamodel.pairs import DecisionColumns, heaviest_first, identifier_ranks
 from repro.matching.matchers import MatchDecision
 
+Decisions = Union[DecisionColumns, Iterable[MatchDecision]]
 
-def _as_weighted_pairs(
-    decisions: Iterable[MatchDecision],
-) -> List[Tuple[str, str, float]]:
-    """Extract (first, second, similarity) for positive decisions only."""
-    pairs = []
-    for decision in decisions:
-        if decision.is_match:
-            first, second = decision.pair
-            pairs.append((first, second, decision.similarity))
-    return pairs
+
+def as_columns(decisions: Decisions) -> DecisionColumns:
+    """``decisions`` as columns: a :class:`DecisionColumns` as it is, any
+    other iterable of decisions interned."""
+    if isinstance(decisions, DecisionColumns):
+        return decisions
+    return DecisionColumns.from_decisions(decisions)
+
+
+def canonical_rows(columns: DecisionColumns) -> Tuple[Sequence[int], Sequence[int]]:
+    """The ordinal columns with every row in canonical orientation.
+
+    ``decision.pair`` always presents the lexicographically smaller
+    identifier first; decision columns may instead store the *execution*
+    orientation (the runner's ``keep_decisions`` drain).  Rows are swapped
+    where needed so the edge sort and the greedy scans see canonical pairs.
+    """
+    ids = columns.ids
+    first = columns.first
+    second = columns.second
+    for f, s in zip(first, second):
+        if ids[f] > ids[s]:
+            break
+    else:
+        return first, second  # already canonical (the common case)
+    first = array("q", first)
+    second = array("q", second)
+    for index, (f, s) in enumerate(zip(first, second)):
+        if ids[f] > ids[s]:
+            first[index] = s
+            second[index] = f
+    return first, second
+
+
+def group_by_root(
+    links: IntUnionFind, order: Sequence[int], ids: Sequence[str]
+) -> List[FrozenSet[str]]:
+    """Clusters of the ``order``-ed ordinals, grouped by union-find root.
+
+    Clusters come out in first-appearance order of their roots over
+    ``order`` (the members in first-touch order).
+    """
+    groups: dict = {}
+    for ordinal in order:
+        groups.setdefault(links.find(ordinal), []).append(ordinal)
+    return [frozenset(ids[member] for member in members) for members in groups.values()]
+
+
+def _positive_rows_heaviest_first(
+    columns: DecisionColumns, first: Sequence[int], second: Sequence[int]
+) -> Sequence[int]:
+    """Row indices of the positive decisions, heaviest-first.
+
+    Descending similarity, ties broken by the identifier ranks of the
+    canonical pair (``first``/``second`` from :func:`canonical_rows`; rank
+    comparison equals string comparison).
+    """
+    positive = _np.flatnonzero(_np.frombuffer(columns.is_match, dtype=_np.uint8))
+    if not len(positive):
+        return ()
+    first = _np.frombuffer(first, dtype=_np.int64)[positive]
+    second = _np.frombuffer(second, dtype=_np.int64)[positive]
+    similarity = _np.frombuffer(columns.similarity, dtype=_np.float64)[positive]
+    rank = identifier_ranks(columns.ids)
+    return positive[heaviest_first(rank, first, second, similarity)].tolist()
 
 
 class ClusteringAlgorithm(abc.ABC):
@@ -59,8 +134,13 @@ class ClusteringAlgorithm(abc.ABC):
     name = "clustering"
 
     @abc.abstractmethod
-    def cluster(self, decisions: Iterable[MatchDecision]) -> List[FrozenSet[str]]:
-        """Return disjoint clusters covering every identifier in a positive decision."""
+    def cluster(self, decisions: Decisions) -> List[FrozenSet[str]]:
+        """Return disjoint clusters covering every identifier in a positive decision.
+
+        ``decisions`` is a :class:`DecisionColumns` or any iterable of
+        :class:`~repro.matching.matchers.MatchDecision` (iterating columns
+        materialises decision objects lazily).
+        """
 
     @staticmethod
     def clusters_to_pairs(clusters: Iterable[FrozenSet[str]]) -> Set[Tuple[str, str]]:
@@ -95,20 +175,24 @@ class ConnectedComponentsClustering(ClusteringAlgorithm):
 
     name = "connected_components"
 
-    def cluster(self, decisions: Iterable[MatchDecision]) -> List[FrozenSet[str]]:
-        links = UnionFind()
-        for first, second, _ in _as_weighted_pairs(decisions):
-            links.union(first, second)
-        return links.clusters()
-
-
-def _edges_heaviest_first(
-    decisions: Iterable[MatchDecision],
-) -> List[Tuple[str, str, float]]:
-    """Positive edges in descending weight; ties in canonical pair order."""
-    edges = _as_weighted_pairs(decisions)
-    edges.sort(key=lambda e: (-e[2], e[0], e[1]))
-    return edges
+    def cluster(self, decisions: Decisions) -> List[FrozenSet[str]]:
+        columns = as_columns(decisions)
+        ids = columns.ids
+        first, second = canonical_rows(columns)
+        links = IntUnionFind(len(ids))
+        touched = bytearray(len(ids))
+        order: List[int] = []
+        for f, s, flag in zip(first, second, columns.is_match):
+            if not flag:
+                continue
+            if not touched[f]:
+                touched[f] = 1
+                order.append(f)
+            if not touched[s]:
+                touched[s] = 1
+                order.append(s)
+            links.union(f, s)
+        return group_by_root(links, order, ids)
 
 
 class CenterClustering(ClusteringAlgorithm):
@@ -116,37 +200,48 @@ class CenterClustering(ClusteringAlgorithm):
 
     name = "center"
 
-    def cluster(self, decisions: Iterable[MatchDecision]) -> List[FrozenSet[str]]:
-        cluster_of: Dict[str, str] = {}  # node -> center, in assignment order
-        is_center: Set[str] = set()
+    def cluster(self, decisions: Decisions) -> List[FrozenSet[str]]:
+        columns = as_columns(decisions)
+        ids = columns.ids
+        first, second = canonical_rows(columns)
+        # center ordinal per assigned node, -1 while unassigned
+        cluster_of = array("q", [-1]) * len(ids)
+        is_center = bytearray(len(ids))
+        order: List[int] = []  # nodes in assignment order
 
-        for first, second, _ in _edges_heaviest_first(decisions):
-            assigned_first = first in cluster_of
-            assigned_second = second in cluster_of
+        for row in _positive_rows_heaviest_first(columns, first, second):
+            f = first[row]
+            s = second[row]
+            assigned_first = cluster_of[f] >= 0
+            assigned_second = cluster_of[s] >= 0
             if not assigned_first and not assigned_second:
                 # first becomes a center, second joins it
-                cluster_of[first] = first
-                is_center.add(first)
-                cluster_of[second] = first
+                cluster_of[f] = f
+                is_center[f] = 1
+                cluster_of[s] = f
+                order.append(f)
+                order.append(s)
             elif assigned_first and not assigned_second:
-                if first in is_center:
-                    cluster_of[second] = first
+                if is_center[f]:
+                    cluster_of[s] = f
                 else:
                     # first is a non-center member: second starts its own cluster
-                    cluster_of[second] = second
-                    is_center.add(second)
+                    cluster_of[s] = s
+                    is_center[s] = 1
+                order.append(s)
             elif assigned_second and not assigned_first:
-                if second in is_center:
-                    cluster_of[first] = second
+                if is_center[s]:
+                    cluster_of[f] = s
                 else:
-                    cluster_of[first] = first
-                    is_center.add(first)
+                    cluster_of[f] = f
+                    is_center[f] = 1
+                order.append(f)
             # both assigned: the edge is ignored (no merging in plain center clustering)
 
-        clusters: Dict[str, Set[str]] = {}
-        for node, center in cluster_of.items():
-            clusters.setdefault(center, set()).add(node)
-        return [frozenset(members) for members in clusters.values()]
+        groups: dict = {}
+        for node in order:
+            groups.setdefault(cluster_of[node], []).append(node)
+        return [frozenset(ids[member] for member in members) for members in groups.values()]
 
 
 class MergeCenterClustering(ClusteringAlgorithm):
@@ -154,37 +249,37 @@ class MergeCenterClustering(ClusteringAlgorithm):
 
     name = "merge_center"
 
-    def cluster(self, decisions: Iterable[MatchDecision]) -> List[FrozenSet[str]]:
-        links = UnionFind()
-        is_center: Set[str] = set()
-        # dict-as-ordered-set: nodes in assignment order, so the final cluster
-        # list is deterministic (a plain set would enumerate in hash order)
-        assigned: Dict[str, None] = {}
+    def cluster(self, decisions: Decisions) -> List[FrozenSet[str]]:
+        columns = as_columns(decisions)
+        ids = columns.ids
+        first, second = canonical_rows(columns)
+        links = IntUnionFind(len(ids))
+        is_center = bytearray(len(ids))
+        assigned = bytearray(len(ids))
+        order: List[int] = []  # nodes in assignment order
 
-        for first, second, _ in _edges_heaviest_first(decisions):
-            assigned_first = first in assigned
-            assigned_second = second in assigned
+        for row in _positive_rows_heaviest_first(columns, first, second):
+            f = first[row]
+            s = second[row]
+            assigned_first = assigned[f]
+            assigned_second = assigned[s]
             if not assigned_first and not assigned_second:
-                is_center.add(first)
-                assigned[first] = None
-                assigned[second] = None
-                links.union(first, second)
+                is_center[f] = 1
+                assigned[f] = 1
+                assigned[s] = 1
+                order.append(f)
+                order.append(s)
+                links.union(f, s)
             elif assigned_first and not assigned_second:
-                assigned[second] = None
-                links.union(first, second)
+                assigned[s] = 1
+                order.append(s)
+                links.union(f, s)
             elif assigned_second and not assigned_first:
-                assigned[first] = None
-                links.union(second, first)
-            else:
+                assigned[f] = 1
+                order.append(f)
+                links.union(s, f)
+            elif is_center[f] and is_center[s] and links.find(f) != links.find(s):
                 # both assigned: merge only if both are centers
-                if (
-                    first in is_center
-                    and second in is_center
-                    and links.find(first) != links.find(second)
-                ):
-                    links.union(first, second)
+                links.union(f, s)
 
-        clusters: Dict[str, Set[str]] = {}
-        for identifier in assigned:
-            clusters.setdefault(links.find(identifier), set()).add(identifier)
-        return [frozenset(members) for members in clusters.values()]
+        return group_by_root(links, order, ids)

@@ -291,12 +291,14 @@ class MatchingEngine:
     ) -> List[float]:
         """Exact similarity of explicit description pairs, in input order.
 
-        The object-free core of :meth:`decide_pairs`: exactly the
-        ``similarity`` fields its decisions carry.  Only valid on the batch
-        path (:attr:`batch_applicable`); matchers the batch engine cannot
-        replicate have no object-free formulation.
+        The object-free core of :meth:`decide_pairs`: on the batch path,
+        exactly the ``similarity`` fields its decisions carry.  On the
+        pairwise path it falls back, like :meth:`decide_pairs`, to the
+        matcher itself: ``matcher.similarity`` per pair, in input order.
         """
-        profile = self._batch_store("similarity_scores").profile
+        if not self.batch_applicable:
+            return [self.matcher.similarity(first, second) for first, second in pairs]
+        profile = self._store_for(None).profile
         return [self._exact(profile(first), profile(second)) for first, second in pairs]
 
     # ------------------------------------------------------------------

@@ -1,27 +1,27 @@
-"""Array-vs-object clustering-engine equivalence, tie-breaking and goldens.
+"""Clustering fixtures, tie-breaking and the clustering stage engine.
 
-The object algorithms of :mod:`repro.matching.clustering` are the oracle;
-:class:`~repro.matching.cluster_engine.ClusteringEngine` must reproduce their
-clusters bit for bit -- same frozensets, same list order, same behaviour at
-equal-similarity ties.
-
-``tests/fixtures/clustering/*.json`` freezes the oracle's clusters on the
-builtin datasets at two thresholds; the array path and the algorithms' own
-``cluster`` must keep reproducing them exactly.  Regenerating the fixtures (only when the
-clustering semantics change on purpose): run this module as a script::
+Each library algorithm of :mod:`repro.matching.clustering` has one body over
+the ordinal columns of a :class:`~repro.datamodel.pairs.DecisionColumns`;
+:class:`~repro.matching.cluster_engine.ClusteringEngine` adds only the
+pooled connected-components path.  ``tests/fixtures/clustering/seeded.json``
+freezes the clusters of the seeded decision logs below, and
+``census.json`` / ``restaurants.json`` those of the builtin datasets at two
+thresholds, as the string-keyed reference formulation produced them.  The
+library algorithms must reproduce them exactly: same frozensets, same list
+order, same behaviour at equal-similarity ties.  Regenerating the fixtures (only when the clustering
+semantics change on purpose): run this module as a script::
 
     PYTHONPATH=src python tests/test_clustering_engine.py
 """
 
 from __future__ import annotations
 
+import functools
 import json
 import random
 from pathlib import Path
 
 import pytest
-from conftest import readable
-
 from repro.datamodel.pairs import Comparison, DecisionColumns
 from repro.matching.cluster_engine import ClusteringEngine
 from repro.matching.clustering import (
@@ -39,16 +39,11 @@ ALGORITHMS = {
     "merge_center": MergeCenterClustering,
 }
 
-#: the engine's array path and the oracle, the algorithm's own ``cluster``
-PATHS = ("array", "object")
 
-
-def _clusters(path, algorithm, columns):
-    """Cluster ``columns`` on ``path``."""
-    if path == "object":
-        return algorithm.cluster(columns)
+def _clusters(algorithm, decisions):
+    """Cluster ``decisions`` through the stage engine."""
     engine = ClusteringEngine(algorithm)
-    clusters = engine.cluster(columns)
+    clusters = engine.cluster(decisions)
     assert engine.last_engine == "array"
     return clusters
 
@@ -99,36 +94,40 @@ def _cluster_lists(clusters):
     return [sorted(cluster) for cluster in clusters]
 
 
-class TestSeededEquivalence:
-    @pytest.mark.parametrize("kind", ["dirty", "clean_clean"])
-    @pytest.mark.parametrize("variant", ["plain", "ties", "dense", "empty", "singleton"])
+SEEDS = (3, 11, 27)
+KINDS = ("dirty", "clean_clean")
+VARIANTS = ("plain", "ties", "dense", "empty", "singleton")
+
+
+def _seeded_key(algorithm: str, kind: str, variant: str, seed: int) -> str:
+    return f"{algorithm}/{kind}/{variant}/{seed}"
+
+
+class TestSeededFixture:
+    @pytest.mark.parametrize("kind", KINDS)
+    @pytest.mark.parametrize("variant", VARIANTS)
     @pytest.mark.parametrize("algorithm", sorted(ALGORITHMS))
-    def test_array_equals_oracle(self, kind, variant, algorithm):
-        """Identical clusters -- content *and* list order -- on every path."""
-        for seed in (3, 11, 27):
+    def test_reproduces_the_fixture(self, kind, variant, algorithm):
+        """Identical clusters -- content *and* list order -- for columns
+        and for decision objects (interned into columns first)."""
+        fixture = _fixture("seeded")
+        for seed in SEEDS:
             decisions = _seeded_decisions(seed, kind, variant)
-            oracle = ALGORITHMS[algorithm]().cluster(decisions)
-            engine = ClusteringEngine(ALGORITHMS[algorithm]())
+            expected = fixture[_seeded_key(algorithm, kind, variant, seed)]
             columns = DecisionColumns.from_decisions(decisions)
-            assert engine.cluster(columns) == oracle
-            assert engine.last_engine == "array"
-            # decision-object input is interned and clustered identically
-            assert engine.cluster(decisions) == oracle
+            assert _cluster_lists(_clusters(ALGORITHMS[algorithm](), columns)) == expected
+            assert _cluster_lists(_clusters(ALGORITHMS[algorithm](), decisions)) == expected
+            assert _cluster_lists(ALGORITHMS[algorithm]().cluster(decisions)) == expected
 
-    @pytest.mark.parametrize("algorithm", sorted(ALGORITHMS))
-    def test_object_engine_runs_the_oracle(self, algorithm):
-        """A subclass of a library algorithm runs its own ``cluster``."""
-        decisions = _seeded_decisions(5, "dirty", "plain")
-        engine = ClusteringEngine(readable(ALGORITHMS[algorithm]()))
-        assert engine.cluster(decisions) == ALGORITHMS[algorithm]().cluster(decisions)
-        assert engine.last_engine == "object"
-
-    def test_columns_bridge_feeds_the_object_engine(self):
-        """DecisionColumns input works on the object path via lazy decisions."""
-        decisions = _seeded_decisions(9, "dirty", "ties")
-        columns = DecisionColumns.from_decisions(decisions)
-        engine = ClusteringEngine(readable(CenterClustering()))
-        assert engine.cluster(columns) == CenterClustering().cluster(decisions)
+    def test_fixture_covers_every_log(self):
+        expected = {
+            _seeded_key(algorithm, kind, variant, seed)
+            for algorithm in ALGORITHMS
+            for kind in KINDS
+            for variant in VARIANTS
+            for seed in SEEDS
+        }
+        assert set(_fixture("seeded")) == expected
 
 
 class TestTieBreaking:
@@ -142,20 +141,18 @@ class TestTieBreaking:
         decision("b", "c", 0.8),
     ]
 
-    @pytest.mark.parametrize("engine_name", PATHS)
-    def test_center_processes_tied_edges_in_pair_order(self, engine_name):
+    def test_center_processes_tied_edges_in_pair_order(self):
         # order (a,b), (b,c), (c,d): a centers b; b is no center, so c starts
         # its own cluster; then (c,d) attaches d to center c
         columns = DecisionColumns.from_decisions(self.TIED)
-        clusters = _clusters(engine_name, CenterClustering(), columns)
+        clusters = _clusters(CenterClustering(), columns)
         assert clusters == [frozenset({"a", "b"}), frozenset({"c", "d"})]
 
-    @pytest.mark.parametrize("engine_name", PATHS)
-    def test_merge_center_processes_tied_edges_in_pair_order(self, engine_name):
+    def test_merge_center_processes_tied_edges_in_pair_order(self):
         # order (a,b), (b,c), (c,d): a centers b; (b,c) attaches c to a's
         # cluster; (c,d) attaches d as well -- one cluster, deterministically
         columns = DecisionColumns.from_decisions(self.TIED)
-        clusters = _clusters(engine_name, MergeCenterClustering(), columns)
+        clusters = _clusters(MergeCenterClustering(), columns)
         assert clusters == [frozenset({"a", "b", "c", "d"})]
 
     def test_heavier_edge_beats_pair_order(self):
@@ -163,25 +160,22 @@ class TestTieBreaking:
             decision("b", "c", 0.9),  # heaviest first: b centers c...
             decision("a", "c", 0.8),
         ]
-        for engine_name in PATHS:
-            columns = DecisionColumns.from_decisions(decisions)
-            clusters = _clusters(engine_name, CenterClustering(), columns)
-            # ...so a arrives at assigned non-center c and centers itself;
-            # under pair order (a,c) first, a would instead have centered c
-            assert clusters == [frozenset({"b", "c"}), frozenset({"a"})]
+        columns = DecisionColumns.from_decisions(decisions)
+        clusters = _clusters(CenterClustering(), columns)
+        # ...so a arrives at assigned non-center c and centers itself;
+        # under pair order (a,c) first, a would instead have centered c
+        assert clusters == [frozenset({"b", "c"}), frozenset({"a"})]
 
 
 class TestEngineDispatch:
-    def test_custom_subclass_falls_back_to_object(self):
+    def test_overriding_subclass_runs_its_own_cluster(self):
         class LoudCenter(CenterClustering):
             def cluster(self, decisions):
                 return [frozenset({"overridden"})]
 
         engine = ClusteringEngine(LoudCenter())
-        assert not engine.array_applicable
         clusters = engine.cluster(DecisionColumns.from_decisions([decision("a", "b")]))
         assert clusters == [frozenset({"overridden"})]
-        assert engine.last_engine == "object"
 
     def test_custom_algorithm_receives_lazy_decisions(self):
         from repro.matching.clustering import ClusteringAlgorithm
@@ -223,23 +217,33 @@ def _dataset_decisions(dataset, threshold):
 
 def _freeze_fixtures() -> None:
     FIXTURES_DIR.mkdir(parents=True, exist_ok=True)
+    fixtures = {"seeded": {}}
+    for algorithm_name, algorithm in ALGORITHMS.items():
+        for kind in KINDS:
+            for variant in VARIANTS:
+                for seed in SEEDS:
+                    decisions = _seeded_decisions(seed, kind, variant)
+                    key = _seeded_key(algorithm_name, kind, variant, seed)
+                    fixtures["seeded"][key] = _cluster_lists(algorithm().cluster(decisions))
     for dataset_name, dataset in _builtin_datasets().items():
-        fixture = {"combos": []}
+        fixture = fixtures[dataset_name] = {"combos": []}
         for threshold_name, threshold in THRESHOLDS.items():
             decisions = _dataset_decisions(dataset, threshold)
             for algorithm_name, algorithm in ALGORITHMS.items():
                 combo = f"{algorithm_name}+{threshold_name}"
                 fixture["combos"].append(combo)
                 fixture[combo] = _cluster_lists(algorithm().cluster(decisions))
-        path = FIXTURES_DIR / f"{dataset_name}.json"
+    for name, fixture in fixtures.items():
+        path = FIXTURES_DIR / f"{name}.json"
         path.write_text(
             json.dumps(fixture, indent=2, sort_keys=True) + "\n", encoding="utf-8"
         )
-        print(f"froze {len(fixture['combos'])} combos to {path}")
+        print(f"froze {len(fixture)} entries to {path}")
 
 
-def _fixture(dataset_name: str) -> dict:
-    path = FIXTURES_DIR / f"{dataset_name}.json"
+@functools.lru_cache(maxsize=None)
+def _fixture(name: str) -> dict:
+    path = FIXTURES_DIR / f"{name}.json"
     return json.loads(path.read_text(encoding="utf-8"))
 
 
@@ -250,29 +254,24 @@ def test_fixture_covers_all_combos(dataset_name):
     assert set(fixture["combos"]) == expected
 
 
-@pytest.mark.parametrize("engine_name", PATHS)
 @pytest.mark.parametrize("dataset_name", ["restaurants", "census"])
-def test_engines_reproduce_golden_clusters(dataset_name, engine_name):
+def test_engines_reproduce_golden_clusters(dataset_name):
     dataset = _builtin_datasets()[dataset_name]
     fixture = _fixture(dataset_name)
     for threshold_name, threshold in THRESHOLDS.items():
         decisions = _dataset_decisions(dataset, threshold)
         columns = DecisionColumns.from_decisions(decisions)
         for algorithm_name, algorithm in ALGORITHMS.items():
-            clusters = _clusters(engine_name, algorithm(), columns)
+            clusters = _clusters(algorithm(), columns)
             assert (
                 _cluster_lists(clusters) == fixture[f"{algorithm_name}+{threshold_name}"]
-            ), f"{dataset_name}/{algorithm_name}+{threshold_name} diverged on {engine_name}"
-
-
-if __name__ == "__main__":
-    _freeze_fixtures()
+            ), f"{dataset_name}/{algorithm_name}+{threshold_name} diverged"
 
 
 class TestExecutionOrientation:
     """Columns may store rows in execution orientation (the runner's
-    keep_decisions drain); the array engine must
-    canonicalise exactly like the oracle's ``decision.pair`` does."""
+    keep_decisions drain); every algorithm canonicalises them exactly like
+    ``decision.pair`` does."""
 
     def _reversed_columns(self, decisions):
         """Columns with every row deliberately in reverse-canonical order."""
@@ -286,13 +285,15 @@ class TestExecutionOrientation:
         return columns
 
     @pytest.mark.parametrize("algorithm", sorted(ALGORITHMS))
-    def test_reversed_rows_cluster_like_the_oracle(self, algorithm):
+    def test_reversed_rows_reproduce_the_fixture(self, algorithm):
+        fixture = _fixture("seeded")
         for seed in (3, 27):
             for variant in ("plain", "ties"):
                 decisions = _seeded_decisions(seed, "dirty", variant)
-                oracle = ALGORITHMS[algorithm]().cluster(decisions)
-                engine = ClusteringEngine(ALGORITHMS[algorithm]())
-                assert engine.cluster(self._reversed_columns(decisions)) == oracle
+                columns = self._reversed_columns(decisions)
+                clusters = _clusters(ALGORITHMS[algorithm](), columns)
+                key = _seeded_key(algorithm, "dirty", variant, seed)
+                assert _cluster_lists(clusters) == fixture[key]
 
     def test_mixed_orientation_tie_break(self):
         """A reversed tied edge must still break ties on the canonical pair."""
@@ -303,7 +304,10 @@ class TestExecutionOrientation:
         columns.append(intern("d"), intern("c"), 0.8, True)  # stored as (d, c)
         columns.append(intern("a"), intern("b"), 0.8, True)
         columns.append(intern("c"), intern("b"), 0.8, True)  # stored as (c, b)
-        for engine_name in PATHS:
-            clusters = _clusters(engine_name, CenterClustering(), columns)
-            # canonical scan order (a,b), (b,c), (c,d) -- see TestTieBreaking
-            assert clusters == [frozenset({"a", "b"}), frozenset({"c", "d"})]
+        clusters = _clusters(CenterClustering(), columns)
+        # canonical scan order (a,b), (b,c), (c,d) -- see TestTieBreaking
+        assert clusters == [frozenset({"a", "b"}), frozenset({"c", "d"})]
+
+
+if __name__ == "__main__":
+    _freeze_fixtures()

@@ -404,6 +404,71 @@ def test_deleting_one_versioning_key_is_a_snapshot_error(tmp_path, case):
             SnapshotReader(target)
 
 
+def _rewrite_column(path: Path, edit) -> None:
+    values = read_npy(path).tolist()
+    edit(values)
+    write_npy(path, [array("q", values)], len(values))
+
+
+def _bump_last(values) -> None:
+    values[-1] += 5
+
+
+#: corruptions of a saved index's context entries that only the checksums
+#: used to catch: each must name the entry
+CONTEXT_CORRUPTIONS = {
+    "pointer-overrun": (
+        "context.token_ptr",
+        lambda target: _rewrite_column(target / "context.token_ptr.npy", _bump_last),
+    ),
+    "out-of-vocabulary-id": (
+        "context.token_ids",
+        lambda target: _rewrite_column(
+            target / "context.token_ids.npy",
+            lambda values: values.__setitem__(0, 10**6),
+        ),
+    ),
+    "offsets-past-the-blob": (
+        "context.tokens",
+        lambda target: _rewrite_column(target / "context.tokens.off.npy", _bump_last),
+    ),
+    "blob-not-utf8": (
+        "context.tokens",
+        lambda target: (target / "context.tokens.blob").write_bytes(
+            b"\xff" + (target / "context.tokens.blob").read_bytes()[1:]
+        ),
+    ),
+}
+
+
+@pytest.mark.parametrize("case", sorted(CONTEXT_CORRUPTIONS))
+def test_unverified_context_corruption_is_a_snapshot_error(tmp_path, case):
+    # a pre-1.1 manifest records no checksums, so the loader's own checks
+    # are all that stands between a damaged context and silently wrong state
+    from repro.datamodel.description import EntityDescription
+    from repro.iterative.index import IncrementalIndex
+    from repro.matching import ProfileSimilarityMatcher
+
+    index = IncrementalIndex(ProfileSimilarityMatcher(threshold=0.5))
+    for number, name in enumerate(["alan turing", "alan m turing", "grace hopper"]):
+        index.add(EntityDescription(f"p{number}", {"name": name, "city": "london"}))
+    target = tmp_path / "snap"
+    index.save(target)
+    manifest_path = target / "manifest.json"
+    manifest = json.loads(manifest_path.read_text())
+    del manifest["checksums"]
+    del manifest["format_minor"]
+    manifest_path.write_text(json.dumps(manifest))
+    with pytest.warns(RuntimeWarning, match="integrity cannot be verified"):
+        IncrementalIndex.load(target)  # the legacy manifest alone still loads
+    entry, corrupt = CONTEXT_CORRUPTIONS[case]
+    corrupt(target)
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", RuntimeWarning)
+        with pytest.raises(SnapshotError, match=re.escape(repr(entry))):
+            IncrementalIndex.load(target)
+
+
 # ----------------------------------------------------------------------
 # crash safety: the target is always the old snapshot or the new one
 # ----------------------------------------------------------------------
