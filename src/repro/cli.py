@@ -26,7 +26,6 @@ from pathlib import Path
 from typing import List, Optional, Sequence
 
 from repro.core import ERWorkflow, WorkflowConfig
-from repro.core.config import FAILURE_POLICIES
 from repro.core.snapshot import SnapshotError
 from repro.core.workflow import BLOCKING_SCHEMES, CLUSTERINGS, SCHEDULERS
 from repro.datamodel.collection import CleanCleanTask, EntityCollection
@@ -73,39 +72,12 @@ def _workflow_from_args(args: argparse.Namespace) -> ERWorkflow:
             iterate_merges=args.iterate,
             clustering=args.clustering,
             num_workers=args.num_workers,
-            worker_timeout=args.worker_timeout,
-            max_shard_retries=args.max_shard_retries,
-            on_worker_failure=args.on_worker_failure,
         )
     except ValueError as error:
         # a value the option's type admits but the workflow does not
         # (--budget -5, --num-workers 0): a usage error, exit status 2
         args.usage_error(str(error))
     return ERWorkflow(config)
-
-
-#: exit code of ``--strict`` runs in which a parallel stage degraded to
-#: serial recomputation (results are still correct; the speedup was lost)
-EXIT_DEGRADED = 3
-
-
-def _report_faults(result, strict: bool) -> int:
-    """Print per-stage fault-recovery counts; the command's exit code."""
-    for stage in sorted(result.fault_events):
-        counts = result.fault_events[stage]
-        print(
-            f"worker faults survived in {stage}: "
-            f"retries={counts.get('retries', 0)} "
-            f"degraded={counts.get('degraded', 0)} "
-            f"pool_rebuilds={counts.get('pool_rebuilds', 0)}"
-        )
-    if strict and result.degraded_shards:
-        print(
-            f"--strict: {result.degraded_shards} shard(s) degraded to serial "
-            f"recomputation; exiting {EXIT_DEGRADED}"
-        )
-        return EXIT_DEGRADED
-    return 0
 
 
 def _write_clusters(clusters, output: Optional[str]) -> None:
@@ -143,33 +115,6 @@ def _add_workflow_arguments(parser: argparse.ArgumentParser) -> None:
         help="worker processes of the multi-process parallel engine (default: 1 = "
         "in-process; >1 produces bit-identical results)",
     )
-    parser.add_argument(
-        "--worker-timeout",
-        type=float,
-        default=None,
-        help="no-progress timeout (seconds) per parallel shard batch; recovers "
-        "from hung workers (default: none -- crashed workers are detected anyway)",
-    )
-    parser.add_argument(
-        "--max-shard-retries",
-        type=int,
-        default=2,
-        help="re-dispatches of a failed shard to a rebuilt pool before the "
-        "failure policy applies (default: 2)",
-    )
-    parser.add_argument(
-        "--on-worker-failure",
-        default="degrade",
-        choices=FAILURE_POLICIES,
-        help="after retry exhaustion: recompute failed shards serially on the "
-        "driver (degrade, bit-identical results) or abort the run (raise)",
-    )
-    parser.add_argument(
-        "--strict",
-        action="store_true",
-        help=f"exit {EXIT_DEGRADED} if any parallel stage degraded to serial "
-        "recomputation (results are still correct; use in CI to catch flaky pools)",
-    )
     parser.add_argument("--budget", type=int, default=None, help="comparison budget (default: unlimited)")
     parser.add_argument("--threshold", type=float, default=0.55, help="match threshold")
     parser.add_argument("--iterate", action="store_true", help="enable merging-based iteration")
@@ -189,7 +134,7 @@ def _command_resolve(args: argparse.Namespace) -> int:
     print(result.report.render())
     print(f"{len(result.clusters)} clusters, {result.num_matches} declared matches")
     _write_clusters(result.clusters, args.output)
-    return _report_faults(result, args.strict)
+    return 0
 
 
 def _command_link(args: argparse.Namespace) -> int:
@@ -207,7 +152,7 @@ def _command_link(args: argparse.Namespace) -> int:
     print(result.report.render())
     print(f"{len(result.clusters)} linked clusters, {result.num_matches} declared links")
     _write_clusters(result.clusters, args.output)
-    return _report_faults(result, args.strict)
+    return 0
 
 
 def _command_incremental(args: argparse.Namespace) -> int:

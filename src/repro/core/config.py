@@ -5,9 +5,6 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Optional
 
-#: The values ``WorkflowConfig.on_worker_failure`` accepts.
-FAILURE_POLICIES = ("degrade", "raise")
-
 
 def check_budget(budget: object, owner: str) -> None:
     """Raise :class:`ValueError` unless ``budget`` is ``None`` or a
@@ -60,8 +57,7 @@ class WorkflowConfig:
     max_iterations:
         Upper bound on update/iterate rounds; must be at least 1 when
         ``iterate_merges`` is on (:class:`ValueError` on construction
-        otherwise, as for a ``num_workers`` below 1 or an unknown
-        ``on_worker_failure``).
+        otherwise, as for a ``num_workers`` below 1).
     clustering:
         Final clustering, one of :data:`~repro.core.workflow.CLUSTERINGS`.
     num_workers:
@@ -77,28 +73,8 @@ class WorkflowConfig:
         Stages the workers cannot reproduce (custom subclasses, the greedy
         center clusterings) silently run in-process.  Results -- blocks, retained edges, match decisions,
         clusters, tie orders -- are bit-identical to the single-process run
-        at every worker count.
-    worker_timeout:
-        No-progress timeout (seconds) of the parallel engine's shard
-        batches: if no shard completes within it, the pool is assumed hung,
-        torn down and the outstanding shards retried.  ``None`` (default)
-        disables the clock; crashed workers are still detected without it --
-        the timeout is what recovers from silently *hung* ones.  Ignored
-        when ``num_workers == 1``.
-    max_shard_retries:
-        How many times a failed shard is re-dispatched to a rebuilt pool
-        (with bounded exponential backoff) before ``on_worker_failure``
-        applies.  Retried shards are recomputed deterministically, so
-        recovery never changes a result.
-    on_worker_failure:
-        What to do when a shard exhausts its retries: ``"degrade"``
-        (default) recomputes the failed shards serially on the driver --
-        results stay bit-identical, only the speedup is lost -- warning
-        with :class:`~repro.mapreduce.supervisor.DegradedExecutionWarning`
-        and recording per-stage counts in the workflow report
-        (``fault_events`` on :class:`~repro.core.results.WorkflowResult`);
-        ``"raise"`` aborts the run with
-        :class:`~repro.mapreduce.supervisor.WorkerFailureError`.
+        at every worker count.  A worker that dies aborts the run with
+        :class:`~concurrent.futures.process.BrokenProcessPool`.
     """
 
     blocking: str = "token"
@@ -116,9 +92,6 @@ class WorkflowConfig:
     max_iterations: int = 3
     clustering: str = "connected_components"
     num_workers: int = 1
-    worker_timeout: Optional[float] = None
-    max_shard_retries: int = 2
-    on_worker_failure: str = "degrade"
 
     def __post_init__(self) -> None:
         check_budget(self.budget, "WorkflowConfig.budget")
@@ -129,11 +102,6 @@ class WorkflowConfig:
             )
         if self.num_workers < 1:
             raise ValueError(f"num_workers must be at least 1, got {self.num_workers}")
-        if self.on_worker_failure not in FAILURE_POLICIES:
-            raise ValueError(
-                f"on_worker_failure must be one of {FAILURE_POLICIES}, "
-                f"got {self.on_worker_failure!r}"
-            )
 
     def describe(self) -> str:
         """One-line human-readable summary of the configured pipeline."""

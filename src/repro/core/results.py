@@ -36,12 +36,8 @@ class WorkflowResult:
     iterations:
         Number of update/iterate rounds executed (0 when iteration is off).
     fault_events:
-        Per-stage fault-recovery counters of the parallel engine,
-        ``{stage: {"retries", "degraded", "pool_rebuilds"}}``.  Empty on a
-        clean run (and always empty with ``num_workers == 1``).  Non-empty
-        means worker failures occurred and were survived -- the results are
-        still bit-identical to a serial run; check :attr:`degraded_shards`
-        to see whether any shard lost its parallelism entirely.
+        Always ``{}``: the parallel engine retries nothing.  Kept only
+        because ``benchmarks/perf`` reads it; it goes when that reader does.
     """
 
     clusters: List[FrozenSet[str]] = field(default_factory=list)
@@ -57,11 +53,6 @@ class WorkflowResult:
     @property
     def num_matches(self) -> int:
         return len(self.matches)
-
-    @property
-    def degraded_shards(self) -> int:
-        """Total shards recomputed serially after exhausting their retries."""
-        return sum(counts.get("degraded", 0) for counts in self.fault_events.values())
 
     def matched_pairs(self) -> Set[Tuple[str, str]]:
         """All pairs implied by the final clusters (transitive closure)."""
@@ -84,13 +75,4 @@ class WorkflowResult:
             lines.append(f"blocking: {self.blocking_quality}")
         if self.matching_quality is not None:
             lines.append(f"matching: {self.matching_quality}")
-        if self.fault_events:
-            parts = []
-            for stage in sorted(self.fault_events):
-                counts = self.fault_events[stage]
-                parts.append(
-                    f"{stage}(retries={counts.get('retries', 0)}, "
-                    f"degraded={counts.get('degraded', 0)})"
-                )
-            lines.append("worker faults survived: " + ", ".join(parts))
         return "\n".join(lines)

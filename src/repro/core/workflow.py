@@ -186,12 +186,10 @@ class ERWorkflow:
         duration of the run and handed to the blocking, meta-blocking and
         clustering engines; each fans its hot pass out to worker processes
         when it can reproduce the single-process result bit for bit, and
-        runs single-process otherwise.  Results are identical either way --
-        including under worker failure: the engine retries lost shards on a
-        rebuilt pool and, per ``config.on_worker_failure``, degrades to
-        serial recomputation (recording per-stage counts in the result's
-        ``fault_events``) or raises
-        :class:`~repro.mapreduce.supervisor.WorkerFailureError`.
+        runs single-process otherwise.  Results are identical either way.
+        A worker that dies aborts the run with
+        :class:`~concurrent.futures.process.BrokenProcessPool`; the engine
+        is closed, and its shared-memory segments unlinked, on the way out.
         """
         config = self.config
         components = self._resolve_components()
@@ -199,12 +197,7 @@ class ERWorkflow:
         if config.num_workers > 1:
             from repro.mapreduce.parallel import ParallelEngine
 
-            parallel = ParallelEngine(
-                num_workers=config.num_workers,
-                worker_timeout=config.worker_timeout,
-                max_shard_retries=config.max_shard_retries,
-                on_worker_failure=config.on_worker_failure,
-            )
+            parallel = ParallelEngine(num_workers=config.num_workers)
         try:
             return self._run(data, ground_truth, parallel, components)
         finally:
@@ -476,15 +469,6 @@ class ERWorkflow:
             result.matching_quality = evaluate_matches(
                 cluster_spanning_pairs(result.clusters), ground_truth
             )
-
-        if parallel is not None and parallel.fault_stats:
-            # worker failures were survived (retried and/or degraded):
-            # surface the per-stage counts in the result and the report
-            result.fault_events = {
-                stage: dict(counts) for stage, counts in parallel.fault_stats.items()
-            }
-            for stage, counts in result.fault_events.items():
-                report.add_stage(f"fault_recovery[{stage}]", **counts)
 
         return result
 

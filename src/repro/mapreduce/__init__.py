@@ -37,34 +37,20 @@ segment and unlinks all of them in :meth:`~repro.mapreduce.parallel.ParallelEngi
 unregister their attachments from the ``resource_tracker`` so no spurious
 leak warnings (and no double unlinks) occur -- see :mod:`repro.mapreduce.shm`.
 
-**Fault tolerance** (:mod:`repro.mapreduce.supervisor`,
-:mod:`repro.mapreduce.faults`): every parallel stage dispatches its shards
-through a :class:`~repro.mapreduce.supervisor.Supervisor` that detects dead
-or hung workers, rebuilds the pool, retries lost shards with bounded
-exponential backoff, and -- on retry exhaustion -- either raises or (the
-default) recomputes the lost shards serially on the driver, preserving the
-bit-identity contract because the shard jobs are deterministic and every
-merge walks shards in range order.  Segment names carry a parseable
-``repro-<pid>-<token>-<seq>`` prefix so the janitor
+**Failure**: shards dispatch through one ordered ``executor.map`` over a
+:class:`concurrent.futures.ProcessPoolExecutor`.  A worker that dies aborts
+the run with :class:`~concurrent.futures.process.BrokenProcessPool`; nothing
+is retried, and closing the engine still unlinks every segment.  Segment
+names carry a parseable ``repro-<pid>-<token>-<seq>`` prefix so the janitor
 (:func:`~repro.mapreduce.shm.orphaned_segments` /
 :func:`~repro.mapreduce.shm.sweep`) can reclaim ``/dev/shm`` leftovers of a
-SIGKILLed driver; a deterministic fault-injection harness
-(:mod:`repro.mapreduce.faults`) lets the chaos suite kill, hang or delay a
-chosen worker at an exact (stage, shard, attempt) coordinate.
+SIGKILLed driver.
 """
 
 from repro.mapreduce.balancing import contiguous_partitions
 from repro.mapreduce.parallel import ParallelEngine
-from repro.mapreduce.supervisor import (
-    DegradedExecutionWarning,
-    Supervisor,
-    WorkerFailureError,
-)
 
 __all__ = [
-    "DegradedExecutionWarning",
     "ParallelEngine",
-    "Supervisor",
-    "WorkerFailureError",
     "contiguous_partitions",
 ]

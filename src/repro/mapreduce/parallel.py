@@ -28,22 +28,20 @@ keeps ``resource_tracker`` silent).  Only retained-edge columns and O(nodes)
 statistics come back from the meta-blocking passes; pruned edges never leave
 the worker that expanded them.
 
-Fault tolerance: every stage dispatches through a
-:class:`~repro.mapreduce.supervisor.Supervisor` rather than a bare
-``pool.map`` -- dead workers are detected, the pool is rebuilt, failed shards
-retry with bounded exponential backoff, and on retry exhaustion the engine
-either raises :class:`~repro.mapreduce.supervisor.WorkerFailureError` or
-(default) recomputes the lost shards serially on the driver, bit-identically,
-warning with :class:`~repro.mapreduce.supervisor.DegradedExecutionWarning`.
-Segments carry a janitor-parseable run prefix and engine construction sweeps
-orphans left by crashed previous runs (:func:`repro.mapreduce.shm.sweep`).
+Dispatch is one ordered ``executor.map`` over a
+:class:`concurrent.futures.ProcessPoolExecutor`: a job's own exception
+propagates unchanged, and a worker that dies aborts the run with
+:class:`~concurrent.futures.process.BrokenProcessPool` -- nothing is retried,
+and :meth:`close` still unlinks every segment.  Segments carry a
+janitor-parseable run prefix and engine construction sweeps orphans left by
+crashed previous runs (:func:`repro.mapreduce.shm.sweep`).
 """
 
 from __future__ import annotations
 
-import functools
 import multiprocessing
 from array import array
+from concurrent.futures import ProcessPoolExecutor
 from typing import Dict, List, Optional, Sequence, Tuple
 
 from repro.core.unionfind import IntUnionFind
@@ -51,7 +49,6 @@ from repro.datamodel.pairs import canonical_pair, identifier_ranks
 from repro.mapreduce import shm, worker
 from repro.mapreduce.balancing import contiguous_partitions
 from repro.mapreduce.shm import ColumnSegment, SegmentSpec
-from repro.mapreduce.supervisor import Supervisor
 
 import numpy as _np
 
@@ -66,8 +63,8 @@ def _extend_int64(destination: array, column) -> None:
         destination.extend(column)
 
 
-def _build_pool(num_workers: int, start_method: Optional[str]):
-    """A worker pool of ``num_workers`` processes (``fork`` when offered)."""
+def _build_pool(num_workers: int, start_method: Optional[str]) -> ProcessPoolExecutor:
+    """An executor of ``num_workers`` processes (``fork`` when offered)."""
     method = start_method
     if method is None and "fork" in multiprocessing.get_all_start_methods():
         method = "fork"
@@ -86,8 +83,9 @@ def _build_pool(num_workers: int, start_method: Optional[str]):
         from multiprocessing import resource_tracker
 
         resource_tracker.ensure_running()
-    return context.Pool(
-        processes=num_workers,
+    return ProcessPoolExecutor(
+        max_workers=num_workers,
+        mp_context=context,
         initializer=worker.configure,
         initargs=(context.get_start_method() == "spawn",),
     )
@@ -106,20 +104,6 @@ class ParallelEngine:
         ``multiprocessing`` start method; ``None`` picks ``fork`` when the
         platform offers it (workers then inherit the interpreter state) and
         the platform default otherwise.
-    worker_timeout:
-        No-progress timeout in seconds for each shard batch (the clock
-        re-arms on every completed shard); ``None`` disables it.  Required to
-        recover from silently *hung* workers -- dead ones are detected
-        without it.
-    max_shard_retries:
-        How many times a failed shard is re-dispatched to a rebuilt pool
-        before ``on_worker_failure`` applies.
-    on_worker_failure:
-        ``"degrade"`` (default): recompute exhausted shards serially on the
-        driver (bit-identical, with a
-        :class:`~repro.mapreduce.supervisor.DegradedExecutionWarning`);
-        ``"raise"``: abort with
-        :class:`~repro.mapreduce.supervisor.WorkerFailureError`.
 
     Notes
     -----
@@ -128,31 +112,20 @@ class ParallelEngine:
     :class:`~repro.matching.cluster_engine.ClusteringEngine` via their
     ``parallel`` parameters; they call back into the public stage methods
     below.
-    Always :meth:`close` the engine (or use ``with``): that terminates the
-    pool and unlinks every shared-memory segment.  Per-stage retry/degrade
-    counters accumulate in :attr:`fault_stats`.
+    Always :meth:`close` the engine (or use ``with``): that shuts the
+    executor down and unlinks every shared-memory segment.
     """
 
     def __init__(
         self,
         num_workers: int = 4,
         start_method: Optional[str] = None,
-        worker_timeout: Optional[float] = None,
-        max_shard_retries: int = 2,
-        on_worker_failure: str = "degrade",
     ) -> None:
         if num_workers < 1:
             raise ValueError("num_workers must be at least 1")
         self.num_workers = num_workers
-        # a plain function, not a bound method: the supervisor must not hold
-        # the engine, or engine and supervisor form a reference cycle
-        self._supervisor = Supervisor(
-            functools.partial(_build_pool, num_workers, start_method),
-            timeout=worker_timeout,
-            max_retries=max_shard_retries,
-            on_failure=on_worker_failure,
-            inline_cleanup=worker.release_attachments,
-        )
+        self._start_method = start_method
+        self._executor: Optional[ProcessPoolExecutor] = None
         self._segments: List[ColumnSegment] = []
         self._segment_prefix = shm.new_run_prefix()
         self._segment_seq = 0
@@ -169,17 +142,20 @@ class ParallelEngine:
     # ------------------------------------------------------------------
     @property
     def fault_stats(self) -> Dict[str, Dict[str, int]]:
-        """Per-stage ``{"retries", "degraded", "pool_rebuilds"}`` counters.
+        """Always ``{}``: nothing is retried any more.
 
-        Stages that never saw a failure never appear; an empty dict is the
-        happy path.
+        Kept only because ``benchmarks/perf`` reads it; it goes when that
+        reader does.
         """
-        return self._supervisor.stats
+        return {}
 
-    def _run(self, job, tasks: Sequence[tuple], stage: str) -> list:
+    def _run(self, job, tasks: Sequence[tuple]) -> list:
+        """``[job(task) for task in tasks]`` on the executor, in task order."""
         if self._closed:
             raise RuntimeError("ParallelEngine is closed")
-        return self._supervisor.run(job, tasks, stage)
+        if self._executor is None:
+            self._executor = _build_pool(self.num_workers, self._start_method)
+        return list(self._executor.map(job, tasks))
 
     def _segment(self, columns) -> ColumnSegment:
         if self._closed:
@@ -190,18 +166,18 @@ class ParallelEngine:
         return segment
 
     def close(self) -> None:
-        """Terminate the pool and unlink every shared-memory segment.
+        """Shut the executor down and unlink every shared-memory segment.
 
-        Idempotent and exception-safe: the pool teardown is bounded by a
-        watchdog (a wedged worker is killed rather than joined forever, see
-        :func:`repro.mapreduce.supervisor.shutdown_pool`), and every segment
-        is destroyed even if destroying one of them raises.
+        Idempotent and exception-safe: every segment is destroyed even if
+        the shutdown or destroying one of them raises.
         """
         if self._closed:
             return
         self._closed = True
+        executor, self._executor = self._executor, None
         try:
-            self._supervisor.shutdown()
+            if executor is not None:
+                executor.shutdown(wait=True)
         finally:
             segments, self._segments = self._segments, []
             errors = []
@@ -282,7 +258,7 @@ class ParallelEngine:
         append = out.append
         pair = Block.pair
         bilateral_pair = Block.bilateral_pair
-        for codes, firsts, seconds, flags, error in self._run(worker.propagate_pairs_job, tasks, "propagation"):
+        for codes, firsts, seconds, flags, error in self._run(worker.propagate_pairs_job, tasks):
             for code, f, s, orientation in zip(codes, firsts, seconds, flags):
                 if code in seen:
                     continue
@@ -335,7 +311,7 @@ class ParallelEngine:
                 (entry["spec"], factors_spec, step, scheme, start, stop, params)
                 for start, stop in entry["parts"]
             ]
-            return self._run(worker.pruning_pass_job, tasks, step)
+            return self._run(worker.pruning_pass_job, tasks)
 
         return index_engine._retained(scheme, pruning, budget, k, fan_out)
 
@@ -384,7 +360,7 @@ class ParallelEngine:
                 (entry["spec"], None, "wnp_stats", "CBS", start, stop, ())
                 for start, stop in entry["parts"]
             ]
-            stats = self._run(worker.pruning_pass_job, tasks, "degrees")
+            stats = self._run(worker.pruning_pass_job, tasks)
             index_engine._degree_cache = index_engine._degree_column(stats)
         factors = array("d", index_engine._factors(scheme))
         segment = self._segment({"factors": ("d", factors)})
@@ -426,7 +402,7 @@ class ParallelEngine:
         touched = bytearray(num_ids)
         order: List[int] = []
         append = order.append
-        for shard_order, shard_roots in self._run(worker.cluster_links_job, tasks, "clustering"):
+        for shard_order, shard_roots in self._run(worker.cluster_links_job, tasks):
             for member, root in zip(shard_order, shard_roots):
                 if not touched[member]:
                     touched[member] = 1

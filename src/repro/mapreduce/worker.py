@@ -29,7 +29,6 @@ from array import array
 from typing import Dict, Optional, Tuple
 
 from repro.core.unionfind import IntUnionFind
-from repro.mapreduce import faults
 from repro.mapreduce.shm import AttachedSegment, SegmentSpec, attach
 from repro.metablocking.entity_index import EntityIndexEngine
 
@@ -41,36 +40,14 @@ _engines: Dict[str, EntityIndexEngine] = {}
 
 #: whether attachments must be unregistered from this process's resource
 #: tracker -- True only in spawned workers, which run their own tracker
-#: (see repro.mapreduce.shm); set by the pool initializer
+#: (see repro.mapreduce.shm); set by the executor initializer
 _unregister_on_attach = False
 
 
 def configure(unregister_on_attach: bool) -> None:
-    """Pool initializer: set this worker process's tracker discipline.
-
-    Also marks the process as a pool worker for the fault-injection harness
-    (:mod:`repro.mapreduce.faults`): injected faults only ever fire in
-    workers, never on the driver.
-    """
+    """Executor initializer: set this worker process's tracker discipline."""
     global _unregister_on_attach
     _unregister_on_attach = bool(unregister_on_attach)
-    faults.mark_worker()
-
-
-def release_attachments() -> None:
-    """Release every cached segment attachment of this process, view-first.
-
-    Workers never need to call this -- their caches die with the process.
-    The *driver* does, after running a worker job inline on the degraded
-    recovery path: the job populated this module's per-process caches in the
-    driver's own interpreter, and the cached attachments pin shared-memory
-    mappings that must be dropped before the owning engine unlinks its
-    segments (or the interpreter exits).
-    """
-    _engines.clear()
-    while _segments:
-        _, segment = _segments.popitem()
-        segment.release()
 
 
 def _segment(spec: SegmentSpec) -> AttachedSegment:

@@ -3,11 +3,16 @@
 Also the readable subclasses the equivalence suites use as oracles: a
 subclass is not the exact library type, so every stage runs the
 component's own readable method for it instead of the columnar path.
+
+Set ``REPRO_TEST_START_METHOD`` (``fork`` / ``spawn``) to run every
+:class:`~repro.mapreduce.parallel.ParallelEngine` the suite builds under that
+start method; CI runs the pool's suites under both.
 """
 
 from __future__ import annotations
 
 import copy
+import os
 
 import pytest
 
@@ -22,6 +27,7 @@ from repro.datasets import (
     generate_dirty_dataset,
 )
 from repro.datasets.corruption import CorruptionConfig
+from repro.mapreduce.parallel import ParallelEngine
 from repro.matching.matchers import ProfileSimilarityMatcher
 from repro.metablocking.graph import BlockingGraph
 from repro.metablocking.pipeline import MetaBlocking
@@ -65,6 +71,27 @@ def graph_retained(blocks, weighting, pruning):
 def graph_metablocking(weighting: str, pruning) -> MetaBlocking:
     """``MetaBlocking`` on its graph path: the weighting scheme as a subclass."""
     return MetaBlocking(readable(get_weighting_scheme(weighting)), pruning)
+
+
+#: the start method every engine of the suite runs under (``None``: the default)
+START_METHOD = os.environ.get("REPRO_TEST_START_METHOD") or None
+
+
+@pytest.fixture(autouse=True)
+def _forced_start_method(monkeypatch):
+    """Run every engine under ``REPRO_TEST_START_METHOD`` unless the test
+    names its own start method."""
+    if START_METHOD is None:
+        yield
+        return
+    original = ParallelEngine.__init__
+
+    def patched(self, *args, **kwargs):
+        kwargs.setdefault("start_method", START_METHOD)
+        original(self, *args, **kwargs)
+
+    monkeypatch.setattr(ParallelEngine, "__init__", patched)
+    yield
 
 
 @pytest.fixture(scope="session")

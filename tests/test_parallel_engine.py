@@ -10,12 +10,21 @@ shapes (empty collection, single entity, more workers than entities).
 
 The lifecycle tests assert the driver-owns-everything rule observably: after
 ``close`` no shared-memory segment created by the engine is left behind in
-``/dev/shm``, and further work on the engine is refused.
+``/dev/shm``, and further work on the engine is refused.  The dispatch tests
+pin what ``executor.map`` gives the stages: results in task order, a job's own
+exception unchanged, and a killed worker as ``BrokenProcessPool`` (under fork
+and spawn) with every segment still unlinked.  The janitor tests cover the
+``/dev/shm`` sweep of segments a crashed driver left behind.
 """
 
 from __future__ import annotations
 
+import multiprocessing
 import os
+import signal
+import time
+from array import array
+from concurrent.futures.process import BrokenProcessPool
 
 import pytest
 from conftest import graph_retained
@@ -29,6 +38,7 @@ from repro.datamodel.collection import EntityCollection
 from repro.datamodel.description import EntityDescription
 from repro.datasets import DatasetConfig
 from repro.datasets.generator import iter_descriptions
+from repro.mapreduce import shm, worker
 from repro.mapreduce.balancing import contiguous_partitions
 from repro.mapreduce.parallel import ParallelEngine
 from repro.metablocking.entity_index import EntityIndexEngine
@@ -272,3 +282,122 @@ class TestEdgeCasesAndLifecycle:
                 )
             )
         assert signatures[1:] == signatures[:1] * 2
+
+
+# module-level jobs: picklable under every start method
+
+
+def _square_job(task):
+    return task[0] * task[0]
+
+
+def _failing_job(task):
+    if task[0] == 1:
+        raise ValueError(f"deterministic data error on {task[0]}")
+    return task[0]
+
+
+def _attach_then_die_job(task):
+    """Attach the shared segment as a real shard does; shard 1 then dies."""
+    spec, shard = task
+    worker._segment(spec)
+    if shard == 1:
+        os.kill(os.getpid(), signal.SIGKILL)
+    return shard
+
+
+def repro_segments():
+    """The ``repro-*`` segments currently in ``/dev/shm``."""
+    return sorted(name for name in os.listdir("/dev/shm") if name.startswith("repro-"))
+
+
+class TestDispatch:
+    def test_results_come_back_in_task_order(self):
+        with ParallelEngine(num_workers=2) as par:
+            assert par._run(_square_job, [(i,) for i in range(8)]) == [
+                i * i for i in range(8)
+            ]
+
+    def test_a_jobs_own_exception_propagates_unchanged(self):
+        with ParallelEngine(num_workers=2) as par:
+            with pytest.raises(ValueError, match="deterministic data error on 1"):
+                par._run(_failing_job, [(0,), (1,), (2,)])
+            # a raising job leaves the workers serving
+            assert par._run(_square_job, [(3,)]) == [9]
+
+    @pytest.mark.skipif(not os.path.isdir("/dev/shm"), reason="no /dev/shm")
+    @pytest.mark.parametrize("start_method", ("fork", "spawn"))
+    def test_killed_worker_raises_broken_pool_and_leaks_nothing(self, start_method):
+        if start_method not in multiprocessing.get_all_start_methods():
+            pytest.skip(f"no {start_method} start method on this platform")
+        before = repro_segments()
+        par = ParallelEngine(num_workers=2, start_method=start_method)
+        try:
+            segment = par._segment({"values": ("q", array("q", range(16)))})
+            tasks = [(segment.spec, shard) for shard in range(4)]
+            started = time.monotonic()
+            signal.alarm(60)  # a hang kills the run instead of stalling it
+            try:
+                with pytest.raises(BrokenProcessPool):
+                    par._run(_attach_then_die_job, tasks)
+            finally:
+                signal.alarm(0)
+            assert time.monotonic() - started < 10.0
+        finally:
+            par.close()
+        assert repro_segments() == before
+        assert shm.orphaned_segments() == []
+
+
+@pytest.mark.skipif(not os.path.isdir("/dev/shm"), reason="no /dev/shm")
+class TestShmJanitor:
+    def test_dead_pid_segment_is_orphaned_and_swept(self):
+        # fabricate a segment whose encoded owner pid cannot be alive
+        dead_pid = 2**22 + 12345  # beyond any default pid_max namespace
+        try:
+            os.kill(dead_pid, 0)
+            pytest.skip("improbable: fabricated pid is alive")
+        except (ProcessLookupError, OverflowError):
+            pass
+        name = f"repro-{dead_pid}-deadbee-0"
+        path = os.path.join("/dev/shm", name)
+        with open(path, "wb") as handle:
+            handle.write(b"\0" * 64)
+        try:
+            assert name in shm.orphaned_segments()
+            swept = shm.sweep()
+            assert name in swept
+            assert not os.path.exists(path)
+        finally:
+            if os.path.exists(path):
+                os.unlink(path)
+
+    def test_own_pid_unregistered_segment_is_orphaned(self):
+        # same pid as us but never registered: created-and-lost, reclaimable
+        name = f"repro-{os.getpid()}-l0st00-0"
+        path = os.path.join("/dev/shm", name)
+        with open(path, "wb") as handle:
+            handle.write(b"\0" * 64)
+        try:
+            assert name in shm.orphaned_segments()
+        finally:
+            os.unlink(path)
+
+    def test_live_engine_segments_are_never_orphans(self, dirty_setup):
+        _, _, blocks = dirty_setup
+        with ParallelEngine(num_workers=2) as par:
+            assert len(MetaBlocking("CBS", "WNP").weighted_columns(blocks, parallel=par))
+            # the engine's own segments are registered and must be invisible
+            # to the janitor while the engine lives
+            live = [s._shm.name for s in par._segments]
+            assert live  # the pruning passes shipped at least one segment
+            orphans = shm.orphaned_segments()
+            assert not set(live) & set(orphans)
+        assert shm.orphaned_segments() == []
+
+    def test_foreign_shm_names_are_ignored(self):
+        # multiprocessing's own psm_* segments and arbitrary files must
+        # never be touched by the janitor
+        assert shm._owner_pid("psm_deadbeef") is None
+        assert shm._owner_pid("not-ours") is None
+        assert shm._owner_pid("repro-notapid-xyz-0") is None

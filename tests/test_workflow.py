@@ -89,9 +89,6 @@ class TestWorkflowConfig:
             "max_iterations",
             "clustering",
             "num_workers",
-            "worker_timeout",
-            "max_shard_retries",
-            "on_worker_failure",
         ]
 
     def test_stage_classes_take_no_engine_selector(self, tiny_collection):
@@ -253,7 +250,6 @@ class TestWorkflowExecution:
             ("pruning_scheme", KeyError),
             ("scheduler", KeyError),
             ("clustering", KeyError),
-            ("on_worker_failure", ValueError),
         ],
     )
     def test_unknown_names_fail_before_any_stage_runs(
