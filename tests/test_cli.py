@@ -151,6 +151,24 @@ def test_no_engine_selection_flags():
         assert usage_error.value.code == 2
 
 
+@pytest.mark.parametrize(
+    "removed",
+    [
+        ["--worker-timeout", "5"],
+        ["--max-shard-retries", "1"],
+        ["--on-worker-failure", "raise"],
+        ["--strict"],
+    ],
+    ids=lambda option: option[0],
+)
+def test_no_worker_fault_flags(removed, capsys):
+    """A dead worker aborts a pooled run; nothing about it is tunable."""
+    with pytest.raises(SystemExit) as usage_error:
+        main(["resolve", "x.csv", "--num-workers", "2", *removed])
+    assert usage_error.value.code == 2
+    assert f"unrecognized arguments: {removed[0]}" in capsys.readouterr().err
+
+
 @pytest.mark.parametrize("flag", ["--blocking", "--weighting", "--pruning", "--scheduler"])
 def test_unknown_scheme_name_is_a_usage_error(flag, capsys):
     with pytest.raises(SystemExit) as usage_error:

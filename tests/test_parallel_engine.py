@@ -13,12 +13,16 @@ The lifecycle tests assert the driver-owns-everything rule observably: after
 ``/dev/shm``, and further work on the engine is refused.  The dispatch tests
 pin what ``executor.map`` gives the stages: results in task order, a job's own
 exception unchanged, and a killed worker as ``BrokenProcessPool`` (under fork
-and spawn) with every segment still unlinked.  The janitor tests cover the
+and spawn) with every segment still unlinked.  The per-stage failure tests
+route one shard of each pooled pass through a test-module wrapper: a killed
+worker aborts the workflow with ``BrokenProcessPool`` and leaves no segment,
+and a lagging first shard changes no result.  The janitor tests cover the
 ``/dev/shm`` sweep of segments a crashed driver left behind.
 """
 
 from __future__ import annotations
 
+import functools
 import multiprocessing
 import os
 import signal
@@ -346,6 +350,210 @@ class TestDispatch:
         finally:
             par.close()
         assert repro_segments() == before
+        assert shm.orphaned_segments() == []
+
+    def test_a_broken_pool_stays_broken_until_close(self):
+        par = ParallelEngine(num_workers=2)
+        segment = par._segment({"values": ("q", array("q", range(16)))})
+        tasks = [(segment.spec, shard) for shard in range(4)]
+        try:
+            with pytest.raises(BrokenProcessPool):
+                par._run(_attach_then_die_job, tasks)
+            # no silent rebuild: the next stage fails just as loudly
+            with pytest.raises(BrokenProcessPool):
+                par._run(_square_job, [(3,)])
+        finally:
+            par.close()
+        par.close()
+        assert shm.orphaned_segments() == []
+        with pytest.raises(RuntimeError, match="closed"):
+            par._run(_square_job, [(3,)])
+
+    @pytest.mark.parametrize("knob", ("worker_timeout", "max_shard_retries", "on_worker_failure"))
+    def test_no_retry_knob_is_accepted(self, knob):
+        with pytest.raises(TypeError, match=knob):
+            ParallelEngine(num_workers=2, **{knob: 1})
+
+
+# ---------------------------------------------------------------------------
+# a killed or lagging worker in each pooled stage
+# ---------------------------------------------------------------------------
+
+#: workflow configurations and the pooled passes each one dispatches
+CONFIG_OVERRIDES = {
+    "default": {},
+    "wep": {"weighting_scheme": "ARCS", "pruning_scheme": "WEP"},
+    "cnp": {"pruning_scheme": "CNP"},
+    "cep": {"weighting_scheme": "EJS", "pruning_scheme": "CEP"},
+}
+
+#: stage -> (configuration, pass label): a pruning pass is labelled by its
+#: ranged step, connected components by "clustering"; "degrees" is the EJS
+#: degree pass, the only "wnp_stats" dispatch of a CEP run
+STAGES = {
+    "wnp_stats": ("default", "wnp_stats"),
+    "wnp_emit": ("default", "wnp_emit"),
+    "clustering": ("default", "clustering"),
+    "wep_stats": ("wep", "wep_stats"),
+    "wep_emit": ("wep", "wep_emit"),
+    "cnp": ("cnp", "cnp"),
+    "cep": ("cep", "cep"),
+    "degrees": ("cep", "wnp_stats"),
+}
+
+
+def _pass_label(job, tasks) -> str:
+    if job is worker.pruning_pass_job:
+        return tasks[0][2]
+    if job is worker.cluster_links_job:
+        return "clustering"
+    if job is worker.propagate_pairs_job:
+        return "propagation"
+    return "other"
+
+
+def _die_if_marked(job, marked_task):
+    marked, task = marked_task
+    if marked:
+        os.kill(os.getpid(), signal.SIGKILL)
+    return job(task)
+
+
+def _lag_if_marked(job, marked_task):
+    marked, task = marked_task
+    if marked:
+        time.sleep(0.1)
+    return job(task)
+
+
+def _sabotage(monkeypatch, label, wrapper, shard=0):
+    """Route shard ``shard`` of the first ``label`` pass through ``wrapper``.
+
+    Returns the list that records, once the pass ran, whether it had that
+    shard -- the test's guard against a sabotage that never fired.
+    """
+    fired = []
+    original = ParallelEngine._run
+
+    def _run(self, job, tasks):
+        if not fired and _pass_label(job, tasks) == label:
+            fired.append(shard < len(tasks))
+            tasks = [(index == shard, task) for index, task in enumerate(tasks)]
+            job = functools.partial(wrapper, job)
+        return original(self, job, tasks)
+
+    monkeypatch.setattr(ParallelEngine, "_run", _run)
+    return fired
+
+
+def _fingerprint(result):
+    return (result.clusters, result.matches, result.comparisons_executed)
+
+
+@pytest.fixture(scope="module")
+def serial_results(small_dirty_dataset):
+    return {
+        key: _fingerprint(ERWorkflow(WorkflowConfig(**fields)).run(small_dirty_dataset.collection))
+        for key, fields in CONFIG_OVERRIDES.items()
+    }
+
+
+def _pooled_run(dataset, config_key, num_workers=2):
+    config = WorkflowConfig(num_workers=num_workers, **CONFIG_OVERRIDES[config_key])
+    return ERWorkflow(config).run(dataset.collection)
+
+
+@pytest.mark.skipif(not os.path.isdir("/dev/shm"), reason="no /dev/shm")
+class TestWorkerFailurePerStage:
+    @pytest.mark.parametrize("stage", sorted(STAGES))
+    def test_killed_worker_aborts_the_workflow(self, monkeypatch, small_dirty_dataset, stage):
+        config_key, label = STAGES[stage]
+        before = repro_segments()
+        fired = _sabotage(monkeypatch, label, _die_if_marked)
+        with pytest.raises(BrokenProcessPool):
+            _pooled_run(small_dirty_dataset, config_key)
+        assert fired == [True]
+        # the workflow closed its engine on the way out
+        assert repro_segments() == before
+        assert shm.orphaned_segments() == []
+
+    @pytest.mark.parametrize("stage", ("wnp_stats", "wnp_emit", "clustering", "cnp"))
+    def test_killed_worker_at_four_workers(self, monkeypatch, small_dirty_dataset, stage):
+        config_key, label = STAGES[stage]
+        before = repro_segments()
+        fired = _sabotage(monkeypatch, label, _die_if_marked, shard=1)
+        with pytest.raises(BrokenProcessPool):
+            _pooled_run(small_dirty_dataset, config_key, num_workers=4)
+        assert fired == [True]
+        assert repro_segments() == before
+        assert shm.orphaned_segments() == []
+
+    @pytest.mark.parametrize("stage", sorted(STAGES))
+    def test_lagging_first_shard_changes_nothing(
+        self, monkeypatch, small_dirty_dataset, serial_results, stage
+    ):
+        # shard 0 finishes last, so the merge must follow task order, not
+        # completion order
+        config_key, label = STAGES[stage]
+        fired = _sabotage(monkeypatch, label, _lag_if_marked)
+        result = _pooled_run(small_dirty_dataset, config_key)
+        assert fired == [True]
+        assert _fingerprint(result) == serial_results[config_key]
+        assert result.fault_events == {}
+        assert shm.orphaned_segments() == []
+
+    def test_a_clean_pooled_run_reports_no_faults(self, small_dirty_dataset, serial_results):
+        with ParallelEngine(num_workers=2) as par:
+            assert par.fault_stats == {}
+        result = _pooled_run(small_dirty_dataset, "default")
+        assert _fingerprint(result) == serial_results["default"]
+        assert result.fault_events == {}
+        assert not [row for row in result.report.to_rows() if "fault" in row["stage"]]
+        assert "fault" not in result.summary()
+
+
+@pytest.mark.skipif(not os.path.isdir("/dev/shm"), reason="no /dev/shm")
+class TestWorkerFailureDirectStages:
+    """The passes reached by calling the stage engines with an engine directly."""
+
+    @pytest.mark.parametrize("wrapper", (_die_if_marked, _lag_if_marked), ids=("kill", "lag"))
+    def test_propagation(self, monkeypatch, dirty_setup, wrapper):
+        _, _, blocks = dirty_setup
+        purging, filtering = BlockPurging(), BlockFiltering(0.8)
+        expected = BlockingEngine().clean(
+            blocks, purging=purging, filtering=filtering, propagate=True
+        )
+        fired = _sabotage(monkeypatch, "propagation", wrapper)
+        with ParallelEngine(num_workers=2) as par:
+            clean = lambda: BlockingEngine(parallel=par).clean(
+                blocks, purging=purging, filtering=filtering, propagate=True
+            )
+            if wrapper is _die_if_marked:
+                with pytest.raises(BrokenProcessPool):
+                    clean()
+            else:
+                assert blocks_snapshot(clean()) == blocks_snapshot(expected)
+        assert fired == [True]
+        assert shm.orphaned_segments() == []
+
+    @pytest.mark.parametrize("step", ("wnp_stats", "wnp_emit"))
+    def test_killed_worker_during_pruning_rounds(self, monkeypatch, dirty_setup, step):
+        _, _, blocks = dirty_setup
+        fired = _sabotage(monkeypatch, step, _die_if_marked)
+        with ParallelEngine(num_workers=2) as par:
+            with pytest.raises(BrokenProcessPool):
+                MetaBlocking("CBS", "WNP").weighted_columns(blocks, parallel=par)
+        assert fired == [True]
+        assert shm.orphaned_segments() == []
+
+    def test_killed_worker_during_cluster_links(self, monkeypatch):
+        first = array("q", [0, 1, 3, 4])
+        second = array("q", [1, 2, 4, 5])
+        fired = _sabotage(monkeypatch, "clustering", _die_if_marked)
+        with ParallelEngine(num_workers=2) as par:
+            with pytest.raises(BrokenProcessPool):
+                par.cluster_links(first, second, bytearray([1, 1, 1, 1]), 6)
+        assert fired == [True]
         assert shm.orphaned_segments() == []
 
 
