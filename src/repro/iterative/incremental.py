@@ -31,8 +31,9 @@ The matcher's exact type selects one of two paths.  The array path delegates to
 :class:`~repro.iterative.index.IncrementalIndex` -- arrivals are interned
 once (ordinal, vocabulary ids, merged distinct ids) into a shared
 :class:`~repro.core.growable.GrowableContext`, candidates are counted
-over array postings by one sorted-run kernel and scored straight from
-token-id set intersection sizes, and the state can be snapshotted to disk (:meth:`~IncrementalResolver.save`) and
+over array postings by one sorted-run kernel and scored from those
+shared-token counts (from token-id set intersections when the matcher
+filters tokens unlike the index), and the state can be snapshotted to disk (:meth:`~IncrementalResolver.save`) and
 memory-mapped back (:meth:`~IncrementalResolver.restore`).  The object path
 in this module is the readable per-pair oracle the array path is tested
 against, bit for bit: clusters, merged representations, match decisions and
@@ -59,6 +60,14 @@ from repro.datamodel.collection import EntityCollection
 from repro.datamodel.description import EntityDescription, merge_descriptions
 from repro.matching.matchers import Matcher, ProfileSimilarityMatcher
 from repro.text.tokenize import DEFAULT_STOP_WORDS, token_set
+
+
+def check_max_candidates(value) -> int:
+    """``value`` if it is a positive ``int`` (not a ``bool``), else ``ValueError``."""
+    if type(value) is not int or value < 1:
+        raise ValueError(f"max_candidates must be a positive int, got {value!r}")
+    return value
+
 
 @dataclass
 class ArrivalResult:
@@ -95,10 +104,8 @@ class IncrementalResolver:
         stop_words=DEFAULT_STOP_WORDS,
         min_token_length: int = 2,
     ) -> None:
-        if max_candidates < 1:
-            raise ValueError("max_candidates must be at least 1")
         self.matcher = matcher
-        self.max_candidates = max_candidates
+        self.max_candidates = check_max_candidates(max_candidates)
         self.stop_words = frozenset(stop_words) if stop_words else frozenset()
         self.min_token_length = min_token_length
         #: engine that actually executed the last operation

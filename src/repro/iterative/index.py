@@ -13,12 +13,21 @@ keeps the same state as flat integers over a shared
   reverse index**, so a merge re-points only the absorbed root's postings
   (the historical oracle rescanned the whole token index per merge); an
   arrival's shared-token counts are the run lengths of its concatenated
-  postings after one sort, and only the roots
-  at or above the cut-off count are ranked in Python;
-* a candidate is scored straight from set sizes -- the arrival cluster's
-  token-id ``frozenset`` intersected with the candidate's column, fed to
-  the batch pipeline's own ``_set_score`` expressions -- instead of a
-  per-pair ``matcher.match`` call;
+  postings after one sort (ScanCount over the inverted lists);
+* when the index and the matcher filter tokens alike (the default), those
+  counts *are* the intersection sizes a set similarity needs: every
+  co-occurring root is scored at once from them and a root -> token-count
+  column, in one vector expression of the batch pipeline's ``_set_score``
+  formulas (a cosine near the threshold is re-scored by the scalar one).
+  An arrival with no root at or above the threshold is done without any
+  ranking; otherwise only the matching roots are placed in the
+  top-``max_candidates`` selection (one partition gives the cut-off count;
+  a match tied at it compares identifiers with the tied bucket), and a
+  merge adds the postings of its fresh tokens to the counts before the
+  roots ranked after it are re-scored.  An index with its own matcher
+  filter ranks the selection and scores each candidate by one token-id
+  ``frozenset`` intersection instead -- no per-pair ``matcher.match`` call
+  on either path;
 * clustering lives in an :class:`~repro.core.unionfind.IntUnionFind`, and a
   merged representation is reproduced on demand by replaying the cluster's
   **merge tree** through :func:`~repro.datamodel.description.merge_descriptions`,
@@ -28,9 +37,9 @@ keeps the same state as flat integers over a shared
 Bit-identity contract
 ---------------------
 Fed the same arrival stream, the index reproduces the oracle exactly at
-every prefix: candidate ranking (shared-token count, identifier
-tie-break), match decisions (scores use the oracle's own float
-expressions), merge order, cluster enumeration order, comparison counts,
+every prefix: candidate selection (shared-token count, identifier
+tie-break), match decisions (scores round as the oracle's own float
+expressions do), merge order, cluster enumeration order, comparison counts,
 and -- because removals re-resolve the surviving co-members in arrival
 order on both sides -- the state after ``update``/``remove`` too.
 
@@ -63,7 +72,8 @@ from repro.core.snapshot import SnapshotError, SnapshotReader, SnapshotWriter
 from repro.core.unionfind import IntUnionFind
 from repro.datamodel.collection import EntityCollection
 from repro.datamodel.description import EntityDescription, merge_descriptions
-from repro.matching.engine import _set_score
+from repro.iterative.incremental import ArrivalResult, check_max_candidates
+from repro.matching.engine import _set_matches, _set_score
 from repro.matching.matchers import ProfileSimilarityMatcher
 from repro.text.similarity import SET_SIMILARITIES
 from repro.text.tokenize import DEFAULT_STOP_WORDS, token_set
@@ -123,7 +133,11 @@ _MATCHER_FIELDS = (
     ),
     ("stop_words", _is_words, "a list of strings"),
     ("min_token_length", _is_count, "a count >= 0"),
-    ("cost", lambda value: _is_real(value, 0.0, math.inf), "a number >= 0"),
+    (
+        "cost",
+        lambda value: _is_real(value, 0.0, math.inf) and math.isfinite(value),
+        "a finite number >= 0",
+    ),
 )
 
 
@@ -214,10 +228,8 @@ class IncrementalIndex:
                 "IncrementalIndex natively supports a plain set-mode "
                 "ProfileSimilarityMatcher; use IncrementalResolver for other matchers"
             )
-        if max_candidates < 1:
-            raise ValueError("max_candidates must be at least 1")
         self.matcher = matcher
-        self.max_candidates = max_candidates
+        self.max_candidates = check_max_candidates(max_candidates)
         self.stop_words = frozenset(stop_words) if stop_words else frozenset()
         self.min_token_length = min_token_length
         self.context = context if context is not None else GrowableContext()
@@ -235,6 +247,8 @@ class IncrementalIndex:
         self._postings: Dict[int, array] = {}
         # reverse index: root ordinal -> sorted token ids it is posted under
         self._root_tokens: Dict[int, Sequence[int]] = {}
+        # root ordinal -> len(_root_tokens[root]); stale at non-roots
+        self._sizes = _np.zeros(0, dtype=_np.int64)
         # matcher-filtered token sets per root; aliases _root_tokens when the
         # index and matcher tokenisation configurations coincide
         if (matcher.stop_words, matcher.min_token_length) == (
@@ -321,33 +335,47 @@ class IncrementalIndex:
     # ------------------------------------------------------------------
     # resolution
     # ------------------------------------------------------------------
-    def _candidate_roots(self, token_ids: Iterable[int]) -> List[int]:
-        """Root ordinals sharing tokens, most shared first, identifier tie-break."""
+    def _shared_counts(self, token_ids: Iterable[int]):
+        """``(roots, counts)``: the distinct roots posted under ``token_ids``
+        in ascending order and how many of the tokens each holds, as int64
+        arrays; ``None`` when no root holds any of them."""
         postings = self._postings
-        hits = [postings[token_id] for token_id in token_ids if token_id in postings]
-        if not hits:
-            return []
-        limit = self.max_candidates
         # one sort of the concatenated postings; a root's shared-token count
         # is the length of its run.  The buffer is private, so no view of a
         # posting is alive when the posting is appended to.
         buffer = array("q")
-        for roots in hits:
-            buffer.extend(roots)
+        for token_id in token_ids:
+            roots = postings.get(token_id)
+            if roots is not None:
+                buffer.extend(roots)
+        if not buffer:
+            return None
         run = _np.frombuffer(buffer, dtype=_np.int64)
         run.sort()
         boundary = _np.empty(len(run) + 1, dtype=bool)
         boundary[0] = boundary[-1] = True
         _np.not_equal(run[1:], run[:-1], out=boundary[1:-1])
-        edges = _np.flatnonzero(boundary)
-        distinct, counts = run[edges[:-1]], edges[1:] - edges[:-1]
+        edges = boundary.nonzero()[0]
+        return run[edges[:-1]], edges[1:] - edges[:-1]
+
+    def _cut(self, counts) -> Optional[int]:
+        """The ``max_candidates``-th largest count, ``None`` if all roots fit."""
+        limit = self.max_candidates
+        if len(counts) <= limit:
+            return None
+        return int(_np.partition(counts, -limit)[-limit])
+
+    def _ranked(self, distinct, counts) -> List[int]:
+        """The top ``max_candidates`` of ``distinct`` in ``(-count,
+        identifier)`` order."""
+        limit = self.max_candidates
         # Common tokens make the shared-count map much larger than ``limit``,
         # so the kernel selects instead of sorting it whole: roots strictly
         # above the cut-off count (the ``limit``-th largest) all make it,
         # the bucket tied at the cut-off fills what is left.
         tied: List[int] = []
-        if len(distinct) > limit:
-            cut = _np.partition(counts, -limit)[-limit]
+        cut = self._cut(counts)
+        if cut is not None:
             tied = distinct[counts == cut].tolist()
             keep = counts > cut
             distinct, counts = distinct[keep], counts[keep]
@@ -359,6 +387,56 @@ class IncrementalIndex:
         tied.sort(key=ids.__getitem__)
         return ranked + tied[: limit - len(ranked)]
 
+    def _first_selected(self, distinct, counts, cut, hits, after=None):
+        """``(key, position)`` of the first root among positions ``hits`` of
+        ``distinct`` that the top-``max_candidates`` selection holds, in
+        ``key = (-count, identifier)`` order and ranked after the key
+        ``after``; ``None`` if there is none.
+
+        A root above the cut-off count ``cut`` is selected, one below is not,
+        and one tied at it is selected when fewer tied roots than the
+        bucket's free slots have a smaller identifier.
+        """
+        ids = self.context.ids
+        best = None
+        tied = None
+        for position, root, count in zip(
+            hits.tolist(), distinct[hits].tolist(), counts[hits].tolist()
+        ):
+            key = (-count, ids[root])
+            if (after is not None and key <= after) or (best is not None and key >= best[0]):
+                continue
+            if cut is not None and count <= cut:
+                if count < cut:
+                    continue
+                if tied is None:
+                    tied = [ids[other] for other in distinct[counts == cut].tolist()]
+                    slots = self.max_candidates - int(_np.count_nonzero(counts > cut))
+                if sum(name < key[1] for name in tied) >= slots:
+                    continue
+            best = (key, position)
+        return best
+
+    def _hits(self, size: int, distinct, counts):
+        """Positions of the roots of ``distinct`` whose score against a token
+        set of ``size`` tokens sharing ``counts`` with them reaches the
+        threshold (shared filter: the counts are the intersection sizes)."""
+        matcher = self.matcher
+        return _set_matches(
+            matcher.similarity_name, size, self._sizes[distinct], counts, matcher.threshold
+        ).nonzero()[0]
+
+    def _posted_counts(self, distinct, token_ids: Sequence[int]):
+        """How many of ``token_ids`` each root of ``distinct`` is posted under."""
+        postings = self._postings
+        buffer = array("q")
+        for token_id in token_ids:
+            buffer.extend(postings[token_id])
+        posted = _np.frombuffer(buffer, dtype=_np.int64)
+        where = distinct.searchsorted(posted)
+        where[where == len(distinct)] = 0
+        return _np.bincount(where[distinct[where] == posted], minlength=len(distinct))
+
     def _post(self, root: int, token_ids: Iterable[int]) -> None:
         """Append ``root`` -- not yet in any posting -- under each token."""
         postings = self._postings
@@ -369,15 +447,17 @@ class IncrementalIndex:
             else:
                 roots.append(root)
 
-    def _merge_roots(self, target: int, source: int) -> None:
+    def _merge_roots(self, target: int, source: int) -> List[int]:
         """Merge ``source``'s cluster into ``target``'s; re-points only the
-        absorbed root's postings via the reverse index."""
+        absorbed root's postings via the reverse index.  Returns the tokens
+        the merge adds to ``target``."""
         self._uf.union(target, source)
         self._members[target].extend(self._members.pop(source))
         self._trees[target].append(self._trees.pop(source))
         source_tokens = self._root_tokens.pop(source).tolist()
         tokens = set(self._root_tokens[target])
         postings = self._postings
+        fresh = []
         for token_id in source_tokens:
             roots = postings[token_id]
             slot = roots.index(source)
@@ -388,12 +468,16 @@ class IncrementalIndex:
                     roots[slot] = last
             else:
                 roots[slot] = target
-        self._root_tokens[target] = array("q", sorted(tokens.union(source_tokens)))
+                fresh.append(token_id)
+        tokens.update(fresh)
+        self._root_tokens[target] = array("q", sorted(tokens))
+        self._sizes[target] = len(tokens)
         if self._match_tokens is not self._root_tokens:
             source_match = self._match_tokens.pop(source).tolist()
             self._match_tokens[target] = array(
                 "q", sorted(set(self._match_tokens[target]).union(source_match))
             )
+        return fresh
 
     def _score(self, tokens: FrozenSet[int], root: int) -> float:
         """Set similarity of a token-id set and a root's matcher column.
@@ -409,44 +493,86 @@ class IncrementalIndex:
             len(tokens.intersection(other)),
         )
 
-    def _resolve_arrival(self, ordinal: int) -> "ArrivalResult":
+    def _resolve_arrival(self, ordinal: int) -> ArrivalResult:
         """Resolve one interned record against the current state.
 
-        The oracle's loop on integers: candidates in ranked order, each
-        compared against the arrival cluster's *growing* merged token set;
+        The oracle's loop on integers: the top ``max_candidates`` roots by
+        shared-token count (identifier tie-break) are compared, in that
+        order, against the arrival cluster's *growing* merged token set;
         every match merges and the scan continues.
         """
-        from repro.iterative.incremental import ArrivalResult
-
-        ids = self.context.ids
-        result = ArrivalResult(identifier=ids[ordinal])
+        result = ArrivalResult(identifier=self.context.ids[ordinal])
         full_column = self.context.token_ids_of(ordinal)
         index_ids = array("q", self._index_filter.select(full_column))
-        ranked = self._candidate_roots(index_ids)
+        counted = self._shared_counts(index_ids)
 
         # register the arrival as its own singleton cluster; its ordinal is
         # fresh, so no posting can hold it yet
         self._members[ordinal] = [ordinal]
         self._trees[ordinal] = [ordinal]
         self._root_tokens[ordinal] = index_ids
+        self._sizes[ordinal] = len(index_ids)
         self._post(ordinal, index_ids)
-        if self._match_tokens is not self._root_tokens:
+        shared_filter = self._match_tokens is self._root_tokens
+        if not shared_filter:
             self._match_tokens[ordinal] = array(
                 "q", self._match_filter.select(full_column)
             )
+        if counted is not None:
+            result.comparisons = min(len(counted[0]), self.max_candidates)
+            if shared_filter:
+                self._merge_counted(ordinal, *counted, result)
+            else:
+                self._merge_ranked(ordinal, self._ranked(*counted), result)
+        self.comparisons_executed += result.comparisons
+        return result
 
+    def _merge_counted(self, ordinal: int, distinct, counts, result) -> None:
+        """The shared-filter arrival: ``counts`` are the intersection sizes
+        with the arrival, so every co-occurring root is scored at once and
+        only the matching ones are placed in the selection.  A merge adds
+        the postings of its fresh tokens to the counts and re-scores."""
+        size = len(self._root_tokens[ordinal])
+        hits = self._hits(size, distinct, counts)
+        if not len(hits):
+            return
+        cut = self._cut(counts)
+        ids = self.context.ids
+        after = rest = None
+        while True:
+            first = self._first_selected(distinct, counts, cut, hits, after)
+            if first is None:
+                return
+            after, position = first
+            root = int(distinct[position])
+            result.matched_clusters.append(ids[root])
+            fresh = self._merge_roots(ordinal, root)
+            if fresh:
+                size += len(fresh)
+                if rest is None:
+                    # a root below the cut-off count or ranked before this
+                    # match is never visited: only the others are re-scored
+                    visitable = counts <= -after[0]
+                    if cut is not None:
+                        visitable &= counts >= cut
+                    rest = visitable.nonzero()[0]
+                    roots, current = distinct[rest], counts[rest]
+                current = current + self._posted_counts(roots, fresh)
+                hits = rest[self._hits(size, roots, current)]
+
+    def _merge_ranked(self, ordinal: int, ranked: List[int], result) -> None:
+        """The own-filter arrival: the ranked candidates, one ``frozenset``
+        intersection each (the index counts are not match-token counts)."""
+        ids = self.context.ids
         tokens = frozenset(self._match_tokens[ordinal])
         threshold = self.matcher.threshold
         for candidate in ranked:
-            result.comparisons += 1
             if self._score(tokens, candidate) >= threshold:
                 result.matched_clusters.append(ids[candidate])
                 self._merge_roots(ordinal, candidate)
                 tokens = frozenset(self._match_tokens[ordinal])
-        self.comparisons_executed += result.comparisons
-        return result
 
-    def add(self, description: EntityDescription) -> "ArrivalResult":
+    def add(self, description: EntityDescription) -> ArrivalResult:
         """Intern and resolve one arriving description."""
         identifier = description.identifier
         existing = self.context.ordinal(identifier)
@@ -457,14 +583,18 @@ class IncrementalIndex:
         self._uf.grow(ordinal + 1)
         if len(self._alive) <= ordinal:
             self._alive.extend(bytes(ordinal + 1 - len(self._alive)))
+        if len(self._sizes) <= ordinal:
+            grown = _np.zeros(max(2 * len(self._sizes), ordinal + 1), dtype=_np.int64)
+            grown[: len(self._sizes)] = self._sizes
+            self._sizes = grown
         self._alive[ordinal] = 1
         self._live += 1
         return self._resolve_arrival(ordinal)
 
-    def add_all(self, descriptions: Iterable[EntityDescription]) -> List["ArrivalResult"]:
+    def add_all(self, descriptions: Iterable[EntityDescription]) -> List[ArrivalResult]:
         return [self.add(description) for description in descriptions]
 
-    def remove(self, identifier: str) -> List["ArrivalResult"]:
+    def remove(self, identifier: str) -> List[ArrivalResult]:
         """Remove one record; re-resolve its former co-members.
 
         Only the affected neighbourhood is recomputed: the cluster's
@@ -498,7 +628,7 @@ class IncrementalIndex:
             if member != ordinal
         ]
 
-    def update(self, description: EntityDescription) -> "ArrivalResult":
+    def update(self, description: EntityDescription) -> ArrivalResult:
         """Replace a record's description: remove, then re-add (re-resolving)."""
         self.remove(description.identifier)
         return self.add(description)
@@ -520,23 +650,30 @@ class IncrementalIndex:
             return [token_id_of(token) for token in tokens]
 
         index_ids = ids_of(self.stop_words, self.min_token_length)
-        ranked = self._candidate_roots(
+        counted = self._shared_counts(
             [token_id for token_id in index_ids if token_id is not None]
         )
-        if not ranked:
+        if counted is None:
             return frozenset()
-        matcher = self.matcher
+        ids = self.context.ids
         if self._match_tokens is self._root_tokens:
-            match_ids = index_ids  # same configuration: one tokenisation serves both
-        else:
-            match_ids = ids_of(matcher.stop_words, matcher.min_token_length)
+            # same configuration: one tokenisation serves both, and unknown
+            # tokens count towards the size only
+            distinct, counts = counted
+            hits = self._hits(len(index_ids), distinct, counts)
+            first = self._first_selected(distinct, counts, self._cut(counts), hits)
+            if first is None:
+                return frozenset()
+            members = self._members[int(distinct[first[1]])]
+            return frozenset(ids[member] for member in members)
+        matcher = self.matcher
+        match_ids = ids_of(matcher.stop_words, matcher.min_token_length)
         vocabulary = self.context.vocabulary_size
         tokens = frozenset(
             vocabulary + position if token_id is None else token_id
             for position, token_id in enumerate(match_ids)
         )
-        ids = self.context.ids
-        for candidate in ranked:
+        for candidate in self._ranked(*counted):
             if self._score(tokens, candidate) >= matcher.threshold:
                 return frozenset(ids[member] for member in self._members[candidate])
         return frozenset()
@@ -692,6 +829,8 @@ class IncrementalIndex:
         member_data = member_column.tolist()
         token_ptr, token_column = _read_csr(reader, "root_token", len(roots), 0, vocabulary)
         token_data = token_column.tolist()
+        index._sizes = _np.zeros(records, dtype=_np.int64)
+        index._sizes[roots] = _np.diff(token_ptr)
         for position, root in enumerate(roots):
             index._members[root] = member_data[member_ptr[position] : member_ptr[position + 1]]
             start, stop = token_ptr[position], token_ptr[position + 1]

@@ -102,6 +102,39 @@ def _set_score(similarity_name: str, size_a: int, size_b: int, shared: int) -> f
     return shared / (size_a * size_b) ** 0.5
 
 
+#: how far a vectorised set cosine may sit from the threshold and still be
+#: re-decided by :func:`_set_score`; ``np.sqrt`` and ``pow(x, 0.5)`` differ
+#: by about an ulp, and a cosine is at most 1
+_COSINE_MARGIN = 1e-12
+
+
+def _set_matches(similarity_name: str, size_a: int, sizes_b, shared, threshold: float):
+    """``_set_score(similarity_name, size_a, b, s) >= threshold`` for every
+    ``(b, s)`` of the int64 arrays ``sizes_b`` and ``shared``, in one vector
+    expression; every pair shares a token, so no size is zero.
+
+    Integer sizes and counts convert to float64 exactly, so the true
+    divisions of jaccard, dice and overlap round as the scalar expressions
+    do.  The cosine's ``(a * b) ** 0.5`` is ``pow``, not ``np.sqrt``: a
+    cosine within :data:`_COSINE_MARGIN` of the threshold is re-scored by
+    the scalar expression.
+    """
+    if similarity_name == "jaccard":
+        scores = shared / (size_a + sizes_b - shared)
+    elif similarity_name == "dice":
+        scores = 2 * shared / (size_a + sizes_b)
+    elif similarity_name == "overlap":
+        scores = shared / _np.minimum(sizes_b, size_a)
+    else:
+        scores = shared / _np.sqrt(size_a * sizes_b)
+        near = (_np.abs(scores - threshold) <= _COSINE_MARGIN).nonzero()[0]
+        for position in near.tolist():
+            scores[position] = _set_score(
+                similarity_name, size_a, int(sizes_b[position]), int(shared[position])
+            )
+    return scores >= threshold
+
+
 def _id_set_score(similarity_name: str, first: frozenset, second: frozenset) -> float:
     """Set similarity of two sets of distinct token ids (the exact set body)."""
     return _set_score(similarity_name, len(first), len(second), len(first & second))

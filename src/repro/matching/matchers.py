@@ -16,6 +16,8 @@ progressive budget.  Three matcher families are provided:
 from __future__ import annotations
 
 import abc
+import math
+import numbers
 import warnings
 from dataclasses import dataclass
 from typing import Callable, Dict, Iterable, List, Mapping, Optional, Sequence, Tuple, Union
@@ -82,6 +84,13 @@ def _warn_skipped_comparisons(skipped: int, examples: Sequence[Tuple[str, str]])
         RuntimeWarning,
         stacklevel=3,
     )
+
+
+def check_cost(cost) -> float:
+    """``cost`` if it is a finite real number ``>= 0``, else ``ValueError``."""
+    if not isinstance(cost, numbers.Real) or not (math.isfinite(cost) and cost >= 0):
+        raise ValueError(f"cost must be a finite number >= 0, got {cost!r}")
+    return cost
 
 
 class Matcher(abc.ABC):
@@ -178,7 +187,7 @@ class ProfileSimilarityMatcher(Matcher):
         self.min_token_length = min_token_length
         self.similarity_name = similarity_name
         self._set_similarity = SET_SIMILARITIES[similarity_name]
-        self.cost = cost
+        self.cost = check_cost(cost)
 
     def similarity(self, first: EntityDescription, second: EntityDescription) -> float:
         if self.vectorizer is not None:
@@ -228,6 +237,8 @@ class AttributeWeightedMatcher(Matcher):
     ) -> None:
         if not attribute_weights:
             raise ValueError("attribute weights must not be empty")
+        if not 0.0 <= threshold <= 1.0:
+            raise ValueError("threshold must be in [0, 1]")
         total = sum(attribute_weights.values())
         if total <= 0:
             raise ValueError("attribute weights must sum to a positive value")
@@ -236,7 +247,7 @@ class AttributeWeightedMatcher(Matcher):
         self._similarity = get_similarity(similarity_name)
         self._is_set_similarity = similarity_name in ("jaccard", "dice", "overlap", "cosine")
         self.threshold = threshold
-        self.cost = cost
+        self.cost = check_cost(cost)
         # raw value -> normalised form (token list or lowercased string).
         # Attribute values repeat heavily across the candidate pairs of one
         # run (each description is compared K times), so memoising the
@@ -320,7 +331,7 @@ class RuleBasedMatcher(Matcher):
             raise ValueError("rule-based matching requires at least one rule")
         self.rules = list(rules)
         self.require_all = require_all
-        self.cost = cost
+        self.cost = check_cost(cost)
 
     def similarity(self, first: EntityDescription, second: EntityDescription) -> float:
         scores = [rule.evaluate(first, second)[1] for rule in self.rules]

@@ -16,7 +16,7 @@ from typing import Optional
 from repro.datamodel.description import EntityDescription
 from repro.datamodel.ground_truth import GroundTruth
 from repro.datamodel.pairs import Comparison
-from repro.matching.matchers import MatchDecision, Matcher
+from repro.matching.matchers import MatchDecision, Matcher, check_cost
 
 
 class OracleMatcher(Matcher):
@@ -53,7 +53,7 @@ class OracleMatcher(Matcher):
         self.ground_truth = ground_truth
         self.false_negative_rate = false_negative_rate
         self.false_positive_rate = false_positive_rate
-        self.cost = cost
+        self.cost = check_cost(cost)
         self._rng = random.Random(seed)
         self.calls = 0
 

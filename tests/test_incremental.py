@@ -6,13 +6,31 @@ from conftest import ReadableMatcher
 from repro.datamodel.description import EntityDescription
 from repro.datasets import DatasetConfig, generate_dirty_dataset
 from repro.evaluation import evaluate_matches
-from repro.iterative import IncrementalResolver
+from repro.iterative import IncrementalIndex, IncrementalResolver
 from repro.matching import OracleMatcher, ProfileSimilarityMatcher
 
 
 def test_validation():
     with pytest.raises(ValueError):
         IncrementalResolver(ProfileSimilarityMatcher(), max_candidates=0)
+
+
+@pytest.mark.parametrize("value", [2.5, "3", None, True, 0, -1])
+@pytest.mark.parametrize(
+    "build",
+    [
+        lambda value: IncrementalIndex(ProfileSimilarityMatcher(), max_candidates=value),
+        lambda value: IncrementalResolver(ProfileSimilarityMatcher(), max_candidates=value),
+        lambda value: IncrementalResolver(
+            ReadableMatcher(threshold=0.5), max_candidates=value
+        ),
+    ],
+    ids=["index", "resolver", "object-resolver"],
+)
+def test_max_candidates_must_be_a_positive_int(build, value):
+    """Rejected at construction, before any arrival is interned."""
+    with pytest.raises(ValueError, match=r"max_candidates must be a positive int, got "):
+        build(value)
 
 
 def test_duplicate_identifiers_are_rejected():

@@ -42,6 +42,7 @@ from repro.datasets import DatasetConfig, generate_dirty_dataset
 from repro.iterative import IncrementalResolver
 from repro.iterative.index import IncrementalIndex
 from repro.matching import ProfileSimilarityMatcher
+from repro.matching.engine import _set_matches, _set_score
 
 FIXTURE_PATH = Path(__file__).parent / "fixtures" / "incremental" / "golden_stream.json"
 #: The first 40 arrivals of ``_stream_descriptions(num_entities=30, seed=41)``
@@ -151,14 +152,95 @@ def test_array_matches_oracle_at_every_prefix():
     ]
 
 
-def test_array_matches_oracle_through_removes_and_updates():
+@pytest.mark.parametrize("matcher_min_length", [2, 3], ids=["shared", "own-filter"])
+@pytest.mark.parametrize("max_candidates", [1, 2, 20])
+@pytest.mark.parametrize(
+    "similarity_name, threshold",
+    [("jaccard", 0.5), ("dice", 0.6), ("overlap", 0.7), ("cosine", 0.6)],
+)
+def test_array_matches_oracle_through_removes_and_updates(
+    similarity_name, threshold, max_candidates, matcher_min_length
+):
+    """Adds, removes, updates and a ``resolve`` before every add and update,
+    on the shared-filter count path and the own-filter ranked path alike."""
     descriptions = _stream_descriptions(num_entities=30, duplicates=1.8, seed=31)
     operations = _mixed_operations(descriptions)
-    matcher = ProfileSimilarityMatcher(threshold=0.5)
-    oracle = IncrementalResolver(readable(matcher))
-    index = IncrementalIndex(ProfileSimilarityMatcher(threshold=0.5))
+
+    def matcher():
+        return ProfileSimilarityMatcher(
+            threshold=threshold,
+            similarity_name=similarity_name,
+            min_token_length=matcher_min_length,
+        )
+
+    oracle = IncrementalResolver(readable(matcher()), max_candidates=max_candidates)
+    index = IncrementalIndex(matcher(), max_candidates=max_candidates)
+    assert (index._match_tokens is index._root_tokens) == (matcher_min_length == 2)
+    merges = 0
     for operation in operations:
-        assert _apply(index, operation) == _apply(oracle, operation)
+        if operation[0] != "remove":
+            assert index.resolve(operation[1]) == oracle.resolve(operation[1])
+        expected = _apply(oracle, operation)
+        assert _apply(index, operation) == expected
+        assert _state(index) == _state(oracle)
+        merges += operation[0] == "add" and bool(expected["matched_clusters"])
+    assert merges >= 30, "the stream must merge"
+
+
+def _add_both(index, oracle, identifier, text):
+    description = EntityDescription(identifier, {"name": text})
+    result = _arrival(index.add(description))
+    assert result == _arrival(oracle.add(description))
+    return result
+
+
+def _index_and_oracle(max_candidates, **options):
+    return (
+        IncrementalIndex(ProfileSimilarityMatcher(**options), max_candidates=max_candidates),
+        IncrementalResolver(
+            readable(ProfileSimilarityMatcher(**options)), max_candidates=max_candidates
+        ),
+    )
+
+
+def test_a_match_ranked_outside_the_selection_does_not_merge():
+    """``b`` matches the arrival but shares fewer tokens than ``x``, which
+    takes the one slot: nothing merges and one comparison is charged."""
+    for limit, merged in ((1, []), (2, [["b"]])):
+        index, oracle = _index_and_oracle(limit, threshold=0.5)
+        _add_both(index, oracle, "x", "alpha bravo xray yankee zulu kilo lima mike")
+        _add_both(index, oracle, "b", "alpha")
+        result = _add_both(index, oracle, "a", "alpha bravo")
+        assert result["matched_clusters"] == merged
+        assert result["comparisons"] == limit
+        assert _state(index) == _state(oracle)
+
+
+def test_a_candidate_matches_after_an_earlier_merge_grew_the_arrival():
+    """``n`` shares one of the arrival's three tokens (overlap 1/2 < 0.6); the
+    merge of ``m`` brings ``charlie`` in, and ``n`` then matches (2/2)."""
+    index, oracle = _index_and_oracle(20, threshold=0.6, similarity_name="overlap")
+    _add_both(index, oracle, "n", "xray charlie")
+    assert _add_both(index, oracle, "m", "alpha bravo charlie delta")["matched_clusters"] == []
+    result = _add_both(index, oracle, "a", "alpha bravo xray")
+    assert result == {"identifier": "a", "matched_clusters": [["m"], ["n"]], "comparisons": 2}
+    alone, oracle_alone = _index_and_oracle(20, threshold=0.6, similarity_name="overlap")
+    _add_both(alone, oracle_alone, "n", "xray charlie")
+    assert _add_both(alone, oracle_alone, "a", "alpha bravo xray")["matched_clusters"] == []
+
+
+def test_of_two_matches_tied_at_the_cut_only_the_smaller_identifier_is_selected():
+    """``p`` (3 shared tokens, no match) takes one of two slots; ``q`` and
+    ``r`` both match on 2 shared tokens, and the free slot goes to ``q``."""
+    for limit, merged in ((2, [["q"]]), (3, [["q"], ["r"]])):
+        index, oracle = _index_and_oracle(limit, threshold=0.6)
+        _add_both(index, oracle, "p", "alpha bravo charlie papa pearl piano pilot plum")
+        _add_both(index, oracle, "r", "alpha charlie")
+        _add_both(index, oracle, "q", "alpha bravo")
+        assert index.num_clusters == 3
+        result = _add_both(index, oracle, "a", "alpha bravo charlie")
+        assert result["matched_clusters"] == merged
+        assert result["comparisons"] == limit
         assert _state(index) == _state(oracle)
 
 
@@ -234,6 +316,7 @@ def _assert_postings_invariants(index):
             for member in members:
                 rebuilt.update(token_filter.select(context.token_ids_of(member)))
             assert list(getattr(index, name)[root]) == sorted(rebuilt)
+        assert index._sizes[root] == len(index._root_tokens[root])
         for token_id in index._root_tokens[root].tolist():
             inverted.setdefault(token_id, []).append(root)
     assert set(index._postings) == set(inverted)
@@ -298,15 +381,49 @@ def test_candidate_selection_is_the_prefix_of_the_full_sort():
         key=lambda name: (-len(shared_tokens[name]), name),
     )
     assert full == ["m", "k", "z", "b", "d", "f", "t", "w", "x"]
-    ids = index.context.ids
     for limit in (1, 2, 3, 4, 5, 8, 9, 20):
         index.max_candidates = limit
-        assert [ids[root] for root in index._candidate_roots(probe_ids)] == full[:limit]
+        assert _ranked_order(index, probe_ids) == full[:limit]
+        assert _count_path_order(index, probe_ids) == full[:limit]
     # max_candidates=1 with the tie at the very top: the smallest identifier wins
     index.max_candidates = 1
     tied_top = [index.context.token_id(probe[3])]  # held by z and b
-    assert [ids[root] for root in index._candidate_roots(tied_top)] == ["b"]
-    assert index._candidate_roots([]) == []
+    assert _ranked_order(index, tied_top) == ["b"]
+    assert _count_path_order(index, tied_top) == ["b"]
+    assert index._shared_counts([]) is None
+
+
+def _ranked_order(index, token_ids):
+    """The identifiers the own-filter path compares, in order."""
+    return [index.context.ids[root] for root in index._ranked(*index._shared_counts(token_ids))]
+
+
+def _count_path_order(index, token_ids):
+    """The identifiers the shared-filter path would visit if every root matched."""
+    distinct, counts = index._shared_counts(token_ids)
+    every = np.arange(len(distinct))
+    cut, order, after = index._cut(counts), [], None
+    while (first := index._first_selected(distinct, counts, cut, every, after)) is not None:
+        after, position = first
+        order.append(index.context.ids[distinct[position]])
+    return order
+
+
+def test_vector_set_decisions_equal_the_scalar_ones():
+    """``_set_matches`` decides every pair as ``_set_score(...) >= threshold``
+    does, at thresholds on, just below and just above each exact score."""
+    sizes = np.array([size for size in range(1, 31) for shared in range(1, size + 1)])
+    shared = np.array([shared for size in range(1, 31) for shared in range(1, size + 1)])
+    for name in ("jaccard", "dice", "overlap", "cosine"):
+        for size_a in (1, 2, 3, 7, 12, 30):
+            fits = shared <= size_a
+            sizes_b, counts = sizes[fits], shared[fits]
+            scores = [_set_score(name, size_a, b, s) for b, s in zip(sizes_b.tolist(), counts.tolist())]
+            for score in sorted(set(scores)):
+                for threshold in (np.nextafter(score, 0.0), score, np.nextafter(score, 2.0)):
+                    expected = [value >= threshold for value in scores]
+                    actual = _set_matches(name, size_a, sizes_b, counts, float(threshold))
+                    assert actual.tolist() == expected, (name, size_a, threshold)
 
 
 # ----------------------------------------------------------------------

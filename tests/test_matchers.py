@@ -197,3 +197,31 @@ class TestAttributeValueCache:
             warmed = matcher.similarity(a, b)
             assert matcher.similarity(a, b) == warmed  # cache hit path
             assert fresh.similarity(a, b) == warmed  # cold path agrees
+
+
+_BUILD_WITH_COST = {
+    "profile": lambda cost: ProfileSimilarityMatcher(cost=cost),
+    "attribute-weighted": lambda cost: AttributeWeightedMatcher({"name": 1.0}, cost=cost),
+    "rule-based": lambda cost: RuleBasedMatcher([ThresholdRule("name", 0.9)], cost=cost),
+    "oracle": lambda cost: OracleMatcher(GroundTruth([["a1", "a2"]]), cost=cost),
+}
+
+
+@pytest.mark.parametrize("cost", [float("nan"), -1, -0.5, float("inf"), "1", None])
+@pytest.mark.parametrize("build", _BUILD_WITH_COST.values(), ids=_BUILD_WITH_COST.keys())
+def test_cost_must_be_finite_and_non_negative(build, cost):
+    """Rejected at construction, not at the first budget charge."""
+    with pytest.raises(ValueError, match="cost must be a finite number >= 0, got "):
+        build(cost)
+
+
+@pytest.mark.parametrize("build", _BUILD_WITH_COST.values(), ids=_BUILD_WITH_COST.keys())
+def test_zero_and_fractional_costs_are_accepted(build):
+    assert build(0).cost == 0
+    assert build(2.5).cost == 2.5
+
+
+@pytest.mark.parametrize("threshold", [float("nan"), 7, -0.1])
+def test_attribute_weighted_threshold_must_be_in_the_unit_interval(threshold):
+    with pytest.raises(ValueError, match=r"threshold must be in \[0, 1\]"):
+        AttributeWeightedMatcher({"name": 1.0}, threshold=threshold)
