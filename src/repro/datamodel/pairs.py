@@ -156,7 +156,7 @@ class OrdinalInterner:
     the next free one on first sight; :attr:`ids` is the inverse table
     (ordinal -> identifier), growing as identifiers are interned -- safe to
     hand to a :class:`ComparisonColumns` or
-    :class:`~repro.progressive.engine.ScheduledRows` before interning is
+    :class:`~repro.progressive.schedulers.ScheduledRows` before interning is
     complete, because consumers only index it after the producing row was
     yielded.
     """
@@ -198,7 +198,8 @@ class ComparisonColumns(Sequence):
         ``array('q')`` ordinal columns, one entry per comparison.
     weights:
         Aligned ``array('d')`` of comparison weights, or ``None`` when the
-        comparisons are unweighted.
+        comparisons are unweighted.  NaN marks a comparison without a
+        weight: it materialises with ``weight=None`` and sorts last.
     distinct:
         Whether the rows are known to hold no duplicate pair (meta-blocking
         output is distinct by construction); consumers that must
@@ -245,6 +246,8 @@ class ComparisonColumns(Sequence):
         if isinstance(index, slice):
             raise TypeError("ComparisonColumns does not support slicing")
         weight = self.weights[index] if self.weights is not None else None
+        if weight != weight:
+            weight = None
         return Comparison(
             self.ids[self.first[index]], self.ids[self.second[index]], weight=weight
         )
@@ -256,7 +259,7 @@ class ComparisonColumns(Sequence):
                 yield Comparison(ids[f], ids[s])
         else:
             for f, s, w in zip(self.first, self.second, self.weights):
-                yield Comparison(ids[f], ids[s], weight=w)
+                yield Comparison(ids[f], ids[s], weight=w if w == w else None)
 
     def pair(self, index: int) -> Tuple[str, str]:
         """The canonical identifier pair of row ``index`` (no object built)."""
@@ -278,17 +281,20 @@ class ComparisonColumns(Sequence):
         The exact order of ``MetaBlocking.weighted_comparisons`` and of
         :class:`~repro.progressive.schedulers.WeightOrderScheduler`:
         descending weight, ties broken by the canonical identifier pair
-        (missing weights sort last): :func:`heaviest_first` over the rank
-        and weight columns.
+        (missing weights sort last, tied with ``-inf``): :func:`heaviest_first`
+        over the rank and weight columns.
         """
         if len(self) <= 1 or self.weight_ordered:
             return self
         first = _np.frombuffer(self.first, dtype=_np.int64)
         second = _np.frombuffer(self.second, dtype=_np.int64)
-        weights = None
+        weights = key = None
         if self.weights is not None:
-            weights = _np.frombuffer(self.weights, dtype=_np.float64)
-        order = heaviest_first(self._ranks(), first, second, weights)
+            weights = key = _np.frombuffer(self.weights, dtype=_np.float64)
+            missing = _np.isnan(weights)
+            if missing.any():
+                key = _np.where(missing, -_np.inf, weights)
+        order = heaviest_first(self._ranks(), first, second, key)
         sorted_first = array("q", first[order].tobytes())
         sorted_second = array("q", second[order].tobytes())
         sorted_weights = None
@@ -308,35 +314,27 @@ class ComparisonColumns(Sequence):
 
         The columnar analogue of
         :func:`repro.progressive.schedulers.candidate_comparisons` over a
-        comparison sequence.  A pass-through (returns ``self``) when the
-        rows are already known to be distinct or too few to repeat.
+        comparison sequence: :func:`first_occurrences` over the ordinal
+        columns.  A pass-through (returns ``self``) when the rows are
+        already known to be distinct or too few to repeat.
         """
         if self.distinct or len(self) <= 1:
             return self
-        seen: Set[int] = set()
-        add = seen.add
-        keep: List[int] = []
-        for index, (f, s) in enumerate(zip(self.first, self.second)):
-            code = pair_code(f, s)
-            if code in seen:
-                continue
-            add(code)
-            keep.append(index)
-        if len(keep) == len(self):
-            kept = (self.first, self.second, self.weights)
-        else:
+        first = _np.frombuffer(self.first, dtype=_np.int64)
+        second = _np.frombuffer(self.second, dtype=_np.int64)
+        keep = first_occurrences(first, second, len(self.ids))
+        kept = (self.first, self.second, self.weights)
+        if len(keep) < len(self):
             kept = (
-                array("q", (self.first[i] for i in keep)),
-                array("q", (self.second[i] for i in keep)),
-                array("d", (self.weights[i] for i in keep))
+                array("q", first[keep].tobytes()),
+                array("q", second[keep].tobytes()),
+                array("d", _np.frombuffer(self.weights, dtype=_np.float64)[keep].tobytes())
                 if self.weights is not None
                 else None,
             )
         return ComparisonColumns(
             self.ids,
-            kept[0],
-            kept[1],
-            kept[2],
+            *kept,
             distinct=True,
             weight_ordered=self.weight_ordered,
         )

@@ -58,7 +58,7 @@ from typing import Dict, FrozenSet, Iterable, List, Optional, Set, Union
 from repro.core.unionfind import UnionFind
 from repro.datamodel.collection import EntityCollection
 from repro.datamodel.description import EntityDescription, merge_descriptions
-from repro.matching.matchers import Matcher, ProfileSimilarityMatcher
+from repro.matching.matchers import Matcher, ProfileSimilarityMatcher, check_min_token_length
 from repro.text.tokenize import DEFAULT_STOP_WORDS, token_set
 
 
@@ -107,7 +107,7 @@ class IncrementalResolver:
         self.matcher = matcher
         self.max_candidates = check_max_candidates(max_candidates)
         self.stop_words = frozenset(stop_words) if stop_words else frozenset()
-        self.min_token_length = min_token_length
+        self.min_token_length = check_min_token_length(min_token_length)
         #: engine that actually executed the last operation
         self.last_engine: Optional[str] = None
 

@@ -74,7 +74,7 @@ from repro.datamodel.collection import EntityCollection
 from repro.datamodel.description import EntityDescription, merge_descriptions
 from repro.iterative.incremental import ArrivalResult, check_max_candidates
 from repro.matching.engine import _set_matches, _set_score
-from repro.matching.matchers import ProfileSimilarityMatcher
+from repro.matching.matchers import ProfileSimilarityMatcher, check_min_token_length
 from repro.text.similarity import SET_SIMILARITIES
 from repro.text.tokenize import DEFAULT_STOP_WORDS, token_set
 
@@ -231,7 +231,7 @@ class IncrementalIndex:
         self.matcher = matcher
         self.max_candidates = check_max_candidates(max_candidates)
         self.stop_words = frozenset(stop_words) if stop_words else frozenset()
-        self.min_token_length = min_token_length
+        self.min_token_length = check_min_token_length(min_token_length)
         self.context = context if context is not None else GrowableContext()
         self._index_filter = self.context.token_filter(
             self.stop_words, self.min_token_length

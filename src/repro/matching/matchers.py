@@ -93,6 +93,13 @@ def check_cost(cost) -> float:
     return cost
 
 
+def check_min_token_length(value) -> int:
+    """``value`` if it is an ``int >= 0`` (not a ``bool``), else ``ValueError``."""
+    if type(value) is not int or value < 0:
+        raise ValueError(f"min_token_length must be an int >= 0, got {value!r}")
+    return value
+
+
 class Matcher(abc.ABC):
     """Interface of a pairwise matcher."""
 
@@ -184,7 +191,7 @@ class ProfileSimilarityMatcher(Matcher):
         self.threshold = threshold
         self.vectorizer = vectorizer
         self.stop_words = frozenset(stop_words) if stop_words else frozenset()
-        self.min_token_length = min_token_length
+        self.min_token_length = check_min_token_length(min_token_length)
         self.similarity_name = similarity_name
         self._set_similarity = SET_SIMILARITIES[similarity_name]
         self.cost = check_cost(cost)

@@ -30,40 +30,32 @@ recall curve.
 Scheduling paths
 ----------------
 
-Like the blocking, meta-blocking and matching phases, scheduling executes
-behind :class:`~repro.progressive.engine.SchedulingEngine`, and the
-scheduler's exact type selects the path.  The feedback-free library
-schedulers -- weight-ordered, static-order, random-order, sorted-list and
-progressive-block (with promotion disabled) -- run over flat ordinal/weight
-arrays: meta-blocking hands its retained edges over as
-:class:`~repro.datamodel.pairs.ComparisonColumns`, ordering is one argsort
-or a lazy row generator, a comparison budget becomes a slice of the ordered
-rows, and :func:`~repro.progressive.runner.run_progressive` feeds the drawn
-rows straight into
-:meth:`~repro.matching.engine.MatchingEngine.decide_ordinal_pairs` without
-ever materialising scheduled ``Comparison`` objects.
-
-Every other scheduler -- the adaptive ones (progressive sorted
-neighbourhood, the cost--benefit scheduler, progressive blocking with match
-promotion), custom :class:`~repro.progressive.schedulers.ProgressiveScheduler`
-implementations and subclasses of the native types -- runs its own
-``schedule`` generator, the readable reference the equivalence suite
-(``tests/test_scheduling_engine.py``) compares against: its order may depend
-on match feedback or overridden behaviour that an up-front array order
-cannot represent.  That exact-type rule is how user schedulers plug into
-the workflow.  Both paths produce bit-identical schedules -- the same
-comparisons in the same order (including order under weight ties), hence
-the same matches and the same progressive recall curve.
+A feedback-free scheduler (weight order, random order, static order,
+sorted list) has one body, its
+:meth:`~repro.progressive.schedulers.ProgressiveScheduler.rows`: the
+schedule as ordinal rows over an identifier table.  Blocks, meta-blocking's
+:class:`~repro.datamodel.pairs.ComparisonColumns` and plain comparison
+lists reach it through one normaliser,
+:func:`~repro.progressive.schedulers.candidate_columns`;
+:func:`~repro.progressive.runner.run_progressive` drains the rows in
+batches into :meth:`~repro.matching.engine.MatchingEngine.decide_ordinal_pairs`,
+so a comparison budget costs only the prefix it affords, and ``schedule``
+is the same rows as ``Comparison`` objects.  A scheduler whose type
+overrides ``schedule`` -- the adaptive ones (progressive sorted
+neighbourhood, the cost--benefit scheduler, progressive blocking), the
+partition hierarchy and custom or overriding subclasses -- runs that
+generator instead (:class:`~repro.progressive.engine.SchedulingEngine`).
 """
 
 from repro.progressive.budget import Budget
-from repro.progressive.engine import ScheduledRows, SchedulingEngine
+from repro.progressive.engine import SchedulingEngine
 from repro.progressive.hierarchy import PartitionHierarchyScheduler
 from repro.progressive.psnm import ProgressiveBlockScheduler, ProgressiveSortedNeighborhood
 from repro.progressive.runner import ProgressiveResult, run_progressive
 from repro.progressive.schedulers import (
     ProgressiveScheduler,
     RandomOrderScheduler,
+    ScheduledRows,
     StaticOrderScheduler,
     WeightOrderScheduler,
 )

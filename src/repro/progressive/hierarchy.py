@@ -24,7 +24,7 @@ from repro.blocking.sorted_neighborhood import default_sorting_key
 from repro.datamodel.collection import CleanCleanTask
 from repro.datamodel.description import EntityDescription
 from repro.datamodel.pairs import Comparison, canonical_pair
-from repro.progressive.schedulers import CandidateSource, ERInput, ProgressiveScheduler, candidate_comparisons
+from repro.progressive.schedulers import CandidateSource, ERInput, ProgressiveScheduler, candidate_columns
 
 
 class PartitionHierarchyScheduler(ProgressiveScheduler):
@@ -78,7 +78,7 @@ class PartitionHierarchyScheduler(ProgressiveScheduler):
 
         allowed = None
         if self.restrict_to_candidates and candidates is not None:
-            allowed = {comparison.pair for comparison in candidate_comparisons(candidates)}
+            allowed = candidate_columns(candidates).pairs()
 
         bilateral = isinstance(data, CleanCleanTask)
         emitted = set()

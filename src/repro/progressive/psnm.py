@@ -26,7 +26,13 @@ from repro.datamodel.collection import CleanCleanTask
 from repro.datamodel.description import EntityDescription
 from repro.datamodel.pairs import Comparison, canonical_pair
 from repro.matching.matchers import MatchDecision
-from repro.progressive.schedulers import CandidateSource, ERInput, ProgressiveScheduler, candidate_comparisons
+from repro.progressive.schedulers import (
+    CandidateSource,
+    ERInput,
+    ProgressiveScheduler,
+    candidate_columns,
+    candidate_comparisons,
+)
 
 
 class ProgressiveSortedNeighborhood(ProgressiveScheduler):
@@ -104,7 +110,7 @@ class ProgressiveSortedNeighborhood(ProgressiveScheduler):
         self._bilateral_data = data if isinstance(data, CleanCleanTask) else None
         self._allowed = None
         if self.restrict_to_candidates and candidates is not None:
-            self._allowed = {comparison.pair for comparison in candidate_comparisons(candidates)}
+            self._allowed = candidate_columns(candidates).pairs()
 
         n = len(self._identifiers)
         if n < 2:
@@ -147,15 +153,14 @@ class ProgressiveBlockScheduler(ProgressiveScheduler):
 
     name = "progressive_blocking"
 
-    def __init__(self, promote_on_match: bool = True) -> None:
-        self.promote_on_match = promote_on_match
+    def __init__(self) -> None:
         self._promoted: Deque[Comparison] = deque()
         self._pending_by_block: Dict[str, Deque[Comparison]] = {}
         self._block_of_pair: Dict[Tuple[str, str], str] = {}
         self._emitted: Set[Tuple[str, str]] = set()
 
     def feedback(self, decision: MatchDecision) -> None:
-        if not self.promote_on_match or not decision.is_match:
+        if not decision.is_match:
             return
         block_id = self._block_of_pair.get(decision.pair)
         if block_id is None:

@@ -13,7 +13,7 @@ times is tokenised once.  There are three
 execution shapes, all bit-identical to the historical per-pair loop
 (decisions, matches, ``budget_spent``, one curve point per comparison):
 
-* **columnar drain** -- an array schedule (``scheduling``) and an engine
+* **columnar drain** -- a scheduler's rows (``scheduling``) and an engine
   whose shared context owns ``data``: every batch is two columns of context
   ordinals handed to :meth:`MatchingEngine.decide_ordinal_pairs
   <repro.matching.engine.MatchingEngine.decide_ordinal_pairs>`.  No
@@ -183,13 +183,11 @@ def run_progressive(
     scheduling:
         A :class:`~repro.progressive.engine.SchedulingEngine` wrapping
         ``scheduler``, or ``None`` (default) for
-        ``SchedulingEngine(scheduler)``.  It executes feedback-free library
-        schedulers over flat ordinal rows, which an engine with a shared
-        context over ``data`` drains straight into
-        :meth:`MatchingEngine.decide_ordinal_pairs` without materialising
-        scheduled ``Comparison`` objects; every other scheduler runs its own
-        ``schedule``.  The schedule -- and hence every decision, match and
-        curve point -- is bit-identical either way.
+        ``SchedulingEngine(scheduler)``.  It takes the scheduler's
+        ordinal rows, which an engine with a shared context over ``data``
+        drains straight into :meth:`MatchingEngine.decide_ordinal_pairs`
+        without materialising scheduled ``Comparison`` objects; a scheduler
+        whose type overrides ``schedule`` runs that generator.
     """
     if budget is None:
         budget_obj = Budget(None)
@@ -274,10 +272,9 @@ def run_progressive(
             # ---------- columnar drain: ordinals in, flags out ----------
             # every batch is two ordinal columns handed to the engine's
             # kernel; the budget is charged and the curve extended per
-            # batch, and Python runs per *match* only.  The schedule is
-            # feedback-free by construction (array schedules only exist for
-            # schedulers whose feedback hook provably never changes the
-            # order), so the per-decision callback is skipped outright.
+            # batch, and Python runs per *match* only.  The scheduler leaves
+            # its feedback hook un-overridden (the batch condition above),
+            # so the per-decision callback is skipped outright.
             ids = rows.ids
             row_iter = rows.rows
             decisions_out: Optional[DecisionColumns] = None

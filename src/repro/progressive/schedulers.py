@@ -6,44 +6,180 @@ plus a feedback hook (:meth:`ProgressiveScheduler.feedback`) through which the
 runner reports every match decision, enabling schedulers that adapt their
 order to the matches found so far (the "update" phase of the tutorial's
 Figure 1).
+
+A scheduler whose order is fixed up front implements
+:meth:`ProgressiveScheduler.rows` instead: the schedule as ordinal rows over
+an identifier table (:class:`ScheduledRows`), which the runner drains in
+batches without building a :class:`Comparison` per pair; the inherited
+``schedule`` materialises the same rows as comparisons.  Candidates reach
+``rows`` through one normaliser, :func:`candidate_columns`.
 """
 
 from __future__ import annotations
 
 import abc
 import random
-from typing import Iterable, Iterator, List, Optional, Sequence, Union
+from array import array
+from itertools import repeat
+from typing import Iterator, List, Optional, Sequence, Tuple, Union
 
 from repro.blocking.base import BlockCollection
+from repro.blocking.columns import BlockColumns, flat_slices, int_view, typed_array
 from repro.datamodel.collection import CleanCleanTask, EntityCollection
-from repro.datamodel.pairs import Comparison
+from repro.datamodel.pairs import (
+    Comparison,
+    ComparisonColumns,
+    OrdinalInterner,
+    canonical_pair,
+    first_occurrences,
+    identifier_ranks,
+)
 from repro.matching.matchers import MatchDecision
+
+import numpy as _np
 
 ERInput = Union[EntityCollection, CleanCleanTask]
 CandidateSource = Union[BlockCollection, Sequence[Comparison]]
 
+#: Row type of an array schedule: (first ordinal, second ordinal, weight).
+Row = Tuple[int, int, Optional[float]]
+
+
+class ScheduledRows:
+    """An array schedule: an identifier table plus lazily-yielded ordinal rows.
+
+    ``rows`` yields ``(first, second, weight)`` triples indexing ``ids``;
+    generation is lazy, so a budgeted consumer only pays for the prefix it
+    draws.  When the columns came from a shared pipeline context, ``ids`` is
+    the context's own table and the rows are context ordinals.
+    """
+
+    __slots__ = ("ids", "rows")
+
+    def __init__(self, ids: Sequence[str], rows: Iterator[Row]) -> None:
+        self.ids = ids
+        self.rows = rows
+
+    def comparisons(self) -> Iterator[Comparison]:
+        """Materialise the schedule as :class:`Comparison` objects (lazy)."""
+        ids = self.ids
+        for first, second, weight in self.rows:
+            yield Comparison(ids[first], ids[second], weight=weight)
+
+
+def _columns_from_blocks(blocks: BlockCollection) -> ComparisonColumns:
+    """The distinct comparisons of ``blocks`` as columns, first block wins.
+
+    Row order equals ``BlockCollection.distinct_comparisons()``: blocks in
+    collection order, within-block comparison order, first occurrence of
+    every pair kept, the smaller identifier first.
+
+    The blocks are read as :class:`~repro.blocking.columns.BlockColumns`,
+    keeping their table -- the shared context's ``ids`` for blocks the
+    blocking engine built, so the drain needs no ordinal map and no
+    :class:`~repro.blocking.base.Block` is materialised.  Every assignment
+    is repeated once per partner (the later members of a unilateral block,
+    the whole right side for a left member of a bilateral one), which lays
+    out every raw pair in within-block order; :func:`first_occurrences`
+    keeps the first row of each pair and identifier ranks orient it.
+    """
+    np = _np
+    columns = BlockColumns.from_collection(blocks)
+    ptr, members = int_view(columns.blk_ptr), int_view(columns.members)
+    block_of = np.repeat(np.arange(len(columns)), np.diff(ptr))
+    position = np.arange(len(members))
+    split = int_view(columns.split)[block_of]
+    bilateral = split >= 0
+    left_end = ptr[block_of] + split
+    start = np.where(bilateral, left_end, position + 1)
+    count = np.where(bilateral & (position >= left_end), 0, ptr[block_of + 1] - start)
+    first = np.repeat(members, count)
+    second = members[flat_slices(start, count)]
+    clash = np.flatnonzero(first == second)
+    if len(clash):
+        # one description on both sides of a bilateral block: the Block
+        # pair walk raises here, with this message
+        identifier = columns.ids[int(first[clash[0]])]
+        canonical_pair(identifier, identifier)
+    keep = first_occurrences(first, second, len(columns.ids))
+    first, second = first[keep], second[keep]
+    rank = identifier_ranks(columns.ids)
+    swap = rank[first] > rank[second]
+    return ComparisonColumns(
+        columns.ids,
+        typed_array("q", np.where(swap, second, first)),
+        typed_array("q", np.where(swap, first, second)),
+        None,
+        distinct=True,
+    )
+
+
+def _columns_from_comparisons(comparisons: Sequence[Comparison]) -> ComparisonColumns:
+    """A comparison sequence as columns, identifiers interned in first-seen
+    order; a missing weight is stored as NaN (all missing: no weight column)."""
+    intern = OrdinalInterner()
+    first, second, weights = array("q"), array("q"), []
+    for comparison in comparisons:
+        first.append(intern(comparison.first))
+        second.append(intern(comparison.second))
+        weights.append(comparison.weight)
+    if any(weight is not None for weight in weights):
+        weights = array("d", (_np.nan if w is None else w for w in weights))
+    else:
+        weights = None
+    return ComparisonColumns(intern.ids, first, second, weights).deduplicated()
+
+
+def candidate_columns(candidates: CandidateSource) -> ComparisonColumns:
+    """Normalise a candidate source into distinct :class:`ComparisonColumns`.
+
+    Blocks, columns and plain comparison sequences all keep the first
+    occurrence of every pair, in input order (for blocks: the order of
+    ``BlockCollection.distinct_comparisons()``), canonically oriented.
+    """
+    if isinstance(candidates, ComparisonColumns):
+        return candidates.deduplicated()
+    if isinstance(candidates, BlockCollection):
+        return _columns_from_blocks(candidates)
+    return _columns_from_comparisons(candidates)
+
 
 def candidate_comparisons(candidates: CandidateSource) -> List[Comparison]:
-    """Normalise a candidate source (blocks or comparisons) into distinct comparisons."""
-    if isinstance(candidates, BlockCollection):
-        return list(candidates.distinct_comparisons())
-    seen = set()
-    distinct = []
-    for comparison in candidates:
-        if comparison.pair not in seen:
-            seen.add(comparison.pair)
-            distinct.append(comparison)
-    return distinct
+    """The distinct comparisons of a candidate source (see :func:`candidate_columns`)."""
+    return list(candidate_columns(candidates))
+
+
+def column_rows(columns: ComparisonColumns, order=None) -> Iterator[Row]:
+    """The rows of ``columns`` (in ``order``, when given), a missing weight as ``None``."""
+    first, second, weights = columns.first, columns.second, columns.weights
+    if weights is not None and _np.isnan(_np.frombuffer(weights, dtype=_np.float64)).any():
+        weights = [None if w != w else w for w in weights]
+    if order is None:
+        return zip(first, second, repeat(None) if weights is None else weights)
+    if weights is None:
+        return ((first[i], second[i], None) for i in order)
+    return ((first[i], second[i], weights[i]) for i in order)
 
 
 class ProgressiveScheduler(abc.ABC):
-    """Interface of a progressive comparison scheduler."""
+    """Interface of a progressive comparison scheduler.
+
+    A subclass implements :meth:`rows` (a feedback-free order over ordinal
+    rows, drained in batches) or overrides :meth:`schedule` (any generator
+    of comparisons, e.g. one that adapts to :meth:`feedback`).
+    """
 
     name = "scheduler"
 
-    @abc.abstractmethod
+    def rows(self, data: ERInput, candidates: CandidateSource) -> ScheduledRows:
+        """The schedule as ordinal rows over an identifier table."""
+        raise NotImplementedError(
+            f"{type(self).__name__} implements neither rows() nor schedule()"
+        )
+
     def schedule(self, data: ERInput, candidates: CandidateSource) -> Iterator[Comparison]:
         """Yield comparisons in the order they should be executed."""
+        yield from self.rows(data, candidates).comparisons()
 
     def feedback(self, decision: MatchDecision) -> None:
         """Receive the decision of the last executed comparison (default: ignored)."""
@@ -61,11 +197,12 @@ class RandomOrderScheduler(ProgressiveScheduler):
     def __init__(self, seed: int = 0) -> None:
         self.seed = seed
 
-    def schedule(self, data: ERInput, candidates: CandidateSource) -> Iterator[Comparison]:
-        comparisons = candidate_comparisons(candidates)
-        rng = random.Random(self.seed)
-        rng.shuffle(comparisons)
-        yield from comparisons
+    def rows(self, data: ERInput, candidates: CandidateSource) -> ScheduledRows:
+        columns = candidate_columns(candidates)
+        # a seeded Fisher--Yates shuffle of the row indices
+        order = list(range(len(columns)))
+        random.Random(self.seed).shuffle(order)
+        return ScheduledRows(columns.ids, column_rows(columns, order))
 
 
 class WeightOrderScheduler(ProgressiveScheduler):
@@ -74,16 +211,16 @@ class WeightOrderScheduler(ProgressiveScheduler):
     Comparisons without a weight are ranked after all weighted ones, in a
     deterministic order.  There is no update phase: the order is fixed up
     front, which is what distinguishes it from the adaptive schedulers.
+    Ties break on the canonical identifier pair
+    (:meth:`ComparisonColumns.weight_sorted`); columns that are already
+    weight-sorted (meta-blocking's) pass through at no cost.
     """
 
     name = "weight_order"
 
-    def schedule(self, data: ERInput, candidates: CandidateSource) -> Iterator[Comparison]:
-        comparisons = candidate_comparisons(candidates)
-        comparisons.sort(
-            key=lambda c: (-(c.weight if c.weight is not None else float("-inf")), c.first, c.second)
-        )
-        yield from comparisons
+    def rows(self, data: ERInput, candidates: CandidateSource) -> ScheduledRows:
+        columns = candidate_columns(candidates).weight_sorted()
+        return ScheduledRows(columns.ids, column_rows(columns))
 
 
 class StaticOrderScheduler(ProgressiveScheduler):
@@ -94,5 +231,10 @@ class StaticOrderScheduler(ProgressiveScheduler):
     def __init__(self, order: Sequence[Comparison]) -> None:
         self.order = list(order)
 
-    def schedule(self, data: ERInput, candidates: CandidateSource) -> Iterator[Comparison]:
-        yield from self.order
+    def rows(self, data: ERInput, candidates: CandidateSource) -> ScheduledRows:
+        intern = OrdinalInterner()
+        rows = (
+            (intern(comparison.first), intern(comparison.second), comparison.weight)
+            for comparison in self.order
+        )
+        return ScheduledRows(intern.ids, rows)

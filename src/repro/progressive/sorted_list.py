@@ -12,13 +12,20 @@ on their blocking keys").
 
 from __future__ import annotations
 
-from typing import Callable, Iterator, List, Optional
+from typing import Callable, Iterator, Optional, Set
 
 from repro.blocking.sorted_neighborhood import default_sorting_key, sorted_order
 from repro.datamodel.collection import CleanCleanTask
 from repro.datamodel.description import EntityDescription
-from repro.datamodel.pairs import Comparison
-from repro.progressive.schedulers import CandidateSource, ERInput, ProgressiveScheduler
+from repro.datamodel.pairs import pair_code
+from repro.progressive.schedulers import (
+    CandidateSource,
+    ERInput,
+    ProgressiveScheduler,
+    Row,
+    ScheduledRows,
+    candidate_columns,
+)
 
 
 class SortedListScheduler(ProgressiveScheduler):
@@ -51,32 +58,35 @@ class SortedListScheduler(ProgressiveScheduler):
         self.max_distance = max_distance
         self.restrict_to_candidates = restrict_to_candidates
 
-    def schedule(self, data: ERInput, candidates: CandidateSource) -> Iterator[Comparison]:
+    def rows(self, data: ERInput, candidates: CandidateSource) -> ScheduledRows:
         entries = sorted_order(data, self.sorting_key)
         identifiers = [identifier for _, identifier in entries]
         n = len(identifiers)
-        if n < 2:
-            return
-
-        allowed = None
+        allowed: Optional[Set[int]] = None
         if self.restrict_to_candidates and candidates is not None:
-            from repro.progressive.schedulers import candidate_comparisons
+            # the candidate pairs as packed codes of sorted positions
+            position = {identifier: i for i, identifier in enumerate(identifiers)}
+            columns = candidate_columns(candidates)
+            at = [position.get(identifier, -1) for identifier in columns.ids]
+            allowed = set()
+            for f, s in zip(columns.first, columns.second):
+                a, b = at[f], at[s]
+                if a >= 0 and b >= 0:  # else never emittable by the sweep
+                    allowed.add(pair_code(a, b))
+        bilateral = data if isinstance(data, CleanCleanTask) else None
+        limit = min(self.max_distance if self.max_distance is not None else n, n - 1)
 
-            allowed = {comparison.pair for comparison in candidate_comparisons(candidates)}
+        def rows() -> Iterator[Row]:
+            # every position pair occurs at exactly one distance
+            for distance in range(1, limit + 1):
+                for index in range(0, n - distance):
+                    partner = index + distance
+                    if bilateral is not None and not bilateral.is_valid_pair(
+                        identifiers[index], identifiers[partner]
+                    ):
+                        continue
+                    if allowed is not None and pair_code(index, partner) not in allowed:
+                        continue
+                    yield index, partner, None
 
-        bilateral = isinstance(data, CleanCleanTask)
-        limit = self.max_distance if self.max_distance is not None else n - 1
-        emitted = set()
-        for distance in range(1, min(limit, n - 1) + 1):
-            for index in range(0, n - distance):
-                first = identifiers[index]
-                second = identifiers[index + distance]
-                if bilateral and not data.is_valid_pair(first, second):
-                    continue
-                comparison = Comparison(first, second)
-                if allowed is not None and comparison.pair not in allowed:
-                    continue
-                if comparison.pair in emitted:
-                    continue
-                emitted.add(comparison.pair)
-                yield comparison
+        return ScheduledRows(identifiers, rows())

@@ -2,7 +2,9 @@
 
 Also the readable subclasses the equivalence suites use as oracles: a
 subclass is not the exact library type, so every stage runs the
-component's own readable method for it instead of the columnar path.
+component's own readable method for it instead of the columnar path (a
+scheduler's overrides ``schedule``, the route the scheduling stage takes
+for a scheduler of its own).
 
 Set ``REPRO_TEST_START_METHOD`` (``fork`` / ``spawn``) to run every
 :class:`~repro.mapreduce.parallel.ParallelEngine` the suite builds under that
@@ -33,7 +35,7 @@ from repro.metablocking.graph import BlockingGraph
 from repro.metablocking.pipeline import MetaBlocking
 from repro.metablocking.pruning import get_pruning_scheme
 from repro.metablocking.weighting import get_weighting_scheme
-from repro.progressive.schedulers import WeightOrderScheduler
+from repro.progressive.schedulers import ProgressiveScheduler, WeightOrderScheduler
 
 
 class ReadableBlocking(TokenBlocking):
@@ -41,7 +43,8 @@ class ReadableBlocking(TokenBlocking):
 
 
 class ReadableScheduler(WeightOrderScheduler):
-    pass
+    def schedule(self, data, candidates):
+        yield from super().schedule(data, candidates)
 
 
 class ReadableMatcher(ProfileSimilarityMatcher):
@@ -50,11 +53,20 @@ class ReadableMatcher(ProfileSimilarityMatcher):
 
 def readable(component):
     """A copy of ``component`` whose type is a trivial subclass of its own,
-    so every stage runs the component's own readable method for it."""
+    so every stage runs the component's own readable method for it (a
+    scheduler's subclass overrides ``schedule`` with the inherited one,
+    which sends the scheduling stage to that generator)."""
     clone = copy.copy(component)
     kind = type(component)
-    clone.__class__ = type(f"Readable{kind.__name__}", (kind,), {})
+    namespace = {}
+    if isinstance(component, ProgressiveScheduler):
+        namespace["schedule"] = _inherited_schedule
+    clone.__class__ = type(f"Readable{kind.__name__}", (kind,), namespace)
     return clone
+
+
+def _inherited_schedule(self, data, candidates):
+    yield from super(type(self), self).schedule(data, candidates)
 
 
 def graph_retained(blocks, weighting, pruning):

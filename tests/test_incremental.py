@@ -33,6 +33,33 @@ def test_max_candidates_must_be_a_positive_int(build, value):
         build(value)
 
 
+@pytest.mark.parametrize("value", [2.5, "2", -1, True, None])
+@pytest.mark.parametrize(
+    "build",
+    [
+        lambda value: ProfileSimilarityMatcher(min_token_length=value),
+        lambda value: IncrementalIndex(ProfileSimilarityMatcher(), min_token_length=value),
+        lambda value: IncrementalResolver(ProfileSimilarityMatcher(), min_token_length=value),
+        lambda value: IncrementalResolver(
+            ReadableMatcher(threshold=0.5), min_token_length=value
+        ),
+    ],
+    ids=["matcher", "index", "resolver", "object-resolver"],
+)
+def test_min_token_length_must_be_a_non_negative_int(build, value):
+    """Rejected at construction, before any arrival is interned."""
+    with pytest.raises(ValueError, match=r"min_token_length must be an int >= 0, got "):
+        build(value)
+
+
+@pytest.mark.parametrize("value", [0, 3])
+def test_an_accepted_min_token_length_survives_a_snapshot(tmp_path, value):
+    index = IncrementalIndex(ProfileSimilarityMatcher(), min_token_length=value)
+    index.add(EntityDescription("a", {"name": "alan turing"}))
+    index.save(tmp_path)
+    assert IncrementalIndex.load(tmp_path).min_token_length == value
+
+
 def test_duplicate_identifiers_are_rejected():
     resolver = IncrementalResolver(ProfileSimilarityMatcher(threshold=0.5))
     resolver.add(EntityDescription("a", {"name": "alan turing"}))

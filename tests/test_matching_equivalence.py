@@ -857,7 +857,7 @@ class TestColumnarDrain:
         self, small_dirty_dataset, budget, keep_decisions
     ):
         """Block candidates are interned by the scheduling engine in block
-        order (``_columns_from_blocks``): its ordinals are not the context's."""
+        order (``candidate_columns``): its ordinals are not the context's."""
         data = small_dirty_dataset.collection
         context = PipelineContext(data)
         blocks = TokenBlocking().build(data)

@@ -5,7 +5,10 @@ Invariants every scheduler must satisfy regardless of the data:
 * it never emits a pair that is not in the candidate set (when restricted to
   candidates) and never emits the same pair twice;
 * feeding back arbitrary decisions never breaks those guarantees;
-* the weight-ordered scheduler emits weights in non-increasing order.
+* the weight-ordered scheduler emits weights in non-increasing order, the
+  pairs without a weight last;
+* the order-based schedulers emit every distinct pair once, with the weight
+  of its first occurrence (``None`` stays ``None``).
 """
 
 from hypothesis import given, settings
@@ -24,7 +27,8 @@ from repro.progressive.sorted_list import SortedListScheduler
 
 @st.composite
 def small_er_input(draw):
-    """A small collection plus a candidate comparison list over it."""
+    """A small collection plus a candidate comparison list over it (pairs may
+    repeat, in either orientation; a weight may be missing)."""
     size = draw(st.integers(min_value=2, max_value=8))
     words = ["alpha", "beta", "gamma", "delta", "epsilon", "zeta"]
     descriptions = []
@@ -44,7 +48,11 @@ def small_er_input(draw):
         )
     )
     weights = draw(
-        st.lists(st.floats(min_value=0.0, max_value=1.0), min_size=len(pair_indices), max_size=len(pair_indices))
+        st.lists(
+            st.none() | st.floats(min_value=0.0, max_value=1.0),
+            min_size=len(pair_indices),
+            max_size=len(pair_indices),
+        )
     )
     candidates = [
         Comparison(identifiers[i], identifiers[j], weight=w)
@@ -87,8 +95,27 @@ def test_schedulers_emit_unique_candidate_pairs(er_input):
 def test_weight_order_is_non_increasing(er_input):
     collection, candidates = er_input
     ordered = list(WeightOrderScheduler().schedule(collection, candidates))
-    weights = [c.weight if c.weight is not None else float("-inf") for c in ordered]
-    assert all(a >= b for a, b in zip(weights, weights[1:]))
+    weighted = [c.weight for c in ordered if c.weight is not None]
+    assert [c.weight for c in ordered[: len(weighted)]] == weighted  # None last
+    assert all(a >= b for a, b in zip(weighted, weighted[1:]))
+
+
+@given(small_er_input())
+@settings(max_examples=40, deadline=None)
+def test_each_pair_is_emitted_once_with_its_first_weight(er_input):
+    collection, candidates = er_input
+    first_weight = {}
+    for comparison in candidates:
+        first_weight.setdefault(comparison.pair, comparison.weight)
+    for scheduler in (WeightOrderScheduler(), RandomOrderScheduler(seed=3)):
+        emitted = list(scheduler.schedule(collection, candidates))
+        assert sorted(c.pair for c in emitted) == sorted(first_weight)
+        for comparison in emitted:
+            expected = first_weight[comparison.pair]
+            if expected is None:
+                assert comparison.weight is None
+            else:
+                assert comparison.weight == expected
 
 
 @given(small_er_input())
