@@ -20,26 +20,31 @@ The package covers three families:
   :class:`~repro.blocking.cleaning.BlockFiltering`,
   :class:`~repro.blocking.cleaning.ComparisonPropagation`.
 
-Execution paths
----------------
+Execution
+---------
 
-Building and cleaning run behind
-:class:`~repro.blocking.engine.BlockingEngine`.  The exact library builders
-and cleaners run on flat integer columns (postings of description ordinals,
-a CSR of block members, one ``lexsort`` for filtering, pairs deduplicated as
-single integers); any other builder or cleaner -- subclasses included --
-runs its own ``build`` / ``process``, the readable reference the
-equivalence suite compares against.  A builder falling back announces
-itself with a one-time :class:`RuntimeWarning` naming the scheme.  Both
-paths produce block-for-block identical collections; see
-:mod:`repro.blocking.engine` for the exact layout and guarantees.
+Each builder's ``build(data, context=None)`` and each cleaner's ``process``
+is the one body of its algorithm.  The token family, attribute clustering,
+minhash/LSH, canopy, the sorted-neighbourhood variants and the similarity
+join read the interned token columns of a
+:class:`~repro.core.context.PipelineContext` -- the one passed in when it
+owns the input, a private one otherwise -- and the token-keyed builds hand
+their blocks on as :class:`~repro.blocking.columns.BlockColumns` postings;
+the key-based schemes (standard, q-grams, suffix arrays) read the
+descriptions and ignore the context.  Purging and filtering are passes over
+the block columns, propagation deduplicates pairs as single integers.
+:class:`~repro.blocking.engine.BlockingEngine` runs build and clean as one
+workflow stage; a subclass that overrides ``build`` or ``process`` runs its
+own method wherever it is used.
 
-Tie rules pinned by the array engines
--------------------------------------
+Tie rules
+---------
 
-The long-tail builders fix (and the bit-identity suite pins) the orderings
-that make both engines reproducible:
+The orderings that make every build reproducible (the seeded fixtures in
+``tests/fixtures/blocking/`` pin them):
 
+* **token family**: blocks come in sorted key order; members in
+  description (ordinal) order, left before right for clean--clean input.
 * **sorted neighbourhood** (all three variants): entries sort by
   ``(key, identifier)``; windows keep members in sorted-entry order and the
   multi-pass variant prefixes window keys with the pass index.
@@ -85,7 +90,6 @@ from repro.blocking.token_blocking import (
     PrefixInfixSuffixBlocking,
     TokenBlocking,
     cluster_attribute_profiles,
-    cluster_attributes,
 )
 
 __all__ = [
@@ -115,7 +119,6 @@ __all__ = [
     "attribute_key",
     "clean_blocks",
     "cluster_attribute_profiles",
-    "cluster_attributes",
     "sorted_order",
     "soundex",
     "soundex_key",

@@ -18,8 +18,10 @@ from __future__ import annotations
 
 import abc
 import itertools
+import numbers
 from typing import Dict, Iterable, Iterator, List, Optional, Sequence, Set, Tuple, Union
 
+from repro.core.context import PipelineContext
 from repro.datamodel.collection import CleanCleanTask, EntityCollection
 from repro.datamodel.pairs import Comparison, canonical_pair
 
@@ -309,6 +311,30 @@ class BlockCollection:
         )
 
 
+def check_unit_interval(name: str, value, open_low: bool = False) -> float:
+    """``value`` if it is a number in [0, 1] ((0, 1] with ``open_low``), else
+    ``ValueError`` naming the parameter (NaN, infinities and ``bool`` fail)."""
+    if isinstance(value, bool) or not isinstance(value, numbers.Real) or not (
+        (value > 0.0 if open_low else value >= 0.0) and value <= 1.0
+    ):
+        interval = "(0, 1]" if open_low else "[0, 1]"
+        raise ValueError(f"{name} must be a number in {interval}, got {value!r}")
+    return value
+
+
+def interned(data: ERInput, context=None):
+    """``context`` if it owns ``data``, else a private context over ``data``.
+
+    The one way a builder reaches the interned columns of its input: a shared
+    :class:`~repro.core.context.PipelineContext` lends its ordinals only to
+    the data it was built for.  The private context interns lazily, on the
+    first column a builder reads.
+    """
+    if context is None or not context.owns(data):
+        context = PipelineContext(data)
+    return context
+
+
 class BlockBuilder(abc.ABC):
     """Interface of a blocking scheme.
 
@@ -322,8 +348,14 @@ class BlockBuilder(abc.ABC):
     name: str = "blocking"
 
     @abc.abstractmethod
-    def build(self, data: ERInput) -> BlockCollection:
-        """Build blocks for the given ER input."""
+    def build(self, data: ERInput, context=None) -> BlockCollection:
+        """Build blocks for the given ER input.
+
+        ``context`` is an optional shared
+        :class:`~repro.core.context.PipelineContext`; the builders that read
+        interned token columns use it when it owns ``data`` (see
+        :func:`interned`), the key-based ones ignore it.
+        """
 
     # ------------------------------------------------------------------
     # helpers shared by key-based builders

@@ -1,8 +1,7 @@
 """Blocks as columns, and the shared token-id columns of the array builds.
 
 **Blocks.**  :class:`BlockColumns` is the form blocks travel in from
-:meth:`BlockingEngine.build <repro.blocking.engine.BlockingEngine.build>`
-through purging and filtering to
+a builder's ``build`` through purging and filtering to
 :meth:`EntityIndexEngine.from_columns
 <repro.metablocking.entity_index.EntityIndexEngine.from_columns>`: the block
 keys, a CSR of member *ordinals* into one identifier table (the shared
@@ -12,7 +11,7 @@ no identifier string is read and no :class:`~repro.blocking.base.Block`
 exists until somebody iterates the
 :class:`~repro.blocking.base.BlockCollection` viewing the columns.
 :meth:`BlockColumns.from_collection` is the one interning pass for whatever
-arrives as objects (the long-tail builders, oracle builds, user collections),
+arrives as objects (the window, canopy and join builders, user collections),
 :meth:`BlockColumns.blocks` the one way back.
 
 **Token columns.**  The long-tail scheme families (minhash/LSH, canopy, the
@@ -22,17 +21,15 @@ words and minimum token length.  :class:`TokenColumnView` materialises that
 view from a :class:`~repro.core.context.PipelineContext`: the
 per-description columns are its interned counts filtered by the cached
 :class:`~repro.core.context.TokenFilter` mask, so no raw string is touched
-(the single-interning guarantee).
-:func:`append_posting` and :func:`add_block` are their posting/emission
-helpers: ascending ordinal postings materialised into
-:class:`~repro.blocking.base.Block` objects with the oracle's
-degenerate-block rules.
+(the single-interning guarantee).  :func:`append_posting` and
+:func:`concatenated` build the ascending ordinal postings that
+:meth:`BlockColumns.from_postings` turns into blocks.
 """
 
 from __future__ import annotations
 
 from array import array
-from typing import Callable, Dict, List, Optional, Sequence
+from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
 from repro.blocking.base import Block, BlockCollection
 
@@ -149,7 +146,8 @@ class BlockColumns:
         belong to the left collection, so left members come first), or
         ``-1`` for dirty input.  Postings longer than ``limit`` and
         degenerate ones (fewer than two members, an empty side) are dropped,
-        exactly as by :func:`add_block`.
+        exactly as by :meth:`BlockCollection.add
+        <repro.blocking.base.BlockCollection.add>`.
         """
         np = _np
         ptr, members = int_view(ptr), int_view(members)
@@ -257,28 +255,13 @@ def append_posting(postings: Dict, key, ordinal: int) -> None:
     posting.append(ordinal)
 
 
-def add_block(
-    collection: BlockCollection,
-    key: str,
-    posting: Sequence[int],
-    ids: Sequence[str],
-    left_count: int,
-) -> None:
-    """Materialise one block from a posting of description ordinals.
-
-    ``left_count`` is the number of left-side descriptions for clean--clean
-    input (ordinals below it belong to the left collection, and postings are
-    ascending so left members come first), or ``-1`` for dirty input.
-    Degenerate blocks are dropped exactly as by
-    ``BlockBuilder._blocks_from_key_index``.
-    """
-    if left_count >= 0:
-        left = [ids[o] for o in posting if o < left_count]
-        right = [ids[o] for o in posting if o >= left_count]
-        if left and right:
-            collection.add(Block(key, left_members=left, right_members=right))
-    elif len(posting) >= 2:
-        collection.add(Block(key, members=[ids[o] for o in posting]))
+def concatenated(postings: Dict) -> Tuple[array, array]:
+    """The ``(pointer, members)`` CSR of ``postings``' values, in dict order."""
+    ptr, members = array("q", [0]), array("q")
+    for posting in postings.values():
+        members.extend(posting)
+        ptr.append(len(members))
+    return ptr, members
 
 
 class TokenColumnView:
@@ -320,10 +303,6 @@ class TokenColumnView:
     def token_of(self, token_id: int) -> str:
         """The token string behind ``token_id``."""
         return self._token_of(token_id)
-
-    @property
-    def num_entities(self) -> int:
-        return len(self.columns)
 
     # ------------------------------------------------------------------
     @classmethod

@@ -21,12 +21,12 @@ The whole hash family derives from the single ``seed`` argument: one
 ``(a_i, b_i)`` in interleaved order (``a_0, b_0, a_1, b_1, ...``), with
 ``a_i`` uniform on ``[1, 2**32 - 1]`` and ``b_i`` uniform on
 ``[0, 2**61 - 2]``.  Keeping the multipliers in 32 bits bounds
-``a_i * h(token)`` by ``2**64`` for the 32-bit token hashes, so the
-vectorised engine can evaluate the identical family in ``uint64``
-arithmetic (``((a * h) % P + b) % P == (a * h + b) % P`` exactly, since
+``a_i * h(token)`` by ``2**64`` for the 32-bit token hashes, so the build
+evaluates the identical family in vectorised ``uint64`` arithmetic
+(``((a * h) % P + b) % P == (a * h + b) % P`` exactly, since
 ``(a * h) % P + b < 2**62``).  Signatures are therefore reproducible
-bit-for-bit across the object builder and the array build from the seed
-alone.
+bit-for-bit between :meth:`MinHashSignature.signature` and the build, from
+the seed alone.
 """
 
 from __future__ import annotations
@@ -34,12 +34,11 @@ from __future__ import annotations
 import hashlib
 import random
 from array import array
-from typing import Dict, Iterable, List, Sequence, Set, Tuple
+from typing import Dict, Iterable, List, Sequence, Tuple
 
-from repro.blocking.base import Block, BlockBuilder, BlockCollection, ERInput
-from repro.blocking.columns import TokenColumnView, add_block, append_posting
-from repro.datamodel.description import EntityDescription
-from repro.text.tokenize import DEFAULT_STOP_WORDS, token_set
+from repro.blocking.base import BlockBuilder, BlockCollection, ERInput, interned
+from repro.blocking.columns import BlockColumns, TokenColumnView, append_posting, concatenated
+from repro.text.tokenize import DEFAULT_STOP_WORDS, check_min_token_length
 
 import numpy as _np
 
@@ -128,7 +127,7 @@ class MinHashLSHBlocking(BlockBuilder):
         self.num_bands = num_bands
         self.rows_per_band = rows_per_band
         self.stop_words = frozenset(stop_words) if stop_words else frozenset()
-        self.min_token_length = min_token_length
+        self.min_token_length = check_min_token_length(min_token_length)
         self._minhash = MinHashSignature(num_hashes=num_bands * rows_per_band, seed=seed)
 
     @property
@@ -136,31 +135,52 @@ class MinHashLSHBlocking(BlockBuilder):
         """The Jaccard similarity at which the banding curve crosses ~50% recall."""
         return (1.0 / self.num_bands) ** (1.0 / self.rows_per_band)
 
-    def tokens_of(self, description: EntityDescription) -> Set[str]:
-        return token_set(
-            description.values(),
-            stop_words=self.stop_words,
-            min_length=self.min_token_length,
+    def build(self, data: ERInput, context=None) -> BlockCollection:
+        """One signature matrix over the token columns, integer band bucketing.
+
+        Every distinct token is md5-hashed once, the signatures are the
+        universal-hash minima of :meth:`MinHashSignature.signature_of_hashes`
+        (:func:`_signature_rows`), bands bucket by integer tuples, and the
+        blocks come out in the sorted order of their key strings
+        ``b<band>:<v1>-<v2>-...``.  Descriptions without a token join no band.
+        """
+        view = TokenColumnView.from_context(
+            interned(data, context), self.stop_words, self.min_token_length
         )
-
-    def build(self, data: ERInput) -> BlockCollection:
-        key_index: Dict[str, Dict[str, List[str]]] = {}
-        for side, description in self._iter_with_side(data):
-            tokens = self.tokens_of(description)
-            if not tokens:
+        hash_cache: Dict[int, int] = {}
+        token_of = view.token_of
+        entities: List[int] = []
+        hashed_columns: List[array] = []
+        for ordinal, column in enumerate(view.columns):
+            if not len(column):
                 continue
-            signature = self._minhash.signature(tokens)
+            hashed = array("q")
+            for token_id in column:
+                value = hash_cache.get(token_id)
+                if value is None:
+                    value = hash_cache[token_id] = _token_hash(token_of(token_id))
+                hashed.append(value)
+            entities.append(ordinal)
+            hashed_columns.append(hashed)
+
+        rows = _signature_rows(self._minhash, hashed_columns)
+        rows_per_band = self.rows_per_band
+        postings: Dict[Tuple[int, ...], array] = {}
+        for ordinal, signature in zip(entities, rows):
             for band in range(self.num_bands):
-                start = band * self.rows_per_band
-                band_values = signature[start : start + self.rows_per_band]
-                key = f"b{band}:" + "-".join(str(v) for v in band_values)
-                key_index.setdefault(key, {}).setdefault(side, []).append(description.identifier)
-        return self._blocks_from_key_index(key_index, data, name=self.name)
+                start = band * rows_per_band
+                key = (band, *signature[start : start + rows_per_band])
+                append_posting(postings, key, ordinal)
+        columns = BlockColumns.from_postings(
+            [f"b{key[0]}:" + "-".join(map(str, key[1:])) for key in postings],
+            *concatenated(postings),
+            view.ids,
+            view.left_count,
+            None,
+        )
+        return BlockCollection.from_columns(columns, name=self.name)
 
 
-# ----------------------------------------------------------------------
-# array build (dispatched by repro.blocking.engine.BlockingEngine)
-# ----------------------------------------------------------------------
 def _signature_rows(
     minhash: MinHashSignature, hashed_columns: List[array]
 ) -> List[Sequence[int]]:
@@ -191,51 +211,3 @@ def _signature_rows(
         permuted &= mask
         np.minimum.reduceat(permuted, starts, out=rows[position])
     return rows.T.tolist()
-
-
-def _index_build(builder: MinHashLSHBlocking, data: ERInput, context) -> BlockCollection:
-    """Array build: one signature matrix, integer band bucketing.
-
-    Block-for-block identical to :meth:`MinHashLSHBlocking.build`: the token
-    sets come from the shared columns (or one ``token_set`` pass), every
-    distinct token is md5-hashed once instead of once per occurrence, the
-    signatures are the same universal-hash minima, and bands bucket by
-    integer tuples with the final emission in the oracle's sorted
-    key-string order.
-    """
-    view = TokenColumnView.from_context(context, builder.stop_words, builder.min_token_length)
-    hash_cache: Dict[int, int] = {}
-    token_of = view.token_of
-    entities: List[int] = []
-    hashed_columns: List[array] = []
-    for ordinal, column in enumerate(view.columns):
-        if not len(column):
-            continue
-        hashed = array("q")
-        for token_id in column:
-            value = hash_cache.get(token_id)
-            if value is None:
-                value = hash_cache[token_id] = _token_hash(token_of(token_id))
-            hashed.append(value)
-        entities.append(ordinal)
-        hashed_columns.append(hashed)
-
-    rows = _signature_rows(builder._minhash, hashed_columns)
-
-    num_bands = builder.num_bands
-    rows_per_band = builder.rows_per_band
-    postings: Dict[Tuple[int, ...], array] = {}
-    for ordinal, signature in zip(entities, rows):
-        for band in range(num_bands):
-            start = band * rows_per_band
-            key = (band, *signature[start : start + rows_per_band])
-            append_posting(postings, key, ordinal)
-
-    collection = BlockCollection(name=builder.name)
-    keyed = sorted(
-        ("b{}:".format(key[0]) + "-".join(str(v) for v in key[1:]), key)
-        for key in postings
-    )
-    for key_string, key in keyed:
-        add_block(collection, key_string, postings[key], view.ids, view.left_count)
-    return collection

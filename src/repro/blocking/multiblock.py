@@ -12,7 +12,7 @@ from __future__ import annotations
 
 from typing import Dict, List, Optional, Sequence, Set, Tuple
 
-from repro.blocking.base import Block, BlockBuilder, BlockCollection, ERInput
+from repro.blocking.base import Block, BlockBuilder, BlockCollection, ERInput, interned
 from repro.datamodel.collection import CleanCleanTask
 
 
@@ -51,8 +51,10 @@ class MultidimensionalBlocking(BlockBuilder):
         #: per-dimension block collections of the last build (for inspection)
         self.last_dimension_blocks: List[BlockCollection] = []
 
-    def build(self, data: ERInput) -> BlockCollection:
-        self.last_dimension_blocks = [builder.build(data) for builder in self.dimensions]
+    def build(self, data: ERInput, context=None) -> BlockCollection:
+        # one context for every dimension: the input is interned once
+        context = interned(data, context)
+        self.last_dimension_blocks = [builder.build(data, context) for builder in self.dimensions]
 
         # count in how many dimensions each distinct pair co-occurs
         dimension_counts: Dict[Tuple[str, str], int] = {}

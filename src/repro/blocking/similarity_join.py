@@ -20,27 +20,14 @@ discard candidates whose maximum possible overlap is already too small.
 
 from __future__ import annotations
 
-import math
-from typing import Dict, List, Optional, Sequence, Set, Tuple
+from typing import Dict, List, Sequence, Tuple
 
 import numpy as _np
 
-from repro.blocking.base import Block, BlockBuilder, BlockCollection, ERInput
-from repro.datamodel.collection import CleanCleanTask
-from repro.datamodel.description import EntityDescription
-from repro.datamodel.pairs import canonical_pair, identifier_ranks
-from repro.text.similarity import jaccard_similarity
-from repro.text.tokenize import DEFAULT_STOP_WORDS, token_set
-
-
-def _required_overlap(size_a: int, size_b: int, threshold: float) -> float:
-    """Minimum token overlap two sets must share to reach Jaccard ``threshold``."""
-    return threshold / (1.0 + threshold) * (size_a + size_b)
-
-
-def _prefix_length(size: int, threshold: float) -> int:
-    """Prefix-filtering length for a record of ``size`` tokens at Jaccard ``threshold``."""
-    return size - int(math.ceil(size * threshold)) + 1
+from repro.blocking.base import Block, BlockBuilder, BlockCollection, ERInput, interned
+from repro.blocking.columns import TokenColumnView
+from repro.datamodel.pairs import identifier_ranks
+from repro.text.tokenize import DEFAULT_STOP_WORDS, check_min_token_length
 
 
 class SimilarityJoinBlocking(BlockBuilder):
@@ -72,136 +59,117 @@ class SimilarityJoinBlocking(BlockBuilder):
         self.threshold = threshold
         self.use_positional_filter = use_positional_filter
         self.stop_words = frozenset(stop_words) if stop_words else frozenset()
-        self.min_token_length = min_token_length
+        self.min_token_length = check_min_token_length(min_token_length)
         #: populated by :meth:`build`; statistics useful for benchmarks
         self.last_candidate_count = 0
         self.last_verified_count = 0
 
     # ------------------------------------------------------------------
-    def _record_tokens(self, description: EntityDescription) -> Set[str]:
-        return token_set(
-            description.values(),
-            stop_words=self.stop_words,
-            min_length=self.min_token_length,
-        )
-
-    def _sorted_records(
-        self, data: ERInput
-    ) -> Tuple[List[Tuple[str, str, List[str]]], Dict[str, int]]:
-        """Return records as ``(identifier, side, sorted tokens)`` plus global token order.
-
-        Tokens are sorted by ascending document frequency (rarest first), the
-        canonical ordering for prefix filtering.
-        """
-        raw: List[Tuple[str, str, Set[str]]] = []
-        document_frequency: Dict[str, int] = {}
-        for side, description in self._iter_with_side(data):
-            tokens = self._record_tokens(description)
-            raw.append((description.identifier, side, tokens))
-            for token in tokens:
-                document_frequency[token] = document_frequency.get(token, 0) + 1
-
-        def order(token: str) -> Tuple[int, str]:
-            return (document_frequency[token], token)
-
-        records = [
-            (identifier, side, sorted(tokens, key=order))
-            for identifier, side, tokens in raw
-        ]
-        # process shorter records first: their prefixes are shorter and the
-        # index stays small (standard AllPairs processing order)
-        records.sort(key=lambda r: (len(r[2]), r[0]))
-        return records, document_frequency
-
-    # ------------------------------------------------------------------
-    def build(self, data: ERInput) -> BlockCollection:
-        records, _ = self._sorted_records(data)
-        bilateral = isinstance(data, CleanCleanTask)
-        token_sets: Dict[str, Set[str]] = {identifier: set(tokens) for identifier, _, tokens in records}
-        sides: Dict[str, str] = {identifier: side for identifier, side, _ in records}
-
-        # inverted index over prefix tokens: token -> list of (identifier, position, size)
-        index: Dict[str, List[Tuple[str, int, int]]] = {}
-        candidates: Set[Tuple[str, str]] = set()
-
-        for identifier, side, tokens in records:
-            size = len(tokens)
-            if size == 0:
-                continue
-            prefix_len = _prefix_length(size, self.threshold)
-            overlap_bound: Dict[str, float] = {}
-            for position in range(min(prefix_len, size)):
-                token = tokens[position]
-                for other_id, other_position, other_size in index.get(token, []):
-                    if bilateral and sides[other_id] == side:
-                        continue
-                    # length filter: |x| >= threshold * |y|
-                    if other_size < self.threshold * size:
-                        continue
-                    if self.use_positional_filter:
-                        # positional filter: remaining tokens bound the overlap
-                        remaining = min(size - position, other_size - other_position)
-                        already = overlap_bound.get(other_id, 0.0) + remaining
-                        if already < _required_overlap(size, other_size, self.threshold):
-                            overlap_bound[other_id] = overlap_bound.get(other_id, 0.0) + 1.0
-                            continue
-                    candidates.add(canonical_pair(identifier, other_id))
-                index.setdefault(token, []).append((identifier, position, size))
-
-        self.last_candidate_count = len(candidates)
-
+    def build(self, data: ERInput, context=None) -> BlockCollection:
+        """One two-member block ``join:<first>|<second>`` per verified pair,
+        in canonical pair order."""
+        view, pairs, _scores = self._verified(interned(data, context))
+        ids = view.ids
+        left_count = view.left_count
         collection = BlockCollection(name=self.name)
-        verified = 0
-        for first, second in sorted(candidates):
-            similarity = jaccard_similarity(token_sets[first], token_sets[second])
-            if similarity >= self.threshold:
-                verified += 1
-                key = f"join:{first}|{second}"
-                if bilateral:
-                    left, right = (
-                        (first, second) if sides[first] == "left" else (second, first)
-                    )
-                    collection.add(Block(key, left_members=[left], right_members=[right]))
-                else:
-                    collection.add(Block(key, members=[first, second]))
-        self.last_verified_count = verified
+        for first_ordinal, second_ordinal in pairs:
+            first = ids[first_ordinal]
+            second = ids[second_ordinal]
+            key = f"join:{first}|{second}"
+            if left_count >= 0:
+                left, right = (first, second) if first_ordinal < left_count else (second, first)
+                collection.add(Block(key, left_members=[left], right_members=[right]))
+            else:
+                collection.add(Block(key, members=[first, second]))
         return collection
 
-    # ------------------------------------------------------------------
-    def join_pairs(self, data: ERInput) -> List[Tuple[str, str, float]]:
-        """Return the verified pairs with their exact similarities (join-style API)."""
-        blocks = self.build(data)
-        results: List[Tuple[str, str, float]] = []
-        token_cache: Dict[str, Set[str]] = {}
+    def join_pairs(self, data: ERInput, context=None) -> List[Tuple[str, str, float]]:
+        """The verified pairs with their exact Jaccard similarities (join-style API)."""
+        view, pairs, scores = self._verified(interned(data, context))
+        ids = view.ids
+        return [(ids[first], ids[second], score) for (first, second), score in zip(pairs, scores)]
 
-        def tokens_for(identifier: str) -> Set[str]:
-            if identifier not in token_cache:
-                description = (
-                    data.get(identifier)
-                    if isinstance(data, CleanCleanTask)
-                    else data.get(identifier)
-                )
-                token_cache[identifier] = self._record_tokens(description) if description else set()
-            return token_cache[identifier]
+    def _verified(self, context):
+        """``(token view, verified ordinal pairs, their Jaccard scores)``.
 
-        for block in blocks:
-            for first, second in block.pairs():
-                results.append(
-                    (first, second, jaccard_similarity(tokens_for(first), tokens_for(second)))
-                )
-        return results
+        Candidate generation runs entirely in *rank space*: the global
+        rarest-first token order ranks ids once by ``(document frequency,
+        token string)``, records are processed shortest-first with
+        identifier tie-breaks, and the prefix-index scan collapses into one
+        vectorised encounter enumeration (see :func:`_vectorised_candidates`
+        for why the positional filter admits this).  Candidate pairs are
+        packed into single integers whose ascending order is the sorted
+        order of the canonical identifier pairs.  Verification runs through
+        the matching engine's columnar set scorer
+        (:meth:`repro.matching.engine.MatchingEngine.score_id_set_pairs`)
+        with a Jaccard :class:`~repro.matching.matchers.ProfileSimilarityMatcher`
+        at the join threshold.
+        """
+        from repro.matching.engine import MatchingEngine
+        from repro.matching.matchers import ProfileSimilarityMatcher
+
+        view = TokenColumnView.from_context(context, self.stop_words, self.min_token_length)
+        columns = view.columns
+        ids = view.ids
+        n = len(columns)
+        threshold = self.threshold
+        left_count = view.left_count
+
+        document_frequency: Dict[int, int] = {}
+        frequency_get = document_frequency.get
+        for column in columns:
+            for token_id in column:
+                document_frequency[token_id] = frequency_get(token_id, 0) + 1
+        token_of = view.token_of
+        rank_of: Dict[int, int] = {
+            token_id: rank
+            for rank, token_id in enumerate(
+                sorted(document_frequency, key=lambda t: (document_frequency[t], token_of(t)))
+            )
+        }
+
+        # identifier ranks: candidate pairs order by them exactly as canonical
+        # string pairs sort
+        id_rank = identifier_ranks(ids)
+        record_order = sorted(range(n), key=lambda o: (len(columns[o]), ids[o]))
+        ordered_codes = _vectorised_candidates(
+            columns,
+            n,
+            left_count,
+            threshold,
+            self.use_positional_filter,
+            rank_of,
+            view.num_tokens,
+            id_rank,
+            record_order,
+        )
+        self.last_candidate_count = int(ordered_codes.size)
+        rank_to_ordinal = _np.argsort(id_rank)
+        candidates = list(
+            zip(
+                rank_to_ordinal[ordered_codes // n].tolist(),
+                rank_to_ordinal[ordered_codes % n].tolist(),
+            )
+        )
+        matcher = ProfileSimilarityMatcher(
+            threshold=threshold,
+            stop_words=self.stop_words,
+            min_token_length=self.min_token_length,
+            similarity_name="jaccard",
+        )
+        scores = MatchingEngine(matcher, context=context).score_id_set_pairs(candidates, columns)
+        verified = [
+            (pair, score) for pair, score in zip(candidates, scores) if score >= threshold
+        ]
+        self.last_verified_count = len(verified)
+        return view, [pair for pair, _ in verified], [score for _, score in verified]
 
 
-# ----------------------------------------------------------------------
-# array build (dispatched by repro.blocking.engine.BlockingEngine)
-# ----------------------------------------------------------------------
 def _vectorised_candidates(
     columns,
     n: int,
     left_count: int,
-    bilateral: bool,
     threshold: float,
-    coefficient: float,
     use_positional: bool,
     rank_of: Dict[int, int],
     num_tokens: int,
@@ -210,8 +178,8 @@ def _vectorised_candidates(
 ):
     """All candidate codes in one vectorised pass, sorted ascending.
 
-    The oracle's positional filter looks order-sensitive (``overlap_bound``
-    grows by one per failed check), but over rank-sorted prefixes both the
+    PPJoin's sequential positional filter looks order-sensitive (a pair's
+    overlap bound grows by one per failed check), but over rank-sorted prefixes both the
     scanning record's position and the indexed record's position strictly
     increase between consecutive shared tokens, so the remaining-overlap
     bound shrinks by at least one per encounter while the failure count
@@ -221,9 +189,9 @@ def _vectorised_candidates(
     exactly when *any* of its (earlier record, later record, shared prefix
     token) encounters passes the filters with a zero prior bound -- a
     fully static test this helper evaluates for every encounter at once.
-    The float expressions are the oracle's, and "earlier" follows the
-    oracle's shortest-first processing order, so the returned candidate
-    set is bit-identical to the sequential loop's.
+    The float expressions are the sequential loop's, and "earlier" follows
+    its shortest-first processing order, so the returned candidate set is
+    the sequential loop's exactly.
     """
     np = _np
     lens = np.fromiter((len(column) for column in columns), dtype=np.int64, count=n)
@@ -281,122 +249,17 @@ def _vectorised_candidates(
     later_record = entry_records[later]
     earlier_size = lens[earlier_record]
     later_size = lens[later_record]
-    # length filter: the oracle's ``other_size < threshold * size`` with
+    # length filter: the sequential ``other_size < threshold * size`` with
     # the earlier record as "other" (processing is shortest-first)
     keep = earlier_size >= threshold * later_size
-    if bilateral:
+    if left_count >= 0:
         keep &= (earlier_record < left_count) != (later_record < left_count)
     if use_positional:
         remaining = np.minimum(
             later_size - entry_positions[later], earlier_size - entry_positions[earlier]
         )
-        keep &= remaining >= coefficient * (later_size + earlier_size)
+        keep &= remaining >= threshold / (1.0 + threshold) * (later_size + earlier_size)
     first_rank = id_rank[later_record[keep]]
     second_rank = id_rank[earlier_record[keep]]
     codes = np.minimum(first_rank, second_rank) * n + np.maximum(first_rank, second_rank)
     return np.unique(codes)
-
-
-def _index_build(builder: SimilarityJoinBlocking, data: ERInput, context) -> BlockCollection:
-    """Array build: prefix filtering over sorted-id columns, columnar verification.
-
-    Candidate generation runs entirely in *rank space*: the global
-    rarest-first token order ranks ids once by ``(document frequency,
-    token string)``, every column is translated to its ascending rank
-    list, records are processed shortest-first with identifier
-    tie-breaks, and the length/positional filters evaluate the identical
-    float expressions -- so the candidate *set* is the oracle's exactly.
-    The whole prefix-index scan collapses into one vectorised encounter
-    enumeration (see :func:`_vectorised_candidates` for why the positional
-    filter admits this).  Candidate pairs are
-    packed into single integers whose ascending order equals the oracle's
-    sorted canonical string pairs.  Verification then runs through the
-    matching engine's columnar set scorer
-    (:meth:`repro.matching.engine.MatchingEngine.score_id_set_pairs`) with
-    a Jaccard :class:`~repro.matching.matchers.ProfileSimilarityMatcher`
-    at the join threshold, whose batched intersection counts are
-    bit-identical to the oracle's per-pair ``jaccard_similarity``.
-    """
-    from repro.blocking.columns import TokenColumnView
-    from repro.matching.engine import MatchingEngine
-    from repro.matching.matchers import ProfileSimilarityMatcher
-
-    view = TokenColumnView.from_context(context, builder.stop_words, builder.min_token_length)
-    columns = view.columns
-    ids = view.ids
-    n = len(columns)
-    threshold = builder.threshold
-    left_count = view.left_count
-    bilateral = left_count >= 0
-
-    document_frequency: Dict[int, int] = {}
-    frequency_get = document_frequency.get
-    for column in columns:
-        for token_id in column:
-            document_frequency[token_id] = frequency_get(token_id, 0) + 1
-    token_of = view.token_of
-    rank_of: Dict[int, int] = {
-        token_id: rank
-        for rank, token_id in enumerate(
-            sorted(document_frequency, key=lambda t: (document_frequency[t], token_of(t)))
-        )
-    }
-
-    # identifier ranks: candidate pairs order by them exactly as canonical
-    # string pairs sort, and ascending rank is the oracle's emission order
-    id_rank = identifier_ranks(ids)
-
-    record_order = sorted(range(n), key=lambda o: (len(columns[o]), ids[o]))
-
-    use_positional = builder.use_positional_filter
-    coefficient = threshold / (1.0 + threshold)
-    ordered_codes = _vectorised_candidates(
-        columns,
-        n,
-        left_count,
-        bilateral,
-        threshold,
-        coefficient,
-        use_positional,
-        rank_of,
-        view.num_tokens,
-        id_rank,
-        record_order,
-    )
-    builder.last_candidate_count = int(ordered_codes.size)
-    # ascending packed codes sort exactly like the oracle's sorted canonical
-    # (first identifier, second identifier) pairs
-    rank_to_ordinal = _np.argsort(id_rank)
-    ordinal_pairs = list(
-        zip(
-            rank_to_ordinal[ordered_codes // n].tolist(),
-            rank_to_ordinal[ordered_codes % n].tolist(),
-        )
-    )
-    matcher = ProfileSimilarityMatcher(
-        threshold=threshold,
-        stop_words=builder.stop_words,
-        min_token_length=builder.min_token_length,
-        similarity_name="jaccard",
-    )
-    engine = MatchingEngine(matcher, context=context)
-    scores = engine.score_id_set_pairs(ordinal_pairs, columns)
-
-    collection = BlockCollection(name=builder.name)
-    verified = 0
-    for (first_ordinal, second_ordinal), score in zip(ordinal_pairs, scores):
-        if score < threshold:
-            continue
-        verified += 1
-        first = ids[first_ordinal]
-        second = ids[second_ordinal]
-        key = f"join:{first}|{second}"
-        if bilateral:
-            left, right = (
-                (first, second) if first_ordinal < left_count else (second, first)
-            )
-            collection.add(Block(key, left_members=[left], right_members=[right]))
-        else:
-            collection.add(Block(key, members=[first, second]))
-    builder.last_verified_count = verified
-    return collection

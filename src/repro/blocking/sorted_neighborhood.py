@@ -6,11 +6,13 @@ window becomes a candidate comparison.  The sorted order is also the basis of
 the progressive sorted-list heuristics of Section IV, which re-use
 :func:`sorted_order` from this module.
 
-Tie rules (pinned by the array engine and its bit-identity suite): the sort
-orders by ``(key, identifier)``, so equal keys fall back to identifier
-order; window blocks keep the members in sorted-entry order, and bilateral
-blocks split a window into its left and right members preserving that
-order.  The multi-pass variant (:class:`MultiPassSortedNeighborhoodBlocking`)
+Tie rules (pinned by the seeded fixtures): the sort orders by ``(key,
+identifier)``, so equal keys fall back to identifier order; window blocks
+keep the members in sorted-entry order, and bilateral blocks split a window
+into its left and right members preserving that order.  The default key is
+rebuilt from the interned token stream of a
+:class:`~repro.core.context.PipelineContext`; a custom key reads the
+descriptions.  The multi-pass variant (:class:`MultiPassSortedNeighborhoodBlocking`)
 runs one independent pass per sorting key, prefixing the window keys with
 the pass index.
 """
@@ -18,10 +20,9 @@ the pass index.
 from __future__ import annotations
 
 import itertools
-from typing import Callable, Dict, Iterator, List, Optional, Sequence, Tuple
+from typing import Callable, Iterator, List, Optional, Sequence, Tuple
 
-from repro.blocking.base import Block, BlockBuilder, BlockCollection, ERInput
-from repro.blocking.standard import KeyFunction, attribute_key
+from repro.blocking.base import Block, BlockBuilder, BlockCollection, ERInput, interned
 from repro.datamodel.collection import CleanCleanTask
 from repro.datamodel.description import EntityDescription
 from repro.text.tokenize import normalize
@@ -67,6 +68,22 @@ def sorted_order(
     return entries
 
 
+def check_window_size(window_size, minimum: int) -> int:
+    """``window_size`` if it is an ``int >= minimum`` (not a ``bool``), else
+    ``ValueError``."""
+    if isinstance(window_size, bool) or not isinstance(window_size, int):
+        raise ValueError(f"window_size must be an int, got {window_size!r}")
+    if window_size < minimum:
+        raise ValueError(f"window_size must be at least {minimum}, got {window_size}")
+    return window_size
+
+
+def _left_count(data: ERInput) -> int:
+    """Left-side descriptions of a clean--clean task (they take the lower
+    ordinals), ``-1`` for dirty input."""
+    return len(data.left) if isinstance(data, CleanCleanTask) else -1
+
+
 class SortedNeighborhoodBlocking(BlockBuilder):
     """Sorted neighbourhood with a fixed sliding window.
 
@@ -87,32 +104,14 @@ class SortedNeighborhoodBlocking(BlockBuilder):
         window_size: int = 4,
         sorting_key: Optional[Callable[[EntityDescription], str]] = None,
     ) -> None:
-        if window_size < 2:
-            raise ValueError("window size must be at least 2")
-        self.window_size = window_size
+        self.window_size = check_window_size(window_size, 2)
         self.sorting_key = sorting_key
 
-    def build(self, data: ERInput) -> BlockCollection:
-        entries = sorted_order(data, self.sorting_key)
-        identifiers = [identifier for _, identifier in entries]
+    def build(self, data: ERInput, context=None) -> BlockCollection:
+        """One block ``window:<start>`` per window position over the sorted rows."""
         collection = BlockCollection(name=self.name)
-        if len(identifiers) < 2:
-            return collection
-
-        bilateral = isinstance(data, CleanCleanTask)
-        for start in range(0, max(1, len(identifiers) - self.window_size + 1)):
-            window = identifiers[start : start + self.window_size]
-            if len(window) < 2:
-                continue
-            if bilateral:
-                left = [i for i in window if i in data.left]
-                right = [i for i in window if i in data.right]
-                if left and right:
-                    collection.add(
-                        Block(f"window:{start}", left_members=left, right_members=right)
-                    )
-            else:
-                collection.add(Block(f"window:{start}", members=window))
+        rows = _entry_rows(data, interned(data, context), self.sorting_key)
+        _emit_position_windows(collection, "window:", rows, self.window_size, _left_count(data))
         return collection
 
 
@@ -131,37 +130,14 @@ class ExtendedSortedNeighborhoodBlocking(BlockBuilder):
         window_size: int = 2,
         sorting_key: Optional[Callable[[EntityDescription], str]] = None,
     ) -> None:
-        if window_size < 1:
-            raise ValueError("window size must be at least 1")
-        self.window_size = window_size
+        self.window_size = check_window_size(window_size, 1)
         self.sorting_key = sorting_key
 
-    def build(self, data: ERInput) -> BlockCollection:
-        entries = sorted_order(data, self.sorting_key)
-        groups: Dict[str, List[str]] = {}
-        ordered_keys: List[str] = []
-        for key, identifier in entries:
-            if key not in groups:
-                groups[key] = []
-                ordered_keys.append(key)
-            groups[key].append(identifier)
-
+    def build(self, data: ERInput, context=None) -> BlockCollection:
+        """One block ``keywindow:<start>`` per window over the distinct keys."""
         collection = BlockCollection(name=self.name)
-        bilateral = isinstance(data, CleanCleanTask)
-        for start in range(0, max(1, len(ordered_keys) - self.window_size + 1)):
-            window_keys = ordered_keys[start : start + self.window_size]
-            members = [identifier for key in window_keys for identifier in groups[key]]
-            if len(members) < 2:
-                continue
-            if bilateral:
-                left = [i for i in members if i in data.left]
-                right = [i for i in members if i in data.right]
-                if left and right:
-                    collection.add(
-                        Block(f"keywindow:{start}", left_members=left, right_members=right)
-                    )
-            else:
-                collection.add(Block(f"keywindow:{start}", members=members))
+        rows = _entry_rows(data, interned(data, context), self.sorting_key)
+        _emit_key_windows(collection, rows, self.window_size, _left_count(data))
         return collection
 
 
@@ -181,40 +157,26 @@ class MultiPassSortedNeighborhoodBlocking(BlockBuilder):
         window_size: int = 4,
         sorting_keys: Sequence[Optional[Callable[[EntityDescription], str]]] = (None,),
     ) -> None:
-        if window_size < 2:
-            raise ValueError("window size must be at least 2")
+        self.window_size = check_window_size(window_size, 2)
         keys = tuple(sorting_keys)
         if not keys:
             raise ValueError("at least one sorting key is required")
-        self.window_size = window_size
         self.sorting_keys = keys
 
-    def build(self, data: ERInput) -> BlockCollection:
+    def build(self, data: ERInput, context=None) -> BlockCollection:
         collection = BlockCollection(name=self.name)
-        bilateral = isinstance(data, CleanCleanTask)
+        context = interned(data, context)
         for pass_index, key_of in enumerate(self.sorting_keys):
-            entries = sorted_order(data, key_of)
-            identifiers = [identifier for _, identifier in entries]
-            if len(identifiers) < 2:
-                continue
-            for start in range(0, max(1, len(identifiers) - self.window_size + 1)):
-                window = identifiers[start : start + self.window_size]
-                if len(window) < 2:
-                    continue
-                key = f"pass{pass_index}:window:{start}"
-                if bilateral:
-                    left = [i for i in window if i in data.left]
-                    right = [i for i in window if i in data.right]
-                    if left and right:
-                        collection.add(Block(key, left_members=left, right_members=right))
-                else:
-                    collection.add(Block(key, members=window))
+            _emit_position_windows(
+                collection,
+                f"pass{pass_index}:window:",
+                _entry_rows(data, context, key_of),
+                self.window_size,
+                _left_count(data),
+            )
         return collection
 
 
-# ----------------------------------------------------------------------
-# array build (dispatched by repro.blocking.engine.BlockingEngine)
-# ----------------------------------------------------------------------
 def _entry_rows(
     data: ERInput,
     context,
@@ -342,30 +304,3 @@ def _emit_key_windows(
             block._right = empty
         out.append(block)
     collection._extend_trusted(out)
-
-
-def _index_build(builder, data: ERInput, context) -> BlockCollection:
-    """Array build for the three sorted-neighbourhood variants.
-
-    One sorted pass per sorting key; windows are emitted through trusted
-    block construction (members are already distinct).  Output is
-    block-for-block identical to the oracle builders, including tie order.
-    """
-    if isinstance(data, CleanCleanTask):
-        left_count = len(data.left)
-    else:
-        left_count = -1
-    collection = BlockCollection(name=builder.name)
-    if type(builder) is MultiPassSortedNeighborhoodBlocking:
-        for pass_index, key_of in enumerate(builder.sorting_keys):
-            rows = _entry_rows(data, context, key_of)
-            _emit_position_windows(
-                collection, f"pass{pass_index}:window:", rows, builder.window_size, left_count
-            )
-    elif type(builder) is ExtendedSortedNeighborhoodBlocking:
-        rows = _entry_rows(data, context, builder.sorting_key)
-        _emit_key_windows(collection, rows, builder.window_size, left_count)
-    else:
-        rows = _entry_rows(data, context, builder.sorting_key)
-        _emit_position_windows(collection, "window:", rows, builder.window_size, left_count)
-    return collection

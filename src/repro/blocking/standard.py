@@ -100,7 +100,7 @@ class StandardBlocking(BlockBuilder):
             raise ValueError("standard blocking requires at least one key function")
         self.key_functions = list(key_functions)
 
-    def build(self, data: ERInput) -> BlockCollection:
+    def build(self, data: ERInput, context=None) -> BlockCollection:
         key_index: Dict[str, Dict[str, List[str]]] = {}
         for side, description in self._iter_with_side(data):
             for key_function in self.key_functions:
@@ -139,7 +139,7 @@ class QGramsBlocking(BlockBuilder):
             keys.update(qgrams(value, q=self.q))
         return keys
 
-    def build(self, data: ERInput) -> BlockCollection:
+    def build(self, data: ERInput, context=None) -> BlockCollection:
         key_index: Dict[str, Dict[str, List[str]]] = {}
         for side, description in self._iter_with_side(data):
             for key in self._keys(description):
@@ -231,7 +231,7 @@ class SuffixArrayBlocking(BlockBuilder):
             keys.update(suffixes(value, min_length=self.min_suffix_length))
         return keys
 
-    def build(self, data: ERInput) -> BlockCollection:
+    def build(self, data: ERInput, context=None) -> BlockCollection:
         key_index: Dict[str, Dict[str, List[str]]] = {}
         for side, description in self._iter_with_side(data):
             for key in self._keys(description):

@@ -10,31 +10,33 @@ Attribute-clustering blocking refines token blocking by first clustering
 attribute names whose value distributions are similar and then requiring the
 shared token to appear in attributes of the same cluster, which trims the
 comparisons token blocking suggests between semantically unrelated values.
+
+All three builders read the interned token columns of a
+:class:`~repro.core.context.PipelineContext` (the shared one when it owns the
+input, a private one otherwise) and return their blocks as
+:class:`~repro.blocking.columns.BlockColumns` postings in sorted-key order.
 """
 
 from __future__ import annotations
 
-import itertools
 import math
-from typing import (
-    AbstractSet,
-    Dict,
-    FrozenSet,
-    Iterable,
-    Iterator,
-    List,
-    Optional,
-    Sequence,
-    Set,
-    Tuple,
-)
+from array import array
+from typing import AbstractSet, Dict, Iterable, List, Optional, Set, Tuple
 
-from repro.blocking.base import Block, BlockBuilder, BlockCollection, ERInput
+import numpy as _np
+
+from repro.blocking.base import (
+    BlockBuilder,
+    BlockCollection,
+    ERInput,
+    check_unit_interval,
+    interned,
+)
+from repro.blocking.columns import BlockColumns, append_posting, concatenated, int_view
 from repro.core.unionfind import UnionFind
-from repro.datamodel.collection import CleanCleanTask
-from repro.datamodel.description import EntityDescription
+from repro.datamodel.pairs import stable_argsort
 from repro.text.similarity import jaccard_similarity
-from repro.text.tokenize import DEFAULT_STOP_WORDS, token_set, tokenize, uri_tokens
+from repro.text.tokenize import DEFAULT_STOP_WORDS, check_min_token_length, uri_tokens
 
 
 class TokenBlocking(BlockBuilder):
@@ -62,16 +64,10 @@ class TokenBlocking(BlockBuilder):
         max_block_fraction: Optional[float] = None,
     ) -> None:
         self.stop_words = frozenset(stop_words) if stop_words else frozenset()
-        self.min_token_length = min_token_length
+        self.min_token_length = check_min_token_length(min_token_length)
+        if max_block_fraction is not None:
+            check_unit_interval("max_block_fraction", max_block_fraction, open_low=True)
         self.max_block_fraction = max_block_fraction
-
-    def tokens_of(self, description: EntityDescription) -> Set[str]:
-        """The blocking keys (distinct tokens) of one description."""
-        return token_set(
-            description.values(),
-            stop_words=self.stop_words,
-            min_length=self.min_token_length,
-        )
 
     def member_limit(self, total: int) -> Optional[int]:
         """Largest member count a block may have under ``max_block_fraction``.
@@ -92,23 +88,49 @@ class TokenBlocking(BlockBuilder):
             return None
         return max(2, math.floor(self.max_block_fraction * total + 1e-9))
 
-    def build(self, data: ERInput) -> BlockCollection:
-        key_index: Dict[str, Dict[str, List[str]]] = {}
-        total = 0
-        for side, description in self._iter_with_side(data):
-            total += 1
-            for token in sorted(self.tokens_of(description)):
-                key_index.setdefault(token, {}).setdefault(side, []).append(
-                    description.identifier
-                )
-        limit = self.member_limit(total)
-        if limit is not None:
-            key_index = {
-                key: sides
-                for key, sides in key_index.items()
-                if sum(len(ids) for ids in sides.values()) <= limit
-            }
-        return self._blocks_from_key_index(key_index, data, name=self.name)
+    def build(self, data: ERInput, context=None) -> BlockCollection:
+        """One block per admitted token, in sorted-key order, as columns.
+
+        The keys of a description are its merged distinct token ids admitted
+        by the stop words and the minimum token length (the rule
+        ``token_set`` applies while tokenising); ``max_block_fraction``, the
+        degenerate-block rules and the key order are masks and one gather
+        over the posting sizes (:meth:`BlockColumns.from_postings
+        <repro.blocking.columns.BlockColumns.from_postings>`).
+        """
+        context = interned(data, context)
+        keys, ptr, members = self._postings(context)
+        columns = BlockColumns.from_postings(
+            keys,
+            ptr,
+            members,
+            context.ids,
+            context.left_count,
+            self.member_limit(context.num_descriptions),
+        )
+        return BlockCollection.from_columns(columns, name=self.name)
+
+    def _postings(self, context):
+        """``(keys, pointer column, member ordinals)`` of every token posting.
+
+        One stable argsort of the context's merged token-id column groups it
+        by token id, so the ordinals stay ascending inside every posting.
+        """
+        np = _np
+        token_filter = context.token_filter(self.stop_words, self.min_token_length)
+        ptr, ids, _counts = context.token_columns()
+        token_ids = int_view(ids)
+        ordinals = np.repeat(np.arange(len(ptr) - 1), np.diff(int_view(ptr)))
+        if not token_filter.trivial:
+            mask = np.frombuffer(token_filter.mask(context.vocabulary_size), dtype=np.bool_)
+            admitted = mask[token_ids]
+            token_ids, ordinals = token_ids[admitted], ordinals[admitted]
+        order = stable_argsort(token_ids, context.vocabulary_size)
+        sorted_ids = token_ids[order]
+        # a posting starts wherever the sorted id changes (ids are >= 0)
+        starts = np.flatnonzero(np.diff(sorted_ids, prepend=-1))
+        keys = list(map(context._tokens.__getitem__, sorted_ids[starts].tolist()))
+        return keys, np.append(starts, len(sorted_ids)), ordinals[order]
 
 
 class PrefixInfixSuffixBlocking(TokenBlocking):
@@ -122,56 +144,28 @@ class PrefixInfixSuffixBlocking(TokenBlocking):
 
     name = "prefix_infix_suffix"
 
-    def tokens_of(self, description: EntityDescription) -> Set[str]:
-        tokens = super().tokens_of(description)
-        _, infix, infix_tokens = uri_tokens(description.identifier)
-        if infix:
-            tokens.add(infix.lower())
-        for token in infix_tokens:
-            if len(token) >= self.min_token_length and token not in self.stop_words:
-                tokens.add(token)
-        return tokens
-
-
-def cluster_attributes(
-    data: ERInput,
-    similarity_threshold: float = 0.25,
-    stop_words: Optional[Iterable[str]] = DEFAULT_STOP_WORDS,
-    min_token_length: int = 1,
-) -> Dict[str, int]:
-    """Cluster attribute names by the similarity of their value token sets.
-
-    Returns a mapping ``attribute name -> cluster id``.  Attributes whose best
-    similarity to any other attribute is below ``similarity_threshold`` end up
-    in a catch-all "glue" cluster (cluster id 0), mirroring the original
-    attribute-clustering construction: every attribute must belong to some
-    cluster so that no token evidence is lost.
-
-    For clean--clean input the attribute-value profiles are pooled across
-    *both* collections -- left then right -- into one profile per attribute
-    name: attribute clustering aligns the vocabularies of the two sources, so
-    an attribute used by both KBs must contribute the evidence of both.  (An
-    earlier revision pretended to special-case :class:`CleanCleanTask` in a
-    branch whose arms were identical; the pooling is now explicit.)
-
-    ``min_token_length`` mirrors the tokenisation of the blocking-key stage so
-    callers can cluster attributes with exactly the token profiles their keys
-    are built from; the default of 1 keeps every token.
-    """
-    profiles: Dict[str, Set[str]] = {}
-    if isinstance(data, CleanCleanTask):
-        descriptions: Iterator[EntityDescription] = itertools.chain(data.left, data.right)
-    else:
-        descriptions = iter(data)
-    for description in descriptions:
-        for name in description.attribute_names:
-            tokens = token_set(
-                description.values(name),
-                stop_words=stop_words,
-                min_length=min_token_length,
-            )
-            profiles.setdefault(name, set()).update(tokens)
-    return cluster_attribute_profiles(profiles, similarity_threshold)
+    def _postings(self, context):
+        """Postings from a walk over the descriptions: value tokens plus the
+        URI keys, interned per description into the context's vocabulary."""
+        token_filter = context.token_filter(self.stop_words, self.min_token_length)
+        trivial = token_filter.trivial
+        allows = token_filter.allows
+        ids = context.ids
+        postings: Dict[int, array] = {}
+        for ordinal in range(context.num_descriptions):
+            token_ids, _counts = context.token_counts(ordinal)
+            # the infix keys may overlap the value tokens: one key set per
+            # description
+            keys = {t for t in token_ids if trivial or allows(t)}
+            _, infix, infix_tokens = uri_tokens(ids[ordinal])
+            if infix:
+                keys.add(context.intern(infix.lower()))
+            for token in infix_tokens:
+                if len(token) >= self.min_token_length and token not in self.stop_words:
+                    keys.add(context.intern(token))
+            for key in keys:
+                append_posting(postings, key, ordinal)
+        return (list(map(context._tokens.__getitem__, postings)), *concatenated(postings))
 
 
 def cluster_attribute_profiles(
@@ -180,11 +174,13 @@ def cluster_attribute_profiles(
 ) -> Dict[str, int]:
     """Cluster attribute names given their (already tokenised) value profiles.
 
-    This is the scheme-independent core of :func:`cluster_attributes`: it only
-    sees ``attribute name -> set of tokens`` and never tokenises anything, so
-    the profiles may hold raw token strings or interned token ids (as produced
-    by the array-backed blocking engine) -- the Jaccard similarities, and
-    therefore the resulting clustering, are identical either way.
+    Returns a mapping ``attribute name -> cluster id``.  Attributes whose best
+    similarity to any other attribute is below ``similarity_threshold`` end up
+    in a catch-all "glue" cluster (cluster id 0), mirroring the original
+    attribute-clustering construction: every attribute must belong to some
+    cluster so that no token evidence is lost.  The profiles may hold token
+    strings or interned token ids: the Jaccard similarities, and therefore
+    the clustering, are the same either way.
     """
     names = sorted(profiles)
     # best-match graph: attribute -> most similar other attribute
@@ -252,38 +248,54 @@ class AttributeClusteringBlocking(TokenBlocking):
         )
         self.similarity_threshold = similarity_threshold
 
-    def build(self, data: ERInput) -> BlockCollection:
-        # the clustering profiles use the very tokenisation the blocking keys
-        # are built from (same stop words *and* minimum token length), so the
-        # two stages agree on what a token is
-        attribute_clusters = cluster_attributes(
-            data,
-            similarity_threshold=self.similarity_threshold,
-            stop_words=self.stop_words,
-            min_token_length=self.min_token_length,
+    def _clustered(self, context):
+        """``attribute name -> cluster id`` (0: the glue cluster) and, per
+        ordinal, its ``(attribute, admitted token ids)`` entries.
+
+        The per-attribute token-id sets are the context's columns admitted by
+        the stop words and minimum token length; they feed both the
+        clustering and the blocking keys, so the two stages agree on what a
+        token is.  For clean--clean input the profiles pool *both*
+        collections: attribute clustering aligns the vocabularies of the two
+        sources, so an attribute used by both contributes the evidence of
+        both.
+        """
+        token_filter = context.token_filter(self.stop_words, self.min_token_length)
+        trivial = token_filter.trivial
+        allows = token_filter.allows
+        tokenised: List[List[Tuple[str, List[int]]]] = []
+        profiles: Dict[str, Set[int]] = {}
+        for ordinal in range(context.num_descriptions):
+            entries: List[Tuple[str, List[int]]] = []
+            for attribute, attr_ids, _counts in context.attribute_entries(ordinal):
+                token_ids = [t for t in attr_ids if trivial or allows(t)]
+                profile = profiles.get(attribute)
+                if profile is None:
+                    profiles[attribute] = profile = set()
+                profile.update(token_ids)
+                if token_ids:
+                    entries.append((attribute, token_ids))
+            tokenised.append(entries)
+        return cluster_attribute_profiles(profiles, self.similarity_threshold), tokenised
+
+    def build(self, data: ERInput, context=None) -> BlockCollection:
+        """One block per ``(attribute cluster, token)`` key, as columns."""
+        context = interned(data, context)
+        clusters, tokenised = self._clustered(context)
+        postings: Dict[Tuple[int, int], array] = {}
+        for ordinal, entries in enumerate(tokenised):
+            keys: Set[Tuple[int, int]] = set()
+            for attribute, token_ids in entries:
+                cluster_id = clusters.get(attribute, 0)
+                keys.update((cluster_id, token_id) for token_id in token_ids)
+            for key in keys:
+                append_posting(postings, key, ordinal)
+        token_of = context.token
+        columns = BlockColumns.from_postings(
+            [f"c{cluster_id}#{token_of(token_id)}" for cluster_id, token_id in postings],
+            *concatenated(postings),
+            context.ids,
+            context.left_count,
+            self.member_limit(context.num_descriptions),
         )
-        key_index: Dict[str, Dict[str, List[str]]] = {}
-        total = 0
-        for side, description in self._iter_with_side(data):
-            total += 1
-            keys: Set[str] = set()
-            for attribute in description.attribute_names:
-                cluster_id = attribute_clusters.get(attribute, 0)
-                tokens = token_set(
-                    description.values(attribute),
-                    stop_words=self.stop_words,
-                    min_length=self.min_token_length,
-                )
-                keys.update(f"c{cluster_id}#{token}" for token in tokens)
-            for key in sorted(keys):
-                key_index.setdefault(key, {}).setdefault(side, []).append(
-                    description.identifier
-                )
-        limit = self.member_limit(total)
-        if limit is not None:
-            key_index = {
-                key: sides
-                for key, sides in key_index.items()
-                if sum(len(ids) for ids in sides.values()) <= limit
-            }
-        return self._blocks_from_key_index(key_index, data, name=self.name)
+        return BlockCollection.from_columns(columns, name=self.name)

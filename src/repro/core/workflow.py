@@ -16,14 +16,16 @@
 
 Finally the declared matches are clustered into equivalence clusters.
 
-**Extension seam.**  How a stage executes is not an option: each stage engine
-runs its columnar implementation when the component is *exactly* a library
-type, and the component's own readable method (``BlockBuilder.build``,
-``ProgressiveScheduler.schedule``, ``Matcher.decide``) for anything else.  A
-subclass or custom component passed as ``ERWorkflow(blocking=, matcher=,
-scheduler=)`` therefore just works; the stage label shows the path that ran
-(``blocking[...@oracle]``, ``matching[...@object+pairwise]``) and the stage's
-``notes`` name the component type that selected it.
+**Extension seam.**  How a stage executes is not an option.  Blocking and
+cleaning run the components' own ``build`` / ``process`` (each is the one
+body of its algorithm).  The later stage engines run their columnar
+implementation when the component is *exactly* a library type, and the
+component's own method (``ProgressiveScheduler.schedule``,
+``Matcher.decide``) for anything else.  A subclass or custom component
+passed as ``ERWorkflow(blocking=, matcher=, scheduler=)`` therefore just
+works; the stage label shows the path those engines took
+(``matching[...@object+pairwise]``) and the stage's ``notes`` name the
+component type that selected it.
 """
 
 from __future__ import annotations
@@ -334,20 +336,18 @@ class ERWorkflow:
         blocking_engine = BlockingEngine(builder, context=context, parallel=parallel)
         blocks = blocking_engine.build(data)
         raw_blocks = blocks
-        stage = report.add_stage(
-            f"blocking[{builder.name}@{blocking_engine.last_engine}]",
+        report.add_stage(
+            f"blocking[{builder.name}]",
             blocks=len(blocks),
             comparisons=blocks.total_comparisons(),
             seconds=time.perf_counter() - start,
         )
-        if blocking_engine.last_engine == "oracle":
-            stage.notes = f"oracle: {type(builder).__name__}"
 
         if config.enable_purging:
             start = time.perf_counter()
             blocks = blocking_engine.clean(blocks, purging=BlockPurging())
             report.add_stage(
-                f"block_purging@{blocking_engine.last_engine}",
+                "block_purging",
                 blocks=len(blocks),
                 comparisons=blocks.total_comparisons(),
                 seconds=time.perf_counter() - start,
@@ -358,7 +358,7 @@ class ERWorkflow:
                 blocks, filtering=BlockFiltering(ratio=config.filtering_ratio)
             )
             report.add_stage(
-                f"block_filtering@{blocking_engine.last_engine}",
+                "block_filtering",
                 blocks=len(blocks),
                 comparisons=blocks.total_comparisons(),
                 seconds=time.perf_counter() - start,

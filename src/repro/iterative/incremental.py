@@ -58,8 +58,8 @@ from typing import Dict, FrozenSet, Iterable, List, Optional, Set, Union
 from repro.core.unionfind import UnionFind
 from repro.datamodel.collection import EntityCollection
 from repro.datamodel.description import EntityDescription, merge_descriptions
-from repro.matching.matchers import Matcher, ProfileSimilarityMatcher, check_min_token_length
-from repro.text.tokenize import DEFAULT_STOP_WORDS, token_set
+from repro.matching.matchers import Matcher, ProfileSimilarityMatcher
+from repro.text.tokenize import DEFAULT_STOP_WORDS, check_min_token_length, token_set
 
 
 def check_max_candidates(value) -> int:

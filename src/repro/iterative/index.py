@@ -74,9 +74,9 @@ from repro.datamodel.collection import EntityCollection
 from repro.datamodel.description import EntityDescription, merge_descriptions
 from repro.iterative.incremental import ArrivalResult, check_max_candidates
 from repro.matching.engine import _set_matches, _set_score
-from repro.matching.matchers import ProfileSimilarityMatcher, check_min_token_length
+from repro.matching.matchers import ProfileSimilarityMatcher
 from repro.text.similarity import SET_SIMILARITIES
-from repro.text.tokenize import DEFAULT_STOP_WORDS, token_set
+from repro.text.tokenize import DEFAULT_STOP_WORDS, check_min_token_length, token_set
 
 import numpy as _np
 

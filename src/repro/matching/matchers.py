@@ -26,7 +26,7 @@ from repro.datamodel.collection import CleanCleanTask, EntityCollection
 from repro.datamodel.description import EntityDescription
 from repro.datamodel.pairs import Comparison
 from repro.text.similarity import get_similarity, jaccard_similarity
-from repro.text.tokenize import DEFAULT_STOP_WORDS, token_set, tokenize
+from repro.text.tokenize import DEFAULT_STOP_WORDS, check_min_token_length, token_set, tokenize
 from repro.text.vectorizer import TfIdfVectorizer
 
 
@@ -91,13 +91,6 @@ def check_cost(cost) -> float:
     if not isinstance(cost, numbers.Real) or not (math.isfinite(cost) and cost >= 0):
         raise ValueError(f"cost must be a finite number >= 0, got {cost!r}")
     return cost
-
-
-def check_min_token_length(value) -> int:
-    """``value`` if it is an ``int >= 0`` (not a ``bool``), else ``ValueError``."""
-    if type(value) is not int or value < 0:
-        raise ValueError(f"min_token_length must be an int >= 0, got {value!r}")
-    return value
 
 
 class Matcher(abc.ABC):

@@ -172,6 +172,12 @@ class ProgressiveBlockScheduler(ProgressiveScheduler):
             self._promoted.append(pending.popleft())
 
     def schedule(self, data: ERInput, candidates: CandidateSource) -> Iterator[Comparison]:
+        # every schedule starts afresh: a reused instance owes a second run
+        # what a new one would give it
+        self._promoted.clear()
+        self._pending_by_block.clear()
+        self._block_of_pair.clear()
+        self._emitted.clear()
         if not isinstance(candidates, BlockCollection):
             # fall back to plain ordering when no block structure is available
             for comparison in candidate_comparisons(candidates):
@@ -179,11 +185,6 @@ class ProgressiveBlockScheduler(ProgressiveScheduler):
                     self._emitted.add(comparison.pair)
                     yield comparison
             return
-
-        self._promoted.clear()
-        self._pending_by_block.clear()
-        self._block_of_pair.clear()
-        self._emitted.clear()
 
         ordered_blocks = sorted(
             candidates, key=lambda block: (block.num_comparisons(), block.key)

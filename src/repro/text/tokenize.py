@@ -111,6 +111,13 @@ def token_set(
     return tokens
 
 
+def check_min_token_length(value) -> int:
+    """``value`` if it is an ``int >= 0`` (not a ``bool``), else ``ValueError``."""
+    if type(value) is not int or value < 0:
+        raise ValueError(f"min_token_length must be an int >= 0, got {value!r}")
+    return value
+
+
 def qgrams(value: str, q: int = 3, pad: bool = True) -> List[str]:
     """Character q-grams of the normalised value.
 

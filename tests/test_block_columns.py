@@ -2,13 +2,14 @@
 
 The column kernels are ``from_postings`` / ``select`` behind build, purging
 and filtering, and the block -> entity transpose of ``EntityIndexEngine``.
-The references are the object-path oracles: ``TokenBlocking.build``,
-``BlockPurging.process``, ``BlockFiltering.process``,
-``BlockCollection.entity_index`` and ``BlockCollection.distinct_pairs``.
+The references are block-by-block loops kept in this module (token blocking
+from ``token_set``, purging, filtering), ``BlockCollection.entity_index`` and
+``BlockCollection.distinct_pairs``.
 """
 
 from __future__ import annotations
 
+import math
 from array import array
 
 import numpy as np
@@ -17,7 +18,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.blocking.base import Block, BlockCollection
-from repro.blocking.cleaning import BlockFiltering, BlockPurging
+from repro.blocking.cleaning import BlockFiltering, BlockPurging, adaptive_cardinality_threshold
 from repro.blocking.columns import BlockColumns
 from repro.blocking.engine import BlockingEngine
 from repro.blocking.token_blocking import TokenBlocking
@@ -29,6 +30,7 @@ from repro.datasets import DatasetConfig, generate_dirty_dataset
 from repro.datasets.builtin import load_census, load_restaurants
 from repro.evaluation.metrics import evaluate_blocks, evaluate_comparisons
 from repro.metablocking.entity_index import EntityIndexEngine
+from repro.text.tokenize import token_set
 
 
 def snapshot(blocks):
@@ -172,15 +174,14 @@ class TestTokenBuild:
         generated = request.getfixturevalue(dataset)
         data = getattr(generated, "task", None) or generated.collection
         builder = TokenBlocking(max_block_fraction=0.3)
-        oracle = snapshot(builder.build(data))
         shared = PipelineContext(data)
         foreign = PipelineContext(EntityCollection([EntityDescription("x", {"a": "b"})]))
+        expected = snapshot(builder.build(data, shared))
+        assert expected == snapshot(reference_token_blocks(builder, data))
         for context in (None, shared, foreign):
-            engine = BlockingEngine(builder, context=context)
-            built = engine.build(data)
-            assert engine.last_engine == "index"
+            built = BlockingEngine(builder, context=context).build(data)
             assert built._columns is not None  # the blocks are columns, not objects
-            assert snapshot(built) == oracle
+            assert snapshot(built) == expected
         # only the context that owns the data lends its ordinals
         columns = BlockColumns.from_collection(
             BlockingEngine(builder, context=shared).build(data)
@@ -209,6 +210,59 @@ def block_collections(draw):
     return BlockCollection(blocks)
 
 
+def reference_purge(blocks, purging):
+    """Purging, block by block: keep the blocks at or under the threshold."""
+    cardinalities = sorted(block.num_comparisons() for block in blocks)
+    threshold = purging.max_comparisons
+    if threshold is None:
+        threshold = adaptive_cardinality_threshold(cardinalities, purging.smoothing_factor)
+    return [block for block in blocks if block.num_comparisons() <= threshold]
+
+
+def reference_filter(blocks, ratio):
+    """Filtering, entity by entity: each description stays in the
+    ``ceil(ratio * degree)`` smallest of its blocks (ties by block order)."""
+    blocks = list(blocks)
+    allowed = {}
+    for identifier, indices in BlockCollection(blocks).entity_index().items():
+        ranked = sorted(indices, key=lambda i: (blocks[i].num_comparisons(), i))
+        allowed[identifier] = set(ranked[: max(1, math.ceil(ratio * len(ranked)))])
+    kept = (
+        block.restricted_to({m for m in block.members if index in allowed[m]})
+        for index, block in enumerate(blocks)
+    )
+    return [block for block in kept if block is not None]
+
+
+def reference_token_blocks(builder, data):
+    """Token blocking from ``token_set`` per description, one block per key."""
+    if isinstance(data, CleanCleanTask):
+        sides = (("left", data.left), ("right", data.right))
+    else:
+        sides = (("all", data),)
+    postings = {}
+    for side, descriptions in sides:
+        for description in descriptions:
+            keys = token_set(
+                description.values(),
+                stop_words=builder.stop_words,
+                min_length=builder.min_token_length,
+            )
+            for key in keys:
+                postings.setdefault(key, {}).setdefault(side, []).append(description.identifier)
+    limit = builder.member_limit(sum(len(descriptions) for _, descriptions in sides))
+    blocks = []
+    for key in sorted(postings):
+        members = postings[key]
+        if limit is not None and sum(map(len, members.values())) > limit:
+            continue
+        if "all" in members:
+            blocks.append(Block(key, members=members["all"]))
+        elif "left" in members and "right" in members:
+            blocks.append(Block(key, left_members=members["left"], right_members=members["right"]))
+    return BlockCollection(blocks)
+
+
 @given(
     block_collections(),
     st.sampled_from((0.1, 0.34, 0.5, 0.8, 1.0)),
@@ -221,15 +275,14 @@ def test_purge_and_filter_on_columns_equal_the_oracle_cleaners(
 ):
     purging = BlockPurging(smoothing_factor=smoothing, max_comparisons=max_comparisons)
     filtering = BlockFiltering(ratio)
-    expected_purged = snapshot(purging.process(blocks))
-    expected_filtered = snapshot(filtering.process(blocks))
-    expected_both = snapshot(filtering.process(purging.process(blocks)))
+    expected_purged = snapshot(reference_purge(blocks, purging))
+    expected_filtered = snapshot(reference_filter(blocks, ratio))
+    expected_both = snapshot(reference_filter(reference_purge(blocks, purging), ratio))
     engine = BlockingEngine()
     purged = engine.clean(blocks, purging=purging)
     assert (len(purged), snapshot(purged)) == (len(expected_purged), expected_purged)
     assert snapshot(engine.clean(blocks, filtering=filtering)) == expected_filtered
     both = engine.clean(blocks, purging=purging, filtering=filtering)
-    assert engine.last_engine == "index"
     total = both.total_comparisons()  # from the columns, before any object exists
     assert snapshot(both) == expected_both
     assert total == sum(block.num_comparisons() for block in both)
@@ -264,7 +317,7 @@ class TestIndexFromColumns:
         from_columns = EntityIndexEngine.from_columns(
             BlockColumns.from_collection(built, context.ids)
         )
-        objects = TokenBlocking().build(collection)
+        objects = BlockCollection(list(TokenBlocking().build(collection)))
         assert objects._columns is None
         from_objects = EntityIndexEngine(objects, ids=context.ids)
         for name in INDEX_ARRAYS:
@@ -353,7 +406,7 @@ class TestLazyView:
     def test_default_workflow_constructs_no_block(self, publications, blocks_constructed):
         result = default_workflow().run(publications.collection, publications.ground_truth)
         assert result.clusters and result.blocking_quality is not None
-        assert result.report.stage("block_filtering@index").get("blocks") > 0
+        assert result.report.stage("block_filtering").get("blocks") > 0
         assert blocks_constructed == []
 
     @pytest.mark.parametrize("iterate_merges", [False, True])
@@ -366,7 +419,7 @@ class TestLazyView:
         assert result.clusters
         # the scheduler takes the cleaned blocks' pairs from their columns,
         # the update phase its neighbourhoods from the raw blocks' columns
-        assert result.report.stage("block_filtering@index").get("blocks") > 0
+        assert result.report.stage("block_filtering").get("blocks") > 0
         assert blocks_constructed == []
 
     def test_iterating_a_result_materialises_each_block_once(

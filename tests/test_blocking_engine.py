@@ -1,4 +1,4 @@
-"""Edge cases of the array-backed blocking engine (`repro.blocking.engine`)."""
+"""The blocking stage (`repro.blocking.engine`) and edge cases of the cleaners."""
 
 import pytest
 
@@ -11,9 +11,14 @@ from repro.blocking import (
     SortedNeighborhoodBlocking,
     TokenBlocking,
 )
-from repro.blocking.engine import _index_propagate
+from repro.blocking.cleaning import ComparisonPropagation, clean_blocks
+from repro.core.context import PipelineContext
 from repro.datamodel.collection import CleanCleanTask, EntityCollection
 from repro.datamodel.description import EntityDescription
+
+
+def snapshot(blocks):
+    return [(b.key, b.members, b.left_members, b.right_members) for b in blocks]
 
 
 def _collection(*pairs):
@@ -31,54 +36,68 @@ class TestEngineSelection:
     def test_default_builder_is_token_blocking(self):
         assert isinstance(BlockingEngine().builder, TokenBlocking)
 
-    def test_sorted_neighborhood_runs_on_the_index_engine(self):
+    def test_the_engine_hands_its_context_to_the_builder(self):
         data = _collection(("a", "alan turing"), ("b", "alan hopper"), ("c", "grace hopper"))
-        engine = BlockingEngine(SortedNeighborhoodBlocking(window_size=2))
+        context = PipelineContext(data)
+        blocks = BlockingEngine(context=context).build(data)
+        assert blocks._columns.ids is context.ids
+        # a context that does not own the data lends nothing
+        other = BlockingEngine(context=PipelineContext(_collection(("x", "y")))).build(data)
+        assert other._columns.ids is not context.ids
+        assert [b.key for b in other] == [b.key for b in blocks]
+
+    def test_overriding_subclass_runs_its_own_build(self):
+        class FirstCharBlocking(TokenBlocking):
+            def build(self, data, context=None):
+                built = super().build(data, context)
+                return BlockCollection(
+                    [Block(block.key[0], members=block.members) for block in built]
+                )
+
+        data = _collection(("a", "alan turing"), ("b", "alan hopper"), ("c", "grace hopper"))
+        engine = BlockingEngine(FirstCharBlocking())
+        assert [b.key for b in engine.build(data)] == ["a", "h"]
+        assert [b.key for b in engine.run(data, purging=BlockPurging())] == ["a", "h"]
+
+    def test_trivial_subclass_gives_the_library_output(self):
+        class Readable(SortedNeighborhoodBlocking):
+            pass
+
+        data = _collection(("a", "alan turing"), ("b", "alan hopper"), ("c", "grace hopper"))
+        library = SortedNeighborhoodBlocking(window_size=2)
+        readable = Readable(window_size=2)
+        assert snapshot(BlockingEngine(readable).build(data)) == snapshot(library.build(data))
+
+    def test_overriding_cleaner_runs_its_own_process(self):
+        class KeepFirstBlock(BlockFiltering):
+            def process(self, blocks):
+                return BlockCollection(list(super().process(blocks))[:1], name="mine")
+
+        data = _collection(("a", "alan turing"), ("b", "alan hopper"), ("c", "grace hopper"))
+        engine = BlockingEngine()
         blocks = engine.build(data)
-        assert engine.last_engine == "index"
-        engine.clean(blocks, purging=BlockPurging())
-        assert engine.last_engine == "index"
+        cleaned = engine.clean(blocks, purging=BlockPurging(), filtering=KeepFirstBlock(0.8))
+        assert cleaned.name == "mine"
+        expected = BlockFiltering(0.8).process(BlockPurging().process(blocks))
+        assert snapshot(cleaned) == snapshot(expected)[:1]
 
-    def test_custom_builder_falls_back_for_build_only(self):
-        class CustomBuilder(SortedNeighborhoodBlocking):
+    def test_trivial_cleaner_subclasses_give_the_library_output(self):
+        class Purging(BlockPurging):
+            pass
+
+        class Filtering(BlockFiltering):
             pass
 
         data = _collection(("a", "alan turing"), ("b", "alan hopper"), ("c", "grace hopper"))
-        engine = BlockingEngine(CustomBuilder(window_size=2))
-        with pytest.warns(RuntimeWarning):
-            blocks = engine.build(data)
-        assert engine.last_engine == "oracle"
-        # ...but cleaning a foreign builder's blocks still runs on the index
-        engine.clean(blocks, purging=BlockPurging())
-        assert engine.last_engine == "index"
+        blocks = BlockingEngine().build(data)
+        assert snapshot(clean_blocks(blocks, Purging(), Filtering(0.5), True)) == snapshot(
+            clean_blocks(blocks, BlockPurging(), BlockFiltering(0.5), True)
+        )
 
-    def test_run_reports_oracle_when_build_fell_back(self):
-        class CustomBuilder(SortedNeighborhoodBlocking):
-            pass
-
-        data = _collection(("a", "alan turing"), ("b", "alan hopper"))
-        engine = BlockingEngine(CustomBuilder(window_size=2))
-        with pytest.warns(RuntimeWarning):
-            engine.run(data, purging=BlockPurging())
-        assert engine.last_engine == "oracle"
-
-    def test_clean_without_steps_reports_configured_engine(self):
+    def test_clean_without_steps_returns_the_input(self):
         engine = BlockingEngine()
         blocks = BlockCollection([Block("t", members=["a", "b"])])
         assert engine.clean(blocks) is blocks
-        assert engine.last_engine == "index"
-
-    def test_mixed_native_and_custom_cleaners_report_oracle(self):
-        class CustomFiltering(BlockFiltering):
-            pass
-
-        data = _collection(("a", "alan turing"), ("b", "alan hopper"), ("c", "grace hopper"))
-        engine = BlockingEngine()
-        blocks = engine.build(data)
-        cleaned = engine.clean(blocks, purging=BlockPurging(), filtering=CustomFiltering(0.8))
-        assert engine.last_engine == "oracle"
-        oracle = CustomFiltering(0.8).process(BlockPurging().process(blocks))
-        assert [b.key for b in cleaned] == [b.key for b in oracle]
 
 
 class TestEmptyInputs:
@@ -102,19 +121,16 @@ class TestEmptyInputs:
             assert len(engine.clean(empty, **kwargs)) == 0
 
 
-class TestIndexCleaningDetails:
-    def test_fixed_purging_threshold_matches_oracle(self):
+class TestCleaningDetails:
+    def test_fixed_purging_threshold(self):
         blocks = BlockCollection(
             [
                 Block("small", members=["a", "b"]),
                 Block("large", members=[f"x{i}" for i in range(10)]),
             ]
         )
-        purging = BlockPurging(max_comparisons=5)
-        engine = BlockingEngine()
-        assert [b.key for b in engine.clean(blocks, purging=purging)] == [
-            b.key for b in purging.process(blocks)
-        ]
+        purged = BlockingEngine().clean(blocks, purging=BlockPurging(max_comparisons=5))
+        assert [b.key for b in purged] == ["small"]
 
     def test_filtering_always_keeps_at_least_one_block_per_entity(self):
         blocks = BlockCollection(
@@ -134,18 +150,18 @@ class TestIndexCleaningDetails:
                 Block("second", left_members=["r1"], right_members=["l1"]),
             ]
         )
-        propagated = _index_propagate(blocks)
+        propagated = ComparisonPropagation().process(blocks)
         assert len(propagated) == 1
         block = propagated[0]
         assert block.left_members == ("l1",)
         assert block.right_members == ("r1",)
 
-    def test_propagation_self_pair_raises_like_the_oracle(self):
+    def test_propagation_self_pair_raises(self):
         blocks = BlockCollection(
             [Block("bad", left_members=["dup", "l2"], right_members=["dup"])]
         )
         with pytest.raises(ValueError, match="two distinct descriptions"):
-            _index_propagate(blocks)
+            ComparisonPropagation().process(blocks)
 
 
 class TestPairFastPaths:

@@ -332,7 +332,9 @@ def test_clean_clean_cases_reproduce_the_fixture(name, make, factory, cleaning):
     assert_case(name, make, factory, cleaning)
 
 
-@pytest.mark.parametrize("name, spec", list(ratio_cases()))
+@pytest.mark.parametrize(
+    "name, spec", [pytest.param(name, spec, id=name) for name, spec in ratio_cases()]
+)
 def test_filtering_ratio_sweep(name, spec):
     """Tie-heavy filtering ratios: the stable ranking keeps the frozen blocks."""
     seed, ratio = spec
@@ -340,7 +342,9 @@ def test_filtering_ratio_sweep(name, spec):
     assert record(BlockFiltering(ratio).process(blocks)) == fixture()[name]
 
 
-@pytest.mark.parametrize("name, spec", list(fraction_cases()))
+@pytest.mark.parametrize(
+    "name, spec", [pytest.param(name, spec, id=name) for name, spec in fraction_cases()]
+)
 def test_max_block_fraction_sweep(name, spec):
     seed, fraction, builder_name = spec
     data = random_dirty_collection(seed, size=50)

@@ -1,11 +1,11 @@
 """Golden regression fixtures for blocking and block cleaning.
 
 ``tests/fixtures/blocking/*.json`` freezes the exact block collections the
-legacy (oracle) builders and cleaners produce on the builtin datasets --
-every supported builder, raw and after purging + filtering and after full
-cleaning with comparison propagation.  Both engines must keep reproducing
-these byte-identical block lists, so future optimisations of either engine
-cannot silently change what blocking emits.
+token builders and the cleaners produce on the builtin datasets -- every
+token builder, raw and after purging + filtering and after full cleaning
+with comparison propagation.  The builds must keep reproducing these
+byte-identical block lists, with a private and with a shared context, so
+future optimisations cannot silently change what blocking emits.
 
 The fixtures were frozen *after* the attribute-clustering tokenisation fix
 (clustering profiles now honour ``min_token_length``) and the
@@ -27,6 +27,7 @@ import pytest
 
 from repro.blocking import BlockFiltering, BlockPurging, clean_blocks
 from repro.blocking.engine import BlockingEngine
+from repro.core.context import PipelineContext
 from repro.blocking.token_blocking import (
     AttributeClusteringBlocking,
     PrefixInfixSuffixBlocking,
@@ -75,21 +76,18 @@ def test_fixture_covers_all_combos(dataset_name):
     assert set(fixture["combos"]) == expected
 
 
-@pytest.mark.parametrize("engine", ("oracle", "index"))
+@pytest.mark.parametrize("shared", (False, True), ids=("private", "shared-context"))
 @pytest.mark.parametrize("dataset_name", sorted(DATASETS))
-def test_engines_reproduce_golden_output(dataset_name, engine):
+def test_builders_reproduce_golden_output(dataset_name, shared):
     collection = DATASETS[dataset_name]().collection
     fixture = _fixture(dataset_name)
+    context = PipelineContext(collection) if shared else None
     for combo, frozen in fixture["combos"].items():
         builder_name, cleaning_name = combo.split("+")
-        builder = BUILDERS[builder_name]()
-        if engine == "oracle":
-            blocks = clean_blocks(builder.build(collection), **CLEANING[cleaning_name])
-        else:
-            blocking = BlockingEngine(builder)
-            blocks = blocking.clean(blocking.build(collection), **CLEANING[cleaning_name])
+        blocking = BlockingEngine(BUILDERS[builder_name](), context=context)
+        blocks = blocking.run(collection, **CLEANING[cleaning_name])
         assert _serialise(blocks) == frozen["blocks"], (
-            f"{dataset_name}/{combo}/{engine}: block collection changed"
+            f"{dataset_name}/{combo}: block collection changed"
         )
 
 

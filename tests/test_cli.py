@@ -111,18 +111,18 @@ def test_stage_table_names_the_paths_that_ran(tmp_path, capsys):
     # the report stages name the executing engine:
     # "matching[<scheduler>@<scheduling engine>+<matching engine>]"
     for label in (
-        "blocking[token_blocking@index]",
-        "block_purging@index",
-        "block_filtering@index",
+        "blocking[token_blocking]",
+        "block_purging",
+        "block_filtering",
         "metablocking[CBS+WNP@index]",
         "matching[weight_order@array+batch]",
         "clustering[connected_components@array]",
     ):
         assert label in out
-    # a builtin scheme without an index build says so in the stage's notes
-    with pytest.warns(RuntimeWarning):
-        assert main(["resolve", str(data), "--blocking", "qgrams", "--no-metablocking"]) == 0
-    assert "# oracle: QGramsBlocking" in capsys.readouterr().out
+    # every builder runs its own build: the stage carries no path and no note
+    assert main(["resolve", str(data), "--blocking", "qgrams", "--no-metablocking"]) == 0
+    out = capsys.readouterr().out
+    assert "blocking[qgrams]" in out and "oracle" not in out
 
 
 def _option_strings(parser):

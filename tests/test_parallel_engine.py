@@ -149,7 +149,6 @@ class TestParallelBlocking:
         with ParallelEngine(num_workers=2) as par:
             engine = BlockingEngine(builder, context=context, parallel=par)
             built = engine.build(data)
-            assert engine.last_engine == "index"
             cleaned = engine.clean(built, purging=BlockPurging(), filtering=BlockFiltering(0.8))
             assert par._segments == []  # nothing was shipped to the pool
         expected = BlockingEngine(builder, context=context).clean(

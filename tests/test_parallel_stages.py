@@ -167,7 +167,6 @@ class TestParallelCleaning:
         with ParallelEngine(num_workers=workers) as par:
             engine = BlockingEngine(parallel=par)
             got = engine.clean(blocks, purging=purging, filtering=filtering, propagate=True)
-        assert engine.last_engine == "index"
         assert blocks_snapshot(got) == blocks_snapshot(expected)
 
     @pytest.mark.parametrize("dataset", DATASETS)

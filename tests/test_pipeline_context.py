@@ -64,7 +64,10 @@ def clean_clean():
 
 
 class SelfTokenisingBlocking(TokenBlocking):
-    """Not the exact library type: the workflow runs its own ``build``."""
+    """Ignores the shared context: interns its input privately."""
+
+    def build(self, data, context=None):
+        return super().build(data)
 
 
 class SelfTokenisingMatcher(ProfileSimilarityMatcher):
@@ -470,8 +473,8 @@ class TestDerivedViews:
 
     def test_plain_token_build_reads_whole_columns(self, dirty, monkeypatch):
         """The postings come from the merged column at once: no per-token
-        filter call, no per-token posting append -- and the oracle's blocks."""
-        from repro.blocking import engine as engine_module
+        filter call, no per-token posting append -- and the same blocks."""
+        from repro.blocking import token_blocking as token_module
 
         data = dirty.collection
         expected = _block_tuples(TokenBlocking().build(data))
@@ -480,7 +483,7 @@ class TestDerivedViews:
             raise AssertionError("per-token call in the whole-column build")
 
         monkeypatch.setattr(context_module.TokenFilter, "allows", per_token_call)
-        monkeypatch.setattr(engine_module, "_append_posting", per_token_call)
+        monkeypatch.setattr(token_module, "append_posting", per_token_call)
         shared = BlockingEngine(TokenBlocking(), context=PipelineContext(data))
         assert _block_tuples(shared.build(data)) == expected
 
@@ -562,12 +565,11 @@ class TestWorkflowEquivalence:
         dataset = dirty if kind == "dirty" else clean_clean
         data = dataset.collection if kind == "dirty" else dataset.task
         results = {True: default_workflow(iterate_merges=True).run(data, dataset.ground_truth)}
-        with pytest.warns(RuntimeWarning, match="SelfTokenisingBlocking"):
-            results[False] = self_tokenising_workflow(data, iterate_merges=True).run(
-                data, dataset.ground_truth
-            )
+        results[False] = self_tokenising_workflow(data, iterate_merges=True).run(
+            data, dataset.ground_truth
+        )
         stages = [stage.stage for stage in results[False].report]
-        assert "blocking[token_blocking@oracle]" in stages
+        assert "blocking[token_blocking]" in stages
         assert "matching[weight_order@array+pairwise]" in stages
         assert results[True].iterations == results[False].iterations
         assert results[True].matches == results[False].matches
@@ -635,9 +637,10 @@ class TestSingleInterning:
         data = dirty.collection
         num_values = sum(len(description.values()) for description in data)
         workflow = self_tokenising_workflow(data)
-        _slots_seen, values = self._count_tokenisation(monkeypatch)
-        with pytest.warns(RuntimeWarning):
-            workflow.run(data, dirty.ground_truth)
+        slots, values = self._count_tokenisation(monkeypatch)
+        workflow.run(data, dirty.ground_truth)
+        # the blocking's private context interns every slot a second time
+        assert slots == _slots(data) + _slots(data)
         assert len(values) >= 2 * num_values
 
     @pytest.mark.parametrize(

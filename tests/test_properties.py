@@ -14,6 +14,7 @@ from repro.evaluation.metrics import evaluate_comparisons
 from repro.metablocking.graph import BlockingGraph
 from repro.metablocking.pruning import CardinalityNodePruning, WeightedEdgePruning
 from repro.metablocking.weighting import ARCS, CBS, ECBS, JS
+from repro.text.tokenize import token_set
 
 
 # ----------------------------------------------------------------------
@@ -99,8 +100,8 @@ def test_token_blocking_pairs_share_a_token(description_list):
     builder = TokenBlocking(min_token_length=1, stop_words=None)
     blocks = builder.build(collection)
     for first, second in blocks.distinct_pairs():
-        tokens_a = builder.tokens_of(collection[first])
-        tokens_b = builder.tokens_of(collection[second])
+        tokens_a = token_set(collection[first].values(), stop_words=None, min_length=1)
+        tokens_b = token_set(collection[second].values(), stop_words=None, min_length=1)
         assert tokens_a & tokens_b
 
 

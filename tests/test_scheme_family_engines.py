@@ -1,13 +1,13 @@
-"""Array-vs-oracle equivalence for the long-tail blocking families.
+"""The long-tail blocking families against their frozen output.
 
-Every scheme ported to the index engine in the scheme-family PR -- minhash/
-LSH, canopy, the three sorted-neighbourhood variants and the similarity
-self-join -- must produce *bit-identical* block collections on three
-execution paths: the legacy oracle, the index engine, and the index engine
-fed a shared :class:`~repro.core.context.PipelineContext`.  Equality is structural:
-key order, member order, bilateral splits and ties.
+Minhash/LSH, canopy, the three sorted-neighbourhood variants, the similarity
+self-join and a multidimensional aggregate must reproduce
+``tests/fixtures/blocking/seeded.json`` (see ``test_blocking_equivalence``)
+on seeded dirty and clean--clean collections and on degenerate inputs,
+interning privately and reading a shared context alike.  Equality is
+structural: key order, member order, bilateral splits and ties.
 
-The golden half of the suite freezes the oracle's output on the builtin
+The golden half of the suite freezes the builders' output on the builtin
 datasets into ``tests/fixtures/blocking/families_*.json``; regenerate (only
 on intentional semantic changes) with::
 
@@ -17,170 +17,164 @@ on intentional semantic changes) with::
 from __future__ import annotations
 
 import json
-import warnings
+import math
 from pathlib import Path
 
 import pytest
 
 from repro.blocking import (
+    AttributeClusteringBlocking,
     CanopyClusteringBlocking,
     ExtendedSortedNeighborhoodBlocking,
     MinHashLSHBlocking,
     MultiPassSortedNeighborhoodBlocking,
+    PrefixInfixSuffixBlocking,
     SimilarityJoinBlocking,
     SortedNeighborhoodBlocking,
+    TokenBlocking,
 )
 from repro.blocking.engine import BlockingEngine
 from repro.blocking.sorted_neighborhood import sorting_key_from_attributes
 from repro.core.context import PipelineContext
-from repro.datamodel.collection import CleanCleanTask, EntityCollection
-from repro.datamodel.description import EntityDescription
 from repro.datasets.builtin import load_census, load_restaurants
 from test_blocking_equivalence import (
-    random_clean_clean_task,
+    FAMILY_BUILDERS,
+    assert_case,
     random_dirty_collection,
+    seeded_cases,
     snapshot,
 )
 
 FIXTURES_DIR = Path(__file__).parent / "fixtures" / "blocking"
 
-FAMILY_BUILDERS = {
-    "minhash_lsh": lambda: MinHashLSHBlocking(num_bands=8, rows_per_band=2),
-    "minhash_lsh-default": lambda: MinHashLSHBlocking(),
-    "canopy": lambda: CanopyClusteringBlocking(),
-    "canopy-tight": lambda: CanopyClusteringBlocking(
-        loose_threshold=0.1, tight_threshold=0.3, seed=5
-    ),
-    "sorted_neighborhood": lambda: SortedNeighborhoodBlocking(window_size=3),
-    "extended_sorted_neighborhood": lambda: ExtendedSortedNeighborhoodBlocking(
-        window_size=2
-    ),
-    "multipass_sorted_neighborhood": lambda: MultiPassSortedNeighborhoodBlocking(
-        window_size=3,
-        sorting_keys=(None, sorting_key_from_attributes(["name", "city"])),
-    ),
-    "similarity_join": lambda: SimilarityJoinBlocking(threshold=0.4),
-    "similarity_join-no-positional": lambda: SimilarityJoinBlocking(
-        threshold=0.6, use_positional_filter=False
-    ),
-}
 
-SEEDS = (3, 42, 97)
+def _cases(prefix: str):
+    return [
+        pytest.param(name, *spec, id=name[len(prefix) :])
+        for name, spec in seeded_cases()
+        if name.startswith(prefix)
+    ]
 
 
-def _assert_all_paths_agree(data, factory, label=""):
-    """Oracle vs index x {context, none}."""
-    expected = snapshot(factory().build(data))
-    for with_context in (False, True):
-        context = PipelineContext(data) if with_context else None
-        engine = BlockingEngine(factory(), context=context)
-        built = engine.build(data)
-        assert engine.last_engine == "index", (label, with_context)
-        assert snapshot(built) == expected, (label, with_context)
+@pytest.mark.parametrize("name, make, factory, cleaning", _cases("family/dirty/"))
+def test_dirty_cases_reproduce_the_fixture(name, make, factory, cleaning):
+    assert_case(name, make, factory, cleaning)
 
 
-@pytest.mark.parametrize("builder_name", sorted(FAMILY_BUILDERS))
-@pytest.mark.parametrize("seed", SEEDS)
-def test_dirty_bit_identity(seed, builder_name):
-    data = random_dirty_collection(seed, size=40)
-    _assert_all_paths_agree(data, FAMILY_BUILDERS[builder_name], builder_name)
+@pytest.mark.parametrize("name, make, factory, cleaning", _cases("family/clean_clean/"))
+def test_clean_clean_cases_reproduce_the_fixture(name, make, factory, cleaning):
+    assert_case(name, make, factory, cleaning)
 
 
-@pytest.mark.parametrize("builder_name", sorted(FAMILY_BUILDERS))
-@pytest.mark.parametrize("seed", SEEDS[:2])
-def test_clean_clean_bit_identity(seed, builder_name):
-    task = random_clean_clean_task(seed, per_side=25)
-    _assert_all_paths_agree(task, FAMILY_BUILDERS[builder_name], builder_name)
+@pytest.mark.parametrize("name, make, factory, cleaning", _cases("degenerate/"))
+def test_degenerate_cases_reproduce_the_fixture(name, make, factory, cleaning):
+    assert_case(name, make, factory, cleaning)
 
 
-@pytest.mark.parametrize("builder_name", sorted(FAMILY_BUILDERS))
-def test_degenerate_inputs_bit_identity(builder_name):
-    factory = FAMILY_BUILDERS[builder_name]
-    empty = EntityCollection(name="empty")
-    single = EntityCollection([EntityDescription("only", {"name": "alan turing"})])
-    # stop words and sub-minimum tokens only: every token column is empty
-    blank = EntityCollection(
-        [
-            EntityDescription("b1", {"name": "the of a"}),
-            EntityDescription("b2", {"name": "x y z"}),
-            EntityDescription("b3", {}),
-        ]
-    )
-    # identical values: every sort key, signature and similarity ties
-    ties = EntityCollection(
-        [EntityDescription(f"t{i}", {"name": "grace hopper"}) for i in range(5)]
-    )
-    empty_task = CleanCleanTask(EntityCollection(name="l"), EntityCollection(name="r"))
-    one_sided = CleanCleanTask(
-        EntityCollection([EntityDescription("L1", {"name": "alan"})], name="l"),
-        EntityCollection(name="r"),
-    )
-    for label, data in (
-        ("empty", empty),
-        ("single", single),
-        ("blank-tokens", blank),
-        ("all-ties", ties),
-        ("empty-task", empty_task),
-        ("one-sided-task", one_sided),
-    ):
-        _assert_all_paths_agree(data, factory, f"{builder_name}/{label}")
+def test_multidimensional_blocking_interns_its_input_once(monkeypatch):
+    """Every dimension reads the one context the aggregate builds."""
+    interned = []
+    original = PipelineContext.__init__
+
+    def counting(self, data):
+        interned.append(data)
+        original(self, data)
+
+    monkeypatch.setattr(PipelineContext, "__init__", counting)
+    data = random_dirty_collection(3, size=20)
+    FAMILY_BUILDERS["multidimensional"]().build(data)
+    assert interned == [data]
+    shared = PipelineContext(data)
+    FAMILY_BUILDERS["multidimensional"]().build(data, shared)
+    assert interned == [data, data]
 
 
-def test_similarity_join_statistics_match_oracle():
-    data = random_dirty_collection(11, size=40)
-    oracle = SimilarityJoinBlocking(threshold=0.4)
-    oracle.build(data)
-    ported = SimilarityJoinBlocking(threshold=0.4)
-    BlockingEngine(ported).build(data)
-    assert ported.last_candidate_count == oracle.last_candidate_count
-    assert ported.last_verified_count == oracle.last_verified_count
-
-
-# ----------------------------------------------------------------------
-# fallback warning (satellite: one-time RuntimeWarning naming the scheme)
-# ----------------------------------------------------------------------
-class TestFallbackWarning:
-    def test_custom_builder_warns_once_with_scheme_name(self):
-        class MyCustomScheme(SortedNeighborhoodBlocking):
-            pass
-
-        data = random_dirty_collection(3, size=10)
-        engine = BlockingEngine(MyCustomScheme(window_size=2))
-        with pytest.warns(RuntimeWarning, match="MyCustomScheme") as record:
-            engine.build(data)
-        assert engine.last_engine == "oracle"
-        fallback_warnings = [
-            w for w in record if "index-engine implementation" in str(w.message)
-        ]
-        assert len(fallback_warnings) == 1
-        # second build: the warning already fired for this engine instance
-        with warnings.catch_warnings():
-            warnings.simplefilter("error")
-            engine.build(data)
+class TestTrivialSubclasses:
+    """A subclass that overrides nothing is the library type: same output."""
 
     @pytest.mark.parametrize("builder_name", sorted(FAMILY_BUILDERS))
-    def test_supported_builders_do_not_warn(self, builder_name):
-        data = random_dirty_collection(3, size=10)
-        engine = BlockingEngine(FAMILY_BUILDERS[builder_name]())
-        with warnings.catch_warnings():
-            warnings.simplefilter("error")
-            engine.build(data)
-        assert engine.last_engine == "index"
-
-    def test_oracle_engine_never_warns(self):
-        """The warning is the engine's: the builder's own build is silent."""
-
-        class MyCustomScheme(SortedNeighborhoodBlocking):
-            pass
-
-        data = random_dirty_collection(3, size=10)
-        with warnings.catch_warnings():
-            warnings.simplefilter("error")
-            MyCustomScheme(window_size=2).build(data)
+    def test_trivial_subclass_gives_the_library_output(self, builder_name):
+        library = FAMILY_BUILDERS[builder_name]()
+        subclass = type(f"Readable{type(library).__name__}", (type(library),), {})
+        readable = FAMILY_BUILDERS[builder_name]()
+        readable.__class__ = subclass
+        data = random_dirty_collection(3, size=20)
+        assert snapshot(BlockingEngine(readable).build(data)) == snapshot(library.build(data))
 
 
 # ----------------------------------------------------------------------
-# golden fixtures (frozen from the oracle on the builtin datasets)
+# parameters are checked when a builder is constructed
+# ----------------------------------------------------------------------
+TOKEN_READERS = {
+    "token": TokenBlocking,
+    "prefix_infix_suffix": PrefixInfixSuffixBlocking,
+    "attribute_clustering": AttributeClusteringBlocking,
+    "minhash_lsh": MinHashLSHBlocking,
+    "canopy": CanopyClusteringBlocking,
+    "similarity_join": SimilarityJoinBlocking,
+}
+WINDOWED = {
+    "sorted_neighborhood": SortedNeighborhoodBlocking,
+    "extended_sorted_neighborhood": ExtendedSortedNeighborhoodBlocking,
+    "multipass_sorted_neighborhood": MultiPassSortedNeighborhoodBlocking,
+}
+FRACTIONED = {
+    "token": TokenBlocking,
+    "prefix_infix_suffix": PrefixInfixSuffixBlocking,
+    "attribute_clustering": AttributeClusteringBlocking,
+}
+
+BAD_PARAMETERS = [
+    *(
+        pytest.param(cls, "min_token_length", value, id=f"{name}-min_token_length={value!r}")
+        for name, cls in TOKEN_READERS.items()
+        for value in (2.5, -1, "2", True, None)
+    ),
+    *(
+        pytest.param(cls, "max_block_fraction", value, id=f"{name}-max_block_fraction={value!r}")
+        for name, cls in FRACTIONED.items()
+        for value in (math.nan, -0.5, 0.0, 1.5, math.inf, "0.5", True)
+    ),
+    *(
+        pytest.param(CanopyClusteringBlocking, name, value, id=f"canopy-{name}={value!r}")
+        for name in ("loose_threshold", "tight_threshold")
+        for value in (math.nan, -0.1, 1.5, math.inf, "0.5")
+    ),
+    *(
+        pytest.param(cls, "window_size", value, id=f"{name}-window_size={value!r}")
+        for name, cls in WINDOWED.items()
+        for value in (2.5, "3", True, 0)
+    ),
+]
+
+
+@pytest.mark.parametrize("builder_type, parameter, value", BAD_PARAMETERS)
+def test_a_bad_parameter_is_rejected_at_construction(builder_type, parameter, value):
+    with pytest.raises(ValueError, match=parameter):
+        builder_type(**{parameter: value})
+
+
+@pytest.mark.parametrize(
+    "factory",
+    [
+        pytest.param(lambda: TokenBlocking(min_token_length=0, max_block_fraction=1), id="token"),
+        pytest.param(lambda: TokenBlocking(max_block_fraction=1e-9), id="token-tiny_fraction"),
+        pytest.param(
+            lambda: CanopyClusteringBlocking(loose_threshold=0, tight_threshold=1), id="canopy"
+        ),
+        pytest.param(lambda: SortedNeighborhoodBlocking(window_size=2), id="sorted_neighborhood"),
+        pytest.param(
+            lambda: ExtendedSortedNeighborhoodBlocking(window_size=1),
+            id="extended_sorted_neighborhood",
+        ),
+    ],
+)
+def test_boundary_parameters_are_accepted(factory):
+    assert len(factory().build(random_dirty_collection(3, size=10))) >= 0
+
+
+# ----------------------------------------------------------------------
+# golden fixtures (frozen on the builtin datasets)
 # ----------------------------------------------------------------------
 DATASETS = {"census": load_census, "restaurants": load_restaurants}
 
@@ -217,19 +211,16 @@ def test_golden_fixture_covers_all_families(dataset_name):
     assert set(_fixture(dataset_name)["builders"]) == set(GOLDEN_BUILDERS)
 
 
-@pytest.mark.parametrize("engine", ("oracle", "index"))
+@pytest.mark.parametrize("shared", (False, True), ids=("private", "shared-context"))
 @pytest.mark.parametrize("dataset_name", sorted(DATASETS))
-def test_engines_reproduce_family_golden_output(dataset_name, engine):
+def test_builders_reproduce_family_golden_output(dataset_name, shared):
     collection = DATASETS[dataset_name]().collection
     fixture = _fixture(dataset_name)
+    context = PipelineContext(collection) if shared else None
     for builder_name, frozen in fixture["builders"].items():
-        builder = GOLDEN_BUILDERS[builder_name]()
-        if engine == "oracle":
-            blocks = builder.build(collection)
-        else:
-            blocks = BlockingEngine(builder).build(collection)
+        blocks = BlockingEngine(GOLDEN_BUILDERS[builder_name](), context=context).build(collection)
         assert _serialise(blocks) == frozen["blocks"], (
-            f"{dataset_name}/{builder_name}/{engine}: block collection changed"
+            f"{dataset_name}/{builder_name}: block collection changed"
         )
 
 

@@ -7,7 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.blocking.similarity_join import SimilarityJoinBlocking, _prefix_length, _required_overlap
+from repro.blocking.similarity_join import SimilarityJoinBlocking
 from repro.datamodel.collection import CleanCleanTask, EntityCollection
 from repro.datamodel.description import EntityDescription
 from repro.text.similarity import jaccard_similarity
@@ -16,18 +16,17 @@ from repro.text.tokenize import token_set
 
 def brute_force_pairs(collection, threshold, builder):
     """All pairs whose Jaccard similarity over the builder's tokens reaches the threshold."""
-    tokens = {d.identifier: builder._record_tokens(d) for d in collection}
+    tokens = {
+        d.identifier: token_set(
+            d.values(), stop_words=builder.stop_words, min_length=builder.min_token_length
+        )
+        for d in collection
+    }
     result = set()
     for first, second in itertools.combinations(sorted(tokens), 2):
         if jaccard_similarity(tokens[first], tokens[second]) >= threshold:
             result.add((first, second))
     return result
-
-
-def test_prefix_length_and_required_overlap_formulas():
-    assert _prefix_length(10, 0.5) == 6
-    assert _prefix_length(4, 1.0) == 1
-    assert _required_overlap(4, 4, 0.5) == pytest.approx(8 / 3)
 
 
 def test_threshold_validation():
@@ -90,6 +89,34 @@ def test_join_pairs_returns_similarities():
     )
     results = SimilarityJoinBlocking(threshold=0.5).join_pairs(collection)
     assert results == [("a", "b", 1.0)]
+    # clean-clean: cross pairs only, in canonical order, each with its Jaccard
+    left = EntityCollection(
+        [
+            EntityDescription("z-left", {"name": "alan turing bletchley"}),
+            EntityDescription("l2", {"name": "grace hopper navy"}),
+        ],
+        name="left",
+    )
+    right = EntityCollection(
+        [
+            EntityDescription("a-right", {"name": "alan turing"}),
+            EntityDescription("r2", {"name": "grace hopper navy"}),
+            EntityDescription("r3", {"name": "grace hopper"}),
+        ],
+        name="right",
+    )
+    task = CleanCleanTask(left, right)
+    builder = SimilarityJoinBlocking(threshold=0.5)
+    results = builder.join_pairs(task)
+    assert results == [
+        ("a-right", "z-left", 2 / 3),
+        ("l2", "r2", 1.0),
+        ("l2", "r3", 2 / 3),
+    ]
+    assert [(first, second) for first, second, _ in results] == [
+        pair for block in builder.build(task) for pair in block.pairs()
+    ]
+    assert builder.last_verified_count == len(results)
 
 
 token_strategy = st.lists(

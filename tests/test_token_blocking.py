@@ -6,11 +6,19 @@ from repro.blocking.token_blocking import (
     AttributeClusteringBlocking,
     PrefixInfixSuffixBlocking,
     TokenBlocking,
-    cluster_attributes,
 )
+from repro.core.context import PipelineContext
 from repro.datamodel.collection import CleanCleanTask, EntityCollection
 from repro.datamodel.description import EntityDescription
 from repro.evaluation.metrics import evaluate_blocks
+
+
+def cluster_attributes(data, similarity_threshold, min_token_length=1, **kwargs):
+    """The attribute clusters an ``AttributeClusteringBlocking`` build keys by."""
+    builder = AttributeClusteringBlocking(
+        similarity_threshold=similarity_threshold, min_token_length=min_token_length, **kwargs
+    )
+    return builder._clustered(PipelineContext(data))[0]
 
 
 def make_heterogeneous_pair():
