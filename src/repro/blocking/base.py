@@ -322,6 +322,14 @@ def check_unit_interval(name: str, value, open_low: bool = False) -> float:
     return value
 
 
+def check_count(name: str, value, minimum: int) -> int:
+    """``value`` if it is an ``int >= minimum`` (not a ``bool``), else
+    ``ValueError`` naming the parameter."""
+    if isinstance(value, bool) or not isinstance(value, int) or value < minimum:
+        raise ValueError(f"{name} must be an int >= {minimum}, got {value!r}")
+    return value
+
+
 def interned(data: ERInput, context=None):
     """``context`` if it owns ``data``, else a private context over ``data``.
 

@@ -18,11 +18,13 @@ applied between blocking and matching (and before meta-blocking):
 
 from __future__ import annotations
 
+import numbers
+from math import inf
 from typing import List, Optional, Sequence, Set
 
 import numpy as _np
 
-from repro.blocking.base import Block, BlockCollection
+from repro.blocking.base import Block, BlockCollection, check_count, check_unit_interval
 from repro.blocking.columns import BlockColumns, int_view
 from repro.datamodel.pairs import canonical_pair, identifier_ranks
 
@@ -77,13 +79,19 @@ class BlockPurging:
     ----------
     smoothing_factor:
         Minimum relative gap (ratio between consecutive distinct block
-        cardinalities) that is considered an outlier boundary; below it no
-        block is purged.
+        cardinalities, a finite number ``>= 1``) that is considered an
+        outlier boundary; below it no block is purged.
     max_comparisons:
-        Fixed cardinality bound overriding the adaptive one.
+        Fixed cardinality bound overriding the adaptive one (an ``int >= 0``).
     """
 
     def __init__(self, smoothing_factor: float = 2.0, max_comparisons: Optional[int] = None) -> None:
+        # a ratio of consecutive distinct cardinalities is above 1
+        factor = smoothing_factor
+        if isinstance(factor, bool) or not isinstance(factor, numbers.Real) or not 1 <= factor < inf:
+            raise ValueError(f"smoothing_factor must be a finite number >= 1, got {factor!r}")
+        if max_comparisons is not None:
+            check_count("max_comparisons", max_comparisons, 0)
         self.smoothing_factor = smoothing_factor
         self.max_comparisons = max_comparisons
 
@@ -111,9 +119,7 @@ class BlockFiltering:
     """
 
     def __init__(self, ratio: float = 0.8) -> None:
-        if not 0.0 < ratio <= 1.0:
-            raise ValueError("ratio must be in (0, 1]")
-        self.ratio = ratio
+        self.ratio = check_unit_interval("ratio", ratio, open_low=True)
 
     def process(self, blocks: BlockCollection) -> BlockCollection:
         """Filtering: rank every description's assignments, keep the flagged ones.

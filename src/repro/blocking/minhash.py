@@ -36,7 +36,7 @@ import random
 from array import array
 from typing import Dict, Iterable, List, Sequence, Tuple
 
-from repro.blocking.base import BlockBuilder, BlockCollection, ERInput, interned
+from repro.blocking.base import BlockBuilder, BlockCollection, ERInput, check_count, interned
 from repro.blocking.columns import BlockColumns, TokenColumnView, append_posting, concatenated
 from repro.text.tokenize import DEFAULT_STOP_WORDS, check_min_token_length
 
@@ -122,10 +122,8 @@ class MinHashLSHBlocking(BlockBuilder):
         min_token_length: int = 2,
         seed: int = 1,
     ) -> None:
-        if num_bands < 1 or rows_per_band < 1:
-            raise ValueError("num_bands and rows_per_band must be positive")
-        self.num_bands = num_bands
-        self.rows_per_band = rows_per_band
+        self.num_bands = check_count("num_bands", num_bands, 1)
+        self.rows_per_band = check_count("rows_per_band", rows_per_band, 1)
         self.stop_words = frozenset(stop_words) if stop_words else frozenset()
         self.min_token_length = check_min_token_length(min_token_length)
         self._minhash = MinHashSignature(num_hashes=num_bands * rows_per_band, seed=seed)

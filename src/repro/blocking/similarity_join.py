@@ -24,7 +24,14 @@ from typing import Dict, List, Sequence, Tuple
 
 import numpy as _np
 
-from repro.blocking.base import Block, BlockBuilder, BlockCollection, ERInput, interned
+from repro.blocking.base import (
+    Block,
+    BlockBuilder,
+    BlockCollection,
+    ERInput,
+    check_unit_interval,
+    interned,
+)
 from repro.blocking.columns import TokenColumnView
 from repro.datamodel.pairs import identifier_ranks
 from repro.text.tokenize import DEFAULT_STOP_WORDS, check_min_token_length
@@ -54,9 +61,7 @@ class SimilarityJoinBlocking(BlockBuilder):
         stop_words=DEFAULT_STOP_WORDS,
         min_token_length: int = 2,
     ) -> None:
-        if not 0.0 < threshold <= 1.0:
-            raise ValueError("threshold must be in (0, 1]")
-        self.threshold = threshold
+        self.threshold = check_unit_interval("threshold", threshold, open_low=True)
         self.use_positional_filter = use_positional_filter
         self.stop_words = frozenset(stop_words) if stop_words else frozenset()
         self.min_token_length = check_min_token_length(min_token_length)

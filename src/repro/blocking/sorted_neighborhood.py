@@ -22,7 +22,7 @@ from __future__ import annotations
 import itertools
 from typing import Callable, Iterator, List, Optional, Sequence, Tuple
 
-from repro.blocking.base import Block, BlockBuilder, BlockCollection, ERInput, interned
+from repro.blocking.base import Block, BlockBuilder, BlockCollection, ERInput, check_count, interned
 from repro.datamodel.collection import CleanCleanTask
 from repro.datamodel.description import EntityDescription
 from repro.text.tokenize import normalize
@@ -68,16 +68,6 @@ def sorted_order(
     return entries
 
 
-def check_window_size(window_size, minimum: int) -> int:
-    """``window_size`` if it is an ``int >= minimum`` (not a ``bool``), else
-    ``ValueError``."""
-    if isinstance(window_size, bool) or not isinstance(window_size, int):
-        raise ValueError(f"window_size must be an int, got {window_size!r}")
-    if window_size < minimum:
-        raise ValueError(f"window_size must be at least {minimum}, got {window_size}")
-    return window_size
-
-
 def _left_count(data: ERInput) -> int:
     """Left-side descriptions of a clean--clean task (they take the lower
     ordinals), ``-1`` for dirty input."""
@@ -104,7 +94,7 @@ class SortedNeighborhoodBlocking(BlockBuilder):
         window_size: int = 4,
         sorting_key: Optional[Callable[[EntityDescription], str]] = None,
     ) -> None:
-        self.window_size = check_window_size(window_size, 2)
+        self.window_size = check_count("window_size", window_size, 2)
         self.sorting_key = sorting_key
 
     def build(self, data: ERInput, context=None) -> BlockCollection:
@@ -130,7 +120,7 @@ class ExtendedSortedNeighborhoodBlocking(BlockBuilder):
         window_size: int = 2,
         sorting_key: Optional[Callable[[EntityDescription], str]] = None,
     ) -> None:
-        self.window_size = check_window_size(window_size, 1)
+        self.window_size = check_count("window_size", window_size, 1)
         self.sorting_key = sorting_key
 
     def build(self, data: ERInput, context=None) -> BlockCollection:
@@ -157,7 +147,7 @@ class MultiPassSortedNeighborhoodBlocking(BlockBuilder):
         window_size: int = 4,
         sorting_keys: Sequence[Optional[Callable[[EntityDescription], str]]] = (None,),
     ) -> None:
-        self.window_size = check_window_size(window_size, 2)
+        self.window_size = check_count("window_size", window_size, 2)
         keys = tuple(sorting_keys)
         if not keys:
             raise ValueError("at least one sorting key is required")

@@ -347,6 +347,12 @@ class PipelineContext:
         return self._tokens[token_id]
 
     @property
+    def tokens(self) -> List[str]:
+        """Every token, indexed by id (read, never mutate)."""
+        self._intern_all()
+        return self._tokens
+
+    @property
     def vocabulary_size(self) -> int:
         self._intern_all()
         return len(self._tokens)

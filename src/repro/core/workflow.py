@@ -413,12 +413,19 @@ class ERWorkflow:
             scheduling=scheduling,
         )
         result.comparisons_executed += progressive.comparisons_executed
-        result.matches = list(progressive.declared_matches)
+        result.matches = progressive.declared_matches
         result.curve = progressive.curve
+        # the declared matches as context ordinals, the form clustering reads
+        matches = progressive.match_columns
+        if matches.ids is not context.ids:
+            # the per-row drain interned its own table
+            at = [context.ordinal(identifier) for identifier in matches.ids].__getitem__
+            own, matches = matches, DecisionColumns(context.ids)
+            matches.extend(map(at, own.first), map(at, own.second), own.similarity, own.is_match)
         stage = report.add_stage(
             f"matching[{scheduler.name}@{scheduling.last_engine}+{engine.last_engine}]",
             comparisons=progressive.comparisons_executed,
-            declared_matches=len(progressive.declared_matches),
+            declared_matches=len(result.matches),
             seconds=time.perf_counter() - start,
         )
         notes = []
@@ -434,11 +441,13 @@ class ERWorkflow:
             new_matches, counts, path = self._iterate_merges(
                 data,
                 engine,
-                result.matches,
+                list(zip(matches.first, matches.second)),
                 context,
                 blocks=raw_blocks if self._merge_blocks_reusable(builder) else None,
             )
-            result.matches.extend(new_matches)
+            for first, second in new_matches:
+                matches.append(first, second, 1.0, True)
+                result.matches.append((context.ids[first], context.ids[second]))
             result.comparisons_executed += counts["comparisons"]
             result.iterations = counts["iterations"]
             report.add_stage(
@@ -451,11 +460,7 @@ class ERWorkflow:
         # ---------------- clustering ----------------
         start = time.perf_counter()
         cluster_engine = ClusteringEngine(clustering, parallel=parallel)
-        # the declared matches become positive decision columns directly and
-        # are clustered as flat ordinals
-        result.clusters = cluster_engine.cluster(
-            DecisionColumns.from_match_pairs(result.matches)
-        )
+        result.clusters = cluster_engine.cluster(matches)
         report.add_stage(
             f"clustering[{clustering.name}@{cluster_engine.last_engine}]",
             clusters=len(result.clusters),
@@ -495,16 +500,17 @@ class ERWorkflow:
         self,
         data: ERInput,
         engine: MatchingEngine,
-        matches: Sequence[Tuple[str, str]],
+        matches: Sequence[Tuple[int, int]],
         context: PipelineContext,
         blocks: Optional[BlockCollection] = None,
-    ) -> Tuple[List[Tuple[str, str]], Dict[str, int], str]:
+    ) -> Tuple[List[Tuple[int, int]], Dict[str, int], str]:
         """Merging-based update phase, over ordinals.
 
-        Matched descriptions are merged; each merged description is compared
-        against the (not yet matched) descriptions that share a token-blocking
-        block with any of its sources, which may reveal matches missed by the
-        pairwise phase.  Returns the new matches, the stage counts
+        Matched descriptions (pairs of context ordinals) are merged; each
+        merged description is compared against the (not yet matched)
+        descriptions that share a token-blocking block with any of its
+        sources, which may reveal matches missed by the pairwise phase.
+        Returns the new matches (ordinal pairs), the stage counts
         (``iterations``, ``merges``, ``candidates``, ``comparisons``) and the
         path that ran (``"batch"``, or ``"pairwise: <matcher type>"`` for a
         matcher the batch engine does not implement).
@@ -518,8 +524,7 @@ class ERWorkflow:
         Everything per candidate is an integer: descriptions are numbered in
         collection order (the shared context's ordinals), neighbourhoods come
         from the CSR of an :class:`EntityIndexEngine` built on those
-        ordinals, cluster state is an :class:`IntUnionFind`, and identifier
-        pairs are produced for the new matches only.  **Order rule:** a
+        ordinals and cluster state is an :class:`IntUnionFind`.  **Order rule:** a
         merge's candidates are visited in identifier order, and the cluster
         check runs at visit time, because a union made for an earlier
         candidate can absorb a later one.
@@ -546,12 +551,12 @@ class ERWorkflow:
         path = "batch" if batch else f"pairwise: {type(engine.matcher).__name__}"
         threshold = engine.matcher.threshold if batch else None
 
-        pending = [(context.ordinal(first), context.ordinal(second)) for first, second in matches]
+        pending = list(matches)
         clusters = IntUnionFind(index.num_entities)
         for first, second in pending:
             clusters.union(first, second)
 
-        new_matches: List[Tuple[str, str]] = []
+        new_matches: List[Tuple[int, int]] = []
         counts = {"iterations": 0, "merges": 0, "candidates": 0}
         comparisons = 0
         for iteration in range(self.config.max_iterations):
@@ -591,10 +596,7 @@ class ERWorkflow:
                         found.append((first, candidate))
                 if scores is None:
                     engine.invalidate(merged.identifier)
-            new_matches.extend(
-                (index.identifier(first), index.identifier(candidate))
-                for first, candidate in found
-            )
+            new_matches.extend(found)
             pending = found
         counts["comparisons"] = comparisons
         return new_matches, counts, path

@@ -295,18 +295,22 @@ class ComparisonColumns(Sequence):
             if missing.any():
                 key = _np.where(missing, -_np.inf, weights)
         order = heaviest_first(self._ranks(), first, second, key)
-        sorted_first = array("q", first[order].tobytes())
-        sorted_second = array("q", second[order].tobytes())
-        sorted_weights = None
-        if weights is not None:
-            sorted_weights = array("d", weights[order].tobytes())
+        return self.taken(order, distinct=self.distinct, weight_ordered=True)
+
+    def taken(self, index, distinct: bool = False, weight_ordered: bool = False):
+        """A copy holding the rows at ``index`` (ints), in that order."""
+        index = _np.asarray(index, dtype=_np.int64)
+
+        def gather(column, dtype, typecode):
+            return array(typecode, _np.frombuffer(column, dtype=dtype)[index].tobytes())
+
         return ComparisonColumns(
             self.ids,
-            sorted_first,
-            sorted_second,
-            sorted_weights,
-            distinct=self.distinct,
-            weight_ordered=True,
+            gather(self.first, _np.int64, "q"),
+            gather(self.second, _np.int64, "q"),
+            gather(self.weights, _np.float64, "d") if self.weights is not None else None,
+            distinct=distinct,
+            weight_ordered=weight_ordered,
         )
 
     def deduplicated(self) -> "ComparisonColumns":
@@ -323,18 +327,13 @@ class ComparisonColumns(Sequence):
         first = _np.frombuffer(self.first, dtype=_np.int64)
         second = _np.frombuffer(self.second, dtype=_np.int64)
         keep = first_occurrences(first, second, len(self.ids))
-        kept = (self.first, self.second, self.weights)
         if len(keep) < len(self):
-            kept = (
-                array("q", first[keep].tobytes()),
-                array("q", second[keep].tobytes()),
-                array("d", _np.frombuffer(self.weights, dtype=_np.float64)[keep].tobytes())
-                if self.weights is not None
-                else None,
-            )
+            return self.taken(keep, distinct=True, weight_ordered=self.weight_ordered)
         return ComparisonColumns(
             self.ids,
-            *kept,
+            self.first,
+            self.second,
+            self.weights,
             distinct=True,
             weight_ordered=self.weight_ordered,
         )
@@ -444,6 +443,14 @@ class DecisionColumns(Sequence):
         self.similarity.append(similarity)
         self.is_match.append(1 if is_match else 0)
 
+    def extend(self, first, second, similarity, is_match) -> None:
+        """Record executed decisions as rows (iterables of ordinals,
+        similarities and 0/1 flags)."""
+        self.first.extend(first)
+        self.second.extend(second)
+        self.similarity.extend(similarity)
+        self.is_match.extend(is_match)
+
     def __len__(self) -> int:
         return len(self.first)
 
@@ -478,9 +485,12 @@ class DecisionColumns(Sequence):
 
     def matched_pairs(self) -> List[Tuple[str, str]]:
         """Canonical pairs of the positive decisions, in row order."""
+        ids = self.ids
         return [
-            self.pair(index)
-            for index, flag in enumerate(self.is_match)
+            (first, second) if first < second else (second, first)
+            for first, second, flag in zip(
+                map(ids.__getitem__, self.first), map(ids.__getitem__, self.second), self.is_match
+            )
             if flag
         ]
 

@@ -16,9 +16,12 @@ the matcher's exact type picks one:
   - The kernel (:meth:`MatchingEngine.decide_ordinal_pairs`, over a shared
     pipeline context) decides whole columns of context-ordinal pairs
     from the store's :class:`~repro.text.profile_store.ProfileColumns`: the
-    entries of one row of every pair are looked up in the other row with a
-    single ``searchsorted`` over the globally sorted key column and summed
-    per pair with a single ``bincount``.  No description, profile or
+    entries of both rows of every pair are sorted stably once as
+    ``pair * stride + id`` keys, adjacent equal keys are the shared tokens,
+    and their products are summed per pair with a single ``bincount``
+    (:meth:`ProfileColumns.shared
+    <repro.text.profile_store.ProfileColumns.shared>`).  Ordinal arrays go
+    in and a boolean flag array comes out; no description, profile or
     decision object exists per pair.  Its one-vs-many twin,
     :meth:`MatchingEngine.score_against`, scores a profile outside the
     columns (a merge) token-major: the rows holding each of its tokens come
@@ -108,10 +111,11 @@ def _set_score(similarity_name: str, size_a: int, size_b: int, shared: int) -> f
 _COSINE_MARGIN = 1e-12
 
 
-def _set_matches(similarity_name: str, size_a: int, sizes_b, shared, threshold: float):
-    """``_set_score(similarity_name, size_a, b, s) >= threshold`` for every
-    ``(b, s)`` of the int64 arrays ``sizes_b`` and ``shared``, in one vector
-    expression; every pair shares a token, so no size is zero.
+def _set_matches(similarity_name: str, size_a, sizes_b, shared, threshold: float):
+    """``_set_score(similarity_name, a, b, s) >= threshold`` for every
+    ``(a, b, s)`` of ``size_a`` (an int or an int64 array) and the int64
+    arrays ``sizes_b`` and ``shared``, in one vector expression; no size may
+    be zero.
 
     Integer sizes and counts convert to float64 exactly, so the true
     divisions of jaccard, dice and overlap round as the scalar expressions
@@ -128,9 +132,13 @@ def _set_matches(similarity_name: str, size_a: int, sizes_b, shared, threshold: 
     else:
         scores = shared / _np.sqrt(size_a * sizes_b)
         near = (_np.abs(scores - threshold) <= _COSINE_MARGIN).nonzero()[0]
+        sizes_a = _np.broadcast_to(size_a, scores.shape)
         for position in near.tolist():
             scores[position] = _set_score(
-                similarity_name, size_a, int(sizes_b[position]), int(shared[position])
+                similarity_name,
+                int(sizes_a[position]),
+                int(sizes_b[position]),
+                int(shared[position]),
             )
     return scores >= threshold
 
@@ -347,35 +355,44 @@ class MatchingEngine:
         profile = self._batch_store("score_ordinal_pairs", ordinals=True).ordinal_profile
         return [self._exact(profile(a), profile(b)) for a, b in zip(first, second)]
 
-    def decide_ordinal_pairs(self, first: Sequence[int], second: Sequence[int]) -> List[bool]:
+    def decide_ordinal_pairs(self, first, second):
         """Whether the context descriptions ``first[i]``, ``second[i]`` match.
 
-        The kernel of the matching phase (see the module docstring): one
-        pass over the store's profile columns, the exact body only for the
-        pairs within the margin of the threshold.  The flags are the
-        per-pair matcher's decisions.
+        The kernel of the matching phase (see the module docstring): ordinal
+        columns in (int64 arrays or sequences), a boolean array of flags
+        out.  One pass over the store's profile columns; the exact body
+        only for the pairs within the margin of the threshold.  The flags
+        are the per-pair matcher's decisions.
         """
         store = self._batch_store("decide_ordinal_pairs", ordinals=True)
-        if not len(first):
-            return []
-        columns = store.columns()
         rows_a = _np.asarray(first, dtype=_np.int64)
         rows_b = _np.asarray(second, dtype=_np.int64)
+        if not len(rows_a):
+            return _np.zeros(0, dtype=_np.bool_)
+        columns = store.columns()
         shared = columns.shared(rows_a, rows_b)
-        if columns.weights is None:
-            scores = self._set_scores(
-                columns.sizes[rows_a].tolist(), columns.sizes[rows_b].tolist(), shared
-            )
-        else:
-            profile = store.ordinal_profile
-            scores = self._cosine_scores(
-                shared,
-                columns.norms[rows_a] * columns.norms[rows_b],
-                columns.margin(),
-                lambda i: self._exact(profile(first[i]), profile(second[i])),
-            )
         threshold = self.matcher.threshold
-        return [score >= threshold for score in scores]
+        if columns.weights is None:
+            sizes_a, sizes_b = columns.sizes[rows_a], columns.sizes[rows_b]
+            filled = (sizes_a > 0) & (sizes_b > 0)
+            # an empty profile scores 1 against an empty one, else 0
+            flags = _np.where(sizes_a == sizes_b, True, threshold <= 0.0)
+            flags[filled] = _set_matches(
+                self.matcher.similarity_name,
+                sizes_a[filled],
+                sizes_b[filled],
+                shared[filled],
+                threshold,
+            )
+            return flags
+        profile = store.ordinal_profile
+        scores = self._cosine_scores(
+            shared,
+            columns.norms[rows_a] * columns.norms[rows_b],
+            columns.margin(),
+            lambda i: self._exact(profile(int(rows_a[i])), profile(int(rows_b[i]))),
+        )
+        return scores >= threshold
 
     def score_against(
         self, description: EntityDescription, ordinals: Sequence[int]
@@ -411,7 +428,7 @@ class MatchingEngine:
             query.norm * columns.norms[rows],
             columns.margin(len(query)),
             lambda i: self._exact(query, profile(ordinals[i])),
-        )
+        ).tolist()
 
     def _set_scores(self, sizes_a, sizes_b, shared) -> List[float]:
         """Set similarities from profile sizes and shared-token counts."""
@@ -423,8 +440,9 @@ class MatchingEngine:
             for size_a, size_b, count in zip(sizes_a, sizes_b, shared.tolist())
         ]
 
-    def _cosine_scores(self, shared, scale, margin: float, exact) -> List[float]:
-        """TF-IDF cosines ``shared / scale``, exact where they decide.
+    def _cosine_scores(self, shared, scale, margin: float, exact):
+        """TF-IDF cosines ``shared / scale`` (a float64 array), exact where
+        they decide.
 
         ``exact(i)`` is the exact body on pair ``i``; it replaces every
         cosine within ``margin`` of the threshold.
@@ -433,7 +451,7 @@ class MatchingEngine:
         near = _np.abs(scores - self.matcher.threshold) <= margin
         for index in _np.flatnonzero(near).tolist():
             scores[index] = exact(index)
-        return scores.tolist()
+        return scores
 
     # ------------------------------------------------------------------
     def score_id_set_pairs(

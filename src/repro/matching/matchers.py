@@ -93,6 +93,18 @@ def check_cost(cost) -> float:
     return cost
 
 
+def check_threshold(threshold) -> float:
+    """``threshold`` if it is a real number in [0, 1], else ``ValueError``
+    (NaN and ``bool`` fail)."""
+    if (
+        isinstance(threshold, bool)
+        or not isinstance(threshold, numbers.Real)
+        or not 0.0 <= threshold <= 1.0
+    ):
+        raise ValueError(f"threshold must be in [0, 1], got {threshold!r}")
+    return threshold
+
+
 class Matcher(abc.ABC):
     """Interface of a pairwise matcher."""
 
@@ -173,8 +185,7 @@ class ProfileSimilarityMatcher(Matcher):
         similarity_name: str = "jaccard",
         cost: float = 1.0,
     ) -> None:
-        if not 0.0 <= threshold <= 1.0:
-            raise ValueError("threshold must be in [0, 1]")
+        check_threshold(threshold)
         from repro.text.similarity import SET_SIMILARITIES
 
         if similarity_name not in SET_SIMILARITIES:
@@ -237,8 +248,7 @@ class AttributeWeightedMatcher(Matcher):
     ) -> None:
         if not attribute_weights:
             raise ValueError("attribute weights must not be empty")
-        if not 0.0 <= threshold <= 1.0:
-            raise ValueError("threshold must be in [0, 1]")
+        check_threshold(threshold)
         total = sum(attribute_weights.values())
         if total <= 0:
             raise ValueError("attribute weights must sum to a positive value")

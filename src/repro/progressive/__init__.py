@@ -37,8 +37,8 @@ schedule as ordinal rows over an identifier table.  Blocks, meta-blocking's
 :class:`~repro.datamodel.pairs.ComparisonColumns` and plain comparison
 lists reach it through one normaliser,
 :func:`~repro.progressive.schedulers.candidate_columns`;
-:func:`~repro.progressive.runner.run_progressive` drains the rows in
-batches into :meth:`~repro.matching.engine.MatchingEngine.decide_ordinal_pairs`,
+:func:`~repro.progressive.runner.run_progressive` drains the rows as
+column chunks into :meth:`~repro.matching.engine.MatchingEngine.decide_ordinal_pairs`,
 so a comparison budget costs only the prefix it affords, and ``schedule``
 is the same rows as ``Comparison`` objects.  A scheduler whose type
 overrides ``schedule`` -- the adaptive ones (progressive sorted

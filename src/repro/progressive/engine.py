@@ -7,7 +7,7 @@ Every feedback-free library scheduler
 :class:`~repro.progressive.sorted_list.SortedListScheduler`) has one body,
 its :meth:`~repro.progressive.schedulers.ProgressiveScheduler.rows`: the
 schedule as ordinal rows over an identifier table, which
-:func:`~repro.progressive.runner.run_progressive` hands in batches to
+:func:`~repro.progressive.runner.run_progressive` hands in column chunks to
 :meth:`~repro.matching.engine.MatchingEngine.decide_ordinal_pairs`, so a
 budgeted run touches only the prefix it can afford.  Their ``schedule`` is
 the inherited materialisation of the same rows.

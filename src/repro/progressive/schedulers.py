@@ -10,7 +10,7 @@ Figure 1).
 A scheduler whose order is fixed up front implements
 :meth:`ProgressiveScheduler.rows` instead: the schedule as ordinal rows over
 an identifier table (:class:`ScheduledRows`), which the runner drains in
-batches without building a :class:`Comparison` per pair; the inherited
+column chunks without building a :class:`Comparison` per pair; the inherited
 ``schedule`` materialises the same rows as comparisons.  Candidates reach
 ``rows`` through one normaliser, :func:`candidate_columns`.
 """
@@ -20,8 +20,9 @@ from __future__ import annotations
 import abc
 import random
 from array import array
-from itertools import repeat
-from typing import Iterator, List, Optional, Sequence, Tuple, Union
+from itertools import islice, repeat
+from operator import itemgetter
+from typing import Iterable, Iterator, List, Optional, Sequence, Tuple, Union
 
 from repro.blocking.base import BlockCollection
 from repro.blocking.columns import BlockColumns, flat_slices, int_view, typed_array
@@ -46,25 +47,67 @@ Row = Tuple[int, int, Optional[float]]
 
 
 class ScheduledRows:
-    """An array schedule: an identifier table plus lazily-yielded ordinal rows.
+    """An array schedule: an identifier table plus ordinal rows, drained in chunks.
 
-    ``rows`` yields ``(first, second, weight)`` triples indexing ``ids``;
-    generation is lazy, so a budgeted consumer only pays for the prefix it
-    draws.  When the columns came from a shared pipeline context, ``ids`` is
-    the context's own table and the rows are context ordinals.
+    ``rows`` is :class:`ComparisonColumns` in schedule order, or a lazy
+    iterator of ``(first, second, weight)`` triples (a budgeted consumer
+    pays only for the prefix it draws).  :meth:`take` hands out the next
+    rows as two int64 arrays (slices of the columns, or the iterator's rows
+    packed); :attr:`rows` yields the rest as triples, a missing weight as
+    ``None``.  Columns from a shared context index the context's own table.
     """
 
-    __slots__ = ("ids", "rows")
+    __slots__ = ("ids", "_rows", "_position")
 
-    def __init__(self, ids: Sequence[str], rows: Iterator[Row]) -> None:
+    def __init__(self, ids: Sequence[str], rows: Union[Iterator[Row], ComparisonColumns]) -> None:
         self.ids = ids
-        self.rows = rows
+        self._rows = rows
+        self._position = 0
+
+    def take(self, count: int):
+        """The next at most ``count`` rows as ``(first, second)`` int64
+        arrays; both are empty once the schedule is drained."""
+        columns = self._rows
+        if not isinstance(columns, ComparisonColumns):
+            chunk = list(islice(columns, count))
+            return tuple(
+                _np.fromiter(map(itemgetter(side), chunk), _np.int64, len(chunk))
+                for side in (0, 1)
+            )
+        start = self._position
+        self._position = stop = min(start + count, len(columns))
+        return int_view(columns.first)[start:stop], int_view(columns.second)[start:stop]
+
+    @property
+    def rows(self) -> Iterator[Row]:
+        """The rows not yet taken as triples; reading it takes them."""
+        columns = self._rows
+        if not isinstance(columns, ComparisonColumns):
+            return columns
+        start, self._position = self._position, len(columns)
+        first, second, weights = columns.first[start:], columns.second[start:], columns.weights
+        if weights is None:
+            return zip(first, second, repeat(None))
+        weights = weights[start:]
+        if _np.isnan(_np.frombuffer(weights, dtype=_np.float64)).any():
+            weights = [None if w != w else w for w in weights]
+        return zip(first, second, weights)
 
     def comparisons(self) -> Iterator[Comparison]:
         """Materialise the schedule as :class:`Comparison` objects (lazy)."""
         ids = self.ids
         for first, second, weight in self.rows:
             yield Comparison(ids[first], ids[second], weight=weight)
+
+
+def comparison_rows(comparisons: Iterable[Comparison]) -> ScheduledRows:
+    """``comparisons`` verbatim as rows, identifiers interned as they stream."""
+    intern = OrdinalInterner()
+    rows = (
+        (intern(comparison.first), intern(comparison.second), comparison.weight)
+        for comparison in comparisons
+    )
+    return ScheduledRows(intern.ids, rows)
 
 
 def _columns_from_blocks(blocks: BlockCollection) -> ComparisonColumns:
@@ -149,18 +192,6 @@ def candidate_comparisons(candidates: CandidateSource) -> List[Comparison]:
     return list(candidate_columns(candidates))
 
 
-def column_rows(columns: ComparisonColumns, order=None) -> Iterator[Row]:
-    """The rows of ``columns`` (in ``order``, when given), a missing weight as ``None``."""
-    first, second, weights = columns.first, columns.second, columns.weights
-    if weights is not None and _np.isnan(_np.frombuffer(weights, dtype=_np.float64)).any():
-        weights = [None if w != w else w for w in weights]
-    if order is None:
-        return zip(first, second, repeat(None) if weights is None else weights)
-    if weights is None:
-        return ((first[i], second[i], None) for i in order)
-    return ((first[i], second[i], weights[i]) for i in order)
-
-
 class ProgressiveScheduler(abc.ABC):
     """Interface of a progressive comparison scheduler.
 
@@ -202,7 +233,7 @@ class RandomOrderScheduler(ProgressiveScheduler):
         # a seeded Fisher--Yates shuffle of the row indices
         order = list(range(len(columns)))
         random.Random(self.seed).shuffle(order)
-        return ScheduledRows(columns.ids, column_rows(columns, order))
+        return ScheduledRows(columns.ids, columns.taken(order, distinct=columns.distinct))
 
 
 class WeightOrderScheduler(ProgressiveScheduler):
@@ -220,7 +251,7 @@ class WeightOrderScheduler(ProgressiveScheduler):
 
     def rows(self, data: ERInput, candidates: CandidateSource) -> ScheduledRows:
         columns = candidate_columns(candidates).weight_sorted()
-        return ScheduledRows(columns.ids, column_rows(columns))
+        return ScheduledRows(columns.ids, columns)
 
 
 class StaticOrderScheduler(ProgressiveScheduler):
@@ -232,9 +263,4 @@ class StaticOrderScheduler(ProgressiveScheduler):
         self.order = list(order)
 
     def rows(self, data: ERInput, candidates: CandidateSource) -> ScheduledRows:
-        intern = OrdinalInterner()
-        rows = (
-            (intern(comparison.first), intern(comparison.second), comparison.weight)
-            for comparison in self.order
-        )
-        return ScheduledRows(intern.ids, rows)
+        return comparison_rows(self.order)

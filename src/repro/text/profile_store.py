@@ -31,11 +31,11 @@ entry explicitly without touching the rest of the store.
 
 A context-backed store additionally has a **whole-collection form**,
 :meth:`ProfileStore.columns`: one :class:`ProfileColumns` CSR over the
-context's ordinals (filtered token ids, TF-IDF weights, row norms and a
-globally sorted ``row * stride + id`` key column), derived from
-``context.token_columns()`` in a handful of array operations with no
-:class:`Profile` object per description.  It is what the matching engine's
-ordinal-pair kernel reads (:meth:`MatchingEngine.decide_ordinal_pairs
+context's ordinals (filtered token ids, TF-IDF weights from one idf column
+and row norms), derived from ``context.token_columns()`` in a handful of
+array operations with no :class:`Profile` object per description.  Its
+sort-merge :meth:`ProfileColumns.shared` is the matching engine's
+ordinal-pair kernel (:meth:`MatchingEngine.decide_ordinal_pairs
 <repro.matching.engine.MatchingEngine.decide_ordinal_pairs>`), and its
 lazily built transpose (rows per token) is what scores a merge against its
 neighbourhood (:meth:`ProfileColumns.shared_with`); its weights
@@ -133,9 +133,8 @@ class ProfileColumns:
     Row ``o`` (a context ordinal) holds the sorted token ids the store's
     token filter admits and, in TF-IDF mode, the aligned weights -- the
     floats the per-description :class:`Profile` carries, derived by the same
-    IEEE operations elementwise.  ``keys`` is ``row * stride + id`` over all
-    rows: ascending by construction, so one ``searchsorted`` finds any
-    (row, id) entry (:meth:`shared`, row against row).
+    IEEE operations elementwise.  :meth:`shared` scores pairs of rows by
+    sorting the entries of both rows of every pair once.
 
     The transpose -- per token id, the rows that hold it and their weights
     -- is built lazily, once, by one stable argsort of the id column; it
@@ -146,17 +145,17 @@ class ProfileColumns:
     divide by), ``norms`` the L2 norm per row (TF-IDF mode only).
     """
 
-    __slots__ = (
-        "ptr", "ids", "weights", "keys", "sizes", "norms", "stride", "_longest", "_by_token"
-    )
+    __slots__ = ("ptr", "ids", "weights", "sizes", "norms", "stride", "_longest", "_by_token")
 
-    def __init__(self, context, token_filter, vectorizer=None) -> None:
+    def __init__(self, context, token_filter, idf=None) -> None:
+        """``idf``: the float64 idf per token id (TF-IDF mode) or ``None``."""
         np = _np
         ptr, ids, counts = (
             np.array(column, dtype=np.int64) for column in context.token_columns()
         )
         vocabulary_size = context.vocabulary_size
-        #: every stored id is below it, so a key names one (row, id) entry
+        #: every stored id is below it, so a ``pair * stride + id`` key
+        #: names one (pair, id) entry
         self.stride = max(1, vocabulary_size)
         if not token_filter.trivial:
             keep = np.frombuffer(token_filter.mask(vocabulary_size), dtype=np.bool_)[ids]
@@ -167,18 +166,11 @@ class ProfileColumns:
         self.ptr = ptr
         self.sizes = sizes
         self.ids = ids
-        self.keys = np.repeat(np.arange(len(sizes)) * self.stride, sizes) + ids
         self._longest = int(sizes.max(initial=0))
         self._by_token = None
         self.weights = self.norms = None
-        if vectorizer is not None:
-            # the idf floats are the vectorizer's own (np.log need not round
-            # like math.log); the maximal count is taken after the filter
-            idf = np.fromiter(
-                map(vectorizer.idf, map(context.token, range(vocabulary_size))),
-                dtype=np.float64,
-                count=vocabulary_size,
-            )
+        if idf is not None:
+            # the maximal count is taken after the filter
             filled = sizes > 0
             starts = ptr[:-1][filled]
             max_count = np.repeat(np.maximum.reduceat(counts, starts), sizes[filled])
@@ -209,32 +201,34 @@ class ProfileColumns:
         """Per pair of rows: how many ids they share (set mode), or the sum
         of the products of the weights of the ids they share (TF-IDF mode).
 
-        The entries of the shorter row of each pair are looked up among the
-        other row's through the key column; ``bincount`` adds a pair's hits
-        in ascending id order, whichever row was the shorter.
+        A sort-merge: the entries of both rows of every pair are gathered
+        as ``pair * stride + id`` keys, the first row's before the second's,
+        and sorted stably once, so a shared id is two adjacent equal keys,
+        the first row's entry first.  ``bincount`` adds a pair's hits in
+        ascending id order.
         """
         np = _np
         first = np.asarray(first, dtype=np.int64)
         second = np.asarray(second, dtype=np.int64)
-        ptr = self.ptr
-        swap = ptr[second + 1] - ptr[second] < ptr[first + 1] - ptr[first]
-        probe = np.where(swap, second, first)
-        table = np.where(swap, first, second)
-        sizes = ptr[probe + 1] - ptr[probe]
-        bounds = np.zeros(len(probe) + 1, dtype=np.int64)
-        np.cumsum(sizes, out=bounds[1:])
-        pair = np.repeat(np.arange(len(probe)), sizes)
-        entry = np.arange(bounds[-1]) + np.repeat(ptr[probe] - bounds[:-1], sizes)
-        wanted = np.repeat(table * self.stride, sizes) + self.ids[entry]
-        keys = self.keys
-        found = np.searchsorted(keys, wanted)
-        found[found == len(keys)] = 0
-        hit = keys[found] == wanted
-        pair = pair[hit]
+        count = len(first)
+        rows = np.empty(2 * count, dtype=np.int64)
+        rows[0::2] = first
+        rows[1::2] = second
+        starts = self.ptr[rows]
+        sizes = self.ptr[rows + 1] - starts
+        entry = np.repeat(starts - (np.cumsum(sizes) - sizes), sizes)
+        entry += np.arange(len(entry))
+        keys = np.repeat(np.arange(count) * self.stride, sizes.reshape(-1, 2).sum(axis=1))
+        keys += self.ids[entry]
+        order = np.argsort(keys, kind="stable")
+        keys = keys[order]
+        hit = np.flatnonzero(keys[1:] == keys[:-1])
+        pair = keys[hit] // self.stride
         if self.weights is None:
-            return np.bincount(pair, minlength=len(probe))
-        products = self.weights[entry[hit]] * self.weights[found[hit]]
-        return np.bincount(pair, weights=products, minlength=len(probe))
+            return np.bincount(pair, minlength=count)
+        entry = entry[order]
+        products = self.weights[entry[hit]] * self.weights[entry[hit + 1]]
+        return np.bincount(pair, weights=products, minlength=count)
 
     def _transpose(self):
         """``(ptr, rows, weights, slot)``: per token id ``t``, the rows that
@@ -337,9 +331,6 @@ class ProfileStore:
         self.context = context
         self._token_ids: Dict[str, int] = {}
         self._tokens: List[str] = []
-        #: token id -> idf weight column of the configured vectorizer,
-        #: extended lazily (context mode only)
-        self._idf: array = array("d")
         #: identifier -> (source description, profile); the source reference
         #: detects stale entries when a new object reuses an identifier
         self._profiles: Dict[str, Tuple[EntityDescription, Profile]] = {}
@@ -426,9 +417,9 @@ class ProfileStore:
     def ordinal_profile(self, ordinal: int) -> Profile:
         """The exact profile of the context description at ``ordinal``.
 
-        Built on first use from the context's interned columns (no
-        tokenisation) and cached; row ``o`` never goes stale, because the
-        context interned ``context.description(o)`` once and for all.
+        Built on first use from :meth:`columns` and cached; row ``o`` never
+        goes stale, because the context interned ``context.description(o)``
+        once and for all.
         """
         profiles = self._ordinal_profiles
         if profiles is None:
@@ -446,7 +437,10 @@ class ProfileStore:
         if self._columns is None:
             if self.context is None:
                 raise ValueError("profile columns need a shared pipeline context")
-            self._columns = ProfileColumns(self.context, self._token_filter(), self.vectorizer)
+            idf = None
+            if self.vectorizer is not None:
+                idf = self.vectorizer.idf_column(self.context.tokens)
+            self._columns = ProfileColumns(self.context, self._token_filter(), idf)
         return self._columns
 
     # ------------------------------------------------------------------
@@ -487,48 +481,21 @@ class ProfileStore:
         return Profile(description.identifier, ids, weights, vector.norm)
 
     def _build_from_context(self, ordinal: int) -> Profile:
-        """Build a profile from the context's interned columns (no tokenisation).
+        """The profile of the context description at ``ordinal``, read off
+        :meth:`columns` (no tokenisation).
 
-        Bit-identity with the tokenising path: the set-mode ids are the same
-        filtered distinct tokens; the TF-IDF weights apply the exact
-        term-frequency expression of ``TfIdfVectorizer.transform`` to the
-        exact integer counts the transform would derive, and the norm goes
-        through :func:`math.fsum` (exactly rounded, accumulation-order
-        independent) like :func:`~repro.text.vectorizer.l2_norm`.
+        Bit-identity with the tokenising path: the columns hold the same
+        filtered distinct ids and, in TF-IDF mode, the weights of
+        ``TfIdfVectorizer.transform`` (its IEEE operations on the same exact
+        counts); the norm goes through :func:`math.fsum` (exactly rounded,
+        accumulation-order independent) like
+        :func:`~repro.text.vectorizer.l2_norm`.
         """
-        context = self.context
-        identifier = context.ids[ordinal]
-        token_filter = self._token_filter()
-        ids, counts = context.token_counts(ordinal)
-        if self.vectorizer is None:
-            return Profile(identifier, token_filter.select(ids))
-
-        if not token_filter.trivial:
-            kept = [
-                (token_id, count)
-                for token_id, count in zip(ids, counts)
-                if token_filter.allows(token_id)
-            ]
-            ids = array("q", (t for t, _ in kept))
-            counts = array("q", (c for _, c in kept))
-        if not len(ids):
-            return Profile(identifier, array("q"))
-        idf = self._idf
-        vocabulary_size = context.vocabulary_size
-        if len(idf) < vocabulary_size:
-            token_of = context.token
-            idf_of = self.vectorizer.idf
-            idf.extend(
-                idf_of(token_of(token_id))
-                for token_id in range(len(idf), vocabulary_size)
-            )
-        max_count = max(counts)
-        weights = array(
-            "d",
-            (
-                (0.5 + 0.5 * count / max_count) * idf[token_id]
-                for token_id, count in zip(ids, counts)
-            ),
-        )
-        norm = math.sqrt(math.fsum(w * w for w in weights))
-        return Profile(identifier, ids, weights, norm)
+        columns = self.columns()
+        entries = slice(columns.ptr[ordinal], columns.ptr[ordinal + 1])
+        identifier = self.context.ids[ordinal]
+        ids = array("q", columns.ids[entries].tobytes())
+        if columns.weights is None or not len(ids):
+            return Profile(identifier, ids)
+        weights = array("d", columns.weights[entries].tobytes())
+        return Profile(identifier, ids, weights, math.sqrt(math.fsum(w * w for w in weights)))

@@ -11,10 +11,13 @@ meta-blocking.
 from __future__ import annotations
 
 import math
+from itertools import repeat
 from typing import Dict, Iterable, Mapping, Optional, Sequence
 
 from repro.datamodel.description import EntityDescription
 from repro.text.tokenize import tokenize
+
+import numpy as _np
 
 
 def l2_norm(vector: Mapping[str, float]) -> float:
@@ -181,6 +184,19 @@ class TfIdfVectorizer:
             return 0.0
         df = self._document_frequency.get(token, 0)
         return math.log(1.0 + self._num_documents / (1.0 + df))
+
+    def idf_column(self, tokens: Sequence[str]):
+        """:meth:`idf` of every token of ``tokens`` as a float64 array: the
+        quotients in one vector expression (the scalar one's IEEE
+        operations), then :func:`math.log` per entry (``np.log`` need not
+        round like it)."""
+        if self._num_documents == 0:
+            return _np.zeros(len(tokens))
+        frequencies = _np.fromiter(
+            map(self._document_frequency.get, tokens, repeat(0)), _np.float64, len(tokens)
+        )
+        quotients = 1.0 + self._num_documents / (1.0 + frequencies)
+        return _np.fromiter(map(math.log, quotients.tolist()), _np.float64, len(tokens))
 
     # ------------------------------------------------------------------
     # transformation

@@ -173,3 +173,27 @@ def test_clean_blocks_on_clean_clean_input_end_to_end(small_clean_clean_dataset)
     after = evaluate_blocks(cleaned, small_clean_clean_dataset.ground_truth, task)
     assert after.pair_completeness >= before.pair_completeness - 0.1
     assert after.num_comparisons <= before.num_comparisons
+
+
+@pytest.mark.parametrize("factor", [float("nan"), float("inf"), 0.5, "2", True, None])
+def test_purging_smoothing_factor_is_checked_at_construction(factor):
+    with pytest.raises(ValueError, match="smoothing_factor must be a finite number >= 1"):
+        BlockPurging(smoothing_factor=factor)
+
+
+@pytest.mark.parametrize("bound", [-3, -1, 2.5, "10", True, float("nan")])
+def test_purging_max_comparisons_is_checked_at_construction(bound):
+    with pytest.raises(ValueError, match="max_comparisons must be an int >= 0"):
+        BlockPurging(max_comparisons=bound)
+
+
+@pytest.mark.parametrize("ratio", ["0.5", float("nan"), True, None, -0.5])
+def test_filtering_ratio_is_checked_at_construction(ratio):
+    with pytest.raises(ValueError, match=r"ratio must be a number in \(0, 1\]"):
+        BlockFiltering(ratio=ratio)
+
+
+def test_valid_cleaning_parameters_are_kept():
+    purging = BlockPurging(smoothing_factor=1, max_comparisons=0)
+    assert (purging.smoothing_factor, purging.max_comparisons) == (1, 0)
+    assert BlockFiltering(ratio=1).ratio == 1

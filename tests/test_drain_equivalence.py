@@ -189,5 +189,43 @@ def test_the_fixture_covers_every_case():
     assert sorted(_fixture()) == sorted(_key(*case) for case in _cases())
 
 
+@pytest.mark.parametrize("batch_size", [2.5, True, 0, -1, "8", None])
+def test_batch_size_is_checked_before_anything_runs(batch_size):
+    data, _, context, _, columns = _inputs()
+    with pytest.raises(ValueError, match="batch_size must be an int >= 1"):
+        run_progressive(
+            WeightOrderScheduler(),
+            _matcher(1.0, context),
+            data,
+            columns,
+            batch_size=batch_size,
+        )
+
+
+def test_matches_are_context_ordinals_on_the_column_drain():
+    """The declared matches stay ordinal columns over the context's table;
+    ``declared_matches`` reads them as canonical identifier pairs."""
+    data, _, context, _, _ = _inputs()
+    for label in SCHEDULES:
+        scheduler, candidates = _schedule(label)
+        matcher = _matcher(1.0, context)
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore", RuntimeWarning)
+            result = run_progressive(
+                scheduler,
+                matcher,
+                data,
+                candidates,
+                engine=MatchingEngine(matcher, context=context),
+            )
+        columns = result.match_columns
+        assert columns.ids is context.ids, label
+        assert len(columns) == columns.num_matches > 0
+        ids = context.ids
+        assert result.declared_matches == [
+            tuple(sorted((ids[f], ids[s]))) for f, s in zip(columns.first, columns.second)
+        ]
+
+
 if __name__ == "__main__":
     _freeze_fixture()

@@ -225,3 +225,9 @@ def test_zero_and_fractional_costs_are_accepted(build):
 def test_attribute_weighted_threshold_must_be_in_the_unit_interval(threshold):
     with pytest.raises(ValueError, match=r"threshold must be in \[0, 1\]"):
         AttributeWeightedMatcher({"name": 1.0}, threshold=threshold)
+
+
+@pytest.mark.parametrize("threshold", ["0.5", float("nan"), True, None, 1.5, -0.1])
+def test_profile_similarity_threshold_is_checked_at_construction(threshold):
+    with pytest.raises(ValueError, match=r"threshold must be in \[0, 1\], got "):
+        ProfileSimilarityMatcher(threshold=threshold)

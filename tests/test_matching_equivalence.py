@@ -169,7 +169,9 @@ class TestBatchMatchesOracle:
         ):
             oracle = matcher.decide_all(comparisons, collection)
             engine = MatchingEngine(matcher, context=context)
-            assert engine.decide_ordinal_pairs(first, second) == [d.is_match for d in oracle]
+            assert engine.decide_ordinal_pairs(first, second).tolist() == [
+                d.is_match for d in oracle
+            ]
             assert engine.score_ordinal_pairs(first, second) == [d.similarity for d in oracle]
 
 
@@ -732,7 +734,7 @@ class TestOrdinalKernel:
             for threshold, at_tie in ((tie, True), (math.nextafter(tie, math.inf), False)):
                 matcher = _kernel_matcher(mode, context, threshold)
                 engine = MatchingEngine(matcher, context=context)
-                flags = engine.decide_ordinal_pairs(first, second)
+                flags = engine.decide_ordinal_pairs(first, second).tolist()
                 assert flags == [score >= threshold for score in exact]
                 assert {flag for flag, score in zip(flags, exact) if score == tie} == {at_tie}
                 assert engine.last_engine == "batch"
@@ -754,7 +756,7 @@ class TestOrdinalKernel:
             matcher = _kernel_matcher(mode, context, threshold)
             exact = self._exact(matcher, context, first, second)
             engine = MatchingEngine(matcher, context=context)
-            flags = engine.decide_ordinal_pairs(first, second)
+            flags = engine.decide_ordinal_pairs(first, second).tolist()
             assert flags == [score >= threshold for score in exact]
             assert any(flags) and (threshold == 0.0) == all(flags)
 
@@ -767,7 +769,7 @@ class TestOrdinalKernel:
         matcher = _kernel_matcher(mode, context, 0.3, min_token_length=3)
         exact = self._exact(matcher, context, first, second)
         engine = MatchingEngine(matcher, context=context)
-        assert engine.decide_ordinal_pairs(first, second) == [s >= 0.3 for s in exact]
+        assert engine.decide_ordinal_pairs(first, second).tolist() == [s >= 0.3 for s in exact]
         assert engine.score_ordinal_pairs(first, second) == exact
 
     @pytest.mark.parametrize("mode", KERNEL_MODES)
@@ -783,7 +785,7 @@ class TestOrdinalKernel:
         matcher = _kernel_matcher(mode, context, 0.5, min_token_length=2)
         exact = self._exact(matcher, context, first, second)
         engine = MatchingEngine(matcher, context=context)
-        assert engine.decide_ordinal_pairs(first, second) == [s >= 0.5 for s in exact]
+        assert engine.decide_ordinal_pairs(first, second).tolist() == [s >= 0.5 for s in exact]
         # two empties: nothing to compare under TF-IDF, identical as sets
         both_empty = 0.0 if mode == "tfidf" else 1.0
         for a, b, score in zip(first, second, exact):
@@ -794,7 +796,7 @@ class TestOrdinalKernel:
         context = PipelineContext(_random_collection(16, size=4))
         for mode in KERNEL_MODES:
             engine = MatchingEngine(_kernel_matcher(mode, context, 0.5), context=context)
-            assert engine.decide_ordinal_pairs([], []) == []
+            assert engine.decide_ordinal_pairs([], []).tolist() == []
 
     @pytest.mark.parametrize("name", ["jaccard", "dice", "overlap", "cosine"])
     def test_id_column_scores_are_the_exact_set_body(self, name):
@@ -951,7 +953,7 @@ class TestTokenMajorScores:
             assert token_major.tolist() == pair_kernel.tolist()
             assert 0 in pair_kernel.tolist()  # candidates that share nothing
             scores = engine.score_against(context.description(query), rows)
-            flags = engine.decide_ordinal_pairs([query] * len(rows), rows)
+            flags = engine.decide_ordinal_pairs([query] * len(rows), rows).tolist()
             assert [score >= 0.3 for score in scores] == flags
             if mode != "tfidf":
                 assert scores == engine.score_ordinal_pairs([query] * len(rows), rows)

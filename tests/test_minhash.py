@@ -139,3 +139,10 @@ class TestMinHashLSHBlocking:
         task = small_clean_clean_dataset.task
         blocks = MinHashLSHBlocking(num_bands=16, rows_per_band=2).build(task)
         assert all(block.is_bilateral for block in blocks)
+
+
+@pytest.mark.parametrize("name", ["num_bands", "rows_per_band"])
+@pytest.mark.parametrize("value", [2.5, True, "2", 0, -1, None])
+def test_band_shape_is_checked_at_construction(name, value):
+    with pytest.raises(ValueError, match=f"{name} must be an int >= 1"):
+        MinHashLSHBlocking(**{name: value})

@@ -6,7 +6,11 @@ import math
 
 import numpy
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from repro.core.context import PipelineContext
+from repro.datamodel.collection import EntityCollection
 from repro.datamodel.description import EntityDescription
 from repro.text.profile_store import ProfileStore
 from repro.text.tokenize import DEFAULT_STOP_WORDS, token_set
@@ -153,12 +157,12 @@ class TestContextOrdinalViews:
             rows = slice(ptr[ordinal], ptr[ordinal + 1])
             assert columns.ids[rows].tolist() == list(profile.token_ids)
             assert columns.sizes[ordinal] == len(profile)
-            assert (columns.keys[rows] // columns.stride == ordinal).all()
+            assert (numpy.diff(columns.ids[rows]) > 0).all()
             if tfidf:
                 assert columns.weights[rows].tolist() == list(profile.weights or ())
                 assert columns.norms[ordinal] == pytest.approx(profile.norm, rel=1e-15)
         assert len(columns.sizes) == len(ptr) - 1 == 4
-        assert (numpy.diff(columns.keys) > 0).all()
+        assert (columns.ids < columns.stride).all()
         # the transpose lists, per token id, the rows holding it in row order
         token_ptr, token_rows, token_weights, _slot = columns._transpose()
         for token_id in range(columns.stride):
@@ -186,3 +190,51 @@ class TestContextOrdinalViews:
         assert len(store) == 1 and store.misses == 1
         store.build(grace())
         assert len(store) == 1
+
+
+#: short words, so descriptions share tokens often; "x" falls to min length 2
+_WORDS = st.sampled_from(["aa", "bb", "cc", "dd", "ee", "ff", "gg", "x"])
+
+
+def _shared_reference(columns, first: int, second: int):
+    """Per pair, the shared ids of the two rows in ascending order, their
+    weight products summed left to right from ``0.0`` (set mode: counted)."""
+    ptr, ids = columns.ptr, columns.ids.tolist()
+    tfidf = columns.weights is not None
+    weights = columns.weights.tolist() if tfidf else [1] * len(ids)
+    row_a, row_b = (
+        {ids[entry]: weights[entry] for entry in range(ptr[row], ptr[row + 1])}
+        for row in (first, second)
+    )
+    total = 0.0 if tfidf else 0
+    for token_id in sorted(row_a.keys() & row_b.keys()):
+        total += row_a[token_id] * row_b[token_id]
+    return total
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    descriptions=st.lists(st.lists(_WORDS, max_size=9), min_size=1, max_size=12),
+    picks=st.lists(st.tuples(st.integers(0, 11), st.integers(0, 11)), max_size=40),
+    tfidf=st.booleans(),
+)
+def test_shared_equals_the_ordered_per_pair_sum(descriptions, picks, tfidf):
+    """``ProfileColumns.shared`` is bit-equal to the per-pair reference: set
+    and TF-IDF mode, empty rows, a row with itself, rows of unequal length."""
+    collection = EntityCollection(
+        [
+            EntityDescription(f"d{index}", {"name": " ".join(words)})
+            for index, words in enumerate(descriptions)
+        ]
+    )
+    context = PipelineContext(collection)
+    vectorizer = context.fit_vectorizer(2) if tfidf else None
+    store = ProfileStore(min_token_length=2, vectorizer=vectorizer, context=context)
+    columns = store.columns()
+    size = len(descriptions)
+    pairs = [(a % size, b % size) for a, b in picks] + [(0, 0), (0, size - 1)]
+    first = [a for a, _ in pairs]
+    second = [b for _, b in pairs]
+    expected = [_shared_reference(columns, a, b) for a, b in pairs]
+    assert columns.shared(first, second).tolist() == expected
+    assert columns.shared([], []).tolist() == []

@@ -35,6 +35,7 @@ from repro.datasets import (
     generate_clean_clean_task,
     generate_dirty_dataset,
 )
+from repro.matching.engine import MatchingEngine
 from repro.matching.matchers import ProfileSimilarityMatcher
 from repro.metablocking.pipeline import MetaBlocking
 from repro.progressive.engine import SchedulingEngine
@@ -47,6 +48,7 @@ from repro.progressive.runner import run_progressive
 from repro.progressive.schedulers import (
     ProgressiveScheduler,
     RandomOrderScheduler,
+    ScheduledRows,
     StaticOrderScheduler,
     WeightOrderScheduler,
     candidate_columns,
@@ -429,22 +431,25 @@ class TestFallback:
 
 
 class TestBudgetSlicing:
-    def test_budget_draws_only_the_affordable_prefix(self):
-        """The array path never schedules past the budget slice."""
+    @pytest.mark.parametrize("source", ["columns", "generator"])
+    def test_budget_draws_only_the_affordable_prefix(self, source):
+        """The column drain never schedules past the budget slice, whether
+        the schedule hands out column slices or a generator's rows."""
         data, ground_truth = _dataset("dirty", seed=29)
         candidates = _candidates(data, "columns")
         drawn = []
         scheduler = WeightOrderScheduler()
         engine = SchedulingEngine(scheduler)
         rows = engine.schedule_rows(data, candidates)
-        original = rows.rows
+        if source == "generator":
+            original = rows.rows
 
-        def counting_rows():
-            for row in original:
-                drawn.append(row)
-                yield row
+            def counting_rows():
+                for row in original:
+                    drawn.append(row)
+                    yield row
 
-        rows.rows = counting_rows()
+            rows = ScheduledRows(rows.ids, counting_rows())
         matcher = _matcher(data, "tfidf")
         result = run_progressive(
             scheduler=scheduler,
@@ -453,12 +458,18 @@ class TestBudgetSlicing:
             candidates=candidates,
             budget=25,
             ground_truth=ground_truth,
+            engine=MatchingEngine(matcher, context=PipelineContext(data)),
             scheduling=engine_with_rows(engine, rows),
         )
         assert result.comparisons_executed == 25
         assert result.budget_spent == 25
+        if source == "columns":
+            # what the drain did not take is still there
+            drawn = len(candidates) - len(list(rows.rows))
+        else:
+            drawn = len(drawn)
         # one batched draw: budget + 1 rows at most (the draw-size guard)
-        assert len(drawn) <= 26
+        assert drawn <= 26
 
 
 def engine_with_rows(engine, rows):

@@ -140,3 +140,9 @@ def test_join_equals_brute_force_property(token_lists, threshold):
     join_pairs = builder.build(collection).distinct_pairs()
     expected = brute_force_pairs(collection, threshold, builder)
     assert join_pairs == expected
+
+
+@pytest.mark.parametrize("threshold", ["0.5", float("nan"), True, None, 0.0, 1.5])
+def test_threshold_is_checked_at_construction(threshold):
+    with pytest.raises(ValueError, match=r"threshold must be a number in \(0, 1\]"):
+        SimilarityJoinBlocking(threshold=threshold)

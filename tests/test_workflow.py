@@ -484,8 +484,8 @@ class TestClusteringEngineThreading:
         assert matching.notes == "pairwise: ReadableMatcher"
 
     def test_own_method_paths_do_create_decision_objects(self, small_dirty_dataset):
-        """Sanity check of the zero-object assertion: a subclassed scheduler
-        (drawn one comparison at a time) trips the same counter."""
+        """Sanity check of the zero-object assertion: a subclassed matcher
+        (decided one comparison at a time) trips the same counter."""
         from repro.matching.matchers import MatchDecision
 
         calls = []
@@ -497,7 +497,7 @@ class TestClusteringEngineThreading:
 
         MatchDecision.__init__ = counting
         try:
-            ERWorkflow(scheduler=ReadableScheduler()).run(
+            ERWorkflow(matcher=ReadableMatcher()).run(
                 small_dirty_dataset.collection, small_dirty_dataset.ground_truth
             )
         finally:
