@@ -267,7 +267,7 @@ def run_progressive(
                 for position, f, s in zip(matched.tolist(), *pairs):
                     code = pair_code(f, s)
                     if code not in seen_codes and ground_truth.are_matches(
-                        context.ids[f], context.ids[s]
+                        matches.ids[f], matches.ids[s]
                     ):
                         seen_codes.add(code)
                         true_matches[position] = 1
