@@ -782,10 +782,12 @@ class TestOrdinalKernel:
         first = [ordinal[a] for a in names for b in names if a != b]
         second = [ordinal[b] for a in names for b in names if a != b]
         # min_token_length=2 under TF-IDF too, so "short" is all-filtered there
-        matcher = _kernel_matcher(mode, context, 0.5, min_token_length=2)
-        exact = self._exact(matcher, context, first, second)
-        engine = MatchingEngine(matcher, context=context)
-        assert engine.decide_ordinal_pairs(first, second).tolist() == [s >= 0.5 for s in exact]
+        for threshold in (0.5, 0.0):
+            matcher = _kernel_matcher(mode, context, threshold, min_token_length=2)
+            exact = self._exact(matcher, context, first, second)
+            engine = MatchingEngine(matcher, context=context)
+            flags = engine.decide_ordinal_pairs(first, second).tolist()
+            assert flags == [s >= threshold for s in exact]
         # two empties: nothing to compare under TF-IDF, identical as sets
         both_empty = 0.0 if mode == "tfidf" else 1.0
         for a, b, score in zip(first, second, exact):
