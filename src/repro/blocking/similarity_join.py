@@ -105,10 +105,11 @@ class SimilarityJoinBlocking(BlockBuilder):
         for why the positional filter admits this).  Candidate pairs are
         packed into single integers whose ascending order is the sorted
         order of the canonical identifier pairs.  Verification runs through
-        the matching engine's columnar set scorer
-        (:meth:`repro.matching.engine.MatchingEngine.score_id_set_pairs`)
-        with a Jaccard :class:`~repro.matching.matchers.ProfileSimilarityMatcher`
-        at the join threshold.
+        the matching engine's exact body over the context's profiles
+        (:meth:`repro.matching.engine.MatchingEngine.score_ordinal_pairs`,
+        whose token filter is this view's) with a Jaccard
+        :class:`~repro.matching.matchers.ProfileSimilarityMatcher` at the
+        join threshold.
         """
         from repro.matching.engine import MatchingEngine
         from repro.matching.matchers import ProfileSimilarityMatcher
@@ -150,21 +151,17 @@ class SimilarityJoinBlocking(BlockBuilder):
         )
         self.last_candidate_count = int(ordered_codes.size)
         rank_to_ordinal = _np.argsort(id_rank)
-        candidates = list(
-            zip(
-                rank_to_ordinal[ordered_codes // n].tolist(),
-                rank_to_ordinal[ordered_codes % n].tolist(),
-            )
-        )
+        first = rank_to_ordinal[ordered_codes // n].tolist()
+        second = rank_to_ordinal[ordered_codes % n].tolist()
         matcher = ProfileSimilarityMatcher(
             threshold=threshold,
             stop_words=self.stop_words,
             min_token_length=self.min_token_length,
             similarity_name="jaccard",
         )
-        scores = MatchingEngine(matcher, context=context).score_id_set_pairs(candidates, columns)
+        scores = MatchingEngine(matcher, context=context).score_ordinal_pairs(first, second)
         verified = [
-            (pair, score) for pair, score in zip(candidates, scores) if score >= threshold
+            (pair, score) for pair, score in zip(zip(first, second), scores) if score >= threshold
         ]
         self.last_verified_count = len(verified)
         return view, [pair for pair, _ in verified], [score for _, score in verified]

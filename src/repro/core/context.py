@@ -62,14 +62,14 @@ the raw strings again:
   ``idf`` values are bit-identical to a ``fit(iter(data))`` pass (the
   frequencies are exact integers either way);
 * **matching profiles** -- a :class:`~repro.text.profile_store.ProfileStore`
-  constructed with ``context=...`` builds its per-description columns from
-  the interned counts instead of re-tokenising (see
-  :meth:`ProfileStore.build`).
+  is always built over a context and reads its profile columns off the
+  interned counts instead of re-tokenising (see
+  :meth:`ProfileStore.columns`).
 
 The context is deliberately import-light (datamodel + text only), so the
-engine modules can accept one without importing :mod:`repro.core`; engines
-keep their private per-engine stores as the fallback whenever a context is
-not supplied or does not own the input data.
+engine modules can build one without importing the workflow; an engine
+given no context, or one that does not own the input data, runs over a
+private context of that data.
 
 The interning pass is lazy: a context that is created but never asked for
 token data costs nothing beyond the constructor.

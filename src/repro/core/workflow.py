@@ -594,8 +594,6 @@ class ERWorkflow:
                     if is_match:
                         clusters.union(first, candidate)
                         found.append((first, candidate))
-                if scores is None:
-                    engine.invalidate(merged.identifier)
             new_matches.extend(found)
             pending = found
         counts["comparisons"] = comparisons

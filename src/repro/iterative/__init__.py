@@ -22,8 +22,9 @@ Each of the four resolvers (:class:`RSwoosh`, :class:`NaivePairwiseER`,
 :class:`CollectiveER`, :class:`AttributeOnlyER`) has one body.  The merging
 resolvers ask ``matcher.match`` one pair at a time for every matcher; the
 collective ones score their initial pairs through
-:class:`~repro.matching.engine.MatchingEngine` (batched for the exact
-:class:`~repro.matching.matchers.ProfileSimilarityMatcher`,
+:class:`~repro.matching.engine.MatchingEngine` (for the exact
+:class:`~repro.matching.matchers.ProfileSimilarityMatcher`, over a pipeline
+context of their collection;
 ``matcher.similarity`` pair by pair for any other).  The tie rules: candidate pairs
 initialise and re-queue in sorted canonical-pair order, R-Swoosh merges the
 *first* matching partner in resolved order, the naive baseline merges the

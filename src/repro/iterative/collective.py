@@ -23,8 +23,8 @@ Both classes here have one body, with the cluster state in an
 :class:`~repro.core.unionfind.IntUnionFind` over description ordinals.  The
 matcher decides only how the initial candidate pairs are scored: one batched
 :meth:`~repro.matching.engine.MatchingEngine.similarity_scores` call, which
-runs the columnar profile store for the exact
-:class:`~repro.matching.matchers.ProfileSimilarityMatcher` and
+reads the exact :class:`~repro.matching.matchers.ProfileSimilarityMatcher`'s
+profiles off a pipeline context of the collection and runs
 ``matcher.similarity`` pair by pair, in the same order, for any other.
 The final cluster list is ordered by ascending surviving cluster index.
 """
@@ -71,7 +71,9 @@ def _scored_candidates(
 
     A pair naming an identifier the collection does not hold is skipped
     and not counted.  The scores come from one
-    :meth:`~repro.matching.engine.MatchingEngine.similarity_scores` call.
+    :meth:`~repro.matching.engine.MatchingEngine.similarity_scores` call on
+    an engine over the collection (:meth:`MatchingEngine.over
+    <repro.matching.engine.MatchingEngine.over>`).
     """
     resolvable: List[Tuple[str, str]] = []
     batch: List[Tuple[EntityDescription, EntityDescription]] = []
@@ -84,7 +86,7 @@ def _scored_candidates(
             continue
         resolvable.append((first, second))
         batch.append((description_a, description_b))
-    return resolvable, MatchingEngine(matcher).similarity_scores(batch)
+    return resolvable, MatchingEngine(matcher).over(collection).similarity_scores(batch)
 
 
 @dataclass

@@ -20,12 +20,14 @@ the decisions are executed.  The matchers are the readable per-pair
 formulation, but they re-derive both descriptions' token profiles on every
 comparison, so an entity appearing in *K* candidate pairs pays its
 tokenisation and TF-IDF weighting cost *K* times.
-:class:`~repro.matching.engine.MatchingEngine` instead resolves each description once into a columnar
-:class:`~repro.text.profile_store.ProfileStore` -- interned integer token
-ids, sorted id arrays and TF-IDF weight columns with their norms -- and
-decides whole columns of ordinal pairs with one NumPy kernel over it (an
-exact per-pair body refines the pairs at the threshold, so decisions are
-bit-identical).
+:class:`~repro.matching.engine.MatchingEngine` instead reads every
+description's profile off a :class:`~repro.core.context.PipelineContext`
+(the caller's when it owns the data, else a private one over the data)
+through a columnar :class:`~repro.text.profile_store.ProfileStore` --
+interned integer token ids, sorted id arrays and TF-IDF weight columns with
+their norms -- and decides whole columns of ordinal pairs with one NumPy
+kernel over it (an exact per-pair body refines the pairs at the threshold,
+so decisions are bit-identical).
 
 The per-pair matchers remain the *oracle*: the equivalence suite
 (``tests/test_matching_equivalence.py``) pins the engine to bit-identical
@@ -41,9 +43,9 @@ The update/iterate phase of :class:`~repro.core.workflow.ERWorkflow` uses
 the engine one-vs-many:
 :meth:`~repro.matching.engine.MatchingEngine.score_against` scores one
 transient merged description against candidates named by the shared
-context's *ordinals* -- the merged profile becomes a transient row of the
-store's profile CSR, the same kernel scores it against all candidate rows,
-and nothing per candidate is an object.  Thresholding the scores gives the
+context's *ordinals* -- the merged profile is built by the store and not
+kept, the rows holding its tokens come from the transpose of the store's
+profile CSR, and nothing per candidate is an object.  Thresholding the scores gives the
 per-pair oracle's decisions; what makes the phase's *output* identical too
 is its order rule:
 candidates are visited in identifier order and the already-clustered check

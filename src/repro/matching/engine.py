@@ -4,8 +4,11 @@ The per-pair matchers in :mod:`repro.matching.matchers` are the readable
 formulation of the matching phase, but they re-derive both descriptions'
 token profiles on every comparison.  :class:`MatchingEngine` executes the
 same decisions against a columnar
-:class:`~repro.text.profile_store.ProfileStore`, in which each description is
-tokenised, interned and (in TF-IDF mode) weighted exactly once.
+:class:`~repro.text.profile_store.ProfileStore` over a
+:class:`~repro.core.context.PipelineContext`, in which each description is
+tokenised and interned once and (in TF-IDF mode) weighted once.  The
+context is the caller's when it owns the data; otherwise the engine builds a
+private one over the data, in one place (:meth:`MatchingEngine.over`).
 
 Two paths sit behind one interface, mirroring the meta-blocking engine, and
 the matcher's exact type picks one:
@@ -27,13 +30,15 @@ the matcher's exact type picks one:
     columns (a merge) token-major: the rows holding each of its tokens come
     from the columns' transpose, and the per-candidate sums are the very
     sums the kernel would form.
-  - The exact body (:meth:`MatchingEngine._exact`) scores one pair of cached
+  - The exact body (:meth:`MatchingEngine._exact`) scores one pair of
     :class:`~repro.text.profile_store.Profile` objects with the very
     expressions of the per-pair matcher: integer intersection counts fed to
     :func:`_set_score`, and :func:`~repro.text.vectorizer.weighted_cosine`
     (``fsum`` dot product over norms the store precomputed with ``fsum``).
-    It is the refine step of the kernel and the path of every description
-    the context does not own (merges, foreign data).
+    It is the refine step of the kernel and the path of every entry point
+    that outputs a similarity (:meth:`MatchingEngine.decide_all`,
+    :meth:`MatchingEngine.decide_pairs`, whose merges the store tokenises,
+    and :meth:`MatchingEngine.score_ordinal_pairs`).
 
   **Filter and refine.**  The set similarities are exact in the kernel too:
   shared counts and profile lengths are integers.  A TF-IDF cosine from the
@@ -71,8 +76,9 @@ runs on the calling process.
 from __future__ import annotations
 
 from itertools import repeat
-from typing import Dict, List, Optional, Sequence, Tuple, Union
+from typing import List, Optional, Sequence, Tuple, Union
 
+from repro.core.context import PipelineContext
 from repro.datamodel.collection import CleanCleanTask, EntityCollection
 from repro.datamodel.description import EntityDescription
 from repro.datamodel.pairs import Comparison
@@ -143,11 +149,6 @@ def _set_matches(similarity_name: str, size_a, sizes_b, shared, threshold: float
     return scores >= threshold
 
 
-def _id_set_score(similarity_name: str, first: frozenset, second: frozenset) -> float:
-    """Set similarity of two sets of distinct token ids (the exact set body)."""
-    return _set_score(similarity_name, len(first), len(second), len(first & second))
-
-
 class MatchingEngine:
     """Comparison executor: batched for the library matcher, per-pair otherwise.
 
@@ -160,23 +161,20 @@ class MatchingEngine:
         including subclasses -- transparently falls back to the per-pair
         oracle, so the engine is always safe to use.
     context:
-        Optional shared :class:`~repro.core.context.PipelineContext`.  When
-        given, the engine's profile store is backed by the context: profiles
-        of descriptions the context owns come from its interned columns
-        (zero re-tokenisation), and transient descriptions (merges) fall
-        back to tokenising into the shared vocabulary.  The ordinal entry
-        points (:meth:`decide_ordinal_pairs`, :meth:`score_ordinal_pairs`,
-        :meth:`score_against`) need one.  Decisions are bit-identical with
-        or without a context.
+        Optional shared :class:`~repro.core.context.PipelineContext`.  The
+        batch path reads its profiles off one: those of the descriptions the
+        context owns come from its interned columns (zero re-tokenisation),
+        and transient descriptions (merges) are tokenised into its
+        vocabulary.  The ordinal and explicit-pair entry points need one;
+        :meth:`decide_all` runs over the context when it owns the data and
+        over a private one otherwise (:meth:`over`).
     parallel:
         Accepted and ignored: matching is not a pooled stage.
 
     Notes
     -----
-    An engine instance owns one :class:`~repro.text.profile_store.ProfileStore`
-    bound to the first input data it sees; it is meant to live for one
-    workflow run (one dataset).  :attr:`last_engine` reports the path the
-    matcher's type selects (``"batch"`` or ``"pairwise"``).
+    :attr:`last_engine` reports the path the matcher's type selects
+    (``"batch"`` or ``"pairwise"``).
     """
 
     def __init__(
@@ -188,9 +186,9 @@ class MatchingEngine:
         self.matcher = matcher
         self.context = context
         self._store: Optional[ProfileStore] = None
-        self._store_source: Optional[object] = None
-        #: comparisons skipped by the last ``decide_all`` (unresolvable ids)
-        self.last_skipped = 0
+        #: the engine over a private context of the last data this one's
+        #: context does not own
+        self._private: Optional["MatchingEngine"] = None
 
     # ------------------------------------------------------------------
     @property
@@ -209,52 +207,45 @@ class MatchingEngine:
         return "batch" if self.batch_applicable else "pairwise"
 
     @property
-    def store(self) -> Optional[ProfileStore]:
-        """The engine's profile store (``None`` until the first batch call)."""
-        return self._store
-
-    def invalidate(self, identifier: str) -> bool:
-        """Invalidate one entity's store entry (after its description changed)."""
-        return self._store.invalidate(identifier) if self._store is not None else False
-
-    def _store_for(self, source: Optional[object]) -> ProfileStore:
-        if self._store is None or (source is not None and source is not self._store_source):
-            matcher = self.matcher
-            # the shared pipeline context backs the store only for data it
-            # actually owns (or for explicit pairs, which the update phase
-            # resolves against the context's collection); a foreign
-            # collection gets a plain per-engine store
-            context = self.context
-            if context is not None and source is not None and not context.owns(source):
-                context = None
-            if matcher.vectorizer is not None:
-                self._store = ProfileStore(vectorizer=matcher.vectorizer, context=context)
-            else:
-                self._store = ProfileStore(
-                    stop_words=matcher.stop_words,
-                    min_token_length=matcher.min_token_length,
-                    context=context,
+    def store(self) -> ProfileStore:
+        """The profile store over the engine's context (built on first use)."""
+        if self._store is None:
+            if not self.batch_applicable:
+                raise ValueError(
+                    "the profile store requires the batch engine and a natively "
+                    "supported matcher"
                 )
-            self._store_source = source
+            if self.context is None:
+                raise ValueError("the profile store needs a shared pipeline context")
+            matcher = self.matcher
+            self._store = ProfileStore(
+                self.context, matcher.stop_words, matcher.min_token_length, matcher.vectorizer
+            )
         return self._store
 
-    def _batch_store(self, caller: str, ordinals: bool = False) -> ProfileStore:
-        """The store of a batch-only entry point (``ordinals``: context-backed)."""
-        if not self.batch_applicable:
-            raise ValueError(
-                f"{caller} requires the batch engine and a natively supported matcher"
-            )
-        if ordinals and self.context is None:
-            raise ValueError(f"{caller} needs a shared pipeline context")
-        return self._store_for(None)
+    def over(self, data: Union[EntityCollection, CleanCleanTask]) -> "MatchingEngine":
+        """The engine that runs over ``data``.
+
+        This one when its matcher runs per pair or its context owns
+        ``data``; otherwise an engine over a private context of ``data``,
+        kept until data of another identity comes.
+        """
+        if not self.batch_applicable or (self.context is not None and self.context.owns(data)):
+            return self
+        if self._private is None or not self._private.context.owns(data):
+            self._private = MatchingEngine(self.matcher, context=PipelineContext(data))
+        return self._private
 
     # ------------------------------------------------------------------
     # the exact body
     # ------------------------------------------------------------------
     def _exact(self, first: Profile, second: Profile) -> float:
-        """The per-pair matcher's similarity of two cached profiles, bit for bit."""
+        """The per-pair matcher's similarity of two profiles, bit for bit."""
         if self.matcher.vectorizer is None:
-            return _id_set_score(self.matcher.similarity_name, first.id_set, second.id_set)
+            first, second = first.id_set, second.id_set
+            return _set_score(
+                self.matcher.similarity_name, len(first), len(second), len(first & second)
+            )
         # weight_map is a SparseVector carrying the store's precomputed norm,
         # so this is literally the oracle's cosine over cached columns -- one
         # copy of the bit-identity-critical logic, not a transcription of it
@@ -279,33 +270,26 @@ class MatchingEngine:
         """Decide ``comparisons`` against ``data``; same contract as
         :meth:`Matcher.decide_all`, decisions in input order."""
         if not self.batch_applicable:
-            decisions = self.matcher.decide_all(comparisons, data)
-            self.last_skipped = decisions.skipped
-            return decisions
-
-        profile = self._store_for(data).profile
+            return self.matcher.decide_all(comparisons, data)
+        engine = self.over(data)
+        ordinal = engine.context.ordinal
+        profile = engine.store.ordinal_profile
         decisions = DecisionList()
         for comparison in comparisons:
-            first = data.get(comparison.first)
-            second = data.get(comparison.second)
+            first = ordinal(comparison.first)
+            second = ordinal(comparison.second)
             if first is None or second is None:
                 decisions.record_skip(comparison.pair)
                 continue
             score = self._exact(profile(first), profile(second))
             decisions.append(self._decision(comparison, score))
-        self.last_skipped = decisions.skipped
         decisions.warn_if_skipped()
         return decisions
 
     def decide(
         self, first: EntityDescription, second: EntityDescription
     ) -> MatchDecision:
-        """Decide one explicit pair through the engine.
-
-        Even single-pair execution benefits from the store: the profiles of
-        both descriptions are cached, so a description compared *K* times by
-        an adaptive scheduler is tokenised and weighted only once.
-        """
+        """Decide one explicit pair through the engine."""
         return self.decide_pairs([(first, second)])[0]
 
     def decide_pairs(
@@ -314,10 +298,9 @@ class MatchingEngine:
     ) -> List[MatchDecision]:
         """Decide explicit description pairs (no identifier resolution).
 
-        Either side may be a description that lives outside the input
-        collection (e.g. a merge); the store caches it by identifier and
-        recomputes automatically if a different object later reuses the
-        identifier.
+        Either side may be a description the context does not own (e.g. a
+        merge); :meth:`ProfileStore.build
+        <repro.text.profile_store.ProfileStore.build>` tokenises it.
         """
         if not self.batch_applicable:
             return [self.matcher.decide(first, second) for first, second in pairs]
@@ -339,8 +322,8 @@ class MatchingEngine:
         """
         if not self.batch_applicable:
             return [self.matcher.similarity(first, second) for first, second in pairs]
-        profile = self._store_for(None).profile
-        return [self._exact(profile(first), profile(second)) for first, second in pairs]
+        build = self.store.build
+        return [self._exact(build(first), build(second)) for first, second in pairs]
 
     # ------------------------------------------------------------------
     # context ordinals in, flags or scores out
@@ -352,7 +335,7 @@ class MatchingEngine:
         <repro.text.profile_store.ProfileStore.ordinal_profile>`: for callers
         that output the similarities (``keep_decisions``).
         """
-        profile = self._batch_store("score_ordinal_pairs", ordinals=True).ordinal_profile
+        profile = self.store.ordinal_profile
         return [self._exact(profile(a), profile(b)) for a, b in zip(first, second)]
 
     def decide_ordinal_pairs(self, first, second):
@@ -364,7 +347,7 @@ class MatchingEngine:
         only for the pairs within the margin of the threshold.  The flags
         are the per-pair matcher's decisions.
         """
-        store = self._batch_store("decide_ordinal_pairs", ordinals=True)
+        store = self.store
         rows_a = _np.asarray(first, dtype=_np.int64)
         rows_b = _np.asarray(second, dtype=_np.int64)
         if not len(rows_a):
@@ -413,7 +396,7 @@ class MatchingEngine:
         threshold than the columns' margin is the vectorised one (within
         that margin of exact).
         """
-        store = self._batch_store("score_against", ordinals=True)
+        store = self.store
         query = store.build(description)
         profile = store.ordinal_profile
         if not len(ordinals):
@@ -452,36 +435,3 @@ class MatchingEngine:
         for index in _np.flatnonzero(near).tolist():
             scores[index] = exact(index)
         return scores
-
-    # ------------------------------------------------------------------
-    def score_id_set_pairs(
-        self,
-        pairs: Sequence[Tuple[int, int]],
-        id_columns: Sequence[Sequence[int]],
-    ) -> List[float]:
-        """Set-mode scores of ordinal pairs over precomputed token-id columns.
-
-        For callers that already hold one *distinct* token-id column per
-        description (the similarity-join array build's
-        :class:`~repro.blocking.columns.TokenColumnView`): the exact set
-        body over a ``frozenset`` per touched column, no description or
-        profile in between.  Requires the batch engine, a natively supported
-        set-mode matcher, and columns indexed by the ordinals in ``pairs``.
-        """
-        if not self.batch_applicable:
-            raise ValueError(
-                "score_id_set_pairs requires the batch engine and a natively "
-                "supported matcher"
-            )
-        if self.matcher.vectorizer is not None:
-            raise ValueError("score_id_set_pairs only supports set-mode matchers")
-        name = self.matcher.similarity_name
-        sets: Dict[int, frozenset] = {}
-
-        def id_set(ordinal: int) -> frozenset:
-            cached = sets.get(ordinal)
-            if cached is None:
-                sets[ordinal] = cached = frozenset(id_columns[ordinal])
-            return cached
-
-        return [_id_set_score(name, id_set(first), id_set(second)) for first, second in pairs]

@@ -19,7 +19,7 @@ import abc
 import math
 import numbers
 import warnings
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Callable, Dict, Iterable, List, Mapping, Optional, Sequence, Tuple, Union
 
 from repro.datamodel.collection import CleanCleanTask, EntityCollection
@@ -86,9 +86,13 @@ def _warn_skipped_comparisons(skipped: int, examples: Sequence[Tuple[str, str]])
     )
 
 
+def _finite_non_negative(value) -> bool:
+    return isinstance(value, numbers.Real) and math.isfinite(value) and value >= 0
+
+
 def check_cost(cost) -> float:
     """``cost`` if it is a finite real number ``>= 0``, else ``ValueError``."""
-    if not isinstance(cost, numbers.Real) or not (math.isfinite(cost) and cost >= 0):
+    if not _finite_non_negative(cost):
         raise ValueError(f"cost must be a finite number >= 0, got {cost!r}")
     return cost
 
@@ -248,6 +252,11 @@ class AttributeWeightedMatcher(Matcher):
     ) -> None:
         if not attribute_weights:
             raise ValueError("attribute weights must not be empty")
+        for attribute, weight in attribute_weights.items():
+            if not _finite_non_negative(weight):
+                raise ValueError(
+                    f"the weight of {attribute!r} must be a finite number >= 0, got {weight!r}"
+                )
         check_threshold(threshold)
         total = sum(attribute_weights.values())
         if total <= 0:
@@ -311,13 +320,19 @@ class ThresholdRule:
     attribute: str
     threshold: float
     similarity_name: str = "jaro_winkler"
+    _similarity: Callable[..., float] = field(init=False, repr=False, compare=False)
+
+    def __post_init__(self) -> None:
+        check_threshold(self.threshold)
+        # an unknown name fails here (KeyError), not at the first evaluate
+        object.__setattr__(self, "_similarity", get_similarity(self.similarity_name))
 
     def evaluate(self, first: EntityDescription, second: EntityDescription) -> Tuple[bool, float]:
         values_a = first.values(self.attribute)
         values_b = second.values(self.attribute)
         if not values_a or not values_b:
             return False, 0.0
-        similarity = get_similarity(self.similarity_name)
+        similarity = self._similarity
         if self.similarity_name in ("jaccard", "dice", "overlap", "cosine"):
             best = max(
                 similarity(tokenize(a), tokenize(b)) for a in values_a for b in values_b

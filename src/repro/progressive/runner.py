@@ -7,16 +7,18 @@ every decision back to the scheduler (the update phase), and records the
 progressive recall curve against the ground truth (when provided).
 
 Comparisons are executed through a
-:class:`~repro.matching.engine.MatchingEngine`, which caches each
-description's token profile in a columnar store so an entity compared *K*
-times is tokenised once.  There are two execution shapes, both
-bit-identical to the historical per-pair loop (decisions, matches,
-``budget_spent``, one curve point per comparison):
+:class:`~repro.matching.engine.MatchingEngine` over a pipeline context that
+owns the data (the caller's, or a private one the engine builds:
+:meth:`MatchingEngine.over <repro.matching.engine.MatchingEngine.over>`), so
+an entity compared *K* times is tokenised once.  The scheduler and matcher
+types alone pick one of two execution shapes, both bit-identical to the
+historical per-pair loop (decisions, matches, ``budget_spent``, skips, one
+curve point per comparison):
 
 * **column drain** -- every feedback-free scheduler (one that leaves
   :meth:`~repro.progressive.schedulers.ProgressiveScheduler.feedback`
   un-overridden) under a matcher the batch engine implements, in one chunk
-  loop.  :meth:`ScheduledRows.take
+  loop, whatever the batch size.  :meth:`ScheduledRows.take
   <repro.progressive.schedulers.ScheduledRows.take>` hands out the next
   rows as two int64 ordinal arrays (slices of the sorted columns, or a
   generator's rows packed -- a scheduler that overrides ``schedule`` is
@@ -37,8 +39,7 @@ bit-identical to the historical per-pair loop (decisions, matches,
   (:meth:`MatchingEngine.score_ordinal_pairs
   <repro.matching.engine.MatchingEngine.score_ordinal_pairs>`).
 * **draw-one/decide-one** -- adaptive schedulers (their next draw may depend
-  on the last decision) and matchers the batch engine does not implement,
-  still hitting the profile cache.
+  on the last decision) and matchers the batch engine does not implement.
 """
 
 from __future__ import annotations
@@ -48,7 +49,6 @@ from itertools import repeat
 from typing import List, Optional, Sequence, Set, Tuple, Union
 
 from repro.blocking.base import check_count
-from repro.core.context import PipelineContext
 from repro.datamodel.ground_truth import GroundTruth
 from repro.datamodel.pairs import DecisionColumns, canonical_pair, pair_code
 from repro.evaluation.curves import ProgressiveRecallCurve
@@ -148,15 +148,14 @@ def run_progressive(
     engine:
         A :class:`~repro.matching.engine.MatchingEngine` wrapping
         ``matcher``, or ``None`` (default) for ``MatchingEngine(matcher)``.
-        The engine only changes *how* comparisons are scored (cached columnar
+        The engine only changes *how* comparisons are scored (columnar
         profiles, one kernel over ordinal columns), never the decisions;
-        matchers the batch path cannot replicate run per pair.  The column
-        drain needs a shared context that owns ``data``: without one, it
-        runs on an engine over a private context.
+        matchers the batch path cannot replicate run per pair.  An engine
+        whose context does not own ``data`` runs over a private one.
     batch_size:
-        How many comparisons are drawn per chunk when batch execution
-        applies (an ``int >= 1``).  Schedulers that adapt to feedback are
-        always drained one comparison at a time, whatever this value.
+        How many comparisons the column drain draws per chunk at most (an
+        ``int >= 1``).  Schedulers that adapt to feedback are always drained
+        one comparison at a time, whatever this value.
     scheduling:
         A :class:`~repro.progressive.engine.SchedulingEngine` wrapping
         ``scheduler``, or ``None`` (default) for
@@ -190,6 +189,7 @@ def run_progressive(
             "scheduler than the `scheduler` argument; the schedule would "
             "silently come from the engine's scheduler"
         )
+    engine = engine.over(data)
 
     curve = None
     if ground_truth is not None:
@@ -204,13 +204,10 @@ def run_progressive(
 
     # batch drains are only sound when the scheduler ignores feedback: an
     # adaptive scheduler's next draw may depend on the previous decision
-    if engine.batch_applicable and scheduling.feedback_free and batch_size > 1:
+    if engine.batch_applicable and scheduling.feedback_free:
         if rows is None:
             rows = comparison_rows(scheduler.schedule(data, candidates))
         context = engine.context
-        if context is None or not context.owns(data):
-            context = PipelineContext(data)
-            engine = MatchingEngine(matcher, context=context)
         # the batch path only runs for a fixed-cost ProfileSimilarityMatcher,
         # so a draw never needs to exceed what the remaining budget can charge
         cost = matcher.cost
@@ -227,10 +224,10 @@ def run_progressive(
         while True:
             draw = batch_size
             if budget_obj.total is not None and cost > 0:
-                # what the budget still covers plus one (the one that shows
-                # it is exhausted); 0 when out
-                remaining = budget_obj.remaining
-                draw = 0 if remaining < cost else min(batch_size, int(remaining / cost) + 1)
+                # what the budget still covers plus one: the row that shows
+                # it is exhausted, so the unresolvable rows before it are
+                # counted as the per-row loop counts them
+                draw = min(batch_size, int(budget_obj.remaining / cost) + 1)
             first, second = rows.take(draw)
             if not len(first):
                 break

@@ -11,7 +11,7 @@ centralises:
   Monge--Elkan).
 * :mod:`repro.text.vectorizer` -- TF-IDF weighting and weighted cosine
   similarity over token vectors.
-* :mod:`repro.text.profile_store` -- columnar per-description token profiles
+* :mod:`repro.text.profile_store` -- columnar token profiles over a pipeline context
   (interned token ids, TF-IDF weight columns, precomputed norms) backing the
   batched matching engine.
 """

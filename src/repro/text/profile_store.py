@@ -1,4 +1,4 @@
-"""Columnar profile store: interned tokens and cached per-entity arrays.
+"""Columnar profile store: one matcher's token profiles over a pipeline context.
 
 The pairwise matchers re-derive the token profile of a description on every
 comparison: :class:`~repro.matching.matchers.ProfileSimilarityMatcher` calls
@@ -8,34 +8,27 @@ appears in *K* candidate pairs therefore pays its tokenisation and
 normalisation cost *K* times, which dominates the matching phase once
 meta-blocking has made candidate generation cheap.
 
-:class:`ProfileStore` amortises that cost to once per description.  Tokens are
-interned to dense integer ids shared across the whole collection, and for
-every description the store caches a :class:`Profile`:
+:class:`ProfileStore` reads the profiles off a
+:class:`~repro.core.context.PipelineContext` instead, which interned every
+description once.  A :class:`Profile` holds:
 
 * the **sorted token-id array** (``array('q')``) plus the id *set*, which turn
   every set similarity (Jaccard, Dice, overlap, cosine) into integer
   intersection counting;
 * in TF-IDF mode, the **aligned weight array** with the same term-frequency
   scaling and smoothed IDF as ``TfIdfVectorizer.transform``, plus the
-  **L2 norm** of the vector, precomputed once with :func:`math.fsum` (whose
-  exactly rounded result is independent of accumulation order, so the cached
-  norm is bit-identical to the one the pairwise oracle derives from its
-  ``dict`` vector).
+  **L2 norm** of the vector, computed with :func:`math.fsum` (whose exactly
+  rounded result is independent of accumulation order, so the norm is
+  bit-identical to the one the pairwise oracle derives from its ``dict``
+  vector).
 
-Profiles are computed lazily (a description that never reaches the matcher
-never pays) and cached by identifier.  The cache remembers which description
-*object* produced each profile: when a different object arrives under the same
-identifier -- e.g. after a merge replaced the description -- the stale entry is
-recomputed automatically, and :meth:`ProfileStore.invalidate` drops a single
-entry explicitly without touching the rest of the store.
-
-A context-backed store additionally has a **whole-collection form**,
-:meth:`ProfileStore.columns`: one :class:`ProfileColumns` CSR over the
-context's ordinals (filtered token ids, TF-IDF weights from one idf column
-and row norms), derived from ``context.token_columns()`` in a handful of
-array operations with no :class:`Profile` object per description.  Its
-sort-merge :meth:`ProfileColumns.shared` is the matching engine's
-ordinal-pair kernel (:meth:`MatchingEngine.decide_ordinal_pairs
+The store's **whole-collection form** is :meth:`ProfileStore.columns`: one
+:class:`ProfileColumns` CSR over the context's ordinals (filtered token ids,
+TF-IDF weights from one idf column and row norms), derived from
+``context.token_columns()`` in a handful of array operations with no
+:class:`Profile` object per description.  Its sort-merge
+:meth:`ProfileColumns.shared` is the matching engine's ordinal-pair kernel
+(:meth:`MatchingEngine.decide_ordinal_pairs
 <repro.matching.engine.MatchingEngine.decide_ordinal_pairs>`), and its
 lazily built transpose (rows per token) is what scores a merge against its
 neighbourhood (:meth:`ProfileColumns.shared_with`); its weights
@@ -44,15 +37,16 @@ operations, elementwise), its dot products and norms are plain vectorised
 sums -- see :meth:`ProfileColumns.margin` for how far those can be from the
 exactly rounded ones.  :class:`Profile` objects are built only where a score
 must be exact: :meth:`ProfileStore.ordinal_profile` serves the context's
-descriptions by ordinal (lazily, cached), :meth:`ProfileStore.profile` any
-description by identifier.
+descriptions by ordinal (lazily, cached), :meth:`ProfileStore.build` any
+other description (a merge, a replaced object), uncached, its tokens
+interned into the context's vocabulary.
 """
 
 from __future__ import annotations
 
 import math
 from array import array
-from typing import Dict, Iterable, List, Optional, Tuple
+from typing import Iterable, List, Optional, Tuple
 
 from repro.datamodel.description import EntityDescription
 from repro.text.tokenize import token_set
@@ -62,7 +56,7 @@ import numpy as _np
 
 
 class Profile:
-    """The cached columnar view of one description's token profile.
+    """The columnar view of one description's token profile.
 
     Attributes
     ----------
@@ -282,7 +276,7 @@ class ProfileColumns:
 
 
 class ProfileStore:
-    """Interns tokens once per collection and caches per-description columns.
+    """One matcher's token profiles over a pipeline context.
 
     A store instance mirrors the configuration of exactly one matcher:
 
@@ -297,113 +291,52 @@ class ProfileStore:
 
     Parameters
     ----------
+    context:
+        The :class:`~repro.core.context.PipelineContext` whose vocabulary the
+        token ids index.  The profile of every description it owns is built
+        straight from its interned columns -- no re-tokenisation, same floats
+        (counts and document frequencies are exact integers, the weight/norm
+        arithmetic is the very expression of ``TfIdfVectorizer.transform``
+        and :func:`~repro.text.vectorizer.l2_norm`).  A description outside
+        the context (a merge of the update phase, or a replaced object
+        reusing a known identifier) is tokenised by :meth:`build`.
     stop_words / min_token_length:
         Set-mode tokenisation options (ignored in TF-IDF mode, exactly as the
         pairwise matcher ignores them when a vectoriser is present).
     vectorizer:
         Optional fitted :class:`~repro.text.vectorizer.TfIdfVectorizer`.
-    context:
-        Optional shared :class:`~repro.core.context.PipelineContext`.  When
-        given, the store delegates token interning to the context's
-        vocabulary and builds the profile of every description the context
-        owns straight from the interned columns -- no re-tokenisation, same
-        floats (counts and document frequencies are exact integers, the
-        weight/norm arithmetic is the very expression of
-        ``TfIdfVectorizer.transform`` and :func:`~repro.text.vectorizer.l2_norm`).
-        Descriptions outside the context (e.g. transient merged descriptions
-        of the update phase, or a replaced object reusing a known
-        identifier) transparently take the tokenising path.  A context also
-        gives the store an ordinal space: :meth:`ordinal_profile` serves the
-        owned descriptions' exact profiles by ordinal and :meth:`columns`
-        all of them at once as one CSR.
     """
 
     def __init__(
         self,
+        context,
         stop_words: Optional[Iterable[str]] = None,
         min_token_length: int = 1,
         vectorizer: Optional[TfIdfVectorizer] = None,
-        context=None,
     ) -> None:
+        self.context = context
         self.stop_words = frozenset(stop_words) if stop_words else frozenset()
         self.min_token_length = min_token_length
         self.vectorizer = vectorizer
-        self.context = context
-        self._token_ids: Dict[str, int] = {}
-        self._tokens: List[str] = []
-        #: identifier -> (source description, profile); the source reference
-        #: detects stale entries when a new object reuses an identifier
-        self._profiles: Dict[str, Tuple[EntityDescription, Profile]] = {}
         #: ordinal -> profile / CSR over the context's descriptions (lazy)
         self._ordinal_profiles: Optional[List[Optional[Profile]]] = None
         self._columns: Optional[ProfileColumns] = None
-        self.hits = 0
-        self.misses = 0
 
-    # ------------------------------------------------------------------
-    # token interning
-    # ------------------------------------------------------------------
     def intern(self, token: str) -> int:
-        """Return the dense integer id of ``token``, assigning one if new."""
-        if self.context is not None:
-            return self.context.intern(token)
-        token_id = self._token_ids.get(token)
-        if token_id is None:
-            token_id = len(self._tokens)
-            self._token_ids[token] = token_id
-            self._tokens.append(token)
-        return token_id
+        """The context's dense integer id of ``token``, assigning one if new."""
+        return self.context.intern(token)
 
     def token(self, token_id: int) -> str:
         """Inverse of :meth:`intern`."""
-        if self.context is not None:
-            return self.context.token(token_id)
-        return self._tokens[token_id]
+        return self.context.token(token_id)
 
     @property
     def vocabulary_size(self) -> int:
-        if self.context is not None:
-            return self.context.vocabulary_size
-        return len(self._tokens)
+        return self.context.vocabulary_size
 
     @property
     def mode(self) -> str:
         return "tfidf" if self.vectorizer is not None else "set"
-
-    def __len__(self) -> int:
-        return len(self._profiles)
-
-    # ------------------------------------------------------------------
-    # profiles
-    # ------------------------------------------------------------------
-    def profile(self, description: EntityDescription) -> Profile:
-        """The cached :class:`Profile` of ``description`` (built on first use).
-
-        The cache is keyed by identifier but verified against the description
-        object: a *different* object under a known identifier (a merged or
-        otherwise replaced description) transparently recomputes the entry, so
-        callers never observe a stale profile.
-        """
-        entry = self._profiles.get(description.identifier)
-        if entry is not None and entry[0] is description:
-            self.hits += 1
-            return entry[1]
-        self.misses += 1
-        profile = self.build(description)
-        self._profiles[description.identifier] = (description, profile)
-        return profile
-
-    def invalidate(self, identifier: str) -> bool:
-        """Drop the cached profile of ``identifier``; other entries are kept.
-
-        Returns whether an entry existed.  The per-pair branch of the
-        update/iterate phase drops each merge's transient entry this way.
-        """
-        return self._profiles.pop(identifier, None) is not None
-
-    def clear(self) -> None:
-        """Drop every cached profile (the interned vocabulary is kept)."""
-        self._profiles.clear()
 
     # ------------------------------------------------------------------
     # profiles by context ordinal
@@ -423,8 +356,6 @@ class ProfileStore:
         """
         profiles = self._ordinal_profiles
         if profiles is None:
-            if self.context is None:
-                raise ValueError("profiles by ordinal need a shared pipeline context")
             profiles = self._ordinal_profiles = [None] * self.context.num_descriptions
         profile = profiles[ordinal]
         if profile is None:
@@ -435,8 +366,6 @@ class ProfileStore:
         """Every context description's profile as one :class:`ProfileColumns`
         (built once)."""
         if self._columns is None:
-            if self.context is None:
-                raise ValueError("profile columns need a shared pipeline context")
             idf = None
             if self.vectorizer is not None:
                 idf = self.vectorizer.idf_column(self.context.tokens)
@@ -445,18 +374,17 @@ class ProfileStore:
 
     # ------------------------------------------------------------------
     def build(self, description: EntityDescription) -> Profile:
-        """The profile of ``description``, not cached by identifier.
+        """The profile of ``description``.
 
-        What :meth:`profile` runs on a cache miss; callers use it directly for
-        transient descriptions (the update phase's merges) that are scored
-        once and dropped.  A description the context owns is served by
-        :meth:`ordinal_profile`.
+        A description the context owns is served by :meth:`ordinal_profile`;
+        any other (a merge, or a different object under a known identifier)
+        is tokenised into the context's vocabulary and not kept: it is scored
+        and dropped.
         """
         context = self.context
-        if context is not None:
-            ordinal = context.ordinal(description.identifier)
-            if ordinal is not None and context.description(ordinal) is description:
-                return self.ordinal_profile(ordinal)
+        ordinal = context.ordinal(description.identifier)
+        if ordinal is not None and context.description(ordinal) is description:
+            return self.ordinal_profile(ordinal)
         if self.vectorizer is None:
             tokens = token_set(
                 description.values(),

@@ -10,10 +10,10 @@ meta-blocking columns and over blocks, random order, sorted list, and a
 static order holding identifiers the data lacks) with budgets ``None``, 0,
 1, exactly one batch and mid-batch, at cost 1 and cost 0.3, with and
 without ``keep_decisions``.  Each case must come out the same through the
-column drain (an engine over a shared context), at a small batch size, and
-through the object drain (an engine without a context).  Regenerating the
-fixture (only when the drain's output changes on purpose): run this module
-as a script::
+column drain on an engine over a shared context, at a small batch size, one
+row at a time, and on no engine (the runner's own, over a private context).
+Regenerating the fixture (only when the drain's output changes on purpose):
+run this module as a script::
 
     PYTHONPATH=src python tests/test_drain_equivalence.py
 """
@@ -42,6 +42,7 @@ from repro.progressive.schedulers import (
     WeightOrderScheduler,
 )
 from repro.progressive.sorted_list import SortedListScheduler
+from conftest import readable
 
 FIXTURE = Path(__file__).parent / "fixtures" / "progressive" / "drain.json"
 
@@ -114,13 +115,22 @@ def _sha256(value) -> str:
     return hashlib.sha256(json.dumps(_plain(value)).encode("utf-8")).hexdigest()
 
 
+#: route -> batch size; every route but ``no_engine`` runs on an engine over
+#: the shared context
+ROUTES = {
+    "columns": DEFAULT_BATCH_SIZE,
+    "small_batches": 7,
+    "single_rows": 1,
+    "no_engine": DEFAULT_BATCH_SIZE,
+}
+
+
 def _run(label: str, cost_label: str, budget, keep: bool, route: str) -> dict:
-    """One run's frozen form; ``route`` is ``columns``, ``small_batches`` or
-    ``objects``."""
+    """One run's frozen form through one of the :data:`ROUTES`."""
     data, truth, context, _, _ = _inputs()
     scheduler, candidates = _schedule(label)
     matcher = _matcher(COSTS[cost_label][0], context)
-    engine = None if route == "objects" else MatchingEngine(matcher, context=context)
+    engine = None if route == "no_engine" else MatchingEngine(matcher, context=context)
     with warnings.catch_warnings():
         warnings.simplefilter("ignore", RuntimeWarning)  # the ghosts' skip summary
         result = run_progressive(
@@ -132,7 +142,7 @@ def _run(label: str, cost_label: str, budget, keep: bool, route: str) -> dict:
             ground_truth=truth,
             keep_decisions=keep,
             engine=engine,
-            batch_size=7 if route == "small_batches" else DEFAULT_BATCH_SIZE,
+            batch_size=ROUTES[route],
         )
     matches = [list(pair) for pair in result.declared_matches]
     decisions = [(d.pair, d.similarity, d.is_match) for d in result.decisions]
@@ -163,7 +173,7 @@ def _freeze_fixture() -> None:
     cases = {}
     for case in _cases():
         frozen = _run(*case, route="columns")
-        for route in ("small_batches", "objects"):
+        for route in list(ROUTES)[1:]:
             assert _run(*case, route=route) == frozen, (case, route)
         cases[_key(*case)] = frozen
     FIXTURE.parent.mkdir(parents=True, exist_ok=True)
@@ -176,7 +186,7 @@ def _fixture() -> dict:
     return json.loads(FIXTURE.read_text(encoding="utf-8"))
 
 
-@pytest.mark.parametrize("route", ["columns", "small_batches", "objects"])
+@pytest.mark.parametrize("route", ROUTES)
 @pytest.mark.parametrize("label", SCHEDULES)
 def test_drain_reproduces_the_fixture(label, route):
     for case in _cases():
@@ -200,6 +210,43 @@ def test_batch_size_is_checked_before_anything_runs(batch_size):
             columns,
             batch_size=batch_size,
         )
+
+
+#: budget -> (executed, skipped) of the schedule r, r, ghost, ghost, r, ghost
+#: at cost 1: a ghost is counted up to the first row the budget cannot cover
+BOUNDARY = {None: (3, 3), 0: (0, 0), 1: (1, 0), 2: (2, 2), 3: (3, 3)}
+
+
+@pytest.mark.parametrize("budget", BOUNDARY)
+@pytest.mark.parametrize("batch_size", [1, 2, 3, DEFAULT_BATCH_SIZE])
+def test_skips_at_the_budget_boundary_do_not_depend_on_the_batch_size(batch_size, budget):
+    """Once the budget cannot cover one more comparison, the column drain
+    still draws the next row, so the ghosts (identifiers the data lacks)
+    before it are counted as the per-row loop of a pairwise matcher counts
+    them."""
+    data, _, context, _, columns = _inputs()
+    first, second, third = list(columns)[:3]
+    order = [first, second, Comparison("ghost0", "x"), Comparison("ghost1", "x"), third]
+    order.append(Comparison("ghost2", "x"))
+    matcher = _matcher(1.0, context)
+    results = []
+    for component, engine in (
+        (matcher, MatchingEngine(matcher, context=context)),
+        (readable(matcher), None),
+    ):
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore", RuntimeWarning)
+            result = run_progressive(
+                StaticOrderScheduler(order),
+                component,
+                data,
+                None,
+                budget=budget,
+                engine=engine,
+                batch_size=batch_size,
+            )
+        results.append((result.comparisons_executed, result.skipped_comparisons))
+    assert results == [BOUNDARY[budget]] * 2
 
 
 def test_matches_are_context_ordinals_on_the_column_drain():

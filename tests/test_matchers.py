@@ -231,3 +231,40 @@ def test_attribute_weighted_threshold_must_be_in_the_unit_interval(threshold):
 def test_profile_similarity_threshold_is_checked_at_construction(threshold):
     with pytest.raises(ValueError, match=r"threshold must be in \[0, 1\], got "):
         ProfileSimilarityMatcher(threshold=threshold)
+
+
+@pytest.mark.parametrize("threshold", [float("nan"), 2.0, -0.1, "0.5", True])
+def test_threshold_rule_threshold_is_checked_at_construction(threshold):
+    """A threshold outside [0, 1] would never (or always) match."""
+    with pytest.raises(ValueError, match=r"threshold must be in \[0, 1\], got "):
+        ThresholdRule("name", threshold)
+
+
+def test_threshold_rule_similarity_is_resolved_at_construction():
+    """An unknown similarity fails when the rule is built, not at its first
+    evaluate; a known one is resolved once."""
+    with pytest.raises(KeyError, match="unknown similarity 'nope'"):
+        ThresholdRule("name", 0.5, "nope")
+    rule = ThresholdRule("name", 0.5, "jaccard")
+    assert rule == ThresholdRule("name", 0.5, "jaccard")
+    assert repr(rule) == "ThresholdRule(attribute='name', threshold=0.5, similarity_name='jaccard')"
+    assert rule.evaluate(alan_a(), grace()) == (False, 0.0)
+
+
+@pytest.mark.parametrize(
+    "weights",
+    [
+        {"name": 2.0, "city": -1.0},
+        {"name": float("nan")},
+        {"name": 1.0, "city": float("inf")},
+        {"name": "1"},
+    ],
+)
+def test_attribute_weights_must_be_finite_and_non_negative(weights):
+    with pytest.raises(ValueError, match="must be a finite number >= 0, got "):
+        AttributeWeightedMatcher(weights)
+
+
+def test_zero_attribute_weights_are_accepted_beside_a_positive_one():
+    matcher = AttributeWeightedMatcher({"name": 1.0, "city": 0})
+    assert matcher.attribute_weights == {"name": 1.0, "city": 0.0}

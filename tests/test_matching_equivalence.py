@@ -174,6 +174,32 @@ class TestBatchMatchesOracle:
             ]
             assert engine.score_ordinal_pairs(first, second) == [d.similarity for d in oracle]
 
+    @pytest.mark.parametrize("matcher_name", ["profile-jaccard", "profile-tfidf"])
+    def test_a_foreign_decide_all_leaves_the_kernel_working(self, matcher_name):
+        """``decide_all`` on data the engine's context does not own runs over
+        a private context: the foreign decisions are the matcher's, and the
+        ordinal kernel over the engine's own context still answers."""
+        own, foreign = _random_collection(3), _random_collection(4)
+        matcher = _matchers(own)[matcher_name]
+        context = PipelineContext(own)
+        engine = MatchingEngine(matcher, context=context)
+        comparisons = _random_comparisons(own, 3)
+        first = [context.ordinal(comparison.first) for comparison in comparisons]
+        second = [context.ordinal(comparison.second) for comparison in comparisons]
+        expected = [decision.is_match for decision in matcher.decide_all(comparisons, own)]
+        assert engine.decide_ordinal_pairs(first, second).tolist() == expected
+        # the same identifiers, other descriptions
+        foreign_comparisons = _random_comparisons(foreign, 4)
+        assert_bit_identical(
+            matcher.decide_all(foreign_comparisons, foreign),
+            engine.decide_all(foreign_comparisons, foreign),
+        )
+        assert engine.decide_ordinal_pairs(first, second).tolist() == expected
+        assert engine.store.context is context
+        assert_bit_identical(
+            matcher.decide_all(comparisons, own), engine.decide_all(comparisons, own)
+        )
+
 
 class TestThresholdTies:
     """At an exact tie the decision is >= on both engines, bit for bit."""
@@ -223,7 +249,7 @@ class TestMergedDescriptions:
         descriptions = list(collection)
         vectorizer = TfIdfVectorizer().fit(iter(collection)) if use_tfidf else None
         matcher = ProfileSimilarityMatcher(threshold=0.3, vectorizer=vectorizer)
-        engine = MatchingEngine(matcher)
+        engine = MatchingEngine(matcher, context=PipelineContext(collection))
         pairs = []
         for i in range(0, 16, 2):
             merged = merge_descriptions(descriptions[i], descriptions[i + 1])
@@ -238,29 +264,24 @@ class TestMergedDescriptions:
 
     def test_reused_identifier_is_recomputed_not_served_stale(self):
         matcher = ProfileSimilarityMatcher(threshold=0.3)
-        engine = MatchingEngine(matcher)
         other = EntityDescription("z", {"name": "alan turing london"})
         version_one = EntityDescription("m", {"name": "alan turing london"})
         version_two = EntityDescription("m", {"name": "grace hopper navy"})
+        engine = MatchingEngine(
+            matcher, context=PipelineContext(EntityCollection([version_one, other]))
+        )
         score_one = engine.decide_pairs([(version_one, other)])[0].similarity
-        # same identifier, different object and content: must not serve the
-        # stale cached profile
+        # same identifier as a description the context owns, different object
+        # and content: must not be served that description's profile
         score_two = engine.decide_pairs([(version_two, other)])[0].similarity
         assert score_one == matcher.similarity(version_one, other) == 1.0
         assert score_two == matcher.similarity(version_two, other) == 0.0
 
-    def test_invalidate_drops_a_single_entry(self):
-        matcher = ProfileSimilarityMatcher(threshold=0.3)
-        engine = MatchingEngine(matcher)
+    def test_explicit_pairs_need_a_context(self):
         a = EntityDescription("a", {"name": "alan turing"})
         b = EntityDescription("b", {"name": "grace hopper"})
-        engine.decide_pairs([(a, b)])
-        store = engine.store
-        assert len(store) == 2
-        assert engine.invalidate("a")
-        assert len(store) == 1
-        assert not engine.invalidate("a")  # already gone
-        assert store.profile(b) is not None  # the other entry survived
+        with pytest.raises(ValueError, match="shared pipeline context"):
+            MatchingEngine(ProfileSimilarityMatcher(threshold=0.3)).decide_pairs([(a, b)])
 
 
 class TestDegenerateProfiles:
@@ -311,7 +332,6 @@ class TestSkipAccounting:
         assert len(decisions) == 1
         assert decisions.skipped == 2
         assert decisions.skipped_examples == [("a1", "ghost"), ("ghost", "phantom")]
-        assert engine.last_skipped == 2
 
     def test_no_warning_when_everything_resolves(self, tiny_collection, recwarn):
         matcher = ProfileSimilarityMatcher(threshold=0.3)
@@ -802,23 +822,19 @@ class TestOrdinalKernel:
 
     @pytest.mark.parametrize("name", ["jaccard", "dice", "overlap", "cosine"])
     def test_id_column_scores_are_the_exact_set_body(self, name):
-        """``score_id_set_pairs`` (the similarity join's verification) and
-        the exact body share one set-scoring expression: same floats as the
-        per-pair matcher, a column with no ids included."""
+        """``score_ordinal_pairs`` (the similarity join's verification) is the
+        per-pair matcher's set similarity, a description with no token and a
+        pair of them included."""
         _data, context, first, second = _kernel_input("dirty", seed=17)
         matcher = ProfileSimilarityMatcher(threshold=0.3, similarity_name=name)
         engine = MatchingEngine(matcher, context=context)
-        profile = engine._batch_store("test", ordinals=True).ordinal_profile
-        columns = [list(profile(o).token_ids) for o in range(context.num_descriptions)]
-        columns.append([])
-        empty = len(columns) - 1
-        pairs = list(zip(first, second)) + [(0, empty), (empty, empty)]
-        exact = self._exact(matcher, context, first, second) + [0.0, 1.0]
-        assert engine.score_id_set_pairs(pairs, columns) == exact
-        assert engine.score_ordinal_pairs(first, second) == exact[:-2]
-        tfidf = _kernel_matcher("tfidf", context, 0.3)
-        with pytest.raises(ValueError, match="set-mode"):
-            MatchingEngine(tfidf, context=context).score_id_set_pairs(pairs, columns)
+        sizes = engine.store.columns().sizes.tolist()
+        empty = [ordinal for ordinal, size in enumerate(sizes) if not size]
+        assert empty
+        first, second = first + [0, empty[0]], second + [empty[0], empty[-1]]
+        exact = self._exact(matcher, context, first, second)
+        assert exact[-2:] == [0.0, 1.0]
+        assert engine.score_ordinal_pairs(first, second) == exact
 
     def test_ordinal_entry_points_need_a_context(self):
         engine = MatchingEngine(ProfileSimilarityMatcher(threshold=0.3))
@@ -901,7 +917,7 @@ class TestColumnarDrain:
     def test_no_profile_lookup_and_no_identifier_resolution(
         self, small_dirty_dataset, monkeypatch
     ):
-        """The kernel path reads ordinal columns: ``ProfileStore.profile``
+        """The kernel path reads ordinal columns: ``ProfileStore.build``
         (descriptions in) and ``EntityCollection.get`` (identifiers in) are
         never reached, and no profile object is built at all unless a pair
         falls inside the margin."""
@@ -914,7 +930,7 @@ class TestColumnarDrain:
         matcher = ProfileSimilarityMatcher(threshold=0.5, vectorizer=context.fit_vectorizer())
         engine = MatchingEngine(matcher, context=context)
         calls = []
-        for owner, name in ((ProfileStore, "profile"), (EntityCollection, "get")):
+        for owner, name in ((ProfileStore, "build"), (EntityCollection, "get")):
             original = getattr(owner, name)
 
             def counted(self, *args, _original=original, _name=name):
@@ -942,7 +958,7 @@ class TestTokenMajorScores:
     def _setup(mode, seed=21):
         context = PipelineContext(_random_collection(seed))
         engine = MatchingEngine(_kernel_matcher(mode, context, 0.3), context=context)
-        store = engine._batch_store("test", ordinals=True)
+        store = engine.store
         return context, engine, store, store.columns()
 
     def test_every_row_as_the_query(self, mode):
@@ -1014,7 +1030,7 @@ class TestKernelMargin:
 
         rows_a = np.asarray(first, dtype=np.int64)
         rows_b = np.asarray(second, dtype=np.int64)
-        columns = engine._batch_store("test", ordinals=True).columns()
+        columns = engine.store.columns()
         exact = engine.score_ordinal_pairs(first, second)
         margin = columns.margin()
         vectorised = engine._cosine_scores(

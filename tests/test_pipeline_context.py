@@ -45,7 +45,7 @@ from repro.datasets import (
 from repro.matching.engine import MatchingEngine
 from repro.matching.matchers import ProfileSimilarityMatcher
 from repro.text.profile_store import ProfileStore
-from repro.text.tokenize import DEFAULT_STOP_WORDS
+from repro.text.tokenize import DEFAULT_STOP_WORDS, token_set
 from repro.text.vectorizer import TfIdfVectorizer
 
 
@@ -495,46 +495,57 @@ class TestDerivedViews:
         assert _block_tuples(blocks) == _block_tuples(BlockingEngine(TokenBlocking()).build(other))
 
     def test_profiles_bit_identical(self, dirty):
+        """The context-backed TF-IDF profiles are the transform's vectors,
+        and the scores over them are ``matcher.similarity``, bit for bit."""
         data = dirty.collection
         context = PipelineContext(data)
         vectorizer = TfIdfVectorizer().fit(iter(data))
-        plain_store = ProfileStore(vectorizer=vectorizer)
-        shared_store = ProfileStore(vectorizer=context.fit_vectorizer(), context=context)
-        for description in data:
-            plain = plain_store.profile(description)
-            shared = shared_store.profile(description)
-            assert plain.norm == shared.norm
-            plain_weights = {
-                plain_store.token(t): w
-                for t, w in zip(plain.token_ids, plain.weights or ())
-            }
-            shared_weights = {
-                shared_store.token(t): w
-                for t, w in zip(shared.token_ids, shared.weights or ())
-            }
-            assert plain_weights == shared_weights
+        store = ProfileStore(context, vectorizer=vectorizer)
+        for ordinal, description in enumerate(data):
+            profile = store.ordinal_profile(ordinal)
+            vector = vectorizer.transform(description)
+            assert profile.norm == vector.norm
+            weights = {store.token(t): w for t, w in zip(profile.token_ids, profile.weights or ())}
+            assert weights == vector
+        matcher = ProfileSimilarityMatcher(threshold=0.5, vectorizer=vectorizer)
+        descriptions = list(data)
+        pairs = list(zip(descriptions, descriptions[1:] + descriptions[:1]))
+        assert MatchingEngine(matcher, context=context).similarity_scores(pairs) == [
+            matcher.similarity(first, second) for first, second in pairs
+        ]
 
     def test_set_mode_profiles_bit_identical(self, dirty):
         data = dirty.collection
         context = PipelineContext(data)
-        plain_store = ProfileStore(stop_words=DEFAULT_STOP_WORDS, min_token_length=2)
-        shared_store = ProfileStore(
-            stop_words=DEFAULT_STOP_WORDS, min_token_length=2, context=context
-        )
-        for description in data:
-            plain = {plain_store.token(t) for t in plain_store.profile(description).token_ids}
-            shared = {shared_store.token(t) for t in shared_store.profile(description).token_ids}
-            assert plain == shared
+        store = ProfileStore(context, stop_words=DEFAULT_STOP_WORDS, min_token_length=2)
+        for ordinal, description in enumerate(data):
+            shared = {store.token(t) for t in store.ordinal_profile(ordinal).token_ids}
+            assert shared == token_set(
+                description.values(), stop_words=DEFAULT_STOP_WORDS, min_length=2
+            )
+        for name in ("jaccard", "cosine"):
+            matcher = ProfileSimilarityMatcher(
+                threshold=0.5,
+                stop_words=DEFAULT_STOP_WORDS,
+                min_token_length=2,
+                similarity_name=name,
+            )
+            descriptions = list(data)
+            pairs = list(zip(descriptions, descriptions[1:] + descriptions[:1]))
+            assert MatchingEngine(matcher, context=context).similarity_scores(pairs) == [
+                matcher.similarity(first, second) for first, second in pairs
+            ]
 
     def test_replaced_description_bypasses_context_columns(self, dirty):
         """A new object under a known identifier must not serve stale columns."""
         data = dirty.collection
         context = PipelineContext(data)
-        store = ProfileStore(stop_words=None, min_token_length=1, context=context)
+        store = ProfileStore(context, stop_words=None, min_token_length=1)
         original = next(iter(data))
         replacement = original.copy()
         replacement.add("extra", "zzzuniquetoken")
-        profile = store.profile(replacement)
+        assert store.build(original) is store.ordinal_profile(0)
+        profile = store.build(replacement)
         token_strings = {store.token(t) for t in profile.token_ids}
         assert "zzzuniquetoken" in token_strings
 

@@ -25,72 +25,60 @@ def grace() -> EntityDescription:
     return EntityDescription("b1", {"name": "Grace Hopper", "city": "New York"})
 
 
+def foreign_store(**options) -> ProfileStore:
+    """A store over a context that owns neither :func:`alan` nor :func:`grace`:
+    every profile below is tokenised by ``build``."""
+    context = PipelineContext(EntityCollection([EntityDescription("other", {"name": "london"})]))
+    return ProfileStore(context, **options)
+
+
 class TestInterning:
     def test_ids_are_dense_and_stable(self):
-        store = ProfileStore()
+        """The store interns into its context's vocabulary."""
+        store = ProfileStore(PipelineContext(EntityCollection([])))
         first = store.intern("alan")
         second = store.intern("turing")
         assert (first, second) == (0, 1)
         assert store.intern("alan") == first  # idempotent
-        assert store.token(first) == "alan"
-        assert store.vocabulary_size == 2
+        assert store.token(first) == store.context.token(first) == "alan"
+        assert store.vocabulary_size == store.context.vocabulary_size == 2
 
     def test_vocabulary_is_shared_across_profiles(self):
-        store = ProfileStore(stop_words=None, min_token_length=1)
-        profile_a = store.profile(EntityDescription("x", {"name": "alan turing"}))
-        profile_b = store.profile(EntityDescription("y", {"name": "turing machine"}))
+        store = foreign_store(stop_words=None, min_token_length=1)
+        profile_a = store.build(EntityDescription("x", {"name": "alan turing"}))
+        profile_b = store.build(EntityDescription("y", {"name": "turing machine"}))
         shared = set(profile_a.token_ids) & set(profile_b.token_ids)
         assert len(shared) == 1  # "turing" got the same id in both profiles
 
 
 class TestSetModeProfiles:
     def test_profile_matches_token_set(self):
-        store = ProfileStore(stop_words=DEFAULT_STOP_WORDS, min_token_length=2)
+        store = foreign_store(stop_words=DEFAULT_STOP_WORDS, min_token_length=2)
         description = alan()
-        profile = store.profile(description)
+        profile = store.build(description)
         expected = token_set(description.values(), stop_words=DEFAULT_STOP_WORDS, min_length=2)
         assert {store.token(i) for i in profile.token_ids} == expected
         assert list(profile.token_ids) == sorted(profile.token_ids)
         assert profile.weights is None and profile.norm == 0.0
 
-    def test_cache_hits_and_misses(self):
-        store = ProfileStore()
-        description = alan()
-        first = store.profile(description)
-        second = store.profile(description)
-        assert first is second
-        assert (store.hits, store.misses) == (1, 1)
-
     def test_stale_object_under_same_identifier_is_rebuilt(self):
-        store = ProfileStore(stop_words=None, min_token_length=1)
         old = EntityDescription("a1", {"name": "alan"})
+        store = ProfileStore(PipelineContext(EntityCollection([old])))
         new = EntityDescription("a1", {"name": "grace"})
-        old_profile = store.profile(old)
-        new_profile = store.profile(new)
-        assert new_profile is not old_profile
+        assert store.build(old) is store.ordinal_profile(0)
+        new_profile = store.build(new)
+        assert new_profile is not store.ordinal_profile(0)
         assert {store.token(i) for i in new_profile.token_ids} == {"grace"}
-
-    def test_invalidate_and_clear(self):
-        store = ProfileStore()
-        store.profile(alan())
-        store.profile(grace())
-        assert len(store) == 2
-        assert store.invalidate("a1") and not store.invalidate("a1")
-        assert len(store) == 1
-        vocabulary = store.vocabulary_size
-        store.clear()
-        assert len(store) == 0
-        assert store.vocabulary_size == vocabulary  # interned tokens survive
 
 
 class TestTfIdfModeProfiles:
     def test_columns_are_bit_identical_to_transform(self):
         descriptions = [alan(), grace()]
         vectorizer = TfIdfVectorizer().fit(iter(descriptions))
-        store = ProfileStore(vectorizer=vectorizer)
+        store = foreign_store(vectorizer=vectorizer)
         assert store.mode == "tfidf"
         for description in descriptions:
-            profile = store.profile(description)
+            profile = store.build(description)
             vector = vectorizer.transform(description)
             rebuilt = {
                 store.token(i): weight
@@ -102,8 +90,8 @@ class TestTfIdfModeProfiles:
 
     def test_empty_description_has_empty_profile(self):
         vectorizer = TfIdfVectorizer().fit(iter([alan()]))
-        store = ProfileStore(vectorizer=vectorizer)
-        profile = store.profile(EntityDescription("void", {}))
+        store = foreign_store(vectorizer=vectorizer)
+        profile = store.build(EntityDescription("void", {}))
         assert len(profile) == 0
         assert profile.norm == 0.0
 
@@ -128,16 +116,14 @@ class TestContextOrdinalViews:
             )
         )
         vectorizer = context.fit_vectorizer(min_token_length) if tfidf else None
-        return ProfileStore(
-            vectorizer=vectorizer, min_token_length=min_token_length, context=context
-        )
+        return ProfileStore(context, vectorizer=vectorizer, min_token_length=min_token_length)
 
     @pytest.mark.parametrize("tfidf", [False, True])
     def test_ordinal_profiles_are_built_lazily_and_shared_with_profile(self, tfidf):
         store = self._store(tfidf)
         assert store.ordinal_profile(2).identifier == "b1"
         assert store._ordinal_profiles == [None, None, store.ordinal_profile(2), None]
-        assert store.profile(store.context.description(2)) is store.ordinal_profile(2)
+        assert store.build(store.context.description(2)) is store.ordinal_profile(2)
         assert [store.ordinal_profile(o).identifier for o in range(4)] == [
             "a1", "void", "b1", "c1"
         ]
@@ -178,18 +164,16 @@ class TestContextOrdinalViews:
                 ]
 
     def test_a_store_without_context_has_no_ordinals(self):
-        with pytest.raises(ValueError, match="shared pipeline context"):
-            ProfileStore().ordinal_profile(0)
-        with pytest.raises(ValueError, match="shared pipeline context"):
-            ProfileStore().columns()
+        with pytest.raises(TypeError):
+            ProfileStore()
 
     def test_build_does_not_cache(self):
-        store = ProfileStore()
-        profile = store.build(alan())
-        assert list(profile.token_ids) == list(store.profile(alan()).token_ids)
-        assert len(store) == 1 and store.misses == 1
-        store.build(grace())
-        assert len(store) == 1
+        store = self._store(tfidf=False)
+        outsider = EntityDescription("outsider", {"name": "Alan Turing"})
+        first, second = store.build(outsider), store.build(outsider)
+        assert first is not second
+        assert list(first.token_ids) == list(second.token_ids)
+        assert store._ordinal_profiles is None
 
 
 #: short words, so descriptions share tokens often; "x" falls to min length 2
@@ -229,7 +213,7 @@ def test_shared_equals_the_ordered_per_pair_sum(descriptions, picks, tfidf):
     )
     context = PipelineContext(collection)
     vectorizer = context.fit_vectorizer(2) if tfidf else None
-    store = ProfileStore(min_token_length=2, vectorizer=vectorizer, context=context)
+    store = ProfileStore(context, min_token_length=2, vectorizer=vectorizer)
     columns = store.columns()
     size = len(descriptions)
     pairs = [(a % size, b % size) for a, b in picks] + [(0, 0), (0, size - 1)]
