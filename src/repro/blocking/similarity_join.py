@@ -104,12 +104,14 @@ class SimilarityJoinBlocking(BlockBuilder):
         vectorised encounter enumeration (see :func:`_vectorised_candidates`
         for why the positional filter admits this).  Candidate pairs are
         packed into single integers whose ascending order is the sorted
-        order of the canonical identifier pairs.  Verification runs through
-        the matching engine's exact body over the context's profiles
-        (:meth:`repro.matching.engine.MatchingEngine.score_ordinal_pairs`,
-        whose token filter is this view's) with a Jaccard
+        order of the canonical identifier pairs.  Verification runs a Jaccard
         :class:`~repro.matching.matchers.ProfileSimilarityMatcher` at the
-        join threshold.
+        join threshold over the context's profiles (whose token filter is
+        this view's): the matching engine's ordinal-pair kernel
+        (:meth:`~repro.matching.engine.MatchingEngine.decide_ordinal_pairs`,
+        whose flags are the exact body's decisions) decides every candidate,
+        and only the kept pairs are scored by the exact body
+        (:meth:`~repro.matching.engine.MatchingEngine.score_ordinal_pairs`).
         """
         from repro.matching.engine import MatchingEngine
         from repro.matching.matchers import ProfileSimilarityMatcher
@@ -151,20 +153,20 @@ class SimilarityJoinBlocking(BlockBuilder):
         )
         self.last_candidate_count = int(ordered_codes.size)
         rank_to_ordinal = _np.argsort(id_rank)
-        first = rank_to_ordinal[ordered_codes // n].tolist()
-        second = rank_to_ordinal[ordered_codes % n].tolist()
+        first = rank_to_ordinal[ordered_codes // n]
+        second = rank_to_ordinal[ordered_codes % n]
         matcher = ProfileSimilarityMatcher(
             threshold=threshold,
             stop_words=self.stop_words,
             min_token_length=self.min_token_length,
             similarity_name="jaccard",
         )
-        scores = MatchingEngine(matcher, context=context).score_ordinal_pairs(first, second)
-        verified = [
-            (pair, score) for pair, score in zip(zip(first, second), scores) if score >= threshold
-        ]
-        self.last_verified_count = len(verified)
-        return view, [pair for pair, _ in verified], [score for _, score in verified]
+        engine = MatchingEngine(matcher, context=context)
+        # the flags are the exact body's decisions: only the kept pairs are scored
+        kept = engine.decide_ordinal_pairs(first, second)
+        first, second = first[kept].tolist(), second[kept].tolist()
+        self.last_verified_count = len(first)
+        return view, list(zip(first, second)), engine.score_ordinal_pairs(first, second)
 
 
 def _vectorised_candidates(

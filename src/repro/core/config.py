@@ -65,11 +65,11 @@ class WorkflowConfig:
         (:class:`~repro.mapreduce.parallel.ParallelEngine`).  The default
         ``1`` runs everything in-process; with ``num_workers > 1`` one engine
         (whose workers read the columns through shared memory) is opened for
-        the whole run and every parallelisable stage fans out: the
-        meta-blocking weight streams and retained-edge emission and the
-        connected-components clustering (interning, the blocking build with
-        purging and filtering, the weight sort and matching are whole-column
-        kernels in the driver).
+        the whole run and every parallelisable stage fans out: the ranged
+        meta-blocking passes of WEP, CEP and CNP and the connected-components
+        clustering (interning, the blocking build with purging and
+        filtering, WNP and ReciprocalWNP -- the default pruning -- the weight
+        sort and matching are whole-column kernels in the driver).
         Stages the workers cannot reproduce (custom subclasses, the greedy
         center clusterings) silently run in-process.  Results -- blocks, retained edges, match decisions,
         clusters, tie orders -- are bit-identical to the single-process run

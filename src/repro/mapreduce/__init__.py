@@ -11,10 +11,10 @@ workflow's parallelisable stages on real worker processes
   ranges by per-item cost) and runs every parallelisable workflow stage
   in ``multiprocessing`` workers (interning, the blocking build with purging
   and filtering, the weight sort and matching are not among them: each runs
-  whole-column kernels in the driver): comparison propagation, the
-  meta-blocking index engine's ranged pruning passes (retained-edge columns
-  for all pruning schemes) and the connected-components clustering
-  (per-shard union--find merged in first-touch order);
+  whole-column kernels in the driver, as is WNP's one pass): comparison
+  propagation, the meta-blocking index engine's ranged pruning passes
+  (retained-edge columns of WEP, CEP and CNP) and the connected-components
+  clustering (per-shard union--find merged in first-touch order);
 * the columns cross the process boundary through
   :class:`~repro.mapreduce.shm.ColumnSegment` shared memory -- workers
   attach zero-copy and only the small per-partition result columns are

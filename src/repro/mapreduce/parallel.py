@@ -12,19 +12,19 @@ range order.  The worker-side kernels live in :mod:`repro.mapreduce.worker`.
 
 The engine parallelises exactly the stages whose sequential engines it can
 reproduce bit for bit -- comparison propagation, the meta-blocking index
-engine's ranged pruning passes (all weighting schemes, including the ECBS/EJS
-global factors) and connected-components clustering -- and
+engine's ranged pruning passes (WEP, CEP and CNP under every weighting
+scheme) and connected-components clustering -- and
 the callers fall back to their single-process paths for anything else, so
 plugging an engine in never changes a result.  Interning, the blocking build
-with purging and filtering, the weight sort and matching are not pooled
-stages: each is a whole-column kernel in the driver that outruns the cost of
-shipping its columns.
+with purging and filtering, WNP's one pass, the weight sort and matching are
+not pooled stages: each is a whole-column kernel in the driver that outruns
+the cost of shipping its columns.
 
 Lifecycle: the engine owns every shared-memory segment it creates and every
 pool process it forks; :meth:`close` (or use as a context manager) tears both
 down deterministically -- segments are unlinked driver-side, and workers only
 ever attach (see :mod:`repro.mapreduce.shm` for the tracker discipline that
-keeps ``resource_tracker`` silent).  Only retained-edge columns and O(nodes)
+keeps ``resource_tracker`` silent).  Only retained-edge columns and small
 statistics come back from the meta-blocking passes; pruned edges never leave
 the worker that expanded them.
 
@@ -49,6 +49,7 @@ from repro.datamodel.pairs import canonical_pair, identifier_ranks
 from repro.mapreduce import shm, worker
 from repro.mapreduce.balancing import contiguous_partitions
 from repro.mapreduce.shm import ColumnSegment, SegmentSpec
+from repro.metablocking.entity_index import DRIVER_PRUNING_SCHEMES, pruning_key
 
 import numpy as _np
 
@@ -288,20 +289,24 @@ class ParallelEngine:
 
         :meth:`EntityIndexEngine._retained
         <repro.metablocking.entity_index.EntityIndexEngine._retained>` with
-        its ranged passes (threshold statistics, per-range selection and
-        emission) fanned out to the workers over contiguous node ranges, so
-        only *retained* edge columns (plus O(nodes) threshold columns,
+        its ranged passes (WEP's threshold statistics and emission, CEP's and
+        CNP's per-range selection) fanned out to the workers over contiguous
+        node ranges, so only *retained* edge columns (plus O(1) WEP sums,
         O(k * nodes) endorsements and O(budget) candidate buffers) ever cross
         the process boundary and the driver merge is a concatenation in
         range order.  The protocol, its merges and the run statistics it
         installs on ``index_engine`` are the sequential engine's own code,
-        and its result does not depend on how the node range is cut.
+        and its result does not depend on how the node range is cut.  The
+        ECBS/EJS factor columns are computed on the driver (the EJS degrees
+        in one pass) and shared with the workers.
         Returns the retained ``(first, second, weight)`` columns of
         :meth:`~repro.metablocking.entity_index.EntityIndexEngine.retained_columns`,
-        or ``None`` for an empty index (the caller falls back to the
-        sequential path).
+        or ``None`` -- the caller then runs the sequential path -- for an
+        empty index and for WNP and ReciprocalWNP
+        (:data:`~repro.metablocking.entity_index.DRIVER_PRUNING_SCHEMES`),
+        whose one pass walks all node batches in order and runs on the driver.
         """
-        if index_engine.num_entities == 0:
+        if index_engine.num_entities == 0 or pruning_key(pruning) in DRIVER_PRUNING_SCHEMES:
             return None
         entry = self._index_entry(index_engine)
 
@@ -354,14 +359,6 @@ class ParallelEngine:
         cached = entry["factors"].get(scheme)
         if cached is not None:
             return cached
-        if scheme == "EJS" and index_engine._degree_cache is None:
-            # the degree half of pooled CBS threshold passes: integer sums
-            tasks = [
-                (entry["spec"], None, "wnp_stats", "CBS", start, stop, ())
-                for start, stop in entry["parts"]
-            ]
-            stats = self._run(worker.pruning_pass_job, tasks)
-            index_engine._degree_cache = index_engine._degree_column(stats)
         factors = array("d", index_engine._factors(scheme))
         segment = self._segment({"factors": ("d", factors)})
         entry["factors"][scheme] = segment.spec

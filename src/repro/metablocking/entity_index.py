@@ -28,36 +28,41 @@ The block-side columns are the blocking engine's own
 <repro.blocking.columns.BlockColumns.from_collection>`) and everything
 downstream stays in ordinal space: edge weights (CBS, ECBS, JS,
 EJS, ARCS) and all six pruning schemes (WEP, CEP, WNP, CNP and the reciprocal
-node variants) run as *ranged* passes over node-ordinal ranges and produce
-flat ``(first, second, weight)`` ordinal columns
+node variants) produce flat ``(first, second, weight)`` ordinal columns
 (:meth:`EntityIndexEngine.retained_columns`); identifier strings and
 :class:`WeightedEdge` objects exist only in the lazy
-:meth:`~EntityIndexEngine.iter_retained` view over those columns.  A pass
-over the whole node range is the sequential engine, a pass per contiguous
-range in a worker process is the parallel one -- the same code either way.
+:meth:`~EntityIndexEngine.iter_retained` view over those columns.  WEP, CEP
+and CNP run as *ranged* passes over node-ordinal ranges: a pass over the
+whole node range is the sequential engine, a pass per contiguous range in a
+worker process is the parallel one -- the same code either way.  WNP and
+ReciprocalWNP run one sequential pass (:meth:`EntityIndexEngine._wnp`) in
+the calling process.
 
 The neighbourhoods of a whole *batch* of nodes are expanded at once
 (:meth:`EntityIndexEngine._neighbourhoods`: one CSR gather, one in-place
 sort of int32 ``(node - first node) * N + neighbour`` keys, one
 ``np.bincount`` for ARCS), the batches being cut so that each gathers about
-:data:`_BATCH_PAIRS` co-occurrence pairs; a lower-half pass (WEP, CEP, WNP,
-the EJS degrees) gathers only the members above each node.  Pruned edges are
-never all resident.  Peak transient memory is one node batch, plus what
+:data:`_BATCH_PAIRS` co-occurrence pairs; a lower-half pass (WEP, CEP, the
+EJS degrees) gathers only the members above each node, a full pass (WNP,
+CNP) every neighbour of each node.  Pruned edges are never all
+resident.  Peak transient memory is one node batch, plus what
 cutting the batches needs -- two span columns (and, briefly, half a dozen
 more) as long as the block assignments of the node range, the order of the
 index itself -- plus the sorted copy (12 bytes per block assignment), plus
 the retained columns, which exist once as ndarrays and once as the typed
-arrays handed out (plus the O(budget) candidate buffer of CEP and the
-O(k * nodes) endorsements of CNP).
+arrays handed out (plus the O(budget) candidate buffer of CEP, the
+O(k * nodes) endorsements of CNP and the threshold column of WNP, one float
+per node).
 
 The weights are bit-identical to the graph engine's: per-edge arithmetic uses
 the same operand order (canonical identifier order for the
 ECBS/EJS discount factors, ascending block order for the ARCS accumulation),
 and every threshold (WEP global mean, WNP node-local means) is decided as
 the exactly rounded :func:`math.fsum` of its weights, which is independent
-of accumulation order and of how the node range was cut -- WNP sums in
-whatever order its one lower-half walk meets the edges and refines, against
-the ``fsum`` threshold, every decision its rounding margin cannot settle.
+of accumulation order and of how the node range was cut -- WNP sums each
+node's run of its one full pass with ``add.reduceat`` and takes the run's
+``fsum`` instead wherever an incident weight lies inside the rounding margin
+of that sum (the bound is argued in :meth:`EntityIndexEngine._wnp`).
 Pruning uses the same budgets and tie-breaks as the graph engine, so both
 engines retain the same comparison sets;
 ``tests/test_metablocking_equivalence.py`` and the frozen
@@ -95,6 +100,10 @@ _PRUNING_ALIASES = {
     "RECIPROCALCNP": "ReciprocalCNP",
 }
 
+#: Pruning schemes whose one sequential pass runs in the calling process; the
+#: others run as ranged passes a parallel engine may fan out.
+DRIVER_PRUNING_SCHEMES = ("WNP", "ReciprocalWNP")
+
 #: Compact ``heapq.nsmallest`` buffers once they grow past ``2 * budget`` plus
 #: this slack, so the CEP candidate buffer stays O(budget).
 _CEP_COMPACT_SLACK = 1024
@@ -128,6 +137,19 @@ def _edge_columns(rows) -> Tuple[array, array, array]:
         dst.append(b)
         weights.append(weight)
     return src, dst, weights
+
+
+def pruning_key(pruning: str) -> str:
+    """The index engine's name of ``pruning`` (any letter case, ``_`` ignored).
+
+    Raises :class:`KeyError` for a scheme the index engine does not run.
+    """
+    key = _PRUNING_ALIASES.get(pruning.upper().replace("_", ""))
+    if key is None:
+        raise KeyError(
+            f"unknown pruning scheme {pruning!r}; available: {sorted(INDEX_PRUNING_SCHEMES)}"
+        )
+    return key
 
 
 def edges_view(ids: Sequence[str], first, second, weights) -> Iterator[WeightedEdge]:
@@ -261,7 +283,7 @@ class EntityIndexEngine:
         #: statistics of the last run
         self.last_num_edges: Optional[int] = None
         self.last_retained: Optional[int] = None
-        #: nodes whose float-scheme WNP threshold the last run refined (per range)
+        #: nodes whose float-scheme WNP threshold the last run refined with ``fsum``
         self.last_refined: Optional[int] = None
 
     @classmethod
@@ -367,10 +389,14 @@ class EntityIndexEngine:
     # ------------------------------------------------------------------
     # neighbourhood expansion
     # ------------------------------------------------------------------
-    def _neighbourhoods(self, start: int, stop: int, lower: bool, want_arcs: bool):
+    def _neighbourhoods(
+        self, start: int, stop: int, lower: bool, want_arcs: bool, top_first: bool = False
+    ):
         """Vectorised neighbourhoods of the nodes in ``[start, stop)``, batch by batch.
 
-        Yields ``(src, dst, counts, arcs)`` columns sorted by ``(src, dst)``:
+        Yields ``(src, dst, counts, arcs)`` columns sorted by ``(src, dst)``
+        within a batch, the batches in ascending node order (descending with
+        ``top_first``):
         one row per distinct neighbour ``dst`` of node ``src`` (``dst > src``
         only with ``lower``, so that every undirected edge is seen exactly
         once across all nodes), the number of blocks the two share, and --
@@ -410,15 +436,16 @@ class EntityIndexEngine:
             lo = above
         before = np.concatenate(([0], np.cumsum(lengths)))[bounds]  # pairs gathered before each node
         span = _INT32_MAX // num_entities
-        node = 0
-        while node < stop - start:
-            limit = before[node] + _BATCH_PAIRS
-            cut = int(np.searchsorted(before, limit, side="right")) - 1
-            cut = max(node + 1, min(cut, node + span))
+        cuts = [0]
+        while cuts[-1] < stop - start:
+            node = cuts[-1]
+            cut = int(np.searchsorted(before, before[node] + _BATCH_PAIRS, side="right")) - 1
+            cuts.append(max(node + 1, min(cut, node + span)))
+        batches = list(zip(cuts, cuts[1:]))
+        for node, cut in reversed(batches) if top_first else batches:
             q0, q1 = int(bounds[node]), int(bounds[cut])
             first = start + node
             src = np.repeat(np.arange(cut - node, dtype=np.int32), np.diff(before[node : cut + 1]))
-            node = cut
             spans = lengths[q0:q1]
             dst = members[_slices(lo[q0:q1], spans)]
             keys = src * num_entities + dst
@@ -521,20 +548,27 @@ class EntityIndexEngine:
         return self._rank_cache
 
     def _degrees(self) -> Tuple[array, int]:
-        """Per-node distinct-neighbour counts and the total edge count."""
-        if self._degree_cache is None:
-            self._degree_cache = self._degree_column([self._wnp_stats("CBS", 0, self.num_entities)])
-        return self._degree_cache
+        """Per-node distinct-neighbour counts and the total edge count.
 
-    def _degree_column(self, stats: list) -> Tuple[array, int]:
-        """The degree column and edge count from the ranges' :meth:`_wnp_stats` columns.
-
-        Integer sums, so every cover of the node range gives the same column
-        -- which is how the parallel engine computes the EJS degree column
-        without ever running the full pass in one process.
+        One lower-half pass: every edge counts once at each endpoint.  The
+        endpoint columns are counted with one ``bincount`` per node count of
+        endpoints gathered, so the pass stays linear in the edges and holds
+        O(nodes + one batch).
         """
-        degrees, _sums = self._summed_stats(stats)
-        return _typed_array("q", degrees), int(degrees.sum()) // 2
+        if self._degree_cache is None:
+            np = _np
+            n = self.num_entities
+            degrees = np.zeros(n, dtype=np.int64)
+            held: List = []
+            for src, dst, _counts, _arcs in self._neighbourhoods(0, n, True, False):
+                held += (src, dst)
+                if sum(map(len, held)) >= n:
+                    degrees += np.bincount(np.concatenate(held), minlength=n)
+                    held = []
+            if held:
+                degrees += np.bincount(np.concatenate(held), minlength=n)
+            self._degree_cache = _typed_array("q", degrees), int(degrees.sum()) // 2
+        return self._degree_cache
 
     # ------------------------------------------------------------------
     # weighting
@@ -602,10 +636,14 @@ class EntityIndexEngine:
 
         return weigh
 
-    def _weighted_batches(self, scheme: str, lower: bool, start: int, stop: int):
+    def _weighted_batches(
+        self, scheme: str, lower: bool, start: int, stop: int, top_first: bool = False
+    ):
         """:meth:`_neighbourhoods` with the edge weights: ``(src, dst, weights)``."""
         weigh = self._weigh_vector_factory(scheme)
-        for src, dst, counts, arcs in self._neighbourhoods(start, stop, lower, scheme == "ARCS"):
+        for src, dst, counts, arcs in self._neighbourhoods(
+            start, stop, lower, scheme == "ARCS", top_first
+        ):
             yield src, dst, weigh(src, dst, counts, arcs)
 
     def _node_weights(
@@ -674,7 +712,8 @@ class EntityIndexEngine:
         :meth:`ParallelEngine.retained_edges
         <repro.mapreduce.parallel.ParallelEngine.retained_edges>`.  What is
         merged below is insensitive to the cover, so every cover gives the
-        same columns, row for row.
+        same columns, row for row.  The :data:`DRIVER_PRUNING_SCHEMES` run
+        their one pass (:meth:`_wnp`) here and never call ``fan_out``.
         """
         scheme = weighting.upper()
         if scheme not in INDEX_WEIGHTING_SCHEMES:
@@ -682,12 +721,7 @@ class EntityIndexEngine:
                 f"unknown weighting scheme {weighting!r}; "
                 f"available: {sorted(INDEX_WEIGHTING_SCHEMES)}"
             )
-        key = _PRUNING_ALIASES.get(pruning.upper().replace("_", ""))
-        if key is None:
-            raise KeyError(
-                f"unknown pruning scheme {pruning!r}; "
-                f"available: {sorted(INDEX_PRUNING_SCHEMES)}"
-            )
+        key = pruning_key(pruning)
         reciprocal = key.startswith("Reciprocal")
         columns = None
         refined = 0
@@ -717,15 +751,8 @@ class EntityIndexEngine:
                 ),
             )
             columns = _edge_columns((a, b, -negated) for negated, _first, _second, a, b in rows)
-        elif key in ("WNP", "ReciprocalWNP"):
-            num_edges, thresholds, degrees = self._wnp_thresholds(
-                scheme, fan_out("wnp_stats", scheme)
-            )
-            if num_edges:
-                parts = fan_out("wnp_emit", scheme, thresholds, degrees, reciprocal)
-                refined = sum(part[3] for part in parts)
-                columns = _concat([part[:3] for part in parts])
-                del parts  # merged: the per-range columns are garbage
+        elif key in DRIVER_PRUNING_SCHEMES:
+            num_edges, columns, refined = self._wnp(scheme, reciprocal)
         else:
             if k is None:
                 # per graph *node*: descriptions of the identifier table that
@@ -800,98 +827,66 @@ class EntityIndexEngine:
             kept.append((src[keep], dst[keep], weights[keep]))
         return _concat(kept)
 
-    def _wnp_stats(self, scheme: str, start: int, stop: int):
-        """WNP threshold pass: partial ``(degrees, sums)`` columns of one range.
+    def _wnp(self, scheme: str, reciprocal: bool):
+        """WNP in one full-neighbourhood pass: ``(edge count, columns, refined nodes)``.
 
-        A lower-half pass: every edge whose lower endpoint lies in the range
-        adds one and its weight to *both* endpoints' entries of two
-        full-length columns (span-local ``bincount`` for the batch's sources,
-        ``add.at`` for its scattered destinations).  Adding the columns of a
-        disjoint cover of the node range (:meth:`_summed_stats`) gives
-        every node's degree exactly, and its weight sum exactly for CBS
-        (integer-valued) but only up to rounding for the float schemes, which
-        :meth:`_wnp_emit` makes exact where it matters.
-        """
-        np = _np
-        degrees = np.zeros(self.num_entities, dtype=np.int64)
-        sums = np.zeros(self.num_entities)
-        for src, dst, weights in self._weighted_batches(scheme, True, start, stop):
-            lowest = int(src[0])  # src is sorted: its nodes form one short span
-            local = src - lowest
-            degree = np.bincount(local)
-            degrees[lowest : lowest + len(degree)] += degree
-            sums[lowest : lowest + len(degree)] += np.bincount(local, weights=weights)
-            np.add.at(degrees, dst, 1)
-            np.add.at(sums, dst, weights)
-        return degrees, sums
+        The batches are walked top batch first.  A batch holds the whole
+        neighbourhood of each of its nodes, so a node's threshold, the mean
+        of its incident weights, comes from its own run (``add.reduceat``
+        over the run, divided by its length).  Each edge is decided at its
+        lower endpoint, where the thresholds of both endpoints are known:
+        its own from this batch, the higher one's from this batch or one
+        walked before.  Each batch's retained rows come sorted by ``(src,
+        dst)``, so reversing the batch parts gives ascending ``(lower,
+        higher)`` order without a sort.
 
-    def _wnp_thresholds(self, scheme: str, stats: list):
-        """``(edge count, thresholds, degrees)`` from the ranges' partial columns.
-
-        A node's WNP threshold is the exactly rounded mean of its incident
-        edge weights, ``fsum(weights) / degree`` (0.0 for an isolated node).
-        The summed columns give it exactly for CBS (``degrees`` is then
-        ``None``: :meth:`_wnp_emit` has nothing to refine), up to rounding
-        for the float schemes.
-        """
-        degrees, thresholds = self._summed_stats(stats)
-        _np.divide(thresholds, degrees, out=thresholds, where=degrees > 0)
-        num_edges = int(degrees.sum()) // 2
-        return num_edges, thresholds, None if scheme == "CBS" else degrees
-
-    def _summed_stats(self, stats: list):
-        """The ranges' partial ``(degrees, sums)`` columns added up."""
-        return sum(degrees for degrees, _sums in stats), sum(sums for _degrees, sums in stats)
-
-    def _wnp_emit(
-        self, scheme: str, start: int, stop: int, thresholds, degrees, reciprocal: bool
-    ):
-        """WNP emission pass: ``(src, dst, weight, refined nodes)`` of one range.
-
-        The retained rows of the lower-half edges of the range, decided
-        against the summed ``thresholds`` -- exact unless ``degrees`` is
-        given.  Then a summed threshold ``t' = fl(s' / d)`` comes from a sum
-        ``s'`` rounded in some order, and the exact one is
+        For the float schemes a summed threshold ``t' = fl(s' / d)`` comes
+        from a sum ``s'`` rounded in some order, and the exact one is
         ``t = fl(fl(s) / d)``.  The weights are non-negative and a sum of
         ``d`` of them, in any order and grouping, takes ``d - 1`` rounded
         additions, so ``|s' - s| <= (d - 1) u s / (1 - (d - 1) u)`` with
         ``u = 2**-53``; the two divisions and ``fl(s)`` add ``3 u`` more,
         hence ``|t' - t| <= (d + 2) u t'`` to first order (and ``t' = t`` for
-        ``d = 1``).  An endpoint whose weight lies within twice that,
+        ``d = 1``).  A node with an incident weight within twice that,
         ``(d + 2) * 2**-52 * t'`` (headroom for the second-order terms and
         the margin's own rounding while ``d u`` is far below one), of its
-        summed threshold is decided against ``fsum`` over its own full
-        neighbourhood instead, computed once per node, so the decisions
-        equal a pass over exact thresholds.  The fourth entry counts the
-        nodes refined this way.
+        summed threshold takes ``fsum`` over its run instead, so every
+        decision equals one against the exact threshold.  CBS sums integers
+        exactly and is never refined.  The third entry counts the refined
+        nodes.
         """
-        exact: Dict[int, float] = {}
-
-        def refined(node: int) -> float:
-            if node not in exact:
-                for _node, _neighbours, weights in self._node_weights(scheme, False, node, node + 1):
-                    exact[node] = fsum(weights) / len(weights)
-            return exact[node]
-
         np = _np
-        thresholds = np.asarray(thresholds)
-        kept = []
-        for src, dst, weights in self._weighted_batches(scheme, True, start, stop):
-            of_src, of_dst = thresholds[src], thresholds[dst]
-            if degrees is not None:
-                for nodes, of_nodes in ((src, of_src), (dst, of_dst)):
-                    degree = degrees[nodes]
-                    near = (degree > 1) & (
-                        np.abs(weights - of_nodes) <= (degree + 2) * 2.0**-52 * of_nodes
-                    )
-                    if near.any():
-                        of_nodes[near] = [refined(node) for node in nodes[near].tolist()]
+        thresholds = np.zeros(self.num_entities)
+        parts = []
+        rows = refined = 0
+        for src, dst, weights in self._weighted_batches(
+            scheme, False, 0, self.num_entities, top_first=True
+        ):
+            rows += len(src)
+            heads = np.flatnonzero(np.concatenate(([True], src[1:] != src[:-1])))
+            degrees = np.diff(np.append(heads, len(src)))
+            summed = np.add.reduceat(weights, heads) / degrees
+            of_src = np.repeat(summed, degrees)
+            if scheme != "CBS":
+                margin = np.repeat((degrees + 2) * 2.0**-52 * summed, degrees)
+                near = np.logical_or.reduceat(np.abs(weights - of_src) <= margin, heads)
+                near = np.flatnonzero(near & (degrees > 1)).tolist()
+                for node in near:
+                    lo = heads[node]
+                    summed[node] = fsum(weights[lo : lo + degrees[node]].tolist()) / degrees[node]
+                if near:
+                    refined += len(near)
+                    of_src = np.repeat(summed, degrees)
+            thresholds[src[heads]] = summed
             keep_first = weights >= of_src
-            keep_second = weights >= of_dst
+            keep_second = weights >= thresholds[dst]
             keep = (keep_first & keep_second) if reciprocal else (keep_first | keep_second)
+            keep &= dst > src  # decided at the lower endpoint
             keep &= weights > 0
-            kept.append((src[keep], dst[keep], weights[keep]))
-        return (*_concat(kept), len(exact))
+            kept = np.flatnonzero(keep)
+            parts.append((src[kept], dst[kept], weights[kept]))
+        parts.reverse()
+        return rows // 2, _concat(parts), refined
 
     def _cnp(self, scheme: str, start: int, stop: int, k: int):
         """CNP endorsement pass: ``(degree total, src, dst, weight)`` of one range.

@@ -9,7 +9,10 @@ one of two execution paths, chosen by the schemes' exact types:
   and hands back the retained edges as flat ``(first, second, weight)``
   columns; pruned edges are never all resident (peak transient memory is
   one node batch, plus span columns of the order of the index itself for
-  cutting the batches, plus the retained columns);
+  cutting the batches, plus the retained columns).  With a
+  :class:`~repro.mapreduce.parallel.ParallelEngine`, the ranged passes of
+  WEP, CEP and CNP fan out to its workers; WNP and ReciprocalWNP walk their
+  node batches in one pass on the driver;
 * the graph path (any other scheme, subclasses included) -- the legacy
   object :class:`~repro.metablocking.graph.BlockingGraph` pruned by the
   scheme's own ``prune``, kept as the readable reference implementation;
@@ -114,7 +117,8 @@ class MetaBlocking:
         self.last_graph_edges = 0
         self.last_retained_edges = 0
         #: engine that actually executed the last run ("index", "graph", or
-        #: "parallel" when a ParallelEngine ran the index engine's passes)
+        #: "parallel" when a ParallelEngine ran the index engine's ranged
+        #: passes; WNP always runs "index")
         self.last_engine: Optional[str] = None
 
     @property
@@ -173,7 +177,8 @@ class MetaBlocking:
         columns = None
         if parallel is not None:
             # worker-side per-range selection: only retained edges cross the
-            # process boundary; bit-identical to the sequential pass
+            # process boundary; bit-identical to the sequential pass (None
+            # for WNP, whose one pass runs here)
             columns = parallel.retained_edges(index, weighting_name, pruning_name, **kwargs)
         self.last_engine = "index" if columns is None else "parallel"
         if columns is None:
@@ -201,10 +206,11 @@ class MetaBlocking:
         a time as the generator is drained.
 
         ``parallel`` (a :class:`~repro.mapreduce.parallel.ParallelEngine`)
-        fans the ranged pruning passes of the index engine out to worker
-        processes over shared-memory views of the CSR index; the retained
-        edges are bit-identical either way.  It is ignored on the graph
-        engine (custom schemes have no columnar formulation) and for empty
+        fans the ranged pruning passes of the index engine (WEP, CEP, CNP)
+        out to worker processes over shared-memory views of the CSR index;
+        the retained edges are bit-identical either way.  It is ignored on
+        the graph engine (custom schemes have no columnar formulation), for
+        WNP and ReciprocalWNP (one sequential pass, run here) and for empty
         collections.
         """
         self.last_input_comparisons = blocks.total_comparisons()
@@ -245,8 +251,8 @@ class MetaBlocking:
         index engine's own table (block members in first-seen order).  The
         last-run statistics (:attr:`last_graph_edges`,
         :attr:`last_retained_edges`, :attr:`last_engine`) are set when this
-        returns.  ``parallel`` fans out the pruning passes; the weight sort
-        runs here.
+        returns.  ``parallel`` fans out the ranged pruning passes (not
+        WNP's); the weight sort runs here.
         """
         self.last_input_comparisons = blocks.total_comparisons()
         columns = self._index_columns(blocks, context, parallel)

@@ -28,6 +28,7 @@ import heapq
 import math
 from typing import Dict, Iterable, List, Optional, Set, Tuple
 
+from repro.blocking.base import check_count
 from repro.metablocking.graph import BlockingGraph, WeightedEdge
 from repro.metablocking.weighting import WeightingScheme
 
@@ -77,15 +78,13 @@ class CardinalityEdgePruning(PruningScheme):
 
     ``K`` defaults to half the total number of block assignments (sum of block
     sizes / 2), the budget used in the original meta-blocking formulation; a
-    custom budget can be supplied.
+    custom budget, ``None`` or an ``int >= 0``, can be supplied.
     """
 
     name = "CEP"
 
     def __init__(self, budget: Optional[int] = None) -> None:
-        if budget is not None and budget < 0:
-            raise ValueError(f"CEP budget must be non-negative, got {budget}")
-        self.budget = budget
+        self.budget = budget if budget is None else check_count("budget", budget, 0)
 
     def _default_budget(self, graph: BlockingGraph) -> int:
         total_assignments = sum(len(block) for block in graph.blocks)
@@ -142,9 +141,9 @@ class ReciprocalWeightedNodePruning(WeightedNodePruning):
 class CardinalityNodePruning(PruningScheme):
     """CNP: per-node top-k edges; an edge survives if either endpoint keeps it.
 
-    ``k`` defaults to ``max(1, round(total block assignments / num nodes) - 1)``,
-    i.e. one less than the average number of blocks per description, as in the
-    original formulation.
+    ``k`` (``None`` or an ``int >= 0``) defaults to ``max(1, round(total
+    block assignments / num nodes) - 1)``, i.e. one less than the average
+    number of blocks per description, as in the original formulation.
     """
 
     name = "CNP"
@@ -153,7 +152,7 @@ class CardinalityNodePruning(PruningScheme):
     reciprocal = False
 
     def __init__(self, k: Optional[int] = None) -> None:
-        self.k = k
+        self.k = k if k is None else check_count("k", k, 0)
 
     def _default_k(self, graph: BlockingGraph) -> int:
         nodes = max(1, graph.num_nodes)

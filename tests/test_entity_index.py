@@ -366,9 +366,9 @@ def rows(columns):
 
 
 class TestWnpThresholdRefinement:
-    """WNP sums each node's weights in the order its one lower-half walk
-    meets them and decides every row inside the rounding margin of that sum
-    against the node's exact ``fsum`` threshold."""
+    """WNP sums each node's weights over its own run of the full-neighbourhood
+    pass (``add.reduceat``) and takes the node's exact ``fsum`` threshold
+    wherever an incident weight lies inside the rounding margin of that sum."""
 
     #: JS puts e4's summed threshold an ulp above its exact one, 0.6, which is
     #: the weight of (e1, e4): the summed threshold alone would drop the row
@@ -388,17 +388,20 @@ class TestWnpThresholdRefinement:
     @pytest.mark.parametrize("weighting", ("JS", "EJS"))
     def test_a_summed_threshold_flips_a_decision(self, weighting):
         engine = EntityIndexEngine(self.blocks())
-        stats = [engine._wnp_stats(weighting, 0, engine.num_entities)]
-        _edges, summed, _degrees = engine._wnp_thresholds(weighting, stats)
-        flipped = [
-            (node, float(weight))
-            for node in range(engine.num_entities)
-            for _node, _neighbours, weights in engine._node_weights(
-                weighting, False, node, node + 1
-            )
-            for weight in weights
-            if (weight >= summed[node]) != (weight >= math.fsum(weights) / len(weights))
-        ]
+        flipped = []
+        for src, _dst, weights in engine._weighted_batches(
+            weighting, False, 0, engine.num_entities, top_first=True
+        ):
+            heads = np.flatnonzero(np.concatenate(([True], src[1:] != src[:-1])))
+            ends = np.append(heads[1:], len(src))
+            summed = np.add.reduceat(weights, heads) / (ends - heads)
+            for node, lo, hi, threshold in zip(src[heads], heads, ends, summed):
+                exact = math.fsum(weights[lo:hi]) / (hi - lo)
+                flipped.extend(
+                    (int(node), float(weight))
+                    for weight in weights[lo:hi]
+                    if (weight >= threshold) != (weight >= exact)
+                )
         assert flipped
 
     @pytest.mark.parametrize("pruning", ("WNP", "ReciprocalWNP"))
@@ -417,6 +420,32 @@ class TestWnpThresholdRefinement:
         assert engine.last_refined == 0
 
 
+class TestWnpOnePass:
+    """WNP and ReciprocalWNP expand every neighbourhood once: one generator
+    over the whole node range, walked top batch first."""
+
+    @pytest.mark.parametrize("pruning", ("WNP", "ReciprocalWNP"))
+    @pytest.mark.parametrize("weighting", WEIGHTING_SCHEMES)
+    def test_one_run_opens_one_neighbourhood_generator(
+        self, small_dirty_dataset, monkeypatch, weighting, pruning
+    ):
+        blocks = TokenBlocking().build(small_dirty_dataset.collection)
+        expected = rows(EntityIndexEngine(blocks).retained_columns(weighting, pruning))
+        engine = EntityIndexEngine(blocks)
+        engine.count_edges()  # the EJS degree column is its own pass, cached
+        calls = []
+        original = EntityIndexEngine._neighbourhoods
+
+        def counted(self, start, stop, lower, want_arcs, top_first=False):
+            calls.append((start, stop, lower, top_first))
+            return original(self, start, stop, lower, want_arcs, top_first)
+
+        monkeypatch.setattr(EntityIndexEngine, "_neighbourhoods", counted)
+        got = rows(engine.retained_columns(weighting, pruning))
+        assert calls == [(0, engine.num_entities, False, True)]
+        assert got == expected and got
+
+
 class TestRangeCovers:
     """The ranged passes merge into the same columns, row for row, whatever
     contiguous cover of the node range they run over."""
@@ -425,7 +454,7 @@ class TestRangeCovers:
     def blocks(self, small_dirty_dataset):
         return TokenBlocking().build(small_dirty_dataset.collection)
 
-    @pytest.mark.parametrize("pruning", ("WNP", "ReciprocalWNP"))
+    @pytest.mark.parametrize("pruning", ("WEP", "CNP"))
     @pytest.mark.parametrize("weighting", WEIGHTING_SCHEMES)
     def test_one_two_and_three_range_covers_agree(self, blocks, weighting, pruning):
         engine = EntityIndexEngine(blocks)

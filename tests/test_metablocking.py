@@ -141,6 +141,24 @@ class TestPruningSchemes:
         assert reciprocal_wnp <= wnp
         assert reciprocal_cnp <= cnp
 
+    @pytest.mark.parametrize(
+        "scheme, parameter",
+        (
+            (CardinalityNodePruning, "k"),
+            (ReciprocalCardinalityNodePruning, "k"),
+            (CardinalityEdgePruning, "budget"),
+        ),
+    )
+    @pytest.mark.parametrize("value", (2.5, -1, True, "3", float("nan")))
+    def test_cardinality_parameters_are_checked_at_construction(self, scheme, parameter, value):
+        with pytest.raises(ValueError, match=parameter):
+            scheme(**{parameter: value})
+
+    @pytest.mark.parametrize("value", (None, 0, 3))
+    def test_cardinality_parameters_accept_none_and_counts(self, value):
+        assert CardinalityNodePruning(k=value).k == value
+        assert CardinalityEdgePruning(budget=value).budget == value
+
     def test_empty_graph(self):
         graph = BlockingGraph(BlockCollection())
         assert WeightedEdgePruning().prune(graph, CBS()) == []

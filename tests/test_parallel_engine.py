@@ -51,7 +51,8 @@ from repro.metablocking.pipeline import MetaBlocking
 DATASETS = ("dirty", "clean")
 WORKER_COUNTS = (1, 2, 4, 8)
 WEIGHTINGS = ("CBS", "JS", "ARCS", "ECBS", "EJS")
-PRUNINGS = ("WEP", "CEP", "WNP", "CNP")
+#: the pooled (ranged) schemes; WNP and ReciprocalWNP run on the driver
+PRUNINGS = ("WEP", "CEP", "CNP", "ReciprocalCNP")
 
 
 def blocks_snapshot(blocks):
@@ -172,11 +173,33 @@ class TestParallelMetaBlocking:
         assert got == expected
 
     @pytest.mark.parametrize("dataset", DATASETS)
+    @pytest.mark.parametrize("weighting", WEIGHTINGS)
+    @pytest.mark.parametrize("pruning", ("WNP", "ReciprocalWNP"))
+    def test_wnp_runs_on_the_driver(self, request, dataset, weighting, pruning):
+        # one sequential pass: the pool is handed nothing, the columns are
+        # the serial ones row for row
+        _, context, blocks = _setup(request, dataset)
+        metablocking = MetaBlocking(weighting, pruning)
+        expected = metablocking.weighted_columns(blocks, context=context)
+        with ParallelEngine(num_workers=2) as par:
+            assert par.retained_edges(EntityIndexEngine(blocks), weighting, pruning) is None
+            got = metablocking.weighted_columns(blocks, context=context, parallel=par)
+            assert par._segments == [] and par._executor is None
+        assert metablocking.last_engine == "index"
+        assert len(expected) > 0
+        assert (list(got.first), list(got.second), list(got.weights)) == (
+            list(expected.first),
+            list(expected.second),
+            list(expected.weights),
+        )
+
+    @pytest.mark.parametrize("dataset", DATASETS)
     @pytest.mark.parametrize("workers", WORKER_COUNTS)
     def test_worker_count_invariance(self, request, dataset, workers):
-        # EJS/WNP exercises the support round (pooled degrees) and both WNP rounds
+        # EJS/WEP exercises the driver's factor column shared with the
+        # workers and both pooled WEP rounds
         _, _, blocks = _setup(request, dataset)
-        metablocking = MetaBlocking("EJS", "WNP")
+        metablocking = MetaBlocking("EJS", "WEP")
         expected = edges_snapshot(metablocking.iter_retained(blocks))
         with ParallelEngine(num_workers=workers) as par:
             got = edges_snapshot(metablocking.iter_retained(blocks, parallel=par))
@@ -187,11 +210,11 @@ class TestParallelMetaBlocking:
     def test_replicas_match_the_graph_oracle(self, dirty_setup, weighting):
         # the worker replicas retain the graph engine's edges, weights bit for bit
         _, _, blocks = dirty_setup
-        edges, graph = graph_retained(blocks, weighting, "WNP")
+        edges, graph = graph_retained(blocks, weighting, "CNP")
         expected = sorted((e.first, e.second, e.weight) for e in edges)
         sharded = EntityIndexEngine(blocks)
         with ParallelEngine(num_workers=3) as par:
-            got = par.retained_edges(sharded, weighting, "WNP")
+            got = par.retained_edges(sharded, weighting, "CNP")
         assert len(got[0]) > 0
         named = sorted(
             (sharded.identifier(f), sharded.identifier(s), w) for f, s, w in zip(*got)
@@ -258,7 +281,7 @@ class TestEdgeCasesAndLifecycle:
     def test_close_is_idempotent_and_final(self, dirty_setup):
         _, _, blocks = dirty_setup
         par = ParallelEngine(num_workers=2)
-        metablocking = MetaBlocking("CBS", "WNP")
+        metablocking = MetaBlocking("CBS", "WEP")
         edges_snapshot(metablocking.iter_retained(blocks, parallel=par))
         par.close()
         par.close()
@@ -387,17 +410,14 @@ CONFIG_OVERRIDES = {
 }
 
 #: stage -> (configuration, pass label): a pruning pass is labelled by its
-#: ranged step, connected components by "clustering"; "degrees" is the EJS
-#: degree pass, the only "wnp_stats" dispatch of a CEP run
+#: ranged step, connected components by "clustering" (the default WNP runs
+#: on the driver, so clustering is the default run's only pooled stage)
 STAGES = {
-    "wnp_stats": ("default", "wnp_stats"),
-    "wnp_emit": ("default", "wnp_emit"),
     "clustering": ("default", "clustering"),
     "wep_stats": ("wep", "wep_stats"),
     "wep_emit": ("wep", "wep_emit"),
     "cnp": ("cnp", "cnp"),
     "cep": ("cep", "cep"),
-    "degrees": ("cep", "wnp_stats"),
 }
 
 
@@ -476,7 +496,7 @@ class TestWorkerFailurePerStage:
         assert repro_segments() == before
         assert shm.orphaned_segments() == []
 
-    @pytest.mark.parametrize("stage", ("wnp_stats", "wnp_emit", "clustering", "cnp"))
+    @pytest.mark.parametrize("stage", ("wep_stats", "wep_emit", "clustering", "cnp"))
     def test_killed_worker_at_four_workers(self, monkeypatch, small_dirty_dataset, stage):
         config_key, label = STAGES[stage]
         before = repro_segments()
@@ -535,13 +555,13 @@ class TestWorkerFailureDirectStages:
         assert fired == [True]
         assert shm.orphaned_segments() == []
 
-    @pytest.mark.parametrize("step", ("wnp_stats", "wnp_emit"))
+    @pytest.mark.parametrize("step", ("wep_stats", "wep_emit"))
     def test_killed_worker_during_pruning_rounds(self, monkeypatch, dirty_setup, step):
         _, _, blocks = dirty_setup
         fired = _sabotage(monkeypatch, step, _die_if_marked)
         with ParallelEngine(num_workers=2) as par:
             with pytest.raises(BrokenProcessPool):
-                MetaBlocking("CBS", "WNP").weighted_columns(blocks, parallel=par)
+                MetaBlocking("CBS", "WEP").weighted_columns(blocks, parallel=par)
         assert fired == [True]
         assert shm.orphaned_segments() == []
 
@@ -593,7 +613,7 @@ class TestShmJanitor:
     def test_live_engine_segments_are_never_orphans(self, dirty_setup):
         _, _, blocks = dirty_setup
         with ParallelEngine(num_workers=2) as par:
-            assert len(MetaBlocking("CBS", "WNP").weighted_columns(blocks, parallel=par))
+            assert len(MetaBlocking("CBS", "WEP").weighted_columns(blocks, parallel=par))
             # the engine's own segments are registered and must be invisible
             # to the janitor while the engine lives
             live = [s._shm.name for s in par._segments]

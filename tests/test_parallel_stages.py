@@ -38,7 +38,6 @@ from repro.metablocking.pruning import (
     CardinalityEdgePruning,
     CardinalityNodePruning,
     ReciprocalCardinalityNodePruning,
-    ReciprocalWeightedNodePruning,
 )
 
 DATASETS = ("dirty", "clean")
@@ -216,8 +215,8 @@ class TestParallelPruningParameters:
     @pytest.mark.parametrize("dataset", DATASETS)
     @pytest.mark.parametrize(
         "pruning",
-        (ReciprocalWeightedNodePruning(), ReciprocalCardinalityNodePruning(k=2)),
-        ids=("ReciprocalWNP", "ReciprocalCNP(k=2)"),
+        (ReciprocalCardinalityNodePruning(), ReciprocalCardinalityNodePruning(k=2)),
+        ids=("ReciprocalCNP", "ReciprocalCNP(k=2)"),
     )
     def test_reciprocal_variants(self, request, dataset, pruning):
         _, _, blocks = _setup(request, dataset)
@@ -243,8 +242,9 @@ class TestParallelRetainedColumns:
     same rows, same order, same statistics -- however many ranges the node
     range is cut into."""
 
-    PRUNINGS = ("WEP", "CEP", "WNP", "CNP", "ReciprocalWNP", "ReciprocalCNP")
-    WEIGHTINGS = ("ARCS", "EJS", "CBS", "JS", "ECBS", "ARCS")
+    #: the ranged schemes (WNP and ReciprocalWNP run on the driver)
+    PRUNINGS = ("WEP", "CEP", "CNP", "ReciprocalCNP", "WEP", "CNP")
+    WEIGHTINGS = ("ARCS", "EJS", "JS", "ARCS", "ECBS", "CBS")
 
     @pytest.mark.parametrize("dataset", DATASETS)
     @pytest.mark.parametrize("workers", (1, 2, 3))
