@@ -20,16 +20,26 @@ index engine (tie-breaks, ECBS/EJS factor ordering) is exercised for real.
 
 from __future__ import annotations
 
+import functools
+import json
 import random
+from pathlib import Path
 from typing import List
 
 import pytest
 from conftest import graph_retained
 
 from repro.blocking.base import Block, BlockCollection
+from repro.core.context import PipelineContext
+from repro.datamodel.collection import EntityCollection
+from repro.datamodel.description import EntityDescription
 from repro.metablocking import MetaBlocking
 from repro.metablocking.entity_index import EntityIndexEngine
-from repro.metablocking.pruning import CardinalityEdgePruning, CardinalityNodePruning
+from repro.metablocking.pruning import (
+    CardinalityEdgePruning,
+    CardinalityNodePruning,
+    get_pruning_scheme,
+)
 
 WEIGHTING_SCHEMES = ("CBS", "ECBS", "JS", "EJS", "ARCS")
 PRUNING_SCHEMES = ("WEP", "CEP", "WNP", "CNP", "ReciprocalWNP", "ReciprocalCNP")
@@ -256,3 +266,248 @@ def test_identifier_table_with_unblocked_descriptions_changes_nothing(kind):
             )
             graph, _ = graph_retained(blocks, weighting, pruning)
             assert sorted((e.first, e.second, e.weight) for e in graph) == expected
+
+
+# ---------------------------------------------------------------------------
+# the frozen fixture
+# ---------------------------------------------------------------------------
+
+FIXTURE = Path(__file__).parent / "fixtures" / "metablocking" / "seeded.json"
+
+CEP_BUDGETS = (0, 1, 5, 40, 10_000)
+CNP_KS = (0, 1, 2, 7)
+
+
+def _members(*blocks) -> BlockCollection:
+    """Unilateral blocks ``b0, b1, ...`` over the given member lists."""
+    return BlockCollection([Block(f"b{i}", members=list(m)) for i, m in enumerate(blocks)])
+
+
+#: the hand-built collections of the unit suites, each a shape worth pinning
+HAND_BUILT = {
+    # (a,b) share 2 blocks, (a,c) and (b,c) one, then a c-d-e chain
+    "chain": lambda: BlockCollection(
+        [
+            Block("t1", members=["a", "b"]),
+            Block("t2", members=["a", "b", "c"]),
+            Block("t3", members=["c", "d"]),
+            Block("t4", members=["d", "e"]),
+        ]
+    ),
+    # every pair shares exactly one block: all CBS weights tie
+    "ties": lambda: BlockCollection(
+        [
+            Block("t1", members=["d", "c"]),
+            Block("t2", members=["b", "a"]),
+            Block("t3", members=["c", "b"]),
+            Block("t4", members=["a", "d"]),
+        ]
+    ),
+    "empty": BlockCollection,
+    # one entity in every block
+    "hub": lambda: _members(["hub", "a"], ["hub", "a", "b"], ["hub", "b", "c"], ["hub", "c"]),
+    # a bilateral block yields only cross edges
+    "bilateral": lambda: BlockCollection(
+        [Block("t", left_members=["l1", "l2"], right_members=["r1"])]
+    ),
+    # (a, b) sit on one side of "bi" but share "uni"
+    "bilateral_and_unilateral": lambda: BlockCollection(
+        [
+            Block("bi", left_members=["a", "b"], right_members=["c"]),
+            Block("uni", members=["a", "b"]),
+        ]
+    ),
+    "mixed": lambda: BlockCollection(
+        [
+            Block("b0", members=["n3", "n1", "n2"]),
+            Block("b1", left_members=["n1"], right_members=["n4"]),
+            Block("b2", members=["n4", "n2"]),
+        ]
+    ),
+    "co_blocked": lambda: BlockCollection(
+        [
+            Block("b0", members=["n3", "n1", "n2"]),
+            Block("b1", left_members=["n1", "n5"], right_members=["n4"]),
+            Block("b2", members=["n4", "n2"]),
+            Block("b3", members=["n6", "n7"]),
+        ]
+    ),
+    # JS puts e4's summed WNP threshold an ulp above its exact one, 0.6,
+    # which is the weight of (e1, e4)
+    "wnp_refinement": lambda: _members(
+        ["e0", "e1", "e2", "e3", "e4"],
+        ["e1", "e3", "e4"],
+        ["e3", "e4"],
+        ["e0", "e1", "e2", "e3", "e4"],
+        ["e1", "e3"],
+    ),
+    "overlapping": lambda: _members(["n3", "n1", "n2"], ["n1", "n4"], ["n4", "n2", "n3"]),
+    "two_members": lambda: _members(["x", "y"]),
+    # ARCS: 1 / 1 from the small block plus 1 / 6 from the big one
+    "arcs_cardinality": lambda: _members(["x", "y"], ["x", "y", "z", "w"]),
+}
+
+
+@functools.lru_cache(maxsize=None)
+def collection(key: str) -> BlockCollection:
+    """The block collection a fixture case runs on: ``<kind>/<seed>`` or ``hand/<label>``."""
+    kind, label = key.split("/")
+    if kind == "hand":
+        return HAND_BUILT[label]()
+    return RANDOM_COLLECTIONS[kind](int(label))
+
+
+def fixture_cases():
+    """``(case name, (collection key, weighting, pruning, pruning parameters))``."""
+    seeded = [f"dirty/{seed}" for seed in SEEDS]
+    seeded += [f"{kind}/{seed}" for kind in ("clean-clean", "mixed") for seed in SEEDS[:3]]
+    for key in seeded:
+        for weighting in WEIGHTING_SCHEMES:
+            for pruning in PRUNING_SCHEMES:
+                yield f"{key}/{weighting}+{pruning}", (key, weighting, pruning, {})
+    for key in (f"{kind}/{seed}" for kind in sorted(RANDOM_COLLECTIONS) for seed in SEEDS[:2]):
+        for weighting in WEIGHTING_SCHEMES:
+            for budget in CEP_BUDGETS:
+                yield f"budget/{key}/{weighting}+CEP/{budget}", (
+                    key, weighting, "CEP", {"budget": budget}
+                )
+            for pruning in ("CNP", "ReciprocalCNP"):
+                for k in CNP_KS:
+                    yield f"k/{key}/{weighting}+{pruning}/{k}", (key, weighting, pruning, {"k": k})
+    for label in HAND_BUILT:
+        for weighting in WEIGHTING_SCHEMES:
+            for pruning in PRUNING_SCHEMES:
+                yield f"hand/{label}/{weighting}+{pruning}", (
+                    f"hand/{label}", weighting, pruning, {}
+                )
+
+
+def frozen_rows(triples) -> list:
+    """``(first, second, weight)`` triples as fixture rows, heaviest first.
+
+    The order of :meth:`MetaBlocking.weighted_comparisons`: weight
+    descending, then the identifier pair; weights as ``float.hex``.
+    """
+    ordered = sorted(triples, key=lambda row: (-row[2], row[0], row[1]))
+    return [[first, second, weight.hex()] for first, second, weight in ordered]
+
+
+def _freeze_fixture() -> None:
+    cases = {}
+    for name, (key, weighting, pruning, params) in fixture_cases():
+        pruning_scheme = get_pruning_scheme(pruning, **params)
+        edges, graph = graph_retained(collection(key), weighting, pruning_scheme)
+        cases[name] = {
+            "graph_edges": graph.num_edges,
+            "retained": len(edges),
+            "rows": frozen_rows((e.first, e.second, e.weight) for e in edges),
+        }
+    FIXTURE.parent.mkdir(parents=True, exist_ok=True)
+    compact = functools.partial(json.dumps, sort_keys=True, separators=(",", ":"))
+    lines = [f" {json.dumps(name)}: {compact(case)}" for name, case in sorted(cases.items())]
+    FIXTURE.write_text("{\n" + ",\n".join(lines) + "\n}\n", encoding="utf-8")
+    print(f"froze {len(cases)} cases to {FIXTURE}")
+
+
+@functools.lru_cache(maxsize=None)
+def fixture() -> dict:
+    return json.loads(FIXTURE.read_text(encoding="utf-8"))
+
+
+def padded_table(blocks) -> List[str]:
+    """An identifier table that also holds descriptions no block contains.
+
+    The block members come reversed, between entries that sort before and
+    after every one of them, so both the ordinals and the identifier ranks
+    of the blocked descriptions move.
+    """
+    members = list(blocks.entity_index())
+    return (
+        [f"!unblocked:{i}" for i in range(len(members))]
+        + members[::-1]
+        + [f"~unblocked:{i}" for i in range(len(members))]
+    )
+
+
+def padded_context(blocks) -> PipelineContext:
+    table = padded_table(blocks)
+    return PipelineContext(EntityCollection([EntityDescription(i) for i in table]))
+
+
+def column_rows(columns) -> list:
+    """:class:`ComparisonColumns` as fixture rows, in their own order."""
+    ids = columns.ids
+    return [
+        [ids[f], ids[s], w.hex()] for f, s, w in zip(columns.first, columns.second, columns.weights)
+    ]
+
+
+def engine_rows(engine: EntityIndexEngine, columns) -> list:
+    """``retained_columns`` output as fixture rows, heaviest first."""
+    first, second, weights = columns
+    return frozen_rows(
+        (engine.identifier(f), engine.identifier(s), w) for f, s, w in zip(first, second, weights)
+    )
+
+
+def assert_cases(key: str, weighting: str, cases) -> None:
+    """Cases of one collection and weighting: ``(name, pruning, parameters)``.
+
+    Each goes through the pipeline, over the index's own table and over a
+    padded context, and through one index engine that answers them all in
+    turn.
+    """
+    blocks = collection(key)
+    context = padded_context(blocks)
+    engine = EntityIndexEngine(blocks)
+    for name, pruning, params in cases:
+        expected = fixture()[name]
+        statistics = (expected["graph_edges"], expected["retained"])
+        for own_context in (None, context):
+            metablocking = MetaBlocking(weighting, get_pruning_scheme(pruning, **params))
+            columns = metablocking.weighted_columns(blocks, context=own_context)
+            assert column_rows(columns) == expected["rows"], (name, own_context)
+            assert (metablocking.last_graph_edges, metablocking.last_retained_edges) == statistics
+        columns = engine.retained_columns(weighting, pruning, **params)
+        assert engine_rows(engine, columns) == expected["rows"], name
+        assert (engine.last_num_edges, engine.last_retained) == statistics
+        if key.startswith("hand/"):
+            comparisons = metablocking.weighted_comparisons(blocks)
+            assert [[c.first, c.second, c.weight.hex()] for c in comparisons] == expected["rows"]
+
+
+def fixture_groups(*prefixes):
+    """The cases named ``<prefix>...``, one test parameter per collection and weighting."""
+    groups = {}
+    for name, (key, weighting, pruning, params) in fixture_cases():
+        if name.startswith(prefixes):
+            groups.setdefault((key, weighting), []).append((name, pruning, params))
+    return [
+        pytest.param(key, weighting, cases, id=f"{key}/{weighting}")
+        for (key, weighting), cases in groups.items()
+    ]
+
+
+@pytest.mark.parametrize(
+    "key, weighting, cases", fixture_groups("dirty/", "clean-clean/", "mixed/")
+)
+def test_seeded_cases_reproduce_the_fixture(key, weighting, cases):
+    assert_cases(key, weighting, cases)
+
+
+@pytest.mark.parametrize("key, weighting, cases", fixture_groups("budget/", "k/"))
+def test_budget_and_k_cases_reproduce_the_fixture(key, weighting, cases):
+    assert_cases(key, weighting, cases)
+
+
+@pytest.mark.parametrize("key, weighting, cases", fixture_groups("hand/"))
+def test_hand_built_cases_reproduce_the_fixture(key, weighting, cases):
+    assert_cases(key, weighting, cases)
+
+
+def test_the_fixture_covers_every_case():
+    assert set(fixture()) == {name for name, _ in fixture_cases()}
+
+
+if __name__ == "__main__":
+    _freeze_fixture()
