@@ -12,41 +12,28 @@ pruned.  The classical scheme combinations are:
 * pruning: weighted/cardinality edge pruning (WEP/CEP) and weighted/cardinality
   node pruning (WNP/CNP), plus their reciprocal variants.
 
-Two interchangeable execution paths implement the restructuring, chosen by
-the schemes' exact types:
-
-* **index** (the standard schemes) -- :class:`~repro.metablocking.entity_index.EntityIndexEngine`
-  stores block membership as flat integer arrays in CSR form with an interned
-  identifier/ordinal mapping, stays in ordinal space from there on (weights
-  and pruning run as ranged passes that expand a bounded batch of node
-  neighbourhoods at a time) and hands back the retained comparisons as flat
-  ``(first, second, weight)`` columns.  Pruned edges are never all resident:
-  peak transient memory is one node batch plus the retained columns, not the
-  number of graph edges, and the hot loops run over machine integers
-  (vectorised with NumPy).  Pick it for anything beyond toy
-  inputs.
-* **graph** (any other scheme) -- :class:`~repro.metablocking.graph.BlockingGraph` materialises a
-  dictionary entry per edge plus per-edge shared-block lists, and the pruning
-  schemes in :mod:`repro.metablocking.pruning` materialise every weighted
-  edge before filtering.  Memory and time are O(edges), but the code follows
-  the paper's formulation line by line.  It is kept as the readable reference
-  implementation, as the extension point for custom
-  :class:`~repro.metablocking.weighting.WeightingScheme` /
-  :class:`~repro.metablocking.pruning.PruningScheme` subclasses (which
-  automatically fall back to it), and as the oracle of the equivalence test
-  suite.
-
-Both paths retain identical comparison sets for every (weighting x pruning)
-combination; the equivalence suite holds the index path to
-``pruning.prune(BlockingGraph(blocks), weighting)``.
+One engine runs every scheme pair:
+:class:`~repro.metablocking.entity_index.EntityIndexEngine` stores block
+membership as flat integer arrays in CSR form with an interned
+identifier/ordinal mapping, stays in ordinal space from there on (weights and
+pruning run as ranged passes that expand a bounded batch of node
+neighbourhoods at a time) and hands back the retained comparisons as flat
+``(first, second, weight)`` columns.  Pruned edges are never all resident:
+peak transient memory is one node batch plus the retained columns, not the
+number of graph edges, and the hot loops run over machine integers
+(vectorised with NumPy).  :class:`~repro.metablocking.pipeline.MetaBlocking`
+accepts the library schemes, by name or as instances of a library scheme
+class or a subclass of one (which runs as the library scheme it derives
+from).  ``tests/fixtures/metablocking/seeded.json`` freezes what every
+scheme pair retains.
 """
 
 from repro.metablocking.entity_index import (
     INDEX_PRUNING_SCHEMES,
     INDEX_WEIGHTING_SCHEMES,
     EntityIndexEngine,
+    WeightedEdge,
 )
-from repro.metablocking.graph import BlockingGraph, WeightedEdge
 from repro.metablocking.pipeline import MetaBlocking
 from repro.metablocking.pruning import (
     CardinalityEdgePruning,
@@ -75,7 +62,6 @@ __all__ = [
     "INDEX_PRUNING_SCHEMES",
     "INDEX_WEIGHTING_SCHEMES",
     "JS",
-    "BlockingGraph",
     "CardinalityEdgePruning",
     "CardinalityNodePruning",
     "EntityIndexEngine",

@@ -1,14 +1,10 @@
 """Array-backed entity-index meta-blocking engine.
 
-The legacy :class:`~repro.metablocking.graph.BlockingGraph` materialises one
-dictionary entry (a canonical pair tuple plus a list of shared block indices)
-per edge of the blocking graph, and the pruning schemes then materialise one
-:class:`~repro.metablocking.graph.WeightedEdge` per edge *before* pruning.
-Both costs are proportional to the number of graph edges, which for Web-scale
-collections dwarfs the number of descriptions.
-
-:class:`EntityIndexEngine` replaces the object graph with the *entity index*
-of the input block collection, stored as flat integer arrays in CSR form:
+The blocking graph has one node per description and one edge per pair of
+descriptions that share a block; for Web-scale collections its edges dwarf
+the descriptions.  :class:`EntityIndexEngine` never materialises it: it runs
+on the *entity index* of the input block collection, stored as flat integer
+arrays in CSR form:
 
 * ``_blk_ptr`` / ``_blk_ents`` -- for every block, the ordinals of its member
   descriptions (``_blk_ents[_blk_ptr[b]:_blk_ptr[b + 1]]``);
@@ -54,19 +50,20 @@ arrays handed out (plus the O(budget) candidate buffer of CEP, the
 O(k * nodes) endorsements of CNP and the threshold column of WNP, one float
 per node).
 
-The weights are bit-identical to the graph engine's: per-edge arithmetic uses
-the same operand order (canonical identifier order for the
-ECBS/EJS discount factors, ascending block order for the ARCS accumulation),
-and every threshold (WEP global mean, WNP node-local means) is decided as
-the exactly rounded :func:`math.fsum` of its weights, which is independent
-of accumulation order and of how the node range was cut -- WNP sums each
-node's run of its one full pass with ``add.reduceat`` and takes the run's
-``fsum`` instead wherever an incident weight lies inside the rounding margin
-of that sum (the bound is argued in :meth:`EntityIndexEngine._wnp`).
-Pruning uses the same budgets and tie-breaks as the graph engine, so both
-engines retain the same comparison sets;
-``tests/test_metablocking_equivalence.py`` and the frozen
-``tests/fixtures/metablocking/`` rows lock this in.
+The weights do not depend on how the work is cut: per-edge arithmetic has a
+fixed operand order (canonical identifier order for the ECBS/EJS discount
+factors, ascending block order for the ARCS accumulation), and every
+threshold (WEP global mean, WNP node-local means) is decided as the exactly
+rounded :func:`math.fsum` of its weights, which is independent of
+accumulation order and of how the node range was cut -- WNP sums each node's
+run of its one full pass with ``add.reduceat`` and takes the run's ``fsum``
+instead wherever an incident weight lies inside the rounding margin of that
+sum (the bound is argued in :meth:`EntityIndexEngine._wnp`).  Ties are
+broken by the identifier pair.  ``tests/fixtures/metablocking/seeded.json``
+(``tests/test_metablocking_equivalence.py``) freezes what every scheme pair
+retains, weights bit for bit, as the object reference implementation
+computed it, and ``tests/fixtures/metablocking/`` holds the builtin
+datasets' rows.
 """
 
 from __future__ import annotations
@@ -74,6 +71,7 @@ from __future__ import annotations
 import heapq
 import math
 from array import array
+from dataclasses import dataclass
 from math import fsum
 from typing import Dict, Iterator, List, Optional, Sequence, Tuple
 
@@ -81,8 +79,7 @@ from repro.blocking.base import BlockCollection
 from repro.blocking.columns import BlockColumns, int_view
 from repro.blocking.columns import flat_slices as _slices
 from repro.blocking.columns import typed_array as _typed_array
-from repro.datamodel.pairs import identifier_ranks, stable_argsort
-from repro.metablocking.graph import WeightedEdge
+from repro.datamodel.pairs import Comparison, identifier_ranks, stable_argsort
 
 import numpy as _np
 
@@ -152,6 +149,22 @@ def pruning_key(pruning: str) -> str:
     return key
 
 
+@dataclass(frozen=True)
+class WeightedEdge:
+    """A retained edge of the blocking graph with its final weight."""
+
+    first: str
+    second: str
+    weight: float
+
+    @property
+    def pair(self) -> Tuple[str, str]:
+        return (self.first, self.second)
+
+    def as_comparison(self) -> Comparison:
+        return Comparison(self.first, self.second, weight=self.weight)
+
+
 def edges_view(ids: Sequence[str], first, second, weights) -> Iterator[WeightedEdge]:
     """Retained ordinal columns viewed as lazily built :class:`WeightedEdge` objects."""
     return (WeightedEdge(ids[f], ids[s], w) for f, s, w in zip(first, second, weights))
@@ -189,8 +202,7 @@ class EntityIndexEngine:
     ----------
     blocks:
         The (cleaned) block collection to restructure.  Bilateral blocks are
-        handled per block: only cross-side co-occurrences produce edges,
-        exactly as in :class:`~repro.metablocking.graph.BlockingGraph`.
+        handled per block: only cross-side co-occurrences produce edges.
     ids:
         Optional identifier table fixing the ordinal assignment (ordinal
         ``o`` is ``ids[o]``), e.g. the shared pipeline context's, so the
@@ -229,9 +241,8 @@ class EntityIndexEngine:
         stable argsort of the member column).  The typed-array mirrors of
         the entity-side columns serve the scalar accessors and the parallel
         engine's segment export.  A description on both sides of a bilateral
-        block makes the graph engine raise (via ``canonical_pair``) on the self-pair it
-        generates; it shows here as one entity row naming a block twice and
-        fails identically, and early.
+        block would compare with itself; it shows as one entity row naming a
+        block twice and is refused with a :class:`ValueError`.
         """
         self._ids = columns.ids
         self._ordinal_cache: Optional[Dict[str, int]] = None
@@ -263,8 +274,7 @@ class EntityIndexEngine:
         )
         if twice.any():
             # the first position (block-major) of a member its block lists
-            # twice: the entity the graph engine's left x right iteration
-            # trips over first, so both engines report identically
+            # twice: the entity a left x right iteration meets first
             repeated = int(order[:-1][twice].min())
             raise ValueError(
                 "a comparison requires two distinct descriptions, "
@@ -413,8 +423,8 @@ class EntityIndexEngine:
         One batch gathers its slices, sorts the int32 keys in place and
         decodes the distinct rows, in int32, and their counts off the run
         heads.  ARCS argsorts stably instead, so ``np.bincount`` adds each
-        pair's per-block reciprocals in gather (= ascending block) order, the
-        graph engine's: a pair meets at most once per block.
+        pair's per-block reciprocals in gather (= ascending block) order: a
+        pair meets at most once per block.
 
         Held across the batches: the start and length of every gathered slice
         (as long as the range's block assignments) and two node-length columns.
@@ -576,8 +586,10 @@ class EntityIndexEngine:
     def _factors(self, scheme: str) -> List[float]:
         """Per-node discount factors of ECBS/EJS, with :func:`math.log10`.
 
-        Computed with the scalar ``math`` function (not ``np.log10``) so that
-        the values are bit-identical to the graph engine's on every platform.
+        ``log10(total / own + 1)`` with ``total`` the number of blocks (ECBS) or
+        of graph edges (EJS) and ``own`` the node's blocks or degree (at least
+        1), computed with the scalar ``math`` function (not ``np.log10``) so
+        that the values are the same on every platform.
         """
         cached = self._factor_cache.get(scheme)
         if cached is not None:
@@ -603,11 +615,12 @@ class EntityIndexEngine:
     def _weigh_vector_factory(self, scheme: str):
         """Return ``weigh(src, dst, counts, arcs) -> float64 array``.
 
-        The arithmetic mirrors :mod:`repro.metablocking.weighting` exactly,
-        including operand order (the graph engine multiplies the per-node
-        discount factors in canonical identifier order, here realised through
-        the precomputed rank column), so an edge weighs the same as in the
-        graph engine -- and from either endpoint.
+        CBS is the shared block count, ARCS the sum of the shared blocks'
+        reciprocal cardinalities, JS ``shared / (blocks(a) + blocks(b) -
+        shared)``; ECBS (the count) and EJS (the Jaccard) multiply by the two
+        endpoints' discount factors (:meth:`_factors`) in canonical identifier
+        order, realised through the precomputed rank column, so an edge weighs
+        the same from either endpoint.
         """
         np = _np
 
@@ -741,7 +754,7 @@ class EntityIndexEngine:
             shards = fan_out("cep", scheme, budget)
             num_edges = sum(shard[0] for shard in shards)
             # the ranges' own best candidates are a superset of the global
-            # selection by (-weight, first, second), the graph engine's sort key
+            # selection by (-weight, first, second)
             ranks = self._rank_list()
             rows = heapq.nsmallest(
                 budget,
@@ -894,7 +907,7 @@ class EntityIndexEngine:
         One ``(lower ordinal, higher ordinal, weight)`` row per edge a node
         of the range ranks among its ``k`` best by ``(weight, first,
         second)`` -- identifier *ranks* standing in for the identifier
-        strings the graph engine compares, an order-equivalent key.
+        strings, an order-equivalent key.
         """
         ranks = self._rank_list()
         endorsed: List[Tuple[int, int, float]] = []

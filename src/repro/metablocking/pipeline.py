@@ -1,27 +1,19 @@
 """End-to-end meta-blocking: block collection in, restructured comparisons out.
 
-:class:`MetaBlocking` wires together a weighting scheme, a pruning scheme and
-one of two execution paths, chosen by the schemes' exact types:
-
-* the index path (the ten standard schemes) -- the array-backed
-  :class:`~repro.metablocking.entity_index.EntityIndexEngine`, which runs
-  batched passes over CSR block-membership arrays, stays in ordinal space
-  and hands back the retained edges as flat ``(first, second, weight)``
-  columns; pruned edges are never all resident (peak transient memory is
-  one node batch, plus span columns of the order of the index itself for
-  cutting the batches, plus the retained columns).  With a
-  :class:`~repro.mapreduce.parallel.ParallelEngine`, the ranged passes of
-  WEP, CEP and CNP fan out to its workers; WNP and ReciprocalWNP walk their
-  node batches in one pass on the driver;
-* the graph path (any other scheme, subclasses included) -- the legacy
-  object :class:`~repro.metablocking.graph.BlockingGraph` pruned by the
-  scheme's own ``prune``, kept as the readable reference implementation;
-  the equivalence suite calls ``pruning.prune(BlockingGraph(blocks),
-  weighting)`` as its oracle.
-
-Both paths retain the same comparisons for every (weighting x pruning)
-combination; only the five standard weighting and six standard pruning
-schemes have columnar implementations.
+:class:`MetaBlocking` wires together a weighting scheme and a pruning scheme
+-- the library schemes, named or as instances of a library scheme class or
+a subclass of one, which runs as the library scheme it derives from -- and
+runs them on the array-backed
+:class:`~repro.metablocking.entity_index.EntityIndexEngine`, which runs
+batched passes over CSR block-membership arrays, stays in ordinal space and
+hands back the retained edges as flat ``(first, second, weight)`` columns;
+pruned edges are never all resident (peak transient memory is one node
+batch, plus span columns of the order of the index itself for cutting the
+batches, plus the retained columns).  With a
+:class:`~repro.mapreduce.parallel.ParallelEngine`, the ranged passes of WEP,
+CEP and CNP fan out to its workers; WNP and ReciprocalWNP walk their node
+batches in one pass on the driver.  What every scheme pair retains is frozen
+in ``tests/fixtures/metablocking/seeded.json``.
 
 The output can be consumed in four forms:
 
@@ -29,7 +21,7 @@ The output can be consumed in four forms:
   :class:`~repro.datamodel.pairs.ComparisonColumns`, heaviest first: the
   index engine's own columns, wrapped (what the workflow consumes);
 * :meth:`MetaBlocking.iter_retained` -- a lazy view of the same columns as
-  :class:`~repro.metablocking.graph.WeightedEdge` objects, for subclasses,
+  :class:`~repro.metablocking.entity_index.WeightedEdge` objects, for
   :meth:`~MetaBlocking.process` and tests;
 * :meth:`MetaBlocking.weighted_comparisons` -- the retained edges as weighted
   :class:`~repro.datamodel.pairs.Comparison` objects, heaviest first (the
@@ -41,36 +33,39 @@ The output can be consumed in four forms:
 
 from __future__ import annotations
 
-from array import array
-from typing import Iterator, List, Optional, Tuple, Union
+from typing import Iterator, List, Optional, Union
 
 from repro.blocking.base import Block, BlockCollection
 from repro.blocking.columns import BlockColumns
 from repro.datamodel.collection import CleanCleanTask
-from repro.datamodel.pairs import Comparison, ComparisonColumns, OrdinalInterner
-from repro.metablocking.entity_index import EntityIndexEngine, edges_view
-from repro.metablocking.graph import BlockingGraph, WeightedEdge
+from repro.datamodel.pairs import Comparison, ComparisonColumns
+from repro.metablocking.entity_index import EntityIndexEngine, WeightedEdge, edges_view
 from repro.metablocking.pruning import (
-    CardinalityEdgePruning,
-    CardinalityNodePruning,
+    _PRUNING,
     PruningScheme,
-    ReciprocalCardinalityNodePruning,
-    ReciprocalWeightedNodePruning,
     WeightedEdgePruning,
-    WeightedNodePruning,
     get_pruning_scheme,
 )
 from repro.metablocking.weighting import (
-    ARCS,
+    _SCHEMES,
     CBS,
-    ECBS,
-    EJS,
-    JS,
     WeightingScheme,
     get_weighting_scheme,
 )
 
-_INDEX_WEIGHTINGS = {CBS: "CBS", ECBS: "ECBS", JS: "JS", EJS: "EJS", ARCS: "ARCS"}
+
+def _library_name(scheme, library: dict, role: str) -> str:
+    """The name of the ``library`` scheme ``scheme`` is an instance of, or derives from.
+
+    Raises :class:`TypeError` naming ``role`` for anything else.
+    """
+    for kind in type(scheme).__mro__:
+        if kind in library.values():
+            return kind.name
+    raise TypeError(
+        f"{role} must be a library {role} scheme (or a subclass of one) or its name, "
+        f"got {scheme!r}"
+    )
 
 
 def _uncovered(identifier: str) -> KeyError:
@@ -91,6 +86,11 @@ class MetaBlocking:
     pruning:
         A :class:`PruningScheme` instance or its name (``"WEP"``, ``"CEP"``,
         ``"WNP"``, ``"CNP"``, ``"ReciprocalWNP"``, ``"ReciprocalCNP"``).
+
+    An instance must be of a library scheme class or a subclass of one (it
+    runs as that library scheme); anything else is a :class:`TypeError`, an
+    unknown name a :class:`KeyError`, both raised here, before any block is
+    read.
     """
 
     def __init__(
@@ -99,26 +99,25 @@ class MetaBlocking:
         pruning: Union[PruningScheme, str, None] = None,
     ) -> None:
         if weighting is None:
-            self.weighting: WeightingScheme = CBS()
+            weighting = CBS()
         elif isinstance(weighting, str):
-            self.weighting = get_weighting_scheme(weighting)
-        else:
-            self.weighting = weighting
+            weighting = get_weighting_scheme(weighting)
         if pruning is None:
-            self.pruning: PruningScheme = WeightedEdgePruning()
+            pruning = WeightedEdgePruning()
         elif isinstance(pruning, str):
-            self.pruning = get_pruning_scheme(pruning)
-        else:
-            self.pruning = pruning
-        #: statistics of the last run, reported by benchmarks; populated
-        #: identically by both engines (by :meth:`iter_retained` when its
-        #: first edge is requested, by :meth:`weighted_columns` on return)
+            pruning = get_pruning_scheme(pruning)
+        _library_name(weighting, _SCHEMES, "weighting")
+        _library_name(pruning, _PRUNING, "pruning")
+        self.weighting: WeightingScheme = weighting
+        self.pruning: PruningScheme = pruning
+        #: statistics of the last run, reported by benchmarks (set by
+        #: :meth:`iter_retained` when its first edge is requested, by
+        #: :meth:`weighted_columns` on return)
         self.last_input_comparisons = 0
         self.last_graph_edges = 0
         self.last_retained_edges = 0
-        #: engine that actually executed the last run ("index", "graph", or
-        #: "parallel" when a ParallelEngine ran the index engine's ranged
-        #: passes; WNP always runs "index")
+        #: what ran the last run's pruning passes: "index", or "parallel" when
+        #: a ParallelEngine ran the ranged passes (WNP always runs "index")
         self.last_engine: Optional[str] = None
 
     @property
@@ -126,48 +125,19 @@ class MetaBlocking:
         return f"metablocking[{self.weighting.name}+{self.pruning.name}]"
 
     # ------------------------------------------------------------------
-    def build_graph(self, blocks: BlockCollection) -> BlockingGraph:
-        """Construct the (legacy) blocking graph of ``blocks``."""
-        return BlockingGraph(blocks)
-
-    def _index_spec(self) -> Optional[Tuple[str, str, dict]]:
-        """(weighting, pruning, kwargs) when the index engine applies, else ``None``.
-
-        Exact type checks keep user-defined subclasses (whose overridden
-        behaviour the columnar engine cannot replicate) on the graph engine.
-        """
-        weighting_name = _INDEX_WEIGHTINGS.get(type(self.weighting))
-        if weighting_name is None:
-            return None
-        pruning = self.pruning
-        pruning_type = type(pruning)
-        if pruning_type is WeightedEdgePruning:
-            return weighting_name, "WEP", {}
-        if pruning_type is CardinalityEdgePruning:
-            return weighting_name, "CEP", {"budget": pruning.budget}
-        if pruning_type is WeightedNodePruning:
-            return weighting_name, "WNP", {}
-        if pruning_type is ReciprocalWeightedNodePruning:
-            return weighting_name, "ReciprocalWNP", {}
-        if pruning_type is CardinalityNodePruning:
-            return weighting_name, "CNP", {"k": pruning.k}
-        if pruning_type is ReciprocalCardinalityNodePruning:
-            return weighting_name, "ReciprocalCNP", {"k": pruning.k}
-        return None
-
-    # ------------------------------------------------------------------
     def _index_columns(self, blocks: BlockCollection, context, parallel):
         """Run the index engine: ``(ids, first, second, weights)`` columns.
 
-        ``None`` when the configured schemes need the graph engine.  The
-        index is built over the context's ordinals when one is given, and a
-        context that does not cover the blocks is refused before any pruning
-        work.  Sets the last-run statistics.
+        The index is built over the context's ordinals when one is given,
+        and a context that does not cover the blocks is refused before any
+        pruning work.  Sets the last-run statistics.
         """
-        spec = self._index_spec()
-        if spec is None:
-            return None
-        weighting_name, pruning_name, kwargs = spec
+        weighting = _library_name(self.weighting, _SCHEMES, "weighting")
+        pruning = _library_name(self.pruning, _PRUNING, "pruning")
+        params = {
+            "budget": getattr(self.pruning, "budget", None),
+            "k": getattr(self.pruning, "k", None),
+        }
         # blocks the blocking engine built over this context are columns
         # over its ordinals already: nothing is interned
         columns = BlockColumns.from_collection(blocks, None if context is None else context.ids)
@@ -179,46 +149,33 @@ class MetaBlocking:
             # worker-side per-range selection: only retained edges cross the
             # process boundary; bit-identical to the sequential pass (None
             # for WNP, whose one pass runs here)
-            columns = parallel.retained_edges(index, weighting_name, pruning_name, **kwargs)
+            columns = parallel.retained_edges(index, weighting, pruning, **params)
         self.last_engine = "index" if columns is None else "parallel"
         if columns is None:
-            columns = index.retained_columns(weighting_name, pruning_name, **kwargs)
+            columns = index.retained_columns(weighting, pruning, **params)
         self.last_graph_edges = index.last_num_edges
         self.last_retained_edges = index.last_retained
         return (index.ids if context is None else context.ids, *columns)
-
-    def _graph_retained(self, blocks: BlockCollection) -> List[WeightedEdge]:
-        self.last_engine = "graph"
-        graph = self.build_graph(blocks)
-        retained = self.pruning.prune(graph, self.weighting)
-        self.last_graph_edges = graph.num_edges
-        self.last_retained_edges = len(retained)
-        return retained
 
     def iter_retained(
         self, blocks: BlockCollection, parallel=None
     ) -> Iterator[WeightedEdge]:
         """Lazily yield the edges surviving the pruning scheme.
 
-        With the index engine this is a view over the retained columns:
-        pruning runs (and the last-run statistics are set) when the first
-        edge is requested, the :class:`WeightedEdge` objects are built one at
-        a time as the generator is drained.
+        A view over the retained columns: pruning runs (and the last-run
+        statistics are set) when the first edge is requested, the
+        :class:`WeightedEdge` objects are built one at a time as the
+        generator is drained.
 
         ``parallel`` (a :class:`~repro.mapreduce.parallel.ParallelEngine`)
-        fans the ranged pruning passes of the index engine (WEP, CEP, CNP)
-        out to worker processes over shared-memory views of the CSR index;
-        the retained edges are bit-identical either way.  It is ignored on
-        the graph engine (custom schemes have no columnar formulation), for
-        WNP and ReciprocalWNP (one sequential pass, run here) and for empty
+        fans the ranged pruning passes (WEP, CEP, CNP) out to worker
+        processes over shared-memory views of the CSR index; the retained
+        edges are bit-identical either way.  It is ignored for WNP and
+        ReciprocalWNP (one sequential pass, run here) and for empty
         collections.
         """
         self.last_input_comparisons = blocks.total_comparisons()
-        columns = self._index_columns(blocks, None, parallel)
-        if columns is None:
-            yield from self._graph_retained(blocks)
-            return
-        yield from edges_view(*columns)
+        yield from edges_view(*self._index_columns(blocks, None, parallel))
 
     def retained_edges(self, blocks: BlockCollection) -> List[WeightedEdge]:
         """Weight the graph and return the edges surviving the pruning scheme."""
@@ -255,31 +212,8 @@ class MetaBlocking:
         WNP's); the weight sort runs here.
         """
         self.last_input_comparisons = blocks.total_comparisons()
-        columns = self._index_columns(blocks, context, parallel)
-        if columns is None:
-            # graph engine (custom schemes): intern the retained objects
-            if context is not None:
-                ids, ordinal_of = context.ids, context.ordinal
-            else:
-                ordinal_of = OrdinalInterner()
-                ids = ordinal_of.ids
-            first, second, weights = array("q"), array("q"), array("d")
-            for edge in self._graph_retained(blocks):
-                left, right = ordinal_of(edge.first), ordinal_of(edge.second)
-                if left is None or right is None:
-                    raise _uncovered(edge.first if left is None else edge.second)
-                first.append(left)
-                second.append(right)
-                weights.append(edge.weight)
-        else:
-            ids, first, second, weights = columns
-        columns = ComparisonColumns(
-            ids,
-            first,
-            second,
-            weights,
-            distinct=True,
-        )
+        ids, first, second, weights = self._index_columns(blocks, context, parallel)
+        columns = ComparisonColumns(ids, first, second, weights, distinct=True)
         return columns.weight_sorted()
 
     def process(

@@ -31,10 +31,6 @@ from repro.datasets import (
 from repro.datasets.corruption import CorruptionConfig
 from repro.mapreduce.parallel import ParallelEngine
 from repro.matching.matchers import ProfileSimilarityMatcher
-from repro.metablocking.graph import BlockingGraph
-from repro.metablocking.pipeline import MetaBlocking
-from repro.metablocking.pruning import get_pruning_scheme
-from repro.metablocking.weighting import get_weighting_scheme
 from repro.progressive.schedulers import ProgressiveScheduler, WeightOrderScheduler
 
 
@@ -67,22 +63,6 @@ def readable(component):
 
 def _inherited_schedule(self, data, candidates):
     yield from super(type(self), self).schedule(data, candidates)
-
-
-def graph_retained(blocks, weighting, pruning):
-    """The meta-blocking reference, ``pruning.prune(BlockingGraph(blocks),
-    weighting)``, for scheme names or instances: ``(retained edges, graph)``."""
-    if isinstance(weighting, str):
-        weighting = get_weighting_scheme(weighting)
-    if isinstance(pruning, str):
-        pruning = get_pruning_scheme(pruning)
-    graph = BlockingGraph(blocks)
-    return pruning.prune(graph, weighting), graph
-
-
-def graph_metablocking(weighting: str, pruning) -> MetaBlocking:
-    """``MetaBlocking`` on its graph path: the weighting scheme as a subclass."""
-    return MetaBlocking(readable(get_weighting_scheme(weighting)), pruning)
 
 
 #: the start method every engine of the suite runs under (``None``: the default)

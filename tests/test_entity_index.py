@@ -2,8 +2,8 @@
 
 Covers the degenerate shapes the weighting schemes must survive: singleton
 blocks, an entity appearing in every block, empty block collections and
-clean--clean inputs without cross-source co-occurrence -- plus the engine
-selection / fallback behaviour of :class:`MetaBlocking`.
+clean--clean inputs without cross-source co-occurrence -- plus which
+schemes :class:`MetaBlocking` accepts.
 """
 
 from __future__ import annotations
@@ -13,8 +13,7 @@ import types
 
 import numpy as np
 import pytest
-from conftest import graph_metablocking, graph_retained
-from test_metablocking_equivalence import RANDOM_COLLECTIONS
+from test_metablocking_equivalence import RANDOM_COLLECTIONS, fixture
 
 from repro.blocking.base import Block, BlockCollection
 from repro.blocking.cleaning import BlockFiltering, BlockPurging
@@ -27,6 +26,7 @@ from repro.metablocking import (
     CBS,
     EntityIndexEngine,
     MetaBlocking,
+    PruningScheme,
     WeightedNodePruning,
 )
 from repro.metablocking.weighting import WeightingScheme
@@ -38,11 +38,8 @@ PRUNING_SCHEMES = ("WEP", "CEP", "WNP", "CNP", "ReciprocalWNP", "ReciprocalCNP")
 def all_combo_runs(blocks):
     for weighting in WEIGHTING_SCHEMES:
         for pruning in PRUNING_SCHEMES:
-            for metablocking in (
-                graph_metablocking(weighting, pruning),
-                MetaBlocking(weighting, pruning),
-            ):
-                yield metablocking, metablocking.retained_edges(blocks)
+            metablocking = MetaBlocking(weighting, pruning)
+            yield metablocking, metablocking.retained_edges(blocks)
 
 
 class TestEmptyAndDegenerateCollections:
@@ -94,22 +91,6 @@ class TestEntityInEveryBlock:
         }
         # (hub, a): 2 shared blocks, hub in 4, a in 2 -> 2 / (4 + 2 - 2)
         assert retained[("a", "hub")] == pytest.approx(0.5)
-
-    @pytest.mark.parametrize("weighting", WEIGHTING_SCHEMES)
-    @pytest.mark.parametrize("pruning", PRUNING_SCHEMES)
-    def test_engines_agree_on_hub_topology(self, weighting, pruning):
-        blocks = self.make_blocks()
-        expected = {
-            (e.first, e.second): e.weight
-            for e in graph_retained(blocks, weighting, pruning)[0]
-        }
-        actual = {
-            (e.first, e.second): e.weight
-            for e in MetaBlocking(weighting, pruning).retained_edges(blocks)
-        }
-        assert expected.keys() == actual.keys()
-        for pair, weight in expected.items():
-            assert actual[pair] == pytest.approx(weight, abs=1e-9)
 
 
 class TestCleanCleanWithoutCrossCoOccurrence:
@@ -173,30 +154,50 @@ class TestEngineSelection:
         with pytest.raises(ValueError):
             engine.iter_retained("CBS", "CEP", budget=-1)
 
-    def test_bilateral_self_pair_raises_like_graph_engine(self):
-        # same identifier on both sides of a bilateral block: the graph engine
-        # raises via canonical_pair, so the index engine must raise too
+    def test_bilateral_self_pair_raises(self):
+        # same identifier on both sides of a bilateral block: a description
+        # would be compared with itself
         blocks = BlockCollection(
             [Block("t", left_members=["x", "a"], right_members=["x", "b"])]
         )
         with pytest.raises(ValueError, match="'x' twice"):
-            graph_retained(blocks, "CBS", "WNP")
-        with pytest.raises(ValueError, match="'x' twice"):
             MetaBlocking("CBS", "WNP").retained_edges(blocks)
 
-    def test_custom_weighting_scheme_falls_back_to_graph(self):
+    @pytest.mark.parametrize("role", ("weighting", "pruning"))
+    def test_non_library_schemes_are_refused_at_construction(self, role):
         class Constant(WeightingScheme):
             name = "constant"
 
-            def weight(self, graph, first, second):
-                return 1.0
+        class Keep(PruningScheme):
+            name = "keep"
 
-        blocks = BlockCollection([Block("b", members=["a", "b", "c"])])
-        metablocking = MetaBlocking(Constant(), WeightedNodePruning())
-        retained = metablocking.retained_edges(blocks)
-        assert metablocking.last_engine == "graph"
-        assert len(retained) == 3
-        assert all(edge.weight == 1.0 for edge in retained)
+        custom = Constant() if role == "weighting" else Keep()
+        for scheme in (5, custom, object()):
+            arguments = {"weighting": "CBS", "pruning": "WNP", role: scheme}
+            with pytest.raises(TypeError, match=role):
+                MetaBlocking(**arguments)
+        with pytest.raises(KeyError, match="nope"):
+            MetaBlocking(**{"weighting": "CBS", "pruning": "WNP", role: "nope"})
+
+    def test_library_subclasses_run_as_their_library_scheme(self):
+        class Mine(CBS):
+            name = "mine"
+
+        class MyReciprocal(WeightedNodePruning):
+            pass
+
+        blocks = RANDOM_COLLECTIONS["mixed"](3)
+        for weighting, pruning, expected in (
+            (Mine(), "ReciprocalWNP", "mixed/3/CBS+ReciprocalWNP"),
+            ("JS", MyReciprocal(), "mixed/3/JS+WNP"),
+        ):
+            metablocking = MetaBlocking(weighting, pruning)
+            columns = metablocking.weighted_columns(blocks)
+            assert metablocking.last_engine == "index"
+            assert [
+                [columns.ids[f], columns.ids[s], w.hex()]
+                for f, s, w in zip(columns.first, columns.second, columns.weights)
+            ] == fixture()[expected]["rows"]
 
     def test_standard_schemes_run_on_index_engine(self):
         blocks = BlockCollection([Block("b", members=["a", "b", "c"])])
@@ -213,27 +214,6 @@ class TestEngineSelection:
         assert first.weight > 0
         remaining = list(iterator)
         assert metablocking.last_retained_edges == 1 + len(remaining)
-
-
-class TestGraphOracle:
-    def test_mixed_blocks_match_the_graph_engine_bit_for_bit(self):
-        blocks = BlockCollection(
-            [
-                Block("b0", members=["n3", "n1", "n2"]),
-                Block("b1", left_members=["n1"], right_members=["n4"]),
-                Block("b2", members=["n4", "n2"]),
-            ]
-        )
-        index = EntityIndexEngine(blocks)
-        for weighting in WEIGHTING_SCHEMES:
-            for pruning in PRUNING_SCHEMES:
-                graph, _ = graph_retained(blocks, weighting, pruning)
-                expected = {(e.first, e.second): e.weight for e in graph}
-                actual = {
-                    (e.first, e.second): e.weight
-                    for e in index.iter_retained(weighting, pruning)
-                }
-                assert expected == actual
 
 
 class TestCoBlockedNeighbourhoods:
@@ -409,10 +389,12 @@ class TestWnpThresholdRefinement:
     def test_refined_rows_equal_the_two_pass_reference(self, weighting, pruning):
         blocks = self.blocks()
         engine = EntityIndexEngine(blocks)
-        retained = {(e.first, e.second, e.weight) for e in engine.iter_retained(weighting, pruning)}
+        retained = {
+            (e.first, e.second, e.weight.hex()) for e in engine.iter_retained(weighting, pruning)
+        }
         assert engine.last_refined > 0
-        reference, _ = graph_retained(blocks, weighting, pruning)
-        assert retained == {(e.first, e.second, e.weight) for e in reference}
+        frozen = fixture()[f"hand/wnp_refinement/{weighting}+{pruning}"]["rows"]
+        assert retained == {tuple(row) for row in frozen}
 
     def test_integer_cbs_sums_are_never_refined(self):
         engine = EntityIndexEngine(self.blocks())

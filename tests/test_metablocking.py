@@ -1,14 +1,11 @@
 """Tests for the blocking graph, weighting schemes and pruning schemes."""
 
-import math
-
 import pytest
-from conftest import graph_metablocking
 
 from repro.blocking.base import Block, BlockCollection
 from repro.blocking.token_blocking import TokenBlocking
 from repro.evaluation.metrics import evaluate_comparisons
-from repro.metablocking.graph import BlockingGraph, WeightedEdge
+from repro.metablocking.entity_index import EntityIndexEngine
 from repro.metablocking.pipeline import MetaBlocking
 from repro.metablocking.pruning import (
     CardinalityEdgePruning,
@@ -19,7 +16,7 @@ from repro.metablocking.pruning import (
     WeightedNodePruning,
     get_pruning_scheme,
 )
-from repro.metablocking.weighting import ARCS, CBS, ECBS, EJS, JS, get_weighting_scheme
+from repro.metablocking.weighting import ARCS, CBS, get_weighting_scheme
 
 
 def make_blocks() -> BlockCollection:
@@ -34,74 +31,79 @@ def make_blocks() -> BlockCollection:
     )
 
 
+def edge_weights(blocks, weighting):
+    """Every edge of the blocking graph with its ``weighting`` weight."""
+    engine = EntityIndexEngine(blocks)
+    everything = engine.iter_retained(weighting, "CEP", budget=engine.count_edges())
+    return {edge.pair: edge.weight for edge in everything}
 
-def _metablocking(weighting, pruning, engine):
-    if engine == "graph":
-        return graph_metablocking(weighting, pruning)
-    return MetaBlocking(weighting, pruning)
+
+def pairs(blocks, pruning, weighting="CBS"):
+    return {edge.pair for edge in MetaBlocking(weighting, pruning).retained_edges(blocks)}
+
 
 class TestBlockingGraph:
     def test_structure(self):
-        graph = BlockingGraph(make_blocks())
-        assert graph.num_nodes == 5
+        engine = EntityIndexEngine(make_blocks())
+        assert engine.num_nodes == 5
         # distinct co-occurring pairs: ab, ac, bc, cd, de
-        assert graph.num_edges == 5
-        assert graph.neighbors("a") == {"b", "c"}
-        assert graph.neighbors("e") == {"d"}
+        assert engine.count_edges() == 5
+        assert set(edge_weights(make_blocks(), "CBS")) == {
+            ("a", "b"), ("a", "c"), ("b", "c"), ("c", "d"), ("d", "e")
+        }
+
+        def neighbours(identifier):
+            return {engine.identifier(o) for o in engine.co_blocked([engine.ordinal(identifier)])}
+
+        assert neighbours("a") == {"b", "c"}
+        assert neighbours("c") == {"a", "b", "d"}
+        assert neighbours("e") == {"d"}
 
     def test_shared_and_node_blocks(self):
-        graph = BlockingGraph(make_blocks())
-        assert graph.num_shared_blocks("a", "b") == 2
-        assert graph.num_shared_blocks("b", "a") == 2  # order-insensitive
-        assert graph.num_shared_blocks("a", "e") == 0
-        assert graph.num_node_blocks("a") == 2
-        assert graph.num_node_blocks("d") == 2
-        assert graph.node_degree("c") == 3
+        shared = edge_weights(make_blocks(), "CBS")
+        assert shared[("a", "b")] == 2.0
+        assert ("a", "e") not in shared
+        engine = EntityIndexEngine(make_blocks())
+        assert engine.node_blocks_count("a") == 2
+        assert engine.node_blocks_count("d") == 2
+        assert engine.node_blocks_count("nobody") == 0
 
     def test_bilateral_blocks_only_create_cross_edges(self):
         blocks = BlockCollection([Block("t", left_members=["l1", "l2"], right_members=["r1"])])
-        graph = BlockingGraph(blocks)
-        assert graph.num_edges == 2
-        assert graph.neighbors("l1") == {"r1"}
-        assert "l2" not in graph.neighbors("l1")
+        engine = EntityIndexEngine(blocks)
+        assert engine.count_edges() == 2
+        l1, l2, r1 = (engine.ordinal(i) for i in ("l1", "l2", "r1"))
+        assert engine.compared(l1, r1) and engine.compared(r1, l2)
+        assert not engine.compared(l1, l2)
+        assert set(edge_weights(blocks, "CBS")) == {("l1", "r1"), ("l2", "r1")}
 
 
 class TestWeightingSchemes:
     def test_cbs_counts_shared_blocks(self):
-        graph = BlockingGraph(make_blocks())
-        assert CBS().weight(graph, "a", "b") == 2.0
-        assert CBS().weight(graph, "a", "c") == 1.0
+        weights = edge_weights(make_blocks(), "CBS")
+        assert weights[("a", "b")] == 2.0
+        assert weights[("a", "c")] == 1.0
 
     def test_ecbs_discounts_prolific_nodes(self):
-        graph = BlockingGraph(make_blocks())
-        ecbs = ECBS()
-        # same number of shared blocks, but 'c' is in 2 blocks while 'b' is in 2 as well;
-        # compare a pair with low-degree nodes against one with the same shared count
-        weight_ab = ecbs.weight(graph, "a", "b")
-        weight_de = ecbs.weight(graph, "d", "e")
-        assert weight_ab > 0 and weight_de > 0
+        weights = edge_weights(make_blocks(), "ECBS")
+        assert weights[("a", "b")] > 0 and weights[("d", "e")] > 0
         # (a, b) share twice as many blocks, so even after discounting they rank higher
-        assert weight_ab > weight_de
+        assert weights[("a", "b")] > weights[("d", "e")]
 
     def test_js_is_jaccard_of_block_sets(self):
-        graph = BlockingGraph(make_blocks())
-        assert JS().weight(graph, "a", "b") == pytest.approx(1.0)  # identical block sets
-        assert JS().weight(graph, "a", "c") == pytest.approx(1 / 3)
+        weights = edge_weights(make_blocks(), "JS")
+        assert weights[("a", "b")] == pytest.approx(1.0)  # identical block sets
+        assert weights[("a", "c")] == pytest.approx(1 / 3)
 
-    def test_ejs_requires_prepare_and_discounts_high_degree(self):
-        graph = BlockingGraph(make_blocks())
-        ejs = EJS()
-        ejs.prepare(graph)
-        weight_ab = ejs.weight(graph, "a", "b")
-        weight_ac = ejs.weight(graph, "a", "c")
-        assert weight_ab > weight_ac
+    def test_ejs_discounts_high_degree(self):
+        weights = edge_weights(make_blocks(), "EJS")
+        assert weights[("a", "b")] > weights[("a", "c")]
 
     def test_arcs_prefers_small_blocks(self):
-        graph = BlockingGraph(make_blocks())
-        arcs = ARCS()
+        weights = edge_weights(make_blocks(), "ARCS")
         # (a,b): blocks t1 (1 comparison) and t2 (3 comparisons) -> 1 + 1/3
-        assert arcs.weight(graph, "a", "b") == pytest.approx(1 + 1 / 3)
-        assert arcs.weight(graph, "d", "e") == pytest.approx(1.0)
+        assert weights[("a", "b")] == pytest.approx(1 + 1 / 3)
+        assert weights[("d", "e")] == pytest.approx(1.0)
 
     def test_scheme_lookup(self):
         assert isinstance(get_weighting_scheme("cbs"), CBS)
@@ -112,34 +114,29 @@ class TestWeightingSchemes:
 
 class TestPruningSchemes:
     def test_wep_keeps_above_average_edges(self):
-        graph = BlockingGraph(make_blocks())
-        retained = WeightedEdgePruning().prune(graph, CBS())
-        pairs = {edge.pair for edge in retained}
-        assert ("a", "b") in pairs  # the heaviest edge always survives
-        assert len(retained) < graph.num_edges
+        retained = pairs(make_blocks(), WeightedEdgePruning())
+        assert ("a", "b") in retained  # the heaviest edge always survives
+        assert len(retained) < 5
 
     def test_cep_respects_budget(self):
-        graph = BlockingGraph(make_blocks())
-        retained = CardinalityEdgePruning(budget=2).prune(graph, CBS())
+        retained = MetaBlocking("CBS", CardinalityEdgePruning(budget=2)).weighted_comparisons(
+            make_blocks()
+        )
         assert len(retained) == 2
         assert retained[0].weight >= retained[1].weight
 
     def test_cnp_keeps_top_k_per_node(self):
-        graph = BlockingGraph(make_blocks())
-        retained = CardinalityNodePruning(k=1).prune(graph, CBS())
-        pairs = {edge.pair for edge in retained}
+        retained = pairs(make_blocks(), CardinalityNodePruning(k=1))
         # every node keeps its best edge, so every node is covered
-        covered = {node for pair in pairs for node in pair}
+        covered = {node for pair in retained for node in pair}
         assert covered == {"a", "b", "c", "d", "e"}
 
     def test_reciprocal_variants_are_subsets(self):
-        graph = BlockingGraph(make_blocks())
-        wnp = {e.pair for e in WeightedNodePruning().prune(graph, CBS())}
-        reciprocal_wnp = {e.pair for e in ReciprocalWeightedNodePruning().prune(graph, CBS())}
-        cnp = {e.pair for e in CardinalityNodePruning(k=1).prune(graph, CBS())}
-        reciprocal_cnp = {e.pair for e in ReciprocalCardinalityNodePruning(k=1).prune(graph, CBS())}
-        assert reciprocal_wnp <= wnp
-        assert reciprocal_cnp <= cnp
+        blocks = make_blocks()
+        assert pairs(blocks, ReciprocalWeightedNodePruning()) <= pairs(blocks, WeightedNodePruning())
+        assert pairs(blocks, ReciprocalCardinalityNodePruning(k=1)) <= pairs(
+            blocks, CardinalityNodePruning(k=1)
+        )
 
     @pytest.mark.parametrize(
         "scheme, parameter",
@@ -160,9 +157,8 @@ class TestPruningSchemes:
         assert CardinalityEdgePruning(budget=value).budget == value
 
     def test_empty_graph(self):
-        graph = BlockingGraph(BlockCollection())
-        assert WeightedEdgePruning().prune(graph, CBS()) == []
-        assert CardinalityEdgePruning().prune(graph, CBS()) == []
+        assert pairs(BlockCollection(), WeightedEdgePruning()) == set()
+        assert pairs(BlockCollection(), CardinalityEdgePruning()) == set()
 
     def test_pruning_lookup(self):
         assert isinstance(get_pruning_scheme("wep"), WeightedEdgePruning)
@@ -200,13 +196,12 @@ class TestMetaBlockingPipeline:
             )
             assert quality.pair_completeness >= 0.85
 
-    @pytest.mark.parametrize("engine", ["graph", "index"])
-    def test_last_run_statistics_populated_by_both_engines(self, engine):
+    def test_last_run_statistics_are_populated(self):
         blocks = make_blocks()
-        metablocking = _metablocking("CBS", "CEP", engine)
+        metablocking = MetaBlocking("CBS", "CEP")
         assert metablocking.last_input_comparisons == 0  # nothing ran yet
         retained = metablocking.retained_edges(blocks)
-        assert metablocking.last_engine == engine
+        assert metablocking.last_engine == "index"
         assert metablocking.last_input_comparisons == blocks.total_comparisons()
         assert metablocking.last_graph_edges == 5
         assert metablocking.last_retained_edges == len(retained)
@@ -216,8 +211,7 @@ class TestMetaBlockingPipeline:
         assert metablocking.last_graph_edges == 0
         assert metablocking.last_retained_edges == 0
 
-    @pytest.mark.parametrize("engine", ["graph", "index"])
-    def test_weighted_comparisons_ordering_is_deterministic_under_ties(self, engine):
+    def test_weighted_comparisons_ordering_is_deterministic_under_ties(self):
         # every pair shares exactly one block -> all CBS weights tie at 1.0
         blocks = BlockCollection(
             [
@@ -227,18 +221,18 @@ class TestMetaBlockingPipeline:
                 Block("t4", members=["a", "d"]),
             ]
         )
-        metablocking = _metablocking("CBS", "CNP", engine)
+        metablocking = MetaBlocking("CBS", "CNP")
         comparisons = metablocking.weighted_comparisons(blocks)
         assert all(c.weight == 1.0 for c in comparisons)
         # with k=1 each node endorses its (weight, first, second)-largest edge:
         # (a,b) is endorsed by neither endpoint and is pruned; the surviving
-        # ties are ordered by the canonical pair, stable across runs and engines
+        # ties are ordered by the canonical pair, stable across runs
         assert [c.pair for c in comparisons] == [
             ("a", "d"),
             ("b", "c"),
             ("c", "d"),
         ]
-        rerun = _metablocking("CBS", "CNP", engine).weighted_comparisons(blocks)
+        rerun = MetaBlocking("CBS", "CNP").weighted_comparisons(blocks)
         assert [c.pair for c in rerun] == [c.pair for c in comparisons]
 
     def test_node_centric_keeps_more_recall_than_edge_centric(self, small_dirty_dataset):

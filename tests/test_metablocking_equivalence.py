@@ -1,21 +1,27 @@
-"""Property-based equivalence of the graph and entity-index meta-blocking paths.
+"""Seeded meta-blocking fixture: every weighting x pruning case, frozen.
 
-For seeded random block collections -- dirty, clean--clean and mixed -- every
-(weighting x pruning) combination must retain the *same comparison set* with
-the *same weights* in the legacy object graph (the oracle,
-``pruning.prune(BlockingGraph(blocks), weighting)``) and the entity-index
-engine.
-
-The graph engine is compared with a 1e-9 weight tolerance, but it also
-matches bit for bit (held on all three kinds of collection): both engines compute
-per-edge weights with the same operand order and compute the WEP/WNP
-thresholds with :func:`math.fsum`, whose exactly rounded result is
-independent of accumulation order -- so even edges lying mathematically *on* a
-threshold (common with ARCS on bilateral blocks) are resolved identically.
+``tests/fixtures/metablocking/seeded.json`` freezes what the object
+reference implementation, ``pruning.prune(BlockingGraph(blocks),
+weighting)``, retained when it still ran beside the index engine (both
+agreed on every case, weights bit for bit): seeded random block collections
+-- dirty, clean--clean and mixed -- under every (weighting x pruning) pair,
+CEP budgets and CNP / ReciprocalCNP ``k`` values around the ties CBS's
+integer weights make, and the hand-built collections of the unit suites.
+Per case it keeps the blocking graph's edge count, the retained count and
+the retained rows in :meth:`MetaBlocking.weighted_comparisons` order, weights
+as ``float.hex``.  :meth:`MetaBlocking.weighted_columns` (over the index's
+own identifier table and over a padded context) and
+:meth:`EntityIndexEngine.retained_columns` must reproduce every case byte for
+byte; the pool suite holds the pooled ranged passes to a subset.
 
 The random collections deliberately use identifiers whose lexicographic order
 differs from their insertion order, so the canonical-pair handling of the
 index engine (tie-breaks, ECBS/EJS factor ordering) is exercised for real.
+
+Regenerating the fixture (only when what a scheme retains changes on
+purpose): run this module as a script::
+
+    PYTHONPATH=src python tests/test_metablocking_equivalence.py
 """
 
 from __future__ import annotations
@@ -27,7 +33,6 @@ from pathlib import Path
 from typing import List
 
 import pytest
-from conftest import graph_retained
 
 from repro.blocking.base import Block, BlockCollection
 from repro.core.context import PipelineContext
@@ -35,11 +40,7 @@ from repro.datamodel.collection import EntityCollection
 from repro.datamodel.description import EntityDescription
 from repro.metablocking import MetaBlocking
 from repro.metablocking.entity_index import EntityIndexEngine
-from repro.metablocking.pruning import (
-    CardinalityEdgePruning,
-    CardinalityNodePruning,
-    get_pruning_scheme,
-)
+from repro.metablocking.pruning import get_pruning_scheme
 
 WEIGHTING_SCHEMES = ("CBS", "ECBS", "JS", "EJS", "ARCS")
 PRUNING_SCHEMES = ("WEP", "CEP", "WNP", "CNP", "ReciprocalWNP", "ReciprocalCNP")
@@ -92,89 +93,11 @@ def random_mixed_blocks(seed: int) -> BlockCollection:
     return collection
 
 
-def _retained(edges):
-    return {(edge.first, edge.second): edge.weight for edge in edges}
-
-
-def _assert_engines_agree(blocks: BlockCollection, weighting: str, pruning) -> None:
-    graph_edges, graph = graph_retained(blocks, weighting, pruning)
-    index_mb = MetaBlocking(weighting, pruning)
-    expected = _retained(graph_edges)
-    actual = _retained(index_mb.retained_edges(blocks))
-    assert index_mb.last_engine == "index"
-    assert expected.keys() == actual.keys(), (
-        f"{weighting}+{pruning}: retained sets differ "
-        f"(only graph: {sorted(set(expected) - set(actual))[:5]}, "
-        f"only index: {sorted(set(actual) - set(expected))[:5]})"
-    )
-    for pair, weight in expected.items():
-        assert actual[pair] == pytest.approx(weight, abs=1e-9), (weighting, pruning, pair)
-    # the engine must also report the graph's statistics
-    assert graph.num_edges == index_mb.last_graph_edges
-    assert len(graph_edges) == index_mb.last_retained_edges == len(actual)
-
-
-@pytest.mark.parametrize("seed", SEEDS)
-@pytest.mark.parametrize("weighting", WEIGHTING_SCHEMES)
-@pytest.mark.parametrize("pruning", PRUNING_SCHEMES)
-def test_dirty_equivalence(seed, weighting, pruning):
-    _assert_engines_agree(random_dirty_blocks(seed), weighting, pruning)
-
-
-@pytest.mark.parametrize("seed", SEEDS[:3])
-@pytest.mark.parametrize("weighting", WEIGHTING_SCHEMES)
-@pytest.mark.parametrize("pruning", PRUNING_SCHEMES)
-def test_clean_clean_equivalence(seed, weighting, pruning):
-    _assert_engines_agree(random_bilateral_blocks(seed), weighting, pruning)
-
-
-@pytest.mark.parametrize("seed", SEEDS[:3])
-@pytest.mark.parametrize("weighting", WEIGHTING_SCHEMES)
-@pytest.mark.parametrize("pruning", PRUNING_SCHEMES)
-def test_mixed_equivalence(seed, weighting, pruning):
-    _assert_engines_agree(random_mixed_blocks(seed), weighting, pruning)
-
-
-@pytest.mark.parametrize("seed", SEEDS[:2])
-@pytest.mark.parametrize("weighting", ("CBS", "ARCS"))
-@pytest.mark.parametrize("budget", (1, 5, 40, 10_000))
-def test_custom_cep_budget_equivalence(seed, weighting, budget):
-    blocks = random_dirty_blocks(seed)
-    _assert_engines_agree(blocks, weighting, CardinalityEdgePruning(budget=budget))
-
-
-@pytest.mark.parametrize("seed", SEEDS[:2])
-@pytest.mark.parametrize("weighting", ("ECBS", "EJS"))
-@pytest.mark.parametrize("k", (1, 2, 7))
-def test_custom_cnp_k_equivalence(seed, weighting, k):
-    blocks = random_dirty_blocks(seed)
-    _assert_engines_agree(blocks, weighting, CardinalityNodePruning(k=k))
-
-
 RANDOM_COLLECTIONS = {
     "dirty": random_dirty_blocks,
     "clean-clean": random_bilateral_blocks,
     "mixed": random_mixed_blocks,
 }
-
-
-@pytest.mark.parametrize("kind", sorted(RANDOM_COLLECTIONS))
-@pytest.mark.parametrize("seed", SEEDS[:3])
-@pytest.mark.parametrize("weighting", WEIGHTING_SCHEMES)
-@pytest.mark.parametrize("pruning", PRUNING_SCHEMES)
-def test_index_engine_is_bit_identical_to_the_graph_engine(kind, seed, weighting, pruning):
-    """The index engine's weights equal the graph oracle's exactly."""
-    blocks = RANDOM_COLLECTIONS[kind](seed)
-    graph_edges, graph = graph_retained(blocks, weighting, pruning)
-    expected = _retained(graph_edges)
-    index = EntityIndexEngine(blocks)
-    actual = {
-        (edge.first, edge.second): edge.weight
-        for edge in index.iter_retained(weighting, pruning)
-    }
-    assert expected == actual  # bit-for-bit, no tolerance
-    assert index.last_num_edges == graph.num_edges
-    assert index.last_retained == len(graph_edges)
 
 
 # ---------------------------------------------------------------------------
@@ -235,37 +158,22 @@ def test_identifier_table_with_unblocked_descriptions_changes_nothing(kind):
     also holds the descriptions purging, filtering or unique tokens left
     outside every block.  They must not move anything -- in particular not
     the CNP default ``k`` (assignments per *node*): all 30 combos still
-    retain what the graph engine and the engine's own table retain.
+    retain the frozen rows.
     """
-    blocks = SEAM_COLLECTIONS[kind](97)
+    blocks = collection(f"{kind}/42")
     plain = EntityIndexEngine(blocks)
-    members = plain.ids
-    table = (
-        [f"!unblocked:{i}" for i in range(len(members))]
-        + members[::-1]
-        + [f"~unblocked:{i}" for i in range(len(members))]
-    )
-    padded = EntityIndexEngine(blocks, ids=table)
+    padded = EntityIndexEngine(blocks, ids=padded_table(blocks))
     assert padded.num_entities == 3 * plain.num_entities
     assert padded.num_nodes == plain.num_nodes == plain.num_entities
-
-    def rows(engine, weighting, pruning):
-        first, second, weights = engine.retained_columns(weighting, pruning)
-        return sorted(
-            (engine.identifier(f), engine.identifier(s), w)
-            for f, s, w in zip(first, second, weights)
-        )
-
     for weighting in WEIGHTING_SCHEMES:
         for pruning in PRUNING_SCHEMES:
-            expected = rows(plain, weighting, pruning)
-            assert rows(padded, weighting, pruning) == expected, (weighting, pruning)
+            expected = fixture()[f"{kind}/42/{weighting}+{pruning}"]
+            columns = padded.retained_columns(weighting, pruning)
+            assert engine_rows(padded, columns) == expected["rows"], (weighting, pruning)
             assert (padded.last_num_edges, padded.last_retained) == (
-                plain.last_num_edges,
-                plain.last_retained,
+                expected["graph_edges"],
+                expected["retained"],
             )
-            graph, _ = graph_retained(blocks, weighting, pruning)
-            assert sorted((e.first, e.second, e.weight) for e in graph) == expected
 
 
 # ---------------------------------------------------------------------------
@@ -395,12 +303,12 @@ def frozen_rows(triples) -> list:
 def _freeze_fixture() -> None:
     cases = {}
     for name, (key, weighting, pruning, params) in fixture_cases():
-        pruning_scheme = get_pruning_scheme(pruning, **params)
-        edges, graph = graph_retained(collection(key), weighting, pruning_scheme)
+        metablocking = MetaBlocking(weighting, get_pruning_scheme(pruning, **params))
+        columns = metablocking.weighted_columns(collection(key))
         cases[name] = {
-            "graph_edges": graph.num_edges,
-            "retained": len(edges),
-            "rows": frozen_rows((e.first, e.second, e.weight) for e in edges),
+            "graph_edges": metablocking.last_graph_edges,
+            "retained": metablocking.last_retained_edges,
+            "rows": column_rows(columns),
         }
     FIXTURE.parent.mkdir(parents=True, exist_ok=True)
     compact = functools.partial(json.dumps, sort_keys=True, separators=(",", ":"))

@@ -1,9 +1,10 @@
 """Golden regression fixtures for meta-blocking.
 
-``tests/fixtures/metablocking/*.json`` freezes the retained-edge output of the
-legacy graph engine on the builtin datasets (token blocking, every weighting x
-pruning combination).  Both engines must keep reproducing these exact results,
-so future optimisations of either engine cannot silently change what
+``tests/fixtures/metablocking/{census,restaurants}.json`` freeze the
+retained-edge output of the object reference implementation that once ran
+beside the index engine, on the builtin datasets (token blocking, every
+weighting x pruning combination).  The pipeline must keep reproducing these
+exact results, so future optimisations cannot silently change what
 meta-blocking retains.
 
 Regenerating the fixtures (only when the meta-blocking semantics change on
@@ -18,7 +19,6 @@ import json
 from pathlib import Path
 
 import pytest
-from conftest import graph_retained
 
 from repro.blocking.token_blocking import TokenBlocking
 from repro.core.context import PipelineContext
@@ -50,24 +50,18 @@ def test_fixture_covers_all_combos(dataset_name):
     assert set(fixture["combos"]) == expected
 
 
-@pytest.mark.parametrize("engine", ("graph", "index"))
 @pytest.mark.parametrize("dataset_name", sorted(DATASETS))
-def test_engines_reproduce_golden_output(dataset_name, engine):
+def test_retained_edges_reproduce_golden_output(dataset_name):
     blocks = _blocks(dataset_name)
     fixture = _fixture(dataset_name)
     for combo, frozen in fixture["combos"].items():
         weighting, pruning = combo.split("+")
-        if engine == "graph":
-            edges, graph = graph_retained(blocks, weighting, pruning)
-            graph_edges = graph.num_edges
-        else:
-            metablocking = MetaBlocking(weighting, pruning)
-            edges = metablocking.retained_edges(blocks)
-            graph_edges = metablocking.last_graph_edges
-        assert graph_edges == frozen["graph_edges"], combo
-        # bit for bit: the frozen weights are what both engines compute
+        metablocking = MetaBlocking(weighting, pruning)
+        edges = metablocking.retained_edges(blocks)
+        assert metablocking.last_graph_edges == frozen["graph_edges"], combo
+        # bit for bit: the frozen weights are what the engine computes
         actual = sorted([edge.first, edge.second, edge.weight] for edge in edges)
-        assert actual == frozen["retained"], f"{dataset_name}/{combo}/{engine}"
+        assert actual == frozen["retained"], f"{dataset_name}/{combo}"
 
 
 def _padded(collection) -> EntityCollection:
@@ -125,9 +119,10 @@ def _regenerate() -> None:
         combos = {}
         for weighting in WEIGHTING_SCHEMES:
             for pruning in PRUNING_SCHEMES:
-                edges, graph = graph_retained(blocks, weighting, pruning)
+                metablocking = MetaBlocking(weighting, pruning)
+                edges = metablocking.retained_edges(blocks)
                 combos[f"{weighting}+{pruning}"] = {
-                    "graph_edges": graph.num_edges,
+                    "graph_edges": metablocking.last_graph_edges,
                     "retained": sorted([e.first, e.second, e.weight] for e in edges),
                 }
         payload = {

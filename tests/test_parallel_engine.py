@@ -5,8 +5,9 @@ enabling it never changes a result: the retained meta-blocking
 edges (weights *and* order, i.e. tie order) must be bit-identical to the
 single-process array engines for every worker count.  These tests sweep
 dirty and clean--clean collections across 1/2/4/8 workers, every weighting x
-pruning scheme pair, the replicas against the graph oracle, and the degenerate
-shapes (empty collection, single entity, more workers than entities).
+pruning scheme pair, the replicas against the frozen meta-blocking fixture,
+and the degenerate shapes (empty collection, single entity, more workers
+than entities).
 
 The lifecycle tests assert the driver-owns-everything rule observably: after
 ``close`` no shared-memory segment created by the engine is left behind in
@@ -31,7 +32,7 @@ from array import array
 from concurrent.futures.process import BrokenProcessPool
 
 import pytest
-from conftest import graph_retained
+from test_metablocking_equivalence import collection, column_rows, fixture, fixture_cases
 
 from repro.blocking.cleaning import BlockFiltering, BlockPurging
 from repro.blocking.engine import BlockingEngine
@@ -206,22 +207,27 @@ class TestParallelMetaBlocking:
         assert metablocking.last_engine == "parallel"
         assert got == expected
 
-    @pytest.mark.parametrize("weighting", ("CBS", "EJS"))
-    def test_replicas_match_the_graph_oracle(self, dirty_setup, weighting):
-        # the worker replicas retain the graph engine's edges, weights bit for bit
-        _, _, blocks = dirty_setup
-        edges, graph = graph_retained(blocks, weighting, "CNP")
-        expected = sorted((e.first, e.second, e.weight) for e in edges)
-        sharded = EntityIndexEngine(blocks)
-        with ParallelEngine(num_workers=3) as par:
-            got = par.retained_edges(sharded, weighting, "CNP")
-        assert len(got[0]) > 0
-        named = sorted(
-            (sharded.identifier(f), sharded.identifier(s), w) for f, s, w in zip(*got)
-        )
-        assert named == expected
-        assert sharded.last_num_edges == graph.num_edges
-        assert sharded.last_retained == len(edges) == len(got[0])
+    @pytest.mark.parametrize("kind", ("dirty", "clean-clean", "mixed"))
+    def test_replicas_reproduce_the_frozen_fixture(self, kind):
+        # the pooled ranged passes retain the frozen rows, weights bit for bit
+        cases = [
+            (name, spec)
+            for name, spec in fixture_cases()
+            if name.startswith(f"{kind}/3/") and spec[2] in ("WEP", "CEP", "CNP")
+        ]
+        assert len(cases) == 15
+        blocks = collection(f"{kind}/3")
+        with ParallelEngine(num_workers=2) as par:
+            for name, (_key, weighting, pruning, _params) in cases:
+                metablocking = MetaBlocking(weighting, pruning)
+                columns = metablocking.weighted_columns(blocks, parallel=par)
+                assert metablocking.last_engine == "parallel"
+                expected = fixture()[name]
+                assert column_rows(columns) == expected["rows"], name
+                assert (metablocking.last_graph_edges, metablocking.last_retained_edges) == (
+                    expected["graph_edges"],
+                    expected["retained"],
+                )
 
 
 class TestEdgeCasesAndLifecycle:

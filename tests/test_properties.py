@@ -11,9 +11,11 @@ from repro.datamodel.description import EntityDescription, merge_descriptions
 from repro.datamodel.ground_truth import GroundTruth
 from repro.evaluation.curves import ProgressiveRecallCurve
 from repro.evaluation.metrics import evaluate_comparisons
-from repro.metablocking.graph import BlockingGraph
-from repro.metablocking.pruning import CardinalityNodePruning, WeightedEdgePruning
-from repro.metablocking.weighting import ARCS, CBS, ECBS, JS
+from repro.metablocking.entity_index import (
+    INDEX_PRUNING_SCHEMES,
+    INDEX_WEIGHTING_SCHEMES,
+    EntityIndexEngine,
+)
 from repro.text.tokenize import token_set
 
 
@@ -66,30 +68,34 @@ def test_cleaning_never_adds_comparisons(blocks):
     assert propagated.total_comparisons() == blocks.num_distinct_comparisons()
 
 
+def all_edges(engine, weighting="CBS"):
+    """Every edge of the blocking graph: CEP with a budget that keeps them all."""
+    return engine.iter_retained(weighting, "CEP", budget=engine.count_edges())
+
+
 @given(block_collections())
 @settings(max_examples=50, deadline=None)
 def test_blocking_graph_edges_equal_distinct_pairs(blocks):
-    graph = BlockingGraph(blocks)
-    assert graph.num_edges == blocks.num_distinct_comparisons()
-    assert set(graph.edges()) == blocks.distinct_pairs()
+    engine = EntityIndexEngine(blocks)
+    assert engine.count_edges() == blocks.num_distinct_comparisons()
+    assert {edge.pair for edge in all_edges(engine)} == blocks.distinct_pairs()
 
 
 @given(block_collections())
 @settings(max_examples=40, deadline=None)
 def test_weighting_schemes_are_positive_on_edges(blocks):
-    graph = BlockingGraph(blocks)
-    for scheme in (CBS(), ECBS(), JS(), ARCS()):
-        for first, second in graph.edges():
-            assert scheme.weight(graph, first, second) > 0.0
+    engine = EntityIndexEngine(blocks)
+    for weighting in INDEX_WEIGHTING_SCHEMES:
+        assert all(edge.weight > 0.0 for edge in all_edges(engine, weighting))
 
 
 @given(block_collections())
 @settings(max_examples=40, deadline=None)
 def test_pruning_output_is_subset_of_edges(blocks):
-    graph = BlockingGraph(blocks)
-    edges = set(graph.edges())
-    for scheme in (WeightedEdgePruning(), CardinalityNodePruning()):
-        retained = {edge.pair for edge in scheme.prune(graph, CBS())}
+    engine = EntityIndexEngine(blocks)
+    edges = {edge.pair for edge in all_edges(engine)}
+    for pruning in INDEX_PRUNING_SCHEMES:
+        retained = {edge.pair for edge in engine.iter_retained("CBS", pruning)}
         assert retained <= edges
 
 
