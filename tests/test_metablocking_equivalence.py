@@ -358,8 +358,8 @@ def engine_rows(engine: EntityIndexEngine, columns) -> list:
     )
 
 
-def assert_cases(key: str, weighting: str, cases) -> None:
-    """Cases of one collection and weighting: ``(name, pruning, parameters)``.
+def assert_cases(key: str, cases) -> None:
+    """The cases of one collection: ``(name, weighting, pruning, parameters)``.
 
     Each goes through the pipeline, over the index's own table and over a
     padded context, and through one index engine that answers them all in
@@ -368,7 +368,7 @@ def assert_cases(key: str, weighting: str, cases) -> None:
     blocks = collection(key)
     context = padded_context(blocks)
     engine = EntityIndexEngine(blocks)
-    for name, pruning, params in cases:
+    for name, weighting, pruning, params in cases:
         expected = fixture()[name]
         statistics = (expected["graph_edges"], expected["retained"])
         for own_context in (None, context):
@@ -379,38 +379,30 @@ def assert_cases(key: str, weighting: str, cases) -> None:
         columns = engine.retained_columns(weighting, pruning, **params)
         assert engine_rows(engine, columns) == expected["rows"], name
         assert (engine.last_num_edges, engine.last_retained) == statistics
-        if key.startswith("hand/"):
-            comparisons = metablocking.weighted_comparisons(blocks)
-            assert [[c.first, c.second, c.weight.hex()] for c in comparisons] == expected["rows"]
 
 
 def fixture_groups(*prefixes):
-    """The cases named ``<prefix>...``, one test parameter per collection and weighting."""
+    """The cases named ``<prefix>...``, one test parameter per collection."""
     groups = {}
     for name, (key, weighting, pruning, params) in fixture_cases():
         if name.startswith(prefixes):
-            groups.setdefault((key, weighting), []).append((name, pruning, params))
-    return [
-        pytest.param(key, weighting, cases, id=f"{key}/{weighting}")
-        for (key, weighting), cases in groups.items()
-    ]
+            groups.setdefault(key, []).append((name, weighting, pruning, params))
+    return [pytest.param(key, cases, id=key) for key, cases in groups.items()]
 
 
-@pytest.mark.parametrize(
-    "key, weighting, cases", fixture_groups("dirty/", "clean-clean/", "mixed/")
-)
-def test_seeded_cases_reproduce_the_fixture(key, weighting, cases):
-    assert_cases(key, weighting, cases)
+@pytest.mark.parametrize("key, cases", fixture_groups("dirty/", "clean-clean/", "mixed/"))
+def test_seeded_cases_reproduce_the_fixture(key, cases):
+    assert_cases(key, cases)
 
 
-@pytest.mark.parametrize("key, weighting, cases", fixture_groups("budget/", "k/"))
-def test_budget_and_k_cases_reproduce_the_fixture(key, weighting, cases):
-    assert_cases(key, weighting, cases)
+@pytest.mark.parametrize("key, cases", fixture_groups("budget/", "k/"))
+def test_budget_and_k_cases_reproduce_the_fixture(key, cases):
+    assert_cases(key, cases)
 
 
-@pytest.mark.parametrize("key, weighting, cases", fixture_groups("hand/"))
-def test_hand_built_cases_reproduce_the_fixture(key, weighting, cases):
-    assert_cases(key, weighting, cases)
+@pytest.mark.parametrize("key, cases", fixture_groups("hand/"))
+def test_hand_built_cases_reproduce_the_fixture(key, cases):
+    assert_cases(key, cases)
 
 
 def test_the_fixture_covers_every_case():
