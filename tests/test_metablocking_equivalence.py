@@ -358,51 +358,55 @@ def engine_rows(engine: EntityIndexEngine, columns) -> list:
     )
 
 
-def assert_cases(key: str, cases) -> None:
-    """The cases of one collection: ``(name, weighting, pruning, parameters)``.
-
-    Each goes through the pipeline, over the index's own table and over a
-    padded context, and through one index engine that answers them all in
-    turn.
-    """
+@functools.lru_cache(maxsize=None)
+def case_inputs(key: str):
+    """The collection of ``key``, a padded context over it, and one index
+    engine that answers all of its cases in turn."""
     blocks = collection(key)
-    context = padded_context(blocks)
-    engine = EntityIndexEngine(blocks)
-    for name, weighting, pruning, params in cases:
-        expected = fixture()[name]
-        statistics = (expected["graph_edges"], expected["retained"])
-        for own_context in (None, context):
-            metablocking = MetaBlocking(weighting, get_pruning_scheme(pruning, **params))
-            columns = metablocking.weighted_columns(blocks, context=own_context)
-            assert column_rows(columns) == expected["rows"], (name, own_context)
-            assert (metablocking.last_graph_edges, metablocking.last_retained_edges) == statistics
-        columns = engine.retained_columns(weighting, pruning, **params)
-        assert engine_rows(engine, columns) == expected["rows"], name
-        assert (engine.last_num_edges, engine.last_retained) == statistics
+    return blocks, padded_context(blocks), EntityIndexEngine(blocks)
 
 
-def fixture_groups(*prefixes):
-    """The cases named ``<prefix>...``, one test parameter per collection."""
-    groups = {}
-    for name, (key, weighting, pruning, params) in fixture_cases():
-        if name.startswith(prefixes):
-            groups.setdefault(key, []).append((name, weighting, pruning, params))
-    return [pytest.param(key, cases, id=key) for key, cases in groups.items()]
+def assert_case(name: str, key: str, weighting: str, pruning: str, params: dict) -> None:
+    """One case through the pipeline, over the index's own table and over a
+    padded context, and through the collection's index engine."""
+    blocks, context, engine = case_inputs(key)
+    expected = fixture()[name]
+    statistics = (expected["graph_edges"], expected["retained"])
+    for own_context in (None, context):
+        metablocking = MetaBlocking(weighting, get_pruning_scheme(pruning, **params))
+        columns = metablocking.weighted_columns(blocks, context=own_context)
+        assert column_rows(columns) == expected["rows"], own_context
+        assert (metablocking.last_graph_edges, metablocking.last_retained_edges) == statistics
+    columns = engine.retained_columns(weighting, pruning, **params)
+    assert engine_rows(engine, columns) == expected["rows"]
+    assert (engine.last_num_edges, engine.last_retained) == statistics
 
 
-@pytest.mark.parametrize("key, cases", fixture_groups("dirty/", "clean-clean/", "mixed/"))
-def test_seeded_cases_reproduce_the_fixture(key, cases):
-    assert_cases(key, cases)
+def fixture_params(*prefixes):
+    """The cases named ``<prefix>...``, one test parameter each."""
+    return [
+        pytest.param(name, *spec, id=name)
+        for name, spec in fixture_cases()
+        if name.startswith(prefixes)
+    ]
 
 
-@pytest.mark.parametrize("key, cases", fixture_groups("budget/", "k/"))
-def test_budget_and_k_cases_reproduce_the_fixture(key, cases):
-    assert_cases(key, cases)
+CASE_ARGUMENTS = "name, key, weighting, pruning, params"
 
 
-@pytest.mark.parametrize("key, cases", fixture_groups("hand/"))
-def test_hand_built_cases_reproduce_the_fixture(key, cases):
-    assert_cases(key, cases)
+@pytest.mark.parametrize(CASE_ARGUMENTS, fixture_params("dirty/", "clean-clean/", "mixed/"))
+def test_seeded_cases_reproduce_the_fixture(name, key, weighting, pruning, params):
+    assert_case(name, key, weighting, pruning, params)
+
+
+@pytest.mark.parametrize(CASE_ARGUMENTS, fixture_params("budget/", "k/"))
+def test_budget_and_k_cases_reproduce_the_fixture(name, key, weighting, pruning, params):
+    assert_case(name, key, weighting, pruning, params)
+
+
+@pytest.mark.parametrize(CASE_ARGUMENTS, fixture_params("hand/"))
+def test_hand_built_cases_reproduce_the_fixture(name, key, weighting, pruning, params):
+    assert_case(name, key, weighting, pruning, params)
 
 
 def test_the_fixture_covers_every_case():
