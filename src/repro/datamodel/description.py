@@ -52,6 +52,8 @@ class EntityDescription:
         source: Optional[str] = None,
         relationships: Optional[Mapping[str, object]] = None,
     ) -> None:
+        if not isinstance(identifier, str):
+            raise TypeError(f"identifier must be a str, got {type(identifier).__name__}")
         if not identifier:
             raise ValueError("an entity description requires a non-empty identifier")
         self.identifier = identifier

@@ -86,7 +86,7 @@ def load_collection_json(path: Union[str, Path]) -> EntityCollection:
     """Load a collection from the JSON interchange format (full round-trip).
 
     Raises :class:`ValueError` for a payload that is not an object with a
-    ``descriptions`` list, or for a record without an ``id``.
+    ``descriptions`` list, or for a record without a ``str`` ``id``.
     """
     path = Path(path)
     with path.open(encoding="utf-8") as handle:
@@ -98,6 +98,8 @@ def load_collection_json(path: Union[str, Path]) -> EntityCollection:
     for position, record in enumerate(records):
         if not isinstance(record, dict) or "id" not in record:
             raise ValueError(f"{path}: description {position} has no 'id'")
+        if not isinstance(record["id"], str):
+            raise ValueError(f"{path}: description {position} has a non-str 'id' {record['id']!r}")
         description = EntityDescription(
             record["id"],
             attributes=record.get("attributes"),

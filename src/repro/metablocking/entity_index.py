@@ -15,7 +15,8 @@ arrays in CSR form:
   cross-source comparisons;
 * :meth:`~EntityIndexEngine._sorted_members` -- the int32 copy of
   ``_blk_ents`` sorted within each (block, side) segment, with its ascending
-  int64 keys ``(2 * block + side) * N + member``, gathered from.
+  int64 keys ``(2 * block + side) * N + member`` and the place in it of every
+  entity-side assignment, gathered from.
 
 The block-side columns are the blocking engine's own
 :class:`~repro.blocking.columns.BlockColumns`
@@ -31,35 +32,36 @@ node variants) produce flat ``(first, second, weight)`` ordinal columns
 and CNP run as *ranged* passes over node-ordinal ranges: a pass over the
 whole node range is the sequential engine, a pass per contiguous range in a
 worker process is the parallel one -- the same code either way.  WNP and
-ReciprocalWNP run one sequential pass (:meth:`EntityIndexEngine._wnp`) in
-the calling process.
+ReciprocalWNP run one sequential pass in the calling process, a lower-half
+one for CBS (:meth:`EntityIndexEngine._cbs_wnp`), a full one otherwise.
 
 The neighbourhoods of a whole *batch* of nodes are expanded at once
 (:meth:`EntityIndexEngine._neighbourhoods`: one CSR gather, one in-place
 sort of int32 ``(node - first node) * N + neighbour`` keys, one
 ``np.bincount`` for ARCS), the batches being cut so that each gathers about
-:data:`_BATCH_PAIRS` co-occurrence pairs; a lower-half pass (WEP, CEP, the
-EJS degrees) gathers only the members above each node, a full pass (WNP,
-CNP) every neighbour of each node.  Pruned edges are never all
-resident.  Peak transient memory is one node batch, plus what
+:data:`_BATCH_PAIRS` co-occurrence pairs; a lower-half pass (WEP, CEP, CBS
+WNP, the EJS degrees) gathers only the members above each node, a full pass
+(float-scheme WNP, CNP) every neighbour of each node.  Pruned edges are
+never all resident.  Peak transient memory is one node batch, plus what
 cutting the batches needs -- two span columns (and, briefly, half a dozen
 more) as long as the block assignments of the node range, the order of the
-index itself -- plus the sorted copy (12 bytes per block assignment), plus
+index itself -- plus the sorted copy (20 bytes per block assignment), plus
 the retained columns, which exist once as ndarrays and once as the typed
 arrays handed out (plus the O(budget) candidate buffer of CEP, the
-O(k * nodes) endorsements of CNP and the threshold column of WNP, one float
-per node).
+O(k * nodes) endorsements of CNP, the threshold column of WNP, one float
+per node, and CBS WNP's rows sharing two blocks or more).
 
 The weights do not depend on how the work is cut: per-edge arithmetic has a
 fixed operand order (canonical identifier order for the ECBS/EJS discount
 factors, ascending block order for the ARCS accumulation), and every
 threshold (WEP global mean, WNP node-local means) is decided as the exactly
 rounded :func:`math.fsum` of its weights, which is independent of
-accumulation order and of how the node range was cut -- WNP sums each node's
-run of its one full pass with ``add.reduceat`` and takes the run's ``fsum``
-instead wherever an incident weight lies inside the rounding margin of that
-sum (the bound is argued in :meth:`EntityIndexEngine._wnp`).  Ties are
-broken by the identifier pair.  ``tests/fixtures/metablocking/seeded.json``
+accumulation order and of how the node range was cut -- float-scheme WNP
+sums each node's run of its one full pass with ``add.reduceat`` and takes
+the run's ``fsum`` instead wherever an incident weight lies inside the
+rounding margin of that sum (the bound is argued in
+:meth:`EntityIndexEngine._wnp`), CBS WNP divides exact integer sums.  Ties
+are broken by the identifier pair.  ``tests/fixtures/metablocking/seeded.json``
 (``tests/test_metablocking_equivalence.py``) freezes what every scheme pair
 retains, weights bit for bit, as the object reference implementation
 computed it, and ``tests/fixtures/metablocking/`` holds the builtin
@@ -412,10 +414,12 @@ class EntityIndexEngine:
         once across all nodes), the number of blocks the two share, and --
         when requested, else ``None`` -- their ARCS sum; ``src`` and ``dst``
         are int32.  Each block assignment faces a segment of
-        :meth:`_sorted_members`; with ``lower``, one ``searchsorted`` of
-        ``(2 * block + facing side) * N + node`` cuts it to the suffix above
-        the node, so nothing is gathered to be masked away (without, the node
-        itself is masked out).  The range is cut at node boundaries into
+        :meth:`_sorted_members`; with ``lower``, only the suffix above the node
+        is gathered, so nothing is masked away (without, the node itself is
+        masked out).  In a unilateral block that suffix starts one past the
+        node's own position in the sorted copy; a bilateral block's facing side
+        is cut by one ``searchsorted`` of ``(2 * block + facing side) * N +
+        node``.  The range is cut at node boundaries into
         batches gathering at most :data:`_BATCH_PAIRS` pairs (the slice
         lengths tell how many) and spanning at most ``(2**31 - 1) // N``
         nodes, so that the key ``(src - first node) * N + dst`` fits an int32
@@ -436,12 +440,14 @@ class EntityIndexEngine:
         if blocks.size == 0:
             return
         num_entities = self.num_entities
-        segment_keys, members = self._sorted_members()
+        segment_keys, members, at = self._sorted_members()
         facing, lo, lengths = self._facing_spans(blocks, self._np_ent_side[base : base + blocks.size])
         bounds = ent_ptr[start : stop + 1] - base  # the nodes' assignment offsets
         if lower:
-            nodes = np.repeat(np.arange(start, stop), np.diff(bounds))
-            above = np.searchsorted(segment_keys, facing * num_entities + nodes, side="right")
+            above = at[base : base + blocks.size] + 1  # a unilateral block: past the node
+            crossing = np.flatnonzero(self._np_blk_split[blocks] >= 0)  # bilateral blocks
+            probes = facing[crossing] * num_entities + members[at[base + crossing]]
+            above[crossing] = np.searchsorted(segment_keys, probes, side="right")
             lengths -= above - lo
             lo = above
         before = np.concatenate(([0], np.cumsum(lengths)))[bounds]  # pairs gathered before each node
@@ -486,10 +492,12 @@ class EntityIndexEngine:
             yield src, dst, counts, arcs
 
     def _sorted_members(self):
-        """The member column sorted within each (block, side) segment: ``(keys, members)``.
+        """The member column sorted within each (block, side) segment: ``(keys, members, at)``.
 
         int32 ``members`` and their ascending int64 keys ``(2 * block + side) *
-        N + member``, each segment where it was; a private copy built on first
+        N + member``, each segment where it was, and ``at``, the place in it of
+        every entity-side assignment (a stable argsort of the members keeps
+        each member's blocks ascending, as the entity rows do); built on first
         use and dropped when a pruning run returns (:attr:`BlockColumns.members`
         itself is never reordered).
         """
@@ -501,7 +509,8 @@ class EntityIndexEngine:
             right = (split_of >= 0) & (np.arange(self.num_assignments) - ptr[block_of] >= split_of)
             keys = (2 * block_of + right) * self.num_entities + self._np_blk_ents
             keys.sort()
-            self._sorted_cache = keys, (keys % self.num_entities).astype(np.int32)
+            members = (keys % self.num_entities).astype(np.int32)
+            self._sorted_cache = keys, members, stable_argsort(members, self.num_entities)
         return self._sorted_cache
 
     def _facing_spans(self, blocks, side):
@@ -764,6 +773,8 @@ class EntityIndexEngine:
                 ),
             )
             columns = _edge_columns((a, b, -negated) for negated, _first, _second, a, b in rows)
+        elif key in DRIVER_PRUNING_SCHEMES and scheme == "CBS":
+            num_edges, columns = self._cbs_wnp(reciprocal)
         elif key in DRIVER_PRUNING_SCHEMES:
             num_edges, columns, refined = self._wnp(scheme, reciprocal)
         else:
@@ -843,7 +854,8 @@ class EntityIndexEngine:
     def _wnp(self, scheme: str, reciprocal: bool):
         """WNP in one full-neighbourhood pass: ``(edge count, columns, refined nodes)``.
 
-        The batches are walked top batch first.  A batch holds the whole
+        For the float schemes (CBS takes :meth:`_cbs_wnp`).  The batches are
+        walked top batch first.  A batch holds the whole
         neighbourhood of each of its nodes, so a node's threshold, the mean
         of its incident weights, comes from its own run (``add.reduceat``
         over the run, divided by its length).  Each edge is decided at its
@@ -864,9 +876,8 @@ class EntityIndexEngine:
         ``(d + 2) * 2**-52 * t'`` (headroom for the second-order terms and
         the margin's own rounding while ``d u`` is far below one), of its
         summed threshold takes ``fsum`` over its run instead, so every
-        decision equals one against the exact threshold.  CBS sums integers
-        exactly and is never refined.  The third entry counts the refined
-        nodes.
+        decision equals one against the exact threshold.  The third entry
+        counts the refined nodes.
         """
         np = _np
         thresholds = np.zeros(self.num_entities)
@@ -880,16 +891,15 @@ class EntityIndexEngine:
             degrees = np.diff(np.append(heads, len(src)))
             summed = np.add.reduceat(weights, heads) / degrees
             of_src = np.repeat(summed, degrees)
-            if scheme != "CBS":
-                margin = np.repeat((degrees + 2) * 2.0**-52 * summed, degrees)
-                near = np.logical_or.reduceat(np.abs(weights - of_src) <= margin, heads)
-                near = np.flatnonzero(near & (degrees > 1)).tolist()
-                for node in near:
-                    lo = heads[node]
-                    summed[node] = fsum(weights[lo : lo + degrees[node]].tolist()) / degrees[node]
-                if near:
-                    refined += len(near)
-                    of_src = np.repeat(summed, degrees)
+            margin = np.repeat((degrees + 2) * 2.0**-52 * summed, degrees)
+            near = np.logical_or.reduceat(np.abs(weights - of_src) <= margin, heads)
+            near = np.flatnonzero(near & (degrees > 1)).tolist()
+            for node in near:
+                lo = heads[node]
+                summed[node] = fsum(weights[lo : lo + degrees[node]].tolist()) / degrees[node]
+            if near:
+                refined += len(near)
+                of_src = np.repeat(summed, degrees)
             thresholds[src[heads]] = summed
             keep_first = weights >= of_src
             keep_second = weights >= thresholds[dst]
@@ -900,6 +910,51 @@ class EntityIndexEngine:
             parts.append((src[kept], dst[kept], weights[kept]))
         parts.reverse()
         return rows // 2, _concat(parts), refined
+
+    def _cbs_wnp(self, reciprocal: bool):
+        """CBS WNP in one lower-half pass: ``(edge count, columns)``.
+
+        A node's CBS sum is closed-form: its assignments' facing spans, minus
+        itself in a unilateral block.  Its degree is that sum minus its
+        excess, ``CBS - 1`` summed over its edges, so the pass keeps only the
+        rows sharing two blocks or more; the threshold, sum over degree, is
+        the float a sum over the node's run gives.  Weights are at least 1,
+        so a one-block edge survives only at a *flat* node (no excess,
+        threshold 1): the flat nodes' facing members, each met once, emitted
+        at the edge's lower flat endpoint (both endpoints flat if
+        reciprocal).  Held: the rows sharing two blocks until the thresholds
+        are known.
+        """
+        np = _np
+        n = self.num_entities
+        blocks = self._np_ent_blocks
+        _facing, lo, lengths = self._facing_spans(blocks, self._np_ent_side)
+        owners = np.repeat(np.arange(n, dtype=np.int32), np.diff(self._np_ent_ptr))
+        sums = np.bincount(owners, lengths - (self._np_blk_split[blocks] < 0), minlength=n)
+        shared = []
+        for src, dst, counts, _arcs in self._neighbourhoods(0, n, True, False):
+            rows = np.flatnonzero(counts > 1)
+            shared.append((src[rows], dst[rows], counts[rows].astype(np.float64)))
+        src, dst, weights = _concat(shared)
+        del shared
+        excess = sum(np.bincount(ends, weights - 1, minlength=n) for ends in (src, dst))
+        degrees = sums - excess
+        thresholds = np.divide(sums, degrees, out=np.ones(n), where=degrees > 0)
+        decided = np.stack((weights >= thresholds[src], weights >= thresholds[dst]))
+        keep = decided.all(0) if reciprocal else decided.any(0)
+        flat = (excess == 0) & (degrees > 0)
+        assigned = np.flatnonzero(flat[owners])
+        owner = np.repeat(owners[assigned], lengths[assigned])
+        other = self._sorted_members()[1][_slices(lo[assigned], lengths[assigned])]
+        # the edge's lower flat endpoint emits it
+        emit = (other != owner) & ((other > owner) | ~flat[other])
+        if reciprocal:
+            emit &= flat[other]
+        src = np.concatenate((src[keep], np.minimum(owner, other)[emit]))
+        dst = np.concatenate((dst[keep], np.maximum(owner, other)[emit]))
+        weights = np.concatenate((weights[keep], np.ones(int(emit.sum()))))
+        order = np.argsort(src.astype(np.int64) * n + dst)  # distinct keys: ascending rows
+        return int(degrees.sum()) // 2, (src[order], dst[order], weights[order])
 
     def _cnp(self, scheme: str, start: int, stop: int, k: int):
         """CNP endorsement pass: ``(degree total, src, dst, weight)`` of one range.

@@ -3,13 +3,13 @@
 Given the weighted blocking graph, a pruning scheme decides which edges
 (candidate comparisons) survive:
 
-* **WEP** (Weighted Edge Pruning): keep the edges whose weight exceeds the
-  global average edge weight.
+* **WEP** (Weighted Edge Pruning): keep the edges whose weight is at least
+  the global average edge weight.
 * **CEP** (Cardinality Edge Pruning): keep the globally top-``K`` edges, where
   ``K`` is half the total number of block assignments (the standard budget of
   the original formulation).
 * **WNP** (Weighted Node Pruning): for every node keep its edges whose weight
-  exceeds the node-local average; an edge survives if either endpoint keeps it
+  is at least the node-local average; an edge survives if either endpoint keeps it
   (the *redefined*, recall-oriented variant), or both endpoints for the
   reciprocal variant.
 * **CNP** (Cardinality Node Pruning): for every node keep its top-``k`` edges
@@ -37,7 +37,7 @@ class PruningScheme:
 
 
 class WeightedEdgePruning(PruningScheme):
-    """WEP: keep edges with weight above the global average."""
+    """WEP: keep edges with weight at least the global average."""
 
     name = "WEP"
 

@@ -296,11 +296,12 @@ def test_a_bad_restore_directory_is_a_usage_error(tmp_path, capsys, damage, mess
         ("resolve", "id,name\na,alan\na,grace\n", "duplicate identifier"),
         ("resolve", '{"x": 1}', "'descriptions' list"),
         ("incremental", '{"descriptions": [{"attributes": {}}]}', "has no 'id'"),
+        ("resolve", '{"descriptions": [{"id": 5}]}', "has a non-str 'id'"),
         ("link", None, "No such file"),
         ("link", "id,name\na,alan\n", "disjoint identifier spaces"),
     ],
-    ids=["missing", "duplicate-id", "not-a-collection", "record-without-id", "link-missing",
-         "link-shared-id"],
+    ids=["missing", "duplicate-id", "not-a-collection", "record-without-id", "record-with-int-id",
+         "link-missing", "link-shared-id"],
 )
 def test_a_bad_input_file_is_a_usage_error(tmp_path, capsys, command, content, message):
     """A missing or malformed input fails with one line on stderr and the

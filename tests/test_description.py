@@ -10,6 +10,12 @@ def test_requires_identifier():
         EntityDescription("")
 
 
+@pytest.mark.parametrize("identifier", (5, 0, None, b"e1", ("e", 1)))
+def test_a_non_str_identifier_fails_at_construction(identifier):
+    with pytest.raises(TypeError, match="identifier"):
+        EntityDescription(identifier, {"name": "Alan Turing"})
+
+
 def test_single_and_multi_valued_attributes():
     description = EntityDescription("e1", {"name": "Alan Turing", "topic": ["logic", "computing"]})
     assert description.value("name") == "Alan Turing"

@@ -403,8 +403,9 @@ class TestWnpThresholdRefinement:
 
 
 class TestWnpOnePass:
-    """WNP and ReciprocalWNP expand every neighbourhood once: one generator
-    over the whole node range, walked top batch first."""
+    """WNP and ReciprocalWNP open one generator over the whole node range:
+    CBS a lower-half pass (each edge once), the float schemes a full pass
+    walked top batch first."""
 
     @pytest.mark.parametrize("pruning", ("WNP", "ReciprocalWNP"))
     @pytest.mark.parametrize("weighting", WEIGHTING_SCHEMES)
@@ -424,7 +425,10 @@ class TestWnpOnePass:
 
         monkeypatch.setattr(EntityIndexEngine, "_neighbourhoods", counted)
         got = rows(engine.retained_columns(weighting, pruning))
-        assert calls == [(0, engine.num_entities, False, True)]
+        if weighting == "CBS":
+            assert calls == [(0, engine.num_entities, True, False)]
+        else:
+            assert calls == [(0, engine.num_entities, False, True)]
         assert got == expected and got
 
 

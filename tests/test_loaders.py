@@ -83,6 +83,7 @@ def test_csv_load_uses_custom_id_field(tmp_path):
         ('{"descriptions": {"id": "a"}}', "'descriptions' list"),
         ('{"descriptions": [{"id": "a"}, {"attributes": {"name": ["b"]}}]}', "description 1 has no 'id'"),
         ('{"descriptions": ["a"]}', "description 0 has no 'id'"),
+        ('{"descriptions": [{"id": "a"}, {"id": 5}]}', "description 1 has a non-str 'id' 5"),
     ],
 )
 def test_json_load_rejects_a_payload_that_is_not_a_collection(tmp_path, payload, message):

@@ -99,6 +99,78 @@ def test_pruning_output_is_subset_of_edges(blocks):
         assert retained <= edges
 
 
+@st.composite
+def flat_pair_collections(draw):
+    """Small dirty, clean-clean or mixed collections, with two adjacent flat nodes.
+
+    ``(blocks, pair)``: the last block holds the ``pair``, ``f0`` and ``f1``,
+    which sit in no other block: every neighbour of theirs shares exactly one
+    block with them, so both are flat (threshold 1), and they face each other.
+    Clean-clean collections keep the sides' identifiers apart (prefixes ``L``
+    and ``R``, so the pair is ``Lf0`` and ``Rf1``).
+    """
+    kind = draw(st.sampled_from(("dirty", "clean-clean", "mixed")))
+    universe = [f"e{i}" for i in range(draw(st.integers(min_value=3, max_value=9)))]
+
+    def block(key, members, bilateral, split):
+        if not bilateral:
+            return Block(key, members=members)
+        left, right = members[:split], members[split:]
+        if kind == "clean-clean":
+            left, right = ["L" + m for m in left], ["R" + m for m in right]
+        return Block(key, left_members=left, right_members=right)
+
+    blocks = []
+    for index in range(draw(st.integers(min_value=1, max_value=8))):
+        members = draw(
+            st.lists(st.sampled_from(universe), min_size=2, max_size=len(universe), unique=True)
+        )
+        bilateral = kind == "clean-clean" or (kind == "mixed" and draw(st.booleans()))
+        split = draw(st.integers(min_value=1, max_value=len(members) - 1))
+        blocks.append(block(f"b{index}", members, bilateral, split))
+    extra = draw(st.lists(st.sampled_from(universe), max_size=4, unique=True))
+    bilateral = kind == "clean-clean" or (kind == "mixed" and draw(st.booleans()))
+    flat = ["f0", *extra[: len(extra) // 2], "f1", *extra[len(extra) // 2 :]]
+    last = block("flat", flat, bilateral, 1 + len(extra) // 2)
+    pair = (last.left_members[0], last.right_members[0]) if bilateral else ("f0", "f1")
+    return BlockCollection([*blocks, last]), pair
+
+
+def brute_force_cbs_wnp(blocks, reciprocal):
+    """CBS WNP by its definition: pair counts from the blocks, node means, keep rule.
+
+    ``(retained rows, flat nodes)``; a flat node's mean is 1.
+    """
+    counts = {}
+    for block in blocks:
+        for comparison in block.comparisons():
+            pair = tuple(sorted(comparison.pair))
+            counts[pair] = counts.get(pair, 0) + 1
+    sums, degrees = {}, {}
+    for pair, count in counts.items():
+        for node in pair:
+            sums[node] = sums.get(node, 0) + count
+            degrees[node] = degrees.get(node, 0) + 1
+    keeps = lambda node, count: count * degrees[node] >= sums[node]  # count >= the node's mean
+    rule = all if reciprocal else any
+    flat = {node for node in sums if sums[node] == degrees[node]}
+    return {
+        (*pair, float(count)) for pair, count in counts.items() if rule(keeps(n, count) for n in pair)
+    }, flat
+
+
+@given(flat_pair_collections())
+@settings(max_examples=60, deadline=None)
+def test_cbs_wnp_retains_what_its_definition_retains(case):
+    blocks, pair = case
+    engine = EntityIndexEngine(blocks)
+    for reciprocal, pruning in ((False, "WNP"), (True, "ReciprocalWNP")):
+        expected, flat = brute_force_cbs_wnp(blocks, reciprocal)
+        assert set(pair) <= flat and (*pair, 1.0) in expected
+        retained = [(e.first, e.second, e.weight) for e in engine.iter_retained("CBS", pruning)]
+        assert len(retained) == len(set(retained)) and set(retained) == expected
+
+
 @given(st.lists(descriptions(), min_size=2, max_size=15, unique_by=lambda d: d.identifier))
 @settings(max_examples=30, deadline=None)
 def test_token_blocking_pairs_share_a_token(description_list):
