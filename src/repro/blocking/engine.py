@@ -4,8 +4,7 @@
 blocking, block purging, block filtering, comparison propagation -- as one
 stage.  Each builder's ``build`` and each cleaner's ``process`` is the one
 body of its algorithm; the engine only hands the shared
-:class:`~repro.core.context.PipelineContext` to the builder and fans
-comparison propagation out over a worker pool when it has one.
+:class:`~repro.core.context.PipelineContext` to the builder.
 
 The form blocks travel in is :class:`~repro.blocking.columns.BlockColumns`:
 the block keys in block order, a CSR of member ordinals into one identifier
@@ -31,7 +30,6 @@ from typing import Optional
 
 from repro.blocking.base import BlockBuilder, BlockCollection, ERInput
 from repro.blocking.cleaning import BlockFiltering, BlockPurging, clean_blocks
-from repro.blocking.columns import BlockColumns
 from repro.blocking.token_blocking import TokenBlocking
 
 
@@ -49,10 +47,9 @@ class BlockingEngine:
         ordinals (the single-interning guarantee of the shared context);
         otherwise they intern privately.
     parallel:
-        Optional :class:`~repro.mapreduce.parallel.ParallelEngine`.
-        Comparison propagation fans out over it; building, purging and
-        filtering run on the driver's column kernels either way (shipping
-        their columns costs more than the kernels do).
+        Accepted and ignored: building, purging, filtering and comparison
+        propagation run on the driver's column kernels (shipping their
+        columns costs more than the kernels do).
     """
 
     def __init__(
@@ -63,7 +60,6 @@ class BlockingEngine:
     ) -> None:
         self.builder = builder if builder is not None else TokenBlocking()
         self.context = context
-        self.parallel = parallel
 
     def build(self, data: ERInput) -> BlockCollection:
         """Build the blocks of ``data`` with the configured builder."""
@@ -78,18 +74,9 @@ class BlockingEngine:
     ) -> BlockCollection:
         """Purging, then filtering, then optional comparison propagation.
 
-        :func:`~repro.blocking.cleaning.clean_blocks`, with propagation run
-        in ranged worker passes when the engine has a pool (the emission
-        order, keys and orientation are the sequential pass's).
+        :func:`~repro.blocking.cleaning.clean_blocks`, on the driver.
         """
-        if not propagate or self.parallel is None:
-            return clean_blocks(blocks, purging, filtering, propagate)
-        cleaned = clean_blocks(blocks, purging, filtering)
-        columns = BlockColumns.from_collection(cleaned)
-        propagated = BlockCollection(name=f"{cleaned.name}/propagated")
-        if len(columns):
-            propagated._extend_trusted(self.parallel.propagate_pairs(columns))
-        return propagated
+        return clean_blocks(blocks, purging, filtering, propagate)
 
     def run(
         self,

@@ -65,15 +65,14 @@ class WorkflowConfig:
         (:class:`~repro.mapreduce.parallel.ParallelEngine`).  The default
         ``1`` runs everything in-process; with ``num_workers > 1`` one engine
         (whose workers read the columns through shared memory) is opened for
-        the whole run and every parallelisable stage fans out: the ranged
-        meta-blocking passes of WEP, CEP and CNP and the connected-components
-        clustering (interning, the blocking build with purging and
-        filtering, WNP and ReciprocalWNP -- the default pruning -- the weight
-        sort and matching are whole-column kernels in the driver).
-        Stages the workers cannot reproduce (custom subclasses, the greedy
-        center clusterings) silently run in-process.  Results -- blocks, retained edges, match decisions,
-        clusters, tie orders -- are bit-identical to the single-process run
-        at every worker count.  A worker that dies aborts the run with
+        the whole run and the connected-components clustering fans out to
+        it (interning, blocking and cleaning, every meta-blocking scheme,
+        the weight sort and matching are whole-column kernels in the
+        driver).  A clustering the workers cannot reproduce (a custom
+        subclass, the greedy center clusterings) silently runs in-process.
+        Results -- blocks, retained edges, match decisions, clusters, tie
+        orders -- are bit-identical to the single-process run at every
+        worker count.  A worker that dies aborts the run with
         :class:`~concurrent.futures.process.BrokenProcessPool`.
     """
 

@@ -185,10 +185,10 @@ class ERWorkflow:
 
         With ``config.num_workers > 1`` a
         :class:`~repro.mapreduce.parallel.ParallelEngine` is opened for the
-        duration of the run and handed to the blocking, meta-blocking and
-        clustering engines; each fans its hot pass out to worker processes
-        when it can reproduce the single-process result bit for bit, and
-        runs single-process otherwise.  Results are identical either way.
+        duration of the run and handed to every stage engine; only the
+        clustering engine fans its pass out to worker processes (when it can
+        reproduce the single-process result bit for bit), the others run in
+        the driver.  Results are identical either way.
         A worker that dies aborts the run with
         :class:`~concurrent.futures.process.BrokenProcessPool`; the engine
         is closed, and its shared-memory segments unlinked, on the way out.

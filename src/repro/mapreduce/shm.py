@@ -5,9 +5,9 @@ The columnar engines of PRs 1--5 keep every hot data structure as a flat
 what :mod:`multiprocessing.shared_memory` can expose to worker processes
 without copying: the driver packs the named columns of one pipeline phase
 into a single segment (:class:`ColumnSegment`), ships the tiny picklable
-:attr:`~ColumnSegment.spec` to the workers, and every worker attaches the
-segment once and reads the columns through zero-copy ``memoryview`` casts
-(or ``numpy.frombuffer`` views on the vectorised paths).
+:attr:`~ColumnSegment.spec` to the workers, and every worker task attaches
+the segment (:class:`AttachedSegment`) and reads the columns through
+zero-copy ``memoryview`` casts.
 
 Lifecycle rules (see also the :mod:`repro.mapreduce` package docstring):
 
@@ -16,17 +16,15 @@ Lifecycle rules (see also the :mod:`repro.mapreduce` package docstring):
   (close + unlink) when the parallel engine shuts down;
 * **workers** only ever attach.  Python's :class:`SharedMemory` registers
   every attachment with the ``resource_tracker`` as if the attaching process
-  owned the segment (fixed upstream only in 3.13 via ``track=False``).  What
-  that implies depends on the start method: a *spawned* worker runs its own
-  tracker, which at worker exit would warn about -- and, worse, unlink --
-  the driver's "leaked" segments, so :func:`attach` must unregister the
-  attachment immediately (``unregister=True``); a *forked* worker shares the
-  driver's tracker process, where the segment is already registered by the
-  driver's create (the registry is a set, so the attach-register is a
-  no-op), and unregistering there would strip the driver's own entry and
-  make the final unlink trip a tracker ``KeyError`` (``unregister=False``).
-  :class:`~repro.mapreduce.parallel.ParallelEngine` configures the worker
-  side accordingly via the pool initializer;
+  owned the segment (fixed upstream only in 3.13 via ``track=False``).  On
+  POSIX every start method hands the workers the driver's tracker process
+  (spawn and forkserver pass its descriptor, a forked worker inherits it --
+  which is why :class:`~repro.mapreduce.parallel.ParallelEngine` starts the
+  tracker before the pool forks), where the segment is already registered
+  by the driver's create: the registry is a set, so the attach-register is
+  a no-op.  A worker must not unregister its attachment: that would strip
+  the driver's own entry and make the final unlink trip a tracker
+  ``KeyError``;
 * ``memoryview`` casts pin the mapped buffer, so
   :meth:`AttachedSegment.release` drops every view *before* closing the
   mapping (closing first raises ``BufferError``).
@@ -62,7 +60,7 @@ import atexit
 import os
 import secrets
 from array import array
-from multiprocessing import resource_tracker, shared_memory
+from multiprocessing import shared_memory
 from typing import Dict, List, Optional, Tuple, Union
 
 #: item size per supported typecode ("q" int64, "d" float64, "B" byte mask)
@@ -239,24 +237,15 @@ class AttachedSegment:
     """A worker's zero-copy view of a :class:`ColumnSegment`.
 
     :attr:`views` maps every column name to a typed ``memoryview`` over the
-    shared buffer.  :meth:`release` must drop the views before closing the
-    mapping; the worker-side cache in :mod:`repro.mapreduce.worker` calls it
-    when evicting a segment.
+    shared buffer.  :meth:`release` drops the views before closing the
+    mapping; a worker job calls it before it returns.
     """
 
     __slots__ = ("name", "views", "_shm", "_released")
 
-    def __init__(self, spec: SegmentSpec, unregister: bool = False) -> None:
+    def __init__(self, spec: SegmentSpec) -> None:
         name, layout = spec
         self._shm = shared_memory.SharedMemory(name=name)
-        if unregister:
-            # the attachment is not an ownership: without this, a spawned
-            # worker's own resource tracker would try to unlink the driver's
-            # segment at exit and warn about "leaked" shared memory
-            try:
-                resource_tracker.unregister(self._shm._name, "shared_memory")
-            except Exception:  # pragma: no cover - tracker internals vary
-                pass
         self.name = name
         buf = self._shm.buf
         views: Dict[str, memoryview] = {}
@@ -265,14 +254,6 @@ class AttachedSegment:
             views[column] = buf[offset : offset + nbytes].cast(typecode)
         self.views = views
         self._released = False
-
-    def numpy_view(self, spec: SegmentSpec, column: str, dtype):
-        """A ``numpy`` view of one column (the caller supplies the module)."""
-        import numpy as np
-
-        _name, layout = spec
-        typecode, offset, items = layout[column]
-        return np.frombuffer(self._shm.buf, dtype=dtype, count=items, offset=offset)
 
     def release(self) -> None:
         """Drop every view, then close the worker's mapping (idempotent)."""
@@ -283,12 +264,3 @@ class AttachedSegment:
             view.release()
         self.views = {}
         self._shm.close()
-
-
-def attach(spec: SegmentSpec, unregister: bool = False) -> AttachedSegment:
-    """Attach to a driver-owned segment (worker side).
-
-    ``unregister`` must be ``True`` exactly when this process runs its own
-    resource tracker (spawned workers) -- see the module docstring.
-    """
-    return AttachedSegment(spec, unregister=unregister)

@@ -16,8 +16,8 @@ One engine runs every scheme pair:
 :class:`~repro.metablocking.entity_index.EntityIndexEngine` stores block
 membership as flat integer arrays in CSR form with an interned
 identifier/ordinal mapping, stays in ordinal space from there on (weights and
-pruning run as ranged passes that expand a bounded batch of node
-neighbourhoods at a time) and hands back the retained comparisons as flat
+pruning run as passes over the whole graph that expand a bounded batch of
+node neighbourhoods at a time) and hands back the retained comparisons as flat
 ``(first, second, weight)`` columns.  Pruned edges are never all resident:
 peak transient memory is one node batch plus the retained columns, not the
 number of graph edges, and the hot loops run over machine integers
@@ -28,12 +28,7 @@ from).  ``tests/fixtures/metablocking/seeded.json`` freezes what every
 scheme pair retains.
 """
 
-from repro.metablocking.entity_index import (
-    INDEX_PRUNING_SCHEMES,
-    INDEX_WEIGHTING_SCHEMES,
-    EntityIndexEngine,
-    WeightedEdge,
-)
+from repro.metablocking.entity_index import EntityIndexEngine, WeightedEdge
 from repro.metablocking.pipeline import MetaBlocking
 from repro.metablocking.pruning import (
     CardinalityEdgePruning,
@@ -59,8 +54,6 @@ __all__ = [
     "CBS",
     "ECBS",
     "EJS",
-    "INDEX_PRUNING_SCHEMES",
-    "INDEX_WEIGHTING_SCHEMES",
     "JS",
     "CardinalityEdgePruning",
     "CardinalityNodePruning",

@@ -28,12 +28,11 @@ EJS, ARCS) and all six pruning schemes (WEP, CEP, WNP, CNP and the reciprocal
 node variants) produce flat ``(first, second, weight)`` ordinal columns
 (:meth:`EntityIndexEngine.retained_columns`); identifier strings and
 :class:`WeightedEdge` objects exist only in the lazy
-:meth:`~EntityIndexEngine.iter_retained` view over those columns.  WEP, CEP
-and CNP run as *ranged* passes over node-ordinal ranges: a pass over the
-whole node range is the sequential engine, a pass per contiguous range in a
-worker process is the parallel one -- the same code either way.  WNP and
-ReciprocalWNP run one sequential pass in the calling process, a lower-half
-one for CBS (:meth:`EntityIndexEngine._cbs_wnp`), a full one otherwise.
+:meth:`~EntityIndexEngine.iter_retained` view over those columns.  Every
+scheme runs in the calling process over the whole graph: WEP a threshold
+pass and an emission pass, CEP and CNP one pass each, WNP and ReciprocalWNP
+one pass, a lower-half one for CBS (:meth:`EntityIndexEngine._cbs_wnp`), a
+full one otherwise.
 
 The neighbourhoods of a whole *batch* of nodes are expanded at once
 (:meth:`EntityIndexEngine._neighbourhoods`: one CSR gather, one in-place
@@ -44,8 +43,8 @@ WNP, the EJS degrees) gathers only the members above each node, a full pass
 (float-scheme WNP, CNP) every neighbour of each node.  Pruned edges are
 never all resident.  Peak transient memory is one node batch, plus what
 cutting the batches needs -- two span columns (and, briefly, half a dozen
-more) as long as the block assignments of the node range, the order of the
-index itself -- plus the sorted copy (20 bytes per block assignment), plus
+more) as long as the block assignments, the order of the index itself --
+plus the sorted copy (20 bytes per block assignment), plus
 the retained columns, which exist once as ndarrays and once as the typed
 arrays handed out (plus the O(budget) candidate buffer of CEP, the
 O(k * nodes) endorsements of CNP, the threshold column of WNP, one float
@@ -56,7 +55,7 @@ fixed operand order (canonical identifier order for the ECBS/EJS discount
 factors, ascending block order for the ARCS accumulation), and every
 threshold (WEP global mean, WNP node-local means) is decided as the exactly
 rounded :func:`math.fsum` of its weights, which is independent of
-accumulation order and of how the node range was cut -- float-scheme WNP
+accumulation order and of how the node batches were cut -- float-scheme WNP
 sums each node's run of its one full pass with ``add.reduceat`` and takes
 the run's ``fsum`` instead wherever an incident weight lies inside the
 rounding margin of that sum (the bound is argued in
@@ -82,26 +81,10 @@ from repro.blocking.columns import BlockColumns, int_view
 from repro.blocking.columns import flat_slices as _slices
 from repro.blocking.columns import typed_array as _typed_array
 from repro.datamodel.pairs import Comparison, identifier_ranks, stable_argsort
+from repro.metablocking.pruning import PRUNING_SCHEMES
+from repro.metablocking.weighting import WEIGHTING_SCHEMES
 
 import numpy as _np
-
-#: Weighting schemes natively supported by the index engine.
-INDEX_WEIGHTING_SCHEMES = ("CBS", "ECBS", "JS", "EJS", "ARCS")
-#: Pruning schemes natively supported by the index engine.
-INDEX_PRUNING_SCHEMES = ("WEP", "CEP", "WNP", "CNP", "ReciprocalWNP", "ReciprocalCNP")
-
-_PRUNING_ALIASES = {
-    "WEP": "WEP",
-    "CEP": "CEP",
-    "WNP": "WNP",
-    "CNP": "CNP",
-    "RECIPROCALWNP": "ReciprocalWNP",
-    "RECIPROCALCNP": "ReciprocalCNP",
-}
-
-#: Pruning schemes whose one sequential pass runs in the calling process; the
-#: others run as ranged passes a parallel engine may fan out.
-DRIVER_PRUNING_SCHEMES = ("WNP", "ReciprocalWNP")
 
 #: Compact ``heapq.nsmallest`` buffers once they grow past ``2 * budget`` plus
 #: this slack, so the CEP candidate buffer stays O(budget).
@@ -120,8 +103,8 @@ _INT32_MAX = (1 << 31) - 1
 def _concat(parts: Sequence[tuple]) -> tuple:
     """Concatenate aligned ``(src, dst, weight)`` column tuples in order.
 
-    The parts hold ndarray or typed-array columns; no part at all gives three
-    empty edge columns.
+    The parts hold ndarray columns; no part at all gives three empty edge
+    columns.
     """
     if not parts:
         parts = [(_np.zeros(0, _np.int64), _np.zeros(0, _np.int64), _np.zeros(0))]
@@ -136,19 +119,6 @@ def _edge_columns(rows) -> Tuple[array, array, array]:
         dst.append(b)
         weights.append(weight)
     return src, dst, weights
-
-
-def pruning_key(pruning: str) -> str:
-    """The index engine's name of ``pruning`` (any letter case, ``_`` ignored).
-
-    Raises :class:`KeyError` for a scheme the index engine does not run.
-    """
-    key = _PRUNING_ALIASES.get(pruning.upper().replace("_", ""))
-    if key is None:
-        raise KeyError(
-            f"unknown pruning scheme {pruning!r}; available: {sorted(INDEX_PRUNING_SCHEMES)}"
-        )
-    return key
 
 
 @dataclass(frozen=True)
@@ -172,33 +142,8 @@ def edges_view(ids: Sequence[str], first, second, weights) -> Iterator[WeightedE
     return (WeightedEdge(ids[f], ids[s], w) for f, s, w in zip(first, second, weights))
 
 
-def _exact_partials(values) -> List[float]:
-    """Shewchuk non-overlapping expansion of ``sum(values)``.
-
-    The returned partials represent the sum *exactly* (it is the state
-    ``math.fsum`` carries internally), so ``fsum`` over the concatenated
-    partials of a range-sharded pass equals ``fsum`` over the original full
-    stream -- the exactly rounded global sum is recovered without the
-    weights ever leaving the process that computed them.
-    """
-    partials: List[float] = []
-    for x in values:
-        i = 0
-        for y in partials:
-            if abs(x) < abs(y):
-                x, y = y, x
-            hi = x + y
-            lo = y - (hi - x)
-            if lo:
-                partials[i] = lo
-                i += 1
-            x = hi
-        partials[i:] = [x]
-    return partials
-
-
 class EntityIndexEngine:
-    """CSR entity index over a block collection with ranged, columnar meta-blocking.
+    """CSR entity index over a block collection with columnar meta-blocking.
 
     Parameters
     ----------
@@ -241,10 +186,10 @@ class EntityIndexEngine:
 
         The entity rows list their blocks in ascending block order (one
         stable argsort of the member column).  The typed-array mirrors of
-        the entity-side columns serve the scalar accessors and the parallel
-        engine's segment export.  A description on both sides of a bilateral
-        block would compare with itself; it shows as one entity row naming a
-        block twice and is refused with a :class:`ValueError`.
+        the entity-side columns serve the scalar accessors.  A description
+        on both sides of a bilateral block would compare with itself; it
+        shows as one entity row naming a block twice and is refused with a
+        :class:`ValueError`.
         """
         self._ids = columns.ids
         self._ordinal_cache: Optional[Dict[str, int]] = None
@@ -297,53 +242,6 @@ class EntityIndexEngine:
         self.last_retained: Optional[int] = None
         #: nodes whose float-scheme WNP threshold the last run refined with ``fsum``
         self.last_refined: Optional[int] = None
-
-    @classmethod
-    def from_arrays(
-        cls,
-        columns: Dict[str, Sequence],
-        factors: Optional[Dict[str, Sequence[float]]] = None,
-    ) -> "EntityIndexEngine":
-        """Reconstruct a replica from exported flat columns.
-
-        Used by the parallel workers: the driver ships the CSR arrays (plus
-        the identifier-rank column and any precomputed ECBS/EJS factor
-        column) through shared memory, and the worker rebuilds an engine that
-        runs the ranged pruning passes (``_wep_stats`` ... ``_cep``) over
-        zero-copy views -- no identifier strings, no block objects, so the
-        identifier-facing methods must not be called on a replica.
-        """
-        self = cls.__new__(cls)
-        self._ids = None
-        self._ordinal_cache = None
-        self._blk_ents = columns["blk_ents"]
-        self._blk_ptr = columns["blk_ptr"]
-        self._blk_split = columns["blk_split"]
-        self._recip = columns["recip"]
-        self._ent_ptr = columns["ent_ptr"]
-        self._ent_blocks = columns["ent_blocks"]
-        self._ent_side = columns["ent_side"]
-        self.num_entities = len(columns["ent_ptr"]) - 1
-        self.num_blocks = len(columns["blk_ptr"]) - 1
-        self.num_assignments = len(columns["blk_ents"])
-        as_np = lambda col, dtype: (
-            _np.asarray(col, dtype=dtype) if len(col) else _np.zeros(0, dtype)
-        )
-        self._np_blk_ents = as_np(self._blk_ents, _np.int64)
-        self._np_blk_ptr = as_np(self._blk_ptr, _np.int64)
-        self._np_blk_split = as_np(self._blk_split, _np.int64)
-        self._np_recip = as_np(self._recip, _np.float64)
-        self._np_ent_ptr = as_np(self._ent_ptr, _np.int64)
-        self._np_ent_blocks = as_np(self._ent_blocks, _np.int64)
-        self._np_ent_side = as_np(self._ent_side, _np.int8)
-        self._degree_cache = None
-        self._sorted_cache = None
-        self._factor_cache = dict(factors) if factors else {}
-        self._rank_cache = columns["ranks"]
-        self.last_num_edges = None
-        self.last_retained = None
-        self.last_refined = None
-        return self
 
     # ------------------------------------------------------------------
     # structure
@@ -401,10 +299,8 @@ class EntityIndexEngine:
     # ------------------------------------------------------------------
     # neighbourhood expansion
     # ------------------------------------------------------------------
-    def _neighbourhoods(
-        self, start: int, stop: int, lower: bool, want_arcs: bool, top_first: bool = False
-    ):
-        """Vectorised neighbourhoods of the nodes in ``[start, stop)``, batch by batch.
+    def _neighbourhoods(self, lower: bool, want_arcs: bool, top_first: bool = False):
+        """Vectorised neighbourhoods of every node, batch by batch.
 
         Yields ``(src, dst, counts, arcs)`` columns sorted by ``(src, dst)``
         within a batch, the batches in ascending node order (descending with
@@ -419,7 +315,7 @@ class EntityIndexEngine:
         masked out).  In a unilateral block that suffix starts one past the
         node's own position in the sorted copy; a bilateral block's facing side
         is cut by one ``searchsorted`` of ``(2 * block + facing side) * N +
-        node``.  The range is cut at node boundaries into
+        node``.  The nodes are cut into
         batches gathering at most :data:`_BATCH_PAIRS` pairs (the slice
         lengths tell how many) and spanning at most ``(2**31 - 1) // N``
         nodes, so that the key ``(src - first node) * N + dst`` fits an int32
@@ -431,43 +327,40 @@ class EntityIndexEngine:
         pair meets at most once per block.
 
         Held across the batches: the start and length of every gathered slice
-        (as long as the range's block assignments) and two node-length columns.
+        (as long as the block assignments) and two node-length columns.
         """
         np = _np
-        ent_ptr = self._np_ent_ptr
-        base = int(ent_ptr[start])
-        blocks = self._np_ent_blocks[base : int(ent_ptr[stop])]
+        bounds = self._np_ent_ptr  # the nodes' assignment offsets
+        blocks = self._np_ent_blocks
         if blocks.size == 0:
             return
         num_entities = self.num_entities
         segment_keys, members, at = self._sorted_members()
-        facing, lo, lengths = self._facing_spans(blocks, self._np_ent_side[base : base + blocks.size])
-        bounds = ent_ptr[start : stop + 1] - base  # the nodes' assignment offsets
+        facing, lo, lengths = self._facing_spans(blocks, self._np_ent_side)
         if lower:
-            above = at[base : base + blocks.size] + 1  # a unilateral block: past the node
+            above = at + 1  # a unilateral block: past the node
             crossing = np.flatnonzero(self._np_blk_split[blocks] >= 0)  # bilateral blocks
-            probes = facing[crossing] * num_entities + members[at[base + crossing]]
+            probes = facing[crossing] * num_entities + members[at[crossing]]
             above[crossing] = np.searchsorted(segment_keys, probes, side="right")
             lengths -= above - lo
             lo = above
         before = np.concatenate(([0], np.cumsum(lengths)))[bounds]  # pairs gathered before each node
         span = _INT32_MAX // num_entities
         cuts = [0]
-        while cuts[-1] < stop - start:
+        while cuts[-1] < num_entities:
             node = cuts[-1]
             cut = int(np.searchsorted(before, before[node] + _BATCH_PAIRS, side="right")) - 1
             cuts.append(max(node + 1, min(cut, node + span)))
         batches = list(zip(cuts, cuts[1:]))
         for node, cut in reversed(batches) if top_first else batches:
             q0, q1 = int(bounds[node]), int(bounds[cut])
-            first = start + node
             src = np.repeat(np.arange(cut - node, dtype=np.int32), np.diff(before[node : cut + 1]))
             spans = lengths[q0:q1]
             dst = members[_slices(lo[q0:q1], spans)]
             keys = src * num_entities + dst
             weights = np.repeat(self._np_recip[blocks[q0:q1]], spans) if want_arcs else None
             if not lower:
-                mask = dst != src + first
+                mask = dst != src + node
                 keys = keys[mask]
                 weights = weights[mask] if want_arcs else None
             if keys.size == 0:
@@ -488,7 +381,7 @@ class EntityIndexEngine:
             keys = keys[heads[:-1]]
             src = keys // num_entities
             dst = keys - src * num_entities
-            src += first
+            src += node
             yield src, dst, counts, arcs
 
     def _sorted_members(self):
@@ -557,10 +450,9 @@ class EntityIndexEngine:
         """Identifier ranks: comparing ranks == comparing identifier strings.
 
         The ECBS/EJS weigh kernels need the *canonical* (lexicographic
-        identifier) operand order per edge; ranks reduce that to integer
-        comparisons over a column computed once -- which also lets worker
-        replicas (:meth:`from_arrays`), which carry no identifier strings at
-        all, reproduce the exact same operand order from the shipped column.
+        identifier) operand order per edge, and CEP's and CNP's tie-breaks
+        the identifier pair; ranks reduce both to integer comparisons over a
+        column computed once.
         """
         if self._rank_cache is None:
             self._rank_cache = identifier_ranks(self._ids)
@@ -579,7 +471,7 @@ class EntityIndexEngine:
             n = self.num_entities
             degrees = np.zeros(n, dtype=np.int64)
             held: List = []
-            for src, dst, _counts, _arcs in self._neighbourhoods(0, n, True, False):
+            for src, dst, _counts, _arcs in self._neighbourhoods(True, False):
                 held += (src, dst)
                 if sum(map(len, held)) >= n:
                     degrees += np.bincount(np.concatenate(held), minlength=n)
@@ -658,27 +550,22 @@ class EntityIndexEngine:
 
         return weigh
 
-    def _weighted_batches(
-        self, scheme: str, lower: bool, start: int, stop: int, top_first: bool = False
-    ):
+    def _weighted_batches(self, scheme: str, lower: bool, top_first: bool = False):
         """:meth:`_neighbourhoods` with the edge weights: ``(src, dst, weights)``."""
         weigh = self._weigh_vector_factory(scheme)
-        for src, dst, counts, arcs in self._neighbourhoods(
-            start, stop, lower, scheme == "ARCS", top_first
-        ):
+        for src, dst, counts, arcs in self._neighbourhoods(lower, scheme == "ARCS", top_first):
             yield src, dst, weigh(src, dst, counts, arcs)
 
     def _node_weights(
-        self, scheme: str, lower: bool, start: int, stop: int
+        self, scheme: str, lower: bool
     ) -> Iterator[Tuple[int, Sequence[int], Sequence[float]]]:
-        """Per node of ``[start, stop)``, its (restricted) neighbourhood and weights.
+        """Per node, its (restricted) neighbourhood and weights.
 
         Yields ``(i, neighbours, weights)`` with neighbours sorted ascending;
         nodes whose restricted neighbourhood is empty are skipped.  The
-        batched kernel's columns are split per node (array slices).  The
-        neighbourhoods themselves still span all nodes.
+        batched kernel's columns are split per node (array slices).
         """
-        for src, dst, weights in self._weighted_batches(scheme, lower, start, stop):
+        for src, dst, weights in self._weighted_batches(scheme, lower):
             cuts = (_np.flatnonzero(src[1:] != src[:-1]) + 1).tolist()
             for i, lo, hi in zip(src[[0, *cuts]].tolist(), [0, *cuts], [*cuts, len(src)]):
                 yield i, dst[lo:hi], weights[lo:hi]
@@ -704,8 +591,55 @@ class EntityIndexEngine:
         and ``k`` (CNP) override the standard defaults.  Sets the run
         statistics (:attr:`last_num_edges`, :attr:`last_retained`,
         :attr:`last_refined`).
+
+        ``weighting`` and ``pruning`` are library names
+        (:data:`~repro.metablocking.weighting.WEIGHTING_SCHEMES`,
+        :data:`~repro.metablocking.pruning.PRUNING_SCHEMES`); anything else
+        is a :class:`KeyError`.  Every pass runs once over the whole graph.
         """
-        return self._retained(weighting, pruning, budget, k, self._whole_range)
+        if weighting not in WEIGHTING_SCHEMES:
+            raise KeyError(
+                f"unknown weighting scheme {weighting!r}; available: {sorted(WEIGHTING_SCHEMES)}"
+            )
+        if pruning not in PRUNING_SCHEMES:
+            raise KeyError(
+                f"unknown pruning scheme {pruning!r}; available: {sorted(PRUNING_SCHEMES)}"
+            )
+        reciprocal = pruning.startswith("Reciprocal")
+        refined = 0
+        if pruning == "WEP":
+            num_edges, columns = self._wep(weighting)
+        elif pruning == "CEP":
+            if budget is None:
+                budget = max(1, self.num_assignments // 2)
+            elif budget < 0:
+                raise ValueError(f"CEP budget must be non-negative, got {budget}")
+            num_edges, columns = self._cep(weighting, budget)
+        elif pruning.endswith("WNP") and weighting == "CBS":
+            num_edges, columns = self._cbs_wnp(reciprocal)
+        elif pruning.endswith("WNP"):
+            num_edges, columns, refined = self._wnp(weighting, reciprocal)
+        else:
+            if k is None:
+                # per graph *node*: descriptions of the identifier table that
+                # sit in no block must not dilute the average
+                k = max(1, int(round(self.num_assignments / max(1, self.num_nodes))) - 1)
+            num_edges, columns = self._cnp(weighting, k, reciprocal)
+        src, dst, weights = columns
+        src, dst = _np.asarray(src, dtype=_np.int64), _np.asarray(dst, dtype=_np.int64)
+        # canonical orientation by identifier rank, as plain typed arrays
+        ranks = self._ranks()
+        swap = ranks[src] > ranks[dst]
+        src, dst = (
+            _typed_array("q", _np.where(swap, dst, src)),
+            _typed_array("q", _np.where(swap, src, dst)),
+        )
+        weights = _typed_array("d", weights)
+        self.last_num_edges = num_edges
+        self.last_retained = len(weights)
+        self.last_refined = refined
+        self._sorted_cache = None  # the engine outlives the run; its sorted copy need not
+        return src, dst, weights
 
     def iter_retained(
         self,
@@ -720,136 +654,35 @@ class EntityIndexEngine:
             self._ids, *self.retained_columns(weighting, pruning, budget=budget, k=k)
         )
 
-    def _whole_range(self, step: str, scheme: str, *params) -> list:
-        """Run one ranged pruning pass over all nodes -- the sequential ``fan_out``."""
-        return [getattr(self, "_" + step)(scheme, 0, self.num_entities, *params)]
+    def _wep(self, scheme: str):
+        """WEP: ``(edge count, columns)`` of the edges at or above the mean weight.
 
-    def _retained(self, weighting: str, pruning: str, budget, k, fan_out):
-        """The pruning protocols behind :meth:`retained_columns`.
-
-        ``fan_out(step, scheme, *params)`` runs the ranged pass ``_<step>``
-        over a contiguous ordered cover of the node range and returns the
-        per-range results in range order: :meth:`_whole_range` here, one
-        worker task per range in
-        :meth:`ParallelEngine.retained_edges
-        <repro.mapreduce.parallel.ParallelEngine.retained_edges>`.  What is
-        merged below is insensitive to the cover, so every cover gives the
-        same columns, row for row.  The :data:`DRIVER_PRUNING_SCHEMES` run
-        their one pass (:meth:`_wnp`) here and never call ``fan_out``.
+        A threshold pass, then an emission pass, both lower-half (every edge
+        once).  The threshold is the exactly rounded ``fsum`` of all edge
+        weights, streamed in O(1) memory, over their count.
         """
-        scheme = weighting.upper()
-        if scheme not in INDEX_WEIGHTING_SCHEMES:
-            raise KeyError(
-                f"unknown weighting scheme {weighting!r}; "
-                f"available: {sorted(INDEX_WEIGHTING_SCHEMES)}"
-            )
-        key = pruning_key(pruning)
-        reciprocal = key.startswith("Reciprocal")
-        columns = None
-        refined = 0
-        if key == "WEP":
-            stats = fan_out("wep_stats", scheme)
-            num_edges = sum(count for count, _partials in stats)
-            if num_edges:
-                # the ranges' exact-sum expansions concatenate into one stream
-                # whose fsum is the exactly rounded sum of all edge weights
-                threshold = fsum(x for _count, partials in stats for x in partials) / num_edges
-                columns = _concat(fan_out("wep_emit", scheme, threshold))
-        elif key == "CEP":
-            if budget is None:
-                budget = max(1, self.num_assignments // 2)
-            elif budget < 0:
-                raise ValueError(f"CEP budget must be non-negative, got {budget}")
-            shards = fan_out("cep", scheme, budget)
-            num_edges = sum(shard[0] for shard in shards)
-            # the ranges' own best candidates are a superset of the global
-            # selection by (-weight, first, second)
-            ranks = self._rank_list()
-            rows = heapq.nsmallest(
-                budget,
-                (
-                    (-weight, min(ranks[a], ranks[b]), max(ranks[a], ranks[b]), a, b)
-                    for a, b, weight in zip(*_concat([shard[1:] for shard in shards]))
-                ),
-            )
-            columns = _edge_columns((a, b, -negated) for negated, _first, _second, a, b in rows)
-        elif key in DRIVER_PRUNING_SCHEMES and scheme == "CBS":
-            num_edges, columns = self._cbs_wnp(reciprocal)
-        elif key in DRIVER_PRUNING_SCHEMES:
-            num_edges, columns, refined = self._wnp(scheme, reciprocal)
-        else:
-            if k is None:
-                # per graph *node*: descriptions of the identifier table that
-                # sit in no block must not dilute the average
-                k = max(1, int(round(self.num_assignments / max(1, self.num_nodes))) - 1)
-            shards = fan_out("cnp", scheme, k)
-            num_edges = sum(shard[0] for shard in shards) // 2  # seen from both ends
-            # one row per endorsement: an edge needs one endorsing endpoint
-            # (two for the reciprocal variant) to survive
-            endorsed: Dict[Tuple[int, int], List] = {}
-            for a, b, weight in zip(*_concat([shard[1:] for shard in shards])):
-                endorsed.setdefault((a, b), [weight, 0])[1] += 1
-            needed = 2 if reciprocal else 1
-            columns = _edge_columns(
-                (a, b, weight)
-                for (a, b), (weight, endorsements) in sorted(endorsed.items())
-                if endorsements >= needed and weight > 0
-            )
-        src, dst, weights = columns or _concat([])
-        src, dst = _np.asarray(src, dtype=_np.int64), _np.asarray(dst, dtype=_np.int64)
-        # canonical orientation by identifier rank, as plain typed arrays
-        ranks = _np.asarray(self._ranks())
-        swap = ranks[src] > ranks[dst]
-        src, dst = (
-            _typed_array("q", _np.where(swap, dst, src)),
-            _typed_array("q", _np.where(swap, src, dst)),
-        )
-        weights = _typed_array("d", weights)
-        self.last_num_edges = num_edges
-        self.last_retained = len(weights)
-        self.last_refined = refined
-        self._sorted_cache = None  # the engine outlives the run; its sorted copy need not
-        return src, dst, weights
-
-    def _rank_list(self) -> Sequence[int]:
-        """:meth:`_ranks` as plain Python integers, for scalar tie-break tuples."""
-        ranks = self._ranks()
-        return ranks.tolist() if hasattr(ranks, "tolist") else ranks
-
-    def _wep_stats(self, scheme: str, start: int, stop: int) -> Tuple[int, List[float]]:
-        """WEP threshold pass: edge count and exact weight sum of one range.
-
-        Every edge counts once, from its lower endpoint.  The sum comes as
-        partials whose ``fsum`` is exact: ``fsum`` streams over the whole
-        node range in O(1) memory and its one rounded result is all the
-        caller needs; a proper sub-range has to hand over the unrounded
-        expansion.
-        """
-        batches = (w.tolist() for _s, _d, w in self._weighted_batches(scheme, True, start, stop))
+        np = _np
         count = 0
 
         def stream() -> Iterator[float]:
             nonlocal count
-            for weights in batches:
+            for _src, _dst, weights in self._weighted_batches(scheme, True):
                 count += len(weights)
-                yield from weights
+                yield from weights.tolist()
 
-        whole = start == 0 and stop == self.num_entities
-        partials = [fsum(stream())] if whole else _exact_partials(stream())
-        return count, partials
-
-    def _wep_emit(self, scheme: str, start: int, stop: int, threshold: float):
-        """WEP emission pass: the retained ``(src, dst, weight)`` rows of one range."""
-        np = _np
+        total = fsum(stream())
+        if not count:
+            return 0, _concat([])
+        threshold = total / count
         kept = []
-        for src, dst, weights in self._weighted_batches(scheme, True, start, stop):
+        for src, dst, weights in self._weighted_batches(scheme, True):
             # math.isclose(weight, threshold) with its default tolerances
             close = np.abs(weights - threshold) <= 1e-9 * np.maximum(
                 np.abs(weights), abs(threshold)
             )
             keep = (weights > threshold) | (close & (weights > 0))
             kept.append((src[keep], dst[keep], weights[keep]))
-        return _concat(kept)
+        return count, _concat(kept)
 
     def _wnp(self, scheme: str, reciprocal: bool):
         """WNP in one full-neighbourhood pass: ``(edge count, columns, refined nodes)``.
@@ -883,9 +716,7 @@ class EntityIndexEngine:
         thresholds = np.zeros(self.num_entities)
         parts = []
         rows = refined = 0
-        for src, dst, weights in self._weighted_batches(
-            scheme, False, 0, self.num_entities, top_first=True
-        ):
+        for src, dst, weights in self._weighted_batches(scheme, False, top_first=True):
             rows += len(src)
             heads = np.flatnonzero(np.concatenate(([True], src[1:] != src[:-1])))
             degrees = np.diff(np.append(heads, len(src)))
@@ -932,7 +763,7 @@ class EntityIndexEngine:
         owners = np.repeat(np.arange(n, dtype=np.int32), np.diff(self._np_ent_ptr))
         sums = np.bincount(owners, lengths - (self._np_blk_split[blocks] < 0), minlength=n)
         shared = []
-        for src, dst, counts, _arcs in self._neighbourhoods(0, n, True, False):
+        for src, dst, counts, _arcs in self._neighbourhoods(True, False):
             rows = np.flatnonzero(counts > 1)
             shared.append((src[rows], dst[rows], counts[rows].astype(np.float64)))
         src, dst, weights = _concat(shared)
@@ -956,18 +787,19 @@ class EntityIndexEngine:
         order = np.argsort(src.astype(np.int64) * n + dst)  # distinct keys: ascending rows
         return int(degrees.sum()) // 2, (src[order], dst[order], weights[order])
 
-    def _cnp(self, scheme: str, start: int, stop: int, k: int):
-        """CNP endorsement pass: ``(degree total, src, dst, weight)`` of one range.
+    def _cnp(self, scheme: str, k: int, reciprocal: bool):
+        """CNP in one full-neighbourhood pass: ``(edge count, columns)``.
 
-        One ``(lower ordinal, higher ordinal, weight)`` row per edge a node
-        of the range ranks among its ``k`` best by ``(weight, first,
-        second)`` -- identifier *ranks* standing in for the identifier
-        strings, an order-equivalent key.
+        Every node endorses the edges it ranks among its ``k`` best by
+        ``(weight, first, second)`` -- identifier *ranks* standing in for the
+        identifier strings, an order-equivalent key.  An edge survives with
+        one endorsing endpoint (two for the reciprocal variant); rows come
+        in ascending ``(lower ordinal, higher ordinal)`` order.
         """
-        ranks = self._rank_list()
-        endorsed: List[Tuple[int, int, float]] = []
+        ranks = self._ranks().tolist()
+        endorsed: Dict[Tuple[int, int], List] = {}
         total = 0
-        for i, neighbours, weights in self._node_weights(scheme, False, start, stop):
+        for i, neighbours, weights in self._node_weights(scheme, False):
             degree = len(neighbours)
             total += degree
             if k <= 0:
@@ -983,26 +815,30 @@ class EntityIndexEngine:
                 (weight, min(rank_i, ranks[j]), max(rank_i, ranks[j]), j)
                 for j, weight in zip(neighbours, weights)
             ]
-            endorsed.extend(
-                (min(i, j), max(i, j), weight)
-                for weight, _first, _second, j in heapq.nlargest(k, incident)
-            )
-        return (total, *_edge_columns(endorsed))
+            for weight, _first, _second, j in heapq.nlargest(k, incident):
+                endorsed.setdefault((min(i, j), max(i, j)), [weight, 0])[1] += 1
+        needed = 2 if reciprocal else 1
+        columns = _edge_columns(
+            (a, b, weight)
+            for (a, b), (weight, endorsements) in sorted(endorsed.items())
+            if endorsements >= needed and weight > 0
+        )
+        return total // 2, columns  # every edge is seen from both ends
 
-    def _cep(self, scheme: str, start: int, stop: int, budget: int):
-        """CEP candidate pass: ``(edge count, src, dst, weight)`` of one range.
+    def _cep(self, scheme: str, budget: int):
+        """CEP in one lower-half pass: ``(edge count, columns)``.
 
-        The range's ``budget`` best edges by ``(-weight, first, second)``
-        (identifier ranks again).  A bounded buffer compacted with
+        The ``budget`` best edges by ``(-weight, first, second)`` (identifier
+        ranks again), in that order.  A bounded buffer compacted with
         ``nsmallest`` keeps memory at O(budget); once full, its worst
         retained weight prunes whole neighbourhoods before any tuple is built.
         """
-        ranks = self._rank_list()
+        ranks = self._ranks().tolist()
         count = 0
         buffer: List[Tuple[float, int, int, int, int]] = []
         cutoff = -math.inf  # once the buffer fills, weights strictly below are pruned
         compact_at = 2 * budget + _CEP_COMPACT_SLACK
-        for i, neighbours, weights in self._node_weights(scheme, True, start, stop):
+        for i, neighbours, weights in self._node_weights(scheme, True):
             count += len(neighbours)
             if budget == 0:
                 continue
@@ -1020,4 +856,4 @@ class EntityIndexEngine:
                 if len(buffer) == budget:
                     cutoff = -buffer[-1][0]
         buffer = heapq.nsmallest(budget, buffer)
-        return (count, *_edge_columns((i, j, -negated) for negated, _f, _s, i, j in buffer))
+        return count, _edge_columns((i, j, -negated) for negated, _f, _s, i, j in buffer)

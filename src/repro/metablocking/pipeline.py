@@ -9,11 +9,10 @@ batched passes over CSR block-membership arrays, stays in ordinal space and
 hands back the retained edges as flat ``(first, second, weight)`` columns;
 pruned edges are never all resident (peak transient memory is one node
 batch, plus span columns of the order of the index itself for cutting the
-batches, plus the retained columns).  With a
-:class:`~repro.mapreduce.parallel.ParallelEngine`, the ranged passes of WEP,
-CEP and CNP fan out to its workers; WNP and ReciprocalWNP walk their node
-batches in one pass on the driver.  What every scheme pair retains is frozen
-in ``tests/fixtures/metablocking/seeded.json``.
+batches, plus the retained columns).  Every scheme runs in the calling
+process; a :class:`~repro.mapreduce.parallel.ParallelEngine` passed as
+``parallel=`` is accepted and ignored.  What every scheme pair retains is
+frozen in ``tests/fixtures/metablocking/seeded.json``.
 
 The output can be consumed in four forms:
 
@@ -116,8 +115,8 @@ class MetaBlocking:
         self.last_input_comparisons = 0
         self.last_graph_edges = 0
         self.last_retained_edges = 0
-        #: what ran the last run's pruning passes: "index", or "parallel" when
-        #: a ParallelEngine ran the ranged passes (WNP always runs "index")
+        #: what ran the last run's pruning passes: always "index" once a run
+        #: set it (the stage label's path)
         self.last_engine: Optional[str] = None
 
     @property
@@ -125,7 +124,7 @@ class MetaBlocking:
         return f"metablocking[{self.weighting.name}+{self.pruning.name}]"
 
     # ------------------------------------------------------------------
-    def _index_columns(self, blocks: BlockCollection, context, parallel):
+    def _index_columns(self, blocks: BlockCollection, context):
         """Run the index engine: ``(ids, first, second, weights)`` columns.
 
         The index is built over the context's ordinals when one is given,
@@ -144,15 +143,8 @@ class MetaBlocking:
         if context is not None and len(columns.ids) > len(context.ids):
             raise _uncovered(columns.ids[len(context.ids)])
         index = EntityIndexEngine.from_columns(columns)
-        columns = None
-        if parallel is not None:
-            # worker-side per-range selection: only retained edges cross the
-            # process boundary; bit-identical to the sequential pass (None
-            # for WNP, whose one pass runs here)
-            columns = parallel.retained_edges(index, weighting, pruning, **params)
-        self.last_engine = "index" if columns is None else "parallel"
-        if columns is None:
-            columns = index.retained_columns(weighting, pruning, **params)
+        columns = index.retained_columns(weighting, pruning, **params)
+        self.last_engine = "index"
         self.last_graph_edges = index.last_num_edges
         self.last_retained_edges = index.last_retained
         return (index.ids if context is None else context.ids, *columns)
@@ -165,17 +157,12 @@ class MetaBlocking:
         A view over the retained columns: pruning runs (and the last-run
         statistics are set) when the first edge is requested, the
         :class:`WeightedEdge` objects are built one at a time as the
-        generator is drained.
-
-        ``parallel`` (a :class:`~repro.mapreduce.parallel.ParallelEngine`)
-        fans the ranged pruning passes (WEP, CEP, CNP) out to worker
-        processes over shared-memory views of the CSR index; the retained
-        edges are bit-identical either way.  It is ignored for WNP and
-        ReciprocalWNP (one sequential pass, run here) and for empty
-        collections.
+        generator is drained.  ``parallel`` is accepted and ignored: every
+        scheme runs its passes here, so :attr:`last_engine` reads
+        ``"index"``.
         """
         self.last_input_comparisons = blocks.total_comparisons()
-        yield from edges_view(*self._index_columns(blocks, None, parallel))
+        yield from edges_view(*self._index_columns(blocks, None))
 
     def retained_edges(self, blocks: BlockCollection) -> List[WeightedEdge]:
         """Weight the graph and return the edges surviving the pruning scheme."""
@@ -208,11 +195,10 @@ class MetaBlocking:
         index engine's own table (block members in first-seen order).  The
         last-run statistics (:attr:`last_graph_edges`,
         :attr:`last_retained_edges`, :attr:`last_engine`) are set when this
-        returns.  ``parallel`` fans out the ranged pruning passes (not
-        WNP's); the weight sort runs here.
+        returns.  ``parallel`` is accepted and ignored.
         """
         self.last_input_comparisons = blocks.total_comparisons()
-        ids, first, second, weights = self._index_columns(blocks, context, parallel)
+        ids, first, second, weights = self._index_columns(blocks, context)
         columns = ComparisonColumns(ids, first, second, weights, distinct=True)
         return columns.weight_sorted()
 

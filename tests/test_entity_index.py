@@ -283,7 +283,7 @@ class TestWeightedColumns:
         def no_pruning(*_args, **_kwargs):
             raise AssertionError("pruning ran over blocks the context does not cover")
 
-        monkeypatch.setattr(EntityIndexEngine, "_retained", no_pruning)
+        monkeypatch.setattr(EntityIndexEngine, "retained_columns", no_pruning)
         with pytest.raises(KeyError, match="does not cover identifier 'n4'"):
             MetaBlocking("CBS", "WNP").weighted_columns(
                 BlockCollection(self.BLOCKS), context=context
@@ -327,20 +327,6 @@ class TestWeightingEdgeCaseValues:
         assert retained[("x", "y")] == pytest.approx(1.0 + 1.0 / 6.0)
 
 
-def ranged_fan_out(engine, cuts):
-    """The sequential ``fan_out`` of :meth:`EntityIndexEngine._retained` over
-    the cover of the node range that ``cuts`` splits it into."""
-    bounds = [0, *cuts, engine.num_entities]
-
-    def fan_out(step, scheme, *params):
-        return [
-            getattr(engine, "_" + step)(scheme, start, stop, *params)
-            for start, stop in zip(bounds, bounds[1:])
-        ]
-
-    return fan_out
-
-
 def rows(columns):
     return [tuple(column) for column in columns]
 
@@ -369,9 +355,7 @@ class TestWnpThresholdRefinement:
     def test_a_summed_threshold_flips_a_decision(self, weighting):
         engine = EntityIndexEngine(self.blocks())
         flipped = []
-        for src, _dst, weights in engine._weighted_batches(
-            weighting, False, 0, engine.num_entities, top_first=True
-        ):
+        for src, _dst, weights in engine._weighted_batches(weighting, False, top_first=True):
             heads = np.flatnonzero(np.concatenate(([True], src[1:] != src[:-1])))
             ends = np.append(heads[1:], len(src))
             summed = np.add.reduceat(weights, heads) / (ends - heads)
@@ -403,7 +387,7 @@ class TestWnpThresholdRefinement:
 
 
 class TestWnpOnePass:
-    """WNP and ReciprocalWNP open one generator over the whole node range:
+    """WNP and ReciprocalWNP open one neighbourhood generator per run:
     CBS a lower-half pass (each edge once), the float schemes a full pass
     walked top batch first."""
 
@@ -419,22 +403,23 @@ class TestWnpOnePass:
         calls = []
         original = EntityIndexEngine._neighbourhoods
 
-        def counted(self, start, stop, lower, want_arcs, top_first=False):
-            calls.append((start, stop, lower, top_first))
-            return original(self, start, stop, lower, want_arcs, top_first)
+        def counted(self, lower, want_arcs, top_first=False):
+            calls.append((lower, top_first))
+            return original(self, lower, want_arcs, top_first)
 
         monkeypatch.setattr(EntityIndexEngine, "_neighbourhoods", counted)
         got = rows(engine.retained_columns(weighting, pruning))
         if weighting == "CBS":
-            assert calls == [(0, engine.num_entities, True, False)]
+            assert calls == [(True, False)]
         else:
-            assert calls == [(0, engine.num_entities, False, True)]
+            assert calls == [(False, True)]
         assert got == expected and got
 
 
-class TestRangeCovers:
-    """The ranged passes merge into the same columns, row for row, whatever
-    contiguous cover of the node range they run over."""
+class TestRepeatedRuns:
+    """An engine outlives its runs (its sorted member copy is dropped, its
+    rank, degree and factor caches are kept): a second run, after another
+    scheme's run in between, retains the first run's columns row for row."""
 
     @pytest.fixture(scope="class")
     def blocks(self, small_dirty_dataset):
@@ -442,14 +427,14 @@ class TestRangeCovers:
 
     @pytest.mark.parametrize("pruning", ("WEP", "CNP"))
     @pytest.mark.parametrize("weighting", WEIGHTING_SCHEMES)
-    def test_one_two_and_three_range_covers_agree(self, blocks, weighting, pruning):
+    def test_a_second_run_retains_the_same_columns(self, blocks, weighting, pruning):
         engine = EntityIndexEngine(blocks)
-        n = engine.num_entities
-        whole = rows(engine.retained_columns(weighting, pruning))
-        assert whole
-        for cuts in ([n // 2], [n // 5, 3 * n // 4], [1, n - 1]):
-            covered = engine._retained(weighting, pruning, None, None, ranged_fan_out(engine, cuts))
-            assert rows(covered) == whole
+        first = rows(engine.retained_columns(weighting, pruning))
+        statistics = engine.last_num_edges, engine.last_retained
+        assert first
+        engine.retained_columns("EJS", "CEP")
+        assert rows(engine.retained_columns(weighting, pruning)) == first
+        assert (engine.last_num_edges, engine.last_retained) == statistics
 
 
 class TestNeighbourhoodBatchSpan:
@@ -464,8 +449,8 @@ class TestNeighbourhoodBatchSpan:
         padded = EntityIndexEngine(blocks, ids=padded_ids)
         # pretend int32 ends just below two rows of the padded table: span 1
         monkeypatch.setattr(entity_index, "_INT32_MAX", 2 * len(padded_ids) - 1)
-        expected = list(plain._neighbourhoods(0, plain.num_entities, lower, True))
-        batches = list(padded._neighbourhoods(0, padded.num_entities, lower, True))
+        expected = list(plain._neighbourhoods(lower, True))
+        batches = list(padded._neighbourhoods(lower, True))
         assert len(expected) < len(batches)
         assert all(src[0] == src[-1] for src, *_ in batches)
         for column in range(4):
@@ -505,24 +490,8 @@ def kernel_columns(request, small_dirty_dataset, small_clean_clean_dataset) -> B
 
 def neighbourhood_rows(engine, lower: bool):
     """The concatenated ``(src, dst, counts, arcs)`` columns of one whole-range pass."""
-    batches = list(engine._neighbourhoods(0, engine.num_entities, lower, True))
+    batches = list(engine._neighbourhoods(lower, True))
     return [np.concatenate([batch[column] for batch in batches]) for column in range(4)]
-
-
-def replica(engine) -> EntityIndexEngine:
-    """The engine rebuilt from its flat columns, as a pool worker does."""
-    return EntityIndexEngine.from_arrays(
-        {
-            "blk_ptr": engine._blk_ptr,
-            "blk_ents": engine._blk_ents,
-            "blk_split": engine._blk_split,
-            "recip": engine._recip,
-            "ent_ptr": engine._ent_ptr,
-            "ent_blocks": engine._ent_blocks,
-            "ent_side": engine._ent_side,
-            "ranks": engine._ranks(),
-        }
-    )
 
 
 class TestNeighbourhoodKernel:
@@ -557,12 +526,19 @@ class TestNeighbourhoodKernel:
         assert dict(zip(zip(src.tolist(), dst.tolist()), zip(counts.tolist(), arcs.tolist()))) == expected
 
     @pytest.mark.parametrize("lower", (True, False))
-    def test_a_replica_yields_the_same_rows(self, kernel_columns, lower):
+    def test_a_pass_after_a_pruning_run_yields_the_same_rows(self, kernel_columns, lower):
+        # a pruning run drops the sorted member copy and the next pass
+        # rebuilds it; a top-first pass yields the same batches reversed
         engine = EntityIndexEngine.from_columns(kernel_columns)
-        for ours, theirs in zip(
-            neighbourhood_rows(engine, lower), neighbourhood_rows(replica(engine), lower)
-        ):
-            assert ours.tobytes() == theirs.tobytes()
+        before = neighbourhood_rows(engine, lower)
+        engine.retained_columns("JS", "CNP")
+        assert engine._sorted_cache is None
+        for ours, again in zip(before, neighbourhood_rows(engine, lower)):
+            assert ours.tobytes() == again.tobytes()
+        top = list(engine._neighbourhoods(lower, True, top_first=True))
+        for column, ours in enumerate(before):
+            again = np.concatenate([batch[column] for batch in reversed(top)])
+            assert ours.tobytes() == again.tobytes()
 
     @pytest.mark.parametrize("weighting", ("CBS", "ARCS"))
     def test_a_wnp_run_leaves_the_member_column_as_it_was(self, kernel_columns, weighting):

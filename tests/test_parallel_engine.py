@@ -1,21 +1,23 @@
-"""Bit-identity of the multi-process parallel engine vs the sequential engines.
+"""The multi-process parallel engine: its one pooled stage and its lifecycle.
 
-The contract of :class:`~repro.mapreduce.parallel.ParallelEngine` is that
-enabling it never changes a result: the retained meta-blocking
-edges (weights *and* order, i.e. tie order) must be bit-identical to the
-single-process array engines for every worker count.  These tests sweep
-dirty and clean--clean collections across 1/2/4/8 workers, every weighting x
-pruning scheme pair, the replicas against the frozen meta-blocking fixture,
-and the degenerate shapes (empty collection, single entity, more workers
-than entities).
+:class:`~repro.mapreduce.parallel.ParallelEngine` pools one stage,
+connected-components clustering; every other stage runs on the driver and
+ignores the engine it is handed.  The driver-stage tests pass a live engine
+to blocking, cleaning, comparison propagation and every weighting x pruning
+pair of meta-blocking (at 1/2/4/8 workers, and over the frozen fixture) and
+check that it changes nothing: same output, no pool started, no segment
+created.  The workflow tests hold the whole run's matches, clusters and
+per-stage counts equal at 1/2/4 workers, check that every pruning scheme's
+workflow hands the pool the clustering pass only, and run the degenerate
+shapes (empty collection, single entity, more workers than entities).
 
 The lifecycle tests assert the driver-owns-everything rule observably: after
 ``close`` no shared-memory segment created by the engine is left behind in
 ``/dev/shm``, and further work on the engine is refused.  The dispatch tests
-pin what ``executor.map`` gives the stages: results in task order, a job's own
+pin what ``executor.map`` gives the stage: results in task order, a job's own
 exception unchanged, and a killed worker as ``BrokenProcessPool`` (under fork
-and spawn) with every segment still unlinked.  The per-stage failure tests
-route one shard of each pooled pass through a test-module wrapper: a killed
+and spawn) with every segment still unlinked.  The failure tests route one
+shard of the pooled clustering pass through a test-module wrapper: a killed
 worker aborts the workflow with ``BrokenProcessPool`` and leaves no segment,
 and a lagging first shard changes no result.  The janitor tests cover the
 ``/dev/shm`` sweep of segments a crashed driver left behind.
@@ -26,7 +28,10 @@ from __future__ import annotations
 import functools
 import multiprocessing
 import os
+import re
 import signal
+import subprocess
+import sys
 import time
 from array import array
 from concurrent.futures.process import BrokenProcessPool
@@ -34,6 +39,7 @@ from concurrent.futures.process import BrokenProcessPool
 import pytest
 from test_metablocking_equivalence import collection, column_rows, fixture, fixture_cases
 
+import repro
 from repro.blocking.cleaning import BlockFiltering, BlockPurging
 from repro.blocking.engine import BlockingEngine
 from repro.blocking.token_blocking import TokenBlocking
@@ -46,14 +52,11 @@ from repro.datasets.generator import iter_descriptions
 from repro.mapreduce import shm, worker
 from repro.mapreduce.balancing import contiguous_partitions
 from repro.mapreduce.parallel import ParallelEngine
-from repro.metablocking.entity_index import EntityIndexEngine
 from repro.metablocking.pipeline import MetaBlocking
 
 DATASETS = ("dirty", "clean")
 WORKER_COUNTS = (1, 2, 4, 8)
 WEIGHTINGS = ("CBS", "JS", "ARCS", "ECBS", "EJS")
-#: the pooled (ranged) schemes; WNP and ReciprocalWNP run on the driver
-PRUNINGS = ("WEP", "CEP", "CNP", "ReciprocalCNP")
 
 
 def blocks_snapshot(blocks):
@@ -67,6 +70,12 @@ def blocks_snapshot(blocks):
 def edges_snapshot(edge_iterable):
     """Retained edges in stream order, weights compared exactly."""
     return [(edge.first, edge.second, edge.weight) for edge in edge_iterable]
+
+
+def live_clustering(par):
+    """Run one pooled connected-components pass on ``par``: it ships a segment."""
+    first, second = array("q", [0, 1, 3]), array("q", [1, 2, 4])
+    return par.cluster_links(first, second, bytearray([1, 1, 1]), 5)
 
 
 def shm_segments():
@@ -140,6 +149,49 @@ class TestContiguousPartitions:
             contiguous_partitions([1.0], 0)
 
 
+#: the driver stages a live engine is handed to: pruning scheme -> weighting
+#: (EJS puts the degree-based factor column on the path), or propagation
+DRIVER_STAGES = {
+    "WEP": "EJS",
+    "CEP": "ARCS",
+    "CNP": "JS",
+    "ReciprocalCNP": "ECBS",
+    "propagation": None,
+}
+
+
+def _driver_stage(stage, context, blocks, parallel):
+    """``(rows, last_engine)`` of one driver stage run with ``parallel=``
+    (propagation has no ``last_engine``: ``None``)."""
+    if stage == "propagation":
+        propagated = BlockingEngine(parallel=parallel).clean(
+            blocks, purging=BlockPurging(), filtering=BlockFiltering(0.8), propagate=True
+        )
+        return blocks_snapshot(propagated), None
+    metablocking = MetaBlocking(DRIVER_STAGES[stage], stage)
+    columns = metablocking.weighted_columns(blocks, context=context, parallel=parallel)
+    rows = list(zip(columns.first, columns.second, columns.weights))
+    return rows, metablocking.last_engine
+
+
+class TestDriverStages:
+    """Only connected components is pooled: the other stages accept a live
+    engine and ignore it."""
+
+    @pytest.mark.parametrize("dataset", DATASETS)
+    @pytest.mark.parametrize("stage", sorted(DRIVER_STAGES))
+    def test_a_live_engine_changes_nothing_and_starts_nothing(self, request, dataset, stage):
+        _, context, blocks = _setup(request, dataset)
+        expected, _ = _driver_stage(stage, context, blocks, None)
+        assert expected
+        with ParallelEngine(num_workers=2) as par:
+            got, engine = _driver_stage(stage, context, blocks, par)
+            assert par._executor is None  # no pool was started
+            assert par._segment_seq == 0  # no segment was created
+        assert got == expected
+        assert engine == (None if stage == "propagation" else "index")
+
+
 class TestParallelBlocking:
     """Build, purging and filtering are not pooled stages: ``parallel=`` is
     accepted and the driver's column kernels run either way."""
@@ -153,6 +205,7 @@ class TestParallelBlocking:
             built = engine.build(data)
             cleaned = engine.clean(built, purging=BlockPurging(), filtering=BlockFiltering(0.8))
             assert par._segments == []  # nothing was shipped to the pool
+            assert par._executor is None
         expected = BlockingEngine(builder, context=context).clean(
             seq_blocks, purging=BlockPurging(), filtering=BlockFiltering(0.8)
         )
@@ -161,16 +214,21 @@ class TestParallelBlocking:
 
 
 class TestParallelMetaBlocking:
+    """Every weighting x pruning pair with a live engine passed: the driver's
+    index engine runs, the edges equal the serial ones in order and weight,
+    and the pool is never started."""
+
     @pytest.mark.parametrize("dataset", DATASETS)
     @pytest.mark.parametrize("weighting", WEIGHTINGS)
-    @pytest.mark.parametrize("pruning", PRUNINGS)
+    @pytest.mark.parametrize("pruning", ("WEP", "CEP", "CNP", "ReciprocalCNP"))
     def test_edges_bit_identical(self, request, dataset, weighting, pruning):
         _, _, blocks = _setup(request, dataset)
         metablocking = MetaBlocking(weighting, pruning)
         expected = edges_snapshot(metablocking.iter_retained(blocks))
         with ParallelEngine(num_workers=3) as par:
             got = edges_snapshot(metablocking.iter_retained(blocks, parallel=par))
-        assert metablocking.last_engine == "parallel"
+            assert par._executor is None and par._segment_seq == 0
+        assert metablocking.last_engine == "index"
         assert got == expected
 
     @pytest.mark.parametrize("dataset", DATASETS)
@@ -183,7 +241,6 @@ class TestParallelMetaBlocking:
         metablocking = MetaBlocking(weighting, pruning)
         expected = metablocking.weighted_columns(blocks, context=context)
         with ParallelEngine(num_workers=2) as par:
-            assert par.retained_edges(EntityIndexEngine(blocks), weighting, pruning) is None
             got = metablocking.weighted_columns(blocks, context=context, parallel=par)
             assert par._segments == [] and par._executor is None
         assert metablocking.last_engine == "index"
@@ -197,18 +254,20 @@ class TestParallelMetaBlocking:
     @pytest.mark.parametrize("dataset", DATASETS)
     @pytest.mark.parametrize("workers", WORKER_COUNTS)
     def test_worker_count_invariance(self, request, dataset, workers):
-        # EJS/WEP exercises the driver's factor column shared with the
-        # workers and both pooled WEP rounds
+        # EJS/WEP puts the degree-based factor column and both WEP passes
+        # on the path
         _, _, blocks = _setup(request, dataset)
         metablocking = MetaBlocking("EJS", "WEP")
         expected = edges_snapshot(metablocking.iter_retained(blocks))
         with ParallelEngine(num_workers=workers) as par:
             got = edges_snapshot(metablocking.iter_retained(blocks, parallel=par))
-        assert metablocking.last_engine == "parallel"
+            assert par._executor is None
+        assert metablocking.last_engine == "index"
         assert got == expected
 
-    def test_replicas_reproduce_the_frozen_fixture(self):
-        # the pooled ranged passes retain the frozen rows, weights bit for bit
+    def test_a_live_engine_reproduces_the_frozen_fixture(self):
+        # the WEP / CEP / CNP rows with an engine passed are the frozen
+        # rows, weights bit for bit
         cases = [
             (name, spec)
             for name, spec in fixture_cases()
@@ -220,13 +279,14 @@ class TestParallelMetaBlocking:
             for name, (key, weighting, pruning, _params) in cases:
                 metablocking = MetaBlocking(weighting, pruning)
                 columns = metablocking.weighted_columns(collection(key), parallel=par)
-                assert metablocking.last_engine == "parallel"
+                assert metablocking.last_engine == "index"
                 expected = fixture()[name]
                 assert column_rows(columns) == expected["rows"], name
                 assert (metablocking.last_graph_edges, metablocking.last_retained_edges) == (
                     expected["graph_edges"],
                     expected["retained"],
                 )
+            assert par._executor is None
 
 
 class TestEdgeCasesAndLifecycle:
@@ -236,8 +296,6 @@ class TestEdgeCasesAndLifecycle:
         with ParallelEngine(num_workers=4) as par:
             blocks = BlockingEngine(TokenBlocking(), context=context, parallel=par).build(data)
             assert len(blocks) == 0
-            # nothing to fan out: the caller takes the sequential path
-            assert par.retained_edges(EntityIndexEngine(blocks), "CBS", "WNP") is None
             columns = MetaBlocking("CBS", "WNP").weighted_columns(
                 blocks, context=context, parallel=par
             )
@@ -268,30 +326,26 @@ class TestEdgeCasesAndLifecycle:
         assert blocks_snapshot(built) == blocks_snapshot(sequential)
         assert got == expected
 
-    def test_segments_destroyed_on_close(self, dirty_setup):
+    def test_segments_destroyed_on_close(self):
         before = shm_segments()
         if before is None:
             pytest.skip("/dev/shm not observable on this platform")
-        data, context, blocks = dirty_setup
         par = ParallelEngine(num_workers=2)
         try:
-            BlockingEngine(TokenBlocking(), context=context, parallel=par).build(data)
-            metablocking = MetaBlocking("EJS", "WNP")
-            edges_snapshot(metablocking.iter_retained(blocks, parallel=par))
+            assert live_clustering(par) is not None
+            assert par._segments
         finally:
             par.close()
         leaked = sorted(set(shm_segments()) - set(before))
         assert leaked == []
 
-    def test_close_is_idempotent_and_final(self, dirty_setup):
-        _, _, blocks = dirty_setup
+    def test_close_is_idempotent_and_final(self):
         par = ParallelEngine(num_workers=2)
-        metablocking = MetaBlocking("CBS", "WEP")
-        edges_snapshot(metablocking.iter_retained(blocks, parallel=par))
+        live_clustering(par)
         par.close()
         par.close()
         with pytest.raises(RuntimeError):
-            edges_snapshot(metablocking.iter_retained(blocks, parallel=par))
+            live_clustering(par)
 
     @pytest.mark.parametrize("dataset", DATASETS + ("streamed",))
     def test_workflow_end_to_end_equivalence(self, request, dataset):
@@ -331,7 +385,7 @@ def _failing_job(task):
 def _attach_then_die_job(task):
     """Attach the shared segment as a real shard does; shard 1 then dies."""
     spec, shard = task
-    worker._segment(spec)
+    shm.AttachedSegment(spec)
     if shard == 1:
         os.kill(os.getpid(), signal.SIGKILL)
     return shard
@@ -402,38 +456,55 @@ class TestDispatch:
             ParallelEngine(num_workers=2, **{knob: 1})
 
 
+#: ten pooled clustering passes in a fresh interpreter -- more segments than a
+#: worker's attachment cache holds -- then close and exit
+TRACKER_SCRIPT = """
+from array import array
+from repro.mapreduce.parallel import ParallelEngine
+
+if __name__ == "__main__":
+    with ParallelEngine(num_workers=2, start_method={method!r}) as par:
+        for _ in range(10):
+            par.cluster_links(
+                array("q", [0, 1, 3]), array("q", [1, 2, 4]), bytearray([1, 1, 1]), 5
+            )
+"""
+
+
+@pytest.mark.skipif(not os.path.isdir("/dev/shm"), reason="no /dev/shm")
+@pytest.mark.parametrize("start_method", ("fork", "spawn", "forkserver"))
+def test_a_pooled_run_leaves_the_resource_tracker_quiet(start_method):
+    # every start method shares the driver's tracker: a worker that
+    # unregistered its attachment made the driver's unlink print a tracker
+    # KeyError per segment, and a worker exiting with a mapping still
+    # pinned by its views prints an ignored BufferError (both outside
+    # pytest's capture, hence the subprocess)
+    if start_method not in multiprocessing.get_all_start_methods():
+        pytest.skip(f"no {start_method} start method on this platform")
+    src = os.path.dirname(os.path.dirname(repro.__file__))
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
+    run = subprocess.run(
+        [sys.executable, "-c", TRACKER_SCRIPT.format(method=start_method)],
+        env=env,
+        capture_output=True,
+        text=True,
+        timeout=120,
+    )
+    assert run.returncode == 0, run.stderr
+    assert not re.search("Traceback|Exception ignored|leaked", run.stderr), run.stderr
+    assert shm.orphaned_segments() == []
+
+
 # ---------------------------------------------------------------------------
 # a killed or lagging worker in each pooled stage
 # ---------------------------------------------------------------------------
 
-#: workflow configurations and the pooled passes each one dispatches
-CONFIG_OVERRIDES = {
-    "default": {},
-    "wep": {"weighting_scheme": "ARCS", "pruning_scheme": "WEP"},
-    "cnp": {"pruning_scheme": "CNP"},
-    "cep": {"weighting_scheme": "EJS", "pruning_scheme": "CEP"},
-}
-
-#: stage -> (configuration, pass label): a pruning pass is labelled by its
-#: ranged step, connected components by "clustering" (the default WNP runs
-#: on the driver, so clustering is the default run's only pooled stage)
-STAGES = {
-    "clustering": ("default", "clustering"),
-    "wep_stats": ("wep", "wep_stats"),
-    "wep_emit": ("wep", "wep_emit"),
-    "cnp": ("cnp", "cnp"),
-    "cep": ("cep", "cep"),
-}
+#: the pooled stage: the default workflow's connected components
+STAGES = ("clustering",)
 
 
 def _pass_label(job, tasks) -> str:
-    if job is worker.pruning_pass_job:
-        return tasks[0][2]
-    if job is worker.cluster_links_job:
-        return "clustering"
-    if job is worker.propagate_pairs_job:
-        return "propagation"
-    return "other"
+    return "clustering" if job is worker.cluster_links_job else "other"
 
 
 def _die_if_marked(job, marked_task):
@@ -475,100 +546,99 @@ def _fingerprint(result):
 
 
 @pytest.fixture(scope="module")
-def serial_results(small_dirty_dataset):
-    return {
-        key: _fingerprint(ERWorkflow(WorkflowConfig(**fields)).run(small_dirty_dataset.collection))
-        for key, fields in CONFIG_OVERRIDES.items()
-    }
+def serial_result(small_dirty_dataset):
+    return _fingerprint(ERWorkflow(WorkflowConfig()).run(small_dirty_dataset.collection))
 
 
-def _pooled_run(dataset, config_key, num_workers=2):
-    config = WorkflowConfig(num_workers=num_workers, **CONFIG_OVERRIDES[config_key])
-    return ERWorkflow(config).run(dataset.collection)
+def _pooled_run(dataset, num_workers=2):
+    return ERWorkflow(WorkflowConfig(num_workers=num_workers)).run(dataset.collection)
 
 
 @pytest.mark.skipif(not os.path.isdir("/dev/shm"), reason="no /dev/shm")
 class TestWorkerFailurePerStage:
-    @pytest.mark.parametrize("stage", sorted(STAGES))
+    @pytest.mark.parametrize("stage", STAGES)
     def test_killed_worker_aborts_the_workflow(self, monkeypatch, small_dirty_dataset, stage):
-        config_key, label = STAGES[stage]
         before = repro_segments()
-        fired = _sabotage(monkeypatch, label, _die_if_marked)
+        fired = _sabotage(monkeypatch, stage, _die_if_marked)
         with pytest.raises(BrokenProcessPool):
-            _pooled_run(small_dirty_dataset, config_key)
+            _pooled_run(small_dirty_dataset)
         assert fired == [True]
         # the workflow closed its engine on the way out
         assert repro_segments() == before
         assert shm.orphaned_segments() == []
 
-    @pytest.mark.parametrize("stage", ("wep_stats", "wep_emit", "clustering", "cnp"))
+    @pytest.mark.parametrize("stage", STAGES)
     def test_killed_worker_at_four_workers(self, monkeypatch, small_dirty_dataset, stage):
-        config_key, label = STAGES[stage]
         before = repro_segments()
-        fired = _sabotage(monkeypatch, label, _die_if_marked, shard=1)
+        fired = _sabotage(monkeypatch, stage, _die_if_marked, shard=1)
         with pytest.raises(BrokenProcessPool):
-            _pooled_run(small_dirty_dataset, config_key, num_workers=4)
+            _pooled_run(small_dirty_dataset, num_workers=4)
         assert fired == [True]
         assert repro_segments() == before
         assert shm.orphaned_segments() == []
 
-    @pytest.mark.parametrize("stage", sorted(STAGES))
+    @pytest.mark.parametrize("stage", STAGES)
     def test_lagging_first_shard_changes_nothing(
-        self, monkeypatch, small_dirty_dataset, serial_results, stage
+        self, monkeypatch, small_dirty_dataset, serial_result, stage
     ):
         # shard 0 finishes last, so the merge must follow task order, not
         # completion order
-        config_key, label = STAGES[stage]
-        fired = _sabotage(monkeypatch, label, _lag_if_marked)
-        result = _pooled_run(small_dirty_dataset, config_key)
+        fired = _sabotage(monkeypatch, stage, _lag_if_marked)
+        result = _pooled_run(small_dirty_dataset)
         assert fired == [True]
-        assert _fingerprint(result) == serial_results[config_key]
+        assert _fingerprint(result) == serial_result
         assert result.fault_events == {}
         assert shm.orphaned_segments() == []
 
-    def test_a_clean_pooled_run_reports_no_faults(self, small_dirty_dataset, serial_results):
+    def test_a_clean_pooled_run_reports_no_faults(self, small_dirty_dataset, serial_result):
         with ParallelEngine(num_workers=2) as par:
             assert par.fault_stats == {}
-        result = _pooled_run(small_dirty_dataset, "default")
-        assert _fingerprint(result) == serial_results["default"]
+        result = _pooled_run(small_dirty_dataset)
+        assert _fingerprint(result) == serial_result
         assert result.fault_events == {}
         assert not [row for row in result.report.to_rows() if "fault" in row["stage"]]
         assert "fault" not in result.summary()
 
 
+#: one workflow configuration per pruning scheme (the default is CBS + WNP)
+SCHEME_CONFIGS = {
+    "WEP": {"weighting_scheme": "ARCS", "pruning_scheme": "WEP"},
+    "CEP": {"weighting_scheme": "EJS", "pruning_scheme": "CEP"},
+    "WNP": {},
+    "CNP": {"pruning_scheme": "CNP"},
+    "ReciprocalWNP": {"weighting_scheme": "JS", "pruning_scheme": "ReciprocalWNP"},
+    "ReciprocalCNP": {"weighting_scheme": "ECBS", "pruning_scheme": "ReciprocalCNP"},
+}
+
+
+@pytest.mark.skipif(not os.path.isdir("/dev/shm"), reason="no /dev/shm")
+@pytest.mark.parametrize("scheme", sorted(SCHEME_CONFIGS))
+def test_every_pruning_scheme_pools_connected_components_only(
+    monkeypatch, small_dirty_dataset, scheme
+):
+    # whatever the pruning scheme, a pooled workflow hands the pool one
+    # pass -- the clustering -- and returns the serial run's result
+    config = SCHEME_CONFIGS[scheme]
+    data = small_dirty_dataset.collection
+    expected = _fingerprint(ERWorkflow(WorkflowConfig(**config)).run(data))
+    dispatched = []
+    original = ParallelEngine._run
+
+    def _run(self, job, tasks):
+        dispatched.append(_pass_label(job, tasks))
+        return original(self, job, tasks)
+
+    monkeypatch.setattr(ParallelEngine, "_run", _run)
+    result = ERWorkflow(WorkflowConfig(num_workers=2, **config)).run(data)
+    assert dispatched == ["clustering"]
+    assert _fingerprint(result) == expected
+    assert result.fault_events == {}
+    assert shm.orphaned_segments() == []
+
+
 @pytest.mark.skipif(not os.path.isdir("/dev/shm"), reason="no /dev/shm")
 class TestWorkerFailureDirectStages:
-    """The passes reached by calling the stage engines with an engine directly."""
-
-    @pytest.mark.parametrize("wrapper", (_die_if_marked, _lag_if_marked), ids=("kill", "lag"))
-    def test_propagation(self, monkeypatch, dirty_setup, wrapper):
-        _, _, blocks = dirty_setup
-        purging, filtering = BlockPurging(), BlockFiltering(0.8)
-        expected = BlockingEngine().clean(
-            blocks, purging=purging, filtering=filtering, propagate=True
-        )
-        fired = _sabotage(monkeypatch, "propagation", wrapper)
-        with ParallelEngine(num_workers=2) as par:
-            clean = lambda: BlockingEngine(parallel=par).clean(
-                blocks, purging=purging, filtering=filtering, propagate=True
-            )
-            if wrapper is _die_if_marked:
-                with pytest.raises(BrokenProcessPool):
-                    clean()
-            else:
-                assert blocks_snapshot(clean()) == blocks_snapshot(expected)
-        assert fired == [True]
-        assert shm.orphaned_segments() == []
-
-    @pytest.mark.parametrize("step", ("wep_stats", "wep_emit"))
-    def test_killed_worker_during_pruning_rounds(self, monkeypatch, dirty_setup, step):
-        _, _, blocks = dirty_setup
-        fired = _sabotage(monkeypatch, step, _die_if_marked)
-        with ParallelEngine(num_workers=2) as par:
-            with pytest.raises(BrokenProcessPool):
-                MetaBlocking("CBS", "WEP").weighted_columns(blocks, parallel=par)
-        assert fired == [True]
-        assert shm.orphaned_segments() == []
+    """The pass reached by calling the engine directly."""
 
     def test_killed_worker_during_cluster_links(self, monkeypatch):
         first = array("q", [0, 1, 3, 4])
@@ -615,14 +685,13 @@ class TestShmJanitor:
         finally:
             os.unlink(path)
 
-    def test_live_engine_segments_are_never_orphans(self, dirty_setup):
-        _, _, blocks = dirty_setup
+    def test_live_engine_segments_are_never_orphans(self):
         with ParallelEngine(num_workers=2) as par:
-            assert len(MetaBlocking("CBS", "WEP").weighted_columns(blocks, parallel=par))
+            assert live_clustering(par) is not None
             # the engine's own segments are registered and must be invisible
             # to the janitor while the engine lives
             live = [s._shm.name for s in par._segments]
-            assert live  # the pruning passes shipped at least one segment
+            assert live  # the clustering pass shipped its segment
             orphans = shm.orphaned_segments()
             assert not set(live) & set(orphans)
         assert shm.orphaned_segments() == []

@@ -1,16 +1,14 @@
-"""Per-phase bit-identity of the newly parallelised workflow stages.
+"""Per-phase bit-identity of the pooled clustering and the driver stages.
 
-``tests/test_parallel_engine.py`` covers the original pooled stage
-(meta-blocking node weights); this
-module sweeps the stages added for the multi-core end-to-end workflow --
-comparison propagation behind the driver-side purging and filtering, the
-parametrised pruning schemes (explicit CEP budgets and CNP ``k`` values, the
-reciprocal variants), the pooled weight
-sort of the comparison columns and the per-shard union--find clustering --
-each at 1/2/4/8 workers against the sequential engines, plus the
-``contiguous_partitions`` edge cases the balancing layer must survive
-(all-zero costs, one hot entity dominating the prefix sums, more workers
-than items, empty input).
+``tests/test_parallel_engine.py`` covers the engine's lifecycle and the
+scheme sweep of the driver stages; this module sweeps the per-shard
+union--find clustering at 1/2/4/8 workers against the sequential engine,
+holds the driver stages -- interning, cleaning with propagation, explicit
+CEP budgets and CNP ``k`` values, the reciprocal variants and the
+meta-blocking weight sort -- to the serial output with a live engine
+passed, and pins the ``contiguous_partitions`` edge cases the
+balancing layer must survive (all-zero costs, one hot entity dominating the
+prefix sums, more workers than items, empty input).
 """
 
 from __future__ import annotations
@@ -154,6 +152,9 @@ class TestParallelInterning:
 
 
 class TestParallelCleaning:
+    """Purging, filtering and propagation run on the driver: a live engine
+    at any worker count leaves the cleaned blocks as the serial run's."""
+
     @pytest.mark.parametrize("dataset", DATASETS)
     @pytest.mark.parametrize("workers", WORKER_COUNTS)
     def test_full_cleaning_pipeline_bit_identical(self, request, dataset, workers):
@@ -166,13 +167,14 @@ class TestParallelCleaning:
         with ParallelEngine(num_workers=workers) as par:
             engine = BlockingEngine(parallel=par)
             got = engine.clean(blocks, purging=purging, filtering=filtering, propagate=True)
+            assert par._executor is None
         assert blocks_snapshot(got) == blocks_snapshot(expected)
 
     @pytest.mark.parametrize("dataset", DATASETS)
     @pytest.mark.parametrize("workers", (3, 4))
     def test_cleaning_matches_oracle_cleaners(self, request, dataset, workers):
-        # cross-check the parallel pipeline against the plain object-path
-        # cleaners, not just the sequential index engine
+        # cross-check the column pipeline against the plain object-path
+        # cleaners, not just against itself
         _, _, blocks = _setup(request, dataset)
         oracle = ComparisonPropagation().process(
             BlockFiltering(0.8).process(BlockPurging().process(blocks))
@@ -187,7 +189,7 @@ class TestParallelCleaning:
 class TestParallelPruningParameters:
     """Explicit CEP budgets and CNP ``k`` values (the scheme sweep in
     ``test_parallel_engine.py`` uses only the defaults) plus the reciprocal
-    variants, against the sequential index engine."""
+    variants, with a live engine passed, against the serial run."""
 
     @pytest.mark.parametrize("dataset", DATASETS)
     @pytest.mark.parametrize("budget", (1, 10, 100))
@@ -198,7 +200,8 @@ class TestParallelPruningParameters:
         assert len(expected) <= budget
         with ParallelEngine(num_workers=3) as par:
             got = edges_snapshot(metablocking.iter_retained(blocks, parallel=par))
-        assert metablocking.last_engine == "parallel"
+            assert par._executor is None
+        assert metablocking.last_engine == "index"
         assert got == expected
 
     @pytest.mark.parametrize("dataset", DATASETS)
@@ -209,7 +212,8 @@ class TestParallelPruningParameters:
         expected = edges_snapshot(metablocking.iter_retained(blocks))
         with ParallelEngine(num_workers=3) as par:
             got = edges_snapshot(metablocking.iter_retained(blocks, parallel=par))
-        assert metablocking.last_engine == "parallel"
+            assert par._executor is None
+        assert metablocking.last_engine == "index"
         assert got == expected
 
     @pytest.mark.parametrize("dataset", DATASETS)
@@ -224,7 +228,8 @@ class TestParallelPruningParameters:
         expected = edges_snapshot(metablocking.iter_retained(blocks))
         with ParallelEngine(num_workers=3) as par:
             got = edges_snapshot(metablocking.iter_retained(blocks, parallel=par))
-        assert metablocking.last_engine == "parallel"
+            assert par._executor is None
+        assert metablocking.last_engine == "index"
         assert got == expected
 
     @pytest.mark.parametrize("workers", WORKER_COUNTS)
@@ -238,35 +243,37 @@ class TestParallelPruningParameters:
 
 
 class TestParallelRetainedColumns:
-    """The pooled ranged passes return the sequential engine's own columns --
-    same rows, same order, same statistics -- however many ranges the node
-    range is cut into."""
+    """With a live engine passed, meta-blocking returns the index engine's
+    own columns -- same rows, same order, same statistics -- at any worker
+    count."""
 
-    #: the ranged schemes (WNP and ReciprocalWNP run on the driver)
     PRUNINGS = ("WEP", "CEP", "CNP", "ReciprocalCNP", "WEP", "CNP")
     WEIGHTINGS = ("ARCS", "EJS", "JS", "ARCS", "ECBS", "CBS")
 
     @pytest.mark.parametrize("dataset", DATASETS)
     @pytest.mark.parametrize("workers", (1, 2, 3))
-    def test_columns_bit_identical_for_every_cover(self, request, dataset, workers):
+    def test_columns_bit_identical_at_every_worker_count(self, request, dataset, workers):
         _, _, blocks = _setup(request, dataset)
         with ParallelEngine(num_workers=workers) as par:
             for weighting, pruning in zip(self.WEIGHTINGS, self.PRUNINGS):
                 sequential = EntityIndexEngine(blocks)
-                expected = sequential.retained_columns(weighting, pruning)
-                assert len(expected[0]) > 0
-                sharded = EntityIndexEngine(blocks)
-                assert par.retained_edges(sharded, weighting, pruning) == expected
-                assert sharded.last_num_edges == sequential.last_num_edges
-                assert sharded.last_retained == sequential.last_retained
+                expected = edges_snapshot(sequential.iter_retained(weighting, pruning))
+                assert expected
+                metablocking = MetaBlocking(weighting, pruning)
+                got = edges_snapshot(metablocking.iter_retained(blocks, parallel=par))
+                assert metablocking.last_engine == "index"
+                assert got == expected
+                assert metablocking.last_graph_edges == sequential.last_num_edges
+                assert metablocking.last_retained_edges == sequential.last_retained
+            assert par._executor is None
 
 
 class TestParallelWeightSort:
     @pytest.mark.parametrize("dataset", DATASETS)
     @pytest.mark.parametrize("workers", WORKER_COUNTS)
     def test_sorted_columns_bit_identical(self, request, dataset, workers):
-        # CBS produces heavily tied integer weights: the pooled k-way merge
-        # must reproduce the sequential (weight, rank, rank) tie order exactly
+        # CBS produces heavily tied integer weights: a live engine must leave
+        # the sequential (weight, rank, rank) tie order exactly as it is
         _, context, blocks = _setup(request, dataset)
         metablocking = MetaBlocking("CBS", "WNP")
         expected = metablocking.weighted_columns(blocks, context=context)
@@ -291,8 +298,8 @@ class TestParallelWeightSort:
         assert got == expected
 
     def test_matches_object_path_order(self, dirty_setup):
-        # the pooled sort must agree with weighted_comparisons (the object
-        # oracle of the ordering contract), not merely with itself
+        # the sort must agree with weighted_comparisons (the object oracle
+        # of the ordering contract), not merely with itself
         _, context, blocks = dirty_setup
         metablocking = MetaBlocking("CBS", "WNP")
         oracle = [

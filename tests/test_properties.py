@@ -11,11 +11,9 @@ from repro.datamodel.description import EntityDescription, merge_descriptions
 from repro.datamodel.ground_truth import GroundTruth
 from repro.evaluation.curves import ProgressiveRecallCurve
 from repro.evaluation.metrics import evaluate_comparisons
-from repro.metablocking.entity_index import (
-    INDEX_PRUNING_SCHEMES,
-    INDEX_WEIGHTING_SCHEMES,
-    EntityIndexEngine,
-)
+from repro.metablocking.entity_index import EntityIndexEngine
+from repro.metablocking.pruning import PRUNING_SCHEMES
+from repro.metablocking.weighting import WEIGHTING_SCHEMES
 from repro.text.tokenize import token_set
 
 
@@ -85,7 +83,7 @@ def test_blocking_graph_edges_equal_distinct_pairs(blocks):
 @settings(max_examples=40, deadline=None)
 def test_weighting_schemes_are_positive_on_edges(blocks):
     engine = EntityIndexEngine(blocks)
-    for weighting in INDEX_WEIGHTING_SCHEMES:
+    for weighting in WEIGHTING_SCHEMES:
         assert all(edge.weight > 0.0 for edge in all_edges(engine, weighting))
 
 
@@ -94,7 +92,7 @@ def test_weighting_schemes_are_positive_on_edges(blocks):
 def test_pruning_output_is_subset_of_edges(blocks):
     engine = EntityIndexEngine(blocks)
     edges = {edge.pair for edge in all_edges(engine)}
-    for pruning in INDEX_PRUNING_SCHEMES:
+    for pruning in PRUNING_SCHEMES:
         retained = {edge.pair for edge in engine.iter_retained("CBS", pruning)}
         assert retained <= edges
 
