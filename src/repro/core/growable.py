@@ -40,11 +40,19 @@ from repro.core.snapshot import SnapshotReader, SnapshotWriter
 from repro.datamodel.description import EntityDescription
 from repro.text.tokenize import SLOT_MARK, tokenize_slots
 
-__all__ = ["GrowableColumn", "GrowableContext"]
+__all__ = ["GrowableColumn", "GrowableContext", "record_words"]
 
 #: Elements per growable chunk.  Large enough that chunk bookkeeping is
 #: negligible, small enough that a mostly-empty column stays cheap.
 DEFAULT_CHUNK_SIZE = 1 << 14
+
+
+def record_words(description: EntityDescription) -> Dict[str, None]:
+    """The distinct words of a description's values in first-touch order, as
+    dict keys: the chunk kernel on one record, less the slot marks."""
+    words = dict.fromkeys(tokenize_slots(list(map(" ".join, description.attributes.values()))))
+    words.pop(SLOT_MARK, None)
+    return words
 
 
 class GrowableColumn:
@@ -212,11 +220,7 @@ class GrowableContext:
         self._ids.append(description.identifier)
         token_ids = self._vocab_map()
         tokens = self._tokens
-        # a chunk of one: its distinct words in first-touch order, less the
-        # mark that closes each attribute
-        slots = list(map(" ".join, description.attributes.values()))
-        words = dict.fromkeys(tokenize_slots(slots))
-        words.pop(SLOT_MARK, None)
+        words = record_words(description)
         for token in words:
             if token not in token_ids:
                 token_ids[token] = len(tokens)

@@ -31,7 +31,7 @@ The matcher's exact type selects one of two paths.  The array path delegates to
 :class:`~repro.iterative.index.IncrementalIndex` -- arrivals are interned
 once (ordinal, vocabulary ids, merged distinct ids) into a shared
 :class:`~repro.core.growable.GrowableContext`, candidates are counted
-over array postings by one sorted-run kernel and scored from those
+over array postings by one ``bincount`` tally and scored from those
 shared-token counts (from token-id set intersections when the matcher
 filters tokens unlike the index), and the state can be snapshotted to disk (:meth:`~IncrementalResolver.save`) and
 memory-mapped back (:meth:`~IncrementalResolver.restore`).  The object path

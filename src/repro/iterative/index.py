@@ -9,11 +9,12 @@ keeps the same state as flat integers over a shared
 * arrivals are interned **once** -- ordinal, vocabulary ids, merged
   distinct ids -- instead of being re-tokenised per comparison;
 * candidate generation runs over integer postings (``token id ->
-  array('q')`` of distinct cluster-root ordinals) with a **root -> token
-  reverse index**, so a merge re-points only the absorbed root's postings
-  (the historical oracle rescanned the whole token index per merge); an
-  arrival's shared-token counts are the run lengths of its concatenated
-  postings after one sort (ScanCount over the inverted lists);
+  array('q')`` of ascending cluster-root ordinals) with a **root -> token
+  reverse index**, so a merge edits only the absorbed root's postings, each
+  by a binary search (the historical oracle rescanned the whole token index
+  per merge); an arrival walks its postings once, gathering each and then
+  joining it, and its shared-token counts are one ``bincount`` of the dense
+  root ordinals gathered (ScanCount over the inverted lists);
 * when the index and the matcher filter tokens alike (the default), those
   counts *are* the intersection sizes a set similarity needs: every
   co-occurring root is scored at once from them and a root -> token-count
@@ -54,8 +55,8 @@ Persistence
 :meth:`IncrementalIndex.save` writes every column through
 :mod:`repro.core.snapshot`; :meth:`IncrementalIndex.load` memory-maps the
 columns back and resumes accepting arrivals without re-interning anything
--- only the integer postings are re-inverted.  Description objects are
-*not* part of a snapshot; a restored index answers every query except
+-- only the integer postings are re-inverted, by one sort.  Description
+objects are *not* part of a snapshot; a restored index answers every query except
 ``representation_of``/``as_collection`` (which need the raw objects and
 raise ``RuntimeError``).
 """
@@ -64,10 +65,11 @@ from __future__ import annotations
 
 import math
 from array import array
+from bisect import bisect_left, insort
 from pathlib import Path
 from typing import Any, Dict, FrozenSet, Iterable, List, Optional, Sequence, Union
 
-from repro.core.growable import GrowableContext
+from repro.core.growable import GrowableContext, record_words
 from repro.core.snapshot import SnapshotError, SnapshotReader, SnapshotWriter
 from repro.core.unionfind import IntUnionFind
 from repro.datamodel.collection import EntityCollection
@@ -76,7 +78,7 @@ from repro.iterative.incremental import ArrivalResult, check_max_candidates
 from repro.matching.engine import _set_matches, _set_score
 from repro.matching.matchers import ProfileSimilarityMatcher
 from repro.text.similarity import SET_SIMILARITIES
-from repro.text.tokenize import DEFAULT_STOP_WORDS, check_min_token_length, token_set
+from repro.text.tokenize import DEFAULT_STOP_WORDS, check_min_token_length
 
 import numpy as _np
 
@@ -161,7 +163,24 @@ def _read_csr(reader: SnapshotReader, name: str, rows: int, low: int, high: int)
     return pointers.tolist(), data
 
 
-def _encode_tree(node: Any, out: array) -> None:
+def _read_token_csr(reader: SnapshotReader, name: str, rows: int, vocabulary: int):
+    """:func:`_read_csr` of token-id rows, each strictly ascending or a
+    :class:`SnapshotError` names the data column; the data as a plain
+    ``ndarray`` view, which slices far cheaper than a ``np.memmap``."""
+    pointers, data = _read_csr(reader, name, rows, 0, vocabulary)
+    # offset row r by r * vocabulary: the rows are all strictly ascending iff
+    # the whole column then is
+    offsets = _np.repeat(_np.arange(rows, dtype=_np.int64) * vocabulary, _np.diff(pointers))
+    if (_np.diff(data + offsets) <= 0).any():
+        raise SnapshotError(
+            f"snapshot at {reader.path}: column 'index.{name}_data' holds a row "
+            "that is not strictly ascending; the snapshot is corrupted"
+        )
+    return pointers, data.view(_np.ndarray)
+
+
+def _encode_tree(node: Any, out: array) -> array:
+    """``out`` with ``node`` appended in the tree column's encoding."""
     if isinstance(node, list):
         out.append(_TREE_OPEN)
         for child in node:
@@ -169,6 +188,7 @@ def _encode_tree(node: Any, out: array) -> None:
         out.append(_TREE_CLOSE)
     else:
         out.append(int(node))
+    return out
 
 
 def _decode_tree(values: Sequence[int], position: int) -> "tuple[list, int]":
@@ -335,28 +355,30 @@ class IncrementalIndex:
     # ------------------------------------------------------------------
     # resolution
     # ------------------------------------------------------------------
-    def _shared_counts(self, token_ids: Iterable[int]):
-        """``(roots, counts)``: the distinct roots posted under ``token_ids``
-        in ascending order and how many of the tokens each holds, as int64
-        arrays; ``None`` when no root holds any of them."""
+    def _shared_counts(self, token_ids: Iterable[int], arrival: Optional[int] = None):
+        """``(roots, counts)``: the distinct roots posted under ``token_ids``, ascending,
+        and how many of the tokens each holds, as int64 arrays (``None`` if no root is);
+        an ``arrival`` -- in no posting yet -- is posted under each token once read."""
         postings = self._postings
-        # one sort of the concatenated postings; a root's shared-token count
-        # is the length of its run.  The buffer is private, so no view of a
-        # posting is alive when the posting is appended to.
-        buffer = array("q")
+        buffer = array("q")  # private: no view of a posting outlives its growth
         for token_id in token_ids:
             roots = postings.get(token_id)
             if roots is not None:
                 buffer.extend(roots)
+                if arrival is None:
+                    continue
+                if arrival > roots[-1]:
+                    roots.append(arrival)  # a new record: the largest ordinal
+                else:
+                    insort(roots, arrival)  # a re-resolved member
+            elif arrival is not None:
+                postings[token_id] = array("q", (arrival,))
         if not buffer:
             return None
-        run = _np.frombuffer(buffer, dtype=_np.int64)
-        run.sort()
-        boundary = _np.empty(len(run) + 1, dtype=bool)
-        boundary[0] = boundary[-1] = True
-        _np.not_equal(run[1:], run[:-1], out=boundary[1:-1])
-        edges = boundary.nonzero()[0]
-        return run[edges[:-1]], edges[1:] - edges[:-1]
+        # ScanCount: one tally of the dense root ordinals (nonzero is 2x faster on bools)
+        tally = _np.bincount(_np.frombuffer(buffer, dtype=_np.int64))
+        distinct = tally.astype(bool).nonzero()[0]
+        return distinct, tally[distinct]
 
     def _cut(self, counts) -> Optional[int]:
         """The ``max_candidates``-th largest count, ``None`` if all roots fit."""
@@ -429,28 +451,13 @@ class IncrementalIndex:
     def _posted_counts(self, distinct, token_ids: Sequence[int]):
         """How many of ``token_ids`` each root of ``distinct`` is posted under."""
         postings = self._postings
-        buffer = array("q")
-        for token_id in token_ids:
-            buffer.extend(postings[token_id])
-        posted = _np.frombuffer(buffer, dtype=_np.int64)
-        where = distinct.searchsorted(posted)
-        where[where == len(distinct)] = 0
-        return _np.bincount(where[distinct[where] == posted], minlength=len(distinct))
-
-    def _post(self, root: int, token_ids: Iterable[int]) -> None:
-        """Append ``root`` -- not yet in any posting -- under each token."""
-        postings = self._postings
-        for token_id in token_ids:
-            roots = postings.get(token_id)
-            if roots is None:
-                postings[token_id] = array("q", (root,))
-            else:
-                roots.append(root)
+        posted = _np.frombuffer(b"".join([postings[t] for t in token_ids]), dtype=_np.int64)
+        return _np.bincount(posted, minlength=len(self._alive))[distinct]
 
     def _merge_roots(self, target: int, source: int) -> List[int]:
-        """Merge ``source``'s cluster into ``target``'s; re-points only the
-        absorbed root's postings via the reverse index.  Returns the tokens
-        the merge adds to ``target``."""
+        """Merge ``source``'s cluster into ``target``'s; edits only the
+        absorbed root's postings, found via the reverse index, each by a
+        binary search.  Returns the tokens the merge adds to ``target``."""
         self._uf.union(target, source)
         self._members[target].extend(self._members.pop(source))
         self._trees[target].append(self._trees.pop(source))
@@ -460,14 +467,9 @@ class IncrementalIndex:
         fresh = []
         for token_id in source_tokens:
             roots = postings[token_id]
-            slot = roots.index(source)
-            if token_id in tokens:
-                # the target is already posted here: swap-remove the source
-                last = roots.pop()
-                if slot < len(roots):
-                    roots[slot] = last
-            else:
-                roots[slot] = target
+            del roots[bisect_left(roots, source)]
+            if token_id not in tokens:
+                insort(roots, target)
                 fresh.append(token_id)
         tokens.update(fresh)
         self._root_tokens[target] = array("q", sorted(tokens))
@@ -504,15 +506,13 @@ class IncrementalIndex:
         result = ArrivalResult(identifier=self.context.ids[ordinal])
         full_column = self.context.token_ids_of(ordinal)
         index_ids = array("q", self._index_filter.select(full_column))
-        counted = self._shared_counts(index_ids)
-
-        # register the arrival as its own singleton cluster; its ordinal is
-        # fresh, so no posting can hold it yet
+        # register the arrival as its own singleton cluster, posted as it
+        # counts: no posting holds its ordinal yet
+        counted = self._shared_counts(index_ids, ordinal)
         self._members[ordinal] = [ordinal]
         self._trees[ordinal] = [ordinal]
         self._root_tokens[ordinal] = index_ids
         self._sizes[ordinal] = len(index_ids)
-        self._post(ordinal, index_ids)
         shared_filter = self._match_tokens is self._root_tokens
         if not shared_filter:
             self._match_tokens[ordinal] = array(
@@ -610,7 +610,7 @@ class IncrementalIndex:
         postings = self._postings
         for token_id in self._root_tokens.pop(root).tolist():
             roots = postings[token_id]
-            roots.remove(root)
+            del roots[bisect_left(roots, root)]
             if not roots:
                 del postings[token_id]
         if self._match_tokens is not self._root_tokens:
@@ -637,22 +637,19 @@ class IncrementalIndex:
         """Non-mutating query: the cluster the description would join, if any.
 
         Candidate ranking and scoring follow :meth:`add`, but nothing is
-        interned, no merge happens and no counter moves.  Unknown tokens are
-        mapped to transient ids past the vocabulary so set sizes (and hence
-        scores) stay exact.
+        interned, no merge happens and no counter moves.  The query is
+        tokenised once, as :meth:`GrowableContext.add_record` tokenises an
+        arrival.  Unknown tokens are mapped to transient ids past the
+        vocabulary so set sizes (and hence scores) stay exact.
         """
+        words = record_words(description)
         token_id_of = self.context.token_id
 
-        def ids_of(stop_words, min_length) -> List[Optional[int]]:
-            tokens = token_set(
-                description.values(), stop_words=stop_words, min_length=min_length
-            )
-            return [token_id_of(token) for token in tokens]
+        def ids_of(stops, min_length) -> List[Optional[int]]:
+            return [token_id_of(w) for w in words if len(w) >= min_length and w not in stops]
 
         index_ids = ids_of(self.stop_words, self.min_token_length)
-        counted = self._shared_counts(
-            [token_id for token_id in index_ids if token_id is not None]
-        )
+        counted = self._shared_counts([token_id for token_id in index_ids if token_id is not None])
         if counted is None:
             return frozenset()
         ids = self.context.ids
@@ -697,38 +694,25 @@ class IncrementalIndex:
     def _write_state(self, writer: SnapshotWriter) -> None:
         self.context.write_snapshot(writer)
         writer.column("index.uf_parent", self._uf.parent)
-        # note: array('q', <bytes-like>) would reinterpret raw bytes, so the
-        # flags go through an explicit value iterator
-        writer.column("index.alive", array("q", (int(flag) for flag in self._alive)))
-        roots = [int(root) for root in self._members]
-        writer.column("index.roots", array("q", roots))
+        writer.column("index.alive", _np.frombuffer(self._alive, dtype=_np.uint8).astype(_np.int64))
+        roots = array("q", self._members)
+        writer.column("index.roots", roots)
 
-        def csr(values_of) -> "tuple[array, array]":
-            pointers = array("q", [0])
-            data = array("q")
+        def csr(name: str, rows: Dict[int, Sequence[int]]) -> None:
+            """Write the ``index.<name>_ptr`` / ``_data`` CSR of one row per root."""
+            pointers, data = array("q", [0]), array("q")
             for root in roots:
-                data.extend(int(value) for value in values_of(root))
+                data.extend(rows[root])
                 pointers.append(len(data))
-            return pointers, data
+            writer.column(f"index.{name}_ptr", pointers)
+            writer.column(f"index.{name}_data", data)
 
-        member_ptr, member_data = csr(lambda root: self._members[root])
-        writer.column("index.member_ptr", member_ptr)
-        writer.column("index.member_data", member_data)
-        token_ptr, token_data = csr(lambda root: self._root_tokens[root])
-        writer.column("index.root_token_ptr", token_ptr)
-        writer.column("index.root_token_data", token_data)
+        csr("member", self._members)
+        csr("root_token", self._root_tokens)
         shared_filter = self._match_tokens is self._root_tokens
         if not shared_filter:
-            match_ptr, match_data = csr(lambda root: self._match_tokens[root])
-            writer.column("index.match_token_ptr", match_ptr)
-            writer.column("index.match_token_data", match_data)
-        tree_ptr = array("q", [0])
-        tree_data = array("q")
-        for root in roots:
-            _encode_tree(self._trees[root], tree_data)
-            tree_ptr.append(len(tree_data))
-        writer.column("index.tree_ptr", tree_ptr)
-        writer.column("index.tree_data", tree_data)
+            csr("match_token", self._match_tokens)
+        csr("tree", {root: _encode_tree(self._trees[root], array("q")) for root in roots})
         matcher = self.matcher
         writer.meta(
             kind="incremental-index",
@@ -761,8 +745,9 @@ class IncrementalIndex:
         type or range, a ``shared_filter`` or ``live`` the rest of the state
         contradicts, or a CSR column that does not hold one row per root
         (``len(roots) + 1`` non-decreasing pointers from 0 to the data
-        length, ordinals below the record count, token ids below the
-        vocabulary size) raises a :class:`SnapshotError` naming it.
+        length, distinct roots and members below the record count, strictly
+        ascending token rows below the vocabulary size) raises a
+        :class:`SnapshotError` naming it.
         """
         reader = SnapshotReader(path)
         meta = reader.meta
@@ -827,23 +812,33 @@ class IncrementalIndex:
         roots = reader.values("index.roots", 0, records).tolist()
         member_ptr, member_column = _read_csr(reader, "member", len(roots), 0, records)
         member_data = member_column.tolist()
-        token_ptr, token_column = _read_csr(reader, "root_token", len(roots), 0, vocabulary)
-        token_data = token_column.tolist()
+        for name, values in (("index.roots", roots), ("index.member_data", member_data)):
+            if len(set(values)) != len(values):
+                raise SnapshotError(
+                    f"snapshot at {path}: column {name!r} lists an ordinal twice; "
+                    "the snapshot is corrupted"
+                )
+        token_ptr, token_column = _read_token_csr(reader, "root_token", len(roots), vocabulary)
+        lengths = _np.diff(token_ptr)
         index._sizes = _np.zeros(records, dtype=_np.int64)
-        index._sizes[roots] = _np.diff(token_ptr)
+        index._sizes[roots] = lengths
         for position, root in enumerate(roots):
             index._members[root] = member_data[member_ptr[position] : member_ptr[position + 1]]
-            start, stop = token_ptr[position], token_ptr[position + 1]
             # the reverse index is a zero-copy view over the mapped column;
             # merges replace it wholesale, so mutability is not needed
-            index._root_tokens[root] = token_column[start:stop]
-            index._post(root, token_data[start:stop])
+            index._root_tokens[root] = token_column[token_ptr[position] : token_ptr[position + 1]]
+        # re-invert: one sort of the (token, root) pairs gives every posting, ascending
+        owners = _np.repeat(_np.array(roots, dtype=_np.int64), lengths)
+        order = _np.lexsort((owners, token_column))
+        tokens, owners = token_column[order], owners[order].tolist()
+        heads = _np.flatnonzero(_np.diff(tokens, prepend=-1)).tolist()
+        for token_id, start, stop in zip(tokens[heads].tolist(), heads, heads[1:] + [len(owners)]):
+            index._postings[token_id] = array("q", owners[start:stop])
         if not shared_filter:
-            match_ptr, match_data = _read_csr(reader, "match_token", len(roots), 0, vocabulary)
+            match_ptr, match_data = _read_token_csr(reader, "match_token", len(roots), vocabulary)
             for position, root in enumerate(roots):
-                index._match_tokens[root] = match_data[
-                    match_ptr[position] : match_ptr[position + 1]
-                ]
+                start, stop = match_ptr[position], match_ptr[position + 1]
+                index._match_tokens[root] = match_data[start:stop]
         tree_ptr, tree_column = _read_csr(reader, "tree", len(roots), _TREE_CLOSE, records)
         tree_data = tree_column.tolist()
         for position, root in enumerate(roots):
