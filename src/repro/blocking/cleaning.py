@@ -25,7 +25,7 @@ from typing import List, Optional, Sequence, Set
 import numpy as _np
 
 from repro.blocking.base import Block, BlockCollection, check_count, check_unit_interval
-from repro.blocking.columns import BlockColumns, int_view
+from repro.blocking.columns import BlockColumns
 from repro.datamodel.pairs import canonical_pair, identifier_ranks
 
 
@@ -104,7 +104,7 @@ class BlockPurging:
         else:
             ascending = _np.sort(cards).tolist()
             threshold = adaptive_cardinality_threshold(ascending, self.smoothing_factor)
-        sizes = _np.diff(int_view(columns.blk_ptr))
+        sizes = _np.diff(columns.blk_ptr)
         purged = columns.select(_np.repeat(cards <= threshold, sizes))
         return BlockCollection.from_columns(purged, name=f"{blocks.name}/purged")
 
@@ -131,8 +131,8 @@ class BlockFiltering:
         np = _np
         columns = BlockColumns.from_collection(blocks)
         cards = columns.cardinalities()
-        ent_of = int_view(columns.members)
-        card_of = np.repeat(cards, np.diff(int_view(columns.blk_ptr)))
+        ent_of = columns.members
+        card_of = np.repeat(cards, np.diff(columns.blk_ptr))
         order = np.lexsort((card_of, ent_of))
         ent_sorted = ent_of[order]
         degrees = np.bincount(ent_of, minlength=len(columns.ids))
@@ -173,14 +173,15 @@ def _propagate(columns: BlockColumns) -> List[Block]:
     """
     np = _np
     ids = columns.ids
-    members = int_view(columns.members)
+    members = columns.members
     code_chunks: List = []
     a_chunks: List = []
     b_chunks: List = []
     #: per chunk: the generating block's left-ordinal set, or None (unilateral)
     chunk_left: List[Optional[Set[int]]] = []
     chunk_sizes: List[int] = []
-    for start, stop, split in zip(columns.blk_ptr, columns.blk_ptr[1:], columns.split):
+    blk_ptr = columns.blk_ptr.tolist()
+    for start, stop, split in zip(blk_ptr, blk_ptr[1:], columns.split.tolist()):
         if split >= 0:
             left = members[start : start + split]
             right = members[start + split : stop]

@@ -19,11 +19,11 @@ similarity self-join) all start from the same view of the input: one sorted
 distinct token-id column per description, admitted through the builder's stop
 words and minimum token length.  :class:`TokenColumnView` materialises that
 view from a :class:`~repro.core.context.PipelineContext`: the
-per-description columns are its interned counts filtered by the cached
-:class:`~repro.core.context.TokenFilter` mask, so no raw string is touched
-(the single-interning guarantee).  :func:`append_posting` and
-:func:`concatenated` build the ascending ordinal postings that
-:meth:`BlockColumns.from_postings` turns into blocks.
+per-description columns are its merged token-id column filtered by one
+boolean take through the cached :class:`~repro.core.context.TokenFilter`
+mask, so no raw string is touched (the single-interning guarantee).
+:func:`append_posting` and :func:`concatenated` build the ascending ordinal
+postings that :meth:`BlockColumns.from_postings` turns into blocks.
 """
 
 from __future__ import annotations
@@ -34,18 +34,6 @@ from typing import Callable, Dict, List, Optional, Sequence, Tuple
 from repro.blocking.base import Block, BlockCollection
 
 import numpy as _np
-
-
-def int_view(column):
-    """An int64 ndarray over ``column`` (zero-copy for ``array('q')`` / ndarray)."""
-    return _np.asarray(column, dtype=_np.int64)
-
-
-def typed_array(typecode: str, column) -> array:
-    """A contiguous ndarray column copied (once) into a typed array."""
-    out = array(typecode)
-    out.frombytes(memoryview(column).cast("B"))
-    return out
 
 
 def flat_slices(starts, lengths):
@@ -63,12 +51,12 @@ class BlockColumns:
         The blocking key of every block, in block order (sorted-key order
         for the token builds).
     blk_ptr, members:
-        CSR of member ordinals: block ``b`` holds
+        CSR of member ordinals (int64 ndarrays): block ``b`` holds
         ``members[blk_ptr[b]:blk_ptr[b + 1]]``, left members first for a
         bilateral block.
     split:
-        Per block, the number of left members, or ``-1`` for a unilateral
-        (dirty ER) block.
+        Per block (int64 ndarray), the number of left members, or ``-1`` for
+        a unilateral (dirty ER) block.
     ids:
         The identifier table the ordinals index (``ids[o]`` names ordinal
         ``o``); shared, never mutated.
@@ -76,14 +64,14 @@ class BlockColumns:
     Every block induces at least one comparison: the constructors and
     :meth:`select` drop degenerate blocks exactly as
     :meth:`BlockCollection.add <repro.blocking.base.BlockCollection.add>`
-    does.
+    does.  The columns are built whole by the constructors and only read
+    afterwards: every kernel downstream (cleaning, the entity index, the
+    block-pair scheduler) takes them as they are.
     """
 
     __slots__ = ("keys", "blk_ptr", "members", "split", "ids")
 
-    def __init__(
-        self, keys: List[str], blk_ptr: array, members: array, split: array, ids: Sequence[str]
-    ) -> None:
+    def __init__(self, keys: List[str], blk_ptr, members, split, ids: Sequence[str]) -> None:
         self.keys = keys
         self.blk_ptr = blk_ptr
         self.members = members
@@ -119,12 +107,13 @@ class BlockColumns:
             raise ValueError("the identifier table holds duplicate identifiers")
         intern = ordinal.setdefault
         keys: List[str] = []
-        blk_ptr, members, split = array("q", [0]), array("q"), array("q")
+        blk_ptr, members, split = [0], [], []
         for block in blocks:
             keys.append(block.key)
             split.append(len(block.left_members) if block.is_bilateral else -1)
             members.extend([intern(member, len(ordinal)) for member in block.members])
             blk_ptr.append(len(members))
+        blk_ptr, members, split = (_np.array(c, dtype=_np.int64) for c in (blk_ptr, members, split))
         # the interning dict preserves insertion order: table first, then new members
         return cls(keys, blk_ptr, members, split, list(ordinal))
 
@@ -140,17 +129,16 @@ class BlockColumns:
     ) -> "BlockColumns":
         """Blocks from key postings, in sorted-key order.
 
-        Posting ``p`` is ``members[ptr[p]:ptr[p + 1]]``, ascending ordinals,
-        under the distinct key ``keys[p]``.  ``left_count`` is the number of
-        left-side descriptions for clean--clean input (ordinals below it
-        belong to the left collection, so left members come first), or
-        ``-1`` for dirty input.  Postings longer than ``limit`` and
+        Posting ``p`` is ``members[ptr[p]:ptr[p + 1]]`` (int64 ndarrays),
+        ascending ordinals, under the distinct key ``keys[p]``.
+        ``left_count`` is the number of left-side descriptions for
+        clean--clean input (ordinals below it belong to the left collection,
+        so left members come first), or ``-1`` for dirty input.  Postings longer than ``limit`` and
         degenerate ones (fewer than two members, an empty side) are dropped,
         exactly as by :meth:`BlockCollection.add
         <repro.blocking.base.BlockCollection.add>`.
         """
         np = _np
-        ptr, members = int_view(ptr), int_view(members)
         sizes = np.diff(ptr)
         if left_count >= 0:
             posting_of = np.repeat(np.arange(len(sizes)), sizes)
@@ -167,9 +155,9 @@ class BlockColumns:
         sizes = sizes[kept]
         return cls(
             [keys[p] for p in kept.tolist()],
-            typed_array("q", np.concatenate(([0], np.cumsum(sizes)))),
-            typed_array("q", members[flat_slices(ptr[kept], sizes)]),
-            typed_array("q", left[kept]),
+            np.concatenate(([0], np.cumsum(sizes))),
+            members[flat_slices(ptr[kept], sizes)],
+            left[kept],
             ids,
         )
 
@@ -178,8 +166,8 @@ class BlockColumns:
     # ------------------------------------------------------------------
     def cardinalities(self):
         """Comparisons per block, as an int64 ndarray."""
-        sizes = _np.diff(int_view(self.blk_ptr))
-        split = int_view(self.split)
+        sizes = _np.diff(self.blk_ptr)
+        split = self.split
         return _np.where(split >= 0, split * (sizes - split), sizes * (sizes - 1) // 2)
 
     def total_comparisons(self) -> int:
@@ -198,7 +186,7 @@ class BlockColumns:
         are dropped.
         """
         np = _np
-        ptr, split = int_view(self.blk_ptr), int_view(self.split)
+        ptr, split = self.blk_ptr, self.split
         sizes = np.diff(ptr)
         block_of = np.repeat(np.arange(len(sizes)), sizes)
         new_sizes = np.bincount(block_of[flags], minlength=len(sizes))
@@ -214,9 +202,9 @@ class BlockColumns:
         kept = np.flatnonzero(keep)
         return BlockColumns(
             [self.keys[b] for b in kept.tolist()],
-            typed_array("q", np.concatenate(([0], np.cumsum(new_sizes[kept])))),
-            typed_array("q", int_view(self.members)[flags & keep[block_of]]),
-            typed_array("q", left[kept]),
+            np.concatenate(([0], np.cumsum(new_sizes[kept]))),
+            self.members[flags & keep[block_of]],
+            left[kept],
             self.ids,
         )
 
@@ -229,11 +217,11 @@ class BlockColumns:
         The members of a block are distinct by construction, so the objects
         are built on the trusted path (no per-member deduplication).
         """
-        names = list(map(self.ids.__getitem__, self.members))
-        blk_ptr = self.blk_ptr
+        names = list(map(self.ids.__getitem__, self.members.tolist()))
+        blk_ptr = self.blk_ptr.tolist()
         new_block = Block.__new__
         out: List[Block] = []
-        for key, start, stop, left in zip(self.keys, blk_ptr, blk_ptr[1:], self.split):
+        for key, start, stop, left in zip(self.keys, blk_ptr, blk_ptr[1:], self.split.tolist()):
             block = new_block(Block)
             block.key = key
             if left < 0:
@@ -255,13 +243,13 @@ def append_posting(postings: Dict, key, ordinal: int) -> None:
     posting.append(ordinal)
 
 
-def concatenated(postings: Dict) -> Tuple[array, array]:
-    """The ``(pointer, members)`` CSR of ``postings``' values, in dict order."""
-    ptr, members = array("q", [0]), array("q")
-    for posting in postings.values():
-        members.extend(posting)
-        ptr.append(len(members))
-    return ptr, members
+def concatenated(postings: Dict):
+    """The ``(pointer, members)`` CSR of ``postings``' values, in dict order,
+    as int64 ndarrays."""
+    np = _np
+    ptr = np.zeros(len(postings) + 1, dtype=np.int64)
+    np.cumsum(np.fromiter(map(len, postings.values()), np.int64, len(postings)), out=ptr[1:])
+    return ptr, np.frombuffer(b"".join(postings.values()), dtype=np.int64)
 
 
 class TokenColumnView:
@@ -278,7 +266,8 @@ class TokenColumnView:
         below it are left-side), ``-1`` for dirty input.
     columns:
         Per description: the ascending distinct token ids admitted by the
-        builder's stop words and minimum token length.
+        builder's stop words and minimum token length, as a list (the
+        builders walk them in Python).
     num_tokens:
         Size of the id space: every column id is below it (the context's
         vocabulary size).
@@ -290,7 +279,7 @@ class TokenColumnView:
         self,
         ids: Sequence[str],
         left_count: int,
-        columns: List[array],
+        columns: List[List[int]],
         num_tokens: int,
         token_of: Callable[[int], str],
     ) -> None:
@@ -311,11 +300,11 @@ class TokenColumnView:
     ) -> "TokenColumnView":
         """The view over a shared context's interned columns -- no tokenisation."""
         token_filter = context.token_filter(stop_words, min_token_length)
-        select = token_filter.select
-        columns = [
-            select(context.token_counts(ordinal)[0])
-            for ordinal in range(context.num_descriptions)
-        ]
+        ptr, ids, _counts = context.token_columns()
+        keep = token_filter.mask(context.vocabulary_size)[ids]
+        admitted = ids[keep].tolist()
+        bounds = _np.concatenate(([0], _np.cumsum(keep)))[ptr].tolist()
+        columns = [admitted[start:stop] for start, stop in zip(bounds, bounds[1:])]
         return cls(
             context.ids,
             context.left_count,

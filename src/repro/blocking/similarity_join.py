@@ -20,6 +20,7 @@ discard candidates whose maximum possible overlap is already too small.
 
 from __future__ import annotations
 
+import itertools
 from typing import Dict, List, Sequence, Tuple
 
 import numpy as _np
@@ -201,7 +202,7 @@ def _vectorised_candidates(
     lens = np.fromiter((len(column) for column in columns), dtype=np.int64, count=n)
     if n == 0 or int(lens.sum()) == 0:
         return np.empty(0, dtype=np.int64)
-    flat = np.concatenate([np.asarray(column, dtype=np.int64) for column in columns])
+    flat = np.fromiter(itertools.chain.from_iterable(columns), np.int64, int(lens.sum()))
     # token id -> rank translation through a dense lookup column
     rank_lookup = np.zeros(num_tokens, dtype=np.int64)
     count = len(rank_of)

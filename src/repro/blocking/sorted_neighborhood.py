@@ -190,7 +190,7 @@ def _entry_rows(
         token_stream = context.token_stream
         for ordinal in range(context.num_descriptions):
             rows.append(
-                (" ".join(map(lookup, token_stream(ordinal))), ids[ordinal], ordinal)
+                (" ".join(map(lookup, token_stream(ordinal).tolist())), ids[ordinal], ordinal)
             )
     else:
         for ordinal, (_side, description) in enumerate(BlockBuilder._iter_with_side(data)):

@@ -32,7 +32,7 @@ from repro.blocking.base import (
     check_unit_interval,
     interned,
 )
-from repro.blocking.columns import BlockColumns, append_posting, concatenated, int_view
+from repro.blocking.columns import BlockColumns, append_posting, concatenated
 from repro.core.unionfind import UnionFind
 from repro.datamodel.pairs import stable_argsort
 from repro.text.similarity import jaccard_similarity
@@ -118,12 +118,10 @@ class TokenBlocking(BlockBuilder):
         """
         np = _np
         token_filter = context.token_filter(self.stop_words, self.min_token_length)
-        ptr, ids, _counts = context.token_columns()
-        token_ids = int_view(ids)
-        ordinals = np.repeat(np.arange(len(ptr) - 1), np.diff(int_view(ptr)))
+        ptr, token_ids, _counts = context.token_columns()
+        ordinals = np.repeat(np.arange(len(ptr) - 1), np.diff(ptr))
         if not token_filter.trivial:
-            mask = np.frombuffer(token_filter.mask(context.vocabulary_size), dtype=np.bool_)
-            admitted = mask[token_ids]
+            admitted = token_filter.mask(context.vocabulary_size)[token_ids]
             token_ids, ordinals = token_ids[admitted], ordinals[admitted]
         order = stable_argsort(token_ids, context.vocabulary_size)
         sorted_ids = token_ids[order]
@@ -147,16 +145,13 @@ class PrefixInfixSuffixBlocking(TokenBlocking):
     def _postings(self, context):
         """Postings from a walk over the descriptions: value tokens plus the
         URI keys, interned per description into the context's vocabulary."""
-        token_filter = context.token_filter(self.stop_words, self.min_token_length)
-        trivial = token_filter.trivial
-        allows = token_filter.allows
+        select = context.token_filter(self.stop_words, self.min_token_length).select
         ids = context.ids
         postings: Dict[int, array] = {}
         for ordinal in range(context.num_descriptions):
-            token_ids, _counts = context.token_counts(ordinal)
             # the infix keys may overlap the value tokens: one key set per
             # description
-            keys = {t for t in token_ids if trivial or allows(t)}
+            keys = set(select(context.token_counts(ordinal)[0]).tolist())
             _, infix, infix_tokens = uri_tokens(ids[ordinal])
             if infix:
                 keys.add(context.intern(infix.lower()))
@@ -260,15 +255,13 @@ class AttributeClusteringBlocking(TokenBlocking):
         sources, so an attribute used by both contributes the evidence of
         both.
         """
-        token_filter = context.token_filter(self.stop_words, self.min_token_length)
-        trivial = token_filter.trivial
-        allows = token_filter.allows
+        select = context.token_filter(self.stop_words, self.min_token_length).select
         tokenised: List[List[Tuple[str, List[int]]]] = []
         profiles: Dict[str, Set[int]] = {}
         for ordinal in range(context.num_descriptions):
             entries: List[Tuple[str, List[int]]] = []
             for attribute, attr_ids, _counts in context.attribute_entries(ordinal):
-                token_ids = [t for t in attr_ids if trivial or allows(t)]
+                token_ids = select(attr_ids).tolist()
                 profile = profiles.get(attribute)
                 if profile is None:
                     profiles[attribute] = profile = set()

@@ -8,9 +8,8 @@ from one :class:`PipelineContext`, which interns the collection **once**:
   order of ``BlockBuilder._iter_with_side``);
 * every token is interned into one shared **vocabulary** of dense integer
   ids, assigned in order of first occurrence over the collection;
-* the token data lives in flat ``array('q')`` **CSR columns** (the layout
-  :class:`~repro.core.growable.GrowableContext` and the parallel engine's
-  shared segments use), never in per-description objects:
+* the token data lives in flat int64 ndarray **CSR columns**, published
+  read-only, never in per-description objects:
 
   - the **stream** column: every token id of every value in value order,
     duplicates kept, one segment per description -- order-sensitive
@@ -34,19 +33,21 @@ the next id on its first lookup (chunks go in stream order, so the ids are
 the ones a token-by-token pass assigns) and the mark -1, so slot ends are
 the mark positions less the marks before them; and one sorted-distinct/count
 kernel (:func:`_sorted_distinct`) derives the merged columns of the whole
-chunk.  The transient arrays are bounded by
-the chunk, the columns grow by ``frombytes``.  Nothing is published until
-the pass has succeeded: an interrupted pass leaves the context un-interned.
-The slot columns are derived later the same way, one chunk at a time, and
-published only when complete.
+chunk.  The transient arrays are bounded by the chunk; the chunks' columns
+are concatenated once, at the end.  Nothing is published until the pass has
+succeeded: an interrupted pass leaves the context un-interned.  The slot
+columns are derived later the same way, one chunk at a time, and published
+only when complete.
 
 **Accessors.**  :meth:`~PipelineContext.token_counts`,
 :meth:`~PipelineContext.attribute_entries` and
 :meth:`~PipelineContext.token_stream` are *per description* and return
-``array('q')`` slices; :meth:`~PipelineContext.token_columns` hands out the
-merged columns *whole* (``ptr``, ``ids``, ``counts``) for the consumers that
-work on all descriptions at once -- the token-blocking postings build and
-:meth:`~PipelineContext.fit_vectorizer` -- so neither loops per description.
+read-only ndarray slices; :meth:`~PipelineContext.token_columns` hands out
+the merged columns *whole* (``ptr``, ``ids``, ``counts``) for the consumers
+that work on all descriptions at once -- the token-blocking postings build,
+the profile columns, the long-tail builders' token view and
+:meth:`~PipelineContext.fit_vectorizer` -- so none loops per description.
+A consumer that walks a row in Python takes it ``tolist()`` first.
 
 All downstream token views are derived from these columns without touching
 the raw strings again:
@@ -79,9 +80,8 @@ from __future__ import annotations
 
 import itertools
 import operator
-from array import array
 from collections import defaultdict
-from typing import Dict, FrozenSet, Iterable, Iterator, List, Optional, Tuple
+from typing import Dict, FrozenSet, Iterable, Iterator, List, Optional, Sequence, Tuple
 
 from repro.datamodel.collection import CleanCleanTask
 from repro.datamodel.description import EntityDescription
@@ -117,28 +117,38 @@ def _sorted_distinct(ids, ptr, id_space: int):
     return out_ptr, keys - key_segment * id_space, counts
 
 
-def _extend(column: array, values, offset: int = 0) -> None:
-    """Append ``values`` (+ ``offset``) to an ``array('q')`` column."""
-    column.frombytes((_np.asarray(values, dtype=_np.int64) + offset).tobytes())
+def _published(parts: List, pointer: bool = False):
+    """The chunk columns ``parts`` as one read-only int64 ndarray.
+
+    With ``pointer`` the parts are the chunks' pointer columns less their
+    leading 0, each relative to its chunk: they are shifted by the values
+    before them and joined after one leading 0.  The context hands its
+    columns out whole; the flag makes "read, never mutate" hold by type.
+    """
+    if pointer:
+        shifted, end = [_np.zeros(1, dtype=_np.int64)], 0
+        for part in parts:
+            shifted.append(part + end)
+            if len(part):
+                end = shifted[-1][-1]
+        parts = shifted
+    column = _np.concatenate(parts, dtype=_np.int64) if parts else _np.zeros(0, dtype=_np.int64)
+    column.setflags(write=False)
+    return column
 
 
 class _Csr:
-    """One CSR group of flat ``array('q')`` columns: ``ptr``, ``ids``, ``counts``."""
+    """One CSR group of read-only int64 ndarray columns: ``ptr``, ``ids``, ``counts``."""
 
     __slots__ = ("ptr", "ids", "counts")
 
-    def __init__(self) -> None:
-        self.ptr = array("q", [0])
-        self.ids = array("q")
-        self.counts = array("q")
+    def __init__(self, chunks: Sequence[tuple] = ()) -> None:
+        """The chunks' ``(ptr, ids, counts)`` CSRs (each ``ptr`` from 0) laid end to end."""
+        self.ptr = _published([ptr[1:] for ptr, _ids, _counts in chunks], pointer=True)
+        self.ids = _published([ids for _ptr, ids, _counts in chunks])
+        self.counts = _published([counts for _ptr, _ids, counts in chunks])
 
-    def extend(self, ptr, ids, counts) -> None:
-        """Append a chunk's CSR (its ``ptr`` starts at 0)."""
-        _extend(self.ptr, ptr[1:], len(self.ids))
-        _extend(self.ids, ids)
-        _extend(self.counts, counts)
-
-    def segment(self, index: int) -> Tuple[array, array]:
+    def segment(self, index: int) -> Tuple[_np.ndarray, _np.ndarray]:
         start, stop = self.ptr[index], self.ptr[index + 1]
         return self.ids[start:stop], self.counts[start:stop]
 
@@ -146,23 +156,27 @@ class _Csr:
 class TokenFilter:
     """A (stop words, minimum length) admission mask over a context vocabulary.
 
-    The mask is evaluated once per token *id* and cached in a flat
-    ``bytearray``, so filtering a description's column touches no strings.
-    The vocabulary may keep growing after the filter is created (e.g. the
-    prefix--infix--suffix builder interns URI tokens on the fly); the filter
-    holds the context's token list itself (appended to in place, never
-    replaced), so the mask extends itself lazily -- and the context, which
-    caches its filters, is not referenced back: a finished run leaves no
-    reference cycle for the garbage collector.
+    The mask is evaluated once per token *id* and cached in a bool ndarray,
+    so filtering a column is one boolean take and touches no strings.  The
+    vocabulary may keep growing after the filter is created (e.g. the
+    prefix--infix--suffix builder interns URI tokens on the fly, an
+    incremental context with every arrival); the filter holds the context's
+    token list itself (appended to in place, never replaced), so the mask
+    extends itself lazily, into a fresh buffer of twice the capacity when
+    the old one is full -- a mask handed out earlier keeps its buffer and
+    its flags -- and the context, which caches its filters, is not
+    referenced back: a finished run leaves no reference cycle for the
+    garbage collector.
     """
 
-    __slots__ = ("_tokens", "stop_words", "min_length", "_flags")
+    __slots__ = ("_tokens", "stop_words", "min_length", "_flags", "_size")
 
     def __init__(self, tokens: List[str], stop_words: FrozenSet[str], min_length: int) -> None:
         self._tokens = tokens
         self.stop_words = stop_words
         self.min_length = min_length
-        self._flags = bytearray()
+        self._flags = _np.zeros(0, dtype=_np.bool_)
+        self._size = 0  # the flagged prefix of the buffer
 
     @property
     def trivial(self) -> bool:
@@ -170,36 +184,46 @@ class TokenFilter:
         return self.min_length <= 1 and not self.stop_words
 
     def _extend(self, size: int) -> None:
+        """Flag the token ids below ``size``."""
+        done = self._size
+        if size <= done:
+            return
+        if size > len(self._flags):
+            grown = _np.zeros(max(size, 2 * len(self._flags)), dtype=_np.bool_)
+            grown[:done] = self._flags[:done]
+            self._flags = grown
         stops, min_length = self.stop_words, self.min_length
-        tokens = self._tokens[len(self._flags) : size]
         # one comprehension: measured faster than a chain of C-level maps
         # (len / comparison / membership), which pay a call per token each
-        self._flags.extend([len(t) >= min_length and t not in stops for t in tokens])
+        self._flags[done:size] = [
+            len(t) >= min_length and t not in stops for t in self._tokens[done:size]
+        ]
+        self._size = size
 
     def allows(self, token_id: int) -> bool:
-        if len(self._flags) <= token_id:
-            self._extend(token_id + 1)
+        self._extend(token_id + 1)
         return bool(self._flags[token_id])
 
-    def select(self, token_ids: Iterable[int]) -> array:
-        """The admitted subset of ``token_ids``, order preserved."""
+    def select(self, token_ids) -> _np.ndarray:
+        """The admitted subset of ``token_ids`` (a fresh int64 ndarray, order
+        preserved): one boolean take through the mask."""
+        ids = _np.asarray(token_ids, dtype=_np.int64)
         if self.trivial:
-            return token_ids if isinstance(token_ids, array) else array("q", token_ids)
-        flags = self._flags
-        vocabulary_size = len(self._tokens)
-        if len(flags) < vocabulary_size:
-            self._extend(vocabulary_size)
-        return array("q", (t for t in token_ids if flags[t]))
+            return ids.copy()
+        self._extend(len(self._tokens))
+        return ids[self._flags[ids]]
 
-    def mask(self, size: int) -> bytes:
-        """The admission flags of token ids ``0..size-1`` as immutable bytes.
+    def mask(self, size: int) -> _np.ndarray:
+        """The admission flags of token ids ``0..size-1``: a read-only bool ndarray.
 
-        The token-blocking postings build applies the filter to the whole
-        merged column as one boolean take through this snapshot.
+        The whole-column consumers (the token-blocking postings, the profile
+        columns, the long-tail builders' token view) apply the filter to the
+        merged id column as one boolean take through it.
         """
-        if len(self._flags) < size:
-            self._extend(size)
-        return bytes(self._flags[:size])
+        self._extend(size)
+        flags = self._flags[:size]
+        flags.setflags(write=False)
+        return flags
 
 
 class PipelineContext:
@@ -226,13 +250,11 @@ class PipelineContext:
         self._token_ids: Dict[str, int] = {}
         self._tokens: List[str] = []
         # per description: every token id in value order (duplicates kept)
-        self._stream_ptr = array("q", [0])
-        self._stream_ids = array("q")
+        self._stream_ptr, self._stream_ids = _published([], pointer=True), _published([])
         # per description: its (attribute) slots; per slot: its end in the
         # stream, and -- derived on first use -- the attribute name and the
         # sorted distinct ids + counts of its values
-        self._slot_ptr = array("q", [0])
-        self._slot_bounds = array("q", [0])
+        self._slot_ptr = self._slot_bounds = _published([], pointer=True)
         self._slot_names: Optional[List[str]] = None
         self._slots: Optional[_Csr] = None
         # per description: sorted distinct ids + counts over all attributes
@@ -264,9 +286,9 @@ class PipelineContext:
             descriptions = list(data)
             left_count = -1
         token_ids = defaultdict(itertools.count().__next__, {SLOT_MARK: -1})  # new: next id
-        stream_ptr, stream_ids = array("q", [0]), array("q")
-        slot_ptr, slot_bounds = array("q", [0]), array("q", [0])
-        merged = _Csr()
+        # per chunk, each relative to the chunk: its pointer columns less
+        # their leading 0, its stream ids and its merged CSR
+        stream_ptr, stream_ids, slot_ptr, slot_bounds, merged = [], [], [], [], []
         for chunk_start in range(0, len(descriptions), _CHUNK_DESCRIPTIONS):
             # one slot per (description, attribute): its values joined by a space
             attributes = list(
@@ -286,11 +308,11 @@ class PipelineContext:
             ids = _np.delete(marked, marks)
             slot_ends = _np.concatenate(([0], marks - _np.arange(len(marks))))
             token_ends = slot_ends[description_ends]
-            _extend(slot_ptr, description_ends[1:], len(slot_bounds) - 1)
-            _extend(slot_bounds, slot_ends[1:], len(stream_ids))
-            _extend(stream_ptr, token_ends[1:], len(stream_ids))
-            _extend(stream_ids, ids)
-            merged.extend(*_sorted_distinct(ids, token_ends, len(token_ids)))
+            slot_ptr.append(description_ends[1:])
+            slot_bounds.append(slot_ends[1:])
+            stream_ptr.append(token_ends[1:])
+            stream_ids.append(ids)
+            merged.append(_sorted_distinct(ids, token_ends, len(token_ids)))
         del token_ids[SLOT_MARK]
         self._ids = list(map(operator.attrgetter("identifier"), descriptions))
         self._ordinal = dict(zip(self._ids, range(len(self._ids))))
@@ -299,9 +321,11 @@ class PipelineContext:
         # filled in place: whoever already holds the vocabulary sees it
         self._token_ids.update(token_ids)
         self._tokens[:] = token_ids  # the keys, in id order
-        self._stream_ptr, self._stream_ids = stream_ptr, stream_ids
-        self._slot_ptr, self._slot_bounds = slot_ptr, slot_bounds
-        self._merged = merged
+        self._stream_ptr = _published(stream_ptr, pointer=True)
+        self._stream_ids = _published(stream_ids)
+        self._slot_ptr = _published(slot_ptr, pointer=True)
+        self._slot_bounds = _published(slot_bounds, pointer=True)
+        self._merged = _Csr(merged)
         self._interned = True
 
     @property
@@ -372,7 +396,7 @@ class PipelineContext:
     # ------------------------------------------------------------------
     # per-description columns
     # ------------------------------------------------------------------
-    def attribute_entries(self, ordinal: int) -> Iterator[Tuple[str, array, array]]:
+    def attribute_entries(self, ordinal: int) -> Iterator[Tuple[str, _np.ndarray, _np.ndarray]]:
         """``(attribute, sorted distinct ids, aligned counts)`` per attribute.
 
         Attributes whose values hold no token still appear (with empty
@@ -396,22 +420,18 @@ class PipelineContext:
         interrupted derivation leaves nothing behind and the next call starts
         over.
         """
-        stream_ids = _np.frombuffer(self._stream_ids, dtype=_np.int64)
-        bounds = _np.frombuffer(self._slot_bounds, dtype=_np.int64)
-        slot_ptr = self._slot_ptr
+        stream_ids, bounds, slot_ptr = self._stream_ids, self._slot_bounds, self._slot_ptr
         count = len(self._ids)
         id_space = len(self._tokens)
-        slots = _Csr()
+        chunks = []
         for chunk_start in range(0, count, _CHUNK_DESCRIPTIONS):
             chunk_stop = min(chunk_start + _CHUNK_DESCRIPTIONS, count)
             ptr = bounds[slot_ptr[chunk_start] : slot_ptr[chunk_stop] + 1]
-            slots.extend(
-                *_sorted_distinct(stream_ids[ptr[0] : ptr[-1]], ptr - ptr[0], id_space)
-            )
+            chunks.append(_sorted_distinct(stream_ids[ptr[0] : ptr[-1]], ptr - ptr[0], id_space))
         names = list(itertools.chain.from_iterable(map(_ATTRIBUTES, self._descriptions)))
-        self._slot_names, self._slots = names, slots
+        self._slot_names, self._slots = names, _Csr(chunks)
 
-    def token_stream(self, ordinal: int) -> array:
+    def token_stream(self, ordinal: int) -> _np.ndarray:
         """Every token id of the description, in value order, duplicates kept.
 
         The stream records the tokens in exactly the order ``tokenize``
@@ -426,7 +446,7 @@ class PipelineContext:
         self._intern_all()
         return self._stream_ids[self._stream_ptr[ordinal] : self._stream_ptr[ordinal + 1]]
 
-    def token_counts(self, ordinal: int) -> Tuple[array, array]:
+    def token_counts(self, ordinal: int) -> Tuple[_np.ndarray, _np.ndarray]:
         """All-attribute ``(sorted distinct ids, aligned occurrence counts)``.
 
         A slice of the merged columns; the counts are exactly the ones
@@ -438,12 +458,13 @@ class PipelineContext:
     # ------------------------------------------------------------------
     # whole columns
     # ------------------------------------------------------------------
-    def token_columns(self) -> Tuple[array, array, array]:
-        """The merged columns whole: ``(ptr, ids, counts)``.
+    def token_columns(self) -> Tuple[_np.ndarray, _np.ndarray, _np.ndarray]:
+        """The merged columns whole: ``(ptr, ids, counts)``, int64 ndarrays.
 
         ``token_counts(o)`` is ``ids[ptr[o]:ptr[o + 1]]`` with the aligned
         ``counts``.  For consumers that process every description at once;
-        the arrays are the context's own -- read, never mutate.
+        the arrays are the context's own and read-only (writing into one
+        raises :class:`ValueError`).
         """
         self._intern_all()
         merged = self._merged
@@ -467,9 +488,7 @@ class PipelineContext:
             return cached
         _ptr, ids, _counts = self.token_columns()
         tokens = self._tokens
-        frequencies = _np.bincount(
-            _np.frombuffer(ids, dtype=_np.int64), minlength=len(tokens)
-        ).tolist()
+        frequencies = _np.bincount(ids, minlength=len(tokens)).tolist()
         document_frequency = {
             token: frequency
             for token, frequency in zip(tokens, frequencies)

@@ -195,11 +195,15 @@ class ComparisonColumns(Sequence):
         Identifier table; ``first``/``second`` hold indices into it.  Rows
         are stored in canonical order (``ids[first[i]] < ids[second[i]]``).
     first, second:
-        ``array('q')`` ordinal columns, one entry per comparison.
+        int64 ndarray ordinal columns, one entry per comparison.
     weights:
-        Aligned ``array('d')`` of comparison weights, or ``None`` when the
+        Aligned float64 ndarray of comparison weights, or ``None`` when the
         comparisons are unweighted.  NaN marks a comparison without a
         weight: it materialises with ``weight=None`` and sorts last.
+
+    The constructor takes any int / float sequences and holds them as those
+    ndarrays (no copy of an ndarray of the right dtype); the objects it
+    materialises carry plain ``str`` / ``float`` fields.
     distinct:
         Whether the rows are known to hold no duplicate pair (meta-blocking
         output is distinct by construction); consumers that must
@@ -222,12 +226,16 @@ class ComparisonColumns(Sequence):
     def __init__(
         self,
         ids: Sequence[str],
-        first: array,
-        second: array,
-        weights: Optional[array] = None,
+        first,
+        second,
+        weights=None,
         distinct: bool = False,
         weight_ordered: bool = False,
     ) -> None:
+        first = _np.asarray(first, dtype=_np.int64)
+        second = _np.asarray(second, dtype=_np.int64)
+        if weights is not None:
+            weights = _np.asarray(weights, dtype=_np.float64)
         if len(first) != len(second):
             raise ValueError("first and second columns must have equal length")
         if weights is not None and len(weights) != len(first):
@@ -245,30 +253,30 @@ class ComparisonColumns(Sequence):
     def __getitem__(self, index: int) -> "Comparison":
         if isinstance(index, slice):
             raise TypeError("ComparisonColumns does not support slicing")
-        weight = self.weights[index] if self.weights is not None else None
+        weight = self.weights.item(index) if self.weights is not None else None
         if weight != weight:
             weight = None
-        return Comparison(
-            self.ids[self.first[index]], self.ids[self.second[index]], weight=weight
-        )
+        first, second = self.pair(index)
+        return Comparison(first, second, weight=weight)
 
     def __iter__(self) -> Iterator["Comparison"]:
         ids = self.ids
+        first, second = self.first.tolist(), self.second.tolist()
         if self.weights is None:
-            for f, s in zip(self.first, self.second):
+            for f, s in zip(first, second):
                 yield Comparison(ids[f], ids[s])
         else:
-            for f, s, w in zip(self.first, self.second, self.weights):
+            for f, s, w in zip(first, second, self.weights.tolist()):
                 yield Comparison(ids[f], ids[s], weight=w if w == w else None)
 
     def pair(self, index: int) -> Tuple[str, str]:
         """The canonical identifier pair of row ``index`` (no object built)."""
-        return (self.ids[self.first[index]], self.ids[self.second[index]])
+        return (self.ids[self.first.item(index)], self.ids[self.second.item(index)])
 
     def pairs(self) -> Set[Tuple[str, str]]:
         """The distinct canonical pairs of all rows, as a set."""
         ids = self.ids
-        return {(ids[f], ids[s]) for f, s in zip(self.first, self.second)}
+        return {(ids[f], ids[s]) for f, s in zip(self.first.tolist(), self.second.tolist())}
 
     # ------------------------------------------------------------------
     def _ranks(self) -> Sequence[int]:
@@ -286,29 +294,22 @@ class ComparisonColumns(Sequence):
         """
         if len(self) <= 1 or self.weight_ordered:
             return self
-        first = _np.frombuffer(self.first, dtype=_np.int64)
-        second = _np.frombuffer(self.second, dtype=_np.int64)
-        weights = key = None
-        if self.weights is not None:
-            weights = key = _np.frombuffer(self.weights, dtype=_np.float64)
-            missing = _np.isnan(weights)
+        key = self.weights
+        if key is not None:
+            missing = _np.isnan(key)
             if missing.any():
-                key = _np.where(missing, -_np.inf, weights)
-        order = heaviest_first(self._ranks(), first, second, key)
+                key = _np.where(missing, -_np.inf, key)
+        order = heaviest_first(self._ranks(), self.first, self.second, key)
         return self.taken(order, distinct=self.distinct, weight_ordered=True)
 
     def taken(self, index, distinct: bool = False, weight_ordered: bool = False):
         """A copy holding the rows at ``index`` (ints), in that order."""
         index = _np.asarray(index, dtype=_np.int64)
-
-        def gather(column, dtype, typecode):
-            return array(typecode, _np.frombuffer(column, dtype=dtype)[index].tobytes())
-
         return ComparisonColumns(
             self.ids,
-            gather(self.first, _np.int64, "q"),
-            gather(self.second, _np.int64, "q"),
-            gather(self.weights, _np.float64, "d") if self.weights is not None else None,
+            self.first[index],
+            self.second[index],
+            self.weights[index] if self.weights is not None else None,
             distinct=distinct,
             weight_ordered=weight_ordered,
         )
@@ -324,9 +325,7 @@ class ComparisonColumns(Sequence):
         """
         if self.distinct or len(self) <= 1:
             return self
-        first = _np.frombuffer(self.first, dtype=_np.int64)
-        second = _np.frombuffer(self.second, dtype=_np.int64)
-        keep = first_occurrences(first, second, len(self.ids))
+        keep = first_occurrences(self.first, self.second, len(self.ids))
         if len(keep) < len(self):
             return self.taken(keep, distinct=True, weight_ordered=self.weight_ordered)
         return ComparisonColumns(

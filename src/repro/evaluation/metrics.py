@@ -180,13 +180,12 @@ def _count_detected_columns(
     detected = 0
     if getattr(columns, "distinct", False):
         cluster = _np.asarray(cluster_index, dtype=_np.int64)
-        of_first = cluster[_np.asarray(columns.first, dtype=_np.int64)]
-        of_second = cluster[_np.asarray(columns.second, dtype=_np.int64)]
+        of_first, of_second = cluster[columns.first], cluster[columns.second]
         detected = int(_np.count_nonzero((of_first >= 0) & (of_first == of_second)))
         return len(columns), detected
     seen: Set[int] = set()
     add = seen.add
-    for f, s in zip(columns.first, columns.second):
+    for f, s in zip(columns.first.tolist(), columns.second.tolist()):
         code = pair_code(f, s)
         if code in seen:
             continue

@@ -505,18 +505,18 @@ class IncrementalIndex:
         """
         result = ArrivalResult(identifier=self.context.ids[ordinal])
         full_column = self.context.token_ids_of(ordinal)
-        index_ids = array("q", self._index_filter.select(full_column))
+        index_ids = self._index_filter.select(full_column).tolist()
         # register the arrival as its own singleton cluster, posted as it
         # counts: no posting holds its ordinal yet
         counted = self._shared_counts(index_ids, ordinal)
         self._members[ordinal] = [ordinal]
         self._trees[ordinal] = [ordinal]
-        self._root_tokens[ordinal] = index_ids
+        self._root_tokens[ordinal] = array("q", index_ids)
         self._sizes[ordinal] = len(index_ids)
         shared_filter = self._match_tokens is self._root_tokens
         if not shared_filter:
             self._match_tokens[ordinal] = array(
-                "q", self._match_filter.select(full_column)
+                "q", self._match_filter.select(full_column).tolist()
             )
         if counted is not None:
             result.comparisons = min(len(counted[0]), self.max_candidates)

@@ -70,29 +70,23 @@ def as_columns(decisions: Decisions) -> DecisionColumns:
     return DecisionColumns.from_decisions(decisions)
 
 
-def canonical_rows(columns: DecisionColumns) -> Tuple[Sequence[int], Sequence[int]]:
-    """The ordinal columns with every row in canonical orientation.
+def canonical_rows(columns: DecisionColumns, rank=None):
+    """The ordinal columns, as int64 ndarrays, with every row in canonical orientation.
 
     ``decision.pair`` always presents the lexicographically smaller
     identifier first; decision columns may instead store the *execution*
     orientation (the runner's ``keep_decisions`` drain).  Rows are swapped
-    where needed so the edge sort and the greedy scans see canonical pairs.
+    where the identifier rank of ``first`` exceeds that of ``second`` (rank
+    order is string order; ``rank`` defaults to
+    :func:`~repro.datamodel.pairs.identifier_ranks` of the table), so the
+    edge sort and the scans see canonical pairs.
     """
-    ids = columns.ids
-    first = columns.first
-    second = columns.second
-    for f, s in zip(first, second):
-        if ids[f] > ids[s]:
-            break
-    else:
-        return first, second  # already canonical (the common case)
-    first = array("q", first)
-    second = array("q", second)
-    for index, (f, s) in enumerate(zip(first, second)):
-        if ids[f] > ids[s]:
-            first[index] = s
-            second[index] = f
-    return first, second
+    if rank is None:
+        rank = identifier_ranks(columns.ids)
+    first = _np.asarray(columns.first, dtype=_np.int64)
+    second = _np.asarray(columns.second, dtype=_np.int64)
+    swap = rank[first] > rank[second]
+    return _np.where(swap, second, first), _np.where(swap, first, second)
 
 
 def group_by_root(
@@ -109,23 +103,19 @@ def group_by_root(
     return [frozenset(ids[member] for member in members) for members in groups.values()]
 
 
-def _positive_rows_heaviest_first(
-    columns: DecisionColumns, first: Sequence[int], second: Sequence[int]
-) -> Sequence[int]:
-    """Row indices of the positive decisions, heaviest-first.
+def _positive_edges_heaviest_first(columns: DecisionColumns) -> Tuple[List[int], List[int]]:
+    """The canonical ``(first, second)`` ordinals of the positive decisions, heaviest first.
 
     Descending similarity, ties broken by the identifier ranks of the
-    canonical pair (``first``/``second`` from :func:`canonical_rows`; rank
-    comparison equals string comparison).
+    canonical pair (rank comparison equals string comparison).
     """
-    positive = _np.flatnonzero(_np.frombuffer(columns.is_match, dtype=_np.uint8))
-    if not len(positive):
-        return ()
-    first = _np.frombuffer(first, dtype=_np.int64)[positive]
-    second = _np.frombuffer(second, dtype=_np.int64)[positive]
-    similarity = _np.frombuffer(columns.similarity, dtype=_np.float64)[positive]
     rank = identifier_ranks(columns.ids)
-    return positive[heaviest_first(rank, first, second, similarity)].tolist()
+    first, second = canonical_rows(columns, rank)
+    positive = _np.flatnonzero(_np.frombuffer(columns.is_match, dtype=_np.uint8))
+    first, second = first[positive], second[positive]
+    similarity = _np.frombuffer(columns.similarity, dtype=_np.float64)[positive]
+    order = heaviest_first(rank, first, second, similarity)
+    return first[order].tolist(), second[order].tolist()
 
 
 class ClusteringAlgorithm(abc.ABC):
@@ -182,7 +172,7 @@ class ConnectedComponentsClustering(ClusteringAlgorithm):
         links = IntUnionFind(len(ids))
         touched = bytearray(len(ids))
         order: List[int] = []
-        for f, s, flag in zip(first, second, columns.is_match):
+        for f, s, flag in zip(first.tolist(), second.tolist(), columns.is_match):
             if not flag:
                 continue
             if not touched[f]:
@@ -203,15 +193,12 @@ class CenterClustering(ClusteringAlgorithm):
     def cluster(self, decisions: Decisions) -> List[FrozenSet[str]]:
         columns = as_columns(decisions)
         ids = columns.ids
-        first, second = canonical_rows(columns)
         # center ordinal per assigned node, -1 while unassigned
         cluster_of = array("q", [-1]) * len(ids)
         is_center = bytearray(len(ids))
         order: List[int] = []  # nodes in assignment order
 
-        for row in _positive_rows_heaviest_first(columns, first, second):
-            f = first[row]
-            s = second[row]
+        for f, s in zip(*_positive_edges_heaviest_first(columns)):
             assigned_first = cluster_of[f] >= 0
             assigned_second = cluster_of[s] >= 0
             if not assigned_first and not assigned_second:
@@ -252,15 +239,12 @@ class MergeCenterClustering(ClusteringAlgorithm):
     def cluster(self, decisions: Decisions) -> List[FrozenSet[str]]:
         columns = as_columns(decisions)
         ids = columns.ids
-        first, second = canonical_rows(columns)
         links = IntUnionFind(len(ids))
         is_center = bytearray(len(ids))
         assigned = bytearray(len(ids))
         order: List[int] = []  # nodes in assignment order
 
-        for row in _positive_rows_heaviest_first(columns, first, second):
-            f = first[row]
-            s = second[row]
+        for f, s in zip(*_positive_edges_heaviest_first(columns)):
             assigned_first = assigned[f]
             assigned_second = assigned[s]
             if not assigned_first and not assigned_second:

@@ -44,10 +44,9 @@ WNP, the EJS degrees) gathers only the members above each node, a full pass
 never all resident.  Peak transient memory is one node batch, plus what
 cutting the batches needs -- two span columns (and, briefly, half a dozen
 more) as long as the block assignments, the order of the index itself --
-plus the sorted copy (20 bytes per block assignment), plus
-the retained columns, which exist once as ndarrays and once as the typed
-arrays handed out (plus the O(budget) candidate buffer of CEP, the
-O(k * nodes) endorsements of CNP, the threshold column of WNP, one float
+plus the sorted copy (20 bytes per block assignment), plus the retained
+columns, the ndarrays handed out (plus the O(budget) candidate buffer of CEP,
+the O(k * nodes) endorsements of CNP, the threshold column of WNP, one float
 per node, and CBS WNP's rows sharing two blocks or more).
 
 The weights do not depend on how the work is cut: per-edge arithmetic has a
@@ -71,15 +70,13 @@ from __future__ import annotations
 
 import heapq
 import math
-from array import array
 from dataclasses import dataclass
 from math import fsum
 from typing import Dict, Iterator, List, Optional, Sequence, Tuple
 
 from repro.blocking.base import BlockCollection
-from repro.blocking.columns import BlockColumns, int_view
+from repro.blocking.columns import BlockColumns
 from repro.blocking.columns import flat_slices as _slices
-from repro.blocking.columns import typed_array as _typed_array
 from repro.datamodel.pairs import Comparison, identifier_ranks, stable_argsort
 from repro.metablocking.pruning import PRUNING_SCHEMES
 from repro.metablocking.weighting import WEIGHTING_SCHEMES
@@ -111,14 +108,10 @@ def _concat(parts: Sequence[tuple]) -> tuple:
     return tuple(_np.concatenate(columns) for columns in zip(*parts))
 
 
-def _edge_columns(rows) -> Tuple[array, array, array]:
-    """``(src, dst, weight)`` rows as three typed-array columns."""
-    src, dst, weights = array("q"), array("q"), array("d")
-    for a, b, weight in rows:
-        src.append(a)
-        dst.append(b)
-        weights.append(weight)
-    return src, dst, weights
+def _edge_columns(rows: List[Tuple[int, int, float]]) -> tuple:
+    """``(src, dst, weight)`` rows as three ndarray columns."""
+    src, dst, weights = zip(*rows) if rows else ((), (), ())
+    return _np.array(src, _np.int64), _np.array(dst, _np.int64), _np.array(weights, _np.float64)
 
 
 @dataclass(frozen=True)
@@ -139,7 +132,8 @@ class WeightedEdge:
 
 def edges_view(ids: Sequence[str], first, second, weights) -> Iterator[WeightedEdge]:
     """Retained ordinal columns viewed as lazily built :class:`WeightedEdge` objects."""
-    return (WeightedEdge(ids[f], ids[s], w) for f, s, w in zip(first, second, weights))
+    rows = zip(first.tolist(), second.tolist(), weights.tolist())
+    return (WeightedEdge(ids[f], ids[s], w) for f, s, w in rows)
 
 
 class EntityIndexEngine:
@@ -184,40 +178,38 @@ class EntityIndexEngine:
     def _transpose(self, columns: BlockColumns) -> None:
         """Adopt the block-side columns and derive the entity-side ones.
 
-        The entity rows list their blocks in ascending block order (one
-        stable argsort of the member column).  The typed-array mirrors of
-        the entity-side columns serve the scalar accessors.  A description
-        on both sides of a bilateral block would compare with itself; it
-        shows as one entity row naming a block twice and is refused with a
-        :class:`ValueError`.
+        The block-side columns are the ndarrays of ``columns`` themselves;
+        the entity-side ones are ndarrays too (ent_ptr / ent_blocks int64,
+        ent_side int8), one attribute per column.  The entity rows list
+        their blocks in ascending block order (one stable argsort of the
+        member column).  A description on both sides of a bilateral block
+        would compare with itself; it shows as one entity row naming a block
+        twice and is refused with a :class:`ValueError`.
         """
         self._ids = columns.ids
         self._ordinal_cache: Optional[Dict[str, int]] = None
-        blk_ents = self._blk_ents = columns.members
-        blk_ptr = self._blk_ptr = columns.blk_ptr
-        blk_split = self._blk_split = columns.split
+        ents = self._blk_ents = columns.members
+        ptr = self._blk_ptr = columns.blk_ptr
+        split = self._blk_split = columns.split
         self.num_entities = len(columns.ids)
         self.num_blocks = len(columns)
         #: total number of block assignments (sum of block sizes)
-        self.num_assignments = len(blk_ents)
+        self.num_assignments = len(ents)
         np = _np
-        self._np_blk_ents = ents = int_view(blk_ents)
-        self._np_blk_ptr = ptr = int_view(blk_ptr)
-        self._np_blk_split = split = int_view(blk_split)
         cards = columns.cardinalities()
-        self._np_recip = np.divide(1.0, cards, out=np.zeros(len(cards)), where=cards > 0)
+        self._recip = np.divide(1.0, cards, out=np.zeros(len(cards)), where=cards > 0)
         sizes = np.diff(ptr)
         block_of = np.repeat(np.arange(self.num_blocks), sizes)
         order = stable_argsort(ents, self.num_entities)
-        self._np_ent_blocks = block_of[order]
+        self._ent_blocks = block_of[order]
         degrees = np.bincount(ents, minlength=self.num_entities)
-        self._np_ent_ptr = np.concatenate(([0], np.cumsum(degrees)))
+        self._ent_ptr = np.concatenate(([0], np.cumsum(degrees)))
         split_of = split[block_of]
         on_right = np.arange(self.num_assignments) - ptr[block_of] >= split_of
-        self._np_ent_side = ((split_of >= 0) & on_right)[order].astype(np.int8)
+        self._ent_side = ((split_of >= 0) & on_right)[order].astype(np.int8)
         ent_sorted = ents[order]
         twice = (ent_sorted[1:] == ent_sorted[:-1]) & (
-            self._np_ent_blocks[1:] == self._np_ent_blocks[:-1]
+            self._ent_blocks[1:] == self._ent_blocks[:-1]
         )
         if twice.any():
             # the first position (block-major) of a member its block lists
@@ -225,14 +217,10 @@ class EntityIndexEngine:
             repeated = int(order[:-1][twice].min())
             raise ValueError(
                 "a comparison requires two distinct descriptions, "
-                f"got {self._ids[blk_ents[repeated]]!r} twice"
+                f"got {self._ids[ents[repeated]]!r} twice"
             )
-        self._recip = _typed_array("d", self._np_recip)
-        self._ent_ptr = _typed_array("q", self._np_ent_ptr)
-        self._ent_blocks = _typed_array("q", self._np_ent_blocks)
-        self._ent_side = _typed_array("b", self._np_ent_side)
 
-        self._degree_cache: Optional[Tuple[array, int]] = None
+        self._degree_cache: Optional[Tuple[_np.ndarray, int]] = None
         self._sorted_cache = None
         self._factor_cache: Dict[str, Sequence[float]] = {}
         self._rank_cache: Optional[Sequence[int]] = None
@@ -263,7 +251,7 @@ class EntityIndexEngine:
         o = self.ordinal(identifier)
         if o is None:
             return 0
-        return self._ent_ptr[o + 1] - self._ent_ptr[o]
+        return int(self._ent_ptr[o + 1] - self._ent_ptr[o])
 
     @property
     def num_nodes(self) -> int:
@@ -272,7 +260,7 @@ class EntityIndexEngine:
         Fewer than :attr:`num_entities` when the identifier table holds
         descriptions no block contains.
         """
-        return int(_np.count_nonzero(_np.diff(self._np_ent_ptr)))
+        return int(_np.count_nonzero(_np.diff(self._ent_ptr)))
 
     def compared(self, i: int, j: int) -> bool:
         """Whether some block compares ordinals ``i`` and ``j`` (a graph edge).
@@ -280,15 +268,16 @@ class EntityIndexEngine:
         They share a unilateral block, or sit on opposite sides of a
         bilateral one.
         """
-        ent_blocks, ent_side = self._ent_blocks, self._ent_side
-        side_of = {
-            ent_blocks[pos]: ent_side[pos]
-            for pos in range(self._ent_ptr[j], self._ent_ptr[j + 1])
-        }
-        for pos in range(self._ent_ptr[i], self._ent_ptr[i + 1]):
-            block = ent_blocks[pos]
-            side = side_of.get(block)
-            if side is not None and (self._blk_split[block] < 0 or side != ent_side[pos]):
+        ptr, ent_blocks, ent_side = self._ent_ptr, self._ent_blocks, self._ent_side
+
+        def row(o):
+            rows = slice(ptr[o], ptr[o + 1])
+            return zip(ent_blocks[rows].tolist(), ent_side[rows].tolist())
+
+        side_of = dict(row(j))
+        for block, side in row(i):
+            other = side_of.get(block)
+            if other is not None and (self._blk_split[block] < 0 or side != other):
                 return True
         return False
 
@@ -330,16 +319,16 @@ class EntityIndexEngine:
         (as long as the block assignments) and two node-length columns.
         """
         np = _np
-        bounds = self._np_ent_ptr  # the nodes' assignment offsets
-        blocks = self._np_ent_blocks
+        bounds = self._ent_ptr  # the nodes' assignment offsets
+        blocks = self._ent_blocks
         if blocks.size == 0:
             return
         num_entities = self.num_entities
         segment_keys, members, at = self._sorted_members()
-        facing, lo, lengths = self._facing_spans(blocks, self._np_ent_side)
+        facing, lo, lengths = self._facing_spans(blocks, self._ent_side)
         if lower:
             above = at + 1  # a unilateral block: past the node
-            crossing = np.flatnonzero(self._np_blk_split[blocks] >= 0)  # bilateral blocks
+            crossing = np.flatnonzero(self._blk_split[blocks] >= 0)  # bilateral blocks
             probes = facing[crossing] * num_entities + members[at[crossing]]
             above[crossing] = np.searchsorted(segment_keys, probes, side="right")
             lengths -= above - lo
@@ -358,7 +347,7 @@ class EntityIndexEngine:
             spans = lengths[q0:q1]
             dst = members[_slices(lo[q0:q1], spans)]
             keys = src * num_entities + dst
-            weights = np.repeat(self._np_recip[blocks[q0:q1]], spans) if want_arcs else None
+            weights = np.repeat(self._recip[blocks[q0:q1]], spans) if want_arcs else None
             if not lower:
                 mask = dst != src + node
                 keys = keys[mask]
@@ -396,11 +385,11 @@ class EntityIndexEngine:
         """
         if self._sorted_cache is None:
             np = _np
-            ptr, split = self._np_blk_ptr, self._np_blk_split
+            ptr, split = self._blk_ptr, self._blk_split
             block_of = np.repeat(np.arange(self.num_blocks), np.diff(ptr))
             split_of = split[block_of]
             right = (split_of >= 0) & (np.arange(self.num_assignments) - ptr[block_of] >= split_of)
-            keys = (2 * block_of + right) * self.num_entities + self._np_blk_ents
+            keys = (2 * block_of + right) * self.num_entities + self._blk_ents
             keys.sort()
             members = (keys % self.num_entities).astype(np.int32)
             self._sorted_cache = keys, members, stable_argsort(members, self.num_entities)
@@ -413,12 +402,12 @@ class EntityIndexEngine:
         for a unilateral one, the opposite side of a bilateral one.
         """
         np = _np
-        split = self._np_blk_split[blocks]
-        first = self._np_blk_ptr[blocks]
+        split = self._blk_split[blocks]
+        first = self._blk_ptr[blocks]
         bilateral = split >= 0
         faces_right = bilateral & (side == 0)
         lo = np.where(faces_right, first + split, first)
-        hi = np.where(bilateral & (side == 1), first + split, self._np_blk_ptr[blocks + 1])
+        hi = np.where(bilateral & (side == 1), first + split, self._blk_ptr[blocks + 1])
         return 2 * blocks + faces_right, lo, hi - lo
 
     def co_blocked(self, ordinals: Sequence[int]) -> List[int]:
@@ -434,14 +423,14 @@ class EntityIndexEngine:
             return []
         np = _np
         blocks = np.concatenate(
-            [self._np_ent_blocks[self._ent_ptr[o] : self._ent_ptr[o + 1]] for o in ordinals]
+            [self._ent_blocks[self._ent_ptr[o] : self._ent_ptr[o + 1]] for o in ordinals]
         )
-        start = self._np_blk_ptr[blocks]
-        flat = _slices(start, self._np_blk_ptr[blocks + 1] - start)
+        start = self._blk_ptr[blocks]
+        flat = _slices(start, self._blk_ptr[blocks + 1] - start)
         # raw token blocks are large and overlap heavily: marking members
         # in an entity-sized mask is cheaper than sorting the duplicates out
         mask = np.zeros(self.num_entities, dtype=bool)
-        mask[self._np_blk_ents[flat]] = True
+        mask[self._blk_ents[flat]] = True
         mask[list(ordinals)] = False
         members = np.flatnonzero(mask)
         return members[np.argsort(self._ranks()[members])].tolist()
@@ -458,7 +447,7 @@ class EntityIndexEngine:
             self._rank_cache = identifier_ranks(self._ids)
         return self._rank_cache
 
-    def _degrees(self) -> Tuple[array, int]:
+    def _degrees(self) -> Tuple[_np.ndarray, int]:
         """Per-node distinct-neighbour counts and the total edge count.
 
         One lower-half pass: every edge counts once at each endpoint.  The
@@ -478,7 +467,7 @@ class EntityIndexEngine:
                     held = []
             if held:
                 degrees += np.bincount(np.concatenate(held), minlength=n)
-            self._degree_cache = _typed_array("q", degrees), int(degrees.sum()) // 2
+            self._degree_cache = degrees, int(degrees.sum()) // 2
         return self._degree_cache
 
     # ------------------------------------------------------------------
@@ -495,21 +484,14 @@ class EntityIndexEngine:
         cached = self._factor_cache.get(scheme)
         if cached is not None:
             return cached
-        ent_ptr = self._ent_ptr
         log10 = math.log10
         if scheme == "ECBS":
-            total_blocks = max(1, self.num_blocks)
-            factors = [
-                log10(total_blocks / max(1, ent_ptr[o + 1] - ent_ptr[o]) + 1.0)
-                for o in range(self.num_entities)
-            ]
+            total = max(1, self.num_blocks)
+            own = _np.diff(self._ent_ptr)
         else:  # EJS
-            degrees, num_edges = self._degrees()
-            total_edges = max(1, num_edges)
-            factors = [
-                log10(total_edges / max(1, degrees[o]) + 1.0)
-                for o in range(self.num_entities)
-            ]
+            own, num_edges = self._degrees()
+            total = max(1, num_edges)
+        factors = [log10(total / max(1, count) + 1.0) for count in own.tolist()]
         self._factor_cache[scheme] = factors
         return factors
 
@@ -531,7 +513,7 @@ class EntityIndexEngine:
         if scheme == "ARCS":
             return lambda src, dst, counts, arcs: arcs
 
-        num_blocks = np.diff(self._np_ent_ptr)
+        num_blocks = np.diff(self._ent_ptr)
 
         def jaccard(src, dst, counts):
             return counts / (num_blocks[src] + num_blocks[dst] - counts)
@@ -583,9 +565,9 @@ class EntityIndexEngine:
     ) -> Tuple[array, array, array]:
         """The edges ``pruning`` retains under ``weighting``, as flat columns.
 
-        ``(first, second, weight)``: two ``array('q')`` ordinal columns in
+        ``(first, second, weight)``: two int64 ndarray ordinal columns in
         canonical orientation (``identifier(first) < identifier(second)``)
-        and the aligned ``array('d')`` of weights.  Rows come in ascending
+        and the aligned float64 ndarray of weights.  Rows come in ascending
         ``(lower ordinal, higher ordinal)`` order, CEP's in its selection
         order ``(-weight, first, second)`` by identifier.  ``budget`` (CEP)
         and ``k`` (CNP) override the standard defaults.  Sets the run
@@ -627,14 +609,10 @@ class EntityIndexEngine:
             num_edges, columns = self._cnp(weighting, k, reciprocal)
         src, dst, weights = columns
         src, dst = _np.asarray(src, dtype=_np.int64), _np.asarray(dst, dtype=_np.int64)
-        # canonical orientation by identifier rank, as plain typed arrays
+        # canonical orientation by identifier rank
         ranks = self._ranks()
         swap = ranks[src] > ranks[dst]
-        src, dst = (
-            _typed_array("q", _np.where(swap, dst, src)),
-            _typed_array("q", _np.where(swap, src, dst)),
-        )
-        weights = _typed_array("d", weights)
+        src, dst = _np.where(swap, dst, src), _np.where(swap, src, dst)
         self.last_num_edges = num_edges
         self.last_retained = len(weights)
         self.last_refined = refined
@@ -758,10 +736,10 @@ class EntityIndexEngine:
         """
         np = _np
         n = self.num_entities
-        blocks = self._np_ent_blocks
-        _facing, lo, lengths = self._facing_spans(blocks, self._np_ent_side)
-        owners = np.repeat(np.arange(n, dtype=np.int32), np.diff(self._np_ent_ptr))
-        sums = np.bincount(owners, lengths - (self._np_blk_split[blocks] < 0), minlength=n)
+        blocks = self._ent_blocks
+        _facing, lo, lengths = self._facing_spans(blocks, self._ent_side)
+        owners = np.repeat(np.arange(n, dtype=np.int32), np.diff(self._ent_ptr))
+        sums = np.bincount(owners, lengths - (self._blk_split[blocks] < 0), minlength=n)
         shared = []
         for src, dst, counts, _arcs in self._neighbourhoods(True, False):
             rows = np.flatnonzero(counts > 1)
@@ -819,9 +797,11 @@ class EntityIndexEngine:
                 endorsed.setdefault((min(i, j), max(i, j)), [weight, 0])[1] += 1
         needed = 2 if reciprocal else 1
         columns = _edge_columns(
-            (a, b, weight)
-            for (a, b), (weight, endorsements) in sorted(endorsed.items())
-            if endorsements >= needed and weight > 0
+            [
+                (a, b, weight)
+                for (a, b), (weight, endorsements) in sorted(endorsed.items())
+                if endorsements >= needed and weight > 0
+            ]
         )
         return total // 2, columns  # every edge is seen from both ends
 
@@ -856,4 +836,4 @@ class EntityIndexEngine:
                 if len(buffer) == budget:
                     cutoff = -buffer[-1][0]
         buffer = heapq.nsmallest(budget, buffer)
-        return count, _edge_columns((i, j, -negated) for negated, _f, _s, i, j in buffer)
+        return count, _edge_columns([(i, j, -negated) for negated, _f, _s, i, j in buffer])

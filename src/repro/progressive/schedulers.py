@@ -19,13 +19,12 @@ from __future__ import annotations
 
 import abc
 import random
-from array import array
 from itertools import islice, repeat
 from operator import itemgetter
 from typing import Iterable, Iterator, List, Optional, Sequence, Tuple, Union
 
 from repro.blocking.base import BlockCollection
-from repro.blocking.columns import BlockColumns, flat_slices, int_view, typed_array
+from repro.blocking.columns import BlockColumns, flat_slices
 from repro.datamodel.collection import CleanCleanTask, EntityCollection
 from repro.datamodel.pairs import (
     Comparison,
@@ -76,7 +75,7 @@ class ScheduledRows:
             )
         start = self._position
         self._position = stop = min(start + count, len(columns))
-        return int_view(columns.first)[start:stop], int_view(columns.second)[start:stop]
+        return columns.first[start:stop], columns.second[start:stop]
 
     @property
     def rows(self) -> Iterator[Row]:
@@ -85,13 +84,13 @@ class ScheduledRows:
         if not isinstance(columns, ComparisonColumns):
             return columns
         start, self._position = self._position, len(columns)
-        first, second, weights = columns.first[start:], columns.second[start:], columns.weights
-        if weights is None:
+        first, second = columns.first[start:].tolist(), columns.second[start:].tolist()
+        if columns.weights is None:
             return zip(first, second, repeat(None))
-        weights = weights[start:]
-        if _np.isnan(_np.frombuffer(weights, dtype=_np.float64)).any():
-            weights = [None if w != w else w for w in weights]
-        return zip(first, second, weights)
+        weights = columns.weights[start:]
+        missing = _np.isnan(weights).any()
+        weights = weights.tolist()
+        return zip(first, second, [None if w != w else w for w in weights] if missing else weights)
 
     def comparisons(self) -> Iterator[Comparison]:
         """Materialise the schedule as :class:`Comparison` objects (lazy)."""
@@ -128,10 +127,10 @@ def _columns_from_blocks(blocks: BlockCollection) -> ComparisonColumns:
     """
     np = _np
     columns = BlockColumns.from_collection(blocks)
-    ptr, members = int_view(columns.blk_ptr), int_view(columns.members)
+    ptr, members = columns.blk_ptr, columns.members
     block_of = np.repeat(np.arange(len(columns)), np.diff(ptr))
     position = np.arange(len(members))
-    split = int_view(columns.split)[block_of]
+    split = columns.split[block_of]
     bilateral = split >= 0
     left_end = ptr[block_of] + split
     start = np.where(bilateral, left_end, position + 1)
@@ -149,11 +148,7 @@ def _columns_from_blocks(blocks: BlockCollection) -> ComparisonColumns:
     rank = identifier_ranks(columns.ids)
     swap = rank[first] > rank[second]
     return ComparisonColumns(
-        columns.ids,
-        typed_array("q", np.where(swap, second, first)),
-        typed_array("q", np.where(swap, first, second)),
-        None,
-        distinct=True,
+        columns.ids, np.where(swap, second, first), np.where(swap, first, second), distinct=True
     )
 
 
@@ -161,13 +156,13 @@ def _columns_from_comparisons(comparisons: Sequence[Comparison]) -> ComparisonCo
     """A comparison sequence as columns, identifiers interned in first-seen
     order; a missing weight is stored as NaN (all missing: no weight column)."""
     intern = OrdinalInterner()
-    first, second, weights = array("q"), array("q"), []
+    first, second, weights = [], [], []
     for comparison in comparisons:
         first.append(intern(comparison.first))
         second.append(intern(comparison.second))
         weights.append(comparison.weight)
     if any(weight is not None for weight in weights):
-        weights = array("d", (_np.nan if w is None else w for w in weights))
+        weights = [_np.nan if w is None else w for w in weights]
     else:
         weights = None
     return ComparisonColumns(intern.ids, first, second, weights).deduplicated()

@@ -69,7 +69,7 @@ class SortedListScheduler(ProgressiveScheduler):
             columns = candidate_columns(candidates)
             at = [position.get(identifier, -1) for identifier in columns.ids]
             allowed = set()
-            for f, s in zip(columns.first, columns.second):
+            for f, s in zip(columns.first.tolist(), columns.second.tolist()):
                 a, b = at[f], at[s]
                 if a >= 0 and b >= 0:  # else never emittable by the sweep
                     allowed.add(pair_code(a, b))

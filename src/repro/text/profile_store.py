@@ -144,15 +144,13 @@ class ProfileColumns:
     def __init__(self, context, token_filter, idf=None) -> None:
         """``idf``: the float64 idf per token id (TF-IDF mode) or ``None``."""
         np = _np
-        ptr, ids, counts = (
-            np.array(column, dtype=np.int64) for column in context.token_columns()
-        )
+        ptr, ids, counts = context.token_columns()  # the context's own, read-only
         vocabulary_size = context.vocabulary_size
         #: every stored id is below it, so a ``pair * stride + id`` key
         #: names one (pair, id) entry
         self.stride = max(1, vocabulary_size)
         if not token_filter.trivial:
-            keep = np.frombuffer(token_filter.mask(vocabulary_size), dtype=np.bool_)[ids]
+            keep = token_filter.mask(vocabulary_size)[ids]
             kept_before = np.zeros(len(ids) + 1, dtype=np.int64)
             np.cumsum(keep, out=kept_before[1:])
             ptr, ids, counts = kept_before[ptr], ids[keep], counts[keep]

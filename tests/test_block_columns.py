@@ -10,7 +10,6 @@ from ``token_set``, purging, filtering), ``BlockCollection.entity_index`` and
 from __future__ import annotations
 
 import math
-from array import array
 
 import numpy as np
 import pytest
@@ -291,9 +290,16 @@ def test_purge_and_filter_on_columns_equal_the_oracle_cleaners(
 # ----------------------------------------------------------------------
 # EntityIndexEngine.from_columns vs the object constructor
 # ----------------------------------------------------------------------
-INDEX_ARRAYS = (
-    "_blk_ptr", "_blk_ents", "_blk_split", "_recip", "_ent_ptr", "_ent_blocks", "_ent_side",
-)
+#: every column of the index (one ndarray attribute each) and its dtype
+INDEX_ARRAYS = {
+    "_blk_ptr": np.int64,
+    "_blk_ents": np.int64,
+    "_blk_split": np.int64,
+    "_recip": np.float64,
+    "_ent_ptr": np.int64,
+    "_ent_blocks": np.int64,
+    "_ent_side": np.int8,
+}
 
 
 def _padded(collection) -> EntityCollection:
@@ -320,8 +326,10 @@ class TestIndexFromColumns:
         objects = BlockCollection(list(TokenBlocking().build(collection)))
         assert objects._columns is None
         from_objects = EntityIndexEngine(objects, ids=context.ids)
-        for name in INDEX_ARRAYS:
-            assert getattr(from_columns, name) == getattr(from_objects, name), name
+        for name, dtype in INDEX_ARRAYS.items():
+            got, expected = getattr(from_columns, name), getattr(from_objects, name)
+            assert got.dtype == expected.dtype == dtype, name
+            assert np.array_equal(got, expected), name
         assert from_columns.ids == from_objects.ids == context.ids
         assert from_columns.num_entities == len(data)
         assert from_columns.num_nodes == from_objects.num_nodes <= len(collection)
@@ -458,10 +466,12 @@ class TestLazyView:
         engine = BlockingEngine(context=context)
         blocks = engine.build(tiny_collection)
         backing = BlockColumns.from_collection(blocks)
-        keys, members = list(backing.keys), array("q", backing.members)
+        keys, members = list(backing.keys), backing.members.copy()
         purged = engine.clean(blocks, purging=BlockPurging())  # a view over derived columns
         materialised = list(blocks)
         blocks.add(Block("zz-added", members=["a1", "b1"]))
-        assert backing.keys == keys and backing.members == members
+        assert backing.keys == keys
+        assert backing.members.dtype == members.dtype == np.int64
+        assert np.array_equal(backing.members, members)
         assert "zz-added" not in [block.key for block in purged]
         assert snapshot(purged) == snapshot(BlockPurging().process(BlockCollection(materialised)))

@@ -32,6 +32,7 @@ import random
 from pathlib import Path
 from typing import List
 
+import numpy as np
 import pytest
 
 from repro.blocking.base import Block, BlockCollection
@@ -125,7 +126,12 @@ def test_batch_budget_never_changes_the_columns(kind, monkeypatch):
     assert sum(len(weights) for _f, _s, weights in expected.values()) > 100
     for budget in (1, 7):
         monkeypatch.setattr(entity_index, "_BATCH_PAIRS", budget)
-        assert _all_combo_columns(EntityIndexEngine(blocks)) == expected, budget
+        got = _all_combo_columns(EntityIndexEngine(blocks))
+        assert got.keys() == expected.keys()
+        for combo, columns in expected.items():
+            for column, want, dtype in zip(got[combo], columns, (np.int64, np.int64, np.float64)):
+                assert column.dtype == want.dtype == dtype, (budget, combo)
+                assert np.array_equal(column, want), (budget, combo)
 
 
 @pytest.mark.parametrize("kind", sorted(SEAM_COLLECTIONS))

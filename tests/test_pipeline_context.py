@@ -17,6 +17,7 @@ splits no value on its own.
 import importlib
 from collections import Counter
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -360,7 +361,7 @@ _FILTER_STOP_WORDS = [None, DEFAULT_STOP_WORDS | {"alan", "data", "x"}]
 
 def _per_token_flags(tokens, stop_words, min_length):
     stops = frozenset(stop_words or ())
-    return bytes(len(token) >= min_length and token not in stops for token in tokens)
+    return np.array([len(token) >= min_length and token not in stops for token in tokens], bool)
 
 
 class TestTokenFilter:
@@ -373,8 +374,10 @@ class TestTokenFilter:
         token_filter = context.token_filter(stop_words, min_length)
         tokens = [context.token(t) for t in range(context.vocabulary_size)]
         expected = _per_token_flags(tokens, stop_words, min_length)
-        assert token_filter.mask(len(tokens)) == expected
-        assert bytes(map(token_filter.allows, range(len(tokens)))) == expected
+        mask = token_filter.mask(len(tokens))
+        assert mask.dtype == expected.dtype == np.bool_
+        assert np.array_equal(mask, expected)
+        assert list(map(token_filter.allows, range(len(tokens)))) == expected.tolist()
 
     @pytest.mark.parametrize("stop_words", _FILTER_STOP_WORDS, ids=["no-stops", "stops"])
     @pytest.mark.parametrize("min_length", [0, 1, 2, 3])
@@ -385,7 +388,9 @@ class TestTokenFilter:
             growable.add_record(description)
             tokens = [growable.token(t) for t in range(growable.vocabulary_size)]
             expected = _per_token_flags(tokens, stop_words, min_length)
-            assert token_filter.mask(len(tokens)) == expected
+            mask = token_filter.mask(len(tokens))
+            assert mask.dtype == expected.dtype == np.bool_
+            assert np.array_equal(mask, expected)
 
 
 class TestGrowableTwin:
