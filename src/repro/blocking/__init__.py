@@ -32,7 +32,11 @@ owns the input, a private one otherwise -- and the token-keyed builds hand
 their blocks on as :class:`~repro.blocking.columns.BlockColumns` postings;
 the key-based schemes (standard, q-grams, suffix arrays) read the
 descriptions and ignore the context.  Purging and filtering are passes over
-the block columns, propagation deduplicates pairs as single integers.
+the block columns.  Propagation walks the distinct pairs with
+:meth:`BlockColumns.distinct_pairs
+<repro.blocking.columns.BlockColumns.distinct_pairs>`; it, the similarity
+join and multidimensional blocking emit their pair blocks through
+:meth:`BlockColumns.from_pairs <repro.blocking.columns.BlockColumns.from_pairs>`.
 :class:`~repro.blocking.engine.BlockingEngine` runs build and clean as one
 workflow stage; a subclass that overrides ``build`` or ``process`` runs its
 own method wherever it is used.

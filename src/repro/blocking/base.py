@@ -23,7 +23,7 @@ from typing import Dict, Iterable, Iterator, List, Optional, Sequence, Set, Tupl
 
 from repro.core.context import PipelineContext
 from repro.datamodel.collection import CleanCleanTask, EntityCollection
-from repro.datamodel.pairs import Comparison, canonical_pair
+from repro.datamodel.pairs import Comparison, canonical_orientation, canonical_pair
 
 ERInput = Union[EntityCollection, CleanCleanTask]
 
@@ -62,38 +62,6 @@ class Block:
         self._right: Tuple[str, ...] = (
             tuple(dict.fromkeys(right_members)) if right_members is not None else ()
         )
-
-    # ------------------------------------------------------------------
-    @classmethod
-    def pair(cls, key: str, first: str, second: str) -> "Block":
-        """A two-member dirty-ER block, built without validation.
-
-        Trusted fast path for callers that materialise very many pair
-        blocks (comparison propagation, meta-blocking restructuring); the
-        two members must be distinct.  Equivalent to
-        ``Block(key, members=[first, second])``.
-        """
-        block = cls.__new__(cls)
-        block.key = key
-        block._members = (first, second)
-        block._left = ()
-        block._right = ()
-        return block
-
-    @classmethod
-    def bilateral_pair(cls, key: str, left: str, right: str) -> "Block":
-        """A one-by-one clean--clean block, built without validation.
-
-        Trusted fast path, equivalent to
-        ``Block(key, left_members=[left], right_members=[right])`` for two
-        distinct identifiers.
-        """
-        block = cls.__new__(cls)
-        block.key = key
-        block._members = ()
-        block._left = (left,)
-        block._right = (right,)
-        return block
 
     # ------------------------------------------------------------------
     @property
@@ -210,12 +178,8 @@ class BlockCollection:
             self._objects().append(block)
 
     def _extend_trusted(self, blocks: Iterable[Block]) -> None:
-        """Extend with blocks known to induce at least one comparison each.
-
-        Internal fast path for the array-backed engines, which append very
-        many pair blocks; skips the per-block cardinality check of
-        :meth:`add`.
-        """
+        """Extend with blocks known to induce at least one comparison each
+        (the sorted-neighbourhood windows), skipping :meth:`add`'s check."""
         self._objects().extend(blocks)
 
     def __len__(self) -> int:
@@ -246,15 +210,22 @@ class BlockCollection:
             return self._columns.total_comparisons()
         return sum(block.num_comparisons() for block in self._blocks)
 
+    def _pair_rows(self):
+        """``(columns, *columns.distinct_pairs())``; a view stays unmaterialised."""
+        from repro.blocking.columns import BlockColumns  # columns.py imports this module
+
+        columns = BlockColumns.from_collection(self)
+        return (columns, *columns.distinct_pairs())
+
     def distinct_pairs(self) -> Set[Tuple[str, str]]:
-        """The set of distinct comparisons induced by all blocks."""
-        pairs: Set[Tuple[str, str]] = set()
-        for block in self:
-            pairs.update(block.pairs())
-        return pairs
+        """The set of distinct comparisons induced by all blocks, as canonical pairs."""
+        columns, first, second, _block = self._pair_rows()
+        names = columns.ids.__getitem__
+        first, second = canonical_orientation(columns.ids, first, second)
+        return set(zip(map(names, first.tolist()), map(names, second.tolist())))
 
     def num_distinct_comparisons(self) -> int:
-        return len(self.distinct_pairs())
+        return len(self._pair_rows()[1])
 
     def redundancy(self) -> float:
         """Average number of blocks in which each distinct comparison appears."""
@@ -291,13 +262,12 @@ class BlockCollection:
             yield from block.comparisons()
 
     def distinct_comparisons(self) -> Iterator[Comparison]:
-        """Yield each distinct comparison exactly once (first block wins)."""
-        seen: Set[Tuple[str, str]] = set()
-        for block in self:
-            for comparison in block.comparisons():
-                if comparison.pair not in seen:
-                    seen.add(comparison.pair)
-                    yield comparison
+        """Yield each distinct comparison exactly once (first block wins), in
+        the order of :meth:`comparisons`, each naming its generating block."""
+        columns, first, second, block = self._pair_rows()
+        ids, keys = columns.ids, columns.keys
+        for f, s, b in zip(first.tolist(), second.tolist(), block.tolist()):
+            yield Comparison(ids[f], ids[s], block_id=keys[b])
 
     def sorted_by_cardinality(self, ascending: bool = True) -> "BlockCollection":
         """Return a copy with blocks ordered by their number of comparisons."""

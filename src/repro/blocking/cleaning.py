@@ -14,19 +14,23 @@ applied between blocking and matching (and before meta-blocking):
   co-occurring in several blocks) without any loss of recall, by keeping a
   pair only in its least-common block (implemented here by global pair
   deduplication).
+
+All three are passes over :class:`~repro.blocking.columns.BlockColumns` and
+return a lazy :class:`~repro.blocking.base.BlockCollection` view over their
+result: no cleaner builds a :class:`~repro.blocking.base.Block`.
 """
 
 from __future__ import annotations
 
 import numbers
 from math import inf
-from typing import List, Optional, Sequence, Set
+from typing import Optional, Sequence
 
 import numpy as _np
 
-from repro.blocking.base import Block, BlockCollection, check_count, check_unit_interval
+from repro.blocking.base import BlockCollection, check_count, check_unit_interval
 from repro.blocking.columns import BlockColumns
-from repro.datamodel.pairs import canonical_pair, identifier_ranks
+from repro.datamodel.pairs import canonical_orientation
 
 
 def adaptive_cardinality_threshold(
@@ -148,128 +152,27 @@ class BlockFiltering:
 class ComparisonPropagation:
     """Eliminate redundant comparisons: each distinct pair is compared exactly once.
 
-    The result is a block collection with one (two-member) block per distinct
-    pair, in the order the pairs first occur (blocks in order, each block's
-    comparisons in order), preserving pair completeness exactly while
-    reducing the aggregate cardinality to the number of distinct comparisons.
-    A bilateral pair block keeps the orientation of the first block that
-    proposes the pair.
+    The result is a block collection with one (two-member) block
+    ``pair:<first>|<second>`` per distinct pair, in the order the pairs first
+    occur (blocks in order, each block's comparisons in order), preserving
+    pair completeness exactly while reducing the aggregate cardinality to
+    the number of distinct comparisons.  A bilateral pair block keeps the
+    orientation of the first block that proposes the pair.  Both steps are
+    column kernels -- :meth:`BlockColumns.distinct_pairs
+    <repro.blocking.columns.BlockColumns.distinct_pairs>` and
+    :meth:`BlockColumns.from_pairs
+    <repro.blocking.columns.BlockColumns.from_pairs>` -- and the result is a
+    lazy view over the pair columns.
     """
 
     def process(self, blocks: BlockCollection) -> BlockCollection:
-        propagated = BlockCollection(name=f"{blocks.name}/propagated")
-        propagated._extend_trusted(_propagate(BlockColumns.from_collection(blocks)))
-        return propagated
-
-
-def _propagate(columns: BlockColumns) -> List[Block]:
-    """Vectorised propagation; peak memory is O(aggregate comparisons).
-
-    The full code/endpoint arrays are materialised before the global
-    ``np.unique`` (~24 bytes per redundant comparison), trading a transient
-    spike for per-pair Python work.  For inputs whose aggregate cardinality
-    vastly exceeds the distinct pair count -- e.g. unpurged collections with
-    extreme redundancy -- purge first, as the workflow does.
-    """
-    np = _np
-    ids = columns.ids
-    members = columns.members
-    code_chunks: List = []
-    a_chunks: List = []
-    b_chunks: List = []
-    #: per chunk: the generating block's left-ordinal set, or None (unilateral)
-    chunk_left: List[Optional[Set[int]]] = []
-    chunk_sizes: List[int] = []
-    blk_ptr = columns.blk_ptr.tolist()
-    for start, stop, split in zip(blk_ptr, blk_ptr[1:], columns.split.tolist()):
-        if split >= 0:
-            left = members[start : start + split]
-            right = members[start + split : stop]
-            a = np.repeat(left, len(right))
-            b = np.tile(right, len(left))
-            self_pairs = a == b
-            if self_pairs.any():  # a malformed block: canonical_pair's error
-                member = ids[int(a[int(np.argmax(self_pairs))])]
-                canonical_pair(member, member)
-            chunk_left.append(set(left.tolist()))
-        else:
-            flat = members[start:stop]
-            upper_i, upper_j = np.triu_indices(len(flat), 1)
-            a = flat[upper_i]
-            b = flat[upper_j]
-            chunk_left.append(None)
-        code_chunks.append(np.minimum(a, b) << 32 | np.maximum(a, b))
-        a_chunks.append(a)
-        b_chunks.append(b)
-        chunk_sizes.append(len(a))
-    if not code_chunks:
-        return []
-
-    codes = np.concatenate(code_chunks)
-    a_all = np.concatenate(a_chunks)
-    b_all = np.concatenate(b_chunks)
-    # np.unique returns each code's first occurrence in the concatenated
-    # (= generation) order; re-sorting those positions restores that order
-    _uniques, first_positions = np.unique(codes, return_index=True)
-    first_positions.sort()
-    a_sel = a_all[first_positions]
-    b_sel = b_all[first_positions]
-
-    # the emission loop runs once per distinct pair and dominates large
-    # propagations, so the Block construction is inlined (__new__ + slot
-    # assignment, the trusted equivalent of Block.pair/bilateral_pair)
-    out: List[Block] = []
-    append = out.append
-    new_block = Block.__new__
-    empty = ()
-    if all(left_set is None for left_set in chunk_left):  # purely unilateral
-        # canonical pair order resolved vectorised: comparing identifier
-        # ranks reproduces the per-pair `id_a < id_b` checks
-        rank = identifier_ranks(ids)
-        swap = rank[b_sel] < rank[a_sel]
-        first_list = np.where(swap, b_sel, a_sel).tolist()
-        second_list = np.where(swap, a_sel, b_sel).tolist()
-        for a, b in zip(first_list, second_list):
-            id_a, id_b = ids[a], ids[b]
-            block = new_block(Block)
-            block.key = f"pair:{id_a}|{id_b}"
-            block._members = (id_a, id_b)
-            block._left = empty
-            block._right = empty
-            append(block)
-    else:
-        a_list = a_sel.tolist()
-        b_list = b_sel.tolist()
-        offsets = np.cumsum(np.asarray(chunk_sizes, dtype=np.int64))
-        chunk_list = np.searchsorted(offsets, first_positions, side="right").tolist()
-        for a, b, chunk in zip(a_list, b_list, chunk_list):
-            id_a, id_b = ids[a], ids[b]
-            left_set = chunk_left[chunk]
-            block = new_block(Block)
-            if left_set is None:
-                if id_a < id_b:
-                    block.key = f"pair:{id_a}|{id_b}"
-                    block._members = (id_a, id_b)
-                else:
-                    block.key = f"pair:{id_b}|{id_a}"
-                    block._members = (id_b, id_a)
-                block._left = empty
-                block._right = empty
-            else:
-                if id_a < id_b:
-                    first, second, first_ordinal = id_a, id_b, a
-                else:
-                    first, second, first_ordinal = id_b, id_a, b
-                block.key = f"pair:{first}|{second}"
-                block._members = empty
-                if first_ordinal in left_set:
-                    block._left = (first,)
-                    block._right = (second,)
-                else:
-                    block._left = (second,)
-                    block._right = (first,)
-            append(block)
-    return out
+        columns = BlockColumns.from_collection(blocks)
+        first, second, block = columns.distinct_pairs()
+        # the earlier member is the left one of a bilateral generating block
+        left = _np.where(columns.split[block] >= 0, first, -1)
+        first, second = canonical_orientation(columns.ids, first, second)
+        pairs = BlockColumns.from_pairs("pair", columns.ids, first, second, left)
+        return BlockCollection.from_columns(pairs, name=f"{blocks.name}/propagated")
 
 
 def clean_blocks(

@@ -11,8 +11,15 @@ no identifier string is read and no :class:`~repro.blocking.base.Block`
 exists until somebody iterates the
 :class:`~repro.blocking.base.BlockCollection` viewing the columns.
 :meth:`BlockColumns.from_collection` is the one interning pass for whatever
-arrives as objects (the window, canopy and join builders, user collections),
-:meth:`BlockColumns.blocks` the one way back.
+arrives as objects (the key-based standard builders, canopy clustering, the
+sorted-neighbourhood windows, user collections), :meth:`BlockColumns.blocks`
+the one way back and the one library path that builds pair blocks.
+
+**Pairs.**  :meth:`BlockColumns.distinct_pairs` is the one walk over a
+collection's distinct comparisons (propagation, candidate columns,
+``BlockCollection.distinct_pairs``); :meth:`BlockColumns.from_pairs` the one
+constructor of pair blocks (propagation, meta-blocking's restructuring, the
+multidimensional and similarity-join builders).
 
 **Token columns.**  The long-tail scheme families (minhash/LSH, canopy, the
 similarity self-join) all start from the same view of the input: one sorted
@@ -32,6 +39,7 @@ from array import array
 from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
 from repro.blocking.base import Block, BlockCollection
+from repro.datamodel.pairs import canonical_pair, first_occurrences
 
 import numpy as _np
 
@@ -161,6 +169,35 @@ class BlockColumns:
             ids,
         )
 
+    @classmethod
+    def from_pairs(
+        cls, prefix: str, ids: Sequence[str], first, second, left=None
+    ) -> "BlockColumns":
+        """One two-member block ``<prefix>:<ids[first]>|<ids[second]>`` per row.
+
+        ``first`` and ``second`` are ordinal columns in canonical orientation
+        (``ids[first] < ids[second]``), one row per distinct pair, in block
+        order.  ``left`` is ``None`` when every row is a dirty-ER pair, else
+        per row the ordinal of the left member of a clean--clean pair, or
+        ``-1`` for a dirty-ER row.  A dirty pair lists its members in row
+        order, a bilateral one its left member first.
+        """
+        np = _np
+        first = np.asarray(first, dtype=np.int64)
+        second = np.asarray(second, dtype=np.int64)
+        names = ids.__getitem__
+        keys = [
+            f"{prefix}:{a}|{b}"
+            for a, b in zip(map(names, first.tolist()), map(names, second.tolist()))
+        ]
+        if left is None:
+            lead, split = first, np.full(len(first), -1, dtype=np.int64)
+        else:
+            lead = np.where(left < 0, first, left)
+            split = np.where(left < 0, -1, 1)
+        members = np.column_stack((lead, first + second - lead)).ravel()
+        return cls(keys, np.arange(0, 2 * len(first) + 1, 2), members, split, ids)
+
     # ------------------------------------------------------------------
     # statistics
     # ------------------------------------------------------------------
@@ -173,6 +210,35 @@ class BlockColumns:
     def total_comparisons(self) -> int:
         """Aggregate cardinality ``||B||`` (redundant comparisons counted)."""
         return int(self.cardinalities().sum())
+
+    def distinct_pairs(self):
+        """Every distinct comparison once, first block wins: ``(first, second, block)``.
+
+        int64 ndarrays in first-occurrence order (blocks in order, within a
+        block each member with every later one, or each left member with
+        every right one); ``first`` is the earlier (left) member, ``block``
+        the generating block.  Every assignment is repeated once per
+        partner and :func:`~repro.datamodel.pairs.first_occurrences` keeps
+        the first row of each pair: peak memory is O(aggregate cardinality),
+        so purge extremely redundant collections first.
+        """
+        np = _np
+        ptr, members = self.blk_ptr, self.members
+        block_of = np.repeat(np.arange(len(self)), np.diff(ptr))
+        position = np.arange(len(members))
+        split = self.split[block_of]
+        bilateral = split >= 0
+        left_end = ptr[block_of] + split
+        start = np.where(bilateral, left_end, position + 1)
+        count = np.where(bilateral & (position >= left_end), 0, ptr[block_of + 1] - start)
+        first = np.repeat(members, count)
+        second = members[flat_slices(start, count)]
+        clash = np.flatnonzero(first == second)
+        if len(clash):  # raises the Block pair walk's error
+            member = self.ids[int(first[clash[0]])]
+            canonical_pair(member, member)
+        keep = first_occurrences(first, second, len(self.ids))
+        return first[keep], second[keep], np.repeat(block_of, count)[keep]
 
     # ------------------------------------------------------------------
     # restriction

@@ -16,8 +16,13 @@ over the columns; :class:`~repro.blocking.base.Block` objects exist only if
 somebody iterates it (the default workflow never does:
 :meth:`EntityIndexEngine.from_columns
 <repro.metablocking.entity_index.EntityIndexEngine.from_columns>` takes the
-columns as they are).  Blocks that arrive as objects (the window, canopy and
-join builders, user collections) are interned once by
+columns as they are).  The token, minhash, similarity-join and
+multidimensional builders emit columns too, and so do comparison propagation
+and meta-blocking's restructuring (pair blocks from
+:meth:`BlockColumns.from_pairs
+<repro.blocking.columns.BlockColumns.from_pairs>`).  Only the key-based
+standard builders, canopy clustering and the sorted-neighbourhood windows
+still emit objects; those, and user collections, are interned once by
 :meth:`BlockColumns.from_collection
 <repro.blocking.columns.BlockColumns.from_collection>`.  The cleaners assume
 well-formed bilateral blocks (no identifier on both sides of one block, the

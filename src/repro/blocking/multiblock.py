@@ -10,10 +10,13 @@ co-occur in at least ``min_shared_dimensions`` dimensions are retained.
 
 from __future__ import annotations
 
-from typing import Dict, List, Optional, Sequence, Set, Tuple
+from typing import List, Sequence
 
-from repro.blocking.base import Block, BlockBuilder, BlockCollection, ERInput, interned
-from repro.datamodel.collection import CleanCleanTask
+import numpy as _np
+
+from repro.blocking.base import BlockBuilder, BlockCollection, ERInput, interned
+from repro.blocking.columns import BlockColumns
+from repro.datamodel.pairs import identifier_ranks
 
 
 class MultidimensionalBlocking(BlockBuilder):
@@ -56,23 +59,25 @@ class MultidimensionalBlocking(BlockBuilder):
         context = interned(data, context)
         self.last_dimension_blocks = [builder.build(data, context) for builder in self.dimensions]
 
-        # count in how many dimensions each distinct pair co-occurs
-        dimension_counts: Dict[Tuple[str, str], int] = {}
+        # every dimension's distinct pairs over one table: the context's,
+        # extended by whatever member it does not hold
+        np = _np
+        table, rows = context.ids, []
         for blocks in self.last_dimension_blocks:
-            for pair in blocks.distinct_pairs():
-                dimension_counts[pair] = dimension_counts.get(pair, 0) + 1
-
-        bilateral = isinstance(data, CleanCleanTask)
-        collection = BlockCollection(name=self.name)
-        for (first, second), count in sorted(dimension_counts.items()):
-            if count < self.min_shared_dimensions:
-                continue
-            key = f"multi:{first}|{second}"
-            if bilateral:
-                left, right = (
-                    (first, second) if first in data.left else (second, first)
-                )
-                collection.add(Block(key, left_members=[left], right_members=[right]))
-            else:
-                collection.add(Block(key, members=[first, second]))
-        return collection
+            columns = BlockColumns.from_collection(blocks, table)
+            table = columns.ids if len(columns.ids) > len(table) else table
+            rows.append(columns.distinct_pairs()[:2])
+        # a code orders like the canonical identifier pair, so the counted
+        # distinct codes are the pairs' dimension counts in canonical order
+        rank = identifier_ranks(table)
+        size = max(len(table), 1)
+        first, second = (rank[np.concatenate(side)] for side in zip(*rows))
+        codes = np.minimum(first, second) * size + np.maximum(first, second)
+        codes, counts = np.unique(codes, return_counts=True)
+        codes = codes[counts >= self.min_shared_dimensions]
+        first, second = np.argsort(rank)[[codes // size, codes % size]]
+        left = None
+        if context.left_count >= 0:  # the context holds left descriptions first
+            left = np.where(first < context.left_count, first, second)
+        pairs = BlockColumns.from_pairs("multi", table, first, second, left)
+        return BlockCollection.from_columns(pairs, name=self.name)

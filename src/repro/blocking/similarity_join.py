@@ -26,14 +26,13 @@ from typing import Dict, List, Sequence, Tuple
 import numpy as _np
 
 from repro.blocking.base import (
-    Block,
     BlockBuilder,
     BlockCollection,
     ERInput,
     check_unit_interval,
     interned,
 )
-from repro.blocking.columns import TokenColumnView
+from repro.blocking.columns import BlockColumns, TokenColumnView
 from repro.datamodel.pairs import identifier_ranks
 from repro.text.tokenize import DEFAULT_STOP_WORDS, check_min_token_length
 
@@ -73,30 +72,28 @@ class SimilarityJoinBlocking(BlockBuilder):
     # ------------------------------------------------------------------
     def build(self, data: ERInput, context=None) -> BlockCollection:
         """One two-member block ``join:<first>|<second>`` per verified pair,
-        in canonical pair order."""
-        view, pairs, _scores = self._verified(interned(data, context))
-        ids = view.ids
-        left_count = view.left_count
-        collection = BlockCollection(name=self.name)
-        for first_ordinal, second_ordinal in pairs:
-            first = ids[first_ordinal]
-            second = ids[second_ordinal]
-            key = f"join:{first}|{second}"
-            if left_count >= 0:
-                left, right = (first, second) if first_ordinal < left_count else (second, first)
-                collection.add(Block(key, left_members=[left], right_members=[right]))
-            else:
-                collection.add(Block(key, members=[first, second]))
-        return collection
+        in canonical pair order (a lazy view over pair columns)."""
+        view, _engine, first, second = self._verified(interned(data, context))
+        left = None
+        if view.left_count >= 0:
+            left = _np.where(first < view.left_count, first, second)
+        pairs = BlockColumns.from_pairs("join", view.ids, first, second, left)
+        return BlockCollection.from_columns(pairs, name=self.name)
 
     def join_pairs(self, data: ERInput, context=None) -> List[Tuple[str, str, float]]:
         """The verified pairs with their exact Jaccard similarities (join-style API)."""
-        view, pairs, scores = self._verified(interned(data, context))
+        view, engine, first, second = self._verified(interned(data, context))
+        first, second = first.tolist(), second.tolist()
+        scores = engine.score_ordinal_pairs(first, second)
         ids = view.ids
-        return [(ids[first], ids[second], score) for (first, second), score in zip(pairs, scores)]
+        return [(ids[f], ids[s], score) for f, s, score in zip(first, second, scores)]
 
     def _verified(self, context):
-        """``(token view, verified ordinal pairs, their Jaccard scores)``.
+        """``(token view, matching engine, first, second)``: the verified pairs.
+
+        ``first`` and ``second`` are int64 ordinal columns in canonical pair
+        order; the engine (a Jaccard matcher at the join threshold) scores
+        them on request.
 
         Candidate generation runs entirely in *rank space*: the global
         rarest-first token order ranks ids once by ``(document frequency,
@@ -110,8 +107,8 @@ class SimilarityJoinBlocking(BlockBuilder):
         join threshold over the context's profiles (whose token filter is
         this view's): the matching engine's ordinal-pair kernel
         (:meth:`~repro.matching.engine.MatchingEngine.decide_ordinal_pairs`,
-        whose flags are the exact body's decisions) decides every candidate,
-        and only the kept pairs are scored by the exact body
+        whose flags are the exact body's decisions) decides every candidate;
+        only :meth:`join_pairs` scores the kept pairs, by the exact body
         (:meth:`~repro.matching.engine.MatchingEngine.score_ordinal_pairs`).
         """
         from repro.matching.engine import MatchingEngine
@@ -165,9 +162,9 @@ class SimilarityJoinBlocking(BlockBuilder):
         engine = MatchingEngine(matcher, context=context)
         # the flags are the exact body's decisions: only the kept pairs are scored
         kept = engine.decide_ordinal_pairs(first, second)
-        first, second = first[kept].tolist(), second[kept].tolist()
+        first, second = first[kept], second[kept]
         self.last_verified_count = len(first)
-        return view, list(zip(first, second)), engine.score_ordinal_pairs(first, second)
+        return view, engine, first, second
 
 
 def _vectorised_candidates(

@@ -382,13 +382,12 @@ class ERWorkflow:
             candidates = blocks
 
         if ground_truth is not None:
+            # both are counted from columns: no Block and no per-pair tuple
             if isinstance(candidates, BlockCollection):
-                candidate_pairs = candidates.distinct_pairs()
+                quality = evaluate_blocks(candidates, ground_truth, data)
             else:
-                # columns are evaluated on the ordinal-coded fast path --
-                # no per-pair tuple is ever materialised
-                candidate_pairs = candidates
-            result.blocking_quality = evaluate_comparisons(candidate_pairs, ground_truth, data)
+                quality = evaluate_comparisons(candidates, ground_truth, data)
+            result.blocking_quality = quality
 
         # ---------------- scheduling + matching ----------------
         start = time.perf_counter()

@@ -86,17 +86,51 @@ def pair_code(a: int, b: int) -> int:
     return (a << 32) | b if a < b else (b << 32) | a
 
 
-def identifier_ranks(ids: Sequence[str]) -> Sequence[int]:
+#: the table :func:`identifier_ranks` ranked last, its length then and its ranks
+_last_ranked = (None, 0, None)
+
+
+def _rank_table(ids: Sequence[str]) -> _np.ndarray:
+    """The ranks of ``ids``: one argsort of the identifier strings."""
+    rank = _np.empty(len(ids), dtype=_np.int64)
+    rank[_np.argsort(_np.array(ids))] = _np.arange(len(ids), dtype=_np.int64)
+    rank.flags.writeable = False
+    return rank
+
+
+def identifier_ranks(ids: Sequence[str]) -> _np.ndarray:
     """Rank of every ordinal in the lexicographic order of its identifier.
 
     Comparing ranks is equivalent to comparing the identifier strings, which
-    lets columnar ordering passes (:meth:`ComparisonColumns.weight_sorted`,
-    the clustering engine's heaviest-first edge sort) break weight ties
-    exactly like a sort over the identifier pair itself.
+    lets columnar passes (the canonical orientation of pair rows,
+    :meth:`ComparisonColumns.weight_sorted`, the meta-blocking tie-breaks,
+    the clustering engine's heaviest-first edge sort) order pairs exactly
+    like a sort over the identifier pair itself.
+
+    Identifier tables only ever grow, so the ranks are computed once per
+    table: the read-only int64 ndarray of the last table ranked is handed
+    out again while that same object has not grown since.
     """
-    rank = _np.empty(len(ids), dtype=_np.int64)
-    rank[_np.argsort(_np.array(ids))] = _np.arange(len(ids), dtype=_np.int64)
+    global _last_ranked
+    table, size, rank = _last_ranked
+    if table is not ids or size != len(ids):
+        rank = _rank_table(ids)
+        _last_ranked = (ids, len(ids), rank)
     return rank
+
+
+def canonical_orientation(ids: Sequence[str], first, second):
+    """Ordinal pair rows in canonical orientation, as int64 ndarrays.
+
+    A row is swapped where ``ids[first] > ids[second]`` (by
+    :func:`identifier_ranks`), so the smaller identifier comes first, as in
+    :func:`canonical_pair`.
+    """
+    rank = identifier_ranks(ids)
+    first = _np.asarray(first, dtype=_np.int64)
+    second = _np.asarray(second, dtype=_np.int64)
+    swap = rank[first] > rank[second]
+    return _np.where(swap, second, first), _np.where(swap, first, second)
 
 
 def stable_argsort(keys, bound: int):
@@ -279,10 +313,6 @@ class ComparisonColumns(Sequence):
         return {(ids[f], ids[s]) for f, s in zip(self.first.tolist(), self.second.tolist())}
 
     # ------------------------------------------------------------------
-    def _ranks(self) -> Sequence[int]:
-        """Identifier ranks of this table (see :func:`identifier_ranks`)."""
-        return identifier_ranks(self.ids)
-
     def weight_sorted(self) -> "ComparisonColumns":
         """A copy ordered by ``(-weight, first, second)`` -- heaviest first.
 
@@ -299,7 +329,7 @@ class ComparisonColumns(Sequence):
             missing = _np.isnan(key)
             if missing.any():
                 key = _np.where(missing, -_np.inf, key)
-        order = heaviest_first(self._ranks(), self.first, self.second, key)
+        order = heaviest_first(identifier_ranks(self.ids), self.first, self.second, key)
         return self.taken(order, distinct=self.distinct, weight_ordered=True)
 
     def taken(self, index, distinct: bool = False, weight_ordered: bool = False):

@@ -187,7 +187,7 @@ class ParallelEngine:
         """Connected components of the positive rows, via per-shard union--find.
 
         ``first``/``second`` must already be in canonical orientation
-        (:func:`~repro.matching.clustering.canonical_rows`).  Workers scan
+        (:func:`~repro.datamodel.pairs.canonical_orientation`).  Workers scan
         contiguous row ranges -- each running the sequential union--find pass locally
         -- and the driver links every locally touched member to its local
         root, shard by shard in range order.  The merged partition equals

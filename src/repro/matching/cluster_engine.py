@@ -14,12 +14,12 @@ from __future__ import annotations
 
 from typing import FrozenSet, List, Optional
 
+from repro.datamodel.pairs import canonical_orientation
 from repro.matching.clustering import (
     ClusteringAlgorithm,
     ConnectedComponentsClustering,
     Decisions,
     as_columns,
-    canonical_rows,
     group_by_root,
 )
 
@@ -65,7 +65,7 @@ class ClusteringEngine:
             and type(self.algorithm).cluster is ConnectedComponentsClustering.cluster
         ):
             columns = as_columns(decisions)
-            first, second = canonical_rows(columns)
+            first, second = canonical_orientation(columns.ids, columns.first, columns.second)
             # per-shard union--find passes merged on the driver; the merge
             # replays shard-local first-touch order range by range, which for
             # contiguous row shards equals the sequential first-touch order

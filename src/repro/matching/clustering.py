@@ -56,7 +56,12 @@ from typing import FrozenSet, Iterable, List, Sequence, Set, Tuple, Union
 import numpy as _np
 
 from repro.core.unionfind import IntUnionFind
-from repro.datamodel.pairs import DecisionColumns, heaviest_first, identifier_ranks
+from repro.datamodel.pairs import (
+    DecisionColumns,
+    canonical_orientation,
+    heaviest_first,
+    identifier_ranks,
+)
 from repro.matching.matchers import MatchDecision
 
 Decisions = Union[DecisionColumns, Iterable[MatchDecision]]
@@ -68,25 +73,6 @@ def as_columns(decisions: Decisions) -> DecisionColumns:
     if isinstance(decisions, DecisionColumns):
         return decisions
     return DecisionColumns.from_decisions(decisions)
-
-
-def canonical_rows(columns: DecisionColumns, rank=None):
-    """The ordinal columns, as int64 ndarrays, with every row in canonical orientation.
-
-    ``decision.pair`` always presents the lexicographically smaller
-    identifier first; decision columns may instead store the *execution*
-    orientation (the runner's ``keep_decisions`` drain).  Rows are swapped
-    where the identifier rank of ``first`` exceeds that of ``second`` (rank
-    order is string order; ``rank`` defaults to
-    :func:`~repro.datamodel.pairs.identifier_ranks` of the table), so the
-    edge sort and the scans see canonical pairs.
-    """
-    if rank is None:
-        rank = identifier_ranks(columns.ids)
-    first = _np.asarray(columns.first, dtype=_np.int64)
-    second = _np.asarray(columns.second, dtype=_np.int64)
-    swap = rank[first] > rank[second]
-    return _np.where(swap, second, first), _np.where(swap, first, second)
 
 
 def group_by_root(
@@ -109,12 +95,11 @@ def _positive_edges_heaviest_first(columns: DecisionColumns) -> Tuple[List[int],
     Descending similarity, ties broken by the identifier ranks of the
     canonical pair (rank comparison equals string comparison).
     """
-    rank = identifier_ranks(columns.ids)
-    first, second = canonical_rows(columns, rank)
+    first, second = canonical_orientation(columns.ids, columns.first, columns.second)
     positive = _np.flatnonzero(_np.frombuffer(columns.is_match, dtype=_np.uint8))
     first, second = first[positive], second[positive]
     similarity = _np.frombuffer(columns.similarity, dtype=_np.float64)[positive]
-    order = heaviest_first(rank, first, second, similarity)
+    order = heaviest_first(identifier_ranks(columns.ids), first, second, similarity)
     return first[order].tolist(), second[order].tolist()
 
 
@@ -168,7 +153,7 @@ class ConnectedComponentsClustering(ClusteringAlgorithm):
     def cluster(self, decisions: Decisions) -> List[FrozenSet[str]]:
         columns = as_columns(decisions)
         ids = columns.ids
-        first, second = canonical_rows(columns)
+        first, second = canonical_orientation(columns.ids, columns.first, columns.second)
         links = IntUnionFind(len(ids))
         touched = bytearray(len(ids))
         order: List[int] = []

@@ -77,7 +77,12 @@ from typing import Dict, Iterator, List, Optional, Sequence, Tuple
 from repro.blocking.base import BlockCollection
 from repro.blocking.columns import BlockColumns
 from repro.blocking.columns import flat_slices as _slices
-from repro.datamodel.pairs import Comparison, identifier_ranks, stable_argsort
+from repro.datamodel.pairs import (
+    Comparison,
+    canonical_orientation,
+    identifier_ranks,
+    stable_argsort,
+)
 from repro.metablocking.pruning import PRUNING_SCHEMES
 from repro.metablocking.weighting import WEIGHTING_SCHEMES
 
@@ -223,7 +228,6 @@ class EntityIndexEngine:
         self._degree_cache: Optional[Tuple[_np.ndarray, int]] = None
         self._sorted_cache = None
         self._factor_cache: Dict[str, Sequence[float]] = {}
-        self._rank_cache: Optional[Sequence[int]] = None
 
         #: statistics of the last run
         self.last_num_edges: Optional[int] = None
@@ -433,19 +437,7 @@ class EntityIndexEngine:
         mask[self._blk_ents[flat]] = True
         mask[list(ordinals)] = False
         members = np.flatnonzero(mask)
-        return members[np.argsort(self._ranks()[members])].tolist()
-
-    def _ranks(self) -> Sequence[int]:
-        """Identifier ranks: comparing ranks == comparing identifier strings.
-
-        The ECBS/EJS weigh kernels need the *canonical* (lexicographic
-        identifier) operand order per edge, and CEP's and CNP's tie-breaks
-        the identifier pair; ranks reduce both to integer comparisons over a
-        column computed once.
-        """
-        if self._rank_cache is None:
-            self._rank_cache = identifier_ranks(self._ids)
-        return self._rank_cache
+        return members[np.argsort(identifier_ranks(self._ids)[members])].tolist()
 
     def _degrees(self) -> Tuple[_np.ndarray, int]:
         """Per-node distinct-neighbour counts and the total edge count.
@@ -522,7 +514,7 @@ class EntityIndexEngine:
             return lambda src, dst, counts, arcs: jaccard(src, dst, counts)
 
         factors = np.asarray(self._factors(scheme))
-        ranks = np.asarray(self._ranks())
+        ranks = identifier_ranks(self._ids)
 
         def weigh(src, dst, counts, arcs):
             shared = counts if scheme == "ECBS" else jaccard(src, dst, counts)
@@ -608,11 +600,7 @@ class EntityIndexEngine:
                 k = max(1, int(round(self.num_assignments / max(1, self.num_nodes))) - 1)
             num_edges, columns = self._cnp(weighting, k, reciprocal)
         src, dst, weights = columns
-        src, dst = _np.asarray(src, dtype=_np.int64), _np.asarray(dst, dtype=_np.int64)
-        # canonical orientation by identifier rank
-        ranks = self._ranks()
-        swap = ranks[src] > ranks[dst]
-        src, dst = _np.where(swap, dst, src), _np.where(swap, src, dst)
+        src, dst = canonical_orientation(self._ids, src, dst)
         self.last_num_edges = num_edges
         self.last_retained = len(weights)
         self.last_refined = refined
@@ -774,7 +762,7 @@ class EntityIndexEngine:
         one endorsing endpoint (two for the reciprocal variant); rows come
         in ascending ``(lower ordinal, higher ordinal)`` order.
         """
-        ranks = self._ranks().tolist()
+        ranks = identifier_ranks(self._ids).tolist()
         endorsed: Dict[Tuple[int, int], List] = {}
         total = 0
         for i, neighbours, weights in self._node_weights(scheme, False):
@@ -813,7 +801,7 @@ class EntityIndexEngine:
         ``nsmallest`` keeps memory at O(budget); once full, its worst
         retained weight prunes whole neighbourhoods before any tuple is built.
         """
-        ranks = self._ranks().tolist()
+        ranks = identifier_ranks(self._ids).tolist()
         count = 0
         buffer: List[Tuple[float, int, int, int, int]] = []
         cutoff = -math.inf  # once the buffer fills, weights strictly below are pruned

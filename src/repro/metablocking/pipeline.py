@@ -20,21 +20,24 @@ The output can be consumed in four forms:
   :class:`~repro.datamodel.pairs.ComparisonColumns`, heaviest first: the
   index engine's own columns, wrapped (what the workflow consumes);
 * :meth:`MetaBlocking.iter_retained` -- a lazy view of the same columns as
-  :class:`~repro.metablocking.entity_index.WeightedEdge` objects, for
-  :meth:`~MetaBlocking.process` and tests;
-* :meth:`MetaBlocking.weighted_comparisons` -- the retained edges as weighted
-  :class:`~repro.datamodel.pairs.Comparison` objects, heaviest first (the
-  natural input of an object progressive scheduler);
+  :class:`~repro.metablocking.entity_index.WeightedEdge` objects;
+* :meth:`MetaBlocking.weighted_comparisons` -- the rows of
+  :meth:`~MetaBlocking.weighted_columns` as weighted
+  :class:`~repro.datamodel.pairs.Comparison` objects (the natural input of
+  an object progressive scheduler);
 * :meth:`MetaBlocking.process` -- a restructured
   :class:`~repro.blocking.base.BlockCollection` with one (two-member) block
-  per retained edge (the natural input of a conventional matching phase).
+  per retained edge, a lazy view over pair columns (the natural input of a
+  conventional matching phase).
 """
 
 from __future__ import annotations
 
 from typing import Iterator, List, Optional, Union
 
-from repro.blocking.base import Block, BlockCollection
+import numpy as _np
+
+from repro.blocking.base import BlockCollection
 from repro.blocking.columns import BlockColumns
 from repro.datamodel.collection import CleanCleanTask
 from repro.datamodel.pairs import Comparison, ComparisonColumns
@@ -171,23 +174,22 @@ class MetaBlocking:
     def weighted_comparisons(self, blocks: BlockCollection) -> List[Comparison]:
         """The retained edges as weighted comparisons, heaviest first.
 
-        Ordering is fully deterministic: ties in weight are broken by the
-        canonical (lexicographic) identifier pair.
+        The rows of :meth:`weighted_columns`, materialised: ties in weight
+        are broken by the canonical (lexicographic) identifier pair.
         """
-        edges = self.retained_edges(blocks)
-        edges.sort(key=lambda e: (-e.weight, e.first, e.second))
-        return [edge.as_comparison() for edge in edges]
+        return list(self.weighted_columns(blocks))
 
     def weighted_columns(
         self, blocks: BlockCollection, context=None, parallel=None
     ) -> ComparisonColumns:
         """The retained edges as :class:`ComparisonColumns`, heaviest first.
 
-        Row-for-row the same comparisons, in the same order (including the
-        identifier tie-break at equal weights), as
-        :meth:`weighted_comparisons` -- but the index engine's ordinal/weight
-        columns are wrapped as they are, no per-edge object or identifier
-        lookup in between; the natural input of the array scheduling engine.
+        Descending weight, ties broken by the canonical identifier pair
+        (:meth:`ComparisonColumns.weight_sorted
+        <repro.datamodel.pairs.ComparisonColumns.weight_sorted>`): the index
+        engine's ordinal/weight columns are wrapped as they are, no per-edge
+        object or identifier lookup in between; the natural input of the
+        array scheduling engine.
         With a shared ``context`` the ordinal space is the context's (the
         columns' ``ids`` is ``context.ids`` itself); a context built
         for a different collection than the blocks raises :class:`KeyError`
@@ -209,23 +211,18 @@ class MetaBlocking:
     ) -> BlockCollection:
         """Return a restructured block collection: one block per retained edge.
 
-        When ``data`` is a clean--clean task the blocks are bilateral so that
-        downstream components keep treating the comparisons as
-        cross-collection ones.
+        The blocks ``edge:<first>|<second>`` come in the index engine's row
+        order, as a lazy view over :meth:`BlockColumns.from_pairs
+        <repro.blocking.columns.BlockColumns.from_pairs>` columns.  When
+        ``data`` is a clean--clean task the blocks are bilateral (the member
+        of ``data.left`` on the left) so that downstream components keep
+        treating the comparisons as cross-collection ones.
         """
-        restructured = BlockCollection(name=self.name)
-        bilateral = data is not None and isinstance(data, CleanCleanTask)
-        for edge in self.iter_retained(blocks):
-            key = f"edge:{edge.first}|{edge.second}"
-            if bilateral:
-                if edge.first in data.left:
-                    restructured.add(
-                        Block(key, left_members=[edge.first], right_members=[edge.second])
-                    )
-                else:
-                    restructured.add(
-                        Block(key, left_members=[edge.second], right_members=[edge.first])
-                    )
-            else:
-                restructured.add(Block(key, members=[edge.first, edge.second]))
-        return restructured
+        self.last_input_comparisons = blocks.total_comparisons()
+        ids, first, second, _weights = self._index_columns(blocks, None)
+        left = None
+        if isinstance(data, CleanCleanTask):
+            on_left = _np.fromiter((identifier in data.left for identifier in ids), bool, len(ids))
+            left = _np.where(on_left[first], first, second)
+        edges = BlockColumns.from_pairs("edge", ids, first, second, left)
+        return BlockCollection.from_columns(edges, name=self.name)

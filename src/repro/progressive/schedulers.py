@@ -24,15 +24,13 @@ from operator import itemgetter
 from typing import Iterable, Iterator, List, Optional, Sequence, Tuple, Union
 
 from repro.blocking.base import BlockCollection
-from repro.blocking.columns import BlockColumns, flat_slices
+from repro.blocking.columns import BlockColumns
 from repro.datamodel.collection import CleanCleanTask, EntityCollection
 from repro.datamodel.pairs import (
     Comparison,
     ComparisonColumns,
     OrdinalInterner,
-    canonical_pair,
-    first_occurrences,
-    identifier_ranks,
+    canonical_orientation,
 )
 from repro.matching.matchers import MatchDecision
 
@@ -109,49 +107,6 @@ def comparison_rows(comparisons: Iterable[Comparison]) -> ScheduledRows:
     return ScheduledRows(intern.ids, rows)
 
 
-def _columns_from_blocks(blocks: BlockCollection) -> ComparisonColumns:
-    """The distinct comparisons of ``blocks`` as columns, first block wins.
-
-    Row order equals ``BlockCollection.distinct_comparisons()``: blocks in
-    collection order, within-block comparison order, first occurrence of
-    every pair kept, the smaller identifier first.
-
-    The blocks are read as :class:`~repro.blocking.columns.BlockColumns`,
-    keeping their table -- the shared context's ``ids`` for blocks the
-    blocking engine built, so the drain needs no ordinal map and no
-    :class:`~repro.blocking.base.Block` is materialised.  Every assignment
-    is repeated once per partner (the later members of a unilateral block,
-    the whole right side for a left member of a bilateral one), which lays
-    out every raw pair in within-block order; :func:`first_occurrences`
-    keeps the first row of each pair and identifier ranks orient it.
-    """
-    np = _np
-    columns = BlockColumns.from_collection(blocks)
-    ptr, members = columns.blk_ptr, columns.members
-    block_of = np.repeat(np.arange(len(columns)), np.diff(ptr))
-    position = np.arange(len(members))
-    split = columns.split[block_of]
-    bilateral = split >= 0
-    left_end = ptr[block_of] + split
-    start = np.where(bilateral, left_end, position + 1)
-    count = np.where(bilateral & (position >= left_end), 0, ptr[block_of + 1] - start)
-    first = np.repeat(members, count)
-    second = members[flat_slices(start, count)]
-    clash = np.flatnonzero(first == second)
-    if len(clash):
-        # one description on both sides of a bilateral block: the Block
-        # pair walk raises here, with this message
-        identifier = columns.ids[int(first[clash[0]])]
-        canonical_pair(identifier, identifier)
-    keep = first_occurrences(first, second, len(columns.ids))
-    first, second = first[keep], second[keep]
-    rank = identifier_ranks(columns.ids)
-    swap = rank[first] > rank[second]
-    return ComparisonColumns(
-        columns.ids, np.where(swap, second, first), np.where(swap, first, second), distinct=True
-    )
-
-
 def _columns_from_comparisons(comparisons: Sequence[Comparison]) -> ComparisonColumns:
     """A comparison sequence as columns, identifiers interned in first-seen
     order; a missing weight is stored as NaN (all missing: no weight column)."""
@@ -172,13 +127,20 @@ def candidate_columns(candidates: CandidateSource) -> ComparisonColumns:
     """Normalise a candidate source into distinct :class:`ComparisonColumns`.
 
     Blocks, columns and plain comparison sequences all keep the first
-    occurrence of every pair, in input order (for blocks: the order of
+    occurrence of every pair, in input order (for blocks:
+    :meth:`BlockColumns.distinct_pairs
+    <repro.blocking.columns.BlockColumns.distinct_pairs>`, the order of
     ``BlockCollection.distinct_comparisons()``), canonically oriented.
     """
     if isinstance(candidates, ComparisonColumns):
         return candidates.deduplicated()
     if isinstance(candidates, BlockCollection):
-        return _columns_from_blocks(candidates)
+        # the blocks' own table (the shared context's for blocks the blocking
+        # engine built): the drain needs no ordinal map, no Block is built
+        columns = BlockColumns.from_collection(candidates)
+        first, second, _block = columns.distinct_pairs()
+        first, second = canonical_orientation(columns.ids, first, second)
+        return ComparisonColumns(columns.ids, first, second, distinct=True)
     return _columns_from_comparisons(candidates)
 
 

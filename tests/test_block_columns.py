@@ -9,6 +9,7 @@ from ``token_set``, purging, filtering), ``BlockCollection.entity_index`` and
 
 from __future__ import annotations
 
+import itertools
 import math
 
 import numpy as np
@@ -17,8 +18,15 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.blocking.base import Block, BlockCollection
-from repro.blocking.cleaning import BlockFiltering, BlockPurging, adaptive_cardinality_threshold
+from repro.blocking.cleaning import (
+    BlockFiltering,
+    BlockPurging,
+    ComparisonPropagation,
+    adaptive_cardinality_threshold,
+)
 from repro.blocking.columns import BlockColumns
+from repro.blocking.multiblock import MultidimensionalBlocking
+from repro.blocking.similarity_join import SimilarityJoinBlocking
 from repro.blocking.engine import BlockingEngine
 from repro.blocking.token_blocking import TokenBlocking
 from repro.core.context import PipelineContext
@@ -29,6 +37,8 @@ from repro.datasets import DatasetConfig, generate_dirty_dataset
 from repro.datasets.builtin import load_census, load_restaurants
 from repro.evaluation.metrics import evaluate_blocks, evaluate_comparisons
 from repro.metablocking.entity_index import EntityIndexEngine
+from repro.metablocking.pipeline import MetaBlocking
+from repro.progressive.schedulers import candidate_columns
 from repro.text.tokenize import token_set
 
 
@@ -402,6 +412,106 @@ class TestEvaluateBlocks:
 
 
 # ----------------------------------------------------------------------
+# the distinct-pair kernel and the pair-block constructor
+# ----------------------------------------------------------------------
+def walked_pairs(blocks):
+    """The distinct pairs of ``blocks`` by a walk over the Block objects.
+
+    ``(earlier member, later member, generating block)`` per pair, first
+    block wins: every unilateral block's members pairwise in order, every
+    bilateral block's left members with each right member (left first).
+    """
+    seen, rows = set(), []
+    for block in blocks:
+        if block.is_bilateral:
+            raw = [(a, b) for a in block.left_members for b in block.right_members]
+        else:
+            raw = list(itertools.combinations(block.members, 2))
+        for a, b in raw:
+            if frozenset((a, b)) not in seen:
+                seen.add(frozenset((a, b)))
+                rows.append((a, b, block))
+    return rows
+
+
+def walked_propagation(blocks):
+    """Comparison propagation spelled out over :func:`walked_pairs`."""
+    out = []
+    for a, b, block in walked_pairs(blocks):
+        low, high = min(a, b), max(a, b)
+        if block.is_bilateral:
+            out.append((f"pair:{low}|{high}", (a, b), (a,), (b,)))
+        else:
+            out.append((f"pair:{low}|{high}", (low, high), (), ()))
+    return out
+
+
+def kernel_rows(blocks):
+    columns = BlockColumns.from_collection(blocks)
+    first, second, block = columns.distinct_pairs()
+    ids = columns.ids
+    return [
+        (ids[f], ids[s], columns.keys[b])
+        for f, s, b in zip(first.tolist(), second.tolist(), block.tolist())
+    ]
+
+
+class TestDistinctPairs:
+    @pytest.mark.parametrize("name", sorted(COLLECTIONS))
+    def test_kernel_rows_equal_a_walk_over_the_blocks(self, name):
+        blocks = COLLECTIONS[name]
+        walked = walked_pairs(blocks)
+        assert kernel_rows(blocks) == [(a, b, block.key) for a, b, block in walked]
+        # every consumer reads the kernel: same pairs, same order
+        canonical = [(min(a, b), max(a, b)) for a, b, _block in walked]
+        assert [c.pair for c in candidate_columns(blocks)] == canonical
+        comparisons = list(blocks.distinct_comparisons())
+        assert [c.pair for c in comparisons] == canonical
+        assert [c.block_id for c in comparisons] == [block.key for _a, _b, block in walked]
+        assert blocks.distinct_pairs() == set(canonical)
+        assert blocks.num_distinct_comparisons() == len(canonical)
+        propagated = ComparisonPropagation().process(blocks)
+        assert propagated.name == f"{name}/propagated"
+        assert snapshot(propagated) == walked_propagation(blocks)
+
+    @given(block_collections())
+    @settings(max_examples=60, deadline=None)
+    def test_kernel_rows_equal_the_walk_on_random_collections(self, blocks):
+        assert kernel_rows(blocks) == [(a, b, block.key) for a, b, block in walked_pairs(blocks)]
+        assert snapshot(ComparisonPropagation().process(blocks)) == walked_propagation(blocks)
+
+    def test_one_description_on_both_sides_raises(self):
+        blocks = BlockCollection([Block("bad", left_members=["dup", "l2"], right_members=["dup"])])
+        for read in (
+            blocks.distinct_pairs,
+            lambda: list(blocks.distinct_comparisons()),
+            lambda: candidate_columns(blocks),
+        ):
+            with pytest.raises(ValueError, match="two distinct descriptions"):
+                read()
+
+    def test_from_pairs_keys_members_and_sides(self):
+        ids = ["b", "a", "d", "c"]
+        # canonical rows: ids[first] < ids[second]
+        first, second = np.array([1, 1, 3]), np.array([0, 2, 2])
+        dirty = BlockCollection.from_columns(BlockColumns.from_pairs("p", ids, first, second))
+        assert snapshot(dirty) == [
+            ("p:a|b", ("a", "b"), (), ()),
+            ("p:a|d", ("a", "d"), (), ()),
+            ("p:c|d", ("c", "d"), (), ()),
+        ]
+        left = np.array([0, -1, 2])  # b, a dirty-ER row, d
+        mixed = BlockCollection.from_columns(BlockColumns.from_pairs("p", ids, first, second, left))
+        assert snapshot(mixed) == [
+            ("p:a|b", ("b", "a"), ("b",), ("a",)),
+            ("p:a|d", ("a", "d"), (), ()),
+            ("p:c|d", ("d", "c"), ("d",), ("c",)),
+        ]
+        empty = np.array([], dtype=np.int64)
+        assert len(BlockColumns.from_pairs("p", ids, empty, empty, empty)) == 0
+
+
+# ----------------------------------------------------------------------
 # the lazy view
 # ----------------------------------------------------------------------
 class TestLazyView:
@@ -417,14 +527,18 @@ class TestLazyView:
         assert result.report.stage("block_filtering").get("blocks") > 0
         assert blocks_constructed == []
 
+    @pytest.mark.parametrize("with_truth", [False, True])
     @pytest.mark.parametrize("iterate_merges", [False, True])
     def test_without_metablocking_no_block_is_constructed(
-        self, publications, blocks_constructed, iterate_merges
+        self, publications, blocks_constructed, iterate_merges, with_truth
     ):
+        truth = publications.ground_truth if with_truth else None
         result = default_workflow(
             enable_metablocking=False, iterate_merges=iterate_merges
-        ).run(publications.collection)
+        ).run(publications.collection, truth)
         assert result.clusters
+        # the blocking quality is counted from the cleaned blocks' columns
+        assert (result.blocking_quality is not None) == with_truth
         # the scheduler takes the cleaned blocks' pairs from their columns,
         # the update phase its neighbourhoods from the raw blocks' columns
         assert result.report.stage("block_filtering").get("blocks") > 0
@@ -443,6 +557,29 @@ class TestLazyView:
         assert blocks[0] is first[0] and list(blocks) == first
         assert blocks.entity_index() and blocks.placed_identifiers()
         assert len(blocks_constructed) == len(first)
+
+    @pytest.mark.parametrize("dataset", ("small_dirty_dataset", "small_clean_clean_dataset"))
+    def test_pair_blocks_stay_columns_until_iterated(self, request, dataset, blocks_constructed):
+        generated = request.getfixturevalue(dataset)
+        data = getattr(generated, "task", None) or generated.collection
+        blocks = BlockingEngine().run(data, BlockPurging(), BlockFiltering(0.8))
+        bilateral = isinstance(data, CleanCleanTask)
+        pair_blocks = [
+            ComparisonPropagation().process(blocks),
+            MetaBlocking("CBS", "WEP").process(blocks, data if bilateral else None),
+            SimilarityJoinBlocking(threshold=0.3).build(data),
+            MultidimensionalBlocking(
+                [TokenBlocking(), SimilarityJoinBlocking(threshold=0.3)], 2
+            ).build(data),
+        ]
+        assert blocks_constructed == []
+        for view in pair_blocks:
+            assert len(view) > 0 and view.total_comparisons() == len(view)
+            assert blocks_constructed == []
+            materialised = list(view)
+            assert all(block.is_bilateral == bilateral for block in materialised)
+            assert len(blocks_constructed) == len(materialised)
+            blocks_constructed.clear()
 
     def test_add_materialises_first_and_statistics_follow_the_objects(self, tiny_collection):
         blocks = BlockingEngine().build(tiny_collection)

@@ -164,25 +164,6 @@ class TestCleaningDetails:
             ComparisonPropagation().process(blocks)
 
 
-class TestPairFastPaths:
-    def test_pair_equivalent_to_constructor(self):
-        fast = Block.pair("pair:a|b", "a", "b")
-        slow = Block("pair:a|b", members=["a", "b"])
-        assert fast.key == slow.key
-        assert fast.members == slow.members
-        assert not fast.is_bilateral
-        assert fast.num_comparisons() == 1
-
-    def test_bilateral_pair_equivalent_to_constructor(self):
-        fast = Block.bilateral_pair("pair:a|b", "a", "b")
-        slow = Block("pair:a|b", left_members=["a"], right_members=["b"])
-        assert fast.key == slow.key
-        assert fast.left_members == slow.left_members
-        assert fast.right_members == slow.right_members
-        assert fast.is_bilateral
-        assert fast.num_comparisons() == 1
-
-
 class TestMemberLimit:
     def test_no_limit_configured(self):
         assert TokenBlocking().member_limit(100) is None

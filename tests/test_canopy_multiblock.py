@@ -2,6 +2,7 @@
 
 import pytest
 
+from repro.blocking.base import Block, BlockBuilder, BlockCollection
 from repro.blocking.canopy import CanopyClusteringBlocking
 from repro.blocking.multiblock import MultidimensionalBlocking
 from repro.blocking.standard import QGramsBlocking
@@ -71,3 +72,28 @@ class TestMultidimensional:
         builder = MultidimensionalBlocking([TokenBlocking(), QGramsBlocking(q=3)], min_shared_dimensions=1)
         builder.build(make_collection())
         assert len(builder.last_dimension_blocks) == 2
+
+    @pytest.mark.parametrize("min_shared", (1, 2, 3))
+    def test_pairs_counted_over_one_table_even_with_foreign_members(self, min_shared):
+        """A dimension may hold members the input does not: the dimensions
+        still count the same pairs, in canonical pair order."""
+
+        class Fixed(BlockBuilder):
+            def __init__(self, blocks):
+                self.blocks = blocks
+
+            def build(self, data, context=None):
+                return BlockCollection(self.blocks)
+
+        foreign = Fixed([Block("x", members=["zz", "a2", "a1"]), Block("y", members=["c1", "yy"])])
+        also = Fixed([Block("w", members=["yy", "c1", "zz"])])
+        dimensions = [TokenBlocking(), foreign, also]
+        built = MultidimensionalBlocking(dimensions, min_shared).build(make_collection())
+        counts = {}
+        for blocks in (dimension.build(make_collection()) for dimension in dimensions):
+            for pair in blocks.distinct_pairs():
+                counts[pair] = counts.get(pair, 0) + 1
+        expected = sorted(pair for pair, count in counts.items() if count >= min_shared)
+        assert [(block.key, block.members) for block in built] == [
+            (f"multi:{first}|{second}", (first, second)) for first, second in expected
+        ]

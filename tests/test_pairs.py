@@ -3,7 +3,13 @@
 import numpy as np
 import pytest
 
-from repro.datamodel.pairs import Comparison, ComparisonCounter, canonical_pair, heaviest_first
+from repro.datamodel.pairs import (
+    Comparison,
+    ComparisonCounter,
+    canonical_pair,
+    heaviest_first,
+    identifier_ranks,
+)
 
 
 def test_canonical_pair_orders_lexicographically():
@@ -144,3 +150,38 @@ def test_heaviest_first_equals_the_three_key_lexsort(seed, weighted):
         expected = np.lexsort((rank[second], rank[first]))
         weights = None
     assert np.array_equal(heaviest_first(rank, first, second, weights), expected)
+
+
+class TestIdentifierRanks:
+    def test_one_computation_per_default_run(self, monkeypatch):
+        from repro.core.workflow import default_workflow
+        from repro.datamodel import pairs
+        from repro.datasets import DatasetConfig, generate_dirty_dataset
+
+        computed = []
+        compute = pairs._rank_table
+
+        def counting(ids):
+            computed.append(len(ids))
+            return compute(ids)
+
+        monkeypatch.setattr(pairs, "_rank_table", counting)
+        generated = generate_dirty_dataset(
+            DatasetConfig(num_entities=200, domain="publication", seed=5)
+        )
+        result = default_workflow().run(generated.collection, generated.ground_truth)
+        assert result.clusters and result.blocking_quality is not None
+        # the index engine, the weight sort and clustering share one table
+        assert computed == [len(generated.collection)]
+
+    def test_a_grown_table_gets_fresh_ranks(self):
+        table = ["b", "a"]
+        ranks = identifier_ranks(table)
+        assert ranks.tolist() == [1, 0] and not ranks.flags.writeable
+        assert identifier_ranks(table) is ranks
+        table.append("0")
+        assert identifier_ranks(table).tolist() == [2, 1, 0]
+        # an equal table that is another object is ranked on its own
+        twin = list(table)
+        assert identifier_ranks(twin) is not identifier_ranks(table)
+        assert identifier_ranks(twin).tolist() == [2, 1, 0]
