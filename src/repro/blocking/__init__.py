@@ -31,7 +31,9 @@ join read the interned token columns of a
 owns the input, a private one otherwise -- and the token-keyed builds hand
 their blocks on as :class:`~repro.blocking.columns.BlockColumns` postings;
 the key-based schemes (standard, q-grams, suffix arrays) read the
-descriptions and ignore the context.  Purging and filtering are passes over
+descriptions and borrow only the context's identifier table.  Every builder
+emits :class:`~repro.blocking.columns.BlockColumns`, the one form blocks
+take.  Purging and filtering are passes over
 the block columns.  Propagation walks the distinct pairs with
 :meth:`BlockColumns.distinct_pairs
 <repro.blocking.columns.BlockColumns.distinct_pairs>`; it, the similarity

@@ -21,9 +21,12 @@ import itertools
 import numbers
 from typing import Dict, Iterable, Iterator, List, Optional, Sequence, Set, Tuple, Union
 
+from repro.blocking.columns import BlockColumns
 from repro.core.context import PipelineContext
 from repro.datamodel.collection import CleanCleanTask, EntityCollection
 from repro.datamodel.pairs import Comparison, canonical_orientation, canonical_pair
+
+import numpy as _np
 
 ERInput = Union[EntityCollection, CleanCleanTask]
 
@@ -97,25 +100,19 @@ class Block:
         size = len(self._members)
         return size * (size - 1) // 2
 
+    def _member_pairs(self) -> Iterator[Tuple[str, str]]:
+        """Every left member with every right one, or each member with every later one."""
+        if self.is_bilateral:
+            return itertools.product(self._left, self._right)
+        return itertools.combinations(self._members, 2)
+
     def comparisons(self) -> Iterator[Comparison]:
         """Yield every comparison induced by the block."""
-        if self.is_bilateral:
-            for left in self._left:
-                for right in self._right:
-                    yield Comparison(left, right, block_id=self.key)
-        else:
-            for first, second in itertools.combinations(self._members, 2):
-                yield Comparison(first, second, block_id=self.key)
+        return (Comparison(a, b, block_id=self.key) for a, b in self._member_pairs())
 
     def pairs(self) -> Iterator[Tuple[str, str]]:
         """Yield every canonical identifier pair induced by the block."""
-        if self.is_bilateral:
-            for left in self._left:
-                for right in self._right:
-                    yield canonical_pair(left, right)
-        else:
-            for first, second in itertools.combinations(self._members, 2):
-                yield canonical_pair(first, second)
+        return (canonical_pair(a, b) for a, b in self._member_pairs())
 
     def restricted_to(self, keep: Set[str]) -> Optional["Block"]:
         """Return a copy containing only identifiers in ``keep`` (or ``None`` if degenerate)."""
@@ -139,63 +136,47 @@ class Block:
 class BlockCollection:
     """The output of a blocking scheme: an ordered collection of blocks.
 
-    A collection is either a list of :class:`Block` objects or a **lazy view**
-    over :class:`~repro.blocking.columns.BlockColumns` (what the index
-    blocking engine builds, purges and filters).  A column-backed collection
-    answers ``len()`` and :meth:`total_comparisons` from its columns and
-    materialises its blocks once, on the first iteration, indexing or
-    :meth:`add`; from then on the objects are the truth and the backing is
-    dropped, so nothing done to a materialised collection writes through to
-    the columns it came from.
+    A collection holds its blocks as :class:`~repro.blocking.columns.BlockColumns`
+    and nothing else: every builder, cleaner and consumer reads and writes
+    those columns.  ``BlockCollection([...])`` and :meth:`add` intern
+    user-built :class:`Block` objects into new columns; iteration, indexing
+    and :attr:`blocks` yield :class:`Block` views built from the columns on
+    every call, which leave the columns in place.  Every statistic is read
+    off the columns.
     """
 
     def __init__(self, blocks: Optional[Iterable[Block]] = None, name: str = "blocks") -> None:
         self.name = name
-        self._blocks: List[Block] = []
-        #: the ``BlockColumns`` backing, until the block objects are first needed
-        self._columns = None
-        if blocks:
-            for block in blocks:
-                self.add(block)
+        #: the ``BlockColumns`` holding the blocks
+        self._columns = BlockColumns.from_blocks(blocks or ())
 
     @classmethod
-    def from_columns(cls, columns, name: str = "blocks") -> "BlockCollection":
-        """A lazy view over ``columns`` (a :class:`~repro.blocking.columns.BlockColumns`)."""
+    def from_columns(cls, columns: BlockColumns, name: str = "blocks") -> "BlockCollection":
+        """The collection holding ``columns`` (taken as they are, not copied)."""
         collection = cls(name=name)
         collection._columns = columns
         return collection
 
-    def _objects(self) -> List[Block]:
-        """The block objects, materialised from the backing on first use."""
-        if self._columns is not None:
-            self._blocks = self._columns.blocks()
-            self._columns = None
-        return self._blocks
-
     def add(self, block: Block) -> None:
-        """Add a block; blocks inducing no comparison are silently dropped."""
-        if block.num_comparisons() > 0:
-            self._objects().append(block)
+        """Add a block; blocks inducing no comparison are silently dropped.
 
-    def _extend_trusted(self, blocks: Iterable[Block]) -> None:
-        """Extend with blocks known to induce at least one comparison each
-        (the sorted-neighbourhood windows), skipping :meth:`add`'s check."""
-        self._objects().extend(blocks)
+        The collection moves to new columns: the ones it held, which another
+        collection may share, are never written to.
+        """
+        self._columns = BlockColumns.from_blocks([block], after=self._columns)
 
     def __len__(self) -> int:
-        if self._columns is not None:
-            return len(self._columns)
-        return len(self._blocks)
+        return len(self._columns)
 
     def __iter__(self) -> Iterator[Block]:
-        return iter(self._objects())
+        return iter(self._columns.blocks())
 
     def __getitem__(self, index: int) -> Block:
-        return self._objects()[index]
+        return self._columns.taken([range(len(self))[index]]).blocks()[0]
 
     @property
     def blocks(self) -> Tuple[Block, ...]:
-        return tuple(self._objects())
+        return tuple(self._columns.blocks())
 
     # ------------------------------------------------------------------
     # statistics
@@ -206,26 +187,18 @@ class BlockCollection:
         This is the *aggregate cardinality* ``||B||`` used by block purging and
         by the meta-blocking weighting schemes.
         """
-        if self._columns is not None:
-            return self._columns.total_comparisons()
-        return sum(block.num_comparisons() for block in self._blocks)
-
-    def _pair_rows(self):
-        """``(columns, *columns.distinct_pairs())``; a view stays unmaterialised."""
-        from repro.blocking.columns import BlockColumns  # columns.py imports this module
-
-        columns = BlockColumns.from_collection(self)
-        return (columns, *columns.distinct_pairs())
+        return self._columns.total_comparisons()
 
     def distinct_pairs(self) -> Set[Tuple[str, str]]:
         """The set of distinct comparisons induced by all blocks, as canonical pairs."""
-        columns, first, second, _block = self._pair_rows()
+        columns = self._columns
+        first, second, _block = columns.distinct_pairs()
         names = columns.ids.__getitem__
         first, second = canonical_orientation(columns.ids, first, second)
         return set(zip(map(names, first.tolist()), map(names, second.tolist())))
 
     def num_distinct_comparisons(self) -> int:
-        return len(self._pair_rows()[1])
+        return len(self._columns.distinct_pairs()[0])
 
     def redundancy(self) -> float:
         """Average number of blocks in which each distinct comparison appears."""
@@ -240,21 +213,20 @@ class BlockCollection:
         This is the *entity index* on which meta-blocking's blocking graph and
         the comparison-propagation technique are built.
         """
-        index: Dict[str, List[int]] = {}
-        for block_index, block in enumerate(self):
-            for identifier in block.members:
-                index.setdefault(identifier, []).append(block_index)
+        columns = self._columns
+        names, index = columns.ids, {}
+        block_of = _np.repeat(_np.arange(len(columns)), _np.diff(columns.blk_ptr))
+        for ordinal, block in zip(columns.members.tolist(), block_of.tolist()):
+            index.setdefault(names[ordinal], []).append(block)
         return index
 
     def block_sizes(self) -> List[int]:
-        return [len(block) for block in self]
+        return _np.diff(self._columns.blk_ptr).tolist()
 
     def placed_identifiers(self) -> Set[str]:
         """All identifiers that appear in at least one block."""
-        identifiers: Set[str] = set()
-        for block in self:
-            identifiers.update(block.members)
-        return identifiers
+        names = self._columns.ids
+        return {names[o] for o in _np.unique(self._columns.members).tolist()}
 
     def comparisons(self) -> Iterator[Comparison]:
         """Yield the comparisons of every block (including redundant repetitions)."""
@@ -264,15 +236,18 @@ class BlockCollection:
     def distinct_comparisons(self) -> Iterator[Comparison]:
         """Yield each distinct comparison exactly once (first block wins), in
         the order of :meth:`comparisons`, each naming its generating block."""
-        columns, first, second, block = self._pair_rows()
+        columns = self._columns
+        first, second, block = columns.distinct_pairs()
         ids, keys = columns.ids, columns.keys
         for f, s, b in zip(first.tolist(), second.tolist(), block.tolist()):
             yield Comparison(ids[f], ids[s], block_id=keys[b])
 
     def sorted_by_cardinality(self, ascending: bool = True) -> "BlockCollection":
-        """Return a copy with blocks ordered by their number of comparisons."""
-        ordered = sorted(self, key=lambda b: b.num_comparisons(), reverse=not ascending)
-        return BlockCollection(ordered, name=self.name)
+        """Return a copy with blocks ordered by their number of comparisons
+        (ties keep their order)."""
+        cardinalities = self._columns.cardinalities()
+        order = _np.argsort(cardinalities if ascending else -cardinalities, kind="stable")
+        return BlockCollection.from_columns(self._columns.taken(order), name=self.name)
 
     def __repr__(self) -> str:
         return (
@@ -313,6 +288,16 @@ def interned(data: ERInput, context=None):
     return context
 
 
+def identifier_table(data: ERInput, context=None) -> Tuple[Sequence[str], int]:
+    """``(ids, left_count)``: the identifier of every ordinal (left before
+    right) and the left-side count (``-1`` for dirty input) -- ``context``'s
+    when it owns ``data``, else read off the descriptions without tokenising."""
+    if context is not None and context.owns(data):
+        return context.ids, context.left_count
+    left_count = len(data.left) if isinstance(data, CleanCleanTask) else -1
+    return [d.identifier for _side, d in BlockBuilder._iter_with_side(data)], left_count
+
+
 class BlockBuilder(abc.ABC):
     """Interface of a blocking scheme.
 
@@ -332,40 +317,11 @@ class BlockBuilder(abc.ABC):
         ``context`` is an optional shared
         :class:`~repro.core.context.PipelineContext`; the builders that read
         interned token columns use it when it owns ``data`` (see
-        :func:`interned`), the key-based ones ignore it.
+        :func:`interned`), the key-based ones borrow only its identifier
+        table (see :func:`identifier_table`).
         """
 
     # ------------------------------------------------------------------
-    # helpers shared by key-based builders
-    # ------------------------------------------------------------------
-    @staticmethod
-    def _blocks_from_key_index(
-        key_index: Dict[str, Dict[str, List[str]]],
-        data: ERInput,
-        name: str,
-        min_block_size: int = 2,
-    ) -> BlockCollection:
-        """Turn ``key -> side -> identifiers`` into a block collection.
-
-        For dirty ER the ``side`` level holds the single key ``"all"``.
-        Blocks with fewer than ``min_block_size`` members (or with an empty
-        side, for clean--clean) induce no comparison and are dropped.
-        """
-        collection = BlockCollection(name=name)
-        bilateral = isinstance(data, CleanCleanTask)
-        for key in sorted(key_index):
-            sides = key_index[key]
-            if bilateral:
-                left = sides.get("left", [])
-                right = sides.get("right", [])
-                if left and right:
-                    collection.add(Block(key, left_members=left, right_members=right))
-            else:
-                members = sides.get("all", [])
-                if len(members) >= min_block_size:
-                    collection.add(Block(key, members=members))
-        return collection
-
     @staticmethod
     def _iter_with_side(data: ERInput) -> Iterator[Tuple[str, "object"]]:
         """Yield ``(side, description)`` pairs; side is ``"all"`` for dirty ER."""

@@ -21,14 +21,13 @@ from array import array
 from typing import Dict, List
 
 from repro.blocking.base import (
-    Block,
     BlockBuilder,
     BlockCollection,
     ERInput,
     check_unit_interval,
     interned,
 )
-from repro.blocking.columns import TokenColumnView, append_posting
+from repro.blocking.columns import BlockColumns, TokenColumnView, append_posting
 from repro.text.tokenize import DEFAULT_STOP_WORDS, check_min_token_length
 
 import numpy as _np
@@ -76,15 +75,14 @@ class CanopyClusteringBlocking(BlockBuilder):
         from one ``bincount`` over the centre's concatenated token postings;
         the Jaccard values are the integer divisions ``shared / (|a| + |b| -
         shared)``.  The shuffled centre order depends on positions only
-        (``random.Random.shuffle`` permutes by position).
+        (``random.Random.shuffle`` permutes by position).  A canopy lists
+        its centre, then its members in pool order; all canopies become one
+        CSR at the end (a one-sided canopy is dropped after taking its key).
         """
         context = interned(data, context)
         view = TokenColumnView.from_context(context, self.stop_words, self.min_token_length)
         columns = view.columns
         n = len(columns)
-        collection = BlockCollection(name=self.name)
-        if n == 0:
-            return collection
 
         rng = random.Random(self.seed)
         pool = list(range(n))
@@ -106,10 +104,9 @@ class CanopyClusteringBlocking(BlockBuilder):
 
         loose = self.loose_threshold
         tight = self.tight_threshold
-        ids = view.ids
-        left_count = view.left_count
-        bilateral = left_count >= 0
-        canopy_index = 0
+        keys: List[str] = []
+        lengths: List[int] = []
+        canopies = array("q")
 
         for center in pool:
             if not in_pool[center]:
@@ -143,15 +140,18 @@ class CanopyClusteringBlocking(BlockBuilder):
             for candidate in removed:
                 in_pool[candidate] = 0
 
-            if len(members) < 2:
-                continue
-            key = f"canopy:{canopy_index}"
-            canopy_index += 1
-            if bilateral:
-                left = [ids[o] for o in members if o < left_count]
-                right = [ids[o] for o in members if o >= left_count]
-                if left and right:
-                    collection.add(Block(key, left_members=left, right_members=right))
-            else:
-                collection.add(Block(key, members=[ids[o] for o in members]))
-        return collection
+            if len(members) >= 2:
+                keys.append(f"canopy:{len(keys)}")
+                lengths.append(len(members))
+                canopies.extend(members)
+
+        lengths = np.asarray(lengths, dtype=np.int64)
+        blocks = BlockColumns.from_windows(
+            keys,
+            np.cumsum(lengths) - lengths,
+            lengths,
+            np.frombuffer(canopies, dtype=np.int64),
+            view.ids,
+            view.left_count,
+        )
+        return BlockCollection.from_columns(blocks, name=self.name)

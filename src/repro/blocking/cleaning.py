@@ -161,8 +161,8 @@ class ComparisonPropagation:
     column kernels -- :meth:`BlockColumns.distinct_pairs
     <repro.blocking.columns.BlockColumns.distinct_pairs>` and
     :meth:`BlockColumns.from_pairs
-    <repro.blocking.columns.BlockColumns.from_pairs>` -- and the result is a
-    lazy view over the pair columns.
+    <repro.blocking.columns.BlockColumns.from_pairs>` -- and the result holds
+    the pair columns.
     """
 
     def process(self, blocks: BlockCollection) -> BlockCollection:

@@ -1,25 +1,23 @@
 """Blocks as columns, and the shared token-id columns of the array builds.
 
-**Blocks.**  :class:`BlockColumns` is the form blocks travel in from
-a builder's ``build`` through purging and filtering to
+**Blocks.**  :class:`BlockColumns` is the one form blocks take, from every
+builder's ``build`` through purging and filtering to
 :meth:`EntityIndexEngine.from_columns
-<repro.metablocking.entity_index.EntityIndexEngine.from_columns>`: the block
-keys, a CSR of member *ordinals* into one identifier table (the shared
-context's for the token builds) and the left-member count of every block.
-Every step of that pipeline is a pass over ``(block, ordinal)`` assignments;
-no identifier string is read and no :class:`~repro.blocking.base.Block`
-exists until somebody iterates the
-:class:`~repro.blocking.base.BlockCollection` viewing the columns.
-:meth:`BlockColumns.from_collection` is the one interning pass for whatever
-arrives as objects (the key-based standard builders, canopy clustering, the
-sorted-neighbourhood windows, user collections), :meth:`BlockColumns.blocks`
-the one way back and the one library path that builds pair blocks.
+<repro.metablocking.entity_index.EntityIndexEngine.from_columns>` and the
+schedulers: the block keys, a CSR of member *ordinals* into one identifier
+table and the left-member count of every block.  A
+:class:`~repro.blocking.base.BlockCollection` holds its columns only: user
+:class:`~repro.blocking.base.Block` objects are interned by
+:meth:`BlockColumns.from_blocks`, and :meth:`BlockColumns.blocks`, the one
+library path that builds a ``Block``, makes the views its iteration yields.
+Builders construct through :meth:`~BlockColumns.from_postings` (key
+postings), :meth:`~BlockColumns.from_windows` (windows over one ordinal
+column: the sorted-neighbourhood windows and canopies) and
+:meth:`~BlockColumns.from_pairs` (one two-member block per pair).
 
 **Pairs.**  :meth:`BlockColumns.distinct_pairs` is the one walk over a
-collection's distinct comparisons (propagation, candidate columns,
-``BlockCollection.distinct_pairs``); :meth:`BlockColumns.from_pairs` the one
-constructor of pair blocks (propagation, meta-blocking's restructuring, the
-multidimensional and similarity-join builders).
+collection's distinct comparisons (propagation, candidate columns, the
+progressive block scheduler, ``BlockCollection.distinct_pairs``).
 
 **Token columns.**  The long-tail scheme families (minhash/LSH, canopy, the
 similarity self-join) all start from the same view of the input: one sorted
@@ -36,10 +34,12 @@ postings that :meth:`BlockColumns.from_postings` turns into blocks.
 from __future__ import annotations
 
 from array import array
-from typing import Callable, Dict, List, Optional, Sequence, Tuple
+from typing import TYPE_CHECKING, Callable, Dict, Iterable, List, Optional, Sequence
 
-from repro.blocking.base import Block, BlockCollection
 from repro.datamodel.pairs import canonical_pair, first_occurrences
+
+if TYPE_CHECKING:  # base.py imports this module
+    from repro.blocking.base import Block, BlockCollection
 
 import numpy as _np
 
@@ -70,11 +70,9 @@ class BlockColumns:
         ``o``); shared, never mutated.
 
     Every block induces at least one comparison: the constructors and
-    :meth:`select` drop degenerate blocks exactly as
-    :meth:`BlockCollection.add <repro.blocking.base.BlockCollection.add>`
-    does.  The columns are built whole by the constructors and only read
-    afterwards: every kernel downstream (cleaning, the entity index, the
-    block-pair scheduler) takes them as they are.
+    :meth:`select` drop degenerate blocks.  The columns are built whole by
+    the constructors and only read afterwards: every kernel downstream
+    (cleaning, the entity index, the schedulers) takes them as they are.
     """
 
     __slots__ = ("keys", "blk_ptr", "members", "split", "ids")
@@ -94,36 +92,67 @@ class BlockColumns:
     # ------------------------------------------------------------------
     @classmethod
     def from_collection(
-        cls, blocks: BlockCollection, ids: Optional[Sequence[str]] = None
+        cls, blocks: "BlockCollection", ids: Optional[Sequence[str]] = None
     ) -> "BlockColumns":
-        """The columns of ``blocks``: its backing, or one interning pass.
+        """The columns of ``blocks``: its backing, or the backing over ``ids``.
 
-        A column-backed collection hands over its backing as it is when no
-        table is asked for or the table asked for *is* the backing's (the
-        shared context's ``ids``).  Anything else is interned here, once:
-        ordinal ``o`` is ``ids[o]`` for the given table, a member the table
-        does not contain is appended after it (so ``len(columns.ids) >
+        The backing is handed over as it is when no table is asked for or
+        the table asked for *is* the backing's (the shared context's
+        ``ids``).  Otherwise its ordinals are remapped: ordinal ``o`` is
+        ``ids[o]``, and a member the table does not contain is appended
+        after it in first-seen block-member order (so ``len(columns.ids) >
         len(ids)`` tells the caller that the table does not cover the
-        blocks), and without a table ordinals are assigned in first-seen
-        block-member order.
+        blocks).
         """
+        np = _np
         backing = blocks._columns
-        if backing is not None and (ids is None or ids is backing.ids):
+        if ids is None or ids is backing.ids:
             return backing
-        ordinal: Dict[str, int] = {identifier: o for o, identifier in enumerate(ids or ())}
-        if ids is not None and len(ordinal) != len(ids):
+        ordinal: Dict[str, int] = {identifier: o for o, identifier in enumerate(ids)}
+        if len(ordinal) != len(ids):
             raise ValueError("the identifier table holds duplicate identifiers")
+        members, names = backing.members, backing.ids
+        _placed, first_seen = np.unique(members, return_index=True)
+        placed = members[np.sort(first_seen)].tolist()
+        intern = ordinal.setdefault
+        remap = np.zeros(len(names), dtype=np.int64)
+        remap[placed] = [intern(names[o], len(ordinal)) for o in placed]
+        table = ids if len(ordinal) == len(ids) else list(ordinal)
+        return cls(backing.keys, backing.blk_ptr, remap[members], backing.split, table)
+
+    @classmethod
+    def from_blocks(
+        cls, blocks: Iterable["Block"], after: Optional["BlockColumns"] = None
+    ) -> "BlockColumns":
+        """Intern :class:`~repro.blocking.base.Block` objects.
+
+        The result holds the blocks of ``after`` (if given) followed by
+        ``blocks``, less those inducing no comparison, over ``after``'s
+        table extended by the members it does not hold, in first-seen
+        block-member order (``after``'s table itself when it holds them
+        all).  ``after`` is never written to.
+        """
+        np = _np
+        table = after.ids if after is not None else []
+        ordinal: Dict[str, int] = {identifier: o for o, identifier in enumerate(table)}
         intern = ordinal.setdefault
         keys: List[str] = []
-        blk_ptr, members, split = [0], [], []
+        sizes, members, split = [], [], []
         for block in blocks:
+            if block.num_comparisons() == 0:
+                continue
             keys.append(block.key)
+            sizes.append(len(block))
             split.append(len(block.left_members) if block.is_bilateral else -1)
             members.extend([intern(member, len(ordinal)) for member in block.members])
-            blk_ptr.append(len(members))
-        blk_ptr, members, split = (_np.array(c, dtype=_np.int64) for c in (blk_ptr, members, split))
-        # the interning dict preserves insertion order: table first, then new members
-        return cls(keys, blk_ptr, members, split, list(ordinal))
+        sizes, members, split = (np.array(c, dtype=np.int64) for c in (sizes, members, split))
+        if after is not None:
+            keys = after.keys + keys
+            sizes = np.concatenate((np.diff(after.blk_ptr), sizes))
+            members = np.concatenate((after.members, members))
+            split = np.concatenate((after.split, split))
+        ids = table if len(ordinal) == len(table) else list(ordinal)
+        return cls(keys, np.concatenate(([0], np.cumsum(sizes))), members, split, ids)
 
     @classmethod
     def from_postings(
@@ -141,10 +170,9 @@ class BlockColumns:
         ascending ordinals, under the distinct key ``keys[p]``.
         ``left_count`` is the number of left-side descriptions for
         clean--clean input (ordinals below it belong to the left collection,
-        so left members come first), or ``-1`` for dirty input.  Postings longer than ``limit`` and
-        degenerate ones (fewer than two members, an empty side) are dropped,
-        exactly as by :meth:`BlockCollection.add
-        <repro.blocking.base.BlockCollection.add>`.
+        so left members come first), or ``-1`` for dirty input.  Postings
+        longer than ``limit`` and degenerate ones (fewer than two members,
+        an empty side) are dropped.
         """
         np = _np
         sizes = np.diff(ptr)
@@ -159,15 +187,33 @@ class BlockColumns:
             keep &= sizes <= limit
         kept = np.flatnonzero(keep).tolist()
         kept.sort(key=keys.__getitem__)
-        kept = np.asarray(kept, dtype=np.int64)
-        sizes = sizes[kept]
-        return cls(
-            [keys[p] for p in kept.tolist()],
-            np.concatenate(([0], np.cumsum(sizes))),
-            members[flat_slices(ptr[kept], sizes)],
-            left[kept],
-            ids,
-        )
+        return cls(keys, ptr, members, left, ids).taken(kept)
+
+    @classmethod
+    def from_windows(
+        cls, keys: List[str], starts, lengths, order, ids: Sequence[str], left_count: int
+    ) -> "BlockColumns":
+        """One block per window ``order[starts[w]:starts[w] + lengths[w]]``, in window order.
+
+        ``order`` is an ordinal column (int64 ndarray) and window ``w`` is
+        keyed ``keys[w]``.  ``left_count`` is the number of left-side
+        descriptions for clean--clean input (ordinals below it are left
+        members), or ``-1`` for dirty input.  A bilateral window lists its
+        left members first, each side in window order.  Degenerate windows
+        (fewer than two members, an empty side) are dropped, exactly as by
+        :meth:`select`.
+        """
+        np = _np
+        lengths = np.asarray(lengths, dtype=np.int64)
+        members = order[flat_slices(np.asarray(starts, dtype=np.int64), lengths)]
+        split = np.full(len(lengths), -1, dtype=np.int64)
+        if left_count >= 0:
+            window_of = np.repeat(np.arange(len(lengths)), lengths)
+            on_right = members >= left_count
+            split = np.bincount(window_of[~on_right], minlength=len(lengths))
+            members = members[np.argsort(2 * window_of + on_right, kind="stable")]
+        columns = cls(keys, np.concatenate(([0], np.cumsum(lengths))), members, split, ids)
+        return columns.select(np.ones(len(members), dtype=bool))
 
     @classmethod
     def from_pairs(
@@ -241,8 +287,21 @@ class BlockColumns:
         return first[keep], second[keep], np.repeat(block_of, count)[keep]
 
     # ------------------------------------------------------------------
-    # restriction
+    # reordering and restriction
     # ------------------------------------------------------------------
+    def taken(self, order) -> "BlockColumns":
+        """The blocks at ``order`` (block indices), in that order."""
+        np = _np
+        order = np.asarray(order, dtype=np.int64)
+        sizes = np.diff(self.blk_ptr)[order]
+        return BlockColumns(
+            [self.keys[b] for b in order.tolist()],
+            np.concatenate(([0], np.cumsum(sizes))),
+            self.members[flat_slices(self.blk_ptr[order], sizes)],
+            self.split[order],
+            self.ids,
+        )
+
     def select(self, flags) -> "BlockColumns":
         """The columns restricted to the flagged assignments.
 
@@ -277,12 +336,15 @@ class BlockColumns:
     # ------------------------------------------------------------------
     # the way back to objects
     # ------------------------------------------------------------------
-    def blocks(self) -> List[Block]:
-        """Every block as a :class:`~repro.blocking.base.Block`, in block order.
+    def blocks(self) -> List["Block"]:
+        """Every block as a :class:`~repro.blocking.base.Block` view, in block order.
 
-        The members of a block are distinct by construction, so the objects
-        are built on the trusted path (no per-member deduplication).
+        The views are built anew on every call and own nothing the columns
+        hold.  The members of a block are distinct by construction, so the
+        objects are built on the trusted path (no per-member deduplication).
         """
+        from repro.blocking.base import Block  # base.py imports this module
+
         names = list(map(self.ids.__getitem__, self.members.tolist()))
         blk_ptr = self.blk_ptr.tolist()
         new_block = Block.__new__

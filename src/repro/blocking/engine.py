@@ -6,27 +6,18 @@ stage.  Each builder's ``build`` and each cleaner's ``process`` is the one
 body of its algorithm; the engine only hands the shared
 :class:`~repro.core.context.PipelineContext` to the builder.
 
-The form blocks travel in is :class:`~repro.blocking.columns.BlockColumns`:
-the block keys in block order, a CSR of member ordinals into one identifier
-table and the left-member count of every block.  The token builds emit
-columns over the context's ordinals, the cleaners are passes over *(block,
-description ordinal)* assignments, and the
-:class:`~repro.blocking.base.BlockCollection` they return is a lazy view
-over the columns; :class:`~repro.blocking.base.Block` objects exist only if
-somebody iterates it (the default workflow never does:
+Blocks take one form, :class:`~repro.blocking.columns.BlockColumns`: the
+block keys in block order, a CSR of member ordinals into one identifier
+table and the left-member count of every block.  Every builder emits
+columns, the cleaners are passes over *(block, description ordinal)*
+assignments, and the :class:`~repro.blocking.base.BlockCollection` they
+return holds the columns only; :class:`~repro.blocking.base.Block` views
+exist only while somebody iterates it (the default workflow never does:
 :meth:`EntityIndexEngine.from_columns
 <repro.metablocking.entity_index.EntityIndexEngine.from_columns>` takes the
-columns as they are).  The token, minhash, similarity-join and
-multidimensional builders emit columns too, and so do comparison propagation
-and meta-blocking's restructuring (pair blocks from
-:meth:`BlockColumns.from_pairs
-<repro.blocking.columns.BlockColumns.from_pairs>`).  Only the key-based
-standard builders, canopy clustering and the sorted-neighbourhood windows
-still emit objects; those, and user collections, are interned once by
-:meth:`BlockColumns.from_collection
-<repro.blocking.columns.BlockColumns.from_collection>`.  The cleaners assume
-well-formed bilateral blocks (no identifier on both sides of one block, the
-same malformed shape the meta-blocking engines reject).
+columns as they are).  The cleaners assume well-formed bilateral blocks (no
+identifier on both sides of one block, the same malformed shape the
+meta-blocking engines reject).
 """
 
 from __future__ import annotations

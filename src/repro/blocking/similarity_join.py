@@ -72,7 +72,7 @@ class SimilarityJoinBlocking(BlockBuilder):
     # ------------------------------------------------------------------
     def build(self, data: ERInput, context=None) -> BlockCollection:
         """One two-member block ``join:<first>|<second>`` per verified pair,
-        in canonical pair order (a lazy view over pair columns)."""
+        in canonical pair order (held as pair columns)."""
         view, _engine, first, second = self._verified(interned(data, context))
         left = None
         if view.left_count >= 0:

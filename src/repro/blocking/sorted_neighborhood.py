@@ -14,18 +14,29 @@ rebuilt from the interned token stream of a
 :class:`~repro.core.context.PipelineContext`; a custom key reads the
 descriptions.  The multi-pass variant (:class:`MultiPassSortedNeighborhoodBlocking`)
 runs one independent pass per sorting key, prefixing the window keys with
-the pass index.
+the pass index.  Every variant states its windows as ranges of the sorted
+ordinal column and builds them in one call of
+:meth:`BlockColumns.from_windows <repro.blocking.columns.BlockColumns.from_windows>`.
 """
 
 from __future__ import annotations
 
-import itertools
-from typing import Callable, Iterator, List, Optional, Sequence, Tuple
+from operator import itemgetter
+from typing import Callable, List, Optional, Sequence, Tuple
 
-from repro.blocking.base import Block, BlockBuilder, BlockCollection, ERInput, check_count, interned
-from repro.datamodel.collection import CleanCleanTask
+from repro.blocking.base import (
+    BlockBuilder,
+    BlockCollection,
+    ERInput,
+    check_count,
+    identifier_table,
+    interned,
+)
+from repro.blocking.columns import BlockColumns
 from repro.datamodel.description import EntityDescription
 from repro.text.tokenize import normalize
+
+import numpy as _np
 
 
 def default_sorting_key(description: EntityDescription) -> str:
@@ -49,29 +60,13 @@ def sorted_order(
     """Return ``(key, identifier)`` pairs of all descriptions sorted by key.
 
     Ties are broken by identifier so the order is deterministic.  For
-    clean--clean tasks the two collections are pooled explicitly -- left then
-    right -- into one list before sorting, as in the classical multi-source
-    sorted neighbourhood: the sort then interleaves the sources by key so a
-    window can span descriptions of both.  (An earlier revision pretended to
-    special-case :class:`CleanCleanTask` in a branch whose arms were
-    identical; the pooling is now explicit and tested.)
+    clean--clean tasks the two collections are pooled -- left then right --
+    into one list before sorting, as in the classical multi-source sorted
+    neighbourhood: the sort then interleaves the sources by key so a window
+    can span descriptions of both.
     """
     key_of = sorting_key or default_sorting_key
-    entries: List[Tuple[str, str]] = []
-    if isinstance(data, CleanCleanTask):
-        iterator: Iterator[EntityDescription] = itertools.chain(data.left, data.right)
-    else:
-        iterator = iter(data)
-    for description in iterator:
-        entries.append((key_of(description), description.identifier))
-    entries.sort()
-    return entries
-
-
-def _left_count(data: ERInput) -> int:
-    """Left-side descriptions of a clean--clean task (they take the lower
-    ordinals), ``-1`` for dirty input."""
-    return len(data.left) if isinstance(data, CleanCleanTask) else -1
+    return sorted((key_of(d), d.identifier) for _side, d in BlockBuilder._iter_with_side(data))
 
 
 class SortedNeighborhoodBlocking(BlockBuilder):
@@ -99,10 +94,9 @@ class SortedNeighborhoodBlocking(BlockBuilder):
 
     def build(self, data: ERInput, context=None) -> BlockCollection:
         """One block ``window:<start>`` per window position over the sorted rows."""
-        collection = BlockCollection(name=self.name)
-        rows = _entry_rows(data, interned(data, context), self.sorting_key)
-        _emit_position_windows(collection, "window:", rows, self.window_size, _left_count(data))
-        return collection
+        return _position_windows(
+            self.name, data, context, [("window:", self.sorting_key)], self.window_size
+        )
 
 
 class ExtendedSortedNeighborhoodBlocking(BlockBuilder):
@@ -124,11 +118,27 @@ class ExtendedSortedNeighborhoodBlocking(BlockBuilder):
         self.sorting_key = sorting_key
 
     def build(self, data: ERInput, context=None) -> BlockCollection:
-        """One block ``keywindow:<start>`` per window over the distinct keys."""
-        collection = BlockCollection(name=self.name)
+        """One block ``keywindow:<start>`` per window over the distinct keys:
+        all rows of the ``window_size`` distinct keys from the ``start``-th on."""
+        np = _np
+        ids, left_count = identifier_table(data, context)
         rows = _entry_rows(data, interned(data, context), self.sorting_key)
-        _emit_key_windows(collection, rows, self.window_size, _left_count(data))
-        return collection
+        # where each run of equal keys begins, and the end of the rows
+        bounds = [i for i in range(len(rows)) if i == 0 or rows[i][0] != rows[i - 1][0]]
+        bounds = np.array(bounds + [len(rows)], dtype=np.int64)
+        groups = len(bounds) - 1
+        first = np.arange(max(1, groups - self.window_size + 1))
+        starts = bounds[first]
+        lengths = bounds[np.minimum(first + self.window_size, groups)] - starts
+        columns = BlockColumns.from_windows(
+            [f"keywindow:{start}" for start in first.tolist()],
+            starts,
+            lengths,
+            _ordinals(rows),
+            ids,
+            left_count,
+        )
+        return BlockCollection.from_columns(columns, name=self.name)
 
 
 class MultiPassSortedNeighborhoodBlocking(BlockBuilder):
@@ -154,17 +164,8 @@ class MultiPassSortedNeighborhoodBlocking(BlockBuilder):
         self.sorting_keys = keys
 
     def build(self, data: ERInput, context=None) -> BlockCollection:
-        collection = BlockCollection(name=self.name)
-        context = interned(data, context)
-        for pass_index, key_of in enumerate(self.sorting_keys):
-            _emit_position_windows(
-                collection,
-                f"pass{pass_index}:window:",
-                _entry_rows(data, context, key_of),
-                self.window_size,
-                _left_count(data),
-            )
-        return collection
+        passes = [(f"pass{p}:window:", key_of) for p, key_of in enumerate(self.sorting_keys)]
+        return _position_windows(self.name, data, context, passes, self.window_size)
 
 
 def _entry_rows(
@@ -180,117 +181,53 @@ def _entry_rows(
     re-normalised; a custom key reads the descriptions.  Ties sort by
     identifier; the ordinal is never compared because identifiers are unique.
     """
-    rows: List[Tuple[str, str, int]] = []
     if sorting_key is None:
         # bind the vocabulary list once: the per-token lookup then runs at
         # C speed inside map() instead of calling context.token() per token
-        tokens = context._tokens
-        lookup = tokens.__getitem__
-        ids = context.ids
-        token_stream = context.token_stream
-        for ordinal in range(context.num_descriptions):
-            rows.append(
-                (" ".join(map(lookup, token_stream(ordinal).tolist())), ids[ordinal], ordinal)
-            )
+        lookup, ids, token_stream = context._tokens.__getitem__, context.ids, context.token_stream
+        rows = [
+            (" ".join(map(lookup, token_stream(ordinal).tolist())), ids[ordinal], ordinal)
+            for ordinal in range(context.num_descriptions)
+        ]
     else:
-        for ordinal, (_side, description) in enumerate(BlockBuilder._iter_with_side(data)):
-            rows.append((sorting_key(description), description.identifier, ordinal))
+        descriptions = enumerate(BlockBuilder._iter_with_side(data))
+        rows = [(sorting_key(d), d.identifier, ordinal) for ordinal, (_side, d) in descriptions]
     rows.sort()
     return rows
 
 
-def _emit_position_windows(
-    collection: BlockCollection,
-    prefix: str,
-    rows: List[Tuple[str, str, int]],
-    window_size: int,
-    left_count: int,
-) -> None:
-    """Slide the fixed window over sorted rows, emitting trusted blocks."""
-    n = len(rows)
-    if n < 2:
-        return
-    out: List[Block] = []
-    append = out.append
-    new_block = Block.__new__
-    empty = ()
-    # one identifier (and, bilaterally, ordinal) list up front: windows are
-    # then C-speed slices instead of per-window tuple comprehensions
-    identifiers = [identifier for _key, identifier, _ordinal in rows]
-    if left_count >= 0:
-        ordinals = [ordinal for _key, _identifier, ordinal in rows]
-        for start in range(0, max(1, n - window_size + 1)):
-            stop = start + window_size
-            window_ids = identifiers[start:stop]
-            if len(window_ids) < 2:
-                continue
-            window_ordinals = ordinals[start:stop]
-            left = tuple(
-                identifier
-                for identifier, ordinal in zip(window_ids, window_ordinals)
-                if ordinal < left_count
-            )
-            if not left or len(left) == len(window_ids):
-                continue
-            right = tuple(
-                identifier
-                for identifier, ordinal in zip(window_ids, window_ordinals)
-                if ordinal >= left_count
-            )
-            block = new_block(Block)
-            block.key = f"{prefix}{start}"
-            block._members = empty
-            block._left = left
-            block._right = right
-            append(block)
-    else:
-        for start in range(0, max(1, n - window_size + 1)):
-            members = tuple(identifiers[start : start + window_size])
-            if len(members) < 2:
-                continue
-            block = new_block(Block)
-            block.key = f"{prefix}{start}"
-            block._members = members
-            block._left = empty
-            block._right = empty
-            append(block)
-    collection._extend_trusted(out)
+def _ordinals(rows: List[Tuple[str, str, int]]):
+    """The ordinal column of sorted rows, as an int64 ndarray."""
+    return _np.fromiter(map(itemgetter(2), rows), _np.int64, len(rows))
 
 
-def _emit_key_windows(
-    collection: BlockCollection,
-    rows: List[Tuple[str, str, int]],
+def _position_windows(
+    name: str,
+    data: ERInput,
+    context,
+    passes: List[Tuple[str, Optional[Callable[[EntityDescription], str]]]],
     window_size: int,
-    left_count: int,
-) -> None:
-    """Slide the window over distinct key values (the extended variant)."""
-    grouped: List[List[Tuple[str, str, int]]] = []
-    previous_key: Optional[str] = None
-    for row in rows:
-        if row[0] != previous_key:
-            grouped.append([])
-            previous_key = row[0]
-        grouped[-1].append(row)
-    out: List[Block] = []
-    new_block = Block.__new__
-    empty = ()
-    for start in range(0, max(1, len(grouped) - window_size + 1)):
-        members = [row for group in grouped[start : start + window_size] for row in group]
-        if len(members) < 2:
-            continue
-        block = new_block(Block)
-        block.key = f"keywindow:{start}"
-        if left_count >= 0:
-            left = tuple(i for _k, i, o in members if o < left_count)
-            right = tuple(i for _k, i, o in members if o >= left_count)
-            if not left or not right:
-                continue
-            block._members = empty
-            block._left = left
-            block._right = right
-        else:
-            block._members = tuple(i for _k, i, _o in members)
-            block._left = empty
-            block._right = empty
-        out.append(block)
-    collection._extend_trusted(out)
+) -> BlockCollection:
+    """The fixed windows of every pass ``(key prefix, sorting key)``, passes in order.
+
+    A pass over ``n`` sorted rows has the windows ``[start, start +
+    window_size)`` for ``start < max(1, n - window_size + 1)``, clipped at
+    ``n``, keyed ``<prefix><start>``; one window column spans all passes.
+    """
+    np = _np
+    ids, left_count = identifier_table(data, context)
+    context = interned(data, context)
+    keys: List[str] = []
+    starts, lengths, orders = [], [], []
+    offset = 0
+    for prefix, sorting_key in passes:
+        order = _ordinals(_entry_rows(data, context, sorting_key))
+        first = np.arange(max(1, len(order) - window_size + 1))
+        keys += [f"{prefix}{start}" for start in first.tolist()]
+        starts.append(first + offset)
+        lengths.append(np.minimum(window_size, len(order) - first))
+        orders.append(order)
+        offset += len(order)
+    starts, lengths, order = map(np.concatenate, (starts, lengths, orders))
+    columns = BlockColumns.from_windows(keys, starts, lengths, order, ids, left_count)
+    return BlockCollection.from_columns(columns, name=name)

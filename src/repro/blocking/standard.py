@@ -6,13 +6,29 @@ algorithms proposed for relational records": they derive one or more
 (or similar) keys.  They work well when a common schema exists and key
 attributes are clean, and they serve as baselines that lose recall on the
 heterogeneous, schema-free descriptions of the Web of data.
+
+Each builder names the keys of one description; the build gathers the
+ordinal posting of every key (a description given a key twice joins its
+block once) and turns the postings into
+:class:`~repro.blocking.columns.BlockColumns` in sorted-key order through
+:meth:`~repro.blocking.columns.BlockColumns.from_postings`.
 """
 
 from __future__ import annotations
 
+import itertools
+import math
 from typing import Callable, Dict, Iterable, List, Optional, Sequence
 
-from repro.blocking.base import Block, BlockBuilder, BlockCollection, ERInput
+from repro.blocking.base import (
+    BlockBuilder,
+    BlockCollection,
+    ERInput,
+    check_count,
+    check_unit_interval,
+    identifier_table,
+)
+from repro.blocking.columns import BlockColumns, append_posting, concatenated
 from repro.datamodel.description import EntityDescription
 from repro.text.tokenize import normalize, prefix, qgrams, suffixes
 
@@ -82,7 +98,44 @@ def soundex_key(attribute: str) -> KeyFunction:
     return key_of
 
 
-class StandardBlocking(BlockBuilder):
+def _values(description: EntityDescription, attributes: Optional[List[str]]) -> Sequence[str]:
+    """The values of ``attributes`` (of every attribute when ``None``)."""
+    if attributes is None:
+        return description.values()
+    return [value for name in attributes for value in description.values(name)]
+
+
+class _KeyBlocking(BlockBuilder):
+    """One block per distinct blocking key; a subclass gives a description's keys."""
+
+    def _keys(self, description: EntityDescription) -> Iterable[str]:
+        raise NotImplementedError
+
+    def _member_limit(self) -> Optional[int]:
+        """Keys shared by more descriptions than this are dropped (``None``: no bound)."""
+        return None
+
+    def build(self, data: ERInput, context=None) -> BlockCollection:
+        """The ordinal posting of every key, as blocks in sorted-key order.
+
+        Ordinals follow the ``_iter_with_side`` order (the shared context's
+        table when ``context`` owns ``data``); no value is tokenised.
+        """
+        ids, left_count = identifier_table(data, context)
+        postings: Dict = {}
+        for ordinal, (_side, description) in enumerate(self._iter_with_side(data)):
+            for key in self._keys(description):
+                posting = postings.get(key)
+                if posting is None or posting[-1] != ordinal:
+                    append_posting(postings, key, ordinal)
+        ptr, members = concatenated(postings)
+        columns = BlockColumns.from_postings(
+            list(postings), ptr, members, ids, left_count, self._member_limit()
+        )
+        return BlockCollection.from_columns(columns, name=self.name)
+
+
+class StandardBlocking(_KeyBlocking):
     """Classical standard blocking: one block per distinct blocking-key value.
 
     Parameters
@@ -100,18 +153,11 @@ class StandardBlocking(BlockBuilder):
             raise ValueError("standard blocking requires at least one key function")
         self.key_functions = list(key_functions)
 
-    def build(self, data: ERInput, context=None) -> BlockCollection:
-        key_index: Dict[str, Dict[str, List[str]]] = {}
-        for side, description in self._iter_with_side(data):
-            for key_function in self.key_functions:
-                for key in key_function(description):
-                    key_index.setdefault(key, {}).setdefault(side, []).append(
-                        description.identifier
-                    )
-        return self._blocks_from_key_index(key_index, data, name=self.name)
+    def _keys(self, description: EntityDescription) -> Iterable[str]:
+        return [key for key_function in self.key_functions for key in key_function(description)]
 
 
-class QGramsBlocking(BlockBuilder):
+class QGramsBlocking(_KeyBlocking):
     """Q-gram blocking: descriptions sharing a character q-gram of a key value co-occur.
 
     More robust to typos than standard blocking because a single edit affects
@@ -123,30 +169,12 @@ class QGramsBlocking(BlockBuilder):
     name = "qgrams"
 
     def __init__(self, q: int = 3, attributes: Optional[Sequence[str]] = None) -> None:
-        if q < 2:
-            raise ValueError("q must be at least 2 for q-gram blocking")
-        self.q = q
+        self.q = check_count("q", q, 2)
         self.attributes = list(attributes) if attributes else None
 
     def _keys(self, description: EntityDescription) -> Iterable[str]:
-        values = (
-            description.values()
-            if self.attributes is None
-            else [v for a in self.attributes for v in description.values(a)]
-        )
-        keys = set()
-        for value in values:
-            keys.update(qgrams(value, q=self.q))
-        return keys
-
-    def build(self, data: ERInput, context=None) -> BlockCollection:
-        key_index: Dict[str, Dict[str, List[str]]] = {}
-        for side, description in self._iter_with_side(data):
-            for key in self._keys(description):
-                key_index.setdefault(key, {}).setdefault(side, []).append(
-                    description.identifier
-                )
-        return self._blocks_from_key_index(key_index, data, name=self.name)
+        values = _values(description, self.attributes)
+        return {gram for value in values for gram in qgrams(value, q=self.q)}
 
 
 class ExtendedQGramsBlocking(QGramsBlocking):
@@ -170,22 +198,12 @@ class ExtendedQGramsBlocking(QGramsBlocking):
         max_qgrams_per_value: int = 10,
     ) -> None:
         super().__init__(q=q, attributes=attributes)
-        if not 0.0 < threshold <= 1.0:
-            raise ValueError("threshold must be in (0, 1]")
-        self.threshold = threshold
-        self.max_qgrams_per_value = max_qgrams_per_value
+        self.threshold = check_unit_interval("threshold", threshold, open_low=True)
+        self.max_qgrams_per_value = check_count("max_qgrams_per_value", max_qgrams_per_value, 1)
 
     def _keys(self, description: EntityDescription) -> Iterable[str]:
-        import itertools
-        import math
-
-        values = (
-            description.values()
-            if self.attributes is None
-            else [v for a in self.attributes for v in description.values(a)]
-        )
         keys = set()
-        for value in values:
+        for value in _values(description, self.attributes):
             grams = sorted(set(qgrams(value, q=self.q)))[: self.max_qgrams_per_value]
             if not grams:
                 continue
@@ -199,7 +217,7 @@ class ExtendedQGramsBlocking(QGramsBlocking):
         return keys
 
 
-class SuffixArrayBlocking(BlockBuilder):
+class SuffixArrayBlocking(_KeyBlocking):
     """Suffix-array blocking: descriptions sharing a long-enough key suffix co-occur.
 
     Suffixes of the blocking-key value with at least ``min_suffix_length``
@@ -217,31 +235,12 @@ class SuffixArrayBlocking(BlockBuilder):
         max_block_size: int = 50,
     ) -> None:
         self.attributes = list(attributes) if attributes else None
-        self.min_suffix_length = min_suffix_length
-        self.max_block_size = max_block_size
+        self.min_suffix_length = check_count("min_suffix_length", min_suffix_length, 1)
+        self.max_block_size = check_count("max_block_size", max_block_size, 1)
 
     def _keys(self, description: EntityDescription) -> Iterable[str]:
-        values = (
-            description.values()
-            if self.attributes is None
-            else [v for a in self.attributes for v in description.values(a)]
-        )
-        keys = set()
-        for value in values:
-            keys.update(suffixes(value, min_length=self.min_suffix_length))
-        return keys
+        values = _values(description, self.attributes)
+        return {key for value in values for key in suffixes(value, self.min_suffix_length)}
 
-    def build(self, data: ERInput, context=None) -> BlockCollection:
-        key_index: Dict[str, Dict[str, List[str]]] = {}
-        for side, description in self._iter_with_side(data):
-            for key in self._keys(description):
-                key_index.setdefault(key, {}).setdefault(side, []).append(
-                    description.identifier
-                )
-        # frequency pruning: drop suffixes that occur too often
-        pruned = {
-            key: sides
-            for key, sides in key_index.items()
-            if sum(len(ids) for ids in sides.values()) <= self.max_block_size
-        }
-        return self._blocks_from_key_index(pruned, data, name=self.name)
+    def _member_limit(self) -> Optional[int]:
+        return self.max_block_size

@@ -20,8 +20,8 @@ arrays in CSR form:
 
 The block-side columns are the blocking engine's own
 :class:`~repro.blocking.columns.BlockColumns`
-(:meth:`EntityIndexEngine.from_columns`; block *objects* are interned once by
-:meth:`BlockColumns.from_collection
+(:meth:`EntityIndexEngine.from_columns`; a collection over another table is
+remapped by :meth:`BlockColumns.from_collection
 <repro.blocking.columns.BlockColumns.from_collection>`) and everything
 downstream stays in ordinal space: edge weights (CBS, ECBS, JS,
 EJS, ARCS) and all six pruning schemes (WEP, CEP, WNP, CNP and the reciprocal
@@ -159,9 +159,9 @@ class EntityIndexEngine:
         member the table does not contain is appended after it as a new
         ordinal, so ``num_entities > len(ids)`` tells the caller that the
         table does not cover the blocks (and ``identifier(len(ids))`` names
-        the first uncovered member).  By default ordinals are assigned in
-        first-seen block-member order; a column-backed collection keeps the
-        ordinals of its backing (see :meth:`BlockColumns.from_collection
+        the first uncovered member).  By default the index keeps the
+        ordinals of the collection's columns (see
+        :meth:`BlockColumns.from_collection
         <repro.blocking.columns.BlockColumns.from_collection>`).
     """
 

@@ -27,7 +27,7 @@ The output can be consumed in four forms:
   an object progressive scheduler);
 * :meth:`MetaBlocking.process` -- a restructured
   :class:`~repro.blocking.base.BlockCollection` with one (two-member) block
-  per retained edge, a lazy view over pair columns (the natural input of a
+  per retained edge, held as pair columns (the natural input of a
   conventional matching phase).
 """
 
@@ -212,7 +212,7 @@ class MetaBlocking:
         """Return a restructured block collection: one block per retained edge.
 
         The blocks ``edge:<first>|<second>`` come in the index engine's row
-        order, as a lazy view over :meth:`BlockColumns.from_pairs
+        order, held as :meth:`BlockColumns.from_pairs
         <repro.blocking.columns.BlockColumns.from_pairs>` columns.  When
         ``data`` is a clean--clean task the blocks are bilateral (the member
         of ``data.left`` on the left) so that downstream components keep

@@ -12,7 +12,8 @@ Two adaptive schedulers in the spirit of progressive duplicate detection:
   blocks are cheapest and densest in matches), and whenever a comparison of a
   block produces a match, the remaining comparisons of that block are
   promoted ahead of all other blocks -- the block-level analogue of the
-  lookahead.
+  lookahead.  It reorders the blocks' columns and walks their distinct
+  pairs once; each block's queue is a range of those rows.
 """
 
 from __future__ import annotations
@@ -21,10 +22,11 @@ from collections import deque
 from typing import Callable, Deque, Dict, Iterator, List, Optional, Set, Tuple
 
 from repro.blocking.base import BlockCollection
+from repro.blocking.columns import BlockColumns
 from repro.blocking.sorted_neighborhood import default_sorting_key, sorted_order
 from repro.datamodel.collection import CleanCleanTask
 from repro.datamodel.description import EntityDescription
-from repro.datamodel.pairs import Comparison, canonical_pair
+from repro.datamodel.pairs import Comparison, canonical_pair, pair_code
 from repro.matching.matchers import MatchDecision
 from repro.progressive.schedulers import (
     CandidateSource,
@@ -33,6 +35,8 @@ from repro.progressive.schedulers import (
     candidate_columns,
     candidate_comparisons,
 )
+
+import numpy as _np
 
 
 class ProgressiveSortedNeighborhood(ProgressiveScheduler):
@@ -145,81 +149,69 @@ class ProgressiveSortedNeighborhood(ProgressiveScheduler):
 class ProgressiveBlockScheduler(ProgressiveScheduler):
     """Block-at-a-time scheduling with match-driven block promotion.
 
-    Blocks are initially ranked by ascending cardinality (small blocks are the
-    most match-dense per comparison).  Every match reported through
-    :meth:`feedback` promotes the remaining comparisons of the block that
-    produced it to the front of the schedule.
+    Blocks are initially ranked by ascending ``(cardinality, key)`` (small
+    blocks are the most match-dense per comparison).  Every distinct pair is
+    queued once, in the first block of that order holding it
+    (:meth:`BlockColumns.distinct_pairs
+    <repro.blocking.columns.BlockColumns.distinct_pairs>` over the reordered
+    columns), so a block's queue is the range of its rows.  Every match
+    reported through :meth:`feedback` promotes the remaining comparisons of
+    the block that queued it to the front of the schedule.
     """
 
     name = "progressive_blocking"
 
     def __init__(self) -> None:
-        self._promoted: Deque[Comparison] = deque()
-        self._pending_by_block: Dict[str, Deque[Comparison]] = {}
-        self._block_of_pair: Dict[Tuple[str, str], str] = {}
-        self._emitted: Set[Tuple[str, str]] = set()
+        self._promoted: Deque[int] = deque()  # rows, emitted before any other
+        # per block, its next pending row and one past its last row
+        self._next: List[int] = []
+        self._end: List[int] = []
+        self._block_of: Dict[int, int] = {}  # ordinal pair code -> queueing block
+        self._ordinal: Dict[str, int] = {}
 
     def feedback(self, decision: MatchDecision) -> None:
         if not decision.is_match:
             return
-        block_id = self._block_of_pair.get(decision.pair)
-        if block_id is None:
+        first, second = map(self._ordinal.get, decision.pair)
+        if first is None or second is None:
             return
-        pending = self._pending_by_block.get(block_id)
-        if not pending:
-            return
-        while pending:
-            self._promoted.append(pending.popleft())
+        block = self._block_of.get(pair_code(first, second))
+        if block is not None:
+            self._promoted.extend(range(self._next[block], self._end[block]))
+            self._next[block] = self._end[block]
 
     def schedule(self, data: ERInput, candidates: CandidateSource) -> Iterator[Comparison]:
         # every schedule starts afresh: a reused instance owes a second run
         # what a new one would give it
         self._promoted.clear()
-        self._pending_by_block.clear()
-        self._block_of_pair.clear()
-        self._emitted.clear()
+        self._next, self._end, self._block_of, self._ordinal = [], [], {}, {}
         if not isinstance(candidates, BlockCollection):
-            # fall back to plain ordering when no block structure is available
-            for comparison in candidate_comparisons(candidates):
-                if comparison.pair not in self._emitted:
-                    self._emitted.add(comparison.pair)
-                    yield comparison
+            # no block structure: the distinct candidates in their order
+            yield from candidate_comparisons(candidates)
             return
 
-        ordered_blocks = sorted(
-            candidates, key=lambda block: (block.num_comparisons(), block.key)
-        )
-        seen_pairs: Set[Tuple[str, str]] = set()
-        for block in ordered_blocks:
-            queue: Deque[Comparison] = deque()
-            for comparison in block.comparisons():
-                if comparison.pair in seen_pairs:
-                    continue
-                seen_pairs.add(comparison.pair)
-                queue.append(comparison)
-                self._block_of_pair[comparison.pair] = block.key
-            if queue:
-                self._pending_by_block[block.key] = queue
+        np = _np
+        columns = BlockColumns.from_collection(candidates)
+        by_key = np.array(sorted(range(len(columns)), key=columns.keys.__getitem__), dtype=np.int64)
+        columns = columns.taken(by_key[np.argsort(columns.cardinalities()[by_key], kind="stable")])
+        first, second, block = columns.distinct_pairs()
+        ptr = np.searchsorted(block, np.arange(len(columns) + 1)).tolist()
+        self._next, self._end = ptr[:-1], ptr[1:]
+        codes = (np.minimum(first, second) << 32) | np.maximum(first, second)
+        self._block_of = dict(zip(codes.tolist(), block.tolist()))
+        self._ordinal = dict(zip(columns.ids, range(len(columns.ids))))
 
-        block_order = [block.key for block in ordered_blocks if block.key in self._pending_by_block]
-        for block_id in block_order:
-            pending = self._pending_by_block.get(block_id)
-            while pending or self._promoted:
-                # promoted comparisons (from blocks that just produced a match) go first
-                if self._promoted:
-                    comparison = self._promoted.popleft()
-                elif pending:
-                    comparison = pending.popleft()
+        ids, keys = columns.ids, columns.keys
+        first, second, block = first.tolist(), second.tolist(), block.tolist()
+        pending, promoted = self._next, self._promoted
+        for current, end in enumerate(self._end):
+            while True:
+                # promoted rows (of blocks that just produced a match) go first
+                if promoted:
+                    row = promoted.popleft()
+                elif pending[current] < end:
+                    row = pending[current]
+                    pending[current] += 1
                 else:
                     break
-                if comparison.pair in self._emitted:
-                    continue
-                self._emitted.add(comparison.pair)
-                yield comparison
-        # drain leftovers (blocks fully promoted elsewhere)
-        for pending in self._pending_by_block.values():
-            while pending:
-                comparison = pending.popleft()
-                if comparison.pair not in self._emitted:
-                    self._emitted.add(comparison.pair)
-                    yield comparison
+                yield Comparison(ids[first[row]], ids[second[row]], block_id=keys[block[row]])

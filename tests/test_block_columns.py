@@ -1,4 +1,4 @@
-"""Blocks as columns: ``BlockColumns``, its kernels and the lazy ``BlockCollection`` view.
+"""Blocks as columns: ``BlockColumns``, its kernels and the ``BlockCollection`` over them.
 
 The column kernels are ``from_postings`` / ``select`` behind build, purging
 and filtering, and the block -> entity transpose of ``EntityIndexEngine``.
@@ -18,6 +18,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.blocking.base import Block, BlockCollection
+from repro.blocking.canopy import CanopyClusteringBlocking
 from repro.blocking.cleaning import (
     BlockFiltering,
     BlockPurging,
@@ -28,16 +29,29 @@ from repro.blocking.columns import BlockColumns
 from repro.blocking.multiblock import MultidimensionalBlocking
 from repro.blocking.similarity_join import SimilarityJoinBlocking
 from repro.blocking.engine import BlockingEngine
+from repro.blocking.sorted_neighborhood import (
+    MultiPassSortedNeighborhoodBlocking,
+    sorting_key_from_attributes,
+)
+from repro.blocking.standard import (
+    ExtendedQGramsBlocking,
+    QGramsBlocking,
+    StandardBlocking,
+    SuffixArrayBlocking,
+    soundex_key,
+)
 from repro.blocking.token_blocking import TokenBlocking
 from repro.core.context import PipelineContext
-from repro.core.workflow import default_workflow
+from repro.core.workflow import _BLOCKING_FACTORIES, default_workflow
 from repro.datamodel.collection import CleanCleanTask, EntityCollection
 from repro.datamodel.description import EntityDescription
 from repro.datasets import DatasetConfig, generate_dirty_dataset
 from repro.datasets.builtin import load_census, load_restaurants
 from repro.evaluation.metrics import evaluate_blocks, evaluate_comparisons
 from repro.metablocking.entity_index import EntityIndexEngine
+from repro.matching.matchers import MatchDecision
 from repro.metablocking.pipeline import MetaBlocking
+from repro.progressive.psnm import ProgressiveBlockScheduler
 from repro.progressive.schedulers import candidate_columns
 from repro.text.tokenize import token_set
 
@@ -132,10 +146,15 @@ class TestRoundTrip:
         backing = BlockColumns.from_collection(blocks)
         assert backing.ids is context.ids
         assert BlockColumns.from_collection(blocks, context.ids) is backing
-        # another table: interned from the (now materialised) objects
-        other = BlockColumns.from_collection(blocks, list(context.ids))
-        assert other is not backing and other.ids == context.ids
+        # another table: the backing remapped onto it
+        table = list(context.ids)
+        other = BlockColumns.from_collection(blocks, table)
+        assert other is not backing and other.ids is table
         assert list(other.members) == list(backing.members)
+        reversed_table = table[::-1]
+        flipped = BlockColumns.from_collection(blocks, reversed_table)
+        assert flipped.ids is reversed_table
+        assert snapshot(BlockCollection.from_columns(flipped)) == snapshot(blocks)
 
     def test_a_side_emptied_by_select_drops_the_block(self):
         columns = BlockColumns.from_collection(CLEAN_CLEAN)
@@ -189,7 +208,6 @@ class TestTokenBuild:
         assert expected == snapshot(reference_token_blocks(builder, data))
         for context in (None, shared, foreign):
             built = BlockingEngine(builder, context=context).build(data)
-            assert built._columns is not None  # the blocks are columns, not objects
             assert snapshot(built) == expected
         # only the context that owns the data lends its ordinals
         columns = BlockColumns.from_collection(
@@ -334,7 +352,8 @@ class TestIndexFromColumns:
             BlockColumns.from_collection(built, context.ids)
         )
         objects = BlockCollection(list(TokenBlocking().build(collection)))
-        assert objects._columns is None
+        # interned from the objects over a table of their own: the index remaps it
+        assert BlockColumns.from_collection(objects).ids is not context.ids
         from_objects = EntityIndexEngine(objects, ids=context.ids)
         for name, dtype in INDEX_ARRAYS.items():
             got, expected = getattr(from_columns, name), getattr(from_objects, name)
@@ -383,7 +402,9 @@ class TestEvaluateBlocks:
     @pytest.mark.parametrize(
         "dataset", ("census", "restaurants", "small_dirty_dataset", "small_clean_clean_dataset")
     )
-    def test_field_for_field_equal_to_the_pair_set(self, request, dataset, cleaned):
+    def test_field_for_field_equal_to_the_pair_set(
+        self, request, dataset, cleaned, blocks_constructed
+    ):
         if dataset in ("census", "restaurants"):
             generated = {"census": load_census, "restaurants": load_restaurants}[dataset]()
         else:
@@ -394,7 +415,7 @@ class TestEvaluateBlocks:
         if cleaned:
             blocks = engine.clean(blocks, purging=BlockPurging(), filtering=BlockFiltering(0.8))
         got = evaluate_blocks(blocks, generated.ground_truth, data)
-        assert blocks._columns is not None  # counted without materialising a block
+        assert blocks_constructed == []  # counted without building a block
         expected = evaluate_comparisons(blocks.distinct_pairs(), generated.ground_truth, data)
         assert got == expected
         assert got.num_detected_matches > 0
@@ -512,7 +533,7 @@ class TestDistinctPairs:
 
 
 # ----------------------------------------------------------------------
-# the lazy view
+# the collection over its columns
 # ----------------------------------------------------------------------
 class TestLazyView:
     @pytest.fixture(scope="class")
@@ -544,19 +565,32 @@ class TestLazyView:
         assert result.report.stage("block_filtering").get("blocks") > 0
         assert blocks_constructed == []
 
-    def test_iterating_a_result_materialises_each_block_once(
+    def test_iterating_twice_builds_views_and_leaves_the_columns_in_place(
         self, publications, blocks_constructed
     ):
         data = publications.collection
         blocks = BlockingEngine().run(data, BlockPurging(), BlockFiltering(0.8))
-        assert blocks_constructed == []
+        backing = blocks._columns
         assert len(blocks) > 0 and blocks.total_comparisons() > 0
         assert blocks_constructed == []
         first = list(blocks)
         assert len(blocks_constructed) == len(first) == len(blocks)
-        assert blocks[0] is first[0] and list(blocks) == first
-        assert blocks.entity_index() and blocks.placed_identifiers()
-        assert len(blocks_constructed) == len(first)
+        again = list(blocks)
+        assert len(blocks_constructed) == 2 * len(first)
+        assert again[0] is not first[0] and snapshot(again) == snapshot(first)
+        assert blocks[-1].key == first[-1].key and len(blocks_constructed) == 2 * len(first) + 1
+        assert blocks._columns is backing
+        # the statistics read the columns
+        blocks_constructed.clear()
+        assert blocks.entity_index() == BlockCollection(first).entity_index()
+        blocks_constructed.clear()
+        assert blocks.placed_identifiers() == {m for block in first for m in block.members}
+        assert blocks.block_sizes() == [len(block) for block in first]
+        by_size = blocks.sorted_by_cardinality(ascending=False)
+        assert blocks_constructed == []
+        assert snapshot(by_size) == snapshot(
+            sorted(first, key=lambda block: block.num_comparisons(), reverse=True)
+        )
 
     @pytest.mark.parametrize("dataset", ("small_dirty_dataset", "small_clean_clean_dataset"))
     def test_pair_blocks_stay_columns_until_iterated(self, request, dataset, blocks_constructed):
@@ -581,34 +615,95 @@ class TestLazyView:
             assert len(blocks_constructed) == len(materialised)
             blocks_constructed.clear()
 
-    def test_add_materialises_first_and_statistics_follow_the_objects(self, tiny_collection):
+    def test_add_moves_to_new_columns_and_leaves_a_shared_backing_untouched(
+        self, tiny_collection
+    ):
         blocks = BlockingEngine().build(tiny_collection)
-        backing = BlockColumns.from_collection(blocks)
+        backing = blocks._columns
+        shared = BlockCollection.from_columns(backing, name="shared")
+        expected = snapshot(shared)
         size, total = len(blocks), blocks.total_comparisons()
-        members = list(backing.members)
+        keys, members, ids = list(backing.keys), backing.members.copy(), list(backing.ids)
         blocks.add(Block("zz-added", members=["x", "y", "z"]))
-        assert blocks._columns is None
+        assert blocks._columns is not backing
         assert len(blocks) == size + 1 and blocks.total_comparisons() == total + 3
         assert [block.key for block in blocks][-1] == "zz-added"
         blocks.add(Block("degenerate", members=["x"]))  # still silently dropped
         assert len(blocks) == size + 1
-        # the columns the view came from are untouched...
-        assert len(backing) == size and list(backing.members) == members
-        # ...and what is interned next is the objects, the added block included
-        again = BlockColumns.from_collection(blocks)
-        assert again is not backing and again.keys[-1] == "zz-added"
+        # the table grows after its old ordinals
+        assert blocks._columns.ids == ids + ["x", "y", "z"]
+        # the columns the other collection holds are untouched
+        assert backing.keys == keys and backing.ids == ids
+        assert np.array_equal(backing.members, members)
+        assert len(shared) == size and snapshot(shared) == expected
 
-    def test_mutating_a_materialised_view_never_writes_through(self, tiny_collection):
+    def test_mutating_a_view_never_writes_through(self, tiny_collection):
         context = PipelineContext(tiny_collection)
         engine = BlockingEngine(context=context)
         blocks = engine.build(tiny_collection)
         backing = BlockColumns.from_collection(blocks)
         keys, members = list(backing.keys), backing.members.copy()
         purged = engine.clean(blocks, purging=BlockPurging())  # a view over derived columns
-        materialised = list(blocks)
+        expected = snapshot(BlockPurging().process(BlockCollection(list(blocks))))
+        view = blocks[0]
+        view.key = "renamed"  # a view owns nothing the columns hold
+        view._members = ()
         blocks.add(Block("zz-added", members=["a1", "b1"]))
+        assert blocks[0].key == keys[0] and len(blocks[0]) > 0
         assert backing.keys == keys
         assert backing.members.dtype == members.dtype == np.int64
         assert np.array_equal(backing.members, members)
         assert "zz-added" not in [block.key for block in purged]
-        assert snapshot(purged) == snapshot(BlockPurging().process(BlockCollection(materialised)))
+        assert snapshot(purged) == expected
+
+
+# ----------------------------------------------------------------------
+# one block representation: builders and the block scheduler build no Block
+# ----------------------------------------------------------------------
+#: every library builder: the workflow's and the ones only the library offers
+BUILDERS = {
+    **_BLOCKING_FACTORIES,
+    # a key both sides of the clean--clean task carry
+    "standard-surname": lambda: StandardBlocking(
+        [soundex_key("surname"), soundex_key("last_name"), soundex_key("family_name")]
+    ),
+    "extended_qgrams": lambda: ExtendedQGramsBlocking(),
+    "suffix_array": lambda: SuffixArrayBlocking(),
+    "multipass_sorted_neighborhood": lambda: MultiPassSortedNeighborhoodBlocking(
+        sorting_keys=(None, sorting_key_from_attributes(["name"]))
+    ),
+    "multidimensional": lambda: MultidimensionalBlocking(
+        [TokenBlocking(), QGramsBlocking(), CanopyClusteringBlocking()], 2
+    ),
+}
+
+
+class TestNoBlockObjects:
+    @pytest.mark.parametrize("shared", (False, True))
+    @pytest.mark.parametrize("dataset", ("small_dirty_dataset", "small_clean_clean_dataset"))
+    @pytest.mark.parametrize("name", sorted(BUILDERS))
+    def test_a_build_constructs_no_block(self, request, dataset, name, shared, blocks_constructed):
+        generated = request.getfixturevalue(dataset)
+        data = getattr(generated, "task", None) or generated.collection
+        context = PipelineContext(data) if shared else None
+        blocks = BUILDERS[name]().build(data, context)
+        assert blocks_constructed == []
+        if (name, dataset) != ("standard", "small_clean_clean_dataset"):
+            # (the workflow's standard key reads an attribute neither side has)
+            assert len(blocks) > 0 and blocks.total_comparisons() > 0
+
+    @pytest.mark.parametrize("dataset", ("small_dirty_dataset", "small_clean_clean_dataset"))
+    def test_a_full_block_scheduler_drain_constructs_no_block(
+        self, request, dataset, blocks_constructed
+    ):
+        generated = request.getfixturevalue(dataset)
+        data = getattr(generated, "task", None) or generated.collection
+        blocks = BlockingEngine().run(data, BlockPurging(), BlockFiltering(0.8))
+        scheduler = ProgressiveBlockScheduler()
+        drained = 0
+        for comparison in scheduler.schedule(data, blocks):
+            is_match = generated.ground_truth.are_matches(*comparison.pair)
+            scheduler.feedback(MatchDecision(comparison, similarity=1.0, is_match=is_match))
+            drained += 1
+        assert drained == blocks.num_distinct_comparisons() > 0
+        assert blocks_constructed == []

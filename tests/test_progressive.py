@@ -3,6 +3,7 @@
 import pytest
 from conftest import readable
 
+from repro.blocking.base import Block, BlockCollection
 from repro.blocking.token_blocking import TokenBlocking
 from repro.datamodel.collection import EntityCollection
 from repro.datamodel.description import EntityDescription
@@ -223,6 +224,17 @@ class TestOrderedSchedulers:
         assert [c.pair for c in no_lookahead.schedule(collection, None)] == [
             c.pair for c in sorted_list.schedule(collection, None)
         ]
+
+    def test_progressive_block_scheduler_keeps_blocks_that_share_a_key(self):
+        blocks = BlockCollection(
+            [Block("k", members=["a", "b"]), Block("k", members=["c", "d", "e"])]
+        )
+        scheduler = ProgressiveBlockScheduler()
+        emitted = []
+        for comparison in scheduler.schedule(None, blocks):
+            emitted.append(comparison.pair)
+            scheduler.feedback(MatchDecision(comparison, similarity=1.0, is_match=True))
+        assert emitted == [("a", "b"), ("c", "d"), ("c", "e"), ("d", "e")]
 
     def test_progressive_block_scheduler_promotes_matching_blocks(self, small_dirty_dataset):
         blocks = TokenBlocking().build(small_dirty_dataset.collection)

@@ -3,6 +3,7 @@
 import pytest
 
 from repro.blocking.standard import (
+    ExtendedQGramsBlocking,
     QGramsBlocking,
     StandardBlocking,
     SuffixArrayBlocking,
@@ -96,6 +97,29 @@ def test_qgram_blocking_is_robust_to_typos():
 def test_qgram_blocking_rejects_tiny_q():
     with pytest.raises(ValueError):
         QGramsBlocking(q=1)
+
+
+@pytest.mark.parametrize(
+    "make, parameter",
+    [
+        (lambda: QGramsBlocking(q=2.5), "q"),
+        (lambda: QGramsBlocking(q=True), "q"),
+        (lambda: ExtendedQGramsBlocking(q="3"), "q"),
+        (lambda: ExtendedQGramsBlocking(max_qgrams_per_value=-3), "max_qgrams_per_value"),
+        (lambda: ExtendedQGramsBlocking(max_qgrams_per_value=0), "max_qgrams_per_value"),
+        (lambda: ExtendedQGramsBlocking(max_qgrams_per_value=4.0), "max_qgrams_per_value"),
+        (lambda: ExtendedQGramsBlocking(threshold="0.8"), "threshold"),
+        (lambda: SuffixArrayBlocking(max_block_size=-1), "max_block_size"),
+        (lambda: SuffixArrayBlocking(max_block_size=0), "max_block_size"),
+        (lambda: SuffixArrayBlocking(max_block_size="50"), "max_block_size"),
+        (lambda: SuffixArrayBlocking(min_suffix_length=0), "min_suffix_length"),
+        (lambda: SuffixArrayBlocking(min_suffix_length=-2), "min_suffix_length"),
+    ],
+)
+def test_key_builders_reject_bad_parameters_at_construction(make, parameter):
+    # construction only: a build with some of these values never ends
+    with pytest.raises(ValueError, match=f"^{parameter} must be"):
+        make()
 
 
 def test_suffix_blocking_groups_shared_suffixes_and_prunes_frequent_ones():
