@@ -122,10 +122,10 @@ class ExtendedSortedNeighborhoodBlocking(BlockBuilder):
         all rows of the ``window_size`` distinct keys from the ``start``-th on."""
         np = _np
         ids, left_count = identifier_table(data, context)
-        rows = _entry_rows(data, interned(data, context), self.sorting_key)
+        keys, order = _entry_rows(data, interned(data, context), self.sorting_key)
         # where each run of equal keys begins, and the end of the rows
-        bounds = [i for i in range(len(rows)) if i == 0 or rows[i][0] != rows[i - 1][0]]
-        bounds = np.array(bounds + [len(rows)], dtype=np.int64)
+        bounds = [i for i in range(len(keys)) if i == 0 or keys[i] != keys[i - 1]]
+        bounds = np.array(bounds + [len(keys)], dtype=np.int64)
         groups = len(bounds) - 1
         first = np.arange(max(1, groups - self.window_size + 1))
         starts = bounds[first]
@@ -134,7 +134,7 @@ class ExtendedSortedNeighborhoodBlocking(BlockBuilder):
             [f"keywindow:{start}" for start in first.tolist()],
             starts,
             lengths,
-            _ordinals(rows),
+            order,
             ids,
             left_count,
         )
@@ -172,8 +172,9 @@ def _entry_rows(
     data: ERInput,
     context,
     sorting_key: Optional[Callable[[EntityDescription], str]],
-) -> List[Tuple[str, str, int]]:
-    """``(key, identifier, ordinal)`` rows sorted exactly like :func:`sorted_order`.
+):
+    """The keys and the ordinal column (int64 ndarray) of the descriptions
+    sorted by ``(key, identifier)``, exactly like :func:`sorted_order`.
 
     With the default key, the key string is rebuilt from the context's
     ordered token-id streams (space-joined token strings equal
@@ -181,24 +182,23 @@ def _entry_rows(
     re-normalised; a custom key reads the descriptions.  Ties sort by
     identifier; the ordinal is never compared because identifiers are unique.
     """
+    rows: List[Tuple[str, str, int]] = []
     if sorting_key is None:
         # bind the vocabulary list once: the per-token lookup then runs at
         # C speed inside map() instead of calling context.token() per token
-        lookup, ids, token_stream = context._tokens.__getitem__, context.ids, context.token_stream
-        rows = [
-            (" ".join(map(lookup, token_stream(ordinal).tolist())), ids[ordinal], ordinal)
-            for ordinal in range(context.num_descriptions)
-        ]
+        tokens = context._tokens
+        lookup = tokens.__getitem__
+        ids = context.ids
+        token_stream = context.token_stream
+        for ordinal in range(context.num_descriptions):
+            rows.append(
+                (" ".join(map(lookup, token_stream(ordinal).tolist())), ids[ordinal], ordinal)
+            )
     else:
-        descriptions = enumerate(BlockBuilder._iter_with_side(data))
-        rows = [(sorting_key(d), d.identifier, ordinal) for ordinal, (_side, d) in descriptions]
+        for ordinal, (_side, description) in enumerate(BlockBuilder._iter_with_side(data)):
+            rows.append((sorting_key(description), description.identifier, ordinal))
     rows.sort()
-    return rows
-
-
-def _ordinals(rows: List[Tuple[str, str, int]]):
-    """The ordinal column of sorted rows, as an int64 ndarray."""
-    return _np.fromiter(map(itemgetter(2), rows), _np.int64, len(rows))
+    return [row[0] for row in rows], _np.fromiter(map(itemgetter(2), rows), _np.int64, len(rows))
 
 
 def _position_windows(
@@ -221,7 +221,7 @@ def _position_windows(
     starts, lengths, orders = [], [], []
     offset = 0
     for prefix, sorting_key in passes:
-        order = _ordinals(_entry_rows(data, context, sorting_key))
+        _keys, order = _entry_rows(data, context, sorting_key)
         first = np.arange(max(1, len(order) - window_size + 1))
         keys += [f"{prefix}{start}" for start in first.tolist()]
         starts.append(first + offset)

@@ -197,12 +197,11 @@ class ProgressiveBlockScheduler(ProgressiveScheduler):
         first, second, block = columns.distinct_pairs()
         ptr = np.searchsorted(block, np.arange(len(columns) + 1)).tolist()
         self._next, self._end = ptr[:-1], ptr[1:]
-        codes = (np.minimum(first, second) << 32) | np.maximum(first, second)
-        self._block_of = dict(zip(codes.tolist(), block.tolist()))
+        first, second, block = first.tolist(), second.tolist(), block.tolist()
+        self._block_of = dict(zip(map(pair_code, first, second), block))
         self._ordinal = dict(zip(columns.ids, range(len(columns.ids))))
 
         ids, keys = columns.ids, columns.keys
-        first, second, block = first.tolist(), second.tolist(), block.tolist()
         pending, promoted = self._next, self._promoted
         for current, end in enumerate(self._end):
             while True:

@@ -616,7 +616,7 @@ class TestLazyView:
             blocks_constructed.clear()
 
     def test_add_moves_to_new_columns_and_leaves_a_shared_backing_untouched(
-        self, tiny_collection
+        self, tiny_collection, blocks_constructed
     ):
         blocks = BlockingEngine().build(tiny_collection)
         backing = blocks._columns
@@ -624,7 +624,10 @@ class TestLazyView:
         expected = snapshot(shared)
         size, total = len(blocks), blocks.total_comparisons()
         keys, members, ids = list(backing.keys), backing.members.copy(), list(backing.ids)
-        blocks.add(Block("zz-added", members=["x", "y", "z"]))
+        added = Block("zz-added", members=["x", "y", "z"])
+        blocks_constructed.clear()
+        blocks.add(added)
+        assert blocks_constructed == []  # interned: no block is copied or materialised
         assert blocks._columns is not backing
         assert len(blocks) == size + 1 and blocks.total_comparisons() == total + 3
         assert [block.key for block in blocks][-1] == "zz-added"
@@ -636,6 +639,28 @@ class TestLazyView:
         assert backing.keys == keys and backing.ids == ids
         assert np.array_equal(backing.members, members)
         assert len(shared) == size and snapshot(shared) == expected
+
+    @given(block_collections())
+    @settings(max_examples=60, deadline=None)
+    def test_statistics_read_off_the_columns_equal_the_object_loops(self, blocks):
+        objects = list(blocks)
+        grown = BlockCollection()
+        for block in objects:
+            grown.add(block)
+        assert snapshot(grown) == snapshot(objects)
+        assert grown._columns.ids == blocks._columns.ids  # first-seen member order
+        index = {}
+        for position, block in enumerate(objects):
+            for member in block.members:
+                index.setdefault(member, []).append(position)
+        assert list(blocks.entity_index().items()) == list(index.items())
+        assert blocks.block_sizes() == [len(block) for block in objects]
+        assert blocks.placed_identifiers() == set(index)
+        for ascending in (True, False):
+            expected = sorted(objects, key=Block.num_comparisons, reverse=not ascending)
+            assert snapshot(blocks.sorted_by_cardinality(ascending)) == snapshot(expected)
+        positions = range(-len(objects), len(objects))
+        assert snapshot(blocks[p] for p in positions) == snapshot(objects * 2)
 
     def test_mutating_a_view_never_writes_through(self, tiny_collection):
         context = PipelineContext(tiny_collection)
