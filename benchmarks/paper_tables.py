@@ -70,7 +70,7 @@ from repro.metablocking.pruning import PRUNING_SCHEMES  # noqa: E402
 from repro.metablocking.weighting import WEIGHTING_SCHEMES  # noqa: E402
 from repro.progressive import (  # noqa: E402
     CostBenefitScheduler,
-    ProgressiveSortedNeighborhood,
+    SortedListScheduler,
     run_progressive,
 )
 from repro.text.similarity import jaccard_similarity  # noqa: E402
@@ -182,10 +182,11 @@ def _recall_row(name, result, budget) -> Dict[str, object]:
 
 
 def progressive_rows(blocks, truth, data, budget) -> Rows:
-    """Every named scheduler under one budget, plus PSNM without lookahead."""
+    """Every named scheduler under one budget, plus PSNM without lookahead:
+    the plain incrementally-widening sorted list over every pair."""
     weighted = MetaBlocking("ARCS", "CNP").weighted_comparisons(blocks)
     schedulers = [(name, _SCHEDULER_FACTORIES[name]()) for name in SCHEDULERS]
-    schedulers.append(("psnm (no lookahead)", ProgressiveSortedNeighborhood(lookahead=False)))
+    schedulers.append(("psnm (no lookahead)", SortedListScheduler(restrict_to_candidates=False)))
     rows = []
     for name, scheduler in schedulers:
         candidates = weighted if name in WEIGHTED_SCHEDULERS else blocks

@@ -20,10 +20,10 @@ import abc
 import heapq
 import itertools
 from dataclasses import dataclass, field
-from typing import Dict, FrozenSet, Iterable, List, Optional, Set, Tuple, Union
+from typing import Dict, FrozenSet, List, Optional, Set, Tuple, Union
 
 from repro.datamodel.collection import CleanCleanTask, EntityCollection
-from repro.datamodel.pairs import Comparison, canonical_pair
+from repro.datamodel.pairs import canonical_pair
 from repro.matching.matchers import MatchDecision, Matcher
 
 
@@ -45,13 +45,6 @@ class ComparisonQueue:
         pair = canonical_pair(first, second)
         self._priorities[pair] = priority
         heapq.heappush(self._heap, (-priority, next(self._counter), pair))
-
-    def push_comparison(self, comparison: Comparison, priority: Optional[float] = None) -> None:
-        self.push(
-            comparison.first,
-            comparison.second,
-            priority if priority is not None else (comparison.weight or 0.0),
-        )
 
     def pop(self) -> Optional[Tuple[str, str]]:
         """Pop the highest-priority pair, or ``None`` when the queue is empty."""

@@ -19,7 +19,7 @@ Schedulers implemented:
 * :class:`~repro.progressive.psnm.ProgressiveSortedNeighborhood` -- the
   progressive sorted-neighbourhood method with local lookahead.
 * :class:`~repro.progressive.psnm.ProgressiveBlockScheduler` -- progressive
-  block scheduling (block-pair ordering with match feedback).
+  block scheduling (distinct pairs, smallest blocks first).
 * :class:`~repro.progressive.scheduler.CostBenefitScheduler` -- the windowed
   cost--benefit scheduler with an influence graph and an update phase.
 
@@ -30,8 +30,9 @@ recall curve.
 Scheduling paths
 ----------------
 
-A feedback-free scheduler (weight order, random order, static order,
-sorted list) has one body, its
+A scheduler whose order is fixed up front (weight order, random order,
+static order, sorted list, the partition hierarchy, progressive blocking)
+has one body, its
 :meth:`~repro.progressive.schedulers.ProgressiveScheduler.rows`: the
 schedule as ordinal rows over an identifier table.  Blocks, meta-blocking's
 :class:`~repro.datamodel.pairs.ComparisonColumns` and plain comparison
@@ -42,9 +43,9 @@ column chunks into :meth:`~repro.matching.engine.MatchingEngine.decide_ordinal_p
 so a comparison budget costs only the prefix it affords, and ``schedule``
 is the same rows as ``Comparison`` objects.  A scheduler whose type
 overrides ``schedule`` -- the adaptive ones (progressive sorted
-neighbourhood, the cost--benefit scheduler, progressive blocking), the
-partition hierarchy and custom or overriding subclasses -- runs that
-generator instead (:class:`~repro.progressive.engine.SchedulingEngine`).
+neighbourhood, the cost--benefit scheduler) and custom or overriding
+subclasses -- runs that generator instead
+(:class:`~repro.progressive.engine.SchedulingEngine`).
 """
 
 from repro.progressive.budget import Budget

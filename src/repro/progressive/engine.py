@@ -1,10 +1,12 @@
 """The scheduling stage: a scheduler's rows, or its own ``schedule``.
 
-Every feedback-free library scheduler
+Every library scheduler whose order is fixed up front
 (:class:`~repro.progressive.schedulers.WeightOrderScheduler`,
 :class:`~repro.progressive.schedulers.RandomOrderScheduler`,
 :class:`~repro.progressive.schedulers.StaticOrderScheduler`,
-:class:`~repro.progressive.sorted_list.SortedListScheduler`) has one body,
+:class:`~repro.progressive.sorted_list.SortedListScheduler`,
+:class:`~repro.progressive.hierarchy.PartitionHierarchyScheduler`,
+:class:`~repro.progressive.psnm.ProgressiveBlockScheduler`) has one body,
 its :meth:`~repro.progressive.schedulers.ProgressiveScheduler.rows`: the
 schedule as ordinal rows over an identifier table, which
 :func:`~repro.progressive.runner.run_progressive` hands in column chunks to
@@ -13,10 +15,9 @@ budgeted run touches only the prefix it can afford.  Their ``schedule`` is
 the inherited materialisation of the same rows.
 
 A scheduler whose type overrides ``schedule`` -- the adaptive ones
-(progressive sorted neighbourhood, the cost--benefit scheduler, progressive
-blocking), the partition hierarchy and any custom or overriding subclass --
-runs that generator instead: its order may depend on match feedback or on
-behaviour the rows cannot see.
+(progressive sorted neighbourhood, the cost--benefit scheduler) and any
+custom or overriding subclass -- runs that generator instead: its order may
+depend on match feedback or on behaviour the rows cannot see.
 """
 
 from __future__ import annotations

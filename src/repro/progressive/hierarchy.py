@@ -18,13 +18,20 @@ prefix of the top level.
 
 from __future__ import annotations
 
-from typing import Callable, Dict, Iterator, List, Optional, Sequence
+from typing import Callable, Dict, Iterator, List, Optional, Set
 
 from repro.blocking.sorted_neighborhood import default_sorting_key
 from repro.datamodel.collection import CleanCleanTask
 from repro.datamodel.description import EntityDescription
-from repro.datamodel.pairs import Comparison, canonical_pair
-from repro.progressive.schedulers import CandidateSource, ERInput, ProgressiveScheduler, candidate_columns
+from repro.datamodel.pairs import pair_code
+from repro.progressive.schedulers import (
+    CandidateSource,
+    ERInput,
+    ProgressiveScheduler,
+    Row,
+    ScheduledRows,
+    candidate_codes,
+)
 
 
 class PartitionHierarchyScheduler(ProgressiveScheduler):
@@ -69,40 +76,35 @@ class PartitionHierarchyScheduler(ProgressiveScheduler):
             lengths.append(1)
         return lengths
 
-    def schedule(self, data: ERInput, candidates: CandidateSource) -> Iterator[Comparison]:
-        descriptions = list(data)
-        keys: Dict[str, str] = {
-            description.identifier: self.sorting_key(description).replace(" ", "")
-            for description in descriptions
-        }
-
-        allowed = None
+    def rows(self, data: ERInput, candidates: CandidateSource) -> ScheduledRows:
+        # ordinals rank the identifiers, so a partition's members in ordinal
+        # order are in identifier order and each row is canonically oriented
+        keys = {d.identifier: self.sorting_key(d).replace(" ", "") for d in data}
+        ids = sorted(keys)
+        allowed: Optional[Set[int]] = None
         if self.restrict_to_candidates and candidates is not None:
-            allowed = candidate_columns(candidates).pairs()
+            allowed = candidate_codes(candidates, dict(zip(ids, range(len(ids)))))
+        task = data if isinstance(data, CleanCleanTask) else None
 
-        bilateral = isinstance(data, CleanCleanTask)
-        emitted = set()
+        def rows() -> Iterator[Row]:
+            emitted: Set[int] = set()
+            for prefix_length in self._levels():
+                partitions: Dict[str, List[int]] = {}
+                for ordinal, identifier in enumerate(ids):
+                    prefix = keys[identifier][:prefix_length]
+                    if prefix:
+                        partitions.setdefault(prefix, []).append(ordinal)
+                # deeper levels (longer prefixes) come first; within a level
+                # smaller partitions first (their members are more distinctive)
+                for prefix in sorted(partitions, key=lambda p: (len(partitions[p]), p)):
+                    members = partitions[prefix]
+                    for i, first in enumerate(members):
+                        for second in members[i + 1 :]:
+                            code = pair_code(first, second)
+                            if code in emitted or (allowed is not None and code not in allowed):
+                                continue
+                            emitted.add(code)
+                            if task is None or task.is_valid_pair(ids[first], ids[second]):
+                                yield first, second, None
 
-        for prefix_length in self._levels():
-            partitions: Dict[str, List[str]] = {}
-            for identifier, key in keys.items():
-                prefix = key[:prefix_length]
-                if not prefix:
-                    continue
-                partitions.setdefault(prefix, []).append(identifier)
-            # deeper levels (longer prefixes) come first; within a level process
-            # smaller partitions first (their members are more distinctive)
-            for prefix in sorted(partitions, key=lambda p: (len(partitions[p]), p)):
-                members = sorted(partitions[prefix])
-                for i in range(len(members)):
-                    for j in range(i + 1, len(members)):
-                        first, second = members[i], members[j]
-                        if bilateral and not data.is_valid_pair(first, second):
-                            continue
-                        pair = canonical_pair(first, second)
-                        if pair in emitted:
-                            continue
-                        if allowed is not None and pair not in allowed:
-                            continue
-                        emitted.add(pair)
-                        yield Comparison(pair[0], pair[1])
+        return ScheduledRows(ids, rows())

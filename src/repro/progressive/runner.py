@@ -17,10 +17,11 @@ curve point per comparison):
 
 * **column drain** -- every feedback-free scheduler (one that leaves
   :meth:`~repro.progressive.schedulers.ProgressiveScheduler.feedback`
-  un-overridden) under a matcher the batch engine implements, in one chunk
-  loop, whatever the batch size.  :meth:`ScheduledRows.take
+  un-overridden: every fixed-order library scheduler, whose ``rows`` it
+  drains, and any custom one) under a matcher the batch engine implements,
+  in one chunk loop, whatever the batch size.  :meth:`ScheduledRows.take
   <repro.progressive.schedulers.ScheduledRows.take>` hands out the next
-  rows as two int64 ordinal arrays (slices of the sorted columns, or a
+  rows as two int64 ordinal arrays (slices of the columns, or a
   generator's rows packed -- a scheduler that overrides ``schedule`` is
   interned as it streams), :meth:`MatchingEngine.decide_ordinal_pairs
   <repro.matching.engine.MatchingEngine.decide_ordinal_pairs>` returns their
@@ -38,8 +39,9 @@ curve point per comparison):
   output, so they come from the engine's exact body
   (:meth:`MatchingEngine.score_ordinal_pairs
   <repro.matching.engine.MatchingEngine.score_ordinal_pairs>`).
-* **draw-one/decide-one** -- adaptive schedulers (their next draw may depend
-  on the last decision) and matchers the batch engine does not implement.
+* **draw-one/decide-one** -- the adaptive schedulers (progressive sorted
+  neighbourhood and cost--benefit scheduling: their next draw may depend on
+  the last decision) and matchers the batch engine does not implement.
 """
 
 from __future__ import annotations

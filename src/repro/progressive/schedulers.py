@@ -21,7 +21,7 @@ import abc
 import random
 from itertools import islice, repeat
 from operator import itemgetter
-from typing import Iterable, Iterator, List, Optional, Sequence, Tuple, Union
+from typing import Dict, Iterable, Iterator, List, Optional, Sequence, Set, Tuple, Union
 
 from repro.blocking.base import BlockCollection
 from repro.blocking.columns import BlockColumns
@@ -31,6 +31,7 @@ from repro.datamodel.pairs import (
     ComparisonColumns,
     OrdinalInterner,
     canonical_orientation,
+    pair_code,
 )
 from repro.matching.matchers import MatchDecision
 
@@ -142,6 +143,20 @@ def candidate_columns(candidates: CandidateSource) -> ComparisonColumns:
         first, second = canonical_orientation(columns.ids, first, second)
         return ComparisonColumns(columns.ids, first, second, distinct=True)
     return _columns_from_comparisons(candidates)
+
+
+def candidate_codes(candidates: CandidateSource, position: Dict[str, int]) -> Set[int]:
+    """The candidate pairs as :func:`~repro.datamodel.pairs.pair_code` of
+    their identifiers' ``position``; a pair one of whose identifiers has no
+    position is left out (no schedule over the positions can emit it)."""
+    columns = candidate_columns(candidates)
+    at = [position.get(identifier, -1) for identifier in columns.ids]
+    codes = set()
+    for f, s in zip(columns.first.tolist(), columns.second.tolist()):
+        a, b = at[f], at[s]
+        if a >= 0 and b >= 0:
+            codes.add(pair_code(a, b))
+    return codes
 
 
 def candidate_comparisons(candidates: CandidateSource) -> List[Comparison]:

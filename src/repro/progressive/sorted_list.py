@@ -24,7 +24,7 @@ from repro.progressive.schedulers import (
     ProgressiveScheduler,
     Row,
     ScheduledRows,
-    candidate_columns,
+    candidate_codes,
 )
 
 
@@ -65,14 +65,7 @@ class SortedListScheduler(ProgressiveScheduler):
         allowed: Optional[Set[int]] = None
         if self.restrict_to_candidates and candidates is not None:
             # the candidate pairs as packed codes of sorted positions
-            position = {identifier: i for i, identifier in enumerate(identifiers)}
-            columns = candidate_columns(candidates)
-            at = [position.get(identifier, -1) for identifier in columns.ids]
-            allowed = set()
-            for f, s in zip(columns.first.tolist(), columns.second.tolist()):
-                a, b = at[f], at[s]
-                if a >= 0 and b >= 0:  # else never emittable by the sweep
-                    allowed.add(pair_code(a, b))
+            allowed = candidate_codes(candidates, dict(zip(identifiers, range(n))))
         bilateral = data if isinstance(data, CleanCleanTask) else None
         limit = min(self.max_distance if self.max_distance is not None else n, n - 1)
 

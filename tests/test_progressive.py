@@ -208,7 +208,7 @@ class TestOrderedSchedulers:
 
     def test_psnm_lookahead_promotes_neighbouring_pairs(self):
         collection = self.make_sorted_collection()
-        scheduler = ProgressiveSortedNeighborhood(lookahead=True)
+        scheduler = ProgressiveSortedNeighborhood()
         generator = scheduler.schedule(collection, None)
         first = next(generator)
         assert first.pair == ("e1", "e2")
@@ -217,11 +217,11 @@ class TestOrderedSchedulers:
         second = next(generator)
         assert second.pair in {("e2", "e3"), ("e1", "e3")}
 
-    def test_psnm_without_lookahead_matches_sorted_list_order(self):
+    def test_psnm_without_matches_follows_the_sorted_list_order(self):
         collection = self.make_sorted_collection()
-        no_lookahead = ProgressiveSortedNeighborhood(lookahead=False)
+        psnm = ProgressiveSortedNeighborhood()
         sorted_list = SortedListScheduler(restrict_to_candidates=False)
-        assert [c.pair for c in no_lookahead.schedule(collection, None)] == [
+        assert [c.pair for c in psnm.schedule(collection, None)] == [
             c.pair for c in sorted_list.schedule(collection, None)
         ]
 
@@ -236,17 +236,29 @@ class TestOrderedSchedulers:
             scheduler.feedback(MatchDecision(comparison, similarity=1.0, is_match=True))
         assert emitted == [("a", "b"), ("c", "d"), ("c", "e"), ("d", "e")]
 
-    def test_progressive_block_scheduler_promotes_matching_blocks(self, small_dirty_dataset):
-        blocks = TokenBlocking().build(small_dirty_dataset.collection)
-        scheduler = ProgressiveBlockScheduler()
-        generator = scheduler.schedule(small_dirty_dataset.collection, blocks)
-        emitted = []
-        for _ in range(20):
-            comparison = next(generator)
-            emitted.append(comparison.pair)
-            is_match = small_dirty_dataset.ground_truth.are_matches(*comparison.pair)
-            scheduler.feedback(MatchDecision(comparison, similarity=1.0, is_match=is_match))
-        assert len(emitted) == len(set(emitted))
+    def test_progressive_block_scheduler_breaks_cardinality_ties_on_the_key(self):
+        blocks = BlockCollection(
+            [
+                Block("z", members=["a", "b"]),
+                Block("m", members=["c", "d", "e"]),
+                Block("b", members=["f", "g"]),
+            ]
+        )
+        emitted = [c.pair for c in ProgressiveBlockScheduler().schedule(None, blocks)]
+        assert emitted == [("f", "g"), ("a", "b"), ("c", "d"), ("c", "e"), ("d", "e")]
+
+    def test_progressive_block_scheduler_visits_smaller_blocks_first(self, small_dirty_dataset):
+        collection = small_dirty_dataset.collection
+        blocks = TokenBlocking().build(collection)
+        smallest = {}
+        for block in blocks:
+            for pair in block.pairs():
+                size = block.num_comparisons()
+                smallest[pair] = min(smallest.get(pair, size), size)
+        emitted = [c.pair for c in ProgressiveBlockScheduler().schedule(collection, blocks)]
+        assert sorted(emitted) == sorted(smallest)  # every distinct pair once
+        sizes = [smallest[pair] for pair in emitted]
+        assert sizes == sorted(sizes)
 
 
 class TestCostBenefitScheduler:

@@ -3,20 +3,21 @@
 ``tests/fixtures/scheduling/progressive_blocks.json`` freezes, for seeded
 dirty and clean--clean inputs (cleaned token blocks, whose keys are unique),
 what :class:`~repro.progressive.psnm.ProgressiveBlockScheduler` emitted in
-three runs, each drained to the end:
+two runs, each drained to the end:
 
 * ``static`` -- no feedback at all;
 * ``oracle`` -- every emitted comparison is answered with its ground-truth
-  decision (a match promotes the rest of the comparison's block);
-* ``hints`` -- as ``oracle``, and every seventh step also reports a match on
-  the next true pair not emitted yet, which promotes that pair's block ahead
-  of the cardinality order.
+  decision.  The fixture was frozen while a match still promoted the rest
+  of the comparison's block; the promotion never moved a row, so both runs
+  are the same drain.
 
 Per run the fixture keeps the row count, the first rows ``(first, second,
-block id, match)``, a SHA-256 of every row and the number of steps whose
-pair differs from the static order's pair at that step (what the promotions
-moved).  The scheduler must reproduce each trace on blocks built through a
-private context, through a shared one, and interned from ``Block`` objects.
+block, match)``, a SHA-256 of every row and the number of steps whose pair
+differs from the static order's pair at that step.  A row's block is the
+``(cardinality, key)``-least block holding its pair, worked out here by a
+loop over the blocks.  The scheduler must reproduce each trace on blocks
+built through a private context, through a shared one, and interned from
+``Block`` objects.
 
 Regenerating the fixture (only when the schedule changes on purpose)::
 
@@ -36,19 +37,16 @@ from repro.blocking.base import BlockCollection
 from repro.blocking.cleaning import BlockFiltering, BlockPurging
 from repro.blocking.engine import BlockingEngine
 from repro.core.context import PipelineContext
-from repro.datamodel.pairs import Comparison
 from repro.datasets import DatasetConfig, generate_clean_clean_task, generate_dirty_dataset
 from repro.matching.matchers import MatchDecision
 from repro.progressive.psnm import ProgressiveBlockScheduler
 
 FIXTURE = Path(__file__).parent / "fixtures" / "scheduling" / "progressive_blocks.json"
 INPUTS = (("dirty", 17), ("dirty", 23), ("clean_clean", 17))
-MODES = ("static", "oracle", "hints")
+MODES = ("static", "oracle")
 ROUTES = ("private", "shared", "objects")
 #: leading rows of every trace kept verbatim in the fixture
 HEAD = 30
-#: every HINT_EVERY-th step of a ``hints`` run reports a true pair ahead of time
-HINT_EVERY = 7
 
 
 def _dataset(kind: str, seed: int):
@@ -69,23 +67,25 @@ def _blocks(data, route: str):
     return BlockCollection(list(blocks), name=blocks.name) if route == "objects" else blocks
 
 
+def first_blocks(blocks) -> dict:
+    """pair -> key of the ``(cardinality, key)``-least block holding it."""
+    first = {}
+    for block in sorted(blocks, key=lambda block: (block.num_comparisons(), block.key)):
+        for pair in block.pairs():
+            first.setdefault(pair, block.key)
+    return first
+
+
 def trace(data, truth, blocks, mode: str):
-    """The rows ``(first, second, block id, match)`` of one full drain."""
+    """The rows ``(first, second, block, match)`` of one full drain."""
     scheduler = ProgressiveBlockScheduler()
-    hints = sorted(pair for pair in blocks.distinct_pairs() if truth.are_matches(*pair))
-    emitted, rows = set(), []
-    for step, comparison in enumerate(scheduler.schedule(data, blocks)):
+    block_of = first_blocks(blocks)
+    rows = []
+    for comparison in scheduler.schedule(data, blocks):
         is_match = truth.are_matches(*comparison.pair)
-        rows.append([comparison.first, comparison.second, comparison.block_id, is_match])
-        emitted.add(comparison.pair)
-        if mode == "static":
-            continue
-        scheduler.feedback(MatchDecision(comparison, similarity=1.0, is_match=is_match))
-        if mode == "hints" and step % HINT_EVERY == 0:
-            ahead = next((pair for pair in hints if pair not in emitted), None)
-            if ahead is not None:
-                hint = Comparison(*ahead)
-                scheduler.feedback(MatchDecision(hint, similarity=1.0, is_match=True))
+        rows.append([comparison.first, comparison.second, block_of[comparison.pair], is_match])
+        if mode == "oracle":
+            scheduler.feedback(MatchDecision(comparison, similarity=1.0, is_match=is_match))
     return rows
 
 
@@ -127,10 +127,10 @@ def test_traces_reproduce_the_fixture(kind, seed, route):
     assert got == {name: fixture()[name] for name in got}
 
 
-def test_the_fixture_covers_every_case_and_the_hints_move_the_order():
+def test_the_fixture_covers_every_case_and_feedback_moves_nothing():
     assert set(fixture()) == {f"{kind}/{seed}/{mode}" for kind, seed in INPUTS for mode in MODES}
     for kind, seed in INPUTS:
-        assert fixture()[f"{kind}/{seed}/hints"]["moved"] > 0
+        assert fixture()[f"{kind}/{seed}/oracle"] == fixture()[f"{kind}/{seed}/static"]
         assert fixture()[f"{kind}/{seed}/static"]["moved"] == 0
 
 

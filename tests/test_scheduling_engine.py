@@ -45,6 +45,7 @@ from repro.progressive.psnm import (
     ProgressiveSortedNeighborhood,
 )
 from repro.progressive.runner import run_progressive
+from repro.progressive.scheduler import CostBenefitScheduler
 from repro.progressive.schedulers import (
     ProgressiveScheduler,
     RandomOrderScheduler,
@@ -348,11 +349,45 @@ class TestWeightTies:
         ]
 
 
+class TestFixedOrderSchedulers:
+    """Progressive blocking and the partition hierarchy have one body, their
+    ``rows``: the stage runs them on the array path, and the column drain
+    runs the same trace as the per-row loop (a matcher the batch engine
+    does not implement)."""
+
+    @pytest.mark.parametrize("kind", KINDS)
+    @pytest.mark.parametrize("shape", ["blocks", "columns"])
+    @pytest.mark.parametrize("budget", BUDGETS)
+    def test_column_drain_equals_the_per_row_drain(self, kind, shape, budget):
+        data, ground_truth = _dataset(kind, seed=17)
+        candidates = _candidates(data, shape)
+        matcher = _matcher(data, "set")
+        for scheduler in (ProgressiveBlockScheduler(), PartitionHierarchyScheduler()):
+            engine = SchedulingEngine(scheduler)
+            assert engine.feedback_free
+            assert engine.schedule_rows(data, candidates) is not None
+            assert engine.last_engine == "array"
+            column_drain, per_row = (
+                _trace(
+                    _run(
+                        scheduler, component, data, candidates, None,
+                        budget=budget, ground_truth=ground_truth,
+                    )
+                )
+                for component in (matcher, ReadableMatcher(threshold=matcher.threshold))
+            )
+            assert column_drain == per_row, type(scheduler).__name__
+            assert column_drain[2] == (40 if budget else len(column_drain[0])) > 0
+
+
 class TestFallback:
     def test_adaptive_schedulers_fall_back(self):
         data, ground_truth = _dataset("dirty", seed=17)
-        candidates = _candidates(data, "blocks")
-        for scheduler in (ProgressiveSortedNeighborhood(), ProgressiveBlockScheduler()):
+        for scheduler, shape in (
+            (ProgressiveSortedNeighborhood(), "blocks"),
+            (CostBenefitScheduler(), "columns"),
+        ):
+            candidates = _candidates(data, shape)
             engine = SchedulingEngine(scheduler)
             assert not engine.feedback_free
             assert engine.schedule_rows(data, candidates) is None
@@ -368,14 +403,21 @@ class TestFallback:
             )
             assert via_engine == plain
 
-    def test_feedback_free_non_native_scheduler_falls_back(self):
+    def test_feedback_free_custom_scheduler_falls_back(self):
+        """A scheduler of its own that implements only ``schedule`` runs it."""
+
+        class Reversed(ProgressiveScheduler):
+            def schedule(self, data, candidates):
+                yield from reversed(candidate_columns(candidates))
+
         data, _ = _dataset("dirty", seed=19)
         candidates = _candidates(data, "columns")
-        scheduler = PartitionHierarchyScheduler()
-        engine = SchedulingEngine(scheduler)
+        engine = SchedulingEngine(Reversed())
         assert engine.feedback_free
         assert engine.schedule_rows(data, candidates) is None
         assert engine.last_engine == "object"
+        result = _run(Reversed(), _matcher(data, "set"), data, candidates, None)
+        assert [d.pair for d in result.decisions] == [c.pair for c in candidates][::-1]
 
     def test_overriding_subclass_runs_its_own_schedule(self):
         """A subclass overriding ``schedule`` runs that generator, on the
