@@ -64,7 +64,6 @@ class SortedListScheduler(ProgressiveScheduler):
         n = len(identifiers)
         allowed: Optional[Set[int]] = None
         if self.restrict_to_candidates and candidates is not None:
-            # the candidate pairs as packed codes of sorted positions
             allowed = candidate_codes(candidates, dict(zip(identifiers, range(n))))
         bilateral = data if isinstance(data, CleanCleanTask) else None
         limit = min(self.max_distance if self.max_distance is not None else n, n - 1)
