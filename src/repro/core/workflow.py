@@ -60,10 +60,9 @@ from repro.datamodel.description import merge_descriptions
 from repro.datamodel.ground_truth import GroundTruth
 from repro.datamodel.pairs import ComparisonColumns, DecisionColumns
 from repro.evaluation.metrics import (
-    cluster_spanning_pairs,
     evaluate_blocks,
+    evaluate_cluster_pairs,
     evaluate_comparisons,
-    evaluate_matches,
 )
 from repro.matching.cluster_engine import ClusteringEngine
 from repro.matching.clustering import (
@@ -310,9 +309,7 @@ class ERWorkflow:
             stage.notes = str(snapshot)
 
         if ground_truth is not None:
-            result.matching_quality = evaluate_matches(
-                cluster_spanning_pairs(result.clusters), ground_truth
-            )
+            result.matching_quality = evaluate_cluster_pairs(result.clusters, ground_truth)
         return result
 
     def _run(
@@ -467,12 +464,9 @@ class ERWorkflow:
         )
 
         if ground_truth is not None:
-            # spanning pairs close to exactly the final clusters, so the
-            # metrics equal evaluating matched_pairs() without materialising
-            # the quadratic within-cluster pair set
-            result.matching_quality = evaluate_matches(
-                cluster_spanning_pairs(result.clusters), ground_truth
-            )
+            # the final clusters counted on ground-truth cluster indices: the
+            # metrics of matched_pairs(), without its quadratic pair set
+            result.matching_quality = evaluate_cluster_pairs(result.clusters, ground_truth)
 
         return result
 

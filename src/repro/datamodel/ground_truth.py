@@ -118,24 +118,15 @@ class GroundTruth:
                     return True
         return False
 
-    def cluster_index(self, identifier: str) -> int:
-        """Dense index of the cluster containing ``identifier`` (-1 if unknown).
-
-        Two known identifiers match exactly when their cluster indices are
-        equal; the columnar evaluation paths compare these integers instead
-        of probing a materialised pair set.  Merged identifiers (``"a+b"``)
-        are *not* resolved -- callers that may see them go through
-        :meth:`are_matches`.
-        """
-        index = self._cluster_of.get(identifier)
-        return -1 if index is None else index
-
     def cluster_indices(self, identifiers: Iterable[str]) -> List[int]:
         """Cluster index per identifier (-1 for unknown), in input order.
 
         One dictionary lookup per identifier -- the ordinal-coded ground
         truth the evaluation fast paths index by table ordinal, instead of
-        one tuple-set probe per candidate *pair*.
+        one tuple-set probe per candidate *pair*: two known identifiers
+        match exactly when their indices are equal.  Merged identifiers
+        (``"a+b"``) are *not* resolved -- callers that may see them go
+        through :meth:`are_matches`.
         """
         cluster_of = self._cluster_of
         return [cluster_of.get(identifier, -1) for identifier in identifiers]

@@ -183,6 +183,20 @@ def heaviest_first(rank, first, second, weights=None):
     return order
 
 
+def heaviest_rows(rank, first, second, weights, count: int):
+    """The ``count`` rows (``0 < count < len(first)``, distinct) that lead
+    the :func:`heaviest_first` order, in no order: every row heavier than
+    the ``count``-th heaviest weight (one partition) and, of the rows tied
+    at it, those with the lowest pair codes (one ``argpartition``)."""
+    tied, heavier = _np.arange(len(first)), _np.arange(0)
+    if weights is not None:
+        w = -_np.partition(-weights, count - 1)[count - 1]
+        heavier, tied = _np.flatnonzero(weights > w), _np.flatnonzero(weights == w)
+    codes = rank[first[tied]] * len(rank) + rank[second[tied]]
+    need = count - len(heavier)
+    return _np.concatenate((heavier, tied[_np.argpartition(codes, need - 1)[:need]]))
+
+
 class OrdinalInterner:
     """Assigns dense ordinals to identifiers in first-seen order.
 
@@ -243,18 +257,20 @@ class ComparisonColumns(Sequence):
         output is distinct by construction); consumers that must
         deduplicate can skip the pass when set.
     weight_ordered:
-        Whether the rows are already in ``(-weight, first, second)`` order,
-        making :meth:`weight_sorted` a zero-cost pass-through (meta-blocking
-        emits its columns pre-sorted).
+        Whether the rows are in ``(-weight, first, second)`` order, making
+        :meth:`weight_sorted` a pass-through.  That order may be pending:
+        reading a column orders every row once; ``len``, :meth:`pairs` and
+        :meth:`unordered` order none, :meth:`ordered_rows` a head.
     """
 
     __slots__ = (
         "ids",
-        "first",
-        "second",
-        "weights",
+        "_first",
+        "_second",
+        "_weights",
         "distinct",
         "weight_ordered",
+        "_order",
     )
 
     def __init__(
@@ -275,14 +291,64 @@ class ComparisonColumns(Sequence):
         if weights is not None and len(weights) != len(first):
             raise ValueError("weights column must align with the ordinal columns")
         self.ids = ids
-        self.first = first
-        self.second = second
-        self.weights = weights
+        self._first = first
+        self._second = second
+        self._weights = weights
         self.distinct = distinct
         self.weight_ordered = weight_ordered
+        #: a pending weight order: the stored rows known to lead it, in
+        #: order (the rest follow unordered); None once the rows are in order
+        self._order = None
+
+    # reading a column completes a pending weight order
+    first = property(lambda self: self._columns()[0])
+    second = property(lambda self: self._columns()[1])
+    weights = property(lambda self: self._columns()[2])
+
+    def _columns(self):
+        if self._order is not None:
+            order = self._ordered(len(self), len(self))
+            self._first, self._second = self._first[order], self._second[order]
+            if self._weights is not None:
+                self._weights = self._weights[order]
+            self._order = None
+        return self._first, self._second, self._weights
+
+    def _ordered(self, stop: int, reach: int) -> _np.ndarray:
+        """The pending order's leading rows, extended to at least ``stop``:
+        first the head of ``max(stop, reach)`` rows, then all the rest."""
+        order = self._order
+        if len(order) < stop:
+            rank, key = identifier_ranks(self.ids), self._weights
+            if key is not None and _np.isnan(key).any():
+                key = _np.where(_np.isnan(key), -_np.inf, key)
+            if not len(order) and max(stop, reach) >= len(self):
+                return heaviest_first(rank, self._first, self._second, key)
+            if len(order):
+                rows = _np.setdiff1d(_np.arange(len(self)), order, assume_unique=True)
+            else:
+                rows = heaviest_rows(rank, self._first, self._second, key, max(stop, reach))
+            key = None if key is None else key[rows]
+            rows = rows[heaviest_first(rank, self._first[rows], self._second[rows], key)]
+            self._order = order = _np.concatenate((order, rows))
+        return order
+
+    def ordered_rows(self, start: int, stop: int, reach: int):
+        """Rows ``start:stop`` as ``(first, second)``, when no row past the
+        first ``reach`` is ever asked for: a pending order orders that head."""
+        if self._order is not None and (len(self._order) or reach < len(self)):
+            index = self._ordered(stop, reach)[start:stop]
+            return self._first[index], self._second[index]
+        first, second, _weights = self._columns()
+        return first[start:stop], second[start:stop]
+
+    def unordered(self):
+        """The ``(first, second)`` columns in storage order, for reads that
+        do not depend on the order (a pending one is not paid for)."""
+        return self._first, self._second
 
     def __len__(self) -> int:
-        return len(self.first)
+        return len(self._first)
 
     def __getitem__(self, index: int) -> "Comparison":
         if isinstance(index, slice):
@@ -310,38 +376,32 @@ class ComparisonColumns(Sequence):
     def pairs(self) -> Set[Tuple[str, str]]:
         """The distinct canonical pairs of all rows, as a set."""
         ids = self.ids
-        return {(ids[f], ids[s]) for f, s in zip(self.first.tolist(), self.second.tolist())}
+        first, second = self.unordered()
+        return {(ids[f], ids[s]) for f, s in zip(first.tolist(), second.tolist())}
 
     # ------------------------------------------------------------------
     def weight_sorted(self) -> "ComparisonColumns":
-        """A copy ordered by ``(-weight, first, second)`` -- heaviest first.
+        """The rows ordered by ``(-weight, first, second)`` -- heaviest first.
 
         The exact order of ``MetaBlocking.weighted_comparisons`` and of
         :class:`~repro.progressive.schedulers.WeightOrderScheduler`:
         descending weight, ties broken by the canonical identifier pair
         (missing weights sort last, tied with ``-inf``): :func:`heaviest_first`
-        over the rank and weight columns.
+        over the rank and weight columns, deferred (see ``weight_ordered``).
         """
         if len(self) <= 1 or self.weight_ordered:
             return self
-        key = self.weights
-        if key is not None:
-            missing = _np.isnan(key)
-            if missing.any():
-                key = _np.where(missing, -_np.inf, key)
-        order = heaviest_first(identifier_ranks(self.ids), self.first, self.second, key)
-        return self.taken(order, distinct=self.distinct, weight_ordered=True)
+        columns = ComparisonColumns(self.ids, *self._columns(), self.distinct, True)
+        columns._order = _np.zeros(0, dtype=_np.int64)
+        return columns
 
     def taken(self, index, distinct: bool = False, weight_ordered: bool = False):
         """A copy holding the rows at ``index`` (ints), in that order."""
         index = _np.asarray(index, dtype=_np.int64)
+        first, second, weights = self._columns()
+        weights = None if weights is None else weights[index]
         return ComparisonColumns(
-            self.ids,
-            self.first[index],
-            self.second[index],
-            self.weights[index] if self.weights is not None else None,
-            distinct=distinct,
-            weight_ordered=weight_ordered,
+            self.ids, first[index], second[index], weights, distinct, weight_ordered
         )
 
     def deduplicated(self) -> "ComparisonColumns":
@@ -358,14 +418,7 @@ class ComparisonColumns(Sequence):
         keep = first_occurrences(self.first, self.second, len(self.ids))
         if len(keep) < len(self):
             return self.taken(keep, distinct=True, weight_ordered=self.weight_ordered)
-        return ComparisonColumns(
-            self.ids,
-            self.first,
-            self.second,
-            self.weights,
-            distinct=True,
-            weight_ordered=self.weight_ordered,
-        )
+        return ComparisonColumns(self.ids, *self._columns(), True, self.weight_ordered)
 
     def __repr__(self) -> str:
         weighted = "weighted" if self.weights is not None else "unweighted"

@@ -32,7 +32,8 @@ two counting paths that provably agree:
   ground truth's per-identifier cluster indices and packed integer pair
   codes, :func:`~repro.evaluation.metrics.evaluate_matches` closes declared
   matches with the shared :class:`~repro.core.unionfind.UnionFind` and
-  counts induced pairs in closed form, and
+  :func:`~repro.evaluation.metrics.evaluate_cluster_pairs` counts the
+  induced pairs of clusters in closed form, and
   :func:`~repro.evaluation.clusters.evaluate_clusters` builds one
   contingency table instead of comparing every cluster pair.
 
@@ -54,6 +55,7 @@ from repro.evaluation.metrics import (
     MatchingQuality,
     cluster_spanning_pairs,
     evaluate_blocks,
+    evaluate_cluster_pairs,
     evaluate_comparisons,
     evaluate_matches,
     f_measure,
@@ -71,6 +73,7 @@ __all__ = [
     "closest_cluster_score",
     "cluster_spanning_pairs",
     "evaluate_blocks",
+    "evaluate_cluster_pairs",
     "evaluate_clusters",
     "evaluate_comparisons",
     "evaluate_matches",

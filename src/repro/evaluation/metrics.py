@@ -23,7 +23,7 @@ paths to coexist:
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, Iterable, Set, Tuple, Union
+from typing import Iterable, Set, Tuple, Union
 
 from repro.core.unionfind import UnionFind
 from repro.datamodel.collection import CleanCleanTask, EntityCollection
@@ -174,18 +174,22 @@ def _count_detected_columns(
     column for columns flagged ``distinct`` -- and deduplication (skipped
     entirely for ``distinct`` columns) runs on packed pair codes.  The
     counts -- and hence every derived metric -- equal the tuple-set
-    formulation's exactly.
+    formulation's exactly.  A pending weight order is not paid for.
     """
     cluster_index = ground_truth.cluster_indices(columns.ids)
     detected = 0
+    if isinstance(columns, ComparisonColumns):
+        first, second = columns.unordered()
+    else:
+        first, second = columns.first, columns.second
     if getattr(columns, "distinct", False):
         cluster = _np.asarray(cluster_index, dtype=_np.int64)
-        of_first, of_second = cluster[columns.first], cluster[columns.second]
+        of_first, of_second = cluster[first], cluster[second]
         detected = int(_np.count_nonzero((of_first >= 0) & (of_first == of_second)))
         return len(columns), detected
     seen: Set[int] = set()
     add = seen.add
-    for f, s in zip(columns.first.tolist(), columns.second.tolist()):
+    for f, s in zip(first.tolist(), second.tolist()):
         code = pair_code(f, s)
         if code in seen:
             continue
@@ -325,6 +329,40 @@ def cluster_spanning_pairs(
             yield (members[0], other)
 
 
+def evaluate_cluster_pairs(
+    clusters: Iterable[Iterable[str]], ground_truth: GroundTruth
+) -> MatchingQuality:
+    """Pair-level precision/recall of disjoint clusters, each declaring
+    every pair inside it: what :func:`evaluate_matches` gives for
+    ``cluster_spanning_pairs(clusters)``, without the closure.
+
+    Declared pairs are counted in closed form per cluster, correct ones by
+    counting the members per (cluster, ground-truth cluster index) cell:
+    one :meth:`GroundTruth.cluster_indices` gather and one ``np.unique``.
+    Clusters holding a merged identifier (``"a+b"``) take
+    :func:`evaluate_matches`, whose provenance rule they need.
+    """
+    clusters = [list(cluster) for cluster in clusters]
+    members = [member for cluster in clusters for member in cluster]
+    if any("+" in member for member in members):
+        return evaluate_matches(cluster_spanning_pairs(clusters), ground_truth)
+    sizes = _np.array([len(cluster) for cluster in clusters], dtype=_np.int64)
+    index = _np.array(ground_truth.cluster_indices(members), dtype=_np.int64)
+    owner = _np.repeat(_np.arange(len(sizes)), sizes)[index >= 0]
+    cells = owner * (index.max(initial=0) + 1) + index[index >= 0]
+    counts = _np.unique(cells, return_counts=True)[1]
+    declared = int((sizes * (sizes - 1) // 2).sum())
+    correct = int((counts * (counts - 1) // 2).sum())
+    total_matches = ground_truth.num_matches()
+    return MatchingQuality(
+        precision=correct / declared if declared else 0.0,
+        recall=correct / total_matches if total_matches else 0.0,
+        num_declared=declared,
+        num_correct=correct,
+        num_total_matches=total_matches,
+    )
+
+
 def evaluate_matches(
     declared_matches: Union[
         ComparisonColumns, DecisionColumns, Iterable[Union[Comparison, Tuple[str, str]]]
@@ -338,12 +376,9 @@ def evaluate_matches(
     relations.  Merged identifiers (``"a+b"``) are expanded to their
     constituents.
 
-    Counting runs ordinal-coded throughout: the closure is one shared
-    :class:`~repro.core.unionfind.UnionFind` pass, the induced declared
-    pairs are counted in closed form per cluster (never materialised), and
-    the correct ones are counted by grouping each cluster's members on their
-    ground-truth cluster index -- so large clusters cost linear work where
-    the tuple-set formulation paid for every induced pair twice.
+    The closure is one shared :class:`~repro.core.unionfind.UnionFind`
+    pass, whose groups :func:`evaluate_cluster_pairs` counts: the induced
+    pairs are never materialised.
     """
     # transitive closure of declared matches
     links = UnionFind()
@@ -362,25 +397,4 @@ def evaluate_matches(
         for members in (lefts, rights):
             for other in members[1:]:
                 union(members[0], other)
-
-    declared = 0
-    correct = 0
-    for members in links.groups().values():
-        declared += len(members) * (len(members) - 1) // 2
-        truth_sizes: Dict[int, int] = {}
-        for member in members:
-            index = ground_truth.cluster_index(member)
-            if index >= 0:
-                truth_sizes[index] = truth_sizes.get(index, 0) + 1
-        correct += sum(size * (size - 1) // 2 for size in truth_sizes.values())
-
-    total_matches = ground_truth.num_matches()
-    precision = correct / declared if declared else 0.0
-    recall = correct / total_matches if total_matches else 0.0
-    return MatchingQuality(
-        precision=precision,
-        recall=recall,
-        num_declared=declared,
-        num_correct=correct,
-        num_total_matches=total_matches,
-    )
+    return evaluate_cluster_pairs(links.groups().values(), ground_truth)

@@ -18,7 +18,8 @@ The output can be consumed in four forms:
 
 * :meth:`MetaBlocking.weighted_columns` -- the retained edges as
   :class:`~repro.datamodel.pairs.ComparisonColumns`, heaviest first: the
-  index engine's own columns, wrapped (what the workflow consumes);
+  index engine's own columns, wrapped, their order deferred until it is
+  read (what the workflow consumes);
 * :meth:`MetaBlocking.iter_retained` -- a lazy view of the same columns as
   :class:`~repro.metablocking.entity_index.WeightedEdge` objects;
 * :meth:`MetaBlocking.weighted_comparisons` -- the rows of
@@ -189,7 +190,9 @@ class MetaBlocking:
         <repro.datamodel.pairs.ComparisonColumns.weight_sorted>`): the index
         engine's ordinal/weight columns are wrapped as they are, no per-edge
         object or identifier lookup in between; the natural input of the
-        array scheduling engine.
+        array scheduling engine.  The order is not paid for here: the
+        columns order themselves when their rows are first read, and a
+        budgeted drain orders only the head it can reach.
         With a shared ``context`` the ordinal space is the context's (the
         columns' ``ids`` is ``context.ids`` itself); a context built
         for a different collection than the blocks raises :class:`KeyError`

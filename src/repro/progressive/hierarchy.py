@@ -18,7 +18,10 @@ prefix of the top level.
 
 from __future__ import annotations
 
-from typing import Callable, Dict, Iterator, List, Optional, Set
+from itertools import repeat
+from typing import Callable, Dict, Iterator, List, Optional, Set, Tuple
+
+import numpy as _np
 
 from repro.blocking.sorted_neighborhood import default_sorting_key
 from repro.datamodel.collection import CleanCleanTask
@@ -28,9 +31,8 @@ from repro.progressive.schedulers import (
     CandidateSource,
     ERInput,
     ProgressiveScheduler,
-    Row,
     ScheduledRows,
-    candidate_codes,
+    candidate_positions,
 )
 
 
@@ -81,30 +83,57 @@ class PartitionHierarchyScheduler(ProgressiveScheduler):
         # order are in identifier order and each row is canonically oriented
         keys = {d.identifier: self.sorting_key(d).replace(" ", "") for d in data}
         ids = sorted(keys)
-        allowed: Optional[Set[int]] = None
         if self.restrict_to_candidates and candidates is not None:
-            allowed = candidate_codes(candidates, dict(zip(ids, range(len(ids)))))
-        task = data if isinstance(data, CleanCleanTask) else None
+            pairs = self._candidate_pairs(keys, ids, candidates)
+        else:
+            pairs = self._partition_pairs(keys, ids)
+        rows = ((f, s, None) for f, s in pairs)
+        if isinstance(data, CleanCleanTask):
+            rows = (row for row in rows if data.is_valid_pair(ids[row[0]], ids[row[1]]))
+        return ScheduledRows(ids, rows)
 
-        def rows() -> Iterator[Row]:
-            emitted: Set[int] = set()
-            for prefix_length in self._levels():
-                partitions: Dict[str, List[int]] = {}
-                for ordinal, identifier in enumerate(ids):
-                    prefix = keys[identifier][:prefix_length]
-                    if prefix:
-                        partitions.setdefault(prefix, []).append(ordinal)
-                # deeper levels (longer prefixes) come first; within a level
-                # smaller partitions first (their members are more distinctive)
-                for prefix in sorted(partitions, key=lambda p: (len(partitions[p]), p)):
-                    members = partitions[prefix]
-                    for i, first in enumerate(members):
-                        for second in members[i + 1 :]:
-                            code = pair_code(first, second)
-                            if code in emitted or (allowed is not None and code not in allowed):
-                                continue
+    def _partition_pairs(self, keys: Dict[str, str], ids: List[str]) -> Iterator[Tuple[int, int]]:
+        """Every pair of every partition, level by level, each pair once."""
+        emitted: Set[int] = set()
+        for prefix_length in self._levels():
+            partitions: Dict[str, List[int]] = {}
+            for ordinal, identifier in enumerate(ids):
+                prefix = keys[identifier][:prefix_length]
+                if prefix:
+                    partitions.setdefault(prefix, []).append(ordinal)
+            # deeper levels (longer prefixes) come first; within a level
+            # smaller partitions first (their members are more distinctive)
+            for prefix in sorted(partitions, key=lambda p: (len(partitions[p]), p)):
+                members = partitions[prefix]
+                for i, first in enumerate(members):
+                    for second in members[i + 1 :]:
+                        code = pair_code(first, second)
+                        if code not in emitted:
                             emitted.add(code)
-                            if task is None or task.is_valid_pair(ids[first], ids[second]):
-                                yield first, second, None
+                            yield first, second
 
-        return ScheduledRows(ids, rows())
+    def _candidate_pairs(
+        self, keys: Dict[str, str], ids: List[str], candidates: CandidateSource
+    ) -> List[Tuple[int, int]]:
+        """The candidates in :meth:`_partition_pairs` order, sorted once by
+        (first level whose non-empty prefixes they share, that partition's
+        size, the prefix, first ordinal, second ordinal)."""
+        first, second = candidate_positions(candidates, dict(zip(ids, range(len(ids)))))
+        keyed: List[Tuple[int, ...]] = []
+        for level, prefix_length in enumerate(self._levels()):
+            prefixes = [keys[identifier][:prefix_length] for identifier in ids]
+            names = {prefix: rank for rank, prefix in enumerate(sorted(set(prefixes)))}
+            partition = _np.array([names[prefix] for prefix in prefixes], dtype=_np.int64)
+            of = partition[first]
+            shared = (of == partition[second]) & (of != names.get("", -1))
+            of = of[shared]
+            keyed += zip(
+                repeat(level),
+                _np.bincount(partition)[of].tolist(),
+                of.tolist(),
+                first[shared].tolist(),
+                second[shared].tolist(),
+            )
+            first, second = first[~shared], second[~shared]
+        keyed.sort()
+        return [key[-2:] for key in keyed]

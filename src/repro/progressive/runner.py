@@ -21,16 +21,20 @@ curve point per comparison):
   drains, and any custom one) under a matcher the batch engine implements,
   in one chunk loop, whatever the batch size.  :meth:`ScheduledRows.take
   <repro.progressive.schedulers.ScheduledRows.take>` hands out the next
-  rows as two int64 ordinal arrays (slices of the columns, or a
-  generator's rows packed -- a scheduler that overrides ``schedule`` is
-  interned as it streams), :meth:`MatchingEngine.decide_ordinal_pairs
+  rows as two int64 ordinal arrays (rows of the columns, or a generator's
+  rows packed -- a scheduler that overrides ``schedule`` is interned as it
+  streams; under a budget, pending weight order sorts only the
+  ``int(remaining / cost) + 1`` rows it can reach),
+  :meth:`MatchingEngine.decide_ordinal_pairs
   <repro.matching.engine.MatchingEngine.decide_ordinal_pairs>` returns their
-  flags as an array, the budget is charged and the curve extended once per
-  chunk (:meth:`Budget.charge_many
+  flags as an array, true matches are one gather over the ground truth's
+  cluster indices (``are_matches`` for a merged ``"a+b"`` identifier), the
+  budget is charged and the curve extended once per chunk
+  (:meth:`Budget.charge_many
   <repro.progressive.budget.Budget.charge_many>`,
   :meth:`ProgressiveRecallCurve.record_many
-  <repro.evaluation.curves.ProgressiveRecallCurve.record_many>`), and the
-  declared matches are kept as context ordinals
+  <repro.evaluation.curves.ProgressiveRecallCurve.record_many>`, a flag
+  array), and the declared matches are kept as context ordinals
   (:attr:`ProgressiveResult.match_columns`).  No description pair,
   ``Comparison`` or ``MatchDecision`` is built and Python runs per *match*
   only.  A schedule whose identifier table is not the context's own is
@@ -223,14 +227,18 @@ def run_progressive(
             decisions = result.decisions = DecisionColumns(context.ids, cost=cost)
         matches = result.match_columns = DecisionColumns(context.ids)
         seen_codes: Set[int] = set()
+        if curve is not None:
+            # ground-truth cluster per context ordinal, -2: a merged "a+b"
+            truth = _np.array(ground_truth.cluster_indices(context.ids), dtype=_np.int64)
+            truth[[o for o, identifier in enumerate(context.ids) if "+" in identifier]] = -2
         while True:
-            draw = batch_size
+            reach = None
             if budget_obj.total is not None and cost > 0:
                 # what the budget still covers plus one: the row that shows
                 # it is exhausted, so the unresolvable rows before it are
                 # counted as the per-row loop counts them
-                draw = min(batch_size, int(budget_obj.remaining / cost) + 1)
-            first, second = rows.take(draw)
+                reach = int(budget_obj.remaining / cost) + 1
+            first, second = rows.take(batch_size, reach)
             if not len(first):
                 break
             if to_context is not None:
@@ -262,18 +270,21 @@ def run_progressive(
             pairs = first[matched].tolist(), second[matched].tolist()
             matches.extend(*pairs, repeat(1.0, len(matched)), repeat(1, len(matched)))
             if curve is not None:
-                true_matches = bytearray(executed)
-                for position, f, s in zip(matched.tolist(), *pairs):
+                of_first, of_second = truth[first[matched]], truth[second[matched]]
+                merged = _np.minimum(of_first, of_second) == -2
+                true_matches = _np.zeros(executed, dtype=bool)
+                for k in _np.flatnonzero(merged | (of_first >= 0) & (of_first == of_second)):
+                    f, s = pairs[0][k], pairs[1][k]
                     code = pair_code(f, s)
-                    if code not in seen_codes and ground_truth.are_matches(
-                        matches.ids[f], matches.ids[s]
+                    if code not in seen_codes and (
+                        not merged[k] or ground_truth.are_matches(context.ids[f], context.ids[s])
                     ):
                         seen_codes.add(code)
-                        true_matches[position] = 1
-                        result.true_matches_found += 1
+                        true_matches[matched[k]] = True
                 curve.record_many(true_matches)
             if executed < len(flags):
                 break
+        result.true_matches_found = len(seen_codes)
     else:
         declared: List[Tuple[str, str]] = []
         seen_matches: Set[Tuple[str, str]] = set()

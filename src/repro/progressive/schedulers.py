@@ -21,7 +21,7 @@ import abc
 import random
 from itertools import islice, repeat
 from operator import itemgetter
-from typing import Dict, Iterable, Iterator, List, Optional, Sequence, Set, Tuple, Union
+from typing import Dict, Iterable, Iterator, List, Optional, Sequence, Tuple, Union
 
 from repro.blocking.base import BlockCollection
 from repro.blocking.columns import BlockColumns
@@ -31,7 +31,6 @@ from repro.datamodel.pairs import (
     ComparisonColumns,
     OrdinalInterner,
     canonical_orientation,
-    pair_code,
 )
 from repro.matching.matchers import MatchDecision
 
@@ -62,9 +61,12 @@ class ScheduledRows:
         self._rows = rows
         self._position = 0
 
-    def take(self, count: int):
+    def take(self, count: int, reach: Optional[int] = None):
         """The next at most ``count`` rows as ``(first, second)`` int64
-        arrays; both are empty once the schedule is drained."""
+        arrays; both are empty once the schedule is drained.  ``reach``
+        (``None``: all) bounds the rows from here on the consumer can use:
+        no more are handed out, and a pending weight order orders only those."""
+        count = count if reach is None else min(count, reach)
         columns = self._rows
         if not isinstance(columns, ComparisonColumns):
             chunk = list(islice(columns, count))
@@ -74,7 +76,7 @@ class ScheduledRows:
             )
         start = self._position
         self._position = stop = min(start + count, len(columns))
-        return columns.first[start:stop], columns.second[start:stop]
+        return columns.ordered_rows(start, stop, len(columns) if reach is None else start + reach)
 
     @property
     def rows(self) -> Iterator[Row]:
@@ -145,18 +147,16 @@ def candidate_columns(candidates: CandidateSource) -> ComparisonColumns:
     return _columns_from_comparisons(candidates)
 
 
-def candidate_codes(candidates: CandidateSource, position: Dict[str, int]) -> Set[int]:
-    """The candidate pairs as :func:`~repro.datamodel.pairs.pair_code` of
-    their identifiers' ``position``; a pair one of whose identifiers has no
-    position is left out (no schedule over the positions can emit it)."""
+def candidate_positions(candidates: CandidateSource, position: Dict[str, int]):
+    """The candidate pairs as ``(low, high)`` int64 arrays of their
+    identifiers' ``position``, ``low < high``, in no promised order; a pair
+    one of whose identifiers has no position is left out (no schedule over
+    the positions can emit it)."""
     columns = candidate_columns(candidates)
-    at = [position.get(identifier, -1) for identifier in columns.ids]
-    codes = set()
-    for f, s in zip(columns.first.tolist(), columns.second.tolist()):
-        a, b = at[f], at[s]
-        if a >= 0 and b >= 0:
-            codes.add(pair_code(a, b))
-    return codes
+    at = _np.array([position.get(identifier, -1) for identifier in columns.ids], dtype=_np.int64)
+    first, second = (at[side] for side in columns.unordered())
+    known = (first >= 0) & (second >= 0)
+    return _np.minimum(first, second)[known], _np.maximum(first, second)[known]
 
 
 def candidate_comparisons(candidates: CandidateSource) -> List[Comparison]:
@@ -216,7 +216,8 @@ class WeightOrderScheduler(ProgressiveScheduler):
     front, which is what distinguishes it from the adaptive schedulers.
     Ties break on the canonical identifier pair
     (:meth:`ComparisonColumns.weight_sorted`); columns that are already
-    weight-sorted (meta-blocking's) pass through at no cost.
+    weight-ordered (meta-blocking's) pass through; a budgeted drain orders
+    only the rows its budget can reach.
     """
 
     name = "weight_order"

@@ -24,7 +24,7 @@ from repro.progressive.schedulers import (
     ProgressiveScheduler,
     Row,
     ScheduledRows,
-    candidate_codes,
+    candidate_positions,
 )
 
 
@@ -64,7 +64,8 @@ class SortedListScheduler(ProgressiveScheduler):
         n = len(identifiers)
         allowed: Optional[Set[int]] = None
         if self.restrict_to_candidates and candidates is not None:
-            allowed = candidate_codes(candidates, dict(zip(identifiers, range(n))))
+            low, high = candidate_positions(candidates, dict(zip(identifiers, range(n))))
+            allowed = set(map(pair_code, low.tolist(), high.tolist()))
         bilateral = data if isinstance(data, CleanCleanTask) else None
         limit = min(self.max_distance if self.max_distance is not None else n, n - 1)
 

@@ -315,13 +315,31 @@ class TestOrdinalFastPaths:
             full, truth
         )
 
+    def test_cluster_pairs_equal_the_closure_of_spanning_pairs(self):
+        from repro.evaluation.metrics import cluster_spanning_pairs, evaluate_cluster_pairs
+
+        truth = GroundTruth([["a", "b", "c"], ["d", "e"], ["f", "g"]])
+        cases = [
+            [],
+            [["a", "b", "c"], ["d", "x"], ["e"]],
+            [{"a", "d"}, ("b", "c", "e", "f"), ["y", "z"]],
+            # merged identifiers keep the provenance rule: a singleton
+            # "a+b" declares nothing, constituents join across clusters
+            [["a+b"], ["c", "d"]],
+            [["a+b", "d"], ["b", "c"], ["f+g", "y"]],
+        ]
+        for clusters in cases:
+            expected = evaluate_matches(cluster_spanning_pairs(clusters), truth)
+            assert evaluate_cluster_pairs(clusters, truth) == expected, clusters
+        merged = evaluate_cluster_pairs([["a+b", "d"], ["b", "c"]], truth)
+        assert (merged.num_declared, merged.num_correct) == (6, 3)
+
     def test_ground_truth_ordinal_views(self):
         truth = GroundTruth([["a", "b"], ["c", "d"]])
         indices = truth.cluster_indices(["a", "b", "c", "z"])
         assert indices[0] == indices[1]
         assert indices[2] != indices[0] and indices[2] >= 0
         assert indices[3] == -1
-        assert truth.cluster_index("z") == -1
         # arithmetic num_matches equals the pair-set size, before and after
         # the pair set is materialised
         assert truth.num_matches() == 2

@@ -89,6 +89,40 @@ class TestBatchedAccounting:
         budget.charge_many(0.1, 10)
         assert budget.spent == sum([0.1] * 10) != 0.1 * 10
 
+    def test_true_matches_of_merged_identifiers_follow_provenance(self):
+        """A declared match involving a merged identifier ("a+b") is true
+        when a constituent matches, on the column drain as on the per-row
+        loop (``GroundTruth.are_matches``)."""
+        from repro.core.context import PipelineContext
+        from repro.datamodel.ground_truth import GroundTruth
+        from repro.matching.engine import MatchingEngine
+
+        names = {"p1+p2": "ada lovelace", "p3": "ada lovelace", "p4": "ada king",
+                 "p5+p6": "alan turing", "p7": "alan turing", "p8": "alan m turing"}
+        data = EntityCollection(
+            [EntityDescription(identifier, {"name": name}) for identifier, name in names.items()]
+        )
+        truth = GroundTruth([["p1", "p3"], ["p4", "p2"], ["p6", "p7"]])
+        context = PipelineContext(data)
+        matcher = ProfileSimilarityMatcher(threshold=0.3, vectorizer=context.fit_vectorizer())
+        blocks = TokenBlocking().build(data)
+        runs = [
+            run_progressive(
+                WeightOrderScheduler(), component, data, blocks, ground_truth=truth, engine=engine
+            )
+            for component, engine in (
+                (matcher, MatchingEngine(matcher, context=context)),
+                (readable(matcher), None),
+            )
+        ]
+        batched, looped = runs
+        assert batched.declared_matches == looped.declared_matches
+        assert batched.curve.history() == looped.curve.history()
+        assert batched.true_matches_found == looped.true_matches_found == sum(
+            truth.are_matches(*pair) for pair in batched.declared_matches
+        ) > 0
+        assert any("+" in first + second for first, second in batched.declared_matches)
+
     @pytest.mark.parametrize("cost, budget", [(0.3, 10), (1.0, 40_000)])
     def test_runner_batches_equal_the_per_comparison_loop(self, small_dirty_dataset, cost, budget):
         from repro.core.context import PipelineContext
