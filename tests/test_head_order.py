@@ -47,7 +47,7 @@ def _with_ghosts(columns: ComparisonColumns) -> ComparisonColumns:
     """The rows plus 40 pairs over identifiers the data lacks, weighted into
     the head: a drain skips them and has to go past it."""
     ids = list(columns.ids) + [f"ghost{i:02d}" for i in range(40)]
-    first, second, weights = columns.unordered() + (columns._weights,)
+    first, second, weights = columns.first, columns.second, columns.weights
     # "ghostNN" sorts before every "kb:..." identifier: canonical rows
     ghosts = np.arange(len(columns.ids), len(ids))
     return ComparisonColumns(
@@ -103,6 +103,7 @@ def test_the_head_is_all_a_drain_inside_the_tie_run_orders(cost):
     columns = _pending()
     _drain(columns, 350, cost)
     reach = int(350 / cost) + 1
+    # white-box: the rows whose order is known are the head, no more
     assert len(columns._order) == reach < ROWS
 
 
